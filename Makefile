@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -45,7 +45,9 @@ fuzz-smoke:
 	$(GO) test ./internal/service -fuzz FuzzNormalizeQuery -fuzztime 10s
 
 # Race tier: the packages with query-time shared state — the scheduler
-# (internal/engine), the column vectors (internal/bat), the string
+# (internal/engine, which includes the morsel, fusion and theta-join
+# differential files: the band join's morsels fill disjoint ranges of
+# shared index vectors), the column vectors (internal/bat), the string
 # pools + fragment registry (internal/xenc), and the concurrent service
 # layer (internal/service + the MIL TCP server it embeds).
 race:
@@ -58,6 +60,21 @@ race-all:
 # Regenerate the pinned XMark query outputs after an intentional change.
 golden:
 	$(GO) test ./internal/engine -run TestXMarkGolden -update
+
+# The repository's benchmark (benchmark/, declared in BENCHMARK.json):
+# every workload, tracing off and on, every metric by name; ~7 min.
+bench:
+	$(GO) run ./benchmark
+
+# One end-to-end run of the join workload, as the PR driver runs it: the
+# command behind every before/after pair for an executor join change.
+bench-join:
+	$(GO) run ./benchmark --workload xmark_join --seed 1 --seconds 35 --trace 0
+
+# CI smoke for the benchmark itself: every workload and metric at
+# SF 0.002, outputs checked against the goldens and the oracle; ~10 s.
+bench-smoke:
+	$(GO) test ./benchmark
 
 # Sequential-vs-parallel scheduler comparison; writes BENCH_parallel.json.
 bench-parallel:

@@ -213,6 +213,9 @@ func main() {
 			if st.FusedChain > 0 {
 				ann += fmt.Sprintf(", fused #%d [%d/%d]", st.FusedChain, st.FusedPos, st.FusedLen)
 			}
+			if st.ThetaJoin > 0 {
+				ann += fmt.Sprintf(", theta #%d", st.ThetaJoin)
+			}
 			if st.Morsels > 1 {
 				ann += fmt.Sprintf(", %d morsels", st.Morsels)
 				if st.ParWorkers > 1 {
@@ -223,9 +226,10 @@ func main() {
 			return ann
 		}))
 		phys := physical.Lower(plan)
-		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d fused chains)\n",
-			algebra.CountOps(plan), eng.Workers, phys.Breakers(), len(phys.Chains))
+		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d fused chains, %d theta joins)\n",
+			algebra.CountOps(plan), eng.Workers, phys.Breakers(), len(phys.Chains), len(phys.ThetaJoins))
 		printFusedChains(phys, tr)
+		printThetaJoins(phys, tr)
 		if optTrace != "" {
 			fmt.Print(optTrace)
 		}
@@ -267,6 +271,24 @@ func printFusedChains(phys *physical.Plan, tr *engine.Trace) {
 		}
 		fmt.Printf("fused chain #%d: %s — %d rows in, %d out, %d materialized\n",
 			ch.ID, strings.Join(kernels, " → "), head.RowsIn, tail.RowsOut, tail.RowsMat)
+	}
+}
+
+// printThetaJoins summarizes each theta join of the physical plan for
+// -show explain: the predicate, and for a unit the band kernel ran its
+// lane, the rows probed (both inputs), the pairs emitted and the morsel
+// split. A demoted unit names the reason; its members ran one by one.
+func printThetaJoins(phys *physical.Plan, tr *engine.Trace) {
+	for _, tj := range phys.ThetaJoins {
+		pred := fmt.Sprintf("theta join #%d: %s %s %s", tj.ID, tj.LeftCol, tj.Cmp, tj.RightCol)
+		if st := tr.Stats[tj.Select.Op]; st.ThetaJoin > 0 {
+			fmt.Printf("%s — %s, %d rows probed, %d emitted, %d morsels\n",
+				pred, st.Kernel, st.RowsIn, st.RowsOut, max(st.Morsels, 1))
+		} else if st, ok := tr.Stats[tj.Cross.Op]; ok {
+			fmt.Printf("%s — %s\n", pred, st.Kernel)
+		} else {
+			fmt.Printf("%s (did not run)\n", pred)
+		}
 	}
 }
 

@@ -62,8 +62,11 @@ func (r *Results) Table3() string {
 
 // Figure4 renders Pathfinder execution times normalized to the reference
 // instance (the paper normalizes to the 110 MB instance; we use the middle
-// size). A ~10x step per decade of scale factor indicates linear scaling;
-// Q11/Q12 show the quadratic growth the paper explains.
+// size). A ~10x step per decade of scale factor indicates linear scaling.
+// Q11/Q12 are the paper's exceptions — theta joins "quadratic in their
+// result" — and still grow faster than linearly, because their result
+// does; what they no longer pay is the |A|·|B| product itself: the band
+// join is output-sensitive, n log n + |result| (DESIGN.md §15).
 func (r *Results) Figure4() string {
 	if len(r.Instances) == 0 {
 		return "no data"
@@ -98,10 +101,10 @@ func (r *Results) Figure4() string {
 
 // scalingLabel classifies the growth of a query's run time between the
 // two largest completed instances: linear queries grow ~10x per factor-10
-// size step, quadratic ones ~100x (§3.4: Q11/Q12). The smallest instances
-// are ignored — entity-count floors and fixed compilation costs distort
-// them. The threshold sits at the geometric midpoint between linear and
-// quadratic growth.
+// size step, quadratic ones ~100x (§3.4: the result size of Q11/Q12). The
+// smallest instances are ignored — entity-count floors and fixed
+// compilation costs distort them. The threshold sits at the geometric
+// midpoint between linear and quadratic growth.
 func scalingLabel(r *Results, q int, ratios []float64) string {
 	if len(ratios) < 2 {
 		return "?"

@@ -11,9 +11,10 @@
 //     that drive rownum elimination and merge-join selection — are
 //     cross-checked against an independent conservative re-derivation.
 //   - Physical preconditions (Physical): merge-join inputs are provably
-//     sorted on the key, rownum[presorted]/[const1] are justified, and
+//     sorted on the key, rownum[presorted]/[const1] are justified,
 //     Parallel/Pipeline flags appear only on kernels whose morsel
-//     decomposition the executor actually implements.
+//     decomposition the executor actually implements, and every fused
+//     chain and theta join is a unit the executor may run as one.
 //
 // A validator failure means an upstream pass produced a plan whose
 // silent assumptions do not hold — the class of bug that yields quietly
@@ -37,7 +38,7 @@ import (
 // across runs and renderable as goldens.
 type Diag struct {
 	// Class is the invariant family: "structure", "schema", "type",
-	// "order", "dense", or "physical".
+	// "order", "dense", "physical", "fusion", or "thetajoin".
 	Class string
 	// Op locates the finding: "#3 join" style, topological index + kind.
 	Op string

@@ -388,6 +388,59 @@ var mutations = []mutation{
 			return check.Physical(p)
 		},
 	},
+	// --- thetajoin class: forged theta-join metadata --------------------
+	// A theta join lets the executor skip building the × altogether; a
+	// lying one hands rows that were never built to whoever reads them.
+	{
+		name:  "thetajoin_second_consumer_on_cross",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			cross, fn, sel := thetaShape(t, algebra.FunLt, "a", "b")
+			// A second reader of the product, outside the unit: the band
+			// kernel would leave it nothing to read.
+			side, err := algebra.Project(cross, "a", "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs, err := algebra.Project(sel, "a", "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := algebra.Union(pairs, side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := physical.Lower(u)
+			if len(p.ThetaJoins) != 0 {
+				t.Fatal("test premise broken: the lowering accepted a shared ×")
+			}
+			forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt)
+			return check.Physical(p)
+		},
+	},
+	{
+		name:  "thetajoin_not_equal_predicate",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			cross, fn, sel := thetaShape(t, algebra.FunNe, "a", "b")
+			p := physical.Lower(sel)
+			// != qualifies everything but one key: no band to search.
+			forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunNe)
+			return check.Physical(p)
+		},
+	},
+	{
+		name:  "thetajoin_operands_from_one_side",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			cross, fn, sel := thetaShape(t, algebra.FunLt, "a", "a2")
+			p := physical.Lower(sel)
+			// Both operands are columns of the left input: a per-row filter
+			// of that input, not a join predicate.
+			forgeTheta(p, cross, fn, sel, "a", "a2", algebra.FunLt)
+			return check.Physical(p)
+		},
+	},
 	{
 		name:  "physical_root_not_last",
 		class: "structure",
@@ -399,6 +452,33 @@ var mutations = []mutation{
 			return check.Physical(p)
 		},
 	},
+}
+
+// thetaShape builds σ_c(⊛fun c:(x,y)(A × B)) over A(a, a2) and B(b).
+func thetaShape(t *testing.T, fun algebra.FunKind, x, y string) (cross, fn, sel *algebra.Op) {
+	t.Helper()
+	l := lit(t, "a", ints(1, 2, 3), "a2", ints(3, 2, 1))
+	r := lit(t, "b", ints(2, 3))
+	cross, err := algebra.Cross(l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fn, err = algebra.Fun(cross, "c", fun, x, y); err != nil {
+		t.Fatal(err)
+	}
+	if sel, err = algebra.Select(fn, "c"); err != nil {
+		t.Fatal(err)
+	}
+	return cross, fn, sel
+}
+
+// forgeTheta publishes a theta join the lowering did not discover.
+func forgeTheta(p *physical.Plan, cross, fn, sel *algebra.Op, lcol, rcol string, cmp algebra.FunKind) {
+	p.ThetaJoins = append(p.ThetaJoins, &physical.ThetaJoin{
+		ID:    len(p.ThetaJoins) + 1,
+		Cross: p.ByOp[cross], Fun: p.ByOp[fn], Select: p.ByOp[sel],
+		LeftCol: lcol, RightCol: rcol, Cmp: cmp,
+	})
 }
 
 // TestMutationsCaught asserts every corrupted plan yields at least one
@@ -428,7 +508,7 @@ func TestMutationsCaught(t *testing.T) {
 // TestMutationClassCoverage proves the corpus exercises every invariant
 // class the validator knows — the acceptance bar for the checker.
 func TestMutationClassCoverage(t *testing.T) {
-	want := []string{"structure", "schema", "type", "order", "dense", "physical", "fusion"}
+	want := []string{"structure", "schema", "type", "order", "dense", "physical", "fusion", "thetajoin"}
 	have := map[string]bool{}
 	for _, m := range mutations {
 		have[m.class] = true

@@ -35,7 +35,14 @@ func Physical(p *physical.Plan) []Diag {
 		diags = append(diags, physNode(w, nd, g)...)
 		diags = append(diags, justifyProps(w, nd.Op, nd.Props, g[nd.Op])...)
 	}
-	diags = append(diags, physChains(w, p)...)
+	consumers := make(map[*physical.Node]int, len(p.Nodes))
+	for _, nd := range p.Nodes {
+		for _, c := range nd.In {
+			consumers[c]++
+		}
+	}
+	diags = append(diags, physChains(w, p, consumers)...)
+	diags = append(diags, physThetaJoins(w, p, consumers)...)
 	return diags
 }
 
@@ -47,15 +54,11 @@ func Physical(p *physical.Plan) []Diag {
 // interior would hand a half-filtered view to an operator outside the
 // chain, and a mark after a filter would number the survivors instead
 // of the input positions.
-func physChains(w *walker, p *physical.Plan) []Diag {
+func physChains(w *walker, p *physical.Plan, consumers map[*physical.Node]int) []Diag {
 	var diags []Diag
 	isNode := make(map[*physical.Node]bool, len(p.Nodes))
-	consumers := make(map[*physical.Node]int, len(p.Nodes))
 	for _, nd := range p.Nodes {
 		isNode[nd] = true
-		for _, c := range nd.In {
-			consumers[c]++
-		}
 	}
 	claimedBy := make(map[*physical.Node]int)
 	for _, ch := range p.Chains {
@@ -122,6 +125,89 @@ func chainFusable(nd *physical.Node) bool {
 		return nd.Const1
 	}
 	return false
+}
+
+// physThetaJoins re-proves every theta join the lowering published. The
+// executor replaces the unit's ×, ⊛ and σ by a band join that emits only
+// the pairs σ lets through, so each claim is a correctness precondition:
+// a second consumer of × or ⊛ would be handed rows that were never
+// built, a predicate other than <, ≤, >, ≥ has no band to search, two
+// operands from one × input are a per-row filter and not a join, and a σ
+// on any other column filters by something the kernel never computed.
+func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]int) []Diag {
+	var diags []Diag
+	inChain := make(map[*physical.Node]int)
+	for _, ch := range p.Chains {
+		for _, nd := range ch.Nodes {
+			inChain[nd] = ch.ID
+		}
+	}
+	for _, tj := range p.ThetaJoins {
+		bad := func(o *algebra.Op, msg string, args ...any) {
+			diags = append(diags, Diag{Class: "thetajoin", Op: w.name(o), Msg: fmt.Sprintf(msg, args...)})
+		}
+		cross, fn, sel := tj.Cross, tj.Fun, tj.Select
+		if cross == nil || fn == nil || sel == nil ||
+			p.ByOp[cross.Op] != cross || p.ByOp[fn.Op] != fn || p.ByOp[sel.Op] != sel ||
+			cross.Op.Kind != algebra.OpCross || fn.Op.Kind != algebra.OpFun || sel.Op.Kind != algebra.OpSelect ||
+			fn.In[0] != cross || sel.In[0] != fn {
+			diags = append(diags, Diag{Class: "thetajoin", Op: fmt.Sprintf("#? theta %d", tj.ID),
+				Msg: "members are not a σ over a ⊛ over a × of this plan"})
+			continue
+		}
+		for _, nd := range tj.Members() {
+			if id := inChain[nd]; id != 0 {
+				bad(nd.Op, "node claimed by theta join #%d and fused chain #%d", tj.ID, id)
+			}
+		}
+		for _, nd := range []*physical.Node{cross, fn} {
+			if consumers[nd] != 1 {
+				bad(nd.Op, "interior member of theta join #%d has %d consumer(s) — the band kernel never builds the rows the others would read",
+					tj.ID, consumers[nd])
+			}
+		}
+		if sel.Op.Col != fn.Op.Col {
+			bad(sel.Op, "σ of theta join #%d selects on %q, not on the comparison result %q", tj.ID, sel.Op.Col, fn.Op.Col)
+		}
+		fun, args := fn.Op.Fun, fn.Op.Args
+		if mirrored(fun) == fun || len(args) != 2 {
+			bad(fn.Op, "theta join #%d over the %d-operand predicate %s, which is no inequality — there is no band to search",
+				tj.ID, len(args), fun)
+			continue
+		}
+		// The claim reads LeftCol Cmp RightCol; the plan computes one of
+		// the two operand orders.
+		l, r := cross.Op.In[0], cross.Op.In[1]
+		want := [3]string{args[0], fun.String(), args[1]}
+		switch {
+		case l.HasCol(args[0]) && r.HasCol(args[1]):
+		case r.HasCol(args[0]) && l.HasCol(args[1]):
+			want = [3]string{args[1], mirrored(fun).String(), args[0]}
+		default:
+			bad(fn.Op, "theta join #%d compares %q with %q, which do not come from opposite × inputs", tj.ID, args[0], args[1])
+			continue
+		}
+		if got := [3]string{tj.LeftCol, tj.Cmp.String(), tj.RightCol}; got != want {
+			bad(fn.Op, "theta join #%d claims %v, the plan computes %v", tj.ID, got, want)
+		}
+	}
+	return diags
+}
+
+// mirrored is the validator's own operand swap of an inequality; every
+// other function is its own mirror image.
+func mirrored(f algebra.FunKind) algebra.FunKind {
+	switch f {
+	case algebra.FunLt:
+		return algebra.FunGt
+	case algebra.FunLe:
+		return algebra.FunGe
+	case algebra.FunGt:
+		return algebra.FunLt
+	case algebra.FunGe:
+		return algebra.FunLe
+	}
+	return f
 }
 
 // physStructure checks the node graph against the logical DAG: one node

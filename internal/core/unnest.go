@@ -20,9 +20,13 @@ import (
 // rows before filtering), the $v-dependent side is evaluated once in E's
 // own iteration space, the other side in the enclosing scope, and the two
 // are joined on the comparison: an equi-join (hash) when the comparison is
-// `=` over hash-compatible types, a theta-join (× + σ) otherwise — the
-// Q11/Q12 quadratic case the paper discusses. The surviving (inner, outer)
-// pairs become the restricted iteration space for T.
+// `=` over hash-compatible types, a theta-join otherwise — the Q11/Q12
+// case the paper calls quadratic in its result. The theta-join is emitted
+// as σ over ⊛cmp over ×; internal/physical recognizes that shape for the
+// four inequalities and the executor runs it as one sort-based inequality
+// join, so the product is a logical notion only (DESIGN.md §15). The
+// surviving (inner, outer) pairs become the restricted iteration space
+// for T.
 func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
 	if f.PosVar != "" || len(f.Order) > 0 {
 		return nil, false

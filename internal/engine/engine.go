@@ -109,6 +109,11 @@ type Engine struct {
 	// onApply, when set, observes every operator application exactly once
 	// per evaluation — the test hook behind the memoization guarantees.
 	onApply func(*algebra.Op)
+
+	// thetaDemote, when non-empty, is a demotion reason every theta-join
+	// unit reports without trying the band kernel — the test hook that
+	// runs the ×, ⊛, σ path on inputs the kernel would accept.
+	thetaDemote string
 }
 
 // engineShared is the state all views of one engine share: a single
@@ -704,6 +709,11 @@ func intJoin(ctx context.Context, l, r *bat.Table, lk, rk bat.IntVec, mode joinM
 
 func evalCross(ctx context.Context, l, r *bat.Table) (*bat.Table, error) {
 	nl, nr := l.Rows(), r.Rows()
+	// Rows are addressed by int32 throughout the executor; a larger
+	// product must fail here, before the index vectors are sized.
+	if nl > 0 && nr > math.MaxInt32/nl {
+		return nil, fmt.Errorf("cross product of %d × %d rows exceeds the executor's row limit", nl, nr)
+	}
 	lIdx := make([]int32, 0, nl*nr)
 	rIdx := make([]int32, 0, nl*nr)
 	// The output row loop checks the context by produced rows, not input

@@ -870,6 +870,7 @@ func (e *Engine) execChain(ctx context.Context, ch *physical.FusedChain, in *bat
 	}
 	if tr != nil {
 		wall := time.Since(start) //pfvet:allow determinism -- trace wall-time only, not query results
+		tr.keepChainInput(ch, in)
 		stepOut := make([]int64, len(prog.steps))
 		for _, p := range parts {
 			for i, c := range p.stepOut {
@@ -886,13 +887,7 @@ func (e *Engine) execChain(ctx context.Context, ch *physical.FusedChain, in *bat
 			if i == len(ch.Nodes)-1 {
 				st.Wall = wall
 				st.RowsMat = mat
-				if ms.n > 1 {
-					st.Morsels = ms.n
-					st.ParWorkers = ms.workers
-					if st.ParWorkers == 0 {
-						st.ParWorkers = 1
-					}
-				}
+				st.setMorsels(ms)
 			}
 			tr.recordStat(nd.Op, st)
 			prev = int(stepOut[i])
@@ -903,16 +898,24 @@ func (e *Engine) execChain(ctx context.Context, ch *physical.FusedChain, in *bat
 
 // replayChain executes a chain member by member through the ordinary
 // kernels — the fallback when compileChain bails or a lane kernel needs
-// the per-operator diagnostics. Members record ordinary (unfused) stats.
+// the per-operator diagnostics.
 func (e *Engine) replayChain(ctx context.Context, ch *physical.FusedChain, in *bat.View, tr *Trace, worker int) (*bat.View, error) {
-	cur := in
-	for _, nd := range ch.Nodes {
+	return e.replayNodes(ctx, ch.Nodes, []*bat.View{in}, "", tr, worker)
+}
+
+// replayNodes runs a multi-operator unit one member at a time: the first
+// member consumes in, each later one its predecessor's output. Members
+// record ordinary (standalone) stats; note is appended to the first
+// member's kernel name, which is how a demoted unit says why — on the
+// first so that it is on record even when a later member fails.
+func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, note string, tr *Trace, worker int) (*bat.View, error) {
+	for i, nd := range nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
 		ms := &morsels{e: e, ctx: ctx, par: nd.Parallel}
-		out, err := e.execKernel(ctx, nd, []*bat.View{cur}, ms)
+		out, err := e.execKernel(ctx, nd, in, ms)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", nd.Op.Kind, err)
 		}
@@ -924,20 +927,20 @@ func (e *Engine) replayChain(ctx context.Context, ch *physical.FusedChain, in *b
 		if tr != nil {
 			st := OpStat{
 				//pfvet:allow determinism -- trace wall-time only, not query results
-				Wall: time.Since(start), RowsIn: cur.Rows(),
+				Wall: time.Since(start), RowsIn: viewRowsIn(in),
 				RowsOut: out.view.Rows(), Worker: worker,
 				Kernel: out.kernel, RowsMat: out.mat,
 			}
-			if ms.n > 1 {
-				st.Morsels = ms.n
-				st.ParWorkers = ms.workers
-				if st.ParWorkers == 0 {
-					st.ParWorkers = 1
-				}
+			if i == 0 {
+				st.Kernel += note
 			}
+			if i < len(nodes)-1 {
+				tr.keepMember(nd.Op, out.view)
+			}
+			st.setMorsels(ms)
 			tr.recordStat(nd.Op, st)
 		}
-		cur = out.view
+		in = []*bat.View{out.view}
 	}
-	return cur, nil
+	return in[0], nil
 }

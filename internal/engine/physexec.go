@@ -40,27 +40,36 @@ type physOut struct {
 }
 
 // execUnit is one schedulable unit of a physical plan: a single node,
-// or a whole fused chain (nd is then the chain's tail, whose output is
-// the unit's). Chain interiors are not units — their results exist only
-// as lanes inside the fused loop.
+// a whole fused chain, or a theta join. nd is the node whose output is
+// the unit's — the chain's tail, the theta join's σ. The other members
+// are not units: a chain interior's rows exist only as lanes inside the
+// fused loop, a theta join's product never exists at all.
 type execUnit struct {
 	nd    *physical.Node
 	chain *physical.FusedChain
+	theta *physical.ThetaJoin
 }
 
 func (u execUnit) inputs() []*physical.Node {
-	if u.chain != nil {
+	switch {
+	case u.chain != nil:
 		return u.chain.Head().In
+	case u.theta != nil:
+		return u.theta.Cross.In
 	}
 	return u.nd.In
 }
 
-// planUnits folds the plan's fused chains into execution units. With
-// fusion disabled (or no chains discovered) every node is its own unit
-// through the identical code path — the tiny-input fast path pays no
-// fusion setup cost whatsoever.
+// planUnits folds the plan's fused chains and theta joins into execution
+// units. With neither discovered (and with fusion disabled, the chains
+// ignored) every node is its own unit through the identical code path —
+// the tiny-input fast path pays no setup cost whatsoever.
 func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
-	if e.NoFusion || len(plan.Chains) == 0 {
+	chains := plan.Chains
+	if e.NoFusion {
+		chains = nil
+	}
+	if len(chains) == 0 && len(plan.ThetaJoins) == 0 {
 		units := make([]execUnit, len(plan.Nodes))
 		for i, nd := range plan.Nodes {
 			units[i] = execUnit{nd: nd}
@@ -68,21 +77,55 @@ func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
 		return units
 	}
 	interior := make(map[*physical.Node]bool)
-	tailOf := make(map[*physical.Node]*physical.FusedChain)
-	for _, ch := range plan.Chains {
+	boundary := make(map[*physical.Node]execUnit)
+	for _, ch := range chains {
 		for _, nd := range ch.Nodes[:len(ch.Nodes)-1] {
 			interior[nd] = true
 		}
-		tailOf[ch.Tail()] = ch
+		boundary[ch.Tail()] = execUnit{nd: ch.Tail(), chain: ch}
+	}
+	for _, tj := range plan.ThetaJoins {
+		interior[tj.Cross], interior[tj.Fun] = true, true
+		boundary[tj.Select] = execUnit{nd: tj.Select, theta: tj}
 	}
 	units := make([]execUnit, 0, len(plan.Nodes))
 	for _, nd := range plan.Nodes {
 		if interior[nd] {
 			continue
 		}
-		units = append(units, execUnit{nd: nd, chain: tailOf[nd]})
+		u, ok := boundary[nd]
+		if !ok {
+			u = execUnit{nd: nd}
+		}
+		units = append(units, u)
 	}
 	return units
+}
+
+// runUnit executes one unit over its input views and records its stats.
+// Errors return wrapped with the failing operator's kind.
+func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
+	switch {
+	case u.chain != nil:
+		return e.execChain(ctx, u.chain, in[0], tr, worker)
+	case u.theta != nil:
+		return e.execTheta(ctx, u.theta, in, tr, worker)
+	}
+	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+	out, err := e.execNode(ctx, u.nd, in)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", u.nd.Op.Kind, err)
+	}
+	if tr != nil {
+		tr.recordStat(u.nd.Op, OpStat{
+			//pfvet:allow determinism -- trace wall-time only, not query results
+			Wall: time.Since(start), RowsIn: viewRowsIn(in),
+			RowsOut: out.view.Rows(), Worker: worker,
+			Kernel: out.kernel, RowsMat: out.mat,
+			Morsels: out.morsels, ParWorkers: out.workers,
+		})
+	}
+	return out.view, nil
 }
 
 // physSequential executes the plan units in topological order on the
@@ -91,51 +134,23 @@ func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
 func (e *Engine) physSequential(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
 	units := e.planUnits(plan)
 	results := make(map[*physical.Node]*bat.View, len(plan.Nodes))
-	var chainIn map[*physical.FusedChain]*bat.View
 	if tr != nil {
-		chainIn = make(map[*physical.FusedChain]*bat.View)
-		defer e.fillTraceTables(tr, plan,
-			func(nd *physical.Node) *bat.View { return results[nd] },
-			func(ch *physical.FusedChain) *bat.View { return chainIn[ch] })
+		defer e.fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View { return results[nd] })
 	}
 	for _, u := range units {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if u.chain != nil {
-			in := results[u.chain.Input()]
-			if chainIn != nil {
-				chainIn[u.chain] = in
-			}
-			// execChain errors arrive pre-wrapped with the failing
-			// member's operator kind.
-			out, err := e.execChain(ctx, u.chain, in, tr, 0)
-			if err != nil {
-				return nil, err
-			}
-			results[u.nd] = out
-			continue
-		}
-		nd := u.nd
-		in := make([]*bat.View, len(nd.In))
-		for i, c := range nd.In {
+		ins := u.inputs()
+		in := make([]*bat.View, len(ins))
+		for i, c := range ins {
 			in[i] = results[c]
 		}
-		start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-		out, err := e.execNode(ctx, nd, in)
+		out, err := e.runUnit(ctx, u, in, tr, 0)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", nd.Op.Kind, err)
+			return nil, err
 		}
-		results[nd] = out.view
-		if tr != nil {
-			tr.recordStat(nd.Op, OpStat{
-				//pfvet:allow determinism -- trace wall-time only, not query results
-				Wall: time.Since(start), RowsIn: viewRowsIn(in),
-				RowsOut: out.view.Rows(), Worker: 0,
-				Kernel: out.kernel, RowsMat: out.mat,
-				Morsels: out.morsels, ParWorkers: out.workers,
-			})
-		}
+		results[u.nd] = out
 	}
 	return results[plan.Root].Materialize(), nil
 }
@@ -182,19 +197,14 @@ func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trac
 	}
 
 	results := make([]*bat.View, n)
-	// chainIn retains each chain's input view for the trace replay; each
-	// slot has a single writer (the worker that runs the chain's unit).
-	chainIn := make([]*bat.View, n)
 	if tr != nil {
-		defer e.fillTraceTables(tr, plan,
-			func(nd *physical.Node) *bat.View {
-				i, ok := index[nd]
-				if !ok {
-					return nil // chain interior: no live view
-				}
-				return results[i]
-			},
-			func(ch *physical.FusedChain) *bat.View { return chainIn[index[ch.Tail()]] })
+		defer e.fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View {
+			i, ok := index[nd]
+			if !ok {
+				return nil // unit interior: no live view
+			}
+			return results[i]
+		})
 	}
 	var (
 		completed atomic.Int32
@@ -228,42 +238,12 @@ func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trac
 					for k, ci := range p.in {
 						in[k] = results[ci]
 					}
-					if p.u.chain != nil {
-						chainIn[i] = in[0]
-						// execChain errors arrive pre-wrapped with the
-						// failing member's operator kind.
-						v, err := e.execChain(ctx, p.u.chain, in[0], tr, worker)
-						if err != nil {
-							fail(err)
-							return
-						}
-						results[i] = v
-						for _, ci := range p.consumers {
-							if nodes[ci].pending.Add(-1) == 0 {
-								ready <- ci
-							}
-						}
-						if int(completed.Add(1)) == n {
-							close(done)
-						}
-						continue
-					}
-					start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-					out, err := e.execNode(ctx, p.u.nd, in)
+					v, err := e.runUnit(ctx, p.u, in, tr, worker)
 					if err != nil {
-						fail(fmt.Errorf("%s: %w", p.u.nd.Op.Kind, err))
+						fail(err)
 						return
 					}
-					results[i] = out.view
-					if tr != nil {
-						tr.recordStat(p.u.nd.Op, OpStat{
-							//pfvet:allow determinism -- trace wall-time only, not query results
-							Wall: time.Since(start), RowsIn: viewRowsIn(in),
-							RowsOut: out.view.Rows(), Worker: worker,
-							Kernel: out.kernel, RowsMat: out.mat,
-							Morsels: out.morsels, ParWorkers: out.workers,
-						})
-					}
+					results[i] = v
 					for _, ci := range p.consumers {
 						if nodes[ci].pending.Add(-1) == 0 {
 							ready <- ci
@@ -304,32 +284,28 @@ func viewRowsIn(in []*bat.View) int {
 // node into the trace — deferred until after execution so trace-mode
 // materialization never distorts the per-kernel RowsMat accounting.
 //
-// Fused-chain interiors have no live views (their rows only ever existed
-// as lanes inside the fused loop), so when a chain ran fused the trace
-// replays its interior per operator from the retained chain-input view.
-// The replay happens after every stat is recorded: the materialization
-// it forces is attributed to tracing, never to the chain's RowsMat.
-func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan,
-	viewOf func(*physical.Node) *bat.View,
-	chainView func(*physical.FusedChain) *bat.View) {
+// Unit interiors have no scheduler slot. Members that ran one by one (a
+// replayed chain, a demoted theta join) left their views with the trace.
+// The interiors of a chain that ran fused only ever existed as lanes, so
+// the trace replays them per operator from the retained chain input —
+// after every stat is recorded: the materialization that forces is
+// attributed to tracing, never to the chain's RowsMat. The × and ⊛ of a
+// theta join the band kernel ran are shown the pairs σ let through.
+func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*physical.Node) *bat.View) {
 	for _, nd := range plan.Nodes {
 		if v := viewOf(nd); v != nil {
 			tr.setTable(nd.Op, v.Materialize())
 		}
 	}
-	if chainView == nil {
-		return
+	for op, v := range tr.members {
+		tr.setTable(op, v.Materialize())
 	}
 	for _, ch := range plan.Chains {
-		in := chainView(ch)
-		if in == nil {
-			continue // chain never ran (error upstream) or fusion was off
+		cur := tr.chainIns[ch]
+		if cur == nil {
+			continue // chain never ran fused
 		}
-		cur := in
-		for i, nd := range ch.Nodes {
-			if i == len(ch.Nodes)-1 {
-				break // the tail's view is live and already captured above
-			}
+		for _, nd := range ch.Nodes[:len(ch.Nodes)-1] { // the tail's view is live and already captured
 			ms := &morsels{e: e, ctx: context.Background(), par: false}
 			out, err := e.execKernel(context.Background(), nd, []*bat.View{cur}, ms)
 			if err != nil {
@@ -337,6 +313,16 @@ func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan,
 			}
 			tr.setTable(nd.Op, out.view.Materialize())
 			cur = out.view
+		}
+	}
+	for _, tj := range plan.ThetaJoins {
+		pairs := tr.Tables[tj.Select.Op]
+		if pairs == nil || tr.Stats[tj.Select.Op].ThetaJoin == 0 {
+			continue // never ran, or ran demoted (members kept above)
+		}
+		tr.setTable(tj.Fun.Op, pairs)
+		if product, err := pairs.Project(tj.Cross.Op.Schema()...); err == nil {
+			tr.setTable(tj.Cross.Op, product)
 		}
 	}
 }
@@ -374,10 +360,7 @@ func (e *Engine) execNode(ctx context.Context, nd *physical.Node, in []*bat.View
 	}
 	if ms.n > 1 {
 		out.morsels = ms.n
-		out.workers = ms.workers
-		if out.workers == 0 {
-			out.workers = 1 // split happened but no spare slot was free
-		}
+		out.workers = max(ms.workers, 1) // split happened but no spare slot was free
 	}
 	return out, nil
 }

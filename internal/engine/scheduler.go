@@ -12,6 +12,7 @@ import (
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
+	"pathfinder/internal/physical"
 )
 
 // This file implements the parallel DAG scheduler: the loop-lifting
@@ -48,19 +49,46 @@ type OpStat struct {
 	FusedChain int
 	FusedPos   int
 	FusedLen   int
+
+	// ThetaJoin is the 1-based id of the theta-join unit the operator ran
+	// in when the band kernel took it (0 = ran standalone; a demoted
+	// unit's × says why in its kernel name). σ carries the unit's wall
+	// time, input rows and materialization under the kernel's own name;
+	// × and ⊛ report the emitted pairs with zero Wall/RowsMat.
+	ThetaJoin int
 }
 
-// Trace is the full instrumentation record of one evaluation.
+// setMorsels records a kernel's morsel split, if it made one.
+func (st *OpStat) setMorsels(ms *morsels) {
+	if ms.n > 1 {
+		st.Morsels = ms.n
+		st.ParWorkers = max(ms.workers, 1) // split happened but no spare slot was free
+	}
+}
+
+// Trace is the full instrumentation record of one evaluation. Tables
+// holds every operator's intermediate result, with one exception in
+// kind: the × and ⊛ of a theta join the band kernel ran hold only the
+// pairs that went on to pass σ — the rest of the product never existed.
 type Trace struct {
 	mu     sync.Mutex
 	Tables map[*algebra.Op]*bat.Table
 	Stats  map[*algebra.Op]OpStat
+
+	// What the physical executor sets aside while the query runs, for
+	// fillTraceTables to turn into Tables afterwards: the views of unit
+	// members that ran one by one, and the input of every chain that ran
+	// fused (its interiors existed only as lanes and are replayed).
+	members  map[*algebra.Op]*bat.View
+	chainIns map[*physical.FusedChain]*bat.View
 }
 
 func newTrace() *Trace {
 	return &Trace{
-		Tables: make(map[*algebra.Op]*bat.Table),
-		Stats:  make(map[*algebra.Op]OpStat),
+		Tables:   make(map[*algebra.Op]*bat.Table),
+		Stats:    make(map[*algebra.Op]OpStat),
+		members:  make(map[*algebra.Op]*bat.View),
+		chainIns: make(map[*physical.FusedChain]*bat.View),
 	}
 }
 
@@ -84,6 +112,21 @@ func (tr *Trace) recordStat(o *algebra.Op, st OpStat) {
 func (tr *Trace) setTable(o *algebra.Op, t *bat.Table) {
 	tr.mu.Lock()
 	tr.Tables[o] = t
+	tr.mu.Unlock()
+}
+
+// keepMember sets aside the output view of a unit member that ran as a
+// standalone kernel but is not a scheduler unit.
+func (tr *Trace) keepMember(o *algebra.Op, v *bat.View) {
+	tr.mu.Lock()
+	tr.members[o] = v
+	tr.mu.Unlock()
+}
+
+// keepChainInput sets aside the input view of a chain that ran fused.
+func (tr *Trace) keepChainInput(ch *physical.FusedChain, v *bat.View) {
+	tr.mu.Lock()
+	tr.chainIns[ch] = v
 	tr.mu.Unlock()
 }
 

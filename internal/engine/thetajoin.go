@@ -1,0 +1,390 @@
+package engine
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sort"
+	"time"
+
+	"pathfinder/internal/algebra"
+	"pathfinder/internal/bat"
+	"pathfinder/internal/physical"
+)
+
+// Sort-based inequality (band) join: the kernel behind a
+// physical.ThetaJoin. The per-operator path builds all |A|·|B| rows of
+// the × to keep the pairs σ lets through; this kernel extracts the two
+// key columns once, sorts the inner side's row ids by key, and finds by
+// binary search, per outer row, the band of the sorted inner side that
+// qualifies — O((|A|+|B|)·log|B| + |out|), never touching a pair that
+// does not qualify.
+//
+// Order contract: × emits left-major, right-minor, and σ keeps that
+// order, so the kernel walks the outer rows in view order and emits each
+// band in ascending inner view-row order (the band is a run of the
+// key-sorted permutation; it is put back into row order before it is
+// written). The output is row-for-row what × + ⊛ + σ produce.
+//
+// Demotion: the band search is only sound when bat.Compare induces one
+// total order over the two columns and cannot fail. thetaLane mirrors
+// Compare's branches; whatever it cannot vouch for — and any NaN or
+// uncastable value met while extracting keys — demotes the unit to the
+// ordinary ×, ⊛, σ kernels, which then produce the identical result or
+// the identical error.
+
+// thetaKinds is the set of item kinds present in one key column.
+type thetaKinds uint8
+
+const (
+	tkNum thetaKinds = 1 << iota
+	tkStr
+	tkUntyped
+	tkBool
+	tkNode
+)
+
+var thetaKindOf = [...]thetaKinds{
+	bat.KInt: tkNum, bat.KFloat: tkNum, bat.KStr: tkStr,
+	bat.KBool: tkBool, bat.KUntyped: tkUntyped, bat.KNode: tkNode,
+}
+
+// thetaColKinds scans the selected rows of a key column for the kinds it
+// holds; typed vectors answer without a scan.
+func thetaColKinds(v *bat.View, col bat.Vec) thetaKinds {
+	if v.Rows() == 0 {
+		return 0
+	}
+	switch c := col.(type) {
+	case bat.IntVec, bat.FloatVec:
+		return tkNum
+	case bat.StrVec:
+		return tkStr
+	case bat.BoolVec:
+		return tkBool
+	case bat.ItemVec:
+		var k thetaKinds
+		for i, n := 0, v.Rows(); i < n; i++ {
+			k |= thetaKindOf[c[v.Index(i)].Kind]
+		}
+		return k
+	}
+	return tkNode // node vectors, and any vector type the lanes cannot read
+}
+
+// thetaLane decides, from the kinds on each side, which single order
+// bat.Compare applies to every (left, right) pair: the float lane
+// (numeric × numeric, or numeric × untyped cast to double), the string
+// lane (string × string, or string × untyped), or none — reported as the
+// demotion reason. Keyed to Compare's branches:
+//
+//	node operand                      → error            → "node"
+//	numeric × numeric|untyped         → cmpFloat         → float lane
+//	untyped × untyped                 → per-pair choice  → "untyped×untyped"
+//	bool operand                      → bool-only order  → "bool"
+//	string|untyped × string|untyped   → strings.Compare  → string lane
+//	numeric × string                  → error            → "mixed"
+//
+// An empty side holds no kinds and vetoes nothing: its product is empty.
+func thetaLane(l, r thetaKinds) (float bool, reason string) {
+	all := l | r
+	switch {
+	case all&tkNode != 0:
+		return false, "node"
+	case all&tkBool != 0:
+		return false, "bool"
+	case l&tkUntyped != 0 && r&tkUntyped != 0:
+		return false, "untyped×untyped"
+	case all&tkNum != 0 && all&tkStr != 0:
+		return false, "mixed"
+	}
+	return all&tkNum != 0, ""
+}
+
+// thetaFloatKeys extracts a float-lane key column in view order, through
+// the same AsFloat cast bat.Compare applies. A NaN — a double NaN or an
+// untyped value that does not cast — is an error in Compare, so it is a
+// demotion reason here.
+func thetaFloatKeys(v *bat.View, col bat.Vec) ([]float64, string) {
+	keys := make([]float64, v.Rows())
+	switch c := col.(type) {
+	case bat.IntVec:
+		for i := range keys {
+			keys[i] = float64(c[v.Index(i)])
+		}
+	case bat.FloatVec:
+		for i := range keys {
+			keys[i] = c[v.Index(i)]
+		}
+	case bat.ItemVec:
+		for i := range keys {
+			it := c[v.Index(i)]
+			keys[i] = it.AsFloat()
+			if it.Kind == bat.KUntyped && math.IsNaN(keys[i]) {
+				return nil, "uncastable"
+			}
+		}
+	}
+	for _, k := range keys {
+		if math.IsNaN(k) {
+			return nil, "nan"
+		}
+	}
+	return keys, ""
+}
+
+// thetaStrKeys extracts a string-lane key column in view order.
+func thetaStrKeys(v *bat.View, col bat.Vec) []string {
+	keys := make([]string, v.Rows())
+	switch c := col.(type) {
+	case bat.StrVec:
+		for i := range keys {
+			keys[i] = c[v.Index(i)]
+		}
+	case bat.ItemVec:
+		for i := range keys {
+			keys[i] = c[v.Index(i)].S // KStr and KUntyped both carry S
+		}
+	}
+	return keys
+}
+
+// thetaBands is the probe side's answer: per outer row, the half-open
+// band [lo, hi) of the key-sorted inner permutation that qualifies.
+// Every band is a suffix (lo varies, hi = len(perm)) for < and ≤, a
+// prefix (lo = 0) for > and ≥, so one bound per outer row suffices.
+type thetaBands struct {
+	perm   []int32 // inner view rows, ascending by key
+	rank   []int32 // rank[perm[k]] = k
+	bound  []int32 // per outer row: lo of a suffix band, hi of a prefix band
+	suffix bool
+}
+
+func (b *thetaBands) band(i int) (lo, hi int) {
+	if b.suffix {
+		return int(b.bound[i]), len(b.perm)
+	}
+	return 0, int(b.bound[i])
+}
+
+// thetaProbe sorts the inner keys and binary-searches each outer key's
+// bound: outer cmp inner qualifies the inner keys above (or at) the
+// outer key for < (≤), below (or at) it for > (≥).
+func thetaProbe[K cmp.Ordered](fun algebra.FunKind, outer, inner []K) *thetaBands {
+	nr := len(inner)
+	b := &thetaBands{
+		perm:   make([]int32, nr),
+		rank:   make([]int32, nr),
+		bound:  make([]int32, len(outer)),
+		suffix: fun == algebra.FunLt || fun == algebra.FunLe,
+	}
+	for j := range b.perm {
+		b.perm[j] = int32(j)
+	}
+	// Ties may land in any order: a band always ends on a tie-group
+	// boundary, and its rows are put back into row order when emitted.
+	slices.SortFunc(b.perm, func(x, y int32) int { return cmp.Compare(inner[x], inner[y]) })
+	sorted := make([]K, nr)
+	for k, j := range b.perm {
+		sorted[k] = inner[j]
+		b.rank[j] = int32(k)
+	}
+	// l < r and l ≥ r split the sorted keys at the first one above l;
+	// l ≤ r and l > r at the first one not below it.
+	strict := fun == algebra.FunLt || fun == algebra.FunGe
+	for i, key := range outer {
+		if strict {
+			b.bound[i] = int32(sort.Search(nr, func(k int) bool { return sorted[k] > key }))
+		} else {
+			b.bound[i] = int32(sort.Search(nr, func(k int) bool { return sorted[k] >= key }))
+		}
+	}
+	return b
+}
+
+// thetaMorsels carves the outer rows into morsels of roughly equal work
+// — rows probed plus pairs emitted, read off the output offsets — since
+// a band join's cost follows its output, not its input.
+func (m *morsels) thetaMorsels(off []int) []bat.Range {
+	n := len(off) - 1
+	size := m.e.morselRows()
+	if !m.par || size <= 0 || n+off[n] <= size {
+		return []bat.Range{{Lo: 0, Hi: n}}
+	}
+	var out []bat.Range
+	lo := 0
+	for i := 1; i <= n; i++ {
+		if i == n || (i-lo)+(off[i]-off[lo]) >= size {
+			out = append(out, bat.Range{Lo: lo, Hi: i})
+			lo = i
+		}
+	}
+	return out
+}
+
+// thetaEmit writes the (left, right) base-row pairs of the outer rows in
+// rg into their slots of lIdx/rIdx. A narrow band is copied out of the
+// permutation and sorted back into row order; a wide one is cheaper to
+// collect by one pass over the inner rows testing each row's rank.
+func thetaEmit(ctx context.Context, b *thetaBands, l, r *bat.View, off []int, rg bat.Range, lIdx, rIdx []int32) error {
+	nr := len(b.perm)
+	rsel := r.Sel()
+	work := 0
+	for i := rg.Lo; i < rg.Hi; i++ {
+		dst := rIdx[off[i]:off[i+1]]
+		k := len(dst)
+		if work += k + 1; work >= cancelStride {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			work = 0
+		}
+		if k == 0 {
+			continue
+		}
+		lo, hi := b.band(i)
+		if k*bits.Len(uint(k)) < nr {
+			copy(dst, b.perm[lo:hi])
+			slices.Sort(dst)
+		} else {
+			w, lo32, span := 0, int32(lo), uint32(k)
+			for j, rk := range b.rank {
+				if uint32(rk-lo32) < span { // lo ≤ rk < hi in one compare
+					dst[w] = int32(j)
+					w++
+				}
+			}
+		}
+		if rsel != nil {
+			for x, j := range dst {
+				dst[x] = rsel[j]
+			}
+		}
+		li := int32(l.Index(i))
+		ldst := lIdx[off[i]:off[i+1]]
+		for x := range ldst {
+			ldst[x] = li
+		}
+	}
+	return nil
+}
+
+// thetaKernel runs the band join over the unit's two input views. A
+// non-empty reason means the kernel declined (nothing was produced) and
+// the caller must run the unit's operators one by one.
+func thetaKernel(ctx context.Context, ms *morsels, tj *physical.ThetaJoin, l, r *bat.View) (out physOut, reason string, err error) {
+	lb, rb := l.Base(), r.Base()
+	lcol, lerr := lb.Col(tj.LeftCol)
+	rcol, rerr := rb.Col(tj.RightCol)
+	if lerr != nil || rerr != nil {
+		return physOut{}, "column", nil // × or ⊛ owns the diagnostic
+	}
+	float, reason := thetaLane(thetaColKinds(l, lcol), thetaColKinds(r, rcol))
+	if reason != "" {
+		return physOut{}, reason, nil
+	}
+	var bands *thetaBands
+	lane := "[str]"
+	if float {
+		lane = "[float]"
+		lk, why := thetaFloatKeys(l, lcol)
+		if why != "" {
+			return physOut{}, why, nil
+		}
+		rk, why := thetaFloatKeys(r, rcol)
+		if why != "" {
+			return physOut{}, why, nil
+		}
+		bands = thetaProbe(tj.Cmp, lk, rk)
+	} else {
+		bands = thetaProbe(tj.Cmp, thetaStrKeys(l, lcol), thetaStrKeys(r, rcol))
+	}
+
+	nl := l.Rows()
+	off := make([]int, nl+1)
+	for i := 0; i < nl; i++ {
+		lo, hi := bands.band(i)
+		off[i+1] = off[i] + hi - lo
+	}
+	total := off[nl]
+	if total > math.MaxInt32 {
+		return physOut{}, "", fmt.Errorf("theta join result of %d rows exceeds the executor's row limit", total)
+	}
+	lIdx := make([]int32, total)
+	rIdx := make([]int32, total)
+	ranges := ms.thetaMorsels(off)
+	if err := ms.run(len(ranges), func(m int) error {
+		return thetaEmit(ctx, bands, l, r, off, ranges[m], lIdx, rIdx)
+	}); err != nil {
+		return physOut{}, "", err
+	}
+	t, err := joinGather(lb, rb, lIdx, rIdx)
+	if err != nil {
+		return physOut{}, "", err
+	}
+	// Every emitted pair satisfied the predicate: σ's column is all true.
+	pass := make(bat.BoolVec, total)
+	for i := range pass {
+		pass[i] = true
+	}
+	if err := t.AddCol(tj.Fun.Op.Col, pass); err != nil {
+		return physOut{}, "", err
+	}
+	return physOut{view: bat.ViewOf(t), kernel: "merge-thetajoin" + lane, mat: total}, "", nil
+}
+
+// execTheta runs one theta-join unit: the band kernel when the key
+// columns admit it, the three member kernels otherwise. Errors return
+// pre-wrapped with the failing member's operator kind — callers must
+// not wrap them again.
+func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
+	members := tj.Members()
+	if e.onApply != nil {
+		for _, nd := range members {
+			e.onApply(nd.Op)
+		}
+	}
+	e.sh.working.Add(1)
+	defer e.sh.working.Add(-1)
+	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+	ms := &morsels{e: e, ctx: ctx, par: tj.Select.Parallel}
+	reason := e.thetaDemote
+	var out physOut
+	if reason == "" {
+		var err error
+		out, reason, err = thetaKernel(ctx, ms, tj, in[0], in[1])
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			return nil, fmt.Errorf("%s: %w", tj.Select.Op.Kind, err)
+		}
+	}
+	if reason != "" {
+		return e.replayNodes(ctx, members[:], in, " (demoted:"+reason+")", tr, worker)
+	}
+	if e.Check {
+		if err := checkNodeOutput(tj.Select, out.view); err != nil {
+			return nil, fmt.Errorf("%s: %w", tj.Select.Op.Kind, err)
+		}
+	}
+	if tr != nil {
+		wall := time.Since(start) //pfvet:allow determinism -- trace wall-time only, not query results
+		rowsIn, rowsOut := viewRowsIn(in), out.view.Rows()
+		// The unit's wall time, input rows and materialization sit on the
+		// σ boundary; × and ⊛ report the pairs that passed through them —
+		// the product itself never existed.
+		tr.recordStat(tj.Cross.Op, OpStat{RowsIn: rowsIn, RowsOut: rowsOut, Worker: worker,
+			Kernel: tj.Cross.Kernel, ThetaJoin: tj.ID})
+		tr.recordStat(tj.Fun.Op, OpStat{RowsIn: rowsOut, RowsOut: rowsOut, Worker: worker,
+			Kernel: tj.Fun.Kernel, ThetaJoin: tj.ID})
+		st := OpStat{Wall: wall, RowsIn: rowsIn, RowsOut: rowsOut, Worker: worker,
+			Kernel: out.kernel, RowsMat: out.mat, ThetaJoin: tj.ID}
+		st.setMorsels(ms)
+		tr.recordStat(tj.Select.Op, st)
+	}
+	return out.view, nil
+}

@@ -9,16 +9,28 @@ import (
 // algebra.Dot for logical plans: each node shows the logical operator,
 // the chosen kernel, and the inferred order/denseness properties.
 // Pipeline operators are drawn with rounded corners, breakers
-// (materializing operators) as plain boxes. Members of a fused chain
-// are grouped into a cluster subgraph labeled with the chain id, so the
-// single-pass execution units are visible in the rendered plan.
+// (materializing operators) as plain boxes. The members of a fused
+// chain or a theta join are grouped into a cluster subgraph labeled
+// with the unit's id, so the multi-operator execution units are visible
+// in the rendered plan.
 func Dot(p *Plan) string {
+	type cluster struct {
+		name, label string
+		nodes       []*Node
+	}
 	ids := make(map[*Node]int, len(p.Nodes))
-	chainOf := make(map[*Node]*FusedChain)
-	for _, ch := range p.Chains {
-		for _, nd := range ch.Nodes {
-			chainOf[nd] = ch
+	clusterOf := make(map[*Node]*cluster)
+	addCluster := func(c *cluster) {
+		for _, nd := range c.nodes {
+			clusterOf[nd] = c
 		}
+	}
+	for _, ch := range p.Chains {
+		addCluster(&cluster{fmt.Sprintf("fused_%d", ch.ID), fmt.Sprintf("fused chain #%d", ch.ID), ch.Nodes})
+	}
+	for _, tj := range p.ThetaJoins {
+		m := tj.Members()
+		addCluster(&cluster{fmt.Sprintf("theta_%d", tj.ID), fmt.Sprintf("theta join #%d", tj.ID), m[:]})
 	}
 	var sb strings.Builder
 	sb.WriteString("digraph physical {\n  node [shape=box, fontname=\"monospace\"];\n")
@@ -37,15 +49,15 @@ func Dot(p *Plan) string {
 		ids[nd] = i
 	}
 	for i, nd := range p.Nodes {
-		if ch := chainOf[nd]; ch != nil {
-			// Declared inside its chain's cluster below; declare the
-			// cluster when we reach the head so declaration order stays
-			// topological.
-			if nd != ch.Head() {
+		if c := clusterOf[nd]; c != nil {
+			// Declared inside its unit's cluster below; declare the
+			// cluster when we reach the first member so declaration order
+			// stays topological.
+			if nd != c.nodes[0] {
 				continue
 			}
-			fmt.Fprintf(&sb, "  subgraph cluster_fused_%d {\n    label=\"fused chain #%d\";\n    style=dashed;\n", ch.ID, ch.ID)
-			for _, m := range ch.Nodes {
+			fmt.Fprintf(&sb, "  subgraph cluster_%s {\n    label=\"%s\";\n    style=dashed;\n", c.name, c.label)
+			for _, m := range c.nodes {
 				nodeDecl(ids[m], m, "    ")
 			}
 			sb.WriteString("  }\n")

@@ -74,7 +74,12 @@ func fusable(nd *Node) bool {
 	return false
 }
 
-// discoverChains finds the maximal fusable chains of a lowered plan.
+// discoverUnits finds the plan's multi-operator execution units: first
+// the theta joins (thetajoin.go), then the maximal fusable chains among
+// the nodes no theta join claimed. Both searches share one pair of
+// consumer maps, and a theta join's ⊛ and σ are withheld from chain
+// formation — a node belongs to at most one unit.
+//
 // plan.Nodes is in bottom-up topological order, so a forward greedy walk
 // from the first unclaimed fusable node always starts at the true head
 // of its maximal chain. A chain grows from cur to its consumer next iff
@@ -89,7 +94,7 @@ func fusable(nd *Node) bool {
 // Chains shorter than two members buy nothing, and chains whose head is
 // statically known to process fewer than FusedMinRows rows are skipped
 // outright (the tiny-input fast path).
-func discoverChains(p *Plan) []*FusedChain {
+func discoverUnits(p *Plan) {
 	consumers := make(map[*Node]int, len(p.Nodes))
 	nextOf := make(map[*Node]*Node, len(p.Nodes))
 	for _, nd := range p.Nodes {
@@ -99,7 +104,13 @@ func discoverChains(p *Plan) []*FusedChain {
 		}
 	}
 	claimed := make(map[*Node]bool)
-	var chains []*FusedChain
+	for _, nd := range p.Nodes {
+		if tj := matchThetaJoin(nd, consumers); tj != nil {
+			tj.ID = len(p.ThetaJoins) + 1
+			p.ThetaJoins = append(p.ThetaJoins, tj)
+			claimed[tj.Fun], claimed[tj.Select] = true, true
+		}
+	}
 	for _, nd := range p.Nodes {
 		if claimed[nd] || !fusable(nd) || len(nd.In) != 1 {
 			continue
@@ -130,7 +141,6 @@ func discoverChains(p *Plan) []*FusedChain {
 		for _, m := range members {
 			claimed[m] = true
 		}
-		chains = append(chains, &FusedChain{ID: len(chains) + 1, Nodes: members})
+		p.Chains = append(p.Chains, &FusedChain{ID: len(p.Chains) + 1, Nodes: members})
 	}
-	return chains
 }

@@ -1,14 +1,16 @@
 package physical_test
 
-// Golden test for the physical plan rendering: the lowered plan of one
-// XMark query (Q8, the big equijoin query — it exercises merge-join,
-// presorted rownum, and the pipeline flags) is pinned byte-for-byte.
+// Golden test for the physical plan rendering: the lowered plans of two
+// XMark queries are pinned byte-for-byte — Q8, the big equijoin query
+// (merge-join, presorted rownum, the pipeline flags, fused-chain
+// clusters), and Q11, the theta-join query (the theta-join cluster).
 // Regenerate intentionally with:
 //
 //	go test ./internal/physical -run TestPhysicalDotGolden -update
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,7 +25,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden file under testdata")
 
 func TestPhysicalDotGolden(t *testing.T) {
-	plan, _, err := core.CompileQuery(xmark.Query(8), xqcore.Options{ContextDoc: "xmark.xml"})
+	for _, n := range []int{8, 11} {
+		t.Run(fmt.Sprintf("q%02d", n), func(t *testing.T) { physicalDotGolden(t, n) })
+	}
+}
+
+func physicalDotGolden(t *testing.T, n int) {
+	plan, _, err := core.CompileQuery(xmark.Query(n), xqcore.Options{ContextDoc: "xmark.xml"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +40,7 @@ func TestPhysicalDotGolden(t *testing.T) {
 	}
 	got := physical.Dot(physical.Lower(plan))
 
-	path := filepath.Join("testdata", "q08_physical.dot")
+	path := filepath.Join("testdata", fmt.Sprintf("q%02d_physical.dot", n))
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

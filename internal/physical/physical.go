@@ -75,6 +75,12 @@ type Plan struct {
 	// member node is still in Nodes, and ignoring Chains executes the
 	// identical plan operator by operator.
 	Chains []*FusedChain
+
+	// ThetaJoins are the σ(⊛cmp(×)) units the executor may run as one
+	// sort-based inequality join (see thetajoin.go), in discovery order.
+	// Metadata like Chains: the three members stay in Nodes, and
+	// executing them one by one gives the identical result.
+	ThetaJoins []*ThetaJoin
 }
 
 // EstCost is the admission controller's memory proxy: the sum of the
@@ -127,7 +133,7 @@ func Lower(root *algebra.Op) *Plan {
 		nodes = append(nodes, nd)
 	}
 	p := &Plan{Root: byOp[root], Nodes: nodes, ByOp: byOp}
-	p.Chains = discoverChains(p)
+	discoverUnits(p)
 	return p
 }
 
