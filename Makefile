@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-compile bench-smoke bench-pipeline-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -49,9 +49,12 @@ fuzz-smoke:
 # differential files: the band join's morsels fill disjoint ranges of
 # shared index vectors), the column vectors (internal/bat), the string
 # pools + fragment registry (internal/xenc), and the concurrent service
-# layer (internal/service + the MIL TCP server it embeds).
+# layer (internal/service + the MIL TCP server it embeds) — plus the
+# optimizer (internal/opt), whose contract is that concurrent Pipeline
+# calls may share one input DAG: its plan index is a side structure and
+# nothing is written into the caller's operators.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/bat/... ./internal/xenc/... ./internal/service/... ./internal/mil/... ./internal/pfstore/...
+	$(GO) test -race ./internal/engine/... ./internal/bat/... ./internal/xenc/... ./internal/service/... ./internal/mil/... ./internal/pfstore/... ./internal/opt/...
 
 # Full-repo race run (slower; includes the differential suites).
 race-all:
@@ -71,10 +74,24 @@ bench:
 bench-join:
 	$(GO) run ./benchmark --workload xmark_join --seed 1 --seconds 35 --trace 0
 
+# One end-to-end run of the front-end workload (parse → physical plan for
+# the 20 XMark queries and the dialect corpus, nothing executes): the
+# command behind every before/after pair for a compiler or optimizer
+# change.
+bench-compile:
+	$(GO) run ./benchmark --workload compile_only --seed 1 --seconds 35 --trace 0
+
 # CI smoke for the benchmark itself: every workload and metric at
 # SF 0.002, outputs checked against the goldens and the oracle; ~10 s.
 bench-smoke:
 	$(GO) test ./benchmark
+
+# CI smoke for the optimizer micro-benchmark: one opt.Pipeline sweep over
+# XMark q01–q20 and one over the dialect corpus with allocation counts
+# (`-benchtime 100x -count 5` for numbers worth comparing). The
+# allocation ceiling itself is a test (TestPipelineAllocBudget).
+bench-pipeline-smoke:
+	$(GO) test ./internal/opt -run '^$$' -bench Pipeline -benchtime 1x
 
 # Sequential-vs-parallel scheduler comparison; writes BENCH_parallel.json.
 bench-parallel:

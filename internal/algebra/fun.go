@@ -47,20 +47,21 @@ const (
 	FunNameOf     // fn:name(node)
 )
 
+var funNames = map[FunKind]string{
+	FunAdd: "+", FunSub: "-", FunMul: "*", FunDiv: "div", FunIDiv: "idiv",
+	FunMod: "mod", FunNeg: "neg",
+	FunEq: "eq", FunNe: "ne", FunLt: "lt", FunLe: "le", FunGt: "gt", FunGe: "ge",
+	FunAnd: "and", FunOr: "or", FunNot: "not",
+	FunConcat: "concat", FunContains: "contains", FunStartsWith: "starts-with",
+	FunStringLength: "string-length",
+	FunAtomize:      "data", FunString: "string", FunNumber: "number", FunBoolWrap: "boolean",
+	FunDocBefore: "<<", FunNodeIs: "is", FunTypeIs: "instance-of",
+	FunEbvItem:   "ebv",
+	FunSubstring: "substring", FunSubstring3: "substring3", FunNameOf: "name",
+}
+
 func (f FunKind) String() string {
-	names := map[FunKind]string{
-		FunAdd: "+", FunSub: "-", FunMul: "*", FunDiv: "div", FunIDiv: "idiv",
-		FunMod: "mod", FunNeg: "neg",
-		FunEq: "eq", FunNe: "ne", FunLt: "lt", FunLe: "le", FunGt: "gt", FunGe: "ge",
-		FunAnd: "and", FunOr: "or", FunNot: "not",
-		FunConcat: "concat", FunContains: "contains", FunStartsWith: "starts-with",
-		FunStringLength: "string-length",
-		FunAtomize:      "data", FunString: "string", FunNumber: "number", FunBoolWrap: "boolean",
-		FunDocBefore: "<<", FunNodeIs: "is", FunTypeIs: "instance-of",
-		FunEbvItem:   "ebv",
-		FunSubstring: "substring", FunSubstring3: "substring3", FunNameOf: "name",
-	}
-	if s, ok := names[f]; ok {
+	if s, ok := funNames[f]; ok {
 		return s
 	}
 	return fmt.Sprintf("fun(%d)", uint8(f))

@@ -11,9 +11,9 @@ import (
 // The loop-lifting compiler encodes the query's real join graph behind
 // iter-scaffolding — equi-joins whose keys are loop-membership numbers
 // (iter columns, ϱ/mark outputs) rather than document values, plus
-// numbering towers whose only surviving contribution is row order. The
-// provenance annotation in internal/algebra is what lets us tell the two
-// kinds of join key apart.
+// numbering towers whose only surviving contribution is row order.
+// Column provenance (below) is what tells the two kinds of join key
+// apart.
 type joinGraph struct {
 	// joins counts every equi-join in the DAG.
 	joins int
@@ -34,20 +34,21 @@ func (g joinGraph) note() string {
 		g.joins, g.scaffolding, g.n1, g.deadTowers)
 }
 
-// analyzeJoinGraph walks the DAG once, classifying joins by key
+// analyzeJoinGraph walks the indexed plan once, classifying joins by key
 // provenance and uniqueness and numbering operators by demand.
-func analyzeJoinGraph(root *algebra.Op, e *PropertyEngine) joinGraph {
-	prov := algebra.Provenance(root)
-	need := demandMap(root)
+func analyzeJoinGraph(idx *planIndex, pr *props) joinGraph {
+	prov := provenanceOf(idx)
+	need := demandOf(idx)
 	var g joinGraph
-	for _, o := range algebra.Topo(root) {
+	for i, o := range idx.ops {
+		i := int32(i)
 		switch o.Kind {
 		case algebra.OpJoin:
 			g.joins++
+			in := idx.inputs(i)
 			scaff := len(o.KeyL) > 0
-			for i := range o.KeyL {
-				if !scaffoldingOrigin(prov[o.In[0]][o.KeyL[i]]) ||
-					!scaffoldingOrigin(prov[o.In[1]][o.KeyR[i]]) {
+			for k := range o.KeyL {
+				if !prov.scaffolding(in[0], o.KeyL[k]) || !prov.scaffolding(in[1], o.KeyR[k]) {
 					scaff = false
 					break
 				}
@@ -55,11 +56,11 @@ func analyzeJoinGraph(root *algebra.Op, e *PropertyEngine) joinGraph {
 			if scaff {
 				g.scaffolding++
 			}
-			if e.p.rightKeyUnique(o) {
+			if pr.rightKeyUnique(i) {
 				g.n1++
 			}
 		case algebra.OpRowNum, algebra.OpRowID:
-			if !need[o][o.Col] {
+			if !need.needs(i, o.Col) {
 				g.deadTowers++
 			}
 		}
@@ -67,15 +68,139 @@ func analyzeJoinGraph(root *algebra.Op, e *PropertyEngine) joinGraph {
 	return g
 }
 
-// scaffoldingOrigin reports whether a join key column is loop-lifting
+// Column provenance: for every operator output column, the operator and
+// column where its values are produced. Renamings (π), row filters (σ, ⋉,
+// \), row extensions (ϱ, mark, ⊛) and the column pass-through of ⋈/× all
+// preserve values, so a column's origin reaches back through them to the
+// operator that actually computed it — a literal, a numbering operator, a
+// function, a step. That is what tells an equi-join whose key columns are
+// loop-lifting scaffolding (iter/inner/outer numbering chains) from one
+// over document values.
+
+// origin identifies where a column's values are produced: the defining
+// operator's number and the column name it carries there.
+type origin struct {
+	op  int32
+	col string
+}
+
+// provenance holds the origin of each output column of each operator,
+// by schema position, all in one slice.
+type provenance struct {
+	idx   *planIndex
+	start []int32
+	org   []origin
+}
+
+// of returns the origin of column col of operator i; a column i does not
+// carry (an invalid plan) is reported as unknown.
+func (p *provenance) of(i int32, col string, hint int) (origin, bool) {
+	pos := colPos(p.idx.ops[i].Schema(), col, hint)
+	if pos < 0 {
+		return origin{}, false
+	}
+	return p.org[int(p.start[i])+pos], true
+}
+
+// from is the origin of column col of operator i's k-th input, or i
+// itself when the input does not deliver it.
+func (p *provenance) from(i int32, k int, col string, hint int) origin {
+	if in := p.idx.inputs(i); k < len(in) {
+		if org, ok := p.of(in[k], col, hint); ok {
+			return org
+		}
+	}
+	return origin{op: i, col: col}
+}
+
+// scaffolding reports whether column col of operator i is loop-lifting
 // bookkeeping: it threads an iter/pos column, or its values are produced
 // by a numbering operator (ϱ/mark) rather than drawn from a document.
-func scaffoldingOrigin(org algebra.Origin) bool {
-	if org.Col == "iter" || org.Col == "pos" {
-		return true
-	}
-	if org.Op == nil {
+func (p *provenance) scaffolding(i int32, col string) bool {
+	org, ok := p.of(i, col, 0)
+	if !ok {
 		return false
 	}
-	return org.Op.Kind == algebra.OpRowNum || org.Op.Kind == algebra.OpRowID
+	if org.col == "iter" || org.col == "pos" {
+		return true
+	}
+	k := p.idx.ops[org.op].Kind
+	return k == algebra.OpRowNum || k == algebra.OpRowID
+}
+
+// provenanceOf computes the origin of every column of the indexed plan.
+// Columns an operator itself defines (a literal's columns, ϱ/mark
+// numbering columns, ⊛/aggregate results, the item column of a step or
+// constructor) originate at that operator; columns that pass through
+// unchanged keep their upstream origin. Where a union merges columns
+// with different origins, the union is the origin — the values are no
+// longer traceable to one producer.
+func provenanceOf(idx *planIndex) *provenance {
+	n := len(idx.ops)
+	p := &provenance{idx: idx, start: make([]int32, n+1)}
+	for i, o := range idx.ops {
+		p.start[i+1] = p.start[i] + int32(len(o.Schema()))
+	}
+	p.org = make([]origin, p.start[n])
+	for i, o := range idx.ops {
+		i := int32(i)
+		in := idx.inputs(i)
+		out := p.org[p.start[i]:p.start[i+1]]
+		from := func(k int, col string, hint int) origin { return p.from(i, k, col, hint) }
+		schema := o.Schema()
+		switch o.Kind {
+		case algebra.OpProject:
+			for pos, pp := range o.Proj {
+				out[pos] = from(0, pp.Old, pos)
+			}
+		case algebra.OpSelect, algebra.OpDistinct, algebra.OpSemiJoin, algebra.OpDiff:
+			// Row filters: every surviving value is the input's value.
+			for pos, c := range schema {
+				out[pos] = from(0, c, pos)
+			}
+		case algebra.OpJoin, algebra.OpCross:
+			// Column pass-through from whichever side provides the column
+			// (schemas are disjoint; constructors enforce it).
+			for pos, c := range schema {
+				if idx.ops[in[0]].HasCol(c) {
+					out[pos] = from(0, c, pos)
+				} else {
+					out[pos] = from(1, c, 0)
+				}
+			}
+		case algebra.OpRowNum, algebra.OpRowID, algebra.OpFun, algebra.OpAggr:
+			// Extensions: the result column is defined here, the rest pass
+			// through. (Aggregates keep only the partition column.)
+			for pos, c := range schema {
+				if c == o.Col {
+					out[pos] = origin{op: i, col: c}
+				} else {
+					out[pos] = from(0, c, pos)
+				}
+			}
+		case algebra.OpUnion:
+			// A column whose two sides trace to the same origin keeps it;
+			// otherwise the union is the merge point.
+			for pos, c := range schema {
+				l, r := from(0, c, pos), from(1, c, pos)
+				if l == r {
+					out[pos] = l
+				} else {
+					out[pos] = origin{op: i, col: c}
+				}
+			}
+		default:
+			// Literals define all their columns. Steps, document access,
+			// and constructors define their item (and pos) columns; iter
+			// threads through from the first input.
+			for pos, c := range schema {
+				if c == "iter" && len(in) > 0 && idx.ops[in[0]].HasCol("iter") {
+					out[pos] = from(0, c, pos)
+				} else {
+					out[pos] = origin{op: i, col: c}
+				}
+			}
+		}
+	}
+	return p
 }

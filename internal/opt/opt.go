@@ -30,11 +30,13 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pathfinder/internal/algebra"
+	"pathfinder/internal/bat"
 )
 
 // Optimize rewrites the plan DAG through the staged pipeline and returns
@@ -50,136 +52,159 @@ func Optimize(root *algebra.Op) (*algebra.Op, error) {
 	return res.Plan, nil
 }
 
-// Peephole is the pre-pipeline optimizer — one CSE + prune/fuse sweep
-// with no join graph isolation. It is kept as the `-no-opt-pipeline`
-// escape hatch on pf and pfserver, and as the baseline the plan
-// benchmark (internal/bench) measures the pipeline against.
+// Peephole is the pre-pipeline optimizer — one normalize sweep (CSE +
+// prune/fuse, the pipeline's round-1 first pass) with no join graph
+// isolation. It is kept as the `-no-opt-pipeline` escape hatch on pf and
+// pfserver, and as the baseline the plan benchmark (internal/bench)
+// measures the pipeline against.
 func Peephole(root *algebra.Op) (*algebra.Op, error) {
-	shared := cse(root)
-	r, err := pruneAndFuse(shared)
+	r, err := normalize(newPlanIndex(root, 0))
 	if err != nil {
 		return nil, err
 	}
-	r = cse(r)
-	if algebra.CountOps(r) > algebra.CountOps(shared) {
-		r = shared
-	}
-	if err := algebra.Validate(r); err != nil {
+	if err := algebra.Validate(r.root()); err != nil {
 		return nil, fmt.Errorf("optimizer produced an invalid plan: %w", err)
 	}
-	return r, nil
+	return r.root(), nil
 }
 
 // cse shares structurally identical subplans — the rewriting MonetDB gets
-// for free from MIL variable reuse.
-func cse(root *algebra.Op) *algebra.Op {
-	canon := make(map[string]*algebra.Op)
-	memo := make(map[*algebra.Op]*algebra.Op)
-	var walk func(o *algebra.Op) *algebra.Op
-	walk = func(o *algebra.Op) *algebra.Op {
-		if c, ok := memo[o]; ok {
-			return c
-		}
-		children := make([]*algebra.Op, len(o.In))
+// for free from MIL variable reuse. It emits the index of the DAG it
+// returns: operators are numbered as they become canonical, which is
+// algebra.Topo order of the result because the input is visited in Topo
+// order and a duplicate's whole subplan was made canonical before it.
+func cse(x *planIndex) *planIndex {
+	n := len(x.ops)
+	out := emittedIndex(n)
+	canon := make(map[string]int32, n)
+	lits := make(map[*bat.Table]int32)
+	memo := make([]int32, n) // input number → number of its canonical operator
+	var key []byte
+	var buf [2]int32
+	for i, o := range x.ops {
+		ins := buf[:0]
 		changed := false
-		for i, in := range o.In {
-			children[i] = walk(in)
-			if children[i] != in {
+		for k, c := range x.inputs(int32(i)) {
+			ins = append(ins, memo[c])
+			if out.ops[memo[c]] != o.In[k] {
 				changed = true
 			}
+		}
+		if o.Kind == algebra.OpLit {
+			// Literal tables are shared by identity.
+			j, ok := lits[o.Lit]
+			if !ok {
+				j = out.add(o, nil)
+				lits[o.Lit] = j
+			}
+			memo[i] = j
+			continue
+		}
+		key = appendSignature(key[:0], o, ins)
+		if j, ok := canon[string(key)]; ok {
+			memo[i] = j
+			continue
 		}
 		cur := o
 		if changed {
 			cp := *o
-			cp.In = children
+			cp.In = make([]*algebra.Op, len(ins))
+			for k, c := range ins {
+				cp.In[k] = out.ops[c]
+			}
 			cur = &cp
 		}
-		sig := signature(cur)
-		if c, ok := canon[sig]; ok {
-			memo[o] = c
-			return c
-		}
-		canon[sig] = cur
-		memo[o] = cur
-		return cur
+		j := out.add(cur, ins)
+		canon[string(key)] = j
+		memo[i] = j
 	}
-	return walk(root)
+	return out
 }
 
-// signature renders an operator's identity: kind, parameters, and child
-// object identities (children are canonical already when called bottom-up).
-func signature(o *algebra.Op) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d", o.Kind)
-	for _, in := range o.In {
-		fmt.Fprintf(&sb, " c%p", in)
+// appendSignature appends an operator's identity to key: kind, the
+// numbers of its (already canonical) inputs, and its parameters. Strings
+// are NUL-terminated and lists closed by 0xFF, so distinct parameter
+// lists never collide.
+func appendSignature(key []byte, o *algebra.Op, ins []int32) []byte {
+	str := func(s string) { key = append(append(key, s...), 0) }
+	list := func(ss []string) {
+		for _, s := range ss {
+			str(s)
+		}
+		key = append(key, 0xFF)
+	}
+	key = append(key, byte(o.Kind))
+	for _, c := range ins {
+		key = binary.LittleEndian.AppendUint32(key, uint32(c))
 	}
 	switch o.Kind {
-	case algebra.OpLit:
-		fmt.Fprintf(&sb, " t%p", o.Lit)
 	case algebra.OpProject:
 		for _, p := range o.Proj {
-			fmt.Fprintf(&sb, " %s:%s", p.New, p.Old)
+			str(p.New)
+			str(p.Old)
 		}
 	case algebra.OpSelect, algebra.OpRowID:
-		sb.WriteString(" " + o.Col)
+		str(o.Col)
 	case algebra.OpJoin, algebra.OpSemiJoin, algebra.OpDiff, algebra.OpRange:
-		fmt.Fprintf(&sb, " %v=%v", o.KeyL, o.KeyR)
+		list(o.KeyL)
+		list(o.KeyR)
 	case algebra.OpRowNum:
-		fmt.Fprintf(&sb, " %s %v %s", o.Col, o.Order, o.Part)
+		str(o.Col)
+		for _, s := range o.Order {
+			str(s.Col)
+			desc := byte(0)
+			if s.Desc {
+				desc = 1
+			}
+			key = append(key, desc)
+		}
+		key = append(key, 0xFF)
+		str(o.Part)
 	case algebra.OpFun:
-		fmt.Fprintf(&sb, " %s %d %v %d %s", o.Col, o.Fun, o.Args, o.Type, o.TypeName)
+		str(o.Col)
+		key = append(key, byte(o.Fun), byte(o.Type))
+		list(o.Args)
+		str(o.TypeName)
 	case algebra.OpAggr:
-		fmt.Fprintf(&sb, " %s %d %v %s %q", o.Col, o.Agg, o.Args, o.Part, o.Sep)
+		str(o.Col)
+		key = append(key, byte(o.Agg))
+		list(o.Args)
+		str(o.Part)
+		str(o.Sep)
 	case algebra.OpStep:
-		fmt.Fprintf(&sb, " %d %d %s", o.Axis, o.Test.Kind, o.Test.Name)
+		key = append(key, byte(o.Axis), byte(o.Test.Kind))
+		str(o.Test.Name)
 	}
-	return sb.String()
+	return key
 }
 
 // pruneAndFuse runs the demand analysis and rebuilds the DAG with pruned
 // and fused projections.
-func pruneAndFuse(root *algebra.Op) (*algebra.Op, error) {
-	needed := demandMap(root)
+func pruneAndFuse(x *planIndex) (*algebra.Op, error) {
+	needed := demandOf(x)
 
 	// Rebuild bottom-up with pruned projections, fused π∘π chains, and
-	// order-property rewrites.
-	memo := make(map[*algebra.Op]*algebra.Op)
-	pr := newProps()
-	var rebuild func(o *algebra.Op) (*algebra.Op, error)
-	rebuild = func(o *algebra.Op) (*algebra.Op, error) {
-		if c, ok := memo[o]; ok {
-			return c, nil
+	// order-property rewrites. The rewrites consult the properties of
+	// operators of the DAG under construction, which has no index yet:
+	// pr numbers the ones it is asked about.
+	memo := make([]*algebra.Op, len(x.ops))
+	pr := newProps(growingIndex(len(x.ops)))
+	var buf [2]*algebra.Op
+	for i, o := range x.ops {
+		children := buf[:0]
+		for _, c := range x.inputs(int32(i)) {
+			children = append(children, memo[c])
 		}
-		children := make([]*algebra.Op, len(o.In))
-		for i, in := range o.In {
-			c, err := rebuild(in)
-			if err != nil {
-				return nil, err
-			}
-			children[i] = c
-		}
-		out, err := rebuildOp(o, children, needed[o], pr)
+		out, err := rebuildOp(o, children, needed.of(int32(i)), pr)
 		if err != nil {
 			return nil, err
 		}
-		memo[o] = out
-		return out, nil
+		memo[i] = out
 	}
-	return rebuild(root)
+	return memo[len(memo)-1], nil
 }
 
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	//pfvet:allow maporder -- keys is the sorted-iteration helper itself
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func rebuildOp(o *algebra.Op, in []*algebra.Op, need map[string]bool, pr *props) (*algebra.Op, error) {
+func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebra.Op, error) {
 	switch o.Kind {
 	case algebra.OpLit:
 		return o, nil
@@ -187,8 +212,8 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need map[string]bool, pr *props)
 		// Prune unneeded output columns (keep at least one column: a
 		// zero-column relation has no row representation in the engine).
 		specs := make([]string, 0, len(o.Proj))
-		for _, p := range o.Proj {
-			if need == nil || need[p.New] {
+		for pos, p := range o.Proj {
+			if !need.reached || need.has(pos) {
 				specs = append(specs, p.New+":"+p.Old)
 			}
 		}
@@ -268,7 +293,7 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need map[string]bool, pr *props)
 				}
 				cols = append(cols, s.Col)
 			}
-			if ascending && hasPrefix(pr.sortedPrefix(in[0]), cols) {
+			if ascending && hasPrefix(pr.orderingOf(in[0]).cols, cols) {
 				return algebra.RowID(in[0], o.Col)
 			}
 		}
@@ -330,12 +355,8 @@ func sameCols(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	set := make(map[string]bool, len(a))
-	for _, c := range a {
-		set[c] = true
-	}
 	for _, c := range b {
-		if !set[c] {
+		if !slices.Contains(a, c) {
 			return false
 		}
 	}
@@ -343,13 +364,9 @@ func sameCols(a, b []string) bool {
 }
 
 func intersect(a, b []string) []string {
-	set := make(map[string]bool, len(b))
-	for _, c := range b {
-		set[c] = true
-	}
 	var out []string
 	for _, c := range a {
-		if set[c] {
+		if slices.Contains(b, c) {
 			out = append(out, c)
 		}
 	}

@@ -3,6 +3,7 @@ package opt
 import (
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
+	"slices"
 )
 
 // Props is the exported face of the optimizer's per-operator property
@@ -52,29 +53,38 @@ func Properties(root *algebra.Op) map[*algebra.Op]Props {
 // PropertyEngine is the invalidation-aware home of the property memos.
 // Property derivation memoizes per operator; a rewrite that swaps an
 // operator's input silently invalidates the memoized claims of every
-// ancestor. Passes that mutate the DAG in place (the isolation pass)
-// must call Invalidate with the changed operators before trusting any
-// further PropsOf/Snapshot answers — otherwise stale order or denseness
-// claims leak into lowering, where internal/check rejects them.
+// ancestor. Callers that mutate a DAG in place must call Invalidate
+// with the changed operators before trusting any further
+// PropsOf/Snapshot answers — otherwise stale order or denseness claims
+// leak into lowering, where internal/check rejects them. (The isolation
+// pass keeps its own memos over the pass's plan index and invalidates
+// them per splice through the consumer lists; see isolate.go.)
 type PropertyEngine struct {
 	p *props
 }
 
 // NewPropertyEngine returns an engine with empty memos.
-func NewPropertyEngine() *PropertyEngine { return &PropertyEngine{p: newProps()} }
+func NewPropertyEngine() *PropertyEngine {
+	return &PropertyEngine{p: newProps(growingIndex(0))}
+}
 
 // PropsOf derives (and memoizes) the properties of a single operator.
 func (e *PropertyEngine) PropsOf(o *algebra.Op) Props {
-	ord := e.p.orderingOf(o)
-	return Props{Sorted: ord.cols, Strict: ord.strict, Dense: e.p.den.denseOf(o)}
+	return e.p.propsAt(e.p.at(o))
+}
+
+func (p *props) propsAt(i int32) Props {
+	ord := p.orderingAt(i)
+	return Props{Sorted: ord.cols, Strict: ord.strict, Dense: p.denseAt(i)}
 }
 
 // Snapshot derives properties for every operator of the DAG rooted at
 // root. The snapshot is a plain map: it does NOT track later mutations —
 // after an in-place rewrite, call Invalidate and re-Snapshot.
 func (e *PropertyEngine) Snapshot(root *algebra.Op) map[*algebra.Op]Props {
-	out := make(map[*algebra.Op]Props)
-	for _, o := range algebra.Topo(root) {
+	order := algebra.Topo(root)
+	out := make(map[*algebra.Op]Props, len(order))
+	for _, o := range order {
 		out[o] = e.PropsOf(o)
 	}
 	return out
@@ -82,52 +92,69 @@ func (e *PropertyEngine) Snapshot(root *algebra.Op) map[*algebra.Op]Props {
 
 // Invalidate drops the memoized properties of every changed operator and
 // of every operator reachable from root that lies above one — their
-// derivations may have depended on the old inputs. Operators are visited
-// in Topo order (children first), so an ancestor is tainted exactly when
-// any of its inputs is.
+// derivations may have depended on the old inputs. The changed
+// operators' input edges are read afresh.
 func (e *PropertyEngine) Invalidate(root *algebra.Op, changed ...*algebra.Op) {
-	taint := make(map[*algebra.Op]bool, len(changed))
+	x := e.p.idx
+	var dirty []int32
 	for _, o := range changed {
-		taint[o] = true
+		i, known := x.id[o]
+		if !known {
+			continue // never derived: nothing memoized at or above it
+		}
+		// The engine numbered o under its old inputs.
+		x.inStart[i] = int32(len(x.in))
+		for _, in := range o.In {
+			x.in = append(x.in, e.p.at(in))
+		}
+		dirty = append(dirty, i)
 	}
-	for _, o := range algebra.Topo(root) {
-		if !taint[o] {
-			for _, in := range o.In {
-				if taint[in] {
-					taint[o] = true
-					break
+	r, known := x.id[root]
+	if !known {
+		return
+	}
+	const clean, tainted = 1, 2
+	state := make([]int8, len(x.ops))
+	for _, i := range dirty {
+		state[i] = tainted
+	}
+	var visit func(i int32) bool
+	visit = func(i int32) bool {
+		if state[i] == 0 {
+			state[i] = clean
+			for _, c := range x.inputs(i) {
+				if visit(c) {
+					state[i] = tainted
 				}
 			}
 		}
-		if taint[o] {
-			delete(e.p.memo, o)
-			delete(e.p.den.memo, o)
+		if state[i] == tainted {
+			e.p.drop(i)
 		}
+		return state[i] == tainted
 	}
+	visit(r)
 }
 
-// denseProps infers which columns hold exactly 1..n in row order.
-type denseProps struct {
-	memo map[*algebra.Op][]string
-}
-
-func (d *denseProps) denseOf(o *algebra.Op) []string {
-	if cols, ok := d.memo[o]; ok {
-		return cols
+func (p *props) denseAt(i int32) []string {
+	if m := &p.memo[i]; m.denseOK {
+		return m.dense
 	}
-	cols := d.compute(o)
-	d.memo[o] = cols
+	cols := p.computeDense(i)
+	p.memo[i].dense, p.memo[i].denseOK = cols, true
 	return cols
 }
 
-func (d *denseProps) compute(o *algebra.Op) []string {
+// computeDense infers which columns hold exactly 1..n in row order.
+func (p *props) computeDense(i int32) []string {
+	o, in := p.idx.ops[i], p.idx.inputs(i)
 	switch o.Kind {
 	case algebra.OpLit:
 		return litDense(o.Lit)
 	case algebra.OpRowID:
 		// mark emits 1..n by definition; the child's dense columns keep
 		// their values and their row count, so they stay dense too.
-		return append(append([]string{}, d.denseOf(o.In[0])...), o.Col)
+		return append(append([]string{}, p.denseAt(in[0])...), o.Col)
 	case algebra.OpRowNum:
 		// Without partitioning, ϱ numbers the whole relation 1..n.
 		if o.Part == "" {
@@ -137,20 +164,20 @@ func (d *denseProps) compute(o *algebra.Op) []string {
 	case algebra.OpProject:
 		// Rename dense columns through the projection (first alias wins,
 		// duplicates of a dense column are each dense).
-		child := d.denseOf(o.In[0])
+		child := p.denseAt(in[0])
+		if len(child) == 0 {
+			return nil
+		}
 		var out []string
 		for _, pr := range o.Proj {
-			for _, c := range child {
-				if pr.Old == c {
-					out = append(out, pr.New)
-					break
-				}
+			if slices.Contains(child, pr.Old) {
+				out = append(out, pr.New)
 			}
 		}
 		return out
 	case algebra.OpFun, algebra.OpDoc, algebra.OpRoots:
 		// Per-row extensions keep every row, so density survives.
-		return d.denseOf(o.In[0])
+		return p.denseAt(in[0])
 	}
 	// σ, δ, joins, ∪, etc. drop or duplicate rows: 1..n breaks.
 	return nil

@@ -3,6 +3,7 @@ package opt
 import (
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
+	"slices"
 )
 
 // Order-property inference ([3], "a careful consideration of order
@@ -18,113 +19,126 @@ type ordering struct {
 	strict bool
 }
 
+// props memoizes the order and denseness inference per operator, in
+// slices over a planIndex's numbering. Passes that own an index ask by
+// number (orderingAt, denseAt); callers that hold operator pointers
+// (the property engine, the rebuild of the normalize pass) go through
+// at/orderingOf, which number the operator first.
 type props struct {
-	memo map[*algebra.Op]ordering
-	den  *denseProps
+	idx  *planIndex
+	memo []propMemo
 }
 
-func newProps() *props {
-	return &props{
-		memo: make(map[*algebra.Op]ordering),
-		den:  &denseProps{memo: make(map[*algebra.Op][]string)},
+// propMemo is what has been derived for one operator so far.
+type propMemo struct {
+	ord            ordering
+	dense          []string
+	ordOK, denseOK bool
+}
+
+func newProps(idx *planIndex) *props {
+	return &props{idx: idx, memo: make([]propMemo, len(idx.ops), cap(idx.ops))}
+}
+
+// at numbers o in the (growing) index and makes room for what it
+// numbered on the way.
+func (p *props) at(o *algebra.Op) int32 {
+	i := p.idx.num(o)
+	for len(p.memo) < len(p.idx.ops) {
+		p.memo = append(p.memo, propMemo{})
 	}
+	return i
 }
 
-// sortedOn reports whether o's output is guaranteed sorted with cols as
-// a prefix — either via the ordering inference or, for a single column,
-// via denseness (a 1..n column is sorted by construction).
-func (p *props) sortedOn(o *algebra.Op, cols []string) bool {
-	if hasPrefix(p.orderingOf(o).cols, cols) {
+func (p *props) orderingOf(o *algebra.Op) ordering { return p.orderingAt(p.at(o)) }
+
+// drop forgets what was derived for operator i.
+func (p *props) drop(i int32) { p.memo[i] = propMemo{} }
+
+// sortedOn reports whether operator i's output is guaranteed sorted
+// with cols as a prefix — either via the ordering inference or, for a
+// single column, via denseness (a 1..n column is sorted by
+// construction).
+func (p *props) sortedOn(i int32, cols []string) bool {
+	if hasPrefix(p.orderingAt(i).cols, cols) {
 		return true
 	}
-	if len(cols) == 1 {
-		for _, c := range p.den.denseOf(o) {
-			if c == cols[0] {
-				return true
-			}
-		}
-	}
-	return false
+	return len(cols) == 1 && slices.Contains(p.denseAt(i), cols[0])
 }
 
-// rightKeyUnique reports whether the join key is a key of o's right
-// input — i.e. the join is N:1 and every left row matches at most once.
-// Two sufficient proofs: a dense column among the right key columns
-// (1..n values are duplicate-free), or a strict right ordering whose
-// column set is covered by the key columns.
-func (p *props) rightKeyUnique(o *algebra.Op) bool {
-	r := o.In[1]
-	for _, k := range o.KeyR {
-		for _, c := range p.den.denseOf(r) {
-			if c == k {
-				return true
-			}
+// rightKeyUnique reports whether the join key is a key of join i's
+// right input — i.e. the join is N:1 and every left row matches at most
+// once. Two sufficient proofs: a dense column among the right key
+// columns (1..n values are duplicate-free), or a strict right ordering
+// whose column set is covered by the key columns.
+func (p *props) rightKeyUnique(i int32) bool {
+	o, r := p.idx.ops[i], p.idx.inputs(i)[1]
+	for _, c := range p.denseAt(r) {
+		if slices.Contains(o.KeyR, c) {
+			return true
 		}
 	}
-	ord := p.orderingOf(r)
+	return p.keyedWithin(r, o.KeyR)
+}
+
+// keyedWithin reports that operator i's derived ordering is strict and
+// uses only the given columns — those columns are then a key of i.
+func (p *props) keyedWithin(i int32, cols []string) bool {
+	ord := p.orderingAt(i)
 	if !ord.strict || len(ord.cols) == 0 {
 		return false
 	}
-	keySet := make(map[string]bool, len(o.KeyR))
-	for _, k := range o.KeyR {
-		keySet[k] = true
-	}
 	for _, c := range ord.cols {
-		if !keySet[c] {
+		if !slices.Contains(cols, c) {
 			return false
 		}
 	}
 	return true
 }
 
-// sortedPrefix returns the columns o's output is sorted by; nil means no
-// guarantee.
-func (p *props) sortedPrefix(o *algebra.Op) []string { return p.orderingOf(o).cols }
-
-func (p *props) orderingOf(o *algebra.Op) ordering {
-	if s, ok := p.memo[o]; ok {
-		return s
+func (p *props) orderingAt(i int32) ordering {
+	if m := &p.memo[i]; m.ordOK {
+		return m.ord
 	}
-	s := p.compute(o)
-	p.memo[o] = s
+	s := p.computeOrdering(i)
+	p.memo[i].ord, p.memo[i].ordOK = s, true
 	return s
 }
 
-func (p *props) compute(o *algebra.Op) ordering {
+func (p *props) computeOrdering(i int32) ordering {
+	o, in := p.idx.ops[i], p.idx.inputs(i)
 	switch o.Kind {
 	case algebra.OpLit:
 		return litSorted(o.Lit)
 	case algebra.OpProject:
-		// Renaming: map the child's sorted prefix through the projection;
-		// the prefix survives as long as each column is kept.
-		child := p.orderingOf(o.In[0])
-		rename := map[string]string{} // old → new (first alias wins)
-		for _, pr := range o.Proj {
-			if _, dup := rename[pr.Old]; !dup {
-				rename[pr.Old] = pr.New
-			}
-		}
+		// Renaming: map the child's sorted prefix through the projection
+		// (first alias wins); the prefix survives as long as each column
+		// is kept.
+		child := p.orderingAt(in[0])
 		var out []string
+	prefix:
 		for _, c := range child.cols {
-			n, ok := rename[c]
-			if !ok {
-				// Truncated: strictness over the shorter prefix is lost.
-				return ordering{cols: out}
+			for _, pr := range o.Proj {
+				if pr.Old == c {
+					out = append(out, pr.New)
+					continue prefix
+				}
 			}
-			out = append(out, n)
+			// Truncated: strictness over the shorter prefix is lost.
+			return ordering{cols: out}
 		}
 		return ordering{cols: out, strict: child.strict}
 	case algebra.OpSelect, algebra.OpDistinct, algebra.OpFun,
 		algebra.OpDoc, algebra.OpRoots:
 		// Row filters and per-row extensions preserve input order (and
 		// removing rows cannot break strictness).
-		return p.orderingOf(o.In[0])
+		return p.orderingAt(in[0])
 	case algebra.OpRowID:
 		// mark appends a strictly increasing column in input order.
-		child := p.orderingOf(o.In[0])
+		child := p.orderingAt(in[0])
 		return ordering{cols: append(append([]string{}, child.cols...), o.Col), strict: true}
 	case algebra.OpSemiJoin, algebra.OpDiff:
-		return p.orderingOf(o.In[0])
+		return p.orderingAt(in[0])
 	case algebra.OpJoin:
 		// The engine streams the left side in order. If the join key is a
 		// key of the right input (N:1 — provable via a dense key column or
@@ -133,8 +147,8 @@ func (p *props) compute(o *algebra.Op) ordering {
 		// included. Otherwise multiple matches duplicate left rows and
 		// only the non-strict prefix survives. (Denseness never survives:
 		// unmatched left rows may drop, breaking 1..n.)
-		l := p.orderingOf(o.In[0])
-		if p.rightKeyUnique(o) {
+		l := p.orderingAt(in[0])
+		if p.rightKeyUnique(i) {
 			return ordering{cols: l.cols, strict: l.strict}
 		}
 		return ordering{cols: l.cols}
@@ -142,11 +156,11 @@ func (p *props) compute(o *algebra.Op) ordering {
 		// Left-major: groups of identical left rows, right table order
 		// within each. If the left prefix is strict (groups are distinct),
 		// the right ordering composes.
-		l := p.orderingOf(o.In[0])
+		l := p.orderingAt(in[0])
 		if !l.strict {
 			return ordering{cols: l.cols}
 		}
-		r := p.orderingOf(o.In[1])
+		r := p.orderingAt(in[1])
 		return ordering{
 			cols:   append(append([]string{}, l.cols...), r.cols...),
 			strict: r.strict,
@@ -166,7 +180,7 @@ func (p *props) compute(o *algebra.Op) ordering {
 		return ordering{cols: []string{"iter", "item"}, strict: true}
 	case algebra.OpAggr:
 		if o.Part != "" {
-			child := p.orderingOf(o.In[0])
+			child := p.orderingAt(in[0])
 			if len(child.cols) > 0 && child.cols[0] == o.Part {
 				return ordering{cols: []string{o.Part}, strict: true}
 			}
@@ -175,7 +189,7 @@ func (p *props) compute(o *algebra.Op) ordering {
 	case algebra.OpElem:
 		return ordering{cols: []string{"iter"}, strict: true}
 	case algebra.OpText, algebra.OpAttrC, algebra.OpRange, algebra.OpColl:
-		child := p.orderingOf(o.In[0])
+		child := p.orderingAt(in[0])
 		if len(child.cols) > 0 && child.cols[0] == "iter" {
 			return ordering{cols: []string{"iter"}}
 		}

@@ -14,8 +14,39 @@ func mustOp(o *algebra.Op, err error) *algebra.Op {
 	return o
 }
 
+func sortedPrefix(p *props, o *algebra.Op) []string { return p.orderingOf(o).cols }
+
+// cseRoot runs cse over a freshly indexed DAG and checks that the index
+// it emits is the result's algebra.Topo numbering.
+func cseRoot(t *testing.T, root *algebra.Op) *algebra.Op {
+	t.Helper()
+	out := cse(newPlanIndex(root, 0))
+	assertTopoIndex(t, out)
+	return out.root()
+}
+
+// assertTopoIndex checks an index against a fresh walk of its DAG: the
+// numbering is algebra.Topo order and the input numbers match In.
+func assertTopoIndex(t testing.TB, x *planIndex) {
+	t.Helper()
+	order := algebra.Topo(x.root())
+	if len(order) != len(x.ops) || x.live() != len(order) {
+		t.Fatalf("index numbers %d operators (%d live), DAG has %d", len(x.ops), x.live(), len(order))
+	}
+	for i, o := range order {
+		if x.ops[i] != o {
+			t.Fatalf("index position %d is not Topo position %d", i, i)
+		}
+		for k, c := range x.inputs(int32(i)) {
+			if x.ops[c] != o.In[k] {
+				t.Fatalf("operator %d: input %d numbered %d, which is a different operator", i, k, c)
+			}
+		}
+	}
+}
+
 func TestLitSortedPrefix(t *testing.T) {
-	p := newProps()
+	p := newProps(growingIndex(0))
 	sorted := algebra.Lit(bat.MustTable(
 		"iter", bat.IntVec{1, 1, 2},
 		"pos", bat.IntVec{1, 2, 1},
@@ -23,7 +54,7 @@ func TestLitSortedPrefix(t *testing.T) {
 	))
 	// (iter, pos) orders the rows strictly, so the lexicographic prefix
 	// extends across every column.
-	got := p.sortedPrefix(sorted)
+	got := sortedPrefix(p, sorted)
 	if len(got) < 2 || got[0] != "iter" || got[1] != "pos" {
 		t.Errorf("sorted prefix = %v", got)
 	}
@@ -31,36 +62,36 @@ func TestLitSortedPrefix(t *testing.T) {
 		t.Error("key-ordered literal must be strict")
 	}
 	unsorted := algebra.Lit(bat.MustTable("x", bat.IntVec{2, 1}))
-	if got := p.sortedPrefix(unsorted); len(got) != 0 {
+	if got := sortedPrefix(p, unsorted); len(got) != 0 {
 		t.Errorf("unsorted lit prefix = %v", got)
 	}
 }
 
 func TestSortednessPropagation(t *testing.T) {
-	p := newProps()
+	p := newProps(growingIndex(0))
 	lit := algebra.Lit(bat.MustTable(
 		"iter", bat.IntVec{1, 1, 2},
 		"pos", bat.IntVec{1, 2, 1},
 	))
 	// Projection renames carry the prefix.
 	proj := mustOp(algebra.Project(lit, "outer:iter", "p:pos"))
-	if got := p.sortedPrefix(proj); len(got) != 2 || got[0] != "outer" {
+	if got := sortedPrefix(p, proj); len(got) != 2 || got[0] != "outer" {
 		t.Errorf("projected prefix = %v", got)
 	}
 	// Dropping the leading column kills the guarantee.
 	drop := mustOp(algebra.Project(lit, "pos"))
-	if got := p.sortedPrefix(drop); len(got) != 0 {
+	if got := sortedPrefix(p, drop); len(got) != 0 {
 		t.Errorf("dropped-column prefix = %v", got)
 	}
 	// Selection preserves.
 	f := mustOp(algebra.Fun(lit, "b", algebra.FunEq, "iter", "pos"))
 	sel := mustOp(algebra.Select(f, "b"))
-	if got := p.sortedPrefix(sel); len(got) < 2 {
+	if got := sortedPrefix(p, sel); len(got) < 2 {
 		t.Errorf("select prefix = %v", got)
 	}
 	// RowNum output sortedness: the canonical (part, numbering) key.
 	rn := mustOp(algebra.RowNum(lit, "n", []algebra.OrderSpec{{Col: "pos"}}, "iter"))
-	if got := p.sortedPrefix(rn); len(got) != 2 || got[0] != "iter" || got[1] != "n" {
+	if got := sortedPrefix(p, rn); len(got) != 2 || got[0] != "iter" || got[1] != "n" {
 		t.Errorf("rownum prefix = %v", got)
 	}
 	if !p.orderingOf(rn).strict {
@@ -68,7 +99,7 @@ func TestSortednessPropagation(t *testing.T) {
 	}
 	// Union gives nothing.
 	u := mustOp(algebra.Union(lit, lit))
-	if got := p.sortedPrefix(u); got != nil {
+	if got := sortedPrefix(p, u); got != nil {
 		t.Errorf("union prefix = %v", got)
 	}
 }
@@ -99,7 +130,7 @@ func TestCSESharesIdenticalSubplans(t *testing.T) {
 	b := mustOp(algebra.Project(shared, "y:iter"))
 	j := mustOp(algebra.Join(a, b, []string{"x"}, []string{"y"}))
 	before := algebra.CountOps(j)
-	after := algebra.CountOps(cse(j))
+	after := algebra.CountOps(cseRoot(t, j))
 	if after != before {
 		t.Errorf("no duplicates to remove, yet %d -> %d", before, after)
 	}
@@ -113,7 +144,7 @@ func TestCSESharesIdenticalSubplans(t *testing.T) {
 	p1 := mustOp(algebra.Project(shared, "z:iter"))
 	p2 := mustOp(algebra.Project(shared, "z:iter"))
 	u2 := mustOp(algebra.Union(p1, p2))
-	if got := algebra.CountOps(cse(u2)); got != 3 {
+	if got := algebra.CountOps(cseRoot(t, u2)); got != 3 {
 		t.Errorf("cse kept %d ops, want 3 (union, one project, lit)", got)
 	}
 }
