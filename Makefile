@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-compile bench-smoke bench-pipeline-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,12 @@ bench:
 bench-join:
 	$(GO) run ./benchmark --workload xmark_join --seed 1 --seconds 35 --trace 0
 
+# One end-to-end run of the path workload (XMark q01–q07, q13–q20: nearly
+# all staircase join). It is not gated by BENCHMARK.json, so a step-kernel
+# change claims its gain on xmark_join and reports pairs of this command.
+bench-path:
+	$(GO) run ./benchmark --workload xmark_path --seed 1 --seconds 35 --trace 0
+
 # One end-to-end run of the front-end workload (parse → physical plan for
 # the 20 XMark queries and the dialect corpus, nothing executes): the
 # command behind every before/after pair for a compiler or optimizer
@@ -92,6 +98,14 @@ bench-smoke:
 # allocation ceiling itself is a test (TestPipelineAllocBudget).
 bench-pipeline-smoke:
 	$(GO) test ./internal/opt -run '^$$' -bench Pipeline -benchtime 1x
+
+# CI smoke for the step-kernel micro-benchmark: many singleton
+# iterations, one document-wide descendant scan and a nested-context run
+# at SF 0.1, with allocation counts (`-benchtime 50x -count 5` for
+# numbers worth comparing). The per-iteration allocation ceiling itself
+# is a test (TestStepAllocBudget).
+bench-step-smoke:
+	$(GO) test ./internal/engine -run '^$$' -bench StepLoopLifted -benchtime 1x
 
 # Sequential-vs-parallel scheduler comparison; writes BENCH_parallel.json.
 bench-parallel:

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -258,6 +259,52 @@ func TestSortByIsStable(t *testing.T) {
 	}
 	if s.MustCol("v").ItemAt(0).S != "first" || s.MustCol("v").ItemAt(2).S != "third" {
 		t.Error("equal keys must keep input order")
+	}
+}
+
+// TestSortBySortedInputIsReturned: a table already in the requested
+// order comes back as itself, ties and untyped key columns included; an
+// unsorted one comes back in the order a stable sort over boxed
+// CompareTotal keys — what SortBy ran unconditionally before — produces.
+func TestSortBySortedInputIsReturned(t *testing.T) {
+	sorted := MustTable(
+		"iter", IntVec{1, 1, 2, 2, 5},
+		"pos", ItemVec{Int(1), Int(2), Int(1), Int(1), Int(9)},
+		"item", StrVec{"a", "b", "c", "d", "e"},
+	)
+	for _, cols := range [][]string{{"iter"}, {"iter", "pos"}} {
+		if s, err := sorted.SortBy(cols...); err != nil || s != sorted {
+			t.Errorf("SortBy(%v) on sorted input: got %p (err %v), want the receiver %p", cols, s, err, sorted)
+		}
+	}
+	if s, _ := sorted.Empty().SortBy("iter"); s.Rows() != 0 {
+		t.Error("empty table must sort to an empty table")
+	}
+
+	f := func(iters, poss []uint8) bool {
+		n := min(len(iters), len(poss))
+		iter, pos, tag := make(IntVec, n), make(ItemVec, n), make(IntVec, n)
+		for i := 0; i < n; i++ {
+			iter[i], pos[i], tag[i] = int64(iters[i]%4), Int(int64(poss[i]%3)), int64(i)
+		}
+		tb := MustTable("iter", iter, "pos", pos, "tag", tag)
+		idx := make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		sort.SliceStable(idx, func(a, b int) bool {
+			for _, v := range []Vec{iter, pos} {
+				if c := CompareTotal(v.ItemAt(int(idx[a])), v.ItemAt(int(idx[b]))); c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		})
+		got, err := tb.SortBy("iter", "pos")
+		return err == nil && got.String() == tb.Gather(idx).String()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -171,9 +172,10 @@ func (t *Table) Row(i int) []Item {
 }
 
 // SortBy stably sorts the table by the named columns ascending and returns
-// the permuted table. Node columns sort in document order; mixed item
-// columns sort by kind then value, which is only used for duplicate
-// grouping, never for user-visible ordering.
+// the permuted table — t itself when its rows are in that order already,
+// which one linear scan decides. Node columns sort in document order;
+// mixed item columns sort by kind then value, which is only used for
+// duplicate grouping, never for user-visible ordering.
 func (t *Table) SortBy(cols ...string) (*Table, error) {
 	vecs := make([]Vec, len(cols))
 	for i, c := range cols {
@@ -183,20 +185,32 @@ func (t *Table) SortBy(cols ...string) (*Table, error) {
 		}
 		vecs[i] = v
 	}
-	idx := make([]int32, t.n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
+	less := func(a, b int) bool {
 		for _, v := range vecs {
-			c := CompareTotal(v.ItemAt(int(ia)), v.ItemAt(int(ib)))
+			c := 0
+			if iv, ok := v.(IntVec); ok {
+				c = cmp.Compare(iv[a], iv[b])
+			} else {
+				c = CompareTotal(v.ItemAt(a), v.ItemAt(b))
+			}
 			if c != 0 {
 				return c < 0
 			}
 		}
 		return false
-	})
+	}
+	sorted := true
+	for i := 1; i < t.n && sorted; i++ {
+		sorted = !less(i, i-1)
+	}
+	if sorted {
+		return t, nil
+	}
+	idx := make([]int32, t.n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return less(int(idx[a]), int(idx[b])) })
 	return t.Gather(idx), nil
 }
 

@@ -278,6 +278,7 @@ func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.T
 			res, err := e.evalSequential(ctx, root, tr)
 			return res, tr, err
 		}
+		tr.setScheduled()
 		res, err := e.evalParallel(ctx, root, tr)
 		return res, tr, err
 	}
@@ -286,6 +287,7 @@ func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.T
 		res, err := e.physSequential(ctx, plan, tr)
 		return res, tr, err
 	}
+	tr.setScheduled()
 	res, err := e.physParallel(ctx, plan, tr)
 	return res, tr, err
 }
@@ -425,7 +427,7 @@ func (e *Engine) apply(ctx context.Context, o *algebra.Op, in []*bat.Table) (*ba
 	case algebra.OpAggr:
 		return evalAggr(in[0], o.Col, o.Agg, o.Args, o.Part, o.Sep)
 	case algebra.OpStep:
-		return e.evalStep(in[0], o.Axis, o.Test)
+		return e.evalStep(&morsels{e: e, ctx: ctx}, in[0], o.Axis, o.Test)
 	case algebra.OpDoc:
 		return e.evalDoc(in[0])
 	case algebra.OpRoots:

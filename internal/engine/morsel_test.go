@@ -72,9 +72,9 @@ func TestMorselRunOrderAndError(t *testing.T) {
 	}
 }
 
-// Property: the morsel-partitioned location step emits byte-identical
-// iter|item rows to the sequential step for every axis, with the morsel
-// size forced down so multi-context descendant groups split into seeded
+// Property: the location step cut into units emits byte-identical
+// iter|item rows to the one-unit step for every axis, with the morsel
+// size forced down so multi-context descendant runs split into seeded
 // sub-ranges. The output must also stay sorted and duplicate-free per
 // iter — the staircase prune/skip contract the split must not break.
 func TestQuickMorselStepMatchesSequential(t *testing.T) {
@@ -105,12 +105,12 @@ func TestQuickMorselStepMatchesSequential(t *testing.T) {
 		}
 		e := New(store)
 		e.Workers = 4
-		e.MorselRows = 2 // force context-range splits on nearly every group
+		e.MorselRows = 2 // cut units after nearly every run, split nearly every descendant run
 		ms := &morsels{e: e, ctx: context.Background(), par: true}
 		for _, axis := range axes {
 			test := algebra.KindTest{Kind: algebra.TestNode}
-			want, err1 := e.evalStep(in, axis, test)
-			got, err2 := e.evalStepMorsel(ms, in, axis, test)
+			want, err1 := e.evalStep(&morsels{e: e, ctx: context.Background()}, in, axis, test)
+			got, err2 := e.evalStep(ms, in, axis, test)
 			if err1 != nil || err2 != nil {
 				t.Logf("axis %s: %v %v", axis, err1, err2)
 				return false
@@ -141,12 +141,16 @@ func TestQuickMorselStepMatchesSequential(t *testing.T) {
 }
 
 // TestMorselStepManyContexts drives the seeded descendant split over one
-// big context group — nested, overlapping contexts covering the whole
+// big run — nested, overlapping contexts covering the whole
 // fragment — where a wrong seed boundary would duplicate or drop pres.
 func TestMorselStepManyContexts(t *testing.T) {
 	store := xenc.NewStore()
 	r := rand.New(rand.NewSource(7))
-	doc, err := store.LoadDocumentString("big.xml", randomTree(r))
+	trees := "<big>"
+	for i := 0; i < 12; i++ {
+		trees += randomTree(r)
+	}
+	doc, err := store.LoadDocumentString("big.xml", trees+"</big>")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,19 +171,29 @@ func TestMorselStepManyContexts(t *testing.T) {
 	e := New(store)
 	e.Workers = 4
 	e.MorselRows = 3
-	ms := &morsels{e: e, ctx: context.Background(), par: true}
 	for _, axis := range []algebra.Axis{algebra.Descendant, algebra.DescendantOrSelf} {
 		test := algebra.KindTest{Kind: algebra.TestNode}
-		want, err1 := e.evalStep(in, axis, test)
-		got, err2 := e.evalStepMorsel(ms, in, axis, test)
+		ms := &morsels{e: e, ctx: context.Background(), par: true}
+		want, err1 := e.evalStep(&morsels{e: e, ctx: context.Background()}, in, axis, test)
+		got, err2 := e.evalStep(ms, in, axis, test)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v %v", axis, err1, err2)
 		}
 		if want.String() != got.String() {
 			t.Errorf("%s: split output differs\nseq:\n%s\nmorsel:\n%s", axis, want, got)
 		}
+		// The 2n rows sort into one run, which splits into seeded
+		// sub-ranges of MorselRows contexts.
+		if units := (2*n + e.MorselRows - 1) / e.MorselRows; ms.n != units {
+			t.Errorf("%s over one run of %d contexts ran %d units, want %d", axis, 2*n, ms.n, units)
+		}
 	}
-	if ms.n < 2 {
-		t.Errorf("descendant step over %d contexts never split (morsels = %d)", 2*n, ms.n)
+	// Any other axis carries state a seed cannot stand for: the run stays whole.
+	ms := &morsels{e: e, ctx: context.Background(), par: true}
+	if _, err := e.evalStep(ms, in, algebra.Child, algebra.KindTest{Kind: algebra.TestNode}); err != nil {
+		t.Fatal(err)
+	}
+	if ms.n != 1 {
+		t.Errorf("child step over one run ran %d units, want 1", ms.n)
 	}
 }

@@ -426,7 +426,7 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel + tag, mat: m}, nil
 	case algebra.OpStep:
 		t, m := matCount(in[0])
-		out, err := e.evalStepMorsel(ms, t, o.Axis, o.Test)
+		out, err := e.evalStep(ms, t, o.Axis, o.Test)
 		if err != nil {
 			return physOut{}, err
 		}

@@ -81,6 +81,17 @@ type Trace struct {
 	// fused (its interiors existed only as lanes and are replayed).
 	members  map[*algebra.Op]*bat.View
 	chainIns map[*physical.FusedChain]*bat.View
+
+	// scheduled records the dispatch decision: the plan went to the
+	// parallel DAG scheduler, not the sequential path. Worker ids cannot
+	// tell — worker 0 may win every operator of a small plan.
+	scheduled bool
+}
+
+func (tr *Trace) setScheduled() {
+	if tr != nil {
+		tr.scheduled = true
+	}
 }
 
 func newTrace() *Trace {

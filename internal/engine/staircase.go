@@ -6,216 +6,265 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"context"
+	"slices"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/xenc"
 )
 
-// stepGroup evaluates one XPath location step for a group of context nodes
-// that share an iter value and a fragment, appending the result pre ranks
-// (document-ordered, duplicate-free) to out. ctx must be sorted in
-// document order. When staircase is false, the evaluation falls back to a
-// context-at-a-time region query without pruning or skipping — the
-// "tree-unaware RDBMS" behaviour the staircase join improves upon — with a
-// final sort/dedup pass.
-func (e *Engine) stepGroup(f *xenc.Fragment, ctx []int32, axis algebra.Axis, out []int32) []int32 {
-	if e.Staircase {
-		return stepStaircase(f, ctx, axis, out)
-	}
-	return stepNaive(f, ctx, axis, out)
+// The step operator is loop-lifted like every other operator of the
+// algebra: one call evaluates the location step for all iterations. Its
+// input is read as two typed columns ordered on (iter, fragment, pre); a
+// run — the maximal stretch of rows sharing iter and fragment — is the
+// context sequence of one iteration in one tree, already in document
+// order, and is handed to the staircase join as a sub-slice of the input.
+// Runs are independent and emit iter-major, so any cut of the rows at run
+// boundaries yields parts that concatenate to the sequential output.
+
+// nodeTest is a step's node test resolved against the store's name pools
+// once, so the axis scans compare two integers per node.
+type nodeTest struct {
+	any  bool          // node(): every tree node and every attribute
+	attr bool          // attribute test: attribute refs only, never tree nodes
+	kind xenc.NodeKind // the tree-node kind kept; KindAttr, which no tree node has, keeps none
+	name int32         // surrogate the node must carry; anyName when the test names none
 }
 
-// stepStaircase implements the staircase join of [7]: context pruning,
-// result skipping, and single-pass range scans keep the output sorted and
-// duplicate-free without a separate δ.
-func stepStaircase(f *xenc.Fragment, ctx []int32, axis algebra.Axis, out []int32) []int32 {
+// anyName marks a test without a name. It differs from -1, what the
+// pools answer for a name they never saw: such a test matches nothing.
+const anyName int32 = -2
+
+func (e *Engine) resolveTest(test algebra.KindTest) nodeTest {
+	t := nodeTest{kind: xenc.KindAttr, name: anyName}
+	switch test.Kind {
+	case algebra.TestNode:
+		t.any = true
+	case algebra.TestElem:
+		t.kind = xenc.KindElem
+		if test.Name != "" {
+			t.name = e.Store.TagID(test.Name)
+		}
+	case algebra.TestText:
+		t.kind = xenc.KindText
+	case algebra.TestComment:
+		t.kind = xenc.KindComment
+	case algebra.TestAttr:
+		t.attr = true
+		if test.Name != "" {
+			t.name = e.Store.AttrNameID(test.Name)
+		}
+	}
+	return t
+}
+
+// tree reports whether tree node p of f passes the test.
+func (t nodeTest) tree(f *xenc.Fragment, p int32) bool {
+	return t.any || f.Kind[p] == t.kind && (t.name == anyName || f.Prop[p] == t.name)
+}
+
+// attribute reports whether the attribute at index a of f's attribute
+// table passes the test.
+func (t nodeTest) attribute(f *xenc.Fragment, a int32) bool {
+	return t.any || t.attr && (t.name == anyName || f.AttrName[a] == t.name)
+}
+
+// stepStaircase implements the staircase join of [7] for one run: ctx is
+// the context of one iteration in fragment f, non-decreasing in pre
+// (attribute refs, at AttrBase and above, last). Nodes that pass t are
+// appended to out in document order and duplicate-free: context pruning,
+// result skipping and single-pass range scans deliver that order for the
+// recursive axes; for the others docOrder verifies it in one pass and
+// sorts only a run whose contexts nest or repeat.
+//
+// emittedTo is the skip boundary a descendant scan starts from: -1 for a
+// whole run; a morsel over a sub-range of one run passes the maximum of
+// v+size(v) over all earlier contexts of the run — the boundary the
+// sequential scan carries at that point — so the sub-range outputs are
+// disjoint, ascending, and concatenate into the identical sequence.
+func stepStaircase(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nodeTest, emittedTo int32, out bat.NodeVec) bat.NodeVec {
+	frag, from := ctx[0].Frag, len(out)
 	switch axis {
 	case algebra.Descendant, algebra.DescendantOrSelf:
-		return stepDescSeeded(f, ctx, axis, -1, out)
+		for _, c := range ctx {
+			v := c.Pre
+			if v >= xenc.AttrBase {
+				continue // attributes have no subtree
+			}
+			lo, hi := v+1, v+f.Size[v]
+			if axis == algebra.DescendantOrSelf {
+				lo = v
+			}
+			if lo <= emittedTo {
+				lo = emittedTo + 1 // skip: already produced by a prior context
+			}
+			for p := lo; p <= hi; p++ {
+				if t.tree(f, p) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
+				}
+			}
+			emittedTo = max(emittedTo, hi)
+		}
+		return out
 
 	case algebra.Child:
-		// Sibling jumps: O(children) per context. Nested contexts can
-		// interleave results, so sort+dedup afterwards.
-		for _, v := range ctx {
-			v = elemContext(f, v)
-			if v < 0 {
+		// Sibling jumps: O(children) per context.
+		for _, c := range ctx {
+			v := c.Pre
+			if v >= xenc.AttrBase {
 				continue
 			}
 			end := v + f.Size[v]
-			for c := v + 1; c <= end; c += f.Size[c] + 1 {
-				out = append(out, c)
+			for p := v + 1; p <= end; p += f.Size[p] + 1 {
+				if t.tree(f, p) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
+				}
 			}
 		}
-		return sortDedup(out)
+		return docOrder(out, from)
 
 	case algebra.Parent:
-		for _, v := range ctx {
-			if v >= xenc.AttrBase {
-				out = append(out, f.AttrOwner[v-xenc.AttrBase])
+		for _, c := range ctx {
+			p := c.Pre
+			if p >= xenc.AttrBase {
+				p = f.AttrOwner[p-xenc.AttrBase]
+			} else if p = f.Parent[p]; p < 0 {
 				continue
 			}
-			if p := f.Parent[v]; p >= 0 {
-				out = append(out, p)
+			if t.tree(f, p) {
+				out = append(out, bat.NodeRef{Frag: frag, Pre: p})
 			}
 		}
-		return sortDedup(out)
+		return docOrder(out, from)
 
 	case algebra.Ancestor, algebra.AncestorOrSelf:
-		// Ancestor chains of document-ordered contexts overlap heavily;
-		// stop each walk at the first already-seen node (its ancestors are
-		// in the result already) — the staircase pruning for reverse axes.
-		seen := make(map[int32]bool, len(ctx)*2)
-		for _, v := range ctx {
-			p := v
-			if v >= xenc.AttrBase {
-				p = f.AttrOwner[v-xenc.AttrBase]
-				if axis == algebra.Ancestor {
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
-					}
-					p = f.Parent[p]
+		// Ancestor chains of document-ordered contexts overlap: walking up
+		// from anchor a, every node below the previous anchor u (and u
+		// itself when anchors are emitted) is an ancestor of u and was
+		// produced by its walk, so the walk stops there — the staircase
+		// pruning for reverse axes. Each walk's nodes lie above all earlier
+		// ones; reversed in place they leave the output sorted. Attribute
+		// contexts follow the tree contexts and restart the staircase at
+		// their owners; docOrder merges the two sequences when both occur.
+		u, self := int32(-1), axis == algebra.AncestorOrSelf
+		for i, c := range ctx {
+			a := c.Pre
+			if a >= xenc.AttrBase {
+				if i == 0 || ctx[i-1].Pre < xenc.AttrBase {
+					u = -1
 				}
-			} else if axis == algebra.Ancestor {
-				p = f.Parent[v]
+				a, self = f.AttrOwner[a-xenc.AttrBase], true // the owner is an ancestor of its attributes
 			}
-			for p >= 0 && !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-				p = f.Parent[p]
+			p, start := a, len(out)
+			if !self {
+				p = f.Parent[a]
 			}
+			for ; p > u || p == u && !self && p >= 0; p = f.Parent[p] {
+				if t.tree(f, p) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
+				}
+			}
+			slices.Reverse(out[start:])
+			u = a
 		}
-		return sortDedup(out)
+		return docOrder(out, from)
 
 	case algebra.Following:
 		// following(v) = { w : pre(w) > pre(v)+size(v) }; the union over
 		// the context is a single scan from the smallest boundary — the
 		// staircase skip for forward axes.
-		if len(ctx) == 0 {
-			return out
-		}
 		boundary := int32(-1)
-		first := true
-		for _, v := range ctx {
-			v = elemContext(f, v)
-			if v < 0 {
-				continue
-			}
-			if b := v + f.Size[v]; first || b < boundary {
-				boundary, first = b, false
+		for _, c := range ctx {
+			if v := c.Pre; v < xenc.AttrBase && (boundary < 0 || v+f.Size[v] < boundary) {
+				boundary = v + f.Size[v]
 			}
 		}
-		if first {
+		if boundary < 0 {
 			return out
 		}
 		for p := boundary + 1; p < int32(f.NodeCount()); p++ {
-			out = append(out, p)
+			if t.tree(f, p) {
+				out = append(out, bat.NodeRef{Frag: frag, Pre: p})
+			}
 		}
 		return out
 
 	case algebra.Preceding:
 		// preceding(v) = { w : pre(w)+size(w) < pre(v) }; union over the
 		// context is governed by the largest context pre.
-		var maxPre int32 = -1
-		for _, v := range ctx {
-			v = elemContext(f, v)
-			if v > maxPre {
-				maxPre = v
+		maxPre := int32(-1)
+		for _, c := range ctx {
+			if c.Pre < xenc.AttrBase {
+				maxPre = max(maxPre, c.Pre)
 			}
 		}
 		for p := int32(0); p < maxPre; p++ {
-			if p+f.Size[p] < maxPre {
-				out = append(out, p)
+			if p+f.Size[p] < maxPre && t.tree(f, p) {
+				out = append(out, bat.NodeRef{Frag: frag, Pre: p})
 			}
 		}
 		return out
 
 	case algebra.FollowingSibling, algebra.PrecedingSibling:
-		for _, v := range ctx {
-			v = elemContext(f, v)
-			if v < 0 {
+		for _, c := range ctx {
+			v := c.Pre
+			if v >= xenc.AttrBase || f.Parent[v] < 0 {
 				continue
 			}
 			par := f.Parent[v]
-			if par < 0 {
-				continue
+			lo, hi := par+1, v-1
+			if axis == algebra.FollowingSibling {
+				lo, hi = v+f.Size[v]+1, par+f.Size[par]
 			}
-			end := par + f.Size[par]
-			for c := par + 1; c <= end; c += f.Size[c] + 1 {
-				if axis == algebra.FollowingSibling && c > v {
-					out = append(out, c)
-				}
-				if axis == algebra.PrecedingSibling && c < v {
-					out = append(out, c)
+			for p := lo; p <= hi; p += f.Size[p] + 1 {
+				if t.tree(f, p) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
 				}
 			}
 		}
-		return sortDedup(out)
+		return docOrder(out, from)
 
 	case algebra.Self:
-		out = append(out, ctx...)
-		return sortDedup(out)
+		for _, c := range ctx {
+			if v := c.Pre; v >= xenc.AttrBase && t.attribute(f, v-xenc.AttrBase) || v < xenc.AttrBase && t.tree(f, v) {
+				out = append(out, c)
+			}
+		}
+		return docOrder(out, from)
 
 	case algebra.Attribute:
-		for _, v := range ctx {
+		for _, c := range ctx {
+			v := c.Pre
 			if v >= xenc.AttrBase || f.Kind[v] != xenc.KindElem {
 				continue
 			}
 			lo, hi := f.Attrs(v)
-			for i := lo; i < hi; i++ {
-				out = append(out, xenc.AttrBase+i)
+			for a := lo; a < hi; a++ {
+				if t.attribute(f, a) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: xenc.AttrBase + a})
+				}
 			}
 		}
-		return sortDedup(out)
+		return docOrder(out, from)
 	}
 	return out
 }
 
-// stepDescSeeded is the descendant/descendant-or-self staircase scan
-// with an explicit starting boundary: prune covered contexts, emit each
-// (pre, pre+size] range, skip overlap with what has been emitted
-// already. emittedTo = -1 is the whole-context scan; a morsel over a
-// context sub-range seeds it with the prefix maximum of v+size(v) over
-// all earlier contexts — exactly the boundary the sequential scan
-// carries at that point, so per-morsel outputs concatenate into the
-// identical pre sequence and the prune/skip guarantees (sorted,
-// duplicate-free, each node visited once) survive the split.
-func stepDescSeeded(f *xenc.Fragment, ctx []int32, axis algebra.Axis, emittedTo int32, out []int32) []int32 {
-	for _, v := range ctx {
-		v = elemContext(f, v)
-		if v < 0 {
-			continue
-		}
-		lo, hi := v+1, v+f.Size[v]
-		if axis == algebra.DescendantOrSelf {
-			lo = v
-		}
-		if lo <= emittedTo {
-			lo = emittedTo + 1 // skip: already produced by a prior context
-		}
-		for p := lo; p <= hi; p++ {
-			out = append(out, p)
-		}
-		if hi > emittedTo {
-			emittedTo = hi
-		}
-	}
-	return out
-}
-
-// stepNaive is the tree-unaware fallback: each context node issues an
-// independent region query over the fragment (binary-searched start, no
-// pruning), and duplicates across contexts are eliminated afterwards. This
-// is the plan shape a generic RDBMS would run for the XPath Accelerator
-// region predicates, and the ablation baseline for BenchmarkStaircase*.
-func stepNaive(f *xenc.Fragment, ctx []int32, axis algebra.Axis, out []int32) []int32 {
+// stepNaive is the tree-unaware fallback for one run: each context node
+// issues an independent region query over the fragment (no pruning, no
+// skipping), and duplicates across contexts are eliminated afterwards.
+// This is the plan shape a generic RDBMS would run for the XPath
+// Accelerator region predicates, and the ablation baseline for
+// BenchmarkStaircase*.
+func stepNaive(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nodeTest, out bat.NodeVec) bat.NodeVec {
+	frag, from := ctx[0].Frag, len(out)
 	switch axis {
 	case algebra.Descendant, algebra.DescendantOrSelf:
-		for _, v := range ctx {
-			v = elemContext(f, v)
-			if v < 0 {
+		for _, c := range ctx {
+			v := c.Pre
+			if v >= xenc.AttrBase {
 				continue
 			}
 			lo := v + 1
@@ -223,282 +272,234 @@ func stepNaive(f *xenc.Fragment, ctx []int32, axis algebra.Axis, out []int32) []
 				lo = v
 			}
 			for p := lo; p <= v+f.Size[v]; p++ {
-				out = append(out, p)
+				if t.tree(f, p) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
+				}
 			}
 		}
-		return sortDedup(out)
 	case algebra.Following:
-		for _, v := range ctx {
-			v = elemContext(f, v)
-			if v < 0 {
+		for _, c := range ctx {
+			v := c.Pre
+			if v >= xenc.AttrBase {
 				continue
 			}
 			for p := v + f.Size[v] + 1; p < int32(f.NodeCount()); p++ {
-				out = append(out, p)
-			}
-		}
-		return sortDedup(out)
-	case algebra.Preceding:
-		for _, v := range ctx {
-			v = elemContext(f, v)
-			for p := int32(0); p < v; p++ {
-				if p+f.Size[p] < v {
-					out = append(out, p)
+				if t.tree(f, p) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
 				}
 			}
 		}
-		return sortDedup(out)
+	case algebra.Preceding:
+		for _, c := range ctx {
+			v := c.Pre
+			if v >= xenc.AttrBase {
+				continue
+			}
+			for p := int32(0); p < v; p++ {
+				if p+f.Size[p] < v && t.tree(f, p) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
+				}
+			}
+		}
 	case algebra.Ancestor, algebra.AncestorOrSelf:
 		// Region predicate scan: w is an ancestor of v iff
 		// pre(w) < pre(v) ∧ pre(v) ≤ pre(w)+size(w).
-		for _, v := range ctx {
-			p := v
+		for _, c := range ctx {
+			v, self := c.Pre, axis == algebra.AncestorOrSelf
 			if v >= xenc.AttrBase {
-				// The owner element is an ancestor of its attributes.
-				p = f.AttrOwner[v-xenc.AttrBase]
-				out = append(out, p)
+				v, self = f.AttrOwner[v-xenc.AttrBase], true // the owner is an ancestor of its attributes
 			}
-			for w := int32(0); w <= p; w++ {
-				if w < p && p <= w+f.Size[w] || (w == p && axis == algebra.AncestorOrSelf && v < xenc.AttrBase) {
-					out = append(out, w)
+			for w := int32(0); w <= v; w++ {
+				if (w < v && v <= w+f.Size[w] || w == v && self) && t.tree(f, w) {
+					out = append(out, bat.NodeRef{Frag: frag, Pre: w})
 				}
 			}
 		}
-		return sortDedup(out)
 	default:
 		// The remaining axes have no interesting naive/staircase split.
-		return stepStaircase(f, ctx, axis, out)
+		return stepStaircase(f, ctx, axis, t, -1, out)
 	}
+	return docOrder(out, from)
 }
 
-// elemContext normalizes a context pre for subtree axes: attribute refs
-// have no descendants/children/following, signalled by -1.
-func elemContext(f *xenc.Fragment, v int32) int32 {
-	if v >= xenc.AttrBase {
-		return -1
-	}
-	return v
-}
-
-func sortDedup(pres []int32) []int32 {
-	if len(pres) < 2 {
-		return pres
-	}
-	sorted := true
-	for i := 1; i < len(pres); i++ {
-		if pres[i] <= pres[i-1] {
-			sorted = false
-			break
+// docOrder establishes the output contract on out[from:], the nodes one
+// run appended: strictly ascending pre. One linear scan verifies it; only
+// a run that fails — its contexts nest or repeat — is sorted and loses
+// its duplicates.
+func docOrder(out bat.NodeVec, from int) bat.NodeVec {
+	seg := out[from:]
+	for i := 1; i < len(seg); i++ {
+		if seg[i].Pre <= seg[i-1].Pre {
+			slices.SortFunc(seg, func(a, b bat.NodeRef) int { return cmp.Compare(a.Pre, b.Pre) })
+			return out[:from+len(slices.Compact(seg))]
 		}
 	}
-	if sorted {
-		return pres
-	}
-	sort.Slice(pres, func(i, j int) bool { return pres[i] < pres[j] })
-	w := 1
-	for i := 1; i < len(pres); i++ {
-		if pres[i] != pres[i-1] {
-			pres[w] = pres[i]
-			w++
-		}
-	}
-	return pres[:w]
+	return out
 }
 
-// matchTest reports whether node pre of fragment f satisfies the node
-// test; tagID/attrID are the pre-resolved surrogates for name tests
-// (-1 = name unknown in the store, matches nothing).
-func matchTest(s *xenc.Store, f *xenc.Fragment, pre int32, test algebra.KindTest, tagID, attrID int32) bool {
-	if pre >= xenc.AttrBase {
-		if test.Kind == algebra.TestAttr {
-			return test.Name == "" || f.AttrName[pre-xenc.AttrBase] == attrID
-		}
-		return test.Kind == algebra.TestNode
-	}
-	switch test.Kind {
-	case algebra.TestElem:
-		if f.Kind[pre] != xenc.KindElem {
-			return false
-		}
-		return test.Name == "" || f.Prop[pre] == tagID
-	case algebra.TestText:
-		return f.Kind[pre] == xenc.KindText
-	case algebra.TestComment:
-		return f.Kind[pre] == xenc.KindComment
-	case algebra.TestNode:
-		return true
-	case algebra.TestAttr:
-		return false
-	}
-	return false
-}
-
-// stepKey identifies one context group of a location step: the contexts
-// of a single iteration living in a single fragment.
-type stepKey struct {
-	iter int64
-	frag int32
-}
-
-// stepGroups groups the input context pairs by (iter, fragment) and
-// returns the groups plus the keys sorted by (iter, frag) — the emission
-// order of the step.
-func stepGroups(in *bat.Table) (map[stepKey][]int32, []stepKey, error) {
+// stepContext reads the context table as typed columns ordered on
+// (iter, fragment, pre) — the order loop-lifted plans deliver, verified
+// in one scan. An item column that is not node-typed is boxed once; a
+// table out of order is sorted once. Duplicate rows stay: the axis scans
+// prune them or docOrder drops what they produce twice.
+func stepContext(in *bat.Table) ([]int64, bat.NodeVec, error) {
 	iters, err := in.Ints("iter")
 	if err != nil {
 		return nil, nil, err
 	}
-	itemsVec, err := in.Col("item")
+	col, err := in.Col("item")
 	if err != nil {
 		return nil, nil, err
 	}
-	groups := make(map[stepKey][]int32)
-	var order []stepKey
-	for i := 0; i < in.Rows(); i++ {
-		it := itemsVec.ItemAt(i)
-		k := stepKey{iter: iters[i], frag: it.N.Frag}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+	items, typed := col.(bat.NodeVec)
+	if !typed {
+		items = make(bat.NodeVec, col.Len())
+		for i := range items {
+			items[i] = col.ItemAt(i).N
 		}
-		groups[k] = append(groups[k], it.N.Pre)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].iter != order[b].iter {
-			return order[a].iter < order[b].iter
+	for i := 1; i < len(items); i++ {
+		a, b := items[i-1], items[i]
+		if iters[i-1] > iters[i] || iters[i-1] == iters[i] && (a.Frag > b.Frag || a.Frag == b.Frag && a.Pre > b.Pre) {
+			iters, items = sortContext(iters, items)
+			break
 		}
-		return order[a].frag < order[b].frag
+	}
+	return iters, items, nil
+}
+
+// sortContext returns copies of the context columns sorted on
+// (iter, fragment, pre).
+func sortContext(iters []int64, items bat.NodeVec) ([]int64, bat.NodeVec) {
+	type row struct {
+		iter int64
+		node bat.NodeRef
+	}
+	rows := make([]row, len(items))
+	for i := range rows {
+		rows[i] = row{iters[i], items[i]}
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		return cmp.Or(cmp.Compare(a.iter, b.iter), cmp.Compare(a.node.Frag, b.node.Frag), cmp.Compare(a.node.Pre, b.node.Pre))
 	})
-	return groups, order, nil
+	iters, items = make([]int64, len(rows)), make(bat.NodeVec, len(rows))
+	for i, r := range rows {
+		iters[i], items[i] = r.iter, r.node
+	}
+	return iters, items
 }
 
-// stepTestIDs pre-resolves the node-test surrogates.
-func (e *Engine) stepTestIDs(test algebra.KindTest) (tagID, attrID int32) {
-	tagID, attrID = -1, -1
-	if test.Kind == algebra.TestElem && test.Name != "" {
-		tagID = e.Store.TagID(test.Name)
-	}
-	if test.Kind == algebra.TestAttr && test.Name != "" {
-		attrID = e.Store.AttrNameID(test.Name)
-	}
-	return tagID, attrID
+// stepUnit is one unit of step work: the context rows [lo, hi), cut at
+// run boundaries with seed -1 — or a sub-range of a single descendant
+// run, whose scan starts from the skip boundary seed (see stepStaircase).
+type stepUnit struct {
+	lo, hi int
+	seed   int32
 }
 
-// evalStep runs a full location step: it groups the input context pairs by
-// (iter, fragment), document-orders each group, runs the (staircase) join,
-// filters by the node test, and emits iter|item rows sorted by iter and
-// document order — duplicate-free per iter, which is exactly the
-// fs:distinct-doc-order contract XPath steps must satisfy.
-func (e *Engine) evalStep(in *bat.Table, axis algebra.Axis, test algebra.KindTest) (*bat.Table, error) {
-	groups, order, err := stepGroups(in)
-	if err != nil {
-		return nil, err
+// stepUnits cuts the ordered context into morsels of about morselRows()
+// rows, each ending where a run ends. A run longer than a morsel stays
+// whole — its scan carries state from context to context — except under
+// the descendant axes of the staircase join, where the state is the one
+// skip boundary and the run splits into seeded sub-ranges.
+func (e *Engine) stepUnits(ms *morsels, iters []int64, items bat.NodeVec, axis algebra.Axis) []stepUnit {
+	n, size := len(items), e.morselRows()
+	if !ms.par || size <= 0 || n <= size {
+		return []stepUnit{{0, n, -1}}
 	}
-	tagID, attrID := e.stepTestIDs(test)
-	outIter := bat.IntVec{}
-	outItem := bat.NodeVec{}
-	var scratch []int32
-	for _, k := range order {
-		ctx := sortDedup(groups[k])
-		f := e.Store.Frag(k.frag)
-		scratch = e.stepGroup(f, ctx, axis, scratch[:0])
-		for _, p := range scratch {
-			if matchTest(e.Store, f, p, test, tagID, attrID) {
-				outIter = append(outIter, k.iter)
-				outItem = append(outItem, bat.NodeRef{Frag: k.frag, Pre: p})
+	sameRun := func(i, j int) bool { return iters[i] == iters[j] && items[i].Frag == items[j].Frag }
+	seeded := e.Staircase && (axis == algebra.Descendant || axis == algebra.DescendantOrSelf)
+	var units []stepUnit
+	for lo := 0; lo < n; {
+		hi := min(lo+size, n)
+		for hi < n && hi > lo && sameRun(hi-1, hi) {
+			hi-- // back up to the start of the run row lo+size falls in
+		}
+		whole := hi > lo
+		if !whole { // that run starts at lo and is longer than a morsel: find its end
+			for hi = lo + size; hi < n && sameRun(lo, hi); hi++ {
 			}
 		}
-	}
-	return bat.NewTable("iter", outIter, "item", outItem)
-}
-
-// evalStepMorsel is evalStep with morsel-level parallelism. The work
-// units are the (iter, fragment) context groups — each unit filters into
-// a private iter|item buffer and the buffers concatenate in group order,
-// reproducing the sequential emission exactly. One refinement keeps a
-// single huge group (the common //descendant step over one document)
-// from serializing the whole operator: for the descendant axes under the
-// staircase join, a group whose context exceeds the morsel size splits
-// into context sub-ranges, each seeded with the prefix maximum of
-// v+size(v) over the contexts before it — the exact skip boundary the
-// sequential staircase scan carries at that point — so the sub-range
-// outputs are disjoint, ascending, and concatenate into the identical
-// pre sequence (see stepDescSeeded).
-func (e *Engine) evalStepMorsel(ms *morsels, in *bat.Table, axis algebra.Axis, test algebra.KindTest) (*bat.Table, error) {
-	size := e.morselRows()
-	if !ms.par || size <= 0 {
-		return e.evalStep(in, axis, test)
-	}
-	groups, order, err := stepGroups(in)
-	if err != nil {
-		return nil, err
-	}
-	tagID, attrID := e.stepTestIDs(test)
-
-	type unit struct {
-		key  stepKey
-		ctx  []int32
-		seed int32 // initial emittedTo for split descendant units
-		desc bool  // seeded descendant scan instead of the whole-group join
-	}
-	var units []unit
-	for _, k := range order {
-		ctx := sortDedup(groups[k])
-		if e.Staircase && len(ctx) > size &&
-			(axis == algebra.Descendant || axis == algebra.DescendantOrSelf) {
-			f := e.Store.Frag(k.frag)
-			emitted := int32(-1)
-			for _, rg := range bat.SplitRows(len(ctx), size) {
-				sub := ctx[rg.Lo:rg.Hi]
-				units = append(units, unit{key: k, ctx: sub, seed: emitted, desc: true})
-				for _, v := range sub {
-					if v = elemContext(f, v); v < 0 {
-						continue
-					}
-					if hi := v + f.Size[v]; hi > emitted {
-						emitted = hi
-					}
+		if whole || !seeded {
+			units = append(units, stepUnit{lo, hi, -1})
+			lo = hi
+			continue
+		}
+		f, emitted := e.Store.Frag(items[lo].Frag), int32(-1)
+		for _, rg := range bat.SplitRows(hi-lo, size) {
+			units = append(units, stepUnit{lo + rg.Lo, lo + rg.Hi, emitted})
+			for _, c := range items[lo+rg.Lo : lo+rg.Hi] {
+				if c.Pre < xenc.AttrBase {
+					emitted = max(emitted, c.Pre+f.Size[c.Pre])
 				}
 			}
-		} else {
-			units = append(units, unit{key: k, ctx: ctx})
 		}
+		lo = hi
 	}
+	return units
+}
 
-	type part struct {
-		iter bat.IntVec
-		item bat.NodeVec
-	}
-	parts := make([]part, len(units))
-	if err := ms.run(len(units), func(u int) error {
-		un := units[u]
-		f := e.Store.Frag(un.key.frag)
-		var scratch []int32
-		if un.desc {
-			scratch = stepDescSeeded(f, un.ctx, axis, un.seed, scratch)
-		} else {
-			scratch = e.stepGroup(f, un.ctx, axis, scratch)
+// stepOutHint caps the output capacity a unit reserves up front.
+const stepOutHint = 4096
+
+// stepRange evaluates one unit: it walks the runs of the rows in place,
+// fetching the fragment only when it changes, and appends each run's
+// result nodes, then that many copies of the run's iter, to one pair of
+// output columns.
+func (e *Engine) stepRange(ctx context.Context, iters []int64, items bat.NodeVec, u stepUnit, axis algebra.Axis, t nodeTest) (bat.IntVec, bat.NodeVec, error) {
+	// Most steps keep about a node per context; a selective one over a
+	// large context (//item) must not hold a context-sized column.
+	hint := min(u.hi-u.lo, stepOutHint)
+	outIter, outItem := make(bat.IntVec, 0, hint), make(bat.NodeVec, 0, hint)
+	var f *xenc.Fragment
+	fragID, polled := int32(-1), u.lo
+	for lo, hi := u.lo, u.lo; lo < u.hi; lo = hi {
+		iter, frag := iters[lo], items[lo].Frag
+		for hi = lo + 1; hi < u.hi && iters[hi] == iter && items[hi].Frag == frag; hi++ {
 		}
-		var p part
-		for _, pre := range scratch {
-			if matchTest(e.Store, f, pre, test, tagID, attrID) {
-				p.iter = append(p.iter, un.key.iter)
-				p.item = append(p.item, bat.NodeRef{Frag: un.key.frag, Pre: pre})
+		if lo-polled >= cancelStride {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
 			}
+			polled = lo
 		}
-		parts[u] = p
-		return nil
+		if frag != fragID {
+			f, fragID = e.Store.Frag(frag), frag
+		}
+		if e.Staircase {
+			outItem = stepStaircase(f, items[lo:hi], axis, t, u.seed, outItem)
+		} else {
+			outItem = stepNaive(f, items[lo:hi], axis, t, outItem)
+		}
+		for range len(outItem) - len(outIter) {
+			outIter = append(outIter, iter)
+		}
+	}
+	return outIter, outItem, nil
+}
+
+// evalStep runs a full location step over all iterations at once and
+// emits iter|item rows sorted by iter and document order, duplicate-free
+// per iter — exactly the fs:distinct-doc-order contract XPath steps must
+// satisfy. The units run on ms's morsel team and their outputs
+// concatenate in unit order, reproducing the sequential emission.
+func (e *Engine) evalStep(ms *morsels, in *bat.Table, axis algebra.Axis, test algebra.KindTest) (*bat.Table, error) {
+	iters, items, err := stepContext(in)
+	if err != nil {
+		return nil, err
+	}
+	t := e.resolveTest(test)
+	units := e.stepUnits(ms, iters, items, axis)
+	outIters, outItems := make([]bat.IntVec, len(units)), make([]bat.NodeVec, len(units))
+	if err := ms.run(len(units), func(u int) error {
+		var err error
+		outIters[u], outItems[u], err = e.stepRange(ms.ctx, iters, items, units[u], axis, t)
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p.iter)
+	if len(units) == 1 {
+		return bat.NewTable("iter", outIters[0], "item", outItems[0])
 	}
-	outIter := make(bat.IntVec, 0, total)
-	outItem := make(bat.NodeVec, 0, total)
-	for _, p := range parts {
-		outIter = append(outIter, p.iter...)
-		outItem = append(outItem, p.item...)
-	}
-	return bat.NewTable("iter", outIter, "item", outItem)
+	return bat.NewTable("iter", slices.Concat(outIters...), "item", slices.Concat(outItems...))
 }

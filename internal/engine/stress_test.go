@@ -204,9 +204,12 @@ func TestSeqThresholdFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tr.scheduled {
+		t.Error("small plan went to the parallel scheduler; it should fall back to the sequential path")
+	}
 	for o, st := range tr.Stats {
 		if st.Worker != 0 {
-			t.Errorf("%v ran on worker %d; small plans should fall back to the sequential path", o, st.Worker)
+			t.Errorf("%v ran on worker %d; the sequential path is worker 0", o, st.Worker)
 		}
 	}
 
@@ -215,13 +218,7 @@ func TestSeqThresholdFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelRan := false
-	for _, st := range tr.Stats {
-		if st.Worker > 0 {
-			parallelRan = true
-		}
-	}
-	if !parallelRan {
+	if !tr.scheduled {
 		t.Error("SeqThreshold=-1 did not force the parallel scheduler")
 	}
 }
