@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-kernels-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,14 @@ bench-pipeline-smoke:
 # is a test (TestStepAllocBudget).
 bench-step-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench StepLoopLifted -benchtime 1x
+
+# CI smoke for the join-tail kernel micro-benchmarks: δ, ϱ, ⋈ and aggr at
+# XMark Q11's size, each fast path beside the kernel it shortcuts, with
+# allocation counts (`-benchtime 50x -count 5` for numbers worth
+# comparing). Every case asserts the kernel that ran; the allocation
+# ceiling is a test (TestKernelAllocBudget).
+bench-kernels-smoke:
+	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns' -benchtime 1x
 
 # Sequential-vs-parallel scheduler comparison; writes BENCH_parallel.json.
 bench-parallel:

@@ -210,6 +210,9 @@ func main() {
 			if st.Kernel != "" {
 				ann += fmt.Sprintf(", %s, mat %d", st.Kernel, st.RowsMat)
 			}
+			if st.Static != "" {
+				ann += fmt.Sprintf(", fast path for static %s", st.Static)
+			}
 			if st.FusedChain > 0 {
 				ann += fmt.Sprintf(", fused #%d [%d/%d]", st.FusedChain, st.FusedPos, st.FusedLen)
 			}

@@ -414,7 +414,25 @@ var mutations = []mutation{
 			if len(p.ThetaJoins) != 0 {
 				t.Fatal("test premise broken: the lowering accepted a shared ×")
 			}
-			forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt)
+			forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt).Demand = []string{"a", "b"}
+			return check.Physical(p)
+		},
+	},
+	{
+		name:  "thetajoin_demand_drops_read_column",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			_, _, sel := thetaShape(t, algebra.FunLt, "a", "b")
+			pairs, err := algebra.Project(sel, "a", "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := physical.Lower(pairs)
+			if len(p.ThetaJoins) != 1 {
+				t.Fatal("test premise broken: the lowering found no theta join")
+			}
+			// π reads b; a kernel told otherwise never gathers it.
+			p.ThetaJoins[0].Demand = []string{"a"}
 			return check.Physical(p)
 		},
 	},
@@ -472,13 +490,17 @@ func thetaShape(t *testing.T, fun algebra.FunKind, x, y string) (cross, fn, sel 
 	return cross, fn, sel
 }
 
-// forgeTheta publishes a theta join the lowering did not discover.
-func forgeTheta(p *physical.Plan, cross, fn, sel *algebra.Op, lcol, rcol string, cmp algebra.FunKind) {
-	p.ThetaJoins = append(p.ThetaJoins, &physical.ThetaJoin{
+// forgeTheta publishes a theta join the lowering did not discover,
+// demanding σ's whole schema.
+func forgeTheta(p *physical.Plan, cross, fn, sel *algebra.Op, lcol, rcol string, cmp algebra.FunKind) *physical.ThetaJoin {
+	tj := &physical.ThetaJoin{
 		ID:    len(p.ThetaJoins) + 1,
 		Cross: p.ByOp[cross], Fun: p.ByOp[fn], Select: p.ByOp[sel],
 		LeftCol: lcol, RightCol: rcol, Cmp: cmp,
-	})
+		Demand: sel.Schema(),
+	}
+	p.ThetaJoins = append(p.ThetaJoins, tj)
+	return tj
 }
 
 // TestMutationsCaught asserts every corrupted plan yields at least one

@@ -190,8 +190,43 @@ func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]in
 		if got := [3]string{tj.LeftCol, tj.Cmp.String(), tj.RightCol}; got != want {
 			bad(fn.Op, "theta join #%d claims %v, the plan computes %v", tj.ID, got, want)
 		}
+		// The band kernel builds only the demanded columns: one the claim
+		// leaves out and a consumer reads would be missing at run time.
+		if read := thetaColumnsRead(p, sel); strings.Join(tj.Demand, ",") != strings.Join(read, ",") {
+			bad(sel.Op, "theta join #%d claims its consumers read (%s), they read (%s)",
+				tj.ID, strings.Join(tj.Demand, ","), strings.Join(read, ","))
+		}
 	}
 	return diags
+}
+
+// thetaColumnsRead is the validator's own derivation of what the
+// consumers of a theta join's σ read, in σ's schema order: what their
+// projections name — or everything, once any consumer is not a π or σ is
+// the plan's result.
+func thetaColumnsRead(p *physical.Plan, sel *physical.Node) []string {
+	named := map[string]bool{}
+	everything := sel == p.Root
+	for _, nd := range p.Nodes {
+		for _, in := range nd.In {
+			if in != sel || nd.Op == nil {
+				continue
+			}
+			if nd.Op.Kind != algebra.OpProject {
+				everything = true
+			}
+			for _, pr := range nd.Op.Proj {
+				named[pr.Old] = true
+			}
+		}
+	}
+	var read []string
+	for _, c := range sel.Op.Schema() {
+		if everything || named[c] {
+			read = append(read, c)
+		}
+	}
+	return read
 }
 
 // mirrored is the validator's own operand swap of an inequality; every

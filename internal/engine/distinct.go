@@ -25,15 +25,7 @@ func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, stri
 		}
 		return sel[i]
 	}
-	ints := make([]bat.IntVec, 0, len(vecs))
-	for _, v := range vecs {
-		iv, ok := v.(bat.IntVec)
-		if !ok {
-			ints = nil
-			break
-		}
-		ints = append(ints, iv)
-	}
+	ints := allIntVecs(vecs)
 	idx := make([]int32, 0, n)
 	if len(ints) > 0 {
 		switch len(ints) {
@@ -92,4 +84,64 @@ func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, stri
 		}
 	}
 	return idx, "distinct[hash]"
+}
+
+// allIntVecs returns the vectors as typed int vectors, or nil when any
+// of them has another physical type.
+func allIntVecs(vecs []bat.Vec) []bat.IntVec {
+	ints := make([]bat.IntVec, 0, len(vecs))
+	for _, v := range vecs {
+		iv, ok := v.(bat.IntVec)
+		if !ok {
+			return nil
+		}
+		ints = append(ints, iv)
+	}
+	return ints
+}
+
+// sortedDistinct is δ over int key columns whose rows arrive
+// lexicographically non-decreasing — what a loop-lifted join emits and
+// the paper's back-end counts on: duplicates are then adjacent, so one
+// compare per row replaces the hash insert. sel restricts and orders the
+// rows as in distinctIndices. ok=false at the first descending pair: the
+// caller hashes. strict reports that no two rows were equal — the input
+// is its own δ and idx is nil; otherwise idx holds the first row of every
+// run of equal rows, exactly the hash kernels' first occurrences. Keys
+// compare as native int64, like the map keys of distinct[int].
+func sortedDistinct(ints []bat.IntVec, n int, sel []int32) (idx []int32, strict, ok bool) {
+	if len(ints) == 0 {
+		return nil, false, false
+	}
+	row := func(i int) int32 {
+		if sel == nil {
+			return int32(i)
+		}
+		return sel[i]
+	}
+	strict = true
+	for i := 1; i < n; i++ {
+		p, r := row(i-1), row(i)
+		c := 0
+		for _, k := range ints {
+			if a, b := k[p], k[r]; a != b {
+				if a > b {
+					return nil, false, false
+				}
+				c = -1
+				break
+			}
+		}
+		switch {
+		case c < 0 && !strict:
+			idx = append(idx, r)
+		case c == 0 && strict:
+			strict = false
+			idx = make([]int32, i, n)
+			for j := range idx {
+				idx[j] = row(j)
+			}
+		}
+	}
+	return idx, strict, true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pathfinder/internal/bat"
+	"pathfinder/internal/xenc"
 )
 
 // The δ boxing fix (distinctIndices): loop-lifted plans apply δ to
@@ -41,9 +42,40 @@ func genericDistinctIndices(vecs []bat.Vec, n int) []int32 {
 	return idx
 }
 
+// sortedPairs is n (a, b) rows in lexicographic order, the shape a
+// loop-lifted join hands δ: with dup every pair appears twice in a row,
+// otherwise the order is strict.
+func sortedPairs(n int, dup bool) *bat.View {
+	a, b := make(bat.IntVec, n), make(bat.IntVec, n)
+	for i := range a {
+		k := i
+		if dup {
+			k = i / 2
+		}
+		a[i], b[i] = int64(k/50), int64(k%50)
+	}
+	return bat.ViewOf(bat.MustTable("a", a, "b", b))
+}
+
 func BenchmarkDistinct(b *testing.B) {
 	const n = 100_000
 	vecs := distinctBenchInput(n)
+	e := New(xenc.NewStore())
+	for _, c := range []struct {
+		name string
+		dup  bool
+	}{{"sorted-2col", true}, {"strict-2col", false}} {
+		v := sortedPairs(n, c.dup)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := physDistinct(e.testMorsels(), v)
+				if err != nil || out.kernel != "distinct[sorted]" {
+					b.Fatalf("kernel = %s, err = %v", out.kernel, err)
+				}
+			}
+		})
+	}
 	b.Run("typed-int-2col", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

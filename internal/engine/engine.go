@@ -367,7 +367,7 @@ func (ev *evaluation) eval(o *algebra.Op) (*bat.Table, error) {
 		return nil, fmt.Errorf("%s: %w", o.Kind, err)
 	}
 	if ev.e.Check {
-		if err := checkSchemaAgainst(t.Cols(), o); err != nil {
+		if err := checkSchemaAgainst(t.Cols(), o.Schema()); err != nil {
 			return nil, fmt.Errorf("%s: %w", o.Kind, err)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +38,9 @@ type physOut struct {
 	mat     int
 	morsels int // input morsels the kernel split into (0 = unsplit)
 	workers int // largest morsel team size (0 = never ran parallel)
+	// fast marks a kernel chosen by observing the input's order or
+	// density at run time in place of the node's static kernel.
+	fast bool
 }
 
 // execUnit is one schedulable unit of a physical plan: a single node,
@@ -117,13 +121,17 @@ func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Tr
 		return nil, fmt.Errorf("%s: %w", u.nd.Op.Kind, err)
 	}
 	if tr != nil {
-		tr.recordStat(u.nd.Op, OpStat{
+		st := OpStat{
 			//pfvet:allow determinism -- trace wall-time only, not query results
 			Wall: time.Since(start), RowsIn: viewRowsIn(in),
 			RowsOut: out.view.Rows(), Worker: worker,
 			Kernel: out.kernel, RowsMat: out.mat,
 			Morsels: out.morsels, ParWorkers: out.workers,
-		})
+		}
+		if out.fast {
+			st.Static = u.nd.Kernel
+		}
+		tr.recordStat(u.nd.Op, st)
 	}
 	return out.view, nil
 }
@@ -290,7 +298,8 @@ func viewRowsIn(in []*bat.View) int {
 // the trace replays them per operator from the retained chain input —
 // after every stat is recorded: the materialization that forces is
 // attributed to tracing, never to the chain's RowsMat. The × and ⊛ of a
-// theta join the band kernel ran are shown the pairs σ let through.
+// theta join the band kernel ran are shown the pairs σ let through, in
+// the columns the unit's consumers demanded.
 func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*physical.Node) *bat.View) {
 	for _, nd := range plan.Nodes {
 		if v := viewOf(nd); v != nil {
@@ -321,9 +330,7 @@ func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*ph
 			continue // never ran, or ran demoted (members kept above)
 		}
 		tr.setTable(tj.Fun.Op, pairs)
-		if product, err := pairs.Project(tj.Cross.Op.Schema()...); err == nil {
-			tr.setTable(tj.Cross.Op, product)
-		}
+		tr.setTable(tj.Cross.Op, demandedCols(pairs, tj.Cross.Op.Schema()))
 	}
 }
 
@@ -419,11 +426,11 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		return e.physFun(ms, nd, in[0])
 	case algebra.OpAggr:
 		t, m := matCount(in[0])
-		out, tag, err := physAggrMorsel(ms, t, o.Col, o.Agg, o.Args, o.Part, o.Sep)
+		out, tag, err := physAggr(ms, t, o.Col, o.Agg, o.Args, o.Part, o.Sep)
 		if err != nil {
 			return physOut{}, err
 		}
-		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel + tag, mat: m}, nil
+		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel + tag, mat: m, fast: tag == ":int:runs"}, nil
 	case algebra.OpStep:
 		t, m := matCount(in[0])
 		out, err := e.evalStep(ms, t, o.Axis, o.Test)
@@ -667,18 +674,40 @@ func physAntiJoin(ms *morsels, l, r *bat.View, keyL, keyR []string) (physOut, er
 // input order. The input is read through the view; the (deduplicated)
 // output materializes — δ is a pipeline breaker.
 //
-// Morsel decomposition: each morsel deduplicates its own row range into
-// a private survivor list (keeping first occurrences in input order), and
-// a final sequential pass deduplicates the concatenation of the lists.
-// Since every morsel keeps its rows in input order and the lists merge
-// in morsel order, the merge pass sees candidates in global input order
-// and the survivors are exactly the sequential scan's.
+// Int keys that arrive lexicographically sorted never reach a hash table
+// (sortedDistinct, one scan tried before any morsel split); a strictly
+// sorted input is returned as it came, without a gather.
+//
+// Morsel decomposition of the hash kernels: each morsel deduplicates its
+// own row range into a private survivor list (keeping first occurrences
+// in input order), and a final sequential pass deduplicates the
+// concatenation of the lists. Since every morsel keeps its rows in input
+// order and the lists merge in morsel order, the merge pass sees
+// candidates in global input order and the survivors are exactly the
+// sequential scan's.
 func physDistinct(ms *morsels, v *bat.View) (physOut, error) {
 	base := v.Base()
 	vecs, err := colVecs(base, base.Cols())
 	if err != nil {
 		return physOut{}, err
 	}
+	if ints := allIntVecs(vecs); ints != nil {
+		if sel, strict, ok := sortedDistinct(ints, v.Rows(), v.Sel()); ok {
+			if strict {
+				return physOut{view: v, kernel: "distinct[sorted]", fast: true}, nil
+			}
+			out := base.Gather(sel)
+			return physOut{view: bat.ViewOf(out), kernel: "distinct[sorted]", mat: out.Rows(), fast: true}, nil
+		}
+	}
+	return physDistinctHash(ms, v, vecs)
+}
+
+// physDistinctHash is δ through the hash kernels of distinctIndices. The
+// kernel reported is the one the morsels ran — the per-row work — not
+// the merge pass over their survivors.
+func physDistinctHash(ms *morsels, v *bat.View, vecs []bat.Vec) (physOut, error) {
+	base := v.Base()
 	ranges := ms.split(v.Rows())
 	if len(ranges) == 1 {
 		sel, kernel := distinctIndices(vecs, v.Rows(), v.Sel(), 0)
@@ -686,22 +715,23 @@ func physDistinct(ms *morsels, v *bat.View) (physOut, error) {
 		return physOut{view: bat.ViewOf(out), kernel: kernel, mat: out.Rows()}, nil
 	}
 	parts := make([][]int32, len(ranges))
+	kernels := make([]string, len(ranges))
 	vsel := v.Sel()
 	if err := ms.run(len(ranges), func(m int) error {
 		r := ranges[m]
 		if vsel != nil {
-			parts[m], _ = distinctIndices(vecs, r.Len(), vsel[r.Lo:r.Hi], 0)
+			parts[m], kernels[m] = distinctIndices(vecs, r.Len(), vsel[r.Lo:r.Hi], 0)
 		} else {
-			parts[m], _ = distinctIndices(vecs, r.Len(), nil, r.Lo)
+			parts[m], kernels[m] = distinctIndices(vecs, r.Len(), nil, r.Lo)
 		}
 		return nil
 	}); err != nil {
 		return physOut{}, err
 	}
 	merged := concatSel(parts)
-	sel, kernel := distinctIndices(vecs, len(merged), merged, 0)
+	sel, _ := distinctIndices(vecs, len(merged), merged, 0)
 	out := base.Gather(sel)
-	return physOut{view: bat.ViewOf(out), kernel: kernel, mat: out.Rows()}, nil
+	return physOut{view: bat.ViewOf(out), kernel: kernels[0], mat: out.Rows()}, nil
 }
 
 // physJoin dispatches ⋈/⋉ to the statically chosen kernel. A merge node
@@ -739,6 +769,26 @@ func intKeysOf(v bat.IntVec, view *bat.View) []int64 {
 		out[i] = v[view.Index(i)]
 	}
 	return out
+}
+
+// denseRun reports whether the view's int key column reads first,
+// first+1, first+2, … in view order — a dense ascending run, the shape
+// of every mark / ϱ column the loop-lifted plans join back on.
+func denseRun(k bat.IntVec, view *bat.View) (first int64, ok bool) {
+	n := view.Rows()
+	if n == 0 {
+		return 0, false
+	}
+	first = k[view.Index(0)]
+	if first > math.MaxInt64-int64(n-1) {
+		return 0, false
+	}
+	for i := 1; i < n; i++ {
+		if k[view.Index(i)] != first+int64(i) {
+			return 0, false
+		}
+	}
+	return first, true
 }
 
 func ascending(k []int64) bool {
@@ -837,7 +887,8 @@ func physMergeJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode join
 // physHashJoin is the hash ⋈/⋉ kernel over views: the right side's
 // selected rows build the hash table (absolute base indices as payload),
 // the left side probes in view order. Typed int keys skip Item boxing
-// entirely; other keys fall back to the generic encoded-key path. Both
+// entirely — and skip the table too when the right keys are a dense run
+// (denseJoin); other keys fall back to the generic encoded-key path. Both
 // the build and the probe are morsel-parallel — the build through
 // per-morsel partial tables whose per-key match lists merge in morsel
 // (= input) order, the probe through per-morsel index buffers stitched
@@ -857,13 +908,10 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 		}
 		if lk, ok := lv.(bat.IntVec); ok {
 			if rk, ok := rv.(bat.IntVec); ok {
-				ht, err := buildIntHash(ms, r, rk)
-				if err != nil {
-					return physOut{}, err
+				if first, ok := denseRun(rk, r); ok {
+					return denseJoin(ctx, ms, o, l, r, mode, lk, first)
 				}
-				return probeHashJoin(ctx, ms, o, l, r, mode, "[int]", func() func(int) []int32 {
-					return func(i int) []int32 { return ht[lk[i]] }
-				})
+				return intHashJoin(ctx, ms, o, l, r, mode, lk, rk)
 			}
 		}
 	}
@@ -886,6 +934,40 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 			return ht[string(buf)]
 		}
 	})
+}
+
+// intHashJoin joins on one typed int key through a map[int64] of the
+// right side's rows.
+func intHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode, lk, rk bat.IntVec) (physOut, error) {
+	ht, err := buildIntHash(ms, r, rk)
+	if err != nil {
+		return physOut{}, err
+	}
+	return probeHashJoin(ctx, ms, o, l, r, mode, "[int]", func() func(int) []int32 {
+		return func(i int) []int32 { return ht[lk[i]] }
+	})
+}
+
+// denseJoin is the paper's positional join on a void column: the right
+// keys read first, first+1, … in view order (denseRun), so a probe is a
+// subtraction and no table is built. Keys match by native int64 equality
+// and rows come out left-major, exactly as from intHashJoin.
+func denseJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode, lk bat.IntVec, first int64) (physOut, error) {
+	rows := r.Sel()
+	if rows == nil {
+		rows = allRows(r.Rows())
+	}
+	out, err := probeHashJoin(ctx, ms, o, l, r, mode, "[int:dense]", func() func(int) []int32 {
+		return func(i int) []int32 {
+			// Exact modulo 2^64: only a key of the run lands below len(rows).
+			if j := uint64(lk[i]) - uint64(first); j < uint64(len(rows)) {
+				return rows[j : j+1]
+			}
+			return nil
+		}
+	})
+	out.fast = true
+	return out, err
 }
 
 // buildIntHash builds the int-keyed right-side table, morsel-parallel:
@@ -974,9 +1056,12 @@ func probeHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vi
 	if err := ms.run(len(ranges), func(m int) error {
 		rg := ranges[m]
 		matches := newMatch()
-		var lIdx, rIdx []int32
-		if semi {
-			lIdx = make([]int32, 0, rg.Len())
+		// One slot per probe row: exact for ⋉ and for the n:1 joins back
+		// to a loop's bindings, a starting size for the rest.
+		lIdx := make([]int32, 0, rg.Len())
+		var rIdx []int32
+		if !semi {
+			rIdx = make([]int32, 0, rg.Len())
 		}
 		for i := rg.Lo; i < rg.Hi; i++ {
 			if (i-rg.Lo)%cancelStride == 0 {
@@ -1017,14 +1102,30 @@ func probeHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vi
 // joinGather materializes a full join result from base tables and
 // absolute row-index pairs.
 func joinGather(lb, rb *bat.Table, lIdx, rIdx []int32) (*bat.Table, error) {
-	out := lb.Gather(lIdx)
-	rg := rb.Gather(rIdx)
+	out := gatherRows(lb, lIdx)
+	rg := gatherRows(rb, rIdx)
 	for _, name := range rb.Cols() {
 		if err := out.AddCol(name, rg.MustCol(name)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// gatherRows is t.Gather(idx), except that an idx naming every row of t
+// in order — each row of that join side matched exactly once, the n:1
+// joins back to the loop's bindings — shares t's columns instead of
+// copying them.
+func gatherRows(t *bat.Table, idx []int32) *bat.Table {
+	if len(idx) != t.Rows() {
+		return t.Gather(idx)
+	}
+	for i, r := range idx {
+		if int(r) != i {
+			return t.Gather(idx)
+		}
+	}
+	return t.Slice(0, t.Rows())
 }
 
 // physCrossBroadcast handles the × whose one side is a single row — the
@@ -1103,18 +1204,15 @@ func physRowNum(nd *physical.Node, v *bat.View) (physOut, error) {
 		}
 		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: m}, nil
 	}
-	out, wasSorted, err := physRowNumSort(t, o.Order, o.Part)
+	out, kernel, err := physRowNumSort(t, o.Order, o.Part)
 	if err != nil {
 		return physOut{}, err
 	}
 	if err := physRowNumAttach(out, o.Col, o.Part); err != nil {
 		return physOut{}, err
 	}
-	kernel := "rownum[sort]"
-	if wasSorted {
-		kernel = "rownum[scan-sorted]"
-	} else {
-		m += n
+	if kernel != "rownum[scan-sorted]" {
+		m += n // the sort gathered every row
 	}
-	return physOut{view: bat.ViewOf(out), kernel: kernel, mat: m}, nil
+	return physOut{view: bat.ViewOf(out), kernel: kernel, mat: m, fast: kernel != nd.Kernel}, nil
 }

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
-	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/physical"
 )
@@ -26,10 +26,19 @@ const CheckMaxRows = 65536
 // operator's declared schema and the order/denseness bits the plan
 // carries for it.
 func checkNodeOutput(nd *physical.Node, v *bat.View) error {
+	return checkOutput(nd, v, nd.Op.Schema())
+}
+
+// checkOutput is checkNodeOutput for a kernel that owes its consumers
+// only the columns in want (the operator's schema, or the demanded part
+// of it for a theta join). An order claim is asserted on its longest
+// prefix of produced columns — and as a key only when that is all of it —
+// a denseness claim on the columns produced.
+func checkOutput(nd *physical.Node, v *bat.View, want []string) error {
 	if v == nil {
 		return fmt.Errorf("runtime check: kernel produced no view")
 	}
-	if err := checkSchemaAgainst(v.Base().Cols(), nd.Op); err != nil {
+	if err := checkSchemaAgainst(v.Base().Cols(), want); err != nil {
 		return err
 	}
 	n := v.Rows()
@@ -37,28 +46,38 @@ func checkNodeOutput(nd *physical.Node, v *bat.View) error {
 		n = CheckMaxRows
 	}
 	p := nd.Props
-	if len(p.Sorted) > 0 {
-		vecs := make([]bat.Vec, len(p.Sorted))
-		for i, c := range p.Sorted {
-			vec, err := v.Base().Col(c)
-			if err != nil {
-				return fmt.Errorf("runtime check: sorted column %q missing: %w", c, err)
-			}
-			vecs[i] = vec
+	// A column of the schema the kernel does not owe; a column outside the
+	// schema is a forged claim and fails the lookup below.
+	notOwed := func(c string) bool { return !slices.Contains(want, c) && nd.Op.HasCol(c) }
+	var vecs []bat.Vec
+	for _, c := range p.Sorted {
+		if notOwed(c) {
+			break
 		}
+		vec, err := v.Base().Col(c)
+		if err != nil {
+			return fmt.Errorf("runtime check: sorted column %q missing: %w", c, err)
+		}
+		vecs = append(vecs, vec)
+	}
+	if len(vecs) > 0 {
+		strict := p.Strict && len(vecs) == len(p.Sorted)
 		for r := 1; r < n; r++ {
 			c := compareViewRows(v, vecs, r-1, r)
 			if c > 0 {
 				return fmt.Errorf("runtime check: %s output not sorted on (%v) at row %d",
 					nd.Op.Kind, p.Sorted, r)
 			}
-			if c == 0 && p.Strict {
+			if c == 0 && strict {
 				return fmt.Errorf("runtime check: %s output has duplicate key (%v) at row %d",
 					nd.Op.Kind, p.Sorted, r)
 			}
 		}
 	}
 	for _, c := range p.Dense {
+		if notOwed(c) {
+			continue
+		}
 		vec, err := v.Base().Col(c)
 		if err != nil {
 			return fmt.Errorf("runtime check: dense column %q missing: %w", c, err)
@@ -77,8 +96,7 @@ func checkNodeOutput(nd *physical.Node, v *bat.View) error {
 // checkSchemaAgainst asserts that the produced column list matches the
 // operator's declared schema, name for name and in order — the contract
 // every consumer kernel indexes by.
-func checkSchemaAgainst(cols []string, o *algebra.Op) error {
-	want := o.Schema()
+func checkSchemaAgainst(cols, want []string) error {
 	if len(cols) != len(want) {
 		return fmt.Errorf("runtime check: produced %d column(s) %v, schema declares %d %v",
 			len(cols), cols, len(want), want)

@@ -40,6 +40,13 @@ type OpStat struct {
 	Morsels    int           // input morsels the kernel split into (0 = unsplit)
 	ParWorkers int           // largest morsel team that ran inside the kernel (0 = sequential)
 
+	// Static is the kernel physical.Lower chose for the node, set only
+	// when Kernel is a fast path the executor took instead after seeing
+	// the input's order or density (rownum[sort] served by
+	// rownum[count-sort], hash-join by hash-join[int:dense], …) — each
+	// one a case the plan-time properties did not know about.
+	Static string
+
 	// Fused-chain membership: when the operator ran as part of a fused
 	// chain, FusedChain is the chain's 1-based id (0 = ran standalone),
 	// FusedPos its 1-based position in the chain, FusedLen the chain
@@ -68,8 +75,9 @@ func (st *OpStat) setMorsels(ms *morsels) {
 
 // Trace is the full instrumentation record of one evaluation. Tables
 // holds every operator's intermediate result, with one exception in
-// kind: the × and ⊛ of a theta join the band kernel ran hold only the
-// pairs that went on to pass σ — the rest of the product never existed.
+// kind: the members of a theta join the band kernel ran hold only the
+// pairs that went on to pass σ, and of those only the columns the unit's
+// consumers read — the rest of the product never existed.
 type Trace struct {
 	mu     sync.Mutex
 	Tables map[*algebra.Op]*bat.Table

@@ -321,19 +321,39 @@ func thetaKernel(ctx context.Context, ms *morsels, tj *physical.ThetaJoin, l, r 
 	}); err != nil {
 		return physOut{}, "", err
 	}
-	t, err := joinGather(lb, rb, lIdx, rIdx)
+	// Only the columns the unit's consumers read are gathered; the rest
+	// of σ's schema is never built.
+	t, err := joinGather(demandedCols(lb, tj.Demand), demandedCols(rb, tj.Demand), lIdx, rIdx)
 	if err != nil {
 		return physOut{}, "", err
 	}
-	// Every emitted pair satisfied the predicate: σ's column is all true.
-	pass := make(bat.BoolVec, total)
-	for i := range pass {
-		pass[i] = true
-	}
-	if err := t.AddCol(tj.Fun.Op.Col, pass); err != nil {
-		return physOut{}, "", err
+	if slices.Contains(tj.Demand, tj.Fun.Op.Col) {
+		// Every emitted pair satisfied the predicate: σ's column is all true.
+		pass := make(bat.BoolVec, total)
+		for i := range pass {
+			pass[i] = true
+		}
+		if err := t.AddCol(tj.Fun.Op.Col, pass); err != nil {
+			return physOut{}, "", err
+		}
 	}
 	return physOut{view: bat.ViewOf(t), kernel: "merge-thetajoin" + lane, mat: total}, "", nil
+}
+
+// demandedCols is t restricted to the demanded columns, in t's order;
+// the column vectors are shared.
+func demandedCols(t *bat.Table, demand []string) *bat.Table {
+	var keep []string
+	for _, c := range t.Cols() {
+		if slices.Contains(demand, c) {
+			keep = append(keep, c)
+		}
+	}
+	out, err := t.Project(keep...)
+	if err != nil {
+		panic(err) // unreachable: keep names columns of t, each once
+	}
+	return out
 }
 
 // execTheta runs one theta-join unit: the band kernel when the key
@@ -367,7 +387,7 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 		return e.replayNodes(ctx, members[:], in, " (demoted:"+reason+")", tr, worker)
 	}
 	if e.Check {
-		if err := checkNodeOutput(tj.Select, out.view); err != nil {
+		if err := checkOutput(tj.Select, out.view, tj.Demand); err != nil {
 			return nil, fmt.Errorf("%s: %w", tj.Select.Op.Kind, err)
 		}
 	}

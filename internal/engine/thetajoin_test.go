@@ -127,7 +127,10 @@ func sameTable(a, b *bat.Table) error {
 // over random key columns of every shape, with ties, the theta unit's
 // output — rows, row order, column types — and its error text equal the
 // legacy interpreter's evalCross + bat.Compare + σ, for every operator,
-// operand order and worker count, over identity and selected views.
+// operand order and worker count, over identity and selected views. Half
+// the trials read the unit through a π over some of its columns: the
+// band kernel must then have built exactly those (its Demand), and the
+// projected result must still equal the legacy one.
 func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed"}
 	funs := []algebra.FunKind{algebra.FunLt, algebra.FunLe, algebra.FunGt, algebra.FunGe}
@@ -142,25 +145,48 @@ func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 	engines["demoted"] = demoted
 
 	rng := rand.New(rand.NewSource(12))
-	kernelRuns, demotions := 0, map[string]int{}
+	projRng := rand.New(rand.NewSource(13)) // its own stream: the trials above stay the ones PR 12 pinned
+	kernelRuns, narrowed, demotions := 0, 0, map[string]int{}
 	for trial := 0; trial < 1200; trial++ {
 		ls, rs := shapes[rng.Intn(len(shapes))], shapes[rng.Intn(len(shapes))]
 		l := randSide(rng, "l", ls, rng.Intn(14))
 		r := randSide(rng, "r", rs, rng.Intn(14))
 		fun := funs[rng.Intn(len(funs))]
-		plan := thetaPlan(t, l, r, fun, rng.Intn(2) == 0, rng.Intn(2) == 0)
+		sel := thetaPlan(t, l, r, fun, rng.Intn(2) == 0, rng.Intn(2) == 0)
 		name := fmt.Sprintf("trial %d (%s %s %s)", trial, ls, fun, rs)
 
+		plan, demand := sel, sel.Schema()
+		if projRng.Intn(2) == 0 {
+			demand = nil
+			for _, c := range sel.Schema() {
+				if projRng.Intn(3) == 0 {
+					demand = append(demand, c)
+				}
+			}
+			if len(demand) == 0 {
+				demand = []string{"lv"}
+			}
+			plan = must(algebra.Project(sel, demand...))
+		}
+
 		want, wantErr := legacy.Eval(plan)
-		cross := plan.In[0].In[0]
+		cross := sel.In[0].In[0]
 		for label, e := range engines {
 			got, tr, err := e.EvalTrace(context.Background(), plan)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("%s %s: error %v, legacy %v", name, label, err, wantErr)
 			}
+			if st := tr.Stats[cross]; st.ThetaJoin > 0 && err == nil {
+				if got := tr.Tables[sel].Cols(); strings.Join(got, "|") != strings.Join(demand, "|") {
+					t.Fatalf("%s %s: band kernel built %v, consumers read %v", name, label, got, demand)
+				}
+			}
 			if label == "workers=1" {
 				if st := tr.Stats[cross]; st.ThetaJoin > 0 {
 					kernelRuns++
+					if len(demand) < len(sel.Schema()) {
+						narrowed++
+					}
 				} else if i := strings.Index(st.Kernel, "(demoted:"); i >= 0 {
 					demotions[st.Kernel[i:]]++
 				} else {
@@ -175,8 +201,8 @@ func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 			}
 		}
 	}
-	if kernelRuns < 200 {
-		t.Errorf("band kernel ran in only %d of 1200 trials", kernelRuns)
+	if kernelRuns < 200 || narrowed < 50 {
+		t.Errorf("band kernel ran in only %d of 1200 trials, %d of them with a narrowed demand", kernelRuns, narrowed)
 	}
 	for _, reason := range []string{"untyped×untyped", "nan", "uncastable", "bool", "mixed"} {
 		if demotions["(demoted:"+reason+")"] == 0 {

@@ -78,7 +78,8 @@ func fusable(nd *Node) bool {
 // the theta joins (thetajoin.go), then the maximal fusable chains among
 // the nodes no theta join claimed. Both searches share one pair of
 // consumer maps, and a theta join's ⊛ and σ are withheld from chain
-// formation — a node belongs to at most one unit.
+// formation — a node belongs to at most one unit. Each theta join also
+// records which of its output columns its consumers read (Demand).
 //
 // plan.Nodes is in bottom-up topological order, so a forward greedy walk
 // from the first unclaimed fusable node always starts at the true head
@@ -111,6 +112,7 @@ func discoverUnits(p *Plan) {
 			claimed[tj.Fun], claimed[tj.Select] = true, true
 		}
 	}
+	demandThetaJoins(p)
 	for _, nd := range p.Nodes {
 		if claimed[nd] || !fusable(nd) || len(nd.In) != 1 {
 			continue

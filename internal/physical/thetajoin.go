@@ -34,6 +34,15 @@ type ThetaJoin struct {
 	// mirrored here. Cmp is one of FunLt, FunLe, FunGt, FunGe.
 	LeftCol, RightCol string
 	Cmp               algebra.FunKind
+
+	// Demand lists, in σ's schema order, the output columns the unit's
+	// consumers read: the columns their projections name when every
+	// consumer is a π, the whole schema otherwise. The band kernel
+	// gathers only these — the compared item columns and the all-true
+	// comparison result are usually dropped by the π right above σ. A
+	// demoted unit runs its three operators as they stand and produces
+	// the whole schema.
+	Demand []string
 }
 
 // Members returns the unit's nodes in execution order.
@@ -93,4 +102,38 @@ func matchThetaJoin(sel *Node, consumers map[*Node]int) *ThetaJoin {
 			LeftCol: fo.Args[1], RightCol: fo.Args[0], Cmp: mirrorCmp(fo.Fun)}
 	}
 	return nil
+}
+
+// demandThetaJoins fills in every unit's Demand from the consumers of
+// its σ. A σ nobody consumes is the plan root: the caller reads it all.
+func demandThetaJoins(p *Plan) {
+	for _, tj := range p.ThetaJoins {
+		schema := tj.Select.Op.Schema()
+		read := make([]bool, len(schema))
+		all := tj.Select == p.Root
+		for _, nd := range p.Nodes {
+			for _, c := range nd.In {
+				if c != tj.Select {
+					continue
+				}
+				if nd.Op.Kind != algebra.OpProject {
+					all = true
+					continue
+				}
+				for _, pr := range nd.Op.Proj {
+					for i, col := range schema {
+						if col == pr.Old {
+							read[i] = true
+						}
+					}
+				}
+			}
+		}
+		tj.Demand = make([]string, 0, len(schema))
+		for i, col := range schema {
+			if all || read[i] {
+				tj.Demand = append(tj.Demand, col)
+			}
+		}
+	}
 }

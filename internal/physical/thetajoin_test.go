@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"strings"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -87,5 +88,38 @@ func TestDiscoverThetaJoinRejects(t *testing.T) {
 		"c", algebra.FunLt, "a", "b"))
 	if p := Lower(mustOp(algebra.Select(fn2, "k"))); len(p.ThetaJoins) != 0 {
 		t.Errorf("σ on a foreign column formed a theta join")
+	}
+}
+
+// TestThetaJoinDemand: a unit read only through projections demands the
+// columns they name, in σ's schema order; a consumer that is not a π, or
+// σ being the plan's result, demands the whole schema.
+func TestThetaJoinDemand(t *testing.T) {
+	demand := func(root *algebra.Op) []string {
+		t.Helper()
+		p := Lower(root)
+		if len(p.ThetaJoins) != 1 {
+			t.Fatalf("%d theta joins, want 1", len(p.ThetaJoins))
+		}
+		return p.ThetaJoins[0].Demand
+	}
+	eq := func(got []string, want ...string) bool { return strings.Join(got, ",") == strings.Join(want, ",") }
+
+	_, _, sel := thetaShape(algebra.FunLt, "a", "b")
+	if got := demand(sel); !eq(got, "a", "a2", "b", "c") {
+		t.Errorf("σ as the result demands %v, want its schema", got)
+	}
+	if got := demand(mustOp(algebra.Project(sel, "b", "x:a"))); !eq(got, "a", "b") {
+		t.Errorf("π b,x:a demands %v, want [a b]", got)
+	}
+	// Two projections: the union of what they read.
+	u := mustOp(algebra.Union(mustOp(algebra.Project(sel, "v:a")), mustOp(algebra.Project(sel, "v:a2"))))
+	if got := demand(u); !eq(got, "a", "a2") {
+		t.Errorf("π a ∪ π a2 demands %v, want [a a2]", got)
+	}
+	// A consumer other than π reads rows whole.
+	d := mustOp(algebra.Union(mustOp(algebra.Project(sel, "a")), mustOp(algebra.Project(algebra.Distinct(sel), "a"))))
+	if got := demand(d); !eq(got, "a", "a2", "b", "c") {
+		t.Errorf("a δ consumer demands %v, want σ's schema", got)
 	}
 }
