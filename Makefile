@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-kernels-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-kernels-smoke bench-construct-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,16 @@ bench-step-smoke:
 # ceiling is a test (TestKernelAllocBudget).
 bench-kernels-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns' -benchtime 1x
+
+# CI smoke for the result path: ε in its three XMark shapes (Q10's copy
+# of a copy, the many-iterations × tiny-content shape of Q8/Q9/Q11/Q12,
+# one iteration × one large subtree) and the serializer over a 1 MB
+# result, once each, with allocation counts (`-benchtime 100x -count 5`
+# for numbers worth comparing). That ε's allocations do not grow with the
+# nodes it copies is a test (TestConstructAllocBudget).
+bench-construct-smoke:
+	$(GO) test ./internal/engine -run '^$$' -bench ElemConstruct -benchtime 1x
+	$(GO) test ./internal/serialize -run '^$$' -bench SerializeResult -benchtime 1x
 
 # Sequential-vs-parallel scheduler comparison; writes BENCH_parallel.json.
 bench-parallel:

@@ -409,3 +409,70 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// TestSortByIntKeyLane: the "already sorted?" scan has a lane for all-int
+// keys and the comparator for the rest; both must give the verdict of the
+// definition — no row below its predecessor under CompareTotal, key by key
+// — on sorted, unsorted and tied input, for one to five keys (five
+// outgrows the lane's stack buffer) and with one key boxed as items.
+func TestSortByIntKeyLane(t *testing.T) {
+	f := func(raw [][5]uint8, nkeys uint8, sortFirst, boxOne bool) bool {
+		k := 1 + int(nkeys%5)
+		n := len(raw)
+		cols := make([]IntVec, k)
+		for c := range cols {
+			cols[c] = make(IntVec, n)
+			for i := range raw {
+				cols[c][i] = int64(raw[i][c] % 3)
+			}
+		}
+		if sortFirst {
+			sort.Slice(raw, func(a, b int) bool {
+				for c := 0; c < k; c++ {
+					if raw[a][c]%3 != raw[b][c]%3 {
+						return raw[a][c]%3 < raw[b][c]%3
+					}
+				}
+				return false
+			})
+			for c := range cols {
+				for i := range raw {
+					cols[c][i] = int64(raw[i][c] % 3)
+				}
+			}
+		}
+		want := true
+		for i := 1; i < n && want; i++ {
+			for c := 0; c < k; c++ {
+				if cols[c][i] != cols[c][i-1] {
+					want = cols[c][i] > cols[c][i-1]
+					break
+				}
+			}
+		}
+		pairs, names := []any{}, []string{}
+		for c := range cols {
+			name := string(rune('a' + c))
+			var v Vec = cols[c]
+			if boxOne && c == k-1 {
+				boxed := make(ItemVec, n)
+				for i := range boxed {
+					boxed[i] = Int(cols[c][i])
+				}
+				v = boxed
+			}
+			pairs, names = append(pairs, name, v), append(names, name)
+		}
+		tb := MustTable(pairs...)
+		got, err := tb.SortBy(names...)
+		if err != nil || (got == tb) != want && n > 0 {
+			return false
+		}
+		// Whichever lane answered, the result is in order.
+		again, err := got.SortBy(names...)
+		return err == nil && again == got
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}

@@ -199,11 +199,7 @@ func (t *Table) SortBy(cols ...string) (*Table, error) {
 		}
 		return false
 	}
-	sorted := true
-	for i := 1; i < t.n && sorted; i++ {
-		sorted = !less(i, i-1)
-	}
-	if sorted {
+	if sortedRows(vecs, t.n, less) {
 		return t, nil
 	}
 	idx := make([]int32, t.n)
@@ -212,6 +208,40 @@ func (t *Table) SortBy(cols ...string) (*Table, error) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return less(int(idx[a]), int(idx[b])) })
 	return t.Gather(idx), nil
+}
+
+// sortedRows reports whether rows 0..n-1 are in non-descending key
+// order. The answer is nearly always yes — ε and the serializer ask on
+// every execution about (iter, pos) columns an upstream ϱ just produced —
+// so integer keys, which those are, get a loop that compares the columns
+// directly; any other key type goes through less.
+func sortedRows(keys []Vec, n int, less func(a, b int) bool) bool {
+	var buf [4]IntVec
+	ints := buf[:0]
+	for _, v := range keys {
+		if iv, ok := v.(IntVec); ok {
+			ints = append(ints, iv)
+		}
+	}
+	if len(ints) != len(keys) {
+		for i := 1; i < n; i++ {
+			if less(i, i-1) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 1; i < n; i++ {
+		for _, iv := range ints {
+			if iv[i] != iv[i-1] {
+				if iv[i] < iv[i-1] {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }
 
 // CompareTotal imposes a total order over items: by kind class first, then

@@ -80,3 +80,32 @@ var Dialect = []string{
 	`for $i in (1,2) return <n v="{$i}"/>`,
 	`<out>{//person[1]/name}</out>`,
 }
+
+// ConstructorDoc is the document the constructor cases run against, bound
+// as "r.xml": two same-named attributes to collide, and an element whose
+// two text children become adjacent once the element between them is left
+// behind.
+const ConstructorDoc = `<r><a x="1">p<b/>q</a><a x="2">s</a></r>`
+
+// Case is a query with the outcome every evaluator — sequential, parallel,
+// navigational — must agree on: the serialized result, or a dynamic error
+// whose message contains Err.
+type Case struct {
+	Query string
+	Want  string
+	Err   string
+}
+
+// Constructors extends the dialect corpus with the element-constructor
+// content rules that have an outcome other than "copy the item": a
+// duplicate attribute name is XQDY0025, and adjacent text nodes merge
+// (XQuery §3.7.1.3). They are a list of their own because Dialect is also
+// the compile-only benchmark workload, which expects every query to
+// succeed and must not change under a PR that claims a gain.
+var Constructors = []Case{
+	{Query: `<e x="1">{attribute x {"2"}}</e>`, Err: "XQDY0025"},
+	{Query: `<e>{/r/a/@x}</e>`, Err: "XQDY0025"},
+	{Query: `count(<e>{text{"a"}, text{"b"}}</e>/text())`, Want: "1"},
+	{Query: `count(<e>{"x", text{"a"}}</e>/text())`, Want: "1"},
+	{Query: `count(<e>{/r/a[1]/text()}</e>/text())`, Want: "1"},
+}

@@ -6,6 +6,7 @@ package engine_test
 // navigational baseline, and all serialized results must be byte-identical.
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -289,6 +290,44 @@ func TestDialectPhysicalDifferential(t *testing.T) {
 		}
 		if optSeq != optLeg {
 			t.Errorf("%s: optimized physical drifted:\n legacy = %q\n phys   = %q", src, optLeg, optSeq)
+		}
+	}
+}
+
+// TestConstructorCases runs the constructor corpus — the content rules
+// with an outcome other than "copy the item" — through the legacy
+// interpreter, both physical executors, optimized plans, and the
+// navigational baseline: all five agree on the pinned result, or all five
+// raise the pinned dynamic error.
+func TestConstructorCases(t *testing.T) {
+	const uri = "r.xml"
+	leg := legacyEngine(t, uri, corpus.ConstructorDoc)
+	seq := seqEngine(t, uri, corpus.ConstructorDoc)
+	par := parEngine(t, uri, corpus.ConstructorDoc)
+	db := navdom.NewDB()
+	if _, err := db.LoadString(uri, corpus.ConstructorDoc); err != nil {
+		t.Fatal(err)
+	}
+	opts := xqcore.Options{ContextDoc: uri}
+	for _, c := range corpus.Constructors {
+		runs := []struct {
+			name string
+			run  func() (string, error)
+		}{
+			{"legacy", func() (string, error) { return core.Run(c.Query, leg, opts) }},
+			{"phys seq", func() (string, error) { return core.Run(c.Query, seq, opts) }},
+			{"phys par", func() (string, error) { return core.Run(c.Query, par, opts) }},
+			{"optimized par", func() (string, error) { return runOptimized(t, c.Query, par, opts) }},
+			{"navdom", func() (string, error) { return navdom.NewInterp(db).Run(c.Query, opts) }},
+		}
+		for _, r := range runs {
+			got, err := r.run()
+			switch {
+			case c.Err != "" && (err == nil || !strings.Contains(err.Error(), c.Err)):
+				t.Errorf("%s: %s: got %q, err %v; want an error naming %s", c.Query, r.name, got, err, c.Err)
+			case c.Err == "" && (err != nil || got != c.Want):
+				t.Errorf("%s: %s: got %q, err %v; want %q", c.Query, r.name, got, err, c.Want)
+			}
 		}
 	}
 }

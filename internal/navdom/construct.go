@@ -57,6 +57,33 @@ func (ip *Interp) evalElemC(x *xqcore.ElemC, en *env) ([]Item, error) {
 	b := &builder{docID: ip.DB.nextDocID()}
 	el := b.node(Elem)
 	el.Name = name
+	// addChild appends a copied or constructed child; a text node landing
+	// next to a text node folds into it — adjacent text nodes in
+	// constructor content merge (XQuery §3.7.1.3), as in the relational
+	// fragment builder. The merged string collects in run and reaches the
+	// node when the run ends, so n adjacent texts cost one copy, not n.
+	var run strings.Builder
+	var runNode *Node
+	endRun := func() {
+		if runNode != nil {
+			runNode.Text = run.String()
+			run.Reset()
+			runNode = nil
+		}
+	}
+	addChild := func(c *Node) {
+		if n := len(el.Children); c.Kind == Text && n > 0 && el.Children[n-1].Kind == Text {
+			if runNode == nil {
+				runNode = el.Children[n-1]
+				run.WriteString(runNode.Text)
+			}
+			run.WriteString(c.Text)
+			return
+		}
+		endRun()
+		c.Parent = el
+		el.Children = append(el.Children, c)
+	}
 	var pendingText strings.Builder
 	pendingAny := false
 	flush := func() {
@@ -66,8 +93,7 @@ func (ip *Interp) evalElemC(x *xqcore.ElemC, en *env) ([]Item, error) {
 			if s := pendingText.String(); s != "" {
 				t := b.node(Text)
 				t.Text = s
-				t.Parent = el
-				el.Children = append(el.Children, t)
+				addChild(t)
 			}
 			pendingText.Reset()
 			pendingAny = false
@@ -81,20 +107,21 @@ func (ip *Interp) evalElemC(x *xqcore.ElemC, en *env) ([]Item, error) {
 				if len(el.Children) > 0 {
 					return nil, fmt.Errorf("attribute after element content")
 				}
+				for _, have := range el.Attrs {
+					if have.Name == it.Node.Name {
+						return nil, fmt.Errorf("XQDY0025: duplicate attribute %q on a constructed element", have.Name)
+					}
+				}
 				a := b.node(Attr)
 				a.Name, a.Text = it.Node.Name, it.Node.Text
 				a.Parent = el
 				el.Attrs = append(el.Attrs, a)
 			case Doc:
 				for _, c := range it.Node.Children {
-					cc := b.copyNode(c)
-					cc.Parent = el
-					el.Children = append(el.Children, cc)
+					addChild(b.copyNode(c))
 				}
 			default:
-				cc := b.copyNode(it.Node)
-				cc.Parent = el
-				el.Children = append(el.Children, cc)
+				addChild(b.copyNode(it.Node))
 			}
 			continue
 		}
@@ -105,9 +132,7 @@ func (ip *Interp) evalElemC(x *xqcore.ElemC, en *env) ([]Item, error) {
 		pendingAny = true
 	}
 	flush()
-	// Merge adjacent text children (copied text nodes next to constructed
-	// ones) the way serialization expects? Serialization concatenates
-	// naturally; identity-wise they stay separate nodes, as in Pathfinder.
+	endRun()
 	return []Item{{Node: el}}, nil
 }
 

@@ -3,6 +3,7 @@ package navdom
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pathfinder/internal/core"
@@ -103,6 +104,29 @@ func runNav(t *testing.T, db *DB, src string) string {
 		t.Fatalf("navdom run %q: %v", src, err)
 	}
 	return out
+}
+
+// A long run of adjacent text nodes merges into one text, in order; the
+// run is assembled once, not re-copied per merge.
+func TestConstructorLongTextRun(t *testing.T) {
+	const n = 30000
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "<t>w%05d</t>", i)
+	}
+	sb.WriteString("</r>")
+	db := NewDB()
+	if _, err := db.LoadString("auction.xml", sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	if got := runNav(t, db, `count(<e>{/r/t/text()}</e>/text())`); got != "1" {
+		t.Errorf("text children = %s, want 1", got)
+	}
+	got := runNav(t, db, `string(<e>{"a", /r/t/text(), <i/>, /r/t[1]/text(), text{"z"}}</e>)`)
+	if len(got) != 1+6*n+7 || !strings.HasPrefix(got, "aw00000w00001") || !strings.HasSuffix(got, "w29999w00000z") {
+		t.Errorf("merged string has %d bytes: %.20s … %s", len(got), got, got[len(got)-20:])
+	}
 }
 
 func TestInterpSmoke(t *testing.T) {

@@ -27,6 +27,14 @@ func Result(store *xenc.Store, t *bat.Table) (string, error) {
 		return "", fmt.Errorf("serialize: %w", err)
 	}
 	var sb strings.Builder
+	// A node-typed result column — every constructor query's — serializes
+	// straight off the refs, without boxing each into an Item.
+	if nodes, ok := items.(bat.NodeVec); ok {
+		for _, n := range nodes {
+			store.SerializeTo(&sb, n)
+		}
+		return sb.String(), nil
+	}
 	prevAtomic := false
 	for i := 0; i < sorted.Rows(); i++ {
 		it := items.ItemAt(i)

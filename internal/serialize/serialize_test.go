@@ -1,6 +1,8 @@
 package serialize
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"pathfinder/internal/bat"
@@ -76,4 +78,61 @@ func TestEmptyResult(t *testing.T) {
 	if err != nil || out != "" {
 		t.Errorf("empty result: %q, %v", out, err)
 	}
+}
+
+// TestResultNodeColumn: a node-typed item column (what every constructor
+// query returns) serializes like the same refs boxed as items.
+func TestResultNodeColumn(t *testing.T) {
+	store := xenc.NewStore()
+	doc, err := store.LoadDocumentString("d.xml", `<r><a k="&lt;é">x &amp; y</a><b/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := bat.NodeRef{Frag: doc.Frag, Pre: 2}, bat.NodeRef{Frag: doc.Frag, Pre: 4}
+	typed, err := Result(store, bat.MustTable("iter", bat.IntVec{1, 1}, "pos", bat.IntVec{2, 1}, "item", bat.NodeVec{a, b}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxed, err := Result(store, bat.MustTable("iter", bat.IntVec{1, 1}, "pos", bat.IntVec{2, 1}, "item", bat.ItemVec{bat.Node(a), bat.Node(b)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `<b/><a k="&lt;é">x &amp; y</a>`; typed != want || boxed != want {
+		t.Errorf("typed %q, boxed %q, want %q", typed, boxed, want)
+	}
+}
+
+var resultSink string
+
+// BenchmarkSerializeResult renders a result of about 1 MB: 4 000 element
+// subtrees with an attribute, nested elements, and text that needs
+// escaping now and then — the post-processor's linear scan.
+func BenchmarkSerializeResult(b *testing.B) {
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&doc, `<item id="item%d"><name>name of item %d</name><description><text>%s</text></description><n>%d &amp; %d</n></item>`,
+			i, i, strings.Repeat("lorem ipsum dolor sit amet ", 6), i, i+1)
+	}
+	doc.WriteString("</r>")
+	store := xenc.NewStore()
+	ref, err := store.LoadDocumentString("big.xml", doc.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := store.Frag(ref.Frag)
+	var items bat.NodeVec
+	for c := int32(2); c <= 1+f.Size[1]; c += f.Size[c] + 1 {
+		items = append(items, bat.NodeRef{Frag: ref.Frag, Pre: c})
+	}
+	n := len(items)
+	tbl := bat.MustTable("iter", bat.ConstInt(1, n), "pos", bat.Ramp(1, n), "item", items)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resultSink, err = Result(store, tbl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(resultSink)))
 }

@@ -72,8 +72,12 @@ func (f *Fragment) AttrCount() int { return len(f.AttrOwner) }
 
 // Attrs returns the index range [lo, hi) into the attribute table holding
 // the attributes of node pre.
-func (f *Fragment) Attrs(pre int32) (lo, hi int32) {
-	return f.attrOfs[pre], f.attrOfs[pre+1]
+func (f *Fragment) Attrs(pre int32) (lo, hi int32) { return f.AttrRange(pre, pre) }
+
+// AttrRange returns the index range [alo, ahi) of the attribute rows owned
+// by the nodes lo..hi — for lo..lo+Size[lo], the attributes of a subtree.
+func (f *Fragment) AttrRange(lo, hi int32) (alo, ahi int32) {
+	return f.attrOfs[lo], f.attrOfs[hi+1]
 }
 
 // sealAttrs builds the attrOfs offsets; must be called once all nodes and
@@ -81,6 +85,9 @@ func (f *Fragment) Attrs(pre int32) (lo, hi int32) {
 func (f *Fragment) sealAttrs() {
 	//pfvet:allow colown -- callers gate on len(attrOfs) == 0: only never-published fragments are sealed (NewStoreFromParts skips fragments whose offsets exist, PR 7 reseal-race fix)
 	f.attrOfs = make([]int32, len(f.Size)+1)
+	if len(f.AttrOwner) == 0 {
+		return // every range is [0, 0), which is what make left
+	}
 	j := 0
 	for p := 0; p < len(f.Size); p++ {
 		f.attrOfs[p] = int32(j)

@@ -16,9 +16,10 @@ import "sync"
 //
 // Pools are store-wide and the parallel plan scheduler runs constructor
 // operators (which intern new strings) concurrently with operators that
-// resolve surrogates, so every access goes through the pool's RWMutex.
-// Reads vastly outnumber writes at query time, keeping the read-lock cost
-// in the noise.
+// resolve surrogates. Resolution (Get) is the per-node read of
+// construction, serialization and StringValue, so it takes no lock: strs
+// is an append-only array read through its published header. Interning
+// and lookup by content go through index, a Go map, under mu.
 //
 // A pool restored from the persistent columnar store (internal/pfstore)
 // starts without its lookup map: surrogate→string resolution needs only
@@ -26,9 +27,9 @@ import "sync"
 // Reopening a saved store therefore costs no per-string map inserts until
 // a query actually interns or looks up by content.
 type pool struct {
-	mu    sync.RWMutex
-	strs  []string
-	index map[string]int32 // nil until first content lookup on a restored pool
+	mu    sync.RWMutex       // guards index; serializes strs.push
+	strs  appendOnly[string] // surrogate → string
+	index map[string]int32   // nil until first content lookup on a restored pool
 }
 
 func newPool() *pool {
@@ -39,7 +40,9 @@ func newPool() *pool {
 // string slice (the persistent store's pool section) without building the
 // lookup index.
 func newPoolFromStrings(strs []string) *pool {
-	return &pool{strs: strs}
+	p := &pool{}
+	p.strs.adopt(strs)
+	return p
 }
 
 // ensureIndexLocked builds the lookup map; callers hold the write lock.
@@ -47,8 +50,9 @@ func (p *pool) ensureIndexLocked() {
 	if p.index != nil {
 		return
 	}
-	p.index = make(map[string]int32, len(p.strs))
-	for i, s := range p.strs {
+	strs := p.strs.view()
+	p.index = make(map[string]int32, len(strs))
+	for i, s := range strs {
 		p.index[s] = int32(i)
 	}
 }
@@ -72,8 +76,7 @@ func (p *pool) Put(s string) int32 {
 	if id, ok := p.index[s]; ok {
 		return id
 	}
-	id := int32(len(p.strs))
-	p.strs = append(p.strs, s)
+	id := p.strs.push(s)
 	p.index[s] = id
 	return id
 }
@@ -102,24 +105,14 @@ func (p *pool) Lookup(s string) int32 {
 }
 
 // Get returns the string behind a surrogate.
-func (p *pool) Get(id int32) string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.strs[id]
-}
+func (p *pool) Get(id int32) string { return p.strs.at(id) }
 
 // Len returns the number of distinct strings interned.
-func (p *pool) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.strs)
-}
+func (p *pool) Len() int { return p.strs.len() }
 
 // snapshot copies the interned strings in surrogate order.
 func (p *pool) snapshot() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return append([]string(nil), p.strs...)
+	return append([]string(nil), p.strs.view()...)
 }
 
 // bytes reports the heap footprint attributable to the pooled strings —
@@ -127,10 +120,8 @@ func (p *pool) snapshot() []string {
 // per-entry slice header are charged; the lookup map is a load-time-only
 // structure MonetDB would not persist.
 func (p *pool) bytes() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	var n int64
-	for _, s := range p.strs {
+	for _, s := range p.strs.view() {
 		n += int64(len(s)) + 16 // string header
 	}
 	return n

@@ -33,21 +33,18 @@ func (s *Store) SerializeTo(sb *strings.Builder, n bat.NodeRef) {
 
 func (s *Store) serializeRange(sb *strings.Builder, f *Fragment, root int32) {
 	end := root + f.Size[root]
-	var openTags []int32 // pre ranks of open elements
-	closeUntil := func(p int32) {
-		for len(openTags) > 0 {
-			top := openTags[len(openTags)-1]
-			if p <= top+f.Size[top] {
-				return
-			}
-			sb.WriteString("</")
-			sb.WriteString(s.tags.Get(f.Prop[top]))
-			sb.WriteByte('>')
-			openTags = openTags[:len(openTags)-1]
-		}
+	var stack [32]int32
+	open := stack[:0] // pre ranks of the open elements; deeper trees spill to the heap
+	closeTop := func() {
+		sb.WriteString("</")
+		sb.WriteString(s.tags.Get(f.Prop[open[len(open)-1]]))
+		sb.WriteByte('>')
+		open = open[:len(open)-1]
 	}
 	for p := root; p <= end; p++ {
-		closeUntil(p)
+		for len(open) > 0 && p > open[len(open)-1]+f.Size[open[len(open)-1]] {
+			closeTop()
+		}
 		switch f.Kind[p] {
 		case KindDoc:
 			// Document node: serialize children only.
@@ -66,7 +63,7 @@ func (s *Store) serializeRange(sb *strings.Builder, f *Fragment, root int32) {
 				sb.WriteString("/>")
 			} else {
 				sb.WriteByte('>')
-				openTags = append(openTags, p)
+				open = append(open, p)
 			}
 		case KindText:
 			escapeText(sb, s.texts.Get(f.Prop[p]))
@@ -76,39 +73,39 @@ func (s *Store) serializeRange(sb *strings.Builder, f *Fragment, root int32) {
 			sb.WriteString("-->")
 		}
 	}
-	for i := len(openTags) - 1; i >= 0; i-- {
-		sb.WriteString("</")
-		sb.WriteString(s.tags.Get(f.Prop[openTags[i]]))
-		sb.WriteByte('>')
+	for len(open) > 0 {
+		closeTop()
 	}
 }
 
-func escapeText(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		default:
-			sb.WriteRune(r)
-		}
-	}
-}
+// escapeText writes text-node content: & < > escaped.
+func escapeText(sb *strings.Builder, s string) { escape(sb, s, false) }
 
-func escapeAttr(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '"':
-			sb.WriteString("&quot;")
+// escapeAttr writes an attribute value: & < " escaped.
+func escapeAttr(sb *strings.Builder, s string) { escape(sb, s, true) }
+
+// escape scans bytes, not runes: the characters it replaces are ASCII and
+// no byte of a multi-byte UTF-8 sequence is, so each run between two of
+// them is written whole, as it is stored.
+func escape(sb *strings.Builder, s string, attr bool) {
+	run := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch c := s[i]; {
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c == '>' && !attr:
+			esc = "&gt;"
+		case c == '"' && attr:
+			esc = "&quot;"
 		default:
-			sb.WriteRune(r)
+			continue
 		}
+		sb.WriteString(s[run:i])
+		sb.WriteString(esc)
+		run = i + 1
 	}
+	sb.WriteString(s[run:])
 }

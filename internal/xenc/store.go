@@ -17,13 +17,15 @@ import (
 // fragments.
 //
 // A Store is safe for concurrent use: fragments are immutable once
-// registered, the fragment registry and document table are guarded by mu,
-// and the pools carry their own locks. Constructor operators running on
-// parallel scheduler workers therefore append fragments while other
-// workers resolve nodes.
+// registered, the fragment registry is an append-only array read without
+// a lock (Frag is called once per node by every consumer of node refs),
+// registration and the document table are guarded by mu, and the pools
+// follow the same split. Constructor operators running on parallel
+// scheduler workers therefore append fragments while other workers
+// resolve nodes.
 type Store struct {
-	mu    sync.RWMutex
-	frags []*Fragment
+	mu    sync.RWMutex          // guards docs; serializes frags.push
+	frags appendOnly[*Fragment] // fragment id → fragment
 	docs  map[string]int32
 
 	tags      *pool // element tag names
@@ -44,27 +46,17 @@ func NewStore() *Store {
 }
 
 // Frag returns the fragment with the given id.
-func (s *Store) Frag(id int32) *Fragment {
-	s.mu.RLock()
-	f := s.frags[id]
-	s.mu.RUnlock()
-	return f
-}
+func (s *Store) Frag(id int32) *Fragment { return s.frags.at(id) }
 
 // FragCount returns the number of fragments in the store.
-func (s *Store) FragCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.frags)
-}
+func (s *Store) FragCount() int { return s.frags.len() }
 
-// addFrag registers a fragment and returns its id.
+// addFrag registers a fragment and returns its id. The fragment's columns
+// are complete before the push publishes it.
 func (s *Store) addFrag(f *Fragment) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := int32(len(s.frags))
-	s.frags = append(s.frags, f)
-	return id
+	return s.frags.push(f)
 }
 
 // registerDoc registers a loaded document fragment under its URI,
@@ -75,8 +67,7 @@ func (s *Store) registerDoc(uri string, f *Fragment) (int32, error) {
 	if _, ok := s.docs[uri]; ok {
 		return 0, fmt.Errorf("document %q already loaded", uri)
 	}
-	id := int32(len(s.frags))
-	s.frags = append(s.frags, f)
+	id := s.frags.push(f)
 	s.docs[uri] = id
 	return id, nil
 }
@@ -135,8 +126,7 @@ func (s *Store) ReplaceDocument(uri string, r io.Reader) (bat.NodeRef, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := int32(len(s.frags))
-	s.frags = append(s.frags, f)
+	id := s.frags.push(f)
 	s.docs[uri] = id
 	return bat.NodeRef{Frag: id, Pre: 0}, nil
 }
@@ -287,7 +277,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	for u, id := range s.docs {
 		snap.Docs[u] = id
 	}
-	frags := append([]*Fragment(nil), s.frags...)
+	frags := s.frags.view() // under mu: the registry as of the docs table just copied
 	s.mu.RUnlock()
 	for _, f := range frags {
 		snap.Frags = append(snap.Frags, fragSnapshot{
@@ -302,7 +292,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 // ReadSnapshot restores a store previously written with WriteSnapshot.
 // The receiving store must be empty.
 func (s *Store) ReadSnapshot(r io.Reader) error {
-	if len(s.frags) != 0 || len(s.docs) != 0 {
+	if s.frags.len() != 0 || len(s.docs) != 0 {
 		return fmt.Errorf("ReadSnapshot: store is not empty")
 	}
 	var snap snapshot
@@ -354,7 +344,7 @@ type Parts struct {
 // may read them freely but must not mutate.
 func (s *Store) Parts() Parts {
 	s.mu.RLock()
-	frags := append([]*Fragment(nil), s.frags...)
+	frags := append([]*Fragment(nil), s.frags.view()...)
 	docs := make(map[string]int32, len(s.docs))
 	for u, id := range s.docs {
 		docs[u] = id
@@ -397,10 +387,10 @@ func NewStoreFromParts(p Parts) (*Store, error) {
 		if len(f.attrOfs) != n+1 {
 			f.sealAttrs()
 		}
-		s.frags = append(s.frags, f)
+		s.frags.push(f)
 	}
 	for u, id := range p.Docs {
-		if id < 0 || int(id) >= len(s.frags) {
+		if id < 0 || int(id) >= s.frags.len() {
 			return nil, fmt.Errorf("document %q: fragment id %d out of range", u, id)
 		}
 		s.docs[u] = id
@@ -428,10 +418,7 @@ func (r StorageReport) Total() int64 {
 // Report computes the storage footprint of all fragments plus pools.
 func (s *Store) Report() StorageReport {
 	var r StorageReport
-	s.mu.RLock()
-	frags := append([]*Fragment(nil), s.frags...)
-	s.mu.RUnlock()
-	for _, f := range frags {
+	for _, f := range s.frags.view() {
 		r.StructuralBytes += f.EncodedBytes()
 		r.Nodes += int64(f.NodeCount())
 		r.Attrs += int64(f.AttrCount())

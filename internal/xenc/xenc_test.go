@@ -185,6 +185,35 @@ func TestSerializeEscaping(t *testing.T) {
 	}
 }
 
+// The escapers scan bytes and copy the runs between specials whole:
+// multi-byte sequences next to, between and around every special must come
+// through as stored, and only the specials of each context are replaced.
+func TestEscapeRunsKeepMultiByteUTF8(t *testing.T) {
+	for _, c := range []struct{ in, text, attr string }{
+		{"", "", ""},
+		{"plain", "plain", "plain"},
+		{"&", "&amp;", "&amp;"},
+		{"é&ü", "é&amp;ü", "é&amp;ü"},
+		{"日本<語>", "日本&lt;語&gt;", "日本&lt;語>"},
+		{`"𝄞"`, `"𝄞"`, "&quot;𝄞&quot;"},
+		{"<é", "&lt;é", "&lt;é"},
+		{"é>", "é&gt;", "é>"},
+		{`€&<>"€`, `€&amp;&lt;&gt;"€`, `€&amp;&lt;>&quot;€`},
+		{"a&&b", "a&amp;&amp;b", "a&amp;&amp;b"},
+		{"ends with ü&", "ends with ü&amp;", "ends with ü&amp;"},
+	} {
+		var text, attr strings.Builder
+		escapeText(&text, c.in)
+		escapeAttr(&attr, c.in)
+		if text.String() != c.text {
+			t.Errorf("escapeText(%q) = %q, want %q", c.in, text.String(), c.text)
+		}
+		if attr.String() != c.attr {
+			t.Errorf("escapeAttr(%q) = %q, want %q", c.in, attr.String(), c.attr)
+		}
+	}
+}
+
 func TestSerializeAttrRef(t *testing.T) {
 	s, doc := loadTiny(t)
 	f := s.Frag(doc.Frag)
@@ -234,7 +263,7 @@ func TestFragBuilderConstructAndCopy(t *testing.T) {
 	if err := fb.AddAttr("n", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.CopyNode(bat.NodeRef{Frag: doc.Frag, Pre: bPre}); err != nil {
+	if err := fb.CopyFrom(s.Frag(doc.Frag), bPre); err != nil {
 		t.Fatal(err)
 	}
 	fb.AddText("text")
@@ -254,11 +283,57 @@ func TestFragBuilderConstructAndCopy(t *testing.T) {
 	}
 }
 
+// A run of adjacent texts is interned once, merged: no prefix of it
+// reaches the pool, and the run ends at whatever is not a text.
+func TestFragBuilderTextRunInternsOnce(t *testing.T) {
+	s, doc := loadTiny(t)
+	src := s.Frag(doc.Frag)
+	var textPre int32 = -1
+	for p, k := range src.Kind {
+		if k == KindText {
+			textPre = int32(p)
+			break
+		}
+	}
+	word := s.Text(src.Prop[textPre])
+	fb := NewFragBuilder(s)
+	fb.StartElem("e")
+	fb.AddText("p1")
+	fb.AddText("p2")
+	if err := fb.CopyFrom(src, textPre); err != nil {
+		t.Fatal(err)
+	}
+	fb.StartElem("i")
+	fb.EndElem()
+	fb.AddText("q1")
+	fb.AddText("q2")
+	fb.EndElem()
+	id, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Frag(id).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Serialize(bat.NodeRef{Frag: id}), "<e>p1p2"+word+"<i/>q1q2</e>"; got != want {
+		t.Errorf("serialization %q, want %q", got, want)
+	}
+	if n := s.Frag(id).NodeCount(); n != 4 {
+		t.Errorf("%d nodes, want e, text, i, text", n)
+	}
+	if s.texts.Lookup("p1p2") >= 0 {
+		t.Error("the run's prefix p1p2 was interned")
+	}
+	if s.texts.Lookup("p1p2"+word) < 0 || s.texts.Lookup("q1q2") < 0 {
+		t.Error("a merged run is missing from the pool")
+	}
+}
+
 func TestFragBuilderCopyDocCopiesChildren(t *testing.T) {
 	s, doc := loadTiny(t)
 	fb := NewFragBuilder(s)
 	fb.StartElem("wrap")
-	if err := fb.CopyNode(doc); err != nil {
+	if err := fb.CopyFrom(s.Frag(doc.Frag), doc.Pre); err != nil {
 		t.Fatal(err)
 	}
 	fb.EndElem()
@@ -281,7 +356,7 @@ func TestFragBuilderCopyAttributeRef(t *testing.T) {
 	lo, _ := f.Attrs(2)
 	fb := NewFragBuilder(s)
 	fb.StartElem("e")
-	if err := fb.CopyNode(bat.NodeRef{Frag: doc.Frag, Pre: AttrBase + lo}); err != nil {
+	if err := fb.CopyFrom(f, AttrBase+lo); err != nil {
 		t.Fatal(err)
 	}
 	fb.EndElem()
@@ -456,7 +531,7 @@ func TestQuickCopyPreservesSerialization(t *testing.T) {
 		src := bat.NodeRef{Frag: ref.Frag, Pre: pick}
 		fb := NewFragBuilder(s)
 		fb.StartElem("w")
-		if err := fb.CopyNode(src); err != nil {
+		if err := fb.CopyFrom(fr, src.Pre); err != nil {
 			return false
 		}
 		fb.EndElem()
@@ -573,7 +648,7 @@ func TestNewStoreFromPartsKeepsSealedFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := clone.frags[0].attrOfs
+	after := clone.Frag(0).attrOfs
 	if &after[0] != &before[0] {
 		t.Error("adopted fragment was resealed: shared attrOfs slice replaced")
 	}
@@ -594,11 +669,11 @@ func TestNewStoreFromPartsKeepsSealedFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.frags[0].attrOfs == nil {
+	if fresh.Frag(0).attrOfs == nil {
 		t.Fatal("bare fragment was not sealed on adoption")
 	}
 	for p := int32(0); p < int32(src.NodeCount()); p++ {
-		glo, ghi := fresh.frags[0].Attrs(p)
+		glo, ghi := fresh.Frag(0).Attrs(p)
 		wlo, whi := src.Attrs(p)
 		if glo != wlo || ghi != whi {
 			t.Fatalf("node %d attr range = [%d,%d), want [%d,%d)", p, glo, ghi, wlo, whi)
