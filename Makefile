@@ -108,12 +108,13 @@ bench-step-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench StepLoopLifted -benchtime 1x
 
 # CI smoke for the join-tail kernel micro-benchmarks: δ, ϱ, ⋈ and aggr at
-# XMark Q11's size, each fast path beside the kernel it shortcuts, with
-# allocation counts (`-benchtime 50x -count 5` for numbers worth
-# comparing). Every case asserts the kernel that ran; the allocation
-# ceiling is a test (TestKernelAllocBudget).
+# XMark Q11's size, each fast path beside the kernel it shortcuts, and
+# count($l) over Q11's join from the bounds beside the same count through
+# the pairs (SF 0.1 and SF 1 sizes), with allocation counts (`-benchtime
+# 50x -count 5` for numbers worth comparing). Every case asserts the
+# kernel that ran; the allocation ceiling is a test (TestKernelAllocBudget).
 bench-kernels-smoke:
-	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns' -benchtime 1x
+	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns|ThetaCount' -benchtime 1x
 
 # CI smoke for the result path: ε in its three XMark shapes (Q10's copy
 # of a copy, the many-iterations × tiny-content shape of Q8/Q9/Q11/Q12,

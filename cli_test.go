@@ -10,6 +10,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +94,24 @@ func TestCLIXmlgenAndPf(t *testing.T) {
 	if out := runTool(t, "pf", "-doc", doc, "-show", "explain", "count(//person)"); !strings.Contains(out, "mat ") {
 		t.Errorf("explain mode lacks kernel annotations: %q", out)
 	}
+	// The explain footer names the pool size the operators above it ran
+	// on — GOMAXPROCS when -workers is left at 0, never "0 workers" — and
+	// Q11's join under count($l) is answered without emitting a pair.
+	q11 := `for $p in /site/people/person
+	        let $l := for $i in /site/open_auctions/open_auction/initial
+	                  where $p/profile/@income > 5000 * $i return $i
+	        return <items name="{$p/name/text()}">{count($l)}</items>`
+	out := runTool(t, "pf", "-doc", doc, "-show", "explain", q11)
+	if want := fmt.Sprintf(" operators, %d workers, ", runtime.GOMAXPROCS(0)); !strings.Contains(out, want) {
+		t.Errorf("explain footer lacks %q:\n%s", want, lastLines(out, 24))
+	}
+	if !regexp.MustCompile(`theta join #1: bitem gt aitem — merge-thetacount\[float\], \d+ rows probed, 0 pairs emitted, \d+ counted\n`).MatchString(out) ||
+		strings.Contains(out, "ϱ s2") {
+		t.Errorf("Q11 did not run as a count-only theta join:\n%s", lastLines(out, 24))
+	}
+	if out := runTool(t, "pf", "-doc", doc, "-workers", "3", "-show", "explain", "count(//person)"); !strings.Contains(out, " operators, 3 workers, ") {
+		t.Errorf("explain footer with -workers 3:\n%s", lastLines(out, 4))
+	}
 	if out := runTool(t, "pf", "-doc", doc, "-show", "trace", "count(//person)"); !strings.Contains(out, "rows") {
 		t.Errorf("trace mode: %q", out)
 	}
@@ -101,6 +121,12 @@ func TestCLIXmlgenAndPf(t *testing.T) {
 	if a != b {
 		t.Errorf("naive/staircase disagree: %q vs %q", a, b)
 	}
+}
+
+// lastLines is the tail of a tool's output, for failure messages.
+func lastLines(out string, n int) string {
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	return strings.Join(lines[max(0, len(lines)-n):], "\n")
 }
 
 func TestCLIServerShell(t *testing.T) {

@@ -230,7 +230,7 @@ func main() {
 		}))
 		phys := physical.Lower(plan)
 		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d fused chains, %d theta joins)\n",
-			algebra.CountOps(plan), eng.Workers, phys.Breakers(), len(phys.Chains), len(phys.ThetaJoins))
+			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.Chains), len(phys.ThetaJoins))
 		printFusedChains(phys, tr)
 		printThetaJoins(phys, tr)
 		if optTrace != "" {
@@ -280,16 +280,24 @@ func printFusedChains(phys *physical.Plan, tr *engine.Trace) {
 // printThetaJoins summarizes each theta join of the physical plan for
 // -show explain: the predicate, and for a unit the band kernel ran its
 // lane, the rows probed (both inputs), the pairs emitted and the morsel
-// split. A demoted unit names the reason; its members ran one by one.
+// split — or, for a unit whose pairs were only counted, the outer rows
+// probed and the pairs counted without being emitted. A demoted unit
+// names the reason; its members ran one by one.
 func printThetaJoins(phys *physical.Plan, tr *engine.Trace) {
 	for _, tj := range phys.ThetaJoins {
 		pred := fmt.Sprintf("theta join #%d: %s %s %s", tj.ID, tj.LeftCol, tj.Cmp, tj.RightCol)
-		if st := tr.Stats[tj.Select.Op]; st.ThetaJoin > 0 {
+		st := tr.Stats[tj.Out().Op]
+		cross, ran := tr.Stats[tj.Cross.Op]
+		switch {
+		case st.ThetaJoin > 0 && tj.Count != nil:
+			fmt.Printf("%s — %s, %d rows probed, %d pairs emitted, %d counted\n",
+				pred, st.Kernel, tr.Stats[tj.Cross.In[0].Op].RowsOut, tr.Stats[tj.Select.Op].RowsOut, st.RowsIn)
+		case st.ThetaJoin > 0:
 			fmt.Printf("%s — %s, %d rows probed, %d emitted, %d morsels\n",
 				pred, st.Kernel, st.RowsIn, st.RowsOut, max(st.Morsels, 1))
-		} else if st, ok := tr.Stats[tj.Cross.Op]; ok {
-			fmt.Printf("%s — %s\n", pred, st.Kernel)
-		} else {
+		case ran:
+			fmt.Printf("%s — %s\n", pred, cross.Kernel)
+		default:
 			fmt.Printf("%s (did not run)\n", pred)
 		}
 	}

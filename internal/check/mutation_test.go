@@ -460,6 +460,50 @@ var mutations = []mutation{
 		},
 	},
 	{
+		name:  "thetajoin_count_tail_second_reader",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			cross, fn, sel := thetaShape(t, algebra.FunLt, "a", "b")
+			proj, dist, cnt := countTail(t, sel, "a", "a", "b")
+			// A second reader of δ: the count-only kernel builds no pair
+			// for it to read.
+			side, err := algebra.Project(dist, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			byOnly, err := algebra.Project(cnt, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := algebra.Union(byOnly, side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := physical.Lower(u)
+			if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count != nil {
+				t.Fatal("test premise broken: the lowering counted a shared δ's pairs")
+			}
+			forgeCountTail(p, cross, fn, sel, proj, dist, cnt, "a", "b")
+			return check.Physical(p)
+		},
+	},
+	{
+		name:  "thetajoin_count_by_inner_column",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			cross, fn, sel := thetaShape(t, algebra.FunLt, "a", "b")
+			// The count is grouped by the right input's column; the kernel
+			// walks the left input's rows.
+			proj, dist, cnt := countTail(t, sel, "b", "a", "b")
+			p := physical.Lower(cnt)
+			if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count != nil {
+				t.Fatal("test premise broken: the lowering accepted a count by the inner column")
+			}
+			forgeCountTail(p, cross, fn, sel, proj, dist, cnt, "a", "b")
+			return check.Physical(p)
+		},
+	},
+	{
 		name:  "physical_root_not_last",
 		class: "structure",
 		build: func(t *testing.T) []check.Diag {
@@ -501,6 +545,31 @@ func forgeTheta(p *physical.Plan, cross, fn, sel *algebra.Op, lcol, rcol string,
 	}
 	p.ThetaJoins = append(p.ThetaJoins, tj)
 	return tj
+}
+
+// countTail builds count n:()/part(δ(π cols(sel))).
+func countTail(t *testing.T, sel *algebra.Op, part string, cols ...string) (proj, dist, cnt *algebra.Op) {
+	t.Helper()
+	proj, err := algebra.Project(sel, cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist = algebra.Distinct(proj)
+	if cnt, err = algebra.Aggr(dist, "n", algebra.AggCount, "", part); err != nil {
+		t.Fatal(err)
+	}
+	return proj, dist, cnt
+}
+
+// forgeCountTail replaces the plan's theta joins by one that claims the
+// given count-only tail.
+func forgeCountTail(p *physical.Plan, cross, fn, sel, proj, dist, cnt *algebra.Op, by, of string) {
+	p.ThetaJoins = nil
+	tj := forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt)
+	tj.Demand = []string{"a", "b"}
+	tj.Project, tj.Distinct, tj.Count = p.ByOp[proj], p.ByOp[dist], p.ByOp[cnt]
+	tj.CountBy, tj.CountOf = by, of
+	tj.Count.EstRows = tj.Cross.In[0].EstRows
 }
 
 // TestMutationsCaught asserts every corrupted plan yields at least one

@@ -134,6 +134,13 @@ func chainFusable(nd *physical.Node) bool {
 // built, a predicate other than <, ≤, >, ≥ has no band to search, two
 // operands from one × input are a per-row filter and not a join, and a σ
 // on any other column filters by something the kernel never computed.
+//
+// A unit that claims a count-only tail answers π → δ → count from the
+// band widths and builds no pair, so the same goes for its tail: any
+// other reader of σ, π or δ would find no rows, a π keeping anything but
+// one column of each × input leaves δ merging pairs the kernel counts
+// apart, and a count partitioned by anything but the left input's column
+// groups differently from the kernel's walk over the outer rows.
 func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]int) []Diag {
 	var diags []Diag
 	inChain := make(map[*physical.Node]int)
@@ -154,6 +161,12 @@ func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]in
 			diags = append(diags, Diag{Class: "thetajoin", Op: fmt.Sprintf("#? theta %d", tj.ID),
 				Msg: "members are not a σ over a ⊛ over a × of this plan"})
 			continue
+		}
+		if tj.Count != nil || tj.Project != nil || tj.Distinct != nil {
+			if msg := countTailFlaw(p, tj, consumers); msg != "" {
+				bad(sel.Op, "theta join #%d claims a count-only tail, but %s", tj.ID, msg)
+				continue
+			}
 		}
 		for _, nd := range tj.Members() {
 			if id := inChain[nd]; id != 0 {
@@ -198,6 +211,51 @@ func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]in
 		}
 	}
 	return diags
+}
+
+// countTailFlaw re-proves a unit's count-only claim from the plan: the
+// first way in which π, δ and count above σ are not what the kernel
+// answers, or "" when they are.
+func countTailFlaw(p *physical.Plan, tj *physical.ThetaJoin, consumers map[*physical.Node]int) string {
+	chain := []*physical.Node{tj.Select, tj.Project, tj.Distinct, tj.Count}
+	kinds := []algebra.OpKind{algebra.OpSelect, algebra.OpProject, algebra.OpDistinct, algebra.OpAggr}
+	for i, nd := range chain {
+		if nd == nil || nd.Op == nil || p.ByOp[nd.Op] != nd || nd.Op.Kind != kinds[i] {
+			return fmt.Sprintf("its %s is not a node of this plan", kinds[i])
+		}
+		if i == 0 {
+			continue
+		}
+		if nd.In[0] != chain[i-1] {
+			return fmt.Sprintf("%s does not read %s", kinds[i], kinds[i-1])
+		}
+		if consumers[chain[i-1]] != 1 {
+			return fmt.Sprintf("%s has %d consumers — the others would read pairs that were never built",
+				kinds[i-1], consumers[chain[i-1]])
+		}
+	}
+	l, r := tj.Cross.Op.In[0], tj.Cross.Op.In[1]
+	proj, cnt := tj.Project.Op, tj.Count.Op
+	if len(proj.Proj) != 2 {
+		return fmt.Sprintf("π keeps %d columns, not two", len(proj.Proj))
+	}
+	by, of := proj.Proj[0], proj.Proj[1]
+	if by.Old != tj.CountBy {
+		by, of = of, by
+	}
+	switch {
+	case by.Old != tj.CountBy || of.Old != tj.CountOf:
+		return fmt.Sprintf("π does not keep the claimed columns %q and %q", tj.CountBy, tj.CountOf)
+	case !l.HasCol(tj.CountBy) || !r.HasCol(tj.CountOf):
+		return fmt.Sprintf("%q and %q do not come from the left and the right × input", tj.CountBy, tj.CountOf)
+	case cnt.Agg != algebra.AggCount:
+		return fmt.Sprintf("the aggregate is %s, not count", cnt.Agg)
+	case cnt.Part != by.New:
+		return fmt.Sprintf("count is partitioned by %q, not by the left input's column %q", cnt.Part, by.New)
+	case tj.Count.EstRows != tj.Cross.In[0].EstRows:
+		return fmt.Sprintf("count is estimated at %d rows, not the outer side's %d", tj.Count.EstRows, tj.Cross.In[0].EstRows)
+	}
+	return ""
 }
 
 // thetaColumnsRead is the validator's own derivation of what the

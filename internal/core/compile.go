@@ -26,6 +26,7 @@ import (
 type Stats struct {
 	EquiJoins  int // nested FLWORs unnested into hash equi-joins
 	ThetaJoins int // nested FLWORs unnested into ×+σ theta-joins
+	CountJoins int // of those, the ones only counted: no iteration space over the pairs
 }
 
 // Compile translates a Core expression into an algebra plan with schema
@@ -107,9 +108,21 @@ type scope struct {
 // binding is a variable's iter|pos|item plan, tagged with the loop it is
 // aligned to. A lookup under a narrower loop (an if/typeswitch branch)
 // re-restricts the plan with a semijoin.
+//
+// counted marks a let variable whose every use is fn:count($v) and which
+// join recognition bound to that count (unnestCount): plan is then the
+// singleton encoding of the count, which lifts and restricts like any
+// other, and count($v) reads it as it stands.
 type binding struct {
-	plan *algebra.Op
-	loop *algebra.Op
+	plan    *algebra.Op
+	loop    *algebra.Op
+	counted bool
+}
+
+// moved is b re-keyed for another loop.
+func (b binding) moved(plan, loop *algebra.Op) binding {
+	b.plan, b.loop = plan, loop
+	return b
 }
 
 func (s *scope) child(loop *algebra.Op) *scope {
@@ -146,13 +159,22 @@ func (c *Compiler) comp(e xqcore.Expr, s *scope) *algebra.Op {
 	case *xqcore.Empty:
 		return emptyPlan()
 	case *xqcore.Var:
+		if s.env[x.Name].counted {
+			return c.fail("internal: $%s is bound to its count but read as a sequence", x.Name)
+		}
 		return c.lookup(s, x.Name)
 	case *xqcore.Seq:
 		return c.compSeq(x, s)
 	case *xqcore.Let:
-		qb := c.comp(x.Bound, s)
+		b := binding{loop: s.loop}
+		if f, isFor := x.Bound.(*xqcore.For); isFor && xqcore.OnlyCounted(x.Body, x.Var) {
+			b.plan, b.counted = c.unnestCount(f, s)
+		}
+		if !b.counted {
+			b.plan = c.comp(x.Bound, s)
+		}
 		s2 := s.child(s.loop)
-		s2.env[x.Var] = binding{plan: qb, loop: s.loop}
+		s2.env[x.Var] = b
 		return c.comp(x.Body, s2)
 	case *xqcore.For:
 		return c.compFor(x, s)

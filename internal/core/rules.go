@@ -50,7 +50,7 @@ func (c *Compiler) forBody(f *xqcore.For, s *scope, qv, mapRel, loop2, q1 *algeb
 		if _, ok := s.env[w]; !ok {
 			continue // let compilation of the body report the unbound variable
 		}
-		s2.env[w] = binding{plan: c.liftThroughMap(c.lookup(s, w), mapRel), loop: loop2}
+		s2.env[w] = s.env[w].moved(c.liftThroughMap(c.lookup(s, w), mapRel), loop2)
 	}
 
 	// Implicit position()/last() context.
@@ -207,10 +207,21 @@ func (c *Compiler) compInstanceOf(x *xqcore.InstanceOf, s *scope) *algebra.Op {
 func (c *Compiler) compCall(x *xqcore.Call, s *scope) *algebra.Op {
 	switch x.Name {
 	case "count":
+		// A join that is only counted never builds an iteration space for
+		// its pairs (unnest.go): directly under count, or through a let
+		// variable bound to the count.
+		switch a := x.Args[0].(type) {
+		case *xqcore.Var:
+			if s.env[a.Name].counted {
+				return c.lookup(s, a.Name)
+			}
+		case *xqcore.For:
+			if cnt, ok := c.unnestCount(a, s); ok {
+				return cnt
+			}
+		}
 		q := c.comp(x.Args[0], s)
-		a := c.must(algebra.Aggr(q, "cnt", algebra.AggCount, "", "iter"))
-		filled := c.fillAggDefault(a, "cnt", s.loop, bat.Int(0))
-		return c.singletonFrom(filled, "iter", "cnt")
+		return c.countResult(c.must(algebra.Aggr(q, "cnt", algebra.AggCount, "", "iter")), s)
 	case "sum":
 		q := c.comp(x.Args[0], s)
 		a := c.must(algebra.Aggr(q, "agg", algebra.AggSum, "item", "iter"))
@@ -332,6 +343,13 @@ func (c *Compiler) compCall(x *xqcore.Call, s *scope) *algebra.Op {
 		return c.fillDefault(p, s.loop, bat.Str(""))
 	}
 	return c.fail("unsupported built-in %s", x.Name)
+}
+
+// countResult turns per-iteration counts (iter|cnt) into fn:count's
+// result: 0 for the loop iterations without a row.
+func (c *Compiler) countResult(cnt *algebra.Op, s *scope) *algebra.Op {
+	filled := c.fillAggDefault(cnt, "cnt", s.loop, bat.Int(0))
+	return c.singletonFrom(filled, "iter", "cnt")
 }
 
 func nan() float64 {

@@ -5,8 +5,8 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
-// tryUnnest implements the compiler's join recognition ([3], §1 "A join
-// recognition logic in our compiler"). It fires on the Core pattern
+// Join recognition ([3], §1 "A join recognition logic in our compiler")
+// fires on the Core pattern
 //
 //	for $v in E return if (A cmp B) then T else ()
 //
@@ -24,12 +24,25 @@ import (
 // case the paper calls quadratic in its result. The theta-join is emitted
 // as σ over ⊛cmp over ×; internal/physical recognizes that shape for the
 // four inequalities and the executor runs it as one sort-based inequality
-// join, so the product is a logical notion only (DESIGN.md §15). The
-// surviving (inner, outer) pairs become the restricted iteration space
-// for T.
-func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
+// join, so the product is a logical notion only (DESIGN.md §15).
+//
+// What is built over the (inner, outer) pairs depends on the consumer:
+// tryUnnest makes them the restricted iteration space for T, unnestCount
+// only counts them.
+
+// unnesting is what matchUnnest found in a for: the join predicate
+// vSide op oSide, and T with the peeled lets and the residual conjuncts
+// wrapped back around it.
+type unnesting struct {
+	op           string
+	vSide, oSide xqcore.Expr // depends on $v only / not on $v at all
+	then         xqcore.Expr
+}
+
+// matchUnnest decides whether f has the unnesting shape.
+func matchUnnest(f *xqcore.For) (u unnesting, ok bool) {
 	if f.PosVar != "" || len(f.Order) > 0 {
-		return nil, false
+		return u, false
 	}
 	// Peel let bindings between the for and its where-condition; they can
 	// commute past the condition when it does not reference them, turning
@@ -45,32 +58,29 @@ func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
 		lets = append(lets, l)
 		body = l.Body
 	}
-	iff, ok := body.(*xqcore.If)
-	if !ok {
-		return nil, false
+	iff, isIf := body.(*xqcore.If)
+	if !isIf {
+		return u, false
 	}
-	if _, ok := iff.Else.(*xqcore.Empty); !ok {
-		return nil, false
+	if _, isEmpty := iff.Else.(*xqcore.Empty); !isEmpty {
+		return u, false
 	}
 	condFree := xqcore.FreeVars(iff.Cond)
 	for _, l := range lets {
 		if condFree[l.Var] {
-			return nil, false
+			return u, false
 		}
 	}
-	if len(lets) > 0 {
-		then := iff.Then
-		for i := len(lets) - 1; i >= 0; i-- {
-			then = xqcore.NewLet(lets[i].Var, lets[i].Bound, then)
-		}
-		iff = &xqcore.If{Cond: iff.Cond, Then: then, Else: iff.Else}
+	u.then = iff.Then
+	for i := len(lets) - 1; i >= 0; i-- {
+		u.then = xqcore.NewLet(lets[i].Var, lets[i].Bound, u.then)
 	}
 	if len(xqcore.FreeVars(f.In)) != 0 {
-		return nil, false
+		return u, false
 	}
 	if xqcore.UsesPositionOrLast(f.In) || xqcore.UsesPositionOrLast(iff.Cond) ||
-		xqcore.UsesPositionOrLast(iff.Then) {
-		return nil, false
+		xqcore.UsesPositionOrLast(u.then) {
+		return u, false
 	}
 
 	// The condition may be a conjunction; pick one separable comparison
@@ -78,8 +88,6 @@ func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
 	// then-branch as residual filters (evaluated in the restricted
 	// post-join scope).
 	conjuncts := flattenAnd(iff.Cond)
-	var op string
-	var vSide, oSide xqcore.Expr
 	joinIdx := -1
 	for i, cj := range conjuncts {
 		cop, l, r, okCmp := comparisonParts(cj)
@@ -89,59 +97,79 @@ func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
 		lf, rf := xqcore.FreeVars(l), xqcore.FreeVars(r)
 		switch {
 		case onlyVar(lf, f.Var) && !rf[f.Var]:
-			vSide, oSide, op, joinIdx = l, r, cop, i
+			u.vSide, u.oSide, u.op, joinIdx = l, r, cop, i
 		case onlyVar(rf, f.Var) && !lf[f.Var]:
-			vSide, oSide, op, joinIdx = r, l, swapCmp(cop), i
+			u.vSide, u.oSide, u.op, joinIdx = r, l, swapCmp(cop), i
 		default:
 			continue
 		}
 		// Prefer an equi-join conjunct over a theta one.
-		if op == "=" {
+		if u.op == "=" {
 			break
 		}
 	}
 	if joinIdx < 0 {
-		return nil, false
+		return u, false
 	}
-	if usesImplicitContext(oSide) {
-		return nil, false
+	// The unnested form cannot supply the implicit for context.
+	if xqcore.UsesPositionOrLast(u.oSide) {
+		return u, false
 	}
 	// Residual conjuncts wrap the then-branch in nested conditionals.
-	then := iff.Then
 	for i := len(conjuncts) - 1; i >= 0; i-- {
-		if i == joinIdx {
-			continue
+		if i != joinIdx {
+			u.then = &xqcore.If{Cond: conjuncts[i], Then: u.then, Else: xqcore.NewEmpty()}
 		}
-		then = &xqcore.If{Cond: conjuncts[i], Then: then, Else: xqcore.NewEmpty()}
 	}
-	iff = &xqcore.If{Cond: iff.Cond, Then: then, Else: iff.Else}
+	return u, true
+}
 
-	// Inner space: E compiled once in the top-level scope.
+// unnestSides compiles E once in the top-level scope (qv: E numbered by
+// `inner`) and the two comparison operands in their own iteration spaces:
+// a = ai|aitem over E's bindings, b = bi|bitem over the enclosing loop.
+func (c *Compiler) unnestSides(f *xqcore.For, u unnesting, s *scope) (qv, a, b *algebra.Op) {
 	sTop := &scope{loop: topLoop(), env: map[string]binding{}}
 	q1 := c.comp(f.In, sTop)
-	qv := c.must(algebra.RowNum(q1, "inner",
+	qv = c.must(algebra.RowNum(q1, "inner",
 		[]algebra.OrderSpec{{Col: "iter"}, {Col: "pos"}}, ""))
 	innerLoop := c.must(algebra.Project(qv, "iter:inner"))
 	sInner := &scope{loop: innerLoop, env: map[string]binding{}}
 	sInner.env[f.Var] = binding{plan: c.singletonFrom(qv, "inner", "item"), loop: innerLoop}
 
-	qA := c.comp(vSide, sInner) // |E|-space
-	qB := c.comp(oSide, s)      // enclosing-loop space
+	qA := c.comp(u.vSide, sInner) // |E|-space
+	qB := c.comp(u.oSide, s)      // enclosing-loop space
+	a = c.must(algebra.Project(qA, "ai:iter", "aitem:item"))
+	b = c.must(algebra.Project(qB, "bi:iter", "bitem:item"))
+	return qv, a, b
+}
 
-	a := c.must(algebra.Project(qA, "ai:iter", "aitem:item"))
-	b := c.must(algebra.Project(qB, "bi:iter", "bitem:item"))
-	var pairs *algebra.Op
-	if op == "=" && hashCompatible(vSide.Ty(), oSide.Ty()) {
-		pairs = c.must(algebra.Join(a, b, []string{"aitem"}, []string{"bitem"}))
-		c.stats.EquiJoins++
-	} else {
-		crossed := c.must(algebra.Cross(a, b))
-		cmp := c.must(algebra.Fun(crossed, "cres", genFun[op], "aitem", "bitem"))
-		pairs = c.must(algebra.Select(cmp, "cres"))
-		c.stats.ThetaJoins++
+// unnestPairs joins the two sides on the comparison. The enclosing-loop
+// side b is the ⋈ / × left input when outerLeft is set, a otherwise: the
+// rows of the result arrive in the left input's order first.
+func (c *Compiler) unnestPairs(u unnesting, a, b *algebra.Op, outerLeft bool) *algebra.Op {
+	l, r, lk, rk := a, b, "aitem", "bitem"
+	if outerLeft {
+		l, r, lk, rk = b, a, rk, lk
 	}
+	if u.op == "=" && hashCompatible(u.vSide.Ty(), u.oSide.Ty()) {
+		c.stats.EquiJoins++
+		return c.must(algebra.Join(l, r, []string{lk}, []string{rk}))
+	}
+	c.stats.ThetaJoins++
+	cmp := c.must(algebra.Fun(c.must(algebra.Cross(l, r)), "cres", genFun[u.op], "aitem", "bitem"))
+	return c.must(algebra.Select(cmp, "cres"))
+}
+
+// tryUnnest compiles an unnestable for into a join plan: the surviving
+// (inner, outer) pairs become the restricted iteration space for T.
+func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
+	u, ok := matchUnnest(f)
+	if !ok {
+		return nil, false
+	}
+	qv, a, b := c.unnestSides(f, u, s)
 	// The comparison is existential per (inner, outer) pair.
-	dpairs := algebra.Distinct(c.must(algebra.Project(pairs, "ai", "bi")))
+	dpairs := algebra.Distinct(c.must(algebra.Project(c.unnestPairs(u, a, b, false), "ai", "bi")))
 
 	// Restricted s2 space: one iteration per surviving pair, numbered in
 	// (outer, binding) order.
@@ -156,7 +184,7 @@ func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
 	s2.env[f.Var] = binding{plan: c.singletonFrom(vj, "s2", "vitem"), loop: loop2}
 
 	// Outer variables lift through the pair relation on the outer side.
-	for w := range xqcore.FreeVars(iff.Then) {
+	for w := range xqcore.FreeVars(u.then) {
 		if w == f.Var {
 			continue
 		}
@@ -167,15 +195,42 @@ func (c *Compiler) tryUnnest(f *xqcore.For, s *scope) (*algebra.Op, bool) {
 			"witer:iter", "wpos:pos", "witem:item"))
 		j := c.must(algebra.Join(renamed, rn, []string{"witer"}, []string{"bi"}))
 		lifted := c.must(algebra.Project(j, "iter:s2", "pos:wpos", "item:witem"))
-		s2.env[w] = binding{plan: lifted, loop: loop2}
+		s2.env[w] = s.env[w].moved(lifted, loop2)
 	}
 
-	qT := c.comp(iff.Then, s2)
+	qT := c.comp(u.then, s2)
 	backMap := c.must(algebra.Project(rn, "s2b:s2", "aio:ai", "bio:bi"))
 	back := c.must(algebra.Join(qT, backMap, []string{"iter"}, []string{"s2b"}))
 	rn2 := c.must(algebra.RowNum(back, "pos1",
 		[]algebra.OrderSpec{{Col: "aio"}, {Col: "pos"}}, "bio"))
 	return c.must(algebra.Project(rn2, "iter:bio", "pos:pos1", "item")), true
+}
+
+// unnestCount compiles fn:count over an unnestable `for $v in E where
+// A cmp B return $v` without an iteration space for the pairs: T yields
+// exactly one item per surviving pair and cannot fail, so the count per
+// enclosing iteration is the number of distinct pairs it takes part in —
+//
+//	count cnt:()/bi ( δ ( π bi,ai ( pairs ) ) )
+//
+// plus the 0 for iterations without a partner. Nothing above the join
+// reads a column of the pairs, which is what lets the executor answer a
+// theta-join of this shape from its search bounds (DESIGN.md §15). The
+// enclosing-loop side is the join's left input, so the pairs — and the
+// counts — arrive in bi order.
+func (c *Compiler) unnestCount(f *xqcore.For, s *scope) (*algebra.Op, bool) {
+	u, ok := matchUnnest(f)
+	if !ok {
+		return nil, false
+	}
+	if t, isVar := u.then.(*xqcore.Var); !isVar || t.Name != f.Var {
+		return nil, false
+	}
+	_, a, b := c.unnestSides(f, u, s)
+	c.stats.CountJoins++
+	dpairs := algebra.Distinct(c.must(algebra.Project(c.unnestPairs(u, a, b, true), "bi", "ai")))
+	cnt := c.must(algebra.Aggr(dpairs, "cnt", algebra.AggCount, "", "bi"))
+	return c.countResult(c.must(algebra.Project(cnt, "iter:bi", "cnt")), s), true
 }
 
 // flattenAnd splits a right/left-nested `and` chain into its conjuncts.
@@ -241,10 +296,4 @@ func hashCompatible(a, b xqcore.Type) bool {
 		return c == xqcore.IInt || c == xqcore.IDbl || c == xqcore.INum
 	}
 	return strish(a.Item) && strish(b.Item) || numish(a.Item) && numish(b.Item)
-}
-
-// usesImplicitContext reports whether e references the implicit for
-// context (position()/last()), which the unnested form cannot supply.
-func usesImplicitContext(e xqcore.Expr) bool {
-	return xqcore.UsesPositionOrLast(e)
 }

@@ -109,3 +109,81 @@ var Constructors = []Case{
 	{Query: `count(<e>{"x", text{"a"}}</e>/text())`, Want: "1"},
 	{Query: `count(<e>{/r/a[1]/text()}</e>/text())`, Want: "1"},
 }
+
+// CountJoinDoc is the document the CountJoin cases run against, bound as
+// "cj.xml": person p2 has two profiles with different incomes (one
+// existential comparison per person and auction, not one per profile),
+// p3 has none and p4's income is below every threshold (the 0 a count
+// owes an iteration without a partner); 5000 × a2's and a4's initial equal
+// p1's income (the tie that tells > from >=).
+const CountJoinDoc = `<db>
+ <people>
+  <person id="p1"><profile income="50000"/></person>
+  <person id="p2"><profile income="45000"/><profile income="95000"/></person>
+  <person id="p3"/>
+  <person id="p4"><profile income="100"/></person>
+ </people>
+ <auctions>
+  <auction id="a1"><initial>4</initial><bidder/><bidder/></auction>
+  <auction id="a2"><initial>10</initial><bidder/><seller person="p2"/></auction>
+  <auction id="a3"><initial>18</initial><seller person="p1"/></auction>
+  <auction id="a4"><initial>10</initial><seller person="p1"/></auction>
+ </auctions>
+</db>`
+
+// CountJoinCase is a query over CountJoinDoc with the result every
+// evaluator must produce and the shape the compiler must give it: Joins
+// nested FLWORs unnested into joins, Counted of them compiled to the
+// count-only shape (core.Stats.CountJoins).
+type CountJoinCase struct {
+	Name, Query, Want string
+	Joins, Counted    int
+}
+
+func countJoinQuery(inner, ret string) string {
+	return `for $p in /db/people/person let $l := ` + inner + ` return ` + ret
+}
+
+const countJoinInner = `for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i return $i`
+
+// CountJoin is the corpus for fn:count over an unnested join: where the
+// count-only shape must fire, and the neighbouring queries where it must
+// not. Like Constructors it is a list of its own — Dialect is the
+// compile-only benchmark workload and stays as it is.
+var CountJoin = []CountJoinCase{
+	{"count in the binding scope", countJoinQuery(countJoinInner, `<n id="{$p/@id}">{count($l)}</n>`),
+		`<n id="p1">1</n><n id="p2">4</n><n id="p3">0</n><n id="p4">0</n>`, 1, 1},
+	{"counted twice, compiled once", countJoinQuery(countJoinInner, `<n c="{count($l)}">{count($l)}</n>`),
+		`<n c="1">1</n><n c="4">4</n><n c="0">0</n><n c="0">0</n>`, 1, 1},
+	{"counted and returned", countJoinQuery(countJoinInner, `<n c="{count($l)}">{$l}</n>`),
+		`<n c="1"><initial>4</initial></n><n c="4"><initial>4</initial><initial>10</initial><initial>18</initial><initial>10</initial></n><n c="0"/><n c="0"/>`, 1, 0},
+	{"counted inside a nested for", countJoinQuery(countJoinInner, `for $k in (10, 20) return count($l) + $k`),
+		`11 21 14 24 10 20 10 20`, 1, 1},
+	{"counted under a conditional", countJoinQuery(countJoinInner, `if ($p/@id = "p3") then "none" else count($l)`),
+		`1 4 none 0`, 1, 1},
+	{"name rebound below the count", countJoinQuery(countJoinInner, `(count($l), let $l := (1, 2, 3) return count($l))`),
+		`1 3 4 3 0 3 0 3`, 1, 1},
+	{"count applied directly", `for $p in /db/people/person return count(` + countJoinInner + `)`,
+		`1 4 0 0`, 1, 1},
+	{"two items per pair", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i return ($i, $i)`, `count($l)`),
+		`2 8 0 0`, 1, 0},
+	{"a path per pair", countJoinQuery(`for $a in /db/auctions/auction where $p/profile/@income > 5000 * $a/initial return $a/bidder`, `count($l)`),
+		`2 3 0 0`, 1, 0},
+	{"residual conjunct", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i and $i > 5 return $i`, `count($l)`),
+		`0 3 0 0`, 1, 0},
+	{"greater or equal counts the tie", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income >= 5000 * $i return $i`, `count($l)`),
+		`3 4 0 0`, 1, 1},
+	{"less or equal, sides swapped", countJoinQuery(`for $i in /db/auctions/auction/initial where 5000 * $i <= $p/profile/@income return $i`, `count($l)`),
+		`3 4 0 0`, 1, 1},
+	{"string keys", countJoinQuery(`for $a in /db/auctions/auction where $a/@id < concat("a", substring(string($p/@id), 2)) return $a`, `count($l)`),
+		`0 1 2 3`, 1, 1},
+	{"equi-join (Q8 shape)", countJoinQuery(`for $t in /db/auctions/auction where $t/seller/@person = $p/@id return $t`, `<n id="{$p/@id}">{count($l)}</n>`),
+		`<n id="p1">2</n><n id="p2">1</n><n id="p3">0</n><n id="p4">0</n>`, 1, 1},
+	{"positional variable", countJoinQuery(`for $i at $pos in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i return $i`, `count($l)`),
+		`1 4 0 0`, 0, 0},
+	{"order by", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i order by $i return $i`, `count($l)`),
+		`1 4 0 0`, 0, 0},
+	{"second where clause (Q12 shape)", `for $p in /db/people/person let $l := ` + countJoinInner +
+		` where $p/profile/@income > 40000 return <n id="{$p/@id}">{count($l)}</n>`,
+		`<n id="p1">1</n><n id="p2">4</n>`, 2, 1},
+}

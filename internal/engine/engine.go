@@ -127,7 +127,7 @@ type engineShared struct {
 	// the shared budget between the DAG scheduler and the morsel teams.
 	// Operator hosts hold one slot while running a kernel; morsel teams
 	// reserve only the spare slots (see reserveWorkers), so both
-	// parallelism levels together never exceed workerCount goroutines.
+	// parallelism levels together never exceed WorkerCount goroutines.
 	working atomic.Int32
 
 	// queries counts the evaluations currently in flight — the per-query
@@ -274,7 +274,7 @@ func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.T
 		tr = newTrace()
 	}
 	if e.Legacy {
-		if e.workerCount() <= 1 || algebra.CountOps(root) < e.seqThreshold() {
+		if e.WorkerCount() <= 1 || algebra.CountOps(root) < e.seqThreshold() {
 			res, err := e.evalSequential(ctx, root, tr)
 			return res, tr, err
 		}
@@ -283,7 +283,7 @@ func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.T
 		return res, tr, err
 	}
 	plan := e.Lowered(root)
-	if e.workerCount() <= 1 || len(plan.Nodes) < e.seqThreshold() {
+	if e.WorkerCount() <= 1 || len(plan.Nodes) < e.seqThreshold() {
 		res, err := e.physSequential(ctx, plan, tr)
 		return res, tr, err
 	}

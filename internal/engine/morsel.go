@@ -53,7 +53,7 @@ func (e *Engine) morselRows() int {
 // never blocks; an operator that gets no helpers just runs
 // sequentially). The caller already holds its own slot.
 func (e *Engine) reserveWorkers(want int) int {
-	limit := int32(e.workerCount())
+	limit := int32(e.WorkerCount())
 	for want > 0 {
 		cur := e.sh.working.Load()
 		spare := limit - cur

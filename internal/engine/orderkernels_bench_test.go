@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/xenc"
 )
 
@@ -132,12 +135,83 @@ func BenchmarkAggrRuns(b *testing.B) {
 	})
 }
 
+// thetaCountInput is Q11's join under count($l): nb outer (income) rows
+// against na inner (5000 × initial) rows, `outer > inner` holding for the
+// share sel of all pairs, lowered to a count-only unit.
+func thetaCountInput(tb testing.TB, na, nb int, sel float64) (tj *physical.ThetaJoin, l, r *bat.View) {
+	rng := rand.New(rand.NewSource(11))
+	inner, outer := make(bat.FloatVec, na), make(bat.FloatVec, nb)
+	for i := range inner {
+		inner[i] = rng.Float64()
+	}
+	for i := range outer {
+		outer[i] = rng.Float64() * 2 * sel
+	}
+	lt := bat.MustTable("li", bat.Ramp(1, nb), "lk", outer)
+	rt := bat.MustTable("ri", bat.Ramp(1, na), "rk", inner)
+	units := physical.Lower(thetaCountPlan(tb, lt, rt, algebra.FunGt, false, false)).ThetaJoins
+	if len(units) != 1 || units[0].Count == nil {
+		tb.Fatalf("no count-only unit in the lowered plan")
+	}
+	return units[0], bat.ViewOf(lt), bat.ViewOf(rt)
+}
+
+// thetaCountByPairs answers a count-only unit the way its members would:
+// the band kernel emits the pairs, δ and count consume them.
+func thetaCountByPairs(e *Engine, tj *physical.ThetaJoin, l, r *bat.View) (physOut, int, error) {
+	pairsOnly := *tj
+	pairsOnly.Count = nil
+	pairs, reason, err := thetaKernel(context.Background(), e.testMorsels(), &pairsOnly, l, r)
+	if err != nil || reason != "" || pairs.kernel != "merge-thetajoin[float]" {
+		return physOut{}, 0, fmt.Errorf("band kernel: %q, reason %q, err %v", pairs.kernel, reason, err)
+	}
+	out, err := e.replayNodes(context.Background(), tj.Members()[3:], []*bat.View{pairs.view}, "", nil, 0)
+	return physOut{view: out}, pairs.view.Rows(), err
+}
+
+// BenchmarkThetaCount: count($l) over Q11's join at the sizes of SF 0.1
+// (1 200 × 1 762 → ≈ 62 k pairs) and SF 1 (12 000 × 17 600 → ≈ 6 M), from
+// the bounds against through the pairs.
+func BenchmarkThetaCount(b *testing.B) {
+	e := New(xenc.NewStore())
+	for _, size := range [][2]int{{1200, 1762}, {12000, 17600}} {
+		tj, l, r := thetaCountInput(b, size[0], size[1], 0.029)
+		b.Run(fmt.Sprintf("%dx%d/count-only", size[0], size[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			counted := 0
+			for i := 0; i < b.N; i++ {
+				out, n, reason := thetaCountKernel(tj, l, r)
+				if reason != "" || out.kernel != "merge-thetacount[float]" {
+					b.Fatalf("kernel = %s, reason %q", out.kernel, reason)
+				}
+				counted = n
+			}
+			b.ReportMetric(float64(counted), "pairs")
+		})
+		b.Run(fmt.Sprintf("%dx%d/pairs", size[0], size[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			emitted := 0
+			for i := 0; i < b.N; i++ {
+				_, n, err := thetaCountByPairs(e, tj, l, r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				emitted = n
+			}
+			b.ReportMetric(float64(emitted), "pairs")
+		})
+	}
+}
+
 // TestKernelAllocBudget: δ over strictly sorted pairs hands its input on
 // and a join on a dense key builds no table, so neither allocates per
 // row or per key — a handful of slices whatever the size. (The kernels
 // they shortcut insert every row into a map, and keep a match list per
 // distinct key.) The join runs unsplit here; a morsel split adds two
-// index buffers per morsel.
+// index buffers per morsel. A count-only theta unit allocates for its
+// inputs — keys, permutation, bounds, one output row per outer row — and
+// nothing for the pairs it counts: the same few slices, of the same
+// size, whether 3 % or 50 % of the product qualifies.
 func TestKernelAllocBudget(t *testing.T) {
 	e := New(xenc.NewStore())
 	ctx := context.Background()
@@ -158,6 +232,30 @@ func TestKernelAllocBudget(t *testing.T) {
 			}
 		}); got > 30 {
 			t.Errorf("join of %d rows on %d dense keys allocates %.0f times, want at most 30 for any size", 10*n, n, got)
+		}
+		var bytes [2]uint64
+		for i, sel := range []float64{0.03, 0.5} {
+			tj, l, r := thetaCountInput(t, n, n, sel)
+			var counted int
+			run := func() {
+				var reason string
+				if _, counted, reason = thetaCountKernel(tj, l, r); reason != "" {
+					t.Fatalf("count-only unit demoted: %s", reason)
+				}
+			}
+			if got := testing.AllocsPerRun(10, run); got > 24 {
+				t.Errorf("count-only unit over %d × %d rows (%d pairs) allocates %.0f times, want at most 24 for any size", n, n, counted, got)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			if bytes[i] = after.TotalAlloc - before.TotalAlloc; bytes[i] > uint64(160*n) {
+				t.Errorf("count-only unit over %d × %d rows (%d pairs) allocates %d bytes, want at most 160 per row", n, n, counted, bytes[i])
+			}
+		}
+		if bytes[1] > bytes[0]+bytes[0]/4 {
+			t.Errorf("count-only unit over %d × %d rows allocates %d bytes at 3 %% selectivity but %d at 50 %%", n, n, bytes[0], bytes[1])
 		}
 	}
 }

@@ -45,9 +45,10 @@ type physOut struct {
 
 // execUnit is one schedulable unit of a physical plan: a single node,
 // a whole fused chain, or a theta join. nd is the node whose output is
-// the unit's — the chain's tail, the theta join's σ. The other members
-// are not units: a chain interior's rows exist only as lanes inside the
-// fused loop, a theta join's product never exists at all.
+// the unit's — the chain's tail, the theta join's σ or, when its pairs
+// are only counted, its count. The other members are not units: a chain
+// interior's rows exist only as lanes inside the fused loop, a theta
+// join's product never exists at all.
 type execUnit struct {
 	nd    *physical.Node
 	chain *physical.FusedChain
@@ -89,8 +90,10 @@ func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
 		boundary[ch.Tail()] = execUnit{nd: ch.Tail(), chain: ch}
 	}
 	for _, tj := range plan.ThetaJoins {
-		interior[tj.Cross], interior[tj.Fun] = true, true
-		boundary[tj.Select] = execUnit{nd: tj.Select, theta: tj}
+		for _, nd := range tj.Members() {
+			interior[nd] = nd != tj.Out()
+		}
+		boundary[tj.Out()] = execUnit{nd: tj.Out(), theta: tj}
 	}
 	units := make([]execUnit, 0, len(plan.Nodes))
 	for _, nd := range plan.Nodes {
@@ -227,7 +230,7 @@ func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trac
 		})
 	}
 
-	workers := e.workerCount()
+	workers := e.WorkerCount()
 	if workers > n {
 		workers = n
 	}
@@ -299,7 +302,8 @@ func viewRowsIn(in []*bat.View) int {
 // after every stat is recorded: the materialization that forces is
 // attributed to tracing, never to the chain's RowsMat. The × and ⊛ of a
 // theta join the band kernel ran are shown the pairs σ let through, in
-// the columns the unit's consumers demanded.
+// the columns the unit's consumers demanded; a count-only unit emitted
+// no pairs and has none to show.
 func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*physical.Node) *bat.View) {
 	for _, nd := range plan.Nodes {
 		if v := viewOf(nd); v != nil {

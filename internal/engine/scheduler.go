@@ -149,9 +149,9 @@ func (tr *Trace) keepChainInput(ch *physical.FusedChain, v *bat.View) {
 	tr.mu.Unlock()
 }
 
-// workerCount resolves the engine's configured pool size: Workers when
+// WorkerCount resolves the engine's configured pool size: Workers when
 // positive, otherwise GOMAXPROCS.
-func (e *Engine) workerCount() int {
+func (e *Engine) WorkerCount() int {
 	if e.Workers > 0 {
 		return e.Workers
 	}
@@ -235,7 +235,7 @@ func (e *Engine) evalParallel(ctx context.Context, root *algebra.Op, tr *Trace) 
 		})
 	}
 
-	workers := e.workerCount()
+	workers := e.WorkerCount()
 	if workers > n {
 		workers = n
 	}

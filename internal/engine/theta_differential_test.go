@@ -48,8 +48,8 @@ func thetaDoc() string {
 
 // thetaCase is one corpus query. path is what every theta-join unit of
 // its optimized plan must report: the band kernel's lane ("float",
-// "str"), a demotion ("demoted:<reason>"), or "" for a plan that must
-// hold no unit at all. wantErr, when set, is the error every relational
+// "str"; "count:float" when the unit only counted its pairs), a demotion
+// ("demoted:<reason>"), or "" for a plan that must hold no unit at all. wantErr, when set, is the error every relational
 // executor must return verbatim.
 type thetaCase struct {
 	name, query, path, wantErr string
@@ -87,7 +87,7 @@ var thetaCorpus = []thetaCase{
 	{"not-equal stays a product", pairs(`$a/@v * 1 != $b/@w`), "", ""},
 	{"Q11 shape", `for $a in /db/as/a
 	               let $l := for $b in /db/bs/b where $a/@v * 1 > 2 * $b/@w return $b
-	               return <n id="{$a/@id}">{count($l)}</n>`, "float", ""},
+	               return <n id="{$a/@id}">{count($l)}</n>`, "count:float", ""},
 }
 
 var thetaWorkerCounts = []int{1, 2, 8}
@@ -181,15 +181,19 @@ func thetaPaths(t *testing.T, e *engine.Engine, src string, opts xqcore.Options)
 	_, tr, _ := e.EvalTrace(context.Background(), plan)
 	var paths []string
 	for _, tj := range e.Lowered(plan).ThetaJoins {
-		sel, cross := tr.Stats[tj.Select.Op], tr.Stats[tj.Cross.Op]
+		out, cross := tr.Stats[tj.Out().Op], tr.Stats[tj.Cross.Op]
+		kernel, prefix := "merge-thetajoin[", ""
+		if tj.Count != nil {
+			kernel, prefix = "merge-thetacount[", "count:"
+		}
 		switch {
-		case sel.ThetaJoin == tj.ID && strings.HasPrefix(sel.Kernel, "merge-thetajoin["):
-			paths = append(paths, strings.TrimSuffix(strings.TrimPrefix(sel.Kernel, "merge-thetajoin["), "]"))
+		case out.ThetaJoin == tj.ID && strings.HasPrefix(out.Kernel, kernel):
+			paths = append(paths, prefix+strings.TrimSuffix(strings.TrimPrefix(out.Kernel, kernel), "]"))
 		case strings.Contains(cross.Kernel, "(demoted:"):
 			_, reason, _ := strings.Cut(cross.Kernel, "(")
 			paths = append(paths, strings.TrimSuffix(reason, ")"))
 		default:
-			paths = append(paths, fmt.Sprintf("unknown (σ %q, × %q)", sel.Kernel, cross.Kernel))
+			paths = append(paths, fmt.Sprintf("unknown (unit output %q, × %q)", out.Kernel, cross.Kernel))
 		}
 	}
 	return paths
@@ -230,20 +234,21 @@ func TestThetaCorpusDifferential(t *testing.T) {
 }
 
 // TestXMarkThetaDifferential: Q11 and Q12, the paper's theta-join
-// queries, through all four executors. Every unit (Q12's second where
-// clause is one too) must take the float lane.
+// queries, through all four executors. Every unit must take the float
+// lane: the join under count($l) without emitting a pair, Q12's second
+// where clause (a unit too) as pairs.
 func TestXMarkThetaDifferential(t *testing.T) {
 	es := newThetaEngines(t, "xmark.xml", xmark.GenerateString(diffSF))
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
+	want := map[int]string{11: "count:float", 12: "float,count:float"}
 	for _, n := range []int{11, 12} {
 		name := fmt.Sprintf("Q%d", n)
 		if _, err := es.agree(t, name, xmark.Query(n), opts); err != nil {
 			t.Errorf("%s: reference failed: %v", name, err)
 		}
 		for _, w := range thetaWorkerCounts {
-			paths := thetaPaths(t, es.band[w], xmark.Query(n), opts)
-			if len(paths) == 0 || strings.Trim(strings.Join(paths, ""), "float") != "" {
-				t.Errorf("%s workers=%d: theta units ran as %q, want all on the float lane", name, w, paths)
+			if paths := thetaPaths(t, es.band[w], xmark.Query(n), opts); strings.Join(paths, ",") != want[n] {
+				t.Errorf("%s workers=%d: theta units ran as %q, want %q", name, w, paths, want[n])
 			}
 		}
 	}

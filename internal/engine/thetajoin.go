@@ -35,6 +35,11 @@ import (
 // uncastable value met while extracting keys — demotes the unit to the
 // ordinary ×, ⊛, σ kernels, which then produce the identical result or
 // the identical error.
+//
+// Count-only units (physical.ThetaJoin.Count): when the pairs are read
+// only by π by,of → δ → count/by, the answer per outer row is the width of
+// its band and no pair is emitted (thetaCountKernel) — the join then costs
+// O((|A|+|B|)·log|A|) whatever the size of its result.
 
 // thetaKinds is the set of item kinds present in one key column.
 type thetaKinds uint8
@@ -272,36 +277,58 @@ func thetaEmit(ctx context.Context, b *thetaBands, l, r *bat.View, off []int, rg
 	return nil
 }
 
+// thetaKeys holds a unit's two key columns in view order, on the one lane
+// bat.Compare applies to every (left, right) pair.
+type thetaKeys struct {
+	float  bool
+	lf, rf []float64 // float lane
+	ls, rs []string  // string lane
+}
+
+func (k *thetaKeys) lane() string {
+	if k.float {
+		return "[float]"
+	}
+	return "[str]"
+}
+
+// thetaExtract reads the unit's key columns. A non-empty reason means the
+// band search cannot vouch for them and the unit must be demoted.
+func thetaExtract(tj *physical.ThetaJoin, l, r *bat.View) (k thetaKeys, reason string) {
+	lcol, lerr := l.Base().Col(tj.LeftCol)
+	rcol, rerr := r.Base().Col(tj.RightCol)
+	if lerr != nil || rerr != nil {
+		return k, "column" // × or ⊛ owns the diagnostic
+	}
+	if k.float, reason = thetaLane(thetaColKinds(l, lcol), thetaColKinds(r, rcol)); reason != "" {
+		return k, reason
+	}
+	if !k.float {
+		k.ls, k.rs = thetaStrKeys(l, lcol), thetaStrKeys(r, rcol)
+		return k, ""
+	}
+	if k.lf, reason = thetaFloatKeys(l, lcol); reason != "" {
+		return k, reason
+	}
+	k.rf, reason = thetaFloatKeys(r, rcol)
+	return k, reason
+}
+
 // thetaKernel runs the band join over the unit's two input views. A
 // non-empty reason means the kernel declined (nothing was produced) and
 // the caller must run the unit's operators one by one.
 func thetaKernel(ctx context.Context, ms *morsels, tj *physical.ThetaJoin, l, r *bat.View) (out physOut, reason string, err error) {
-	lb, rb := l.Base(), r.Base()
-	lcol, lerr := lb.Col(tj.LeftCol)
-	rcol, rerr := rb.Col(tj.RightCol)
-	if lerr != nil || rerr != nil {
-		return physOut{}, "column", nil // × or ⊛ owns the diagnostic
-	}
-	float, reason := thetaLane(thetaColKinds(l, lcol), thetaColKinds(r, rcol))
+	keys, reason := thetaExtract(tj, l, r)
 	if reason != "" {
 		return physOut{}, reason, nil
 	}
 	var bands *thetaBands
-	lane := "[str]"
-	if float {
-		lane = "[float]"
-		lk, why := thetaFloatKeys(l, lcol)
-		if why != "" {
-			return physOut{}, why, nil
-		}
-		rk, why := thetaFloatKeys(r, rcol)
-		if why != "" {
-			return physOut{}, why, nil
-		}
-		bands = thetaProbe(tj.Cmp, lk, rk)
+	if keys.float {
+		bands = thetaProbe(tj.Cmp, keys.lf, keys.rf)
 	} else {
-		bands = thetaProbe(tj.Cmp, thetaStrKeys(l, lcol), thetaStrKeys(r, rcol))
+		bands = thetaProbe(tj.Cmp, keys.ls, keys.rs)
 	}
+	lb, rb := l.Base(), r.Base()
 
 	nl := l.Rows()
 	off := make([]int, nl+1)
@@ -337,7 +364,96 @@ func thetaKernel(ctx context.Context, ms *morsels, tj *physical.ThetaJoin, l, r 
 			return physOut{}, "", err
 		}
 	}
-	return physOut{view: bat.ViewOf(t), kernel: "merge-thetajoin" + lane, mat: total}, "", nil
+	return physOut{view: bat.ViewOf(t), kernel: "merge-thetajoin" + keys.lane(), mat: total}, "", nil
+}
+
+// thetaIterCol reads an iteration column of a count-only unit in view
+// order. ok=false unless it is a typed int column that never descends and
+// stays within ±exactFloatInt — what δ and count's run grouping need to
+// agree with their hashing fallbacks on which rows are equal.
+func thetaIterCol(v *bat.View, name string) (iter []int64, ok bool) {
+	col, err := v.Base().Col(name)
+	if err != nil {
+		return nil, false
+	}
+	ints, isInt := col.(bat.IntVec)
+	if !isInt {
+		return nil, false
+	}
+	iter = intKeysOf(ints, v)
+	if n := len(iter); n > 0 && (iter[0] < -exactFloatInt || iter[n-1] > exactFloatInt) {
+		return nil, false
+	}
+	return iter, ascending(iter)
+}
+
+// thetaReduce keeps one key per run of equal iter values, in place: the
+// run's largest when wantMax, its smallest otherwise. The comparison is
+// existential — `some x in X satisfies x < y` is `min X < y` — so the
+// extreme key decides for the whole run, and a side reduced this way has
+// no two rows δ could merge.
+func thetaReduce[K cmp.Ordered](iter []int64, keys []K, wantMax bool) []K {
+	w := 0
+	for i, k := range keys {
+		if i > 0 && iter[i] == iter[i-1] {
+			if (k > keys[w-1]) == wantMax {
+				keys[w-1] = k
+			}
+			continue
+		}
+		keys[w] = k
+		w++
+	}
+	return keys[:w]
+}
+
+// thetaCount is count/by(δ(π by,of(σ(outer cmp inner)))) read off the
+// band widths: one (by, count) row per run of the outer side's by column
+// that has a partner, in by order, and the number of pairs counted.
+func thetaCount[K cmp.Ordered](fun algebra.FunKind, by []int64, outer []K, of []int64, inner []K) (bat.IntVec, bat.ItemVec, int) {
+	// outer > inner holds for some pair of two runs iff it holds for the
+	// largest outer and the smallest inner key; < mirrors that.
+	outerMax := fun == algebra.FunGt || fun == algebra.FunGe
+	bands := thetaProbe(fun, thetaReduce(by, outer, outerMax), thetaReduce(of, inner, !outerMax))
+	part := make(bat.IntVec, 0, len(bands.bound))
+	cnt := make(bat.ItemVec, 0, len(bands.bound))
+	run, total := -1, 0
+	for i, v := range by {
+		if i > 0 && v == by[i-1] {
+			continue
+		}
+		run++
+		if lo, hi := bands.band(run); hi > lo {
+			part = append(part, v)
+			cnt = append(cnt, bat.Int(int64(hi-lo)))
+			total += hi - lo
+		}
+	}
+	return part, cnt, total
+}
+
+// thetaCountKernel answers a count-only unit over its two input views
+// without emitting a pair. counted is the number of (by, of) pairs the
+// counts add up to; a non-empty reason means the kernel declined.
+func thetaCountKernel(tj *physical.ThetaJoin, l, r *bat.View) (out physOut, counted int, reason string) {
+	by, byOK := thetaIterCol(l, tj.CountBy)
+	of, ofOK := thetaIterCol(r, tj.CountOf)
+	if !byOK || !ofOK {
+		return physOut{}, 0, "iter-order"
+	}
+	keys, reason := thetaExtract(tj, l, r)
+	if reason != "" {
+		return physOut{}, 0, reason
+	}
+	var part bat.IntVec
+	var cnt bat.ItemVec
+	if keys.float {
+		part, cnt, counted = thetaCount(tj.Cmp, by, keys.lf, of, keys.rf)
+	} else {
+		part, cnt, counted = thetaCount(tj.Cmp, by, keys.ls, of, keys.rs)
+	}
+	o := tj.Count.Op
+	return physOut{view: bat.ViewOf(bat.MustTable(o.Part, part, o.Col, cnt)), kernel: "merge-thetacount" + keys.lane()}, counted, ""
 }
 
 // demandedCols is t restricted to the demanded columns, in t's order;
@@ -356,10 +472,10 @@ func demandedCols(t *bat.Table, demand []string) *bat.Table {
 	return out
 }
 
-// execTheta runs one theta-join unit: the band kernel when the key
-// columns admit it, the three member kernels otherwise. Errors return
-// pre-wrapped with the failing member's operator kind — callers must
-// not wrap them again.
+// execTheta runs one theta-join unit: the band kernel (or, for a
+// count-only unit, the count read off its bounds) when the key columns
+// admit it, the member kernels otherwise. Errors return pre-wrapped with
+// the failing member's operator kind — callers must not wrap them again.
 func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
 	members := tj.Members()
 	if e.onApply != nil {
@@ -373,7 +489,12 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 	ms := &morsels{e: e, ctx: ctx, par: tj.Select.Parallel}
 	reason := e.thetaDemote
 	var out physOut
-	if reason == "" {
+	counted := 0
+	switch {
+	case reason != "":
+	case tj.Count != nil:
+		out, counted, reason = thetaCountKernel(tj, in[0], in[1])
+	default:
 		var err error
 		out, reason, err = thetaKernel(ctx, ms, tj, in[0], in[1])
 		if err != nil {
@@ -384,27 +505,43 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 		}
 	}
 	if reason != "" {
-		return e.replayNodes(ctx, members[:], in, " (demoted:"+reason+")", tr, worker)
+		return e.replayNodes(ctx, members, in, " (demoted:"+reason+")", tr, worker)
 	}
 	if e.Check {
-		if err := checkOutput(tj.Select, out.view, tj.Demand); err != nil {
-			return nil, fmt.Errorf("%s: %w", tj.Select.Op.Kind, err)
+		owed := tj.Demand
+		if tj.Count != nil {
+			owed = tj.Count.Op.Schema()
+		}
+		if err := checkOutput(tj.Out(), out.view, owed); err != nil {
+			return nil, fmt.Errorf("%s: %w", tj.Out().Op.Kind, err)
 		}
 	}
 	if tr != nil {
 		wall := time.Since(start) //pfvet:allow determinism -- trace wall-time only, not query results
 		rowsIn, rowsOut := viewRowsIn(in), out.view.Rows()
-		// The unit's wall time, input rows and materialization sit on the
-		// σ boundary; × and ⊛ report the pairs that passed through them —
-		// the product itself never existed.
-		tr.recordStat(tj.Cross.Op, OpStat{RowsIn: rowsIn, RowsOut: rowsOut, Worker: worker,
-			Kernel: tj.Cross.Kernel, ThetaJoin: tj.ID})
-		tr.recordStat(tj.Fun.Op, OpStat{RowsIn: rowsOut, RowsOut: rowsOut, Worker: worker,
-			Kernel: tj.Fun.Kernel, ThetaJoin: tj.ID})
+		// The unit's wall time, input rows and materialization sit on its
+		// output boundary. The members below it report the pairs that
+		// passed through them — the product itself never existed, and a
+		// count-only unit emitted no pair at all: its count reports the
+		// pairs it counted as its input.
+		pairs := rowsOut
+		if tj.Count != nil {
+			pairs = 0
+		}
+		for i, nd := range members[:len(members)-1] {
+			st := OpStat{RowsIn: pairs, RowsOut: pairs, Worker: worker, Kernel: nd.Kernel, ThetaJoin: tj.ID}
+			if i == 0 {
+				st.RowsIn = rowsIn
+			}
+			tr.recordStat(nd.Op, st)
+		}
 		st := OpStat{Wall: wall, RowsIn: rowsIn, RowsOut: rowsOut, Worker: worker,
 			Kernel: out.kernel, RowsMat: out.mat, ThetaJoin: tj.ID}
+		if tj.Count != nil {
+			st.RowsIn = counted
+		}
 		st.setMorsels(ms)
-		tr.recordStat(tj.Select.Op, st)
+		tr.recordStat(tj.Out().Op, st)
 	}
 	return out.view, nil
 }

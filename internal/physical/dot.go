@@ -29,8 +29,11 @@ func Dot(p *Plan) string {
 		addCluster(&cluster{fmt.Sprintf("fused_%d", ch.ID), fmt.Sprintf("fused chain #%d", ch.ID), ch.Nodes})
 	}
 	for _, tj := range p.ThetaJoins {
-		m := tj.Members()
-		addCluster(&cluster{fmt.Sprintf("theta_%d", tj.ID), fmt.Sprintf("theta join #%d", tj.ID), m[:]})
+		label := fmt.Sprintf("theta join #%d", tj.ID)
+		if tj.Count != nil {
+			label += " (count only)"
+		}
+		addCluster(&cluster{fmt.Sprintf("theta_%d", tj.ID), label, tj.Members()})
 	}
 	var sb strings.Builder
 	sb.WriteString("digraph physical {\n  node [shape=box, fontname=\"monospace\"];\n")

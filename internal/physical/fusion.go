@@ -79,7 +79,8 @@ func fusable(nd *Node) bool {
 // the nodes no theta join claimed. Both searches share one pair of
 // consumer maps, and a theta join's ⊛ and σ are withheld from chain
 // formation — a node belongs to at most one unit. Each theta join also
-// records which of its output columns its consumers read (Demand).
+// records which of its output columns its consumers read (Demand), and
+// one whose pairs are only counted claims the π, δ and count above it.
 //
 // plan.Nodes is in bottom-up topological order, so a forward greedy walk
 // from the first unclaimed fusable node always starts at the true head
@@ -109,10 +110,14 @@ func discoverUnits(p *Plan) {
 		if tj := matchThetaJoin(nd, consumers); tj != nil {
 			tj.ID = len(p.ThetaJoins) + 1
 			p.ThetaJoins = append(p.ThetaJoins, tj)
-			claimed[tj.Fun], claimed[tj.Select] = true, true
+			matchCountTail(tj, consumers, nextOf)
+			for _, m := range tj.Members()[1:] {
+				claimed[m] = true
+			}
 		}
 	}
 	demandThetaJoins(p)
+	reestimate(p)
 	for _, nd := range p.Nodes {
 		if claimed[nd] || !fusable(nd) || len(nd.In) != 1 {
 			continue

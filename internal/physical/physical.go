@@ -91,13 +91,34 @@ type Plan struct {
 // the number of opaque fan-out points it contains. The absolute numbers
 // are a pessimistic currency, not a prediction; admission only needs
 // heavy join plans to price far above point lookups.
+//
+// A count-only theta join is charged once, as a unit (ThetaJoin.EstCost):
+// unless it is demoted at run time its members never run one by one, and
+// the product they would be charged for never exists.
 func (p *Plan) EstCost(unknownRows int64) int64 {
 	var cost int64
+	charge := func(rows int64) {
+		if rows < 0 {
+			rows = unknownRows
+		}
+		cost += rows
+	}
+	var unit map[*Node]bool
+	for _, tj := range p.ThetaJoins {
+		if tj.Count == nil {
+			continue
+		}
+		if unit == nil {
+			unit = make(map[*Node]bool)
+		}
+		for _, m := range tj.Members() {
+			unit[m] = true
+		}
+		charge(tj.EstCost())
+	}
 	for _, nd := range p.Nodes {
-		if nd.EstRows < 0 {
-			cost += unknownRows
-		} else {
-			cost += nd.EstRows
+		if !unit[nd] {
+			charge(nd.EstRows)
 		}
 	}
 	return cost
@@ -300,6 +321,31 @@ func estRows(o *algebra.Op, nd *Node) int64 {
 	// OpStep, OpRange, OpColl, OpElem, OpText, OpAttrC: data-dependent
 	// fan-out.
 	return -1
+}
+
+// reestimate redoes the cardinality estimates, and the Parallel flags
+// that hang on them, downstream of the count-only theta joins: each
+// pinned its Count to the outer side's estimate after the nodes above it
+// had been lowered from the product's.
+func reestimate(p *Plan) {
+	var pinned map[*Node]bool
+	for _, tj := range p.ThetaJoins {
+		if tj.Count != nil {
+			if pinned == nil {
+				pinned = make(map[*Node]bool)
+			}
+			pinned[tj.Count] = true
+		}
+	}
+	if pinned == nil {
+		return
+	}
+	for _, nd := range p.Nodes {
+		if !pinned[nd] {
+			nd.EstRows = estRows(nd.Op, nd)
+		}
+		nd.Parallel = parallelizable(nd.Op, nd) && !statTiny(nd)
+	}
 }
 
 // rowNumPresorted reports whether ϱ's input is statically guaranteed to

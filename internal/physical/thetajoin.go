@@ -1,6 +1,10 @@
 package physical
 
-import "pathfinder/internal/algebra"
+import (
+	"math/bits"
+
+	"pathfinder/internal/algebra"
+)
 
 // Theta-join recognition. The compiler's join recognition turns
 // `for … where A cmp B` with a non-`=` comparison into
@@ -19,6 +23,11 @@ import "pathfinder/internal/algebra"
 // are untouched, and an executor that ignores ThetaJoins — or meets key
 // columns the band kernel cannot order the way bat.Compare does — runs
 // the identical three operators and gets the identical result.
+//
+// A unit whose pairs are only counted goes further (matchCountTail): it
+// also owns the π, δ and count above σ, and the executor answers the
+// count per outer row from the width of its band — no pair is emitted at
+// all, and the join's cost stops following the size of its result.
 
 // ThetaJoin is one recognized σ(⊛cmp(×)) unit.
 type ThetaJoin struct {
@@ -43,10 +52,46 @@ type ThetaJoin struct {
 	// demoted unit runs its three operators as they stand and produces
 	// the whole schema.
 	Demand []string
+
+	// The count-only tail, nil on a unit that emits its pairs. When σ is
+	// read only by a π that keeps one column of each × input, that π only
+	// by a δ, and that δ only by a count partitioned by the left input's
+	// column, nothing above the join reads a pair: the unit owns the
+	// three nodes too, Count's output is the unit's, and the executor
+	// computes it from the band widths. CountBy is the column of
+	// Cross.In[0] the count is partitioned by, CountOf the column of
+	// Cross.In[1] whose distinct values are counted per partition.
+	Project, Distinct, Count *Node
+	CountBy, CountOf         string
 }
 
 // Members returns the unit's nodes in execution order.
-func (t *ThetaJoin) Members() [3]*Node { return [3]*Node{t.Cross, t.Fun, t.Select} }
+func (t *ThetaJoin) Members() []*Node {
+	if t.Count == nil {
+		return []*Node{t.Cross, t.Fun, t.Select}
+	}
+	return []*Node{t.Cross, t.Fun, t.Select, t.Project, t.Distinct, t.Count}
+}
+
+// Out returns the member whose output is the unit's.
+func (t *ThetaJoin) Out() *Node {
+	if t.Count != nil {
+		return t.Count
+	}
+	return t.Select
+}
+
+// EstCost prices a count-only unit: sorting the inner side A and one
+// binary search per outer row of B, (|A|+|B|)·log|A| — not the |A|·|B|
+// rows its six members would be charged one by one. -1 when a side's
+// cardinality is unknown.
+func (t *ThetaJoin) EstCost() int64 {
+	b, a := t.Cross.In[0].EstRows, t.Cross.In[1].EstRows
+	if a < 0 || b < 0 {
+		return -1
+	}
+	return (a + b) * int64(bits.Len64(uint64(a)))
+}
 
 // mirrorCmp swaps the operand order of an inequality.
 func mirrorCmp(f algebra.FunKind) algebra.FunKind {
@@ -102,6 +147,42 @@ func matchThetaJoin(sel *Node, consumers map[*Node]int) *ThetaJoin {
 			LeftCol: fo.Args[1], RightCol: fo.Args[0], Cmp: mirrorCmp(fo.Fun)}
 	}
 	return nil
+}
+
+// matchCountTail extends tj over the π, δ and count above its σ when
+// they read the pairs only to count them (see ThetaJoin.Count), and
+// lowers Count's cardinality estimate to the outer side's: one row per
+// partition at most.
+func matchCountTail(tj *ThetaJoin, consumers map[*Node]int, nextOf map[*Node]*Node) {
+	sole := func(nd *Node, kind algebra.OpKind) *Node {
+		if next := nextOf[nd]; consumers[nd] == 1 && next.Op.Kind == kind {
+			return next
+		}
+		return nil
+	}
+	proj := sole(tj.Select, algebra.OpProject)
+	if proj == nil || len(proj.Op.Proj) != 2 {
+		return
+	}
+	l, r := tj.Cross.Op.In[0], tj.Cross.Op.In[1]
+	by, of := proj.Op.Proj[0], proj.Op.Proj[1]
+	if !l.HasCol(by.Old) {
+		by, of = of, by
+	}
+	if !l.HasCol(by.Old) || !r.HasCol(of.Old) {
+		return
+	}
+	dist := sole(proj, algebra.OpDistinct)
+	if dist == nil {
+		return
+	}
+	cnt := sole(dist, algebra.OpAggr)
+	if cnt == nil || cnt.Op.Agg != algebra.AggCount || cnt.Op.Part != by.New {
+		return
+	}
+	tj.Project, tj.Distinct, tj.Count = proj, dist, cnt
+	tj.CountBy, tj.CountOf = by.Old, of.Old
+	cnt.EstRows = tj.Cross.In[0].EstRows
 }
 
 // demandThetaJoins fills in every unit's Demand from the consumers of

@@ -123,3 +123,85 @@ func TestThetaJoinDemand(t *testing.T) {
 		t.Errorf("a δ consumer demands %v, want σ's schema", got)
 	}
 }
+
+// countShape builds count c:()/by(δ(π by:li,of:ri(σ(lk < rk)(L × R)))) over
+// L(li, lk) of nl rows and R(ri, rk) of nr rows, and returns δ and count.
+func countShape(nl, nr int) (dist, cnt *algebra.Op) {
+	l := algebra.Lit(bat.MustTable("li", bat.Ramp(1, nl), "lk", bat.Ramp(0, nl)))
+	r := algebra.Lit(bat.MustTable("ri", bat.Ramp(1, nr), "rk", bat.Ramp(0, nr)))
+	fn := mustOp(algebra.Fun(mustOp(algebra.Cross(l, r)), "c", algebra.FunLt, "lk", "rk"))
+	dist = algebra.Distinct(mustOp(algebra.Project(mustOp(algebra.Select(fn, "c")), "of:ri", "by:li")))
+	return dist, mustOp(algebra.Aggr(dist, "n", algebra.AggCount, "", "by"))
+}
+
+// TestDiscoverCountTail: a theta join read only by π → δ → count/by owns
+// those three nodes too, is priced as a sort and a search instead of a
+// product, and hands its outer side's cardinality downstream.
+func TestDiscoverCountTail(t *testing.T) {
+	const nl, nr = 300, 5000
+	_, cnt := countShape(nl, nr)
+	root := mustOp(algebra.Project(cnt, "iter:by", "n"))
+	p := Lower(root)
+	if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count == nil {
+		t.Fatalf("no count-only theta join in:\n%s", Dot(p))
+	}
+	tj := p.ThetaJoins[0]
+	if tj.CountBy != "li" || tj.CountOf != "ri" || tj.Out().Op != cnt || len(tj.Members()) != 6 {
+		t.Errorf("unit counts %q by %q over %d members, output %s", tj.CountOf, tj.CountBy, len(tj.Members()), tj.Out().Op.Label())
+	}
+	for _, ch := range p.Chains {
+		for _, nd := range ch.Nodes {
+			if nd == tj.Project {
+				t.Errorf("the unit's π is also claimed by fused chain #%d", ch.ID)
+			}
+		}
+	}
+	// One row per outer row at most — for the unit and for what reads it.
+	if tj.Count.EstRows != nl || p.Root.EstRows != nl {
+		t.Errorf("count estimated at %d rows, its consumer at %d, want the outer side's %d", tj.Count.EstRows, p.Root.EstRows, nl)
+	}
+	if p.Root.Parallel || tj.Count.Parallel {
+		t.Errorf("a %d-row estimate is below the morsel gate, yet Parallel is set", nl)
+	}
+	// (|A|+|B|)·log|A| with A the sorted inner side: 5300 · 13.
+	if got, want := tj.EstCost(), int64((nl+nr)*13); got != want {
+		t.Errorf("unit priced at %d, want %d", got, want)
+	}
+	// The plan: both literals, the unit once, the π above it.
+	if got, want := p.EstCost(1<<20), int64(nl+nr+(nl+nr)*13+nl); got != want {
+		t.Errorf("plan priced at %d, want %d — the product (%d rows) must not be charged", got, want, nl*nr)
+	}
+	if dot := Dot(p); !strings.Contains(dot, `label="theta join #1 (count only)"`) {
+		t.Errorf("dot output does not draw the count-only unit as one cluster:\n%s", dot)
+	}
+}
+
+// TestDiscoverCountTailRejects: a second reader of σ, π or δ, a π that
+// keeps anything but one column of each side, and an aggregate that is not
+// a count by the left side's column each leave a pair-emitting unit.
+func TestDiscoverCountTailRejects(t *testing.T) {
+	pairUnit := func(name string, root *algebra.Op) {
+		t.Helper()
+		p := Lower(root)
+		if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count != nil {
+			t.Errorf("%s: want one pair-emitting theta join, got %d unit(s), count-only %v",
+				name, len(p.ThetaJoins), len(p.ThetaJoins) == 1 && p.ThetaJoins[0].Count != nil)
+		}
+	}
+	dist, cnt := countShape(40, 40)
+	pairUnit("δ read twice", mustOp(algebra.Union(mustOp(algebra.Project(cnt, "by")), mustOp(algebra.Project(dist, "by")))))
+	pairUnit("δ is the result", dist)
+
+	proj, sel := dist.In[0], dist.In[0].In[0]
+	pairUnit("π read twice", mustOp(algebra.Union(mustOp(algebra.Project(cnt, "by")), mustOp(algebra.Project(proj, "by")))))
+	pairUnit("σ read twice", mustOp(algebra.Union(mustOp(algebra.Project(cnt, "by")), mustOp(algebra.Project(sel, "by:li")))))
+
+	count := func(part string, specs ...string) *algebra.Op {
+		return mustOp(algebra.Aggr(algebra.Distinct(mustOp(algebra.Project(sel, specs...))), "n", algebra.AggCount, "", part))
+	}
+	pairUnit("count by the right side's column", count("of", "by:li", "of:ri"))
+	pairUnit("π keeps two left columns", count("by", "by:li", "of:lk"))
+	pairUnit("π keeps three columns", count("by", "by:li", "of:ri", "rk"))
+	sum := mustOp(algebra.Aggr(dist, "n", algebra.AggSum, "of", "by"))
+	pairUnit("sum, not count", sum)
+}

@@ -6,7 +6,7 @@ package serialize
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 
 	"pathfinder/internal/bat"
 	"pathfinder/internal/xenc"
@@ -17,6 +17,10 @@ import (
 // serialize as XML subtrees, atomics by their string value, adjacent
 // atomic items separated by a single space per the XQuery serialization
 // rules.
+//
+// The text is assembled in a pooled scratch buffer and copied out once, at
+// its final size: a result allocates its own length, not the doublings of
+// a buffer growing towards it.
 func Result(store *xenc.Store, t *bat.Table) (string, error) {
 	sorted, err := t.SortBy("iter", "pos")
 	if err != nil {
@@ -26,31 +30,38 @@ func Result(store *xenc.Store, t *bat.Table) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serialize: %w", err)
 	}
-	var sb strings.Builder
+	scratch := scratchPool.Get().(*[]byte)
+	buf := (*scratch)[:0]
 	// A node-typed result column — every constructor query's — serializes
 	// straight off the refs, without boxing each into an Item.
 	if nodes, ok := items.(bat.NodeVec); ok {
 		for _, n := range nodes {
-			store.SerializeTo(&sb, n)
+			buf = store.AppendSerialized(buf, n)
 		}
-		return sb.String(), nil
+	} else {
+		prevAtomic := false
+		for i := 0; i < sorted.Rows(); i++ {
+			it := items.ItemAt(i)
+			if it.Kind == bat.KNode {
+				buf = store.AppendSerialized(buf, it.N)
+				prevAtomic = false
+				continue
+			}
+			if prevAtomic {
+				buf = append(buf, ' ')
+			}
+			buf = append(buf, it.StringValue()...)
+			prevAtomic = true
+		}
 	}
-	prevAtomic := false
-	for i := 0; i < sorted.Rows(); i++ {
-		it := items.ItemAt(i)
-		if it.Kind == bat.KNode {
-			store.SerializeTo(&sb, it.N)
-			prevAtomic = false
-			continue
-		}
-		if prevAtomic {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(it.StringValue())
-		prevAtomic = true
-	}
-	return sb.String(), nil
+	out := string(buf)
+	*scratch = buf
+	scratchPool.Put(scratch)
+	return out, nil
 }
+
+// scratchPool holds the buffers Result assembles its output in.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Items returns the result sequence as a flat item slice in (iter, pos)
 // order; used by tests that inspect values rather than serialized text.

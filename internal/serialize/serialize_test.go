@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -99,6 +100,52 @@ func TestResultNodeColumn(t *testing.T) {
 	}
 	if want := `<b/><a k="&lt;é">x &amp; y</a>`; typed != want || boxed != want {
 		t.Errorf("typed %q, boxed %q, want %q", typed, boxed, want)
+	}
+}
+
+// TestResultOwnsItsBytes: the scratch buffer is reused by the next call,
+// so a returned string must not alias it — and a warmed-up call allocates
+// about its output, not the doublings of a buffer grown from empty.
+func TestResultOwnsItsBytes(t *testing.T) {
+	store := xenc.NewStore()
+	word := func(w string, n int) *bat.Table {
+		items := make(bat.StrVec, n)
+		for i := range items {
+			items[i] = w
+		}
+		return bat.MustTable("iter", bat.ConstInt(1, n), "pos", bat.Ramp(1, n), "item", items)
+	}
+	first, err := Result(store, word("first", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Result(store, word("other", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if first != "first first first" {
+		t.Fatalf("a later call rewrote an earlier result: %q", first)
+	}
+
+	big := word(strings.Repeat("x", 99), 10000) // 1 MB of output
+	if resultSink, err = Result(store, big); err != nil {
+		t.Fatal(err)
+	}
+	// The cheapest of a few runs: a collection (or the race detector,
+	// which makes the pool forget a quarter of what it is handed) may cost
+	// any one run its pooled buffer.
+	cheapest := ^uint64(0)
+	for i := 0; i < 8; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if resultSink, err = Result(store, big); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		cheapest = min(cheapest, after.TotalAlloc-before.TotalAlloc)
+	}
+	// The string itself and the sort's index.
+	if limit := uint64(len(resultSink) * 3 / 2); cheapest > limit {
+		t.Errorf("Result allocates %d bytes for %d bytes of output (limit %d)", cheapest, len(resultSink), limit)
 	}
 }
 

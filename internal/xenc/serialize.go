@@ -1,44 +1,39 @@
 package xenc
 
-import (
-	"strings"
-
-	"pathfinder/internal/bat"
-)
+import "pathfinder/internal/bat"
 
 // Serialize renders the subtree rooted at n as XML text — the
 // post-processor step that maps the relational result encoding back to the
 // XQuery data model (§2, "MonetDB" paragraph).
 func (s *Store) Serialize(n bat.NodeRef) string {
-	var sb strings.Builder
-	s.SerializeTo(&sb, n)
-	return sb.String()
+	return string(s.AppendSerialized(nil, n))
 }
 
-// SerializeTo writes the serialization of n to sb.
-func (s *Store) SerializeTo(sb *strings.Builder, n bat.NodeRef) {
+// AppendSerialized appends the serialization of n to dst and returns the
+// extended buffer, so a caller rendering many nodes can bring (and keep)
+// its own buffer.
+func (s *Store) AppendSerialized(dst []byte, n bat.NodeRef) []byte {
 	f := s.Frag(n.Frag)
 	if n.Pre >= AttrBase {
 		// A top-level attribute serializes as name="value" (useful in the
 		// demo tracer; standard serialization would reject it).
 		i := n.Pre - AttrBase
-		sb.WriteString(s.attrNames.Get(f.AttrName[i]))
-		sb.WriteString("=\"")
-		escapeAttr(sb, s.attrVals.Get(f.AttrVal[i]))
-		sb.WriteString("\"")
-		return
+		dst = append(dst, s.attrNames.Get(f.AttrName[i])...)
+		dst = append(dst, '=', '"')
+		dst = escapeAttr(dst, s.attrVals.Get(f.AttrVal[i]))
+		return append(dst, '"')
 	}
-	s.serializeRange(sb, f, n.Pre)
+	return s.appendRange(dst, f, n.Pre)
 }
 
-func (s *Store) serializeRange(sb *strings.Builder, f *Fragment, root int32) {
+func (s *Store) appendRange(dst []byte, f *Fragment, root int32) []byte {
 	end := root + f.Size[root]
 	var stack [32]int32
 	open := stack[:0] // pre ranks of the open elements; deeper trees spill to the heap
 	closeTop := func() {
-		sb.WriteString("</")
-		sb.WriteString(s.tags.Get(f.Prop[open[len(open)-1]]))
-		sb.WriteByte('>')
+		dst = append(dst, '<', '/')
+		dst = append(dst, s.tags.Get(f.Prop[open[len(open)-1]])...)
+		dst = append(dst, '>')
 		open = open[:len(open)-1]
 	}
 	for p := root; p <= end; p++ {
@@ -49,45 +44,46 @@ func (s *Store) serializeRange(sb *strings.Builder, f *Fragment, root int32) {
 		case KindDoc:
 			// Document node: serialize children only.
 		case KindElem:
-			sb.WriteByte('<')
-			sb.WriteString(s.tags.Get(f.Prop[p]))
+			dst = append(dst, '<')
+			dst = append(dst, s.tags.Get(f.Prop[p])...)
 			lo, hi := f.Attrs(p)
 			for i := lo; i < hi; i++ {
-				sb.WriteByte(' ')
-				sb.WriteString(s.attrNames.Get(f.AttrName[i]))
-				sb.WriteString("=\"")
-				escapeAttr(sb, s.attrVals.Get(f.AttrVal[i]))
-				sb.WriteByte('"')
+				dst = append(dst, ' ')
+				dst = append(dst, s.attrNames.Get(f.AttrName[i])...)
+				dst = append(dst, '=', '"')
+				dst = escapeAttr(dst, s.attrVals.Get(f.AttrVal[i]))
+				dst = append(dst, '"')
 			}
 			if f.Size[p] == 0 {
-				sb.WriteString("/>")
+				dst = append(dst, '/', '>')
 			} else {
-				sb.WriteByte('>')
+				dst = append(dst, '>')
 				open = append(open, p)
 			}
 		case KindText:
-			escapeText(sb, s.texts.Get(f.Prop[p]))
+			dst = escapeText(dst, s.texts.Get(f.Prop[p]))
 		case KindComment:
-			sb.WriteString("<!--")
-			sb.WriteString(s.texts.Get(f.Prop[p]))
-			sb.WriteString("-->")
+			dst = append(dst, "<!--"...)
+			dst = append(dst, s.texts.Get(f.Prop[p])...)
+			dst = append(dst, "-->"...)
 		}
 	}
 	for len(open) > 0 {
 		closeTop()
 	}
+	return dst
 }
 
-// escapeText writes text-node content: & < > escaped.
-func escapeText(sb *strings.Builder, s string) { escape(sb, s, false) }
+// escapeText appends text-node content: & < > escaped.
+func escapeText(dst []byte, s string) []byte { return escape(dst, s, false) }
 
-// escapeAttr writes an attribute value: & < " escaped.
-func escapeAttr(sb *strings.Builder, s string) { escape(sb, s, true) }
+// escapeAttr appends an attribute value: & < " escaped.
+func escapeAttr(dst []byte, s string) []byte { return escape(dst, s, true) }
 
 // escape scans bytes, not runes: the characters it replaces are ASCII and
 // no byte of a multi-byte UTF-8 sequence is, so each run between two of
-// them is written whole, as it is stored.
-func escape(sb *strings.Builder, s string, attr bool) {
+// them is appended whole, as it is stored.
+func escape(dst []byte, s string, attr bool) []byte {
 	run := 0
 	for i := 0; i < len(s); i++ {
 		var esc string
@@ -103,9 +99,9 @@ func escape(sb *strings.Builder, s string, attr bool) {
 		default:
 			continue
 		}
-		sb.WriteString(s[run:i])
-		sb.WriteString(esc)
+		dst = append(dst, s[run:i]...)
+		dst = append(dst, esc...)
 		run = i + 1
 	}
-	sb.WriteString(s[run:])
+	return append(dst, s[run:]...)
 }

@@ -202,14 +202,12 @@ func TestEscapeRunsKeepMultiByteUTF8(t *testing.T) {
 		{"a&&b", "a&amp;&amp;b", "a&amp;&amp;b"},
 		{"ends with ü&", "ends with ü&amp;", "ends with ü&amp;"},
 	} {
-		var text, attr strings.Builder
-		escapeText(&text, c.in)
-		escapeAttr(&attr, c.in)
-		if text.String() != c.text {
-			t.Errorf("escapeText(%q) = %q, want %q", c.in, text.String(), c.text)
+		text, attr := string(escapeText(nil, c.in)), string(escapeAttr(nil, c.in))
+		if text != c.text {
+			t.Errorf("escapeText(%q) = %q, want %q", c.in, text, c.text)
 		}
-		if attr.String() != c.attr {
-			t.Errorf("escapeAttr(%q) = %q, want %q", c.in, attr.String(), c.attr)
+		if attr != c.attr {
+			t.Errorf("escapeAttr(%q) = %q, want %q", c.in, attr, c.attr)
 		}
 	}
 }

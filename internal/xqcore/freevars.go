@@ -1,5 +1,58 @@
 package xqcore
 
+// children returns e's direct subexpressions in evaluation order. Let and
+// For are included, though their bodies see one more variable: a traversal
+// that minds scoping handles those two before falling back on this.
+func children(e Expr) []Expr {
+	switch x := e.(type) {
+	case *Seq:
+		return []Expr{x.L, x.R}
+	case *Let:
+		return []Expr{x.Bound, x.Body}
+	case *For:
+		out := []Expr{x.In, x.Body}
+		for _, k := range x.Order {
+			out = append(out, k.Key)
+		}
+		return out
+	case *If:
+		return []Expr{x.Cond, x.Then, x.Else}
+	case *BinOp:
+		return []Expr{x.L, x.R}
+	case *GenCmp:
+		return []Expr{x.L, x.R}
+	case *NodeCmp:
+		return []Expr{x.L, x.R}
+	case *Ebv:
+		return []Expr{x.X}
+	case *StepEx:
+		return []Expr{x.In}
+	case *DDO:
+		return []Expr{x.X}
+	case *Doc:
+		return []Expr{x.X}
+	case *Coll:
+		return []Expr{x.X}
+	case *Root:
+		return []Expr{x.X}
+	case *Data:
+		return []Expr{x.X}
+	case *ElemC:
+		return []Expr{x.Name, x.Content}
+	case *AttrC:
+		return []Expr{x.Name, x.Value}
+	case *TextC:
+		return []Expr{x.Content}
+	case *InstanceOf:
+		return []Expr{x.X}
+	case *Call:
+		return x.Args
+	case *PosFilter:
+		return []Expr{x.In}
+	}
+	return nil // Lit, Empty, Var
+}
+
 // FreeVars returns the set of variables occurring free in e.
 func FreeVars(e Expr) map[string]bool {
 	out := make(map[string]bool)
@@ -9,14 +62,10 @@ func FreeVars(e Expr) map[string]bool {
 
 func collectFree(e Expr, bound map[string]bool, out map[string]bool) {
 	switch x := e.(type) {
-	case *Lit, *Empty, nil:
 	case *Var:
 		if !bound[x.Name] {
 			out[x.Name] = true
 		}
-	case *Seq:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
 	case *Let:
 		collectFree(x.Bound, bound, out)
 		withBound(bound, []string{x.Var}, func() {
@@ -34,49 +83,10 @@ func collectFree(e Expr, bound map[string]bool, out map[string]bool) {
 				collectFree(k.Key, bound, out)
 			}
 		})
-	case *If:
-		collectFree(x.Cond, bound, out)
-		collectFree(x.Then, bound, out)
-		collectFree(x.Else, bound, out)
-	case *BinOp:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
-	case *GenCmp:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
-	case *NodeCmp:
-		collectFree(x.L, bound, out)
-		collectFree(x.R, bound, out)
-	case *Ebv:
-		collectFree(x.X, bound, out)
-	case *StepEx:
-		collectFree(x.In, bound, out)
-	case *DDO:
-		collectFree(x.X, bound, out)
-	case *Doc:
-		collectFree(x.X, bound, out)
-	case *Coll:
-		collectFree(x.X, bound, out)
-	case *Root:
-		collectFree(x.X, bound, out)
-	case *Data:
-		collectFree(x.X, bound, out)
-	case *ElemC:
-		collectFree(x.Name, bound, out)
-		collectFree(x.Content, bound, out)
-	case *AttrC:
-		collectFree(x.Name, bound, out)
-		collectFree(x.Value, bound, out)
-	case *TextC:
-		collectFree(x.Content, bound, out)
-	case *InstanceOf:
-		collectFree(x.X, bound, out)
-	case *Call:
-		for _, a := range x.Args {
-			collectFree(a, bound, out)
+	default:
+		for _, c := range children(e) {
+			collectFree(c, bound, out)
 		}
-	case *PosFilter:
-		collectFree(x.In, bound, out)
 	}
 }
 
@@ -92,6 +102,38 @@ func withBound(bound map[string]bool, vars []string, f func()) {
 	}
 }
 
+// OnlyCounted reports whether every free occurrence of $v in e is the
+// argument of fn:count — the use analysis behind the compiler's count-only
+// join shape: such a variable may be bound to its cardinality instead of
+// its items. A variable that does not occur at all qualifies.
+func OnlyCounted(e Expr, v string) bool {
+	sub := children(e)
+	switch x := e.(type) {
+	case *Var:
+		return x.Name != v
+	case *Call:
+		if x.Name == "count" && len(x.Args) == 1 {
+			if a, ok := x.Args[0].(*Var); ok && a.Name == v {
+				return true
+			}
+		}
+	case *Let:
+		if x.Var == v {
+			sub = sub[:1] // rebound: the body sees another $v
+		}
+	case *For:
+		if x.Var == v || x.PosVar == v {
+			sub = sub[:1] // rebound: the body and the order keys see another $v
+		}
+	}
+	for _, c := range sub {
+		if !OnlyCounted(c, v) {
+			return false
+		}
+	}
+	return true
+}
+
 // UsesPositionOrLast reports whether e contains a position() or last()
 // call outside any nested For (which would rebind the context).
 func UsesPositionOrLast(e Expr) bool {
@@ -100,50 +142,14 @@ func UsesPositionOrLast(e Expr) bool {
 		if (x.Name == "position" || x.Name == "last") && len(x.Args) == 0 {
 			return true
 		}
-		for _, a := range x.Args {
-			if UsesPositionOrLast(a) {
-				return true
-			}
-		}
-	case *Seq:
-		return UsesPositionOrLast(x.L) || UsesPositionOrLast(x.R)
-	case *Let:
-		return UsesPositionOrLast(x.Bound) || UsesPositionOrLast(x.Body)
 	case *For:
 		// position()/last() in In still refers to the enclosing for.
 		return UsesPositionOrLast(x.In)
-	case *If:
-		return UsesPositionOrLast(x.Cond) || UsesPositionOrLast(x.Then) || UsesPositionOrLast(x.Else)
-	case *BinOp:
-		return UsesPositionOrLast(x.L) || UsesPositionOrLast(x.R)
-	case *GenCmp:
-		return UsesPositionOrLast(x.L) || UsesPositionOrLast(x.R)
-	case *NodeCmp:
-		return UsesPositionOrLast(x.L) || UsesPositionOrLast(x.R)
-	case *Ebv:
-		return UsesPositionOrLast(x.X)
-	case *StepEx:
-		return UsesPositionOrLast(x.In)
-	case *DDO:
-		return UsesPositionOrLast(x.X)
-	case *Doc:
-		return UsesPositionOrLast(x.X)
-	case *Coll:
-		return UsesPositionOrLast(x.X)
-	case *Root:
-		return UsesPositionOrLast(x.X)
-	case *Data:
-		return UsesPositionOrLast(x.X)
-	case *ElemC:
-		return UsesPositionOrLast(x.Name) || UsesPositionOrLast(x.Content)
-	case *AttrC:
-		return UsesPositionOrLast(x.Name) || UsesPositionOrLast(x.Value)
-	case *TextC:
-		return UsesPositionOrLast(x.Content)
-	case *InstanceOf:
-		return UsesPositionOrLast(x.X)
-	case *PosFilter:
-		return UsesPositionOrLast(x.In)
+	}
+	for _, c := range children(e) {
+		if UsesPositionOrLast(c) {
+			return true
+		}
 	}
 	return false
 }

@@ -162,3 +162,35 @@ func TestSubstVarsBranches(t *testing.T) {
 		t.Errorf("substitution left $n unresolved: %v", err)
 	}
 }
+
+func TestOnlyCounted(t *testing.T) {
+	cases := map[string]bool{
+		`count($l)`:                                     true,
+		`<n a="{count($l)}">{count($l) + 1}</n>`:        true,
+		`for $x in (1,2) return count($l) + $x`:         true,
+		`if (count($l) > 1) then "many" else count($l)`: true,
+		`42`:                                        true, // never read at all
+		`(count($l), let $l := (1,2) return $l)`:    true, // the inner $l is another variable
+		`(count($l), for $l in (1,2) return $l)`:    true,
+		`for $x at $l in ("a","b") return $l`:       true,
+		`$l`:                                        false,
+		`(count($l), $l)`:                           false,
+		`count(($l, 1))`:                            false,
+		`sum($l)`:                                   false,
+		`for $x in $l return 1`:                     false,
+		`let $l := $l return 1`:                     false, // the bound expression still sees the outer $l
+		`for $x in (1,2) order by $l return $x`:     false,
+		`for $x in (1,2) return <e>{$l}</e>`:        false,
+		`some $x in (1,2) satisfies $x = count($l)`: true,
+		`typeswitch ($l) case xs:integer return 1 default return 0`: false,
+	}
+	for src, want := range cases {
+		e, err := NormalizeExpr(`let $l := (7, 8, 9) return `+src, Options{})
+		if err != nil {
+			t.Fatalf("normalize %q: %v", src, err)
+		}
+		if got := OnlyCounted(e.(*Let).Body, "l"); got != want {
+			t.Errorf("OnlyCounted(%s) = %v, want %v", src, got, want)
+		}
+	}
+}
