@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-kernels-smoke bench-construct-smoke bench-parallel bench-physical bench-morsel bench-morsel-smoke bench-service bench-store bench-plan bench-plan-smoke bench-fusion bench-fusion-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-kernels-smoke bench-construct-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -126,72 +126,11 @@ bench-construct-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench ElemConstruct -benchtime 1x
 	$(GO) test ./internal/serialize -run '^$$' -bench SerializeResult -benchtime 1x
 
-# Sequential-vs-parallel scheduler comparison; writes BENCH_parallel.json.
-bench-parallel:
-	$(GO) run ./cmd/xmarkbench -report parallel -sfs 0.1 -workers 8 -v
-
-# Legacy-interpreter-vs-physical-executor comparison; writes
-# BENCH_physical.json (doubles as a differential check: every query's
-# output is compared byte-for-byte).
-bench-physical:
-	$(GO) run ./cmd/xmarkbench -report physical -sfs 0.1 -v
-
-# Intra-operator morsel parallelism sweep vs the single-worker physical
-# executor; writes BENCH_morsel.json with per-query morsel counts.
-# -gomaxprocs 0 keeps the host's setting; raise it explicitly when the
-# environment pins GOMAXPROCS below the core count.
-bench-morsel:
-	$(GO) run ./cmd/xmarkbench -report morsel -sfs 0.1 -gomaxprocs 0 -worker-sweep 2,4,8 -v
-
-# CI smoke: a tiny instance at two workers — catches parallel-path
-# regressions (mismatches fail the query cells) without nightly budgets.
-bench-morsel-smoke:
-	$(GO) run ./cmd/xmarkbench -report morsel -sfs 0.01 -worker-sweep 2 -repeat 2 -morsel-out BENCH_morsel_smoke.json
-
-# Service load benchmark: N clients of mixed point/heavy XMark traffic
-# against an in-process service; writes BENCH_service.json with per-class
-# throughput and p50/p95/p99 latency. On single-CPU hosts the report is
-# cpu_caveat-stamped — the numbers there are time-slicing, not capacity.
-bench-service:
-	$(GO) run ./cmd/pfload -launch -gen xmark.xml=0.01 -clients 16 -duration 10s -v
-
 # CI smoke for the service path: a real pfserver process (HTTP + TCP),
-# pfload driving it briefly, /stats scraped, completions asserted, and a
-# graceful TERM shutdown checked.
+# curl driving point lookups and Q8 joins over /query/text, /stats
+# scraped, completions asserted, and a graceful TERM shutdown checked.
 service-smoke:
 	./scripts/service_smoke.sh
-
-# Persistence benchmark: cold shred of auction.xml vs pfstore save +
-# reopen, with a differential query check; writes BENCH_store.json
-# (cpu_caveat-stamped on single-CPU hosts).
-bench-store:
-	$(GO) run ./cmd/xmarkbench -report store -sfs 0.1 -v
-
-# Optimizer pipeline benchmark: per-query operator counts and rows
-# materialized before/after the staged pipeline (vs the single-shot
-# peephole), both plans executed and byte-compared; writes
-# BENCH_plan.json (cpu_caveat-stamped on single-CPU hosts).
-bench-plan:
-	$(GO) run ./cmd/xmarkbench -report plan -sfs 0.1 -v
-
-# CI smoke: a tiny instance — any output mismatch between the peephole
-# and pipeline plans, or a pipeline plan larger than its peephole
-# counterpart, fails the run.
-bench-plan-smoke:
-	$(GO) run ./cmd/xmarkbench -report plan -sfs 0.01 -repeat 2 -plan-out BENCH_plan_smoke.json
-
-# Fused-chain executor benchmark: identical optimized plans run with
-# fused chains as single vectorized loops vs one kernel at a time,
-# outputs byte-compared, rows materialized counted in both modes;
-# writes BENCH_fusion.json (cpu_caveat-stamped on single-CPU hosts).
-bench-fusion:
-	$(GO) run ./cmd/xmarkbench -report fusion -sfs 0.1 -repeat 5 -v
-
-# CI smoke: a tiny instance — any fused/unfused output mismatch, or a
-# fused run that materializes more rows than the per-operator run,
-# fails the run.
-bench-fusion-smoke:
-	$(GO) run ./cmd/xmarkbench -report fusion -sfs 0.01 -repeat 2 -fusion-out BENCH_fusion_smoke.json
 
 # CI smoke for the store path: persist a collection through one pfserver,
 # restart over the same catalog directory, and assert the second process

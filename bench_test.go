@@ -217,8 +217,9 @@ func BenchmarkStaircaseVsNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizerOnOff ablates the peephole optimizer [5] on the
-// join-heavy Q8 plan.
+// BenchmarkOptimizerOnOff ablates the optimizer pipeline [5] on the
+// join-heavy Q8 plan: the compiled plan as core emits it against
+// opt.Optimize's.
 func BenchmarkOptimizerOnOff(b *testing.B) {
 	for _, optimize := range []bool{true, false} {
 		mode := "optimized"

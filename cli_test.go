@@ -12,10 +12,13 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"pathfinder/internal/xmark"
 )
 
 var (
@@ -77,6 +80,20 @@ func TestCLIXmlgenAndPf(t *testing.T) {
 	}
 	if out := runTool(t, "pf", "-show", "plan", "1 + 1"); !strings.Contains(out, "operators)") {
 		t.Errorf("plan mode: %q", out)
+	}
+	// -show plan is the plan as compiled, -show opt the plan as optimized:
+	// on Q8 the pipeline removes operators, so the first count is larger.
+	opsOf := func(mode string) int {
+		out := runTool(t, "pf", "-doc", doc, "-show", mode, xmark.Query(8))
+		m := regexp.MustCompile(`\((\d+) operators\)\n$`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("-show %s prints no operator count:\n%s", mode, lastLines(out, 4))
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	if compiled, optimized := opsOf("plan"), opsOf("opt"); compiled <= optimized {
+		t.Errorf("Q8: -show plan has %d operators, -show opt %d; want the compiled plan larger", compiled, optimized)
 	}
 	if out := runTool(t, "pf", "-show", "mil", "1 + 1"); !strings.Contains(out, "return v") {
 		t.Errorf("mil mode: %q", out)

@@ -47,9 +47,7 @@ func main() {
 		storeDir    = flag.String("store", "", "persistent collection catalog directory (*.pfc files)")
 		collection  = flag.String("collection", "", "named collection from -store to query (binds absolute paths and bare fn:collection())")
 		queryFile   = flag.String("f", "", "read the query from a file")
-		show        = flag.String("show", "result", "what to print: result, trace, explain, core, plan, opt, mil, sql, dot, physical, hist")
-		noOpt       = flag.Bool("noopt", false, "skip the optimizer entirely")
-		noPipeline  = flag.Bool("no-opt-pipeline", false, "use the legacy single-shot peephole optimizer (no staged pipeline / join graph isolation)")
+		show        = flag.String("show", "result", "what to print: result, trace, explain, core, plan (as compiled), opt (as optimized), mil, sql, dot, physical, hist")
 		naive       = flag.Bool("naive", false, "disable the staircase join (tree-unaware axis evaluation)")
 		workers     = flag.Int("workers", engine.EnvWorkers(), "shared worker budget for the DAG scheduler and morsel teams (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
 		morselRows  = flag.Int("morsel-rows", 0, "morsel granularity for intra-operator parallelism (0 = default, <0 = disable)")
@@ -62,7 +60,7 @@ func main() {
 
 	cat := openCatalog(*storeDir, *collection)
 	if *interactive {
-		repl(*docPath, cat, *collection, *naive, *noOpt, *noPipeline, *noFusion, *workers)
+		repl(*docPath, cat, *collection, *naive, *noFusion, *workers)
 		return
 	}
 	query := ""
@@ -86,30 +84,21 @@ func main() {
 	}
 
 	compileStart := time.Now()
-	plan, coreExpr, err := core.CompileQuery(query, opts)
+	compiled, coreExpr, err := core.CompileQuery(query, opts)
 	if err != nil {
 		fatal("%v", err)
 	}
 	if *checkPlans {
-		if diags := check.Logical(plan); len(diags) > 0 {
+		if diags := check.Logical(compiled); len(diags) > 0 {
 			fmt.Fprint(os.Stderr, check.Render(diags))
 			fatal("check: %d finding(s) in the compiled plan", len(diags))
 		}
 	}
-	var optTrace string
-	if !*noOpt {
-		if *noPipeline {
-			if plan, err = opt.Peephole(plan); err != nil {
-				fatal("optimize: %v", err)
-			}
-		} else {
-			res, err := opt.Pipeline(plan)
-			if err != nil {
-				fatal("optimize: %v", err)
-			}
-			plan, optTrace = res.Plan, res.TraceString()
-		}
+	optimized, err := opt.Pipeline(compiled)
+	if err != nil {
+		fatal("optimize: %v", err)
 	}
+	plan := optimized.Plan
 	if *checkPlans {
 		if diags := check.Plan(plan); len(diags) > 0 {
 			fmt.Fprint(os.Stderr, check.Render(diags))
@@ -125,16 +114,16 @@ func main() {
 		fmt.Print(xqcore.Print(coreExpr))
 		return
 	case "plan":
-		fmt.Print(algebra.TreeString(plan))
-		fmt.Printf("(%d operators)\n", algebra.CountOps(plan))
+		// The loop-lifted plan as the compiler emitted it (the paper's
+		// Figure 5 is this DAG), before any rewrite.
+		fmt.Print(algebra.TreeString(compiled))
+		fmt.Printf("(%d operators)\n", algebra.CountOps(compiled))
 		return
 	case "opt":
 		// The per-pass pipeline trace first — the operator counts each
 		// pass went in and came out with — then the final plan.
-		if optTrace != "" {
-			fmt.Print(optTrace)
-			fmt.Println()
-		}
+		fmt.Print(optimized.TraceString())
+		fmt.Println()
 		fmt.Print(algebra.TreeString(plan))
 		fmt.Printf("(%d operators)\n", algebra.CountOps(plan))
 		return
@@ -205,11 +194,8 @@ func main() {
 			if !ok {
 				return ""
 			}
-			ann := fmt.Sprintf("→ %d→%d rows, %v, worker %d",
-				st.RowsIn, st.RowsOut, st.Wall.Round(time.Microsecond), st.Worker)
-			if st.Kernel != "" {
-				ann += fmt.Sprintf(", %s, mat %d", st.Kernel, st.RowsMat)
-			}
+			ann := fmt.Sprintf("→ %d→%d rows, %v, worker %d, %s, mat %d",
+				st.RowsIn, st.RowsOut, st.Wall.Round(time.Microsecond), st.Worker, st.Kernel, st.RowsMat)
 			if st.Static != "" {
 				ann += fmt.Sprintf(", fast path for static %s", st.Static)
 			}
@@ -233,9 +219,7 @@ func main() {
 			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.Chains), len(phys.ThetaJoins))
 		printFusedChains(phys, tr)
 		printThetaJoins(phys, tr)
-		if optTrace != "" {
-			fmt.Print(optTrace)
-		}
+		fmt.Print(optimized.TraceString())
 		fmt.Println()
 	default:
 		r, err := eng.Eval(plan)
@@ -341,7 +325,7 @@ func bindCollection(eng *engine.Engine, collection string) *engine.Engine {
 // their own ad hoc queries", §4): the store persists across queries, so
 // documents load once and constructed fragments accumulate like in a
 // session against a running server.
-func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt, noPipeline, noFusion bool, workers int) {
+func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noFusion bool, workers int) {
 	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: workers, NoFusion: noFusion, Catalog: cat})
 	eng.Staircase = !naive
 	eng.Resolve = fileResolver(docPath)
@@ -363,7 +347,7 @@ func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt,
 			return
 		}
 		start := time.Now()
-		out, err := runOnce(line, eng, opts, noOpt, noPipeline)
+		out, err := runOnce(line, eng, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		} else {
@@ -374,19 +358,13 @@ func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noOpt,
 	}
 }
 
-func runOnce(query string, eng *engine.Engine, opts xqcore.Options, noOpt, noPipeline bool) (string, error) {
+func runOnce(query string, eng *engine.Engine, opts xqcore.Options) (string, error) {
 	plan, _, err := core.CompileQuery(query, opts)
 	if err != nil {
 		return "", err
 	}
-	if !noOpt {
-		optimize := opt.Optimize
-		if noPipeline {
-			optimize = opt.Peephole
-		}
-		if plan, err = optimize(plan); err != nil {
-			return "", err
-		}
+	if plan, err = opt.Optimize(plan); err != nil {
+		return "", err
 	}
 	res, err := eng.Eval(plan)
 	if err != nil {

@@ -76,7 +76,6 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 		maxQueue     = fs.Int("max-queue", 0, "admission queue bound; beyond it queries get 429 (0 = service default)")
 		reqTimeout   = fs.Duration("request-timeout", 0, "default per-query timeout (0 = service default)")
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight queries")
-		noPipeline   = fs.Bool("no-opt-pipeline", false, "prepare plans with the legacy single-shot peephole optimizer (no staged pipeline / join graph isolation)")
 		noFusion     = fs.Bool("no-fusion", false, "run fused operator chains one kernel at a time (executor switch; plans are identical)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -119,12 +118,11 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 
 	svc := service.New(store, service.Config{
-		Engine:          engine.Config{Workers: *workers, NoFusion: *noFusion},
-		Catalog:         cat,
-		MaxInFlight:     *maxInFlight,
-		MaxQueue:        *maxQueue,
-		DefaultTimeout:  *reqTimeout,
-		LegacyOptimizer: *noPipeline,
+		Engine:         engine.Config{Workers: *workers, NoFusion: *noFusion},
+		Catalog:        cat,
+		MaxInFlight:    *maxInFlight,
+		MaxQueue:       *maxQueue,
+		DefaultTimeout: *reqTimeout,
 	})
 
 	// Both front doors up before the readiness lines print.

@@ -37,7 +37,6 @@ func main() {
 		ctxDoc  = flag.String("doc", "", "document bound to absolute paths")
 		coll    = flag.String("collection", "", "named collection from the server's -store catalog; ships the query as source instead of a MIL plan")
 		showMIL = flag.Bool("mil", false, "print the shipped MIL program to stderr")
-		noOpt   = flag.Bool("noopt", false, "skip the peephole optimizer")
 	)
 	flag.Parse()
 
@@ -93,10 +92,8 @@ func main() {
 		if err != nil {
 			fatal("compile: %v", err)
 		}
-		if !*noOpt {
-			if plan, err = opt.Optimize(plan); err != nil {
-				fatal("optimize: %v", err)
-			}
+		if plan, err = opt.Optimize(plan); err != nil {
+			fatal("optimize: %v", err)
 		}
 		prog, err := mil.Emit(plan)
 		if err != nil {

@@ -2,7 +2,8 @@
 // (XMark query times for Pathfinder and the navigational baseline across
 // instance sizes), Figure 4 (Pathfinder times normalized to the middle
 // size, exposing the linear-vs-quadratic split of §3.4), and the §3.1
-// storage-overhead report.
+// storage-overhead report. Everything else this repository measures is
+// the benchmark in benchmark/ (BENCHMARK.json).
 //
 // Usage:
 //
@@ -10,44 +11,6 @@
 //	xmarkbench -report figure4
 //	xmarkbench -report storage
 //	xmarkbench -report all -queries 8,9,10,11,12
-//
-// The parallel report compares the sequential evaluator against the
-// parallel DAG scheduler and records the speedups as JSON:
-//
-//	xmarkbench -report parallel -sfs 0.1 -workers 8 -parallel-out BENCH_parallel.json
-//
-// The physical report compares the legacy sequential interpreter against
-// the physical-plan executor (typed kernels + selection vectors + the
-// parallel scheduler):
-//
-//	xmarkbench -report physical -sfs 0.1 -workers 8 -physical-out BENCH_physical.json
-//
-// The morsel report sweeps intra-operator worker counts against the
-// single-worker physical executor, recording per-query morsel counts.
-// -gomaxprocs raises runtime.GOMAXPROCS first, since a sweep recorded at
-// gomaxprocs=1 hides every parallel speedup:
-//
-//	xmarkbench -report morsel -sfs 0.1 -gomaxprocs 8 -worker-sweep 2,4,8 -morsel-out BENCH_morsel.json
-//
-// The store report measures the persistent columnar format: cold shred of
-// auction.xml versus pfstore save + reopen, with a differential query
-// check on both stores:
-//
-//	xmarkbench -report store -sfs 0.1 -store-out BENCH_store.json
-//
-// The plan report measures the staged optimizer pipeline against the
-// single-shot peephole: per-query operator counts and rows materialized
-// by the physical executor before/after, executing both plans and
-// comparing outputs byte-for-byte:
-//
-//	xmarkbench -report plan -sfs 0.1 -plan-out BENCH_plan.json
-//
-// The fusion report measures fused-chain execution against per-operator
-// execution of the identical optimized plans (the -no-fusion executor
-// switch): per-query wall time and rows materialized, outputs compared
-// byte-for-byte:
-//
-//	xmarkbench -report fusion -sfs 0.1 -fusion-out BENCH_fusion.json
 package main
 
 import (
@@ -64,26 +27,14 @@ import (
 
 func main() {
 	var (
-		report   = flag.String("report", "all", "table3, figure4, storage, csv, parallel, physical, morsel, plan, fusion, store, or all")
-		sfsFlag  = flag.String("sfs", "0.002,0.02,0.2", "comma-separated scale factors (parallel report uses the first)")
+		report   = flag.String("report", "all", "table3, figure4, storage, csv, or all")
+		sfsFlag  = flag.String("sfs", "0.002,0.02,0.2", "comma-separated scale factors")
 		queries  = flag.String("queries", "", "comma-separated query numbers (default all 20)")
 		budget   = flag.Duration("budget", 30*time.Second, "per-query time budget before DNF")
 		baseline = flag.Bool("baseline", true, "run the navigational baseline too")
-		optimize = flag.Bool("opt", true, "run plans through the peephole optimizer")
+		optimize = flag.Bool("opt", true, "run plans through the optimizer pipeline")
 		workers  = flag.Int("workers", engine.EnvWorkers(), "engine worker pool size (0 = GOMAXPROCS; also via PF_WORKERS)")
-		parOut   = flag.String("parallel-out", "BENCH_parallel.json", "where -report parallel writes its JSON record")
-		physOut  = flag.String("physical-out", "BENCH_physical.json", "where -report physical writes its JSON record")
-		repeat   = flag.Int("repeat", 3, "parallel report: timing repetitions (best-of)")
 		verbose  = flag.Bool("v", false, "progress output on stderr")
-
-		morselOut  = flag.String("morsel-out", "BENCH_morsel.json", "where -report morsel writes its JSON record")
-		sweepFlag  = flag.String("worker-sweep", "", "morsel report: comma-separated worker counts (default 2,4[,GOMAXPROCS])")
-		gomaxprocs = flag.Int("gomaxprocs", 0, "raise runtime.GOMAXPROCS before benchmarking (0 = leave as-is)")
-		morselRows = flag.Int("morsel-rows", 0, "morsel granularity in rows (0 = engine default)")
-
-		storeOut  = flag.String("store-out", "BENCH_store.json", "where -report store writes its JSON record")
-		planOut   = flag.String("plan-out", "BENCH_plan.json", "where -report plan writes its JSON record")
-		fusionOut = flag.String("fusion-out", "BENCH_fusion.json", "where -report fusion writes its JSON record")
 	)
 	flag.Parse()
 
@@ -105,220 +56,6 @@ func main() {
 			qs = append(qs, q)
 		}
 	}
-	logf := func(string, ...any) {}
-	if *verbose {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-
-	if *report == "parallel" {
-		res, err := bench.RunParallel(bench.ParallelConfig{
-			SF: sfs[0], Queries: qs, Workers: *workers,
-			Repeat: *repeat, Optimize: *optimize, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println(res.ParallelTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*parOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *parOut, err)
-		}
-		fmt.Printf("wrote %s\n", *parOut)
-		return
-	}
-
-	if *report == "morsel" {
-		var sweep []int
-		if *sweepFlag != "" {
-			for _, s := range strings.Split(*sweepFlag, ",") {
-				w, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || w < 1 {
-					fatal("bad worker count %q", s)
-				}
-				sweep = append(sweep, w)
-			}
-		}
-		res, err := bench.RunMorsel(bench.MorselConfig{
-			SF: sfs[0], Queries: qs, Sweep: sweep,
-			Repeat: *repeat, MorselRows: *morselRows, GOMAXPROCS: *gomaxprocs,
-			Optimize: *optimize, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		// Unconditionally on stderr (not just -v): a sweep recorded on a
-		// host that cannot overlap morsel teams must not be mistaken for
-		// the parallelism evaluation.
-		if res.CPUCaveat != "" {
-			fmt.Fprintf(os.Stderr, "xmarkbench: WARNING: %s\n", res.CPUCaveat)
-		}
-		fmt.Println(res.MorselTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*morselOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *morselOut, err)
-		}
-		fmt.Printf("wrote %s\n", *morselOut)
-		// The sweep doubles as a differential check: any divergence from
-		// the single-worker baseline is a correctness bug, not a perf
-		// number, so it fails the run (and with it the CI smoke step).
-		for _, c := range res.Baseline {
-			if c.Err != "" {
-				fatal("Q%d baseline: %s", c.Query, c.Err)
-			}
-		}
-		for _, s := range res.Sweeps {
-			for _, c := range s.Queries {
-				if c.Err != "" {
-					fatal("Q%d workers=%d: %s", c.Query, s.Workers, c.Err)
-				}
-				if !c.Match {
-					fatal("Q%d workers=%d: output differs from single-worker baseline", c.Query, s.Workers)
-				}
-			}
-		}
-		return
-	}
-
-	if *report == "store" {
-		res, err := bench.RunStore(bench.StoreConfig{
-			SF: sfs[0], Queries: qs, Repeat: *repeat, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		if res.CPUCaveat != "" {
-			fmt.Fprintf(os.Stderr, "xmarkbench: WARNING: %s\n", res.CPUCaveat)
-		}
-		fmt.Println(res.StoreTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*storeOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *storeOut, err)
-		}
-		fmt.Printf("wrote %s\n", *storeOut)
-		// A reopened store that answers differently is a format bug, not a
-		// perf number; fail the run so the CI smoke step catches it.
-		if !res.Match {
-			fatal("reopened store results differ from the fresh shred")
-		}
-		return
-	}
-
-	if *report == "plan" {
-		res, err := bench.RunPlan(bench.PlanConfig{
-			SF: sfs[0], Queries: qs, Repeat: *repeat, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		if res.CPUCaveat != "" {
-			fmt.Fprintf(os.Stderr, "xmarkbench: WARNING: %s\n", res.CPUCaveat)
-		}
-		fmt.Println(res.PlanTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*planOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *planOut, err)
-		}
-		fmt.Printf("wrote %s\n", *planOut)
-		// The report doubles as a differential + regression check: a
-		// pipeline plan that errors, answers differently, or grew over
-		// the peephole fails the run (and with it the CI smoke step).
-		for _, c := range res.Queries {
-			if c.Err != "" {
-				fatal("Q%d: %s", c.Query, c.Err)
-			}
-			if !c.Match {
-				fatal("Q%d: pipeline plan output differs from peephole plan", c.Query)
-			}
-			if c.OpsAfter > c.OpsBefore {
-				fatal("Q%d: pipeline grew the plan over peephole: %d -> %d", c.Query, c.OpsBefore, c.OpsAfter)
-			}
-		}
-		return
-	}
-
-	if *report == "fusion" {
-		res, err := bench.RunFusion(bench.FusionConfig{
-			SF: sfs[0], Queries: qs, Repeat: *repeat, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		if res.CPUCaveat != "" {
-			fmt.Fprintf(os.Stderr, "xmarkbench: WARNING: %s\n", res.CPUCaveat)
-		}
-		fmt.Println(res.FusionTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*fusionOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *fusionOut, err)
-		}
-		fmt.Printf("wrote %s\n", *fusionOut)
-		// The report doubles as a differential + regression check: a fused
-		// run that errors, answers differently, or materializes more rows
-		// than the per-operator path fails the run (and with it the CI
-		// smoke step).
-		for _, c := range res.Queries {
-			if c.Err != "" {
-				fatal("Q%d: %s", c.Query, c.Err)
-			}
-			if !c.Match {
-				fatal("Q%d: fused output differs from per-operator output", c.Query)
-			}
-			if c.RowsMatFused > c.RowsMatUnfused {
-				fatal("Q%d: fusion materialized more rows than per-operator execution: %d > %d",
-					c.Query, c.RowsMatFused, c.RowsMatUnfused)
-			}
-		}
-		for _, c := range res.Micro {
-			if c.Err != "" {
-				fatal("%s: %s", c.Name, c.Err)
-			}
-			if !c.Match {
-				fatal("%s: fused output differs from per-operator output", c.Name)
-			}
-			if c.RowsMatFused > c.RowsMatUnfused {
-				fatal("%s: fusion materialized more rows than per-operator execution: %d > %d",
-					c.Name, c.RowsMatFused, c.RowsMatUnfused)
-			}
-		}
-		return
-	}
-
-	if *report == "physical" {
-		res, err := bench.RunPhysical(bench.ParallelConfig{
-			SF: sfs[0], Queries: qs, Workers: *workers,
-			Repeat: *repeat, Optimize: *optimize, Verbose: logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println(res.PhysicalTable())
-		payload, err := res.JSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*physOut, append(payload, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *physOut, err)
-		}
-		fmt.Printf("wrote %s\n", *physOut)
-		return
-	}
 
 	cfg := bench.Config{
 		SFs:          sfs,
@@ -327,10 +64,11 @@ func main() {
 		WithBaseline: *baseline,
 		Optimize:     *optimize,
 		Workers:      *workers,
-		Verbose:      nil,
 	}
 	if *verbose {
-		cfg.Verbose = logf
+		cfg.Verbose = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		}
 	}
 
 	res, err := bench.Run(cfg)

@@ -4,9 +4,9 @@
 //	for $v in (10,20) return $v + 100
 //
 // Prints every compilation stage: the type-annotated XQuery Core
-// equivalent, the loop-lifted relational plan (Figure 5's DAG), the
-// peephole-optimized plan, its Graphviz rendering, and the MIL program
-// shipped to the back end.
+// equivalent, the loop-lifted relational plan (Figure 5's DAG), the plan
+// after the optimizer pipeline, its Graphviz rendering, and the MIL
+// program shipped to the back end.
 package main
 
 import (
@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("== after peephole optimization (%d operators) ==\n",
+	fmt.Printf("== after the optimizer pipeline (%d operators) ==\n",
 		algebra.CountOps(oplan))
 	fmt.Println(algebra.TreeString(oplan))
 

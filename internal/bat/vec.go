@@ -252,6 +252,23 @@ func ConstInt(v int64, n int) IntVec {
 	return out
 }
 
+// RangeLen is the number of integers in lo..hi, 0 when hi < lo — the
+// expansion size of XQuery's `lo to hi`, which both executors check
+// before they allocate. A range spanning more than 50 million is an
+// error rather than an exhausted heap. The span is taken in uint64,
+// where hi-lo is exact for any lo <= hi, so ranges ending at the int64
+// edge neither wrap nor slip under the bound.
+func RangeLen(lo, hi int64) (int, error) {
+	if hi < lo {
+		return 0, nil
+	}
+	span := uint64(hi) - uint64(lo)
+	if span > 50_000_000 {
+		return 0, fmt.Errorf("range %d..%d too large", lo, hi)
+	}
+	return int(span) + 1, nil
+}
+
 // Ramp returns the dense sequence base, base+1, ... of length n. MonetDB
 // realizes these as virtual (void) columns; materializing keeps the engine
 // simple while the optimizer still recognizes ramp-ness via properties.

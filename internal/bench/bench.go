@@ -24,7 +24,7 @@ type Config struct {
 	Queries      []int         // query numbers; nil = all 20
 	Budget       time.Duration // per-query time budget; exceeding it records DNF
 	WithBaseline bool          // also run the navigational baseline
-	Optimize     bool          // run plans through the peephole optimizer
+	Optimize     bool          // run plans through the optimizer pipeline (opt.Optimize)
 	Workers      int           // engine worker pool size; 0 = GOMAXPROCS, 1 = sequential
 	Verbose      func(format string, args ...any)
 }

@@ -123,83 +123,3 @@ func TestFmtBytes(t *testing.T) {
 		}
 	}
 }
-
-func TestRunMorselTiny(t *testing.T) {
-	res, err := RunMorsel(MorselConfig{
-		SF:         0.005,
-		Queries:    []int{1, 8, 10},
-		Sweep:      []int{2},
-		Repeat:     1,
-		MorselRows: 64, // force splits even on this tiny instance
-		Optimize:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Baseline) != 3 || len(res.Sweeps) != 1 {
-		t.Fatalf("shape: baseline=%d sweeps=%d", len(res.Baseline), len(res.Sweeps))
-	}
-	split := 0
-	for _, c := range res.Sweeps[0].Queries {
-		if c.Err != "" {
-			t.Errorf("Q%d: %s", c.Query, c.Err)
-			continue
-		}
-		if !c.Match {
-			t.Errorf("Q%d: morsel output differs from baseline", c.Query)
-		}
-		if c.SplitOps > 0 {
-			split++
-			if c.Morsels <= c.SplitOps {
-				t.Errorf("Q%d: morsels=%d for %d split ops", c.Query, c.Morsels, c.SplitOps)
-			}
-		}
-	}
-	if split == 0 {
-		t.Error("no query split any operator despite MorselRows=64")
-	}
-	table := res.MorselTable()
-	for _, want := range []string{"workers=2", "geomean", "morsels"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("table missing %q:\n%s", want, table)
-		}
-	}
-}
-
-func TestRunPlanTiny(t *testing.T) {
-	res, err := RunPlan(PlanConfig{
-		SF:      0.005,
-		Queries: []int{1, 8, 10},
-		Repeat:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Queries) != 3 {
-		t.Fatalf("shape: %d cells", len(res.Queries))
-	}
-	for _, c := range res.Queries {
-		if c.Err != "" {
-			t.Errorf("Q%d: %s", c.Query, c.Err)
-			continue
-		}
-		if !c.Match {
-			t.Errorf("Q%d: pipeline output differs from peephole", c.Query)
-		}
-		if c.OpsAfter >= c.OpsBefore {
-			t.Errorf("Q%d: pipeline saved nothing: %d -> %d", c.Query, c.OpsBefore, c.OpsAfter)
-		}
-		if c.Rounds < 1 {
-			t.Errorf("Q%d: trace shows no pipeline rounds", c.Query)
-		}
-		if c.RowsMatBefore <= 0 || c.RowsMatAfter <= 0 {
-			t.Errorf("Q%d: rows-materialized not recorded (%d, %d)", c.Query, c.RowsMatBefore, c.RowsMatAfter)
-		}
-	}
-	table := res.PlanTable()
-	for _, want := range []string{"ops before", "rowsmat", "total operators"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("table missing %q:\n%s", want, table)
-		}
-	}
-}

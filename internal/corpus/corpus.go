@@ -110,6 +110,18 @@ var Constructors = []Case{
 	{Query: `count(<e>{/r/a[1]/text()}</e>/text())`, Want: "1"},
 }
 
+// RangeEdges are `lo to hi` ranges at the int64 edge, needing no
+// document: a two-item range ending at MaxInt64 (where a `k <= hi` loop
+// never terminates), a span that overflows int64 (it must hit the size
+// guard, not slip under it), one starting at MinInt64 and an empty
+// reversed range. A list of its own for the same reason as Constructors.
+var RangeEdges = []Case{
+	{Query: `count(9223372036854775806 to 9223372036854775807)`, Want: "2"},
+	{Query: `count(-9223372036854775807 to 9223372036854775807)`, Err: "too large"},
+	{Query: `(-9223372036854775807 - 1) to -9223372036854775806`, Want: "-9223372036854775808 -9223372036854775807 -9223372036854775806"},
+	{Query: `count(5 to 1)`, Want: "0"},
+}
+
 // CountJoinDoc is the document the CountJoin cases run against, bound as
 // "cj.xml": person p2 has two profiles with different incomes (one
 // existential comparison per person and auction, not one per profile),

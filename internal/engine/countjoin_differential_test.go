@@ -3,10 +3,10 @@ package engine_test
 // Differential tier for fn:count over an unnested join (corpus.CountJoin):
 // every case pins which shape the compiler gave it — read off core.Stats —
 // and its result, which the physical executors (runtime checking on), the
-// same executor forced to run every theta unit member by member, the
-// legacy interpreter and the navigational baseline must all produce. The
-// forged-plan test at the end takes the count-only kernel away from XMark
-// Q11 and Q12 and expects the golden bytes from what is left.
+// same executor forced to run every theta unit member by member and the
+// navigational baseline must all produce. The forged-plan test at the end
+// takes the count-only kernel away from XMark Q11 and Q12 and expects the
+// golden bytes from what is left.
 
 import (
 	"context"
@@ -49,7 +49,6 @@ func TestCountJoinCorpus(t *testing.T) {
 	const uri = "cj.xml"
 	seq := seqEngine(t, uri, corpus.CountJoinDoc)
 	par := parEngine(t, uri, corpus.CountJoinDoc)
-	leg := legacyEngine(t, uri, corpus.CountJoinDoc)
 	demoted := parEngine(t, uri, corpus.CountJoinDoc)
 	demoted.ForceThetaDemotion()
 	db := navdom.NewDB()
@@ -72,7 +71,6 @@ func TestCountJoinCorpus(t *testing.T) {
 			{"optimized seq", func() (string, error) { return runOptimized(t, c.Query, seq, opts) }},
 			{"optimized par", func() (string, error) { return runOptimized(t, c.Query, par, opts) }},
 			{"members one by one", func() (string, error) { return runOptimized(t, c.Query, demoted, opts) }},
-			{"legacy", func() (string, error) { return runOptimized(t, c.Query, leg, opts) }},
 			{"navdom", func() (string, error) { return navdom.NewInterp(db).Run(c.Query, opts) }},
 		}
 		for _, r := range runs {

@@ -1,9 +1,10 @@
 package engine_test
 
-// Differential harness for the parallel DAG scheduler: every XMark query
-// and the Table 2 dialect corpus run through (a) the sequential evaluator,
-// (b) the parallel scheduler with the fallback disabled, and (c) the
-// navigational baseline, and all serialized results must be byte-identical.
+// Differential harness for the physical executor: every XMark query and
+// the Table 2 dialect corpus run through (a) the sequential path, (b) the
+// parallel scheduler with the fallback disabled, both on the compiled and
+// on the optimized plan, and (c) the navigational baseline, and all
+// serialized results must be byte-identical.
 
 import (
 	"strings"
@@ -31,8 +32,8 @@ const auctionDoc = corpus.AuctionDoc
 
 var dialectQueries = corpus.Dialect
 
-// seqEngine returns an engine pinned to the sequential recursive
-// evaluator, with runtime invariant checking on.
+// seqEngine returns an engine pinned to the sequential path (one worker),
+// with runtime invariant checking on.
 func seqEngine(t *testing.T, uri, doc string) *engine.Engine {
 	t.Helper()
 	e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: 1, Check: true})
@@ -54,9 +55,10 @@ func parEngine(t *testing.T, uri, doc string) *engine.Engine {
 	return e
 }
 
-// runOptimized compiles, optimizes, validates, and evaluates on the given
-// engine. Every optimized plan passes the full static validator before it
-// runs, so a property-inference or lowering regression fails here first.
+// runOptimized compiles, runs the optimizer pipeline, validates, and
+// evaluates on the given engine. Every optimized plan passes the full
+// static validator before it runs, so a property-inference or lowering
+// regression fails here first.
 func runOptimized(t *testing.T, src string, eng *engine.Engine, opts xqcore.Options) (string, error) {
 	t.Helper()
 	plan, _, err := core.CompileQuery(src, opts)
@@ -77,7 +79,7 @@ func runOptimized(t *testing.T, src string, eng *engine.Engine, opts xqcore.Opti
 }
 
 // TestXMarkParallelDifferential runs all 20 XMark queries over the same
-// generated instance through the sequential evaluator, the parallel
+// generated instance through the sequential path, the parallel
 // scheduler, and the navigational baseline.
 func TestXMarkParallelDifferential(t *testing.T) {
 	doc := xmark.GenerateString(diffSF)
@@ -144,13 +146,14 @@ func TestDialectParallelDifferential(t *testing.T) {
 		if seqOut != nav {
 			t.Errorf("%s:\n rel = %q\n nav = %q", src, seqOut, nav)
 		}
-		optPar, err := runOptimized(t, src, par, opts)
-		if err != nil {
-			t.Errorf("%s: optimized parallel: %v", src, err)
+		optSeq, errOS := runOptimized(t, src, seq, opts)
+		optPar, errOP := runOptimized(t, src, par, opts)
+		if errOS != nil || errOP != nil {
+			t.Errorf("%s: optimized: seq err=%v, par err=%v", src, errOS, errOP)
 			continue
 		}
-		if optPar != seqOut {
-			t.Errorf("%s: optimized parallel drifted:\n plain = %q\n opt   = %q", src, seqOut, optPar)
+		if optSeq != seqOut || optPar != seqOut {
+			t.Errorf("%s: optimized results drifted:\n plain   = %q\n opt seq = %q\n opt par = %q", src, seqOut, optSeq, optPar)
 		}
 	}
 }
@@ -212,109 +215,37 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	}
 }
 
-// legacyEngine returns an engine pinned to the pre-physical recursive
-// interpreter over the logical algebra — the reference semantics the
-// physical executor is differenced against.
-func legacyEngine(t *testing.T, uri, doc string) *engine.Engine {
-	t.Helper()
-	e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: 1, Legacy: true, Check: true})
-	if _, err := e.Store.LoadDocumentString(uri, doc); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
-// TestXMarkPhysicalDifferential runs all 20 XMark queries through the
-// legacy interpreter, the sequential physical executor, and the parallel
-// physical executor, requiring byte-identical serialized output — both on
-// plain plans (via core.Run) and on optimized plans (where the lowering
-// pass actually picks merge/presorted/const1 kernels).
-func TestXMarkPhysicalDifferential(t *testing.T) {
-	doc := xmark.GenerateString(diffSF)
-	leg := legacyEngine(t, "xmark.xml", doc)
-	seq := seqEngine(t, "xmark.xml", doc)
-	par := parEngine(t, "xmark.xml", doc)
-	opts := xqcore.Options{ContextDoc: "xmark.xml"}
-
-	for n := 1; n <= xmark.NumQueries; n++ {
-		src := xmark.Query(n)
-		legOut, errL := core.Run(src, leg, opts)
-		seqOut, errS := core.Run(src, seq, opts)
-		parOut, errP := core.Run(src, par, opts)
-		if errL != nil || errS != nil || errP != nil {
-			t.Errorf("Q%d: legacy err=%v, phys-seq err=%v, phys-par err=%v", n, errL, errS, errP)
-			continue
-		}
-		if seqOut != legOut || parOut != legOut {
-			t.Errorf("Q%d: physical output differs from legacy:\n legacy   = %.400q\n phys seq = %.400q\n phys par = %.400q",
-				n, legOut, seqOut, parOut)
-		}
-		optLeg, errOL := runOptimized(t, src, leg, opts)
-		optSeq, errOS := runOptimized(t, src, seq, opts)
-		optPar, errOP := runOptimized(t, src, par, opts)
-		if errOL != nil || errOS != nil || errOP != nil {
-			t.Errorf("Q%d optimized: legacy err=%v, phys-seq err=%v, phys-par err=%v", n, errOL, errOS, errOP)
-			continue
-		}
-		if optSeq != optLeg || optPar != optLeg || optLeg != legOut {
-			t.Errorf("Q%d: optimized physical drifted:\n legacy   = %.400q\n phys seq = %.400q\n phys par = %.400q",
-				n, optLeg, optSeq, optPar)
-		}
-	}
-}
-
-// TestDialectPhysicalDifferential differences the Table 2 corpus between
-// the legacy interpreter and both physical executors.
-func TestDialectPhysicalDifferential(t *testing.T) {
-	leg := legacyEngine(t, "auction.xml", auctionDoc)
-	seq := seqEngine(t, "auction.xml", auctionDoc)
-	par := parEngine(t, "auction.xml", auctionDoc)
-	opts := xqcore.Options{ContextDoc: "auction.xml"}
-
-	for _, src := range dialectQueries {
-		legOut, errL := core.Run(src, leg, opts)
-		seqOut, errS := core.Run(src, seq, opts)
-		parOut, errP := core.Run(src, par, opts)
-		if errL != nil || errS != nil || errP != nil {
-			t.Errorf("%s: legacy err=%v, phys-seq err=%v, phys-par err=%v", src, errL, errS, errP)
-			continue
-		}
-		if seqOut != legOut || parOut != legOut {
-			t.Errorf("%s:\n legacy   = %q\n phys seq = %q\n phys par = %q", src, legOut, seqOut, parOut)
-		}
-		optLeg, errOL := runOptimized(t, src, leg, opts)
-		optSeq, errOS := runOptimized(t, src, seq, opts)
-		if errOL != nil || errOS != nil {
-			t.Errorf("%s: optimized: legacy err=%v, phys err=%v", src, errOL, errOS)
-			continue
-		}
-		if optSeq != optLeg {
-			t.Errorf("%s: optimized physical drifted:\n legacy = %q\n phys   = %q", src, optLeg, optSeq)
-		}
-	}
+// TestRangeEdges runs the int64-edge ranges of corpus.RangeEdges: each
+// yields its pinned result or the size guard's error, without wrapping
+// around or allocating the span.
+func TestRangeEdges(t *testing.T) {
+	agreeOnCases(t, "<r/>", corpus.RangeEdges)
 }
 
 // TestConstructorCases runs the constructor corpus — the content rules
-// with an outcome other than "copy the item" — through the legacy
-// interpreter, both physical executors, optimized plans, and the
-// navigational baseline: all five agree on the pinned result, or all five
-// raise the pinned dynamic error.
+// with an outcome other than "copy the item".
 func TestConstructorCases(t *testing.T) {
+	agreeOnCases(t, corpus.ConstructorDoc, corpus.Constructors)
+}
+
+// agreeOnCases runs each case over doc through the sequential and the
+// parallel executor, the optimized plan and the navigational baseline:
+// all four produce the pinned result, or all four raise an error naming
+// the pinned text.
+func agreeOnCases(t *testing.T, doc string, cases []corpus.Case) {
 	const uri = "r.xml"
-	leg := legacyEngine(t, uri, corpus.ConstructorDoc)
-	seq := seqEngine(t, uri, corpus.ConstructorDoc)
-	par := parEngine(t, uri, corpus.ConstructorDoc)
+	seq := seqEngine(t, uri, doc)
+	par := parEngine(t, uri, doc)
 	db := navdom.NewDB()
-	if _, err := db.LoadString(uri, corpus.ConstructorDoc); err != nil {
+	if _, err := db.LoadString(uri, doc); err != nil {
 		t.Fatal(err)
 	}
 	opts := xqcore.Options{ContextDoc: uri}
-	for _, c := range corpus.Constructors {
+	for _, c := range cases {
 		runs := []struct {
 			name string
 			run  func() (string, error)
 		}{
-			{"legacy", func() (string, error) { return core.Run(c.Query, leg, opts) }},
 			{"phys seq", func() (string, error) { return core.Run(c.Query, seq, opts) }},
 			{"phys par", func() (string, error) { return core.Run(c.Query, par, opts) }},
 			{"optimized par", func() (string, error) { return runOptimized(t, c.Query, par, opts) }},

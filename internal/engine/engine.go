@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,7 +67,7 @@ type Engine struct {
 	Workers int
 
 	// SeqThreshold is the operator count below which plans skip the
-	// scheduler and run on the sequential recursive evaluator, so
+	// scheduler and run their units in order on the calling goroutine, so
 	// micro-queries pay no synchronization tax. 0 means
 	// DefaultSeqThreshold; negative disables the fallback entirely.
 	SeqThreshold int
@@ -87,12 +86,6 @@ type Engine struct {
 	// pf/pfserver -no-fusion, and the baseline the fusion benchmark and
 	// differential tests compare against.
 	NoFusion bool
-
-	// Legacy selects the original recursive interpreter over the logical
-	// algebra, bypassing the physical lowering pass. It is kept as the
-	// reference semantics for the differential tests and the baseline the
-	// physical-plan benchmark measures against.
-	Legacy bool
 
 	// Check enables runtime invariant assertions: after every kernel, the
 	// output's columns are checked against the operator's declared schema,
@@ -152,7 +145,6 @@ type Config struct {
 	SeqThreshold int     // sequential-fallback operator count; 0 = DefaultSeqThreshold
 	MorselRows   int     // morsel size; 0 = DefaultMorselRows, negative disables
 	NoFusion     bool    // disable fused-chain execution (run every kernel standalone)
-	Legacy       bool    // run the legacy logical interpreter instead of physical plans
 	Check        bool    // assert schema/order/denseness invariants on live intermediates
 	Catalog      Catalog // collection-name resolver for ForCollection; nil = no named collections
 }
@@ -176,7 +168,6 @@ func NewWithConfig(store *xenc.Store, cfg Config) *Engine {
 	e.SeqThreshold = cfg.SeqThreshold
 	e.MorselRows = cfg.MorselRows
 	e.NoFusion = cfg.NoFusion
-	e.Legacy = cfg.Legacy
 	e.Check = cfg.Check
 	e.Cat = cfg.Catalog
 	return e
@@ -255,12 +246,10 @@ func (e *Engine) EvalTrace(ctx context.Context, root *algebra.Op) (*bat.Table, *
 	return e.run(ctx, root, true)
 }
 
-// run picks the evaluation strategy. The default path lowers the logical
-// DAG to a physical plan of typed kernels (internal/physical) and
-// executes it — sequentially for plans below the fallback threshold or on
-// single-worker engines, otherwise on the parallel DAG scheduler. The
-// Legacy flag selects the original recursive interpreter over the logical
-// algebra instead.
+// run lowers the logical DAG to a physical plan of typed kernels
+// (internal/physical) and executes it — sequentially for plans below the
+// fallback threshold or on single-worker engines, otherwise on the
+// parallel DAG scheduler.
 func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.Table, *Trace, error) {
 	e.sh.queries.Add(1)
 	defer e.sh.queries.Add(-1)
@@ -272,15 +261,6 @@ func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.T
 	var tr *Trace
 	if traced {
 		tr = newTrace()
-	}
-	if e.Legacy {
-		if e.WorkerCount() <= 1 || algebra.CountOps(root) < e.seqThreshold() {
-			res, err := e.evalSequential(ctx, root, tr)
-			return res, tr, err
-		}
-		tr.setScheduled()
-		res, err := e.evalParallel(ctx, root, tr)
-		return res, tr, err
 	}
 	plan := e.Lowered(root)
 	if e.WorkerCount() <= 1 || len(plan.Nodes) < e.seqThreshold() {
@@ -331,183 +311,11 @@ func (e *Engine) seqThreshold() int {
 	return e.SeqThreshold
 }
 
-// evalSequential is the recursive single-worker evaluator — the fallback
-// path for small plans and the reference semantics the differential tests
-// compare the scheduler against.
-func (e *Engine) evalSequential(ctx context.Context, root *algebra.Op, tr *Trace) (*bat.Table, error) {
-	ev := &evaluation{e: e, ctx: ctx, memo: make(map[*algebra.Op]*bat.Table), trace: tr}
-	return ev.eval(root)
-}
-
-type evaluation struct {
-	e     *Engine
-	ctx   context.Context
-	memo  map[*algebra.Op]*bat.Table
-	trace *Trace
-}
-
-func (ev *evaluation) eval(o *algebra.Op) (*bat.Table, error) {
-	if t, ok := ev.memo[o]; ok {
-		return t, nil
-	}
-	if err := ev.ctx.Err(); err != nil {
-		return nil, err
-	}
-	in := make([]*bat.Table, len(o.In))
-	for i, child := range o.In {
-		t, err := ev.eval(child)
-		if err != nil {
-			return nil, err
-		}
-		in[i] = t
-	}
-	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-	t, err := ev.e.apply(ev.ctx, o, in)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", o.Kind, err)
-	}
-	if ev.e.Check {
-		if err := checkSchemaAgainst(t.Cols(), o.Schema()); err != nil {
-			return nil, fmt.Errorf("%s: %w", o.Kind, err)
-		}
-	}
-	ev.memo[o] = t
-	if ev.trace != nil {
-		//pfvet:allow determinism -- trace wall-time only, not query results
-		ev.trace.record(o, t, OpStat{Wall: time.Since(start), RowsIn: rowsIn(in), RowsOut: t.Rows(), Worker: 0})
-	}
-	return t, nil
-}
-
-func rowsIn(in []*bat.Table) int {
-	n := 0
-	for _, t := range in {
-		n += t.Rows()
-	}
-	return n
-}
-
-func (e *Engine) apply(ctx context.Context, o *algebra.Op, in []*bat.Table) (*bat.Table, error) {
-	if e.onApply != nil {
-		e.onApply(o)
-	}
-	switch o.Kind {
-	case algebra.OpLit:
-		return o.Lit, nil
-	case algebra.OpProject:
-		specs := make([]string, len(o.Proj))
-		for i, p := range o.Proj {
-			specs[i] = p.New + ":" + p.Old
-		}
-		return in[0].Project(specs...)
-	case algebra.OpSelect:
-		return evalSelect(in[0], o.Col)
-	case algebra.OpUnion:
-		return evalUnion(in[0], in[1])
-	case algebra.OpDiff:
-		return evalDiff(in[0], in[1], o.KeyL, o.KeyR)
-	case algebra.OpDistinct:
-		return evalDistinct(in[0])
-	case algebra.OpJoin:
-		return evalJoin(ctx, in[0], in[1], o.KeyL, o.KeyR, joinFull)
-	case algebra.OpSemiJoin:
-		return evalJoin(ctx, in[0], in[1], o.KeyL, o.KeyR, joinSemi)
-	case algebra.OpCross:
-		return evalCross(ctx, in[0], in[1])
-	case algebra.OpRowNum:
-		return evalRowNum(in[0], o.Col, o.Order, o.Part)
-	case algebra.OpRowID:
-		t := in[0].Slice(0, in[0].Rows())
-		if err := t.AddCol(o.Col, bat.Ramp(1, in[0].Rows())); err != nil {
-			return nil, err
-		}
-		return t, nil
-	case algebra.OpFun:
-		return e.evalFun(in[0], o)
-	case algebra.OpAggr:
-		return evalAggr(in[0], o.Col, o.Agg, o.Args, o.Part, o.Sep)
-	case algebra.OpStep:
-		return e.evalStep(&morsels{e: e, ctx: ctx}, in[0], o.Axis, o.Test)
-	case algebra.OpDoc:
-		return e.evalDoc(in[0])
-	case algebra.OpRoots:
-		return e.evalRoots(in[0])
-	case algebra.OpElem:
-		return e.evalElem(in[0], in[1])
-	case algebra.OpText:
-		return e.evalText(in[0])
-	case algebra.OpAttrC:
-		return e.evalAttrC(in[0], in[1])
-	case algebra.OpRange:
-		return e.evalRange(ctx, in[0], o.KeyL[0], o.KeyL[1])
-	case algebra.OpColl:
-		return e.evalColl(in[0])
-	}
-	return nil, fmt.Errorf("unimplemented operator")
-}
-
 // cancelStride is how many rows the long-running row loops (×, ⋈, range
 // expansion) process between context checks: frequent enough that a
 // deadline or first-error cancellation is observed mid-operator, cheap
 // enough to vanish next to the per-row work.
 const cancelStride = 4096
-
-// σ ---------------------------------------------------------------------------
-
-func evalSelect(t *bat.Table, col string) (*bat.Table, error) {
-	v, err := t.Col(col)
-	if err != nil {
-		return nil, err
-	}
-	var idx []int32
-	for i := 0; i < t.Rows(); i++ {
-		it := v.ItemAt(i)
-		if it.Kind != bat.KBool {
-			return nil, fmt.Errorf("σ over non-boolean column %q (row %d is %s)", col, i, it.Kind)
-		}
-		if it.B {
-			idx = append(idx, int32(i))
-		}
-	}
-	return t.Gather(idx), nil
-}
-
-// ∪ ---------------------------------------------------------------------------
-
-func evalUnion(l, r *bat.Table) (*bat.Table, error) {
-	out := &bat.Table{}
-	for _, name := range l.Cols() {
-		lv := l.MustCol(name)
-		rv, err := r.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		var merged bat.Vec
-		if lv.Type() == rv.Type() {
-			b := lv.New(lv.Len() + rv.Len())
-			for i := 0; i < lv.Len(); i++ {
-				b.AppendFrom(lv, i)
-			}
-			for i := 0; i < rv.Len(); i++ {
-				b.AppendFrom(rv, i)
-			}
-			merged = b.Build()
-		} else {
-			iv := make(bat.ItemVec, 0, lv.Len()+rv.Len())
-			for i := 0; i < lv.Len(); i++ {
-				iv = append(iv, lv.ItemAt(i))
-			}
-			for i := 0; i < rv.Len(); i++ {
-				iv = append(iv, rv.ItemAt(i))
-			}
-			merged = iv
-		}
-		if err := out.AddCol(name, merged); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
 
 // Key hashing -----------------------------------------------------------------
 
@@ -530,59 +338,6 @@ func rowKey(buf []byte, vecs []bat.Vec, i int) []byte {
 	return buf
 }
 
-// \ and δ ----------------------------------------------------------------------
-
-func evalDiff(l, r *bat.Table, keyL, keyR []string) (*bat.Table, error) {
-	rv, err := colVecs(r, keyR)
-	if err != nil {
-		return nil, err
-	}
-	if len(keyL) == 1 {
-		if lInts, ok := mustVec(l, keyL[0]).(bat.IntVec); ok {
-			if rInts, ok := rv[0].(bat.IntVec); ok {
-				set := make(map[int64]struct{}, len(rInts))
-				for _, k := range rInts {
-					set[k] = struct{}{}
-				}
-				var idx []int32
-				for i, k := range lInts {
-					if _, hit := set[k]; !hit {
-						idx = append(idx, int32(i))
-					}
-				}
-				return l.Gather(idx), nil
-			}
-		}
-	}
-	set := make(map[string]struct{}, r.Rows())
-	var buf []byte
-	for i := 0; i < r.Rows(); i++ {
-		buf = rowKey(buf[:0], rv, i)
-		set[string(buf)] = struct{}{}
-	}
-	lv, err := colVecs(l, keyL)
-	if err != nil {
-		return nil, err
-	}
-	var idx []int32
-	for i := 0; i < l.Rows(); i++ {
-		buf = rowKey(buf[:0], lv, i)
-		if _, ok := set[string(buf)]; !ok {
-			idx = append(idx, int32(i))
-		}
-	}
-	return l.Gather(idx), nil
-}
-
-func evalDistinct(t *bat.Table) (*bat.Table, error) {
-	vecs, err := colVecs(t, t.Cols())
-	if err != nil {
-		return nil, err
-	}
-	idx, _ := distinctIndices(vecs, t.Rows(), nil, 0)
-	return t.Gather(idx), nil
-}
-
 func colVecs(t *bat.Table, names []string) ([]bat.Vec, error) {
 	vecs := make([]bat.Vec, len(names))
 	for i, n := range names {
@@ -603,109 +358,6 @@ const (
 	joinFull joinMode = iota
 	joinSemi
 )
-
-func evalJoin(ctx context.Context, l, r *bat.Table, keyL, keyR []string, mode joinMode) (*bat.Table, error) {
-	rv, err := colVecs(r, keyR)
-	if err != nil {
-		return nil, err
-	}
-	// Fast path for the dominant case: a single dense-integer key (the
-	// iter/inner/outer joins loop-lifting emits everywhere).
-	if len(keyL) == 1 {
-		if lInts, ok := mustVec(l, keyL[0]).(bat.IntVec); ok {
-			if rInts, ok := rv[0].(bat.IntVec); ok {
-				return intJoin(ctx, l, r, lInts, rInts, mode)
-			}
-		}
-	}
-	ht := make(map[string][]int32, r.Rows())
-	var buf []byte
-	for i := 0; i < r.Rows(); i++ {
-		buf = rowKey(buf[:0], rv, i)
-		ht[string(buf)] = append(ht[string(buf)], int32(i))
-	}
-	lv, err := colVecs(l, keyL)
-	if err != nil {
-		return nil, err
-	}
-	var lIdx, rIdx []int32
-	for i := 0; i < l.Rows(); i++ {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		buf = rowKey(buf[:0], lv, i)
-		matches := ht[string(buf)]
-		if mode == joinSemi {
-			if len(matches) > 0 {
-				lIdx = append(lIdx, int32(i))
-			}
-			continue
-		}
-		for _, j := range matches {
-			lIdx = append(lIdx, int32(i))
-			rIdx = append(rIdx, j)
-		}
-	}
-	if mode == joinSemi {
-		return l.Gather(lIdx), nil
-	}
-	out := l.Gather(lIdx)
-	rg := r.Gather(rIdx)
-	for _, name := range r.Cols() {
-		if err := out.AddCol(name, rg.MustCol(name)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func mustVec(t *bat.Table, name string) bat.Vec {
-	v, err := t.Col(name)
-	if err != nil {
-		return nil
-	}
-	return v
-}
-
-// intJoin is the typed hash join over a single integer key column.
-func intJoin(ctx context.Context, l, r *bat.Table, lk, rk bat.IntVec, mode joinMode) (*bat.Table, error) {
-	ht := make(map[int64][]int32, len(rk))
-	for i, k := range rk {
-		ht[k] = append(ht[k], int32(i))
-	}
-	var lIdx, rIdx []int32
-	for i, k := range lk {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		matches := ht[k]
-		if mode == joinSemi {
-			if len(matches) > 0 {
-				lIdx = append(lIdx, int32(i))
-			}
-			continue
-		}
-		for _, j := range matches {
-			lIdx = append(lIdx, int32(i))
-			rIdx = append(rIdx, j)
-		}
-	}
-	if mode == joinSemi {
-		return l.Gather(lIdx), nil
-	}
-	out := l.Gather(lIdx)
-	rg := r.Gather(rIdx)
-	for _, name := range r.Cols() {
-		if err := out.AddCol(name, rg.MustCol(name)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
 
 // × ------------------------------------------------------------------------------
 
@@ -742,98 +394,6 @@ func evalCross(ctx context.Context, l, r *bat.Table) (*bat.Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// ϱ ------------------------------------------------------------------------------
-
-func evalRowNum(t *bat.Table, newCol string, order []algebra.OrderSpec, part string) (*bat.Table, error) {
-	out, _, err := rowNumSort(t, order, part)
-	if err != nil {
-		return nil, err
-	}
-	if err := rowNumAttach(out, newCol, part); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// rowNumSort brings t into ϱ's (partition, order...) order and reports
-// whether the input was already sorted. Sorted inputs are returned as a
-// column-sharing slice (no row copies) — the order-property fast path
-// (the paper's [3]): loop-lifting emits many ϱ operators over inputs
-// that are already in numbering order, e.g. a freshly stepped iter|item
-// table, and a linear scan detects this and skips the sort, the analogue
-// of MonetDB's no-cost void numbering.
-func rowNumSort(t *bat.Table, order []algebra.OrderSpec, part string) (*bat.Table, bool, error) {
-	var partVec bat.Vec
-	if part != "" {
-		v, err := t.Col(part)
-		if err != nil {
-			return nil, false, err
-		}
-		partVec = v
-	}
-	ordVecs := make([]bat.Vec, len(order))
-	for i, o := range order {
-		v, err := t.Col(o.Col)
-		if err != nil {
-			return nil, false, err
-		}
-		ordVecs[i] = v
-	}
-	less := func(ia, ib int) int {
-		if partVec != nil {
-			if c := bat.CompareTotal(partVec.ItemAt(ia), partVec.ItemAt(ib)); c != 0 {
-				return c
-			}
-		}
-		for k, o := range order {
-			c := bat.CompareTotal(ordVecs[k].ItemAt(ia), ordVecs[k].ItemAt(ib))
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	sorted := true
-	for i := 1; i < t.Rows(); i++ {
-		if less(i-1, i) > 0 {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return t.Slice(0, t.Rows()), true, nil
-	}
-	idx := make([]int32, t.Rows())
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return less(int(idx[a]), int(idx[b])) < 0 })
-	return t.Gather(idx), false, nil
-}
-
-// rowNumAttach appends ϱ's numbering column to a table already in
-// (partition, order...) order, restarting at 1 on every partition change.
-func rowNumAttach(out *bat.Table, newCol, part string) error {
-	var outPart bat.Vec
-	if part != "" {
-		outPart = out.MustCol(part)
-	}
-	nums := make(bat.IntVec, out.Rows())
-	var n int64
-	for i := range nums {
-		if i == 0 || outPart != nil && bat.CompareTotal(
-			outPart.ItemAt(i), outPart.ItemAt(i-1)) != 0 {
-			n = 0
-		}
-		n++
-		nums[i] = n
-	}
-	return out.AddCol(newCol, nums)
 }
 
 // Aggregates -----------------------------------------------------------------
@@ -1071,18 +631,19 @@ func (e *Engine) evalRange(ctx context.Context, t *bat.Table, loCol, hiCol strin
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("range over non-integer bounds")
 		}
-		if h-l > 50_000_000 {
-			return nil, fmt.Errorf("range %d..%d too large", l, h)
+		n, err := bat.RangeLen(l, h)
+		if err != nil {
+			return nil, err
 		}
-		for k := l; k <= h; k++ {
+		for k := 0; k < n; k++ {
 			if len(outItem)%cancelStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
 			outIter = append(outIter, iters[i])
-			outPos = append(outPos, k-l+1)
-			outItem = append(outItem, k)
+			outPos = append(outPos, int64(k)+1)
+			outItem = append(outItem, l+int64(k))
 		}
 	}
 	return bat.NewTable("iter", outIter, "pos", outPos, "item", outItem)

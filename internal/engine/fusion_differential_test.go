@@ -11,6 +11,7 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -19,6 +20,7 @@ import (
 	"pathfinder/internal/engine"
 	"pathfinder/internal/opt"
 	"pathfinder/internal/physical"
+	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
@@ -94,6 +96,71 @@ func TestXMarkFusionDifferential(t *testing.T) {
 			if optGot != optWant {
 				t.Errorf("Q%d workers=%d: optimized fused result differs:\n unfused = %.400q\n fused   = %.400q", n, w, optWant, optGot)
 			}
+		}
+	}
+}
+
+// TestFusionMaterializesNoMore: on every XMark query's optimized plan,
+// and on range-driven filter/map pipelines long enough to clear the
+// FusedMinRows gate, a one-worker run with fusion live serializes to the
+// same bytes as the per-operator run of the same plan and materializes at
+// most as many rows (Σ OpStat.RowsMat) — a chain's interiors exist only
+// as lanes, so fusing may only save. At SF 0.002 no XMark chain clears
+// the gate; the pipelines are what runs fused, and each must.
+func TestFusionMaterializesNoMore(t *testing.T) {
+	store := xenc.NewStore()
+	if _, err := store.LoadDocumentString("xmark.xml", xmark.GenerateString(diffSF)); err != nil {
+		t.Fatal(err)
+	}
+	fused := engine.NewWithConfig(store, engine.Config{Workers: 1})
+	unfused := engine.NewWithConfig(store, engine.Config{Workers: 1, NoFusion: true})
+	run := func(e *engine.Engine, plan *algebra.Op) (out string, rowsMat int, chains bool) {
+		res, tr, err := e.EvalTrace(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = serialize.Result(e.Store, res); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range tr.Stats {
+			rowsMat += st.RowsMat
+			chains = chains || st.FusedChain > 0
+		}
+		return out, rowsMat, chains
+	}
+	queries := map[string]string{}
+	for n := 1; n <= xmark.NumQueries; n++ {
+		queries[fmt.Sprintf("Q%d", n)] = xmark.Query(n)
+	}
+	pipelines := map[string]string{
+		"filter-map":         "for $i in 1 to %d where $i mod 7 = 0 return $i * 2",
+		"filter-map-map":     "for $i in 1 to %d where $i mod 3 = 0 return ($i * 2) + 1",
+		"map-filter-map":     "for $i in 1 to %d where ($i + 5) mod 4 = 1 return $i - 1",
+		"sum-filter-map":     "sum(for $i in 1 to %d where $i mod 7 = 0 return $i * 2)",
+		"sum-filter-map-map": "sum(for $i in 1 to %d where $i mod 3 = 0 return ($i * 2) + 1)",
+		"sum-map-filter-map": "sum(for $i in 1 to %d where ($i + 5) mod 4 = 1 return $i - 1)",
+	}
+	for name, pipeline := range pipelines {
+		queries[name] = fmt.Sprintf(pipeline, 50_000)
+	}
+	for name, src := range queries {
+		plan, _, err := core.CompileQuery(src, xqcore.Options{ContextDoc: "xmark.xml"})
+		if err == nil {
+			plan, err = opt.Optimize(plan)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fOut, f, chains := run(fused, plan)
+		uOut, u, _ := run(unfused, plan)
+		if fOut != uOut {
+			t.Errorf("%s: fused result differs:\n unfused = %.400q\n fused   = %.400q", name, uOut, fOut)
+		}
+		if f > u {
+			t.Errorf("%s: fused run materialized %d rows, per-operator run %d", name, f, u)
+		}
+		if _, isPipeline := pipelines[name]; isPipeline && !chains {
+			t.Errorf("%s: no fused chain ran; the comparison covered per-operator runs only", name)
 		}
 	}
 }

@@ -365,11 +365,11 @@ func TestAggrRunsMatchesHash(t *testing.T) {
 			if err := sameTable(got, bat.MustTable("k0", partOut, "res", aggOut)); err != nil {
 				t.Fatalf("%s %s%s: %v", name, agg, tag, err)
 			}
-			legacy, err := evalAggr(tab, "res", agg, []string{"row"}, "k0", "|")
+			boxed, err := evalAggr(tab, "res", agg, []string{"row"}, "k0", "|")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameTable(got, legacy); err != nil {
+			if err := sameTable(got, boxed); err != nil {
 				t.Fatalf("%s %s%s vs evalAggr: %v", name, agg, tag, err)
 			}
 			ran[tag]++
@@ -417,8 +417,8 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, _ := evalAggr(tab, "n", algebra.AggCount, nil, "k", "")
-		if err := sameTable(agg, legacy); err != nil {
+		boxed, _ := evalAggr(tab, "n", algebra.AggCount, nil, "k", "")
+		if err := sameTable(agg, boxed); err != nil {
 			t.Errorf("%s aggr%s: %v", name, tag, err)
 		}
 		if tag != ":int" || agg.Rows() != 1 {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pathfinder/internal/algebra"
@@ -164,123 +162,6 @@ func (e *Engine) physSequential(ctx context.Context, plan *physical.Plan, tr *Tr
 		results[u.nd] = out
 	}
 	return results[plan.Root].Materialize(), nil
-}
-
-// physParallel runs the physical DAG on the bounded worker pool — the
-// same scheduling algorithm as the logical evalParallel (topological
-// dependency counts, buffered ready queue, first-error cancellation),
-// with views instead of tables in the results slots.
-func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
-	units := e.planUnits(plan)
-	n := len(units)
-	index := make(map[*physical.Node]int, n)
-	for i, u := range units {
-		index[u.nd] = i
-	}
-	type pNode struct {
-		u         execUnit
-		in        []int
-		consumers []int
-		pending   atomic.Int32
-	}
-	nodes := make([]pNode, n)
-	for i, u := range units {
-		p := &nodes[i]
-		p.u = u
-		ins := u.inputs()
-		p.in = make([]int, len(ins))
-		for k, c := range ins {
-			ci := index[c]
-			p.in[k] = ci
-			nodes[ci].consumers = append(nodes[ci].consumers, i)
-		}
-		p.pending.Store(int32(len(ins)))
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	ready := make(chan int, n)
-	for i := range nodes {
-		if len(nodes[i].in) == 0 {
-			ready <- i
-		}
-	}
-
-	results := make([]*bat.View, n)
-	if tr != nil {
-		defer e.fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View {
-			i, ok := index[nd]
-			if !ok {
-				return nil // unit interior: no live view
-			}
-			return results[i]
-		})
-	}
-	var (
-		completed atomic.Int32
-		done      = make(chan struct{})
-		errOnce   sync.Once
-		evalErr   error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			evalErr = err
-			cancel()
-		})
-	}
-
-	workers := e.WorkerCount()
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case i := <-ready:
-					p := &nodes[i]
-					in := make([]*bat.View, len(p.in))
-					for k, ci := range p.in {
-						in[k] = results[ci]
-					}
-					v, err := e.runUnit(ctx, p.u, in, tr, worker)
-					if err != nil {
-						fail(err)
-						return
-					}
-					results[i] = v
-					for _, ci := range p.consumers {
-						if nodes[ci].pending.Add(-1) == 0 {
-							ready <- ci
-						}
-					}
-					if int(completed.Add(1)) == n {
-						close(done)
-					}
-				}
-			}
-		}(w)
-	}
-
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-	cancel()
-	wg.Wait()
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	if err := ctx.Err(); err != nil && completed.Load() != int32(n) {
-		return nil, err
-	}
-	return results[index[plan.Root]].Materialize(), nil
 }
 
 func viewRowsIn(in []*bat.View) int {
@@ -499,8 +380,8 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 
 // physFilter is σ as a selection-vector kernel: it narrows the input
 // view's selection without touching row data. Boolean columns take the
-// typed path (no per-row Item boxing); polymorphic item columns keep the
-// legacy per-row kind check and its error message. Both paths are
+// typed path (no per-row Item boxing); polymorphic item columns check
+// each row's kind and name the first non-boolean one. Both paths are
 // embarrassingly morsel-parallel: each morsel filters its own view-row
 // range into a private buffer and the buffers concatenate in morsel
 // order, reproducing the sequential selection exactly.

@@ -9,7 +9,7 @@ import (
 	"pathfinder/internal/physical"
 )
 
-// Typed ⊛ kernels for the physical executor. The legacy interpreter
+// Typed ⊛ kernels for the physical executor. The boxed kernel (evalFun)
 // evaluates every map row through applyFun: box both operands into
 // Items, re-dispatch on the function kind, and re-examine the operand
 // kinds. Here the dispatch happens once per column batch: when the
@@ -18,7 +18,7 @@ import (
 // fallbacks hoist the function-kind switch out of the row loop. Each
 // typed path reproduces the boxed semantics exactly — including the
 // float64 promotion of integer comparisons and the error messages — so
-// the physical plan stays byte-identical to the reference interpreter.
+// a typed column and its boxed fallback give byte-identical results.
 
 func cmpF(a, b float64) int {
 	switch {

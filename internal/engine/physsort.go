@@ -8,8 +8,8 @@ import (
 	"pathfinder/internal/bat"
 )
 
-// Typed comparators for the physical ϱ kernels. The legacy rowNumSort
-// boxes two Items and calls CompareTotal for every comparison — during
+// Typed comparators for the physical ϱ kernels. A boxed comparator
+// builds two Items and calls CompareTotal for every comparison — during
 // the sortedness scan and then O(n log n) more times inside the sort.
 // A typed column admits a monomorphic comparator over the raw slice;
 // each one reproduces CompareTotal's same-kind behavior exactly
@@ -252,7 +252,7 @@ func permNonDecreasing(key bat.IntVec, perm []int32) bool {
 // physAggr is the aggregation kernel with typed partitioned grouping.
 // Group order is first-occurrence and each group's rows stay in input
 // order; per-group aggregation reuses the shared aggregate() so every
-// diagnostic and promotion rule is the legacy one. Scalar aggregates and
+// diagnostic and promotion rule is the boxed evalAggr's. Scalar aggregates and
 // non-int partitions run the boxed evalAggr (the lowering never marks a
 // scalar aggregate Parallel: it is a single fold whose float summation
 // order must not change). An int partition column takes one of two
@@ -410,7 +410,8 @@ func aggrHash(ms *morsels, pInts bat.IntVec, agg algebra.AggKind, argVec bat.Vec
 	return partOut, aggOut, err
 }
 
-// physRowNumAttach is rowNumAttach with a typed partition-change test.
+// physRowNumAttach appends ϱ's numbering column to a table already in
+// (partition, order...) order, restarting at 1 on every partition change.
 func physRowNumAttach(out *bat.Table, newCol, part string) error {
 	nums := make(bat.IntVec, out.Rows())
 	var n int64

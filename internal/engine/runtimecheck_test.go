@@ -86,22 +86,15 @@ func TestRuntimeCheckForgedStrict(t *testing.T) {
 }
 
 // TestRuntimeCheckSchemaDrift evaluates an operator whose declared schema
-// does not match what its kernel computes — on both the physical and the
-// legacy path, which share the schema assertion.
+// does not match what its kernel computes.
 func TestRuntimeCheckSchemaDrift(t *testing.T) {
-	build := func() *algebra.Op {
-		in := algebra.Lit(mustTable(t, "iter", bat.IntVec{1, 2}, "item", bat.IntVec{3, 4}))
-		return algebra.Unchecked(algebra.OpDistinct, []string{"iter", "bogus"}, in)
+	in := algebra.Lit(mustTable(t, "iter", bat.IntVec{1, 2}, "item", bat.IntVec{3, 4}))
+	_, err := checkEngine(t).Eval(algebra.Unchecked(algebra.OpDistinct, []string{"iter", "bogus"}, in))
+	if err == nil {
+		t.Fatal("evaluation accepted a drifted schema")
 	}
-	for _, legacy := range []bool{false, true} {
-		e := NewWithConfig(xenc.NewStore(), Config{Workers: 1, Check: true, Legacy: legacy})
-		_, err := e.Eval(build())
-		if err == nil {
-			t.Fatalf("legacy=%v: evaluation accepted a drifted schema", legacy)
-		}
-		if !strings.Contains(err.Error(), "schema declares") {
-			t.Fatalf("legacy=%v: wrong failure: %v", legacy, err)
-		}
+	if !strings.Contains(err.Error(), "schema declares") {
+		t.Fatalf("wrong failure: %v", err)
 	}
 }
 

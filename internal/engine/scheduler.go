@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -20,22 +19,21 @@ import (
 // document steps of a join query, the lifted arms of conditionals, the
 // aggregates of a constructor's attribute list) share nothing but their
 // leaves, and MonetDB's MIL interpreter would happily run them on one
-// core. Here each operator becomes a schedulable task: a topological
-// pass (algebra.Topo) assigns dependency counts, leaves enter a ready
-// queue, and a bounded worker pool drains it, releasing consumers as
-// their last input materializes. Every operator is applied exactly once
-// per evaluation — the scheduler inherits the DAG memoization of the
-// sequential evaluator by construction, since shared subplans are shared
-// *algebra.Op pointers and hence single scheduler nodes.
+// core. Here each unit of the physical plan (an operator, a fused chain,
+// a theta join) becomes a schedulable task: dependency counts follow the
+// plan's topological order, leaves enter a ready queue, and a bounded
+// worker pool drains it, releasing consumers as their last input
+// materializes. Every unit runs exactly once per evaluation — shared
+// subplans are shared nodes of the lowered plan and hence single tasks.
 
 // OpStat is the per-operator instrumentation record the scheduler (and
-// the sequential evaluator) attach to a traced evaluation.
+// the sequential path) attach to a traced evaluation.
 type OpStat struct {
 	Wall       time.Duration // time spent applying the operator
 	RowsIn     int           // total input rows across all inputs
 	RowsOut    int           // rows produced
-	Worker     int           // worker that ran it (0 on the sequential path)
-	Kernel     string        // physical kernel that actually ran ("" on the legacy path)
+	Worker     int           // scheduler worker that ran it (0 on the sequential path)
+	Kernel     string        // physical kernel that actually ran
 	RowsMat    int           // rows this kernel materialized (gathered/copied), vs. scanned in place
 	Morsels    int           // input morsels the kernel split into (0 = unsplit)
 	ParWorkers int           // largest morsel team that ran inside the kernel (0 = sequential)
@@ -111,13 +109,6 @@ func newTrace() *Trace {
 	}
 }
 
-func (tr *Trace) record(o *algebra.Op, t *bat.Table, st OpStat) {
-	tr.mu.Lock()
-	tr.Tables[o] = t
-	tr.Stats[o] = st
-	tr.mu.Unlock()
-}
-
 // recordStat stores scheduling statistics without an intermediate table —
 // the physical executor defers table capture until after execution so
 // trace-forced materialization never distorts RowsMat accounting.
@@ -173,47 +164,44 @@ func EnvWorkers() int {
 	return n
 }
 
-// schedNode is the scheduler's view of one operator: its inputs and
-// consumers as indices into the topological order, and the number of
-// inputs still being computed.
-type schedNode struct {
-	op        *algebra.Op
-	in        []int // input indices, one per In edge (duplicates preserved)
-	consumers []int // consumer indices, one per consuming edge
-	pending   atomic.Int32
-}
-
-// evalParallel runs the plan DAG on a bounded worker pool. Results live
-// in a slice indexed by topological position; each slot is written by
+// physParallel runs the physical plan's units on a bounded worker pool.
+// Results live in a slice indexed by unit; each slot is written by
 // exactly one worker before any consumer is released (the release
 // happens through an atomic dependency counter followed by a channel
 // send, both of which establish the necessary happens-before edges), so
-// the memo needs no lock of its own.
-func (e *Engine) evalParallel(ctx context.Context, root *algebra.Op, tr *Trace) (*bat.Table, error) {
-	order := algebra.Topo(root)
-	n := len(order)
-	index := make(map[*algebra.Op]int, n)
-	for i, o := range order {
-		index[o] = i
+// the slots need no lock of their own. The first error cancels the rest.
+func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
+	units := e.planUnits(plan)
+	n := len(units)
+	index := make(map[*physical.Node]int, n)
+	for i, u := range units {
+		index[u.nd] = i
 	}
-	nodes := make([]schedNode, n)
-	for i, o := range order {
-		nd := &nodes[i]
-		nd.op = o
-		nd.in = make([]int, len(o.In))
-		for k, child := range o.In {
-			ci := index[child]
-			nd.in[k] = ci
+	type pNode struct {
+		u         execUnit
+		in        []int
+		consumers []int
+		pending   atomic.Int32
+	}
+	nodes := make([]pNode, n)
+	for i, u := range units {
+		p := &nodes[i]
+		p.u = u
+		ins := u.inputs()
+		p.in = make([]int, len(ins))
+		for k, c := range ins {
+			ci := index[c]
+			p.in[k] = ci
 			nodes[ci].consumers = append(nodes[ci].consumers, i)
 		}
-		nd.pending.Store(int32(len(o.In)))
+		p.pending.Store(int32(len(ins)))
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// ready is buffered to the full node count so completion-time sends
-	// never block a worker.
+	// ready is buffered to the unit count (each unit is sent once), so
+	// completion-time sends never block a worker.
 	ready := make(chan int, n)
 	for i := range nodes {
 		if len(nodes[i].in) == 0 {
@@ -221,7 +209,16 @@ func (e *Engine) evalParallel(ctx context.Context, root *algebra.Op, tr *Trace) 
 		}
 	}
 
-	results := make([]*bat.Table, n)
+	results := make([]*bat.View, n)
+	if tr != nil {
+		defer e.fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View {
+			i, ok := index[nd]
+			if !ok {
+				return nil // unit interior: no live view
+			}
+			return results[i]
+		})
+	}
 	var (
 		completed atomic.Int32
 		done      = make(chan struct{})
@@ -249,26 +246,18 @@ func (e *Engine) evalParallel(ctx context.Context, root *algebra.Op, tr *Trace) 
 				case <-ctx.Done():
 					return
 				case i := <-ready:
-					nd := &nodes[i]
-					in := make([]*bat.Table, len(nd.in))
-					for k, ci := range nd.in {
+					p := &nodes[i]
+					in := make([]*bat.View, len(p.in))
+					for k, ci := range p.in {
 						in[k] = results[ci]
 					}
-					start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-					t, err := e.apply(ctx, nd.op, in)
+					v, err := e.runUnit(ctx, p.u, in, tr, worker)
 					if err != nil {
-						fail(fmt.Errorf("%s: %w", nd.op.Kind, err))
+						fail(err)
 						return
 					}
-					results[i] = t
-					if tr != nil {
-						tr.record(nd.op, t, OpStat{
-							//pfvet:allow determinism -- trace wall-time only, not query results
-							Wall: time.Since(start), RowsIn: rowsIn(in),
-							RowsOut: t.Rows(), Worker: worker,
-						})
-					}
-					for _, ci := range nd.consumers {
+					results[i] = v
+					for _, ci := range p.consumers {
 						if nodes[ci].pending.Add(-1) == 0 {
 							ready <- ci
 						}
@@ -291,9 +280,7 @@ func (e *Engine) evalParallel(ctx context.Context, root *algebra.Op, tr *Trace) 
 		return nil, evalErr
 	}
 	if err := ctx.Err(); err != nil && completed.Load() != int32(n) {
-		// Cancelled from outside (caller's context or Deadline), not by a
-		// worker failure.
 		return nil, err
 	}
-	return results[n-1], nil
+	return results[index[plan.Root]].Materialize(), nil
 }

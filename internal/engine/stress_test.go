@@ -182,8 +182,8 @@ func TestCancellationMidOperator(t *testing.T) {
 }
 
 // TestDeadlineExceededSurfaces checks an already-expired deadline aborts
-// evaluation with context.DeadlineExceeded on both evaluators (the
-// engine's legacy Deadline field routes through the same context now).
+// evaluation with context.DeadlineExceeded on the sequential path and on
+// the scheduler (the engine's Deadline field routes through the context).
 func TestDeadlineExceededSurfaces(t *testing.T) {
 	root := fanOutPlan(t, 8)
 	for _, workers := range []int{1, 8} {

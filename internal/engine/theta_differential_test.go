@@ -4,12 +4,15 @@ package engine_test
 // `for … where A cmp B` queries — all four inequalities, either operand
 // order, value comparisons, int / double / untyped / string keys,
 // duplicate keys, empty sides, values that make the comparison fail —
-// run through four executors that must agree byte for byte, error text
-// included: the physical executor with the band kernel live, the same
-// executor forced to run every unit's ×, ⊛, σ one by one, the legacy
-// interpreter, and the navigational baseline. The engines run at
-// workers ∈ {1, 2, 8} with 7-row morsels and runtime checking on; the
-// file is part of the -race tier.
+// run through three executors that must agree byte for byte: the
+// physical executor with the band kernel live, the same executor forced
+// to run every unit's ×, ⊛, σ one by one, and the navigational baseline.
+// The independent oracle is navdom for results plus each case's wantErr
+// for error text: the forced-demotion run on one worker is only the
+// pivot the other relational legs are compared against, and it shares
+// the physical ×, ⊛, σ kernels with them. The engines run at workers ∈
+// {1, 2, 8} with 7-row morsels and runtime checking on; the file is part
+// of the -race tier.
 
 import (
 	"context"
@@ -93,10 +96,8 @@ var thetaCorpus = []thetaCase{
 var thetaWorkerCounts = []int{1, 2, 8}
 
 type thetaEngines struct {
-	ref    *engine.Engine         // legacy interpreter, one worker: the reference
 	band   map[int]*engine.Engine // band kernel live
-	demote map[int]*engine.Engine // every unit forced onto ×, ⊛, σ
-	legacy map[int]*engine.Engine // legacy interpreter on the scheduler
+	demote map[int]*engine.Engine // every unit forced onto ×, ⊛, σ; demote[1] is the reference
 	nav    *navdom.DB
 }
 
@@ -110,10 +111,8 @@ func newThetaEngines(t *testing.T, uri, doc string) *thetaEngines {
 		return e
 	}
 	es := &thetaEngines{
-		ref:    mk(engine.Config{Workers: 1, Legacy: true, Check: true}),
 		band:   map[int]*engine.Engine{},
 		demote: map[int]*engine.Engine{},
-		legacy: map[int]*engine.Engine{},
 		nav:    navdom.NewDB(),
 	}
 	for _, w := range thetaWorkerCounts {
@@ -121,8 +120,6 @@ func newThetaEngines(t *testing.T, uri, doc string) *thetaEngines {
 		es.band[w] = mk(cfg)
 		es.demote[w] = mk(cfg)
 		es.demote[w].ForceThetaDemotion()
-		cfg.Legacy = true
-		es.legacy[w] = mk(cfg)
 	}
 	if _, err := es.nav.LoadString(uri, doc); err != nil {
 		t.Fatal(err)
@@ -131,11 +128,12 @@ func newThetaEngines(t *testing.T, uri, doc string) *thetaEngines {
 }
 
 // agree runs src, plain and optimized, on every executor and compares
-// each outcome with the reference engine's. It returns the reference
-// output and error.
+// each outcome with the pivot run's: the compiled plan on one worker,
+// members one by one (that leg itself is not re-run). It returns the
+// pivot's output and error.
 func (es *thetaEngines) agree(t *testing.T, name, src string, opts xqcore.Options) (string, error) {
 	t.Helper()
-	want, wantErr := core.Run(src, es.ref, opts)
+	want, wantErr := core.Run(src, es.demote[1], opts)
 	same := func(label string, got string, err error) {
 		t.Helper()
 		switch {
@@ -146,11 +144,13 @@ func (es *thetaEngines) agree(t *testing.T, name, src string, opts xqcore.Option
 		}
 	}
 	for _, w := range thetaWorkerCounts {
-		for label, e := range map[string]*engine.Engine{"band": es.band[w], "demoted": es.demote[w], "legacy": es.legacy[w]} {
+		for label, e := range map[string]*engine.Engine{"band": es.band[w], "demoted": es.demote[w]} {
 			label = fmt.Sprintf("%s workers=%d", label, w)
-			got, err := core.Run(src, e, opts)
-			same(label, got, err)
-			got, err = runOptimized(t, src, e, opts)
+			if e != es.demote[1] {
+				got, err := core.Run(src, e, opts)
+				same(label, got, err)
+			}
+			got, err := runOptimized(t, src, e, opts)
 			same(label+" optimized", got, err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestThetaCorpusDifferential(t *testing.T) {
 }
 
 // TestXMarkThetaDifferential: Q11 and Q12, the paper's theta-join
-// queries, through all four executors. Every unit must take the float
+// queries, through all three executors. Every unit must take the float
 // lane: the join under count($l) without emitting a pair, Q12's second
 // where clause (a unit too) as pairs.
 func TestXMarkThetaDifferential(t *testing.T) {

@@ -80,13 +80,12 @@ func randCountSide(rng *rand.Rand, prefix, shape string, n int) (t *bat.Table, i
 // and without repeats and order, for every inequality, operand order,
 // morsel size and worker count, the unit's (by, n) table — rows, row
 // order, column types — equals what its six members produce one by one
-// (the forced-demotion engine) and what the legacy interpreter computes,
-// or all three fail with the same text. A unit that declines must give
+// (the forced-demotion engine) and what the reference evaluator computes
+// (refEval), or all three fail with the same text. A unit that declines must give
 // the same reason whatever the engine's configuration.
 func TestThetaCountMatchesMembers(t *testing.T) {
 	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed", "node"}
 	funs := []algebra.FunKind{algebra.FunLt, algebra.FunLe, algebra.FunGt, algebra.FunGe}
-	legacy := NewWithConfig(xenc.NewStore(), Config{Workers: 1, Legacy: true})
 	type labelled struct {
 		label string
 		e     *Engine
@@ -114,12 +113,12 @@ func TestThetaCountMatchesMembers(t *testing.T) {
 		name := fmt.Sprintf("trial %d (%s/%s %s %s/%s)", trial, ls, lIter, fun, rs, rIter)
 		cross := plan.In[0].In[0].In[0].In[0].In[0]
 
-		want, wantErr := legacy.Eval(plan)
+		want, wantErr := refEval(plan)
 		ran := ""
 		for _, le := range engines {
 			got, tr, err := le.e.EvalTrace(context.Background(), plan)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("%s %s: error %v, legacy %v", name, le.label, err, wantErr)
+				t.Fatalf("%s %s: error %v, reference %v", name, le.label, err, wantErr)
 			}
 			if le.label != "demoted" {
 				how := tr.Stats[plan].Kernel

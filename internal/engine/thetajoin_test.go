@@ -126,15 +126,14 @@ func sameTable(a, b *bat.Table) error {
 // TestThetaKernelMatchesCrossFilter is the table-level property test:
 // over random key columns of every shape, with ties, the theta unit's
 // output — rows, row order, column types — and its error text equal the
-// legacy interpreter's evalCross + bat.Compare + σ, for every operator,
-// operand order and worker count, over identity and selected views. Half
-// the trials read the unit through a π over some of its columns: the
-// band kernel must then have built exactly those (its Demand), and the
-// projected result must still equal the legacy one.
+// reference evaluator's evalCross + bat.Compare + σ (refEval), for every
+// operator, operand order and worker count, over identity and selected
+// views. Half the trials read the unit through a π over some of its
+// columns: the band kernel must then have built exactly those (its
+// Demand), and the projected result must still equal the reference.
 func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed"}
 	funs := []algebra.FunKind{algebra.FunLt, algebra.FunLe, algebra.FunGt, algebra.FunGe}
-	legacy := NewWithConfig(xenc.NewStore(), Config{Workers: 1, Legacy: true})
 	engines := map[string]*Engine{}
 	for _, w := range []int{1, 2, 8} {
 		engines[fmt.Sprintf("workers=%d", w)] = NewWithConfig(xenc.NewStore(),
@@ -169,12 +168,12 @@ func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 			plan = must(algebra.Project(sel, demand...))
 		}
 
-		want, wantErr := legacy.Eval(plan)
+		want, wantErr := refEval(plan)
 		cross := sel.In[0].In[0]
 		for label, e := range engines {
 			got, tr, err := e.EvalTrace(context.Background(), plan)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("%s %s: error %v, legacy %v", name, label, err, wantErr)
+				t.Fatalf("%s %s: error %v, reference %v", name, label, err, wantErr)
 			}
 			if st := tr.Stats[cross]; st.ThetaJoin > 0 && err == nil {
 				if got := tr.Tables[sel].Cols(); strings.Join(got, "|") != strings.Join(demand, "|") {
@@ -213,7 +212,7 @@ func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 
 // TestThetaWideBand drives the rank-scan branch of thetaEmit (bands wide
 // enough that sorting them back costs more than one pass over the inner
-// side) and the all-rows and no-rows bands, against the legacy product.
+// side) and the all-rows and no-rows bands, against the reference product.
 func TestThetaWideBand(t *testing.T) {
 	const n = 300
 	lk, rk := make(bat.IntVec, n), make(bat.IntVec, n)
@@ -227,12 +226,11 @@ func TestThetaWideBand(t *testing.T) {
 	}
 	l := bat.MustTable("lk", lk, "lv", bat.Ramp(0, n), "lkeep", keep)
 	r := bat.MustTable("rk", rk, "rv", bat.Ramp(0, n), "rkeep", keep)
-	legacy := NewWithConfig(xenc.NewStore(), Config{Workers: 1, Legacy: true})
 	e := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, MorselRows: 64, Check: true})
 	for _, fun := range []algebra.FunKind{algebra.FunLt, algebra.FunGe} {
 		for _, filtered := range []bool{false, true} {
 			plan := thetaPlan(t, l, r, fun, filtered, false)
-			want, err := legacy.Eval(plan)
+			want, err := refEval(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,18 +247,16 @@ func TestThetaWideBand(t *testing.T) {
 
 // TestCrossRowLimit: a product whose row count does not fit the
 // executor's int32 row addressing fails with a plain error before any
-// index vector is sized — on the physical and the legacy path alike.
+// index vector is sized.
 func TestCrossRowLimit(t *testing.T) {
 	const n = 1 << 16 // n·n = 2³² rows
 	l := algebra.Lit(bat.MustTable("a", make(bat.BoolVec, n)))
 	r := algebra.Lit(bat.MustTable("b", make(bat.BoolVec, n)))
 	plan := must(algebra.Cross(l, r))
 	want := fmt.Sprintf("cross: cross product of %d × %d rows exceeds the executor's row limit", n, n)
-	for _, cfg := range []Config{{Workers: 1}, {Workers: 1, Legacy: true}} {
-		_, err := NewWithConfig(xenc.NewStore(), cfg).Eval(plan)
-		if err == nil || err.Error() != want {
-			t.Errorf("legacy=%v: err = %v, want %q", cfg.Legacy, err, want)
-		}
+	_, err := NewWithConfig(xenc.NewStore(), Config{Workers: 1}).Eval(plan)
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
 	}
 }
 

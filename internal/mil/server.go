@@ -52,12 +52,6 @@ type Server struct {
 	// admission control. Nil means direct engine execution.
 	Hooks ConnHooks
 
-	// LegacyOptimizer makes the direct XQ path use the single-shot
-	// peephole optimizer instead of the staged pipeline — set by the
-	// service layer when pfserver runs with -no-opt-pipeline. (Sessioned
-	// connections optimize inside the service and ignore this.)
-	LegacyOptimizer bool
-
 	// progCache reuses parsed MIL plans across requests keyed by program
 	// text, so a client (or a thousand clients) re-shipping the same
 	// program hits the engine's physical-plan cache instead of growing it
@@ -435,12 +429,7 @@ func (s *Server) execQuery(ctx context.Context, sess ConnSession, req engine.Que
 	if err != nil {
 		return "", err
 	}
-	if s.LegacyOptimizer {
-		plan, err = opt.Peephole(plan)
-	} else {
-		plan, err = opt.Optimize(plan)
-	}
-	if err != nil {
+	if plan, err = opt.Optimize(plan); err != nil {
 		return "", err
 	}
 	res, err := eng.EvalContext(ctx, plan)

@@ -463,9 +463,13 @@ func (ip *Interp) evalCall(x *xqcore.Call, en *env) ([]Item, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("range over non-integer bounds")
 		}
-		var out []Item
-		for k := lo; k <= hi; k++ {
-			out = append(out, atomic(bat.Int(k)))
+		n, err := bat.RangeLen(lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]Item, n)
+		for k := range out {
+			out[k] = atomic(bat.Int(lo + int64(k)))
 		}
 		return out, nil
 	case "intersect", "except":

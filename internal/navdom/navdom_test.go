@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pathfinder/internal/core"
+	"pathfinder/internal/corpus"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/opt"
 	"pathfinder/internal/serialize"
@@ -14,8 +15,8 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
-// runOptimized runs the relational pipeline with the peephole optimizer in
-// the loop, for three-way differential checks.
+// runOptimized runs the relational pipeline with the optimizer pipeline
+// in the loop, for three-way differential checks.
 func runOptimized(src string, eng *engine.Engine, opts xqcore.Options) (string, error) {
 	plan, _, err := core.CompileQuery(src, opts)
 	if err != nil {
@@ -126,6 +127,21 @@ func TestConstructorLongTextRun(t *testing.T) {
 	got := runNav(t, db, `string(<e>{"a", /r/t/text(), <i/>, /r/t[1]/text(), text{"z"}}</e>)`)
 	if len(got) != 1+6*n+7 || !strings.HasPrefix(got, "aw00000w00001") || !strings.HasSuffix(got, "w29999w00000z") {
 		t.Errorf("merged string has %d bytes: %.20s … %s", len(got), got, got[len(got)-20:])
+	}
+}
+
+// TestRangeEdges: the int64-edge ranges of corpus.RangeEdges yield the
+// relational engine's results and its size-guard error, without wrapping
+// around or allocating the span.
+func TestRangeEdges(t *testing.T) {
+	for _, c := range corpus.RangeEdges {
+		got, err := NewInterp(NewDB()).Run(c.Query, xqcore.Options{})
+		switch {
+		case c.Err != "" && (err == nil || !strings.Contains(err.Error(), c.Err)):
+			t.Errorf("%s: got %q, err %v; want an error naming %q", c.Query, got, err, c.Err)
+		case c.Err == "" && (err != nil || got != c.Want):
+			t.Errorf("%s: got %q, err %v; want %q", c.Query, got, err, c.Want)
+		}
 	}
 }
 
@@ -280,7 +296,7 @@ func TestDifferentialEngines(t *testing.T) {
 			t.Errorf("%s:\n relational   = %q\n navigational = %q", src, rel, nav)
 			continue
 		}
-		// Three-way: the peephole optimizer must not change results.
+		// Three-way: the optimizer pipeline must not change results.
 		optd, errO := runOptimized(src, eng, opts)
 		if errO != nil {
 			t.Errorf("%s: optimized pipeline error: %v", src, errO)

@@ -52,22 +52,6 @@ func Optimize(root *algebra.Op) (*algebra.Op, error) {
 	return res.Plan, nil
 }
 
-// Peephole is the pre-pipeline optimizer — one normalize sweep (CSE +
-// prune/fuse, the pipeline's round-1 first pass) with no join graph
-// isolation. It is kept as the `-no-opt-pipeline` escape hatch on pf and
-// pfserver, and as the baseline the plan benchmark (internal/bench)
-// measures the pipeline against.
-func Peephole(root *algebra.Op) (*algebra.Op, error) {
-	r, err := normalize(newPlanIndex(root, 0))
-	if err != nil {
-		return nil, err
-	}
-	if err := algebra.Validate(r.root()); err != nil {
-		return nil, fmt.Errorf("optimizer produced an invalid plan: %w", err)
-	}
-	return r.root(), nil
-}
-
 // cse shares structurally identical subplans — the rewriting MonetDB gets
 // for free from MIL variable reuse. It emits the index of the DAG it
 // returns: operators are numbered as they become canonical, which is

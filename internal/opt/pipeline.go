@@ -7,8 +7,8 @@ import (
 	"pathfinder/internal/algebra"
 )
 
-// The staged rewrite pipeline: an explicit multi-pass driver replacing
-// the old single-shot optimizer. Each round runs
+// The staged rewrite pipeline: an explicit multi-pass driver. Each round
+// runs
 //
 //	normalize  — CSE + projection fusion/pruning + local order rewrites
 //	analyze    — join-graph classification (trace only, no rewrites)

@@ -15,7 +15,6 @@ import (
 func (s *Service) NewMILServer() *mil.Server {
 	srv := mil.NewServerWith(s.eng)
 	srv.Hooks = s
-	srv.LegacyOptimizer = s.cfg.LegacyOptimizer
 	return srv
 }
 

@@ -65,10 +65,6 @@ type Config struct {
 	// when pricing a plan (physical.Plan.EstCost). 0 = 16384.
 	UnknownRows int64
 
-	// LegacyOptimizer disables the staged optimizer pipeline (join graph
-	// isolation) and prepares plans with the single-shot peephole
-	// optimizer instead — the pfserver `-no-opt-pipeline` escape hatch.
-	LegacyOptimizer bool
 	// MaxPrepared bounds the prepared-plan cache; when full, settled
 	// entries are flushed and their lowered plans forgotten. 0 = 256.
 	MaxPrepared int
@@ -394,11 +390,7 @@ func (s *Service) prepare(req Request, generation uint64) (*prepared, bool, erro
 		defer p.done.Store(true)
 		plan, _, err := core.CompileQuery(req.Query, xqcore.Options{ContextDoc: req.ContextDoc, Collection: req.Collection})
 		if err == nil {
-			if s.cfg.LegacyOptimizer {
-				plan, err = opt.Peephole(plan)
-			} else {
-				plan, err = opt.Optimize(plan)
-			}
+			plan, err = opt.Optimize(plan)
 		}
 		if err == nil {
 			err = check.Error(check.Plan(plan))

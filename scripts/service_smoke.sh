@@ -1,13 +1,13 @@
 #!/bin/sh
 # Service-path smoke: boot a real pfserver (HTTP + TCP front doors over a
-# tiny XMark instance), drive it with pfload for ~2s, scrape /stats via
-# the pfload report and assert non-zero completions, then check the
-# graceful SIGTERM drain path end to end.
+# tiny XMark instance), drive it with curl — point lookups mixed with
+# XMark Q8 joins on POST /query/text, every reply 200 — assert /stats
+# counts every one of them as completed, then check the graceful SIGTERM
+# drain path end to end.
 set -eu
 
 workdir=$(mktemp -d)
 log="$workdir/pfserver.log"
-report="$workdir/BENCH_service_smoke.json"
 srv_pid=""
 
 cleanup() {
@@ -17,7 +17,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$workdir/pfserver" ./cmd/pfserver
-go build -o "$workdir/pfload" ./cmd/pfload
 
 "$workdir/pfserver" -listen 127.0.0.1:0 -http 127.0.0.1:0 -gen xmark.xml=0.002 2>"$log" &
 srv_pid=$!
@@ -34,11 +33,30 @@ while [ $i -lt 100 ]; do
 done
 [ -n "$addr" ] || { echo "pfserver never became ready:"; cat "$log"; exit 1; }
 
-"$workdir/pfload" -addr "$addr" -clients 4 -duration 2s -min-ok 1 -out "$report"
+point='for $b in /site/people/person where $b/@id = "person0" return $b/name/text()'
+join='for $p in /site/people/person
+      let $a := for $t in /site/closed_auctions/closed_auction
+                where $t/buyer/@person = $p/@id
+                return $t
+      return <item person="{$p/name/text()}">{count($a)}</item>'
 
-# The scraped /stats snapshot must show completed queries.
-grep -q '"completed": [1-9]' "$report" || {
-    echo "no completed queries in /stats snapshot:"; cat "$report"; exit 1; }
+requests=40
+i=0
+while [ $i -lt $requests ]; do
+    q=$point
+    [ $((i % 4)) -eq 3 ] && q=$join
+    code=$(curl -sS -o "$workdir/reply" -w '%{http_code}' -X POST --data-binary "$q" \
+        "http://$addr/query/text?doc=xmark.xml")
+    [ "$code" = "200" ] || { echo "request $i: HTTP $code:"; cat "$workdir/reply"; exit 1; }
+    i=$((i + 1))
+done
+
+# The service-wide counter (the first "completed" in /stats) must count
+# every request above.
+stats=$(curl -fsS "http://$addr/stats")
+completed=$(echo "$stats" | sed -n 's/^ *"completed": \([0-9]*\).*/\1/p' | head -n 1)
+[ -n "$completed" ] && [ "$completed" -ge $requests ] || {
+    echo "/stats reports completed=${completed:-none}, want >= $requests:"; echo "$stats"; exit 1; }
 
 # Graceful shutdown: TERM drains and the process exits cleanly.
 kill -TERM "$srv_pid"
@@ -46,4 +64,4 @@ wait "$srv_pid" || { echo "pfserver exited non-zero after TERM:"; cat "$log"; ex
 srv_pid=""
 grep -q "shut down" "$log" || { echo "no graceful shutdown line:"; cat "$log"; exit 1; }
 
-echo "service smoke OK"
+echo "service smoke OK ($completed queries completed)"
