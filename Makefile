@@ -21,8 +21,8 @@ fmt-check:
 
 # Project-specific static analysis (cmd/pfvet). Per-package checks
 # (shared-vector mutation, kernel determinism, context polling in row
-# loops, by-value sync state, map-order determinism, fused-loop
-# allocation) plus the interprocedural suite (lock ordering and
+# loops, by-value sync state, map-order determinism) plus the
+# interprocedural suite (lock ordering and
 # lock-across-I/O, columnar ownership on publish paths, goroutine
 # lifecycle/drain discipline, service-boundary error classification).
 # `go run ./cmd/pfvet -rules lockorder,errclass` runs a subset locally.

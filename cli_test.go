@@ -126,6 +126,14 @@ func TestCLIXmlgenAndPf(t *testing.T) {
 		strings.Contains(out, "ϱ s2") {
 		t.Errorf("Q11 did not run as a count-only theta join:\n%s", lastLines(out, 24))
 	}
+	// An operator chain is one scheduler task whose members run their own
+	// kernels: each member line names its chain, and the summary sums the
+	// members' materialization.
+	out = runTool(t, "pf", "-show", "explain", `for $i in 1 to 10000 where $i mod 7 = 0 and $i mod 3 = 0 return $i * 2`)
+	if !regexp.MustCompile(`(?m)^chain #3: map\[eq\] → filter → project — 1428 rows in, 476 out, 0 materialized$`).MatchString(out) ||
+		!strings.Contains(out, ", chain #1 [1/2]") {
+		t.Errorf("explain lacks the chain summary:\n%s", lastLines(out, 14))
+	}
 	if out := runTool(t, "pf", "-doc", doc, "-workers", "3", "-show", "explain", "count(//person)"); !strings.Contains(out, " operators, 3 workers, ") {
 		t.Errorf("explain footer with -workers 3:\n%s", lastLines(out, 4))
 	}
@@ -207,6 +215,29 @@ func TestCLIInteractiveMode(t *testing.T) {
 	}
 	if got := strings.TrimSpace(string(out)); got != "60\n1 2 3" {
 		t.Errorf("repl output = %q", got)
+	}
+}
+
+// TestCLIInteractiveCheck: -i runs on the engine built from the flags, so
+// -check validates every REPL query's plans (and asserts them on live
+// intermediates) exactly as it does for a single query.
+func TestCLIInteractiveCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	cmd := exec.Command(filepath.Join(buildTools(t), "pf"), "-i", "-check", "-morsel-rows", "512")
+	cmd.Stdin = strings.NewReader("count(1 to 5000)\nfor $i in 1 to 3 return $i * 2\nquit\n")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("repl: %v\n%s", err, stderr.String())
+	}
+	if got := strings.TrimSpace(string(out)); got != "5000\n2 4 6" {
+		t.Errorf("repl output = %q", got)
+	}
+	if n := strings.Count(stderr.String(), "pf: check ok ("); n != 2 {
+		t.Errorf("want a check report per query, got %d:\n%s", n, stderr.String())
 	}
 }
 

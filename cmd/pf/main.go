@@ -51,7 +51,6 @@ func main() {
 		naive       = flag.Bool("naive", false, "disable the staircase join (tree-unaware axis evaluation)")
 		workers     = flag.Int("workers", engine.EnvWorkers(), "shared worker budget for the DAG scheduler and morsel teams (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
 		morselRows  = flag.Int("morsel-rows", 0, "morsel granularity for intra-operator parallelism (0 = default, <0 = disable)")
-		noFusion    = flag.Bool("no-fusion", false, "run fused operator chains one kernel at a time (executor switch; plans are identical)")
 		checkPlans  = flag.Bool("check", false, "validate plan invariants (schema, order/denseness, physical preconditions) before running, and assert them on live intermediates during execution")
 		timing      = flag.Bool("time", false, "print compile/execute timings to stderr")
 		interactive = flag.Bool("i", false, "interactive mode: read one query per line from stdin")
@@ -59,8 +58,18 @@ func main() {
 	flag.Parse()
 
 	cat := openCatalog(*storeDir, *collection)
+	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: *workers, MorselRows: *morselRows, Check: *checkPlans, Catalog: cat})
+	eng.Staircase = !*naive
+	// fn:doc loads named documents from the filesystem on demand; the
+	// -doc document resolves by its base name or full path.
+	eng.Resolve = fileResolver(*docPath)
+	eng = bindCollection(eng, *collection)
+	opts := xqcore.Options{Collection: *collection}
+	if *docPath != "" {
+		opts.ContextDoc = filepath.Base(*docPath)
+	}
 	if *interactive {
-		repl(*docPath, cat, *collection, *naive, *noFusion, *workers)
+		repl(eng, opts)
 		return
 	}
 	query := ""
@@ -76,11 +85,6 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "usage: pf [flags] 'query'   (see pf -help)")
 		os.Exit(2)
-	}
-
-	opts := xqcore.Options{Collection: *collection}
-	if *docPath != "" {
-		opts.ContextDoc = filepath.Base(*docPath)
 	}
 
 	compileStart := time.Now()
@@ -155,13 +159,6 @@ func main() {
 		fatal("unknown -show mode %q", *show)
 	}
 
-	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: *workers, MorselRows: *morselRows, Check: *checkPlans, NoFusion: *noFusion, Catalog: cat})
-	eng.Staircase = !*naive
-	// fn:doc loads named documents from the filesystem on demand; the
-	// -doc document resolves by its base name or full path.
-	eng.Resolve = fileResolver(*docPath)
-	eng = bindCollection(eng, *collection)
-
 	execStart := time.Now()
 	var res *bat.Table
 	switch *show {
@@ -200,7 +197,7 @@ func main() {
 				ann += fmt.Sprintf(", fast path for static %s", st.Static)
 			}
 			if st.FusedChain > 0 {
-				ann += fmt.Sprintf(", fused #%d [%d/%d]", st.FusedChain, st.FusedPos, st.FusedLen)
+				ann += fmt.Sprintf(", chain #%d [%d/%d]", st.FusedChain, st.FusedPos, st.FusedLen)
 			}
 			if st.ThetaJoin > 0 {
 				ann += fmt.Sprintf(", theta #%d", st.ThetaJoin)
@@ -214,10 +211,10 @@ func main() {
 			}
 			return ann
 		}))
-		phys := physical.Lower(plan)
-		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d fused chains, %d theta joins)\n",
+		phys := eng.Lowered(plan)
+		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d chains, %d theta joins)\n",
 			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.Chains), len(phys.ThetaJoins))
-		printFusedChains(phys, tr)
+		printChains(phys, tr)
 		printThetaJoins(phys, tr)
 		fmt.Print(optimized.TraceString())
 		fmt.Println()
@@ -239,25 +236,19 @@ func main() {
 	}
 }
 
-// printFusedChains summarizes each fused chain of the physical plan for
-// -show explain: membership, rows in at the head, rows out and rows
-// materialized at the boundary. A chain whose members report no fused
-// stats ran per operator (fusion off, tiny input, or a replay).
-func printFusedChains(phys *physical.Plan, tr *engine.Trace) {
+// printChains summarizes each operator chain of the physical plan for
+// -show explain: its members' kernels, the rows into the head, the rows
+// out of the tail, and the rows its members materialized between them.
+func printChains(phys *physical.Plan, tr *engine.Trace) {
 	for _, ch := range phys.Chains {
 		kernels := make([]string, len(ch.Nodes))
+		mat := 0
 		for i, nd := range ch.Nodes {
 			kernels[i] = nd.Kernel
+			mat += tr.Stats[nd.Op].RowsMat
 		}
-		head, hok := tr.Stats[ch.Head().Op]
-		tail, tok := tr.Stats[ch.Tail().Op]
-		if !hok || !tok || tail.FusedChain == 0 {
-			fmt.Printf("fused chain #%d: %s (ran per-operator)\n",
-				ch.ID, strings.Join(kernels, " → "))
-			continue
-		}
-		fmt.Printf("fused chain #%d: %s — %d rows in, %d out, %d materialized\n",
-			ch.ID, strings.Join(kernels, " → "), head.RowsIn, tail.RowsOut, tail.RowsMat)
+		fmt.Printf("chain #%d: %s — %d rows in, %d out, %d materialized\n",
+			ch.ID, strings.Join(kernels, " → "), tr.Stats[ch.Head().Op].RowsIn, tr.Stats[ch.Tail().Op].RowsOut, mat)
 	}
 }
 
@@ -322,18 +313,11 @@ func bindCollection(eng *engine.Engine, collection string) *engine.Engine {
 }
 
 // repl is the demonstration's ad-hoc query loop ("users may as well state
-// their own ad hoc queries", §4): the store persists across queries, so
-// documents load once and constructed fragments accumulate like in a
-// session against a running server.
-func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noFusion bool, workers int) {
-	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: workers, NoFusion: noFusion, Catalog: cat})
-	eng.Staircase = !naive
-	eng.Resolve = fileResolver(docPath)
-	eng = bindCollection(eng, collection)
-	opts := xqcore.Options{Collection: collection}
-	if docPath != "" {
-		opts.ContextDoc = filepath.Base(docPath)
-	}
+// their own ad hoc queries", §4) over the engine main built from the
+// flags: the store persists across queries, so documents load once and
+// constructed fragments accumulate like in a session against a running
+// server.
+func repl(eng *engine.Engine, opts xqcore.Options) {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Fprint(os.Stderr, "pf> ")
@@ -358,13 +342,27 @@ func repl(docPath string, cat *pfstore.Catalog, collection string, naive, noFusi
 	}
 }
 
+// runOnce compiles, optimizes and runs one REPL query. With -check
+// (eng.Check) both plans are validated first, as for a single query.
 func runOnce(query string, eng *engine.Engine, opts xqcore.Options) (string, error) {
 	plan, _, err := core.CompileQuery(query, opts)
 	if err != nil {
 		return "", err
 	}
+	if eng.Check {
+		if err := check.Error(check.Logical(plan)); err != nil {
+			return "", err
+		}
+	}
 	if plan, err = opt.Optimize(plan); err != nil {
 		return "", err
+	}
+	if eng.Check {
+		if err := check.Error(check.Plan(plan)); err != nil {
+			return "", err
+		}
+		fmt.Fprintf(os.Stderr, "pf: check ok (%d operators: schema, order/denseness, physical)\n",
+			algebra.CountOps(plan))
 	}
 	res, err := eng.Eval(plan)
 	if err != nil {

@@ -76,7 +76,6 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 		maxQueue     = fs.Int("max-queue", 0, "admission queue bound; beyond it queries get 429 (0 = service default)")
 		reqTimeout   = fs.Duration("request-timeout", 0, "default per-query timeout (0 = service default)")
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight queries")
-		noFusion     = fs.Bool("no-fusion", false, "run fused operator chains one kernel at a time (executor switch; plans are identical)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -118,7 +117,7 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 
 	svc := service.New(store, service.Config{
-		Engine:         engine.Config{Workers: *workers, NoFusion: *noFusion},
+		Engine:         engine.Config{Workers: *workers},
 		Catalog:        cat,
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,

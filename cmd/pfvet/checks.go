@@ -5,12 +5,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// The six checks. Each guards an invariant the Go type system cannot
+// The five checks. Each guards an invariant the Go type system cannot
 // express but the engine's correctness depends on:
 //
 //   - batmut: column vectors (the named slice types of internal/bat) are
@@ -29,11 +28,6 @@ import (
 //     — Go randomizes it per run, so a pass that visits operators (or
 //     picks rewrites) by ranging over a map emits nondeterministic
 //     plans. Passes walk the DAG in Topo order or sort map keys first.
-//   - fusedalloc: the fused-chain lane kernels (fusedkernel*.go in
-//     internal/engine) run once per surviving lane per batch; an append
-//     or a map access inside one of their loops turns the branch-free
-//     hot loop into an allocator or hash call. Buffers are sized before
-//     the loop; lookups are hoisted.
 //
 // A site that violates a check deliberately carries a
 // `//pfvet:allow <check>` directive on the same or the preceding line,
@@ -56,7 +50,6 @@ type checkSet struct {
 	ctxpoll     bool
 	mutexval    bool
 	maporder    bool
-	fusedalloc  bool
 }
 
 // checksFor scopes the checks by import path: batmut and mutexval are
@@ -76,7 +69,6 @@ func checksFor(path string) checkSet {
 		ctxpoll:     path == "pathfinder/internal/engine",
 		mutexval:    true,
 		maporder:    path == "pathfinder/internal/opt",
-		fusedalloc:  path == "pathfinder/internal/engine",
 	}
 }
 
@@ -98,9 +90,6 @@ func runChecks(fset *token.FileSet, pi *pkgInfo, cs checkSet) []finding {
 	}
 	if cs.maporder {
 		fs = append(fs, checkMapOrder(fset, pi)...)
-	}
-	if cs.fusedalloc {
-		fs = append(fs, checkFusedAlloc(fset, pi)...)
 	}
 	fs = suppressAllowed(fset, pi, fs)
 	sort.Slice(fs, func(a, b int) bool {
@@ -482,72 +471,6 @@ func checkMapOrder(fset *token.FileSet, pi *pkgInfo) []finding {
 					msg:   "rewrite pass ranges over a map (iteration order is nondeterministic); visit operators in Topo order or sort the keys",
 				})
 			}
-			return true
-		})
-	}
-	return fs
-}
-
-// fusedalloc ------------------------------------------------------------------
-
-// checkFusedAlloc pins the lane-kernel inner-loop discipline. It is
-// scoped syntactically to the fusedkernel*.go files: those hold only
-// the per-lane loops of the fused executor, where every iteration must
-// stay a straight read-compute-write over preallocated slices. The two
-// flagged shapes are the ones that silently break that:
-//
-//   - append grows a buffer mid-loop (an amortized allocation, and a
-//     hidden copy of everything written so far), and
-//   - a map index hashes per lane and may trigger bucket growth.
-//
-// Both belong before the loop: outputs are sized at chain-compile time,
-// lookups are hoisted into locals.
-func checkFusedAlloc(fset *token.FileSet, pi *pkgInfo) []finding {
-	var fs []finding
-	flagged := map[token.Pos]bool{}
-	for _, file := range pi.files {
-		if !strings.HasPrefix(filepath.Base(fset.Position(file.Pos()).Filename), "fusedkernel") {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch n := n.(type) {
-			case *ast.ForStmt:
-				body = n.Body
-			case *ast.RangeStmt:
-				body = n.Body
-			default:
-				return true
-			}
-			ast.Inspect(body, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.CallExpr:
-					if id, ok := m.Fun.(*ast.Ident); ok && id.Name == "append" && !flagged[m.Pos()] {
-						if _, isBuiltin := pi.info.Uses[id].(*types.Builtin); isBuiltin {
-							flagged[m.Pos()] = true
-							fs = append(fs, finding{
-								pos:   fset.Position(m.Pos()),
-								check: "fusedalloc",
-								msg:   "append inside a fused lane loop (allocates mid-batch); size the output buffer at chain-compile time",
-							})
-						}
-					}
-				case *ast.IndexExpr:
-					tv, ok := pi.info.Types[m.X]
-					if !ok || flagged[m.Pos()] {
-						return true
-					}
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						flagged[m.Pos()] = true
-						fs = append(fs, finding{
-							pos:   fset.Position(m.Pos()),
-							check: "fusedalloc",
-							msg:   "map access inside a fused lane loop (hashes per lane); hoist the lookup before the loop",
-						})
-					}
-				}
-				return true
-			})
 			return true
 		})
 	}

@@ -58,7 +58,7 @@ func wantMarkers(t *testing.T) map[string]bool {
 
 func TestChecksAgainstFixture(t *testing.T) {
 	l, pi := loadFixture(t)
-	all := checkSet{batmut: true, determinism: true, ctxpoll: true, mutexval: true, maporder: true, fusedalloc: true}
+	all := checkSet{batmut: true, determinism: true, ctxpoll: true, mutexval: true, maporder: true}
 	got := map[string]bool{}
 	for _, f := range runChecks(l.fset, pi, all) {
 		got[fmt.Sprintf("%s:%d:%s", filepath.Base(f.pos.Filename), f.pos.Line, f.check)] = true
@@ -103,12 +103,6 @@ func TestChecksForScoping(t *testing.T) {
 	}
 	if eng.maporder || cli.maporder {
 		t.Error("maporder is scoped to internal/opt; other packages range maps freely")
-	}
-	if !eng.fusedalloc {
-		t.Error("fusedalloc must cover the engine's fused lane kernels")
-	}
-	if cli.fusedalloc || optPkg.fusedalloc {
-		t.Error("fusedalloc is scoped to internal/engine; only fusedkernel*.go files hold lane loops")
 	}
 }
 

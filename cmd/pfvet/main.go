@@ -13,7 +13,6 @@
 //     must poll the context
 //   - mutexval: no value receivers on types holding sync state
 //   - maporder: no map-iteration-order dependence in optimizer passes
-//   - fusedalloc: no allocation or map access in fused lane loops
 //
 // Interprocedural suite (call graph + dataflow over the whole module):
 //
@@ -51,7 +50,7 @@ import (
 // land in one package).
 var suiteRules = []string{"lockorder", "colown", "golifecycle", "errclass"}
 
-var packageRules = []string{"batmut", "determinism", "ctxpoll", "mutexval", "maporder", "fusedalloc"}
+var packageRules = []string{"batmut", "determinism", "ctxpoll", "mutexval", "maporder"}
 
 func main() {
 	var (
@@ -197,7 +196,6 @@ func (cs checkSet) restrict(rules map[string]bool) checkSet {
 	cs.ctxpoll = cs.ctxpoll && rules["ctxpoll"]
 	cs.mutexval = cs.mutexval && rules["mutexval"]
 	cs.maporder = cs.maporder && rules["maporder"]
-	cs.fusedalloc = cs.fusedalloc && rules["fusedalloc"]
 	return cs
 }
 

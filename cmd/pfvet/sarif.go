@@ -24,7 +24,6 @@ var ruleDocs = map[string]string{
 	"ctxpoll":     "Context-taking engine functions with nested row loops must poll the context.",
 	"mutexval":    "No value receivers on types holding sync state (locks a copy).",
 	"maporder":    "Optimizer rewrite passes must not depend on map iteration order.",
-	"fusedalloc":  "No allocation or map access inside fused lane loops.",
 	"lockorder":   "Mutex acquisition order must be acyclic; shared locks must not be held across I/O.",
 	"colown":      "Columnar state adopted on a publish path must be cloned, not mutated in place.",
 	"golifecycle": "Every goroutine must join or poll cancellation; WaitGroup Add must not race Wait reuse.",

@@ -104,7 +104,7 @@ func TestRulesFlag(t *testing.T) {
 		t.Errorf("subset mask wrong: %v", sub)
 	}
 	cs := checksFor("pathfinder/internal/engine").restrict(sub)
-	if !cs.batmut || cs.ctxpoll || cs.fusedalloc {
+	if !cs.batmut || cs.ctxpoll {
 		t.Errorf("restrict must mask per-package checks: %+v", cs)
 	}
 	if !anySuiteRule(sub) || anySuiteRule(map[string]bool{"batmut": true}) {

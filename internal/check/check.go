@@ -13,7 +13,7 @@
 //   - Physical preconditions (Physical): merge-join inputs are provably
 //     sorted on the key, rownum[presorted]/[const1] are justified,
 //     Parallel/Pipeline flags appear only on kernels whose morsel
-//     decomposition the executor actually implements, and every fused
+//     decomposition the executor actually implements, and every operator
 //     chain and theta join is a unit the executor may run as one.
 //
 // A validator failure means an upstream pass produced a plan whose

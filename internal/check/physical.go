@@ -46,14 +46,13 @@ func Physical(p *physical.Plan) []Diag {
 	return diags
 }
 
-// physChains re-proves every fused chain the lowering published. The
-// executor runs a chain as one loop threading a selection vector from
-// the head's input to the tail's boundary, so each claim below is a
-// correctness precondition, not a preference: a breaker inside a chain
-// would need its whole input before producing a row, a multi-consumer
-// interior would hand a half-filtered view to an operator outside the
-// chain, and a mark after a filter would number the survivors instead
-// of the input positions.
+// physChains re-proves every operator chain the lowering published. The
+// executor runs a chain as one scheduler task whose interiors get no
+// result slot of their own, so a linear, unary, single-consumer chain is
+// a correctness precondition: a multi-consumer interior would leave an
+// operator outside the chain with no input. The remaining claims — no
+// breaker inside, no mark after a filter — are discovery's own rules,
+// re-proved so that chain shapes cannot drift unnoticed.
 func physChains(w *walker, p *physical.Plan, consumers map[*physical.Node]int) []Diag {
 	var diags []Diag
 	isNode := make(map[*physical.Node]bool, len(p.Nodes))
@@ -113,9 +112,8 @@ func physChains(w *walker, p *physical.Plan, consumers map[*physical.Node]int) [
 	return diags
 }
 
-// chainFusable is the validator's own list of chain-eligible kernels,
-// mirroring what the fused executor implements (a per-row unary
-// operator; ϱ only on its const-1 fast path) — not what
+// chainFusable is the validator's own list of chain-eligible kernels (a
+// per-row unary operator; ϱ only on its const-1 fast path) — not what
 // internal/physical claims.
 func chainFusable(nd *physical.Node) bool {
 	switch nd.Op.Kind {

@@ -110,16 +110,36 @@ var Constructors = []Case{
 	{Query: `count(<e>{/r/a[1]/text()}</e>/text())`, Want: "1"},
 }
 
-// RangeEdges are `lo to hi` ranges at the int64 edge, needing no
-// document: a two-item range ending at MaxInt64 (where a `k <= hi` loop
-// never terminates), a span that overflows int64 (it must hit the size
-// guard, not slip under it), one starting at MinInt64 and an empty
-// reversed range. A list of its own for the same reason as Constructors.
-var RangeEdges = []Case{
+// IntEdges are xs:integer cases at the int64 edge, needing no document.
+// The `lo to hi` ranges: a two-item range ending at MaxInt64 (where a
+// `k <= hi` loop never terminates), a span that overflows int64 (it must
+// hit the size guard, not slip under it), one starting at MinInt64 and an
+// empty reversed range. The arithmetic: idiv is exact in int64 and
+// truncates toward zero, and a result int64 cannot hold — from + - * idiv
+// on integers, unary minus, or a double idiv — is FOAR0002, never a
+// wrapped value. The range-driven cases, whose operands are all range
+// columns, reach the typed int kernels; the others the boxed path. A
+// list of its own for the same reason as Constructors.
+var IntEdges = []Case{
 	{Query: `count(9223372036854775806 to 9223372036854775807)`, Want: "2"},
 	{Query: `count(-9223372036854775807 to 9223372036854775807)`, Err: "too large"},
 	{Query: `(-9223372036854775807 - 1) to -9223372036854775806`, Want: "-9223372036854775808 -9223372036854775807 -9223372036854775806"},
 	{Query: `count(5 to 1)`, Want: "0"},
+	{Query: `9223372036854775807 idiv 1`, Want: "9223372036854775807"},
+	{Query: `9007199254740993 idiv 3`, Want: "3002399751580331"},
+	{Query: `9223372036854775807 + 1`, Err: "FOAR0002"},
+	{Query: `4611686018427387904 * 2`, Err: "FOAR0002"},
+	{Query: `(-9223372036854775807 - 1) idiv -1`, Err: "FOAR0002"},
+	{Query: `-(-9223372036854775807 - 1)`, Err: "FOAR0002"},
+	{Query: `1e300 idiv 1`, Err: "FOAR0002"},
+	{Query: `-7 idiv 2`, Want: "-3"},
+	{Query: `7.5 idiv 2`, Want: "3"},
+	{Query: `(-9223372036854775807 - 1) mod -1`, Want: "0"},
+	{Query: `(-9223372036854775807 - 1) * -1`, Err: "FOAR0002"},
+	{Query: `for $i in 1 to 3 return ($i - $i - $i - $i - $i) idiv ($i + $i)`, Want: "-1 -1 -1"},
+	{Query: `for $i in 4611686018427387903 to 4611686018427387904 return $i + $i`, Err: "FOAR0002"},
+	{Query: `for $i in 4611686018427387904 to 4611686018427387905 return $i - $i - $i - $i`, Err: "FOAR0002"},
+	{Query: `for $i in 3037000499 to 3037000500 return $i * $i`, Err: "FOAR0002"},
 }
 
 // CountJoinDoc is the document the CountJoin cases run against, bound as

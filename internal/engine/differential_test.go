@@ -7,6 +7,7 @@ package engine_test
 // serialized results must be byte-identical.
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -215,11 +216,63 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	}
 }
 
-// TestRangeEdges runs the int64-edge ranges of corpus.RangeEdges: each
-// yields its pinned result or the size guard's error, without wrapping
-// around or allocating the span.
+// TestLargeRangePipelines runs filter/map pipelines over 50 000-row
+// ranges — the operator chains of loop-lifted FLWORs at a size where the
+// default morsel size splits kernels — through the optimized plan at
+// workers 1 and 2 with runtime checking on, and compares each result with
+// the navigational baseline. At least one operator must report a morsel
+// split, or the comparison covered only the unsplit kernels.
+func TestLargeRangePipelines(t *testing.T) {
+	pipelines := []string{
+		"for $i in 1 to 50000 where $i mod 7 = 0 return $i * 2",
+		"for $i in 1 to 50000 where $i mod 3 = 0 return ($i * 2) + 1",
+		"for $i in 1 to 50000 where ($i + 5) mod 4 = 1 return $i - 1",
+		"sum(for $i in 1 to 50000 where $i mod 7 = 0 return $i * 2)",
+		"sum(for $i in 1 to 50000 where $i mod 3 = 0 return ($i * 2) + 1)",
+		"sum(for $i in 1 to 50000 where ($i + 5) mod 4 = 1 return $i - 1)",
+	}
+	db := navdom.NewDB()
+	for _, w := range []int{1, 2} {
+		e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: w, Check: true})
+		split := false
+		for _, src := range pipelines {
+			want, err := navdom.NewInterp(db).Run(src, xqcore.Options{})
+			if err != nil {
+				t.Fatalf("%s: navdom: %v", src, err)
+			}
+			plan, _, err := core.CompileQuery(src, xqcore.Options{})
+			if err == nil {
+				plan, err = opt.Optimize(plan)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			res, tr, err := e.EvalTrace(context.Background(), plan)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", src, w, err)
+			}
+			got, err := serialize.Result(e.Store, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s workers=%d:\n rel = %.200q\n nav = %.200q", src, w, got, want)
+			}
+			for _, st := range tr.Stats {
+				split = split || st.Morsels > 1
+			}
+		}
+		if !split {
+			t.Errorf("workers=%d: no operator split into morsels at the default morsel size", w)
+		}
+	}
+}
+
+// TestRangeEdges runs the int64-edge cases of corpus.IntEdges: each
+// range and each integer operation yields its pinned result, the size
+// guard's error or FOAR0002 — never a wrapped value or an allocated span.
 func TestRangeEdges(t *testing.T) {
-	agreeOnCases(t, "<r/>", corpus.RangeEdges)
+	agreeOnCases(t, "<r/>", corpus.IntEdges)
 }
 
 // TestConstructorCases runs the constructor corpus — the content rules

@@ -78,15 +78,6 @@ type Engine struct {
 	// means DefaultMorselRows; negative disables morsel parallelism.
 	MorselRows int
 
-	// NoFusion disables fused-chain execution: every physical operator
-	// runs its own kernel even where the lowering identified a fusable
-	// chain. Fusion is an executor-time switch, not a lowering switch —
-	// plans (and the shared plan cache) are identical either way, the
-	// executor just ignores the chain metadata. The escape hatch behind
-	// pf/pfserver -no-fusion, and the baseline the fusion benchmark and
-	// differential tests compare against.
-	NoFusion bool
-
 	// Check enables runtime invariant assertions: after every kernel, the
 	// output's columns are checked against the operator's declared schema,
 	// and the sortedness/strictness/denseness bits the plan carries are
@@ -144,7 +135,6 @@ type Config struct {
 	Workers      int     // worker pool size; 0 = GOMAXPROCS
 	SeqThreshold int     // sequential-fallback operator count; 0 = DefaultSeqThreshold
 	MorselRows   int     // morsel size; 0 = DefaultMorselRows, negative disables
-	NoFusion     bool    // disable fused-chain execution (run every kernel standalone)
 	Check        bool    // assert schema/order/denseness invariants on live intermediates
 	Catalog      Catalog // collection-name resolver for ForCollection; nil = no named collections
 }
@@ -167,7 +157,6 @@ func NewWithConfig(store *xenc.Store, cfg Config) *Engine {
 	e.Workers = cfg.Workers
 	e.SeqThreshold = cfg.SeqThreshold
 	e.MorselRows = cfg.MorselRows
-	e.NoFusion = cfg.NoFusion
 	e.Check = cfg.Check
 	e.Cat = cfg.Catalog
 	return e

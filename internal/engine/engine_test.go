@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -751,6 +753,10 @@ func TestArithErrorsAndEdgeCases(t *testing.T) {
 	}
 	if _, err := e.Eval(must(algebra.Fun(mk(bat.Bool(true), bat.Int(0)), "r", algebra.FunNeg, "a"))); err == nil {
 		t.Error("neg bool must fail")
+	}
+	if _, err := e.Eval(must(algebra.Fun(mk(bat.Int(math.MinInt64), bat.Int(0)), "r", algebra.FunNeg, "a"))); err == nil ||
+		!strings.Contains(err.Error(), "FOAR0002") {
+		t.Errorf("neg MinInt64 must be FOAR0002, got %v", err)
 	}
 	if _, err := e.Eval(must(algebra.Fun(mk(bat.Str("x"), bat.Int(1)), "r", algebra.FunAdd, "a", "b"))); err == nil {
 		t.Error("string arithmetic must fail")

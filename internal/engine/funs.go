@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -68,6 +69,8 @@ func (e *Engine) evalFun(t *bat.Table, o *algebra.Op) (*bat.Table, error) {
 	return nt, nil
 }
 
+// applyFun is the per-row body of ⊛. The third argument is only
+// consulted by the three-argument functions (fn:substring with length).
 func (e *Engine) applyFun(o *algebra.Op, args []bat.Vec, row int) (bat.Item, error) {
 	a := args[0].ItemAt(row)
 	var b, c bat.Item
@@ -77,14 +80,6 @@ func (e *Engine) applyFun(o *algebra.Op, args []bat.Vec, row int) (bat.Item, err
 	if len(args) > 2 {
 		c = args[2].ItemAt(row)
 	}
-	return e.applyFunItems(o, a, b, c)
-}
-
-// applyFunItems is the per-item body of ⊛, factored out of applyFun so
-// the fused-chain lane kernels can evaluate a function over already
-// fetched items. c is only consulted by the three-argument functions
-// (fn:substring with length).
-func (e *Engine) applyFunItems(o *algebra.Op, a, b, c bat.Item) (bat.Item, error) {
 	switch o.Fun {
 	case algebra.FunAdd, algebra.FunSub, algebra.FunMul, algebra.FunDiv,
 		algebra.FunIDiv, algebra.FunMod:
@@ -92,7 +87,8 @@ func (e *Engine) applyFunItems(o *algebra.Op, a, b, c bat.Item) (bat.Item, error
 	case algebra.FunNeg:
 		switch a.Kind {
 		case bat.KInt:
-			return bat.Int(-a.I), nil
+			n, err := subInt(0, a.I)
+			return bat.Int(n), err
 		case bat.KFloat, bat.KUntyped:
 			return bat.Float(-a.AsFloat()), nil
 		}
@@ -273,7 +269,8 @@ func (e *Engine) typeIs(a bat.Item, ty algebra.SeqType, tyName string) bool {
 
 // arith implements the numeric operators with XQuery promotion: untyped
 // atomics cast to xs:double, integer op integer stays integral (except
-// div), anything involving a double is a double.
+// div) and fails with FOAR0002 rather than wrap, anything involving a
+// double is a double.
 func arith(fun algebra.FunKind, a, b bat.Item) (bat.Item, error) {
 	af, bf := a.AsFloat(), b.AsFloat()
 	if math.IsNaN(af) && !numericKind(a) || math.IsNaN(bf) && !numericKind(b) {
@@ -282,19 +279,16 @@ func arith(fun algebra.FunKind, a, b bat.Item) (bat.Item, error) {
 	}
 	bothInt := a.Kind == bat.KInt && b.Kind == bat.KInt
 	switch fun {
-	case algebra.FunAdd:
+	case algebra.FunAdd, algebra.FunSub, algebra.FunMul:
 		if bothInt {
-			return bat.Int(a.I + b.I), nil
+			n, err := intArith(fun, a.I, b.I)
+			return bat.Int(n), err
 		}
-		return bat.Float(af + bf), nil
-	case algebra.FunSub:
-		if bothInt {
-			return bat.Int(a.I - b.I), nil
-		}
-		return bat.Float(af - bf), nil
-	case algebra.FunMul:
-		if bothInt {
-			return bat.Int(a.I * b.I), nil
+		switch fun {
+		case algebra.FunAdd:
+			return bat.Float(af + bf), nil
+		case algebra.FunSub:
+			return bat.Float(af - bf), nil
 		}
 		return bat.Float(af * bf), nil
 	case algebra.FunDiv:
@@ -306,7 +300,17 @@ func arith(fun algebra.FunKind, a, b bat.Item) (bat.Item, error) {
 		if bf == 0 {
 			return bat.Item{}, fmt.Errorf("integer division by zero")
 		}
-		return bat.Int(int64(af / bf)), nil
+		if bothInt {
+			n, err := intArith(fun, a.I, b.I)
+			return bat.Int(n), err
+		}
+		// The truncated quotient must be an xs:integer: within int64,
+		// which excludes NaN and the infinities.
+		q := math.Trunc(af / bf)
+		if !(q >= -(1<<63) && q < 1<<63) {
+			return bat.Item{}, errIntOverflow
+		}
+		return bat.Int(int64(q)), nil
 	case algebra.FunMod:
 		if bothInt {
 			if b.I == 0 {
@@ -317,6 +321,50 @@ func arith(fun algebra.FunKind, a, b bat.Item) (bat.Item, error) {
 		return bat.Float(math.Mod(af, bf)), nil
 	}
 	return bat.Item{}, fmt.Errorf("not an arithmetic function: %s", fun)
+}
+
+// errIntOverflow is FOAR0002: an xs:integer result int64 cannot hold.
+var errIntOverflow = errors.New("FOAR0002: integer overflow")
+
+// intArith is xs:integer + - * idiv on int64 operands, exact or
+// FOAR0002 — never wrapped. idiv truncates toward zero; the caller has
+// already rejected a zero divisor.
+func intArith(fun algebra.FunKind, a, b int64) (int64, error) {
+	switch fun {
+	case algebra.FunAdd:
+		return addInt(a, b)
+	case algebra.FunSub:
+		return subInt(a, b)
+	case algebra.FunMul:
+		if a == 0 || b == 0 {
+			return 0, nil
+		}
+		p := a * b
+		if p/b != a || (a == math.MinInt64 && b == -1) {
+			return 0, errIntOverflow
+		}
+		return p, nil
+	}
+	if a == math.MinInt64 && b == -1 {
+		return 0, errIntOverflow
+	}
+	return a / b, nil
+}
+
+func addInt(a, b int64) (int64, error) {
+	s := a + b
+	if (a^s)&(b^s) < 0 { // both operands' signs differ from the sum's
+		return 0, errIntOverflow
+	}
+	return s, nil
+}
+
+func subInt(a, b int64) (int64, error) {
+	d := a - b
+	if (a^b)&(a^d) < 0 { // operands of opposite sign, difference flipped
+		return 0, errIntOverflow
+	}
+	return d, nil
 }
 
 func numericKind(a bat.Item) bool {

@@ -23,15 +23,17 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
-// morselEngine returns an engine with tiny morsels and the sequential
-// fallback disabled: every eligible operator splits, at the given worker
-// budget.
+// morselEngine returns an engine with tiny morsels, the sequential
+// fallback disabled and runtime checking on: every eligible operator
+// splits, at the given worker budget, and every kernel's output —
+// operator-chain members included — is schema-verified.
 func morselEngine(t *testing.T, uri, doc string, workers int) *engine.Engine {
 	t.Helper()
 	e := engine.NewWithConfig(xenc.NewStore(), engine.Config{
 		Workers:      workers,
 		SeqThreshold: -1,
 		MorselRows:   7,
+		Check:        true,
 	})
 	if _, err := e.Store.LoadDocumentString(uri, doc); err != nil {
 		t.Fatal(err)
@@ -105,7 +107,7 @@ func TestDialectMorselDifferential(t *testing.T) {
 				continue
 			}
 			if got != want {
-				t.Errorf("%s workers=%d:\n seq = %q\n got = %q", src, w, got, want)
+				t.Errorf("%s workers=%d:\n seq = %q\n got = %q", src, w, want, got)
 			}
 			optGot, err := runOptimized(t, src, engines[w], opts)
 			if err != nil {

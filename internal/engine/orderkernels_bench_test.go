@@ -165,7 +165,7 @@ func thetaCountByPairs(e *Engine, tj *physical.ThetaJoin, l, r *bat.View) (physO
 	if err != nil || reason != "" || pairs.kernel != "merge-thetajoin[float]" {
 		return physOut{}, 0, fmt.Errorf("band kernel: %q, reason %q, err %v", pairs.kernel, reason, err)
 	}
-	out, err := e.replayNodes(context.Background(), tj.Members()[3:], []*bat.View{pairs.view}, "", nil, 0)
+	out, err := e.replayNodes(context.Background(), tj.Members()[3:], []*bat.View{pairs.view}, nil, 0, nil)
 	return physOut{view: out}, pairs.view.Rows(), err
 }
 

@@ -27,26 +27,23 @@ import (
 // reports the kernel actually run through the evaluation trace.
 
 // physOut is one kernel's result: the output view, the kernel that
-// actually ran, how many rows it had to materialize (gathered or
-// copied — scanned-in-place rows are not counted), and the morsel team
-// that ran it (zero when the kernel took its sequential path).
+// actually ran, and how many rows it had to materialize (gathered or
+// copied — scanned-in-place rows are not counted).
 type physOut struct {
-	view    *bat.View
-	kernel  string
-	mat     int
-	morsels int // input morsels the kernel split into (0 = unsplit)
-	workers int // largest morsel team size (0 = never ran parallel)
+	view   *bat.View
+	kernel string
+	mat    int
 	// fast marks a kernel chosen by observing the input's order or
 	// density at run time in place of the node's static kernel.
 	fast bool
 }
 
 // execUnit is one schedulable unit of a physical plan: a single node,
-// a whole fused chain, or a theta join. nd is the node whose output is
+// an operator chain, or a theta join. nd is the node whose output is
 // the unit's — the chain's tail, the theta join's σ or, when its pairs
 // are only counted, its count. The other members are not units: a chain
-// interior's rows exist only as lanes inside the fused loop, a theta
-// join's product never exists at all.
+// interior's output goes only to the next member inside the same task,
+// a theta join's product never exists at all.
 type execUnit struct {
 	nd    *physical.Node
 	chain *physical.FusedChain
@@ -63,16 +60,11 @@ func (u execUnit) inputs() []*physical.Node {
 	return u.nd.In
 }
 
-// planUnits folds the plan's fused chains and theta joins into execution
-// units. With neither discovered (and with fusion disabled, the chains
-// ignored) every node is its own unit through the identical code path —
+// planUnits folds the plan's operator chains and theta joins into
+// execution units. With neither discovered every node is its own unit —
 // the tiny-input fast path pays no setup cost whatsoever.
-func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
-	chains := plan.Chains
-	if e.NoFusion {
-		chains = nil
-	}
-	if len(chains) == 0 && len(plan.ThetaJoins) == 0 {
+func planUnits(plan *physical.Plan) []execUnit {
+	if len(plan.Chains) == 0 && len(plan.ThetaJoins) == 0 {
 		units := make([]execUnit, len(plan.Nodes))
 		for i, nd := range plan.Nodes {
 			units[i] = execUnit{nd: nd}
@@ -81,7 +73,7 @@ func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
 	}
 	interior := make(map[*physical.Node]bool)
 	boundary := make(map[*physical.Node]execUnit)
-	for _, ch := range chains {
+	for _, ch := range plan.Chains {
 		for _, nd := range ch.Nodes[:len(ch.Nodes)-1] {
 			interior[nd] = true
 		}
@@ -108,43 +100,116 @@ func (e *Engine) planUnits(plan *physical.Plan) []execUnit {
 }
 
 // runUnit executes one unit over its input views and records its stats.
-// Errors return wrapped with the failing operator's kind.
+// Errors return wrapped with the failing operator's kind. The unit holds
+// one slot of the shared worker budget while it runs; kernels the
+// lowering marked Parallel may reserve spare slots for a morsel team.
 func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
 	switch {
 	case u.chain != nil:
-		return e.execChain(ctx, u.chain, in[0], tr, worker)
+		return e.runChain(ctx, u.chain, in[0], tr, worker)
 	case u.theta != nil:
 		return e.execTheta(ctx, u.theta, in, tr, worker)
 	}
-	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-	out, err := e.execNode(ctx, u.nd, in)
+	if e.onApply != nil {
+		e.onApply(u.nd.Op)
+	}
+	e.sh.working.Add(1)
+	defer e.sh.working.Add(-1)
+	out, st, err := e.runNode(ctx, u.nd, in, tr, worker)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", u.nd.Op.Kind, err)
+		return nil, err
 	}
 	if tr != nil {
-		st := OpStat{
-			//pfvet:allow determinism -- trace wall-time only, not query results
-			Wall: time.Since(start), RowsIn: viewRowsIn(in),
-			RowsOut: out.view.Rows(), Worker: worker,
-			Kernel: out.kernel, RowsMat: out.mat,
-			Morsels: out.morsels, ParWorkers: out.workers,
-		}
-		if out.fast {
-			st.Static = u.nd.Kernel
-		}
 		tr.recordStat(u.nd.Op, st)
 	}
-	return out.view, nil
+	return out, nil
+}
+
+// runChain executes an operator chain as one scheduler task: its members
+// run back to back through the ordinary kernels, each recording its own
+// stat stamped with the chain's id, its position and the chain's length.
+func (e *Engine) runChain(ctx context.Context, ch *physical.FusedChain, in *bat.View, tr *Trace, worker int) (*bat.View, error) {
+	if e.onApply != nil {
+		for _, nd := range ch.Nodes {
+			e.onApply(nd.Op)
+		}
+	}
+	e.sh.working.Add(1)
+	defer e.sh.working.Add(-1)
+	return e.replayNodes(ctx, ch.Nodes, []*bat.View{in}, tr, worker, func(i int, st OpStat) OpStat {
+		st.FusedChain, st.FusedPos, st.FusedLen = ch.ID, i+1, len(ch.Nodes)
+		return st
+	})
+}
+
+// replayNodes runs a multi-operator unit one member at a time: the first
+// member consumes in, each later one its predecessor's output, and every
+// member but the last leaves its view with the trace. Each member records
+// an ordinary stat, which stamp (when set) annotates with the member's
+// index — how a chain records membership and a demoted theta join says
+// why. The stat passes by value so that it stays off the heap. The caller
+// holds the unit's worker slot.
+func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, tr *Trace, worker int, stamp func(i int, st OpStat) OpStat) (*bat.View, error) {
+	for i, nd := range nodes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out, st, err := e.runNode(ctx, nd, in, tr, worker)
+		if err != nil {
+			return nil, err
+		}
+		if tr != nil {
+			if stamp != nil {
+				st = stamp(i, st)
+			}
+			if i < len(nodes)-1 {
+				tr.keepMember(nd.Op, out)
+			}
+			tr.recordStat(nd.Op, st)
+		}
+		in = []*bat.View{out}
+	}
+	return in[0], nil
+}
+
+// runNode runs one node's kernel over its input views, asserts the
+// output's invariants under Check, and returns the output with — when
+// the evaluation is traced — the node's stat. Errors return wrapped with
+// the operator's kind.
+func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, tr *Trace, worker int) (*bat.View, OpStat, error) {
+	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+	ms := &morsels{e: e, ctx: ctx, par: nd.Parallel}
+	out, err := e.execKernel(ctx, nd, in, ms)
+	if err == nil && e.Check {
+		err = checkNodeOutput(nd, out.view)
+	}
+	if err != nil {
+		return nil, OpStat{}, fmt.Errorf("%s: %w", nd.Op.Kind, err)
+	}
+	if tr == nil {
+		return out.view, OpStat{}, nil
+	}
+	st := OpStat{
+		//pfvet:allow determinism -- trace wall-time only, not query results
+		Wall: time.Since(start), RowsIn: viewRowsIn(in),
+		RowsOut: out.view.Rows(), Worker: worker,
+		Kernel: out.kernel, RowsMat: out.mat,
+	}
+	if out.fast {
+		st.Static = nd.Kernel
+	}
+	st.setMorsels(ms)
+	return out.view, st, nil
 }
 
 // physSequential executes the plan units in topological order on the
 // calling goroutine — the fallback for small plans and single-worker
 // engines.
 func (e *Engine) physSequential(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
-	units := e.planUnits(plan)
+	units := planUnits(plan)
 	results := make(map[*physical.Node]*bat.View, len(plan.Nodes))
 	if tr != nil {
-		defer e.fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View { return results[nd] })
+		defer fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View { return results[nd] })
 	}
 	for _, u := range units {
 		if err := ctx.Err(); err != nil {
@@ -177,15 +242,11 @@ func viewRowsIn(in []*bat.View) int {
 // materialization never distorts the per-kernel RowsMat accounting.
 //
 // Unit interiors have no scheduler slot. Members that ran one by one (a
-// replayed chain, a demoted theta join) left their views with the trace.
-// The interiors of a chain that ran fused only ever existed as lanes, so
-// the trace replays them per operator from the retained chain input —
-// after every stat is recorded: the materialization that forces is
-// attributed to tracing, never to the chain's RowsMat. The × and ⊛ of a
-// theta join the band kernel ran are shown the pairs σ let through, in
-// the columns the unit's consumers demanded; a count-only unit emitted
-// no pairs and has none to show.
-func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*physical.Node) *bat.View) {
+// chain's interiors, a demoted theta join) left their views with the
+// trace. The × and ⊛ of a theta join the band kernel ran are shown the
+// pairs σ let through, in the columns the unit's consumers demanded; a
+// count-only unit emitted no pairs and has none to show.
+func fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*physical.Node) *bat.View) {
 	for _, nd := range plan.Nodes {
 		if v := viewOf(nd); v != nil {
 			tr.setTable(nd.Op, v.Materialize())
@@ -193,21 +254,6 @@ func (e *Engine) fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*ph
 	}
 	for op, v := range tr.members {
 		tr.setTable(op, v.Materialize())
-	}
-	for _, ch := range plan.Chains {
-		cur := tr.chainIns[ch]
-		if cur == nil {
-			continue // chain never ran fused
-		}
-		for _, nd := range ch.Nodes[:len(ch.Nodes)-1] { // the tail's view is live and already captured
-			ms := &morsels{e: e, ctx: context.Background(), par: false}
-			out, err := e.execKernel(context.Background(), nd, []*bat.View{cur}, ms)
-			if err != nil {
-				break // best effort: a failing chain traces what it can
-			}
-			tr.setTable(nd.Op, out.view.Materialize())
-			cur = out.view
-		}
 	}
 	for _, tj := range plan.ThetaJoins {
 		pairs := tr.Tables[tj.Select.Op]
@@ -228,33 +274,6 @@ func matCount(v *bat.View) (*bat.Table, int) {
 	}
 	t := v.Materialize()
 	return t, t.Rows()
-}
-
-// execNode runs one physical operator over its input views. The host
-// holds one slot of the shared worker budget for itself while the
-// kernel runs; kernels the lowering marked Parallel may reserve spare
-// slots for a morsel team through the handle.
-func (e *Engine) execNode(ctx context.Context, nd *physical.Node, in []*bat.View) (physOut, error) {
-	if e.onApply != nil {
-		e.onApply(nd.Op)
-	}
-	e.sh.working.Add(1)
-	defer e.sh.working.Add(-1)
-	ms := &morsels{e: e, ctx: ctx, par: nd.Parallel}
-	out, err := e.execKernel(ctx, nd, in, ms)
-	if err != nil {
-		return physOut{}, err
-	}
-	if e.Check {
-		if err := checkNodeOutput(nd, out.view); err != nil {
-			return physOut{}, err
-		}
-	}
-	if ms.n > 1 {
-		out.morsels = ms.n
-		out.workers = max(ms.workers, 1) // split happened but no spare slot was free
-	}
-	return out, nil
 }
 
 // execKernel dispatches to the operator's kernel.

@@ -289,8 +289,8 @@ func ebvKernel(av bat.Vec, n int) (bat.Vec, string, error) {
 }
 
 // arithKernel runs int×int arithmetic on the raw slices. Division (and
-// the division-by-zero diagnostics, and xs:integer division's float
-// round trip) reproduce the boxed arith() exactly.
+// the division-by-zero and overflow diagnostics) reproduce the boxed
+// arith() exactly.
 func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
 	a, aok := av.(bat.IntVec)
 	b, bok := bv.(bat.IntVec)
@@ -308,24 +308,6 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 		return res, "", nil
 	}
 	switch fun {
-	case algebra.FunAdd:
-		res := make(bat.IntVec, n)
-		for i := 0; i < n; i++ {
-			res[i] = a[i] + b[i]
-		}
-		return res, ":int", nil
-	case algebra.FunSub:
-		res := make(bat.IntVec, n)
-		for i := 0; i < n; i++ {
-			res[i] = a[i] - b[i]
-		}
-		return res, ":int", nil
-	case algebra.FunMul:
-		res := make(bat.IntVec, n)
-		for i := 0; i < n; i++ {
-			res[i] = a[i] * b[i]
-		}
-		return res, ":int", nil
 	case algebra.FunDiv:
 		res := make(bat.FloatVec, n)
 		for i := 0; i < n; i++ {
@@ -336,16 +318,6 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 			res[i] = float64(a[i]) / float64(b[i])
 		}
 		return res, ":int", nil
-	case algebra.FunIDiv:
-		res := make(bat.IntVec, n)
-		for i := 0; i < n; i++ {
-			if b[i] == 0 {
-				_, err := arith(fun, bat.Int(a[i]), bat.Int(b[i]))
-				return nil, "", err
-			}
-			res[i] = int64(float64(a[i]) / float64(b[i]))
-		}
-		return res, ":int", nil
 	case algebra.FunMod:
 		res := make(bat.IntVec, n)
 		for i := 0; i < n; i++ {
@@ -354,6 +326,20 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 				return nil, "", err
 			}
 			res[i] = a[i] % b[i]
+		}
+		return res, ":int", nil
+	case algebra.FunAdd, algebra.FunSub, algebra.FunMul, algebra.FunIDiv:
+		res := make(bat.IntVec, n)
+		for i := 0; i < n; i++ {
+			if fun == algebra.FunIDiv && b[i] == 0 {
+				_, err := arith(fun, bat.Int(a[i]), bat.Int(b[i]))
+				return nil, "", err
+			}
+			r, err := intArith(fun, a[i], b[i])
+			if err != nil {
+				return nil, "", err
+			}
+			res[i] = r
 		}
 		return res, ":int", nil
 	}

@@ -19,8 +19,8 @@ import (
 // document steps of a join query, the lifted arms of conditionals, the
 // aggregates of a constructor's attribute list) share nothing but their
 // leaves, and MonetDB's MIL interpreter would happily run them on one
-// core. Here each unit of the physical plan (an operator, a fused chain,
-// a theta join) becomes a schedulable task: dependency counts follow the
+// core. Here each unit of the physical plan (an operator, an operator
+// chain, a theta join) becomes a schedulable task: dependency counts follow the
 // plan's topological order, leaves enter a ready queue, and a bounded
 // worker pool drains it, releasing consumers as their last input
 // materializes. Every unit runs exactly once per evaluation — shared
@@ -45,12 +45,11 @@ type OpStat struct {
 	// one a case the plan-time properties did not know about.
 	Static string
 
-	// Fused-chain membership: when the operator ran as part of a fused
-	// chain, FusedChain is the chain's 1-based id (0 = ran standalone),
-	// FusedPos its 1-based position in the chain, FusedLen the chain
-	// length. Interior members report their through-chain row counts with
-	// zero Wall/RowsMat; the tail carries the chain's wall time, morsel
-	// split, and the single boundary materialization.
+	// Chain membership: when the operator ran as a member of an
+	// operator chain (physical.FusedChain), FusedChain is the chain's
+	// 1-based id (0 = ran standalone), FusedPos its 1-based position in
+	// the chain, FusedLen the chain length. Every member reports its own
+	// kernel, wall time, rows and materialization.
 	FusedChain int
 	FusedPos   int
 	FusedLen   int
@@ -81,12 +80,11 @@ type Trace struct {
 	Tables map[*algebra.Op]*bat.Table
 	Stats  map[*algebra.Op]OpStat
 
-	// What the physical executor sets aside while the query runs, for
-	// fillTraceTables to turn into Tables afterwards: the views of unit
-	// members that ran one by one, and the input of every chain that ran
-	// fused (its interiors existed only as lanes and are replayed).
-	members  map[*algebra.Op]*bat.View
-	chainIns map[*physical.FusedChain]*bat.View
+	// The views of unit members that ran one by one and have no
+	// scheduler slot (chain interiors, a demoted theta join's members),
+	// set aside while the query runs for fillTraceTables to turn into
+	// Tables afterwards.
+	members map[*algebra.Op]*bat.View
 
 	// scheduled records the dispatch decision: the plan went to the
 	// parallel DAG scheduler, not the sequential path. Worker ids cannot
@@ -102,10 +100,9 @@ func (tr *Trace) setScheduled() {
 
 func newTrace() *Trace {
 	return &Trace{
-		Tables:   make(map[*algebra.Op]*bat.Table),
-		Stats:    make(map[*algebra.Op]OpStat),
-		members:  make(map[*algebra.Op]*bat.View),
-		chainIns: make(map[*physical.FusedChain]*bat.View),
+		Tables:  make(map[*algebra.Op]*bat.Table),
+		Stats:   make(map[*algebra.Op]OpStat),
+		members: make(map[*algebra.Op]*bat.View),
 	}
 }
 
@@ -130,13 +127,6 @@ func (tr *Trace) setTable(o *algebra.Op, t *bat.Table) {
 func (tr *Trace) keepMember(o *algebra.Op, v *bat.View) {
 	tr.mu.Lock()
 	tr.members[o] = v
-	tr.mu.Unlock()
-}
-
-// keepChainInput sets aside the input view of a chain that ran fused.
-func (tr *Trace) keepChainInput(ch *physical.FusedChain, v *bat.View) {
-	tr.mu.Lock()
-	tr.chainIns[ch] = v
 	tr.mu.Unlock()
 }
 
@@ -171,7 +161,7 @@ func EnvWorkers() int {
 // send, both of which establish the necessary happens-before edges), so
 // the slots need no lock of their own. The first error cancels the rest.
 func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
-	units := e.planUnits(plan)
+	units := planUnits(plan)
 	n := len(units)
 	index := make(map[*physical.Node]int, n)
 	for i, u := range units {
@@ -211,7 +201,7 @@ func (e *Engine) physParallel(ctx context.Context, plan *physical.Plan, tr *Trac
 
 	results := make([]*bat.View, n)
 	if tr != nil {
-		defer e.fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View {
+		defer fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View {
 			i, ok := index[nd]
 			if !ok {
 				return nil // unit interior: no live view

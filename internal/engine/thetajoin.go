@@ -505,7 +505,14 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 		}
 	}
 	if reason != "" {
-		return e.replayNodes(ctx, members, in, " (demoted:"+reason+")", tr, worker)
+		// The reason goes on the first member, so that it is on record
+		// even when a later member fails.
+		return e.replayNodes(ctx, members, in, tr, worker, func(i int, st OpStat) OpStat {
+			if i == 0 {
+				st.Kernel += " (demoted:" + reason + ")"
+			}
+			return st
+		})
 	}
 	if e.Check {
 		owed := tj.Demand

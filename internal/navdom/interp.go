@@ -1,8 +1,10 @@
 package navdom
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 	"strings"
 	"time"
@@ -477,7 +479,8 @@ func (ip *Interp) evalNodeCmp(x *xqcore.NodeCmp, en *env) ([]Item, error) {
 	return []Item{atomic(bat.Bool(res))}, nil
 }
 
-// arith mirrors the relational engine's numeric promotion rules.
+// arith mirrors the relational engine's numeric promotion rules. An
+// xs:integer result int64 cannot hold is FOAR0002, never a wrapped value.
 func arith(op string, a, b bat.Item) (bat.Item, error) {
 	af, bf := a.AsFloat(), b.AsFloat()
 	if math.IsNaN(af) || math.IsNaN(bf) {
@@ -486,19 +489,15 @@ func arith(op string, a, b bat.Item) (bat.Item, error) {
 	}
 	bothInt := a.Kind == bat.KInt && b.Kind == bat.KInt
 	switch op {
-	case "+":
+	case "+", "-", "*":
 		if bothInt {
-			return bat.Int(a.I + b.I), nil
+			return exactInt(op, a.I, b.I)
 		}
-		return bat.Float(af + bf), nil
-	case "-":
-		if bothInt {
-			return bat.Int(a.I - b.I), nil
-		}
-		return bat.Float(af - bf), nil
-	case "*":
-		if bothInt {
-			return bat.Int(a.I * b.I), nil
+		switch op {
+		case "+":
+			return bat.Float(af + bf), nil
+		case "-":
+			return bat.Float(af - bf), nil
 		}
 		return bat.Float(af * bf), nil
 	case "div":
@@ -510,7 +509,14 @@ func arith(op string, a, b bat.Item) (bat.Item, error) {
 		if bf == 0 {
 			return bat.Item{}, fmt.Errorf("integer division by zero")
 		}
-		return bat.Int(int64(af / bf)), nil
+		if bothInt {
+			return exactInt(op, a.I, b.I)
+		}
+		q := math.Trunc(af / bf)
+		if math.IsInf(q, 0) || math.IsNaN(q) || q < math.MinInt64 || q >= math.MaxInt64 {
+			return bat.Item{}, errOverflow
+		}
+		return bat.Int(int64(q)), nil
 	case "mod":
 		if bothInt {
 			if b.I == 0 {
@@ -521,6 +527,29 @@ func arith(op string, a, b bat.Item) (bat.Item, error) {
 		return bat.Float(math.Mod(af, bf)), nil
 	}
 	return bat.Item{}, fmt.Errorf("unknown arithmetic operator %q", op)
+}
+
+var errOverflow = errors.New("integer overflow (FOAR0002)")
+
+// exactInt computes a + - * idiv over int64 through math/big, so an
+// out-of-range result is detected by comparison rather than by the
+// wrapped bits; idiv truncates toward zero (big.Int.Quo).
+func exactInt(op string, a, b int64) (bat.Item, error) {
+	x, y := big.NewInt(a), big.NewInt(b)
+	switch op {
+	case "+":
+		x.Add(x, y)
+	case "-":
+		x.Sub(x, y)
+	case "*":
+		x.Mul(x, y)
+	default:
+		x.Quo(x, y)
+	}
+	if !x.IsInt64() {
+		return bat.Item{}, errOverflow
+	}
+	return bat.Int(x.Int64()), nil
 }
 
 func (ip *Interp) evalInstanceOf(x *xqcore.InstanceOf, en *env) ([]Item, error) {

@@ -130,11 +130,11 @@ func TestConstructorLongTextRun(t *testing.T) {
 	}
 }
 
-// TestRangeEdges: the int64-edge ranges of corpus.RangeEdges yield the
-// relational engine's results and its size-guard error, without wrapping
-// around or allocating the span.
+// TestRangeEdges: the int64-edge cases of corpus.IntEdges yield the
+// relational engine's results, its size-guard error and FOAR0002, without
+// wrapping around or allocating the span.
 func TestRangeEdges(t *testing.T) {
-	for _, c := range corpus.RangeEdges {
+	for _, c := range corpus.IntEdges {
 		got, err := NewInterp(NewDB()).Run(c.Query, xqcore.Options{})
 		switch {
 		case c.Err != "" && (err == nil || !strings.Contains(err.Error(), c.Err)):

@@ -2,29 +2,24 @@ package physical
 
 import "pathfinder/internal/algebra"
 
-// Pipeline fusion (the MonetDB→X100 evolution applied to our kernels):
-// the loop-lifted plans are long chains of cheap per-row operators —
-// filters, maps, projections, mark/rownum fast paths — and executing
-// them one kernel at a time makes every link exchange a bat.View and
-// pay a full-column gather whenever the previous link narrowed the
-// selection. Lower identifies maximal chains of such operators and
-// records them on the plan as FusedChain metadata; the executor runs a
-// whole chain as a single loop over fixed-size vectors, carrying one
-// selection vector from the chain's input to its boundary and
-// materializing (at most) once.
+// Operator chains: the loop-lifted plans are long runs of cheap per-row
+// operators — filters, maps, projections, mark/rownum fast paths — each
+// feeding only the next. Lower identifies maximal runs of such operators
+// and records them on the plan as FusedChain metadata; the executor runs
+// a whole chain as one scheduler task whose members execute back to back
+// through their ordinary kernels, so the scheduler dispatches one task
+// instead of one per member.
 //
 // The chains are metadata, not a plan rewrite: every member keeps its
-// Node (stats, Check, and the explain/dot output address members
-// individually), and an executor that ignores Chains — or is told to
-// via engine.Config{NoFusion} — runs the identical plan operator by
-// operator. That keeps the plan cache shared between fused and unfused
-// engines and makes -no-fusion a pure executor switch.
+// Node (kernel, morsel split, stats, Check, and the explain/dot output
+// address members individually), so the plan, its cache entry and its
+// result are those of the same operators run one by one.
 
 // FusedChain is one maximal fusable chain: Nodes[0] is the head (its
 // data input is the chain's input), Nodes[len-1] the tail (its output is
 // the chain's boundary). Interior members have exactly one consumer —
-// the next member — so the selection vector threaded through the chain
-// can never leak to an operator outside it.
+// the next member — so no operator outside the chain needs an interior's
+// output, which never gets a scheduler slot of its own.
 type FusedChain struct {
 	ID    int // 1-based, in discovery (= topological) order
 	Nodes []*Node
@@ -39,31 +34,18 @@ func (c *FusedChain) Tail() *Node { return c.Nodes[len(c.Nodes)-1] }
 // Input returns the node producing the chain's input relation.
 func (c *FusedChain) Input() *Node { return c.Head().In[0] }
 
-// Parallel reports whether any member admits morsel decomposition — the
-// executor then makes the whole chain the morsel work unit.
-func (c *FusedChain) Parallel() bool {
-	for _, nd := range c.Nodes {
-		if nd.Parallel {
-			return true
-		}
-	}
-	return false
-}
-
 // FusedMinRows is the static gate below which chain formation is
-// skipped: a point lookup whose cardinality is known to be tiny must
-// pay zero fusion overhead (no vector buffers, no selection-vector
-// allocation), so tiny inputs keep the plain per-operator path. Reusing
+// skipped: a point lookup whose cardinality is known to be tiny keeps
+// one scheduler unit per operator and pays no unit remapping. Reusing
 // the morsel gate keeps "tiny" meaning one thing across the executor.
 const FusedMinRows = ParallelMinRows
 
-// fusable reports whether a node may be a fused-chain member: a pure
-// unary per-row operator whose kernel reads input rows independently.
-// σ and π always qualify; ⊛ (map) qualifies for every function — the
-// executor falls back to per-operator execution for combinations its
-// lane kernels cannot reproduce; ϱ only on its const-1 fast path (the
-// sort and presorted kernels need the whole partition); the mark
-// operator qualifies but is position-sensitive — see discoverChains.
+// fusable reports whether a node may be a chain member: a pure unary
+// per-row operator whose kernel reads input rows independently. σ, π
+// and ⊛ (map, every function) always qualify; ϱ only on its const-1
+// fast path (the sort and presorted kernels need the whole partition);
+// the mark operator qualifies but is position-sensitive — see
+// discoverUnits.
 func fusable(nd *Node) bool {
 	switch nd.Op.Kind {
 	case algebra.OpSelect, algebra.OpProject, algebra.OpFun, algebra.OpRowID:
@@ -86,13 +68,16 @@ func fusable(nd *Node) bool {
 // from the first unclaimed fusable node always starts at the true head
 // of its maximal chain. A chain grows from cur to its consumer next iff
 //
-//   - cur has exactly one consuming edge (otherwise the selection vector
-//     threaded past cur would leak to an operator outside the chain),
+//   - cur has exactly one consuming edge (otherwise an operator outside
+//     the chain would need cur's output, which has no scheduler slot),
 //   - next is fusable and consumes cur as its data input, and
 //   - next is not a mark (ϱ́) after a filter: mark numbers the rows it
 //     sees 1..n, so its input positions must be undisturbed — a mark may
 //     be followed by filters inside a chain, never preceded by one.
 //
+// The mark rule and the FusedMinRows gate date from a fused executor
+// that ran chains as one vectorized loop; they are kept so that chain
+// shapes — the physical.chains count and the .dot goldens — stay fixed.
 // Chains shorter than two members buy nothing, and chains whose head is
 // statically known to process fewer than FusedMinRows rows are skipped
 // outright (the tiny-input fast path).

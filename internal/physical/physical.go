@@ -70,10 +70,10 @@ type Plan struct {
 	Nodes []*Node
 	ByOp  map[*algebra.Op]*Node
 
-	// Chains are the maximal fusable operator chains (see fusion.go) in
-	// discovery order. They are executor metadata, not a rewrite: every
-	// member node is still in Nodes, and ignoring Chains executes the
-	// identical plan operator by operator.
+	// Chains are the maximal operator chains (see fusion.go) in
+	// discovery order, each run as one scheduler task. They are executor
+	// metadata, not a rewrite: every member node is still in Nodes, and
+	// ignoring Chains executes the identical plan operator by operator.
 	Chains []*FusedChain
 
 	// ThetaJoins are the σ(⊛cmp(×)) units the executor may run as one
