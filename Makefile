@@ -36,12 +36,14 @@ pfvet-sarif:
 	$(GO) run ./cmd/pfvet -sarif pfvet.sarif
 
 # Short native-fuzzing smoke over the parser, lexer, and document loader:
-# runs each target briefly so CI catches shallow panics; long exploratory
-# runs stay manual (go test -fuzz=... -fuzztime=5m).
+# runs each target briefly so CI catches shallow panics, and the shredder's
+# tokenizer against its encoding/xml reference (FuzzShredMatchesStdlib);
+# long exploratory runs stay manual (go test -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test ./internal/xquery -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/xquery -fuzz FuzzLex -fuzztime 10s
 	$(GO) test ./internal/xenc -fuzz FuzzLoadDocument -fuzztime 10s
+	$(GO) test ./internal/xenc -fuzz FuzzShredMatchesStdlib -fuzztime 10s
 	$(GO) test ./internal/service -fuzz FuzzNormalizeQuery -fuzztime 10s
 
 # Race tier: the packages with query-time shared state — the scheduler

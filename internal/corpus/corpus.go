@@ -117,9 +117,10 @@ var Constructors = []Case{
 // empty reversed range. The arithmetic: idiv is exact in int64 and
 // truncates toward zero, and a result int64 cannot hold — from + - * idiv
 // on integers, unary minus, or a double idiv — is FOAR0002, never a
-// wrapped value. The range-driven cases, whose operands are all range
-// columns, reach the typed int kernels; the others the boxed path. A
-// list of its own for the same reason as Constructors.
+// wrapped value; fn:sum checks only its total, so an intermediate sum
+// beyond int64 is not an error. The range-driven cases, whose operands
+// are all range columns, reach the typed int kernels; the others the
+// boxed path. A list of its own for the same reason as Constructors.
 var IntEdges = []Case{
 	{Query: `count(9223372036854775806 to 9223372036854775807)`, Want: "2"},
 	{Query: `count(-9223372036854775807 to 9223372036854775807)`, Err: "too large"},
@@ -140,6 +141,10 @@ var IntEdges = []Case{
 	{Query: `for $i in 4611686018427387903 to 4611686018427387904 return $i + $i`, Err: "FOAR0002"},
 	{Query: `for $i in 4611686018427387904 to 4611686018427387905 return $i - $i - $i - $i`, Err: "FOAR0002"},
 	{Query: `for $i in 3037000499 to 3037000500 return $i * $i`, Err: "FOAR0002"},
+	{Query: `sum((9223372036854775807, 1))`, Err: "FOAR0002"},
+	{Query: `sum((-9223372036854775807 - 1, -1))`, Err: "FOAR0002"},
+	{Query: `sum((9223372036854775807, -1))`, Want: "9223372036854775806"},
+	{Query: `sum((9223372036854775807, 1, -1))`, Want: "9223372036854775807"},
 }
 
 // CountJoinDoc is the document the CountJoin cases run against, bound as

@@ -464,7 +464,7 @@ func aggregate(agg algebra.AggKind, arg bat.Vec, rows []int32, sep string) (bat.
 		return bat.Item{}, fmt.Errorf("%s over empty group", agg)
 	}
 	allInt := true
-	var sumI int64
+	var sumI intSum
 	var sumF float64
 	minIt, maxIt := arg.ItemAt(int(rows[0])), arg.ItemAt(int(rows[0]))
 	for _, r := range rows {
@@ -479,7 +479,7 @@ func aggregate(agg algebra.AggKind, arg bat.Vec, rows []int32, sep string) (bat.
 		if it.Kind != bat.KInt {
 			allInt = false
 		}
-		sumI += it.I
+		sumI.add(it.I)
 		sumF += f
 		if c := bat.CompareTotal(it, minIt); c < 0 {
 			minIt = it
@@ -491,7 +491,8 @@ func aggregate(agg algebra.AggKind, arg bat.Vec, rows []int32, sep string) (bat.
 	switch agg {
 	case algebra.AggSum:
 		if allInt {
-			return bat.Int(sumI), nil
+			n, err := sumI.result()
+			return bat.Int(n), err
 		}
 		return bat.Float(sumF), nil
 	case algebra.AggMin:

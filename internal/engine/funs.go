@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"pathfinder/internal/algebra"
@@ -365,6 +366,28 @@ func subInt(a, b int64) (int64, error) {
 		return 0, errIntOverflow
 	}
 	return d, nil
+}
+
+// intSum is the exact running sum fn:sum folds xs:integers into: 128 bits
+// hold any sum of fewer than 2^63 int64 terms, so only the total is
+// checked against int64 — FOAR0002 when it does not fit, whatever the
+// order of the terms.
+type intSum struct {
+	lo uint64
+	hi int64
+}
+
+func (s *intSum) add(v int64) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, uint64(v), 0)
+	s.hi += int64(carry) + v>>63 // v>>63 sign-extends v into the high word
+}
+
+func (s intSum) result() (int64, error) {
+	if s.hi != int64(s.lo)>>63 {
+		return 0, errIntOverflow
+	}
+	return int64(s.lo), nil
 }
 
 func numericKind(a bat.Item) bool {

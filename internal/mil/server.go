@@ -299,7 +299,7 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 	switch fields[0] {
 	case "LOAD":
 		s.mu.Lock()
-		_, err := s.eng.Store.LoadDocument(fields[1], strings.NewReader(string(cmd.body)))
+		_, err := s.eng.Store.LoadDocumentString(fields[1], string(cmd.body))
 		s.mu.Unlock()
 		if err != nil {
 			reply(w, "ERR", err.Error())
@@ -318,7 +318,7 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 		}
 		doc := xmark.GenerateString(sf)
 		s.mu.Lock()
-		_, err = s.eng.Store.LoadDocument(fields[1], strings.NewReader(doc))
+		_, err = s.eng.Store.LoadDocumentString(fields[1], doc)
 		s.mu.Unlock()
 		if err != nil {
 			reply(w, "ERR", err.Error())

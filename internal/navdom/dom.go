@@ -121,7 +121,10 @@ func (db *DB) nextDocID() int {
 
 // Load parses a document into the DOM, mirroring the shredder's
 // conventions (whitespace-only text dropped, namespace declarations
-// skipped).
+// skipped). It reads through encoding/xml, not the shredder's tokenizer,
+// so the oracle does not share the engine's front door; it adds the two
+// checks RawToken lacks that the tokenizer makes: an end tag must match
+// its start tag, and no attribute may appear twice on an element.
 func (db *DB) Load(uri string, r io.Reader) (*Node, error) {
 	if _, ok := db.docs[uri]; ok {
 		return nil, fmt.Errorf("document %q already loaded", uri)
@@ -141,6 +144,13 @@ func (db *DB) Load(uri string, r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			for i, a := range t.Attr {
+				for _, prev := range t.Attr[:i] {
+					if qname(a.Name) == qname(prev.Name) {
+						return nil, fmt.Errorf("parse %q: duplicate attribute %s", uri, qname(a.Name))
+					}
+				}
+			}
 			ord++
 			el := &Node{Kind: Elem, Name: qname(t.Name), Parent: cur, DocID: docID, Ord: ord}
 			for _, a := range t.Attr {
@@ -156,8 +166,10 @@ func (db *DB) Load(uri string, r io.Reader) (*Node, error) {
 			cur.Children = append(cur.Children, el)
 			cur = el
 		case xml.EndElement:
-			if cur.Parent == nil {
-				return nil, fmt.Errorf("parse %q: unbalanced document", uri)
+			// RawToken does not pair tags; the open element's name is the
+			// top of the name stack the Parent chain forms.
+			if cur == doc || cur.Name != qname(t.Name) {
+				return nil, fmt.Errorf("parse %q: unmatched end tag </%s>", uri, qname(t.Name))
 			}
 			cur = cur.Parent
 		case xml.CharData:

@@ -3,6 +3,7 @@ package navdom
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 	"strings"
 	"time"
@@ -588,7 +589,7 @@ func aggregate(name string, items []Item) ([]Item, error) {
 		return nil, nil
 	}
 	allInt := true
-	var sumI int64
+	var sumI, term big.Int // exact: only the total must fit int64
 	var sumF float64
 	minIt := items[0].atomize()
 	maxIt := minIt
@@ -601,7 +602,9 @@ func aggregate(name string, items []Item) ([]Item, error) {
 		if a.Kind != bat.KInt {
 			allInt = false
 		}
-		sumI += a.I
+		if allInt {
+			sumI.Add(&sumI, term.SetInt64(a.I))
+		}
 		sumF += f
 		if bat.CompareTotal(a, minIt) < 0 {
 			minIt = a
@@ -613,7 +616,10 @@ func aggregate(name string, items []Item) ([]Item, error) {
 	switch name {
 	case "sum":
 		if allInt {
-			return []Item{atomic(bat.Int(sumI))}, nil
+			if !sumI.IsInt64() {
+				return nil, errOverflow
+			}
+			return []Item{atomic(bat.Int(sumI.Int64()))}, nil
 		}
 		return []Item{atomic(bat.Float(sumF))}, nil
 	case "avg":

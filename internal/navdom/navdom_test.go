@@ -97,6 +97,18 @@ func TestDuplicateLoadAndMissingDoc(t *testing.T) {
 	}
 }
 
+// The loader rejects what the shredder rejects of the well-formedness
+// constraints RawToken leaves unchecked: end tags that do not match their
+// start tags and repeated attributes. (A reference to a surrogate reaches
+// it already decoded to U+FFFD, so only the shredder rejects that.)
+func TestLoadRejectsIllFormed(t *testing.T) {
+	for _, doc := range []string{`<a></b>`, `<a><b></c></a>`, `</a>`, `<a x="1" x="2"/>`, `<a xmlns:p="1" xmlns:p="2"/>`} {
+		if _, err := NewDB().LoadString("bad.xml", doc); err == nil {
+			t.Errorf("%s: loaded, want an error", doc)
+		}
+	}
+}
+
 func runNav(t *testing.T, db *DB, src string) string {
 	t.Helper()
 	ip := NewInterp(db)

@@ -37,29 +37,12 @@ func (l *lastPut) put(p *pool, s string) int32 {
 // NewFragBuilder starts a fresh constructed fragment in the store.
 func NewFragBuilder(s *Store) *FragBuilder {
 	f := &Fragment{}
-	return &FragBuilder{store: s, sh: shredder{store: s, frag: f}, runAt: -1}
+	return &FragBuilder{store: s, sh: shredder{frag: f}, runAt: -1}
 }
 
 // Reserve sizes the five node columns for nodes more tree nodes and the
 // three attribute columns for attrs more attribute rows.
-func (b *FragBuilder) Reserve(nodes, attrs int) {
-	f := b.sh.frag
-	f.Size = reserve(f.Size, nodes)
-	f.Level = reserve(f.Level, nodes)
-	f.Kind = reserve(f.Kind, nodes)
-	f.Prop = reserve(f.Prop, nodes)
-	f.Parent = reserve(f.Parent, nodes)
-	f.AttrOwner = reserve(f.AttrOwner, attrs)
-	f.AttrName = reserve(f.AttrName, attrs)
-	f.AttrVal = reserve(f.AttrVal, attrs)
-}
-
-func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return append(make([]T, 0, len(s)+n), s...)
-}
+func (b *FragBuilder) Reserve(nodes, attrs int) { b.sh.frag.reserve(nodes, attrs) }
 
 // StartElem opens a new element with the given tag and returns its pre
 // rank within the fragment under construction.
@@ -81,8 +64,7 @@ func (b *FragBuilder) EndElem() {
 // node, per the XQuery constructor semantics.
 func (b *FragBuilder) AddText(text string) {
 	if text != "" && !b.extendText(text) {
-		b.sh.openNode(KindText, b.store.texts.Put(text))
-		b.sh.closeNode()
+		b.sh.leaf(KindText, b.store.texts.Put(text))
 	}
 }
 

@@ -20,7 +20,7 @@ type refBuilder struct {
 }
 
 func newRefBuilder(s *Store) *refBuilder {
-	return &refBuilder{store: s, sh: shredder{store: s, frag: &Fragment{}}}
+	return &refBuilder{store: s, sh: shredder{frag: &Fragment{}}}
 }
 
 func (b *refBuilder) startElem(tag string) {

@@ -98,6 +98,47 @@ func (f *Fragment) sealAttrs() {
 	f.attrOfs[len(f.Size)] = int32(j)
 }
 
+// reserve makes room for nodes more tree nodes and attrs more attribute
+// rows, so an unpublished fragment fills without reallocating.
+func (f *Fragment) reserve(nodes, attrs int) {
+	f.Size = reserve(f.Size, nodes)
+	f.Level = reserve(f.Level, nodes)
+	f.Kind = reserve(f.Kind, nodes)
+	f.Prop = reserve(f.Prop, nodes)
+	f.Parent = reserve(f.Parent, nodes)
+	f.AttrOwner = reserve(f.AttrOwner, attrs)
+	f.AttrName = reserve(f.AttrName, attrs)
+	f.AttrVal = reserve(f.AttrVal, attrs)
+}
+
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// fit gives every column of an unpublished fragment a capacity equal to
+// its length, copying those that were reserved by an estimate: a sealed
+// document keeps no slack for as long as it is loaded.
+func (f *Fragment) fit() {
+	f.Size = fit(f.Size)
+	f.Level = fit(f.Level)
+	f.Kind = fit(f.Kind)
+	f.Prop = fit(f.Prop)
+	f.Parent = fit(f.Parent)
+	f.AttrOwner = fit(f.AttrOwner)
+	f.AttrName = fit(f.AttrName)
+	f.AttrVal = fit(f.AttrVal)
+}
+
+func fit[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
 // EncodedBytes reports the storage footprint of the structural encoding:
 // size|level|kind|prop plus the attribute table. The pre column itself is
 // virtual (MonetDB void column), costing nothing — one of the properties

@@ -57,28 +57,31 @@ func (p *pool) ensureIndexLocked() {
 	}
 }
 
-// Put interns s and returns its surrogate.
+// Put interns s and returns its surrogate. The pool keeps s itself, so a
+// caller holding a slice of a larger string copies it first (the shredder's
+// intern).
 func (p *pool) Put(s string) int32 {
-	p.mu.RLock()
-	if p.index != nil {
-		if id, ok := p.index[s]; ok {
-			p.mu.RUnlock()
-			return id
-		}
+	if id, ok := p.cached(s); ok {
+		return id
 	}
-	lazy := p.index == nil
-	p.mu.RUnlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if lazy {
-		p.ensureIndexLocked()
-	}
+	p.ensureIndexLocked()
 	if id, ok := p.index[s]; ok {
 		return id
 	}
 	id := p.strs.push(s)
 	p.index[s] = id
 	return id
+}
+
+// cached looks s up under the read lock. A restored pool without its index
+// reports a miss, and Put builds the index.
+func (p *pool) cached(s string) (int32, bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	id, ok := p.index[s]
+	return id, ok
 }
 
 // Lookup returns the surrogate for s, or -1 if s was never interned. Query

@@ -120,15 +120,11 @@ type DocEntry struct {
 // the store (live node refs keep resolving) but is no longer reachable
 // through the document registry.
 func (s *Store) ReplaceDocument(uri string, r io.Reader) (bat.NodeRef, error) {
-	f, err := s.shred(uri, r)
+	doc, err := readAll(r)
 	if err != nil {
-		return bat.NodeRef{}, err
+		return bat.NodeRef{}, fmt.Errorf("parse %q: %w", uri, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.frags.push(f)
-	s.docs[uri] = id
-	return bat.NodeRef{Frag: id, Pre: 0}, nil
+	return s.ReplaceDocumentString(uri, doc)
 }
 
 // Surrogate lookups used by the compiler to turn name tests into integer

@@ -85,10 +85,28 @@ func TestDocRegistry(t *testing.T) {
 	}
 }
 
+// The loader names the document and the line, and rejects what the
+// well-formedness constraints Element Type Match, Unique Att Spec and
+// Legal Character forbid — including what encoding/xml let through.
 func TestParseErrors(t *testing.T) {
-	s := NewStore()
-	if _, err := s.LoadDocumentString("bad.xml", "<a><b></a>"); err == nil {
-		t.Error("mismatched tags must fail")
+	for _, c := range []struct{ doc, msg string }{
+		{`<a><b></a>`, "element <b> closed by </a>"},
+		{`<a></b>`, "element <a> closed by </b>"},
+		{`<a><b></c></a>`, "element <b> closed by </c>"},
+		{`</a>`, "end tag </a> without a start tag"},
+		{`<a>`, "element <a> is not closed"},
+		{`<a x="1" x="2"/>`, "duplicate attribute x"},
+		{`<a xmlns:p="1" xmlns:p="2"/>`, "duplicate attribute xmlns:p"},
+		{`<a>&#xD800;</a>`, "invalid reference"},
+		{`<a b="&#xD800;"/>`, "invalid reference"},
+		{`<a>&#57343;</a>`, "invalid reference"},
+		{"<a><!--\x01--></a>", "illegal character"},
+		{"<a>\n\n\xff</a>", "line 3: invalid UTF-8"},
+	} {
+		_, err := NewStore().LoadDocumentString("bad.xml", c.doc)
+		if err == nil || !strings.Contains(err.Error(), c.msg) || !strings.HasPrefix(err.Error(), `parse "bad.xml": line `) {
+			t.Errorf("%q: error %v, want one naming %q", c.doc, err, c.msg)
+		}
 	}
 }
 
