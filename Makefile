@@ -97,9 +97,12 @@ bench-smoke:
 # CI smoke for the optimizer micro-benchmark: one opt.Pipeline sweep over
 # XMark q01–q20 and one over the dialect corpus with allocation counts
 # (`-benchtime 100x -count 5` for numbers worth comparing). The
-# allocation ceiling itself is a test (TestPipelineAllocBudget).
+# allocation ceilings themselves are tests: TestPipelineAllocBudget for
+# the pipeline alone, TestColdCompileBytesBudget for everything a point
+# lookup the service has never seen allocates, compile to reply.
 bench-pipeline-smoke:
 	$(GO) test ./internal/opt -run '^$$' -bench Pipeline -benchtime 1x
+	$(GO) test ./internal/service -run TestColdCompileBytesBudget -v
 
 # CI smoke for the step-kernel micro-benchmark: many singleton
 # iterations, one document-wide descendant scan and a nested-context run

@@ -314,9 +314,9 @@ func bindCollection(eng *engine.Engine, collection string) *engine.Engine {
 
 // repl is the demonstration's ad-hoc query loop ("users may as well state
 // their own ad hoc queries", §4) over the engine main built from the
-// flags: the store persists across queries, so documents load once and
-// constructed fragments accumulate like in a session against a running
-// server.
+// flags: the store persists across queries, so documents load once, and
+// each query runs on a scratch view of it, so what a query constructs is
+// dropped with its result — as in a session against a running server.
 func repl(eng *engine.Engine, opts xqcore.Options) {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -331,7 +331,7 @@ func repl(eng *engine.Engine, opts xqcore.Options) {
 			return
 		}
 		start := time.Now()
-		out, err := runOnce(line, eng, opts)
+		out, err := runOnce(line, eng.ForStore(eng.Store.Scratch(), eng.Collection), opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		} else {

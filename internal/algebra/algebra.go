@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pathfinder/internal/bat"
@@ -61,9 +62,16 @@ type OrderSpec struct {
 // well-formed.
 type Op struct {
 	Kind OpKind
-	In   []*Op
 
-	// Parameters (by Kind):
+	// Parameters (by Kind). The one-byte ones come first and share a
+	// word: every rewrite allocates operators.
+	Fun  FunKind // OpFun
+	Agg  AggKind // OpAggr
+	Axis Axis    // OpStep
+	Type SeqType // OpFun with FunTypeIs
+
+	In []*Op
+
 	Lit      *bat.Table  // OpLit
 	Proj     []ProjPair  // OpProject
 	Col      string      // OpSelect: bool column; OpFun/OpAggr/OpRowNum/OpRowID: result column
@@ -71,12 +79,8 @@ type Op struct {
 	KeyR     []string    // OpJoin/OpSemiJoin/OpDiff: right key columns
 	Part     string      // OpRowNum/OpAggr: partition column ("" = single partition)
 	Order    []OrderSpec // OpRowNum: ordering
-	Fun      FunKind     // OpFun
 	Args     []string    // OpFun: argument columns; OpAggr: [0] = aggregated column
-	Agg      AggKind     // OpAggr
-	Axis     Axis        // OpStep
 	Test     KindTest    // OpStep
-	Type     SeqType     // OpFun with FunTypeIs
 	TypeName string      // OpFun with FunTypeIs: element name restriction
 	Sep      string      // OpAggr with AggStrJoin: separator
 
@@ -124,22 +128,27 @@ func LitSeq(items ...bat.Item) *Op {
 // duplicated under several names. π never eliminates duplicate rows.
 func Project(in *Op, specs ...string) (*Op, error) {
 	pairs := make([]ProjPair, len(specs))
-	seen := make(map[string]bool, len(specs))
-	schema := make([]string, len(specs))
 	for i, s := range specs {
-		newName, oldName := s, s
+		pairs[i] = ProjPair{New: s, Old: s}
 		if j := strings.IndexByte(s, ':'); j >= 0 {
-			newName, oldName = s[:j], s[j+1:]
+			pairs[i] = ProjPair{New: s[:j], Old: s[j+1:]}
 		}
-		if err := requireCols(in, "π", oldName); err != nil {
+	}
+	return ProjectPairs(in, pairs)
+}
+
+// ProjectPairs is Project over already split renamings; the operator
+// keeps pairs as its Proj.
+func ProjectPairs(in *Op, pairs []ProjPair) (*Op, error) {
+	schema := make([]string, len(pairs))
+	for i, p := range pairs {
+		if err := requireCols(in, "π", p.Old); err != nil {
 			return nil, err
 		}
-		if seen[newName] {
-			return nil, fmt.Errorf("π: duplicate output column %q", newName)
+		if slices.Contains(schema[:i], p.New) {
+			return nil, fmt.Errorf("π: duplicate output column %q", p.New)
 		}
-		seen[newName] = true
-		pairs[i] = ProjPair{New: newName, Old: oldName}
-		schema[i] = newName
+		schema[i] = p.New
 	}
 	return &Op{Kind: OpProject, In: []*Op{in}, Proj: pairs, schema: schema}, nil
 }

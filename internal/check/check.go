@@ -81,22 +81,24 @@ func Error(diags []Diag) error {
 }
 
 // walker numbers operators in bottom-up topological order so every
-// diagnostic names its operator stably.
+// diagnostic names its operator stably. The number of an operator is only
+// looked up to name a finding, so the table is built on the first one.
 type walker struct {
 	order []*algebra.Op
 	index map[*algebra.Op]int
 }
 
 func newWalker(root *algebra.Op) *walker {
-	order := algebra.Topo(root)
-	index := make(map[*algebra.Op]int, len(order))
-	for i, o := range order {
-		index[o] = i
-	}
-	return &walker{order: order, index: index}
+	return &walker{order: algebra.Topo(root)}
 }
 
 func (w *walker) name(o *algebra.Op) string {
+	if w.index == nil {
+		w.index = make(map[*algebra.Op]int, len(w.order))
+		for i, o := range w.order {
+			w.index[o] = i
+		}
+	}
 	if i, ok := w.index[o]; ok {
 		return fmt.Sprintf("#%d %s", i, o.Kind)
 	}
@@ -107,8 +109,9 @@ func (w *walker) name(o *algebra.Op) string {
 // schema recomputation against the declared schemas, and the light type
 // pass. It subsumes algebra.Validate and reports every finding instead of
 // stopping at the first.
-func Logical(root *algebra.Op) []Diag {
-	w := newWalker(root)
+func Logical(root *algebra.Op) []Diag { return logical(newWalker(root)) }
+
+func logical(w *walker) []Diag {
 	var diags []Diag
 	types := newTypePass(w)
 	for _, o := range w.order {
@@ -167,18 +170,32 @@ func justifyProps(w *walker, o *algebra.Op, p opt.Props, g guarantee) []Diag {
 }
 
 // Plan runs every validation layer over one logical plan: Logical on the
-// DAG, Properties against a fresh opt.Properties inference, and Physical
-// on a fresh lowering. This is the entry point `pf -check` and the
+// DAG, then Physical on a fresh lowering. The lowering carries the
+// properties opt.Properties derives, one node per operator, and Physical
+// justifies each node's against the re-derivation — the Properties check
+// of the whole plan. This is the entry point `pf -check` and the
 // differential tests use for plans that came out of the compiler.
 func Plan(root *algebra.Op) []Diag {
-	diags := Logical(root)
-	if len(diags) > 0 {
+	if diags := Logical(root); len(diags) > 0 {
 		// A malformed schema makes property inference meaningless; stop.
 		return diags
 	}
-	diags = append(diags, Properties(root, opt.Properties(root))...)
-	diags = append(diags, Physical(physical.Lower(root))...)
-	return diags
+	return Physical(physical.Lower(root))
+}
+
+// Lowered is Plan over a lowering the caller already holds — the one the
+// engine caches and will execute: Logical on its DAG, then Physical on
+// the lowering itself, over one topological walk. The service checks
+// every prepared plan through it, so a plan is lowered once.
+func Lowered(p *physical.Plan) []Diag {
+	if p == nil || p.Root == nil || len(p.Nodes) == 0 {
+		return Physical(p)
+	}
+	w := newWalker(p.Root.Op)
+	if diags := logical(w); len(diags) > 0 {
+		return diags
+	}
+	return physicalPlan(w, p)
 }
 
 // hasPrefix reports whether want is a prefix of have.

@@ -636,3 +636,23 @@ func compareGolden(t *testing.T, name, got string) {
 func indent(s string) string {
 	return "  " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n  ")
 }
+
+// TestLoweredChecksTheLowering: Lowered, the service's entry point over a
+// lowering it already holds, reports a forged kernel choice exactly as
+// Physical does, and nothing over the honest lowering.
+func TestLoweredChecksTheLowering(t *testing.T) {
+	join, err := algebra.Join(lit(t, "k", ints(3, 1, 2)), lit(t, "j", ints(2, 3, 1)), []string{"k"}, []string{"j"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := physical.Lower(join)
+	if diags := check.Lowered(p); len(diags) > 0 {
+		t.Fatalf("honest lowering: %s", check.Render(diags))
+	}
+	nd := p.ByOp[join]
+	nd.Merge, nd.Kernel = true, "merge-join"
+	got, want := check.Render(check.Lowered(p)), check.Render(check.Physical(p))
+	if want == "" || got != want {
+		t.Errorf("forged merge join: Lowered reports\n%s\nPhysical reports\n%s", got, want)
+	}
+}

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"slices"
+
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 )
@@ -16,7 +18,9 @@ import (
 // guarantee is what the validator can prove about one operator's output:
 // the column prefix the rows are sorted by (ascending, lexicographic),
 // whether that prefix is duplicate-free, and which columns provably hold
-// exactly 1..n in row order.
+// exactly 1..n in row order. A guarantee without dense columns leaves the
+// map nil: it is only ever read, and a derivation allocates one only for
+// the columns it proves.
 type guarantee struct {
 	sorted []string
 	strict bool
@@ -29,8 +33,6 @@ func (g guarantee) sortedOn(cols ...string) bool {
 	}
 	return len(cols) == 1 && g.dense[cols[0]]
 }
-
-func noDense() map[string]bool { return map[string]bool{} }
 
 // rederive computes guarantees for every operator, children first (order
 // is algebra.Topo, so inputs are always resolved before consumers).
@@ -49,7 +51,7 @@ func deriveOp(o *algebra.Op, g map[*algebra.Op]guarantee) guarantee {
 				return gi
 			}
 		}
-		return guarantee{dense: noDense()}
+		return guarantee{}
 	}
 	switch o.Kind {
 	case algebra.OpLit:
@@ -61,7 +63,7 @@ func deriveOp(o *algebra.Op, g map[*algebra.Op]guarantee) guarantee {
 		// dense 1..n column stops being dense the moment any row drops —
 		// conservatively assume one always does.
 		c := in(0)
-		return guarantee{sorted: c.sorted, strict: c.strict, dense: noDense()}
+		return guarantee{sorted: c.sorted, strict: c.strict}
 
 	case algebra.OpFun, algebra.OpDoc, algebra.OpRoots:
 		// Per-row extensions: every row survives in place, so order,
@@ -92,12 +94,12 @@ func deriveOp(o *algebra.Op, g map[*algebra.Op]guarantee) guarantee {
 		// numbering increases strictly inside each partition, so
 		// (partition, numbering) is a duplicate-free sort prefix. Without
 		// partitioning the numbering is the whole relation's 1..n.
-		dense := noDense()
+		var dense map[string]bool
 		var cols []string
 		if o.Part != "" {
 			cols = append(cols, o.Part)
 		} else {
-			dense[o.Col] = true
+			dense = map[string]bool{o.Col: true}
 		}
 		return guarantee{sorted: append(cols, o.Col), strict: true, dense: dense}
 
@@ -109,9 +111,9 @@ func deriveOp(o *algebra.Op, g map[*algebra.Op]guarantee) guarantee {
 		// minus denseness, since unmatched left rows may still drop.
 		l := in(0)
 		if rightJoinKeyUnique(o, in(1)) {
-			return guarantee{sorted: l.sorted, strict: l.strict, dense: noDense()}
+			return guarantee{sorted: l.sorted, strict: l.strict}
 		}
-		return guarantee{sorted: l.sorted, dense: noDense()}
+		return guarantee{sorted: l.sorted}
 
 	case algebra.OpCross:
 		// Left-major product: blocks of equal left rows. Only when the
@@ -119,18 +121,17 @@ func deriveOp(o *algebra.Op, g map[*algebra.Op]guarantee) guarantee {
 		// the right-side ordering extend the sort.
 		l, r := in(0), in(1)
 		if !l.strict {
-			return guarantee{sorted: l.sorted, dense: noDense()}
+			return guarantee{sorted: l.sorted}
 		}
 		return guarantee{
 			sorted: append(append([]string{}, l.sorted...), r.sorted...),
 			strict: r.strict,
-			dense:  noDense(),
 		}
 
 	case algebra.OpStep:
 		// The staircase join emits (iter, item) duplicate-free, iter-major
 		// with items in document order per iter.
-		return guarantee{sorted: []string{"iter", "item"}, strict: true, dense: noDense()}
+		return guarantee{sorted: []string{"iter", "item"}, strict: true}
 
 	case algebra.OpAggr:
 		// Groups are emitted in first-occurrence order of the partition
@@ -139,29 +140,29 @@ func deriveOp(o *algebra.Op, g map[*algebra.Op]guarantee) guarantee {
 		if o.Part != "" {
 			c := in(0)
 			if len(c.sorted) > 0 && c.sorted[0] == o.Part {
-				return guarantee{sorted: []string{o.Part}, strict: true, dense: noDense()}
+				return guarantee{sorted: []string{o.Part}, strict: true}
 			}
 		}
-		return guarantee{dense: noDense()}
+		return guarantee{}
 
 	case algebra.OpElem:
 		// ε emits one element per iter of the qname input, in iter order.
-		return guarantee{sorted: []string{"iter"}, strict: true, dense: noDense()}
+		return guarantee{sorted: []string{"iter"}, strict: true}
 
 	case algebra.OpText, algebra.OpAttrC, algebra.OpRange, algebra.OpColl:
 		// Row order follows the first input, but rows may drop (empty
 		// strings) or fan out (ranges), so only iter-majorness survives.
 		c := in(0)
 		if len(c.sorted) > 0 && c.sorted[0] == "iter" {
-			return guarantee{sorted: []string{"iter"}, dense: noDense()}
+			return guarantee{sorted: []string{"iter"}}
 		}
-		return guarantee{dense: noDense()}
+		return guarantee{}
 
 	case algebra.OpUnion:
 		// Concatenation: no guarantee survives across the seam.
-		return guarantee{dense: noDense()}
+		return guarantee{}
 	}
-	return guarantee{dense: noDense()}
+	return guarantee{}
 }
 
 // rightJoinKeyUnique proves the join key is duplicate-free on the right
@@ -178,12 +179,8 @@ func rightJoinKeyUnique(o *algebra.Op, r guarantee) bool {
 	if !r.strict || len(r.sorted) == 0 {
 		return false
 	}
-	keySet := make(map[string]bool, len(o.KeyR))
-	for _, k := range o.KeyR {
-		keySet[k] = true
-	}
 	for _, c := range r.sorted {
-		if !keySet[c] {
+		if !slices.Contains(o.KeyR, c) {
 			return false
 		}
 	}
@@ -195,25 +192,22 @@ func rightJoinKeyUnique(o *algebra.Op, r guarantee) bool {
 // needs the entire prefix to survive. Every alias of a dense column is
 // dense — π duplicates columns without touching rows.
 func deriveProject(o *algebra.Op, c guarantee) guarantee {
-	firstAlias := make(map[string]string, len(o.Proj))
-	for _, p := range o.Proj {
-		if _, ok := firstAlias[p.Old]; !ok {
-			firstAlias[p.Old] = p.New
-		}
-	}
 	var sorted []string
 	strict := false
 	for i, col := range c.sorted {
-		n, kept := firstAlias[col]
-		if !kept {
+		k := slices.IndexFunc(o.Proj, func(p algebra.ProjPair) bool { return p.Old == col })
+		if k < 0 {
 			break
 		}
-		sorted = append(sorted, n)
+		sorted = append(sorted, o.Proj[k].New) // the first alias
 		strict = c.strict && i == len(c.sorted)-1
 	}
-	dense := noDense()
+	var dense map[string]bool
 	for _, p := range o.Proj {
 		if c.dense[p.Old] {
+			if dense == nil {
+				dense = map[string]bool{}
+			}
 			dense[p.New] = true
 		}
 	}
@@ -223,7 +217,7 @@ func deriveProject(o *algebra.Op, c guarantee) guarantee {
 // scanLiteral proves properties of a literal table by looking at the rows
 // themselves — the ground truth the rest of the derivation builds on.
 func scanLiteral(t *bat.Table) guarantee {
-	g := guarantee{dense: noDense()}
+	g := guarantee{dense: map[string]bool{}}
 	if t == nil {
 		return g
 	}

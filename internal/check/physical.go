@@ -21,12 +21,15 @@ import (
 // physical node graph and the logical DAG, and the justification of
 // every kernel choice and execution flag.
 func Physical(p *physical.Plan) []Diag {
-	var diags []Diag
 	if p == nil || p.Root == nil || len(p.Nodes) == 0 {
 		return []Diag{{Class: "structure", Op: "#? plan", Msg: "empty physical plan"}}
 	}
-	w := newWalker(p.Root.Op)
-	diags = append(diags, physStructure(w, p)...)
+	return physicalPlan(newWalker(p.Root.Op), p)
+}
+
+// physicalPlan is Physical over a walk of p's logical DAG.
+func physicalPlan(w *walker, p *physical.Plan) []Diag {
+	diags := physStructure(w, p)
 	g := rederive(w.order)
 	for _, nd := range p.Nodes {
 		if nd.Op == nil {
@@ -365,7 +368,7 @@ func physNode(w *walker, nd *physical.Node, g map[*algebra.Op]guarantee) []Diag 
 		if i < len(o.In) {
 			return g[o.In[i]]
 		}
-		return guarantee{dense: noDense()}
+		return guarantee{}
 	}
 
 	// Merge kernel: single key, both inputs provably sorted on it.

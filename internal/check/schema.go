@@ -292,16 +292,53 @@ func kindOfVec(v bat.Vec) colKind {
 	}
 }
 
+// kindSet maps column names to kinds. It has as many entries as an
+// operator has columns, so it is kept as a slice: a map per operator
+// would cost more than the pass.
+type kindSet []colEntry
+
+type colEntry struct {
+	col  string
+	kind colKind
+}
+
+// of returns col's kind, kindUnknown when the set has none.
+func (s kindSet) of(col string) colKind {
+	for _, e := range s {
+		if e.col == col {
+			return e.kind
+		}
+	}
+	return kindUnknown
+}
+
+func (s *kindSet) set(col string, k colKind) {
+	for i := range *s {
+		if (*s)[i].col == col {
+			(*s)[i].kind = k
+			return
+		}
+	}
+	*s = append(*s, colEntry{col, k})
+}
+
+// extend sets every entry of from.
+func (s *kindSet) extend(from kindSet) {
+	for _, e := range from {
+		s.set(e.col, e.kind)
+	}
+}
+
 type typePass struct {
 	w    *walker
-	memo map[*algebra.Op]map[string]colKind
+	memo map[*algebra.Op]kindSet
 }
 
 func newTypePass(w *walker) *typePass {
-	return &typePass{w: w, memo: make(map[*algebra.Op]map[string]colKind)}
+	return &typePass{w: w, memo: make(map[*algebra.Op]kindSet, len(w.order))}
 }
 
-func (tp *typePass) kinds(o *algebra.Op) map[string]colKind {
+func (tp *typePass) kinds(o *algebra.Op) kindSet {
 	if m, ok := tp.memo[o]; ok {
 		return m
 	}
@@ -310,9 +347,9 @@ func (tp *typePass) kinds(o *algebra.Op) map[string]colKind {
 	return m
 }
 
-func (tp *typePass) compute(o *algebra.Op) map[string]colKind {
-	out := make(map[string]colKind, len(o.Schema()))
-	in := func(i int) map[string]colKind {
+func (tp *typePass) compute(o *algebra.Op) kindSet {
+	out := make(kindSet, 0, len(o.Schema()))
+	in := func(i int) kindSet {
 		if i < len(o.In) && o.In[i] != nil {
 			return tp.kinds(o.In[i])
 		}
@@ -322,78 +359,66 @@ func (tp *typePass) compute(o *algebra.Op) map[string]colKind {
 	case algebra.OpLit:
 		if o.Lit != nil {
 			for _, c := range o.Lit.Cols() {
-				out[c] = kindOfVec(o.Lit.MustCol(c))
+				out.set(c, kindOfVec(o.Lit.MustCol(c)))
 			}
 		}
 	case algebra.OpProject:
 		child := in(0)
 		for _, p := range o.Proj {
-			out[p.New] = child[p.Old]
+			out.set(p.New, child.of(p.Old))
 		}
 	case algebra.OpSelect, algebra.OpDistinct, algebra.OpSemiJoin, algebra.OpDiff:
-		for c, k := range in(0) {
-			out[c] = k
-		}
+		out.extend(in(0))
 	case algebra.OpJoin, algebra.OpCross:
-		for c, k := range in(0) {
-			out[c] = k
-		}
-		for c, k := range in(1) {
-			out[c] = k
-		}
+		out.extend(in(0))
+		out.extend(in(1))
 	case algebra.OpUnion:
 		l, r := in(0), in(1)
-		for c, k := range l {
-			if r[c] == k {
-				out[c] = k
+		for _, e := range l {
+			if r.of(e.col) == e.kind {
+				out.set(e.col, e.kind)
 			} else {
-				out[c] = kindAny // concat of mixed types materializes items
+				out.set(e.col, kindAny) // concat of mixed types materializes items
 			}
 		}
 	case algebra.OpRowNum, algebra.OpRowID:
-		for c, k := range in(0) {
-			out[c] = k
-		}
-		out[o.Col] = kindInt
+		out.extend(in(0))
+		out.set(o.Col, kindInt)
 	case algebra.OpFun:
-		for c, k := range in(0) {
-			out[c] = k
-		}
-		out[o.Col] = kindUnknown // per-fun result typing stays runtime's job
+		out.extend(in(0))
+		out.set(o.Col, kindUnknown) // per-fun result typing stays runtime's job
 	case algebra.OpAggr:
 		if o.Part != "" {
-			out[o.Part] = in(0)[o.Part]
+			out.set(o.Part, in(0).of(o.Part))
 		}
 		switch o.Agg {
 		case algebra.AggCount:
-			out[o.Col] = kindInt
+			out.set(o.Col, kindInt)
 		case algebra.AggStrJoin:
-			out[o.Col] = kindStr
+			out.set(o.Col, kindStr)
 		default:
-			out[o.Col] = kindUnknown
+			out.set(o.Col, kindUnknown)
 		}
 	case algebra.OpStep:
-		out["iter"] = in(0)["iter"]
-		out["item"] = kindNode
+		out.set("iter", in(0).of("iter"))
+		out.set("item", kindNode)
 	case algebra.OpDoc, algebra.OpRoots:
-		for c, k := range in(0) {
-			out[c] = k
-		}
-		out["item"] = kindNode
+		out.extend(in(0))
+		out.set("item", kindNode)
 	case algebra.OpElem, algebra.OpAttrC:
-		out["iter"] = in(0)["iter"]
-		out["item"] = kindNode
+		out.set("iter", in(0).of("iter"))
+		out.set("item", kindNode)
 	case algebra.OpText:
-		out["iter"] = in(0)["iter"]
-		out["item"] = kindNode
+		out.set("iter", in(0).of("iter"))
+		out.set("item", kindNode)
 	case algebra.OpRange:
-		out["iter"] = in(0)["iter"]
-		out["pos"] = kindInt
-		out["item"] = kindInt
+		out.set("iter", in(0).of("iter"))
+		out.set("pos", kindInt)
+		out.set("item", kindInt)
 	case algebra.OpColl:
-		out["iter"] = in(0)["iter"]
-		out["pos"] = kindInt
-		out["item"] = kindNode
+		out.set("iter", in(0).of("iter"))
+		out.set("pos", kindInt)
+		out.set("item", kindNode)
 	}
 	return out
 }
@@ -408,24 +433,24 @@ func (tp *typePass) check(o *algebra.Op) []Diag {
 	definite := func(k colKind) bool { return k != kindUnknown && k != kindAny }
 	switch o.Kind {
 	case algebra.OpSelect:
-		if k := tp.kinds(o.In[0])[o.Col]; definite(k) && k != kindBool {
+		if k := tp.kinds(o.In[0]).of(o.Col); definite(k) && k != kindBool {
 			flag(o.Col, k, "boolean")
 		}
 	case algebra.OpStep, algebra.OpRoots:
-		if k := tp.kinds(o.In[0])["item"]; definite(k) && k != kindNode {
+		if k := tp.kinds(o.In[0]).of("item"); definite(k) && k != kindNode {
 			flag("item", k, "node")
 		}
 	case algebra.OpDoc:
-		if k := tp.kinds(o.In[0])["item"]; definite(k) && k != kindStr {
+		if k := tp.kinds(o.In[0]).of("item"); definite(k) && k != kindStr {
 			flag("item", k, "string URI")
 		}
 	case algebra.OpColl:
-		if k := tp.kinds(o.In[0])["item"]; definite(k) && k != kindStr {
+		if k := tp.kinds(o.In[0]).of("item"); definite(k) && k != kindStr {
 			flag("item", k, "collection name string")
 		}
 	case algebra.OpAggr:
 		if len(o.Args) > 0 {
-			k := tp.kinds(o.In[0])[o.Args[0]]
+			k := tp.kinds(o.In[0]).of(o.Args[0])
 			if k == kindNode {
 				flag(o.Args[0], k, "atomized value")
 			}
@@ -436,7 +461,7 @@ func (tp *typePass) check(o *algebra.Op) []Diag {
 	case algebra.OpRange:
 		if len(o.KeyL) == 2 {
 			for _, c := range o.KeyL {
-				if k := tp.kinds(o.In[0])[c]; definite(k) && k != kindInt && k != kindFloat {
+				if k := tp.kinds(o.In[0]).of(c); definite(k) && k != kindInt && k != kindFloat {
 					flag(c, k, "integer bound")
 				}
 			}

@@ -98,6 +98,11 @@ type Engine struct {
 	// unit reports without trying the band kernel — the test hook that
 	// runs the ×, ⊛, σ path on inputs the kernel would accept.
 	thetaDemote string
+
+	// panicHook, when set, runs before every kernel (morsel -1) and before
+	// every morsel a team runs — the test hook that makes kernels panic
+	// where the executor must contain it.
+	panicHook func(morsel int)
 }
 
 // engineShared is the state all views of one engine share: a single

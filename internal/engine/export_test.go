@@ -20,3 +20,9 @@ func (e *Engine) EvalUnchained(root *algebra.Op) (*bat.Table, error) {
 	e.sh.plans.Store(root, &plan)
 	return e.Eval(root)
 }
+
+// SetPanicHook installs h to run before every kernel (morsel -1) and
+// before every morsel a team runs, nil to remove it. Views derived
+// afterwards (ForStore, ForCollection) carry it. No evaluation may be in
+// flight while it changes.
+func (e *Engine) SetPanicHook(h func(morsel int)) { e.panicHook = h }

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 )
 
@@ -151,7 +154,7 @@ func (m *morsels) run(nm int, fn func(i int) error) error {
 				failed.Store(true)
 				return
 			}
-			if err := fn(i); err != nil {
+			if err := m.call(fn, i); err != nil {
 				errs[i] = err
 				failed.Store(true)
 			}
@@ -172,6 +175,54 @@ func (m *morsels) run(nm int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// call runs morsel i of a team. A team's goroutines are not the kernel's
+// host, whose recover (runNode) cannot see them, so a panic in fn is
+// turned into the morsel's error here — a *KernelPanic the host names.
+func (m *morsels) call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &KernelPanic{Value: r}
+		}
+	}()
+	if m.e.panicHook != nil {
+		m.e.panicHook(i)
+	}
+	return fn(i)
+}
+
+// KernelPanic is the evaluation error of a kernel that panicked: the
+// query fails, the process and every other query go on. Op and Kernel
+// name where it happened (Kernel is the node's static kernel); Value is
+// what the kernel panicked with.
+type KernelPanic struct {
+	Op     algebra.OpKind
+	Kernel string
+	Value  any
+}
+
+func (p *KernelPanic) Error() string {
+	return fmt.Sprintf("%s [%s]: kernel panic: %v", p.Op, p.Kernel, p.Value)
+}
+
+// recoverKernel, deferred by a kernel's host, turns a panic into *err.
+func recoverKernel(err *error, op algebra.OpKind, kernel string) {
+	if r := recover(); r != nil {
+		*err = &KernelPanic{Op: op, Kernel: kernel, Value: r}
+	}
+}
+
+// wrapKernelErr prefixes a kernel's error with its operator, as every
+// evaluation error is; a panic recovered on a morsel team gets its
+// operator and kernel filled in instead.
+func wrapKernelErr(err error, op algebra.OpKind, kernel string) error {
+	var kp *KernelPanic
+	if errors.As(err, &kp) && kp.Kernel == "" {
+		kp.Op, kp.Kernel = op, kernel
+		return kp
+	}
+	return fmt.Errorf("%s: %w", op, err)
 }
 
 // concatSel stitches per-morsel selection buffers in morsel order.

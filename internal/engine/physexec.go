@@ -175,16 +175,22 @@ func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*
 // runNode runs one node's kernel over its input views, asserts the
 // output's invariants under Check, and returns the output with — when
 // the evaluation is traced — the node's stat. Errors return wrapped with
-// the operator's kind.
-func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, tr *Trace, worker int) (*bat.View, OpStat, error) {
+// the operator's kind; a kernel that panics, on this goroutine or on one
+// of its morsel team's, fails with a *KernelPanic naming the operator and
+// the kernel.
+func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, tr *Trace, worker int) (_ *bat.View, _ OpStat, err error) {
+	defer recoverKernel(&err, nd.Op.Kind, nd.Kernel)
 	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
 	ms := &morsels{e: e, ctx: ctx, par: nd.Parallel}
+	if e.panicHook != nil {
+		e.panicHook(-1)
+	}
 	out, err := e.execKernel(ctx, nd, in, ms)
 	if err == nil && e.Check {
 		err = checkNodeOutput(nd, out.view)
 	}
 	if err != nil {
-		return nil, OpStat{}, fmt.Errorf("%s: %w", nd.Op.Kind, err)
+		return nil, OpStat{}, wrapKernelErr(err, nd.Op.Kind, nd.Kernel)
 	}
 	if tr == nil {
 		return out.view, OpStat{}, nil

@@ -27,10 +27,11 @@ import (
 // nodeTest is a step's node test resolved against the store's name pools
 // once, so the axis scans compare two integers per node.
 type nodeTest struct {
-	any  bool          // node(): every tree node and every attribute
-	attr bool          // attribute test: attribute refs only, never tree nodes
-	kind xenc.NodeKind // the tree-node kind kept; KindAttr, which no tree node has, keeps none
-	name int32         // surrogate the node must carry; anyName when the test names none
+	any   bool          // node(): every tree node and every attribute
+	attr  bool          // attribute test: attribute refs only, never tree nodes
+	kind  xenc.NodeKind // the tree-node kind kept; KindAttr, which no tree node has, keeps none
+	name  int32         // surrogate the node must carry; anyName when the test names none
+	alias int32         // the name's other surrogate on a scratch view (xenc.Store.TagIDs), else name
 }
 
 // anyName marks a test without a name. It differs from -1, what the
@@ -38,14 +39,14 @@ type nodeTest struct {
 const anyName int32 = -2
 
 func (e *Engine) resolveTest(test algebra.KindTest) nodeTest {
-	t := nodeTest{kind: xenc.KindAttr, name: anyName}
+	t := nodeTest{kind: xenc.KindAttr, name: anyName, alias: anyName}
 	switch test.Kind {
 	case algebra.TestNode:
 		t.any = true
 	case algebra.TestElem:
 		t.kind = xenc.KindElem
 		if test.Name != "" {
-			t.name = e.Store.TagID(test.Name)
+			t.name, t.alias = e.Store.TagIDs(test.Name)
 		}
 	case algebra.TestText:
 		t.kind = xenc.KindText
@@ -54,7 +55,7 @@ func (e *Engine) resolveTest(test algebra.KindTest) nodeTest {
 	case algebra.TestAttr:
 		t.attr = true
 		if test.Name != "" {
-			t.name = e.Store.AttrNameID(test.Name)
+			t.name, t.alias = e.Store.AttrNameIDs(test.Name)
 		}
 	}
 	return t
@@ -62,13 +63,13 @@ func (e *Engine) resolveTest(test algebra.KindTest) nodeTest {
 
 // tree reports whether tree node p of f passes the test.
 func (t nodeTest) tree(f *xenc.Fragment, p int32) bool {
-	return t.any || f.Kind[p] == t.kind && (t.name == anyName || f.Prop[p] == t.name)
+	return t.any || f.Kind[p] == t.kind && (t.name == anyName || f.Prop[p] == t.name || f.Prop[p] == t.alias)
 }
 
 // attribute reports whether the attribute at index a of f's attribute
 // table passes the test.
 func (t nodeTest) attribute(f *xenc.Fragment, a int32) bool {
-	return t.any || t.attr && (t.name == anyName || f.AttrName[a] == t.name)
+	return t.any || t.attr && (t.name == anyName || f.AttrName[a] == t.name || f.AttrName[a] == t.alias)
 }
 
 // stepStaircase implements the staircase join of [7] for one run: ctx is

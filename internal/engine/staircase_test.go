@@ -301,3 +301,38 @@ func TestStepAcrossFragments(t *testing.T) {
 		t.Error("fragment order in result")
 	}
 }
+
+// TestNameTestSeesBothSurrogates: on a scratch view whose base interned a
+// name after the view constructed it (a document the request loads brings
+// a tag and an attribute the request already built), the name test
+// matches the constructed node and the document node alike.
+func TestNameTestSeesBothSurrogates(t *testing.T) {
+	base := xenc.NewStore()
+	v := base.Scratch()
+	fb := xenc.NewFragBuilder(v)
+	fb.StartElem("late")
+	if err := fb.AddAttr("lateattr", "1"); err != nil {
+		t.Fatal(err)
+	}
+	fb.EndElem()
+	built, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := v.LoadDocumentString("late.xml", `<late lateattr="2"/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(v)
+	elem := e.resolveTest(algebra.KindTest{Kind: algebra.TestElem, Name: "late"})
+	attr := e.resolveTest(algebra.KindTest{Kind: algebra.TestAttr, Name: "lateattr"})
+	for _, n := range []bat.NodeRef{{Frag: built, Pre: 0}, {Frag: doc.Frag, Pre: 1}} {
+		f := v.Frag(n.Frag)
+		if !elem.tree(f, n.Pre) {
+			t.Errorf("element test misses <late> in fragment %d", n.Frag)
+		}
+		if !attr.attribute(f, 0) {
+			t.Errorf("attribute test misses @lateattr in fragment %d", n.Frag)
+		}
+	}
+}

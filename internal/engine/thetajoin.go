@@ -476,7 +476,8 @@ func demandedCols(t *bat.Table, demand []string) *bat.Table {
 // count-only unit, the count read off its bounds) when the key columns
 // admit it, the member kernels otherwise. Errors return pre-wrapped with
 // the failing member's operator kind — callers must not wrap them again.
-func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
+func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, tr *Trace, worker int) (_ *bat.View, err error) {
+	defer recoverKernel(&err, tj.Select.Op.Kind, "theta join")
 	members := tj.Members()
 	if e.onApply != nil {
 		for _, nd := range members {
@@ -501,7 +502,7 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			return nil, fmt.Errorf("%s: %w", tj.Select.Op.Kind, err)
+			return nil, wrapKernelErr(err, tj.Select.Op.Kind, "theta join")
 		}
 	}
 	if reason != "" {

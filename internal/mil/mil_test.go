@@ -1,6 +1,7 @@
 package mil
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/core"
+	"pathfinder/internal/corpus"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
@@ -332,5 +334,84 @@ func TestClientRejectsUnwireableNames(t *testing.T) {
 	}
 	if _, err := c.Gen("-", 0.1); err == nil || !strings.Contains(err.Error(), "not representable") {
 		t.Errorf("Gen with placeholder uri err = %v, want wire-name rejection", err)
+	}
+}
+
+// TestServerConstructingRequestsLeaveStoreAlone: 500 constructing requests
+// through the server's two evaluation sites — a shipped MIL program and a
+// server-compiled XQuery — answer what the embedded engine answers, and
+// the server's store has exactly the fragments and the storage footprint
+// it had before the first of them.
+func TestServerConstructingRequestsLeaveStoreAlone(t *testing.T) {
+	srv := NewServer()
+	store := srv.Engine().Store
+	for uri, doc := range map[string]string{"xmark.xml": xmark.GenerateString(0.002), "r.xml": corpus.ConstructorDoc} {
+		if _, err := store.LoadDocumentString(uri, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The reference evaluates on a store of its own.
+	ref := engine.New(xenc.NewStore())
+	if _, err := ref.Store.LoadDocumentString("xmark.xml", xmark.GenerateString(0.002)); err != nil {
+		t.Fatal(err)
+	}
+	type request struct {
+		req       engine.QueryRequest
+		prog      string // the compiled plan as MIL
+		want, err string
+	}
+	var reqs []request
+	add := func(query, doc, want, wantErr string) {
+		r := request{req: engine.QueryRequest{Query: query, ContextDoc: doc}, want: want, err: wantErr}
+		plan, _, err := core.CompileQuery(query, xqcore.Options{ContextDoc: doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.prog, err = Emit(plan); err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, r)
+	}
+	for _, n := range []int{8, 9, 10} {
+		plan, _, err := core.CompileQuery(xmark.Query(n), xqcore.Options{ContextDoc: "xmark.xml"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ref.Eval(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serialize.Result(ref.Store, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(xmark.Query(n), "xmark.xml", want, "")
+	}
+	for _, c := range corpus.Constructors {
+		add(c.Query, "r.xml", c.Want, c.Err)
+	}
+
+	frags, report := store.FragCount(), store.Report()
+	for i := 0; i < 500; i++ {
+		r := reqs[i%len(reqs)]
+		var got string
+		var err error
+		if i%2 == 0 {
+			got, err = srv.Exec(r.prog)
+		} else {
+			got, err = srv.execQuery(context.Background(), nil, r.req)
+		}
+		switch {
+		case r.err != "" && (err == nil || !strings.Contains(err.Error(), r.err)):
+			t.Fatalf("request %d %.60q: err %v, want one naming %s", i, r.req.Query, err, r.err)
+		case r.err == "" && (err != nil || got != r.want):
+			t.Fatalf("request %d %.60q: err %v\n got  %.200q\n want %.200q", i, r.req.Query, err, got, r.want)
+		}
+	}
+	if got := store.FragCount(); got != frags {
+		t.Errorf("store holds %d fragments after the requests, %d before", got, frags)
+	}
+	if got := store.Report(); got != report {
+		t.Errorf("store report %+v after the requests, %+v before", got, report)
 	}
 }

@@ -407,11 +407,19 @@ func (s *Server) ExecContext(ctx context.Context, sess ConnSession, program stri
 	if sess != nil {
 		return sess.ExecPlan(ctx, plan)
 	}
-	res, err := s.eng.EvalContext(ctx, plan)
+	return evalScratch(ctx, s.eng, plan)
+}
+
+// evalScratch evaluates plan against a scratch view of eng's store and
+// serializes the result: what the plan constructs is dropped with the
+// reply, and the server's store never grows.
+func evalScratch(ctx context.Context, eng *engine.Engine, plan *algebra.Op) (string, error) {
+	eng = eng.ForStore(eng.Store.Scratch(), eng.Collection)
+	res, err := eng.EvalContext(ctx, plan)
 	if err != nil {
 		return "", err
 	}
-	return serialize.Result(s.eng.Store, res)
+	return serialize.Result(eng.Store, res)
 }
 
 // execQuery compiles and runs an XQuery server-side (the XQ command):
@@ -432,11 +440,7 @@ func (s *Server) execQuery(ctx context.Context, sess ConnSession, req engine.Que
 	if plan, err = opt.Optimize(plan); err != nil {
 		return "", err
 	}
-	res, err := eng.EvalContext(ctx, plan)
-	if err != nil {
-		return "", err
-	}
-	return serialize.Result(eng.Store, res)
+	return evalScratch(ctx, eng, plan)
 }
 
 func reply(w *bufio.Writer, status, payload string) {

@@ -79,8 +79,8 @@ func CheckAgainstReference(t testing.TB, root *algebra.Op) int {
 		return n
 	}
 
-	got, gotErr := runPipeline(root, maxRounds, shadowed)
-	want, wantErr := runPipeline(root, maxRounds, reference)
+	got, gotErr := runPipeline(root, maxRounds, shadowed, true)
+	want, wantErr := runPipeline(root, maxRounds, reference, true)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("pipeline error %v, with the reference isolation %v", gotErr, wantErr)
 	}

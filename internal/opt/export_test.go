@@ -10,7 +10,7 @@ import (
 // + the local order rewrites) with no join graph isolation: the
 // single-shot baseline TestPipelineBeatsPeephole holds the pipeline to.
 func NormalizeOnce(root *algebra.Op) (*algebra.Op, error) {
-	r, err := normalize(newPlanIndex(root, 0))
+	r, err := normalize(newPlanIndex(root, 0), new(scratch))
 	if err != nil {
 		return nil, err
 	}

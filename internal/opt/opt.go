@@ -30,26 +30,82 @@
 package opt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
-	"strings"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 )
 
 // Optimize rewrites the plan DAG through the staged pipeline and returns
-// the (possibly new) root. The input DAG is not mutated, and the result
-// never has more operators than the input: on tiny plans, where the
-// union-alignment projections of the pruning pass can outweigh its
-// savings, the CSE-only plan is returned instead.
+// the (possibly new) root: Pipeline's plan, without its trace. The input
+// DAG is not mutated, and the result never has more operators than the
+// input: on tiny plans, where the union-alignment projections of the
+// pruning pass can outweigh its savings, the CSE-only plan is returned
+// instead.
 func Optimize(root *algebra.Op) (*algebra.Op, error) {
-	res, err := Pipeline(root)
+	res, err := runPipeline(root, maxRounds, isolate, false)
 	if err != nil {
 		return nil, err
 	}
 	return res.Plan, nil
+}
+
+// scratch is what the passes of one pipeline run would otherwise
+// allocate afresh on every call — cse's signature table, literal table
+// and memo — handed from one call to the next. A run owns one; nothing in
+// it outlives the run, and the zero value is ready to use.
+type scratch struct {
+	seed  maphash.Seed
+	canon map[uint64]int32 // signature hash → the last canonical operator with it
+	chain []int32          // canonical operator → the previous one with its hash, or -1
+	lits  map[*bat.Table]int32
+	memo  []int32
+	key   []byte
+	probe []byte
+
+	pr   props      // the property memos of the pass running now
+	grow *planIndex // the growing index normalize's rebuild numbers into
+	walk *planIndex // the index of a DAG about to be handed to cse
+}
+
+// props hands out property memos over idx on the arrays of the previous
+// ones: a pass's memos are dead before the next pass asks for its own
+// (normalize's rebuild, then a round's analysis and isolation).
+func (s *scratch) props(idx *planIndex) *props {
+	memo := slices.Grow(s.pr.memo[:0], len(idx.ops))[:len(idx.ops)]
+	clear(memo)
+	s.pr = props{idx: idx, memo: memo}
+	return &s.pr
+}
+
+// growing hands out an empty growing index on the tables of the previous
+// one.
+func (s *scratch) growing() *planIndex {
+	s.grow = reset(s.grow)
+	return s.grow
+}
+
+// index numbers the DAG rooted at root on the tables of the previous
+// index it numbered. The pipeline walks a DAG only to hand it to cse,
+// after which the walk is dead.
+func (s *scratch) index(root *algebra.Op) *planIndex {
+	s.walk = reset(s.walk)
+	s.walk.num(root)
+	return s.walk
+}
+
+// reset empties a growing index, keeping its tables; nil gets a new one.
+func reset(x *planIndex) *planIndex {
+	if x == nil {
+		return growingIndex(0)
+	}
+	clear(x.id)
+	*x = planIndex{ops: x.ops[:0], id: x.id, inStart: x.inStart[:0], in: x.in[:0]}
+	return x
 }
 
 // cse shares structurally identical subplans — the rewriting MonetDB gets
@@ -57,13 +113,23 @@ func Optimize(root *algebra.Op) (*algebra.Op, error) {
 // returns: operators are numbered as they become canonical, which is
 // algebra.Topo order of the result because the input is visited in Topo
 // order and a duplicate's whole subplan was made canonical before it.
-func cse(x *planIndex) *planIndex {
+//
+// Operators are looked up by a hash of their signature; every candidate
+// with that hash is confirmed by comparing signatures, so a collision
+// costs a comparison, never a wrong share.
+func (s *scratch) cse(x *planIndex) *planIndex {
 	n := len(x.ops)
 	out := emittedIndex(n)
-	canon := make(map[string]int32, n)
-	lits := make(map[*bat.Table]int32)
-	memo := make([]int32, n) // input number → number of its canonical operator
-	var key []byte
+	if s.canon == nil {
+		s.seed = maphash.MakeSeed()
+		s.canon = make(map[uint64]int32, n)
+		s.lits = make(map[*bat.Table]int32)
+	}
+	clear(s.canon)
+	clear(s.lits)
+	s.chain = s.chain[:0]
+	s.memo = slices.Grow(s.memo[:0], n)[:n] // input number → number of its canonical operator
+	memo := s.memo
 	var buf [2]int32
 	for i, o := range x.ops {
 		ins := buf[:0]
@@ -76,16 +142,18 @@ func cse(x *planIndex) *planIndex {
 		}
 		if o.Kind == algebra.OpLit {
 			// Literal tables are shared by identity.
-			j, ok := lits[o.Lit]
+			j, ok := s.lits[o.Lit]
 			if !ok {
 				j = out.add(o, nil)
-				lits[o.Lit] = j
+				s.chain = append(s.chain, -1)
+				s.lits[o.Lit] = j
 			}
 			memo[i] = j
 			continue
 		}
-		key = appendSignature(key[:0], o, ins)
-		if j, ok := canon[string(key)]; ok {
+		s.key = appendSignature(s.key[:0], o, ins)
+		h := maphash.Bytes(s.seed, s.key)
+		if j := s.canonical(out, h); j >= 0 {
 			memo[i] = j
 			continue
 		}
@@ -99,10 +167,29 @@ func cse(x *planIndex) *planIndex {
 			cur = &cp
 		}
 		j := out.add(cur, ins)
-		canon[string(key)] = j
+		prev, ok := s.canon[h]
+		if !ok {
+			prev = -1
+		}
+		s.chain = append(s.chain, prev)
+		s.canon[h] = j
 		memo[i] = j
 	}
 	return out
+}
+
+// canonical returns the canonical operator of out whose signature is
+// s.key (hashed to h), or -1.
+func (s *scratch) canonical(out *planIndex, h uint64) int32 {
+	j, ok := s.canon[h]
+	for ok && j >= 0 {
+		s.probe = appendSignature(s.probe[:0], out.ops[j], out.inputs(j))
+		if bytes.Equal(s.probe, s.key) {
+			return j
+		}
+		j = s.chain[j]
+	}
+	return -1
 }
 
 // appendSignature appends an operator's identity to key: kind, the
@@ -164,7 +251,7 @@ func appendSignature(key []byte, o *algebra.Op, ins []int32) []byte {
 
 // pruneAndFuse runs the demand analysis and rebuilds the DAG with pruned
 // and fused projections.
-func pruneAndFuse(x *planIndex) (*algebra.Op, error) {
+func pruneAndFuse(x *planIndex, s *scratch) (*algebra.Op, error) {
 	needed := demandOf(x)
 
 	// Rebuild bottom-up with pruned projections, fused π∘π chains, and
@@ -172,7 +259,7 @@ func pruneAndFuse(x *planIndex) (*algebra.Op, error) {
 	// operators of the DAG under construction, which has no index yet:
 	// pr numbers the ones it is asked about.
 	memo := make([]*algebra.Op, len(x.ops))
-	pr := newProps(growingIndex(len(x.ops)))
+	pr := s.props(s.growing())
 	var buf [2]*algebra.Op
 	for i, o := range x.ops {
 		children := buf[:0]
@@ -188,44 +275,20 @@ func pruneAndFuse(x *planIndex) (*algebra.Op, error) {
 	return memo[len(memo)-1], nil
 }
 
+// rebuildOp rebuilds operator o over its rebuilt inputs in, applying the
+// normalize rewrites. An operator whose inputs came back unchanged and
+// that no rewrite touches is handed back as it is: rebuilding it would
+// construct an identical operator.
 func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebra.Op, error) {
+	same := true
+	for k, c := range in {
+		same = same && c == o.In[k]
+	}
 	switch o.Kind {
 	case algebra.OpLit:
 		return o, nil
 	case algebra.OpProject:
-		// Prune unneeded output columns (keep at least one column: a
-		// zero-column relation has no row representation in the engine).
-		specs := make([]string, 0, len(o.Proj))
-		for pos, p := range o.Proj {
-			if !need.reached || need.has(pos) {
-				specs = append(specs, p.New+":"+p.Old)
-			}
-		}
-		if len(specs) == 0 {
-			specs = append(specs, o.Proj[0].New+":"+o.Proj[0].Old)
-		}
-		// Fuse with a child projection.
-		child := in[0]
-		if child.Kind == algebra.OpProject {
-			lookup := make(map[string]string, len(child.Proj))
-			for _, p := range child.Proj {
-				lookup[p.New] = p.Old
-			}
-			fused := make([]string, len(specs))
-			for i, s := range specs {
-				nw, old, _ := strings.Cut(s, ":")
-				fused[i] = nw + ":" + lookup[old]
-			}
-			specs = fused
-			child = child.In[0]
-		}
-		// Identity projection: same names, same order, full schema.
-		if identityProjection(specs, child.Schema()) {
-			return child, nil
-		}
-		return algebra.Project(child, specs...)
-	case algebra.OpSelect:
-		return algebra.Select(in[0], o.Col)
+		return rebuildProject(o, in[0], need, same)
 	case algebra.OpUnion:
 		l, r := in[0], in[1]
 		// Pruning may have left the sides with different schemas; align
@@ -246,10 +309,10 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebr
 					return nil, err
 				}
 			}
+		} else if same {
+			return o, nil
 		}
 		return algebra.Union(l, r)
-	case algebra.OpDiff:
-		return algebra.Diff(in[0], in[1], o.KeyL, o.KeyR)
 	case algebra.OpDistinct:
 		// Key-property rewrite: a strict ordering is a key, and sorted
 		// inputs keep duplicates adjacent — so a keyed input has no
@@ -257,13 +320,6 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebr
 		if pr.orderingOf(in[0]).strict {
 			return in[0], nil
 		}
-		return algebra.Distinct(in[0]), nil
-	case algebra.OpJoin:
-		return algebra.Join(in[0], in[1], o.KeyL, o.KeyR)
-	case algebra.OpSemiJoin:
-		return algebra.SemiJoin(in[0], in[1], o.KeyL, o.KeyR)
-	case algebra.OpCross:
-		return algebra.Cross(in[0], in[1])
 	case algebra.OpRowNum:
 		// Order-property rewrite ([3]): a global ϱ whose input is already
 		// sorted by its order columns is MonetDB's no-cost mark operator.
@@ -281,6 +337,24 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebr
 				return algebra.RowID(in[0], o.Col)
 			}
 		}
+	}
+	if same {
+		return o, nil
+	}
+	switch o.Kind {
+	case algebra.OpSelect:
+		return algebra.Select(in[0], o.Col)
+	case algebra.OpDiff:
+		return algebra.Diff(in[0], in[1], o.KeyL, o.KeyR)
+	case algebra.OpDistinct:
+		return algebra.Distinct(in[0]), nil
+	case algebra.OpJoin:
+		return algebra.Join(in[0], in[1], o.KeyL, o.KeyR)
+	case algebra.OpSemiJoin:
+		return algebra.SemiJoin(in[0], in[1], o.KeyL, o.KeyR)
+	case algebra.OpCross:
+		return algebra.Cross(in[0], in[1])
+	case algebra.OpRowNum:
 		return algebra.RowNum(in[0], o.Col, o.Order, o.Part)
 	case algebra.OpRowID:
 		return algebra.RowID(in[0], o.Col)
@@ -322,13 +396,58 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebr
 	return nil, fmt.Errorf("unknown operator %s", o.Kind)
 }
 
-func identityProjection(specs, schema []string) bool {
-	if len(specs) != len(schema) {
+// rebuildProject prunes the undemanded columns of π o (keeping at least
+// one: a zero-column relation has no row representation in the engine),
+// fuses it with a child π, and drops it when what is left is the
+// identity. same reports that child is o's own input.
+func rebuildProject(o, child *algebra.Op, need colSet, same bool) (*algebra.Op, error) {
+	pairs := o.Proj
+	if need.reached {
+		kept := 0
+		for pos := range o.Proj {
+			if need.has(pos) {
+				kept++
+			}
+		}
+		if kept < len(o.Proj) {
+			pairs = make([]algebra.ProjPair, 0, max(kept, 1))
+			for pos, p := range o.Proj {
+				if need.has(pos) {
+					pairs = append(pairs, p)
+				}
+			}
+			if len(pairs) == 0 {
+				pairs = append(pairs, o.Proj[0])
+			}
+		}
+	}
+	if child.Kind == algebra.OpProject {
+		fused := make([]algebra.ProjPair, len(pairs))
+		for i, p := range pairs {
+			k := slices.IndexFunc(child.Proj, func(c algebra.ProjPair) bool { return c.New == p.Old })
+			if k < 0 {
+				return nil, fmt.Errorf("π: input lacks column %q", p.Old)
+			}
+			fused[i] = algebra.ProjPair{New: p.New, Old: child.Proj[k].Old}
+		}
+		pairs, child, same = fused, child.In[0], false
+	}
+	// Identity projection: same names, same order, full schema.
+	if identityProjection(pairs, child.Schema()) {
+		return child, nil
+	}
+	if same && len(pairs) == len(o.Proj) {
+		return o, nil
+	}
+	return algebra.ProjectPairs(child, pairs)
+}
+
+func identityProjection(pairs []algebra.ProjPair, schema []string) bool {
+	if len(pairs) != len(schema) {
 		return false
 	}
-	for i, s := range specs {
-		nw, old, _ := strings.Cut(s, ":")
-		if nw != old || nw != schema[i] {
+	for i, p := range pairs {
+		if p.New != p.Old || p.New != schema[i] {
 			return false
 		}
 	}

@@ -85,20 +85,24 @@ func (r Result) TraceString() string {
 // mutated (the isolation pass works on a private clone), and the result
 // never has more operators than the CSE-shared input.
 func Pipeline(root *algebra.Op) (Result, error) {
-	return runPipeline(root, maxRounds, isolate)
+	return runPipeline(root, maxRounds, isolate, true)
 }
 
 // runPipeline is Pipeline with its round limit and isolation pass as
 // parameters — the seams the tests use to force the backstop and to run
-// the reference isolation through the same driver.
+// the reference isolation through the same driver. Without notes the
+// analyze passes leave their trace notes empty and skip the join-graph
+// census that only feeds them; nothing else reads it, so the plan and
+// every count of the trace are the same.
 //
 // Every pass works over the plan index of the DAG version it is handed
 // (index.go): cse emits the index of what it produces, the rebuilt DAG
 // of the normalize pass and a spliced plan are walked once, and the
 // operator counts of the trace are the sizes of those indexes.
-func runPipeline(root *algebra.Op, limit int, isolate isolatePass) (Result, error) {
+func runPipeline(root *algebra.Op, limit int, isolate isolatePass, notes bool) (Result, error) {
+	var s scratch
 	// Baseline for the global size guard; shares nodes with the input.
-	initial := cse(newPlanIndex(root, 0))
+	initial := s.cse(s.index(root))
 	// The isolation pass splices edges in place, and cse/normalize can
 	// hand back original input nodes — clone before any in-place work so
 	// the caller's DAG stays untouched.
@@ -107,7 +111,7 @@ func runPipeline(root *algebra.Op, limit int, isolate isolatePass) (Result, erro
 	var trace []PassStat
 	for round := 1; ; round++ {
 		opsIn := work.live()
-		n, err := normalize(work)
+		n, err := normalize(work, &s)
 		if err != nil {
 			return Result{}, err
 		}
@@ -118,12 +122,12 @@ func runPipeline(root *algebra.Op, limit int, isolate isolatePass) (Result, erro
 			OpsIn: opsIn, OpsOut: opsNorm, Rewrites: opsIn - opsNorm,
 		})
 
-		pr := newProps(work)
-		g := analyzeJoinGraph(work, pr)
-		trace = append(trace, PassStat{
-			Round: round, Pass: "analyze",
-			OpsIn: opsNorm, OpsOut: opsNorm, Note: g.note(),
-		})
+		pr := s.props(work)
+		analyze := PassStat{Round: round, Pass: "analyze", OpsIn: opsNorm, OpsOut: opsNorm}
+		if notes {
+			analyze.Note = analyzeJoinGraph(work, pr).note()
+		}
+		trace = append(trace, analyze)
 
 		iso := isolate(work, pr, nil)
 		stat := PassStat{
@@ -139,7 +143,7 @@ func runPipeline(root *algebra.Op, limit int, isolate isolatePass) (Result, erro
 			// Spliced-out operators are still numbered and a numbering
 			// operator that kept another consumer sits too early for Topo
 			// order: renumber for the passes that follow.
-			work = newPlanIndex(work.root(), work.live())
+			work = s.index(work.root())
 		}
 		if converged || round == limit {
 			break
@@ -158,7 +162,7 @@ func runPipeline(root *algebra.Op, limit int, isolate isolatePass) (Result, erro
 
 	// Cleanup: final CSE across everything isolation exposed, then the
 	// global size guard against the CSE-only input.
-	final := cse(work)
+	final := s.cse(work)
 	note := ""
 	if final.live() > initial.live() {
 		final = initial
@@ -179,13 +183,13 @@ type isolatePass func(idx *planIndex, pr *props, spliced func(pi int32, sense *o
 
 // normalize is one CSE + prune/fuse sweep with the per-round size guard
 // (validation is the caller's: the pipeline validates once at the end).
-func normalize(work *planIndex) (*planIndex, error) {
-	shared := cse(work)
-	pruned, err := pruneAndFuse(shared)
+func normalize(work *planIndex, s *scratch) (*planIndex, error) {
+	shared := s.cse(work)
+	pruned, err := pruneAndFuse(shared, s)
 	if err != nil {
 		return nil, err
 	}
-	r := cse(newPlanIndex(pruned, shared.live()))
+	r := s.cse(s.index(pruned))
 	if r.live() > shared.live() {
 		r = shared
 	}

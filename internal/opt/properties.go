@@ -47,7 +47,25 @@ func (p Props) DenseOn(col string) bool {
 // the plan DAG rooted at root. The map is keyed by operator identity, so
 // shared subplans get a single entry.
 func Properties(root *algebra.Op) map[*algebra.Op]Props {
-	return NewPropertyEngine().Snapshot(root)
+	ops, props := PlanProperties(root)
+	out := make(map[*algebra.Op]Props, len(ops))
+	for i, o := range ops {
+		out[o] = props[i]
+	}
+	return out
+}
+
+// PlanProperties derives the properties of every operator of the DAG
+// rooted at root over one walk: ops lists the operators in algebra.Topo
+// order and props[i] belongs to ops[i] — the form the physical lowering
+// consumes, which creates its nodes in that order.
+func PlanProperties(root *algebra.Op) (ops []*algebra.Op, props []Props) {
+	p := newProps(newPlanIndex(root, 0))
+	props = make([]Props, len(p.idx.ops))
+	for i := range props {
+		props[i] = p.propsAt(int32(i))
+	}
+	return p.idx.ops, props
 }
 
 // PropertyEngine is the invalidation-aware home of the property memos.

@@ -20,7 +20,7 @@ func sortedPrefix(p *props, o *algebra.Op) []string { return p.orderingOf(o).col
 // it emits is the result's algebra.Topo numbering.
 func cseRoot(t *testing.T, root *algebra.Op) *algebra.Op {
 	t.Helper()
-	out := cse(newPlanIndex(root, 0))
+	out := new(scratch).cse(newPlanIndex(root, 0))
 	assertTopoIndex(t, out)
 	return out.root()
 }
@@ -146,5 +146,39 @@ func TestCSESharesIdenticalSubplans(t *testing.T) {
 	u2 := mustOp(algebra.Union(p1, p2))
 	if got := algebra.CountOps(cseRoot(t, u2)); got != 3 {
 		t.Errorf("cse kept %d ops, want 3 (union, one project, lit)", got)
+	}
+}
+
+// TestCSEConfirmsHashHits: cse looks operators up by a hash of their
+// signature and shares only what the signatures confirm, so a collision —
+// here, two distinct selections filed under one hash — costs a
+// comparison, never a wrong share; and an operator further down a
+// collision chain is still found.
+func TestCSEConfirmsHashHits(t *testing.T) {
+	lit := algebra.Lit(bat.MustTable("a", bat.BoolVec{true}, "b", bat.BoolVec{false}))
+	sa := mustOp(algebra.Select(lit, "a"))
+	sb := mustOp(algebra.Select(lit, "b"))
+	root := mustOp(algebra.Union(sa, sb))
+	s := new(scratch)
+	out := s.cse(newPlanIndex(root, 0))
+	ja, jb := int32(1), int32(2)
+	if out.ops[ja].Col != "a" || out.ops[jb].Col != "b" {
+		t.Fatalf("unexpected numbering: %v", out.ops)
+	}
+	sig := func(j int32) []byte { return appendSignature(nil, out.ops[j], out.inputs(j)) }
+	const h = 42
+	// b is filed under h with a behind it on the chain.
+	s.canon[h], s.chain[jb], s.chain[ja] = jb, ja, -1
+	s.key = sig(ja)
+	if got := s.canonical(out, h); got != ja {
+		t.Errorf("a behind b on one hash: canonical = %d, want %d", got, ja)
+	}
+	s.chain[jb] = -1
+	if got := s.canonical(out, h); got != -1 {
+		t.Errorf("a's signature under b's hash: canonical = %d, want -1 (no share)", got)
+	}
+	s.key = sig(jb)
+	if got := s.canonical(out, h); got != jb {
+		t.Errorf("b under its hash: canonical = %d, want %d", got, jb)
 	}
 }

@@ -17,7 +17,7 @@ func TestRoundLimitIsReported(t *testing.T) {
 		"iter", bat.IntVec{1, 1}, "pos", bat.IntVec{1, 1}, "item", bat.IntVec{7, 8}))
 	plan := mustOp(algebra.Project(mustOp(algebra.RowID(lit, "m")), "iter", "pos", "item"))
 
-	cut, err := runPipeline(plan, 1, isolate)
+	cut, err := runPipeline(plan, 1, isolate, true)
 	if err != nil {
 		t.Fatal(err)
 	}

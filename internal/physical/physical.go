@@ -144,25 +144,36 @@ func (p *Plan) Breakers() int {
 // Shared logical subplans become shared physical nodes, preserving the
 // exactly-once evaluation guarantee.
 func Lower(root *algebra.Op) *Plan {
-	props := opt.Properties(root)
-	order := algebra.Topo(root)
+	order, props := opt.PlanProperties(root)
 	byOp := make(map[*algebra.Op]*Node, len(order))
-	nodes := make([]*Node, 0, len(order))
+	nodes := make([]*Node, len(order))
+	// The nodes and their input lists are carved from two arrays: a plan
+	// is lowered once and lives as long as all of its nodes.
+	slab := make([]Node, len(order))
+	edges := 0
 	for _, o := range order {
-		nd := lowerOp(o, props, byOp)
+		edges += len(o.In)
+	}
+	ins := make([]*Node, edges)
+	for i, o := range order {
+		nd := &slab[i]
+		nd.Op, nd.Props, nd.In, ins = o, props[i], ins[:len(o.In):len(o.In)], ins[len(o.In):]
+		for k, c := range o.In {
+			nd.In[k] = byOp[c]
+		}
+		lowerOp(nd)
 		byOp[o] = nd
-		nodes = append(nodes, nd)
+		nodes[i] = nd
 	}
 	p := &Plan{Root: byOp[root], Nodes: nodes, ByOp: byOp}
 	discoverUnits(p)
 	return p
 }
 
-func lowerOp(o *algebra.Op, props map[*algebra.Op]opt.Props, byOp map[*algebra.Op]*Node) *Node {
-	nd := &Node{Op: o, Props: props[o], In: make([]*Node, len(o.In))}
-	for i, c := range o.In {
-		nd.In[i] = byOp[c]
-	}
+// lowerOp chooses the kernel and execution flags of a node whose
+// operator, properties and inputs are in place.
+func lowerOp(nd *Node) {
+	o := nd.Op
 	switch o.Kind {
 	case algebra.OpLit:
 		nd.Kernel = "scan"
@@ -187,8 +198,8 @@ func lowerOp(o *algebra.Op, props map[*algebra.Op]opt.Props, byOp map[*algebra.O
 		// hash otherwise, since only there do sort order and hash-key
 		// equality provably coincide.)
 		if len(o.KeyL) == 1 &&
-			props[o.In[0]].SortedOn(o.KeyL[0]) &&
-			props[o.In[1]].SortedOn(o.KeyR[0]) {
+			nd.In[0].Props.SortedOn(o.KeyL[0]) &&
+			nd.In[1].Props.SortedOn(o.KeyR[0]) {
 			nd.Merge = true
 			nd.Kernel = "merge-" + name
 		} else {
@@ -197,7 +208,7 @@ func lowerOp(o *algebra.Op, props map[*algebra.Op]opt.Props, byOp map[*algebra.O
 	case algebra.OpCross:
 		nd.Kernel = "nested-product"
 	case algebra.OpRowNum:
-		in := props[o.In[0]]
+		in := nd.In[0].Props
 		switch {
 		case o.Part != "" && in.DenseOn(o.Part):
 			// Dense partition column: every partition is a singleton,
@@ -239,7 +250,6 @@ func lowerOp(o *algebra.Op, props map[*algebra.Op]opt.Props, byOp map[*algebra.O
 	}
 	nd.EstRows = estRows(o, nd)
 	nd.Parallel = parallelizable(o, nd) && !statTiny(nd)
-	return nd
 }
 
 // ParallelMinRows is the static cardinality gate: an operator whose

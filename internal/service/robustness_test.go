@@ -17,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"pathfinder/internal/algebra"
+	"pathfinder/internal/bat"
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/service"
@@ -424,5 +426,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestQueryPlanChecksItsLowering: a plan shipped over the wire is checked,
+// on the lowering the engine would run, before it is admitted — a σ over
+// a column the plan itself proves integer is a compile error, not a run.
+func TestQueryPlanChecksItsLowering(t *testing.T) {
+	svc := newSvc(t, service.Config{})
+	lit := algebra.Lit(bat.MustTable("iter", bat.IntVec{1, 2}, "a", bat.IntVec{3, 4}))
+	sel := algebra.Unchecked(algebra.OpSelect, []string{"iter", "a"}, lit)
+	sel.Col = "a"
+	_, err := svc.QueryPlan(context.Background(), sel, nil)
+	var se *service.Error
+	if !errors.As(err, &se) || se.Code != service.CodeCompile || !strings.Contains(err.Error(), "as boolean") {
+		t.Fatalf("QueryPlan(σ over an int column) = %v, want a compile error naming the type", err)
 	}
 }

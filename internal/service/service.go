@@ -26,6 +26,7 @@ import (
 	"pathfinder/internal/engine"
 	"pathfinder/internal/opt"
 	"pathfinder/internal/pfstore"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xqcore"
@@ -392,19 +393,17 @@ func (s *Service) prepare(req Request, generation uint64) (*prepared, bool, erro
 		if err == nil {
 			plan, err = opt.Optimize(plan)
 		}
+		var lowered *physical.Plan
 		if err == nil {
-			err = check.Error(check.Plan(plan))
+			lowered, err = s.lower(plan)
 		}
 		if err != nil {
 			p.err = err
 			return
 		}
 		p.plan = plan
-		p.ops = algebra.CountOps(plan)
-		// Price off the same lowered physical plan the executor will run;
-		// the engine caches it by root, so this is the only lowering pass
-		// the query ever pays.
-		p.cost = s.eng.Lowered(plan).EstCost(s.cfg.UnknownRows)
+		p.ops = len(lowered.Nodes)
+		p.cost = lowered.EstCost(s.cfg.UnknownRows)
 		p.heavy = p.cost >= s.cfg.HeavyCost
 		s.preparedN.Add(1)
 	})
@@ -420,6 +419,19 @@ func (s *Service) prepare(req Request, generation uint64) (*prepared, bool, erro
 		return nil, hit, p.err
 	}
 	return p, hit, nil
+}
+
+// lower hands back the engine's lowering of plan — the physical plan the
+// executor will run, cached by root, so a prepared plan is lowered once —
+// after statically validating that lowering. A plan that fails is
+// forgotten again: nothing will run it.
+func (s *Service) lower(plan *algebra.Op) (*physical.Plan, error) {
+	lowered := s.eng.Lowered(plan)
+	if err := check.Error(check.Lowered(lowered)); err != nil {
+		s.eng.ForgetPlan(plan)
+		return nil, err
+	}
+	return lowered, nil
 }
 
 // evictPreparedLocked flushes every settled cache entry — mirroring the
@@ -503,15 +515,16 @@ func (s *Service) QueryPlan(ctx context.Context, plan *algebra.Op, sess *Session
 	}
 	defer s.inFlight.Done()
 
-	if err := check.Error(check.Plan(plan)); err != nil {
+	lowered, err := s.lower(plan)
+	if err != nil {
 		s.met.compileErrors.Add(1)
 		return nil, &Error{Code: CodeCompile, Err: err}
 	}
-	cost := s.eng.Lowered(plan).EstCost(s.cfg.UnknownRows)
+	cost := lowered.EstCost(s.cfg.UnknownRows)
 	return s.run(ctx, execution{
 		eng:   s.eng,
 		plan:  plan,
-		ops:   algebra.CountOps(plan),
+		ops:   len(lowered.Nodes),
 		cost:  cost,
 		heavy: cost >= s.cfg.HeavyCost,
 		sess:  sess,
@@ -553,6 +566,10 @@ func (s *Service) run(ctx context.Context, ex execution) (*Response, error) {
 	}
 	defer s.adm.Release(ex.cost, ex.heavy)
 
+	// The request evaluates against a scratch view of its store: what its
+	// constructors build lives until the reply is serialized, and the
+	// shared store never grows.
+	eng := ex.eng.ForStore(ex.eng.Store.Scratch(), ex.eng.Collection)
 	start := time.Now() //pfvet:allow determinism -- latency accounting only
 	var (
 		res     *bat.Table
@@ -560,7 +577,7 @@ func (s *Service) run(ctx context.Context, ex execution) (*Response, error) {
 		rowsMat int
 	)
 	if ex.explain {
-		tbl, tr, terr := ex.eng.EvalTrace(ctx, ex.plan)
+		tbl, tr, terr := eng.EvalTrace(ctx, ex.plan)
 		err = terr
 		res = tbl
 		if tr != nil {
@@ -573,13 +590,13 @@ func (s *Service) run(ctx context.Context, ex execution) (*Response, error) {
 			}
 		}
 	} else {
-		res, err = ex.eng.EvalContext(ctx, ex.plan)
+		res, err = eng.EvalContext(ctx, ex.plan)
 	}
 	exec := time.Since(start) //pfvet:allow determinism -- latency accounting only
 	if err != nil {
 		return nil, s.classifyExec(ctx, err)
 	}
-	out, err := serialize.Result(ex.eng.Store, res)
+	out, err := serialize.Result(eng.Store, res)
 	if err != nil {
 		s.met.execErrors.Add(1)
 		return nil, &Error{Code: CodeExec, Err: err}

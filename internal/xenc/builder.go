@@ -127,12 +127,24 @@ func (b *FragBuilder) addAttr(nameID, valID int32) error {
 	// The owner is the fragment's last node, so its attributes are the
 	// tail of the attribute table; an element has few.
 	for i := len(f.AttrOwner) - 1; i >= 0 && f.AttrOwner[i] == owner; i-- {
-		if f.AttrName[i] == nameID {
+		if b.sameName(f.AttrName[i], nameID) {
 			return fmt.Errorf("XQDY0025: duplicate attribute %q on a constructed element", b.store.attrNames.Get(nameID))
 		}
 	}
 	b.sh.addAttr(owner, nameID, valID)
 	return nil
+}
+
+// sameName reports whether two attribute-name surrogates name the same
+// attribute. Within one store a name has one surrogate, except on a
+// scratch view whose base interned a name after the view did (see
+// Scratch): only a base and a private surrogate can then disagree, and
+// those are compared by content.
+func (b *FragBuilder) sameName(x, y int32) bool {
+	if x == y {
+		return true
+	}
+	return (x >= PrivateBase) != (y >= PrivateBase) && b.store.attrNames.Get(x) == b.store.attrNames.Get(y)
 }
 
 // CopyFrom deep-copies the subtree rooted at pre in sf (any fragment of

@@ -14,7 +14,8 @@ import (
 // pre|size|level encoding and registers it in the store under the given
 // URI. It returns the document node. Whitespace-only text is dropped
 // (boundary-space strip), matching the load behaviour the paper's storage
-// numbers assume.
+// numbers assume. On a scratch view every document entry point loads into
+// the base: a document outlives the request that named it.
 func (s *Store) LoadDocument(uri string, r io.Reader) (bat.NodeRef, error) {
 	doc, err := readAll(r)
 	if err != nil {
@@ -28,6 +29,9 @@ func (s *Store) LoadDocument(uri string, r io.Reader) (bat.NodeRef, error) {
 // that is already registered — the catalog layer depends on name
 // uniqueness; use ReplaceDocument(String) to rebind a name explicitly.
 func (s *Store) LoadDocumentString(uri, doc string) (bat.NodeRef, error) {
+	if s.base != nil {
+		return s.base.LoadDocumentString(uri, doc)
+	}
 	if _, err := s.Doc(uri); err == nil {
 		return bat.NodeRef{}, fmt.Errorf("document %q already loaded", uri)
 	}
@@ -44,6 +48,9 @@ func (s *Store) LoadDocumentString(uri, doc string) (bat.NodeRef, error) {
 
 // ReplaceDocumentString is ReplaceDocument over a document in memory.
 func (s *Store) ReplaceDocumentString(uri, doc string) (bat.NodeRef, error) {
+	if s.base != nil {
+		return s.base.ReplaceDocumentString(uri, doc)
+	}
 	f, err := s.shred(uri, doc)
 	if err != nil {
 		return bat.NodeRef{}, err

@@ -26,10 +26,16 @@ import "sync"
 // the slice, and the map is rebuilt lazily on the first Put or Lookup.
 // Reopening a saved store therefore costs no per-string map inserts until
 // a query actually interns or looks up by content.
+//
+// A scratch view's pool is a private tail over its base store's pool:
+// surrogates below PrivateBase resolve in the base, the tail's own are
+// numbered from PrivateBase, and a string goes into the tail only when
+// the base does not have it.
 type pool struct {
+	base  *pool              // nil in a base store
 	mu    sync.RWMutex       // guards index; serializes strs.push
-	strs  appendOnly[string] // surrogate → string
-	index map[string]int32   // nil until first content lookup on a restored pool
+	strs  appendOnly[string] // surrogate (minus PrivateBase in a tail) → string
+	index map[string]int32   // nil until first content lookup on a restored pool or a tail
 }
 
 func newPool() *pool {
@@ -45,6 +51,15 @@ func newPoolFromStrings(strs []string) *pool {
 	return p
 }
 
+// first is the surrogate of the pool's own first string: 0 in a base
+// store, PrivateBase in a view's tail.
+func (p *pool) first() int32 {
+	if p.base != nil {
+		return PrivateBase
+	}
+	return 0
+}
+
 // ensureIndexLocked builds the lookup map; callers hold the write lock.
 func (p *pool) ensureIndexLocked() {
 	if p.index != nil {
@@ -53,14 +68,20 @@ func (p *pool) ensureIndexLocked() {
 	strs := p.strs.view()
 	p.index = make(map[string]int32, len(strs))
 	for i, s := range strs {
-		p.index[s] = int32(i)
+		p.index[s] = p.first() + int32(i)
 	}
 }
 
 // Put interns s and returns its surrogate. The pool keeps s itself, so a
 // caller holding a slice of a larger string copies it first (the shredder's
-// intern).
+// intern). A view's tail answers with the base's surrogate when the base
+// has s.
 func (p *pool) Put(s string) int32 {
+	if p.base != nil {
+		if id := p.base.Lookup(s); id >= 0 {
+			return id
+		}
+	}
 	if id, ok := p.cached(s); ok {
 		return id
 	}
@@ -70,7 +91,7 @@ func (p *pool) Put(s string) int32 {
 	if id, ok := p.index[s]; ok {
 		return id
 	}
-	id := p.strs.push(s)
+	id := p.first() + p.strs.push(s)
 	p.index[s] = id
 	return id
 }
@@ -88,8 +109,33 @@ func (p *pool) cached(s string) (int32, bool) {
 // compilation uses this to turn name tests into integer comparisons; a
 // miss means the name test can never match.
 func (p *pool) Lookup(s string) int32 {
+	id, _ := p.ids(s)
+	return id
+}
+
+// ids returns the surrogates s carries as seen from p: the base's first,
+// then the tail's. They differ only when a view interned s before its
+// base did; a pool without a tail, or a string only one side has, gives
+// the one surrogate twice, and a string never interned -1 twice.
+func (p *pool) ids(s string) (id, alias int32) {
+	own := p.lookupOwn(s)
+	if p.base == nil {
+		return own, own
+	}
+	if id = p.base.lookupOwn(s); id < 0 {
+		return own, own
+	}
+	if own < 0 {
+		return id, id
+	}
+	return id, own
+}
+
+// lookupOwn is Lookup over the pool's own strings, not its base's.
+func (p *pool) lookupOwn(s string) int32 {
 	p.mu.RLock()
-	if p.index != nil {
+	if p.index != nil || p.base != nil {
+		// A tail without an index has interned nothing.
 		id, ok := p.index[s]
 		p.mu.RUnlock()
 		if ok {
@@ -108,9 +154,18 @@ func (p *pool) Lookup(s string) int32 {
 }
 
 // Get returns the string behind a surrogate.
-func (p *pool) Get(id int32) string { return p.strs.at(id) }
+func (p *pool) Get(id int32) string {
+	if p.base != nil {
+		if id < PrivateBase {
+			return p.base.strs.at(id)
+		}
+		id -= PrivateBase
+	}
+	return p.strs.at(id)
+}
 
-// Len returns the number of distinct strings interned.
+// Len returns the number of distinct strings interned in the pool itself
+// (a view's tail: its private strings only).
 func (p *pool) Len() int { return p.strs.len() }
 
 // snapshot copies the interned strings in surrogate order.

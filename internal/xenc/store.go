@@ -23,7 +23,18 @@ import (
 // follow the same split. Constructor operators running on parallel
 // scheduler workers therefore append fragments while other workers
 // resolve nodes.
+//
+// A store is either a base store — documents, and whatever is
+// constructed by evaluations bound to it directly — or a scratch view
+// over one (Scratch): the store a single request evaluates against, whose
+// constructed fragments and interned strings live only as long as the
+// view.
 type Store struct {
+	// base is the store a scratch view reads through to; nil on a base
+	// store. A view's own registry and pools hold only private content,
+	// numbered from PrivateBase.
+	base *Store
+
 	mu    sync.RWMutex          // guards docs; serializes frags.push
 	frags appendOnly[*Fragment] // fragment id → fragment
 	docs  map[string]int32
@@ -33,6 +44,14 @@ type Store struct {
 	texts     *pool // text node content (duplicate-free, per §3.1)
 	attrVals  *pool // attribute values (duplicate-free)
 }
+
+// PrivateBase is the first fragment id and the first pool surrogate of a
+// scratch view's private content. A base store cannot reach it (2^30
+// fragments, or strings in one pool), so a base that grows while a view
+// is alive — a document loaded mid-request, a collection PUT — never
+// collides with what the view constructed, and constructed fragments
+// still sort after every loaded document (RefBefore orders by id).
+const PrivateBase int32 = 1 << 30
 
 // NewStore returns an empty store.
 func NewStore() *Store {
@@ -45,18 +64,72 @@ func NewStore() *Store {
 	}
 }
 
-// Frag returns the fragment with the given id.
-func (s *Store) Frag(id int32) *Fragment { return s.frags.at(id) }
+// scratchStore is a view and its four private pool tails, allocated
+// together: a request that constructs nothing pays this one allocation,
+// and the registry array, the pool arrays and their lookup maps appear
+// with the first fragment or string the request adds.
+type scratchStore struct {
+	Store
+	pools [4]pool
+}
 
-// FragCount returns the number of fragments in the store.
-func (s *Store) FragCount() int { return s.frags.len() }
+// Scratch returns a request-scoped view of s. Reads of everything s holds
+// go through to s; fragments the view's constructors finish and strings
+// they intern land in private tails numbered from PrivateBase, which are
+// dropped with the view. s itself never grows through it: document loads
+// and replacements delegate to s, and the persistence entry points
+// (WriteSnapshot, Parts) write s's content only.
+//
+// Within the view one string has one surrogate per pool as seen by every
+// node the view reaches: interning consults s first and keeps a string
+// private only when s does not have it. The one exception is a string s
+// interns after the view did (a document the request loads brings a name
+// the request has already constructed); name tests then match both
+// surrogates (TagIDs, AttrNameIDs).
+//
+// Scratch of a view panics: a view layers over a base store only.
+func (s *Store) Scratch() *Store {
+	if s.base != nil {
+		panic("xenc: Scratch of a scratch view")
+	}
+	v := &scratchStore{}
+	for i, bp := range [4]*pool{s.tags, s.attrNames, s.texts, s.attrVals} {
+		v.pools[i].base = bp
+	}
+	v.Store = Store{base: s, tags: &v.pools[0], attrNames: &v.pools[1], texts: &v.pools[2], attrVals: &v.pools[3]}
+	return &v.Store
+}
+
+// Frag returns the fragment with the given id.
+func (s *Store) Frag(id int32) *Fragment {
+	if s.base != nil {
+		if id < PrivateBase {
+			return s.base.frags.at(id)
+		}
+		id -= PrivateBase
+	}
+	return s.frags.at(id)
+}
+
+// FragCount returns the number of fragments the store reaches: on a view,
+// the base's plus its own.
+func (s *Store) FragCount() int {
+	if s.base != nil {
+		return s.base.FragCount() + s.frags.len()
+	}
+	return s.frags.len()
+}
 
 // addFrag registers a fragment and returns its id. The fragment's columns
 // are complete before the push publishes it.
 func (s *Store) addFrag(f *Fragment) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.frags.push(f)
+	id := s.frags.push(f)
+	if s.base != nil {
+		id += PrivateBase
+	}
+	return id
 }
 
 // registerDoc registers a loaded document fragment under its URI,
@@ -74,6 +147,9 @@ func (s *Store) registerDoc(uri string, f *Fragment) (int32, error) {
 
 // Doc returns the document node of a previously loaded document.
 func (s *Store) Doc(uri string) (bat.NodeRef, error) {
+	if s.base != nil {
+		return s.base.Doc(uri)
+	}
 	s.mu.RLock()
 	id, ok := s.docs[uri]
 	s.mu.RUnlock()
@@ -85,6 +161,9 @@ func (s *Store) Doc(uri string) (bat.NodeRef, error) {
 
 // DocURIs lists loaded documents, for the demo shell.
 func (s *Store) DocURIs() []string {
+	if s.base != nil {
+		return s.base.DocURIs()
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.docs))
@@ -98,6 +177,9 @@ func (s *Store) DocURIs() []string {
 // id) together with their document-node refs — the shard manifest order
 // fn:collection expands a multi-document collection in.
 func (s *Store) DocsInOrder() []DocEntry {
+	if s.base != nil {
+		return s.base.DocsInOrder()
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]DocEntry, 0, len(s.docs))
@@ -135,6 +217,15 @@ func (s *Store) TagID(tag string) int32 { return s.tags.Lookup(tag) }
 
 // AttrNameID returns the surrogate of an attribute name, -1 if unknown.
 func (s *Store) AttrNameID(name string) int32 { return s.attrNames.Lookup(name) }
+
+// TagIDs returns every surrogate an element named tag carries in the
+// store: TagID's, and the second one a scratch view holds when it
+// interned the name before its base did (see Scratch) — TagID's again
+// otherwise.
+func (s *Store) TagIDs(tag string) (id, alias int32) { return s.tags.ids(tag) }
+
+// AttrNameIDs is TagIDs for attribute names.
+func (s *Store) AttrNameIDs(name string) (id, alias int32) { return s.attrNames.ids(name) }
 
 // TagName resolves a tag surrogate.
 func (s *Store) TagName(id int32) string { return s.tags.Get(id) }
@@ -227,13 +318,13 @@ func (s *Store) AttrValueOf(n bat.NodeRef, name string) (string, bool) {
 	if n.Pre >= AttrBase || f.Kind[n.Pre] != KindElem {
 		return "", false
 	}
-	nid := s.attrNames.Lookup(name)
+	nid, alias := s.attrNames.ids(name)
 	if nid < 0 {
 		return "", false
 	}
 	lo, hi := f.Attrs(n.Pre)
 	for i := lo; i < hi; i++ {
-		if f.AttrName[i] == nid {
+		if f.AttrName[i] == nid || f.AttrName[i] == alias {
 			return s.attrVals.Get(f.AttrVal[i]), true
 		}
 	}
@@ -263,8 +354,12 @@ type fragSnapshot struct {
 }
 
 // WriteSnapshot serializes the whole store (fragments, document registry,
-// surrogate pools).
+// surrogate pools). A scratch view writes its base: private content is
+// never persisted.
 func (s *Store) WriteSnapshot(w io.Writer) error {
+	if s.base != nil {
+		return s.base.WriteSnapshot(w)
+	}
 	snap := snapshot{
 		Pools: [4][]string{s.tags.snapshot(), s.attrNames.snapshot(), s.texts.snapshot(), s.attrVals.snapshot()},
 	}
@@ -288,6 +383,9 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 // ReadSnapshot restores a store previously written with WriteSnapshot.
 // The receiving store must be empty.
 func (s *Store) ReadSnapshot(r io.Reader) error {
+	if s.base != nil {
+		return fmt.Errorf("ReadSnapshot: store is a scratch view")
+	}
 	if s.frags.len() != 0 || len(s.docs) != 0 {
 		return fmt.Errorf("ReadSnapshot: store is not empty")
 	}
@@ -337,8 +435,12 @@ type Parts struct {
 
 // Parts snapshots the store's columnar content. Fragment column slices are
 // shared, not copied — fragments are immutable once registered, so callers
-// may read them freely but must not mutate.
+// may read them freely but must not mutate. A scratch view hands out its
+// base's parts: private content is never persisted.
 func (s *Store) Parts() Parts {
+	if s.base != nil {
+		return s.base.Parts()
+	}
 	s.mu.RLock()
 	frags := append([]*Fragment(nil), s.frags.view()...)
 	docs := make(map[string]int32, len(s.docs))
@@ -411,16 +513,20 @@ func (r StorageReport) Total() int64 {
 	return r.StructuralBytes + r.TagPoolBytes + r.TextPoolBytes + r.AttrPoolBytes
 }
 
-// Report computes the storage footprint of all fragments plus pools.
+// Report computes the storage footprint of all fragments plus pools; a
+// scratch view reports its base's plus its own.
 func (s *Store) Report() StorageReport {
 	var r StorageReport
+	if s.base != nil {
+		r = s.base.Report()
+	}
 	for _, f := range s.frags.view() {
 		r.StructuralBytes += f.EncodedBytes()
 		r.Nodes += int64(f.NodeCount())
 		r.Attrs += int64(f.AttrCount())
 	}
-	r.TagPoolBytes = s.tags.bytes() + s.attrNames.bytes()
-	r.TextPoolBytes = s.texts.bytes()
-	r.AttrPoolBytes = s.attrVals.bytes()
+	r.TagPoolBytes += s.tags.bytes() + s.attrNames.bytes()
+	r.TextPoolBytes += s.texts.bytes()
+	r.AttrPoolBytes += s.attrVals.bytes()
 	return r
 }
