@@ -83,6 +83,7 @@ type Op struct {
 	Test     KindTest    // OpStep
 	TypeName string      // OpFun with FunTypeIs: element name restriction
 	Sep      string      // OpAggr with AggStrJoin: separator
+	Skel     Skeleton    // OpElem: the element tree; slot k is input k+1
 
 	schema []string
 }
@@ -391,18 +392,13 @@ func CollOp(in *Op) (*Op, error) {
 	return &Op{Kind: OpColl, In: []*Op{in}, schema: []string{"iter", "pos", "item"}}, nil
 }
 
-// Elem is the ε operator: per iter of qnames (schema iter|item holding tag
-// strings, one row per iter), construct an element whose content is the
-// iter's slice of content (schema iter|pos|item). Output: iter|item with
-// the new element nodes.
+// Elem is the binary ε of the paper: per iter of qnames (schema iter|item
+// holding tag strings, one row per iter), construct an element whose
+// content is the iter's slice of content (schema iter|pos|item) — the
+// one-slot skeleton with a dynamic root name (ElemSkel). Output: iter|item
+// with the new element nodes.
 func Elem(qnames, content *Op) (*Op, error) {
-	if err := requireCols(qnames, "ε", "iter", "item"); err != nil {
-		return nil, err
-	}
-	if err := requireCols(content, "ε", "iter", "pos", "item"); err != nil {
-		return nil, err
-	}
-	return &Op{Kind: OpElem, In: []*Op{qnames, content}, schema: []string{"iter", "item"}}, nil
+	return ElemSkel(qnames, dynamicSkel, content)
 }
 
 // Text is the τ operator: construct one text node per input row from the
@@ -528,6 +524,8 @@ func (o *Op) check() error {
 		if !o.In[0].HasCol("iter") || !o.In[0].HasCol("item") {
 			return fmt.Errorf("%s: input lacks iter|item", o.Kind)
 		}
+	case OpElem:
+		return checkElem(o.In[0], o.Skel, o.In[1:])
 	}
 	return nil
 }

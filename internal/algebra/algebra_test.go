@@ -425,3 +425,72 @@ func TestValidateNewOperatorChecks(t *testing.T) {
 		t.Error("corrupt range bounds must be caught")
 	}
 }
+
+// TestSkeletonText: the textual form of an ε skeleton — plan labels and
+// MIL — reads back as the skeleton it was written from, and malformed
+// skeletons are refused.
+func TestSkeletonText(t *testing.T) {
+	for _, src := range []string{
+		`<*>$0</*>`,
+		`<a/>`,
+		`<item person=$0>$1</item>`,
+		`<a x=$0 y=$1><b>$2<c/></b>$3<d z=$4/></a>`,
+		`<a>$0 x=$1<b>$2 y=$3</b></a>`,
+		`<p:a>$0</p:a>`,
+	} {
+		s, err := ParseSkeleton(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := s.String(); got != src {
+			t.Errorf("ParseSkeleton(%s).String() = %s", src, got)
+		}
+	}
+	for _, bad := range []string{
+		``, `$0`, `<a>`, `<a></b>`, `<a>$1</a>`, `<a>$0$0</a>`, `<a/><b/>`,
+		`<a><*/></a>`, `<a x=$1 y=$0/>`, `<a x=0/>`, `<a></a>$0`,
+	} {
+		if s, err := ParseSkeleton(bad); err == nil {
+			t.Errorf("ParseSkeleton(%q) = %s, want an error", bad, s)
+		}
+	}
+	if !SkelName("personne") || SkelName("") || SkelName("a b") || SkelName("*") {
+		t.Error("SkelName")
+	}
+}
+
+// TestElemSkelChecksInputs: a static root reads the loop (iter), a
+// dynamic one a name table (iter|item), and every slot is iter|pos|item,
+// one per slot the skeleton names; the binary ε is the one-slot skeleton
+// with a dynamic root.
+func TestElemSkelChecksInputs(t *testing.T) {
+	loop := Lit(bat.MustTable("iter", bat.IntVec{1}))
+	names := Lit(bat.MustTable("iter", bat.IntVec{1}, "item", bat.StrVec{"a"}))
+	slot := Lit(bat.MustTable("iter", bat.IntVec{1}, "pos", bat.IntVec{1}, "item", bat.IntVec{7}))
+	static, _ := ParseSkeleton("<a x=$0>$1</a>")
+	dynamic, _ := ParseSkeleton("<*>$0</*>")
+	if _, err := ElemSkel(loop, static, slot, slot); err != nil {
+		t.Errorf("static root over the loop: %v", err)
+	}
+	if _, err := ElemSkel(loop, dynamic, slot); err == nil {
+		t.Error("a dynamic root needs an item column")
+	}
+	if _, err := ElemSkel(loop, static, slot); err == nil {
+		t.Error("two slots named, one given")
+	}
+	if _, err := ElemSkel(loop, static, slot, names); err == nil {
+		t.Error("a slot without pos")
+	}
+	e := mustOp(Elem(names, slot))
+	if !e.Skel.Binary() || e.Label() != "ε" || len(e.In) != 2 {
+		t.Errorf("binary ε: skeleton %s, label %q", e.Skel, e.Label())
+	}
+	o := mustOp(ElemSkel(loop, static, slot, slot))
+	if o.Label() != "ε <a x=$0>$1</a>" {
+		t.Errorf("label %q", o.Label())
+	}
+	o.Skel = dynamic
+	if err := Validate(o); err == nil {
+		t.Error("Validate must catch a skeleton that no longer fits its inputs")
+	}
+}

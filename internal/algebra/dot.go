@@ -71,7 +71,10 @@ func (o *Op) Label() string {
 	case OpRoots:
 		return "root"
 	case OpElem:
-		return "ε"
+		if o.Skel.Binary() {
+			return "ε"
+		}
+		return "ε " + o.Skel.String()
 	case OpText:
 		return "τ"
 	case OpAttrC:

@@ -116,7 +116,7 @@ func logical(w *walker) []Diag {
 	types := newTypePass(w)
 	for _, o := range w.order {
 		diags = append(diags, checkArity(w, o)...)
-		if len(o.In) != arityOf(o.Kind) {
+		if len(o.In) != arityOf(o) {
 			continue // schema recomputation needs the declared inputs
 		}
 		diags = append(diags, checkSchema(w, o)...)

@@ -123,6 +123,39 @@ var mutations = []mutation{
 			return check.Logical(o)
 		},
 	},
+	// An ε skeleton names the slots it reads; a rewrite that loses a step
+	// or renumbers two would hand one slot's rows to another's place.
+	{
+		name:  "structure_elem_dropped_slot",
+		class: "structure",
+		build: func(t *testing.T) []check.Diag {
+			o := skeletonElem(t)
+			// <a>$0<b>$1</b></a> with the $1 step gone: the second slot
+			// input is read by nobody.
+			o.Skel = append(append(algebra.Skeleton{}, o.Skel[:3]...), o.Skel[4:]...)
+			return check.Logical(o)
+		},
+	},
+	{
+		name:  "structure_elem_swapped_slots",
+		class: "structure",
+		build: func(t *testing.T) []check.Diag {
+			o := skeletonElem(t)
+			sk := append(algebra.Skeleton{}, o.Skel...)
+			sk[1].Slot, sk[3].Slot = sk[3].Slot, sk[1].Slot
+			o.Skel = sk
+			return check.Logical(o)
+		},
+	},
+	{
+		name:  "schema_elem_slot_without_pos",
+		class: "schema",
+		build: func(t *testing.T) []check.Diag {
+			o := skeletonElem(t)
+			o.In[2] = lit(t, "iter", ints(1), "item", ints(7))
+			return check.Logical(o)
+		},
+	},
 	{
 		name:  "type_select_over_int",
 		class: "type",
@@ -514,6 +547,22 @@ var mutations = []mutation{
 			return check.Physical(p)
 		},
 	},
+}
+
+// skeletonElem builds the ε <a>$0<b>$1</b></a> over a one-iteration
+// loop and two iter|pos|item slots.
+func skeletonElem(t *testing.T) *algebra.Op {
+	t.Helper()
+	skel, err := algebra.ParseSkeleton("<a>$0<b>$1</b></a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := func(v int64) *algebra.Op { return lit(t, "iter", ints(1), "pos", ints(1), "item", ints(v)) }
+	o, err := algebra.ElemSkel(lit(t, "iter", ints(1)), skel, slot(1), slot(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
 
 // thetaShape builds σ_c(⊛fun c:(x,y)(A × B)) over A(a, a2) and B(b).

@@ -18,14 +18,23 @@ import (
 // downstream kernels would misread.
 
 // arityOf is the validator's own record of how many inputs each operator
-// kind takes — deliberately not derived from the node's In slice.
-func arityOf(k algebra.OpKind) int {
-	switch k {
+// takes — deliberately not derived from the node's In slice: an ε reads
+// its root input and one input per slot its skeleton names.
+func arityOf(o *algebra.Op) int {
+	switch o.Kind {
 	case algebra.OpLit:
 		return 0
 	case algebra.OpUnion, algebra.OpDiff, algebra.OpJoin, algebra.OpSemiJoin,
-		algebra.OpCross, algebra.OpElem, algebra.OpAttrC:
+		algebra.OpCross, algebra.OpAttrC:
 		return 2
+	case algebra.OpElem:
+		n := 1
+		for _, st := range o.Skel {
+			if st.Kind == algebra.SkelAttr || st.Kind == algebra.SkelSlot {
+				n++
+			}
+		}
+		return n
 	default:
 		return 1
 	}
@@ -33,7 +42,7 @@ func arityOf(k algebra.OpKind) int {
 
 func checkArity(w *walker, o *algebra.Op) []Diag {
 	var diags []Diag
-	if want := arityOf(o.Kind); len(o.In) != want {
+	if want := arityOf(o); len(o.In) != want {
 		diags = append(diags, Diag{Class: "structure", Op: w.name(o),
 			Msg: fmt.Sprintf("has %d input(s), %s takes %d", len(o.In), o.Kind, want)})
 	}
@@ -42,6 +51,57 @@ func checkArity(w *walker, o *algebra.Op) []Diag {
 			diags = append(diags, Diag{Class: "structure", Op: w.name(o),
 				Msg: fmt.Sprintf("input %d is nil", i)})
 		}
+	}
+	return diags
+}
+
+// checkSkeleton verifies an ε skeleton: one root element, opens and closes
+// balanced, a name on every element but a dynamic root and on every
+// attribute, and each slot read exactly once, in slot order.
+func checkSkeleton(w *walker, o *algebra.Op) []Diag {
+	var diags []Diag
+	flag := func(format string, args ...any) {
+		diags = append(diags, Diag{Class: "structure", Op: w.name(o), Msg: fmt.Sprintf(format, args...)})
+	}
+	sk := o.Skel
+	if len(sk) == 0 || sk[0].Kind != algebra.SkelOpen || sk[len(sk)-1].Kind != algebra.SkelClose {
+		flag("skeleton %s is not one element", sk)
+		return diags
+	}
+	depth := 0
+	read := make(map[int32]bool)
+	next := int32(0)
+	for i, st := range sk {
+		if i > 0 && depth == 0 {
+			flag("skeleton step %d follows the root element", i)
+			return diags
+		}
+		switch st.Kind {
+		case algebra.SkelOpen:
+			if i > 0 && st.Name == "" {
+				flag("skeleton step %d opens an element without a name", i)
+			}
+			depth++
+		case algebra.SkelClose:
+			depth--
+		case algebra.SkelAttr, algebra.SkelSlot:
+			if st.Kind == algebra.SkelAttr && st.Name == "" {
+				flag("skeleton step %d is an attribute without a name", i)
+			}
+			switch {
+			case read[st.Slot]:
+				flag("skeleton step %d reads slot %d a second time", i, st.Slot)
+			case st.Slot != next:
+				flag("skeleton step %d reads slot %d out of order (want slot %d)", i, st.Slot, next)
+			}
+			read[st.Slot] = true
+			next++
+		default:
+			flag("skeleton step %d has unknown kind %d", i, st.Kind)
+		}
+	}
+	if depth != 0 {
+		flag("skeleton leaves %d element(s) open", depth)
 	}
 	return diags
 }
@@ -165,10 +225,16 @@ func checkSchema(w *walker, o *algebra.Op) []Diag {
 		}
 		want = []string{"iter", "pos", "item"}
 	case algebra.OpElem:
-		need(0, "iter", "item")
-		if !hasCol(o.In[1].Schema(), "iter") || !hasCol(o.In[1].Schema(), "pos") || !hasCol(o.In[1].Schema(), "item") {
-			diags = append(diags, Diag{Class: "schema", Op: w.name(o),
-				Msg: fmt.Sprintf("content input lacks iter|pos|item (has %s)", schemaStr(o.In[1].Schema()))})
+		diags = append(diags, checkSkeleton(w, o)...)
+		need(0, "iter")
+		if len(o.Skel) > 0 && o.Skel[0].Name == "" {
+			need(0, "item") // a dynamic root name
+		}
+		for k, slot := range o.In[1:] {
+			if sc := slot.Schema(); !hasCol(sc, "iter") || !hasCol(sc, "pos") || !hasCol(sc, "item") {
+				diags = append(diags, Diag{Class: "schema", Op: w.name(o),
+					Msg: fmt.Sprintf("slot %d lacks iter|pos|item (has %s)", k, schemaStr(sc))})
+			}
 		}
 		want = []string{"iter", "item"}
 	case algebra.OpAttrC:

@@ -230,17 +230,48 @@ func emptyPlan() *algebra.Op {
 		"iter", bat.IntVec{}, "pos", bat.IntVec{}, "item", bat.ItemVec{}))
 }
 
-// compSeq concatenates two sequence encodings, renumbering pos per iter
-// with an order tag to keep left items before right items.
+// compSeq concatenates the sequence encodings of a comma sequence's
+// operands: each is tagged with its ordinal, the tagged operands are
+// unioned, and one ϱ renumbers pos per iter by (ord, pos) — however many
+// operands the right-nested Seq spine holds.
 func (c *Compiler) compSeq(x *xqcore.Seq, s *scope) *algebra.Op {
-	ql := c.comp(x.L, s)
-	qr := c.comp(x.R, s)
-	lt := c.must(algebra.Cross(ql, algebra.Lit(bat.MustTable("ord", bat.IntVec{1}))))
-	rt := c.must(algebra.Cross(qr, algebra.Lit(bat.MustTable("ord", bat.IntVec{2}))))
-	u := c.must(algebra.Union(lt, rt))
-	rn := c.must(algebra.RowNum(u, "pos1",
+	parts := seqParts(x, nil)
+	switch len(parts) {
+	case 0:
+		return emptyPlan()
+	case 1:
+		return c.comp(parts[0], s)
+	}
+	tagged := make([]*algebra.Op, len(parts))
+	for i, p := range parts {
+		ord := algebra.Lit(bat.MustTable("ord", bat.IntVec{int64(i + 1)}))
+		tagged[i] = c.must(algebra.Cross(c.comp(p, s), ord))
+	}
+	rn := c.must(algebra.RowNum(c.unionAll(tagged), "pos1",
 		[]algebra.OrderSpec{{Col: "ord"}, {Col: "pos"}}, "iter"))
 	return c.must(algebra.Project(rn, "iter", "pos:pos1", "item"))
+}
+
+// unionAll unions the plans as a balanced tree, so each row is copied
+// once per level rather than once per operand to its right.
+func (c *Compiler) unionAll(qs []*algebra.Op) *algebra.Op {
+	if len(qs) == 1 {
+		return qs[0]
+	}
+	m := len(qs) / 2
+	return c.must(algebra.Union(c.unionAll(qs[:m]), c.unionAll(qs[m:])))
+}
+
+// seqParts appends the operands of e's Seq spine to out, in order,
+// leaving out empty sequences: (a, (b, c), ()) has the parts a, b, c.
+func seqParts(e xqcore.Expr, out []xqcore.Expr) []xqcore.Expr {
+	switch x := e.(type) {
+	case *xqcore.Seq:
+		return seqParts(x.R, seqParts(x.L, out))
+	case *xqcore.Empty:
+		return out
+	}
+	return append(out, e)
 }
 
 // compIf compiles conditionals with restricted loops: the then-branch

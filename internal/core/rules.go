@@ -107,13 +107,88 @@ func (c *Compiler) liftThroughMap(plan, mapRel *algebra.Op) *algebra.Op {
 
 // Constructors --------------------------------------------------------------------
 
+// compElemC compiles an element constructor and, inlined into it, every
+// element and attribute constructor with a literal name among its content
+// operands, recursively, into one ε over a skeleton (algebra.Skeleton).
+// Every other operand — an enclosed expression, a text constructor, a
+// constructor with a computed name, one under a for or an if — is a slot
+// compiled in the same loop. A constructor nested this way forces one
+// element per iteration, not a fragment of its own that the next level
+// copies and renumbers.
 func (c *Compiler) compElemC(x *xqcore.ElemC, s *scope) *algebra.Op {
-	qn := c.comp(x.Name, s)
-	names := c.stringPerRow(qn)
-	namesII := c.must(algebra.Project(names, "iter", "item"))
-	qc := c.comp(x.Content, s)
-	e := c.must(algebra.Elem(namesII, qc))
+	sk := skelBuilder{c: c, s: s}
+	root := s.loop
+	name, static := skelName(x.Name)
+	if !static {
+		names := c.stringPerRow(c.comp(x.Name, s))
+		root = c.must(algebra.Project(names, "iter", "item"))
+	}
+	sk.elem(name, x.Content)
+	e := c.must(algebra.ElemSkel(root, sk.skel, sk.slots...))
 	return c.singletonFrom(e, "iter", "item")
+}
+
+// skelBuilder collects the skeleton and the slot plans of one ε.
+type skelBuilder struct {
+	c     *Compiler
+	s     *scope
+	skel  algebra.Skeleton
+	slots []*algebra.Op
+}
+
+// elem appends an element named name ("" for the dynamic root) with the
+// given content.
+func (b *skelBuilder) elem(name string, content xqcore.Expr) {
+	b.skel = append(b.skel, algebra.SkelNode{Kind: algebra.SkelOpen, Name: name})
+	for _, part := range seqParts(content, nil) {
+		switch x := part.(type) {
+		case *xqcore.ElemC:
+			if n, ok := skelName(x.Name); ok {
+				b.elem(n, x.Content)
+				continue
+			}
+		case *xqcore.AttrC:
+			if n, ok := skelName(x.Name); ok {
+				b.slot(algebra.SkelAttr, n, attrItems(x.Value))
+				continue
+			}
+		}
+		b.slot(algebra.SkelSlot, "", part)
+	}
+	b.skel = append(b.skel, algebra.SkelNode{Kind: algebra.SkelClose})
+}
+
+func (b *skelBuilder) slot(kind algebra.SkelKind, name string, e xqcore.Expr) {
+	b.skel = append(b.skel, algebra.SkelNode{Kind: kind, Name: name, Slot: int32(len(b.slots))})
+	b.slots = append(b.slots, b.c.comp(e, b.s))
+}
+
+// attrItems is what an attribute slot needs of a value expression: the ε
+// kernel joins the string values of a slot's items with a space and reads
+// no items as "", which is the string-join(data(e), " ") the normalizer
+// wraps an enclosed attribute value in — so e alone will do.
+func attrItems(v xqcore.Expr) xqcore.Expr {
+	call, ok := v.(*xqcore.Call)
+	if !ok || call.Name != "string-join" {
+		return v
+	}
+	if sep, ok := call.Args[1].(*xqcore.Lit); !ok || sep.Val.Kind != bat.KStr || sep.Val.S != " " {
+		return v
+	}
+	if d, ok := call.Args[0].(*xqcore.Data); ok {
+		return d.X
+	}
+	return call.Args[0]
+}
+
+// skelName returns the name a constructor's name expression spells
+// statically: a string literal a skeleton can carry.
+func skelName(e xqcore.Expr) (string, bool) {
+	l, ok := e.(*xqcore.Lit)
+	if !ok || (l.Val.Kind != bat.KStr && l.Val.Kind != bat.KUntyped) || !algebra.SkelName(l.Val.S) {
+		return "", false
+	}
+	return l.Val.S, true
 }
 
 func (c *Compiler) compAttrC(x *xqcore.AttrC, s *scope) *algebra.Op {

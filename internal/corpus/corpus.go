@@ -98,16 +98,44 @@ type Case struct {
 
 // Constructors extends the dialect corpus with the element-constructor
 // content rules that have an outcome other than "copy the item": a
-// duplicate attribute name is XQDY0025, and adjacent text nodes merge
-// (XQuery §3.7.1.3). They are a list of their own because Dialect is also
-// the compile-only benchmark workload, which expects every query to
-// succeed and must not change under a PR that claims a gain.
+// duplicate attribute name is XQDY0025, an attribute after content is
+// XQTY0024, and adjacent text nodes merge (XQuery §3.7.1.3). The nested
+// cases pin what one ε per constructor tree must keep: atomics join with
+// a space across adjacent enclosed expressions of one element (an empty
+// one between them too) but not across a child element — a literal in
+// braces is literal text, so {1}{2} is 12 — texts merge across them,
+// attribute values join their items with a space, an inlined child
+// keeps its own attribute rules, a child
+// with a computed name or under a for or an if is constructed as before,
+// and two constructors are two nodes even when they are spelled alike.
+// They are a list of their own because Dialect is also the compile-only
+// benchmark workload, which expects every query to succeed and must not
+// change under a PR that claims a gain.
 var Constructors = []Case{
 	{Query: `<e x="1">{attribute x {"2"}}</e>`, Err: "XQDY0025"},
 	{Query: `<e>{/r/a/@x}</e>`, Err: "XQDY0025"},
 	{Query: `count(<e>{text{"a"}, text{"b"}}</e>/text())`, Want: "1"},
 	{Query: `count(<e>{"x", text{"a"}}</e>/text())`, Want: "1"},
 	{Query: `count(<e>{/r/a[1]/text()}</e>/text())`, Want: "1"},
+	{Query: `let $i := 1 return <a>{$i}{$i + 1}</a>`, Want: "<a>1 2</a>"},
+	{Query: `let $i := 1 return <a>{$i}{()}{$i + 1}</a>`, Want: "<a>1 2</a>"},
+	{Query: `let $i := 1 return <a>{$i}<b/>{$i + 1}</a>`, Want: "<a>1<b/>2</a>"},
+	{Query: `<a>{1}{2}</a>`, Want: "<a>12</a>"},
+	{Query: `<a><b>{1}</b>{2}<c>{3, 4}</c></a>`, Want: "<a><b>1</b>2<c>3 4</c></a>"},
+	{Query: `<a>x{text{"y"}}{/r/a[2]/text()}</a>`, Want: "<a>xys</a>"},
+	{Query: `count(<a><b>{text{"x"}}{text{"y"}}</b></a>/b/text())`, Want: "1"},
+	{Query: `<a><b x="1">{attribute x {"2"}}</b></a>`, Err: "XQDY0025"},
+	{Query: `<a><b x="{1}">{/r/a[1]/@x}</b></a>`, Err: "XQDY0025"},
+	{Query: `<a><b>{1}{attribute y {"2"}}</b></a>`, Err: "XQTY0024"},
+	{Query: `<a><b y="{/r/a/@x}" z="{()}">{attribute w {1, 2}}</b></a>`, Want: `<a><b y="1 2" z="" w="1 2"/></a>`},
+	{Query: `<a x="{/r/a[1]}" y="v{(1, 2)}w"/>`, Want: `<a x="pq" y="v1 2w"/>`},
+	{Query: `<a>{element {concat("b", "c")} {1}}<d/></a>`, Want: "<a><bc>1</bc><d/></a>"},
+	{Query: `<a>{for $i in (1, 2) return <b>{$i}</b>}</a>`, Want: "<a><b>1</b><b>2</b></a>"},
+	{Query: `<a>{if (1 = 1) then <b/> else ()}<c/></a>`, Want: "<a><b/><c/></a>"},
+	{Query: `for $i in (1, 2) return <a n="{$i}"><b>{$i * 10}</b></a>`, Want: `<a n="1"><b>10</b></a><a n="2"><b>20</b></a>`},
+	{Query: `let $x := (<a/>, <a/>) return $x[1] is $x[2]`, Want: "false"},
+	{Query: `let $x := <a/> return $x is $x`, Want: "true"},
+	{Query: `let $t := (text{"a"}, text{"a"}) return $t[1] is $t[2]`, Want: "false"},
 }
 
 // IntEdges are xs:integer cases at the int64 edge, needing no document.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/xenc"
 )
@@ -98,98 +99,158 @@ func (fc *fragCache) of(n bat.NodeRef) *xenc.Fragment {
 	return fc.frag
 }
 
-// evalElem implements ε: per iter, construct one element named by the
-// qname table (iter|item, one row per iter) with the iter's slice of the
-// content table (iter|pos|item) as content. Content items are processed in
-// (iter, pos) order: attribute nodes become attributes (and must precede
-// other content), nodes are deep-copied, runs of adjacent atomic items
-// merge into a single text node with single-space separators, and
-// adjacent text nodes merge — the XQuery constructor content rules.
+// elemSlot is one ε input read iteration by iteration: its rows in
+// (iter, pos) order and a cursor at the first row not yet claimed.
+type elemSlot struct {
+	iter  bat.IntVec
+	items itemCol
+	at    int
+}
+
+// claim advances the cursor past iter's rows and returns them as
+// [lo, hi). Rows of a smaller iter have no element to live in: claim
+// skips them and reports the first as orphan (-1 when there is none).
+func (s *elemSlot) claim(iter int64) (lo, hi int, orphan int64) {
+	orphan = -1
+	if s.at < len(s.iter) && s.iter[s.at] < iter {
+		orphan = s.iter[s.at]
+		for s.at < len(s.iter) && s.iter[s.at] < iter {
+			s.at++
+		}
+	}
+	lo = s.at
+	for s.at < len(s.iter) && s.iter[s.at] == iter {
+		s.at++
+	}
+	return lo, s.at, orphan
+}
+
+// evalElem implements ε over a skeleton (algebra.Skeleton): per row of
+// root — the loop (iter), or iter|item names for a dynamic root name —
+// one element tree whose static part is the skeleton's and whose slots
+// hold the iteration's rows of the slot tables (iter|pos|item). Slot
+// items are processed in (iter, pos) order under the XQuery constructor
+// content rules: attribute nodes become attributes (and must precede
+// other content), nodes are deep-copied, runs of adjacent atomic items —
+// across the slots of one element, not across a child element — merge
+// into a single text node with single-space separators, and adjacent text
+// nodes merge. An attribute step's value is its slot's string values,
+// space-joined.
 //
-// Construction is two passes over the ordered content. The size pass
-// (elemSize) totals the nodes and attribute rows the fragment will hold
-// and the builder reserves its columns once; the fill pass appends into
-// them — a copied subtree as a column range — and never reallocates.
-func (e *Engine) evalElem(qnames, content *bat.Table) (*bat.Table, error) {
-	qSorted, err := qnames.SortBy("iter")
+// Construction is two passes. The size pass (elemSize) totals the nodes
+// and attribute rows the fragment will hold and the builder reserves its
+// columns once; the fill pass appends into them — a copied subtree as a
+// column range — and never reallocates. Every tree of one execution is a
+// root of one fragment.
+func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*bat.Table) (*bat.Table, error) {
+	rSorted, err := root.SortBy("iter")
 	if err != nil {
 		return nil, err
 	}
-	qIter, err := qSorted.Ints("iter")
+	rIter, err := rSorted.Ints("iter")
 	if err != nil {
 		return nil, err
 	}
-	qItem, err := qSorted.Col("item")
-	if err != nil {
-		return nil, err
+	var names itemCol
+	if skel.Dynamic() {
+		col, err := rSorted.Col("item")
+		if err != nil {
+			return nil, err
+		}
+		names = readItems(col)
 	}
-	sorted, err := content.SortBy("iter", "pos")
-	if err != nil {
-		return nil, err
+	// Small skeletons — all of XMark's — keep their per-execution state
+	// on the stack.
+	var slotBuf [16]elemSlot
+	slots := slotBuf[:]
+	if len(slotTabs) > len(slots) {
+		slots = make([]elemSlot, len(slotTabs))
 	}
-	cIter, err := sorted.Ints("iter")
-	if err != nil {
-		return nil, err
+	slots = slots[:len(slotTabs)]
+	for k, t := range slotTabs {
+		sorted, err := slotOrder(t)
+		if err != nil {
+			return nil, err
+		}
+		iter, err := sorted.Ints("iter")
+		if err != nil {
+			return nil, err
+		}
+		col, err := sorted.Col("item")
+		if err != nil {
+			return nil, err
+		}
+		slots[k] = elemSlot{iter: iter, items: readItems(col)}
 	}
-	cItem, err := sorted.Col("item")
-	if err != nil {
-		return nil, err
-	}
-	names, items := readItems(qItem), readItems(cItem)
 
-	// One fragment holds every element constructed by this operator
-	// execution; each iter's element is a separate root tree within it.
 	fb := xenc.NewFragBuilder(e.Store)
-	nodes, attrs := elemSize(e.Store, len(qIter), cIter, &items)
-	fb.Reserve(nodes, attrs)
-	outItem := make(bat.NodeVec, len(qIter))
-
-	src := fragCache{store: e.Store}
-	var pending []byte // the open run of atomics, space-separated
-	c := 0
-	for qi, iter := range qIter {
-		// qIter is sorted, so a second name for an iter is the next row.
-		if qi > 0 && iter == qIter[qi-1] {
+	fb.Reserve(elemSize(e.Store, skel, rIter, slots))
+	for k := range slots {
+		slots[k].at = 0
+	}
+	// The skeleton's names are interned once per execution, not once per
+	// element.
+	var idBuf [48]int32
+	ids := idBuf[:]
+	if len(skel) > len(ids) {
+		ids = make([]int32, len(skel))
+	}
+	ids = ids[:len(skel)]
+	for i, st := range skel {
+		switch {
+		case st.Kind == algebra.SkelOpen && st.Name != "":
+			ids[i] = fb.Tag(st.Name)
+		case st.Kind == algebra.SkelAttr:
+			ids[i] = fb.AttrName(st.Name)
+		}
+	}
+	outItem := make(bat.NodeVec, len(rIter))
+	w := elemFill{e: e, fb: fb, src: fragCache{store: e.Store}}
+	for qi, iter := range rIter {
+		// rIter is sorted, so a second row for an iter is the next row.
+		if qi > 0 && iter == rIter[qi-1] {
 			return nil, fmt.Errorf("ε: multiple element names for iter %d", iter)
 		}
-		name := names.str(qi)
-		if name == "" {
-			return nil, fmt.Errorf("ε: empty element name in iter %d", iter)
-		}
-		outItem[qi].Pre = fb.StartElem(name)
-		// Both tables are iter-sorted, so content rows line up with qname
-		// rows; a content iter smaller than the current qname iter has no
-		// element to live in.
-		if c < len(cIter) && cIter[c] < iter {
-			return nil, fmt.Errorf("ε: content iter %d has no element name", cIter[c])
-		}
-		atoms := false
-		for ; c < len(cIter) && cIter[c] == iter; c++ {
-			n, isNode := items.node(c)
-			if !isNode {
-				if atoms {
-					pending = append(pending, ' ')
+		for i, st := range skel {
+			switch st.Kind {
+			case algebra.SkelOpen:
+				w.flush()
+				switch {
+				case i > 0:
+					fb.StartElemTag(ids[i])
+				case st.Name != "":
+					outItem[qi].Pre = fb.StartElemTag(ids[0])
+				default:
+					name := names.str(qi)
+					if name == "" {
+						return nil, fmt.Errorf("ε: empty element name in iter %d", iter)
+					}
+					outItem[qi].Pre = fb.StartElem(name)
 				}
-				pending = items.appendStr(pending, c)
-				atoms = true
-				continue
-			}
-			if atoms {
-				fb.AddText(string(pending))
-				pending, atoms = pending[:0], false
-			}
-			if err := fb.CopyFrom(src.of(n), n.Pre); err != nil {
-				return nil, fmt.Errorf("ε: iter %d: %w", iter, err)
+			case algebra.SkelClose:
+				w.flush()
+				fb.EndElem()
+			case algebra.SkelAttr, algebra.SkelSlot:
+				sl := &slots[st.Slot]
+				lo, hi, orphan := sl.claim(iter)
+				if orphan >= 0 {
+					return nil, fmt.Errorf("ε: content iter %d has no element name", orphan)
+				}
+				if st.Kind == algebra.SkelAttr {
+					err = w.attr(ids[i], &sl.items, lo, hi)
+				} else {
+					err = w.content(&sl.items, lo, hi)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("ε: iter %d: %w", iter, err)
+				}
 			}
 		}
-		if atoms {
-			fb.AddText(string(pending))
-			pending = pending[:0]
-		}
-		fb.EndElem()
 	}
-	if c < len(cIter) {
-		return nil, fmt.Errorf("ε: content iter %d has no element name", cIter[c])
+	for k := range slots {
+		if sl := &slots[k]; sl.at < len(sl.iter) {
+			return nil, fmt.Errorf("ε: content iter %d has no element name", sl.iter[sl.at])
+		}
 	}
 	frag, err := fb.Finish()
 	if err != nil {
@@ -198,24 +259,123 @@ func (e *Engine) evalElem(qnames, content *bat.Table) (*bat.Table, error) {
 	for i := range outItem {
 		outItem[i].Frag = frag
 	}
-	return bat.NewTable("iter", qIter, "item", outItem)
+	return bat.NewTable("iter", rIter, "item", outItem)
+}
+
+// iterPos is the order ε reads a slot in.
+var iterPos = []algebra.OrderSpec{{Col: "iter"}, {Col: "pos"}}
+
+// slotOrder returns t in (iter, pos) order: t itself when it is in that
+// order already, else sorted the way ϱ sorts — counting passes over dense
+// int keys, the stable comparator sort otherwise. A slot whose rows a ∪
+// assembled (a count and the zeros of the iterations without one) comes
+// unsorted.
+func slotOrder(t *bat.Table) (*bat.Table, error) {
+	iter, errIter := t.Ints("iter")
+	pos, errPos := t.Ints("pos")
+	if errIter == nil && errPos == nil {
+		if keys := [2]bat.IntVec{iter, pos}; intRowsSorted(keys[:]) {
+			return t, nil
+		}
+	}
+	out, _, err := physRowNumSort(t, iterPos, "")
+	return out, err
+}
+
+// elemFill is ε's fill pass state: the builder and the open run of
+// atomics of the innermost open element.
+type elemFill struct {
+	e     *Engine
+	fb    *xenc.FragBuilder
+	src   fragCache
+	atoms int    // atomics in the open run
+	first string // the run's first atomic: a run of one needs no buffer
+	run   []byte // a longer run, space-separated
+}
+
+// atom adds row c of items to the open run.
+func (w *elemFill) atom(items *itemCol, c int) {
+	switch w.atoms {
+	case 0:
+		w.first = items.str(c)
+	case 1:
+		w.run = append(w.run[:0], w.first...)
+		fallthrough
+	default:
+		w.run = items.appendStr(append(w.run, ' '), c)
+	}
+	w.atoms++
+}
+
+// flush ends the open run of atomics as a text node.
+func (w *elemFill) flush() {
+	switch w.atoms {
+	case 0:
+		return
+	case 1:
+		w.fb.AddText(w.first)
+	default:
+		w.fb.AddText(string(w.run))
+	}
+	w.atoms, w.first = 0, ""
+}
+
+// content appends rows [lo, hi) of a content slot to the innermost open
+// element.
+func (w *elemFill) content(items *itemCol, lo, hi int) error {
+	for c := lo; c < hi; c++ {
+		n, isNode := items.node(c)
+		if !isNode {
+			w.atom(items, c)
+			continue
+		}
+		w.flush()
+		if err := w.fb.CopyFrom(w.src.of(n), n.Pre); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// attr adds the attribute name to the innermost open element, valued by
+// the string values of rows [lo, hi) of its slot, space-joined.
+func (w *elemFill) attr(name int32, items *itemCol, lo, hi int) error {
+	w.flush()
+	str := func(c int) string {
+		if n, ok := items.node(c); ok {
+			return w.e.Store.StringValue(n)
+		}
+		return items.str(c)
+	}
+	if hi-lo == 1 {
+		// The usual value, one string per iteration, needs no buffer.
+		return w.fb.AddAttrNamed(name, str(lo))
+	}
+	w.run = w.run[:0]
+	for c := lo; c < hi; c++ {
+		if c > lo {
+			w.run = append(w.run, ' ')
+		}
+		w.run = append(w.run, str(c)...)
+	}
+	return w.fb.AddAttrNamed(name, string(w.run))
 }
 
 // elemSize is ε's size pass: the number of tree nodes and attribute rows
-// the fill pass will append for elems elements over the (iter, pos)-ordered
-// content — one node per element, 1+size per copied subtree (a document
-// node contributes its children only) with the attribute rows of its
-// range, one attribute row per attribute ref, and one text node per run of
-// atomics whose joined string is not empty, less every text that merges
-// into a text sibling before it. It mirrors the fill pass's text state and
-// nothing else: content the fill pass rejects is counted any which way,
-// since no fragment comes of it.
-func elemSize(store *xenc.Store, elems int, cIter bat.IntVec, items *itemCol) (nodes, attrs int) {
-	nodes = elems
+// the fill pass will append — one node per skeleton element and one
+// attribute row per skeleton attribute per iteration; per content row,
+// 1+size per copied subtree (a document node contributes its children
+// only) with the attribute rows of its range, one attribute row per
+// attribute ref, and one text node per run of atomics whose joined string
+// is not empty, less every text that merges into a text sibling before it.
+// It mirrors the fill pass's text state and nothing else: content the
+// fill pass rejects is counted any which way, since no fragment comes of
+// it. It leaves the slot cursors at the end.
+func elemSize(store *xenc.Store, skel algebra.Skeleton, roots bat.IntVec, slots []elemSlot) (nodes, attrs int) {
 	src := fragCache{store: store}
 	run := 0          // atomics in the open run
 	runText := false  // the open run's joined string is not empty
-	lastText := false // the element's last child so far is a text node
+	lastText := false // the innermost open element's last child so far is a text node
 	endRun := func() {
 		if runText && !lastText {
 			nodes++
@@ -223,49 +383,65 @@ func elemSize(store *xenc.Store, elems int, cIter bat.IntVec, items *itemCol) (n
 		lastText = lastText || runText
 		run, runText = 0, false
 	}
-	for c := range cIter {
-		if c > 0 && cIter[c] != cIter[c-1] {
-			endRun()
-			lastText = false
-		}
-		n, isNode := items.node(c)
-		if !isNode {
-			// Two atomics join with a space, so only a lone empty string
-			// makes no text.
-			run++
-			runText = runText || run > 1 || !items.emptyStr(c)
-			continue
-		}
-		endRun()
-		if n.Pre >= xenc.AttrBase {
-			attrs++
-			continue
-		}
-		sf := src.of(n)
-		end := n.Pre + sf.Size[n.Pre]
-		alo, ahi := sf.AttrRange(n.Pre, end)
-		attrs += int(ahi - alo)
-		switch sf.Kind[n.Pre] {
-		case xenc.KindText:
-			if !lastText {
-				nodes++
+	for _, iter := range roots {
+		for _, st := range skel {
+			switch st.Kind {
+			case algebra.SkelOpen, algebra.SkelClose:
+				// A new element has no children yet; a closed one is its
+				// parent's last child.
+				endRun()
+				lastText = false
+				if st.Kind == algebra.SkelOpen {
+					nodes++
+				}
+			case algebra.SkelAttr:
+				slots[st.Slot].claim(iter)
+				endRun()
+				attrs++
+			case algebra.SkelSlot:
+				sl := &slots[st.Slot]
+				lo, hi, _ := sl.claim(iter)
+				for c := lo; c < hi; c++ {
+					n, isNode := sl.items.node(c)
+					if !isNode {
+						// Two atomics join with a space, so only a lone empty
+						// string makes no text.
+						run++
+						runText = runText || run > 1 || !sl.items.emptyStr(c)
+						continue
+					}
+					endRun()
+					if n.Pre >= xenc.AttrBase {
+						attrs++
+						continue
+					}
+					sf := src.of(n)
+					end := n.Pre + sf.Size[n.Pre]
+					alo, ahi := sf.AttrRange(n.Pre, end)
+					attrs += int(ahi - alo)
+					switch sf.Kind[n.Pre] {
+					case xenc.KindText:
+						if !lastText {
+							nodes++
+						}
+						lastText = true
+					case xenc.KindDoc:
+						if end == n.Pre {
+							continue
+						}
+						nodes += int(end - n.Pre)
+						if lastText && sf.Kind[n.Pre+1] == xenc.KindText {
+							nodes--
+						}
+						lastText = sf.Kind[end] == xenc.KindText && sf.Parent[end] == n.Pre
+					default:
+						nodes += int(end-n.Pre) + 1
+						lastText = false
+					}
+				}
 			}
-			lastText = true
-		case xenc.KindDoc:
-			if end == n.Pre {
-				continue
-			}
-			nodes += int(end - n.Pre)
-			if lastText && sf.Kind[n.Pre+1] == xenc.KindText {
-				nodes--
-			}
-			lastText = sf.Kind[end] == xenc.KindText && sf.Parent[end] == n.Pre
-		default:
-			nodes += int(end-n.Pre) + 1
-			lastText = false
 		}
 	}
-	endRun()
 	return nodes, attrs
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/xenc"
 )
@@ -57,30 +58,42 @@ func wrapEach(tag string, items bat.Vec) (qnames, content *bat.Table) {
 // TestConstructAllocBudget: ε reserves its fragment once from the size
 // pass and copies subtrees as column ranges, so it allocates the same
 // handful of slices — the nine columns, the output vector, the tables —
-// whether it copies 400 nodes or 40 000. (The per-node builder grew five
-// columns by doubling and the attribute table with them.)
+// whether it copies 400 nodes or 40 000: as the binary ε, and as a
+// skeleton whose root carries an attribute slot and a child element
+// around the copy. (The per-node builder grew five columns by doubling
+// and the attribute table with them.)
 func TestConstructAllocBudget(t *testing.T) {
 	const budget = 24
 	// A collection cycle during the count runs the cleanups other
 	// packages linked into the test binary registered (unique's, for
-	// net/netip), and their allocations are not ε's. The three sizes
-	// allocate about 15 MB in all.
+	// net/netip), and their allocations are not ε's. The sizes allocate
+	// about 30 MB in all.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	first := -1.0
-	for _, nodes := range []int{400, 4000, 40000} {
-		e, f, frag := loadPeople(t, nodes/4)
-		q, c := wrapEach("copy", childRefs(f, frag, 1))
-		got := testing.AllocsPerRun(10, func() {
-			out, err := e.evalElem(q, c)
-			if err != nil || out.Rows() != nodes/4 {
-				t.Fatalf("ε: %v", err)
+	skel := mustSkel("<w id=$0><copy>$1</copy></w>")
+	for _, shape := range []string{"binary", "skeleton"} {
+		first := -1.0
+		for _, nodes := range []int{400, 4000, 40000} {
+			e, f, frag := loadPeople(t, nodes/4)
+			q, c := wrapEach("copy", childRefs(f, frag, 1))
+			ids := bat.MustTable("iter", q.MustCol("iter"), "pos", c.MustCol("pos"), "item", q.MustCol("item"))
+			got := testing.AllocsPerRun(10, func() {
+				var out *bat.Table
+				var err error
+				if shape == "binary" {
+					out, err = e.binaryElem(q, c)
+				} else {
+					out, err = e.evalElem(q, skel, []*bat.Table{ids, c})
+				}
+				if err != nil || out.Rows() != nodes/4 {
+					t.Fatalf("%s ε: %v", shape, err)
+				}
+			})
+			if first < 0 {
+				first = got
 			}
-		})
-		if first < 0 {
-			first = got
-		}
-		if got > budget || got != first {
-			t.Errorf("ε copying %d nodes allocates %.0f times, want the %.0f of the smallest size and at most %d", nodes, got, first, budget)
+			if got > budget || got != first {
+				t.Errorf("%s ε copying %d nodes allocates %.0f times, want the %.0f of the smallest size and at most %d", shape, nodes, got, first, budget)
+			}
 		}
 	}
 }
@@ -93,32 +106,7 @@ func TestConstructAllocBudget(t *testing.T) {
 // is left with two adjacent text children.
 func TestElemSizeIsExact(t *testing.T) {
 	e := New(xenc.NewStore())
-	// The shredder reads raw tokens, so text beside the root element lands
-	// as a child of the document node: copying that document node puts a
-	// text first and last among the copied siblings.
-	doc, err := e.Store.LoadDocumentString("m.xml",
-		`head<r><a x="1" y="2">p<b/>q</a>lone<a x="3"><!--c-->s<b z="4">t</b></a><b/></r>tail`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	texts, err := e.evalText(bat.MustTable("iter", bat.Ramp(1, 3), "item", bat.StrVec{"τ1", "τ2", "τ3"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := e.Store.Frag(doc.Frag)
-	var pool []bat.Item
-	for p := int32(0); p < int32(f.NodeCount()); p++ {
-		pool = append(pool, bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: p}))
-	}
-	for _, n := range texts.MustCol("item").(bat.NodeVec) {
-		pool = append(pool, bat.Node(n))
-	}
-	atoms := []bat.Item{bat.Str(""), bat.Str("s"), bat.Untyped(""), bat.Untyped("u"), bat.Int(7), bat.Float(1.5), bat.Bool(true)}
-	attrRefs := []bat.Item{
-		bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: xenc.AttrBase}),     // x
-		bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: xenc.AttrBase + 1}), // y
-		bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: xenc.AttrBase + 3}), // z
-	}
+	fx := newContentFixture(t, e)
 	r := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 400; trial++ {
 		var iters, poss bat.IntVec
@@ -131,50 +119,104 @@ func TestElemSizeIsExact(t *testing.T) {
 				iters, poss, items = append(iters, int64(it)), append(poss, pos), append(items, item)
 			}
 			for i, n := 0, r.Intn(3); i < n; i++ {
-				add(attrRefs[i])
+				add(fx.attrRefs[i])
 			}
 			for i, n := 0, r.Intn(7); i < n; i++ {
-				if r.Intn(2) == 0 {
-					add(atoms[r.Intn(len(atoms))])
-				} else {
-					add(pool[r.Intn(len(pool))])
-				}
+				add(fx.item(r))
 			}
 		}
 		names := make(bat.StrVec, elems)
 		for i := range names {
 			names[i] = "e"
 		}
-		var content *bat.Table
-		if len(items) == 0 {
-			content = bat.MustTable("iter", bat.IntVec{}, "pos", bat.IntVec{}, "item", bat.ItemVec{})
-		} else {
-			content = bat.MustTable("iter", iters, "pos", poss, "item", items)
-		}
-		out, err := e.evalElem(bat.MustTable("iter", bat.Ramp(1, elems), "item", names), content)
+		out, err := e.binaryElem(bat.MustTable("iter", bat.Ramp(1, elems), "item", names), seqTable(iters, poss, items))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		nf := e.Store.Frag(out.MustCol("item").(bat.NodeVec)[0].Frag)
-		if err := nf.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		assertExact(t, fmt.Sprintf("trial %d (content %v)", trial, items), e.Store.Frag(out.MustCol("item").(bat.NodeVec)[0].Frag))
+	}
+}
+
+// contentFixture is the random constructor content the size and skeleton
+// tests draw from: every node of a document whose text sits beside its
+// root element (copying the document node puts a text first and last
+// among the copied siblings), three constructed texts, atomics with empty
+// strings among them, and three attribute refs.
+type contentFixture struct {
+	pool     []bat.Item
+	atoms    []bat.Item
+	attrRefs []bat.Item
+}
+
+func newContentFixture(t *testing.T, e *Engine) *contentFixture {
+	t.Helper()
+	doc, err := e.Store.LoadDocumentString("m.xml",
+		`head<r><a x="1" y="2">p<b/>q</a>lone<a x="3"><!--c-->s<b z="4">t</b></a><b/></r>tail`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts, err := e.evalText(bat.MustTable("iter", bat.Ramp(1, 3), "item", bat.StrVec{"τ1", "τ2", "τ3"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &contentFixture{
+		atoms: []bat.Item{bat.Str(""), bat.Str("s"), bat.Untyped(""), bat.Untyped("u"), bat.Int(7), bat.Float(1.5), bat.Bool(true)},
+		attrRefs: []bat.Item{
+			bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: xenc.AttrBase}),     // x
+			bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: xenc.AttrBase + 1}), // y
+			bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: xenc.AttrBase + 3}), // z
+		},
+	}
+	f := e.Store.Frag(doc.Frag)
+	for p := int32(0); p < int32(f.NodeCount()); p++ {
+		fx.pool = append(fx.pool, bat.Node(bat.NodeRef{Frag: doc.Frag, Pre: p}))
+	}
+	for _, n := range texts.MustCol("item").(bat.NodeVec) {
+		fx.pool = append(fx.pool, bat.Node(n))
+	}
+	return fx
+}
+
+// item draws an atomic or a node, evenly.
+func (fx *contentFixture) item(r *rand.Rand) bat.Item {
+	if r.Intn(2) == 0 {
+		return fx.atoms[r.Intn(len(fx.atoms))]
+	}
+	return fx.pool[r.Intn(len(fx.pool))]
+}
+
+// seqTable is an iter|pos|item table, typed even when empty.
+func seqTable(iters, poss bat.IntVec, items bat.ItemVec) *bat.Table {
+	if len(items) == 0 {
+		return bat.MustTable("iter", bat.IntVec{}, "pos", bat.IntVec{}, "item", bat.ItemVec{})
+	}
+	return bat.MustTable("iter", iters, "pos", poss, "item", items)
+}
+
+// assertExact fails unless the constructed fragment validates, every one
+// of its columns is full to its capacity — the size pass reserved exactly
+// what the fill pass appended — and no element has two adjacent text
+// children.
+func assertExact(t *testing.T, label string, nf *xenc.Fragment) {
+	t.Helper()
+	if err := nf.Validate(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for name, slack := range map[string]int{
+		"Size": cap(nf.Size) - len(nf.Size), "Level": cap(nf.Level) - len(nf.Level),
+		"Kind": cap(nf.Kind) - len(nf.Kind), "Prop": cap(nf.Prop) - len(nf.Prop),
+		"Parent":    cap(nf.Parent) - len(nf.Parent),
+		"AttrOwner": cap(nf.AttrOwner) - len(nf.AttrOwner), "AttrName": cap(nf.AttrName) - len(nf.AttrName),
+		"AttrVal": cap(nf.AttrVal) - len(nf.AttrVal),
+	} {
+		if slack != 0 {
+			t.Fatalf("%s: column %s has %d rows of slack (%d nodes, %d attrs): the size pass miscounted",
+				label, name, slack, nf.NodeCount(), nf.AttrCount())
 		}
-		for name, slack := range map[string]int{
-			"Size": cap(nf.Size) - len(nf.Size), "Level": cap(nf.Level) - len(nf.Level),
-			"Kind": cap(nf.Kind) - len(nf.Kind), "Prop": cap(nf.Prop) - len(nf.Prop),
-			"Parent":    cap(nf.Parent) - len(nf.Parent),
-			"AttrOwner": cap(nf.AttrOwner) - len(nf.AttrOwner), "AttrName": cap(nf.AttrName) - len(nf.AttrName),
-			"AttrVal": cap(nf.AttrVal) - len(nf.AttrVal),
-		} {
-			if slack != 0 {
-				t.Fatalf("trial %d: column %s has %d rows of slack (%d nodes, %d attrs): the size pass miscounted\ncontent %v",
-					trial, name, slack, nf.NodeCount(), nf.AttrCount(), items)
-			}
-		}
-		for p := int32(1); p < int32(nf.NodeCount()); p++ {
-			if nf.Kind[p] == xenc.KindText && nf.Kind[p-1] == xenc.KindText && nf.Parent[p] == nf.Parent[p-1] {
-				t.Fatalf("trial %d: adjacent text siblings at %d, %d", trial, p-1, p)
-			}
+	}
+	for p := int32(1); p < int32(nf.NodeCount()); p++ {
+		if nf.Kind[p] == xenc.KindText && nf.Kind[p-1] == xenc.KindText && nf.Parent[p] == nf.Parent[p-1] {
+			t.Fatalf("%s: adjacent text siblings at %d, %d", label, p-1, p)
 		}
 	}
 }
@@ -188,7 +230,7 @@ func TestConstructorTextMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := texts.MustCol("item").(bat.NodeVec)
-	out, err := e.evalElem(
+	out, err := e.binaryElem(
 		bat.MustTable("iter", bat.IntVec{1}, "item", bat.StrVec{"e"}),
 		bat.MustTable("iter", bat.ConstInt(1, 5), "pos", bat.Ramp(1, 5),
 			"item", bat.ItemVec{bat.Node(tn[0]), bat.Str("x"), bat.Int(1), bat.Node(tn[1]), bat.Node(tn[0])}))
@@ -232,7 +274,7 @@ func TestConstructorTextRunIsLinear(t *testing.T) {
 		t.Fatalf("%d text nodes in the source, want %d", len(texts), n)
 	}
 	before := e.Store.Report().TextPoolBytes
-	out, err := e.evalElem(
+	out, err := e.binaryElem(
 		bat.MustTable("iter", bat.IntVec{1}, "item", bat.StrVec{"e"}),
 		bat.MustTable("iter", bat.ConstInt(1, n), "pos", bat.Ramp(1, n), "item", texts))
 	if err != nil {
@@ -277,13 +319,29 @@ func TestAttrConstructorPairsByIter(t *testing.T) {
 
 var constructSink *bat.Table
 
+// binaryElem runs the paper's binary ε — a name table and one content
+// table — through the skeleton kernel.
+func (e *Engine) binaryElem(qnames, content *bat.Table) (*bat.Table, error) {
+	return e.evalElem(qnames, binarySkel, []*bat.Table{content})
+}
+
+var binarySkel = mustSkel("<*>$0</*>")
+
+func mustSkel(src string) algebra.Skeleton {
+	s, err := algebra.ParseSkeleton(src)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // BenchmarkElemConstruct measures ε in the three shapes the XMark
 // constructor queries have.
 //
-//	nested       Q10: three levels, each copying the level below — a copy of a
-//	             copy of document text, 2 000 iterations
+//	nested       Q10: a three-level skeleton around one copy of document
+//	             text, 2 000 iterations
 //	many-tiny    Q8/Q9/Q11/Q12: <item person="…">{count}</item>, 2 550
-//	             iterations of one constructed attribute and one integer
+//	             iterations of one attribute slot and one integer
 //	one-large    one iteration copying one 40 000-node subtree
 func BenchmarkElemConstruct(b *testing.B) {
 	b.Run("nested", func(b *testing.B) {
@@ -293,54 +351,36 @@ func BenchmarkElemConstruct(b *testing.B) {
 		for _, p := range childRefs(f, frag, 1) {
 			leaves = append(leaves, bat.NodeRef{Frag: frag, Pre: p.Pre + 2})
 		}
-		// Everything but the item column is the same at every level and
-		// is built once, outside the timed loop.
-		iters, ones := bat.Ramp(1, people), bat.ConstInt(1, people)
-		var qnames []*bat.Table
-		for _, tag := range []string{"nom", "coordonnees", "personne"} {
-			q, _ := wrapEach(tag, leaves)
-			qnames = append(qnames, q)
-		}
+		loop, content := wrapEach("", leaves)
+		skel := mustSkel("<personne><coordonnees><nom>$0</nom></coordonnees></personne>")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			level := bat.Vec(leaves)
-			for _, q := range qnames {
-				out, err := e.evalElem(q, bat.MustTable("iter", iters, "pos", ones, "item", level))
-				if err != nil {
-					b.Fatal(err)
-				}
-				constructSink, level = out, out.MustCol("item")
+			var err error
+			if constructSink, err = e.evalElem(loop, skel, []*bat.Table{content}); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("many-tiny", func(b *testing.B) {
 		const n = 2550
 		e := New(xenc.NewStore())
-		attrNames, values := make(bat.StrVec, n), make(bat.ItemVec, n)
-		iters, pos := make(bat.IntVec, 2*n), make(bat.IntVec, 2*n)
+		values, counts := make(bat.ItemVec, n), make(bat.IntVec, n)
 		for i := 0; i < n; i++ {
-			attrNames[i], values[i] = "person", bat.Untyped(fmt.Sprintf("Name %d", i))
-			iters[2*i], iters[2*i+1] = int64(i+1), int64(i+1)
-			pos[2*i], pos[2*i+1] = 1, 2
+			values[i], counts[i] = bat.Untyped(fmt.Sprintf("Name %d", i)), int64(i%40)
 		}
-		nameTable := bat.MustTable("iter", bat.Ramp(1, n), "item", attrNames)
-		valueTable := bat.MustTable("iter", bat.Ramp(1, n), "item", values)
-		q, _ := wrapEach("item", bat.Ramp(1, n))
+		iters, ones := bat.Ramp(1, n), bat.ConstInt(1, n)
+		loop := bat.MustTable("iter", iters)
+		slots := []*bat.Table{
+			bat.MustTable("iter", iters, "pos", ones, "item", values),
+			bat.MustTable("iter", iters, "pos", ones, "item", counts),
+		}
+		skel := mustSkel("<item person=$0>$1</item>")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			attrs, err := e.evalAttrC(nameTable, valueTable)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Per iteration: the constructed attribute, then the count.
-			items := make(bat.ItemVec, 2*n)
-			for j, a := range attrs.MustCol("item").(bat.NodeVec) {
-				items[2*j], items[2*j+1] = bat.Node(a), bat.Int(int64(j%40))
-			}
-			content := bat.MustTable("iter", iters, "pos", pos, "item", items)
-			if constructSink, err = e.evalElem(q, content); err != nil {
+			var err error
+			if constructSink, err = e.evalElem(loop, skel, slots); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -352,7 +392,7 @@ func BenchmarkElemConstruct(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if constructSink, err = e.evalElem(q, c); err != nil {
+			if constructSink, err = e.binaryElem(q, c); err != nil {
 				b.Fatal(err)
 			}
 		}

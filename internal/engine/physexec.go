@@ -363,13 +363,18 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		}
 		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: m}, nil
 	case algebra.OpElem:
-		qt, m1 := matCount(in[0])
-		ct, m2 := matCount(in[1])
-		out, err := e.evalElem(qt, ct)
+		tabs := make([]*bat.Table, len(in))
+		mat := 0
+		for i, v := range in {
+			var m int
+			tabs[i], m = matCount(v)
+			mat += m
+		}
+		out, err := e.evalElem(tabs[0], o.Skel, tabs[1:])
 		if err != nil {
 			return physOut{}, err
 		}
-		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: m1 + m2}, nil
+		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: mat}, nil
 	case algebra.OpText:
 		t, m := matCount(in[0])
 		out, err := e.evalText(t)

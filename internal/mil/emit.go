@@ -129,7 +129,14 @@ func (e *emitter) rhs(o *algebra.Op, in []int) (string, error) {
 	case algebra.OpRoots:
 		return fmt.Sprintf("roots(%s)", v(0)), nil
 	case algebra.OpElem:
-		return fmt.Sprintf("elem(%s, %s)", v(0), v(1)), nil
+		if o.Skel.Binary() {
+			return fmt.Sprintf("elem(%s, %s)", v(0), v(1)), nil
+		}
+		args := []string{v(0), strconv.Quote(o.Skel.String())}
+		for i := 1; i < len(in); i++ {
+			args = append(args, v(i))
+		}
+		return "elem(" + strings.Join(args, ", ") + ")", nil
 	case algebra.OpText:
 		return fmt.Sprintf("text(%s)", v(0)), nil
 	case algebra.OpAttrC:

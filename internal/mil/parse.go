@@ -80,7 +80,34 @@ func parseRHS(rhs string, vars map[string]*algebra.Op) (*algebra.Op, error) {
 			return nil, err
 		}
 		return algebra.Select(in, args[1])
-	case "union", "cross", "elem", "attr":
+	case "elem":
+		root, err := getVar(0)
+		if err != nil {
+			return nil, err
+		}
+		if len(args) < 2 || !strings.HasPrefix(args[1], `"`) {
+			content, err := getVar(1)
+			if err != nil {
+				return nil, err
+			}
+			return algebra.Elem(root, content)
+		}
+		src, err := strconv.Unquote(args[1])
+		if err != nil {
+			return nil, fmt.Errorf("bad skeleton %q", args[1])
+		}
+		skel, err := algebra.ParseSkeleton(src)
+		if err != nil {
+			return nil, err
+		}
+		slots := make([]*algebra.Op, len(args)-2)
+		for i := range slots {
+			if slots[i], err = getVar(i + 2); err != nil {
+				return nil, err
+			}
+		}
+		return algebra.ElemSkel(root, skel, slots...)
+	case "union", "cross", "attr":
 		l, err := getVar(0)
 		if err != nil {
 			return nil, err

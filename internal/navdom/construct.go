@@ -105,7 +105,7 @@ func (ip *Interp) evalElemC(x *xqcore.ElemC, en *env) ([]Item, error) {
 			switch it.Node.Kind {
 			case Attr:
 				if len(el.Children) > 0 {
-					return nil, fmt.Errorf("attribute after element content")
+					return nil, fmt.Errorf("XQTY0024: attribute after element content")
 				}
 				for _, have := range el.Attrs {
 					if have.Name == it.Node.Name {

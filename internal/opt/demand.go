@@ -164,8 +164,13 @@ func demandOf(idx *planIndex) *demand {
 			d.pass(i, in[0])
 			d.add(in[0], "iter", "item")
 		case algebra.OpElem:
-			d.add(in[0], "iter", "item")
-			d.add(in[1], "iter", "pos", "item")
+			d.add(in[0], "iter")
+			if o.Skel.Dynamic() {
+				d.add(in[0], "item")
+			}
+			for _, slot := range in[1:] {
+				d.add(slot, "iter", "pos", "item")
+			}
 		case algebra.OpAttrC:
 			d.add(in[0], "iter", "item")
 			d.add(in[1], "iter", "item")

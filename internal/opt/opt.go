@@ -151,11 +151,17 @@ func (s *scratch) cse(x *planIndex) *planIndex {
 			memo[i] = j
 			continue
 		}
-		s.key = appendSignature(s.key[:0], o, ins)
-		h := maphash.Bytes(s.seed, s.key)
-		if j := s.canonical(out, h); j >= 0 {
-			memo[i] = j
-			continue
+		// Every execution of a constructor makes new nodes: two with the
+		// same inputs are two results, never one — <a/> is <a/> is false.
+		constructs := o.Kind == algebra.OpElem || o.Kind == algebra.OpText || o.Kind == algebra.OpAttrC
+		var h uint64
+		if !constructs {
+			s.key = appendSignature(s.key[:0], o, ins)
+			h = maphash.Bytes(s.seed, s.key)
+			if j := s.canonical(out, h); j >= 0 {
+				memo[i] = j
+				continue
+			}
 		}
 		cur := o
 		if changed {
@@ -167,13 +173,17 @@ func (s *scratch) cse(x *planIndex) *planIndex {
 			cur = &cp
 		}
 		j := out.add(cur, ins)
+		memo[i] = j
+		if constructs {
+			s.chain = append(s.chain, -1)
+			continue
+		}
 		prev, ok := s.canon[h]
 		if !ok {
 			prev = -1
 		}
 		s.chain = append(s.chain, prev)
 		s.canon[h] = j
-		memo[i] = j
 	}
 	return out
 }
@@ -383,7 +393,7 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebr
 	case algebra.OpRoots:
 		return algebra.Roots(in[0])
 	case algebra.OpElem:
-		return algebra.Elem(in[0], in[1])
+		return algebra.ElemSkel(in[0], o.Skel, in[1:]...)
 	case algebra.OpText:
 		return algebra.Text(in[0])
 	case algebra.OpAttrC:

@@ -112,10 +112,10 @@ func (s *orderSense) observes(p, x int32) bool {
 		// keys, and sort-dedups context nodes: a full barrier.
 		return false
 	case algebra.OpElem:
-		// Qnames are sorted by iter (duplicates are an error); content
-		// is sorted by (iter, pos) before node construction, so its
-		// order is only observable through ties on (iter, pos).
-		return in[1] == x && !s.valueDetermined(x)
+		// The root input is sorted by iter (duplicates are an error);
+		// each slot is sorted by (iter, pos) before node construction, so
+		// its order is only observable through ties on (iter, pos).
+		return slices.Contains(in[1:], x) && !s.valueDetermined(x)
 	case algebra.OpText:
 		// Constructed text nodes get pre-order ids in input row order.
 		return true

@@ -137,11 +137,13 @@ func refOrderMatters(root *algebra.Op, pr *props) map[*algebra.Op]bool {
 			// keys, and sort-dedups context nodes: a full barrier.
 			mark(o.In[0], false)
 		case algebra.OpElem:
-			// Qnames are sorted by iter (duplicates are an error); content
-			// is sorted by (iter, pos) before node construction, so its
-			// order is only observable through ties on (iter, pos).
+			// The root input is sorted by iter (duplicates are an error);
+			// each slot is sorted by (iter, pos) before node construction,
+			// so its order is only observable through ties on (iter, pos).
 			mark(o.In[0], false)
-			mark(o.In[1], !refValueDetermined(o.In[1], pr))
+			for _, slot := range o.In[1:] {
+				mark(slot, !refValueDetermined(slot, pr))
+			}
 		case algebra.OpText:
 			// Constructed text nodes get pre-order ids in input row order.
 			mark(o.In[0], true)
@@ -285,8 +287,13 @@ func refDemandMap(root *algebra.Op) map[*algebra.Op]map[string]bool {
 			demand(o.In[0], refKeys(need)...)
 			demand(o.In[0], "iter", "item")
 		case algebra.OpElem:
-			demand(o.In[0], "iter", "item")
-			demand(o.In[1], "iter", "pos", "item")
+			demand(o.In[0], "iter")
+			if o.Skel.Dynamic() {
+				demand(o.In[0], "item")
+			}
+			for _, slot := range o.In[1:] {
+				demand(slot, "iter", "pos", "item")
+			}
 		case algebra.OpAttrC:
 			demand(o.In[0], "iter", "item")
 			demand(o.In[1], "iter", "item")

@@ -86,7 +86,7 @@ type Plan struct {
 // EstCost is the admission controller's memory proxy: the sum of the
 // plan's estimated intermediate cardinalities across all operators.
 // Operators with unknown cardinality (EstRows < 0 — anything downstream
-// of a location step, range, or constructor) are charged unknownRows
+// of a location step, range, or text or attribute constructor) are charged unknownRows
 // each, so a plan's cost grows with both its known materialization and
 // the number of opaque fan-out points it contains. The absolute numbers
 // are a pessimistic currency, not a prediction; admission only needs
@@ -288,9 +288,9 @@ func statTiny(nd *Node) bool {
 }
 
 // estRows propagates output-cardinality upper bounds bottom-up from
-// literal table sizes. Location steps, ranges, and constructors have
-// data-dependent fan-out the lowering pass cannot see; they (and
-// anything downstream of them) report -1.
+// literal table sizes. Location steps, ranges, and the text and attribute
+// constructors have data-dependent fan-out the lowering pass cannot see;
+// they (and anything downstream of them) report -1.
 func estRows(o *algebra.Op, nd *Node) int64 {
 	in := func(i int) int64 {
 		if i >= len(nd.In) {
@@ -327,9 +327,11 @@ func estRows(o *algebra.Op, nd *Node) int64 {
 			return 1
 		}
 		return in(0)
+	case algebra.OpElem:
+		// One element per row of the root input, whatever the slots hold.
+		return in(0)
 	}
-	// OpStep, OpRange, OpColl, OpElem, OpText, OpAttrC: data-dependent
-	// fan-out.
+	// OpStep, OpRange, OpColl, OpText, OpAttrC: data-dependent fan-out.
 	return -1
 }
 

@@ -47,8 +47,16 @@ func (b *FragBuilder) Reserve(nodes, attrs int) { b.sh.frag.reserve(nodes, attrs
 // StartElem opens a new element with the given tag and returns its pre
 // rank within the fragment under construction.
 func (b *FragBuilder) StartElem(tag string) int32 {
+	return b.StartElemTag(b.tag.put(b.store.tags, tag))
+}
+
+// Tag interns an element name for StartElemTag.
+func (b *FragBuilder) Tag(name string) int32 { return b.store.tags.Put(name) }
+
+// StartElemTag is StartElem by an interned tag.
+func (b *FragBuilder) StartElemTag(tag int32) int32 {
 	b.endRun()
-	return b.sh.openNode(KindElem, b.tag.put(b.store.tags, tag))
+	return b.sh.openNode(KindElem, tag)
 }
 
 // EndElem closes the innermost open element.
@@ -112,7 +120,15 @@ func (b *FragBuilder) lastChildText() int32 {
 // AddAttr attaches an attribute to the innermost open element. It must be
 // called before any content is added to that element.
 func (b *FragBuilder) AddAttr(name, val string) error {
-	return b.addAttr(b.attrName.put(b.store.attrNames, name), b.store.attrVals.Put(val))
+	return b.AddAttrNamed(b.attrName.put(b.store.attrNames, name), val)
+}
+
+// AttrName interns an attribute name for AddAttrNamed.
+func (b *FragBuilder) AttrName(name string) int32 { return b.store.attrNames.Put(name) }
+
+// AddAttrNamed is AddAttr by an interned name.
+func (b *FragBuilder) AddAttrNamed(name int32, val string) error {
+	return b.addAttr(name, b.store.attrVals.Put(val))
 }
 
 func (b *FragBuilder) addAttr(nameID, valID int32) error {
@@ -122,7 +138,7 @@ func (b *FragBuilder) addAttr(nameID, valID int32) error {
 	}
 	owner := b.sh.open[len(b.sh.open)-1]
 	if int32(len(f.Size))-1 != owner {
-		return fmt.Errorf("attribute %q follows element content", b.store.attrNames.Get(nameID))
+		return fmt.Errorf("XQTY0024: attribute %q follows element content", b.store.attrNames.Get(nameID))
 	}
 	// The owner is the fragment's last node, so its attributes are the
 	// tail of the attribute table; an element has few.
@@ -168,6 +184,13 @@ func (b *FragBuilder) CopyFrom(sf *Fragment, pre int32) error {
 		if lo++; lo > hi {
 			return nil
 		}
+	}
+	if lo == hi && sf.Kind[lo] != KindElem {
+		// A text or comment — what a path ending in text() copies — has
+		// no descendants and no attributes: one row, not five ranges.
+		b.endRun()
+		b.sh.leaf(sf.Kind[lo], sf.Prop[lo])
+		return nil
 	}
 	b.copyRange(sf, lo, hi)
 	return nil

@@ -59,7 +59,7 @@ func (b *refBuilder) addAttr(name, val string) error {
 	owner := b.sh.open[len(b.sh.open)-1]
 	f := b.sh.frag
 	if int32(len(f.Size))-1 != owner {
-		return fmt.Errorf("attribute %q follows element content", name)
+		return fmt.Errorf("XQTY0024: attribute %q follows element content", name)
 	}
 	id := b.store.attrNames.Put(name)
 	for i, o := range f.AttrOwner {

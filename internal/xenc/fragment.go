@@ -76,18 +76,29 @@ func (f *Fragment) Attrs(pre int32) (lo, hi int32) { return f.AttrRange(pre, pre
 
 // AttrRange returns the index range [alo, ahi) of the attribute rows owned
 // by the nodes lo..hi — for lo..lo+Size[lo], the attributes of a subtree.
+// A fragment without attributes has no offsets and every range is empty.
 func (f *Fragment) AttrRange(lo, hi int32) (alo, ahi int32) {
+	if f.attrOfs == nil {
+		return 0, 0
+	}
 	return f.attrOfs[lo], f.attrOfs[hi+1]
 }
 
+// sealed reports whether the attribute offsets are in place: built, or
+// not needed because the fragment has no attribute rows.
+func (f *Fragment) sealed() bool {
+	return len(f.AttrOwner) == 0 || len(f.attrOfs) == len(f.Size)+1
+}
+
 // sealAttrs builds the attrOfs offsets; must be called once all nodes and
-// attributes are in place and AttrOwner is sorted ascending.
+// attributes are in place and AttrOwner is sorted ascending. A fragment
+// without attribute rows gets none, and sealing it writes nothing.
 func (f *Fragment) sealAttrs() {
-	//pfvet:allow colown -- callers gate on len(attrOfs) == 0: only never-published fragments are sealed (NewStoreFromParts skips fragments whose offsets exist, PR 7 reseal-race fix)
-	f.attrOfs = make([]int32, len(f.Size)+1)
 	if len(f.AttrOwner) == 0 {
-		return // every range is [0, 0), which is what make left
+		return
 	}
+	//pfvet:allow colown -- callers gate on sealed(): only never-published fragments with attribute rows are sealed (NewStoreFromParts skips fragments whose offsets exist, which closed the reseal race)
+	f.attrOfs = make([]int32, len(f.Size)+1)
 	j := 0
 	for p := 0; p < len(f.Size); p++ {
 		f.attrOfs[p] = int32(j)

@@ -482,7 +482,7 @@ func NewStoreFromParts(p Parts) (*Store, error) {
 		// Fragments adopted from a live store are already sealed and may be
 		// concurrently read by in-flight queries — resealing would refill
 		// the shared attrOfs slice under their feet.
-		if len(f.attrOfs) != n+1 {
+		if !f.sealed() {
 			f.sealAttrs()
 		}
 		s.frags.push(f)

@@ -696,3 +696,44 @@ func TestNewStoreFromPartsKeepsSealedFragments(t *testing.T) {
 		}
 	}
 }
+
+// TestSealWithoutAttributes: a fragment without attribute rows — most
+// constructed ones — gets no offsets column, every attribute range of it
+// is empty, and adopting it into another store writes nothing into it;
+// one with attributes is sealed as before.
+func TestSealWithoutAttributes(t *testing.T) {
+	s := NewStore()
+	fb := NewFragBuilder(s)
+	fb.StartElem("a")
+	fb.StartElem("b")
+	fb.AddText("t")
+	fb.EndElem()
+	fb.EndElem()
+	id, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := s.Frag(id)
+	if f.attrOfs != nil {
+		t.Errorf("fragment without attributes has %d offsets", len(f.attrOfs))
+	}
+	for p := int32(0); p < int32(f.NodeCount()); p++ {
+		if lo, hi := f.Attrs(p); lo != hi {
+			t.Errorf("node %d: attribute range [%d,%d)", p, lo, hi)
+		}
+	}
+	if lo, hi := f.AttrRange(0, int32(f.NodeCount())-1); lo != 0 || hi != 0 {
+		t.Errorf("subtree attribute range [%d,%d)", lo, hi)
+	}
+	clone, err := NewStoreFromParts(s.Parts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clone.Frag(id) != f || f.attrOfs != nil {
+		t.Error("adopting a fragment without attributes wrote into it")
+	}
+	base, _ := loadTiny(t)
+	if base.Frag(0).AttrCount() == 0 || base.Frag(0).attrOfs == nil {
+		t.Error("a document with attributes must be sealed")
+	}
+}
