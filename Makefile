@@ -50,16 +50,18 @@ fuzz-smoke:
 	$(GO) test ./internal/service -fuzz FuzzNormalizeQuery -fuzztime 10s
 
 # Race tier: the packages with query-time shared state — the scheduler
-# (internal/engine, which includes the morsel, fusion and theta-join
-# differential files: the band join's morsels fill disjoint ranges of
-# shared index vectors), the column vectors (internal/bat), the string
-# pools + fragment registry (internal/xenc), and the concurrent service
-# layer (internal/service + the MIL TCP server it embeds) — plus the
-# optimizer (internal/opt), whose contract is that concurrent Pipeline
-# calls may share one input DAG: its plan index is a side structure and
-# nothing is written into the caller's operators.
+# (internal/engine, whose differential tests run the differential runner,
+# internal/difftest, over morsel engines at workers 1/2/8, chains as
+# units and forced theta-join demotion: the band join's morsels fill
+# disjoint ranges of shared index vectors), the column vectors
+# (internal/bat), the string pools + fragment registry (internal/xenc),
+# and the concurrent service layer (internal/service + the MIL TCP
+# server it embeds) — plus the optimizer (internal/opt), whose contract
+# is that concurrent Pipeline calls may share one input DAG: its plan
+# index is a side structure and nothing is written into the caller's
+# operators.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/bat/... ./internal/xenc/... ./internal/service/... ./internal/mil/... ./internal/pfstore/... ./internal/opt/...
+	$(GO) test -race ./internal/engine/... ./internal/bat/... ./internal/xenc/... ./internal/service/... ./internal/mil/... ./internal/pfstore/... ./internal/opt/... ./internal/difftest/...
 
 # Full-repo race run (slower; includes the differential suites).
 race-all:

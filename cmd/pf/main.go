@@ -364,6 +364,9 @@ func runOnce(query string, eng *engine.Engine, opts xqcore.Options) (string, err
 		fmt.Fprintf(os.Stderr, "pf: check ok (%d operators: schema, order/denseness, physical)\n",
 			algebra.CountOps(plan))
 	}
+	// Every line is a fresh root: keeping its lowered plan would grow the
+	// engine's plan cache by one plan per line for the whole session.
+	defer eng.ForgetPlan(plan)
 	res, err := eng.Eval(plan)
 	if err != nil {
 		return "", err

@@ -158,6 +158,7 @@ func runPF(eng *engine.Engine, query string, opts xqcore.Options, budget time.Du
 			return Cell{Err: err.Error()}
 		}
 	}
+	defer eng.ForgetPlan(plan)
 	res, err := eng.Eval(plan)
 	if err != nil {
 		if time.Now().After(eng.Deadline) {

@@ -289,7 +289,7 @@ var mutations = []mutation{
 				t.Fatal(err)
 			}
 			p := physical.Lower(join)
-			nd := p.ByOp[join]
+			nd := nodeOf(p, join)
 			nd.Merge, nd.Kernel = true, "merge-join" // skip the hash table anyway
 			return check.Physical(p)
 		},
@@ -304,7 +304,7 @@ var mutations = []mutation{
 				t.Fatal(err)
 			}
 			p := physical.Lower(rn)
-			nd := p.ByOp[rn]
+			nd := nodeOf(p, rn)
 			nd.Presorted, nd.Kernel = true, "rownum[presorted]" // skip the sort anyway
 			return check.Physical(p)
 		},
@@ -319,7 +319,7 @@ var mutations = []mutation{
 				t.Fatal(err)
 			}
 			p := physical.Lower(rn)
-			nd := p.ByOp[rn]
+			nd := nodeOf(p, rn)
 			nd.Presorted = false                          // the lowering legitimately chose presorted here
 			nd.Const1, nd.Kernel = true, "rownum[const1]" // constant-1 numbering over real groups
 			return check.Physical(p)
@@ -336,7 +336,7 @@ var mutations = []mutation{
 				t.Fatal(err)
 			}
 			p := physical.Lower(u)
-			nd := p.ByOp[u]
+			nd := nodeOf(p, u)
 			nd.Parallel = true // concat has no order-preserving morsel split
 			return check.Physical(p)
 		},
@@ -360,7 +360,7 @@ var mutations = []mutation{
 			// needs its whole input before it can emit anything.
 			p.Chains = append(p.Chains, &physical.FusedChain{
 				ID:    len(p.Chains) + 1,
-				Nodes: []*physical.Node{p.ByOp[d], p.ByOp[pj]},
+				Nodes: []*physical.Node{nodeOf(p, d), nodeOf(p, pj)},
 			})
 			return check.Physical(p)
 		},
@@ -392,7 +392,7 @@ var mutations = []mutation{
 			// the fused loop would leak past the boundary.
 			p.Chains = append(p.Chains, &physical.FusedChain{
 				ID:    len(p.Chains) + 1,
-				Nodes: []*physical.Node{p.ByOp[fn], p.ByOp[p1]},
+				Nodes: []*physical.Node{nodeOf(p, fn), nodeOf(p, p1)},
 			})
 			return check.Physical(p)
 		},
@@ -416,7 +416,7 @@ var mutations = []mutation{
 			// wrong rows.
 			p.Chains = append(p.Chains, &physical.FusedChain{
 				ID:    len(p.Chains) + 1,
-				Nodes: []*physical.Node{p.ByOp[sel], p.ByOp[mk]},
+				Nodes: []*physical.Node{nodeOf(p, sel), nodeOf(p, mk)},
 			})
 			return check.Physical(p)
 		},
@@ -588,7 +588,7 @@ func thetaShape(t *testing.T, fun algebra.FunKind, x, y string) (cross, fn, sel 
 func forgeTheta(p *physical.Plan, cross, fn, sel *algebra.Op, lcol, rcol string, cmp algebra.FunKind) *physical.ThetaJoin {
 	tj := &physical.ThetaJoin{
 		ID:    len(p.ThetaJoins) + 1,
-		Cross: p.ByOp[cross], Fun: p.ByOp[fn], Select: p.ByOp[sel],
+		Cross: nodeOf(p, cross), Fun: nodeOf(p, fn), Select: nodeOf(p, sel),
 		LeftCol: lcol, RightCol: rcol, Cmp: cmp,
 		Demand: sel.Schema(),
 	}
@@ -616,9 +616,19 @@ func forgeCountTail(p *physical.Plan, cross, fn, sel, proj, dist, cnt *algebra.O
 	p.ThetaJoins = nil
 	tj := forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt)
 	tj.Demand = []string{"a", "b"}
-	tj.Project, tj.Distinct, tj.Count = p.ByOp[proj], p.ByOp[dist], p.ByOp[cnt]
+	tj.Project, tj.Distinct, tj.Count = nodeOf(p, proj), nodeOf(p, dist), nodeOf(p, cnt)
 	tj.CountBy, tj.CountOf = by, of
 	tj.Count.EstRows = tj.Cross.In[0].EstRows
+}
+
+// nodeOf is p's node for the logical operator o.
+func nodeOf(p *physical.Plan, o *algebra.Op) *physical.Node {
+	for _, nd := range p.Nodes {
+		if nd.Op == o {
+			return nd
+		}
+	}
+	return nil
 }
 
 // TestMutationsCaught asserts every corrupted plan yields at least one
@@ -698,7 +708,7 @@ func TestLoweredChecksTheLowering(t *testing.T) {
 	if diags := check.Lowered(p); len(diags) > 0 {
 		t.Fatalf("honest lowering: %s", check.Render(diags))
 	}
-	nd := p.ByOp[join]
+	nd := nodeOf(p, join)
 	nd.Merge, nd.Kernel = true, "merge-join"
 	got, want := check.Render(check.Lowered(p)), check.Render(check.Physical(p))
 	if want == "" || got != want {

@@ -39,13 +39,15 @@ func physicalPlan(w *walker, p *physical.Plan) []Diag {
 		diags = append(diags, justifyProps(w, nd.Op, nd.Props, g[nd.Op])...)
 	}
 	consumers := make(map[*physical.Node]int, len(p.Nodes))
+	isNode := make(map[*physical.Node]bool, len(p.Nodes))
 	for _, nd := range p.Nodes {
+		isNode[nd] = true
 		for _, c := range nd.In {
 			consumers[c]++
 		}
 	}
-	diags = append(diags, physChains(w, p, consumers)...)
-	diags = append(diags, physThetaJoins(w, p, consumers)...)
+	diags = append(diags, physChains(w, p, isNode, consumers)...)
+	diags = append(diags, physThetaJoins(w, p, isNode, consumers)...)
 	return diags
 }
 
@@ -56,12 +58,8 @@ func physicalPlan(w *walker, p *physical.Plan) []Diag {
 // operator outside the chain with no input. The remaining claims — no
 // breaker inside, no mark after a filter — are discovery's own rules,
 // re-proved so that chain shapes cannot drift unnoticed.
-func physChains(w *walker, p *physical.Plan, consumers map[*physical.Node]int) []Diag {
+func physChains(w *walker, p *physical.Plan, isNode map[*physical.Node]bool, consumers map[*physical.Node]int) []Diag {
 	var diags []Diag
-	isNode := make(map[*physical.Node]bool, len(p.Nodes))
-	for _, nd := range p.Nodes {
-		isNode[nd] = true
-	}
 	claimedBy := make(map[*physical.Node]int)
 	for _, ch := range p.Chains {
 		bad := func(o *algebra.Op, msg string, args ...any) {
@@ -142,7 +140,7 @@ func chainFusable(nd *physical.Node) bool {
 // one column of each × input leaves δ merging pairs the kernel counts
 // apart, and a count partitioned by anything but the left input's column
 // groups differently from the kernel's walk over the outer rows.
-func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]int) []Diag {
+func physThetaJoins(w *walker, p *physical.Plan, isNode map[*physical.Node]bool, consumers map[*physical.Node]int) []Diag {
 	var diags []Diag
 	inChain := make(map[*physical.Node]int)
 	for _, ch := range p.Chains {
@@ -156,7 +154,7 @@ func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]in
 		}
 		cross, fn, sel := tj.Cross, tj.Fun, tj.Select
 		if cross == nil || fn == nil || sel == nil ||
-			p.ByOp[cross.Op] != cross || p.ByOp[fn.Op] != fn || p.ByOp[sel.Op] != sel ||
+			!isNode[cross] || !isNode[fn] || !isNode[sel] ||
 			cross.Op.Kind != algebra.OpCross || fn.Op.Kind != algebra.OpFun || sel.Op.Kind != algebra.OpSelect ||
 			fn.In[0] != cross || sel.In[0] != fn {
 			diags = append(diags, Diag{Class: "thetajoin", Op: fmt.Sprintf("#? theta %d", tj.ID),
@@ -164,7 +162,7 @@ func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]in
 			continue
 		}
 		if tj.Count != nil || tj.Project != nil || tj.Distinct != nil {
-			if msg := countTailFlaw(p, tj, consumers); msg != "" {
+			if msg := countTailFlaw(tj, isNode, consumers); msg != "" {
 				bad(sel.Op, "theta join #%d claims a count-only tail, but %s", tj.ID, msg)
 				continue
 			}
@@ -217,11 +215,11 @@ func physThetaJoins(w *walker, p *physical.Plan, consumers map[*physical.Node]in
 // countTailFlaw re-proves a unit's count-only claim from the plan: the
 // first way in which π, δ and count above σ are not what the kernel
 // answers, or "" when they are.
-func countTailFlaw(p *physical.Plan, tj *physical.ThetaJoin, consumers map[*physical.Node]int) string {
+func countTailFlaw(tj *physical.ThetaJoin, isNode map[*physical.Node]bool, consumers map[*physical.Node]int) string {
 	chain := []*physical.Node{tj.Select, tj.Project, tj.Distinct, tj.Count}
 	kinds := []algebra.OpKind{algebra.OpSelect, algebra.OpProject, algebra.OpDistinct, algebra.OpAggr}
 	for i, nd := range chain {
-		if nd == nil || nd.Op == nil || p.ByOp[nd.Op] != nd || nd.Op.Kind != kinds[i] {
+		if nd == nil || nd.Op == nil || !isNode[nd] || nd.Op.Kind != kinds[i] {
 			return fmt.Sprintf("its %s is not a node of this plan", kinds[i])
 		}
 		if i == 0 {
@@ -323,10 +321,6 @@ func physStructure(w *walker, p *physical.Plan) []Diag {
 				Msg: "logical operator lowered to more than one physical node"})
 		}
 		seenOp[nd.Op] = true
-		if mapped, ok := p.ByOp[nd.Op]; !ok || mapped != nd {
-			diags = append(diags, Diag{Class: "structure", Op: w.name(nd.Op),
-				Msg: "ByOp does not map the operator back to its node"})
-		}
 		if len(nd.In) != len(nd.Op.In) {
 			diags = append(diags, Diag{Class: "structure", Op: w.name(nd.Op),
 				Msg: fmt.Sprintf("node has %d input(s), logical operator has %d", len(nd.In), len(nd.Op.In))})

@@ -1,9 +1,10 @@
 // Package corpus holds the shared test corpora: the Table 2 dialect
 // queries (one per supported construct, plus the extended-dialect forms
-// the XMark workload needs) and the miniature auction document they run
-// against. The engine differential tests, the service-path differential
-// tests, and any future front end all difference against the same set, so
-// a dialect regression fails every tier identically.
+// the XMark workload needs), the miniature auction document they run
+// against, and the case lists with pinned outcomes. The differential
+// runner (internal/difftest) runs them over every evaluator, so a
+// dialect regression fails every tier identically. The package is data
+// only: navdom's and mil's in-package tests import it.
 package corpus
 
 // AuctionDoc mirrors the miniature XMark-shaped document the compiler
@@ -87,13 +88,18 @@ var Dialect = []string{
 // behind.
 const ConstructorDoc = `<r><a x="1">p<b/>q</a><a x="2">s</a></r>`
 
-// Case is a query with the outcome every evaluator — sequential, parallel,
-// navigational — must agree on: the serialized result, or a dynamic error
-// whose message contains Err.
+// Case is a named query with the outcome every evaluator — sequential,
+// parallel, navigational, a front door — must produce: the serialized
+// result Want (an empty Want pins the empty sequence), or a dynamic
+// error whose message contains Err. A case with Agree set pins nothing:
+// every evaluator must agree with the pivot of the matrix it runs in
+// (internal/difftest).
 type Case struct {
+	Name  string
 	Query string
 	Want  string
 	Err   string
+	Agree bool
 }
 
 // Constructors extends the dialect corpus with the element-constructor
@@ -196,15 +202,6 @@ const CountJoinDoc = `<db>
  </auctions>
 </db>`
 
-// CountJoinCase is a query over CountJoinDoc with the result every
-// evaluator must produce and the shape the compiler must give it: Joins
-// nested FLWORs unnested into joins, Counted of them compiled to the
-// count-only shape (core.Stats.CountJoins).
-type CountJoinCase struct {
-	Name, Query, Want string
-	Joins, Counted    int
-}
-
 func countJoinQuery(inner, ret string) string {
 	return `for $p in /db/people/person let $l := ` + inner + ` return ` + ret
 }
@@ -213,42 +210,153 @@ const countJoinInner = `for $i in /db/auctions/auction/initial where $p/profile/
 
 // CountJoin is the corpus for fn:count over an unnested join: where the
 // count-only shape must fire, and the neighbouring queries where it must
-// not. Like Constructors it is a list of its own — Dialect is the
-// compile-only benchmark workload and stays as it is.
-var CountJoin = []CountJoinCase{
-	{"count in the binding scope", countJoinQuery(countJoinInner, `<n id="{$p/@id}">{count($l)}</n>`),
-		`<n id="p1">1</n><n id="p2">4</n><n id="p3">0</n><n id="p4">0</n>`, 1, 1},
-	{"counted twice, compiled once", countJoinQuery(countJoinInner, `<n c="{count($l)}">{count($l)}</n>`),
-		`<n c="1">1</n><n c="4">4</n><n c="0">0</n><n c="0">0</n>`, 1, 1},
-	{"counted and returned", countJoinQuery(countJoinInner, `<n c="{count($l)}">{$l}</n>`),
-		`<n c="1"><initial>4</initial></n><n c="4"><initial>4</initial><initial>10</initial><initial>18</initial><initial>10</initial></n><n c="0"/><n c="0"/>`, 1, 0},
-	{"counted inside a nested for", countJoinQuery(countJoinInner, `for $k in (10, 20) return count($l) + $k`),
-		`11 21 14 24 10 20 10 20`, 1, 1},
-	{"counted under a conditional", countJoinQuery(countJoinInner, `if ($p/@id = "p3") then "none" else count($l)`),
-		`1 4 none 0`, 1, 1},
-	{"name rebound below the count", countJoinQuery(countJoinInner, `(count($l), let $l := (1, 2, 3) return count($l))`),
-		`1 3 4 3 0 3 0 3`, 1, 1},
-	{"count applied directly", `for $p in /db/people/person return count(` + countJoinInner + `)`,
-		`1 4 0 0`, 1, 1},
-	{"two items per pair", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i return ($i, $i)`, `count($l)`),
-		`2 8 0 0`, 1, 0},
-	{"a path per pair", countJoinQuery(`for $a in /db/auctions/auction where $p/profile/@income > 5000 * $a/initial return $a/bidder`, `count($l)`),
-		`2 3 0 0`, 1, 0},
-	{"residual conjunct", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i and $i > 5 return $i`, `count($l)`),
-		`0 3 0 0`, 1, 0},
-	{"greater or equal counts the tie", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income >= 5000 * $i return $i`, `count($l)`),
-		`3 4 0 0`, 1, 1},
-	{"less or equal, sides swapped", countJoinQuery(`for $i in /db/auctions/auction/initial where 5000 * $i <= $p/profile/@income return $i`, `count($l)`),
-		`3 4 0 0`, 1, 1},
-	{"string keys", countJoinQuery(`for $a in /db/auctions/auction where $a/@id < concat("a", substring(string($p/@id), 2)) return $a`, `count($l)`),
-		`0 1 2 3`, 1, 1},
-	{"equi-join (Q8 shape)", countJoinQuery(`for $t in /db/auctions/auction where $t/seller/@person = $p/@id return $t`, `<n id="{$p/@id}">{count($l)}</n>`),
-		`<n id="p1">2</n><n id="p2">1</n><n id="p3">0</n><n id="p4">0</n>`, 1, 1},
-	{"positional variable", countJoinQuery(`for $i at $pos in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i return $i`, `count($l)`),
-		`1 4 0 0`, 0, 0},
-	{"order by", countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i order by $i return $i`, `count($l)`),
-		`1 4 0 0`, 0, 0},
-	{"second where clause (Q12 shape)", `for $p in /db/people/person let $l := ` + countJoinInner +
+// not (the engine tests pin the shape per case name). Like Constructors
+// it is a list of its own — Dialect is the compile-only benchmark
+// workload and stays as it is.
+var CountJoin = []Case{
+	{Name: "count in the binding scope", Query: countJoinQuery(countJoinInner, `<n id="{$p/@id}">{count($l)}</n>`),
+		Want: `<n id="p1">1</n><n id="p2">4</n><n id="p3">0</n><n id="p4">0</n>`},
+	{Name: "counted twice, compiled once", Query: countJoinQuery(countJoinInner, `<n c="{count($l)}">{count($l)}</n>`),
+		Want: `<n c="1">1</n><n c="4">4</n><n c="0">0</n><n c="0">0</n>`},
+	{Name: "counted and returned", Query: countJoinQuery(countJoinInner, `<n c="{count($l)}">{$l}</n>`),
+		Want: `<n c="1"><initial>4</initial></n><n c="4"><initial>4</initial><initial>10</initial><initial>18</initial><initial>10</initial></n><n c="0"/><n c="0"/>`},
+	{Name: "counted inside a nested for", Query: countJoinQuery(countJoinInner, `for $k in (10, 20) return count($l) + $k`),
+		Want: `11 21 14 24 10 20 10 20`},
+	{Name: "counted under a conditional", Query: countJoinQuery(countJoinInner, `if ($p/@id = "p3") then "none" else count($l)`),
+		Want: `1 4 none 0`},
+	{Name: "name rebound below the count", Query: countJoinQuery(countJoinInner, `(count($l), let $l := (1, 2, 3) return count($l))`),
+		Want: `1 3 4 3 0 3 0 3`},
+	{Name: "count applied directly", Query: `for $p in /db/people/person return count(` + countJoinInner + `)`,
+		Want: `1 4 0 0`},
+	{Name: "two items per pair", Query: countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i return ($i, $i)`, `count($l)`),
+		Want: `2 8 0 0`},
+	{Name: "a path per pair", Query: countJoinQuery(`for $a in /db/auctions/auction where $p/profile/@income > 5000 * $a/initial return $a/bidder`, `count($l)`),
+		Want: `2 3 0 0`},
+	{Name: "residual conjunct", Query: countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i and $i > 5 return $i`, `count($l)`),
+		Want: `0 3 0 0`},
+	{Name: "greater or equal counts the tie", Query: countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income >= 5000 * $i return $i`, `count($l)`),
+		Want: `3 4 0 0`},
+	{Name: "less or equal, sides swapped", Query: countJoinQuery(`for $i in /db/auctions/auction/initial where 5000 * $i <= $p/profile/@income return $i`, `count($l)`),
+		Want: `3 4 0 0`},
+	{Name: "string keys", Query: countJoinQuery(`for $a in /db/auctions/auction where $a/@id < concat("a", substring(string($p/@id), 2)) return $a`, `count($l)`),
+		Want: `0 1 2 3`},
+	{Name: "equi-join (Q8 shape)", Query: countJoinQuery(`for $t in /db/auctions/auction where $t/seller/@person = $p/@id return $t`, `<n id="{$p/@id}">{count($l)}</n>`),
+		Want: `<n id="p1">2</n><n id="p2">1</n><n id="p3">0</n><n id="p4">0</n>`},
+	{Name: "positional variable", Query: countJoinQuery(`for $i at $pos in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i return $i`, `count($l)`),
+		Want: `1 4 0 0`},
+	{Name: "order by", Query: countJoinQuery(`for $i in /db/auctions/auction/initial where $p/profile/@income > 5000 * $i order by $i return $i`, `count($l)`),
+		Want: `1 4 0 0`},
+	{Name: "second where clause (Q12 shape)", Query: `for $p in /db/people/person let $l := ` + countJoinInner +
 		` where $p/profile/@income > 40000 return <n id="{$p/@id}">{count($l)}</n>`,
-		`<n id="p1">1</n><n id="p2">4</n>`, 2, 1},
+		Want: `<n id="p1">1</n><n id="p2">4</n>`},
+}
+
+// Navigational is the battery navdom has been differenced against the
+// relational engine with since the first tier: literals, comparisons,
+// FLWOR, every axis, functions, quantifiers, constructors, typeswitch,
+// joins, ranges and set operators, over AuctionDoc bound as
+// "auction.xml". A list of its own for the same reason as Constructors.
+var Navigational = []string{
+	// literals, sequences, arithmetic
+	`42`, `(1, 2, 3)`, `()`, `1 + 2 * 3`, `7 div 2`, `7 idiv 2`, `-(4) + 1`,
+	`() + 1`, `1.5 * 2`,
+	// comparisons and logic
+	`1 < 2`, `(1,2,3) = 2`, `(1,2) != (1,2)`, `() = 1`, `1 eq 1`,
+	`1 = 1 and 2 = 3`, `not(1 = 2)`, `"abc" lt "abd"`,
+	// FLWOR
+	`for $v in (10,20), $w in (100,200) return $v + $w`,
+	`for $x in (1,2,3) return if ($x mod 2 = 1) then $x else ()`,
+	`let $x := (1,2) return ($x, $x)`,
+	`for $x in (3,1,2) order by $x return $x`,
+	`for $x in (3,1,2) order by $x descending return $x`,
+	`for $x at $i in ("a","b") return ($i, $x)`,
+	`for $x in ("a","b","c") return position()`,
+	`for $x in ("a","b","c") return last()`,
+	// paths
+	`count(//person)`, `count(//person/@id)`, `count(//node())`,
+	`/site/people/person[1]/name/text()`,
+	`/site/people/person[last()]/name/text()`,
+	`count(//person[income])`,
+	`//person[@id = "p2"]/name/text()`,
+	`count(//increase/ancestor::open_auction)`,
+	`count(//bidder/following-sibling::*)`,
+	`count(//price/preceding::price)`,
+	`count(//current/parent::open_auction)`,
+	`count(//person/descendant-or-self::node())`,
+	`count(//text()/ancestor::site)`,
+	`data(//person[@id="p1"]/income)`,
+	// functions
+	`string(//person[1]/name)`, `string(())`, `string-length("hello")`,
+	`concat("a","b","c")`, `contains("gold ring", "gold")`,
+	`sum(//price)`, `max(//price)`, `min(//price)`, `avg((2,4))`,
+	`count(())`, `sum(())`, `empty(())`, `exists(//person)`,
+	`string-join(("a","b"), "-")`,
+	// aggregates in loops (defaults)
+	`for $p in //person return count($p/income)`,
+	`for $p in //person return sum($p/income)`,
+	// quantifiers
+	`some $x in (1,2,3) satisfies $x > 2`,
+	`every $x in (1,2,3) satisfies $x > 1`,
+	`some $p in //person satisfies $p/income > 80000`,
+	// node comparisons
+	`(//person)[1] << (//person)[2]`,
+	`(//person)[1] is (//person)[1]`,
+	// constructors
+	`<a/>`, `<a x="1">t</a>`, `<a>{1 + 1}</a>`, `<a>{(1,2)}</a>`,
+	`<out>{//person[1]/name}</out>`,
+	`element foo {"bar"}`, `text {"hi"}`, `text {()}`,
+	`<e>{attribute n {42}}</e>`,
+	`<p name="{//person[1]/name/text()}"/>`,
+	`for $i in (1,2) return <n v="{$i}"/>`,
+	// typeswitch
+	`typeswitch (1) case xs:integer return "int" default return "other"`,
+	`typeswitch (//person[1]) case element(person) return "p" default return "o"`,
+	`typeswitch ((1,2)) case xs:integer return "one" case xs:integer+ return "many" default return "o"`,
+	// where and joins
+	`for $p in //person where $p/income > 60000 return $p/name/text()`,
+	`for $p in //person where empty($p/income) return string($p/@id)`,
+	`for $p in //person
+	 return count(for $t in doc("auction.xml")/site/closed_auctions/closed_auction
+	        where $t/buyer/@person = $p/@id return $t)`,
+	`for $p in //person
+	 return count(for $i in doc("auction.xml")/site/open_auctions/open_auction/bidder/increase
+	        where $p/income > 5000 * $i return $i)`,
+	// order by over nodes with empty keys
+	`for $p in //person order by $p/income return string($p/@id)`,
+	// order by referencing a let variable (substituted at normalization)
+	`for $a in //open_auction
+	 let $n := count($a/bidder)
+	 order by $n descending, $a/@id
+	 return <x b="{$n}"/>`,
+	// UDF
+	`declare function local:double($v) { 2 * $v };
+	 for $p in //price return local:double($p)`,
+	// document order / ddo
+	`count(fs:distinct-doc-order((//person, //person)))`,
+	`root((//name)[1]) is doc("auction.xml")`,
+	// extended dialect: ranges, set operators, distinct-values, strings
+	`1 to 5`,
+	`for $i in 1 to 3 return $i * 10`,
+	`count(2 to 1)`,
+	`sum(for $p in //person return count(1 to count($p/income)))`,
+	`count(//person | //price)`,
+	`count(//person union //person)`,
+	`count((//person, //price) intersect //person)`,
+	`count((//person, //price) except //person)`,
+	`//name | //name[1]`,
+	`distinct-values((1, 2, 1, 3, 2))`,
+	`distinct-values(//closed_auction/type)`,
+	`count(distinct-values(//buyer/@person))`,
+	`substring("motor car", 6)`,
+	`substring("metadata", 4, 3)`,
+	`substring("12345", 1.5, 2.6)`,
+	`substring((), 2)`,
+	`name((//person)[1])`,
+	`name((//person)[1]/@id)`,
+	`for $n in //person/name order by name($n) return 1`,
+	// conjunctive join predicate (compiler unnests on the equi-conjunct)
+	`for $p in //person
+	 return count(for $t in doc("auction.xml")/site/closed_auctions/closed_auction
+	        where $t/buyer/@person = $p/@id and $t/price > 50
+	        return $t)`,
 }

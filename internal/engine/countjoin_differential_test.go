@@ -1,23 +1,22 @@
 package engine_test
 
 // Differential tier for fn:count over an unnested join (corpus.CountJoin):
-// every case pins which shape the compiler gave it — read off core.Stats —
-// and its result, which the physical executors (runtime checking on), the
-// same executor forced to run every theta unit member by member and the
-// navigational baseline must all produce. The forged-plan test at the end
-// takes the count-only kernel away from XMark Q11 and Q12 and expects the
-// golden bytes from what is left.
+// every case pins its result, which the physical executors (runtime
+// checking on), the same executor forced to run every theta unit member
+// by member and the navigational baseline must all produce, and which
+// shape the compiler gave it — read off core.Stats after the runner. The
+// forged-plan test at the end takes the count-only kernel away from
+// XMark Q11 and Q12 and expects the golden bytes from what is left.
 
 import (
 	"context"
-	"os"
 	"strings"
 	"testing"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
-	"pathfinder/internal/navdom"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/opt"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xmark"
@@ -45,38 +44,43 @@ func compileStats(t *testing.T, src string, opts xqcore.Options) (*algebra.Op, c
 	return plan, stats
 }
 
+// countJoinShapes pins, per corpus.CountJoin case, the joins the
+// compiler unnests and how many of them compile to the count-only shape
+// (core.Stats).
+var countJoinShapes = map[string]struct{ joins, counted int }{
+	"count in the binding scope":      {1, 1},
+	"counted twice, compiled once":    {1, 1},
+	"counted and returned":            {1, 0},
+	"counted inside a nested for":     {1, 1},
+	"counted under a conditional":     {1, 1},
+	"name rebound below the count":    {1, 1},
+	"count applied directly":          {1, 1},
+	"two items per pair":              {1, 0},
+	"a path per pair":                 {1, 0},
+	"residual conjunct":               {1, 0},
+	"greater or equal counts the tie": {1, 1},
+	"less or equal, sides swapped":    {1, 1},
+	"string keys":                     {1, 1},
+	"equi-join (Q8 shape)":            {1, 1},
+	"positional variable":             {0, 0},
+	"order by":                        {0, 0},
+	"second where clause (Q12 shape)": {2, 1},
+}
+
 func TestCountJoinCorpus(t *testing.T) {
-	const uri = "cj.xml"
-	seq := seqEngine(t, uri, corpus.CountJoinDoc)
-	par := parEngine(t, uri, corpus.CountJoinDoc)
-	demoted := parEngine(t, uri, corpus.CountJoinDoc)
-	demoted.ForceThetaDemotion()
-	db := navdom.NewDB()
-	if _, err := db.LoadString(uri, corpus.CountJoinDoc); err != nil {
-		t.Fatal(err)
-	}
-	opts := xqcore.Options{ContextDoc: uri}
+	docs := []difftest.Doc{{URI: "cj.xml", Text: corpus.CountJoinDoc}}
+	matrix(docs, difftest.Seq, difftest.Par, demoted(8), navdomEval).Run(t, corpus.CountJoin)
+	seq := difftest.LoadEngine(t, difftest.SeqConfig, docs)
+	opts := xqcore.Options{ContextDoc: "cj.xml"}
 	fired := 0
 	for _, c := range corpus.CountJoin {
+		want, ok := countJoinShapes[c.Name]
+		if !ok {
+			t.Fatalf("%s: no shape pinned", c.Name)
+		}
 		plan, stats := compileStats(t, c.Query, opts)
-		if got := stats.EquiJoins + stats.ThetaJoins; got != c.Joins || stats.CountJoins != c.Counted {
-			t.Errorf("%s: compiled %d join(s), %d of them count-only; want %d and %d", c.Name, got, stats.CountJoins, c.Joins, c.Counted)
-		}
-		runs := []struct {
-			name string
-			run  func() (string, error)
-		}{
-			{"phys seq", func() (string, error) { return core.Run(c.Query, seq, opts) }},
-			{"phys par", func() (string, error) { return core.Run(c.Query, par, opts) }},
-			{"optimized seq", func() (string, error) { return runOptimized(t, c.Query, seq, opts) }},
-			{"optimized par", func() (string, error) { return runOptimized(t, c.Query, par, opts) }},
-			{"members one by one", func() (string, error) { return runOptimized(t, c.Query, demoted, opts) }},
-			{"navdom", func() (string, error) { return navdom.NewInterp(db).Run(c.Query, opts) }},
-		}
-		for _, r := range runs {
-			if got, err := r.run(); err != nil || got != c.Want {
-				t.Errorf("%s: %s: got %q, err %v; want %q", c.Name, r.name, got, err, c.Want)
-			}
+		if got := stats.EquiJoins + stats.ThetaJoins; got != want.joins || stats.CountJoins != want.counted {
+			t.Errorf("%s: compiled %d join(s), %d of them count-only; want %d and %d", c.Name, got, stats.CountJoins, want.joins, want.counted)
 		}
 		// A counted theta join must reach the executor as a count-only
 		// unit and be answered without a pair.
@@ -94,7 +98,7 @@ func TestCountJoinCorpus(t *testing.T) {
 				t.Errorf("%s: count-only unit ran as %q and emitted %d pairs", c.Name, st.Kernel, tr.Stats[tj.Select.Op].RowsOut)
 			}
 		}
-		if want := min(c.Counted, stats.ThetaJoins); counting != want {
+		if want := min(want.counted, stats.ThetaJoins); counting != want {
 			t.Errorf("%s: %d count-only theta unit(s) in the physical plan, want %d", c.Name, counting, want)
 		}
 		fired += counting
@@ -110,7 +114,7 @@ func TestCountJoinCorpus(t *testing.T) {
 // refuses — run their six members one by one, runtime checking on, and
 // still produce the golden bytes.
 func TestCountJoinDemotionKeepsGoldens(t *testing.T) {
-	e := seqEngine(t, "xmark.xml", xmark.GenerateString(goldenSF))
+	e := difftest.LoadEngine(t, difftest.SeqConfig, difftest.XMarkDocs())
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
 	for _, n := range []int{11, 12} {
 		plan, _ := compileStats(t, xmark.Query(n), opts)
@@ -141,12 +145,8 @@ func TestCountJoinDemotionKeepsGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(goldenPath(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got+"\n" != string(want) {
-			t.Errorf("Q%d: demoted output differs from %s", n, goldenPath(n))
+		if got != difftest.Golden(t, n) {
+			t.Errorf("Q%d: demoted output differs from %s", n, difftest.GoldenPath(n))
 		}
 	}
 }
@@ -157,7 +157,7 @@ func TestCountJoinDemotionKeepsGoldens(t *testing.T) {
 func TestCountJoinScalesWithDocument(t *testing.T) {
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
 	materialized := func(sf float64) (rows, counted int) {
-		e := seqEngine(t, "xmark.xml", xmark.GenerateString(sf))
+		e := difftest.LoadEngine(t, difftest.SeqConfig, []difftest.Doc{{URI: "xmark.xml", Text: xmark.GenerateString(sf)}})
 		plan, _ := compileStats(t, xmark.Query(11), opts)
 		_, tr, err := e.EvalTrace(context.Background(), plan)
 		if err != nil {

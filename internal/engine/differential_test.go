@@ -1,190 +1,258 @@
 package engine_test
 
-// Differential harness for the physical executor: every XMark query and
-// the Table 2 dialect corpus run through (a) the sequential path, (b) the
-// parallel scheduler with the fallback disabled, both on the compiled and
-// on the optimized plan, and (c) the navigational baseline, and all
-// serialized results must be byte-identical.
+// The engine's differential tiers, each one runner call
+// (internal/difftest): a case list over a matrix of evaluators. The
+// evaluators are the sequential path, the DAG scheduler, tiny morsels at
+// workers 1 / 2 / 8 (operator chains run as scheduler units), the same
+// plans with their chains dissolved or their theta joins demoted (this
+// package's test hooks, export_test.go), and navdom. XMark's cases pin
+// the goldens, so every evaluator is byte-exact against them; `go test
+// ./internal/engine -run TestXMarkGolden -update` (make golden) rewrites
+// them. The engine-specific assertions — chains
+// formed, morsels split, theta lanes, count-only units — run after the
+// runner.
 
 import (
 	"context"
-	"strings"
+	"flag"
+	"fmt"
 	"sync"
 	"testing"
 
-	"pathfinder/internal/check"
-	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/navdom"
-	"pathfinder/internal/opt"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
 )
 
-const diffSF = 0.002
+var update = flag.Bool("update", false, "rewrite the XMark golden files under testdata/golden")
 
-// The Table 2 dialect corpus and its document are shared with the
-// service-path differential tests (internal/corpus), so both tiers
-// difference the same construct set.
-const auctionDoc = corpus.AuctionDoc
+var auctionDocs = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 
-var dialectQueries = corpus.Dialect
+var navdomEval = difftest.Navdom("navdom")
 
-// seqEngine returns an engine pinned to the sequential path (one worker),
-// with runtime invariant checking on.
-func seqEngine(t *testing.T, uri, doc string) *engine.Engine {
-	t.Helper()
-	e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: 1, Check: true})
-	if _, err := e.Store.LoadDocumentString(uri, doc); err != nil {
-		t.Fatal(err)
-	}
-	return e
+// unchained runs each plan with its operator chains dissolved, every
+// member a scheduler unit of its own: the per-operator baseline against
+// which a chain must be unobservable.
+var unchained = difftest.Evaluator{Name: "unchained", Family: difftest.Relational,
+	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
+		e := difftest.LoadEngine(tb, difftest.SeqConfig, docs)
+		return difftest.OnEngine(e, e.EvalUnchained)
+	}}
+
+// demoted runs every theta-join unit's ×, ⊛ and σ one by one under
+// difftest.MorselConfig(workers) — the baseline the band kernels are
+// compared against.
+func demoted(workers int) difftest.Evaluator {
+	return difftest.Evaluator{Name: fmt.Sprintf("demoted workers=%d", workers), Family: difftest.Relational,
+		Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
+			e := difftest.LoadEngine(tb, difftest.MorselConfig(workers), docs)
+			e.ForceThetaDemotion()
+			return difftest.OnEngine(e, e.Eval)
+		}}
 }
 
-// parEngine returns an engine forced onto the parallel DAG scheduler:
-// worker pool of 8 regardless of GOMAXPROCS, fallback disabled so even
-// tiny plans take the concurrent path.
-func parEngine(t *testing.T, uri, doc string) *engine.Engine {
-	t.Helper()
-	e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: 8, SeqThreshold: -1, Check: true})
-	if _, err := e.Store.LoadDocumentString(uri, doc); err != nil {
-		t.Fatal(err)
-	}
-	return e
+func matrix(docs []difftest.Doc, evals ...difftest.Evaluator) difftest.Matrix {
+	return difftest.Matrix{Docs: docs, Evals: evals}
 }
 
-// runOptimized compiles, runs the optimizer pipeline, validates, and
-// evaluates on the given engine. Every optimized plan passes the full
-// static validator before it runs, so a property-inference or lowering
-// regression fails here first.
+// runOptimized compiles src, optimizes and checks the plan, and
+// evaluates it on eng.
 func runOptimized(t *testing.T, src string, eng *engine.Engine, opts xqcore.Options) (string, error) {
 	t.Helper()
-	plan, _, err := core.CompileQuery(src, opts)
+	plan, err := difftest.Compile(src, opts, difftest.Optimized)
 	if err != nil {
 		return "", err
 	}
-	if plan, err = opt.Optimize(plan); err != nil {
-		return "", err
-	}
-	if err := check.Error(check.Plan(plan)); err != nil {
-		return "", err
-	}
-	res, err := eng.Eval(plan)
-	if err != nil {
-		return "", err
-	}
-	return serialize.Result(eng.Store, res)
+	return difftest.OnEngine(eng, eng.Eval)(difftest.Query{Plan: plan})
 }
 
-// TestXMarkParallelDifferential runs all 20 XMark queries over the same
-// generated instance through the sequential path, the parallel
-// scheduler, and the navigational baseline.
+// TestXMarkGolden: the optimized plans on the scheduler against the
+// pinned goldens; with -update, rewrite the goldens instead.
+func TestXMarkGolden(t *testing.T) {
+	if *update {
+		difftest.WriteGoldens(t, difftest.Par)
+		return
+	}
+	matrix(difftest.XMarkDocs(), difftest.Par).Run(t, difftest.XMark(t))
+}
+
+// TestXMarkParallelDifferential: the sequential path and navdom against
+// the goldens; the scheduler meets them in TestXMarkGolden. With the
+// goldens pinned, each evaluator runs XMark once.
 func TestXMarkParallelDifferential(t *testing.T) {
-	doc := xmark.GenerateString(diffSF)
-	seq := seqEngine(t, "xmark.xml", doc)
-	par := parEngine(t, "xmark.xml", doc)
-	db := navdom.NewDB()
-	if _, err := db.LoadString("xmark.xml", doc); err != nil {
-		t.Fatal(err)
-	}
-	db.AddValueIndex("buyer", "person")
-	opts := xqcore.Options{ContextDoc: "xmark.xml"}
-
-	for n := 1; n <= xmark.NumQueries; n++ {
-		src := xmark.Query(n)
-		seqOut, errS := core.Run(src, seq, opts)
-		parOut, errP := core.Run(src, par, opts)
-		nav, errN := navdom.NewInterp(db).Run(src, opts)
-		if errS != nil || errP != nil || errN != nil {
-			t.Errorf("Q%d: seq err=%v, par err=%v, nav err=%v", n, errS, errP, errN)
-			continue
-		}
-		if seqOut != parOut {
-			t.Errorf("Q%d: parallel result differs from sequential:\n seq = %.400q\n par = %.400q", n, seqOut, parOut)
-		}
-		if seqOut != nav {
-			t.Errorf("Q%d: engines differ from baseline:\n rel = %.400q\n nav = %.400q", n, seqOut, nav)
-		}
-		// Optimized plans must agree on both evaluators too.
-		optSeq, errOS := runOptimized(t, src, seq, opts)
-		optPar, errOP := runOptimized(t, src, par, opts)
-		if errOS != nil || errOP != nil {
-			t.Errorf("Q%d optimized: seq err=%v, par err=%v", n, errOS, errOP)
-			continue
-		}
-		if optSeq != seqOut || optPar != seqOut {
-			t.Errorf("Q%d: optimized results drifted:\n plain   = %.400q\n opt seq = %.400q\n opt par = %.400q",
-				n, seqOut, optSeq, optPar)
-		}
-	}
+	xmarkNavdom := difftest.Navdom("navdom", [2]string{"buyer", "person"})
+	matrix(difftest.XMarkDocs(), difftest.Seq, xmarkNavdom).Run(t, difftest.XMark(t))
 }
 
-// TestDialectParallelDifferential runs the Table 2 corpus through the same
-// three evaluation paths over the miniature auction document.
 func TestDialectParallelDifferential(t *testing.T) {
-	seq := seqEngine(t, "auction.xml", auctionDoc)
-	par := parEngine(t, "auction.xml", auctionDoc)
-	db := navdom.NewDB()
-	if _, err := db.LoadString("auction.xml", auctionDoc); err != nil {
+	cases := difftest.Agree("dialect", corpus.Dialect)
+	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, difftest.Par, navdomEval).Run(t, cases))
+}
+
+// TestXMarkMorselDifferential: with 7-row morsels even the SF 0.002
+// instance splits nearly every eligible kernel; no worker count may be
+// observable in the output.
+func TestXMarkMorselDifferential(t *testing.T) {
+	matrix(difftest.XMarkDocs(), difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8)).Run(t, difftest.XMark(t))
+}
+
+func TestDialectMorselDifferential(t *testing.T) {
+	cases := difftest.Agree("dialect", corpus.Dialect)
+	m := matrix(auctionDocs, difftest.Seq, difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8))
+	difftest.NoErrors(t, cases, m.Run(t, cases))
+}
+
+// TestXMarkFusionDifferential: the plans with their chains dissolved
+// against the goldens, which the morsel engines — chains as scheduler
+// units — meet in TestXMarkMorselDifferential. At least one plan must
+// form a chain, or the comparison covered per-operator units only.
+func TestXMarkFusionDifferential(t *testing.T) {
+	cases := difftest.XMark(t)
+	matrix(difftest.XMarkDocs(), unchained).Run(t, cases)
+	chainsFormed(t, "xmark.xml", cases)
+}
+
+// TestDialectFusionDifferential: unchained against the sequential path,
+// which the morsel engines meet in TestDialectMorselDifferential.
+func TestDialectFusionDifferential(t *testing.T) {
+	cases := difftest.Agree("dialect", corpus.Dialect)
+	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, unchained).Run(t, cases))
+	chainsFormed(t, "auction.xml", cases)
+}
+
+// chainsFormed fails t unless the plans of cases, plain and optimized,
+// form at least one chain between them.
+func chainsFormed(t *testing.T, contextDoc string, cases []corpus.Case) {
+	t.Helper()
+	chains := 0
+	for _, c := range cases {
+		for _, f := range []difftest.Form{difftest.Plain, difftest.Optimized} {
+			plan, err := difftest.Compile(c.Query, xqcore.Options{ContextDoc: contextDoc}, f)
+			if err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			chains += len(physical.Lower(plan).Chains)
+		}
+	}
+	if chains == 0 {
+		t.Fatal("no plan formed a chain; the comparison covered per-operator units only")
+	}
+	t.Logf("%d chains formed over the corpus", chains)
+}
+
+// TestFusionChainsExercised: a range pipeline big enough to clear the
+// FusedMinRows gate forms chains, records consistent membership in its
+// trace, and gives the same bytes chained at every worker count as
+// unchained.
+func TestFusionChainsExercised(t *testing.T) {
+	const src = `for $i in 1 to 10000 where $i mod 7 = 0 return $i * 2`
+	matrix(nil, unchained, difftest.Morsel(1), difftest.Morsel(8)).Run(t, difftest.Agree("range pipeline", []string{src}))
+	optimized, err := difftest.Compile(src, xqcore.Options{}, difftest.Optimized)
+	if err != nil {
 		t.Fatal(err)
 	}
-	opts := xqcore.Options{ContextDoc: "auction.xml"}
-
-	for _, src := range dialectQueries {
-		seqOut, errS := core.Run(src, seq, opts)
-		parOut, errP := core.Run(src, par, opts)
-		nav, errN := navdom.NewInterp(db).Run(src, opts)
-		if errS != nil || errP != nil || errN != nil {
-			t.Errorf("%s: seq err=%v, par err=%v, nav err=%v", src, errS, errP, errN)
-			continue
-		}
-		if seqOut != parOut {
-			t.Errorf("%s:\n seq = %q\n par = %q", src, seqOut, parOut)
-		}
-		if seqOut != nav {
-			t.Errorf("%s:\n rel = %q\n nav = %q", src, seqOut, nav)
-		}
-		optSeq, errOS := runOptimized(t, src, seq, opts)
-		optPar, errOP := runOptimized(t, src, par, opts)
-		if errOS != nil || errOP != nil {
-			t.Errorf("%s: optimized: seq err=%v, par err=%v", src, errOS, errOP)
-			continue
-		}
-		if optSeq != seqOut || optPar != seqOut {
-			t.Errorf("%s: optimized results drifted:\n plain   = %q\n opt seq = %q\n opt par = %q", src, seqOut, optSeq, optPar)
+	if len(physical.Lower(optimized).Chains) == 0 {
+		t.Fatal("the range pipeline formed no chain; the differential tier is not exercising chains")
+	}
+	e := difftest.LoadEngine(t, difftest.MorselConfig(1), nil)
+	_, tr, err := e.EvalTrace(context.Background(), optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := 0
+	for _, st := range tr.Stats {
+		if st.FusedChain > 0 {
+			members++
+			if st.FusedPos < 1 || st.FusedPos > st.FusedLen || st.FusedLen < 2 {
+				t.Errorf("inconsistent chain membership: pos %d of %d", st.FusedPos, st.FusedLen)
+			}
 		}
 	}
+	if members == 0 {
+		t.Fatal("no operator ran inside a chain")
+	}
+	t.Logf("%d operators ran as chain members", members)
+}
+
+// TestMorselTraceCounts: Q1 with tiny morsels records split kernels in
+// its trace — the guard that the morsel differentials exercised the
+// parallel paths rather than silently running sequentially.
+func TestMorselTraceCounts(t *testing.T) {
+	e := difftest.LoadEngine(t, difftest.MorselConfig(8), difftest.XMarkDocs())
+	plan, err := difftest.Compile(xmark.Query(1), xqcore.Options{ContextDoc: "xmark.xml"}, difftest.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr, err := e.EvalTrace(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, maxMorsels := 0, 0
+	for _, st := range tr.Stats {
+		if st.Morsels > 1 {
+			split++
+			maxMorsels = max(maxMorsels, st.Morsels)
+		}
+	}
+	if split == 0 {
+		t.Fatal("no operator split into morsels despite MorselRows=7")
+	}
+	t.Logf("%d operators split; largest = %d morsels", split, maxMorsels)
+}
+
+// TestRangeEdges: corpus.IntEdges — in the engine and in navdom, each
+// range and integer operation yields its pinned result, the size guard's
+// error or FOAR0002, never a wrapped value or an allocated span.
+func TestRangeEdges(t *testing.T) {
+	matrix([]difftest.Doc{{URI: "r.xml", Text: "<r/>"}}, difftest.Seq, difftest.Par, navdomEval).Run(t, corpus.IntEdges)
+}
+
+// TestConstructorCases: the constructor content rules with an outcome
+// other than "copy the item".
+func TestConstructorCases(t *testing.T) {
+	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}, difftest.Seq, difftest.Par, navdomEval).Run(t, corpus.Constructors)
+}
+
+// TestListsThroughHooks: navdom's battery and the random queries with
+// chains dissolved and with theta joins demoted — the evaluators of the
+// whole matrix that need this package's hooks. navdom's
+// TestDifferentialEngines and TestQuickRandomDifferential run the same
+// lists through every engine configuration and navdom.
+func TestListsThroughHooks(t *testing.T) {
+	cases := append(difftest.Agree("navigational", corpus.Navigational), difftest.Agree("random", corpus.Random(7, 200))...)
+	matrix(auctionDocs, difftest.Seq, unchained, demoted(8)).Run(t, cases)
 }
 
 // TestSharedPlanConcurrentEval evaluates one compiled plan from many
 // goroutines against a single shared engine and store. The query
 // constructs elements, so every evaluation allocates fragments in the
-// shared store — the strongest store-locking stress short of -race.
+// shared store — the strongest store-locking stress short of -race. All
+// goroutines share the one lowering the first evaluation cached, so the
+// plan is evaluated on par directly, not through difftest.OnEngine,
+// which forgets it after each call.
 func TestSharedPlanConcurrentEval(t *testing.T) {
-	par := parEngine(t, "auction.xml", auctionDoc)
-	opts := xqcore.Options{ContextDoc: "auction.xml"}
+	par := difftest.LoadEngine(t, difftest.ParConfig, auctionDocs)
 	const src = `for $p in //person
 	 order by $p/name
 	 return <row id="{$p/@id}">{$p/name/text()}</row>`
-	plan, _, err := core.CompileQuery(src, opts)
+	plan, err := difftest.Compile(src, xqcore.Options{ContextDoc: "auction.xml"}, difftest.Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = opt.Optimize(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := func() (string, error) {
+	eval := func() (string, error) {
 		res, err := par.Eval(plan)
 		if err != nil {
 			return "", err
 		}
 		return serialize.Result(par.Store, res)
-	}()
+	}
+	want, err := eval()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +265,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := par.Eval(plan)
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			outs[g], errs[g] = serialize.Result(par.Store, res)
+			outs[g], errs[g] = eval()
 		}(g)
 	}
 	wg.Wait()
@@ -221,7 +284,9 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 // default morsel size splits kernels — through the optimized plan at
 // workers 1 and 2 with runtime checking on, and compares each result with
 // the navigational baseline. At least one operator must report a morsel
-// split, or the comparison covered only the unsplit kernels.
+// split, or the comparison covered only the unsplit kernels. It stays off
+// the runner, which would add the plain plan: under -race that doubles
+// the test's time.
 func TestLargeRangePipelines(t *testing.T) {
 	pipelines := []string{
 		"for $i in 1 to 50000 where $i mod 7 = 0 return $i * 2",
@@ -240,10 +305,7 @@ func TestLargeRangePipelines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: navdom: %v", src, err)
 			}
-			plan, _, err := core.CompileQuery(src, xqcore.Options{})
-			if err == nil {
-				plan, err = opt.Optimize(plan)
-			}
+			plan, err := difftest.Compile(src, xqcore.Options{}, difftest.Optimized)
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
@@ -264,54 +326,6 @@ func TestLargeRangePipelines(t *testing.T) {
 		}
 		if !split {
 			t.Errorf("workers=%d: no operator split into morsels at the default morsel size", w)
-		}
-	}
-}
-
-// TestRangeEdges runs the int64-edge cases of corpus.IntEdges: each
-// range and each integer operation yields its pinned result, the size
-// guard's error or FOAR0002 — never a wrapped value or an allocated span.
-func TestRangeEdges(t *testing.T) {
-	agreeOnCases(t, "<r/>", corpus.IntEdges)
-}
-
-// TestConstructorCases runs the constructor corpus — the content rules
-// with an outcome other than "copy the item".
-func TestConstructorCases(t *testing.T) {
-	agreeOnCases(t, corpus.ConstructorDoc, corpus.Constructors)
-}
-
-// agreeOnCases runs each case over doc through the sequential and the
-// parallel executor, the optimized plan and the navigational baseline:
-// all four produce the pinned result, or all four raise an error naming
-// the pinned text.
-func agreeOnCases(t *testing.T, doc string, cases []corpus.Case) {
-	const uri = "r.xml"
-	seq := seqEngine(t, uri, doc)
-	par := parEngine(t, uri, doc)
-	db := navdom.NewDB()
-	if _, err := db.LoadString(uri, doc); err != nil {
-		t.Fatal(err)
-	}
-	opts := xqcore.Options{ContextDoc: uri}
-	for _, c := range cases {
-		runs := []struct {
-			name string
-			run  func() (string, error)
-		}{
-			{"phys seq", func() (string, error) { return core.Run(c.Query, seq, opts) }},
-			{"phys par", func() (string, error) { return core.Run(c.Query, par, opts) }},
-			{"optimized par", func() (string, error) { return runOptimized(t, c.Query, par, opts) }},
-			{"navdom", func() (string, error) { return navdom.NewInterp(db).Run(c.Query, opts) }},
-		}
-		for _, r := range runs {
-			got, err := r.run()
-			switch {
-			case c.Err != "" && (err == nil || !strings.Contains(err.Error(), c.Err)):
-				t.Errorf("%s: %s: got %q, err %v; want an error naming %s", c.Query, r.name, got, err, c.Err)
-			case c.Err == "" && (err != nil || got != c.Want):
-				t.Errorf("%s: %s: got %q, err %v; want %q", c.Query, r.name, got, err, c.Want)
-			}
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"pathfinder/internal/bat"
 	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
-	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
@@ -35,20 +35,11 @@ func TestEmitParseRoundTripSimple(t *testing.T) {
 		t.Fatalf("parse emitted program: %v\n%s", err, prog)
 	}
 	// The round-tripped plan must evaluate identically.
-	e1 := engine.New(xenc.NewStore())
-	r1, err := e1.Eval(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := engine.New(xenc.NewStore())
-	r2, err := e2.Eval(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, _ := serialize.Result(e1.Store, r1)
-	s2, _ := serialize.Result(e2.Store, r2)
-	if s1 != s2 || s1 != "110 120" {
-		t.Errorf("round trip: %q vs %q", s1, s2)
+	for _, p := range []*algebra.Op{plan, back} {
+		e := engine.New(xenc.NewStore())
+		if got, err := difftest.OnEngine(e, e.Eval)(difftest.Query{Plan: p}); err != nil || got != "110 120" {
+			t.Errorf("round trip: %q, %v", got, err)
+		}
 	}
 }
 
@@ -78,51 +69,33 @@ func TestItemLiteralsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestXMarkThroughMIL emits, parses, and executes every XMark query via
-// the MIL path and compares against direct plan evaluation.
-func TestXMarkThroughMIL(t *testing.T) {
-	doc := xmark.GenerateString(0.002)
-	opt := xqcore.Options{ContextDoc: "xmark.xml"}
-	for n := 1; n <= xmark.NumQueries; n++ {
-		plan, _, err := core.CompileQuery(xmark.Query(n), opt)
-		if err != nil {
-			t.Fatalf("Q%d: %v", n, err)
-		}
-		// Direct evaluation.
-		e1 := engine.New(xenc.NewStore())
-		if _, err := e1.Store.LoadDocumentString("xmark.xml", doc); err != nil {
-			t.Fatal(err)
-		}
-		r1, err := e1.Eval(plan)
-		if err != nil {
-			t.Fatalf("Q%d direct: %v", n, err)
-		}
-		want, _ := serialize.Result(e1.Store, r1)
-
-		// Via MIL text.
-		prog, err := Emit(plan)
-		if err != nil {
-			t.Fatalf("Q%d emit: %v", n, err)
-		}
+// milText ships each plan as MIL text to a server of its own, which
+// parses and executes it.
+var milText = difftest.Evaluator{Name: "mil", Family: difftest.Relational,
+	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
 		srv := NewServer()
-		if _, err := srv.Engine().Store.LoadDocumentString("xmark.xml", doc); err != nil {
-			t.Fatal(err)
-		}
-		got, err := srv.Exec(prog)
-		if err != nil {
-			t.Fatalf("Q%d MIL exec: %v", n, err)
-		}
-		if got != want {
-			a, b := got, want
-			if len(a) > 200 {
-				a = a[:200]
+		for _, d := range docs {
+			if _, err := srv.Engine().Store.LoadDocumentString(d.URI, d.Text); err != nil {
+				tb.Fatal(err)
 			}
-			if len(b) > 200 {
-				b = b[:200]
-			}
-			t.Errorf("Q%d differs via MIL:\n mil    = %q\n direct = %q", n, a, b)
 		}
-	}
+		return func(q difftest.Query) (string, error) {
+			prog, err := Emit(q.Plan)
+			if err != nil {
+				return "", err
+			}
+			return srv.Exec(prog)
+		}
+	}}
+
+// TestXMarkThroughMIL emits, parses, and executes every XMark query via
+// the MIL path and compares it, like direct plan evaluation, with the
+// goldens.
+func TestXMarkThroughMIL(t *testing.T) {
+	m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: []difftest.Evaluator{
+		difftest.Engine("direct", engine.Config{}), milText,
+	}}
+	m.Run(t, difftest.XMark(t))
 }
 
 func TestParseErrors(t *testing.T) {
@@ -339,21 +312,16 @@ func TestClientRejectsUnwireableNames(t *testing.T) {
 
 // TestServerConstructingRequestsLeaveStoreAlone: 500 constructing requests
 // through the server's two evaluation sites — a shipped MIL program and a
-// server-compiled XQuery — answer what the embedded engine answers, and
-// the server's store has exactly the fragments and the storage footprint
-// it had before the first of them.
+// server-compiled XQuery — answer what the goldens and the constructor
+// corpus pin, and the server's store has exactly the fragments and the
+// storage footprint it had before the first of them.
 func TestServerConstructingRequestsLeaveStoreAlone(t *testing.T) {
 	srv := NewServer()
 	store := srv.Engine().Store
-	for uri, doc := range map[string]string{"xmark.xml": xmark.GenerateString(0.002), "r.xml": corpus.ConstructorDoc} {
+	for uri, doc := range map[string]string{"xmark.xml": xmark.GenerateString(difftest.GoldenSF), "r.xml": corpus.ConstructorDoc} {
 		if _, err := store.LoadDocumentString(uri, doc); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The reference evaluates on a store of its own.
-	ref := engine.New(xenc.NewStore())
-	if _, err := ref.Store.LoadDocumentString("xmark.xml", xmark.GenerateString(0.002)); err != nil {
-		t.Fatal(err)
 	}
 	type request struct {
 		req       engine.QueryRequest
@@ -373,19 +341,7 @@ func TestServerConstructingRequestsLeaveStoreAlone(t *testing.T) {
 		reqs = append(reqs, r)
 	}
 	for _, n := range []int{8, 9, 10} {
-		plan, _, err := core.CompileQuery(xmark.Query(n), xqcore.Options{ContextDoc: "xmark.xml"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ref.Eval(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := serialize.Result(ref.Store, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(xmark.Query(n), "xmark.xml", want, "")
+		add(xmark.Query(n), "xmark.xml", difftest.Golden(t, n), "")
 	}
 	for _, c := range corpus.Constructors {
 		add(c.Query, "r.xml", c.Want, c.Err)

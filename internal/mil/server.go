@@ -440,6 +440,7 @@ func (s *Server) execQuery(ctx context.Context, sess ConnSession, req engine.Que
 	if plan, err = opt.Optimize(plan); err != nil {
 		return "", err
 	}
+	defer eng.ForgetPlan(plan)
 	return evalScratch(ctx, eng, plan)
 }
 

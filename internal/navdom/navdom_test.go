@@ -2,57 +2,17 @@ package navdom
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
-	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
-	"pathfinder/internal/engine"
-	"pathfinder/internal/opt"
-	"pathfinder/internal/serialize"
-	"pathfinder/internal/xenc"
 	"pathfinder/internal/xqcore"
 )
-
-// runOptimized runs the relational pipeline with the optimizer pipeline
-// in the loop, for three-way differential checks.
-func runOptimized(src string, eng *engine.Engine, opts xqcore.Options) (string, error) {
-	plan, _, err := core.CompileQuery(src, opts)
-	if err != nil {
-		return "", err
-	}
-	if plan, err = opt.Optimize(plan); err != nil {
-		return "", err
-	}
-	res, err := eng.Eval(plan)
-	if err != nil {
-		return "", err
-	}
-	return serialize.Result(eng.Store, res)
-}
-
-const testDoc = `<site>
- <people>
-  <person id="p1"><name>Alice</name><income>50000</income></person>
-  <person id="p2"><name>Bob</name></person>
-  <person id="p3"><name>Carol</name><income>90000</income></person>
- </people>
- <open_auctions>
-  <open_auction id="a1"><seller person="p1"/><bidder><increase>5</increase></bidder><bidder><increase>20</increase></bidder><current>25</current></open_auction>
-  <open_auction id="a2"><seller person="p3"/><current>7</current></open_auction>
- </open_auctions>
- <closed_auctions>
-  <closed_auction><buyer person="p1"/><price>40</price></closed_auction>
-  <closed_auction><buyer person="p1"/><price>60</price></closed_auction>
-  <closed_auction><buyer person="p2"/><price>10</price></closed_auction>
- </closed_auctions>
-</site>`
 
 func newDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
-	if _, err := db.LoadString("auction.xml", testDoc); err != nil {
+	if _, err := db.LoadString("auction.xml", corpus.AuctionDoc); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -176,179 +136,6 @@ func TestInterpSmoke(t *testing.T) {
 	}
 }
 
-// differentialQueries is the shared battery both engines must agree on.
-var differentialQueries = []string{
-	// literals, sequences, arithmetic
-	`42`, `(1, 2, 3)`, `()`, `1 + 2 * 3`, `7 div 2`, `7 idiv 2`, `-(4) + 1`,
-	`() + 1`, `1.5 * 2`,
-	// comparisons and logic
-	`1 < 2`, `(1,2,3) = 2`, `(1,2) != (1,2)`, `() = 1`, `1 eq 1`,
-	`1 = 1 and 2 = 3`, `not(1 = 2)`, `"abc" lt "abd"`,
-	// FLWOR
-	`for $v in (10,20), $w in (100,200) return $v + $w`,
-	`for $x in (1,2,3) return if ($x mod 2 = 1) then $x else ()`,
-	`let $x := (1,2) return ($x, $x)`,
-	`for $x in (3,1,2) order by $x return $x`,
-	`for $x in (3,1,2) order by $x descending return $x`,
-	`for $x at $i in ("a","b") return ($i, $x)`,
-	`for $x in ("a","b","c") return position()`,
-	`for $x in ("a","b","c") return last()`,
-	// paths
-	`count(//person)`, `count(//person/@id)`, `count(//node())`,
-	`/site/people/person[1]/name/text()`,
-	`/site/people/person[last()]/name/text()`,
-	`count(//person[income])`,
-	`//person[@id = "p2"]/name/text()`,
-	`count(//increase/ancestor::open_auction)`,
-	`count(//bidder/following-sibling::*)`,
-	`count(//price/preceding::price)`,
-	`count(//current/parent::open_auction)`,
-	`count(//person/descendant-or-self::node())`,
-	`count(//text()/ancestor::site)`,
-	`data(//person[@id="p1"]/income)`,
-	// functions
-	`string(//person[1]/name)`, `string(())`, `string-length("hello")`,
-	`concat("a","b","c")`, `contains("gold ring", "gold")`,
-	`sum(//price)`, `max(//price)`, `min(//price)`, `avg((2,4))`,
-	`count(())`, `sum(())`, `empty(())`, `exists(//person)`,
-	`string-join(("a","b"), "-")`,
-	// aggregates in loops (defaults)
-	`for $p in //person return count($p/income)`,
-	`for $p in //person return sum($p/income)`,
-	// quantifiers
-	`some $x in (1,2,3) satisfies $x > 2`,
-	`every $x in (1,2,3) satisfies $x > 1`,
-	`some $p in //person satisfies $p/income > 80000`,
-	// node comparisons
-	`(//person)[1] << (//person)[2]`,
-	`(//person)[1] is (//person)[1]`,
-	// constructors
-	`<a/>`, `<a x="1">t</a>`, `<a>{1 + 1}</a>`, `<a>{(1,2)}</a>`,
-	`<out>{//person[1]/name}</out>`,
-	`element foo {"bar"}`, `text {"hi"}`, `text {()}`,
-	`<e>{attribute n {42}}</e>`,
-	`<p name="{//person[1]/name/text()}"/>`,
-	`for $i in (1,2) return <n v="{$i}"/>`,
-	// typeswitch
-	`typeswitch (1) case xs:integer return "int" default return "other"`,
-	`typeswitch (//person[1]) case element(person) return "p" default return "o"`,
-	`typeswitch ((1,2)) case xs:integer return "one" case xs:integer+ return "many" default return "o"`,
-	// where and joins
-	`for $p in //person where $p/income > 60000 return $p/name/text()`,
-	`for $p in //person where empty($p/income) return string($p/@id)`,
-	`for $p in //person
-	 return count(for $t in doc("auction.xml")/site/closed_auctions/closed_auction
-	        where $t/buyer/@person = $p/@id return $t)`,
-	`for $p in //person
-	 return count(for $i in doc("auction.xml")/site/open_auctions/open_auction/bidder/increase
-	        where $p/income > 5000 * $i return $i)`,
-	// order by over nodes with empty keys
-	`for $p in //person order by $p/income return string($p/@id)`,
-	// order by referencing a let variable (substituted at normalization)
-	`for $a in //open_auction
-	 let $n := count($a/bidder)
-	 order by $n descending, $a/@id
-	 return <x b="{$n}"/>`,
-	// UDF
-	`declare function local:double($v) { 2 * $v };
-	 for $p in //price return local:double($p)`,
-	// document order / ddo
-	`count(fs:distinct-doc-order((//person, //person)))`,
-	`root((//name)[1]) is doc("auction.xml")`,
-	// extended dialect: ranges, set operators, distinct-values, strings
-	`1 to 5`,
-	`for $i in 1 to 3 return $i * 10`,
-	`count(2 to 1)`,
-	`sum(for $p in //person return count(1 to count($p/income)))`,
-	`count(//person | //price)`,
-	`count(//person union //person)`,
-	`count((//person, //price) intersect //person)`,
-	`count((//person, //price) except //person)`,
-	`//name | //name[1]`,
-	`distinct-values((1, 2, 1, 3, 2))`,
-	`distinct-values(//closed_auction/type)`,
-	`count(distinct-values(//buyer/@person))`,
-	`substring("motor car", 6)`,
-	`substring("metadata", 4, 3)`,
-	`substring("12345", 1.5, 2.6)`,
-	`substring((), 2)`,
-	`name((//person)[1])`,
-	`name((//person)[1]/@id)`,
-	`for $n in //person/name order by name($n) return 1`,
-	// conjunctive join predicate (compiler unnests on the equi-conjunct)
-	`for $p in //person
-	 return count(for $t in doc("auction.xml")/site/closed_auctions/closed_auction
-	        where $t/buyer/@person = $p/@id and $t/price > 50
-	        return $t)`,
-}
-
-// TestDifferentialEngines runs every battery query through both the
-// relational pipeline (parse → normalize → loop-lift → column engine) and
-// the navigational interpreter, and requires byte-identical serialized
-// results — the strongest cross-check between the paper's system and its
-// baseline.
-func TestDifferentialEngines(t *testing.T) {
-	db := newDB(t)
-	eng := engine.New(xenc.NewStore())
-	if _, err := eng.Store.LoadDocumentString("auction.xml", testDoc); err != nil {
-		t.Fatal(err)
-	}
-	opts := xqcore.Options{ContextDoc: "auction.xml"}
-	for _, src := range differentialQueries {
-		rel, errR := core.Run(src, eng, opts)
-		nav, errN := NewInterp(db).Run(src, opts)
-		if (errR == nil) != (errN == nil) {
-			t.Errorf("%s: error mismatch: relational=%v navigational=%v", src, errR, errN)
-			continue
-		}
-		if errR != nil {
-			continue
-		}
-		if rel != nav {
-			t.Errorf("%s:\n relational   = %q\n navigational = %q", src, rel, nav)
-			continue
-		}
-		// Three-way: the optimizer pipeline must not change results.
-		optd, errO := runOptimized(src, eng, opts)
-		if errO != nil {
-			t.Errorf("%s: optimized pipeline error: %v", src, errO)
-			continue
-		}
-		if optd != rel {
-			t.Errorf("%s:\n plain     = %q\n optimized = %q", src, rel, optd)
-		}
-	}
-}
-
-func TestCommentsAcrossEngines(t *testing.T) {
-	const doc = `<r><!--first--><a/><!--second--><b><!--third--></b></r>`
-	db := NewDB()
-	if _, err := db.LoadString("c.xml", doc); err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(xenc.NewStore())
-	if _, err := eng.Store.LoadDocumentString("c.xml", doc); err != nil {
-		t.Fatal(err)
-	}
-	opts := xqcore.Options{ContextDoc: "c.xml"}
-	for q, want := range map[string]string{
-		`count(//comment())`:              "3",
-		`count(/r/comment())`:             "2",
-		`/r/b/comment()`:                  "<!--third-->",
-		`count(//a/following::comment())`: "2",
-	} {
-		rel, err1 := core.Run(q, eng, opts)
-		nav, err2 := NewInterp(db).Run(q, opts)
-		if err1 != nil || err2 != nil {
-			t.Errorf("%s: rel err=%v nav err=%v", q, err1, err2)
-			continue
-		}
-		if rel != want || nav != want {
-			t.Errorf("%s: rel=%q nav=%q want=%q", q, rel, nav, want)
-		}
-	}
-}
-
 func TestValueIndexFastPath(t *testing.T) {
 	db := newDB(t)
 	q := `for $p in //person
@@ -379,91 +166,5 @@ func TestIndexLookup(t *testing.T) {
 	}
 	if _, ok := db.lookupIndex("seller", "person", "p1"); ok {
 		t.Error("unindexed path must report !ok")
-	}
-}
-
-// randQuery emits a random query from a small grammar where both engines
-// have identical semantics.
-func randQuery(r *rand.Rand) string {
-	paths := []string{"//person", "//price", "//name", "//open_auction", "//bidder"}
-	atoms := []string{"1", "2", "40", `"x"`, "(1,2)", "()"}
-	nums := []string{"1", "2", "40", "3.5"}
-	// num yields a numeric singleton — arithmetic over longer sequences is
-	// a type error that only the navigational engine detects.
-	num := func() string {
-		if r.Intn(3) == 0 {
-			return fmt.Sprintf("count(%s)", paths[r.Intn(len(paths))])
-		}
-		return nums[r.Intn(len(nums))]
-	}
-	var gen func(depth int) string
-	gen = func(depth int) string {
-		if depth > 2 {
-			return atoms[r.Intn(len(atoms))]
-		}
-		switch r.Intn(12) {
-		case 0:
-			return fmt.Sprintf("count(%s)", paths[r.Intn(len(paths))])
-		case 1:
-			return fmt.Sprintf("(%s + %s)", num(), num())
-		case 2:
-			return fmt.Sprintf("for $v%d in (%s, %s) return ($v%d, %s)",
-				depth, gen(depth+1), gen(depth+1), depth, gen(depth+1))
-		case 3:
-			return fmt.Sprintf("if (%s = %s) then %s else %s",
-				gen(depth+1), gen(depth+1), gen(depth+1), gen(depth+1))
-		case 4:
-			return fmt.Sprintf("sum(for $s%d in %s return 1)", depth, paths[r.Intn(len(paths))])
-		case 5:
-			return fmt.Sprintf("<w>{%s}</w>", gen(depth+1))
-		case 6:
-			return fmt.Sprintf("string(%s)", atoms[r.Intn(len(atoms))])
-		case 7:
-			return fmt.Sprintf("(%s to %s)", num(), num())
-		case 8:
-			return fmt.Sprintf("count(%s | %s)",
-				paths[r.Intn(len(paths))], paths[r.Intn(len(paths))])
-		case 9:
-			return fmt.Sprintf("count(%s except %s)",
-				paths[r.Intn(len(paths))], paths[r.Intn(len(paths))])
-		case 10:
-			return fmt.Sprintf("distinct-values((%s, %s))", gen(depth+1), gen(depth+1))
-		case 11:
-			// substring's first argument must be a singleton string.
-			return fmt.Sprintf("substring(string(%s), %s)", num(), num())
-		default:
-			return fmt.Sprintf("(%s)[1]", paths[r.Intn(len(paths))])
-		}
-	}
-	return gen(0)
-}
-
-// TestQuickRandomDifferential cross-checks randomly generated queries.
-func TestQuickRandomDifferential(t *testing.T) {
-	db := newDB(t)
-	eng := engine.New(xenc.NewStore())
-	if _, err := eng.Store.LoadDocumentString("auction.xml", testDoc); err != nil {
-		t.Fatal(err)
-	}
-	opts := xqcore.Options{ContextDoc: "auction.xml"}
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		src := randQuery(r)
-		rel, errR := core.Run(src, eng, opts)
-		nav, errN := NewInterp(db).Run(src, opts)
-		if (errR == nil) != (errN == nil) {
-			t.Fatalf("query %d %s: error mismatch rel=%v nav=%v", i, src, errR, errN)
-		}
-		if errR != nil {
-			continue
-		}
-		if rel != nav {
-			t.Fatalf("query %d %s:\n rel = %q\n nav = %q", i, src, rel, nav)
-		}
-		optd, errO := runOptimized(src, eng, opts)
-		if errO != nil || optd != rel {
-			t.Fatalf("query %d %s: optimizer divergence: %q vs %q (err %v)",
-				i, src, rel, optd, errO)
-		}
 	}
 }

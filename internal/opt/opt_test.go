@@ -7,10 +7,9 @@ import (
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/core"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/opt"
-	"pathfinder/internal/serialize"
-	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
 )
@@ -84,49 +83,10 @@ func TestOptimizeReducesXMarkPlanSizes(t *testing.T) {
 }
 
 // TestOptimizePreservesResults runs every XMark query optimized and
-// unoptimized and requires identical serialized results.
+// unoptimized and requires both to produce the goldens' bytes.
 func TestOptimizePreservesResults(t *testing.T) {
-	doc := xmark.GenerateString(0.002)
-	opts := xqcore.Options{ContextDoc: "xmark.xml"}
-	for n := 1; n <= xmark.NumQueries; n++ {
-		// Fresh stores per run: constructors append fragments, so plans
-		// must not share a store to keep results comparable.
-		runPlan := func(optimize bool) (string, error) {
-			eng := engine.New(xenc.NewStore())
-			if _, err := eng.Store.LoadDocumentString("xmark.xml", doc); err != nil {
-				return "", err
-			}
-			plan, _, err := core.CompileQuery(xmark.Query(n), opts)
-			if err != nil {
-				return "", err
-			}
-			if optimize {
-				if plan, err = opt.Optimize(plan); err != nil {
-					return "", err
-				}
-			}
-			res, err := eng.Eval(plan)
-			if err != nil {
-				return "", err
-			}
-			return serialize.Result(eng.Store, res)
-		}
-		plain, err1 := runPlan(false)
-		optimized, err2 := runPlan(true)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("Q%d: plain err=%v optimized err=%v", n, err1, err2)
-		}
-		if plain != optimized {
-			a, b := plain, optimized
-			if len(a) > 300 {
-				a = a[:300]
-			}
-			if len(b) > 300 {
-				b = b[:300]
-			}
-			t.Errorf("Q%d: optimizer changed the result:\n plain = %q\n opt   = %q", n, a, b)
-		}
-	}
+	m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: []difftest.Evaluator{difftest.Engine("engine", engine.Config{})}}
+	m.Run(t, difftest.XMark(t))
 }
 
 func TestOptimizeValidates(t *testing.T) {

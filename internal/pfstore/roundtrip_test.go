@@ -7,29 +7,19 @@ package pfstore_test
 // byte-comparing every serialized result.
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
-	"pathfinder/internal/opt"
 	"pathfinder/internal/pfstore"
-	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
-	"pathfinder/internal/xmark"
-	"pathfinder/internal/xqcore"
 )
 
-// goldenSF matches the engine golden tier, so the pinned files apply.
-const goldenSF = 0.002
-
 // saveReopen round-trips a store through the file format.
-func saveReopen(t *testing.T, store *xenc.Store, name string) *xenc.Store {
+func saveReopen(t testing.TB, store *xenc.Store, name string) *xenc.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name+".pfc")
 	if err := pfstore.Save(path, store, name, 1); err != nil {
@@ -45,72 +35,35 @@ func saveReopen(t *testing.T, store *xenc.Store, name string) *xenc.Store {
 	return reopened
 }
 
-func evalOn(eng *engine.Engine, query, contextDoc string) (string, error) {
-	plan, _, err := core.CompileQuery(query, xqcore.Options{ContextDoc: contextDoc})
-	if err != nil {
-		return "", err
-	}
-	if plan, err = opt.Optimize(plan); err != nil {
-		return "", err
-	}
-	res, err := eng.EvalContext(context.Background(), plan)
-	if err != nil {
-		return "", err
-	}
-	return serialize.Result(eng.Store, res)
+// reopened runs each plan on an engine over a store that took the trip
+// shred → Save → Open.
+func reopened(workers int) difftest.Evaluator {
+	return difftest.Evaluator{Name: fmt.Sprintf("reopened workers=%d", workers), Family: difftest.Relational,
+		Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
+			store := difftest.LoadEngine(tb, engine.Config{}, docs).Store
+			e := engine.NewWithConfig(saveReopen(tb, store, "c"), engine.Config{Workers: workers, Check: true})
+			return difftest.OnEngine(e, e.Eval)
+		}}
 }
 
 // TestXMarkGoldenAfterReopen: all twenty XMark queries over a reopened
 // store match the pinned goldens byte for byte — the persisted encoding
 // is the same relational data the shredder produced.
 func TestXMarkGoldenAfterReopen(t *testing.T) {
-	store := xenc.NewStore()
-	if _, err := store.LoadDocumentString("xmark.xml", xmark.GenerateString(goldenSF)); err != nil {
-		t.Fatal(err)
-	}
-	reopened := saveReopen(t, store, "xmark")
-	eng := engine.NewWithConfig(reopened, engine.Config{Workers: 4, Check: true})
-
-	for n := 1; n <= xmark.NumQueries; n++ {
-		golden, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "golden", fmt.Sprintf("q%02d.xml", n)))
-		if err != nil {
-			t.Fatalf("Q%d: %v", n, err)
-		}
-		want := strings.TrimSuffix(string(golden), "\n")
-		got, err := evalOn(eng, xmark.Query(n), "xmark.xml")
-		if err != nil {
-			t.Fatalf("Q%d over reopened store: %v", n, err)
-		}
-		if got != want {
-			t.Errorf("Q%d differs after reopen\n got  = %.300q\n want = %.300q", n, got, want)
-		}
-	}
+	m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: []difftest.Evaluator{reopened(4)}}
+	m.Run(t, difftest.XMark(t))
 }
 
 // TestDialectCorpusReopenDifferential: every Table 2 corpus query returns
-// identical bytes on the freshly shredded store and the reopened one —
+// identical bytes on a freshly shredded store and a reopened one —
 // including the constructor queries, which extend the reopened store with
 // new fragments at query time.
 func TestDialectCorpusReopenDifferential(t *testing.T) {
-	fresh := xenc.NewStore()
-	if _, err := fresh.LoadDocumentString("auction.xml", corpus.AuctionDoc); err != nil {
-		t.Fatal(err)
+	m := difftest.Matrix{
+		Docs:  []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}},
+		Evals: []difftest.Evaluator{difftest.Engine("fresh", difftest.SeqConfig), reopened(1)},
 	}
-	reopened := saveReopen(t, fresh, "auction")
-
-	refEng := engine.NewWithConfig(fresh, engine.Config{Workers: 1, Check: true})
-	gotEng := engine.NewWithConfig(reopened, engine.Config{Workers: 1, Check: true})
-	for i, q := range corpus.Dialect {
-		want, wantErr := evalOn(refEng, q, "auction.xml")
-		got, gotErr := evalOn(gotEng, q, "auction.xml")
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("dialect[%d] %q: fresh err=%v, reopened err=%v", i, q, wantErr, gotErr)
-			continue
-		}
-		if got != want {
-			t.Errorf("dialect[%d] %q differs after reopen\n got  = %.300q\n want = %.300q", i, q, got, want)
-		}
-	}
+	m.Run(t, difftest.Agree("dialect", corpus.Dialect))
 }
 
 // TestReopenedStoreStringContent spot-checks content resolution paths the

@@ -71,7 +71,7 @@ func TestDiscoverChainsTinyGate(t *testing.T) {
 	if len(p.Chains) != 0 {
 		t.Fatalf("tiny input formed %d chain(s); the EstRows gate must skip them", len(p.Chains))
 	}
-	if nd := p.ByOp[fn]; nd.EstRows < 0 || nd.EstRows >= FusedMinRows {
+	if nd := nodeOf(p, fn); nd.EstRows < 0 || nd.EstRows >= FusedMinRows {
 		t.Fatalf("test premise broken: head EstRows = %d, want a small static bound", nd.EstRows)
 	}
 }

@@ -68,7 +68,6 @@ type Node struct {
 type Plan struct {
 	Root  *Node
 	Nodes []*Node
-	ByOp  map[*algebra.Op]*Node
 
 	// Chains are the maximal operator chains (see fusion.go) in
 	// discovery order, each run as one scheduler task. They are executor
@@ -165,7 +164,7 @@ func Lower(root *algebra.Op) *Plan {
 		byOp[o] = nd
 		nodes[i] = nd
 	}
-	p := &Plan{Root: byOp[root], Nodes: nodes, ByOp: byOp}
+	p := &Plan{Root: byOp[root], Nodes: nodes}
 	discoverUnits(p)
 	return p
 }

@@ -15,6 +15,16 @@ func mustOp(o *algebra.Op, err error) *algebra.Op {
 	return o
 }
 
+// nodeOf is p's node for the logical operator o.
+func nodeOf(p *Plan, o *algebra.Op) *Node {
+	for _, nd := range p.Nodes {
+		if nd.Op == o {
+			return nd
+		}
+	}
+	return nil
+}
+
 func sortedLit(col string, vals ...int64) *algebra.Op {
 	return algebra.Lit(bat.MustTable(col, bat.IntVec(vals)))
 }
@@ -195,7 +205,7 @@ func TestLowerPreservesSharing(t *testing.T) {
 	if len(p.Nodes) != algebra.CountOps(j) {
 		t.Fatalf("%d physical nodes for %d logical ops", len(p.Nodes), algebra.CountOps(j))
 	}
-	if p.ByOp[a].In[0] != p.ByOp[b].In[0] {
+	if nodeOf(p, a).In[0] != nodeOf(p, b).In[0] {
 		t.Error("shared logical input lowered to distinct physical nodes")
 	}
 }

@@ -7,64 +7,45 @@ package service_test
 // format bug), and the /collections endpoints get a full lifecycle test.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/pfstore"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
-	"pathfinder/internal/xmark"
 )
 
 // newCatalogHarness builds a service over an empty default store plus a
 // catalog in dir, with both front doors listening.
-func newCatalogHarness(t *testing.T, workers int, cat *pfstore.Catalog) *harness {
+func newCatalogHarness(t testing.TB, workers int, cat *pfstore.Catalog) *harness {
 	t.Helper()
-	svc := service.New(xenc.NewStore(), service.Config{
+	return serve(t, service.New(xenc.NewStore(), service.Config{
 		Engine:  engine.Config{Workers: workers, Check: true},
 		Catalog: cat,
-	})
-	hs := httptest.NewServer(svc.Handler())
-	t.Cleanup(hs.Close)
-	milSrv := svc.NewMILServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go milSrv.Serve(l) //nolint:errcheck — closed via t.Cleanup
-	t.Cleanup(milSrv.Close)
-	return &harness{svc: svc, httpSrv: hs, milSrv: milSrv, tcpAddr: l.Addr().String()}
+	}))
 }
 
 // persistCollection shreds docs into a store and persists it as a named
 // collection, returning a FRESH catalog over the directory so the serving
 // process must reopen the file from disk rather than reuse the writer's
 // cached store.
-func persistCollection(t *testing.T, dir, name string, docs map[string]string) *pfstore.Catalog {
+func persistCollection(t testing.TB, dir, name string, docs []difftest.Doc) *pfstore.Catalog {
 	t.Helper()
 	writer, err := pfstore.OpenCatalog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := xenc.NewStore()
-	for uri, doc := range docs {
-		if _, err := store.LoadDocumentString(uri, doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := writer.Put(name, store); err != nil {
+	if _, err := writer.Put(name, difftest.LoadEngine(t, engine.Config{}, docs).Store); err != nil {
 		t.Fatal(err)
 	}
 	reader, err := pfstore.OpenCatalog(dir)
@@ -74,69 +55,18 @@ func persistCollection(t *testing.T, dir, name string, docs map[string]string) *
 	return reader
 }
 
-// queryCollectionJSON drives POST /query with a collection binding.
-func (h *harness) queryCollectionJSON(t *testing.T, query, collection string) (int, string) {
-	t.Helper()
-	body, err := json.Marshal(map[string]any{"query": query, "collection": collection})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(h.httpSrv.URL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, string(raw)
-	}
-	var out struct {
-		Result string `json:"result"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("bad JSON response %q: %v", raw, err)
-	}
-	return resp.StatusCode, out.Result
-}
-
 // TestServiceCollectionXMarkGolden: all twenty XMark queries over a
 // persisted-and-reopened collection, through the HTTP JSON endpoint, the
 // HTTP text endpoint, and the TCP XQ command, byte-compared to the
 // pinned goldens. This is the reopen-without-re-shredding acceptance
 // path: the serving process never saw the source XML.
 func TestServiceCollectionXMarkGolden(t *testing.T) {
-	cat := persistCollection(t, t.TempDir(), "xmark",
-		map[string]string{"xmark.xml": xmark.GenerateString(goldenSF)})
-	h := newCatalogHarness(t, 4, cat)
-	tcp := h.dialTCP(t)
-
-	for n := 1; n <= xmark.NumQueries; n++ {
-		golden, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "golden", fmt.Sprintf("q%02d.xml", n)))
-		if err != nil {
-			t.Fatalf("Q%d: %v", n, err)
-		}
-		want := strings.TrimSuffix(string(golden), "\n")
-
-		if code, got := h.queryCollectionJSON(t, xmark.Query(n), "xmark"); code != http.StatusOK || got != want {
-			t.Errorf("Q%d http-json: status=%d\n got  = %.300q\n want = %.300q", n, code, got, want)
-		}
-		url := h.httpSrv.URL + "/query/text?collection=xmark"
-		resp, err := http.Post(url, "application/xquery", strings.NewReader(xmark.Query(n)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || string(raw) != want {
-			t.Errorf("Q%d http-text: status=%d\n got  = %.300q\n want = %.300q", n, resp.StatusCode, raw, want)
-		}
-		if got, err := tcp.ExecXQReq(engine.QueryRequest{Query: xmark.Query(n), Collection: "xmark"}); err != nil || got != want {
-			t.Errorf("Q%d tcp-xq: err=%v\n got  = %.300q\n want = %.300q", n, err, got, want)
-		}
-	}
+	reopened, reused := frontDoors("collection", func(t testing.TB, docs []difftest.Doc) *harness {
+		return newCatalogHarness(t, 4, persistCollection(t, t.TempDir(), "xmark", docs))
+	}, "xmark")
+	m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: reopened}
+	m.Run(t, difftest.XMark(t))
+	reused(t, len(difftest.XMark(t)))
 }
 
 // TestCollectionsHTTPLifecycle: PUT creates and extends a collection,
@@ -187,11 +117,11 @@ func TestCollectionsHTTPLifecycle(t *testing.T) {
 	if code, body = do(http.MethodPut, "/collections/crew?doc=b.xml", `<crew><member>Grace</member></crew>`); code != http.StatusOK {
 		t.Fatalf("PUT second doc: status=%d body=%s", code, body)
 	}
-	if code, got := h.queryCollectionJSON(t, `count(collection("crew")//member)`, "crew"); code != http.StatusOK || got != "2" {
+	if code, got := h.postJSON(t, map[string]any{"query": `count(collection("crew")//member)`, "collection": "crew"}); code != http.StatusOK || got != "2" {
 		t.Errorf("count over 2-doc collection: status=%d got=%q want 2", code, got)
 	}
 	// Absolute paths bind to the collection too.
-	if code, got := h.queryCollectionJSON(t, `/crew/member/text()`, "crew"); code != http.StatusOK || got != "AdaGrace" {
+	if code, got := h.postJSON(t, map[string]any{"query": `/crew/member/text()`, "collection": "crew"}); code != http.StatusOK || got != "AdaGrace" {
 		t.Errorf("absolute path over collection: status=%d got=%q", code, got)
 	}
 
@@ -199,7 +129,7 @@ func TestCollectionsHTTPLifecycle(t *testing.T) {
 	if code, body = do(http.MethodPut, "/collections/crew?doc=a.xml", `<crew/>`); code != http.StatusOK {
 		t.Fatalf("PUT replace: status=%d body=%s", code, body)
 	}
-	if code, got := h.queryCollectionJSON(t, `count(collection("crew")//member)`, "crew"); code != http.StatusOK || got != "1" {
+	if code, got := h.postJSON(t, map[string]any{"query": `count(collection("crew")//member)`, "collection": "crew"}); code != http.StatusOK || got != "1" {
 		t.Errorf("count after replace: status=%d got=%q want 1", code, got)
 	}
 
@@ -230,7 +160,7 @@ func TestCollectionsHTTPLifecycle(t *testing.T) {
 	if code, _ = do(http.MethodDelete, "/collections/crew", ""); code != http.StatusNotFound {
 		t.Errorf("second DELETE: status=%d, want 404", code)
 	}
-	if code, _ := h.queryCollectionJSON(t, `1+1`, "crew"); code != http.StatusNotFound {
+	if code, _ := h.postJSON(t, map[string]any{"query": `1+1`, "collection": "crew"}); code != http.StatusNotFound {
 		t.Errorf("query on deleted collection: status=%d, want 404", code)
 	}
 }
@@ -238,7 +168,7 @@ func TestCollectionsHTTPLifecycle(t *testing.T) {
 // TestCollectionWithoutCatalog: collection operations on a service with
 // no catalog are 501, and collection-bound queries 404.
 func TestCollectionWithoutCatalog(t *testing.T) {
-	h := newHarness(t, 1, map[string]string{})
+	h := newHarness(t, 1, nil)
 	req, _ := http.NewRequest(http.MethodPut, h.httpSrv.URL+"/collections/x", strings.NewReader("<a/>"))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -248,7 +178,7 @@ func TestCollectionWithoutCatalog(t *testing.T) {
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Errorf("PUT without catalog: status=%d, want 501", resp.StatusCode)
 	}
-	if code, _ := h.queryCollectionJSON(t, `1`, "nope"); code != http.StatusNotFound {
+	if code, _ := h.postJSON(t, map[string]any{"query": `1`, "collection": "nope"}); code != http.StatusNotFound {
 		t.Errorf("collection query without catalog: status=%d, want 404", code)
 	}
 }
@@ -268,10 +198,10 @@ func TestDamagedCollectionIsServerError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "hurt.pfc"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, body := h.queryCollectionJSON(t, `1+1`, "hurt"); code != http.StatusInternalServerError {
+	if code, body := h.postJSON(t, map[string]any{"query": `1+1`, "collection": "hurt"}); code != http.StatusInternalServerError {
 		t.Errorf("damaged collection: status=%d body=%q, want 500", code, body)
 	}
-	if code, _ := h.queryCollectionJSON(t, `1+1`, "absent"); code != http.StatusNotFound {
+	if code, _ := h.postJSON(t, map[string]any{"query": `1+1`, "collection": "absent"}); code != http.StatusNotFound {
 		t.Errorf("absent collection: status=%d, want 404", code)
 	}
 
@@ -287,7 +217,7 @@ func TestDamagedCollectionIsServerError(t *testing.T) {
 	if _, err := writer.Put("hurt", store); err != nil {
 		t.Fatal(err)
 	}
-	if code, got := h.queryCollectionJSON(t, `count(collection("hurt"))`, "hurt"); code != http.StatusOK || got != "1" {
+	if code, got := h.postJSON(t, map[string]any{"query": `count(collection("hurt"))`, "collection": "hurt"}); code != http.StatusOK || got != "1" {
 		t.Errorf("after repair: status=%d got=%q, want 200/\"1\"", code, got)
 	}
 }

@@ -1,61 +1,56 @@
 package service_test
 
 // Service-path differential tier (the point of the service: every front
-// door returns the same bytes as the embedded engine). XMark q01–q20 are
-// checked against the pinned goldens under internal/engine/testdata, the
-// Table 2 dialect corpus against a freshly evaluated embedded reference —
-// each through the HTTP JSON endpoint, the HTTP text endpoint, and the
-// TCP XQ command, at one worker and at eight, with the engine's runtime
-// invariant checks enabled throughout.
+// door returns the same bytes as the embedded engine). The front doors —
+// the HTTP JSON endpoint, the HTTP text endpoint and the TCP XQ command,
+// plus plans shipped over the TCP MIL command — are evaluators for the
+// runner (internal/difftest): XMark q01–q20 run against the pinned
+// goldens, the Table 2 dialect corpus against the embedded engine, at one
+// worker and at eight, with the engine's runtime invariant checks on.
+// The three query-text doors share one service, so the second and third
+// re-run the plan the first one prepared.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
-	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/mil"
-	"pathfinder/internal/opt"
-	"pathfinder/internal/serialize"
 	"pathfinder/internal/service"
-	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
-	"pathfinder/internal/xqcore"
 )
 
-// goldenSF matches internal/engine's golden tier, so the goldens pin the
-// service path too.
-const goldenSF = 0.002
+var auctionDocs = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 
 type harness struct {
 	svc     *service.Service
 	httpSrv *httptest.Server
 	milSrv  *mil.Server
 	tcpAddr string
+	tcp     *mil.Client // dialled on first use by the tcp-xq door
 }
 
-func newHarness(t *testing.T, workers int, docs map[string]string) *harness {
+func newHarness(t testing.TB, workers int, docs []difftest.Doc) *harness {
 	t.Helper()
-	store := xenc.NewStore()
-	for uri, doc := range docs {
-		if _, err := store.LoadDocumentString(uri, doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	svc := service.New(store, service.Config{
+	store := difftest.LoadEngine(t, engine.Config{}, docs).Store
+	return serve(t, service.New(store, service.Config{
 		Engine: engine.Config{Workers: workers, Check: true},
-	})
+	}))
+}
+
+// serve puts svc behind both front doors, closed when t ends.
+func serve(t testing.TB, svc *service.Service) *harness {
+	t.Helper()
 	hs := httptest.NewServer(svc.Handler())
 	t.Cleanup(hs.Close)
 	milSrv := svc.NewMILServer()
@@ -68,20 +63,20 @@ func newHarness(t *testing.T, workers int, docs map[string]string) *harness {
 	return &harness{svc: svc, httpSrv: hs, milSrv: milSrv, tcpAddr: l.Addr().String()}
 }
 
-// queryJSON drives POST /query; on 200 it returns the result field.
-func (h *harness) queryJSON(t *testing.T, query, doc string) (int, string) {
+// postJSON drives POST /query with body; on 200 it returns the result
+// field.
+func (h *harness) postJSON(t testing.TB, body map[string]any) (int, string) {
 	t.Helper()
-	body, err := json.Marshal(map[string]any{"query": query, "doc": doc})
+	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(h.httpSrv.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(h.httpSrv.URL+"/query", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if raw, err = io.ReadAll(resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -96,12 +91,13 @@ func (h *harness) queryJSON(t *testing.T, query, doc string) (int, string) {
 	return resp.StatusCode, out.Result
 }
 
-// queryText drives POST /query/text.
-func (h *harness) queryText(t *testing.T, query, doc string) (int, string) {
+// queryText drives POST /query/text; binding is the URL's query string
+// ("doc=…" or "collection=…"), if any.
+func (h *harness) queryText(t testing.TB, query, binding string) (int, string) {
 	t.Helper()
 	url := h.httpSrv.URL + "/query/text"
-	if doc != "" {
-		url += "?doc=" + doc
+	if binding != "" {
+		url += "?" + binding
 	}
 	resp, err := http.Post(url, "application/xquery", strings.NewReader(query))
 	if err != nil {
@@ -115,7 +111,7 @@ func (h *harness) queryText(t *testing.T, query, doc string) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
-func (h *harness) dialTCP(t *testing.T) *mil.Client {
+func (h *harness) dialTCP(t testing.TB) *mil.Client {
 	t.Helper()
 	c, err := mil.Dial(h.tcpAddr)
 	if err != nil {
@@ -125,125 +121,127 @@ func (h *harness) dialTCP(t *testing.T) *mil.Client {
 	return c
 }
 
-// embedEval is the reference path: the exact compile → optimize → evaluate
-// → serialize pipeline the embedded engine runs, no service in sight.
-func embedEval(eng *engine.Engine, query, contextDoc string) (string, error) {
-	plan, _, err := core.CompileQuery(query, xqcore.Options{ContextDoc: contextDoc})
-	if err != nil {
-		return "", err
+// reply turns an HTTP status and body into an evaluator's outcome.
+func reply(code int, body string) (string, error) {
+	if code != http.StatusOK {
+		return "", fmt.Errorf("status %d: %s", code, body)
 	}
-	if plan, err = opt.Optimize(plan); err != nil {
-		return "", err
-	}
-	res, err := eng.EvalContext(context.Background(), plan)
-	if err != nil {
-		return "", err
-	}
-	return serialize.Result(eng.Store, res)
+	return body, nil
 }
 
-func refEngine(t *testing.T, workers int, docs map[string]string) *engine.Engine {
-	t.Helper()
-	store := xenc.NewStore()
-	for uri, doc := range docs {
-		if _, err := store.LoadDocumentString(uri, doc); err != nil {
-			t.Fatal(err)
+// doors are the service's three ways in for a query text.
+var doors = []struct {
+	name string
+	ask  func(t testing.TB, h *harness, req engine.QueryRequest) (string, error)
+}{
+	{"http-json", func(t testing.TB, h *harness, req engine.QueryRequest) (string, error) {
+		return reply(h.postJSON(t, map[string]any{"query": req.Query, "doc": req.ContextDoc, "collection": req.Collection}))
+	}},
+	{"http-text", func(t testing.TB, h *harness, req engine.QueryRequest) (string, error) {
+		binding := "doc=" + req.ContextDoc
+		if req.Collection != "" {
+			binding = "collection=" + req.Collection
+		}
+		return reply(h.queryText(t, req.Query, binding))
+	}},
+	{"tcp-xq", func(t testing.TB, h *harness, req engine.QueryRequest) (string, error) {
+		if h.tcp == nil {
+			h.tcp = h.dialTCP(t)
+		}
+		return h.tcp.ExecXQReq(req)
+	}},
+}
+
+// frontDoors makes one evaluator per door, all of them over the one
+// service open builds from the matrix's documents: the first door
+// prepares each query, and the others re-run the plan it cached. A
+// request names collection when it is set, the context document
+// otherwise. reused fails t unless the doors after the first answered
+// each of n cases from the prepared-plan cache.
+func frontDoors(label string, open func(testing.TB, []difftest.Doc) *harness, collection string) (evals []difftest.Evaluator, reused func(t testing.TB, n int)) {
+	var h *harness
+	var opened []difftest.Doc
+	for _, d := range doors {
+		evals = append(evals, difftest.Evaluator{Name: d.name + " " + label, Family: difftest.Foreign, Text: true,
+			Run: func(t testing.TB, docs []difftest.Doc) difftest.Eval {
+				if h == nil || !slices.Equal(docs, opened) {
+					h, opened = open(t, docs), docs
+				}
+				h := h
+				return func(q difftest.Query) (string, error) {
+					req := engine.QueryRequest{Query: q.Src, ContextDoc: q.Opts.ContextDoc}
+					if collection != "" {
+						req = engine.QueryRequest{Query: q.Src, Collection: collection}
+					}
+					return d.ask(t, h, req)
+				}
+			}})
+	}
+	return evals, func(t testing.TB, n int) {
+		t.Helper()
+		if hits, want := h.svc.Stats().Queries.CacheHits, int64(n*(len(doors)-1)); hits < want {
+			t.Errorf("%s: %d prepared-plan cache hits over %d cases, want ≥ %d", label, hits, n, want)
 		}
 	}
-	return engine.NewWithConfig(store, engine.Config{Workers: workers, Check: true})
+}
+
+// served is frontDoors over a service holding the documents in its store.
+func served(workers int) ([]difftest.Evaluator, func(testing.TB, int)) {
+	return frontDoors(fmt.Sprintf("workers=%d", workers), func(t testing.TB, docs []difftest.Doc) *harness {
+		return newHarness(t, workers, docs)
+	}, "")
+}
+
+// embedded is the reference: the embedded engine, no service in sight.
+func embedded(workers int) difftest.Evaluator {
+	return difftest.Engine(fmt.Sprintf("embedded workers=%d", workers), engine.Config{Workers: workers, Check: true})
 }
 
 // TestServiceXMarkGolden: all twenty XMark queries through all three
-// transports, byte-compared against the pinned goldens.
+// doors, byte-compared against the pinned goldens.
 func TestServiceXMarkGolden(t *testing.T) {
-	doc := xmark.GenerateString(goldenSF)
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			h := newHarness(t, workers, map[string]string{"xmark.xml": doc})
-			tcp := h.dialTCP(t)
-			for n := 1; n <= xmark.NumQueries; n++ {
-				golden, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "golden", fmt.Sprintf("q%02d.xml", n)))
-				if err != nil {
-					t.Fatalf("Q%d: %v", n, err)
-				}
-				want := strings.TrimSuffix(string(golden), "\n")
-
-				if code, got := h.queryJSON(t, xmark.Query(n), "xmark.xml"); code != http.StatusOK || got != want {
-					t.Errorf("Q%d http-json: status=%d\n got  = %.300q\n want = %.300q", n, code, got, want)
-				}
-				if code, got := h.queryText(t, xmark.Query(n), "xmark.xml"); code != http.StatusOK || got != want {
-					t.Errorf("Q%d http-text: status=%d\n got  = %.300q\n want = %.300q", n, code, got, want)
-				}
-				if got, err := tcp.ExecXQ(xmark.Query(n), "xmark.xml"); err != nil || got != want {
-					t.Errorf("Q%d tcp-xq: err=%v\n got  = %.300q\n want = %.300q", n, err, got, want)
-				}
-			}
+			doors, reused := served(workers)
+			m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: doors}
+			m.Run(t, difftest.XMark(t))
+			reused(t, xmark.NumQueries)
 		})
 	}
 }
 
 // TestServiceDialectDifferential: the Table 2 corpus through all three
-// transports against a freshly evaluated embedded reference.
+// doors against the embedded engine.
 func TestServiceDialectDifferential(t *testing.T) {
-	docs := map[string]string{"auction.xml": corpus.AuctionDoc}
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ref := refEngine(t, workers, docs)
-			h := newHarness(t, workers, docs)
-			tcp := h.dialTCP(t)
-			for i, q := range corpus.Dialect {
-				want, wantErr := embedEval(ref, q, "auction.xml")
-				if wantErr != nil {
-					// The service must classify it as a compile failure too.
-					if code, _ := h.queryJSON(t, q, "auction.xml"); code != http.StatusBadRequest {
-						t.Errorf("dialect[%d] %q: embedded failed (%v) but http status=%d", i, q, wantErr, code)
-					}
-					if _, err := tcp.ExecXQ(q, "auction.xml"); err == nil {
-						t.Errorf("dialect[%d] %q: embedded failed (%v) but TCP succeeded", i, q, wantErr)
-					}
-					continue
-				}
-				if code, got := h.queryJSON(t, q, "auction.xml"); code != http.StatusOK || got != want {
-					t.Errorf("dialect[%d] %q http-json: status=%d\n got  = %.300q\n want = %.300q", i, q, code, got, want)
-				}
-				if code, got := h.queryText(t, q, "auction.xml"); code != http.StatusOK || got != want {
-					t.Errorf("dialect[%d] %q http-text: status=%d\n got  = %.300q\n want = %.300q", i, q, code, got, want)
-				}
-				if got, err := tcp.ExecXQ(q, "auction.xml"); err != nil || got != want {
-					t.Errorf("dialect[%d] %q tcp-xq: err=%v\n got  = %.300q\n want = %.300q", i, q, err, got, want)
-				}
-			}
+			cases := difftest.Agree("dialect", corpus.Dialect)
+			doors, reused := served(workers)
+			m := difftest.Matrix{Docs: auctionDocs, Evals: append([]difftest.Evaluator{embedded(workers)}, doors...)}
+			difftest.NoErrors(t, cases, m.Run(t, cases))
+			reused(t, len(cases))
 		})
 	}
 }
 
-// TestServiceMILDifferential: plans shipped over the wire (the MIL
-// command, the paper's §4 setup) match the embedded engine through the
-// service's admission path too.
+// milShipped sends each plan as a MIL program over the TCP MIL command
+// (the paper's §4 setup): the service re-validates and admits it.
+var milShipped = difftest.Evaluator{Name: "tcp-mil workers=8", Family: difftest.Foreign,
+	Run: func(t testing.TB, docs []difftest.Doc) difftest.Eval {
+		tcp := newHarness(t, 8, docs).dialTCP(t)
+		return func(q difftest.Query) (string, error) {
+			program, err := mil.Emit(q.Plan)
+			if err != nil {
+				return "", err
+			}
+			return tcp.ExecMIL(program)
+		}
+	}}
+
+// TestServiceMILDifferential: plans shipped over the wire match the
+// embedded engine through the service's admission path too.
 func TestServiceMILDifferential(t *testing.T) {
-	docs := map[string]string{"auction.xml": corpus.AuctionDoc}
-	ref := refEngine(t, 8, docs)
-	h := newHarness(t, 8, docs)
-	tcp := h.dialTCP(t)
-	for i, q := range corpus.Dialect {
-		plan, _, err := core.CompileQuery(q, xqcore.Options{ContextDoc: "auction.xml"})
-		if err != nil {
-			continue
-		}
-		if plan, err = opt.Optimize(plan); err != nil {
-			continue
-		}
-		program, err := mil.Emit(plan)
-		if err != nil {
-			continue
-		}
-		want, err := embedEval(ref, q, "auction.xml")
-		if err != nil {
-			continue
-		}
-		got, err := tcp.ExecMIL(program)
-		if err != nil || got != want {
-			t.Errorf("dialect[%d] %q tcp-mil: err=%v\n got  = %.300q\n want = %.300q", i, q, err, got, want)
-		}
-	}
+	cases := difftest.Agree("dialect", corpus.Dialect)
+	m := difftest.Matrix{Docs: auctionDocs, Evals: []difftest.Evaluator{embedded(8), milShipped}}
+	difftest.NoErrors(t, cases, m.Run(t, cases))
 }

@@ -20,6 +20,7 @@ import (
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/corpus"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
@@ -59,19 +60,13 @@ func newSvc(t *testing.T, cfg service.Config) *service.Service {
 // all results correct, engine idle afterwards. The race tier runs this
 // under -race.
 func TestConcurrentMixedClients(t *testing.T) {
-	h := newHarness(t, 8, map[string]string{"auction.xml": corpus.AuctionDoc})
-	ref := refEngine(t, 8, map[string]string{"auction.xml": corpus.AuctionDoc})
+	h := newHarness(t, 8, auctionDocs)
 
-	// Precompute expected outputs once.
+	// The embedded engine's outputs, once.
 	queries := corpus.Dialect[:12]
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		out, err := embedEval(ref, q, "auction.xml")
-		if err != nil {
-			t.Fatalf("reference eval %q: %v", q, err)
-		}
-		want[i] = out
-	}
+	cases := difftest.Agree("dialect", queries)
+	want := difftest.Matrix{Docs: auctionDocs, Evals: []difftest.Evaluator{embedded(8)}}.Run(t, cases)
+	difftest.NoErrors(t, cases, want)
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -84,11 +79,7 @@ func TestConcurrentMixedClients(t *testing.T) {
 			var exec func(q string) (string, error)
 			if c%2 == 0 {
 				exec = func(q string) (string, error) {
-					code, got := h.queryJSON(t, q, "auction.xml")
-					if code != http.StatusOK {
-						return "", fmt.Errorf("status %d: %s", code, got)
-					}
-					return got, nil
+					return reply(h.postJSON(t, map[string]any{"query": q, "doc": "auction.xml"}))
 				}
 			} else {
 				tcp := h.dialTCP(t)
@@ -101,8 +92,8 @@ func TestConcurrentMixedClients(t *testing.T) {
 					errc <- fmt.Errorf("client %d round %d: %v", c, round, err)
 					return
 				}
-				if got != want[i] {
-					errc <- fmt.Errorf("client %d round %d: %q != %q", c, round, got, want[i])
+				if got != want[i].Got {
+					errc <- fmt.Errorf("client %d round %d: %q != %q", c, round, got, want[i].Got)
 					return
 				}
 			}
@@ -149,7 +140,7 @@ func TestServerTimeoutCancelsPromptly(t *testing.T) {
 // TestHTTPDisconnectCancels: an HTTP client that goes away mid-query
 // cancels the evaluation; the service records it and stays healthy.
 func TestHTTPDisconnectCancels(t *testing.T) {
-	h := newHarness(t, 4, map[string]string{"auction.xml": corpus.AuctionDoc})
+	h := newHarness(t, 4, auctionDocs)
 	ctx, cancel := context.WithCancel(context.Background())
 	body, _ := json.Marshal(map[string]any{"query": slowQuery, "doc": "auction.xml"})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.httpSrv.URL+"/query", strings.NewReader(string(body)))
@@ -171,7 +162,7 @@ func TestHTTPDisconnectCancels(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if code, got := h.queryText(t, tinyQuery, "auction.xml"); code != http.StatusOK {
+	if code, got := h.queryText(t, tinyQuery, "doc=auction.xml"); code != http.StatusOK {
 		t.Fatalf("query after disconnect: status=%d %q", code, got)
 	}
 }
@@ -179,7 +170,7 @@ func TestHTTPDisconnectCancels(t *testing.T) {
 // TestTCPDisconnectCancels: a TCP client that drops mid-XQ cancels the
 // in-flight evaluation via the connection context.
 func TestTCPDisconnectCancels(t *testing.T) {
-	h := newHarness(t, 4, map[string]string{"auction.xml": corpus.AuctionDoc})
+	h := newHarness(t, 4, auctionDocs)
 	conn, err := net.Dial("tcp", h.tcpAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -386,8 +377,8 @@ func TestDrainRace(t *testing.T) {
 // TestCompileErrorsAndCaching: bad queries 400 on every transport and the
 // prepared cache counts hits across reformatted copies.
 func TestCompileErrorsAndCaching(t *testing.T) {
-	h := newHarness(t, 4, map[string]string{"auction.xml": corpus.AuctionDoc})
-	if code, body := h.queryJSON(t, "for $x in", "auction.xml"); code != http.StatusBadRequest {
+	h := newHarness(t, 4, auctionDocs)
+	if code, body := h.postJSON(t, map[string]any{"query": "for $x in", "doc": "auction.xml"}); code != http.StatusBadRequest {
 		t.Fatalf("bad query: status=%d %q", code, body)
 	}
 	tcp := h.dialTCP(t)
@@ -405,7 +396,7 @@ func TestCompileErrorsAndCaching(t *testing.T) {
 	}
 	before := h.svc.Stats()
 	for _, q := range variants {
-		if code, body := h.queryText(t, q, "auction.xml"); code != http.StatusOK {
+		if code, body := h.queryText(t, q, "doc=auction.xml"); code != http.StatusOK {
 			t.Fatalf("%q: status=%d %q", q, code, body)
 		}
 	}

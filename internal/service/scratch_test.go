@@ -2,14 +2,12 @@ package service_test
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"pathfinder/internal/corpus"
+	"pathfinder/internal/difftest"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
@@ -27,11 +25,7 @@ func constructingCases(t *testing.T) []constructing {
 	t.Helper()
 	var cases []constructing
 	for _, n := range []int{8, 9, 10} {
-		golden, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "golden", fmt.Sprintf("q%02d.xml", n)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, constructing{query: xmark.Query(n), doc: "xmark.xml", want: strings.TrimSuffix(string(golden), "\n")})
+		cases = append(cases, constructing{query: xmark.Query(n), doc: "xmark.xml", want: difftest.Golden(t, n)})
 	}
 	for _, c := range corpus.Constructors {
 		cases = append(cases, constructing{query: c.Query, doc: "r.xml", want: c.Want, err: c.Err})
@@ -43,7 +37,7 @@ func constructingCases(t *testing.T) []constructing {
 func constructingStore(t *testing.T) *xenc.Store {
 	t.Helper()
 	store := xenc.NewStore()
-	for uri, doc := range map[string]string{"xmark.xml": xmark.GenerateString(goldenSF), "r.xml": corpus.ConstructorDoc} {
+	for uri, doc := range map[string]string{"xmark.xml": xmark.GenerateString(difftest.GoldenSF), "r.xml": corpus.ConstructorDoc} {
 		if _, err := store.LoadDocumentString(uri, doc); err != nil {
 			t.Fatal(err)
 		}

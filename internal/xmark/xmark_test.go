@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pathfinder/internal/core"
-	"pathfinder/internal/engine"
 	"pathfinder/internal/navdom"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xqcore"
@@ -88,49 +87,6 @@ func TestAllTwentyQueriesPresent(t *testing.T) {
 		if Query(n) == "" {
 			t.Errorf("query %d missing", n)
 		}
-	}
-}
-
-// TestXMarkDifferential runs all 20 benchmark queries on both engines over
-// the same generated instance and requires identical serialized results —
-// the integration test tying the whole reproduction together.
-func TestXMarkDifferential(t *testing.T) {
-	doc := GenerateString(testSF)
-	eng := engine.New(xenc.NewStore())
-	if _, err := eng.Store.LoadDocumentString("xmark.xml", doc); err != nil {
-		t.Fatal(err)
-	}
-	db := navdom.NewDB()
-	if _, err := db.LoadString("xmark.xml", doc); err != nil {
-		t.Fatal(err)
-	}
-	db.AddValueIndex("buyer", "person")
-	opt := xqcore.Options{ContextDoc: "xmark.xml"}
-	nonEmpty := 0
-	for n := 1; n <= NumQueries; n++ {
-		rel, errR := core.Run(Query(n), eng, opt)
-		nav, errN := navdom.NewInterp(db).Run(Query(n), opt)
-		if errR != nil || errN != nil {
-			t.Errorf("Q%d: relational err=%v, navigational err=%v", n, errR, errN)
-			continue
-		}
-		if rel != nav {
-			la, lb := rel, nav
-			if len(la) > 400 {
-				la = la[:400] + "..."
-			}
-			if len(lb) > 400 {
-				lb = lb[:400] + "..."
-			}
-			t.Errorf("Q%d results differ:\n rel = %q\n nav = %q", n, la, lb)
-			continue
-		}
-		if rel != "" {
-			nonEmpty++
-		}
-	}
-	if nonEmpty < 16 {
-		t.Errorf("only %d/20 queries returned results; the workload is too sparse", nonEmpty)
 	}
 }
 
