@@ -160,19 +160,19 @@ func main() {
 	}
 
 	execStart := time.Now()
-	var res *bat.Table
+	// The lowering runs once; -show explain's footer reads the plan that ran.
+	phys := physical.Lower(plan)
+	res, tr, err := eng.EvalPlan(context.Background(), phys, *show != "result")
+	if err != nil {
+		fatal("execute: %v", err)
+	}
 	switch *show {
 	case "trace":
 		// Traced execution: print the plan annotated with the row count
 		// each operator produced (§4: "Relational plans may be traced to
 		// reveal the result computed for any subexpression").
-		traced, memo, err := eng.EvalTraced(plan)
-		if err != nil {
-			fatal("execute: %v", err)
-		}
-		res = traced
 		fmt.Print(algebra.TreeStringAnnotated(plan, func(o *algebra.Op) string {
-			if t, ok := memo[o]; ok {
+			if t, ok := tr.Tables[o]; ok {
 				return fmt.Sprintf("→ %d rows", t.Rows())
 			}
 			return ""
@@ -181,11 +181,6 @@ func main() {
 	case "explain":
 		// Scheduler's-eye view: per operator the rows in/out, the wall
 		// time, and which worker of the parallel DAG scheduler ran it.
-		traced, tr, err := eng.EvalTrace(context.Background(), plan)
-		if err != nil {
-			fatal("execute: %v", err)
-		}
-		res = traced
 		fmt.Print(algebra.TreeStringAnnotated(plan, func(o *algebra.Op) string {
 			st, ok := tr.Stats[o]
 			if !ok {
@@ -211,19 +206,12 @@ func main() {
 			}
 			return ann
 		}))
-		phys := eng.Lowered(plan)
 		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d chains, %d theta joins)\n",
 			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.Chains), len(phys.ThetaJoins))
 		printChains(phys, tr)
 		printThetaJoins(phys, tr)
 		fmt.Print(optimized.TraceString())
 		fmt.Println()
-	default:
-		r, err := eng.Eval(plan)
-		if err != nil {
-			fatal("execute: %v", err)
-		}
-		res = r
 	}
 	out, err := serialize.Result(eng.Store, res)
 	if err != nil {
@@ -364,10 +352,8 @@ func runOnce(query string, eng *engine.Engine, opts xqcore.Options) (string, err
 		fmt.Fprintf(os.Stderr, "pf: check ok (%d operators: schema, order/denseness, physical)\n",
 			algebra.CountOps(plan))
 	}
-	// Every line is a fresh root: keeping its lowered plan would grow the
-	// engine's plan cache by one plan per line for the whole session.
-	defer eng.ForgetPlan(plan)
-	res, err := eng.Eval(plan)
+	// The line's lowering goes with its result.
+	res, _, err := eng.EvalPlan(context.Background(), physical.Lower(plan), false)
 	if err != nil {
 		return "", err
 	}

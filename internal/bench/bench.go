@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"pathfinder/internal/engine"
 	"pathfinder/internal/navdom"
 	"pathfinder/internal/opt"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
@@ -147,8 +149,8 @@ func Run(cfg Config) (*Results, error) {
 
 func runPF(eng *engine.Engine, query string, opts xqcore.Options, budget time.Duration, optimize bool) Cell {
 	start := time.Now()
-	eng.Deadline = start.Add(budget)
-	defer func() { eng.Deadline = time.Time{} }()
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
+	defer cancel()
 	plan, _, err := core.CompileQuery(query, opts)
 	if err != nil {
 		return Cell{Err: err.Error()}
@@ -158,10 +160,9 @@ func runPF(eng *engine.Engine, query string, opts xqcore.Options, budget time.Du
 			return Cell{Err: err.Error()}
 		}
 	}
-	defer eng.ForgetPlan(plan)
-	res, err := eng.Eval(plan)
+	res, _, err := eng.EvalPlan(ctx, physical.Lower(plan), false)
 	if err != nil {
-		if time.Now().After(eng.Deadline) {
+		if ctx.Err() != nil {
 			return Cell{DNF: true, D: time.Since(start)}
 		}
 		return Cell{Err: err.Error()}

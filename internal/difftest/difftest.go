@@ -15,18 +15,19 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"pathfinder/internal/algebra"
-	"pathfinder/internal/bat"
 	"pathfinder/internal/check"
 	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/navdom"
 	"pathfinder/internal/opt"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xqcore"
@@ -210,15 +211,12 @@ func LoadEngine(tb testing.TB, cfg engine.Config, docs []Doc) *engine.Engine {
 	return e
 }
 
-// OnEngine answers each plan on e through eval — e.Eval, or a hook with
-// its signature — and serializes the result.
-func OnEngine(e *engine.Engine, eval func(*algebra.Op) (*bat.Table, error)) Eval {
+// OnEngine answers each plan on e from its lowering by lower —
+// physical.Lower, or a variant of it — and serializes the result. The
+// lowering lives as long as its case.
+func OnEngine(e *engine.Engine, lower func(*algebra.Op) *physical.Plan) Eval {
 	return func(q Query) (string, error) {
-		// The plan was compiled for this case alone: a cached lowering
-		// would only grow the heap every later case makes the collector
-		// scan.
-		defer e.ForgetPlan(q.Plan)
-		res, err := eval(q.Plan)
+		res, _, err := e.EvalPlan(context.Background(), lower(q.Plan), false)
 		if err != nil {
 			return "", err
 		}
@@ -231,7 +229,7 @@ func OnEngine(e *engine.Engine, eval func(*algebra.Op) (*bat.Table, error)) Eval
 func Engine(name string, cfg engine.Config) Evaluator {
 	return Evaluator{Name: name, Family: Relational, Run: func(tb testing.TB, docs []Doc) Eval {
 		e := LoadEngine(tb, cfg, docs)
-		return OnEngine(e, e.Eval)
+		return OnEngine(e, physical.Lower)
 	}}
 }
 

@@ -4,8 +4,8 @@ package engine_test
 // (internal/difftest): a case list over a matrix of evaluators. The
 // evaluators are the sequential path, the DAG scheduler, tiny morsels at
 // workers 1 / 2 / 8 (operator chains run as scheduler units), the same
-// plans with their chains dissolved or their theta joins demoted (this
-// package's test hooks, export_test.go), and navdom. XMark's cases pin
+// plans with their chains dissolved (unchained, below) or their theta
+// joins demoted (this package's test hook, export_test.go), and navdom. XMark's cases pin
 // the goldens, so every evaluator is byte-exact against them; `go test
 // ./internal/engine -run TestXMarkGolden -update` (make golden) rewrites
 // them. The engine-specific assertions — chains
@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"pathfinder/internal/algebra"
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
@@ -42,7 +43,11 @@ var navdomEval = difftest.Navdom("navdom")
 var unchained = difftest.Evaluator{Name: "unchained", Family: difftest.Relational,
 	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
 		e := difftest.LoadEngine(tb, difftest.SeqConfig, docs)
-		return difftest.OnEngine(e, e.EvalUnchained)
+		return difftest.OnEngine(e, func(root *algebra.Op) *physical.Plan {
+			plan := physical.Lower(root)
+			plan.Chains = nil
+			return plan
+		})
 	}}
 
 // demoted runs every theta-join unit's ×, ⊛ and σ one by one under
@@ -53,7 +58,7 @@ func demoted(workers int) difftest.Evaluator {
 		Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
 			e := difftest.LoadEngine(tb, difftest.MorselConfig(workers), docs)
 			e.ForceThetaDemotion()
-			return difftest.OnEngine(e, e.Eval)
+			return difftest.OnEngine(e, physical.Lower)
 		}}
 }
 
@@ -69,7 +74,7 @@ func runOptimized(t *testing.T, src string, eng *engine.Engine, opts xqcore.Opti
 	if err != nil {
 		return "", err
 	}
-	return difftest.OnEngine(eng, eng.Eval)(difftest.Query{Plan: plan})
+	return difftest.OnEngine(eng, physical.Lower)(difftest.Query{Plan: plan})
 }
 
 // TestXMarkGolden: the optimized plans on the scheduler against the
@@ -233,9 +238,7 @@ func TestListsThroughHooks(t *testing.T) {
 // goroutines against a single shared engine and store. The query
 // constructs elements, so every evaluation allocates fragments in the
 // shared store — the strongest store-locking stress short of -race. All
-// goroutines share the one lowering the first evaluation cached, so the
-// plan is evaluated on par directly, not through difftest.OnEngine,
-// which forgets it after each call.
+// goroutines run the one lowering the test holds.
 func TestSharedPlanConcurrentEval(t *testing.T) {
 	par := difftest.LoadEngine(t, difftest.ParConfig, auctionDocs)
 	const src = `for $p in //person
@@ -245,8 +248,9 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lowered := physical.Lower(plan)
 	eval := func() (string, error) {
-		res, err := par.Eval(plan)
+		res, _, err := par.EvalPlan(context.Background(), lowered, false)
 		if err != nil {
 			return "", err
 		}

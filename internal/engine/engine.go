@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
@@ -31,9 +30,9 @@ type Catalog interface {
 // An engine is a view: the store binding (Store, Collection) is per-view,
 // while the scheduler accounting, plan cache, and resolver lock live in a
 // shared core. ForStore/ForCollection derive a view over another store in
-// a few words of allocation; all views draw from one worker budget and
-// one plan cache, so a multi-collection service behaves as a single
-// engine for admission control and plan reuse.
+// a few words of allocation; all views draw from one worker budget, so a
+// multi-collection service behaves as a single engine for admission
+// control.
 type Engine struct {
 	Store *xenc.Store
 
@@ -55,12 +54,6 @@ type Engine struct {
 	// configuration) or the naive region-query fallback (false, the
 	// ablation baseline).
 	Staircase bool
-
-	// Deadline, when non-zero, aborts evaluation with an error once
-	// exceeded (propagated through the evaluation context and observed
-	// mid-operator in the row loops of ×, ⋈ and range) — the benchmark
-	// harness's DNF mechanism.
-	Deadline time.Time
 
 	// Workers bounds the parallel DAG scheduler's worker pool. 0 means
 	// runtime.GOMAXPROCS(0); 1 forces sequential evaluation.
@@ -109,8 +102,7 @@ type Engine struct {
 // worker budget, a single in-flight query gauge, one resolver lock, and
 // one plan cache. Compiled plans are store-agnostic (name tests resolve
 // their surrogates at evaluation time), so the cache safely spans
-// collections — callers key their own prepared-statement layers by
-// (query, collection, generation) and the engine caches per plan root.
+// collections.
 type engineShared struct {
 	// working counts the pool workers currently executing an operator —
 	// the shared budget between the DAG scheduler and the morsel teams.
@@ -128,10 +120,12 @@ type engineShared struct {
 	// several parallel workers is loaded exactly once.
 	resolveMu sync.Mutex
 
-	// plans caches lowered physical plans by logical root, so a plan
-	// evaluated many times (REPL, server, benchmark repeats) pays the
-	// lowering pass once. Plan DAGs are immutable after optimization;
-	// the cache is keyed by root pointer identity.
+	// plans caches lowered physical plans by logical root for the
+	// evaluators that take a root (Eval, EvalContext, EvalTrace,
+	// EvalTraced), so a root evaluated many times pays the lowering pass
+	// once. Plan DAGs are immutable after optimization; the cache is
+	// keyed by root pointer identity. Callers that decide how long a plan
+	// lives hold its lowering themselves and run it with EvalPlan.
 	plans sync.Map // map[*algebra.Op]*physical.Plan
 }
 
@@ -207,17 +201,16 @@ func (e *Engine) ForCollection(name string) (*Engine, uint64, error) {
 // evaluated once per call (the DAG memoization MonetDB gets from MIL
 // variable bindings). Independent subplans are dispatched onto a bounded
 // worker pool when the plan is large enough to pay for it (see
-// EvalContext).
+// EvalPlan).
 func (e *Engine) Eval(root *algebra.Op) (*bat.Table, error) {
 	return e.EvalContext(context.Background(), root)
 }
 
 // EvalContext evaluates the plan under a context: cancellation and
 // deadline expiry abort the evaluation, and are observed both between
-// operators and inside the row loops of the long-running ones. The
-// engine's Deadline field, when set, is merged into the context.
+// operators and inside the row loops of the long-running ones.
 func (e *Engine) EvalContext(ctx context.Context, root *algebra.Op) (*bat.Table, error) {
-	res, _, err := e.run(ctx, root, false)
+	res, _, err := e.EvalPlan(ctx, e.Lowered(root), false)
 	return res, err
 }
 
@@ -225,7 +218,7 @@ func (e *Engine) EvalContext(ctx context.Context, root *algebra.Op) (*bat.Table,
 // materialized intermediate result — the §4 demo hook that lets plans "be
 // traced to reveal the result computed for any subexpression".
 func (e *Engine) EvalTraced(root *algebra.Op) (*bat.Table, map[*algebra.Op]*bat.Table, error) {
-	res, tr, err := e.run(context.Background(), root, true)
+	res, tr, err := e.EvalPlan(context.Background(), e.Lowered(root), true)
 	if err != nil {
 		return nil, tr.Tables, err
 	}
@@ -234,29 +227,25 @@ func (e *Engine) EvalTraced(root *algebra.Op) (*bat.Table, map[*algebra.Op]*bat.
 
 // EvalTrace evaluates the plan and returns the full instrumentation
 // record: per-operator intermediate tables plus scheduling statistics
-// (wall time, rows in/out, worker id). cmd/pf's -show explain mode is
-// built on it.
+// (wall time, rows in/out, worker id).
 func (e *Engine) EvalTrace(ctx context.Context, root *algebra.Op) (*bat.Table, *Trace, error) {
-	return e.run(ctx, root, true)
+	return e.EvalPlan(ctx, e.Lowered(root), true)
 }
 
-// run lowers the logical DAG to a physical plan of typed kernels
-// (internal/physical) and executes it — sequentially for plans below the
-// fallback threshold or on single-worker engines, otherwise on the
-// parallel DAG scheduler.
-func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.Table, *Trace, error) {
+// EvalPlan executes a physical plan of typed kernels (internal/physical)
+// that the caller holds — sequentially for plans below the fallback
+// threshold or on single-worker engines, otherwise on the parallel DAG
+// scheduler. With traced set it also returns the instrumentation record
+// (nil otherwise); cmd/pf's -show explain mode is built on it. The plan
+// does not enter the engine's plan cache: whoever lowered it decides how
+// long it lives, and one plan may run on many goroutines at once.
+func (e *Engine) EvalPlan(ctx context.Context, plan *physical.Plan, traced bool) (*bat.Table, *Trace, error) {
 	e.sh.queries.Add(1)
 	defer e.sh.queries.Add(-1)
-	if !e.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, e.Deadline)
-		defer cancel()
-	}
 	var tr *Trace
 	if traced {
 		tr = newTrace()
 	}
-	plan := e.Lowered(root)
 	if e.WorkerCount() <= 1 || len(plan.Nodes) < e.seqThreshold() {
 		res, err := e.physSequential(ctx, plan, tr)
 		return res, tr, err
@@ -267,10 +256,9 @@ func (e *Engine) run(ctx context.Context, root *algebra.Op, traced bool) (*bat.T
 }
 
 // Lowered returns the cached physical plan for root, lowering the logical
-// DAG on first use. The service layer uses it as its admission hook: a
-// query is priced off the same lowered plan (EstRows, operator count) the
-// executor will run, and the lowering cost is paid once per distinct plan
-// root no matter how many tenants share it.
+// DAG on first use — the cache behind Eval and its siblings. Outside this
+// package it remains for benchmark/, which prices and times the lowering
+// of a root it then evaluates by root.
 func (e *Engine) Lowered(root *algebra.Op) *physical.Plan {
 	if cached, ok := e.sh.plans.Load(root); ok {
 		return cached.(*physical.Plan)
@@ -280,9 +268,10 @@ func (e *Engine) Lowered(root *algebra.Op) *physical.Plan {
 	return plan
 }
 
-// ForgetPlan drops the cached lowered plan for root. Callers that cache
-// parsed plans themselves (the MIL server's program cache) call this on
-// eviction so the physical-plan cache does not pin evicted roots forever.
+// ForgetPlan drops the cached lowered plan for root, so the cache does
+// not pin a root nobody will evaluate again. It remains for benchmark/,
+// which evaluates by root; everyone else holds their lowering and runs
+// it with EvalPlan.
 func (e *Engine) ForgetPlan(root *algebra.Op) { e.sh.plans.Delete(root) }
 
 // ActiveQueries reports how many evaluations are currently in flight on

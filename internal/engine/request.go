@@ -14,27 +14,3 @@ type QueryRequest struct {
 	Collection string // named collection; "" = the engine's default binding
 	ContextDoc string // deprecated: implicit document URI for absolute paths
 }
-
-// PlanKey identifies a prepared plan: the (normalized) query text plus
-// the identity of the data it was compiled against. Collection identity
-// includes the store generation, so republishing a collection changes the
-// key and cached plans for the old content miss naturally — callers evict
-// stale entries with ForgetPlan. The zero Generation is the anonymous
-// (non-catalog) store.
-type PlanKey struct {
-	Query      string
-	Collection string
-	Generation uint64
-	ContextDoc string
-}
-
-// Key derives the prepared-plan cache key for this request against the
-// given collection generation. normalized is the whitespace-normalized
-// query text (callers normalize so textual variants share one entry).
-func (r QueryRequest) Key(normalized string, generation uint64) PlanKey {
-	k := PlanKey{Query: normalized, Collection: r.Collection, Generation: generation}
-	if r.Collection == "" {
-		k.ContextDoc = r.ContextDoc
-	}
-	return k
-}

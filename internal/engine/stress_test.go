@@ -181,15 +181,16 @@ func TestCancellationMidOperator(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceededSurfaces checks an already-expired deadline aborts
-// evaluation with context.DeadlineExceeded on the sequential path and on
-// the scheduler (the engine's Deadline field routes through the context).
+// TestDeadlineExceededSurfaces checks an already-expired context deadline
+// aborts evaluation with context.DeadlineExceeded on the sequential path
+// and on the scheduler.
 func TestDeadlineExceededSurfaces(t *testing.T) {
 	root := fanOutPlan(t, 8)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	for _, workers := range []int{1, 8} {
 		e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
-		e.Deadline = time.Now().Add(-time.Second)
-		if _, err := e.Eval(root); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := e.EvalContext(ctx, root); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("workers=%d: err = %v, want context.DeadlineExceeded", workers, err)
 		}
 	}

@@ -3,14 +3,17 @@ package mil_test
 import (
 	"fmt"
 	"log"
+	"net"
 
 	"pathfinder/internal/core"
 	"pathfinder/internal/mil"
+	"pathfinder/internal/service"
+	"pathfinder/internal/xenc"
 	"pathfinder/internal/xqcore"
 )
 
 // Compile XQuery to a MIL program (what pfshell ships to pfserver) and run
-// it on an embedded server.
+// it on a server like the one pfserver builds.
 func ExampleEmit() {
 	plan, _, err := core.CompileQuery(`sum((1, 2, 3))`, xqcore.Options{})
 	if err != nil {
@@ -20,8 +23,12 @@ func ExampleEmit() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := mil.NewServer()
-	out, err := srv.Exec(prog)
+	srv := service.New(xenc.NewStore(), service.Config{}).NewMILServer()
+	front, back := net.Pipe()
+	go srv.ServeConn(back)
+	c := mil.NewClient(front)
+	defer c.Close()
+	out, err := c.ExecMIL(prog)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package mil
 
 import (
-	"context"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -10,11 +8,10 @@ import (
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/core"
-	"pathfinder/internal/corpus"
 	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/xenc"
-	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
 )
 
@@ -37,7 +34,7 @@ func TestEmitParseRoundTripSimple(t *testing.T) {
 	// The round-tripped plan must evaluate identically.
 	for _, p := range []*algebra.Op{plan, back} {
 		e := engine.New(xenc.NewStore())
-		if got, err := difftest.OnEngine(e, e.Eval)(difftest.Query{Plan: p}); err != nil || got != "110 120" {
+		if got, err := difftest.OnEngine(e, physical.Lower)(difftest.Query{Plan: p}); err != nil || got != "110 120" {
 			t.Errorf("round trip: %q, %v", got, err)
 		}
 	}
@@ -69,22 +66,21 @@ func TestItemLiteralsRoundTrip(t *testing.T) {
 	}
 }
 
-// milText ships each plan as MIL text to a server of its own, which
-// parses and executes it.
+// milText emits each plan as MIL text, parses the text back and runs
+// that plan on an engine.
 var milText = difftest.Evaluator{Name: "mil", Family: difftest.Relational,
 	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
-		srv := NewServer()
-		for _, d := range docs {
-			if _, err := srv.Engine().Store.LoadDocumentString(d.URI, d.Text); err != nil {
-				tb.Fatal(err)
-			}
-		}
+		run := difftest.OnEngine(difftest.LoadEngine(tb, engine.Config{}, docs), physical.Lower)
 		return func(q difftest.Query) (string, error) {
 			prog, err := Emit(q.Plan)
 			if err != nil {
 				return "", err
 			}
-			return srv.Exec(prog)
+			plan, err := Parse(prog)
+			if err != nil {
+				return "", err
+			}
+			return run(difftest.Query{Plan: plan})
 		}
 	}}
 
@@ -111,154 +107,6 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(prog); err == nil {
 			t.Errorf("program %q must fail", prog)
-		}
-	}
-}
-
-func TestServerProtocol(t *testing.T) {
-	srv := NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go srv.Serve(l) //nolint:errcheck — returns when the listener closes
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Load("tiny.xml", `<a><b>x</b></a>`); err != nil {
-		t.Fatalf("LOAD: %v", err)
-	}
-	if err := c.Load("tiny.xml", `<a/>`); err == nil {
-		t.Error("duplicate LOAD must fail")
-	}
-	if _, err := c.Gen("xmark.xml", 0.001); err != nil {
-		t.Fatalf("GEN: %v", err)
-	}
-
-	plan, _, err := core.CompileQuery(`count(doc("xmark.xml")//person)`, xqcore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Emit(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.ExecMIL(prog)
-	if err != nil {
-		t.Fatalf("MIL: %v", err)
-	}
-	if out != "60" { // the people floor at tiny scale factors
-		t.Errorf("count(//person) over generated doc = %q", out)
-	}
-
-	storage, err := c.Storage()
-	if err != nil || !strings.Contains(storage, "nodes=") {
-		t.Errorf("STORAGE: %q, %v", storage, err)
-	}
-
-	if _, err := c.ExecMIL("garbage"); err == nil {
-		t.Error("bad MIL must yield ERR")
-	}
-}
-
-// TestServerRejectsOversizedPayload: a declared byte count above the
-// payload limit is refused before any allocation — one line must not be
-// able to force a multi-GB make([]byte, n) — and the connection closes,
-// since the unread payload leaves the framing unrecoverable.
-func TestServerRejectsOversizedPayload(t *testing.T) {
-	srv := NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go srv.Serve(l) //nolint:errcheck — returns when the listener closes
-
-	for _, line := range []string{"MIL 9999999999\n", "XQ 2097152 d\n", "LOAD u 999999999999\n"} {
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewClient(conn)
-		if _, err := c.roundTrip(line, nil); err == nil ||
-			!strings.Contains(err.Error(), "exceeds limit") {
-			t.Errorf("%q: want payload-limit ERR, got %v", strings.TrimSpace(line), err)
-		}
-		// The server closed the broken connection; the next read sees EOF.
-		if _, err := c.roundTrip("STORAGE\n", nil); err == nil {
-			t.Errorf("%q: connection stayed open after framing break", strings.TrimSpace(line))
-		}
-		conn.Close()
-	}
-
-	// In-limit payloads on a fresh connection still work.
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Load("ok.xml", "<a/>"); err != nil {
-		t.Fatalf("in-limit LOAD after rejections: %v", err)
-	}
-}
-
-// TestServerConcurrentClients hammers one server from several goroutines:
-// the store mutex must keep concurrent MIL executions (which construct
-// fragments) consistent.
-func TestServerConcurrentClients(t *testing.T) {
-	srv := NewServer()
-	if _, err := srv.Engine().Store.LoadDocumentString("xmark.xml",
-		xmark.GenerateString(0.001)); err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go srv.Serve(l) //nolint:errcheck — returns when the listener closes
-
-	plan, _, err := core.CompileQuery(
-		`<r>{count(doc("xmark.xml")//person)}</r>`, xqcore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Emit(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, rounds = 8, 10
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			c, err := Dial(l.Addr().String())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for i := 0; i < rounds; i++ {
-				out, err := c.ExecMIL(prog)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if out != "<r>60</r>" {
-					errs <- fmt.Errorf("got %q", out)
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -307,67 +155,5 @@ func TestClientRejectsUnwireableNames(t *testing.T) {
 	}
 	if _, err := c.Gen("-", 0.1); err == nil || !strings.Contains(err.Error(), "not representable") {
 		t.Errorf("Gen with placeholder uri err = %v, want wire-name rejection", err)
-	}
-}
-
-// TestServerConstructingRequestsLeaveStoreAlone: 500 constructing requests
-// through the server's two evaluation sites — a shipped MIL program and a
-// server-compiled XQuery — answer what the goldens and the constructor
-// corpus pin, and the server's store has exactly the fragments and the
-// storage footprint it had before the first of them.
-func TestServerConstructingRequestsLeaveStoreAlone(t *testing.T) {
-	srv := NewServer()
-	store := srv.Engine().Store
-	for uri, doc := range map[string]string{"xmark.xml": xmark.GenerateString(difftest.GoldenSF), "r.xml": corpus.ConstructorDoc} {
-		if _, err := store.LoadDocumentString(uri, doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type request struct {
-		req       engine.QueryRequest
-		prog      string // the compiled plan as MIL
-		want, err string
-	}
-	var reqs []request
-	add := func(query, doc, want, wantErr string) {
-		r := request{req: engine.QueryRequest{Query: query, ContextDoc: doc}, want: want, err: wantErr}
-		plan, _, err := core.CompileQuery(query, xqcore.Options{ContextDoc: doc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.prog, err = Emit(plan); err != nil {
-			t.Fatal(err)
-		}
-		reqs = append(reqs, r)
-	}
-	for _, n := range []int{8, 9, 10} {
-		add(xmark.Query(n), "xmark.xml", difftest.Golden(t, n), "")
-	}
-	for _, c := range corpus.Constructors {
-		add(c.Query, "r.xml", c.Want, c.Err)
-	}
-
-	frags, report := store.FragCount(), store.Report()
-	for i := 0; i < 500; i++ {
-		r := reqs[i%len(reqs)]
-		var got string
-		var err error
-		if i%2 == 0 {
-			got, err = srv.Exec(r.prog)
-		} else {
-			got, err = srv.execQuery(context.Background(), nil, r.req)
-		}
-		switch {
-		case r.err != "" && (err == nil || !strings.Contains(err.Error(), r.err)):
-			t.Fatalf("request %d %.60q: err %v, want one naming %s", i, r.req.Query, err, r.err)
-		case r.err == "" && (err != nil || got != r.want):
-			t.Fatalf("request %d %.60q: err %v\n got  %.200q\n want %.200q", i, r.req.Query, err, got, r.want)
-		}
-	}
-	if got := store.FragCount(); got != frags {
-		t.Errorf("store holds %d fragments after the requests, %d before", got, frags)
-	}
-	if got := store.Report(); got != report {
-		t.Errorf("store report %+v after the requests, %+v before", got, report)
 	}
 }

@@ -11,18 +11,15 @@ import (
 	"strings"
 	"sync"
 
-	"pathfinder/internal/algebra"
-	"pathfinder/internal/core"
 	"pathfinder/internal/engine"
-	"pathfinder/internal/opt"
-	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
-	"pathfinder/internal/xqcore"
 )
 
-// Server is the back-end half of the demonstration setup (§4): it owns a
-// document store and executes programs shipped by front-end clients.
+// Server is the back-end half of the demonstration setup (§4): the wire
+// protocol in front of a document store. It loads documents itself and
+// hands every program and query to the session its hooks open for the
+// connection, which compiles, caches and runs them (internal/service).
 // The wire protocol is line-framed:
 //
 //	LOAD <uri> <nbytes>\n<xml>     load a document
@@ -40,25 +37,13 @@ import (
 //
 // Each connection is a session: commands on one connection run serially
 // (the protocol is request/response), but connections run concurrently
-// against the shared engine — store mutations take the server mutex,
+// against the shared store — store mutations take the server mutex,
 // query evaluation does not. A connection that drops mid-query cancels
 // that query's context, so its scheduler workers are released promptly.
 type Server struct {
-	mu  sync.Mutex // serializes store mutations (LOAD/GEN)
-	eng *engine.Engine
-
-	// Hooks, when set, lets an embedding layer (internal/service) open an
-	// accounting session per connection and route execution through its
-	// admission control. Nil means direct engine execution.
-	Hooks ConnHooks
-
-	// progCache reuses parsed MIL plans across requests keyed by program
-	// text, so a client (or a thousand clients) re-shipping the same
-	// program hits the engine's physical-plan cache instead of growing it
-	// with one entry per request. Bounded; eviction forgets the engine's
-	// lowered plan too.
-	progMu    sync.Mutex
-	progCache map[string]*algebra.Op
+	mu    sync.Mutex // serializes store mutations (LOAD/GEN)
+	store *xenc.Store
+	hooks ConnHooks
 
 	lnMu      sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -66,19 +51,20 @@ type Server struct {
 	closed    bool
 }
 
-// progCacheCap bounds the MIL program cache. When full the whole cache is
-// dropped (the workload that overflows it has no reuse to lose).
-const progCacheCap = 256
-
 // maxCmdBytes bounds MIL/XQ payloads (mirroring the HTTP front door's
 // 1MiB body cap); maxLoadBytes bounds LOAD documents, which are
-// legitimately much larger. Declared counts above the limit are rejected
-// before allocating, so one unauthenticated "MIL 9999999999" line cannot
-// force a multi-GB allocation.
+// legitimately much larger, and GEN instances. Declared counts above the
+// limit are rejected before allocating, so one unauthenticated "MIL
+// 9999999999" line cannot force a multi-GB allocation.
 const (
 	maxCmdBytes  = 1 << 20
 	maxLoadBytes = 256 << 20
 )
+
+// genBytesPerSF over-estimates an XMark instance's size per unit of scale
+// factor (≈ 37 MB is measured at SF 0.1 and 0.5): GEN refuses a scale
+// factor whose instance would exceed maxLoadBytes before generating it.
+const genBytesPerSF = 40 << 20
 
 // ConnHooks customizes per-connection behavior.
 type ConnHooks interface {
@@ -91,30 +77,26 @@ type ConnHooks interface {
 type ConnSession interface {
 	// ExecQuery compiles and runs an XQuery (the XQ command).
 	ExecQuery(ctx context.Context, req engine.QueryRequest) (string, error)
-	// ExecPlan runs an already-parsed MIL plan (the MIL command).
-	ExecPlan(ctx context.Context, plan *algebra.Op) (string, error)
+	// ExecMIL parses and runs a MIL program (the MIL command).
+	ExecMIL(ctx context.Context, program string) (string, error)
 	Close()
 }
 
-// NewServer returns a server with an empty store.
-func NewServer() *Server {
-	return NewServerWith(engine.New(xenc.NewStore()))
-}
-
-// NewServerWith returns a server over an existing engine — the service
-// layer shares one engine between the HTTP and TCP front doors.
-func NewServerWith(eng *engine.Engine) *Server {
+// NewServer returns a server over store whose connections run their
+// programs and queries through the sessions hooks opens; hooks is
+// required. internal/service builds one with Service.NewMILServer, which
+// shares the service's store and its prepared-plan cache.
+func NewServer(store *xenc.Store, hooks ConnHooks) *Server {
+	if hooks == nil {
+		panic("mil: NewServer needs connection hooks")
+	}
 	return &Server{
-		eng:       eng,
-		progCache: map[string]*algebra.Op{},
+		store:     store,
+		hooks:     hooks,
 		listeners: map[net.Listener]struct{}{},
 		conns:     map[io.Closer]struct{}{},
 	}
 }
-
-// Engine exposes the underlying engine (for embedding the server in
-// tests and tools).
-func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Serve accepts connections until the listener closes (or Close is
 // called, which returns nil).
@@ -190,11 +172,8 @@ type command struct {
 func (s *Server) ServeConn(rw io.ReadWriter) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var sess ConnSession
-	if s.Hooks != nil {
-		sess = s.Hooks.ConnOpened()
-		defer sess.Close()
-	}
+	sess := s.hooks.ConnOpened()
+	defer sess.Close()
 	r := bufio.NewReader(rw)
 	w := bufio.NewWriter(rw)
 	defer w.Flush()
@@ -299,7 +278,7 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 	switch fields[0] {
 	case "LOAD":
 		s.mu.Lock()
-		_, err := s.eng.Store.LoadDocumentString(fields[1], string(cmd.body))
+		_, err := s.store.LoadDocumentString(fields[1], string(cmd.body))
 		s.mu.Unlock()
 		if err != nil {
 			reply(w, "ERR", err.Error())
@@ -312,13 +291,19 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 			return
 		}
 		sf, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || sf <= 0 {
+		// Written so that NaN fails too: every comparison with it is
+		// false. +Inf fails the size bound.
+		if err != nil || !(sf > 0) {
 			reply(w, "ERR", "bad scale factor")
+			return
+		}
+		if sf*genBytesPerSF > maxLoadBytes {
+			reply(w, "ERR", fmt.Sprintf("scale factor %g exceeds limit of %g", sf, float64(maxLoadBytes)/genBytesPerSF))
 			return
 		}
 		doc := xmark.GenerateString(sf)
 		s.mu.Lock()
-		_, err = s.eng.Store.LoadDocumentString(fields[1], doc)
+		_, err = s.store.LoadDocumentString(fields[1], doc)
 		s.mu.Unlock()
 		if err != nil {
 			reply(w, "ERR", err.Error())
@@ -326,7 +311,7 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 		}
 		reply(w, "OK", fmt.Sprintf("generated %d bytes", len(doc)))
 	case "MIL":
-		out, err := s.ExecContext(ctx, sess, string(cmd.body))
+		out, err := sess.ExecMIL(ctx, string(cmd.body))
 		if err != nil {
 			reply(w, "ERR", err.Error())
 			return
@@ -340,7 +325,7 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 		if len(fields) == 4 {
 			req.Collection = fields[3]
 		}
-		out, err := s.execQuery(ctx, sess, req)
+		out, err := sess.ExecQuery(ctx, req)
 		if err != nil {
 			reply(w, "ERR", err.Error())
 			return
@@ -348,7 +333,7 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 		reply(w, "OK", out)
 	case "STORAGE":
 		s.mu.Lock()
-		rep := s.eng.Store.Report()
+		rep := s.store.Report()
 		s.mu.Unlock()
 		reply(w, "OK", fmt.Sprintf("nodes=%d attrs=%d structural=%d pools=%d total=%d",
 			rep.Nodes, rep.Attrs, rep.StructuralBytes,
@@ -356,92 +341,6 @@ func (s *Server) handle(ctx context.Context, w *bufio.Writer, sess ConnSession, 
 	default:
 		reply(w, "ERR", "unknown command "+fields[0])
 	}
-}
-
-// parseCached parses a MIL program, reusing the plan of a previously
-// shipped identical program so repeated prepared statements share one
-// plan root (and therefore one lowered physical plan in the engine).
-func (s *Server) parseCached(program string) (*algebra.Op, error) {
-	s.progMu.Lock()
-	if plan, ok := s.progCache[program]; ok {
-		s.progMu.Unlock()
-		return plan, nil
-	}
-	s.progMu.Unlock()
-	plan, err := Parse(program)
-	if err != nil {
-		return nil, err
-	}
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	if existing, ok := s.progCache[program]; ok {
-		// A concurrent first request for the same program won the store.
-		// Reuse its plan and drop ours — it was never lowered, so nothing
-		// tracks it — keeping exactly one root per cached program that
-		// eviction's ForgetPlan can account for.
-		return existing, nil
-	}
-	if len(s.progCache) >= progCacheCap {
-		for text, old := range s.progCache {
-			s.eng.ForgetPlan(old)
-			delete(s.progCache, text)
-		}
-	}
-	s.progCache[program] = plan
-	return plan, nil
-}
-
-// Exec parses and runs a MIL program against the server's store, returning
-// the serialized result.
-func (s *Server) Exec(program string) (string, error) {
-	return s.ExecContext(context.Background(), nil, program)
-}
-
-// ExecContext is Exec under a context, routed through the session's
-// admission path when one is attached.
-func (s *Server) ExecContext(ctx context.Context, sess ConnSession, program string) (string, error) {
-	plan, err := s.parseCached(program)
-	if err != nil {
-		return "", err
-	}
-	if sess != nil {
-		return sess.ExecPlan(ctx, plan)
-	}
-	return evalScratch(ctx, s.eng, plan)
-}
-
-// evalScratch evaluates plan against a scratch view of eng's store and
-// serializes the result: what the plan constructs is dropped with the
-// reply, and the server's store never grows.
-func evalScratch(ctx context.Context, eng *engine.Engine, plan *algebra.Op) (string, error) {
-	eng = eng.ForStore(eng.Store.Scratch(), eng.Collection)
-	res, err := eng.EvalContext(ctx, plan)
-	if err != nil {
-		return "", err
-	}
-	return serialize.Result(eng.Store, res)
-}
-
-// execQuery compiles and runs an XQuery server-side (the XQ command):
-// through the session when attached, otherwise compile → optimize →
-// evaluate directly against the request's collection binding.
-func (s *Server) execQuery(ctx context.Context, sess ConnSession, req engine.QueryRequest) (string, error) {
-	if sess != nil {
-		return sess.ExecQuery(ctx, req)
-	}
-	eng, _, err := s.eng.ForCollection(req.Collection)
-	if err != nil {
-		return "", err
-	}
-	plan, _, err := core.CompileQuery(req.Query, xqcore.Options{ContextDoc: req.ContextDoc, Collection: req.Collection})
-	if err != nil {
-		return "", err
-	}
-	if plan, err = opt.Optimize(plan); err != nil {
-		return "", err
-	}
-	defer eng.ForgetPlan(plan)
-	return evalScratch(ctx, eng, plan)
 }
 
 func reply(w *bufio.Writer, status, payload string) {

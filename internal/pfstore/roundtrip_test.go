@@ -15,6 +15,7 @@ import (
 	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
 	"pathfinder/internal/pfstore"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/xenc"
 )
 
@@ -42,7 +43,7 @@ func reopened(workers int) difftest.Evaluator {
 		Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
 			store := difftest.LoadEngine(tb, engine.Config{}, docs).Store
 			e := engine.NewWithConfig(saveReopen(tb, store, "c"), engine.Config{Workers: workers, Check: true})
-			return difftest.OnEngine(e, e.Eval)
+			return difftest.OnEngine(e, physical.Lower)
 		}}
 }
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,6 +217,45 @@ func TestPreparedCacheBounded(t *testing.T) {
 	if resp.Result != "1" {
 		t.Fatalf("re-run after eviction = %q, want 1", resp.Result)
 	}
+}
+
+// TestEvictedPlansAreNotPinned: 2 000 distinct queries from 16 clients
+// against a 4-entry cache and 2 execution slots, so entries are flushed
+// while their requests wait for admission. Once the requests are done
+// nothing holds their plans: the live heap after a collection stays
+// where it started.
+func TestEvictedPlansAreNotPinned(t *testing.T) {
+	svc := New(xenc.NewStore(), Config{MaxPrepared: 4, MaxInFlight: 2})
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	const clients, queries = 16, 2000
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)); i <= queries; i = int(next.Add(1)) {
+				q := fmt.Sprintf(`for $i in (1 to 4) where $i mod 2 = 0 return <a n="{$i}">{$i * %d}</a>`, i)
+				if _, err := svc.Query(context.Background(), Request{Query: q}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after := heap()
+	runtime.KeepAlive(svc)
+	if after > before+5<<20 {
+		t.Errorf("live heap grew from %d to %d bytes over %d distinct queries", before, after, queries)
+	}
+	t.Logf("live heap %d bytes before, %d after", before, after)
 }
 
 // TestPreparedNoNegativeCache: compile failures occupy no cache slot, so

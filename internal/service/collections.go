@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"pathfinder/internal/engine"
 	"pathfinder/internal/pfstore"
 	"pathfinder/internal/xenc"
 )
@@ -118,30 +117,23 @@ func (s *Service) Collections() ([]pfstore.CollectionInfo, error) {
 // tools that preload collections before serving.
 func (s *Service) Catalog() *pfstore.Catalog { return s.cat }
 
-// invalidateCollection drops every settled prepared plan compiled against
-// the named collection, any generation, releasing the engine's lowered
-// plans. Entries still compiling are kept — same rationale as
-// evictPreparedLocked: their plan is about to be handed to a caller.
+// invalidateCollection drops every prepared plan compiled against the
+// named collection, any generation.
 func (s *Service) invalidateCollection(name string) {
 	s.preparedMu.Lock()
 	defer s.preparedMu.Unlock()
-	for k, p := range s.prepared {
-		if k.Collection != name || !p.done.Load() {
-			continue
+	for k := range s.prepared {
+		if k.Collection == name {
+			delete(s.prepared, k)
 		}
-		if p.plan != nil {
-			s.eng.ForgetPlan(p.plan)
-			s.preparedN.Add(-1)
-		}
-		delete(s.prepared, k)
 	}
 }
 
 // preparedKeys snapshots the live cache keys (tests assert invalidation).
-func (s *Service) preparedKeys() []engine.PlanKey {
+func (s *Service) preparedKeys() []planKey {
 	s.preparedMu.Lock()
 	defer s.preparedMu.Unlock()
-	out := make([]engine.PlanKey, 0, len(s.prepared))
+	out := make([]planKey, 0, len(s.prepared))
 	for k := range s.prepared {
 		out = append(out, k)
 	}

@@ -28,6 +28,7 @@ import (
 	"pathfinder/internal/mil"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xmark"
+	"pathfinder/internal/xqcore"
 )
 
 var auctionDocs = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
@@ -244,4 +245,40 @@ func TestServiceMILDifferential(t *testing.T) {
 	cases := difftest.Agree("dialect", corpus.Dialect)
 	m := difftest.Matrix{Docs: auctionDocs, Evals: []difftest.Evaluator{embedded(8), milShipped}}
 	difftest.NoErrors(t, cases, m.Run(t, cases))
+}
+
+// TestMILProgramCached: a program shipped twice over the TCP MIL command
+// is prepared once — the second shipment is a prepared-plan cache hit,
+// and the cache holds the program's entry.
+func TestMILProgramCached(t *testing.T) {
+	h := newHarness(t, 1, auctionDocs)
+	plan, err := difftest.Compile(`count(doc("auction.xml")//person)`, xqcore.Options{}, difftest.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program, err := mil.Emit(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := h.dialTCP(t)
+	before := h.svc.Stats()
+	var outs [2]string
+	for i := range outs {
+		if outs[i], err = tcp.ExecMIL(program); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := h.svc.Stats()
+	if outs[0] == "" || outs[0] != outs[1] {
+		t.Errorf("replies %q and %q, want one non-empty answer twice", outs[0], outs[1])
+	}
+	if hits := after.Queries.CacheHits - before.Queries.CacheHits; hits != 1 {
+		t.Errorf("plan_cache_hits rose by %d, want 1", hits)
+	}
+	if misses := after.Queries.CacheMisses - before.Queries.CacheMisses; misses != 1 {
+		t.Errorf("plan_cache_misses rose by %d, want 1", misses)
+	}
+	if n := after.PreparedPlans - before.PreparedPlans; n != 1 {
+		t.Errorf("prepared_plans rose by %d, want 1", n)
+	}
 }

@@ -2,10 +2,10 @@ package service
 
 // Regression tier for the prepared-statement cache under collection
 // re-persists: the cache key carries (collection, generation), so a PUT
-// must both miss the cache on the next request and forget the stale
-// lowered plans (the engine.ForgetPlan path) — a cached plan compiled
-// against generation N must never serve generation N+1, whose tag
-// surrogates may differ.
+// must both miss the cache on the next request and drop the stale
+// entries with their lowered plans — a cached plan compiled against
+// generation N must never serve generation N+1, whose tag surrogates may
+// differ.
 
 import (
 	"context"
@@ -69,7 +69,7 @@ func TestRepersistInvalidatesCachedPlans(t *testing.T) {
 	put(`<team><lead>Ada</lead></team>`)
 
 	if got := s.preparedKeys(); len(got) != 0 {
-		t.Fatalf("cache keys after re-persist = %+v, want none (ForgetPlan path)", got)
+		t.Fatalf("cache keys after re-persist = %+v, want none", got)
 	}
 	if n := s.Stats().PreparedPlans; n != 0 {
 		t.Fatalf("prepared plans after re-persist = %d, want 0", n)
@@ -103,19 +103,27 @@ func TestRepersistInvalidatesCachedPlans(t *testing.T) {
 	}
 }
 
-// TestQueryRequestKey pins the key derivation: context doc only matters
-// for default-store requests, and generation always separates snapshots.
+// TestQueryRequestKey pins the key derivation: context doc only matters for
+// default-store requests, generation always separates snapshots, and a
+// MIL program keys as shipped, apart from an XQuery of the same text.
 func TestQueryRequestKey(t *testing.T) {
-	base := engine.QueryRequest{Query: "q", Collection: "c", ContextDoc: "ignored.xml"}
-	k1 := base.Key("q", 1)
+	base := Request{Query: "q", Collection: "c", ContextDoc: "ignored.xml"}
+	k1 := base.key(1)
 	if k1.ContextDoc != "" {
 		t.Error("collection request must drop the context doc from the key")
 	}
-	if k2 := base.Key("q", 2); k1 == k2 {
+	if k2 := base.key(2); k1 == k2 {
 		t.Error("generations must not collide")
 	}
-	d := engine.QueryRequest{Query: "q", ContextDoc: "a.xml"}
-	if d.Key("q", 0).ContextDoc != "a.xml" {
+	d := Request{Query: "q", ContextDoc: "a.xml"}
+	if d.key(0).ContextDoc != "a.xml" {
 		t.Error("default-store request must keep the context doc in the key")
+	}
+	xq, prog := Request{Query: "1  +  1"}, Request{Query: "1  +  1", MIL: true}
+	if xq.key(0).Query != "1 + 1" || prog.key(0).Query != prog.Query {
+		t.Errorf("keys %+v / %+v: XQuery must be normalized, MIL kept verbatim", xq.key(0), prog.key(0))
+	}
+	if xq.key(0) == (Request{Query: "1 + 1", MIL: true}).key(0) {
+		t.Error("a MIL program must not share an XQuery's key")
 	}
 }

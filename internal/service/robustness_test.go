@@ -22,6 +22,7 @@ import (
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
+	"pathfinder/internal/mil"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
 )
@@ -420,17 +421,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestQueryPlanChecksItsLowering: a plan shipped over the wire is checked,
-// on the lowering the engine would run, before it is admitted — a σ over
-// a column the plan itself proves integer is a compile error, not a run.
+// TestQueryPlanChecksItsLowering: a plan shipped over the wire as a MIL
+// program is checked, on the lowering the engine would run, before it is
+// admitted — a σ over a column the plan itself proves integer is a
+// compile error, not a run.
 func TestQueryPlanChecksItsLowering(t *testing.T) {
 	svc := newSvc(t, service.Config{})
 	lit := algebra.Lit(bat.MustTable("iter", bat.IntVec{1, 2}, "a", bat.IntVec{3, 4}))
 	sel := algebra.Unchecked(algebra.OpSelect, []string{"iter", "a"}, lit)
 	sel.Col = "a"
-	_, err := svc.QueryPlan(context.Background(), sel, nil)
+	prog, err := mil.Emit(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = svc.Query(context.Background(), service.Request{Query: prog, MIL: true})
 	var se *service.Error
 	if !errors.As(err, &se) || se.Code != service.CodeCompile || !strings.Contains(err.Error(), "as boolean") {
-		t.Fatalf("QueryPlan(σ over an int column) = %v, want a compile error naming the type", err)
+		t.Fatalf("MIL program (σ over an int column) = %v, want a compile error naming the type", err)
 	}
 }

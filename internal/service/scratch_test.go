@@ -6,29 +6,43 @@ import (
 	"strings"
 	"testing"
 
+	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/difftest"
+	"pathfinder/internal/mil"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
 	"pathfinder/internal/xmark"
+	"pathfinder/internal/xqcore"
 )
 
-// constructing is one request that builds elements, and what it must
-// answer: XMark q08–q10 against their goldens, the constructor corpus
-// against its pinned results and errors.
+// constructing is one request that builds elements — as query text and
+// as the MIL program of its plan — and what it must answer: XMark
+// q08–q10 against their goldens, the constructor corpus against its
+// pinned results and errors.
 type constructing struct {
-	query, doc string
-	want, err  string
+	query, doc, prog string
+	want, err        string
 }
 
 func constructingCases(t *testing.T) []constructing {
 	t.Helper()
 	var cases []constructing
+	add := func(c constructing) {
+		plan, _, err := core.CompileQuery(c.query, xqcore.Options{ContextDoc: c.doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.prog, err = mil.Emit(plan); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, c)
+	}
 	for _, n := range []int{8, 9, 10} {
-		cases = append(cases, constructing{query: xmark.Query(n), doc: "xmark.xml", want: difftest.Golden(t, n)})
+		add(constructing{query: xmark.Query(n), doc: "xmark.xml", want: difftest.Golden(t, n)})
 	}
 	for _, c := range corpus.Constructors {
-		cases = append(cases, constructing{query: c.Query, doc: "r.xml", want: c.Want, err: c.Err})
+		add(constructing{query: c.Query, doc: "r.xml", want: c.Want, err: c.Err})
 	}
 	return cases
 }
@@ -46,9 +60,10 @@ func constructingStore(t *testing.T) *xenc.Store {
 }
 
 // TestConstructingRequestsLeaveStoreAlone: 500 requests that construct —
-// plain, explained, and shipped as plans — answer byte for byte what the
-// goldens pin, and the shared store has exactly the fragments and the
-// storage footprint it had before the first of them.
+// plain, explained, and every third shipped as a MIL program — answer
+// byte for byte what the goldens pin, and the shared store has exactly
+// the fragments and the storage footprint it had before the first of
+// them.
 func TestConstructingRequestsLeaveStoreAlone(t *testing.T) {
 	store := constructingStore(t)
 	frags, report := store.FragCount(), store.Report()
@@ -56,7 +71,11 @@ func TestConstructingRequestsLeaveStoreAlone(t *testing.T) {
 	cases := constructingCases(t)
 	for i := 0; i < 500; i++ {
 		c := cases[i%len(cases)]
-		resp, err := svc.Query(context.Background(), service.Request{Query: c.query, ContextDoc: c.doc, Explain: i%3 == 1})
+		req := service.Request{Query: c.query, ContextDoc: c.doc, Explain: i%3 == 1}
+		if i%3 == 2 {
+			req = service.Request{Query: c.prog, MIL: true}
+		}
+		resp, err := svc.Query(context.Background(), req)
 		switch {
 		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
 			t.Fatalf("request %d %.60q: err %v, want one naming %s", i, c.query, err, c.err)

@@ -1,8 +1,9 @@
 // Package service turns the embedded engine into a multi-tenant query
 // service: the §4 front-end/back-end setup grown into a front door.
 // Concurrent sessions (HTTP and the MIL TCP protocol) share one engine
-// and document store; every query passes a prepared-statement cache
-// keyed by normalized query text, then per-query admission control — a
+// and document store; every query — XQuery text, or a MIL program shipped
+// over TCP — passes a prepared-statement cache that owns each lowered
+// plan, then per-query admission control — a
 // bounded in-flight count plus a memory-estimate gate derived from the
 // physical plan's EstRows — before it reaches the evaluator. Timeouts,
 // client disconnects, and server drain all propagate through the
@@ -20,10 +21,10 @@ import (
 	"time"
 
 	"pathfinder/internal/algebra"
-	"pathfinder/internal/bat"
 	"pathfinder/internal/check"
 	"pathfinder/internal/core"
 	"pathfinder/internal/engine"
+	"pathfinder/internal/mil"
 	"pathfinder/internal/opt"
 	"pathfinder/internal/pfstore"
 	"pathfinder/internal/physical"
@@ -66,8 +67,8 @@ type Config struct {
 	// when pricing a plan (physical.Plan.EstCost). 0 = 16384.
 	UnknownRows int64
 
-	// MaxPrepared bounds the prepared-plan cache; when full, settled
-	// entries are flushed and their lowered plans forgotten. 0 = 256.
+	// MaxPrepared bounds the prepared-plan cache (query texts and MIL
+	// programs alike); when full, it is flushed. 0 = 256.
 	MaxPrepared int
 	// DefaultTimeout bounds queries that do not request a timeout;
 	// MaxTimeout caps what they may request. 0 = 30s / 2m.
@@ -151,7 +152,8 @@ func AsError(err error) *Error {
 
 // Request is one query submission.
 type Request struct {
-	Query      string        // XQuery source text
+	Query      string        // XQuery source text, or a MIL program when MIL is set
+	MIL        bool          // Query is a MIL program (the TCP MIL command): parsed, not compiled
 	Collection string        // named catalog collection to evaluate against ("" = the default store)
 	ContextDoc string        // document bound to absolute paths ("" = require fn:doc)
 	Timeout    time.Duration // 0 = Config.DefaultTimeout; capped at MaxTimeout
@@ -159,10 +161,33 @@ type Request struct {
 	Session    *Session      // accounting session; nil = anonymous
 }
 
-// engineRequest projects the service request onto the engine's request
-// shape — the struct the prepared-statement cache key derives from.
-func (r Request) engineRequest() engine.QueryRequest {
-	return engine.QueryRequest{Query: r.Query, Collection: r.Collection, ContextDoc: r.ContextDoc}
+// planKey identifies a prepared plan: the query text — normalized for
+// XQuery, verbatim for a MIL program — plus the identity of the data it
+// was compiled against. Collection identity includes the store
+// generation, so republishing a collection changes the key and cached
+// plans for the old content miss naturally. The zero Generation is the
+// anonymous (non-catalog) store.
+type planKey struct {
+	Query      string
+	MIL        bool
+	Collection string
+	Generation uint64
+	ContextDoc string
+}
+
+// key derives the prepared-plan cache key for this request against the
+// given collection generation. XQuery text is whitespace-normalized so
+// textual variants share one entry; a MIL program is a plan already and
+// keys as shipped.
+func (r Request) key(generation uint64) planKey {
+	k := planKey{Query: r.Query, MIL: r.MIL, Collection: r.Collection, Generation: generation}
+	if !r.MIL {
+		k.Query = normalizeQuery(r.Query)
+	}
+	if r.Collection == "" {
+		k.ContextDoc = r.ContextDoc
+	}
+	return k
 }
 
 // RequestStats is the per-request accounting returned with every result.
@@ -185,16 +210,14 @@ type Response struct {
 	Stats  RequestStats `json:"stats"`
 }
 
-// prepared is one cache entry: the compiled, optimized, validated plan
-// and its admission price. The once-guard makes concurrent first
-// requests for the same query compile it exactly once; done flips when
-// the once has settled, so eviction can tell a finished entry from one
-// still compiling.
+// prepared is one cache entry and the only owner of its plan: the
+// lowered, validated physical plan every request for the key runs, and
+// its admission price. The once-guard makes concurrent first requests
+// for the same key compile it exactly once. Dropping the entry drops the
+// plan; a request already holding it finishes on it.
 type prepared struct {
 	once  sync.Once
-	done  atomic.Bool
-	plan  *algebra.Op
-	ops   int
+	plan  *physical.Plan
 	cost  int64
 	heavy bool
 	err   error
@@ -215,8 +238,7 @@ type Service struct {
 	catMu sync.Mutex
 
 	preparedMu sync.Mutex
-	prepared   map[engine.PlanKey]*prepared // request-derived key → entry; bounded by MaxPrepared
-	preparedN  atomic.Int64                 // successfully cached plans (stats gauge)
+	prepared   map[planKey]*prepared // request-derived key → entry; bounded by MaxPrepared
 
 	// drainMu orders the draining flag against inFlight.Add: begin()
 	// holds it while registering work, BeginDrain while flipping the
@@ -244,7 +266,7 @@ func New(store *xenc.Store, cfg Config) *Service {
 		eng:      engine.NewWithConfig(store, cfg.Engine),
 		cat:      cfg.Catalog,
 		adm:      newAdmitter(cfg.MaxInFlight, cfg.MaxHeavy, cfg.MaxQueue, cfg.CostBudget),
-		prepared: map[engine.PlanKey]*prepared{},
+		prepared: map[planKey]*prepared{},
 		sessions: map[int64]*Session{},
 	}
 }
@@ -366,46 +388,41 @@ func normalizeQuery(src string) string {
 	return sb.String()
 }
 
-// prepare resolves a query text to its cached plan, compiling, optimizing,
-// statically validating, and pricing it on first use. The cache is
-// bounded: at MaxPrepared entries the settled ones are flushed (and their
-// lowered plans forgotten), and compile failures are never kept, so
-// arbitrary garbage input cannot grow the cache or pin engine memory.
+// prepare resolves a request to its cached plan, compiling (or, for a
+// MIL program, parsing), statically validating, lowering and pricing it
+// on first use. The cache is bounded: at MaxPrepared entries it is
+// flushed, and compile failures are never kept, so arbitrary garbage
+// input cannot grow the cache.
 func (s *Service) prepare(req Request, generation uint64) (*prepared, bool, error) {
 	// The key carries the collection's identity — name and store
 	// generation — so re-persisting a collection naturally misses the
-	// cache, and plans compiled against the replaced snapshot are evicted
-	// rather than served.
-	key := req.engineRequest().Key(normalizeQuery(req.Query), generation)
+	// cache.
+	key := req.key(generation)
 	s.preparedMu.Lock()
 	p, hit := s.prepared[key]
 	if !hit {
 		if len(s.prepared) >= s.cfg.MaxPrepared {
-			s.evictPreparedLocked()
+			// A workload that overflows the cap has no reuse worth
+			// preserving; requests holding a flushed entry still run it.
+			clear(s.prepared)
 		}
 		p = &prepared{}
 		s.prepared[key] = p
 	}
 	s.preparedMu.Unlock()
 	p.once.Do(func() {
-		defer p.done.Store(true)
-		plan, _, err := core.CompileQuery(req.Query, xqcore.Options{ContextDoc: req.ContextDoc, Collection: req.Collection})
-		if err == nil {
-			plan, err = opt.Optimize(plan)
-		}
-		var lowered *physical.Plan
-		if err == nil {
-			lowered, err = s.lower(plan)
-		}
+		plan, err := compile(req)
 		if err != nil {
 			p.err = err
 			return
 		}
-		p.plan = plan
-		p.ops = len(lowered.Nodes)
+		lowered := physical.Lower(plan)
+		if p.err = check.Error(check.Lowered(lowered)); p.err != nil {
+			return
+		}
+		p.plan = lowered
 		p.cost = lowered.EstCost(s.cfg.UnknownRows)
 		p.heavy = p.cost >= s.cfg.HeavyCost
-		s.preparedN.Add(1)
 	})
 	if p.err != nil {
 		// Don't negative-cache: drop the entry so failed compiles of
@@ -421,37 +438,18 @@ func (s *Service) prepare(req Request, generation uint64) (*prepared, bool, erro
 	return p, hit, nil
 }
 
-// lower hands back the engine's lowering of plan — the physical plan the
-// executor will run, cached by root, so a prepared plan is lowered once —
-// after statically validating that lowering. A plan that fails is
-// forgotten again: nothing will run it.
-func (s *Service) lower(plan *algebra.Op) (*physical.Plan, error) {
-	lowered := s.eng.Lowered(plan)
-	if err := check.Error(check.Lowered(lowered)); err != nil {
-		s.eng.ForgetPlan(plan)
+// compile turns a request's text into an optimized logical plan: a MIL
+// program is parsed (it was optimized where it was emitted), XQuery is
+// compiled and optimized.
+func compile(req Request) (*algebra.Op, error) {
+	if req.MIL {
+		return mil.Parse(req.Query)
+	}
+	plan, _, err := core.CompileQuery(req.Query, xqcore.Options{ContextDoc: req.ContextDoc, Collection: req.Collection})
+	if err != nil {
 		return nil, err
 	}
-	return lowered, nil
-}
-
-// evictPreparedLocked flushes every settled cache entry — mirroring the
-// MIL server's progCache policy: a workload that overflows the cap has
-// no reuse worth preserving — and releases the engine's lowered plan for
-// each. Entries still compiling are kept: their plan is about to be
-// handed to a caller, and forgetting a root the cache no longer tracks
-// would pin it in the engine's plan cache forever. Callers hold
-// preparedMu.
-func (s *Service) evictPreparedLocked() {
-	for k, old := range s.prepared {
-		if !old.done.Load() {
-			continue
-		}
-		if old.plan != nil {
-			s.eng.ForgetPlan(old.plan)
-			s.preparedN.Add(-1)
-		}
-		delete(s.prepared, k)
-	}
+	return opt.Optimize(plan)
 }
 
 // Query runs one request end to end: resolve the collection → prepare →
@@ -489,68 +487,14 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 	} else {
 		s.met.cacheMisses.Add(1)
 	}
-
-	return s.run(ctx, execution{
-		eng:     view,
-		plan:    p.plan,
-		ops:     p.ops,
-		cost:    p.cost,
-		heavy:   p.heavy,
-		explain: req.Explain,
-		cached:  hit,
-		timeout: req.Timeout,
-		sess:    req.Session,
-	})
+	return s.run(ctx, view, p, hit, req)
 }
 
-// QueryPlan runs a pre-compiled plan through the same admission path as a
-// text query — the MIL TCP command, where the client shipped the plan
-// itself. The plan is statically validated (it arrived over the wire) and
-// priced off its lowered form before admission.
-func (s *Service) QueryPlan(ctx context.Context, plan *algebra.Op, sess *Session) (*Response, error) {
-	s.met.received.Add(1)
-	if !s.begin() {
-		s.met.drainRejected.Add(1)
-		return nil, &Error{Code: CodeDraining, Err: errors.New("server is draining")}
-	}
-	defer s.inFlight.Done()
-
-	lowered, err := s.lower(plan)
-	if err != nil {
-		s.met.compileErrors.Add(1)
-		return nil, &Error{Code: CodeCompile, Err: err}
-	}
-	cost := lowered.EstCost(s.cfg.UnknownRows)
-	return s.run(ctx, execution{
-		eng:   s.eng,
-		plan:  plan,
-		ops:   len(lowered.Nodes),
-		cost:  cost,
-		heavy: cost >= s.cfg.HeavyCost,
-		sess:  sess,
-	})
-}
-
-// execution is one admitted unit of work: a priced plan plus its request
-// options, ready for the admission → evaluate → serialize pipeline. eng
-// is the engine view bound to the request's collection — the shared
-// engine itself for the default store.
-type execution struct {
-	eng     *engine.Engine
-	plan    *algebra.Op
-	ops     int
-	cost    int64
-	heavy   bool
-	explain bool
-	cached  bool
-	timeout time.Duration
-	sess    *Session
-}
-
-// run is the shared back half of Query and QueryPlan: clamp the timeout,
-// pass admission, evaluate, serialize, account.
-func (s *Service) run(ctx context.Context, ex execution) (*Response, error) {
-	timeout := ex.timeout
+// run is the back half of Query: clamp the timeout, pass admission,
+// evaluate the prepared plan on view (the engine bound to the request's
+// collection), serialize, account.
+func (s *Service) run(ctx context.Context, view *engine.Engine, p *prepared, cached bool, req Request) (*Response, error) {
+	timeout := req.Timeout
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
@@ -560,41 +504,34 @@ func (s *Service) run(ctx context.Context, ex execution) (*Response, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	queueWait, err := s.adm.Acquire(ctx, ex.cost, ex.heavy)
+	queueWait, err := s.adm.Acquire(ctx, p.cost, p.heavy)
 	if err != nil {
 		return nil, s.classifyAdmission(err)
 	}
-	defer s.adm.Release(ex.cost, ex.heavy)
+	defer s.adm.Release(p.cost, p.heavy)
 
 	// The request evaluates against a scratch view of its store: what its
 	// constructors build lives until the reply is serialized, and the
 	// shared store never grows.
-	eng := ex.eng.ForStore(ex.eng.Store.Scratch(), ex.eng.Collection)
+	eng := view.ForStore(view.Store.Scratch(), view.Collection)
 	start := time.Now() //pfvet:allow determinism -- latency accounting only
-	var (
-		res     *bat.Table
-		kernels map[string]int
-		rowsMat int
-	)
-	if ex.explain {
-		tbl, tr, terr := eng.EvalTrace(ctx, ex.plan)
-		err = terr
-		res = tbl
-		if tr != nil {
-			kernels = map[string]int{}
-			for _, st := range tr.Stats {
-				if st.Kernel != "" {
-					kernels[st.Kernel]++
-				}
-				rowsMat += st.RowsMat
-			}
-		}
-	} else {
-		res, err = eng.EvalContext(ctx, ex.plan)
-	}
+	res, tr, err := eng.EvalPlan(ctx, p.plan, req.Explain)
 	exec := time.Since(start) //pfvet:allow determinism -- latency accounting only
 	if err != nil {
 		return nil, s.classifyExec(ctx, err)
+	}
+	var (
+		kernels map[string]int
+		rowsMat int
+	)
+	if tr != nil {
+		kernels = map[string]int{}
+		for _, st := range tr.Stats {
+			if st.Kernel != "" {
+				kernels[st.Kernel]++
+			}
+			rowsMat += st.RowsMat
+		}
 	}
 	out, err := serialize.Result(eng.Store, res)
 	if err != nil {
@@ -605,12 +542,12 @@ func (s *Service) run(ctx context.Context, ex execution) (*Response, error) {
 	s.met.completed.Add(1)
 	cm := &s.met.light
 	class := "light"
-	if ex.heavy {
+	if p.heavy {
 		cm, class = &s.met.heavy, "heavy"
 	}
 	cm.observe(queueWait, exec, res.Rows())
-	if ex.sess != nil {
-		atomic.AddInt64(&ex.sess.Queries, 1)
+	if req.Session != nil {
+		atomic.AddInt64(&req.Session.Queries, 1)
 	}
 
 	return &Response{
@@ -619,10 +556,10 @@ func (s *Service) run(ctx context.Context, ex execution) (*Response, error) {
 			QueueMs:    float64(queueWait.Microseconds()) / 1000,
 			ExecMs:     float64(exec.Microseconds()) / 1000,
 			Rows:       res.Rows(),
-			PlanOps:    ex.ops,
-			EstCost:    ex.cost,
+			PlanOps:    len(p.plan.Nodes),
+			EstCost:    p.cost,
 			Class:      class,
-			CachedPlan: ex.cached,
+			CachedPlan: cached,
 			RowsMat:    rowsMat,
 			Kernels:    kernels,
 		},
@@ -674,13 +611,21 @@ func (s *Service) Stats() Stats {
 			"heavy": s.met.heavy.stats(),
 		},
 		Admission:      s.adm.snapshot(),
-		PreparedPlans:  s.preparedN.Load(),
+		PreparedPlans:  s.preparedCount(),
 		ActiveSessions: active,
 		TotalSessions:  s.sessTotal.Load(),
 		EngineQueries:  s.eng.ActiveQueries(),
 		EngineWorkers:  s.eng.ActiveWorkers(),
 		Draining:       s.draining.Load(),
 	}
+}
+
+// preparedCount is the prepared-plan cache's size: entries settled or
+// still compiling (a failed compile leaves as soon as it settles).
+func (s *Service) preparedCount() int64 {
+	s.preparedMu.Lock()
+	defer s.preparedMu.Unlock()
+	return int64(len(s.prepared))
 }
 
 // begin registers one query with the drain WaitGroup, refusing if a
