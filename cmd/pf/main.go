@@ -191,6 +191,9 @@ func main() {
 			if st.Static != "" {
 				ann += fmt.Sprintf(", fast path for static %s", st.Static)
 			}
+			if st.Sink != "" {
+				ann += ", sink " + st.Sink
+			}
 			if st.FusedChain > 0 {
 				ann += fmt.Sprintf(", chain #%d [%d/%d]", st.FusedChain, st.FusedPos, st.FusedLen)
 			}

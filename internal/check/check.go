@@ -14,7 +14,8 @@
 //     sorted on the key, rownum[presorted]/[const1] are justified,
 //     Parallel/Pipeline flags appear only on kernels whose morsel
 //     decomposition the executor actually implements, and every operator
-//     chain and theta join is a unit the executor may run as one.
+//     chain and theta join is a unit the executor may run as one, and
+//     every streamed ε's nodes reach only the serializer.
 //
 // A validator failure means an upstream pass produced a plan whose
 // silent assumptions do not hold — the class of bug that yields quietly
@@ -38,7 +39,7 @@ import (
 // across runs and renderable as goldens.
 type Diag struct {
 	// Class is the invariant family: "structure", "schema", "type",
-	// "order", "dense", "physical", "fusion", or "thetajoin".
+	// "order", "dense", "physical", "fusion", "thetajoin", or "stream".
 	Class string
 	// Op locates the finding: "#3 join" style, topological index + kind.
 	Op string

@@ -421,6 +421,83 @@ var mutations = []mutation{
 			return check.Physical(p)
 		},
 	},
+	// --- stream class: an ε streamed although something reads its nodes
+	// A streamed ε builds no fragment: its nodes are bytes the serializer
+	// asks for, and any kernel that looks at one finds nothing.
+	{
+		name:  "stream_elem_under_step",
+		class: "stream",
+		build: func(t *testing.T) []check.Diag {
+			e := streamShape(t)
+			step, err := algebra.Step(e, algebra.Child, algebra.KindTest{Kind: algebra.TestElem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forceStream(step, e)
+		},
+	},
+	{
+		name:  "stream_elem_into_built_slot",
+		class: "stream",
+		build: func(t *testing.T) []check.Diag {
+			inner := streamShape(t)
+			slot, err := algebra.RowNum(inner, "pos", []algebra.OrderSpec{{Col: "iter"}}, "iter")
+			if err != nil {
+				t.Fatal(err)
+			}
+			outer, err := algebra.ElemSkel(lit(t, "iter", ints(1, 2)), mustSkeleton(t, "<a>$0</a>"), slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The outer ε materializes — a step reads its nodes — so it
+			// copies the inner one's, which were never built.
+			step, err := algebra.Step(outer, algebra.Child, algebra.KindTest{Kind: algebra.TestElem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forceStream(step, inner)
+		},
+	},
+	{
+		name:  "stream_elem_sorted_on",
+		class: "stream",
+		build: func(t *testing.T) []check.Diag {
+			e := streamShape(t)
+			rn, err := algebra.RowNum(e, "pos", []algebra.OrderSpec{{Col: "item"}}, "iter")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forceStream(rn, e) // document order needs the nodes
+		},
+	},
+	{
+		name:  "stream_elem_atomized",
+		class: "stream",
+		build: func(t *testing.T) []check.Diag {
+			e := streamShape(t)
+			data, err := algebra.Fun(e, "v", algebra.FunAtomize, "item")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rn, err := algebra.Project(data, "iter", "pos:iter", "item:v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forceStream(rn, e)
+		},
+	},
+	{
+		name:  "stream_elem_flag_on_select",
+		class: "stream",
+		build: func(t *testing.T) []check.Diag {
+			in := lit(t, "iter", ints(1, 2), "pos", ints(1, 1), "item", ints(5, 6), "keep", bat.BoolVec{true, false})
+			sel, err := algebra.Select(in, "keep")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forceStream(sel, sel)
+		},
+	},
 	// --- thetajoin class: forged theta-join metadata --------------------
 	// A theta join lets the executor skip building the × altogether; a
 	// lying one hands rows that were never built to whoever reads them.
@@ -622,6 +699,36 @@ func forgeCountTail(p *physical.Plan, cross, fn, sel, proj, dist, cnt *algebra.O
 }
 
 // nodeOf is p's node for the logical operator o.
+// streamShape is an ε of one element per iteration with an integer for
+// content: the shape the stream cases route somewhere a streamed ε's
+// nodes must not go.
+func streamShape(t *testing.T) *algebra.Op {
+	t.Helper()
+	content := lit(t, "iter", ints(1, 2), "pos", ints(1, 1), "item", ints(7, 8))
+	e, err := algebra.ElemSkel(lit(t, "iter", ints(1, 2)), mustSkeleton(t, "<b>$0</b>"), content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func mustSkeleton(t *testing.T, src string) algebra.Skeleton {
+	t.Helper()
+	s, err := algebra.ParseSkeleton(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// forceStream lowers root, marks o's node streamed whatever the lowering
+// decided, and checks the plan.
+func forceStream(root, o *algebra.Op) []check.Diag {
+	p := physical.Lower(root)
+	nodeOf(p, o).Stream = true
+	return check.Physical(p)
+}
+
 func nodeOf(p *physical.Plan, o *algebra.Op) *physical.Node {
 	for _, nd := range p.Nodes {
 		if nd.Op == o {
@@ -658,7 +765,7 @@ func TestMutationsCaught(t *testing.T) {
 // TestMutationClassCoverage proves the corpus exercises every invariant
 // class the validator knows — the acceptance bar for the checker.
 func TestMutationClassCoverage(t *testing.T) {
-	want := []string{"structure", "schema", "type", "order", "dense", "physical", "fusion", "thetajoin"}
+	want := []string{"structure", "schema", "type", "order", "dense", "physical", "fusion", "thetajoin", "stream"}
 	have := map[string]bool{}
 	for _, m := range mutations {
 		have[m.class] = true

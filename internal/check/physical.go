@@ -48,6 +48,7 @@ func physicalPlan(w *walker, p *physical.Plan) []Diag {
 	}
 	diags = append(diags, physChains(w, p, isNode, consumers)...)
 	diags = append(diags, physThetaJoins(w, p, isNode, consumers)...)
+	diags = append(diags, physStreams(w, p)...)
 	return diags
 }
 

@@ -144,6 +144,62 @@ var Constructors = []Case{
 	{Query: `let $t := (text{"a"}, text{"a"}) return $t[1] is $t[2]`, Want: "false"},
 }
 
+// SinkCase is a constructor case and the sinks its ε take: Streamed of
+// them only reach the serializer, so their trees are written straight
+// into the reply; Built are read by something else and build fragments.
+type SinkCase struct {
+	Case
+	Streamed, Built int
+}
+
+// StreamBoundary pins, against ConstructorDoc, where an ε stops streaming
+// and what a streamed tree serializes as. Streamed: a root constructor; a
+// constructor in a content slot of another (XMark Q10's categorie and
+// personne); one under an order by, a sequence, a let, a count and a
+// positional filter; an element left empty; attributes and text arriving
+// through content slots; whitespace a parser would change, written as
+// references; the content errors, raised by the query and not by the
+// serializer. Built: whatever a step, string(), data(), is or fn:root
+// reads, a streamed-shaped child of such a parent, and an element whose
+// string value is an attribute value. The outcomes are the XQuery
+// semantics, written down by hand.
+var StreamBoundary = []SinkCase{
+	{Case{Query: `<a><b x="1">{1 + 1}</b></a>`, Want: `<a><b x="1">2</b></a>`}, 1, 0},
+	{Case{Query: `for $c in (1, 2) return <c>{for $p in (1, 2, 3) where $p >= $c return <p><v>{$p}</v></p>}</c>`,
+		Want: `<c><p><v>1</v></p><p><v>2</v></p><p><v>3</v></p></c><c><p><v>2</v></p><p><v>3</v></p></c>`}, 2, 0},
+	{Case{Query: `for $i in (3, 1, 2) order by $i return <i>{$i}</i>`, Want: `<i>1</i><i>2</i><i>3</i>`}, 1, 0},
+	{Case{Query: `(<a/>, 1, <b>{2}</b>)`, Want: `<a/>1<b>2</b>`}, 2, 0},
+	{Case{Query: `let $x := <a>{1}</a> return $x`, Want: `<a>1</a>`}, 1, 0},
+	{Case{Query: `count(<a/>)`, Want: `1`}, 1, 0},
+	{Case{Query: `(<a/>, <b/>)[2]`, Want: `<b/>`}, 2, 0},
+	{Case{Query: `<a>{()}</a>`, Want: `<a/>`}, 1, 0},
+	{Case{Query: `<a>{""}</a>`, Want: `<a/>`}, 1, 0},
+	{Case{Query: `<e>{/r/a[1]/@x}{"t"}</e>`, Want: `<e x="1">t</e>`}, 1, 0},
+	{Case{Query: `<e>{/r/a[1]/@x, /r/a[2]/text()}</e>`, Want: `<e x="1">s</e>`}, 1, 0},
+	{Case{Query: `for $i in (1, 2) return <a>{if ($i = 1) then attribute y {"2"} else ()}{$i}</a>`, Want: `<a y="2">1</a><a>2</a>`}, 1, 0},
+	{Case{Query: `<a b="{"x&#10;y&#9;z"}"/>`, Want: `<a b="x&#xA;y&#x9;z"/>`}, 1, 0},
+	{Case{Query: `<t>{"c&#13;d"}</t>`, Want: `<t>c&#xD;d</t>`}, 1, 0},
+	{Case{Query: `<e x="1">{attribute x {"2"}}</e>`, Err: "XQDY0025"}, 1, 0},
+	{Case{Query: `<a>{1}{attribute y {"2"}}</a>`, Err: "XQTY0024"}, 1, 0},
+	{Case{Query: `(<a><b/></a>)/b`, Want: `<b/>`}, 0, 1},
+	{Case{Query: `string(<a>x</a>)`, Want: `x`}, 0, 1},
+	{Case{Query: `data(<a>5</a>) + 1`, Want: `6`}, 0, 1},
+	{Case{Query: `let $x := <a/> return $x is $x`, Want: `true`}, 0, 1},
+	{Case{Query: `root(<a><b/></a>/b)`, Want: `<a><b/></a>`}, 0, 1},
+	{Case{Query: `(<a>{for $i in (1, 2) return <b>{$i}</b>}</a>)/b`, Want: `<b>1</b><b>2</b>`}, 0, 2},
+	{Case{Query: `<x>{string(<a>y</a>)}</x>`, Want: `<x>y</x>`}, 1, 1},
+	{Case{Query: `<x a="{<b>1</b>}"/>`, Want: `<x a="1"/>`}, 1, 1},
+}
+
+// Cases returns the cases of a SinkCase list.
+func Cases(list []SinkCase) []Case {
+	out := make([]Case, len(list))
+	for i, c := range list {
+		out[i] = c.Case
+	}
+	return out
+}
+
 // IntEdges are xs:integer cases at the int64 edge, needing no document.
 // The `lo to hi` ranges: a two-item range ending at MaxInt64 (where a
 // `k <= hi` loop never terminates), a span that overflows int64 (it must

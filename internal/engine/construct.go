@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
@@ -71,6 +72,33 @@ func (c *itemCol) appendStr(buf []byte, i int) []byte {
 	return append(buf, c.str(i)...)
 }
 
+// appendEscaped appends the string value of row i to buf through esc:
+// numbers have nothing to escape.
+func (c *itemCol) appendEscaped(buf []byte, i int, esc func([]byte, string) []byte) []byte {
+	switch {
+	case c.ints != nil:
+		return strconv.AppendInt(buf, c.ints[i], 10)
+	case c.items != nil && c.items[i].Kind == bat.KInt:
+		return strconv.AppendInt(buf, c.items[i].I, 10)
+	}
+	return esc(buf, c.str(i))
+}
+
+// hasAttr reports whether a row is an attribute ref.
+func (c *itemCol) hasAttr() bool {
+	for _, n := range c.nodes {
+		if n.Pre >= xenc.AttrBase {
+			return true
+		}
+	}
+	for i := range c.items {
+		if it := &c.items[i]; it.Kind == bat.KNode && it.N.Pre >= xenc.AttrBase {
+			return true
+		}
+	}
+	return false
+}
+
 // emptyStr reports whether the string value of row i is "": only string
 // payloads can be.
 func (c *itemCol) emptyStr(i int) bool {
@@ -89,22 +117,36 @@ func (c *itemCol) emptyStr(i int) bool {
 type fragCache struct {
 	store *xenc.Store
 	id    int32
-	frag  *xenc.Fragment
+	frag  *xenc.Fragment // nil: id is streamed
+	ok    bool           // id and frag are set
 }
 
+// of returns n's fragment. Like Store.Frag it panics on a streamed one.
 func (fc *fragCache) of(n bat.NodeRef) *xenc.Fragment {
-	if fc.frag == nil || n.Frag != fc.id {
-		fc.id, fc.frag = n.Frag, fc.store.Frag(n.Frag)
+	if f := fc.lookup(n); f != nil {
+		return f
+	}
+	return fc.store.Frag(n.Frag)
+}
+
+// lookup returns n's fragment, or nil when n is an element of a streamed
+// ε.
+func (fc *fragCache) lookup(n bat.NodeRef) *xenc.Fragment {
+	if !fc.ok || n.Frag != fc.id {
+		fc.id, fc.frag, fc.ok = n.Frag, fc.store.Resolve(n.Frag), true
 	}
 	return fc.frag
 }
 
 // elemSlot is one ε input read iteration by iteration: its rows in
-// (iter, pos) order and a cursor at the first row not yet claimed.
+// (iter, pos) order and a cursor at the first row not yet claimed. A
+// streamed ε keeps, in off, where each root row's rows start: row qi owns
+// [off[qi], off[qi+1]).
 type elemSlot struct {
 	iter  bat.IntVec
 	items itemCol
 	at    int
+	off   []int32
 }
 
 // claim advances the cursor past iter's rows and returns them as
@@ -125,6 +167,213 @@ func (s *elemSlot) claim(iter int64) (lo, hi int, orphan int64) {
 	return lo, s.at, orphan
 }
 
+// elemInput is one ε execution's inputs as its skeleton walk reads them:
+// the root rows in iter order, their names when the root name is dynamic,
+// and every slot in (iter, pos) order.
+type elemInput struct {
+	store *xenc.Store
+	skel  algebra.Skeleton
+	iters bat.IntVec
+	names itemCol
+	slots []elemSlot
+}
+
+// elemSink is what the skeleton walk (elemInput.walk) feeds: the scan
+// (elemScan), the fragment builder (elemFill) or the byte writer
+// (elemBytes). The walk owns the order — skeleton steps, slot rows in
+// (iter, pos) order, a run of atomics ended by whatever is not an atomic
+// — and each sink what it makes of them.
+type elemSink interface {
+	// tag handles the Open or Close at skeleton step i of root row qi and
+	// returns the last step it covered: the byte writer writes a run of
+	// tags at once.
+	tag(i, qi int) int
+	// attr adds skeleton step i's attribute, valued by rows [lo, hi) of
+	// its slot.
+	attr(i int, items *itemCol, lo, hi int) error
+	// atom adds row c of items to the open run of atomics.
+	atom(items *itemCol, c int)
+	// flush ends the open run of atomics.
+	flush()
+	// node adds a content node: a copy of it, or an attribute for an
+	// attribute ref.
+	node(n bat.NodeRef) error
+}
+
+// walk feeds the element tree of root row qi to s. The first pass over
+// the rows claims each slot's rows by advancing its cursor and raises
+// every error construction can raise, in document order; it records the
+// offsets of a streamed ε. A replay — the fill pass, or a streamed tree
+// being written — reads the offsets when there are any.
+func (in *elemInput) walk(qi int, s elemSink, first bool) error {
+	var iter int64
+	if first {
+		iter = in.iters[qi]
+		// iters is sorted, so a second row for an iter is the next row.
+		if qi > 0 && iter == in.iters[qi-1] {
+			return fmt.Errorf("ε: multiple element names for iter %d", iter)
+		}
+		if in.skel.Dynamic() && in.names.str(qi) == "" {
+			return fmt.Errorf("ε: empty element name in iter %d", iter)
+		}
+	}
+	for i := 0; i < len(in.skel); i++ {
+		st := &in.skel[i]
+		switch st.Kind {
+		case algebra.SkelOpen, algebra.SkelClose:
+			s.flush()
+			i = s.tag(i, qi)
+		case algebra.SkelAttr, algebra.SkelSlot:
+			sl := &in.slots[st.Slot]
+			var lo, hi int
+			switch {
+			case first || sl.off == nil:
+				var orphan int64
+				lo, hi, orphan = sl.claim(in.iters[qi])
+				if orphan >= 0 {
+					return fmt.Errorf("ε: content iter %d has no element name", orphan)
+				}
+				if sl.off != nil {
+					sl.off[qi], sl.off[qi+1] = int32(lo), int32(hi)
+				}
+			default:
+				lo, hi = int(sl.off[qi]), int(sl.off[qi+1])
+			}
+			var err error
+			if st.Kind == algebra.SkelAttr {
+				s.flush()
+				err = s.attr(i, &sl.items, lo, hi)
+			} else {
+				err = in.content(s, &sl.items, lo, hi)
+			}
+			if err != nil {
+				return fmt.Errorf("ε: iter %d: %w", iter, err)
+			}
+		}
+	}
+	return nil
+}
+
+// content feeds rows [lo, hi) of a content slot to s.
+func (in *elemInput) content(s elemSink, items *itemCol, lo, hi int) error {
+	for c := lo; c < hi; c++ {
+		n, isNode := items.node(c)
+		if !isNode {
+			s.atom(items, c)
+			continue
+		}
+		s.flush()
+		if err := s.node(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// elemExec is one ε execution's state, allocated once: the inputs, the
+// sinks the walk feeds (which escape through the sink interface), and
+// for a streamed ε the emitter's own — it is the xenc.Emitter.
+type elemExec struct {
+	in    elemInput
+	scan  elemScan
+	fill  elemFill
+	runs  []staticRun
+	spare atomic.Pointer[elemBytes] // a byte writer between two trees
+	slots [4]elemSlot
+	ids   [16]int32
+}
+
+// scanAll is the first pass over every root row: the sizes the fill pass
+// reserves, the offsets a streamed tree is written from, and the errors.
+// It leaves the slot cursors at the start.
+func (x *elemExec) scanAll() error {
+	in := &x.in
+	x.scan = elemScan{store: in.store, skel: in.skel, src: fragCache{store: in.store}}
+	for qi := range in.iters {
+		if err := in.walk(qi, &x.scan, true); err != nil {
+			return err
+		}
+	}
+	for k := range in.slots {
+		if sl := &in.slots[k]; sl.at < len(sl.iter) {
+			return fmt.Errorf("ε: content iter %d has no element name", sl.iter[sl.at])
+		}
+		in.slots[k].at = 0
+	}
+	return nil
+}
+
+// plainOffsets is the first pass of a streamed ε whose content cannot
+// fail, column by column: the skeleton's attributes precede their
+// element's content and differ in name, and no content slot holds an
+// attribute ref, so neither XQTY0024 nor XQDY0025 can arise; each slot's
+// offsets come from one merge of its iters with the root's. It reports
+// false when the content may fail after all (those attributes, two names
+// for one iter, an empty name, a row without an element); the walk then
+// finds the error in document order.
+func (in *elemInput) plainOffsets() bool {
+	if !attrsFirst(in.skel) {
+		return false
+	}
+	for qi, iter := range in.iters {
+		if qi > 0 && iter == in.iters[qi-1] || in.skel.Dynamic() && in.names.str(qi) == "" {
+			return false
+		}
+	}
+	for k := range in.slots {
+		sl := &in.slots[k]
+		if sl.items.hasAttr() {
+			return false
+		}
+		j := 0
+		for qi, iter := range in.iters {
+			if j < len(sl.iter) && sl.iter[j] < iter {
+				return false
+			}
+			sl.off[qi] = int32(j)
+			for j < len(sl.iter) && sl.iter[j] == iter {
+				j++
+			}
+		}
+		sl.off[len(in.iters)] = int32(j)
+		if j < len(sl.iter) {
+			return false
+		}
+	}
+	return true
+}
+
+// attrsFirst reports whether every attribute step of the skeleton comes
+// before its element's content and children and names an attribute its
+// element has no other of.
+func attrsFirst(skel algebra.Skeleton) bool {
+	var buf [8]bool
+	content := buf[:0] // per open element: content or a child seen
+	for i, st := range skel {
+		switch st.Kind {
+		case algebra.SkelOpen:
+			if len(content) > 0 {
+				content[len(content)-1] = true
+			}
+			content = append(content, false)
+		case algebra.SkelClose:
+			content = content[:len(content)-1]
+		case algebra.SkelSlot:
+			content[len(content)-1] = true
+		case algebra.SkelAttr:
+			if content[len(content)-1] {
+				return false
+			}
+			for j := i - 1; skel[j].Kind == algebra.SkelAttr; j-- {
+				if skel[j].Name == st.Name {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // evalElem implements ε over a skeleton (algebra.Skeleton): per row of
 // root — the loop (iter), or iter|item names for a dynamic root name —
 // one element tree whose static part is the skeleton's and whose slots
@@ -137,36 +386,42 @@ func (s *elemSlot) claim(iter int64) (lo, hi int, orphan int64) {
 // nodes merge. An attribute step's value is its slot's string values,
 // space-joined.
 //
-// Construction is two passes. The size pass (elemSize) totals the nodes
-// and attribute rows the fragment will hold and the builder reserves its
-// columns once; the fill pass appends into them — a copied subtree as a
-// column range — and never reallocates. Every tree of one execution is a
-// root of one fragment.
-func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*bat.Table) (*bat.Table, error) {
+// The first pass (elemScan) checks the content and totals the nodes and
+// attribute rows the trees hold. Then one of two sinks takes the trees.
+// The materializing one reserves a fragment's columns once and fills them
+// — a copied subtree as a column range — without reallocating; every tree
+// of one execution is a root of that fragment. When stream is set — the
+// ε's elements reach only the serializer (physical.Node.Stream) — no
+// fragment is built: the trees are registered as one streamed fragment
+// (xenc.Store.AddStreamed) whose emitter writes each one's bytes when the
+// serializer asks, from the slot columns and the offsets the first pass
+// recorded.
+func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*bat.Table, stream bool) (*bat.Table, error) {
 	rSorted, err := root.SortBy("iter")
 	if err != nil {
 		return nil, err
 	}
-	rIter, err := rSorted.Ints("iter")
-	if err != nil {
+	x := &elemExec{in: elemInput{store: e.Store, skel: skel}}
+	in := &x.in
+	if in.iters, err = rSorted.Ints("iter"); err != nil {
 		return nil, err
 	}
-	var names itemCol
 	if skel.Dynamic() {
 		col, err := rSorted.Col("item")
 		if err != nil {
 			return nil, err
 		}
-		names = readItems(col)
+		in.names = readItems(col)
 	}
-	// Small skeletons — all of XMark's — keep their per-execution state
-	// on the stack.
-	var slotBuf [16]elemSlot
-	slots := slotBuf[:]
-	if len(slotTabs) > len(slots) {
-		slots = make([]elemSlot, len(slotTabs))
+	in.slots = x.slots[:]
+	if len(slotTabs) > len(in.slots) {
+		in.slots = make([]elemSlot, len(slotTabs))
 	}
-	slots = slots[:len(slotTabs)]
+	in.slots = in.slots[:len(slotTabs)]
+	var offs []int32
+	if stream {
+		offs = make([]int32, len(slotTabs)*(len(in.iters)+1))
+	}
 	for k, t := range slotTabs {
 		sorted, err := slotOrder(t)
 		if err != nil {
@@ -180,23 +435,52 @@ func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*ba
 		if err != nil {
 			return nil, err
 		}
-		slots[k] = elemSlot{iter: iter, items: readItems(col)}
+		in.slots[k] = elemSlot{iter: iter, items: readItems(col)}
+		if stream {
+			in.slots[k].off, offs = offs[:len(in.iters)+1], offs[len(in.iters)+1:]
+		}
 	}
+	if !stream || !in.plainOffsets() {
+		if err := x.scanAll(); err != nil {
+			return nil, err
+		}
+	}
+	outItem := make(bat.NodeVec, len(in.iters))
+	var frag int32
+	if stream {
+		for k := range in.slots {
+			in.slots[k].iter = nil // only the first pass reads it
+		}
+		x.scan = elemScan{}
+		x.runs = staticRuns(skel)
+		frag = e.Store.AddStreamed(x)
+		for qi := range outItem {
+			outItem[qi].Pre = int32(qi)
+		}
+	} else if frag, err = x.fillAll(outItem); err != nil {
+		return nil, err
+	}
+	for i := range outItem {
+		outItem[i].Frag = frag
+	}
+	return bat.NewTable("iter", in.iters, "item", outItem)
+}
 
-	fb := xenc.NewFragBuilder(e.Store)
-	fb.Reserve(elemSize(e.Store, skel, rIter, slots))
-	for k := range slots {
-		slots[k].at = 0
-	}
+// fillAll is the materializing sink's pass: the trees of every root row
+// into one fragment reserved from the scan's totals, their roots' pre
+// ranks into roots.
+func (x *elemExec) fillAll(roots bat.NodeVec) (int32, error) {
+	in := &x.in
+	fb := xenc.NewFragBuilder(in.store)
+	fb.Reserve(x.scan.nodes, x.scan.attrs)
 	// The skeleton's names are interned once per execution, not once per
 	// element.
-	var idBuf [48]int32
-	ids := idBuf[:]
-	if len(skel) > len(ids) {
-		ids = make([]int32, len(skel))
+	ids := x.ids[:]
+	if len(in.skel) > len(ids) {
+		ids = make([]int32, len(in.skel))
 	}
-	ids = ids[:len(skel)]
-	for i, st := range skel {
+	ids = ids[:len(in.skel)]
+	for i, st := range in.skel {
 		switch {
 		case st.Kind == algebra.SkelOpen && st.Name != "":
 			ids[i] = fb.Tag(st.Name)
@@ -204,62 +488,13 @@ func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*ba
 			ids[i] = fb.AttrName(st.Name)
 		}
 	}
-	outItem := make(bat.NodeVec, len(rIter))
-	w := elemFill{e: e, fb: fb, src: fragCache{store: e.Store}}
-	for qi, iter := range rIter {
-		// rIter is sorted, so a second row for an iter is the next row.
-		if qi > 0 && iter == rIter[qi-1] {
-			return nil, fmt.Errorf("ε: multiple element names for iter %d", iter)
-		}
-		for i, st := range skel {
-			switch st.Kind {
-			case algebra.SkelOpen:
-				w.flush()
-				switch {
-				case i > 0:
-					fb.StartElemTag(ids[i])
-				case st.Name != "":
-					outItem[qi].Pre = fb.StartElemTag(ids[0])
-				default:
-					name := names.str(qi)
-					if name == "" {
-						return nil, fmt.Errorf("ε: empty element name in iter %d", iter)
-					}
-					outItem[qi].Pre = fb.StartElem(name)
-				}
-			case algebra.SkelClose:
-				w.flush()
-				fb.EndElem()
-			case algebra.SkelAttr, algebra.SkelSlot:
-				sl := &slots[st.Slot]
-				lo, hi, orphan := sl.claim(iter)
-				if orphan >= 0 {
-					return nil, fmt.Errorf("ε: content iter %d has no element name", orphan)
-				}
-				if st.Kind == algebra.SkelAttr {
-					err = w.attr(ids[i], &sl.items, lo, hi)
-				} else {
-					err = w.content(&sl.items, lo, hi)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("ε: iter %d: %w", iter, err)
-				}
-			}
+	x.fill = elemFill{store: in.store, fb: fb, src: fragCache{store: in.store}, skel: in.skel, names: &in.names, ids: ids, roots: roots}
+	for qi := range in.iters {
+		if err := in.walk(qi, &x.fill, false); err != nil {
+			return 0, err
 		}
 	}
-	for k := range slots {
-		if sl := &slots[k]; sl.at < len(sl.iter) {
-			return nil, fmt.Errorf("ε: content iter %d has no element name", sl.iter[sl.at])
-		}
-	}
-	frag, err := fb.Finish()
-	if err != nil {
-		return nil, err
-	}
-	for i := range outItem {
-		outItem[i].Frag = frag
-	}
-	return bat.NewTable("iter", rIter, "item", outItem)
+	return fb.Finish()
 }
 
 // iterPos is the order ε reads a slot in.
@@ -282,18 +517,169 @@ func slotOrder(t *bat.Table) (*bat.Table, error) {
 	return out, err
 }
 
-// elemFill is ε's fill pass state: the builder and the open run of
-// atomics of the innermost open element.
-type elemFill struct {
-	e     *Engine
-	fb    *xenc.FragBuilder
-	src   fragCache
-	atoms int    // atomics in the open run
-	first string // the run's first atomic: a run of one needs no buffer
-	run   []byte // a longer run, space-separated
+// elemScan is ε's first pass. It counts the tree nodes and attribute rows
+// the fill pass will append — one node per skeleton element and one
+// attribute row per skeleton attribute per iteration; per content row,
+// 1+size per copied subtree (a document node contributes its children
+// only) with the attribute rows of its range, one attribute row per
+// attribute ref, and one text node per run of atomics whose joined string
+// is not empty, less every text that merges into a text sibling before it.
+// And it raises what the fragment builder would: an attribute after
+// content of its element (XQTY0024), two attributes of one name on one
+// element (XQDY0025). A streamed tree is written only after its ε
+// returned, so these errors, not the serializer, are where it fails.
+type elemScan struct {
+	store    *xenc.Store
+	skel     algebra.Skeleton
+	src      fragCache
+	nodes    int
+	attrs    int
+	run      int  // atomics in the open run
+	runText  bool // the open run's joined string is not empty
+	lastText bool // the innermost open element's last child so far is a text node
+	open     []scanElem
+	names    []string // the attribute names of the open elements, innermost last
+	openBuf  [8]scanElem
+	namesBuf [8]string
 }
 
-// atom adds row c of items to the open run.
+// scanElem is one open element of the scan.
+type scanElem struct {
+	names int  // where its attribute names start in elemScan.names
+	kids  bool // it has a child
+}
+
+func (s *elemScan) tag(i, _ int) int {
+	// A new element has no children yet; a closed one is its parent's
+	// last child.
+	s.lastText = false
+	if s.skel[i].Kind == algebra.SkelClose {
+		top := s.open[len(s.open)-1]
+		s.names, s.open = s.names[:top.names], s.open[:len(s.open)-1]
+		return i
+	}
+	s.nodes++
+	s.child()
+	if s.open == nil {
+		s.open, s.names = s.openBuf[:0], s.namesBuf[:0]
+	}
+	s.open = append(s.open, scanElem{names: len(s.names)})
+	return i
+}
+
+// child records that the innermost open element has a child.
+func (s *elemScan) child() {
+	if len(s.open) > 0 {
+		s.open[len(s.open)-1].kids = true
+	}
+}
+
+func (s *elemScan) attr(i int, _ *itemCol, _, _ int) error {
+	s.attrs++
+	return s.attrNamed(s.skel[i].Name)
+}
+
+// attrNamed checks an attribute of the innermost open element.
+func (s *elemScan) attrNamed(name string) error {
+	top := s.open[len(s.open)-1]
+	if top.kids {
+		return fmt.Errorf("XQTY0024: attribute %q follows element content", name)
+	}
+	for _, n := range s.names[top.names:] {
+		if n == name {
+			return fmt.Errorf("XQDY0025: duplicate attribute %q on a constructed element", name)
+		}
+	}
+	s.names = append(s.names, name)
+	return nil
+}
+
+func (s *elemScan) atom(items *itemCol, c int) {
+	// Two atomics join with a space, so only a lone empty string makes
+	// no text.
+	s.run++
+	s.runText = s.runText || s.run > 1 || !items.emptyStr(c)
+}
+
+func (s *elemScan) flush() {
+	if s.runText {
+		if !s.lastText {
+			s.nodes++
+		}
+		s.lastText = true
+		s.child()
+	}
+	s.run, s.runText = 0, false
+}
+
+func (s *elemScan) node(n bat.NodeRef) error {
+	sf := s.src.lookup(n)
+	if sf == nil {
+		// An element of a streamed ε: only a streamed ε reads one, and
+		// it counts nothing.
+		s.lastText = false
+		s.child()
+		return nil
+	}
+	if n.Pre >= xenc.AttrBase {
+		s.attrs++
+		return s.attrNamed(s.store.AttrNameOf(sf.AttrName[n.Pre-xenc.AttrBase]))
+	}
+	end := n.Pre + sf.Size[n.Pre]
+	alo, ahi := sf.AttrRange(n.Pre, end)
+	s.attrs += int(ahi - alo)
+	switch sf.Kind[n.Pre] {
+	case xenc.KindText:
+		if !s.lastText {
+			s.nodes++
+		}
+		s.lastText = true
+	case xenc.KindDoc:
+		if end == n.Pre {
+			return nil
+		}
+		s.nodes += int(end - n.Pre)
+		if s.lastText && sf.Kind[n.Pre+1] == xenc.KindText {
+			s.nodes--
+		}
+		s.lastText = sf.Kind[end] == xenc.KindText && sf.Parent[end] == n.Pre
+	default:
+		s.nodes += int(end-n.Pre) + 1
+		s.lastText = false
+	}
+	s.child()
+	return nil
+}
+
+// elemFill is the materializing sink: the builder and the open run of
+// atomics of the innermost open element.
+type elemFill struct {
+	store *xenc.Store
+	fb    *xenc.FragBuilder
+	src   fragCache
+	skel  algebra.Skeleton
+	names *itemCol    // the root names of a dynamic skeleton
+	ids   []int32     // the skeleton's names, interned
+	roots bat.NodeVec // the root elements' pre ranks
+	atoms int         // atomics in the open run
+	first string      // the run's first atomic: a run of one needs no buffer
+	run   []byte      // a longer run, space-separated
+}
+
+func (w *elemFill) tag(i, qi int) int {
+	switch {
+	case w.skel[i].Kind == algebra.SkelClose:
+		w.fb.EndElem()
+	case i > 0:
+		w.fb.StartElemTag(w.ids[i])
+	case w.skel[0].Name != "":
+		w.roots[qi].Pre = w.fb.StartElemTag(w.ids[0])
+	default:
+		w.roots[qi].Pre = w.fb.StartElem(w.names.str(qi))
+	}
+	return i
+}
+
 func (w *elemFill) atom(items *itemCol, c int) {
 	switch w.atoms {
 	case 0:
@@ -320,36 +706,22 @@ func (w *elemFill) flush() {
 	w.atoms, w.first = 0, ""
 }
 
-// content appends rows [lo, hi) of a content slot to the innermost open
-// element.
-func (w *elemFill) content(items *itemCol, lo, hi int) error {
-	for c := lo; c < hi; c++ {
-		n, isNode := items.node(c)
-		if !isNode {
-			w.atom(items, c)
-			continue
-		}
-		w.flush()
-		if err := w.fb.CopyFrom(w.src.of(n), n.Pre); err != nil {
-			return err
-		}
-	}
-	return nil
+func (w *elemFill) node(n bat.NodeRef) error {
+	return w.fb.CopyFrom(w.src.of(n), n.Pre)
 }
 
-// attr adds the attribute name to the innermost open element, valued by
-// the string values of rows [lo, hi) of its slot, space-joined.
-func (w *elemFill) attr(name int32, items *itemCol, lo, hi int) error {
-	w.flush()
+// attr adds the attribute to the innermost open element, valued by the
+// string values of rows [lo, hi) of its slot, space-joined.
+func (w *elemFill) attr(i int, items *itemCol, lo, hi int) error {
 	str := func(c int) string {
 		if n, ok := items.node(c); ok {
-			return w.e.Store.StringValue(n)
+			return w.store.StringValue(n)
 		}
 		return items.str(c)
 	}
 	if hi-lo == 1 {
 		// The usual value, one string per iteration, needs no buffer.
-		return w.fb.AddAttrNamed(name, str(lo))
+		return w.fb.AddAttrNamed(w.ids[i], str(lo))
 	}
 	w.run = w.run[:0]
 	for c := lo; c < hi; c++ {
@@ -358,91 +730,209 @@ func (w *elemFill) attr(name int32, items *itemCol, lo, hi int) error {
 		}
 		w.run = append(w.run, str(c)...)
 	}
-	return w.fb.AddAttrNamed(name, string(w.run))
+	return w.fb.AddAttrNamed(w.ids[i], string(w.run))
 }
 
-// elemSize is ε's size pass: the number of tree nodes and attribute rows
-// the fill pass will append — one node per skeleton element and one
-// attribute row per skeleton attribute per iteration; per content row,
-// 1+size per copied subtree (a document node contributes its children
-// only) with the attribute rows of its range, one attribute row per
-// attribute ref, and one text node per run of atomics whose joined string
-// is not empty, less every text that merges into a text sibling before it.
-// It mirrors the fill pass's text state and nothing else: content the
-// fill pass rejects is counted any which way, since no fragment comes of
-// it. It leaves the slot cursors at the end.
-func elemSize(store *xenc.Store, skel algebra.Skeleton, roots bat.IntVec, slots []elemSlot) (nodes, attrs int) {
-	src := fragCache{store: store}
-	run := 0          // atomics in the open run
-	runText := false  // the open run's joined string is not empty
-	lastText := false // the innermost open element's last child so far is a text node
-	endRun := func() {
-		if runText && !lastText {
-			nodes++
-		}
-		lastText = lastText || runText
-		run, runText = 0, false
+// AppendTree writes the tree of root row root of a streamed ε
+// (xenc.Emitter): the node ref (fragment, root). Its content was checked
+// when the ε ran, so the walk cannot fail here. The emitter keeps the
+// slots' item columns and each root row's offsets into them, nothing
+// else of its inputs.
+func (x *elemExec) AppendTree(dst []byte, root int32) []byte {
+	b := x.spare.Swap(nil)
+	if b == nil {
+		b = &elemBytes{x: x, src: fragCache{store: x.in.store}}
 	}
-	for _, iter := range roots {
-		for _, st := range skel {
-			switch st.Kind {
-			case algebra.SkelOpen, algebra.SkelClose:
-				// A new element has no children yet; a closed one is its
-				// parent's last child.
-				endRun()
-				lastText = false
-				if st.Kind == algebra.SkelOpen {
-					nodes++
+	b.dst = dst
+	x.in.walk(int(root), b, false) //nolint:errcheck // checked by the first pass
+	dst = b.dst
+	b.dst = nil
+	x.spare.Store(b)
+	return dst
+}
+
+// staticRun is a maximal run of skeleton tags with literal names,
+// rendered once per execution: text is the run written after a closed
+// start tag — its last start tag left open when it ends on one (endsOpen)
+// — and closes the length of its first end tag when it begins with one,
+// which an open start tag turns into "/>".
+type staticRun struct {
+	last     int // the run's last step
+	text     []byte
+	closes   int
+	endsOpen bool
+}
+
+// staticRuns renders the skeleton's runs of literal tags, indexed by
+// their first step. A dynamic root's tags are written per tree.
+func staticRuns(skel algebra.Skeleton) []staticRun {
+	runs := make([]staticRun, len(skel))
+	literal := func(i int) bool {
+		st := skel[i]
+		switch st.Kind {
+		case algebra.SkelOpen:
+			return st.Name != ""
+		case algebra.SkelClose:
+			return i < len(skel)-1 || !skel.Dynamic()
+		}
+		return false
+	}
+	var open []string
+	var buf []byte
+	for i := 0; i < len(skel); {
+		if !literal(i) {
+			switch skel[i].Kind {
+			case algebra.SkelOpen:
+				open = append(open, "")
+			case algebra.SkelClose:
+				open = open[:len(open)-1]
+			}
+			i++
+			continue
+		}
+		r := &runs[i]
+		start := len(buf)
+		j := i
+		for ; j < len(skel) && literal(j); j++ {
+			if skel[j].Kind == algebra.SkelOpen {
+				if r.endsOpen {
+					buf = append(buf, '>')
 				}
-			case algebra.SkelAttr:
-				slots[st.Slot].claim(iter)
-				endRun()
-				attrs++
-			case algebra.SkelSlot:
-				sl := &slots[st.Slot]
-				lo, hi, _ := sl.claim(iter)
-				for c := lo; c < hi; c++ {
-					n, isNode := sl.items.node(c)
-					if !isNode {
-						// Two atomics join with a space, so only a lone empty
-						// string makes no text.
-						run++
-						runText = runText || run > 1 || !sl.items.emptyStr(c)
-						continue
-					}
-					endRun()
-					if n.Pre >= xenc.AttrBase {
-						attrs++
-						continue
-					}
-					sf := src.of(n)
-					end := n.Pre + sf.Size[n.Pre]
-					alo, ahi := sf.AttrRange(n.Pre, end)
-					attrs += int(ahi - alo)
-					switch sf.Kind[n.Pre] {
-					case xenc.KindText:
-						if !lastText {
-							nodes++
-						}
-						lastText = true
-					case xenc.KindDoc:
-						if end == n.Pre {
-							continue
-						}
-						nodes += int(end - n.Pre)
-						if lastText && sf.Kind[n.Pre+1] == xenc.KindText {
-							nodes--
-						}
-						lastText = sf.Kind[end] == xenc.KindText && sf.Parent[end] == n.Pre
-					default:
-						nodes += int(end-n.Pre) + 1
-						lastText = false
-					}
+				buf = append(append(buf, '<'), skel[j].Name...)
+				open = append(open, skel[j].Name)
+				r.endsOpen = true
+				continue
+			}
+			if r.endsOpen {
+				buf = append(buf, '/', '>')
+				r.endsOpen = false
+			} else {
+				buf = append(append(append(buf, '<', '/'), open[len(open)-1]...), '>')
+				if j == i {
+					r.closes = len(buf) - start
 				}
 			}
+			open = open[:len(open)-1]
+		}
+		r.last, r.text = j-1, buf[start:len(buf):len(buf)]
+		i = j
+	}
+	return runs
+}
+
+// elemBytes is the byte sink: it appends one streamed tree's
+// serialization to dst. A start tag stays open until the element's first
+// child — attributes arrive from content slots too — and an element
+// without one closes as "<a/>".
+type elemBytes struct {
+	x       *elemExec
+	src     fragCache
+	dst     []byte
+	tagOpen bool // the innermost start tag is written up to its attributes
+	atoms   int  // atomics in the open run
+	held    bool // the run is one empty string so far, and nothing is written
+}
+
+// child closes the innermost start tag before a child.
+func (b *elemBytes) child() {
+	if b.tagOpen {
+		b.dst = append(b.dst, '>')
+		b.tagOpen = false
+	}
+}
+
+func (b *elemBytes) tag(i, qi int) int {
+	if r := &b.x.runs[i]; r.text != nil {
+		text := r.text
+		if b.tagOpen {
+			if r.closes > 0 {
+				b.dst, text = append(b.dst, '/', '>'), text[r.closes:]
+			} else {
+				b.dst = append(b.dst, '>')
+			}
+		}
+		b.dst = append(b.dst, text...)
+		b.tagOpen = r.endsOpen
+		return r.last
+	}
+	// The root's dynamic name.
+	name := b.x.in.names.str(qi)
+	switch {
+	case i == 0:
+		b.dst = append(append(b.dst, '<'), name...)
+		b.tagOpen = true
+	case b.tagOpen:
+		b.dst = append(b.dst, '/', '>')
+		b.tagOpen = false
+	default:
+		b.dst = append(append(append(b.dst, '<', '/'), name...), '>')
+	}
+	return i
+}
+
+func (b *elemBytes) attr(i int, items *itemCol, lo, hi int) error {
+	b.dst = append(append(append(b.dst, ' '), b.x.in.skel[i].Name...), '=', '"')
+	for c := lo; c < hi; c++ {
+		if c > lo {
+			b.dst = append(b.dst, ' ')
+		}
+		if n, ok := items.node(c); ok {
+			b.dst = xenc.EscapeAttr(b.dst, b.stringValue(n))
+		} else {
+			b.dst = items.appendEscaped(b.dst, c, xenc.EscapeAttr)
 		}
 	}
-	return nodes, attrs
+	b.dst = append(b.dst, '"')
+	return nil
+}
+
+// stringValue is Store.StringValue, a text node's — what an attribute
+// value usually is — read off the cached fragment.
+func (b *elemBytes) stringValue(n bat.NodeRef) string {
+	if sf := b.src.lookup(n); sf != nil && n.Pre < xenc.AttrBase && sf.Kind[n.Pre] == xenc.KindText {
+		return b.x.in.store.Text(sf.Prop[n.Pre])
+	}
+	return b.x.in.store.StringValue(n)
+}
+
+func (b *elemBytes) atom(items *itemCol, c int) {
+	if b.atoms == 0 && items.emptyStr(c) {
+		b.atoms, b.held = 1, true
+		return
+	}
+	b.child()
+	if b.atoms > 0 {
+		b.dst = append(b.dst, ' ')
+	}
+	b.dst = items.appendEscaped(b.dst, c, xenc.EscapeText)
+	b.atoms++
+	b.held = false
+}
+
+func (b *elemBytes) flush() { b.atoms, b.held = 0, false }
+
+func (b *elemBytes) node(n bat.NodeRef) error {
+	store := b.x.in.store
+	sf := b.src.lookup(n)
+	switch {
+	case sf == nil:
+		b.child()
+		b.dst = store.AppendSerialized(b.dst, n)
+	case n.Pre >= xenc.AttrBase:
+		i := n.Pre - xenc.AttrBase
+		b.dst = append(append(append(b.dst, ' '), store.AttrNameOf(sf.AttrName[i])...), '=', '"')
+		b.dst = append(xenc.EscapeAttr(b.dst, store.AttrVal(sf.AttrVal[i])), '"')
+	case sf.Kind[n.Pre] == xenc.KindText:
+		// What a path ending in text() copies, the usual content.
+		b.child()
+		b.dst = xenc.EscapeText(b.dst, store.Text(sf.Prop[n.Pre]))
+	case sf.Kind[n.Pre] == xenc.KindDoc && sf.Size[n.Pre] == 0:
+		// A document without children copies nothing.
+	default:
+		b.child()
+		b.dst = store.AppendSubtree(b.dst, sf, n.Pre)
+	}
+	return nil
 }
 
 // evalText implements τ: one text node per row from the item's string

@@ -82,7 +82,7 @@ func TestConstructAllocBudget(t *testing.T) {
 				if shape == "binary" {
 					out, err = e.binaryElem(q, c)
 				} else {
-					out, err = e.evalElem(q, skel, []*bat.Table{ids, c})
+					out, err = e.evalElem(q, skel, []*bat.Table{ids, c}, false)
 				}
 				if err != nil || out.Rows() != nodes/4 {
 					t.Fatalf("%s ε: %v", shape, err)
@@ -148,7 +148,7 @@ type contentFixture struct {
 	attrRefs []bat.Item
 }
 
-func newContentFixture(t *testing.T, e *Engine) *contentFixture {
+func newContentFixture(t testing.TB, e *Engine) *contentFixture {
 	t.Helper()
 	doc, err := e.Store.LoadDocumentString("m.xml",
 		`head<r><a x="1" y="2">p<b/>q</a>lone<a x="3"><!--c-->s<b z="4">t</b></a><b/></r>tail`)
@@ -322,7 +322,7 @@ var constructSink *bat.Table
 // binaryElem runs the paper's binary ε — a name table and one content
 // table — through the skeleton kernel.
 func (e *Engine) binaryElem(qnames, content *bat.Table) (*bat.Table, error) {
-	return e.evalElem(qnames, binarySkel, []*bat.Table{content})
+	return e.evalElem(qnames, binarySkel, []*bat.Table{content}, false)
 }
 
 var binarySkel = mustSkel("<*>$0</*>")
@@ -357,7 +357,7 @@ func BenchmarkElemConstruct(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if constructSink, err = e.evalElem(loop, skel, []*bat.Table{content}); err != nil {
+			if constructSink, err = e.evalElem(loop, skel, []*bat.Table{content}, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -380,7 +380,7 @@ func BenchmarkElemConstruct(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if constructSink, err = e.evalElem(loop, skel, slots); err != nil {
+			if constructSink, err = e.evalElem(loop, skel, slots, false); err != nil {
 				b.Fatal(err)
 			}
 		}

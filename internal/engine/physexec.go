@@ -204,6 +204,12 @@ func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View,
 	if out.fast {
 		st.Static = nd.Kernel
 	}
+	if nd.Op.Kind == algebra.OpElem {
+		st.Sink = "fragment"
+		if nd.Stream {
+			st.Sink = "stream"
+		}
+	}
 	st.setMorsels(ms)
 	return out.view, st, nil
 }
@@ -370,7 +376,7 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 			tabs[i], m = matCount(v)
 			mat += m
 		}
-		out, err := e.evalElem(tabs[0], o.Skel, tabs[1:])
+		out, err := e.evalElem(tabs[0], o.Skel, tabs[1:], nd.Stream)
 		if err != nil {
 			return physOut{}, err
 		}

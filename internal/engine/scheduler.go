@@ -45,6 +45,11 @@ type OpStat struct {
 	// one a case the plan-time properties did not know about.
 	Static string
 
+	// Sink is where an ε put its trees: "stream" when only the
+	// serializer reads them (physical.Node.Stream) and they become bytes
+	// on demand, "fragment" when they were built; "" for other kernels.
+	Sink string
+
 	// Chain membership: when the operator ran as a member of an
 	// operator chain (physical.FusedChain), FusedChain is the chain's
 	// 1-based id (0 = ran standalone), FusedPos its 1-based position in

@@ -25,36 +25,9 @@ func TestSkeletonMatchesNested(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	failures := 0
 	for trial := 0; trial < 600; trial++ {
-		iters := 1 + r.Intn(4)
-		skel := randomSkeleton(r)
-		slots := make([]*bat.Table, 0, skel.Slots())
-		for _, st := range skel {
-			if st.Kind != algebra.SkelAttr && st.Kind != algebra.SkelSlot {
-				continue
-			}
-			var is, ps bat.IntVec
-			var items bat.ItemVec
-			for it := 1; it <= iters; it++ {
-				n := r.Intn(4)
-				if st.Kind == algebra.SkelAttr {
-					n = r.Intn(2) // the attribute constructor takes one value
-				}
-				for k := 1; k <= n; k++ {
-					item := fx.atoms[r.Intn(len(fx.atoms))]
-					if st.Kind == algebra.SkelSlot {
-						item = fx.item(r)
-						if r.Intn(30) == 0 {
-							item = fx.attrRefs[r.Intn(len(fx.attrRefs))]
-						}
-					}
-					is, ps, items = append(is, int64(it)), append(ps, int64(k)), append(items, item)
-				}
-			}
-			slots = append(slots, seqTable(is, ps, items))
-		}
-		loop := bat.MustTable("iter", bat.Ramp(1, iters))
+		loop, skel, slots := randomElemInput(r, fx, nil)
 		label := fmt.Sprintf("trial %d: %s", trial, skel)
-		got, gotErr := e.evalElem(loop, skel, slots)
+		got, gotErr := e.evalElem(loop, skel, slots, false)
 		want, wantErr := nestedElem(e, loop, skel, slots)
 		if (gotErr != nil) != (wantErr != nil) {
 			t.Fatalf("%s: skeleton error %v, nested error %v", label, gotErr, wantErr)
@@ -74,6 +47,45 @@ func TestSkeletonMatchesNested(t *testing.T) {
 	if failures == 0 || failures > 300 {
 		t.Errorf("%d of 600 trials failed with an error: the corpus should exercise both outcomes", failures)
 	}
+}
+
+// randomElemInput draws one ε execution: up to four iterations over a
+// random skeleton, each slot holding up to three rows per iteration —
+// for an attribute slot at most one atomic, for a content slot atomics
+// and nodes, now and then an attribute ref, and, when nested is given,
+// now and then one of its items.
+func randomElemInput(r *rand.Rand, fx *contentFixture, nested []bat.Item) (*bat.Table, algebra.Skeleton, []*bat.Table) {
+	iters := 1 + r.Intn(4)
+	skel := randomSkeleton(r)
+	slots := make([]*bat.Table, 0, skel.Slots())
+	for _, st := range skel {
+		if st.Kind != algebra.SkelAttr && st.Kind != algebra.SkelSlot {
+			continue
+		}
+		var is, ps bat.IntVec
+		var items bat.ItemVec
+		for it := 1; it <= iters; it++ {
+			n := r.Intn(4)
+			if st.Kind == algebra.SkelAttr {
+				n = r.Intn(2) // the attribute constructor takes one value
+			}
+			for k := 1; k <= n; k++ {
+				item := fx.atoms[r.Intn(len(fx.atoms))]
+				if st.Kind == algebra.SkelSlot {
+					item = fx.item(r)
+					switch {
+					case r.Intn(30) == 0:
+						item = fx.attrRefs[r.Intn(len(fx.attrRefs))]
+					case len(nested) > 0 && r.Intn(4) == 0:
+						item = nested[r.Intn(len(nested))]
+					}
+				}
+				is, ps, items = append(is, int64(it)), append(ps, int64(k)), append(items, item)
+			}
+		}
+		slots = append(slots, seqTable(is, ps, items))
+	}
+	return bat.MustTable("iter", bat.Ramp(1, iters)), skel, slots
 }
 
 // randomSkeleton builds an element tree up to three levels deep over the
@@ -186,4 +198,67 @@ func nestedElem(e *Engine, loop *bat.Table, skel algebra.Skeleton, slots []*bat.
 	}
 	out, _, err := build(0)
 	return out, err
+}
+
+// FuzzStreamedMatchesMaterialized: ε's two sinks agree outcome for
+// outcome over randomElemInput's executions — the same error text, or
+// trees whose streamed bytes are the built fragment's serialization.
+// Content slots hold, besides what TestSkeletonMatchesNested draws, the
+// elements of an inner ε: streamed ones where the outer ε streams, their
+// built twins where it builds.
+func FuzzStreamedMatchesMaterialized(f *testing.F) {
+	for seed := int64(0); seed < 64; seed++ {
+		f.Add(seed)
+	}
+	e := New(xenc.NewStore())
+	fx := newContentFixture(f, e)
+	innerLoop := bat.MustTable("iter", bat.Ramp(1, 3))
+	innerContent := bat.MustTable("iter", bat.IntVec{1, 2, 2, 3}, "pos", bat.IntVec{1, 1, 2, 1},
+		"item", bat.ItemVec{bat.Str("a<b"), bat.Int(2), bat.Node(fx.pool[1].N), bat.Str("")})
+	innerSkel := mustSkel("<in k=$0>$1</in>")
+	innerAttr := bat.MustTable("iter", bat.IntVec{2}, "pos", bat.IntVec{1}, "item", bat.StrVec{"v\t"})
+	streamedInner, err := e.evalElem(innerLoop, innerSkel, []*bat.Table{innerAttr, innerContent}, true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	builtInner, err := e.evalElem(innerLoop, innerSkel, []*bat.Table{innerAttr, innerContent}, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var nested bat.ItemVec
+	twin := map[bat.NodeRef]bat.Item{}
+	for i, n := range streamedInner.MustCol("item").(bat.NodeVec) {
+		nested = append(nested, bat.Node(n))
+		twin[n] = bat.Node(builtInner.MustCol("item").(bat.NodeVec)[i])
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		loop, skel, slots := randomElemInput(r, fx, nested)
+		built := make([]*bat.Table, len(slots))
+		for k, s := range slots {
+			items := append(bat.ItemVec(nil), s.MustCol("item").(bat.ItemVec)...)
+			for i, it := range items {
+				if tw, ok := twin[it.N]; ok && it.Kind == bat.KNode {
+					items[i] = tw
+				}
+			}
+			built[k] = seqTable(s.MustCol("iter").(bat.IntVec), s.MustCol("pos").(bat.IntVec), items)
+		}
+		view := e.ForStore(e.Store.Scratch(), "")
+		label := fmt.Sprintf("seed %d: %s", seed, skel)
+		got, gotErr := view.evalElem(loop, skel, slots, true)
+		want, wantErr := view.evalElem(loop, skel, built, false)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: streamed error %v, materialized error %v", label, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		gotNodes, wantNodes := got.MustCol("item").(bat.NodeVec), want.MustCol("item").(bat.NodeVec)
+		for i := range gotNodes {
+			if g, w := view.Store.Serialize(gotNodes[i]), view.Store.Serialize(wantNodes[i]); g != w {
+				t.Fatalf("%s: iter %d\n streamed     %s\n materialized %s", label, i+1, g, w)
+			}
+		}
+	})
 }

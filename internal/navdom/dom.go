@@ -305,6 +305,8 @@ func escapeText(sb *strings.Builder, s string) {
 			sb.WriteString("&lt;")
 		case '>':
 			sb.WriteString("&gt;")
+		case '\r':
+			sb.WriteString("&#xD;")
 		default:
 			sb.WriteRune(r)
 		}
@@ -320,6 +322,12 @@ func escapeAttr(sb *strings.Builder, s string) {
 			sb.WriteString("&lt;")
 		case '"':
 			sb.WriteString("&quot;")
+		case '\t':
+			sb.WriteString("&#x9;")
+		case '\n':
+			sb.WriteString("&#xA;")
+		case '\r':
+			sb.WriteString("&#xD;")
 		default:
 			sb.WriteRune(r)
 		}

@@ -17,6 +17,7 @@ import (
 	"pathfinder/internal/pfstore"
 	"pathfinder/internal/physical"
 	"pathfinder/internal/xenc"
+	"pathfinder/internal/xqcore"
 )
 
 // saveReopen round-trips a store through the file format.
@@ -65,6 +66,56 @@ func TestDialectCorpusReopenDifferential(t *testing.T) {
 		Evals: []difftest.Evaluator{difftest.Engine("fresh", difftest.SeqConfig), reopened(1)},
 	}
 	m.Run(t, difftest.Agree("dialect", corpus.Dialect))
+}
+
+// TestStreamBoundaryReopened: corpus.StreamBoundary over reopened
+// stores, at one and four workers.
+func TestStreamBoundaryReopened(t *testing.T) {
+	m := difftest.Matrix{
+		Docs:  []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}},
+		Evals: []difftest.Evaluator{reopened(1), reopened(4)},
+	}
+	m.Run(t, corpus.Cases(corpus.StreamBoundary))
+}
+
+// TestSaveSkipsStreamedFragments: a query whose trees only the
+// serializer reads registers a streamed fragment on the store it runs
+// on; saving that store writes an empty fragment in its place, so the
+// reopened store has the same ids, answers the same, and holds nothing
+// that needs an emitter.
+func TestSaveSkipsStreamedFragments(t *testing.T) {
+	docs := []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}
+	e := difftest.LoadEngine(t, engine.Config{Workers: 1}, docs)
+	plan, err := difftest.Compile(`for $a in /r/a return <e n="{$a/@x}">{$a/text()}</e>`, xqcore.Options{ContextDoc: "r.xml"}, difftest.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := difftest.OnEngine(e, physical.Lower)
+	want, err := run(difftest.Query{Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Store.LoadDocumentString("later.xml", "<l/>"); err != nil {
+		t.Fatal(err)
+	}
+	streamed := int32(e.Store.FragCount() - 2)
+	if e.Store.Resolve(streamed) != nil {
+		t.Fatalf("fragment %d is not the streamed one", streamed)
+	}
+	r := saveReopen(t, e.Store, "s")
+	if r.FragCount() != e.Store.FragCount() {
+		t.Fatalf("%d fragments reopened, want %d", r.FragCount(), e.Store.FragCount())
+	}
+	if f := r.Resolve(streamed); f == nil || f.NodeCount() != 0 {
+		t.Errorf("the streamed fragment's place reopens as %v, want an empty fragment", f)
+	}
+	if doc, err := r.Doc("later.xml"); err != nil || r.Serialize(doc) != "<l/>" {
+		t.Errorf("later.xml reopens as %v, %v", doc, err)
+	}
+	got, err := difftest.OnEngine(engine.NewWithConfig(r, engine.Config{Workers: 1}), physical.Lower)(difftest.Query{Plan: plan})
+	if err != nil || got != want {
+		t.Errorf("reopened store answers %q, %v; want %q", got, err, want)
+	}
 }
 
 // TestReopenedStoreStringContent spot-checks content resolution paths the

@@ -51,6 +51,10 @@ type Node struct {
 	// sequential fast path when the runtime row count yields fewer than
 	// two morsels.
 	Parallel bool
+	// Stream marks an ε whose elements only the serializer reads (see
+	// markStreams): the executor registers its trees as a streamed
+	// fragment that writes their bytes on demand and builds none.
+	Stream bool
 	// EstRows is the statically estimated output cardinality (an upper
 	// bound derived from literal table sizes); -1 when unknown — any
 	// operator downstream of a location step, whose fan-out the lowering
@@ -144,7 +148,7 @@ func (p *Plan) Breakers() int {
 // exactly-once evaluation guarantee.
 func Lower(root *algebra.Op) *Plan {
 	order, props := opt.PlanProperties(root)
-	byOp := make(map[*algebra.Op]*Node, len(order))
+	byOp := make(map[*algebra.Op]int, len(order))
 	nodes := make([]*Node, len(order))
 	// The nodes and their input lists are carved from two arrays: a plan
 	// is lowered once and lives as long as all of its nodes.
@@ -154,17 +158,22 @@ func Lower(root *algebra.Op) *Plan {
 		edges += len(o.In)
 	}
 	ins := make([]*Node, edges)
+	constructs := false
 	for i, o := range order {
 		nd := &slab[i]
 		nd.Op, nd.Props, nd.In, ins = o, props[i], ins[:len(o.In):len(o.In)], ins[len(o.In):]
 		for k, c := range o.In {
-			nd.In[k] = byOp[c]
+			nd.In[k] = nodes[byOp[c]]
 		}
 		lowerOp(nd)
-		byOp[o] = nd
+		byOp[o] = i
 		nodes[i] = nd
+		constructs = constructs || o.Kind == algebra.OpElem
 	}
-	p := &Plan{Root: byOp[root], Nodes: nodes}
+	p := &Plan{Root: nodes[byOp[root]], Nodes: nodes}
+	if constructs {
+		markStreams(nodes, byOp)
+	}
 	discoverUnits(p)
 	return p
 }
@@ -391,6 +400,9 @@ func (n *Node) PropsNote() string {
 	}
 	if n.Pipeline {
 		parts = append(parts, "pipeline")
+	}
+	if n.Stream {
+		parts = append(parts, "stream")
 	}
 	if n.Parallel {
 		parts = append(parts, "parallel")

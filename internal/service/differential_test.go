@@ -225,6 +225,24 @@ func TestServiceDialectDifferential(t *testing.T) {
 	}
 }
 
+// TestServiceStreamBoundary: corpus.StreamBoundary through all three
+// doors and as MIL programs shipped over TCP: the trees the service
+// writes straight into its replies, and the content errors they raise
+// before any byte of one, are the embedded engine's.
+func TestServiceStreamBoundary(t *testing.T) {
+	docs := []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}
+	cases := corpus.Cases(corpus.StreamBoundary)
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			doors, reused := served(workers)
+			m := difftest.Matrix{Docs: docs, Evals: append([]difftest.Evaluator{embedded(workers)}, doors...)}
+			m.Run(t, cases)
+			reused(t, len(cases))
+		})
+	}
+	difftest.Matrix{Docs: docs, Evals: []difftest.Evaluator{embedded(8), milShipped}}.Run(t, cases)
+}
+
 // milShipped sends each plan as a MIL program over the TCP MIL command
 // (the paper's §4 setup): the service re-validates and admits it.
 var milShipped = difftest.Evaluator{Name: "tcp-mil workers=8", Family: difftest.Foreign,

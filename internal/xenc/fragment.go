@@ -62,6 +62,20 @@ type Fragment struct {
 	AttrName  []int32
 	AttrVal   []int32
 	attrOfs   []int32
+
+	// emit writes the trees of a streamed fragment (Store.AddStreamed),
+	// which has no columns.
+	emit Emitter
+}
+
+// persisted is what a snapshot writes for f: f itself, or for a streamed
+// fragment an empty one in its place, so that no snapshot holds an
+// emitter and the ids after it keep their numbers.
+func (f *Fragment) persisted() *Fragment {
+	if f.emit != nil {
+		return &Fragment{}
+	}
+	return f
 }
 
 // NodeCount returns the number of tree nodes (attributes excluded).

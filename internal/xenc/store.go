@@ -100,8 +100,30 @@ func (s *Store) Scratch() *Store {
 	return &v.Store
 }
 
-// Frag returns the fragment with the given id.
+// Frag returns the fragment with the given id. A streamed id has no
+// fragment to return: Frag panics on one, naming it, since only a plan
+// that reads a streamed ε's nodes for more than their bytes can get there.
 func (s *Store) Frag(id int32) *Fragment {
+	f := s.frag(id)
+	if f.emit != nil {
+		panic(fmt.Sprintf("xenc: Frag(%d): %s", id, errStreamed))
+	}
+	return f
+}
+
+// errStreamed names what Frag refuses.
+const errStreamed = "streamed fragment: its trees exist only as serialized bytes"
+
+// Resolve returns the fragment with the given id, or nil when the id is
+// streamed (AddStreamed): the form for a reader that can take either.
+func (s *Store) Resolve(id int32) *Fragment {
+	if f := s.frag(id); f.emit == nil {
+		return f
+	}
+	return nil
+}
+
+func (s *Store) frag(id int32) *Fragment {
 	if s.base != nil {
 		if id < PrivateBase {
 			return s.base.frags.at(id)
@@ -110,6 +132,20 @@ func (s *Store) Frag(id int32) *Fragment {
 	}
 	return s.frags.at(id)
 }
+
+// Emitter writes the trees of a streamed fragment: AppendTree appends the
+// serialization of tree root to dst, as AppendSerialized would for the
+// same tree built into a fragment.
+type Emitter interface {
+	AppendTree(dst []byte, root int32) []byte
+}
+
+// AddStreamed registers a streamed fragment and returns its id: the
+// result of an ε whose elements only the serializer reads. Its node refs
+// (id, root) are virtual — there are no columns behind them —
+// AppendSerialized hands them to e, and Frag refuses them. On a scratch
+// view the id is private and goes with the view.
+func (s *Store) AddStreamed(e Emitter) int32 { return s.addFrag(&Fragment{emit: e}) }
 
 // FragCount returns the number of fragments the store reaches: on a view,
 // the base's plus its own.
@@ -371,6 +407,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	frags := s.frags.view() // under mu: the registry as of the docs table just copied
 	s.mu.RUnlock()
 	for _, f := range frags {
+		f = f.persisted()
 		snap.Frags = append(snap.Frags, fragSnapshot{
 			Name: f.Name, Size: f.Size, Level: f.Level, Kind: f.Kind,
 			Prop: f.Prop, Parent: f.Parent,
@@ -443,6 +480,9 @@ func (s *Store) Parts() Parts {
 	}
 	s.mu.RLock()
 	frags := append([]*Fragment(nil), s.frags.view()...)
+	for i, f := range frags {
+		frags[i] = f.persisted()
+	}
 	docs := make(map[string]int32, len(s.docs))
 	for u, id := range s.docs {
 		docs[u] = id

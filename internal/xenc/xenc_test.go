@@ -219,13 +219,14 @@ func TestEscapeRunsKeepMultiByteUTF8(t *testing.T) {
 		{`€&<>"€`, `€&amp;&lt;&gt;"€`, `€&amp;&lt;>&quot;€`},
 		{"a&&b", "a&amp;&amp;b", "a&amp;&amp;b"},
 		{"ends with ü&", "ends with ü&amp;", "ends with ü&amp;"},
+		{"a\tb\nc\rd", "a\tb\nc&#xD;d", "a&#x9;b&#xA;c&#xD;d"},
 	} {
-		text, attr := string(escapeText(nil, c.in)), string(escapeAttr(nil, c.in))
+		text, attr := string(EscapeText(nil, c.in)), string(EscapeAttr(nil, c.in))
 		if text != c.text {
-			t.Errorf("escapeText(%q) = %q, want %q", c.in, text, c.text)
+			t.Errorf("EscapeText(%q) = %q, want %q", c.in, text, c.text)
 		}
 		if attr != c.attr {
-			t.Errorf("escapeAttr(%q) = %q, want %q", c.in, attr, c.attr)
+			t.Errorf("EscapeAttr(%q) = %q, want %q", c.in, attr, c.attr)
 		}
 	}
 }

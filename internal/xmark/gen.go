@@ -9,10 +9,9 @@
 package xmark
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -61,252 +60,378 @@ var regions = []struct {
 // Generate writes an auction document for the given scale factor. The
 // output is deterministic in sf.
 func Generate(w io.Writer, sf float64) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	g := &gen{w: bw, r: rand.New(rand.NewSource(int64(sf*1e6) + 42)), c: CountsFor(sf)}
+	g := &gen{w: w, r: rand.New(rand.NewSource(int64(sf*1e6) + 42)), c: CountsFor(sf), buf: make([]byte, 0, chunk+4096)}
 	g.doc()
-	if g.err != nil {
-		return g.err
-	}
-	return bw.Flush()
+	g.flush()
+	return g.err
 }
 
 // GenerateString is Generate into a string.
 func GenerateString(sf float64) string {
 	var sb strings.Builder
+	sb.Grow(int(sf*bytesPerSF) + chunk)
 	_ = Generate(&sb, sf)
 	return sb.String()
 }
 
+// bytesPerSF is about the size of an SF-1 document; chunk is how much the
+// generator assembles before it writes.
+const (
+	bytesPerSF = 37.3e6
+	chunk      = 1 << 16
+)
+
+// gen appends the document to buf — numbers with strconv, zero padding by
+// hand — and writes it out a chunk at a time. The random draws are made
+// in the order the text needs them, which fixes the document for a seed.
 type gen struct {
-	w   *bufio.Writer
+	w   io.Writer
+	buf []byte
 	r   *rand.Rand
 	c   Counts
 	err error
 }
 
-func (g *gen) printf(format string, args ...any) {
-	if g.err != nil {
-		return
-	}
-	if _, err := fmt.Fprintf(g.w, format, args...); err != nil {
-		g.err = err
+// s appends literal text, writing a chunk out once one is full.
+func (g *gen) s(text string) {
+	g.buf = append(g.buf, text...)
+	if len(g.buf) >= chunk {
+		g.flush()
 	}
 }
 
-func (g *gen) text(minWords, maxWords int) string {
-	n := minWords + g.r.Intn(maxWords-minWords+1)
-	parts := make([]string, n)
-	for i := range parts {
-		parts[i] = words[g.r.Intn(len(words))]
+func (g *gen) flush() {
+	if g.err == nil {
+		_, g.err = g.w.Write(g.buf)
 	}
-	return strings.Join(parts, " ")
+	g.buf = g.buf[:0]
+}
+
+// d appends n in decimal.
+func (g *gen) d(n int) { g.buf = strconv.AppendInt(g.buf, int64(n), 10) }
+
+// pad appends n (≥ 0) in decimal, zero-padded to width digits (%0*d).
+func (g *gen) pad(n, width int) {
+	digits := 1
+	for v := n; v >= 10; v /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		g.buf = append(g.buf, '0')
+	}
+	g.d(n)
+}
+
+// f2 appends v with two decimals (%.2f).
+func (g *gen) f2(v float64) { g.buf = strconv.AppendFloat(g.buf, v, 'f', 2, 64) }
+
+// text appends minWords to maxWords words, space-separated.
+func (g *gen) text(minWords, maxWords int) {
+	n := minWords + g.r.Intn(maxWords-minWords+1)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			g.buf = append(g.buf, ' ')
+		}
+		g.buf = append(g.buf, words[g.r.Intn(len(words))]...)
+	}
 }
 
 func (g *gen) name() string {
 	return firstNames[g.r.Intn(len(firstNames))] + " " + lastNames[g.r.Intn(len(lastNames))]
 }
 
-func (g *gen) date() string {
-	return fmt.Sprintf("%02d/%02d/%04d", 1+g.r.Intn(12), 1+g.r.Intn(28), 1998+g.r.Intn(4))
+// date appends a MM/DD/YYYY date.
+func (g *gen) date() {
+	g.pad(1+g.r.Intn(12), 2)
+	g.buf = append(g.buf, '/')
+	g.pad(1+g.r.Intn(28), 2)
+	g.buf = append(g.buf, '/')
+	g.pad(1998+g.r.Intn(4), 4)
 }
 
 func (g *gen) chance(p float64) bool { return g.r.Float64() < p }
 
 func (g *gen) doc() {
-	g.printf("<site>\n")
+	g.s("<site>\n")
 	g.regions()
 	g.categories()
 	g.catgraph()
 	g.people()
 	g.openAuctions()
 	g.closedAuctions()
-	g.printf("</site>\n")
+	g.s("</site>\n")
 }
 
 // catgraph emits the category-similarity edges of the XMark schema
 // (roughly one edge per category, like the original generator).
 func (g *gen) catgraph() {
-	g.printf("<catgraph>\n")
+	g.s("<catgraph>\n")
 	for i := 0; i < g.c.Categories; i++ {
-		g.printf(`<edge from="category%d" to="category%d"/>`+"\n",
-			g.r.Intn(g.c.Categories), g.r.Intn(g.c.Categories))
+		g.s(`<edge from="category`)
+		g.d(g.r.Intn(g.c.Categories))
+		g.s(`" to="category`)
+		g.d(g.r.Intn(g.c.Categories))
+		g.s("\"/>\n")
 	}
-	g.printf("</catgraph>\n")
+	g.s("</catgraph>\n")
 }
 
 func (g *gen) regions() {
-	g.printf("<regions>\n")
+	g.s("<regions>\n")
 	next := 0
 	for i, reg := range regions {
 		count := int(float64(g.c.Items) * reg.share)
 		if i == len(regions)-1 {
 			count = g.c.Items - next // remainder keeps the total exact
 		}
-		g.printf("<%s>\n", reg.name)
+		g.s("<" + reg.name + ">\n")
 		for j := 0; j < count; j++ {
 			g.item(next)
 			next++
 		}
-		g.printf("</%s>\n", reg.name)
+		g.s("</" + reg.name + ">\n")
 	}
-	g.printf("</regions>\n")
+	g.s("</regions>\n")
 }
 
 func (g *gen) item(id int) {
-	g.printf(`<item id="item%d"`, id)
+	g.s(`<item id="item`)
+	g.d(id)
+	g.s(`"`)
 	if g.chance(0.15) {
-		g.printf(` featured="yes"`)
+		g.s(` featured="yes"`)
 	}
-	g.printf(">\n")
-	g.printf("<location>%s</location>\n", countries[g.r.Intn(len(countries))])
-	g.printf("<quantity>%d</quantity>\n", 1+g.r.Intn(10))
-	g.printf("<name>%s</name>\n", g.text(2, 4))
-	g.printf("<payment>Creditcard</payment>\n")
-	g.printf("<description><text>%s</text></description>\n", g.text(10, 40))
-	g.printf("<shipping>Will ship internationally</shipping>\n")
+	g.s(">\n<location>")
+	g.s(countries[g.r.Intn(len(countries))])
+	g.s("</location>\n<quantity>")
+	g.d(1 + g.r.Intn(10))
+	g.s("</quantity>\n<name>")
+	g.text(2, 4)
+	g.s("</name>\n<payment>Creditcard</payment>\n<description><text>")
+	g.text(10, 40)
+	g.s("</text></description>\n<shipping>Will ship internationally</shipping>\n")
 	nCat := 1 + g.r.Intn(3)
 	for k := 0; k < nCat; k++ {
-		g.printf(`<incategory category="category%d"/>`+"\n", g.r.Intn(g.c.Categories))
+		g.s(`<incategory category="category`)
+		g.d(g.r.Intn(g.c.Categories))
+		g.s("\"/>\n")
 	}
 	if g.chance(0.6) {
-		g.printf("<mailbox>\n")
+		g.s("<mailbox>\n")
 		for m := g.r.Intn(3); m > 0; m-- {
-			g.printf("<mail>\n<from>%s</from>\n<to>%s</to>\n<date>%s</date>\n<text>%s</text>\n</mail>\n",
-				g.name(), g.name(), g.date(), g.text(5, 20))
+			g.s("<mail>\n<from>")
+			g.s(g.name())
+			g.s("</from>\n<to>")
+			g.s(g.name())
+			g.s("</to>\n<date>")
+			g.date()
+			g.s("</date>\n<text>")
+			g.text(5, 20)
+			g.s("</text>\n</mail>\n")
 		}
-		g.printf("</mailbox>\n")
+		g.s("</mailbox>\n")
 	}
-	g.printf("</item>\n")
+	g.s("</item>\n")
 }
 
 func (g *gen) categories() {
-	g.printf("<categories>\n")
+	g.s("<categories>\n")
 	for i := 0; i < g.c.Categories; i++ {
-		g.printf(`<category id="category%d">`+"\n", i)
-		g.printf("<name>%s</name>\n", g.text(1, 3))
-		g.printf("<description><text>%s</text></description>\n", g.text(5, 20))
-		g.printf("</category>\n")
+		g.s(`<category id="category`)
+		g.d(i)
+		g.s("\">\n<name>")
+		g.text(1, 3)
+		g.s("</name>\n<description><text>")
+		g.text(5, 20)
+		g.s("</text></description>\n</category>\n")
 	}
-	g.printf("</categories>\n")
+	g.s("</categories>\n")
 }
 
 func (g *gen) people() {
-	g.printf("<people>\n")
+	g.s("<people>\n")
 	for i := 0; i < g.c.People; i++ {
 		name := g.name()
-		g.printf(`<person id="person%d">`+"\n", i)
-		g.printf("<name>%s</name>\n", name)
-		g.printf("<emailaddress>mailto:%s@example.com</emailaddress>\n",
-			strings.ReplaceAll(strings.ToLower(name), " ", "."))
+		g.s(`<person id="person`)
+		g.d(i)
+		g.s("\">\n<name>")
+		g.s(name)
+		g.s("</name>\n<emailaddress>mailto:")
+		g.s(strings.ReplaceAll(strings.ToLower(name), " ", "."))
+		g.s("@example.com</emailaddress>\n")
 		if g.chance(0.4) {
-			g.printf("<phone>+%d (%d) %d</phone>\n", 1+g.r.Intn(48), 100+g.r.Intn(900), 1000000+g.r.Intn(9000000))
+			g.s("<phone>+")
+			g.d(1 + g.r.Intn(48))
+			g.s(" (")
+			g.d(100 + g.r.Intn(900))
+			g.s(") ")
+			g.d(1000000 + g.r.Intn(9000000))
+			g.s("</phone>\n")
 		}
 		if g.chance(0.6) {
-			g.printf("<address>\n<street>%d %s St</street>\n<city>%s</city>\n<country>%s</country>\n<zipcode>%d</zipcode>\n</address>\n",
-				1+g.r.Intn(99), words[g.r.Intn(len(words))],
-				cities[g.r.Intn(len(cities))], countries[g.r.Intn(len(countries))],
-				10000+g.r.Intn(89999))
+			g.s("<address>\n<street>")
+			g.d(1 + g.r.Intn(99))
+			g.s(" ")
+			g.s(words[g.r.Intn(len(words))])
+			g.s(" St</street>\n<city>")
+			g.s(cities[g.r.Intn(len(cities))])
+			g.s("</city>\n<country>")
+			g.s(countries[g.r.Intn(len(countries))])
+			g.s("</country>\n<zipcode>")
+			g.d(10000 + g.r.Intn(89999))
+			g.s("</zipcode>\n</address>\n")
 		}
 		if g.chance(0.5) {
-			g.printf("<homepage>http://www.example.com/~person%d</homepage>\n", i)
+			g.s("<homepage>http://www.example.com/~person")
+			g.d(i)
+			g.s("</homepage>\n")
 		}
 		if g.chance(0.4) {
-			g.printf("<creditcard>%d %d %d %d</creditcard>\n",
-				1000+g.r.Intn(9000), 1000+g.r.Intn(9000), 1000+g.r.Intn(9000), 1000+g.r.Intn(9000))
+			g.s("<creditcard>")
+			for k := 0; k < 4; k++ {
+				if k > 0 {
+					g.s(" ")
+				}
+				g.d(1000 + g.r.Intn(9000))
+			}
+			g.s("</creditcard>\n")
 		}
 		if g.chance(0.8) {
 			g.profile()
 		}
 		if g.chance(0.3) {
-			g.printf("<watches>\n")
+			g.s("<watches>\n")
 			for wn := 1 + g.r.Intn(2); wn > 0; wn-- {
-				g.printf(`<watch open_auction="open_auction%d"/>`+"\n", g.r.Intn(g.c.Open))
+				g.s(`<watch open_auction="open_auction`)
+				g.d(g.r.Intn(g.c.Open))
+				g.s("\"/>\n")
 			}
-			g.printf("</watches>\n")
+			g.s("</watches>\n")
 		}
-		g.printf("</person>\n")
+		g.s("</person>\n")
 	}
-	g.printf("</people>\n")
+	g.s("</people>\n")
 }
 
 func (g *gen) profile() {
 	if g.chance(0.85) {
 		income := 9876.50 + g.r.Float64()*g.r.Float64()*140000
-		g.printf(`<profile income="%.2f">`+"\n", income)
+		g.s(`<profile income="`)
+		g.f2(income)
+		g.s("\">\n")
 	} else {
-		g.printf("<profile>\n")
+		g.s("<profile>\n")
 	}
 	for in := g.r.Intn(4); in > 0; in-- {
-		g.printf(`<interest category="category%d"/>`+"\n", g.r.Intn(g.c.Categories))
+		g.s(`<interest category="category`)
+		g.d(g.r.Intn(g.c.Categories))
+		g.s("\"/>\n")
 	}
 	if g.chance(0.4) {
-		g.printf("<education>Graduate School</education>\n")
+		g.s("<education>Graduate School</education>\n")
 	}
 	if g.chance(0.5) {
-		g.printf("<gender>%s</gender>\n", pick(g.r, "male", "female"))
+		g.s("<gender>" + pick(g.r, "male", "female") + "</gender>\n")
 	}
-	g.printf("<business>%s</business>\n", pick(g.r, "Yes", "No"))
+	g.s("<business>" + pick(g.r, "Yes", "No") + "</business>\n")
 	if g.chance(0.3) {
-		g.printf("<age>%d</age>\n", 18+g.r.Intn(60))
+		g.s("<age>")
+		g.d(18 + g.r.Intn(60))
+		g.s("</age>\n")
 	}
-	g.printf("</profile>\n")
+	g.s("</profile>\n")
 }
 
 func (g *gen) openAuctions() {
-	g.printf("<open_auctions>\n")
+	g.s("<open_auctions>\n")
 	for i := 0; i < g.c.Open; i++ {
-		g.printf(`<open_auction id="open_auction%d">`+"\n", i)
+		g.s(`<open_auction id="open_auction`)
+		g.d(i)
+		g.s("\">\n<initial>")
 		initial := 1.5 + g.r.Float64()*298
-		g.printf("<initial>%.2f</initial>\n", initial)
+		g.f2(initial)
+		g.s("</initial>\n")
 		if g.chance(0.4) {
-			g.printf("<reserve>%.2f</reserve>\n", initial*(1.2+g.r.Float64()))
+			g.s("<reserve>")
+			g.f2(initial * (1.2 + g.r.Float64()))
+			g.s("</reserve>\n")
 		}
 		current := initial
 		for bn := g.r.Intn(6); bn > 0; bn-- {
 			inc := 1.5 * float64(1+g.r.Intn(8))
 			current += inc
-			g.printf("<bidder>\n<date>%s</date>\n<time>%02d:%02d:%02d</time>\n", g.date(), g.r.Intn(24), g.r.Intn(60), g.r.Intn(60))
-			g.printf(`<personref person="person%d"/>`+"\n", g.r.Intn(g.c.People))
-			g.printf("<increase>%.2f</increase>\n</bidder>\n", inc)
+			g.s("<bidder>\n<date>")
+			g.date()
+			g.s("</date>\n<time>")
+			g.pad(g.r.Intn(24), 2)
+			g.s(":")
+			g.pad(g.r.Intn(60), 2)
+			g.s(":")
+			g.pad(g.r.Intn(60), 2)
+			g.s("</time>\n<personref person=\"person")
+			g.d(g.r.Intn(g.c.People))
+			g.s("\"/>\n<increase>")
+			g.f2(inc)
+			g.s("</increase>\n</bidder>\n")
 		}
-		g.printf("<current>%.2f</current>\n", current)
+		g.s("<current>")
+		g.f2(current)
+		g.s("</current>\n")
 		if g.chance(0.3) {
-			g.printf("<privacy>Yes</privacy>\n")
+			g.s("<privacy>Yes</privacy>\n")
 		}
-		g.printf(`<itemref item="item%d"/>`+"\n", g.r.Intn(g.c.Items))
-		g.printf(`<seller person="person%d"/>`+"\n", g.r.Intn(g.c.People))
-		g.printf(`<annotation>`+"\n"+`<author person="person%d"/>`+"\n", g.r.Intn(g.c.People))
-		g.printf("<description><text>%s</text></description>\n</annotation>\n", g.text(5, 25))
-		g.printf("<quantity>%d</quantity>\n", 1+g.r.Intn(5))
-		g.printf("<type>%s</type>\n", pick(g.r, "Regular", "Featured"))
-		g.printf("<interval><start>%s</start><end>%s</end></interval>\n", g.date(), g.date())
-		g.printf("</open_auction>\n")
+		g.s(`<itemref item="item`)
+		g.d(g.r.Intn(g.c.Items))
+		g.s("\"/>\n<seller person=\"person")
+		g.d(g.r.Intn(g.c.People))
+		g.s("\"/>\n<annotation>\n<author person=\"person")
+		g.d(g.r.Intn(g.c.People))
+		g.s("\"/>\n<description><text>")
+		g.text(5, 25)
+		g.s("</text></description>\n</annotation>\n<quantity>")
+		g.d(1 + g.r.Intn(5))
+		g.s("</quantity>\n<type>" + pick(g.r, "Regular", "Featured") + "</type>\n<interval><start>")
+		g.date()
+		g.s("</start><end>")
+		g.date()
+		g.s("</end></interval>\n</open_auction>\n")
 	}
-	g.printf("</open_auctions>\n")
+	g.s("</open_auctions>\n")
 }
 
 func (g *gen) closedAuctions() {
-	g.printf("<closed_auctions>\n")
+	g.s("<closed_auctions>\n")
 	for i := 0; i < g.c.Closed; i++ {
-		g.printf("<closed_auction>\n")
-		g.printf(`<seller person="person%d"/>`+"\n", g.r.Intn(g.c.People))
-		g.printf(`<buyer person="person%d"/>`+"\n", g.r.Intn(g.c.People))
-		g.printf(`<itemref item="item%d"/>`+"\n", g.r.Intn(g.c.Items))
-		g.printf("<price>%.2f</price>\n", 5+g.r.Float64()*295)
-		g.printf("<date>%s</date>\n", g.date())
-		g.printf("<quantity>%d</quantity>\n", 1+g.r.Intn(5))
-		g.printf("<type>%s</type>\n", pick(g.r, "Regular", "Featured"))
-		g.printf(`<annotation>`+"\n"+`<author person="person%d"/>`+"\n", g.r.Intn(g.c.People))
+		g.s("<closed_auction>\n<seller person=\"person")
+		g.d(g.r.Intn(g.c.People))
+		g.s("\"/>\n<buyer person=\"person")
+		g.d(g.r.Intn(g.c.People))
+		g.s("\"/>\n<itemref item=\"item")
+		g.d(g.r.Intn(g.c.Items))
+		g.s("\"/>\n<price>")
+		g.f2(5 + g.r.Float64()*295)
+		g.s("</price>\n<date>")
+		g.date()
+		g.s("</date>\n<quantity>")
+		g.d(1 + g.r.Intn(5))
+		g.s("</quantity>\n<type>" + pick(g.r, "Regular", "Featured") + "</type>\n<annotation>\n<author person=\"person")
+		g.d(g.r.Intn(g.c.People))
+		g.s("\"/>\n")
 		if g.chance(0.12) {
 			// The deep prose structure XMark Q15/Q16 navigate.
-			g.printf("<description><parlist><listitem><parlist><listitem><text><emph><keyword>%s</keyword></emph> %s</text></listitem></parlist></listitem></parlist></description>\n",
-				words[g.r.Intn(len(words))], g.text(3, 10))
+			g.s("<description><parlist><listitem><parlist><listitem><text><emph><keyword>")
+			g.s(words[g.r.Intn(len(words))])
+			g.s("</keyword></emph> ")
+			g.text(3, 10)
+			g.s("</text></listitem></parlist></listitem></parlist></description>\n")
 		} else {
-			g.printf("<description><text>%s</text></description>\n", g.text(5, 25))
+			g.s("<description><text>")
+			g.text(5, 25)
+			g.s("</text></description>\n")
 		}
-		g.printf("</annotation>\n</closed_auction>\n")
+		g.s("</annotation>\n</closed_auction>\n")
 	}
-	g.printf("</closed_auctions>\n")
+	g.s("</closed_auctions>\n")
 }
 
 func pick(r *rand.Rand, a, b string) string {
