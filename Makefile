@@ -38,15 +38,20 @@ pfvet-sarif:
 # Short native-fuzzing smoke over the parser, lexer, compiler and document
 # loader: runs each target briefly so CI catches shallow panics, every
 # compiled plan through the optimizer and internal/check (FuzzCompile,
-# seeded with nested constructors), and the shredder's tokenizer against
-# its encoding/xml reference (FuzzShredMatchesStdlib); long exploratory
-# runs stay manual (go test -fuzz=... -fuzztime=5m).
+# seeded with nested constructors), the shredder's tokenizer against
+# its encoding/xml reference (FuzzShredMatchesStdlib), shred → serialize
+# → shred keeping every string (FuzzSerializeRoundTrip), and ε's two sinks
+# — the streamed bytes against the built fragment's, errors included
+# (FuzzStreamedMatchesMaterialized); long exploratory runs stay manual
+# (go test -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test ./internal/xquery -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/xquery -fuzz FuzzLex -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzCompile -fuzztime 10s
 	$(GO) test ./internal/xenc -fuzz FuzzLoadDocument -fuzztime 10s
 	$(GO) test ./internal/xenc -fuzz FuzzShredMatchesStdlib -fuzztime 10s
+	$(GO) test ./internal/xenc -fuzz FuzzSerializeRoundTrip -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzStreamedMatchesMaterialized -fuzztime 10s
 	$(GO) test ./internal/service -fuzz FuzzNormalizeQuery -fuzztime 10s
 
 # Race tier: the packages with query-time shared state — the scheduler

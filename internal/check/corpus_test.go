@@ -15,6 +15,7 @@ import (
 	"pathfinder/internal/check"
 	"pathfinder/internal/core"
 	"pathfinder/internal/opt"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
 )
@@ -114,5 +115,38 @@ func TestXMarkPlansValidate(t *testing.T) {
 			continue
 		}
 		checkClean(t, label+" (post-opt)", optPlan)
+	}
+}
+
+// TestXMarkElemsStream: every XMark constructor only builds the result,
+// so every ε of the twenty optimized plans streams — and the stream
+// class proves each one.
+func TestXMarkElemsStream(t *testing.T) {
+	opts := xqcore.Options{ContextDoc: "xmark.xml"}
+	streamed := 0
+	for n := 1; n <= xmark.NumQueries; n++ {
+		plan, _, err := core.CompileQuery(xmark.Query(n), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = opt.Optimize(plan); err != nil {
+			t.Fatal(err)
+		}
+		p := physical.Lower(plan)
+		for _, nd := range p.Nodes {
+			if nd.Op.Kind != algebra.OpElem {
+				continue
+			}
+			if !nd.Stream {
+				t.Errorf("q%02d: ε %s builds a fragment", n, nd.Op.Skel)
+			}
+			streamed++
+		}
+		if diags := check.Physical(p); len(diags) > 0 {
+			t.Errorf("q%02d:\n%s", n, check.Render(diags))
+		}
+	}
+	if streamed == 0 {
+		t.Error("no XMark plan has an ε")
 	}
 }

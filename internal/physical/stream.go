@@ -5,8 +5,8 @@ import "pathfinder/internal/algebra"
 // markStreams decides which ε stream (Node.Stream). An ε streams when its
 // item column reaches only the plan's result, or a content slot of
 // another streamed ε, through operators that never look at a node: π; σ,
-// ⋈, ⋉, \, ϱ and ⊛ on other columns; ∪; ×; mark. Anything else that
-// reads the column — a step, δ, an aggregate, ⊛ such as is, << or data,
+// ⋈, ⋉, \, ϱ, ⊛ and aggregates on other columns; ∪; ×; mark. Anything
+// else that reads the column — a step, δ, ⊛ such as is, << or data,
 // fn:root, the name or an attribute slot of an ε, or a content slot of
 // an ε that materializes — needs the nodes built.
 //
@@ -79,6 +79,8 @@ func passes(nd *Node, m uint64, k int) uint64 {
 		return out
 	case algebra.OpFun:
 		return carried(in, o.Schema(), m) &^ colBits(in, o.Args)
+	case algebra.OpAggr:
+		return ^(colBits(in, o.Args) | colBit(in, o.Part)) // the rest is dropped
 	case algebra.OpElem:
 		// A content slot's items stream into a streamed ε; its iter and
 		// pos are sorted on.
