@@ -131,12 +131,15 @@ bench-step-smoke:
 bench-kernels-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns|ThetaCount' -benchtime 1x
 
-# CI smoke for the result path: ε in its three XMark shapes (Q10's copy
-# of a copy, the many-iterations × tiny-content shape of Q8/Q9/Q11/Q12,
-# one iteration × one large subtree) and the serializer over a 1 MB
-# result, once each, with allocation counts (`-benchtime 100x -count 5`
-# for numbers worth comparing). That ε's allocations do not grow with the
-# nodes it copies is a test (TestConstructAllocBudget).
+# CI smoke for the result path: ε plus the serialization of its trees in
+# its three XMark shapes (Q10's nested skeleton, the many-iterations ×
+# tiny-content shape of Q8/Q9/Q11/Q12, one iteration × one large
+# subtree), each through both sinks (fragment, stream), and the
+# serializer over a 1 MB result, once each, with allocation counts
+# (`-benchtime 100x -count 5` for numbers worth comparing). That ε's
+# allocations do not grow with the nodes it copies, and that writing
+# streamed trees allocates nothing per tree, are tests
+# (TestConstructAllocBudget, TestStreamedTreesAllocateNothing).
 bench-construct-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench ElemConstruct -benchtime 1x
 	$(GO) test ./internal/serialize -run '^$$' -bench SerializeResult -benchtime 1x

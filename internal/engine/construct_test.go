@@ -335,8 +335,10 @@ func mustSkel(src string) algebra.Skeleton {
 	return s
 }
 
-// BenchmarkElemConstruct measures ε in the three shapes the XMark
-// constructor queries have.
+// BenchmarkElemConstruct measures ε and the serialization of its trees in
+// the three shapes the XMark constructor queries have, through each sink:
+// fragment (build, then serialize the fragment) and stream (the first
+// pass, then write the bytes straight from the slots).
 //
 //	nested       Q10: a three-level skeleton around one copy of document
 //	             text, 2 000 iterations
@@ -344,57 +346,89 @@ func mustSkel(src string) algebra.Skeleton {
 //	             iterations of one attribute slot and one integer
 //	one-large    one iteration copying one 40 000-node subtree
 func BenchmarkElemConstruct(b *testing.B) {
-	b.Run("nested", func(b *testing.B) {
-		const people = 2000
-		e, f, frag := loadPeople(b, people)
-		var leaves bat.NodeVec // the text under each <n>
-		for _, p := range childRefs(f, frag, 1) {
-			leaves = append(leaves, bat.NodeRef{Frag: frag, Pre: p.Pre + 2})
-		}
-		loop, content := wrapEach("", leaves)
-		skel := mustSkel("<personne><coordonnees><nom>$0</nom></coordonnees></personne>")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if constructSink, err = e.evalElem(loop, skel, []*bat.Table{content}, false); err != nil {
-				b.Fatal(err)
+	type shape struct {
+		e     *Engine
+		loop  *bat.Table
+		skel  algebra.Skeleton
+		slots []*bat.Table
+	}
+	shapes := []struct {
+		name string
+		make func() shape
+	}{
+		{"nested", func() shape {
+			const people = 2000
+			e, f, frag := loadPeople(b, people)
+			var leaves bat.NodeVec // the text under each <n>
+			for _, p := range childRefs(f, frag, 1) {
+				leaves = append(leaves, bat.NodeRef{Frag: frag, Pre: p.Pre + 2})
 			}
-		}
-	})
-	b.Run("many-tiny", func(b *testing.B) {
-		const n = 2550
-		e := New(xenc.NewStore())
-		values, counts := make(bat.ItemVec, n), make(bat.IntVec, n)
-		for i := 0; i < n; i++ {
-			values[i], counts[i] = bat.Untyped(fmt.Sprintf("Name %d", i)), int64(i%40)
-		}
-		iters, ones := bat.Ramp(1, n), bat.ConstInt(1, n)
-		loop := bat.MustTable("iter", iters)
-		slots := []*bat.Table{
-			bat.MustTable("iter", iters, "pos", ones, "item", values),
-			bat.MustTable("iter", iters, "pos", ones, "item", counts),
-		}
-		skel := mustSkel("<item person=$0>$1</item>")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if constructSink, err = e.evalElem(loop, skel, slots, false); err != nil {
-				b.Fatal(err)
+			loop, content := wrapEach("", leaves)
+			return shape{e, loop, mustSkel("<personne><coordonnees><nom>$0</nom></coordonnees></personne>"), []*bat.Table{content}}
+		}},
+		{"many-tiny", func() shape {
+			const n = 2550
+			values, counts := make(bat.ItemVec, n), make(bat.IntVec, n)
+			for i := 0; i < n; i++ {
+				values[i], counts[i] = bat.Untyped(fmt.Sprintf("Name %d", i)), int64(i%40)
 			}
+			iters, ones := bat.Ramp(1, n), bat.ConstInt(1, n)
+			return shape{New(xenc.NewStore()), bat.MustTable("iter", iters), mustSkel("<item person=$0>$1</item>"), []*bat.Table{
+				bat.MustTable("iter", iters, "pos", ones, "item", values),
+				bat.MustTable("iter", iters, "pos", ones, "item", counts),
+			}}
+		}},
+		{"one-large", func() shape {
+			e, _, frag := loadPeople(b, 10000)
+			q, c := wrapEach("all", bat.NodeVec{{Frag: frag, Pre: 1}})
+			return shape{e, q, binarySkel, []*bat.Table{c}}
+		}},
+	}
+	for _, sh := range shapes {
+		s := sh.make()
+		for _, sink := range []string{"fragment", "stream"} {
+			b.Run(sh.name+"/"+sink, func(b *testing.B) {
+				var buf []byte
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if constructSink, err = s.e.evalElem(s.loop, s.skel, s.slots, sink == "stream"); err != nil {
+						b.Fatal(err)
+					}
+					buf = buf[:0]
+					for _, n := range constructSink.MustCol("item").(bat.NodeVec) {
+						buf = s.e.Store.AppendSerialized(buf, n)
+					}
+				}
+			})
 		}
-	})
-	b.Run("one-large", func(b *testing.B) {
-		e, _, frag := loadPeople(b, 10000)
-		q, c := wrapEach("all", bat.NodeVec{{Frag: frag, Pre: 1}})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if constructSink, err = e.binaryElem(q, c); err != nil {
-				b.Fatal(err)
-			}
+	}
+}
+
+// TestStreamedTreesAllocateNothing: writing a streamed ε's trees into a
+// buffer that holds them allocates nothing per tree — the writer is
+// reused from one tree to the next.
+func TestStreamedTreesAllocateNothing(t *testing.T) {
+	e, f, frag := loadPeople(t, 500)
+	loop, content := wrapEach("", childRefs(f, frag, 1))
+	out, err := e.evalElem(loop, mustSkel("<a><b>$0</b></a>"), []*bat.Table{content}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := out.MustCol("item").(bat.NodeVec)
+	var buf []byte
+	write := func() {
+		buf = buf[:0]
+		for _, n := range trees {
+			buf = e.Store.AppendSerialized(buf, n)
 		}
-	})
+	}
+	write()
+	if got := testing.AllocsPerRun(20, write); got != 0 {
+		t.Errorf("writing %d streamed trees allocates %.0f times, want 0", len(trees), got)
+	}
+	if !strings.HasPrefix(string(buf), `<a><b><p id="p0"><n>name0</n><c/></p></b></a>`) {
+		t.Errorf("streamed trees begin %.60q", buf)
+	}
 }

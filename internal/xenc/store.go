@@ -106,13 +106,10 @@ func (s *Store) Scratch() *Store {
 func (s *Store) Frag(id int32) *Fragment {
 	f := s.frag(id)
 	if f.emit != nil {
-		panic(fmt.Sprintf("xenc: Frag(%d): %s", id, errStreamed))
+		panic(fmt.Sprintf("xenc: Frag(%d): streamed fragment: its trees exist only as serialized bytes", id))
 	}
 	return f
 }
-
-// errStreamed names what Frag refuses.
-const errStreamed = "streamed fragment: its trees exist only as serialized bytes"
 
 // Resolve returns the fragment with the given id, or nil when the id is
 // streamed (AddStreamed): the form for a reader that can take either.
