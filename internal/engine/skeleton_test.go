@@ -203,9 +203,9 @@ func nestedElem(e *Engine, loop *bat.Table, skel algebra.Skeleton, slots []*bat.
 // FuzzStreamedMatchesMaterialized: ε's two sinks agree outcome for
 // outcome over randomElemInput's executions — the same error text, or
 // trees whose streamed bytes are the built fragment's serialization.
-// Content slots hold, besides what TestSkeletonMatchesNested draws, the
-// elements of an inner ε: streamed ones where the outer ε streams, their
-// built twins where it builds.
+// Content slots hold, besides what TestSkeletonMatchesNested draws, an
+// empty document and the elements of an inner ε: streamed ones where the
+// outer ε streams, their built twins where it builds.
 func FuzzStreamedMatchesMaterialized(f *testing.F) {
 	for seed := int64(0); seed < 64; seed++ {
 		f.Add(seed)
@@ -225,7 +225,13 @@ func FuzzStreamedMatchesMaterialized(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var nested bat.ItemVec
+	// A document without children copies nothing: its element stays
+	// <a/> if nothing else arrives.
+	empty, err := e.Store.LoadDocumentString("empty.xml", "")
+	if err != nil {
+		f.Fatal(err)
+	}
+	nested := bat.ItemVec{bat.Node(empty)}
 	twin := map[bat.NodeRef]bat.Item{}
 	for i, n := range streamedInner.MustCol("item").(bat.NodeVec) {
 		nested = append(nested, bat.Node(n))
