@@ -698,7 +698,6 @@ func forgeCountTail(p *physical.Plan, cross, fn, sel, proj, dist, cnt *algebra.O
 	tj.Count.EstRows = tj.Cross.In[0].EstRows
 }
 
-// nodeOf is p's node for the logical operator o.
 // streamShape is an ε of one element per iteration with an integer for
 // content: the shape the stream cases route somewhere a streamed ε's
 // nodes must not go.
@@ -729,6 +728,7 @@ func forceStream(root, o *algebra.Op) []check.Diag {
 	return check.Physical(p)
 }
 
+// nodeOf is p's node for the logical operator o.
 func nodeOf(p *physical.Plan, o *algebra.Op) *physical.Node {
 	for _, nd := range p.Nodes {
 		if nd.Op == o {

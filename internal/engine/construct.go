@@ -84,21 +84,6 @@ func (c *itemCol) appendEscaped(buf []byte, i int, esc func([]byte, string) []by
 	return esc(buf, c.str(i))
 }
 
-// hasAttr reports whether a row is an attribute ref.
-func (c *itemCol) hasAttr() bool {
-	for _, n := range c.nodes {
-		if n.Pre >= xenc.AttrBase {
-			return true
-		}
-	}
-	for i := range c.items {
-		if it := &c.items[i]; it.Kind == bat.KNode && it.N.Pre >= xenc.AttrBase {
-			return true
-		}
-	}
-	return false
-}
-
 // emptyStr reports whether the string value of row i is "": only string
 // payloads can be.
 func (c *itemCol) emptyStr(i int) bool {
@@ -303,77 +288,6 @@ func (x *elemExec) scanAll() error {
 	return nil
 }
 
-// plainOffsets is the first pass of a streamed ε whose content cannot
-// fail, column by column: the skeleton's attributes precede their
-// element's content and differ in name, and no content slot holds an
-// attribute ref, so neither XQTY0024 nor XQDY0025 can arise; each slot's
-// offsets come from one merge of its iters with the root's. It reports
-// false when the content may fail after all (those attributes, two names
-// for one iter, an empty name, a row without an element); the walk then
-// finds the error in document order.
-func (in *elemInput) plainOffsets() bool {
-	if !attrsFirst(in.skel) {
-		return false
-	}
-	for qi, iter := range in.iters {
-		if qi > 0 && iter == in.iters[qi-1] || in.skel.Dynamic() && in.names.str(qi) == "" {
-			return false
-		}
-	}
-	for k := range in.slots {
-		sl := &in.slots[k]
-		if sl.items.hasAttr() {
-			return false
-		}
-		j := 0
-		for qi, iter := range in.iters {
-			if j < len(sl.iter) && sl.iter[j] < iter {
-				return false
-			}
-			sl.off[qi] = int32(j)
-			for j < len(sl.iter) && sl.iter[j] == iter {
-				j++
-			}
-		}
-		sl.off[len(in.iters)] = int32(j)
-		if j < len(sl.iter) {
-			return false
-		}
-	}
-	return true
-}
-
-// attrsFirst reports whether every attribute step of the skeleton comes
-// before its element's content and children and names an attribute its
-// element has no other of.
-func attrsFirst(skel algebra.Skeleton) bool {
-	var buf [8]bool
-	content := buf[:0] // per open element: content or a child seen
-	for i, st := range skel {
-		switch st.Kind {
-		case algebra.SkelOpen:
-			if len(content) > 0 {
-				content[len(content)-1] = true
-			}
-			content = append(content, false)
-		case algebra.SkelClose:
-			content = content[:len(content)-1]
-		case algebra.SkelSlot:
-			content[len(content)-1] = true
-		case algebra.SkelAttr:
-			if content[len(content)-1] {
-				return false
-			}
-			for j := i - 1; skel[j].Kind == algebra.SkelAttr; j-- {
-				if skel[j].Name == st.Name {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // evalElem implements ε over a skeleton (algebra.Skeleton): per row of
 // root — the loop (iter), or iter|item names for a dynamic root name —
 // one element tree whose static part is the skeleton's and whose slots
@@ -440,10 +354,8 @@ func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*ba
 			in.slots[k].off, offs = offs[:len(in.iters)+1], offs[len(in.iters)+1:]
 		}
 	}
-	if !stream || !in.plainOffsets() {
-		if err := x.scanAll(); err != nil {
-			return nil, err
-		}
+	if err := x.scanAll(); err != nil {
+		return nil, err
 	}
 	outItem := make(bat.NodeVec, len(in.iters))
 	var frag int32
@@ -830,7 +742,6 @@ type elemBytes struct {
 	dst     []byte
 	tagOpen bool // the innermost start tag is written up to its attributes
 	atoms   int  // atomics in the open run
-	held    bool // the run is one empty string so far, and nothing is written
 }
 
 // child closes the innermost start tag before a child.
@@ -877,7 +788,7 @@ func (b *elemBytes) attr(i int, items *itemCol, lo, hi int) error {
 			b.dst = append(b.dst, ' ')
 		}
 		if n, ok := items.node(c); ok {
-			b.dst = xenc.EscapeAttr(b.dst, b.stringValue(n))
+			b.dst = xenc.EscapeAttr(b.dst, b.x.in.store.StringValue(n))
 		} else {
 			b.dst = items.appendEscaped(b.dst, c, xenc.EscapeAttr)
 		}
@@ -886,18 +797,9 @@ func (b *elemBytes) attr(i int, items *itemCol, lo, hi int) error {
 	return nil
 }
 
-// stringValue is Store.StringValue, a text node's — what an attribute
-// value usually is — read off the cached fragment.
-func (b *elemBytes) stringValue(n bat.NodeRef) string {
-	if sf := b.src.lookup(n); sf != nil && n.Pre < xenc.AttrBase && sf.Kind[n.Pre] == xenc.KindText {
-		return b.x.in.store.Text(sf.Prop[n.Pre])
-	}
-	return b.x.in.store.StringValue(n)
-}
-
 func (b *elemBytes) atom(items *itemCol, c int) {
 	if b.atoms == 0 && items.emptyStr(c) {
-		b.atoms, b.held = 1, true
+		b.atoms = 1
 		return
 	}
 	b.child()
@@ -906,10 +808,9 @@ func (b *elemBytes) atom(items *itemCol, c int) {
 	}
 	b.dst = items.appendEscaped(b.dst, c, xenc.EscapeText)
 	b.atoms++
-	b.held = false
 }
 
-func (b *elemBytes) flush() { b.atoms, b.held = 0, false }
+func (b *elemBytes) flush() { b.atoms = 0 }
 
 func (b *elemBytes) node(n bat.NodeRef) error {
 	store := b.x.in.store
