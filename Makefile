@@ -40,9 +40,11 @@ pfvet-sarif:
 # compiled plan through the optimizer and internal/check (FuzzCompile,
 # seeded with nested constructors), the shredder's tokenizer against
 # its encoding/xml reference (FuzzShredMatchesStdlib), shred → serialize
-# → shred keeping every string (FuzzSerializeRoundTrip), and ε's two sinks
+# → shred keeping every string (FuzzSerializeRoundTrip), ε's two sinks
 # — the streamed bytes against the built fragment's, errors included
-# (FuzzStreamedMatchesMaterialized); long exploratory runs stay manual
+# (FuzzStreamedMatchesMaterialized) — and the typed compare, arith, ⋈ and
+# ∪ kernels against the same columns boxed as ItemVecs
+# (FuzzTypedKernelsMatchBoxed); long exploratory runs stay manual
 # (go test -fuzz=... -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test ./internal/xquery -fuzz FuzzParse -fuzztime 10s
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xenc -fuzz FuzzShredMatchesStdlib -fuzztime 10s
 	$(GO) test ./internal/xenc -fuzz FuzzSerializeRoundTrip -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzStreamedMatchesMaterialized -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzTypedKernelsMatchBoxed -fuzztime 10s
 	$(GO) test ./internal/service -fuzz FuzzNormalizeQuery -fuzztime 10s
 
 # Race tier: the packages with query-time shared state — the scheduler
@@ -123,13 +126,14 @@ bench-step-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench StepLoopLifted -benchtime 1x
 
 # CI smoke for the join-tail kernel micro-benchmarks: δ, ϱ, ⋈ and aggr at
-# XMark Q11's size, each fast path beside the kernel it shortcuts, and
+# XMark Q11's size, each fast path beside the kernel it shortcuts,
 # count($l) over Q11's join from the bounds beside the same count through
-# the pairs (SF 0.1 and SF 1 sizes), with allocation counts (`-benchtime
+# the pairs (SF 0.1 and SF 1 sizes), and Q8's atomize-and-join at SF 0.1
+# on untyped vectors (hash-join[str]), with allocation counts (`-benchtime
 # 50x -count 5` for numbers worth comparing). Every case asserts the
-# kernel that ran; the allocation ceiling is a test (TestKernelAllocBudget).
+# kernel that ran; the allocation ceilings are a test (TestKernelAllocBudget).
 bench-kernels-smoke:
-	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns|ThetaCount' -benchtime 1x
+	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns|ThetaCount|AtomizeJoin' -benchtime 1x
 
 # CI smoke for the result path: ε plus the serialization of its trees in
 # its three XMark shapes (Q10's nested skeleton, the many-iterations ×

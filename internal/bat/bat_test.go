@@ -73,9 +73,13 @@ func TestCompareNumericPromotion(t *testing.T) {
 	if c, err := Compare(Untyped("40.5"), Int(40)); err != nil || c != 1 {
 		t.Errorf("Compare(uA 40.5, 40) = %d, %v", c, err)
 	}
-	// Untyped vs untyped with both numeric compares numerically.
-	if c, err := Compare(Untyped("9"), Untyped("10")); err != nil || c != -1 {
-		t.Errorf("Compare(uA 9, uA 10) = %d, %v; want -1 (numeric)", c, err)
+	// Untyped vs untyped casts both to xs:string (XQuery 1.0 §3.5.2),
+	// however numeric the strings look.
+	if c, err := Compare(Untyped("9"), Untyped("10")); err != nil || c != 1 {
+		t.Errorf("Compare(uA 9, uA 10) = %d, %v; want 1 (string order)", c, err)
+	}
+	if c, err := Compare(Untyped("1"), Untyped("1.0")); err != nil || c != -1 {
+		t.Errorf("Compare(uA 1, uA 1.0) = %d, %v; want -1 (string order)", c, err)
 	}
 	// Untyped vs string compares as strings.
 	if c, err := Compare(Untyped("9"), Str("10")); err != nil || c != 1 {
@@ -120,6 +124,7 @@ func TestVecGatherSliceRoundTrip(t *testing.T) {
 		IntVec{10, 20, 30, 40},
 		FloatVec{1.5, 2.5, 3.5, 4.5},
 		StrVec{"a", "b", "c", "d"},
+		UntypedVec{"a", "1", "1.0", ""},
 		BoolVec{true, false, true, false},
 		NodeVec{{0, 0}, {0, 1}, {1, 0}, {1, 1}},
 		ItemVec{Int(1), Str("x"), Bool(true), Node(NodeRef{2, 3})},
@@ -143,6 +148,57 @@ func TestVecGatherSliceRoundTrip(t *testing.T) {
 		if built.Len() != 2 || !DeepEqual(built.ItemAt(0), v.ItemAt(2)) || !DeepEqual(built.ItemAt(1), v.ItemAt(0)) {
 			t.Errorf("%s: builder mismatch", v.Type())
 		}
+	}
+}
+
+// TestItemsKeepOneKind: an item column whose rows share one kind is that
+// kind's vector, whether built row by row (NewItems) or narrowed from an
+// ItemVec (Typed, Table.Typed); rows of two kinds, and no rows, stay an
+// ItemVec.
+func TestItemsKeepOneKind(t *testing.T) {
+	build := func(items ...Item) Vec {
+		b := NewItems(len(items))
+		for _, it := range items {
+			b.AppendItem(it)
+		}
+		return b.Build()
+	}
+	for _, c := range []struct {
+		items []Item
+		want  ColType
+	}{
+		{nil, TItem},
+		{[]Item{Int(1), Int(2)}, TInt},
+		{[]Item{Float(1.5)}, TFloat},
+		{[]Item{Str("a"), Str("")}, TStr},
+		{[]Item{Bool(true)}, TBool},
+		{[]Item{Untyped("1"), Untyped("x")}, TUntyped},
+		{[]Item{Node(NodeRef{1, 2})}, TNode},
+		{[]Item{Int(1), Int(2), Untyped("3")}, TItem},
+		{[]Item{Untyped("3"), Str("3")}, TItem},
+	} {
+		for name, v := range map[string]Vec{"NewItems": build(c.items...), "Typed": Typed(ItemVec(c.items))} {
+			if v.Type() != c.want || v.Len() != len(c.items) {
+				t.Errorf("%s%v: %s of %d rows, want %s", name, c.items, v.Type(), v.Len(), c.want)
+				continue
+			}
+			for i, it := range c.items {
+				if got := v.ItemAt(i); got.Kind != it.Kind || !DeepEqual(got, it) {
+					t.Errorf("%s%v: row %d is %s %q", name, c.items, i, got.Kind, got.StringValue())
+				}
+			}
+		}
+	}
+	lit := MustTable("iter", IntVec{1, 2}, "item", ItemVec{Untyped("a"), Untyped("b")}, "mixed", ItemVec{Int(1), Str("b")})
+	typed := lit.Typed()
+	if typed.MustCol("item").Type() != TUntyped || typed.MustCol("mixed").Type() != TItem || lit.MustCol("item").Type() != TItem {
+		t.Errorf("Table.Typed: item %s, mixed %s; the literal's item became %s", typed.MustCol("item").Type(), typed.MustCol("mixed").Type(), lit.MustCol("item").Type())
+	}
+	if one := MustTable("iter", IntVec{1}, "item", ItemVec{Int(1)}); one.Typed() == one {
+		t.Error("Table.Typed kept a one-kind ItemVec")
+	}
+	if none := MustTable("iter", IntVec{1}, "item", IntVec{5}); none.Typed() != none {
+		t.Error("Table.Typed copied a table with no item column")
 	}
 }
 

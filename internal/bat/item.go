@@ -210,9 +210,10 @@ func (it Item) Key() Key {
 
 // Compare performs an XQuery value comparison between two atomic items.
 // It returns -1, 0, or +1, and an error when the items are incomparable.
-// Untyped atomics are promoted to double when compared against numbers and
-// compared as strings against strings, per the XQuery general-comparison
-// rules the paper's dialect relies on.
+// Following the general-comparison rules (XQuery 1.0 §3.5.2), an untyped
+// atomic is cast to xs:double against a number and to xs:string against
+// a string or another untyped atomic: "1" = "1.0" is false whatever the
+// two strings would parse as.
 func Compare(a, b Item) (int, error) {
 	if a.Kind == KNode || b.Kind == KNode {
 		return 0, fmt.Errorf("value comparison on node item (atomize first)")
@@ -220,8 +221,7 @@ func Compare(a, b Item) (int, error) {
 	// Promote untyped against numeric.
 	an, bn := a.IsNumeric(), b.IsNumeric()
 	switch {
-	case an && bn, an && b.Kind == KUntyped, bn && a.Kind == KUntyped,
-		a.Kind == KUntyped && b.Kind == KUntyped && bothNumeric(a.S, b.S):
+	case an && bn, an && b.Kind == KUntyped, bn && a.Kind == KUntyped:
 		af, bf := a.AsFloat(), b.AsFloat()
 		if math.IsNaN(af) || math.IsNaN(bf) {
 			return 0, fmt.Errorf("cannot compare %q numerically", pickNaN(a, b))
@@ -235,16 +235,10 @@ func Compare(a, b Item) (int, error) {
 	default:
 		// String-ish comparison; both operands must be strings or untyped.
 		if (a.Kind == KStr || a.Kind == KUntyped) && (b.Kind == KStr || b.Kind == KUntyped) {
-			return strings.Compare(a.StringValue(), b.StringValue()), nil
+			return strings.Compare(a.S, b.S), nil
 		}
 		return 0, fmt.Errorf("cannot compare %s with %s", a.Kind, b.Kind)
 	}
-}
-
-func bothNumeric(a, b string) bool {
-	_, e1 := strconv.ParseFloat(strings.TrimSpace(a), 64)
-	_, e2 := strconv.ParseFloat(strings.TrimSpace(b), 64)
-	return e1 == nil && e2 == nil
 }
 
 func pickNaN(a, b Item) string {

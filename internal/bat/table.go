@@ -126,6 +126,30 @@ func (t *Table) Gather(idx []int32) *Table {
 	return out
 }
 
+// Typed returns t with every item column in the vector of the kind its
+// rows share (see Typed), the other columns shared; t itself when no
+// column narrows.
+func (t *Table) Typed() *Table {
+	var out *Table
+	for i, c := range t.cols {
+		if c.Type() != TItem {
+			continue
+		}
+		v := Typed(c)
+		if v.Type() == TItem {
+			continue
+		}
+		if out == nil {
+			out = &Table{n: t.n, names: append([]string(nil), t.names...), cols: append([]Vec(nil), t.cols...)}
+		}
+		out.cols[i] = v
+	}
+	if out == nil {
+		return t
+	}
+	return out
+}
+
 // Slice returns rows [lo, hi) of t without copying column data.
 func (t *Table) Slice(lo, hi int) *Table {
 	out := &Table{n: hi - lo}

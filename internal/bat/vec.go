@@ -6,7 +6,9 @@ import "fmt"
 type ColType uint8
 
 // Column types. TInt backs the dense iter/pos columns the loop-lifting
-// encoding relies on; TItem is the polymorphic item column of Figure 2.
+// encoding relies on; TItem is the polymorphic item column of Figure 2,
+// kept for the columns whose rows mix kinds; TUntyped holds
+// xs:untypedAtomic values, what atomizing a node yields.
 const (
 	TInt ColType = iota
 	TFloat
@@ -14,6 +16,7 @@ const (
 	TBool
 	TNode
 	TItem
+	TUntyped
 )
 
 func (t ColType) String() string {
@@ -30,6 +33,8 @@ func (t ColType) String() string {
 		return "node"
 	case TItem:
 		return "item"
+	case TUntyped:
+		return "uA"
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -144,6 +149,36 @@ func (b *strBuilder) AppendFrom(src Vec, i int) {
 }
 func (b *strBuilder) Build() Vec { return b.v }
 
+// UntypedVec is a column of xs:untypedAtomic values: the atomized
+// attribute values and text contents the join predicates compare. Rows
+// are the store's pooled strings, shared rather than copied.
+type UntypedVec []string
+
+func (v UntypedVec) Len() int          { return len(v) }
+func (v UntypedVec) Type() ColType     { return TUntyped }
+func (v UntypedVec) ItemAt(i int) Item { return Untyped(v[i]) }
+func (v UntypedVec) Gather(idx []int32) Vec {
+	out := make(UntypedVec, len(idx))
+	for j, i := range idx {
+		out[j] = v[i]
+	}
+	return out
+}
+func (v UntypedVec) Slice(lo, hi int) Vec { return v[lo:hi] }
+func (v UntypedVec) New(n int) Builder    { b := make(UntypedVec, 0, n); return &untypedBuilder{b} }
+
+type untypedBuilder struct{ v UntypedVec }
+
+func (b *untypedBuilder) AppendItem(it Item) { b.v = append(b.v, it.S) }
+func (b *untypedBuilder) AppendFrom(src Vec, i int) {
+	if s, ok := src.(UntypedVec); ok {
+		b.v = append(b.v, s[i])
+		return
+	}
+	b.v = append(b.v, src.ItemAt(i).StringValue())
+}
+func (b *untypedBuilder) Build() Vec { return b.v }
+
 // BoolVec is a column of booleans (σ selects on these).
 type BoolVec []bool
 
@@ -224,6 +259,90 @@ func (b *itemBuilder) AppendItem(it Item)        { b.v = append(b.v, it) }
 func (b *itemBuilder) AppendFrom(src Vec, i int) { b.v = append(b.v, src.ItemAt(i)) }
 func (b *itemBuilder) Build() Vec                { return b.v }
 
+// kindVec is the empty vector that holds items of kind k.
+func kindVec(k Kind) Vec {
+	switch k {
+	case KInt:
+		return IntVec(nil)
+	case KFloat:
+		return FloatVec(nil)
+	case KStr:
+		return StrVec(nil)
+	case KBool:
+		return BoolVec(nil)
+	case KUntyped:
+		return UntypedVec(nil)
+	case KNode:
+		return NodeVec(nil)
+	}
+	return ItemVec(nil)
+}
+
+// NewItems returns a builder for an item column whose kinds are only
+// known row by row: it fills the vector of the first row's kind and
+// turns to an ItemVec at the first row of another kind. Built empty it
+// is the empty ItemVec, the empty sequence.
+func NewItems(n int) Builder { return &kindBuilder{n: n} }
+
+type kindBuilder struct {
+	n     int
+	kind  Kind
+	typed Builder // nil before the first row and after a second kind
+	items ItemVec
+}
+
+func (b *kindBuilder) AppendItem(it Item) {
+	switch {
+	case b.typed != nil && it.Kind == b.kind:
+		b.typed.AppendItem(it)
+		return
+	case b.typed == nil && b.items == nil:
+		b.kind, b.typed = it.Kind, kindVec(it.Kind).New(b.n)
+		b.typed.AppendItem(it)
+		return
+	case b.typed != nil:
+		// A second kind: box the rows so far and go on as an ItemVec.
+		v := b.typed.Build()
+		b.items = make(ItemVec, v.Len(), max(b.n, v.Len()+1))
+		for i := range b.items {
+			b.items[i] = v.ItemAt(i)
+		}
+		b.typed = nil
+	}
+	b.items = append(b.items, it)
+}
+
+func (b *kindBuilder) AppendFrom(src Vec, i int) { b.AppendItem(src.ItemAt(i)) }
+
+func (b *kindBuilder) Build() Vec {
+	if b.typed != nil {
+		return b.typed.Build()
+	}
+	if b.items == nil {
+		return ItemVec{}
+	}
+	return b.items
+}
+
+// Typed returns v in the vector of the one kind its rows share, v itself
+// when they mix kinds, when v is empty or when v is not an ItemVec.
+func Typed(v Vec) Vec {
+	items, ok := v.(ItemVec)
+	if !ok || len(items) == 0 {
+		return v
+	}
+	for _, it := range items[1:] {
+		if it.Kind != items[0].Kind {
+			return v
+		}
+	}
+	b := kindVec(items[0].Kind).New(len(items))
+	for _, it := range items {
+		b.AppendItem(it)
+	}
+	return b.Build()
+}
+
 // NewVec returns an empty builder for the given physical type.
 func NewVec(t ColType, n int) Builder {
 	switch t {
@@ -237,6 +356,8 @@ func NewVec(t ColType, n int) Builder {
 		return BoolVec(nil).New(n)
 	case TNode:
 		return NodeVec(nil).New(n)
+	case TUntyped:
+		return UntypedVec(nil).New(n)
 	default:
 		return ItemVec(nil).New(n)
 	}

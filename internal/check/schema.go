@@ -320,7 +320,8 @@ const (
 	kindStr
 	kindBool
 	kindNode
-	kindAny // TItem: polymorphic, compatible with everything
+	kindUntyped // TUntyped: casts to a string or a number on demand
+	kindAny     // TItem: polymorphic, compatible with everything
 )
 
 func (k colKind) String() string {
@@ -335,6 +336,8 @@ func (k colKind) String() string {
 		return "bit"
 	case kindNode:
 		return "node"
+	case kindUntyped:
+		return "uA"
 	case kindAny:
 		return "item"
 	}
@@ -353,6 +356,8 @@ func kindOfVec(v bat.Vec) colKind {
 		return kindBool
 	case bat.TNode:
 		return kindNode
+	case bat.TUntyped:
+		return kindUntyped
 	default:
 		return kindAny
 	}
@@ -507,11 +512,11 @@ func (tp *typePass) check(o *algebra.Op) []Diag {
 			flag("item", k, "node")
 		}
 	case algebra.OpDoc:
-		if k := tp.kinds(o.In[0]).of("item"); definite(k) && k != kindStr {
+		if k := tp.kinds(o.In[0]).of("item"); definite(k) && k != kindStr && k != kindUntyped {
 			flag("item", k, "string URI")
 		}
 	case algebra.OpColl:
-		if k := tp.kinds(o.In[0]).of("item"); definite(k) && k != kindStr {
+		if k := tp.kinds(o.In[0]).of("item"); definite(k) && k != kindStr && k != kindUntyped {
 			flag("item", k, "collection name string")
 		}
 	case algebra.OpAggr:
@@ -527,7 +532,7 @@ func (tp *typePass) check(o *algebra.Op) []Diag {
 	case algebra.OpRange:
 		if len(o.KeyL) == 2 {
 			for _, c := range o.KeyL {
-				if k := tp.kinds(o.In[0]).of(c); definite(k) && k != kindInt && k != kindFloat {
+				if k := tp.kinds(o.In[0]).of(c); definite(k) && k != kindInt && k != kindFloat && k != kindUntyped {
 					flag(c, k, "integer bound")
 				}
 			}

@@ -29,6 +29,8 @@ func readItems(v bat.Vec) itemCol {
 		return itemCol{items: c}
 	case bat.StrVec:
 		return itemCol{strs: c}
+	case bat.UntypedVec:
+		return itemCol{strs: bat.StrVec(c)} // the same string values
 	case bat.IntVec:
 		return itemCol{ints: c}
 	}

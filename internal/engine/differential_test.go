@@ -218,6 +218,14 @@ func TestRangeEdges(t *testing.T) {
 	matrix([]difftest.Doc{{URI: "r.xml", Text: "<r/>"}}, difftest.Seq, difftest.Par, navdomEval).Run(t, corpus.IntEdges)
 }
 
+// TestUntypedCompare: corpus.UntypedCompare — two untyped atomics
+// compare as strings on every plan shape (hash join, semijoin, one pair,
+// band join, and that join demoted), in the engine and in navdom.
+func TestUntypedCompare(t *testing.T) {
+	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.UntypedCompareDoc}},
+		difftest.Seq, difftest.Par, demoted(2), navdomEval).Run(t, corpus.UntypedCompare)
+}
+
 // TestConstructorCases: the constructor content rules with an outcome
 // other than "copy the item".
 func TestConstructorCases(t *testing.T) {

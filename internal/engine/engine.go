@@ -395,7 +395,7 @@ func evalAggr(t *bat.Table, newCol string, agg algebra.AggKind, args []string, p
 		if err != nil {
 			return nil, err
 		}
-		return bat.NewTable(newCol, bat.ItemVec{it})
+		return bat.NewTable(newCol, bat.Typed(bat.ItemVec{it}))
 	}
 	partVec, err := t.Col(part)
 	if err != nil {
@@ -413,16 +413,21 @@ func evalAggr(t *bat.Table, newCol string, agg algebra.AggKind, args []string, p
 		groups[k] = append(groups[k], int32(i))
 	}
 	partOut := bat.NewVec(partVec.Type(), len(order))
-	aggOut := make(bat.ItemVec, 0, len(order))
+	// Counts are integers even over no group, as aggrRuns' and
+	// thetaCount's are; other results take the kind they share.
+	aggOut := bat.NewItems(len(order))
+	if agg == algebra.AggCount {
+		aggOut = bat.NewVec(bat.TInt, len(order))
+	}
 	for _, k := range order {
 		it, err := aggregate(agg, argVec, groups[k], sep)
 		if err != nil {
 			return nil, err
 		}
 		partOut.AppendItem(rep[k])
-		aggOut = append(aggOut, it)
+		aggOut.AppendItem(it)
 	}
-	return bat.NewTable(part, partOut.Build(), newCol, aggOut)
+	return bat.NewTable(part, partOut.Build(), newCol, aggOut.Build())
 }
 
 func allRows(n int) []int32 {

@@ -14,7 +14,8 @@ import (
 
 // evalFun applies a per-row function ⊛, appending the result column. The
 // result vector is typed when the function's codomain is fixed (booleans
-// for comparisons/logic, strings for fn:string) and polymorphic otherwise.
+// for comparisons/logic, strings for fn:string) and otherwise the vector
+// of the one kind its rows hold, an ItemVec only when they mix kinds.
 func (e *Engine) evalFun(t *bat.Table, o *algebra.Op) (*bat.Table, error) {
 	args := make([]bat.Vec, len(o.Args))
 	for i, a := range o.Args {
@@ -53,15 +54,15 @@ func (e *Engine) evalFun(t *bat.Table, o *algebra.Op) (*bat.Table, error) {
 		}
 		out = res
 	default:
-		res := make(bat.ItemVec, n)
+		res := bat.NewItems(n)
 		for i := 0; i < n; i++ {
 			it, err := e.applyFun(o, args, i)
 			if err != nil {
 				return nil, err
 			}
-			res[i] = it
+			res.AppendItem(it)
 		}
-		out = res
+		out = res.Build()
 	}
 	nt := t.Slice(0, n)
 	if err := nt.AddCol(o.Col, out); err != nil {

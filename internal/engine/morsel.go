@@ -242,18 +242,24 @@ func concatSel(parts [][]int32) []int32 {
 }
 
 // concatVecs stitches per-morsel result vectors in morsel order. All
-// parts come from the same typed kernel over slices of the same input
-// vectors, so they share a physical type and the builder append is the
-// typed copy.
+// parts come from the same kernel over slices of the same input vectors;
+// a typed kernel's share a physical type and the builder append is the
+// typed copy. A boxed kernel's keep the kind of their own rows, so parts
+// that differ merge through bat.NewItems: typed if every row shares one
+// kind, as the unsplit kernel's column would be.
 func concatVecs(parts []bat.Vec) bat.Vec {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	total := 0
+	total, same := 0, true
 	for _, p := range parts {
 		total += p.Len()
+		same = same && p.Type() == parts[0].Type()
 	}
-	b := parts[0].New(total)
+	b := bat.NewItems(total)
+	if same {
+		b = parts[0].New(total)
+	}
 	for _, p := range parts {
 		for i, n := 0, p.Len(); i < n; i++ {
 			b.AppendFrom(p, i)

@@ -11,6 +11,7 @@ import (
 	"pathfinder/internal/bat"
 	"pathfinder/internal/physical"
 	"pathfinder/internal/xenc"
+	"pathfinder/internal/xmark"
 )
 
 // Micro-benchmarks for the join tail of a loop-lifted plan at XMark Q11's
@@ -101,7 +102,7 @@ func BenchmarkIntJoinDense(b *testing.B) {
 		lk, rk := l.Base().MustCol("ai").(bat.IntVec), r.Base().MustCol("vin").(bat.IntVec)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := intHashJoin(ctx, e.testMorsels(), o, l, r, joinFull, lk, rk); err != nil {
+			if _, err := keyHashJoin(ctx, e.testMorsels(), o, l, r, joinFull, "[int]", lk, rk); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -203,6 +204,66 @@ func BenchmarkThetaCount(b *testing.B) {
 	}
 }
 
+// atomizeJoinInput is XMark Q8's join at SF 0.1 before atomization: the
+// 2 550 person/@id attribute nodes and the 975 closed_auction/buyer/@person
+// ones, each in an iteration of its own.
+func atomizeJoinInput(tb testing.TB) (e *Engine, ids, buyers bat.NodeVec) {
+	e = New(xenc.NewStore())
+	doc, err := e.Store.LoadDocumentString("xmark.xml", xmark.GenerateString(0.1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	root := bat.MustTable("iter", bat.IntVec{1}, "item", bat.NodeVec{doc})
+	attrs := func(elem, attr string) bat.NodeVec {
+		owners := stepOnce(tb, e, root, algebra.Descendant, algebra.KindTest{Kind: algebra.TestElem, Name: elem})
+		return stepOnce(tb, e, owners, algebra.Attribute, algebra.KindTest{Kind: algebra.TestAttr, Name: attr}).MustCol("item").(bat.NodeVec)
+	}
+	ids, buyers = attrs("person", "id"), attrs("buyer", "person")
+	if len(ids) != 2550 || len(buyers) != 975 {
+		tb.Fatalf("%d person ids and %d buyers, want 2550 and 975", len(ids), len(buyers))
+	}
+	return e, ids, buyers
+}
+
+// atomizeJoin is Q8's ⊛data on either side and the ⋈ of the atomized
+// values, buyers probing the persons' table.
+func atomizeJoin(e *Engine, ms *morsels, ids, buyers bat.NodeVec) (physOut, error) {
+	data := &algebra.Op{Kind: algebra.OpFun, Fun: algebra.FunAtomize}
+	atomize := func(nodes bat.NodeVec, iter, item string) (*bat.View, error) {
+		v, _, err := e.funKernel(data, []bat.Vec{nodes}, len(nodes))
+		if err != nil {
+			return nil, err
+		}
+		return bat.ViewOf(bat.MustTable(iter, bat.Ramp(1, len(nodes)), item, v)), nil
+	}
+	l, err := atomize(buyers, "bi", "bitem")
+	if err != nil {
+		return physOut{}, err
+	}
+	r, err := atomize(ids, "ai", "aitem")
+	if err != nil {
+		return physOut{}, err
+	}
+	join := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"bitem"}, KeyR: []string{"aitem"}}
+	return physHashJoin(ms.ctx, ms, join, l, r, joinFull)
+}
+
+// BenchmarkAtomizeJoin is Q8's value join at SF 0.1, atomization
+// included: both sides atomize to untyped vectors of the store's strings
+// and the join hashes those strings.
+func BenchmarkAtomizeJoin(b *testing.B) {
+	e, ids, buyers := atomizeJoinInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := atomizeJoin(e, e.testMorsels(), ids, buyers)
+		if err != nil || out.kernel != "hash-join[str]" || out.view.Rows() != len(buyers) {
+			b.Fatalf("kernel = %s, %d rows, err %v", out.kernel, out.view.Rows(), err)
+		}
+	}
+	b.ReportMetric(float64(len(ids)+len(buyers)), "rows-atomized")
+}
+
 // TestKernelAllocBudget: δ over strictly sorted pairs hands its input on
 // and a join on a dense key builds no table, so neither allocates per
 // row or per key — a handful of slices whatever the size. (The kernels
@@ -211,11 +272,28 @@ func BenchmarkThetaCount(b *testing.B) {
 // index buffers per morsel. A count-only theta unit allocates for its
 // inputs — keys, permutation, bounds, one output row per outer row — and
 // nothing for the pairs it counts: the same few slices, of the same
-// size, whether 3 % or 50 % of the product qualifies.
+// size, whether 3 % or 50 % of the product qualifies. Q8's atomize-and-
+// join keeps one string header per atomized row, the hash table and the
+// joined columns: a boxed Item per row (56 bytes each side, and an
+// encoded key per row to hash) does not fit.
 func TestKernelAllocBudget(t *testing.T) {
 	e := New(xenc.NewStore())
 	ctx := context.Background()
 	unsplit := &morsels{e: e, ctx: ctx}
+	{
+		ae, ids, buyers := atomizeJoinInput(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := atomizeJoin(ae, &morsels{e: ae, ctx: ctx}, ids, buyers)
+		runtime.ReadMemStats(&after)
+		if err != nil || out.kernel != "hash-join[str]" {
+			t.Fatalf("Q8's join ran %s, err %v", out.kernel, err)
+		}
+		rows := uint64(len(ids) + len(buyers))
+		if per := (after.TotalAlloc - before.TotalAlloc) / rows; per > atomizeJoinBytesPerRow {
+			t.Errorf("atomizing and joining %d rows allocates %d bytes per row, want at most %d", rows, per, atomizeJoinBytesPerRow)
+		}
+	}
 	for _, n := range []int{400, 4000, 40000} {
 		v := sortedPairs(n, false)
 		if got := testing.AllocsPerRun(10, func() {
@@ -259,3 +337,9 @@ func TestKernelAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// atomizeJoinBytesPerRow is the ceiling TestKernelAllocBudget holds Q8's
+// atomize-and-join to, per atomized row, unsplit: 95 bytes on the untyped
+// vectors and the string-keyed table, 166 when each atomized row was a
+// boxed Item and the join hashed an encoded key per row.
+const atomizeJoinBytesPerRow = 120

@@ -15,7 +15,7 @@ import (
 
 // The order- and density-observing int kernels (sortedDistinct,
 // countSortPerm, denseJoin, aggrRuns) against the kernels they shortcut
-// (physDistinctHash, comparatorRowNumSort, intHashJoin, aggrHash), which
+// (physDistinctHash, comparatorRowNumSort, keyHashJoin, aggrHash), which
 // stay in the executor as the path for unsorted or sparse input and are
 // called here directly, so the comparison needs no switch in production
 // code. Each pair must agree row for row: first-occurrence δ, stable ϱ,
@@ -327,7 +327,7 @@ func TestDenseJoinMatchesHash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := intHashJoin(ctx, e.testMorsels(), o, l, rv, mode, lk, rk)
+			want, err := keyHashJoin(ctx, e.testMorsels(), o, l, rv, mode, "[int]", lk, rk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,7 +444,7 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jref, _ := intHashJoin(ctx, e.testMorsels(), o, l, r, joinFull, l.Base().MustCol("lk").(bat.IntVec), keys)
+		jref, _ := keyHashJoin(ctx, e.testMorsels(), o, l, r, joinFull, "[int]", l.Base().MustCol("lk").(bat.IntVec), keys)
 		if err := sameTable(j.view.Materialize(), jref.view.Materialize()); err != nil {
 			t.Errorf("%s ⋈ (%s): %v", name, j.kernel, err)
 		}

@@ -293,7 +293,9 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 	o := nd.Op
 	switch o.Kind {
 	case algebra.OpLit:
-		return physOut{view: bat.ViewOf(o.Lit), kernel: nd.Kernel}, nil
+		// core builds literal item columns as ItemVecs and the optimizer
+		// reads them so; execution holds each in its kind's vector.
+		return physOut{view: bat.ViewOf(o.Lit.Typed()), kernel: nd.Kernel}, nil
 	case algebra.OpProject:
 		specs := make([]string, len(o.Proj))
 		for i, p := range o.Proj {
@@ -477,7 +479,10 @@ func physFilter(ms *morsels, v *bat.View, col string) (physOut, error) {
 
 // physConcat is ∪̇: a breaker that appends both inputs' selected rows
 // column by column, reading through the views without materializing the
-// inputs first.
+// inputs first. A column keeps its inputs' vector type when they agree or
+// when one side is empty (the empty literal ItemVec{} is the empty
+// sequence, of no kind); otherwise bat.NewItems keeps the rows' kind
+// when they share one and boxes them when they mix.
 func physConcat(l, r *bat.View) (physOut, error) {
 	lb, rb := l.Base(), r.Base()
 	nl, nr := l.Rows(), r.Rows()
@@ -488,27 +493,22 @@ func physConcat(l, r *bat.View) (physOut, error) {
 		if err != nil {
 			return physOut{}, err
 		}
-		var merged bat.Vec
-		if lv.Type() == rv.Type() {
-			b := lv.New(nl + nr)
-			for i := 0; i < nl; i++ {
-				b.AppendFrom(lv, l.Index(i))
-			}
-			for i := 0; i < nr; i++ {
-				b.AppendFrom(rv, r.Index(i))
-			}
-			merged = b.Build()
-		} else {
-			iv := make(bat.ItemVec, 0, nl+nr)
-			for i := 0; i < nl; i++ {
-				iv = append(iv, lv.ItemAt(l.Index(i)))
-			}
-			for i := 0; i < nr; i++ {
-				iv = append(iv, rv.ItemAt(r.Index(i)))
-			}
-			merged = iv
+		var b bat.Builder
+		switch {
+		case lv.Type() == rv.Type() || nr == 0:
+			b = lv.New(nl + nr)
+		case nl == 0:
+			b = rv.New(nr)
+		default:
+			b = bat.NewItems(nl + nr)
 		}
-		if err := out.AddCol(name, merged); err != nil {
+		for i := 0; i < nl; i++ {
+			b.AppendFrom(lv, l.Index(i))
+		}
+		for i := 0; i < nr; i++ {
+			b.AppendFrom(rv, r.Index(i))
+		}
+		if err := out.AddCol(name, b.Build()); err != nil {
 			return physOut{}, err
 		}
 	}
@@ -809,12 +809,13 @@ func physMergeJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode join
 // selected rows build the hash table (absolute base indices as payload),
 // the left side probes in view order. Typed int keys skip Item boxing
 // entirely — and skip the table too when the right keys are a dense run
-// (denseJoin); other keys fall back to the generic encoded-key path. Both
-// the build and the probe are morsel-parallel — the build through
-// per-morsel partial tables whose per-key match lists merge in morsel
-// (= input) order, the probe through per-morsel index buffers stitched
-// in input order — so output rows appear exactly as in the sequential
-// scan.
+// (denseJoin); string and untyped keys hash as the strings themselves
+// (Item.Key maps both kinds to one string key); other keys fall back to
+// the generic encoded-key path. Both the build and the probe are
+// morsel-parallel — the build through per-morsel partial tables whose
+// per-key match lists merge in morsel (= input) order, the probe through
+// per-morsel index buffers stitched in input order — so output rows
+// appear exactly as in the sequential scan.
 func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode) (physOut, error) {
 	lb, rb := l.Base(), r.Base()
 	keyL, keyR := o.KeyL, o.KeyR
@@ -832,8 +833,11 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 				if first, ok := denseRun(rk, r); ok {
 					return denseJoin(ctx, ms, o, l, r, mode, lk, first)
 				}
-				return intHashJoin(ctx, ms, o, l, r, mode, lk, rk)
+				return keyHashJoin(ctx, ms, o, l, r, mode, "[int]", lk, rk)
 			}
+		}
+		if lk, rk, ok := stringLane(lv, rv); ok {
+			return keyHashJoin(ctx, ms, o, l, r, mode, "[str]", lk, rk)
 		}
 	}
 	rVecs, err := colVecs(rb, keyR)
@@ -844,7 +848,13 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 	if err != nil {
 		return physOut{}, err
 	}
-	ht, err := buildKeyHash(ms, r, rVecs)
+	ht, err := buildHash(ms, r, func() func(int) string {
+		var buf []byte // per-build-morsel scratch, as the probe's below
+		return func(j int) string {
+			buf = rowKey(buf[:0], rVecs, j)
+			return string(buf)
+		}
+	})
 	if err != nil {
 		return physOut{}, err
 	}
@@ -857,14 +867,18 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 	})
 }
 
-// intHashJoin joins on one typed int key through a map[int64] of the
-// right side's rows.
-func intHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode, lk, rk bat.IntVec) (physOut, error) {
-	ht, err := buildIntHash(ms, r, rk)
+// keyHashJoin joins on one typed key column per side through a map of
+// the right side's rows keyed by the native value: int64 for int keys,
+// the string itself — the store's pooled string for an atomized node —
+// for string and untyped keys.
+func keyHashJoin[K comparable](ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode, tag string, lk, rk []K) (physOut, error) {
+	ht, err := buildHash(ms, r, func() func(int) K {
+		return func(j int) K { return rk[j] }
+	})
 	if err != nil {
 		return physOut{}, err
 	}
-	return probeHashJoin(ctx, ms, o, l, r, mode, "[int]", func() func(int) []int32 {
+	return probeHashJoin(ctx, ms, o, l, r, mode, tag, func() func(int) []int32 {
 		return func(i int) []int32 { return ht[lk[i]] }
 	})
 }
@@ -872,7 +886,7 @@ func intHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View
 // denseJoin is the paper's positional join on a void column: the right
 // keys read first, first+1, … in view order (denseRun), so a probe is a
 // subtraction and no table is built. Keys match by native int64 equality
-// and rows come out left-major, exactly as from intHashJoin.
+// and rows come out left-major, exactly as from keyHashJoin.
 func denseJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode, lk bat.IntVec, first int64) (physOut, error) {
 	rows := r.Sel()
 	if rows == nil {
@@ -891,65 +905,29 @@ func denseJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, 
 	return out, err
 }
 
-// buildIntHash builds the int-keyed right-side table, morsel-parallel:
-// partial tables merge in morsel order, so every per-key match list is
-// in right-input order — the order the sequential build produces.
-func buildIntHash(ms *morsels, r *bat.View, rk bat.IntVec) (map[int64][]int32, error) {
+// buildHash builds the right-side table of a hash join, morsel-parallel:
+// newKey makes each morsel its key function (which may keep private
+// scratch), and the partial tables merge in morsel order, so every
+// per-key match list is in right-input order — the order the sequential
+// build produces.
+func buildHash[K comparable](ms *morsels, r *bat.View, newKey func() func(baseRow int) K) (map[K][]int32, error) {
+	build := func(lo, hi int) map[K][]int32 {
+		keyOf := newKey()
+		ht := make(map[K][]int32, hi-lo)
+		for j := lo; j < hi; j++ {
+			bj := r.Index(j)
+			k := keyOf(bj)
+			ht[k] = append(ht[k], int32(bj))
+		}
+		return ht
+	}
 	ranges := ms.split(r.Rows())
 	if len(ranges) == 1 {
-		ht := make(map[int64][]int32, r.Rows())
-		for j, n := 0, r.Rows(); j < n; j++ {
-			bj := int32(r.Index(j))
-			ht[rk[bj]] = append(ht[rk[bj]], bj)
-		}
-		return ht, nil
+		return build(0, r.Rows()), nil
 	}
-	parts := make([]map[int64][]int32, len(ranges))
+	parts := make([]map[K][]int32, len(ranges))
 	if err := ms.run(len(ranges), func(m int) error {
-		rg := ranges[m]
-		ht := make(map[int64][]int32, rg.Len())
-		for j := rg.Lo; j < rg.Hi; j++ {
-			bj := int32(r.Index(j))
-			ht[rk[bj]] = append(ht[rk[bj]], bj)
-		}
-		parts[m] = ht
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	ht := parts[0]
-	for _, p := range parts[1:] {
-		for k, v := range p {
-			ht[k] = append(ht[k], v...)
-		}
-	}
-	return ht, nil
-}
-
-// buildKeyHash is buildIntHash for encoded (polymorphic) keys.
-func buildKeyHash(ms *morsels, r *bat.View, rVecs []bat.Vec) (map[string][]int32, error) {
-	ranges := ms.split(r.Rows())
-	if len(ranges) == 1 {
-		ht := make(map[string][]int32, r.Rows())
-		var buf []byte
-		for j, n := 0, r.Rows(); j < n; j++ {
-			bj := r.Index(j)
-			buf = rowKey(buf[:0], rVecs, bj)
-			ht[string(buf)] = append(ht[string(buf)], int32(bj))
-		}
-		return ht, nil
-	}
-	parts := make([]map[string][]int32, len(ranges))
-	if err := ms.run(len(ranges), func(m int) error {
-		rg := ranges[m]
-		ht := make(map[string][]int32, rg.Len())
-		var buf []byte
-		for j := rg.Lo; j < rg.Hi; j++ {
-			bj := r.Index(j)
-			buf = rowKey(buf[:0], rVecs, bj)
-			ht[string(buf)] = append(ht[string(buf)], int32(bj))
-		}
-		parts[m] = ht
+		parts[m] = build(ranges[m].Lo, ranges[m].Hi)
 		return nil
 	}); err != nil {
 		return nil, err

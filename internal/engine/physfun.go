@@ -169,7 +169,7 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 		algebra.FunIDiv, algebra.FunMod:
 		return arithKernel(o.Fun, args[0], args[1], n)
 	case algebra.FunString:
-		if a, ok := args[0].(bat.StrVec); ok {
+		if a, ok := strRows(args[0]); ok {
 			res := make(bat.StrVec, n)
 			copy(res, a)
 			return res, ":str", nil
@@ -178,12 +178,13 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 	case algebra.FunAtomize:
 		switch a := args[0].(type) {
 		case bat.NodeVec:
-			res := make(bat.ItemVec, n)
+			// xs:untypedAtomic string values, shared with the store's pools.
+			res := make(bat.UntypedVec, n)
 			for i := 0; i < n; i++ {
-				res[i] = e.Store.Atomize(a[i])
+				res[i] = e.Store.StringValue(a[i])
 			}
 			return res, ":node", nil
-		case bat.IntVec, bat.FloatVec, bat.StrVec, bat.BoolVec:
+		case bat.IntVec, bat.FloatVec, bat.StrVec, bat.BoolVec, bat.UntypedVec:
 			// Atomizing an already-atomic typed column is the identity.
 			return a.Slice(0, n), ":id", nil
 		}
@@ -195,56 +196,37 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 // compareKernel evaluates a general comparison column pair. Int×int
 // pairs compare through the same float64 promotion the boxed
 // bat.Compare applies; float operands keep its NaN diagnostics; string
-// pairs compare lexically. Polymorphic operands still hoist the
-// function-kind dispatch out of the loop and call bat.Compare directly.
+// and untyped pairs compare lexically; an untyped operand against a
+// number casts to double, and a value that does not cast fails with
+// Compare's text. Polymorphic operands still hoist the function-kind
+// dispatch out of the loop and call bat.Compare directly.
 func compareKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
 	res := make(bat.BoolVec, n)
+	if a, b, ok := stringLane(av, bv); ok {
+		for i := 0; i < n; i++ {
+			res[i] = cmpToBool(fun, strings.Compare(a[i], b[i]))
+		}
+		return res, ":str", nil
+	}
 	switch a := av.(type) {
 	case bat.IntVec:
-		switch b := bv.(type) {
-		case bat.IntVec:
+		if b, ok := bv.(bat.IntVec); ok {
 			for i := 0; i < n; i++ {
 				res[i] = cmpToBool(fun, cmpF(float64(a[i]), float64(b[i])))
 			}
 			return res, ":int", nil
-		case bat.FloatVec:
-			for i := 0; i < n; i++ {
-				if math.IsNaN(b[i]) {
-					_, err := bat.Compare(bat.Int(a[i]), bat.Float(b[i]))
-					return nil, "", err
-				}
-				res[i] = cmpToBool(fun, cmpF(float64(a[i]), b[i]))
-			}
-			return res, ":num", nil
 		}
-	case bat.FloatVec:
-		switch b := bv.(type) {
-		case bat.IntVec:
-			for i := 0; i < n; i++ {
-				if math.IsNaN(a[i]) {
-					_, err := bat.Compare(bat.Float(a[i]), bat.Int(b[i]))
-					return nil, "", err
-				}
-				res[i] = cmpToBool(fun, cmpF(a[i], float64(b[i])))
+	}
+	if floatLane(av) && floatLane(bv) {
+		for i := 0; i < n; i++ {
+			x, y := floatAt(av, i), floatAt(bv, i)
+			if math.IsNaN(x) || math.IsNaN(y) {
+				_, err := bat.Compare(av.ItemAt(i), bv.ItemAt(i))
+				return nil, "", err
 			}
-			return res, ":num", nil
-		case bat.FloatVec:
-			for i := 0; i < n; i++ {
-				if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
-					_, err := bat.Compare(bat.Float(a[i]), bat.Float(b[i]))
-					return nil, "", err
-				}
-				res[i] = cmpToBool(fun, cmpF(a[i], b[i]))
-			}
-			return res, ":num", nil
+			res[i] = cmpToBool(fun, cmpF(x, y))
 		}
-	case bat.StrVec:
-		if b, ok := bv.(bat.StrVec); ok {
-			for i := 0; i < n; i++ {
-				res[i] = cmpToBool(fun, strings.Compare(a[i], b[i]))
-			}
-			return res, ":str", nil
-		}
+		return res, ":num", nil
 	}
 	for i := 0; i < n; i++ {
 		c, err := bat.Compare(av.ItemAt(i), bv.ItemAt(i))
@@ -256,10 +238,56 @@ func compareKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string,
 	return res, "", nil
 }
 
+// stringLane returns the rows of two columns bat.Compare orders as
+// strings throughout: strings and untyped atomics, in any pairing.
+func stringLane(av, bv bat.Vec) (a, b []string, ok bool) {
+	a, aok := strRows(av)
+	b, bok := strRows(bv)
+	return a, b, aok && bok
+}
+
+func strRows(v bat.Vec) ([]string, bool) {
+	switch c := v.(type) {
+	case bat.StrVec:
+		return c, true
+	case bat.UntypedVec:
+		return c, true
+	}
+	return nil, false
+}
+
+// floatLane reports whether v is a column a number compares with, or
+// computes with, as xs:double: numbers and untyped atomics.
+func floatLane(v bat.Vec) bool {
+	switch v.(type) {
+	case bat.IntVec, bat.FloatVec, bat.UntypedVec:
+		return true
+	}
+	return false
+}
+
+// floatAt is row i of a floatLane column as the double bat.Compare and
+// arith promote it to: an untyped value that does not cast is NaN.
+func floatAt(v bat.Vec, i int) float64 {
+	switch c := v.(type) {
+	case bat.IntVec:
+		return float64(c[i])
+	case bat.FloatVec:
+		return c[i]
+	}
+	return v.ItemAt(i).AsFloat()
+}
+
 // ebvKernel is the effective-boolean-value map over a typed column;
 // every branch mirrors applyFun's per-kind rule.
 func ebvKernel(av bat.Vec, n int) (bat.Vec, string, error) {
 	res := make(bat.BoolVec, n)
+	if a, ok := strRows(av); ok {
+		for i := 0; i < n; i++ {
+			res[i] = a[i] != ""
+		}
+		return res, ":str", nil
+	}
 	switch a := av.(type) {
 	case bat.BoolVec:
 		copy(res, a)
@@ -279,33 +307,33 @@ func ebvKernel(av bat.Vec, n int) (bat.Vec, string, error) {
 			res[i] = a[i] != 0 && a[i] == a[i]
 		}
 		return res, ":num", nil
-	case bat.StrVec:
-		for i := 0; i < n; i++ {
-			res[i] = a[i] != ""
-		}
-		return res, ":str", nil
 	}
 	return nil, "", nil
 }
 
 // arithKernel runs int×int arithmetic on the raw slices. Division (and
 // the division-by-zero and overflow diagnostics) reproduce the boxed
-// arith() exactly.
+// arith() exactly. Other numeric and untyped operands promote to
+// xs:double row by row through arith itself, so its casts and errors are
+// the kernel's; the column is a FloatVec, an IntVec for idiv.
 func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
 	a, aok := av.(bat.IntVec)
 	b, bok := bv.(bat.IntVec)
 	if !aok || !bok {
+		if floatLane(av) && floatLane(bv) {
+			return floatArith(fun, av, bv, n)
+		}
 		// Polymorphic operands: per-row boxing stays, but the
 		// function-kind dispatch is hoisted out of the loop.
-		res := make(bat.ItemVec, n)
+		res := bat.NewItems(n)
 		for i := 0; i < n; i++ {
 			it, err := arith(fun, av.ItemAt(i), bv.ItemAt(i))
 			if err != nil {
 				return nil, "", err
 			}
-			res[i] = it
+			res.AppendItem(it)
 		}
-		return res, "", nil
+		return res.Build(), "", nil
 	}
 	switch fun {
 	case algebra.FunDiv:
@@ -344,4 +372,29 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 		return res, ":int", nil
 	}
 	return nil, "", nil
+}
+
+// floatArith is arith over two columns of numbers and untyped atomics,
+// not both int: every result is a double but idiv's, an integer.
+func floatArith(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
+	if fun == algebra.FunIDiv {
+		res := make(bat.IntVec, n)
+		for i := 0; i < n; i++ {
+			it, err := arith(fun, av.ItemAt(i), bv.ItemAt(i))
+			if err != nil {
+				return nil, "", err
+			}
+			res[i] = it.I
+		}
+		return res, ":num", nil
+	}
+	res := make(bat.FloatVec, n)
+	for i := 0; i < n; i++ {
+		it, err := arith(fun, av.ItemAt(i), bv.ItemAt(i))
+		if err != nil {
+			return nil, "", err
+		}
+		res[i] = it.F
+	}
+	return res, ":num", nil
 }

@@ -19,13 +19,14 @@ import (
 // totalCmp returns a comparator equivalent to CompareTotal over rows of
 // one column, specialized to the column's physical type.
 func totalCmp(v bat.Vec) func(a, b int) int {
+	if x, ok := strRows(v); ok {
+		return func(a, b int) int { return strings.Compare(x[a], x[b]) }
+	}
 	switch x := v.(type) {
 	case bat.IntVec:
 		return func(a, b int) int { return cmpF(float64(x[a]), float64(x[b])) }
 	case bat.FloatVec:
 		return func(a, b int) int { return cmpF(x[a], x[b]) }
-	case bat.StrVec:
-		return func(a, b int) int { return strings.Compare(x[a], x[b]) }
 	case bat.BoolVec:
 		return func(a, b int) int {
 			bi := func(v bool) int {
@@ -282,7 +283,7 @@ func physAggr(ms *morsels, t *bat.Table, newCol string, agg algebra.AggKind, arg
 		}
 	}
 	var partOut bat.IntVec
-	var aggOut bat.ItemVec
+	var aggOut bat.Vec
 	var err error
 	tag := ":int:runs"
 	if starts, ok := intRuns(pInts); ok {
@@ -322,12 +323,18 @@ func intRuns(p bat.IntVec) (starts []int32, ok bool) {
 // per-group row list (every group reads its slice of one shared ramp,
 // count not even that), nothing to merge. The per-group aggregation fans
 // out across group ranges, each group writing its own output slot.
-func aggrRuns(ms *morsels, pInts bat.IntVec, starts []int32, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.ItemVec, error) {
+// Counts fill an IntVec; the other aggregates the vector of their
+// results' kind (aggrCol).
+func aggrRuns(ms *morsels, pInts bat.IntVec, starts []int32, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.Vec, error) {
 	ng := len(starts) - 1
 	partOut := make(bat.IntVec, ng)
-	aggOut := make(bat.ItemVec, ng)
+	var counts bat.IntVec
+	var aggOut bat.ItemVec
 	var ramp []int32
-	if agg != algebra.AggCount {
+	if agg == algebra.AggCount {
+		counts = make(bat.IntVec, ng)
+	} else {
+		aggOut = make(bat.ItemVec, ng)
 		ramp = allRows(len(pInts))
 	}
 	gRanges := ms.split(ng)
@@ -335,8 +342,8 @@ func aggrRuns(ms *morsels, pInts bat.IntVec, starts []int32, agg algebra.AggKind
 		for gi := gRanges[m].Lo; gi < gRanges[m].Hi; gi++ {
 			lo, hi := starts[gi], starts[gi+1]
 			partOut[gi] = pInts[lo]
-			if agg == algebra.AggCount {
-				aggOut[gi] = bat.Int(int64(hi - lo))
+			if counts != nil {
+				counts[gi] = int64(hi - lo)
 				continue
 			}
 			it, err := aggregate(agg, argVec, ramp[lo:hi], sep)
@@ -347,7 +354,16 @@ func aggrRuns(ms *morsels, pInts bat.IntVec, starts []int32, agg algebra.AggKind
 		}
 		return nil
 	})
-	return partOut, aggOut, err
+	return partOut, aggrCol(counts, aggOut), err
+}
+
+// aggrCol is an aggregate's result column: the counts when it counted,
+// otherwise its per-group items in the vector of the kind they share.
+func aggrCol(counts bat.IntVec, items bat.ItemVec) bat.Vec {
+	if counts != nil {
+		return counts
+	}
+	return bat.Typed(items)
 }
 
 // aggrHash groups an int partition column in any order through a
@@ -358,7 +374,7 @@ func aggrRuns(ms *morsels, pInts bat.IntVec, starts []int32, agg algebra.AggKind
 // partial groupings merge in morsel order — so the merged group lists
 // and the global first-occurrence order are exactly the sequential
 // scan's — and the per-group aggregation then fans out like aggrRuns'.
-func aggrHash(ms *morsels, pInts bat.IntVec, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.ItemVec, error) {
+func aggrHash(ms *morsels, pInts bat.IntVec, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.Vec, error) {
 	type grouping struct {
 		groups map[float64][]int32
 		order  []float64
@@ -393,21 +409,31 @@ func aggrHash(ms *morsels, pInts bat.IntVec, agg algebra.AggKind, argVec bat.Vec
 		}
 	}
 	partOut := make(bat.IntVec, len(order))
-	aggOut := make(bat.ItemVec, len(order))
+	var counts bat.IntVec
+	var aggOut bat.ItemVec
+	if agg == algebra.AggCount {
+		counts = make(bat.IntVec, len(order))
+	} else {
+		aggOut = make(bat.ItemVec, len(order))
+	}
 	gRanges := ms.split(len(order))
 	err := ms.run(len(gRanges), func(m int) error {
 		for gi := gRanges[m].Lo; gi < gRanges[m].Hi; gi++ {
 			k := order[gi]
+			partOut[gi] = rep[k]
+			if counts != nil {
+				counts[gi] = int64(len(groups[k]))
+				continue
+			}
 			it, err := aggregate(agg, argVec, groups[k], sep)
 			if err != nil {
 				return err
 			}
-			partOut[gi] = rep[k]
 			aggOut[gi] = it
 		}
 		return nil
 	})
-	return partOut, aggOut, err
+	return partOut, aggrCol(counts, aggOut), err
 }
 
 // physRowNumAttach appends ϱ's numbering column to a table already in

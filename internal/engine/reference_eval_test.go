@@ -48,7 +48,7 @@ func refEval(root *algebra.Op) (*bat.Table, error) {
 func refApply(e *Engine, o *algebra.Op, in []*bat.Table) (*bat.Table, error) {
 	switch o.Kind {
 	case algebra.OpLit:
-		return o.Lit, nil
+		return o.Lit.Typed(), nil
 	case algebra.OpProject:
 		specs := make([]string, len(o.Proj))
 		for i, p := range o.Proj {

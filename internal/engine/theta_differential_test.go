@@ -78,8 +78,8 @@ var thetaCorpus = []thetaCase{
 	theta("int×untyped", pairs(`string-length($a/@s) < $b/@w`), "float"),
 	theta("string×untyped", pairs(`string($a/@s) >= $b/@s`), "str"),
 	theta("untyped×string", pairs(`$a/@s < string($b/@s)`), "str"),
-	theta("untyped×untyped", pairs(`$a/@v < $b/@w`), "demoted:untyped×untyped"),
-	theta("untyped×untyped words", pairs(`$a/@s >= $b/@s`), "demoted:untyped×untyped"),
+	theta("untyped×untyped", pairs(`$a/@v < $b/@w`), "str"),
+	theta("untyped×untyped words", pairs(`$a/@s >= $b/@s`), "str"),
 	theta("bool×bool", pairs(`($a/@v * 1 > 4) < ($b/@w * 1 > 4)`), "demoted:bool"),
 	theta("empty inner", `for $a in /db/as/a for $b in /db/none/b where $a/@v * 1 < $b/@w return string($b/@id)`, "float"),
 	// No numeric key is left once the computed side is empty: the lane is

@@ -155,7 +155,7 @@ func TestThetaCountMatchesMembers(t *testing.T) {
 	if kernelRuns < 200 || reduced < 100 {
 		t.Errorf("count-only kernel ran in only %d of %d trials, %d of them over repeated iteration values", kernelRuns, trials, reduced)
 	}
-	for _, reason := range []string{"iter-order", "node", "bool", "untyped×untyped", "mixed", "nan", "uncastable"} {
+	for _, reason := range []string{"iter-order", "node", "bool", "mixed", "nan", "uncastable"} {
 		if demotions["(demoted:"+reason+")"] == 0 {
 			t.Errorf("no trial demoted for %q (saw %v)", reason, demotions)
 		}

@@ -68,6 +68,8 @@ func thetaColKinds(v *bat.View, col bat.Vec) thetaKinds {
 		return tkNum
 	case bat.StrVec:
 		return tkStr
+	case bat.UntypedVec:
+		return tkUntyped
 	case bat.BoolVec:
 		return tkBool
 	case bat.ItemVec:
@@ -83,15 +85,15 @@ func thetaColKinds(v *bat.View, col bat.Vec) thetaKinds {
 // thetaLane decides, from the kinds on each side, which single order
 // bat.Compare applies to every (left, right) pair: the float lane
 // (numeric × numeric, or numeric × untyped cast to double), the string
-// lane (string × string, or string × untyped), or none — reported as the
-// demotion reason. Keyed to Compare's branches:
+// lane (string × string, string × untyped, untyped × untyped), or none —
+// reported as the demotion reason. Keyed to Compare's branches:
 //
 //	node operand                      → error            → "node"
-//	numeric × numeric|untyped         → cmpFloat         → float lane
-//	untyped × untyped                 → per-pair choice  → "untyped×untyped"
 //	bool operand                      → bool-only order  → "bool"
-//	string|untyped × string|untyped   → strings.Compare  → string lane
 //	numeric × string                  → error            → "mixed"
+//	untyped on both sides, a number   → two orders       → "mixed"
+//	numeric × numeric|untyped         → cmpFloat         → float lane
+//	string|untyped × string|untyped   → strings.Compare  → string lane
 //
 // An empty side holds no kinds and vetoes nothing: its product is empty.
 func thetaLane(l, r thetaKinds) (float bool, reason string) {
@@ -101,9 +103,8 @@ func thetaLane(l, r thetaKinds) (float bool, reason string) {
 		return false, "node"
 	case all&tkBool != 0:
 		return false, "bool"
-	case l&tkUntyped != 0 && r&tkUntyped != 0:
-		return false, "untyped×untyped"
-	case all&tkNum != 0 && all&tkStr != 0:
+	case all&tkNum != 0 && all&tkStr != 0,
+		all&tkNum != 0 && l&tkUntyped != 0 && r&tkUntyped != 0:
 		return false, "mixed"
 	}
 	return all&tkNum != 0, ""
@@ -123,6 +124,13 @@ func thetaFloatKeys(v *bat.View, col bat.Vec) ([]float64, string) {
 	case bat.FloatVec:
 		for i := range keys {
 			keys[i] = c[v.Index(i)]
+		}
+	case bat.UntypedVec:
+		for i := range keys {
+			keys[i] = bat.Untyped(c[v.Index(i)]).AsFloat()
+			if math.IsNaN(keys[i]) {
+				return nil, "uncastable"
+			}
 		}
 	case bat.ItemVec:
 		for i := range keys {
@@ -144,12 +152,11 @@ func thetaFloatKeys(v *bat.View, col bat.Vec) ([]float64, string) {
 // thetaStrKeys extracts a string-lane key column in view order.
 func thetaStrKeys(v *bat.View, col bat.Vec) []string {
 	keys := make([]string, v.Rows())
-	switch c := col.(type) {
-	case bat.StrVec:
+	if c, ok := strRows(col); ok {
 		for i := range keys {
 			keys[i] = c[v.Index(i)]
 		}
-	case bat.ItemVec:
+	} else if c, ok := col.(bat.ItemVec); ok {
 		for i := range keys {
 			keys[i] = c[v.Index(i)].S // KStr and KUntyped both carry S
 		}
@@ -410,13 +417,13 @@ func thetaReduce[K cmp.Ordered](iter []int64, keys []K, wantMax bool) []K {
 // thetaCount is count/by(δ(π by,of(σ(outer cmp inner)))) read off the
 // band widths: one (by, count) row per run of the outer side's by column
 // that has a partner, in by order, and the number of pairs counted.
-func thetaCount[K cmp.Ordered](fun algebra.FunKind, by []int64, outer []K, of []int64, inner []K) (bat.IntVec, bat.ItemVec, int) {
+func thetaCount[K cmp.Ordered](fun algebra.FunKind, by []int64, outer []K, of []int64, inner []K) (bat.IntVec, bat.IntVec, int) {
 	// outer > inner holds for some pair of two runs iff it holds for the
 	// largest outer and the smallest inner key; < mirrors that.
 	outerMax := fun == algebra.FunGt || fun == algebra.FunGe
 	bands := thetaProbe(fun, thetaReduce(by, outer, outerMax), thetaReduce(of, inner, !outerMax))
 	part := make(bat.IntVec, 0, len(bands.bound))
-	cnt := make(bat.ItemVec, 0, len(bands.bound))
+	cnt := make(bat.IntVec, 0, len(bands.bound))
 	run, total := -1, 0
 	for i, v := range by {
 		if i > 0 && v == by[i-1] {
@@ -425,7 +432,7 @@ func thetaCount[K cmp.Ordered](fun algebra.FunKind, by []int64, outer []K, of []
 		run++
 		if lo, hi := bands.band(run); hi > lo {
 			part = append(part, v)
-			cnt = append(cnt, bat.Int(int64(hi-lo)))
+			cnt = append(cnt, int64(hi-lo))
 			total += hi - lo
 		}
 	}
@@ -445,8 +452,7 @@ func thetaCountKernel(tj *physical.ThetaJoin, l, r *bat.View) (out physOut, coun
 	if reason != "" {
 		return physOut{}, 0, reason
 	}
-	var part bat.IntVec
-	var cnt bat.ItemVec
+	var part, cnt bat.IntVec
 	if keys.float {
 		part, cnt, counted = thetaCount(tj.Cmp, by, keys.lf, of, keys.rf)
 	} else {

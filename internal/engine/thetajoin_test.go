@@ -63,6 +63,12 @@ func randKeyCol(rng *rand.Rand, shape string, n int) bat.Vec {
 			v[i] = bat.Untyped(fmt.Sprint(float64(rng.Intn(9)) / 2))
 		case "words": // untyped atomics that only order as strings
 			v[i] = bat.Untyped(words[rng.Intn(len(words))])
+		case "numuntyped": // ints beside castable untyped atomics: a number for one pair, a string for another
+			if rng.Intn(2) == 0 {
+				v[i] = bat.Int(int64(rng.Intn(5)))
+			} else {
+				v[i] = bat.Untyped(fmt.Sprint(rng.Intn(5)))
+			}
 		case "numitems": // a polymorphic column of ints and doubles
 			if rng.Intn(2) == 0 {
 				v[i] = bat.Int(int64(rng.Intn(5)))
@@ -132,7 +138,7 @@ func sameTable(a, b *bat.Table) error {
 // columns: the band kernel must then have built exactly those (its
 // Demand), and the projected result must still equal the reference.
 func TestThetaKernelMatchesCrossFilter(t *testing.T) {
-	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed"}
+	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed", "numuntyped"}
 	funs := []algebra.FunKind{algebra.FunLt, algebra.FunLe, algebra.FunGt, algebra.FunGe}
 	engines := map[string]*Engine{}
 	for _, w := range []int{1, 2, 8} {
@@ -203,7 +209,7 @@ func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 	if kernelRuns < 200 || narrowed < 50 {
 		t.Errorf("band kernel ran in only %d of 1200 trials, %d of them with a narrowed demand", kernelRuns, narrowed)
 	}
-	for _, reason := range []string{"untyped×untyped", "nan", "uncastable", "bool", "mixed"} {
+	for _, reason := range []string{"nan", "uncastable", "bool", "mixed"} {
 		if demotions["(demoted:"+reason+")"] == 0 {
 			t.Errorf("no trial demoted for %q (saw %v)", reason, demotions)
 		}
