@@ -109,12 +109,17 @@ bench-smoke:
 
 # CI smoke for the optimizer micro-benchmark: one opt.Pipeline sweep over
 # XMark q01–q20 and one over the dialect corpus with allocation counts
-# (`-benchtime 100x -count 5` for numbers worth comparing). The
-# allocation ceilings themselves are tests: TestPipelineAllocBudget for
-# the pipeline alone, TestColdCompileBytesBudget for everything a point
-# lookup the service has never seen allocates, compile to reply.
+# (`-benchtime 100x -count 5` for numbers worth comparing), and the whole
+# front end (parse → Core → core → opt) for four XMark queries, with the
+# plan sizes as compiled (core-ops/plan) and as optimized (ops/plan): the
+# opt-only sweep starts from compiled plans and cannot see what the
+# compiler stops emitting. The allocation ceilings themselves are tests:
+# TestPipelineAllocBudget for the pipeline alone,
+# TestColdCompileBytesBudget for everything a point lookup the service
+# has never seen allocates, compile to reply.
 bench-pipeline-smoke:
 	$(GO) test ./internal/opt -run '^$$' -bench Pipeline -benchtime 1x
+	$(GO) test . -run '^$$' -bench Compile -benchtime 1x
 	$(GO) test ./internal/service -run TestColdCompileBytesBudget -v
 
 # CI smoke for the step-kernel micro-benchmark: many singleton

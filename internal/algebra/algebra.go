@@ -138,8 +138,9 @@ func Project(in *Op, specs ...string) (*Op, error) {
 	return ProjectPairs(in, pairs)
 }
 
-// ProjectPairs is Project over already split renamings; the operator
-// keeps pairs as its Proj.
+// ProjectPairs is Project over already split renamings. It returns π in
+// normal form: a π over a π is one π over the inner π's input, and a π
+// that keeps its input's schema as it is returns the input itself.
 func ProjectPairs(in *Op, pairs []ProjPair) (*Op, error) {
 	schema := make([]string, len(pairs))
 	for i, p := range pairs {
@@ -151,7 +152,32 @@ func ProjectPairs(in *Op, pairs []ProjPair) (*Op, error) {
 		}
 		schema[i] = p.New
 	}
+	if in.Kind == OpProject {
+		fused := make([]ProjPair, len(pairs))
+		for i, p := range pairs {
+			k := slices.IndexFunc(in.Proj, func(c ProjPair) bool { return c.New == p.Old })
+			fused[i] = ProjPair{New: p.New, Old: in.Proj[k].Old}
+		}
+		pairs, in = fused, in.In[0]
+	}
+	if IdentityPairs(pairs, in.schema) {
+		return in, nil
+	}
 	return &Op{Kind: OpProject, In: []*Op{in}, Proj: pairs, schema: schema}, nil
+}
+
+// IdentityPairs reports that pairs keep schema as it is: same names,
+// same order, every column.
+func IdentityPairs(pairs []ProjPair, schema []string) bool {
+	if len(pairs) != len(schema) {
+		return false
+	}
+	for i, p := range pairs {
+		if p.New != p.Old || p.Old != schema[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Select applies σ: rows whose boolean column col is true survive. The

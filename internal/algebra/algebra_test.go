@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +44,30 @@ func TestProjectValidation(t *testing.T) {
 	}
 	if _, err := Project(in, "iter", "iter"); err == nil {
 		t.Error("duplicate output must fail")
+	}
+}
+
+// π comes out in normal form: a π over a π is one π, and a π that keeps
+// its input as it is, is the input.
+func TestProjectNormalForm(t *testing.T) {
+	in := litIterItem(t)
+	if p := mustOp(Project(in, "iter", "item")); p != in {
+		t.Errorf("identity π built an operator:\n%s", TreeString(p))
+	}
+	inner := mustOp(Project(in, "outer:iter", "item", "copy:item"))
+	outer := mustOp(Project(inner, "x:copy", "outer"))
+	if outer.Kind != OpProject || outer.In[0] != in {
+		t.Fatalf("π over π not fused:\n%s", TreeString(outer))
+	}
+	want := []ProjPair{{New: "x", Old: "item"}, {New: "outer", Old: "iter"}}
+	if !slices.Equal(outer.Proj, want) {
+		t.Errorf("fused pairs = %v, want %v", outer.Proj, want)
+	}
+	if back := mustOp(Project(inner, "iter:outer", "item")); back != in {
+		t.Errorf("π undoing a π built an operator:\n%s", TreeString(back))
+	}
+	if _, err := Project(inner, "iter"); err == nil {
+		t.Error("a π over a π must still check its own input's columns")
 	}
 }
 

@@ -3,15 +3,16 @@ package algebra
 import "testing"
 
 // diamond builds a DAG with one shared leaf consumed by two branches that
-// rejoin: leaf → {l, r} → union.
+// rejoin: leaf → {l, r} → union. Each branch swaps the leaf's columns: a
+// π that kept them as they are would be the leaf itself.
 func diamond(t *testing.T) (root, leaf, l, r *Op) {
 	t.Helper()
 	leaf = LitSeq()
 	var err error
-	if l, err = Project(leaf, "pos", "item"); err != nil {
+	if l, err = Project(leaf, "item", "pos"); err != nil {
 		t.Fatal(err)
 	}
-	if r, err = Project(leaf, "pos", "item"); err != nil {
+	if r, err = Project(leaf, "item", "pos"); err != nil {
 		t.Fatal(err)
 	}
 	if root, err = Union(l, r); err != nil {

@@ -348,7 +348,7 @@ var mutations = []mutation{
 		name:  "fusion_breaker_inside_chain",
 		class: "fusion",
 		build: func(t *testing.T) []check.Diag {
-			in := lit(t, "iter", ints(1, 2, 2))
+			in := lit(t, "iter", ints(1, 2, 2), "item", ints(3, 4, 4))
 			d := algebra.Distinct(in)
 			pj, err := algebra.Project(d, "iter")
 			if err != nil {

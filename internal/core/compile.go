@@ -385,12 +385,23 @@ func (c *Compiler) compEbv(x *xqcore.Ebv, s *scope) *algebra.Op {
 }
 
 // compStep: the staircase join, followed by per-iter position numbering in
-// document order.
+// document order. A path is numbered once, after its last step: the steps
+// before it only feed the next step's context, which reads iter|item.
 func (c *Compiler) compStep(x *xqcore.StepEx, s *scope) *algebra.Op {
-	qi := c.comp(x.In, s)
-	ctxNodes := c.must(algebra.Project(qi, "iter", "item"))
-	st := c.must(algebra.Step(ctxNodes, x.Axis, x.Test))
-	return c.numberDocOrder(st)
+	return c.numberDocOrder(c.stepNodes(x, s))
+}
+
+// stepNodes is the iter|item result of step x. A step whose context is
+// another step reads that step's result as it comes out of the
+// staircase join: duplicate-free and sorted by (iter, item).
+func (c *Compiler) stepNodes(x *xqcore.StepEx, s *scope) *algebra.Op {
+	var ctx *algebra.Op
+	if in, ok := x.In.(*xqcore.StepEx); ok {
+		ctx = c.stepNodes(in, s)
+	} else {
+		ctx = c.must(algebra.Project(c.comp(x.In, s), "iter", "item"))
+	}
+	return c.must(algebra.Step(ctx, x.Axis, x.Test))
 }
 
 // docOrder implements fs:distinct-doc-order.

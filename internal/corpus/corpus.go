@@ -259,6 +259,47 @@ var UntypedCompare = []Case{
 	{Name: "against a string", Query: `/r/b[1]/@y = "1"`, Want: "false"},
 }
 
+// StepPredicatesDoc is the document the StepPredicates cases run
+// against, bound as "sp.xml": XMark's shape, with regions and people
+// that hold none, one or several of the children a predicate picks from.
+const StepPredicatesDoc = `<site><regions>` +
+	`<africa><item id="i1"><name>a1</name></item><item id="i2"><name>a2</name></item><item id="i3"/></africa>` +
+	`<asia><item id="i4"><name>b1</name><name>b2</name></item></asia><europe/>` +
+	`</regions><people>` +
+	`<person id="p1"><name>Alice</name></person><person id="p2"><name>Bob</name><name>Robert</name></person><person id="p3"/>` +
+	`</people></site>`
+
+// StepPredicates pins positional step predicates — an integer, last(),
+// position() — over a step with several context nodes per iteration. A
+// step's predicate sees the step's result per context node (XQuery 1.0
+// §3.2.2), so item[1] is the first item of each region, not of the
+// path; a parenthesized path is one sequence and is filtered as one.
+// The expected values are the specification's, written down by hand. A
+// list of its own for the same reason as Constructors.
+var StepPredicates = []Case{
+	{Name: "first per region", Query: `count(/site/regions/*/item[1])`, Want: "2"},
+	{Name: "last per region", Query: `count(/site/regions/*/item[last()])`, Want: "2"},
+	{Name: "position below 3 per region", Query: `count(/site/regions/*/item[position() < 3])`, Want: "3"},
+	{Name: "first name per person", Query: `count(/site/people/person/name[1])`, Want: "2"},
+	{Name: "values of the first names", Query: `for $n in /site/people/person/name[1] return string($n)`, Want: "Alice Bob"},
+	{Name: "last names", Query: `data(/site/people/person/name[last()])`, Want: "Alice Robert"},
+	{Name: "second per region", Query: `data(/site/regions/*/item[2]/@id)`, Want: "i2"},
+	{Name: "position equals last", Query: `data(/site/regions/*/item[position() = last()]/@id)`, Want: "i3 i4"},
+	{Name: "position equals 2", Query: `data(/site/people/person/name[position() = 2])`, Want: "Robert"},
+	{Name: "filter then position", Query: `data(/site/regions/*/item[@id][1]/@id)`, Want: "i1 i4"},
+	{Name: "filter then last", Query: `data(/site/regions/*/item[name][last()]/@id)`, Want: "i2 i4"},
+	{Name: "double slash", Query: `data(/site//item[1]/@id)`, Want: "i1 i4"},
+	{Name: "descendant per child", Query: `count(/site/*/descendant::*[1])`, Want: "2"},
+	{Name: "steps after the predicate", Query: `data(/site/regions/*/item/name[1])`, Want: "a1 a2 b1"},
+	{Name: "predicate mid-path", Query: `count(/site/people/person[1]/name)`, Want: "1"},
+	{Name: "inside a for", Query: `for $r in /site/regions/* return count($r/item/name[1])`, Want: "2 1 0"},
+	{Name: "over a let-bound sequence", Query: `let $ps := /site/people/person return count($ps/name[1])`, Want: "2"},
+	{Name: "one context per iteration", Query: `for $p in /site/people/person return count($p/name[1])`, Want: "1 1 0"},
+	{Name: "not positional", Query: `count(/site/people/person/name[. = "Bob"])`, Want: "1"},
+	{Name: "parenthesized path", Query: `data((/site/people/person/name)[1])`, Want: "Alice"},
+	{Name: "parenthesized path, last", Query: `data((/site/regions/*/item)[last()]/@id)`, Want: "i4"},
+}
+
 // CountJoinDoc is the document the CountJoin cases run against, bound as
 // "cj.xml": person p2 has two profiles with different incomes (one
 // existential comparison per person and auction, not one per profile),

@@ -226,6 +226,15 @@ func TestUntypedCompare(t *testing.T) {
 		difftest.Seq, difftest.Par, demoted(2), navdomEval).Run(t, corpus.UntypedCompare)
 }
 
+// TestStepPredicates: corpus.StepPredicates — a positional step
+// predicate counts per context node on every executor configuration, with
+// chains dissolved, with theta joins demoted, and in navdom.
+func TestStepPredicates(t *testing.T) {
+	matrix([]difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}},
+		difftest.Seq, difftest.Par, difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8),
+		unchained, demoted(2), navdomEval).Run(t, corpus.StepPredicates)
+}
+
 // TestConstructorCases: the constructor content rules with an outcome
 // other than "copy the item".
 func TestConstructorCases(t *testing.T) {

@@ -84,7 +84,7 @@ func randCountSide(rng *rand.Rand, prefix, shape string, n int) (t *bat.Table, i
 // (refEval), or all three fail with the same text. A unit that declines must give
 // the same reason whatever the engine's configuration.
 func TestThetaCountMatchesMembers(t *testing.T) {
-	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed", "node"}
+	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed", "numuntyped", "node"}
 	funs := []algebra.FunKind{algebra.FunLt, algebra.FunLe, algebra.FunGt, algebra.FunGe}
 	type labelled struct {
 		label string

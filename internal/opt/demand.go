@@ -7,10 +7,7 @@ import (
 )
 
 // Demand analysis: which output columns of each operator are consumed
-// anywhere downstream. The result is the shared input of the normalize
-// pass (projection pruning) and the join-graph analysis (a numbering
-// operator whose numbering column nobody demands is scaffolding — the
-// only value it adds to the plan is row order).
+// anywhere downstream — what the normalize pass prunes projections by.
 //
 // The demanded set of operator i is a bitset over the positions of its
 // own schema, all sets carved from one word slice. reached[i] records
@@ -33,12 +30,6 @@ func (s colSet) has(pos int) bool { return s.words[pos>>6]&(1<<(pos&63)) != 0 }
 
 func (d *demand) of(i int32) colSet {
 	return colSet{words: d.words[d.start[i]:d.start[i+1]], reached: d.reached[i]}
-}
-
-// needs reports whether col of operator i is demanded.
-func (d *demand) needs(i int32, col string) bool {
-	pos := colPos(d.idx.ops[i].Schema(), col, 0)
-	return pos >= 0 && d.of(i).has(pos)
 }
 
 // add registers a demand on the named columns of operator i (names i

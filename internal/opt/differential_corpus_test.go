@@ -19,10 +19,10 @@ func TestCorpusMatchesReference(t *testing.T) {
 	for _, plan := range compileAll(t, xmarkTexts(), "xmark.xml") {
 		splices += opt.CheckAgainstReference(t, plan)
 	}
-	// 186 splices over q01–q20: the number the restart-scan pass makes
+	// 65 splices over q01–q20: the number the restart-scan pass makes
 	// (CheckAgainstReference holds each plan's splices to it one by one).
-	if splices != 186 {
-		t.Errorf("XMark q01–q20 took %d splices, the reference pass took 186", splices)
+	if splices != 65 {
+		t.Errorf("XMark q01–q20 took %d splices, the reference pass took 65", splices)
 	}
 	for _, plan := range compileAll(t, corpus.Dialect, "auction.xml") {
 		opt.CheckAgainstReference(t, plan)

@@ -79,8 +79,8 @@ func CheckAgainstReference(t testing.TB, root *algebra.Op) int {
 		return n
 	}
 
-	got, gotErr := runPipeline(root, maxRounds, shadowed, true)
-	want, wantErr := runPipeline(root, maxRounds, reference, true)
+	got, gotErr := runPipeline(root, maxRounds, shadowed)
+	want, wantErr := runPipeline(root, maxRounds, reference)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("pipeline error %v, with the reference isolation %v", gotErr, wantErr)
 	}
@@ -160,6 +160,12 @@ func assertSpliceState(t testing.TB, idx *planIndex, pr *props, sense *orderSens
 	}
 }
 
+// needs reports whether col of operator i is demanded.
+func (d *demand) needs(i int32, col string) bool {
+	pos := colPos(d.idx.ops[i].Schema(), col, 0)
+	return pos >= 0 && d.of(i).has(pos)
+}
+
 func hasInput(o, in *algebra.Op) bool {
 	for _, c := range o.In {
 		if c == in {
@@ -224,7 +230,7 @@ func (s seedTB) Fatal(args ...any) {
 
 // randomPlan grows a pool of operators over a few literals by applying
 // random operators to random pool members, biased towards what the
-// isolation pass looks for (ϱ/mark under a projection that drops the
+// isolation pass looks for (ϱ under a projection that drops the
 // numbering column, stacked).
 func randomPlan(rng *rand.Rand) *algebra.Op {
 	g := &planGen{rng: rng}
@@ -314,9 +320,9 @@ func (g *planGen) grow() *algebra.Op {
 	var err error
 	switch g.rng.Intn(20) {
 	case 0, 1, 2, 3:
-		// A numbering operator under a projection that forgets the
-		// numbering column: the isolation pass's candidate shape.
-		num := g.numbering(in)
+		// A ϱ under a projection that forgets the numbering column: the
+		// isolation pass's candidate shape.
+		num := g.rowNum(in)
 		if num == nil {
 			return nil
 		}
@@ -398,24 +404,30 @@ func (g *planGen) grow() *algebra.Op {
 	return o
 }
 
-// numbering stacks a ϱ (random order keys, maybe descending, maybe
-// partitioned) or a mark on in.
+// numbering stacks a ϱ or a mark on in.
 func (g *planGen) numbering(in *algebra.Op) *algebra.Op {
-	var o *algebra.Op
-	var err error
-	if g.rng.Intn(3) == 0 {
-		o, err = algebra.RowID(in, g.name("m"))
-	} else {
-		order := make([]algebra.OrderSpec, 1+g.rng.Intn(2))
-		for i := range order {
-			order[i] = algebra.OrderSpec{Col: g.col(in), Desc: g.rng.Intn(6) == 0}
-		}
-		part := ""
-		if g.rng.Intn(2) == 0 {
-			part = g.col(in)
-		}
-		o, err = algebra.RowNum(in, g.name("n"), order, part)
+	if g.rng.Intn(3) > 0 {
+		return g.rowNum(in)
 	}
+	o, err := algebra.RowID(in, g.name("m"))
+	if err != nil {
+		return nil
+	}
+	return o
+}
+
+// rowNum stacks a ϱ on in: random order keys, maybe descending, maybe
+// partitioned.
+func (g *planGen) rowNum(in *algebra.Op) *algebra.Op {
+	order := make([]algebra.OrderSpec, 1+g.rng.Intn(2))
+	for i := range order {
+		order[i] = algebra.OrderSpec{Col: g.col(in), Desc: g.rng.Intn(6) == 0}
+	}
+	part := ""
+	if g.rng.Intn(2) == 0 {
+		part = g.col(in)
+	}
+	o, err := algebra.RowNum(in, g.name("n"), order, part)
 	if err != nil {
 		return nil
 	}

@@ -18,18 +18,20 @@ import (
 // result really needs.
 //
 // The rewrite is deliberately narrow and proof-carrying. We only splice
-// out a numbering operator c under a projection parent π where:
+// out a ϱ c under a projection parent π where:
 //
 //   - π does not reference c's numbering column (the column is dead on
 //     this edge — all c contributes to π is row order), and
-//   - one of three order proofs holds:
-//     (1) c is a mark (ϱ with no sort): removing it cannot change row
-//     order at all;
-//     (2) c is a ϱ whose input is already sorted by its (partition,
-//     order) columns — the stable sort is the identity, so again row
-//     order is untouched;
-//     (3) the order-sensitivity analysis (order.go) proves π's output
+//   - one of two order proofs holds:
+//     (1) c's input is already sorted by its (partition, order) columns
+//     — the stable sort is the identity, so row order is untouched;
+//     (2) the order-sensitivity analysis (order.go) proves π's output
 //     order is unobservable — reordering is semantically invisible.
+//
+// A mark under such a π would be safe to splice too, but no plan of
+// XMark or the Table 2 corpus has one: the compiler emits no mark, and
+// the ϱ that ϱ → mark (opt.go) turns into one are for loops' inner
+// numbering, which their map relation reads.
 //
 // Splicing only the π edge keeps the rewrite DAG-safe: other parents of
 // c (which may demand the numbering column, or its order) are untouched,
@@ -42,7 +44,7 @@ import (
 // that walks the whole DAG:
 //
 //   - the index is patched for the one rewired edge (planIndex.splice);
-//     no other operator changes its number, and since ϱ/mark are unary,
+//     no other operator changes its number, and since ϱ is unary,
 //     c is the only operator that can drop out of the plan, so the
 //     numbering stays a valid scan order;
 //   - derived properties depend on an operator's subplan only, so the
@@ -54,9 +56,9 @@ import (
 //     the operators just invalidated and for the two ends of the edge,
 //     so those are re-pulled, following flips downwards
 //     (orderSense.rederive);
-//   - proofs (1) and (2) of a projection scanned earlier look only
-//     below it, where nothing changed (an earlier number is never above
-//     π). Such a projection can turn safe only by proof (3), when its
+//   - proof (1) of a projection scanned earlier looks only below it,
+//     where nothing changed (an earlier number is never above π). Such
+//     a projection can turn safe only by proof (2), when its
 //     sensitivity flips off: the scan resumes at the lowest such flip,
 //     or at π itself, whose new input may be the next numbering operator
 //     of a tower.
@@ -85,14 +87,11 @@ func isolate(idx *planIndex, pr *props, spliced func(pi int32, sense *orderSense
 		}
 		c := idx.inputs(i)[0]
 		num := idx.ops[c]
-		if num.Kind != algebra.OpRowNum && num.Kind != algebra.OpRowID {
-			continue
-		}
-		if referencesCol(o, num.Col) {
+		if num.Kind != algebra.OpRowNum || referencesCol(o, num.Col) {
 			continue
 		}
 		d := idx.inputs(c)[0]
-		if num.Kind == algebra.OpRowNum && !rowNumNoop(num, d, pr) && sense.matters[i] {
+		if !rowNumNoop(num, d, pr) && sense.matters[i] {
 			continue
 		}
 		idx.splice(i, c, d)

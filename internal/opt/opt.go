@@ -3,22 +3,23 @@
 // quotes ~120 operators for XMark Q8) but highly redundant, and the
 // restrictions of the algebra (π never removes duplicates, all unions
 // disjoint, all joins equi-joins) make rewrites safe to verify locally.
+// The compiler leaves out what is redundant by construction — a π over a
+// π is one π and an identity π is none (algebra.ProjectPairs), and a
+// path is numbered once, not once per step — so what the optimizer
+// removes is what only its proofs can.
 //
 // The optimizer is organized as a staged pipeline (pipeline.go): an
 // explicit multi-pass driver runs
 //
-//	normalize → analyze → isolate
+//	normalize → isolate
 //
-// to a fixed point, then re-derives properties and cleans up. The passes:
+// to a fixed point, then cleans up. The passes:
 //
 //   - normalize: common subexpression elimination over the DAG (MIL
-//     variable sharing), projection fusion (π ∘ π → π), identity-
-//     projection removal, and dead column pruning guided by the demand
-//     analysis (demand.go) — plus the local order-property rewrites
+//     variable sharing) and dead column pruning of projections guided
+//     by the demand analysis (demand.go), with the unions that pruning
+//     leaves uneven aligned — plus the local order-property rewrites
 //     (ϱ → mark over presorted input, δ elimination on keyed input).
-//   - analyze: the join-graph analysis (joingraph.go) — which equi-joins
-//     connect real value columns and which only thread loop-lifting
-//     scaffolding, and which numbering towers are dead.
 //   - isolate: join graph isolation (isolate.go) — removal of numbering
 //     operators that only maintain an order nothing downstream observes,
 //     proven via the derived order/denseness/key properties.
@@ -47,7 +48,7 @@ import (
 // pruning pass can outweigh its savings, the CSE-only plan is returned
 // instead.
 func Optimize(root *algebra.Op) (*algebra.Op, error) {
-	res, err := runPipeline(root, maxRounds, isolate, false)
+	res, err := runPipeline(root, maxRounds, isolate)
 	if err != nil {
 		return nil, err
 	}
@@ -407,9 +408,8 @@ func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebr
 }
 
 // rebuildProject prunes the undemanded columns of π o (keeping at least
-// one: a zero-column relation has no row representation in the engine),
-// fuses it with a child π, and drops it when what is left is the
-// identity. same reports that child is o's own input.
+// one: a zero-column relation has no row representation in the engine).
+// algebra.ProjectPairs puts what is left in normal form over child.
 func rebuildProject(o, child *algebra.Op, need colSet, same bool) (*algebra.Op, error) {
 	pairs := o.Proj
 	if need.reached {
@@ -431,37 +431,12 @@ func rebuildProject(o, child *algebra.Op, need colSet, same bool) (*algebra.Op, 
 			}
 		}
 	}
-	if child.Kind == algebra.OpProject {
-		fused := make([]algebra.ProjPair, len(pairs))
-		for i, p := range pairs {
-			k := slices.IndexFunc(child.Proj, func(c algebra.ProjPair) bool { return c.New == p.Old })
-			if k < 0 {
-				return nil, fmt.Errorf("π: input lacks column %q", p.Old)
-			}
-			fused[i] = algebra.ProjPair{New: p.New, Old: child.Proj[k].Old}
-		}
-		pairs, child, same = fused, child.In[0], false
-	}
-	// Identity projection: same names, same order, full schema.
-	if identityProjection(pairs, child.Schema()) {
-		return child, nil
-	}
-	if same && len(pairs) == len(o.Proj) {
+	// An isolation splice (isolate.go) can leave o over a π, or keeping
+	// its new input as it is: o is then rebuilt into normal form.
+	if same && len(pairs) == len(o.Proj) && child.Kind != algebra.OpProject && !algebra.IdentityPairs(pairs, child.Schema()) {
 		return o, nil
 	}
 	return algebra.ProjectPairs(child, pairs)
-}
-
-func identityProjection(pairs []algebra.ProjPair, schema []string) bool {
-	if len(pairs) != len(schema) {
-		return false
-	}
-	for i, p := range pairs {
-		if p.New != p.Old || p.New != schema[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sameCols(a, b []string) bool {

@@ -10,29 +10,28 @@ import (
 // The staged rewrite pipeline: an explicit multi-pass driver. Each round
 // runs
 //
-//	normalize  — CSE + projection fusion/pruning + local order rewrites
-//	analyze    — join-graph classification (trace only, no rewrites)
-//	isolate    — join graph isolation (in-place order-proof splices)
+//	normalize — CSE, demand pruning of projections, union alignment and
+//	            the local order rewrites (ϱ → mark, δ elimination)
+//	isolate   — join graph isolation (in-place order-proof splices)
 //
-// until a round changes nothing, so the last round is always a pure
-// confirmation round: the XMark plans take three or four (q08 removes
-// 18+9, 9+2, then 1+0 operators and confirms in a fourth — the goldens
-// under testdata/plans show every round). maxRounds is a safety net; a
-// run that hits it says so in the trace. Then two final passes run once:
+// until a round rewrites nothing, so the last round is always a pure
+// confirmation round: the XMark plans take up to four (the goldens under
+// testdata/plans show every round). maxRounds is a safety net; a run
+// that hits it says so in the trace. Then one final pass runs once:
 //
-//	properties — the marker that the rounds are over: whoever consumes
-//	             the converged plan (physical lowering) derives its
-//	             order/denseness/key annotations from scratch
-//	cleanup    — final CSE, the global size guard, and validation
+//	cleanup — final CSE, the global size guard, and validation
 //
 // Every pass appends a PassStat; `pf -show opt` prints the trace so the
-// collapse is observable per pass, not just in the output plan.
+// collapse is observable per pass, not just in the output plan. Optimize
+// runs the same pipeline and drops the trace.
 
 // maxRounds bounds the fixed-point loop. Isolation strictly removes
-// operators and normalization never grows the plan (size guard), so the
-// loop terminates on its own; the bound is a backstop against a rewrite
-// bug turning into an infinite loop. A run stopped by it carries the
-// note "round limit reached" on its last isolate pass.
+// operators, and normalization only prunes columns, aligns the unions
+// that pruning left uneven and swaps ϱ for mark or δ for its input, each
+// at most once per operator, so the loop terminates on its own; the
+// bound is a backstop against a rewrite bug turning into an infinite
+// loop. A run stopped by it carries the note "round limit reached" on
+// its last isolate pass.
 const maxRounds = 8
 
 // PassStat records one pass execution for the trace.
@@ -40,17 +39,15 @@ type PassStat struct {
 	// Round is the fixed-point iteration (1-based); 0 marks the final
 	// passes that run once after convergence.
 	Round int
-	// Pass is the pass name: normalize, analyze, isolate, properties,
-	// cleanup.
+	// Pass is the pass name: normalize, isolate, cleanup.
 	Pass string
 	// OpsIn and OpsOut are the plan's operator counts before and after
 	// the pass.
 	OpsIn, OpsOut int
-	// Rewrites counts the rewrites the pass applied (0 for analysis-only
-	// passes).
+	// Rewrites counts the rewrites the pass applied: the operators
+	// normalize and cleanup removed, the splices of isolate.
 	Rewrites int
-	// Note carries pass-specific detail (the join-graph census, the
-	// property count, guard decisions).
+	// Note carries the round limit and the size guard's decision.
 	Note string
 }
 
@@ -85,21 +82,18 @@ func (r Result) TraceString() string {
 // mutated (the isolation pass works on a private clone), and the result
 // never has more operators than the CSE-shared input.
 func Pipeline(root *algebra.Op) (Result, error) {
-	return runPipeline(root, maxRounds, isolate, true)
+	return runPipeline(root, maxRounds, isolate)
 }
 
 // runPipeline is Pipeline with its round limit and isolation pass as
 // parameters — the seams the tests use to force the backstop and to run
-// the reference isolation through the same driver. Without notes the
-// analyze passes leave their trace notes empty and skip the join-graph
-// census that only feeds them; nothing else reads it, so the plan and
-// every count of the trace are the same.
+// the reference isolation through the same driver.
 //
 // Every pass works over the plan index of the DAG version it is handed
 // (index.go): cse emits the index of what it produces, the rebuilt DAG
 // of the normalize pass and a spliced plan are walked once, and the
 // operator counts of the trace are the sizes of those indexes.
-func runPipeline(root *algebra.Op, limit int, isolate isolatePass, notes bool) (Result, error) {
+func runPipeline(root *algebra.Op, limit int, isolate isolatePass) (Result, error) {
 	var s scratch
 	// Baseline for the global size guard; shares nodes with the input.
 	initial := s.cse(s.index(root))
@@ -111,7 +105,7 @@ func runPipeline(root *algebra.Op, limit int, isolate isolatePass, notes bool) (
 	var trace []PassStat
 	for round := 1; ; round++ {
 		opsIn := work.live()
-		n, err := normalize(work, &s)
+		n, rewrote, err := normalize(work, &s)
 		if err != nil {
 			return Result{}, err
 		}
@@ -119,22 +113,15 @@ func runPipeline(root *algebra.Op, limit int, isolate isolatePass, notes bool) (
 		opsNorm := work.live()
 		trace = append(trace, PassStat{
 			Round: round, Pass: "normalize",
-			OpsIn: opsIn, OpsOut: opsNorm, Rewrites: opsIn - opsNorm,
+			OpsIn: opsIn, OpsOut: opsNorm, Rewrites: max(opsIn-opsNorm, 0),
 		})
 
-		pr := s.props(work)
-		analyze := PassStat{Round: round, Pass: "analyze", OpsIn: opsNorm, OpsOut: opsNorm}
-		if notes {
-			analyze.Note = analyzeJoinGraph(work, pr).note()
-		}
-		trace = append(trace, analyze)
-
-		iso := isolate(work, pr, nil)
+		iso := isolate(work, s.props(work), nil)
 		stat := PassStat{
 			Round: round, Pass: "isolate",
 			OpsIn: opsNorm, OpsOut: work.live(), Rewrites: iso,
 		}
-		converged := iso == 0 && opsNorm == opsIn
+		converged := iso == 0 && !rewrote
 		if !converged && round == limit {
 			stat.Note = "round limit reached"
 		}
@@ -150,18 +137,9 @@ func runPipeline(root *algebra.Op, limit int, isolate isolatePass, notes bool) (
 		}
 	}
 
-	// The converged plan's properties are re-derived from scratch by
-	// whoever consumes it (physical lowering calls Properties): no claim
-	// memoized during rewriting survives into what lowering sees. The
-	// trace line stays as the marker between the rounds and the cleanup.
-	opsConv := work.live()
-	trace = append(trace, PassStat{
-		Pass: "properties", OpsIn: opsConv, OpsOut: opsConv,
-		Note: fmt.Sprintf("%d operators annotated", opsConv),
-	})
-
 	// Cleanup: final CSE across everything isolation exposed, then the
 	// global size guard against the CSE-only input.
+	opsConv := work.live()
 	final := s.cse(work)
 	note := ""
 	if final.live() > initial.live() {
@@ -183,17 +161,19 @@ type isolatePass func(idx *planIndex, pr *props, spliced func(pi int32, sense *o
 
 // normalize is one CSE + prune/fuse sweep with the per-round size guard
 // (validation is the caller's: the pipeline validates once at the end).
-func normalize(work *planIndex, s *scratch) (*planIndex, error) {
+// rewrote reports that the sweep rewrote an operator, which a rewrite
+// that only swaps one operator for another (ϱ → mark) does without
+// changing the operator count.
+func normalize(work *planIndex, s *scratch) (r *planIndex, rewrote bool, err error) {
 	shared := s.cse(work)
 	pruned, err := pruneAndFuse(shared, s)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	r := s.cse(s.index(pruned))
-	if r.live() > shared.live() {
-		r = shared
+	if pruned == shared.root() {
+		return shared, shared.live() < work.live(), nil
 	}
-	return r, nil
+	return s.cse(s.index(pruned)), true, nil
 }
 
 // clonePlan deep-copies the interior of an indexed DAG (preserving

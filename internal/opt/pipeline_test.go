@@ -66,7 +66,7 @@ func TestPipelineTrace(t *testing.T) {
 			t.Errorf("pass %s (round %d) grew the plan %d -> %d", s.Pass, s.Round, s.OpsIn, s.OpsOut)
 		}
 	}
-	for _, pass := range []string{"normalize", "analyze", "isolate", "properties", "cleanup"} {
+	for _, pass := range []string{"normalize", "isolate", "cleanup"} {
 		if !seen[pass] {
 			t.Errorf("trace has no %q pass", pass)
 		}

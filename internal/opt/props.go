@@ -1,9 +1,11 @@
 package opt
 
 import (
+	"math"
+	"slices"
+
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
-	"slices"
 )
 
 // Order-property inference ([3], "a careful consideration of order
@@ -201,17 +203,28 @@ func (p *props) computeOrdering(i int32) ordering {
 }
 
 // litSorted scans a literal table once (optimization time, tiny tables) to
-// find its longest sorted column prefix and whether it is strict.
+// find its longest sorted column prefix and whether it is strict. A
+// column that holds a NaN ends the prefix: bat.CompareTotal finds NaN
+// equal to every number, so comparing neighbours is not transitive
+// across it ([3, NaN, 1] would pass as sorted).
 func litSorted(t *bat.Table) ordering {
 	var out []string
 	for _, col := range t.Cols() {
 		out = append(out, col)
-		if !sortedBy(t, out) {
-			out = out[:len(out)-1]
-			return ordering{cols: append([]string{}, out...)}
+		if holdsNaN(t.MustCol(col)) || !sortedBy(t, out) {
+			return ordering{cols: out[: len(out)-1 : len(out)-1]}
 		}
 	}
 	return ordering{cols: out, strict: strictBy(t, out)}
+}
+
+func holdsNaN(v bat.Vec) bool {
+	for r := 0; r < v.Len(); r++ {
+		if it := v.ItemAt(r); it.Kind == bat.KFloat && math.IsNaN(it.F) {
+			return true
+		}
+	}
+	return false
 }
 
 func sortedBy(t *bat.Table, cols []string) bool {

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -64,6 +65,22 @@ func TestLitSortedPrefix(t *testing.T) {
 	unsorted := algebra.Lit(bat.MustTable("x", bat.IntVec{2, 1}))
 	if got := sortedPrefix(p, unsorted); len(got) != 0 {
 		t.Errorf("unsorted lit prefix = %v", got)
+	}
+}
+
+// A literal column that holds a NaN claims no order: NaN compares equal
+// to every number, so [3, NaN, 1] passes a scan of neighbours.
+func TestLitSortedNaN(t *testing.T) {
+	p := newProps(growingIndex(0))
+	for _, col := range []bat.Vec{
+		bat.FloatVec{3, math.NaN(), 1},
+		bat.FloatVec{1, math.NaN(), 3},
+		bat.ItemVec{bat.Int(3), bat.Float(math.NaN()), bat.Int(1)},
+	} {
+		lit := algebra.Lit(bat.MustTable("iter", bat.IntVec{1, 1, 1}, "k", col))
+		if got := p.orderingOf(lit); len(got.cols) != 1 || got.cols[0] != "iter" || got.strict {
+			t.Errorf("iter|k with k = %v: ordering %+v, want a non-strict iter", col, got)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func refIsolate(root *algebra.Op, e *PropertyEngine, spliced func(pi *algebra.Op
 				continue
 			}
 			c := o.In[0]
-			if c.Kind != algebra.OpRowNum && c.Kind != algebra.OpRowID {
+			if c.Kind != algebra.OpRowNum {
 				continue
 			}
 			referenced := false
@@ -38,14 +38,7 @@ func refIsolate(root *algebra.Op, e *PropertyEngine, spliced func(pi *algebra.Op
 			if referenced {
 				continue
 			}
-			safe := false
-			switch c.Kind {
-			case algebra.OpRowID:
-				safe = true
-			case algebra.OpRowNum:
-				safe = refRowNumNoop(c, e.p) || !om[o]
-			}
-			if !safe {
+			if !refRowNumNoop(c, e.p) && om[o] {
 				continue
 			}
 			o.In[0] = c.In[0]

@@ -10,14 +10,16 @@ import (
 
 // TestRoundLimitIsReported forces the fixed-point backstop with a
 // lowered limit: a plan that needs a second round (its first round
-// splices a mark out) must say so in the trace when the loop is cut
-// after one, and must not when the loop converges on its own.
+// splices out a ϱ whose input is already in its order) must say so in
+// the trace when the loop is cut after one, and must not when the loop
+// converges on its own.
 func TestRoundLimitIsReported(t *testing.T) {
 	lit := algebra.Lit(bat.MustTable(
 		"iter", bat.IntVec{1, 1}, "pos", bat.IntVec{1, 1}, "item", bat.IntVec{7, 8}))
-	plan := mustOp(algebra.Project(mustOp(algebra.RowID(lit, "m")), "iter", "pos", "item"))
+	rn := mustOp(algebra.RowNum(lit, "n", []algebra.OrderSpec{{Col: "pos"}}, "iter"))
+	plan := mustOp(algebra.Project(rn, "iter", "pos", "item"))
 
-	cut, err := runPipeline(plan, 1, isolate, true)
+	cut, err := runPipeline(plan, 1, isolate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,6 +78,16 @@ func TestStreamBoundaryReopened(t *testing.T) {
 	m.Run(t, corpus.Cases(corpus.StreamBoundary))
 }
 
+// TestStepPredicatesReopened: corpus.StepPredicates over a reopened
+// store.
+func TestStepPredicatesReopened(t *testing.T) {
+	m := difftest.Matrix{
+		Docs:  []difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}},
+		Evals: []difftest.Evaluator{reopened(4)},
+	}
+	m.Run(t, corpus.StepPredicates)
+}
+
 // TestSaveSkipsStreamedFragments: a query whose trees only the
 // serializer reads registers a streamed fragment on the store it runs
 // on; saving that store writes an empty fragment in its place, so the

@@ -243,6 +243,16 @@ func TestServiceStreamBoundary(t *testing.T) {
 	difftest.Matrix{Docs: docs, Evals: []difftest.Evaluator{embedded(8), milShipped}}.Run(t, cases)
 }
 
+// TestServiceStepPredicates: corpus.StepPredicates through all three
+// doors and as MIL programs shipped over TCP.
+func TestServiceStepPredicates(t *testing.T) {
+	docs := []difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}}
+	doors, reused := served(8)
+	m := difftest.Matrix{Docs: docs, Evals: append([]difftest.Evaluator{embedded(8), milShipped}, doors...)}
+	m.Run(t, corpus.StepPredicates)
+	reused(t, len(corpus.StepPredicates))
+}
+
 // milShipped sends each plan as a MIL program over the TCP MIL command
 // (the paper's §4 setup): the service re-validates and admits it.
 var milShipped = difftest.Evaluator{Name: "tcp-mil workers=8", Family: difftest.Foreign,

@@ -136,7 +136,8 @@ func (n *normalizer) normE(e xquery.Expr) Expr {
 	case *xquery.Path:
 		return n.normPath(x)
 	case *xquery.Filter:
-		return n.applyPreds(n.normE(x.Base), x.Preds)
+		out, _ := n.applyPreds(n.normE(x.Base), x.Preds)
+		return out
 	case *xquery.FunCall:
 		return n.normCall(x)
 	case *xquery.DirElem:
@@ -502,8 +503,20 @@ func (n *normalizer) normStep(in Expr, s xquery.Step, at xquery.Pos) Expr {
 	case algebra.TestNode, algebra.TestComment:
 		item = INode
 	}
-	out := Expr(&StepEx{typed: typed{Type{item, CMany}}, Axis: axis, Test: test, In: in})
-	return n.applyPreds(out, s.Preds)
+	step := &StepEx{typed: typed{Type{item, CMany}}, Axis: axis, Test: test, In: in}
+	out, positional := n.applyPreds(step, s.Preds)
+	if !positional || in.Ty().AtMostOne() {
+		return out
+	}
+	// A step's predicate sees the step's result per context node (XQuery
+	// 1.0 §3.2.2), so a positional one over several context nodes per
+	// iteration counts per node: for $c in In return $c/step[p], in
+	// document order. The predicates refer to the step, never to In, so
+	// the step just reads $c instead.
+	c := n.freshVar("ctx")
+	step.In = &Var{typed: typed{Type{in.Ty().Item, COne}}, Name: c}
+	loop := &For{typed: typed{Type{item, CMany}}, Var: c, In: in, Body: out}
+	return &DDO{typed: typed{Type{item, CMany}}, X: loop}
 }
 
 func resolveTest(t xquery.NodeTest) (algebra.KindTest, error) {
@@ -524,18 +537,21 @@ func resolveTest(t xquery.NodeTest) (algebra.KindTest, error) {
 
 // applyPreds lowers predicates: integer literals and last() become
 // positional filters, anything else becomes a filtering loop with the
-// predicate evaluated under a context-item binding.
-func (n *normalizer) applyPreds(in Expr, preds []xquery.Expr) Expr {
+// predicate evaluated under a context-item binding. positional reports
+// that a predicate reads the position of the item it tests.
+func (n *normalizer) applyPreds(in Expr, preds []xquery.Expr) (out Expr, positional bool) {
 	for _, p := range preds {
 		switch pe := p.(type) {
 		case *xquery.Lit:
 			if pe.Val.Kind == bat.KInt {
 				in = &PosFilter{typed: typed{Type{in.Ty().Item, COpt}}, In: in, Nth: pe.Val.I}
+				positional = true
 				continue
 			}
 		case *xquery.FunCall:
 			if (pe.Name == "last" || pe.Name == "fn:last") && len(pe.Args) == 0 {
 				in = &PosFilter{typed: typed{Type{in.Ty().Item, COpt}}, In: in, Last: true}
+				positional = true
 				continue
 			}
 		}
@@ -545,6 +561,7 @@ func (n *normalizer) applyPreds(in Expr, preds []xquery.Expr) Expr {
 		n.ctxVar = dot
 		body := n.scoped(dot, itemT, func() Expr {
 			cond := n.ebv(n.normE(p))
+			positional = positional || UsesPositionOrLast(cond)
 			item := &Var{typed: typed{itemT}, Name: dot}
 			return &If{typed: typed{Type{itemT.Item, COpt}},
 				Cond: cond, Then: item, Else: NewEmpty()}
@@ -553,7 +570,7 @@ func (n *normalizer) applyPreds(in Expr, preds []xquery.Expr) Expr {
 		in = &For{typed: typed{Type{in.Ty().Item, relaxEmpty(in.Ty().Card)}},
 			Var: dot, In: in, Body: body}
 	}
-	return in
+	return in, positional
 }
 
 // Constructors --------------------------------------------------------------------
