@@ -174,9 +174,7 @@ func BenchmarkStorageOverhead(b *testing.B) {
 // BenchmarkStaircaseVsNaive ablates the staircase join: the same
 // recursive-axis query (Q6/Q7 territory) with tree-aware pruning/skipping
 // versus the context-at-a-time region queries of a tree-unaware RDBMS,
-// versus the node-at-a-time navigational interpreter. The partitioned
-// mode runs the prune/skip staircase split across context-range morsels
-// (the intra-operator parallel path) for the morsel-overhead comparison.
+// versus the node-at-a-time navigational interpreter.
 func BenchmarkStaircaseVsNaive(b *testing.B) {
 	const query = `count(/site//description) + count(//text()/ancestor::item)`
 	for _, sf := range benchSFs {
@@ -184,19 +182,10 @@ func BenchmarkStaircaseVsNaive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []string{"staircase", "partitioned", "naive"} {
+		for _, mode := range []string{"staircase", "naive"} {
 			b.Run(fmt.Sprintf("%s/sf=%g", mode, sf), func(b *testing.B) {
-				var eng *engine.Engine
-				switch mode {
-				case "partitioned":
-					eng = engine.NewWithConfig(xenc.NewStore(), engine.Config{MorselRows: 1024})
-					if _, err := eng.Store.LoadDocumentString("xmark.xml", xmarkDoc(sf)); err != nil {
-						b.Fatal(err)
-					}
-				default:
-					eng = loadEngine(b, sf)
-					eng.Staircase = mode == "staircase"
-				}
+				eng := loadEngine(b, sf)
+				eng.Staircase = mode == "staircase"
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.Eval(plan); err != nil {

@@ -225,7 +225,7 @@ func TestCLIInteractiveCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	cmd := exec.Command(filepath.Join(buildTools(t), "pf"), "-i", "-check", "-morsel-rows", "512")
+	cmd := exec.Command(filepath.Join(buildTools(t), "pf"), "-i", "-check")
 	cmd.Stdin = strings.NewReader("count(1 to 5000)\nfor $i in 1 to 3 return $i * 2\nquit\n")
 	var stderr strings.Builder
 	cmd.Stderr = &stderr

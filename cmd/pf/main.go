@@ -49,8 +49,7 @@ func main() {
 		queryFile   = flag.String("f", "", "read the query from a file")
 		show        = flag.String("show", "result", "what to print: result, trace, explain, core, plan (as compiled), opt (as optimized), mil, sql, dot, physical, hist")
 		naive       = flag.Bool("naive", false, "disable the staircase join (tree-unaware axis evaluation)")
-		workers     = flag.Int("workers", engine.EnvWorkers(), "shared worker budget for the DAG scheduler and morsel teams (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
-		morselRows  = flag.Int("morsel-rows", 0, "morsel granularity for intra-operator parallelism (0 = default, <0 = disable)")
+		workers     = flag.Int("workers", engine.EnvWorkers(), "worker pool size of the DAG scheduler (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
 		checkPlans  = flag.Bool("check", false, "validate plan invariants (schema, order/denseness, physical preconditions) before running, and assert them on live intermediates during execution")
 		timing      = flag.Bool("time", false, "print compile/execute timings to stderr")
 		interactive = flag.Bool("i", false, "interactive mode: read one query per line from stdin")
@@ -58,7 +57,7 @@ func main() {
 	flag.Parse()
 
 	cat := openCatalog(*storeDir, *collection)
-	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: *workers, MorselRows: *morselRows, Check: *checkPlans, Catalog: cat})
+	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: *workers, Check: *checkPlans, Catalog: cat})
 	eng.Staircase = !*naive
 	// fn:doc loads named documents from the filesystem on demand; the
 	// -doc document resolves by its base name or full path.
@@ -200,13 +199,6 @@ func main() {
 			if st.ThetaJoin > 0 {
 				ann += fmt.Sprintf(", theta #%d", st.ThetaJoin)
 			}
-			if st.Morsels > 1 {
-				ann += fmt.Sprintf(", %d morsels", st.Morsels)
-				if st.ParWorkers > 1 {
-					ann += fmt.Sprintf(" on %d workers (~%d rows/worker)",
-						st.ParWorkers, st.RowsIn/st.ParWorkers)
-				}
-			}
 			return ann
 		}))
 		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d chains, %d theta joins)\n",
@@ -245,8 +237,8 @@ func printChains(phys *physical.Plan, tr *engine.Trace) {
 
 // printThetaJoins summarizes each theta join of the physical plan for
 // -show explain: the predicate, and for a unit the band kernel ran its
-// lane, the rows probed (both inputs), the pairs emitted and the morsel
-// split — or, for a unit whose pairs were only counted, the outer rows
+// lane, the rows probed (both inputs) and the pairs emitted — or, for a
+// unit whose pairs were only counted, the outer rows
 // probed and the pairs counted without being emitted. A demoted unit
 // names the reason; its members ran one by one.
 func printThetaJoins(phys *physical.Plan, tr *engine.Trace) {
@@ -259,8 +251,8 @@ func printThetaJoins(phys *physical.Plan, tr *engine.Trace) {
 			fmt.Printf("%s — %s, %d rows probed, %d pairs emitted, %d counted\n",
 				pred, st.Kernel, tr.Stats[tj.Cross.In[0].Op].RowsOut, tr.Stats[tj.Select.Op].RowsOut, st.RowsIn)
 		case st.ThetaJoin > 0:
-			fmt.Printf("%s — %s, %d rows probed, %d emitted, %d morsels\n",
-				pred, st.Kernel, st.RowsIn, st.RowsOut, max(st.Morsels, 1))
+			fmt.Printf("%s — %s, %d rows probed, %d emitted\n",
+				pred, st.Kernel, st.RowsIn, st.RowsOut)
 		case ran:
 			fmt.Printf("%s — %s\n", pred, cross.Kernel)
 		default:

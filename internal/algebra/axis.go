@@ -27,6 +27,17 @@ const (
 	Attribute
 )
 
+// Reverse reports whether a is a reverse axis (XPath 2.0 §3.2.1.1): a
+// positional predicate on a step along it counts in reverse document
+// order.
+func (a Axis) Reverse() bool {
+	switch a {
+	case Parent, Ancestor, AncestorOrSelf, Preceding, PrecedingSibling:
+		return true
+	}
+	return false
+}
+
 func (a Axis) String() string {
 	switch a {
 	case Child:

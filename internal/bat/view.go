@@ -92,44 +92,3 @@ func (v *View) Project(spec ...string) (*View, error) {
 	}
 	return NewView(p, v.sel), nil
 }
-
-// Range is a half-open run [Lo, Hi) of view rows — the unit of
-// morsel-driven intra-operator parallelism. A Range addresses positions
-// in the view (selection order), not base rows; kernels map through
-// Index/Sel as usual.
-type Range struct {
-	Lo, Hi int
-}
-
-// Len returns the number of rows in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
-// SplitRows carves [0, n) into contiguous ranges of at most size rows
-// each, in order; the last range carries the remainder. n <= 0 yields no
-// ranges, size <= 0 yields a single range covering everything.
-func SplitRows(n, size int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if size <= 0 || size >= n {
-		return []Range{{0, n}}
-	}
-	out := make([]Range, 0, (n+size-1)/size)
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, Range{lo, hi})
-	}
-	return out
-}
-
-// SplitRanges carves the view's selected rows into morsels of at most
-// size rows. The concatenation of the ranges, in order, is exactly
-// [0, v.Rows()) — a kernel that processes each morsel independently and
-// stitches the per-morsel outputs in range order reproduces the
-// sequential scan byte for byte.
-func (v *View) SplitRanges(size int) []Range {
-	return SplitRows(v.Rows(), size)
-}

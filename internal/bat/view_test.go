@@ -79,65 +79,6 @@ func TestViewProject(t *testing.T) {
 	}
 }
 
-func TestSplitRanges(t *testing.T) {
-	base := viewFixture()
-
-	// Empty views (zero-row selection, and an empty base) split to nothing.
-	if got := NewView(base, []int32{}).SplitRanges(2); got != nil {
-		t.Errorf("empty selection: SplitRanges = %v, want nil", got)
-	}
-	if got := ViewOf(base.Empty()).SplitRanges(2); got != nil {
-		t.Errorf("empty base: SplitRanges = %v, want nil", got)
-	}
-
-	// Dense (identity) view: ranges cover [0, Rows()) exactly.
-	dense := NewView(base, nil)
-	if got := dense.SplitRanges(3); len(got) != 2 ||
-		got[0] != (Range{0, 3}) || got[1] != (Range{3, 4}) {
-		t.Errorf("dense split(3) = %v", got)
-	}
-
-	// Selection view: ranges address view rows, remainder in the last.
-	v := NewView(base, []int32{3, 1, 0})
-	if got := v.SplitRanges(2); len(got) != 2 ||
-		got[0] != (Range{0, 2}) || got[1] != (Range{2, 3}) {
-		t.Errorf("selection split(2) = %v", got)
-	}
-
-	// Morsel size at least the row count: one range, no split.
-	if got := v.SplitRanges(3); len(got) != 1 || got[0] != (Range{0, 3}) {
-		t.Errorf("split(rows) = %v, want one full range", got)
-	}
-	if got := v.SplitRanges(100); len(got) != 1 || got[0] != (Range{0, 3}) {
-		t.Errorf("split(100) = %v, want one full range", got)
-	}
-
-	// Non-positive morsel size degrades to a single covering range.
-	if got := v.SplitRanges(0); len(got) != 1 || got[0] != (Range{0, 3}) {
-		t.Errorf("split(0) = %v, want one full range", got)
-	}
-
-	// Exact multiple: no remainder morsel.
-	if got := dense.SplitRanges(2); len(got) != 2 ||
-		got[0] != (Range{0, 2}) || got[1] != (Range{2, 4}) {
-		t.Errorf("dense split(2) = %v", got)
-	}
-
-	// The concatenation of ranges must re-cover every view row in order.
-	for _, size := range []int{1, 2, 3, 4, 5} {
-		next := 0
-		for _, r := range dense.SplitRanges(size) {
-			if r.Lo != next || r.Hi <= r.Lo || r.Len() > size {
-				t.Fatalf("split(%d): bad range %v at offset %d", size, r, next)
-			}
-			next = r.Hi
-		}
-		if next != dense.Rows() {
-			t.Fatalf("split(%d): ranges cover %d of %d rows", size, next, dense.Rows())
-		}
-	}
-}
-
 func TestViewMaterializeConcurrent(t *testing.T) {
 	base := viewFixture()
 	v := NewView(base, []int32{0, 2})

@@ -12,10 +12,9 @@
 //     cross-checked against an independent conservative re-derivation.
 //   - Physical preconditions (Physical): merge-join inputs are provably
 //     sorted on the key, rownum[presorted]/[const1] are justified,
-//     Parallel/Pipeline flags appear only on kernels whose morsel
-//     decomposition the executor actually implements, and every operator
-//     chain and theta join is a unit the executor may run as one, and
-//     every streamed ε's nodes reach only the serializer.
+//     Pipeline flags appear only on kernels that produce views, every
+//     operator chain and theta join is a unit the executor may run as
+//     one, and every streamed ε's nodes reach only the serializer.
 //
 // A validator failure means an upstream pass produced a plan whose
 // silent assumptions do not hold — the class of bug that yields quietly

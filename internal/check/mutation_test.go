@@ -325,22 +325,6 @@ var mutations = []mutation{
 			return check.Physical(p)
 		},
 	},
-	{
-		name:  "physical_parallel_union",
-		class: "physical",
-		build: func(t *testing.T) []check.Diag {
-			l := lit(t, "iter", ints(1, 2))
-			r := lit(t, "iter", ints(3, 4))
-			u, err := algebra.Union(l, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(u)
-			nd := nodeOf(p, u)
-			nd.Parallel = true // concat has no order-preserving morsel split
-			return check.Physical(p)
-		},
-	},
 	// --- fusion class: forged fused-chain metadata ---------------------
 	// Chains are executor metadata: a lying chain makes the fused loop
 	// thread a selection vector through an operator that cannot carry it.

@@ -10,8 +10,7 @@ import (
 
 // Physical plan validation: the lowering pass (internal/physical) turns
 // property bits into irreversible kernel choices — a merge join that
-// skips the hash table, a ϱ that skips its sort, a morsel split that
-// assumes an order-preserving decomposition exists. Each choice is a
+// skips the hash table, a ϱ that skips its sort. Each choice is a
 // claim about the input; this pass re-proves every one from the logical
 // DAG, so a corrupted property bit or a lowering bug surfaces as a
 // diagnostic instead of a quietly wrong answer (the executor demotes
@@ -424,19 +423,6 @@ func physNode(w *walker, nd *physical.Node, g map[*algebra.Op]guarantee) []Diag 
 		}
 	}
 
-	// Parallel flag: only kernels with an order-preserving morsel
-	// decomposition the executor implements may split, and only when the
-	// static cardinality bound does not already prove the input tiny.
-	if nd.Parallel {
-		if !morselSafe(o, nd) {
-			bad("Parallel flag on kernel %q, whose decomposition the executor does not implement", nd.Kernel)
-		}
-		if nd.EstRows >= 0 && nd.EstRows < physical.ParallelMinRows {
-			bad("Parallel flag on an operator statically bounded to %d row(s) (< %d)",
-				nd.EstRows, physical.ParallelMinRows)
-		}
-	}
-
 	// Pipeline flag: the view-producing kernels only; a breaker marked
 	// pipeline misreports materialization and plan rendering.
 	if nd.Pipeline && !pipelineKernel(o.Kind) {
@@ -447,25 +433,6 @@ func physNode(w *walker, nd *physical.Node, g map[*algebra.Op]guarantee) []Diag 
 		bad("EstRows %d is neither unknown (-1) nor a cardinality bound", nd.EstRows)
 	}
 	return diags
-}
-
-// morselSafe is the validator's own list of operators whose kernels admit
-// an order-preserving morsel decomposition (stitch per-morsel buffers in
-// morsel order, or merge per-morsel partitions). It mirrors what
-// internal/engine actually implements, not what internal/physical claims.
-func morselSafe(o *algebra.Op, nd *physical.Node) bool {
-	switch o.Kind {
-	case algebra.OpSelect, algebra.OpFun, algebra.OpDiff, algebra.OpDistinct, algebra.OpStep:
-		return true
-	case algebra.OpJoin, algebra.OpSemiJoin:
-		// Hash build and probe split; the merge kernel is one ordered scan.
-		return !nd.Merge
-	case algebra.OpAggr:
-		// Scalar aggregation is a single fold whose float summation order
-		// must not change; only grouped aggregation merges per-morsel.
-		return o.Part != ""
-	}
-	return false
 }
 
 func pipelineKernel(k algebra.OpKind) bool {

@@ -388,7 +388,7 @@ func (c *Compiler) compEbv(x *xqcore.Ebv, s *scope) *algebra.Op {
 // document order. A path is numbered once, after its last step: the steps
 // before it only feed the next step's context, which reads iter|item.
 func (c *Compiler) compStep(x *xqcore.StepEx, s *scope) *algebra.Op {
-	return c.numberDocOrder(c.stepNodes(x, s))
+	return c.numberDocOrder(c.stepNodes(x, s), x.Reverse)
 }
 
 // stepNodes is the iter|item result of step x. A step whose context is
@@ -407,13 +407,13 @@ func (c *Compiler) stepNodes(x *xqcore.StepEx, s *scope) *algebra.Op {
 // docOrder implements fs:distinct-doc-order.
 func (c *Compiler) docOrder(q *algebra.Op) *algebra.Op {
 	d := algebra.Distinct(c.must(algebra.Project(q, "iter", "item")))
-	return c.numberDocOrder(d)
+	return c.numberDocOrder(d, false)
 }
 
 // numberDocOrder adds pos = the per-iter document-order rank of the node
-// items of an iter|item plan.
-func (c *Compiler) numberDocOrder(q *algebra.Op) *algebra.Op {
-	rn := c.must(algebra.RowNum(q, "pos", []algebra.OrderSpec{{Col: "item"}}, "iter"))
+// items of an iter|item plan, counted from the last node when reverse.
+func (c *Compiler) numberDocOrder(q *algebra.Op, reverse bool) *algebra.Op {
+	rn := c.must(algebra.RowNum(q, "pos", []algebra.OrderSpec{{Col: "item", Desc: reverse}}, "iter"))
 	return c.must(algebra.Project(rn, "iter", "pos", "item"))
 }
 

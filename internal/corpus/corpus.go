@@ -273,7 +273,9 @@ const StepPredicatesDoc = `<site><regions>` +
 // position() — over a step with several context nodes per iteration. A
 // step's predicate sees the step's result per context node (XQuery 1.0
 // §3.2.2), so item[1] is the first item of each region, not of the
-// path; a parenthesized path is one sequence and is filtered as one.
+// path, and counts in reverse document order on a reverse axis; a
+// parenthesized path is one sequence and is filtered as one, in
+// document order.
 // The expected values are the specification's, written down by hand. A
 // list of its own for the same reason as Constructors.
 var StepPredicates = []Case{
@@ -298,6 +300,17 @@ var StepPredicates = []Case{
 	{Name: "not positional", Query: `count(/site/people/person/name[. = "Bob"])`, Want: "1"},
 	{Name: "parenthesized path", Query: `data((/site/people/person/name)[1])`, Want: "Alice"},
 	{Name: "parenthesized path, last", Query: `data((/site/regions/*/item)[last()]/@id)`, Want: "i4"},
+	// A reverse axis counts in reverse document order: ancestor::*[1] is
+	// the nearest ancestor.
+	{Name: "nearest ancestor", Query: `data(/site/people/person/name/ancestor::*[1]/@id)`, Want: "p1 p2"},
+	{Name: "nearest ancestor by position()", Query: `data(/site/people/person/name/ancestor::*[position() = 1]/@id)`, Want: "p1 p2"},
+	{Name: "farthest ancestor", Query: `for $n in /site/people/person/name return name($n/ancestor::*[last()])`, Want: "site site site"},
+	{Name: "second ancestor-or-self", Query: `for $n in /site/people/person/name return name($n/ancestor-or-self::*[2])`, Want: "person person person"},
+	{Name: "nearest preceding sibling", Query: `data(/site/regions/africa/item[3]/preceding-sibling::item[1]/@id)`, Want: "i2"},
+	{Name: "nearest preceding", Query: `data(/site/people/person[2]/name[2]/preceding::name[1])`, Want: "Bob"},
+	{Name: "farthest preceding", Query: `data(/site/people/person[2]/name[2]/preceding::name[last()])`, Want: "a1"},
+	{Name: "two nearest preceding", Query: `data(/site/people/person[2]/name[2]/preceding::name[position() < 3])`, Want: "Alice Bob"},
+	{Name: "parenthesized reverse path", Query: `data((/site/people/person[2]/name[2]/preceding::name)[1])`, Want: "a1"},
 }
 
 // CountJoinDoc is the document the CountJoin cases run against, bound as

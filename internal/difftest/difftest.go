@@ -245,17 +245,6 @@ var (
 	Par = Engine("par", ParConfig)
 )
 
-// MorselConfig forces every eligible kernel to split: 7-row morsels at
-// the given worker budget, fallback off, runtime checking on.
-func MorselConfig(workers int) engine.Config {
-	return engine.Config{Workers: workers, SeqThreshold: -1, MorselRows: 7, Check: true}
-}
-
-// Morsel is the engine under MorselConfig(workers).
-func Morsel(workers int) Evaluator {
-	return Engine(fmt.Sprintf("morsel workers=%d", workers), MorselConfig(workers))
-}
-
 // Navdom is the navigational baseline. index names (element, attribute)
 // pairs to build a value index on, as xmarkbench does for XMark.
 func Navdom(name string, index ...[2]string) Evaluator {

@@ -2,15 +2,14 @@ package engine_test
 
 // The engine's differential tiers, each one runner call
 // (internal/difftest): a case list over a matrix of evaluators. The
-// evaluators are the sequential path, the DAG scheduler, tiny morsels at
-// workers 1 / 2 / 8 (operator chains run as scheduler units), the same
-// plans with their chains dissolved (unchained, below) or their theta
-// joins demoted (this package's test hook, export_test.go), and navdom. XMark's cases pin
-// the goldens, so every evaluator is byte-exact against them; `go test
-// ./internal/engine -run TestXMarkGolden -update` (make golden) rewrites
-// them. The engine-specific assertions — chains
-// formed, morsels split, theta lanes, count-only units — run after the
-// runner.
+// evaluators are the sequential path, the DAG scheduler at workers
+// 1 / 2 / 8 (operator chains run as scheduler units), the same plans with
+// their chains dissolved (unchained, below) or their theta joins demoted
+// (this package's test hook, export_test.go), and navdom. XMark's cases
+// pin the goldens, so every evaluator is byte-exact against them; `go
+// test ./internal/engine -run TestXMarkGolden -update` (make golden)
+// rewrites them. The engine-specific assertions — chains formed, theta
+// lanes, count-only units — run after the runner.
 
 import (
 	"context"
@@ -27,7 +26,6 @@ import (
 	"pathfinder/internal/physical"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xenc"
-	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
 )
 
@@ -50,13 +48,25 @@ var unchained = difftest.Evaluator{Name: "unchained", Family: difftest.Relationa
 		})
 	}}
 
+// scheduledConfig is the DAG scheduler at the given worker budget with
+// the sequential fallback off, so even tiny plans run on it, and runtime
+// checking on.
+func scheduledConfig(workers int) engine.Config {
+	return engine.Config{Workers: workers, SeqThreshold: -1, Check: true}
+}
+
+// scheduled is the engine under scheduledConfig(workers).
+func scheduled(workers int) difftest.Evaluator {
+	return difftest.Engine(fmt.Sprintf("scheduled workers=%d", workers), scheduledConfig(workers))
+}
+
 // demoted runs every theta-join unit's ×, ⊛ and σ one by one under
-// difftest.MorselConfig(workers) — the baseline the band kernels are
-// compared against.
+// scheduledConfig(workers) — the baseline the band kernels are compared
+// against.
 func demoted(workers int) difftest.Evaluator {
 	return difftest.Evaluator{Name: fmt.Sprintf("demoted workers=%d", workers), Family: difftest.Relational,
 		Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
-			e := difftest.LoadEngine(tb, difftest.MorselConfig(workers), docs)
+			e := difftest.LoadEngine(tb, scheduledConfig(workers), docs)
 			e.ForceThetaDemotion()
 			return difftest.OnEngine(e, physical.Lower)
 		}}
@@ -100,22 +110,9 @@ func TestDialectParallelDifferential(t *testing.T) {
 	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, difftest.Par, navdomEval).Run(t, cases))
 }
 
-// TestXMarkMorselDifferential: with 7-row morsels even the SF 0.002
-// instance splits nearly every eligible kernel; no worker count may be
-// observable in the output.
-func TestXMarkMorselDifferential(t *testing.T) {
-	matrix(difftest.XMarkDocs(), difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8)).Run(t, difftest.XMark(t))
-}
-
-func TestDialectMorselDifferential(t *testing.T) {
-	cases := difftest.Agree("dialect", corpus.Dialect)
-	m := matrix(auctionDocs, difftest.Seq, difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8))
-	difftest.NoErrors(t, cases, m.Run(t, cases))
-}
-
 // TestXMarkFusionDifferential: the plans with their chains dissolved
-// against the goldens, which the morsel engines — chains as scheduler
-// units — meet in TestXMarkMorselDifferential. At least one plan must
+// against the goldens, which the scheduler — chains as scheduler units —
+// meets in TestXMarkGolden. At least one plan must
 // form a chain, or the comparison covered per-operator units only.
 func TestXMarkFusionDifferential(t *testing.T) {
 	cases := difftest.XMark(t)
@@ -124,7 +121,7 @@ func TestXMarkFusionDifferential(t *testing.T) {
 }
 
 // TestDialectFusionDifferential: unchained against the sequential path,
-// which the morsel engines meet in TestDialectMorselDifferential.
+// which the scheduler meets in TestDialectParallelDifferential.
 func TestDialectFusionDifferential(t *testing.T) {
 	cases := difftest.Agree("dialect", corpus.Dialect)
 	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, unchained).Run(t, cases))
@@ -157,7 +154,7 @@ func chainsFormed(t *testing.T, contextDoc string, cases []corpus.Case) {
 // unchained.
 func TestFusionChainsExercised(t *testing.T) {
 	const src = `for $i in 1 to 10000 where $i mod 7 = 0 return $i * 2`
-	matrix(nil, unchained, difftest.Morsel(1), difftest.Morsel(8)).Run(t, difftest.Agree("range pipeline", []string{src}))
+	matrix(nil, unchained, scheduled(1), scheduled(8)).Run(t, difftest.Agree("range pipeline", []string{src}))
 	optimized, err := difftest.Compile(src, xqcore.Options{}, difftest.Optimized)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +162,7 @@ func TestFusionChainsExercised(t *testing.T) {
 	if len(physical.Lower(optimized).Chains) == 0 {
 		t.Fatal("the range pipeline formed no chain; the differential tier is not exercising chains")
 	}
-	e := difftest.LoadEngine(t, difftest.MorselConfig(1), nil)
+	e := difftest.LoadEngine(t, scheduledConfig(1), nil)
 	_, tr, err := e.EvalTrace(context.Background(), optimized)
 	if err != nil {
 		t.Fatal(err)
@@ -183,32 +180,6 @@ func TestFusionChainsExercised(t *testing.T) {
 		t.Fatal("no operator ran inside a chain")
 	}
 	t.Logf("%d operators ran as chain members", members)
-}
-
-// TestMorselTraceCounts: Q1 with tiny morsels records split kernels in
-// its trace — the guard that the morsel differentials exercised the
-// parallel paths rather than silently running sequentially.
-func TestMorselTraceCounts(t *testing.T) {
-	e := difftest.LoadEngine(t, difftest.MorselConfig(8), difftest.XMarkDocs())
-	plan, err := difftest.Compile(xmark.Query(1), xqcore.Options{ContextDoc: "xmark.xml"}, difftest.Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tr, err := e.EvalTrace(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, maxMorsels := 0, 0
-	for _, st := range tr.Stats {
-		if st.Morsels > 1 {
-			split++
-			maxMorsels = max(maxMorsels, st.Morsels)
-		}
-	}
-	if split == 0 {
-		t.Fatal("no operator split into morsels despite MorselRows=7")
-	}
-	t.Logf("%d operators split; largest = %d morsels", split, maxMorsels)
 }
 
 // TestRangeEdges: corpus.IntEdges — in the engine and in navdom, each
@@ -231,8 +202,7 @@ func TestUntypedCompare(t *testing.T) {
 // chains dissolved, with theta joins demoted, and in navdom.
 func TestStepPredicates(t *testing.T) {
 	matrix([]difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}},
-		difftest.Seq, difftest.Par, difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8),
-		unchained, demoted(2), navdomEval).Run(t, corpus.StepPredicates)
+		difftest.Seq, difftest.Par, scheduled(2), unchained, demoted(2), navdomEval).Run(t, corpus.StepPredicates)
 }
 
 // TestConstructorCases: the constructor content rules with an outcome
@@ -301,13 +271,11 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 }
 
 // TestLargeRangePipelines runs filter/map pipelines over 50 000-row
-// ranges — the operator chains of loop-lifted FLWORs at a size where the
-// default morsel size splits kernels — through the optimized plan at
-// workers 1 and 2 with runtime checking on, and compares each result with
-// the navigational baseline. At least one operator must report a morsel
-// split, or the comparison covered only the unsplit kernels. It stays off
-// the runner, which would add the plain plan: under -race that doubles
-// the test's time.
+// ranges — the operator chains of loop-lifted FLWORs at a size well past
+// one cancellation stride — through the optimized plan at workers 1 and 2
+// with runtime checking on, and compares each result with the
+// navigational baseline. It stays off the runner, which would add the
+// plain plan: under -race that doubles the test's time.
 func TestLargeRangePipelines(t *testing.T) {
 	pipelines := []string{
 		"for $i in 1 to 50000 where $i mod 7 = 0 return $i * 2",
@@ -320,7 +288,6 @@ func TestLargeRangePipelines(t *testing.T) {
 	db := navdom.NewDB()
 	for _, w := range []int{1, 2} {
 		e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: w, Check: true})
-		split := false
 		for _, src := range pipelines {
 			want, err := navdom.NewInterp(db).Run(src, xqcore.Options{})
 			if err != nil {
@@ -330,7 +297,7 @@ func TestLargeRangePipelines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
-			res, tr, err := e.EvalTrace(context.Background(), plan)
+			res, err := e.EvalContext(context.Background(), plan)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", src, w, err)
 			}
@@ -341,12 +308,6 @@ func TestLargeRangePipelines(t *testing.T) {
 			if got != want {
 				t.Errorf("%s workers=%d:\n rel = %.200q\n nav = %.200q", src, w, got, want)
 			}
-			for _, st := range tr.Stats {
-				split = split || st.Morsels > 1
-			}
-		}
-		if !split {
-			t.Errorf("workers=%d: no operator split into morsels at the default morsel size", w)
 		}
 	}
 }

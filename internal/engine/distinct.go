@@ -1,16 +1,16 @@
 package engine
 
 import (
+	"context"
+
 	"pathfinder/internal/bat"
 )
 
 // distinctIndices computes δ's surviving row indices — the first
 // occurrence of each distinct row, in input order — over the given key
 // column vectors. sel restricts (and orders) the rows considered; nil
-// means rows off..off+n-1 (off lets a morsel scan its dense range
-// without synthesizing a selection vector; it is ignored when sel is
-// non-nil). The returned indices are absolute rows of the underlying
-// vectors, and the second result names the kernel that ran.
+// means rows 0..n-1. The returned indices are absolute rows of the
+// underlying vectors, and the second result names the kernel that ran.
 //
 // When every key column is a typed int vector the rows hash as native
 // integers — single column through a map[int64], pairs through a
@@ -18,10 +18,10 @@ import (
 // of boxing every cell into an Item and encoding it through rowKey. The
 // loop-lifted plans δ appears in key on iter/pos/pre columns almost
 // exclusively, so this path dominates (see BenchmarkDistinct).
-func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, string) {
+func distinctIndices(ctx context.Context, vecs []bat.Vec, n int, sel []int32) ([]int32, string, error) {
 	row := func(i int) int32 {
 		if sel == nil {
-			return int32(i + off)
+			return int32(i)
 		}
 		return sel[i]
 	}
@@ -33,6 +33,9 @@ func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, stri
 			seen := make(map[int64]struct{}, n)
 			k0 := ints[0]
 			for i := 0; i < n; i++ {
+				if err := polled(ctx, i); err != nil {
+					return nil, "", err
+				}
 				r := row(i)
 				k := k0[r]
 				if _, ok := seen[k]; !ok {
@@ -44,6 +47,9 @@ func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, stri
 			seen := make(map[[2]int64]struct{}, n)
 			k0, k1 := ints[0], ints[1]
 			for i := 0; i < n; i++ {
+				if err := polled(ctx, i); err != nil {
+					return nil, "", err
+				}
 				r := row(i)
 				k := [2]int64{k0[r], k1[r]}
 				if _, ok := seen[k]; !ok {
@@ -57,6 +63,9 @@ func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, stri
 			seen := make(map[string]struct{}, n)
 			buf := make([]byte, 0, 8*len(ints))
 			for i := 0; i < n; i++ {
+				if err := polled(ctx, i); err != nil {
+					return nil, "", err
+				}
 				r := row(i)
 				buf = buf[:0]
 				for _, iv := range ints {
@@ -71,11 +80,14 @@ func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, stri
 				}
 			}
 		}
-		return idx, "distinct[int]"
+		return idx, "distinct[int]", nil
 	}
 	seen := make(map[string]struct{}, n)
 	var buf []byte
 	for i := 0; i < n; i++ {
+		if err := polled(ctx, i); err != nil {
+			return nil, "", err
+		}
 		r := row(i)
 		buf = rowKey(buf[:0], vecs, int(r))
 		if _, ok := seen[string(buf)]; !ok {
@@ -83,7 +95,7 @@ func distinctIndices(vecs []bat.Vec, n int, sel []int32, off int) ([]int32, stri
 			idx = append(idx, r)
 		}
 	}
-	return idx, "distinct[hash]"
+	return idx, "distinct[hash]", nil
 }
 
 // allIntVecs returns the vectors as typed int vectors, or nil when any

@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"pathfinder/internal/bat"
-	"pathfinder/internal/xenc"
 )
 
 // The δ boxing fix (distinctIndices): loop-lifted plans apply δ to
@@ -60,7 +60,6 @@ func sortedPairs(n int, dup bool) *bat.View {
 func BenchmarkDistinct(b *testing.B) {
 	const n = 100_000
 	vecs := distinctBenchInput(n)
-	e := New(xenc.NewStore())
 	for _, c := range []struct {
 		name string
 		dup  bool
@@ -69,7 +68,7 @@ func BenchmarkDistinct(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := physDistinct(e.testMorsels(), v)
+				out, err := physDistinct(context.Background(), v)
 				if err != nil || out.kernel != "distinct[sorted]" {
 					b.Fatalf("kernel = %s, err = %v", out.kernel, err)
 				}
@@ -79,9 +78,9 @@ func BenchmarkDistinct(b *testing.B) {
 	b.Run("typed-int-2col", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			idx, kernel := distinctIndices(vecs, n, nil, 0)
-			if kernel != "distinct[int]" {
-				b.Fatalf("kernel = %s", kernel)
+			idx, kernel, err := distinctIndices(context.Background(), vecs, n, nil)
+			if err != nil || kernel != "distinct[int]" {
+				b.Fatalf("kernel = %s, err = %v", kernel, err)
 			}
 			_ = idx
 		}
@@ -109,9 +108,9 @@ func TestDistinctTypedMatchesGeneric(t *testing.T) {
 	for arity, vecs := range map[int][]bat.Vec{
 		1: {a}, 2: {a, b}, 3: {a, b, c},
 	} {
-		got, kernel := distinctIndices(vecs, n, nil, 0)
-		if kernel != "distinct[int]" {
-			t.Fatalf("arity %d: kernel = %s", arity, kernel)
+		got, kernel, err := distinctIndices(context.Background(), vecs, n, nil)
+		if err != nil || kernel != "distinct[int]" {
+			t.Fatalf("arity %d: kernel = %s, err = %v", arity, kernel, err)
 		}
 		want := genericDistinctIndices(vecs, n)
 		if len(got) != len(want) {
@@ -126,7 +125,7 @@ func TestDistinctTypedMatchesGeneric(t *testing.T) {
 	// A selection vector restricts and orders the rows considered:
 	// values a[500]=3, a[2]=2, a[2]=2, a[9]=2 dedup to rows 500, 2.
 	sel := []int32{500, 2, 2, 9}
-	got, _ := distinctIndices([]bat.Vec{a}, len(sel), sel, 0)
+	got, _, _ := distinctIndices(context.Background(), []bat.Vec{a}, len(sel), sel)
 	if len(got) != 2 || got[0] != 500 || got[1] != 2 {
 		t.Fatalf("sel-restricted distinct = %v, want [500 2]", got)
 	}

@@ -30,7 +30,7 @@ type Catalog interface {
 // An engine is a view: the store binding (Store, Collection) is per-view,
 // while the scheduler accounting, plan cache, and resolver lock live in a
 // shared core. ForStore/ForCollection derive a view over another store in
-// a few words of allocation; all views draw from one worker budget, so a
+// a few words of allocation; all views share one set of gauges, so a
 // multi-collection service behaves as a single engine for admission
 // control.
 type Engine struct {
@@ -65,12 +65,6 @@ type Engine struct {
 	// DefaultSeqThreshold; negative disables the fallback entirely.
 	SeqThreshold int
 
-	// MorselRows is the morsel size for intra-operator parallelism:
-	// kernels the lowering pass marked Parallel split inputs larger than
-	// this into per-morsel work items executed on spare pool workers. 0
-	// means DefaultMorselRows; negative disables morsel parallelism.
-	MorselRows int
-
 	// Check enables runtime invariant assertions: after every kernel, the
 	// output's columns are checked against the operator's declared schema,
 	// and the sortedness/strictness/denseness bits the plan carries are
@@ -92,23 +86,19 @@ type Engine struct {
 	// runs the ×, ⊛, σ path on inputs the kernel would accept.
 	thetaDemote string
 
-	// panicHook, when set, runs before every kernel (morsel -1) and before
-	// every morsel a team runs — the test hook that makes kernels panic
-	// where the executor must contain it.
-	panicHook func(morsel int)
+	// panicHook, when set, runs before every kernel — the test hook that
+	// makes kernels panic where the executor must contain it.
+	panicHook func()
 }
 
-// engineShared is the state all views of one engine share: a single
-// worker budget, a single in-flight query gauge, one resolver lock, and
+// engineShared is the state all views of one engine share: a running
+// unit gauge, an in-flight query gauge, one resolver lock, and
 // one plan cache. Compiled plans are store-agnostic (name tests resolve
 // their surrogates at evaluation time), so the cache safely spans
 // collections.
 type engineShared struct {
-	// working counts the pool workers currently executing an operator —
-	// the shared budget between the DAG scheduler and the morsel teams.
-	// Operator hosts hold one slot while running a kernel; morsel teams
-	// reserve only the spare slots (see reserveWorkers), so both
-	// parallelism levels together never exceed WorkerCount goroutines.
+	// working counts the scheduler units currently running, on every
+	// view of the engine.
 	working atomic.Int32
 
 	// queries counts the evaluations currently in flight — the per-query
@@ -133,7 +123,6 @@ type engineShared struct {
 type Config struct {
 	Workers      int     // worker pool size; 0 = GOMAXPROCS
 	SeqThreshold int     // sequential-fallback operator count; 0 = DefaultSeqThreshold
-	MorselRows   int     // morsel size; 0 = DefaultMorselRows, negative disables
 	Check        bool    // assert schema/order/denseness invariants on live intermediates
 	Catalog      Catalog // collection-name resolver for ForCollection; nil = no named collections
 }
@@ -155,14 +144,13 @@ func NewWithConfig(store *xenc.Store, cfg Config) *Engine {
 	e := New(store)
 	e.Workers = cfg.Workers
 	e.SeqThreshold = cfg.SeqThreshold
-	e.MorselRows = cfg.MorselRows
 	e.Check = cfg.Check
 	e.Cat = cfg.Catalog
 	return e
 }
 
 // ForStore derives a view of this engine bound to another store: same
-// scheduler budget, same plan cache, different data. The view is a few
+// gauges, same plan cache, different data. The view is a few
 // words of allocation, cheap enough to mint per request.
 func (e *Engine) ForStore(store *xenc.Store, collection string) *Engine {
 	if store == e.Store && collection == e.Collection {
@@ -278,8 +266,8 @@ func (e *Engine) ForgetPlan(root *algebra.Op) { e.sh.plans.Delete(root) }
 // this engine — the service layer's per-engine accounting gauge.
 func (e *Engine) ActiveQueries() int64 { return e.sh.queries.Load() }
 
-// ActiveWorkers reports how many pool workers are currently executing an
-// operator kernel; 0 means the scheduler is idle. The robustness tests
+// ActiveWorkers reports how many scheduler units are currently running;
+// 0 means the scheduler is idle. The robustness tests
 // use it to assert that cancelled and disconnected queries release their
 // workers promptly.
 func (e *Engine) ActiveWorkers() int { return int(e.sh.working.Load()) }
@@ -294,11 +282,20 @@ func (e *Engine) seqThreshold() int {
 	return e.SeqThreshold
 }
 
-// cancelStride is how many rows the long-running row loops (×, ⋈, range
-// expansion) process between context checks: frequent enough that a
-// deadline or first-error cancellation is observed mid-operator, cheap
-// enough to vanish next to the per-row work.
+// cancelStride is how many rows the kernels' row loops process between
+// context checks: frequent enough that a deadline or first-error
+// cancellation is observed mid-operator, cheap enough to vanish next to
+// the per-row work.
 const cancelStride = 4096
+
+// polled is the context's error at every cancelStride-th row i, nil at
+// the others: the check a kernel's row loop makes on each row.
+func polled(ctx context.Context, i int) error {
+	if i%cancelStride != 0 {
+		return nil
+	}
+	return ctx.Err()
+}
 
 // Key hashing -----------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -16,7 +17,7 @@ import (
 // result vector is typed when the function's codomain is fixed (booleans
 // for comparisons/logic, strings for fn:string) and otherwise the vector
 // of the one kind its rows hold, an ItemVec only when they mix kinds.
-func (e *Engine) evalFun(t *bat.Table, o *algebra.Op) (*bat.Table, error) {
+func (e *Engine) evalFun(ctx context.Context, t *bat.Table, o *algebra.Op) (*bat.Table, error) {
 	args := make([]bat.Vec, len(o.Args))
 	for i, a := range o.Args {
 		v, err := t.Col(a)
@@ -35,6 +36,9 @@ func (e *Engine) evalFun(t *bat.Table, o *algebra.Op) (*bat.Table, error) {
 		algebra.FunBoolWrap, algebra.FunEbvItem:
 		res := make(bat.BoolVec, n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, err
+			}
 			it, err := e.applyFun(o, args, i)
 			if err != nil {
 				return nil, err
@@ -46,6 +50,9 @@ func (e *Engine) evalFun(t *bat.Table, o *algebra.Op) (*bat.Table, error) {
 		algebra.FunSubstring3, algebra.FunNameOf:
 		res := make(bat.StrVec, n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, err
+			}
 			it, err := e.applyFun(o, args, i)
 			if err != nil {
 				return nil, err
@@ -56,6 +63,9 @@ func (e *Engine) evalFun(t *bat.Table, o *algebra.Op) (*bat.Table, error) {
 	default:
 		res := bat.NewItems(n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, err
+			}
 			it, err := e.applyFun(o, args, i)
 			if err != nil {
 				return nil, err

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -23,9 +22,9 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
-// TestKernelPanicFailsQueryNotServer: kernels panic — on the host that
-// runs them and on the goroutines of their morsel teams — while clients
-// hammer the service over HTTP and TCP. Each panic fails its own query
+// TestKernelPanicFailsQueryNotServer: kernels panic on the scheduler
+// workers that run them while clients hammer the service over HTTP and
+// TCP. Each panic fails its own query
 // with a 500 naming the operator and kernel; the service keeps answering,
 // the scheduler returns to idle, no goroutine is left behind, and once
 // the kernels stop panicking every query answers what the reference
@@ -37,9 +36,7 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 	if _, err := store.LoadDocumentString(doc, xml); err != nil {
 		t.Fatal(err)
 	}
-	// Sixteen-row morsels split the XMark queries' steps and filters, and
-	// four workers leave a kernel's host spare slots for a team.
-	svc := service.New(store, service.Config{Engine: engine.Config{Workers: 4, MorselRows: 16}})
+	svc := service.New(store, service.Config{Engine: engine.Config{Workers: 4}})
 	hs := httptest.NewServer(svc.Handler())
 	defer hs.Close()
 	milSrv := svc.NewMILServer()
@@ -50,8 +47,8 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 	go milSrv.Serve(l) //nolint:errcheck — closed below
 	defer milSrv.Close()
 
-	// XMark q01–q08 plus a filter and a map big enough to split.
-	queries := []string{teamQuery}
+	// XMark q01–q08 plus a filter and a map.
+	queries := []string{pipelineQuery}
 	for n := 1; n <= 8; n++ {
 		queries = append(queries, xmark.Query(n))
 	}
@@ -77,16 +74,12 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 	}
 
 	goroutines := runtime.NumGoroutine()
-	var kernels, hostPanics, teamPanics atomic.Int64
+	var kernels, panics atomic.Int64
 	eng := svc.Engine()
-	eng.SetPanicHook(func(morsel int) {
-		switch {
-		case morsel < 0 && kernels.Add(1)%97 == 0:
-			hostPanics.Add(1)
-			panic("injected on the host")
-		case morsel == 1:
-			teamPanics.Add(1)
-			panic(fmt.Sprintf("injected in morsel %d", morsel))
+	eng.SetPanicHook(func() {
+		if kernels.Add(1)%97 == 0 {
+			panics.Add(1)
+			panic("injected")
 		}
 	})
 
@@ -135,14 +128,13 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if hostPanics.Load() == 0 || teamPanics.Load() == 0 {
-		t.Fatalf("panics injected: %d on hosts, %d in morsel teams; want both", hostPanics.Load(), teamPanics.Load())
+	if panics.Load() == 0 {
+		t.Fatal("no panic was injected")
 	}
 	if failed.Load() == 0 || answered.Load() == 0 {
 		t.Fatalf("%d queries failed, %d answered; want some of each", failed.Load(), answered.Load())
 	}
-	t.Logf("%d host and %d morsel panics; %d queries failed, %d answered",
-		hostPanics.Load(), teamPanics.Load(), failed.Load(), answered.Load())
+	t.Logf("%d panics; %d queries failed, %d answered", panics.Load(), failed.Load(), answered.Load())
 
 	waitEngineIdle(t, eng)
 	eng.SetPanicHook(nil)
@@ -165,30 +157,24 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 	}
 }
 
-// teamQuery's filter and map run on morsel teams at sixteen-row morsels.
-const teamQuery = `count(for $i in 1 to 2000 where $i mod 7 = 0 return $i * 2)`
+// pipelineQuery is a filter and a map over a range.
+const pipelineQuery = `count(for $i in 1 to 2000 where $i mod 7 = 0 return $i * 2)`
 
 // TestKernelPanicNamesOperator: the error of a panicking kernel is a
 // *KernelPanic naming the operator and its kernel, from the sequential
-// runner and from a morsel team alike.
+// runner and from a scheduler worker alike.
 func TestKernelPanicNamesOperator(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		panics func(morsel int) bool
-		cfg    engine.Config
+		name string
+		cfg  engine.Config
 	}{
-		{"sequential", func(m int) bool { return m < 0 }, engine.Config{Workers: 1}},
-		// Every morsel past the first: some are claimed by the team.
-		{"team", func(m int) bool { return m > 0 }, engine.Config{Workers: 4, MorselRows: 16, SeqThreshold: -1}},
+		{"sequential", engine.Config{Workers: 1}},
+		{"scheduler", engine.Config{Workers: 4, SeqThreshold: -1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng := engine.NewWithConfig(xenc.NewStore(), c.cfg)
-			eng.SetPanicHook(func(morsel int) {
-				if c.panics(morsel) {
-					panic("injected")
-				}
-			})
-			_, err := runOptimized(t, teamQuery, eng, xqcore.Options{})
+			eng.SetPanicHook(func() { panic("injected") })
+			_, err := runOptimized(t, pipelineQuery, eng, xqcore.Options{})
 			kp, ok := err.(*engine.KernelPanic)
 			if !ok {
 				t.Fatalf("error %v (%T), want *engine.KernelPanic", err, err)

@@ -87,12 +87,11 @@ func denseJoinInput(n, keys int) (l, r *bat.View, o *algebra.Op) {
 
 func BenchmarkIntJoinDense(b *testing.B) {
 	l, r, o := denseJoinInput(q11Pairs, 1200)
-	e := New(xenc.NewStore())
 	ctx := context.Background()
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := physHashJoin(ctx, e.testMorsels(), o, l, r, joinFull)
+			out, err := physHashJoin(ctx, o, l, r, joinFull)
 			if err != nil || out.kernel != "hash-join[int:dense]" {
 				b.Fatalf("kernel = %s, err = %v", out.kernel, err)
 			}
@@ -102,7 +101,7 @@ func BenchmarkIntJoinDense(b *testing.B) {
 		lk, rk := l.Base().MustCol("ai").(bat.IntVec), r.Base().MustCol("vin").(bat.IntVec)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := keyHashJoin(ctx, e.testMorsels(), o, l, r, joinFull, "[int]", lk, rk); err != nil {
+			if _, err := keyHashJoin(ctx, o, l, r, joinFull, "[int]", lk, rk); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,11 +115,10 @@ func BenchmarkAggrRuns(b *testing.B) {
 		part[i] = int64(1 + i*1730/len(part))
 	}
 	tab := bat.MustTable("iter", part)
-	e := New(xenc.NewStore())
 	b.Run("runs", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, tag, err := physAggr(e.testMorsels(), tab, "cnt", algebra.AggCount, nil, "iter", "")
+			_, tag, err := physAggr(context.Background(), tab, "cnt", algebra.AggCount, nil, "iter", "")
 			if err != nil || tag != ":int:runs" {
 				b.Fatalf("tag = %s, err = %v", tag, err)
 			}
@@ -129,7 +127,7 @@ func BenchmarkAggrRuns(b *testing.B) {
 	b.Run("hash", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := aggrHash(e.testMorsels(), part, algebra.AggCount, nil, ""); err != nil {
+			if _, _, err := aggrHash(context.Background(), part, algebra.AggCount, nil, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -162,7 +160,7 @@ func thetaCountInput(tb testing.TB, na, nb int, sel float64) (tj *physical.Theta
 func thetaCountByPairs(e *Engine, tj *physical.ThetaJoin, l, r *bat.View) (physOut, int, error) {
 	pairsOnly := *tj
 	pairsOnly.Count = nil
-	pairs, reason, err := thetaKernel(context.Background(), e.testMorsels(), &pairsOnly, l, r)
+	pairs, reason, err := thetaKernel(context.Background(), &pairsOnly, l, r)
 	if err != nil || reason != "" || pairs.kernel != "merge-thetajoin[float]" {
 		return physOut{}, 0, fmt.Errorf("band kernel: %q, reason %q, err %v", pairs.kernel, reason, err)
 	}
@@ -227,10 +225,11 @@ func atomizeJoinInput(tb testing.TB) (e *Engine, ids, buyers bat.NodeVec) {
 
 // atomizeJoin is Q8's ⊛data on either side and the ⋈ of the atomized
 // values, buyers probing the persons' table.
-func atomizeJoin(e *Engine, ms *morsels, ids, buyers bat.NodeVec) (physOut, error) {
+func atomizeJoin(e *Engine, ids, buyers bat.NodeVec) (physOut, error) {
+	ctx := context.Background()
 	data := &algebra.Op{Kind: algebra.OpFun, Fun: algebra.FunAtomize}
 	atomize := func(nodes bat.NodeVec, iter, item string) (*bat.View, error) {
-		v, _, err := e.funKernel(data, []bat.Vec{nodes}, len(nodes))
+		v, _, err := e.funKernel(ctx, data, []bat.Vec{nodes}, len(nodes))
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +244,7 @@ func atomizeJoin(e *Engine, ms *morsels, ids, buyers bat.NodeVec) (physOut, erro
 		return physOut{}, err
 	}
 	join := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"bitem"}, KeyR: []string{"aitem"}}
-	return physHashJoin(ms.ctx, ms, join, l, r, joinFull)
+	return physHashJoin(ctx, join, l, r, joinFull)
 }
 
 // BenchmarkAtomizeJoin is Q8's value join at SF 0.1, atomization
@@ -256,7 +255,7 @@ func BenchmarkAtomizeJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := atomizeJoin(e, e.testMorsels(), ids, buyers)
+		out, err := atomizeJoin(e, ids, buyers)
 		if err != nil || out.kernel != "hash-join[str]" || out.view.Rows() != len(buyers) {
 			b.Fatalf("kernel = %s, %d rows, err %v", out.kernel, out.view.Rows(), err)
 		}
@@ -268,8 +267,7 @@ func BenchmarkAtomizeJoin(b *testing.B) {
 // and a join on a dense key builds no table, so neither allocates per
 // row or per key — a handful of slices whatever the size. (The kernels
 // they shortcut insert every row into a map, and keep a match list per
-// distinct key.) The join runs unsplit here; a morsel split adds two
-// index buffers per morsel. A count-only theta unit allocates for its
+// distinct key.) A count-only theta unit allocates for its
 // inputs — keys, permutation, bounds, one output row per outer row — and
 // nothing for the pairs it counts: the same few slices, of the same
 // size, whether 3 % or 50 % of the product qualifies. Q8's atomize-and-
@@ -277,14 +275,12 @@ func BenchmarkAtomizeJoin(b *testing.B) {
 // joined columns: a boxed Item per row (56 bytes each side, and an
 // encoded key per row to hash) does not fit.
 func TestKernelAllocBudget(t *testing.T) {
-	e := New(xenc.NewStore())
 	ctx := context.Background()
-	unsplit := &morsels{e: e, ctx: ctx}
 	{
 		ae, ids, buyers := atomizeJoinInput(t)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out, err := atomizeJoin(ae, &morsels{e: ae, ctx: ctx}, ids, buyers)
+		out, err := atomizeJoin(ae, ids, buyers)
 		runtime.ReadMemStats(&after)
 		if err != nil || out.kernel != "hash-join[str]" {
 			t.Fatalf("Q8's join ran %s, err %v", out.kernel, err)
@@ -297,7 +293,7 @@ func TestKernelAllocBudget(t *testing.T) {
 	for _, n := range []int{400, 4000, 40000} {
 		v := sortedPairs(n, false)
 		if got := testing.AllocsPerRun(10, func() {
-			if out, err := physDistinct(e.testMorsels(), v); err != nil || out.view != v {
+			if out, err := physDistinct(context.Background(), v); err != nil || out.view != v {
 				t.Fatalf("δ did not return its input (err %v)", err)
 			}
 		}); got > 8 {
@@ -305,7 +301,7 @@ func TestKernelAllocBudget(t *testing.T) {
 		}
 		l, r, o := denseJoinInput(10*n, n)
 		if got := testing.AllocsPerRun(10, func() {
-			if out, err := physHashJoin(ctx, unsplit, o, l, r, joinFull); err != nil || out.view.Rows() != 10*n {
+			if out, err := physHashJoin(ctx, o, l, r, joinFull); err != nil || out.view.Rows() != 10*n {
 				t.Fatalf("dense join: %d rows, err %v", out.view.Rows(), err)
 			}
 		}); got > 30 {
@@ -339,7 +335,7 @@ func TestKernelAllocBudget(t *testing.T) {
 }
 
 // atomizeJoinBytesPerRow is the ceiling TestKernelAllocBudget holds Q8's
-// atomize-and-join to, per atomized row, unsplit: 95 bytes on the untyped
+// atomize-and-join to, per atomized row: 95 bytes on the untyped
 // vectors and the string-keyed table, 166 when each atomized row was a
 // boxed Item and the join hashed an encoded key per row.
 const atomizeJoinBytesPerRow = 120

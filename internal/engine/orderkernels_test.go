@@ -10,12 +10,11 @@ import (
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
-	"pathfinder/internal/xenc"
 )
 
 // The order- and density-observing int kernels (sortedDistinct,
 // countSortPerm, denseJoin, aggrRuns) against the kernels they shortcut
-// (physDistinctHash, comparatorRowNumSort, keyHashJoin, aggrHash), which
+// (distinctIndices, comparatorRowNumSort, keyHashJoin, aggrHash), which
 // stay in the executor as the path for unsorted or sparse input and are
 // called here directly, so the comparison needs no switch in production
 // code. Each pair must agree row for row: first-occurrence δ, stable ϱ,
@@ -152,43 +151,27 @@ func withPayload(v *bat.View) *bat.Table {
 	return t
 }
 
-// kernelEngine is one worker / morsel-size combination every
-// differential runs under.
-type kernelEngine struct {
-	label string
-	e     *Engine
-}
-
-func kernelEngines() []kernelEngine {
-	var out []kernelEngine
-	for _, w := range []int{1, 2, 8} {
-		for _, mr := range []int{7, 0} {
-			out = append(out, kernelEngine{fmt.Sprintf("workers=%d morsel=%d", w, mr),
-				NewWithConfig(xenc.NewStore(), Config{Workers: w, MorselRows: mr})})
-		}
+// hashDistinct is δ through the hash kernels of distinctIndices alone,
+// the path an unsorted input takes.
+func hashDistinct(v *bat.View, vecs []bat.Vec) (physOut, error) {
+	sel, kernel, err := distinctIndices(context.Background(), vecs, v.Rows(), v.Sel())
+	if err != nil {
+		return physOut{}, err
 	}
-	return out
-}
-
-func (e *Engine) testMorsels() *morsels {
-	return &morsels{e: e, ctx: context.Background(), par: true}
+	return physOut{view: bat.ViewOf(v.Base().Gather(sel)), kernel: kernel}, nil
 }
 
 // forEachKeyCase runs fn over shapes × arities × with/without a
-// selection vector × engines, several random draws each.
-func forEachKeyCase(t *testing.T, seed int64, fn func(name, shape string, e *Engine, rng *rand.Rand, v *bat.View)) {
+// selection vector, several random draws each.
+func forEachKeyCase(t *testing.T, seed int64, fn func(name, shape string, rng *rand.Rand, v *bat.View)) {
 	rng := rand.New(rand.NewSource(seed))
-	engines := kernelEngines()
 	for _, shape := range keyShapes {
 		for arity := 1; arity <= 3; arity++ {
 			for _, selected := range []bool{false, true} {
 				for draw := 0; draw < 4; draw++ {
 					keys := shapedKeys(rng, shape, arity)
-					for _, ke := range engines {
-						v := keyView(rng, keys, selected)
-						name := fmt.Sprintf("%s arity=%d sel=%v draw=%d %s", shape, arity, selected, draw, ke.label)
-						fn(name, shape, ke.e, rng, v)
-					}
+					v := keyView(rng, keys, selected)
+					fn(fmt.Sprintf("%s arity=%d sel=%v draw=%d", shape, arity, selected, draw), shape, rng, v)
 				}
 			}
 		}
@@ -197,13 +180,13 @@ func forEachKeyCase(t *testing.T, seed int64, fn func(name, shape string, e *Eng
 
 func TestDistinctSortedMatchesHash(t *testing.T) {
 	ran := map[string]int{}
-	forEachKeyCase(t, 1, func(name, shape string, e *Engine, _ *rand.Rand, v *bat.View) {
-		got, err := physDistinct(e.testMorsels(), v)
+	forEachKeyCase(t, 1, func(name, shape string, _ *rand.Rand, v *bat.View) {
+		got, err := physDistinct(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		vecs, _ := colVecs(v.Base(), v.Base().Cols())
-		want, err := physDistinctHash(e.testMorsels(), v, vecs)
+		want, err := hashDistinct(v, vecs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +212,7 @@ func TestDistinctSortedMatchesHash(t *testing.T) {
 
 func TestRowNumCountSortMatchesComparator(t *testing.T) {
 	ran := map[string]int{}
-	forEachKeyCase(t, 2, func(name, shape string, _ *Engine, rng *rand.Rand, v *bat.View) {
+	forEachKeyCase(t, 2, func(name, shape string, rng *rand.Rand, v *bat.View) {
 		tab := withPayload(v)
 		cols := v.Base().Cols()
 		// Every split of the key columns into partition + order columns,
@@ -295,7 +278,7 @@ func TestRowNumSortFallbacks(t *testing.T) {
 func TestDenseJoinMatchesHash(t *testing.T) {
 	ran := map[string]int{}
 	ctx := context.Background()
-	forEachKeyCase(t, 3, func(name, shape string, e *Engine, rng *rand.Rand, rv *bat.View) {
+	forEachKeyCase(t, 3, func(name, shape string, rng *rand.Rand, rv *bat.View) {
 		rb := rv.Base() // joined on k0; further key columns ride along as payload
 		// Left keys: in and around the right side's key range, repeated.
 		nr := rv.Rows()
@@ -323,11 +306,11 @@ func TestDenseJoinMatchesHash(t *testing.T) {
 		}
 		o := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"lk"}, KeyR: []string{"k0"}}
 		for _, mode := range []joinMode{joinFull, joinSemi} {
-			got, err := physHashJoin(ctx, e.testMorsels(), o, l, rv, mode)
+			got, err := physHashJoin(ctx, o, l, rv, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := keyHashJoin(ctx, e.testMorsels(), o, l, rv, mode, "[int]", lk, rk)
+			want, err := keyHashJoin(ctx, o, l, rv, mode, "[int]", lk, rk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +318,10 @@ func TestDenseJoinMatchesHash(t *testing.T) {
 				t.Fatalf("%s mode=%d: %s vs %s: %v", name, mode, got.kernel, want.kernel, err)
 			}
 			ran[got.kernel]++
-			if dense := strings.HasSuffix(got.kernel, "[int:dense]"); dense != (shape == "dense" || shape == "one-row") {
+			// A draw of another shape can be a dense run too (sorted-dups
+			// with no duplicate in k0); the shapes named dense always are.
+			_, run := denseRun(rk, rv)
+			if dense := strings.HasSuffix(got.kernel, "[int:dense]"); dense != (shape == "dense" || shape == "one-row" || run) {
 				t.Fatalf("%s: right keys of shape %s ran %s", name, shape, got.kernel)
 			}
 		}
@@ -350,15 +336,15 @@ func TestDenseJoinMatchesHash(t *testing.T) {
 func TestAggrRunsMatchesHash(t *testing.T) {
 	ran := map[string]int{}
 	aggs := []algebra.AggKind{algebra.AggCount, algebra.AggSum, algebra.AggMin, algebra.AggMax, algebra.AggAvg, algebra.AggStrJoin}
-	forEachKeyCase(t, 4, func(name, shape string, e *Engine, _ *rand.Rand, v *bat.View) {
+	forEachKeyCase(t, 4, func(name, shape string, _ *rand.Rand, v *bat.View) {
 		tab := withPayload(v)
 		pInts := tab.MustCol("k0").(bat.IntVec)
 		for _, agg := range aggs {
-			got, tag, err := physAggr(e.testMorsels(), tab, "res", agg, []string{"row"}, "k0", "|")
+			got, tag, err := physAggr(context.Background(), tab, "res", agg, []string{"row"}, "k0", "|")
 			if err != nil {
 				t.Fatal(err)
 			}
-			partOut, aggOut, err := aggrHash(e.testMorsels(), pInts, agg, tab.MustCol("row"), "|")
+			partOut, aggOut, err := aggrHash(context.Background(), pInts, agg, tab.MustCol("row"), "|")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +375,6 @@ func TestAggrRunsMatchesHash(t *testing.T) {
 // int64 in the hash kernels already, and so do their fast paths.
 func TestIntKernelsBeyondExactFloat(t *testing.T) {
 	const big = int64(1) << 53
-	e := New(xenc.NewStore())
 	ctx := context.Background()
 	for name, keys := range map[string]bat.IntVec{
 		"sorted":   {big, big + 1},
@@ -413,7 +398,7 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		}
 
 		// aggr: one group, represented by its first row.
-		agg, tag, err := physAggr(e.testMorsels(), tab, "n", algebra.AggCount, nil, "k", "")
+		agg, tag, err := physAggr(context.Background(), tab, "n", algebra.AggCount, nil, "k", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,11 +412,11 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 
 		// δ: native equality — two distinct rows, on either path.
 		v := bat.ViewOf(bat.MustTable("k", keys))
-		d, err := physDistinct(e.testMorsels(), v)
+		d, err := physDistinct(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _ := physDistinctHash(e.testMorsels(), v, []bat.Vec{keys})
+		ref, _ := hashDistinct(v, []bat.Vec{keys})
 		if err := sameTable(d.view.Materialize(), ref.view.Materialize()); err != nil || d.view.Rows() != 2 {
 			t.Errorf("%s δ (%s): %d rows, %v", name, d.kernel, d.view.Rows(), err)
 		}
@@ -440,11 +425,11 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		l := bat.ViewOf(bat.MustTable("lk", bat.IntVec{keys[1], keys[0], keys[1] + 1}))
 		r := bat.ViewOf(bat.MustTable("k", keys, "rrow", bat.IntVec{0, 1}))
 		o := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"lk"}, KeyR: []string{"k"}}
-		j, err := physHashJoin(ctx, e.testMorsels(), o, l, r, joinFull)
+		j, err := physHashJoin(ctx, o, l, r, joinFull)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jref, _ := keyHashJoin(ctx, e.testMorsels(), o, l, r, joinFull, "[int]", l.Base().MustCol("lk").(bat.IntVec), keys)
+		jref, _ := keyHashJoin(ctx, o, l, r, joinFull, "[int]", l.Base().MustCol("lk").(bat.IntVec), keys)
 		if err := sameTable(j.view.Materialize(), jref.view.Materialize()); err != nil {
 			t.Errorf("%s ⋈ (%s): %v", name, j.kernel, err)
 		}

@@ -100,9 +100,8 @@ func planUnits(plan *physical.Plan) []execUnit {
 }
 
 // runUnit executes one unit over its input views and records its stats.
-// Errors return wrapped with the failing operator's kind. The unit holds
-// one slot of the shared worker budget while it runs; kernels the
-// lowering marked Parallel may reserve spare slots for a morsel team.
+// Errors return wrapped with the failing operator's kind. The unit counts
+// as one working scheduler unit while it runs.
 func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
 	switch {
 	case u.chain != nil:
@@ -175,22 +174,20 @@ func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*
 // runNode runs one node's kernel over its input views, asserts the
 // output's invariants under Check, and returns the output with — when
 // the evaluation is traced — the node's stat. Errors return wrapped with
-// the operator's kind; a kernel that panics, on this goroutine or on one
-// of its morsel team's, fails with a *KernelPanic naming the operator and
-// the kernel.
+// the operator's kind; a kernel that panics fails with a *KernelPanic
+// naming the operator and the kernel.
 func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, tr *Trace, worker int) (_ *bat.View, _ OpStat, err error) {
 	defer recoverKernel(&err, nd.Op.Kind, nd.Kernel)
 	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-	ms := &morsels{e: e, ctx: ctx, par: nd.Parallel}
 	if e.panicHook != nil {
-		e.panicHook(-1)
+		e.panicHook()
 	}
-	out, err := e.execKernel(ctx, nd, in, ms)
+	out, err := e.execKernel(ctx, nd, in)
 	if err == nil && e.Check {
 		err = checkNodeOutput(nd, out.view)
 	}
 	if err != nil {
-		return nil, OpStat{}, wrapKernelErr(err, nd.Op.Kind, nd.Kernel)
+		return nil, OpStat{}, fmt.Errorf("%s: %w", nd.Op.Kind, err)
 	}
 	if tr == nil {
 		return out.view, OpStat{}, nil
@@ -210,8 +207,28 @@ func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View,
 			st.Sink = "stream"
 		}
 	}
-	st.setMorsels(ms)
 	return out.view, st, nil
+}
+
+// KernelPanic is the evaluation error of a kernel that panicked: the
+// query fails, the process and every other query go on. Op and Kernel
+// name where it happened (Kernel is the node's static kernel); Value is
+// what the kernel panicked with.
+type KernelPanic struct {
+	Op     algebra.OpKind
+	Kernel string
+	Value  any
+}
+
+func (p *KernelPanic) Error() string {
+	return fmt.Sprintf("%s [%s]: kernel panic: %v", p.Op, p.Kernel, p.Value)
+}
+
+// recoverKernel, deferred by a kernel's host, turns a panic into *err.
+func recoverKernel(err *error, op algebra.OpKind, kernel string) {
+	if r := recover(); r != nil {
+		*err = &KernelPanic{Op: op, Kernel: kernel, Value: r}
+	}
 }
 
 // physSequential executes the plan units in topological order on the
@@ -289,7 +306,7 @@ func matCount(v *bat.View) (*bat.Table, int) {
 }
 
 // execKernel dispatches to the operator's kernel.
-func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.View, ms *morsels) (physOut, error) {
+func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.View) (physOut, error) {
 	o := nd.Op
 	switch o.Kind {
 	case algebra.OpLit:
@@ -307,17 +324,17 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		}
 		return physOut{view: v, kernel: nd.Kernel}, nil
 	case algebra.OpSelect:
-		return physFilter(ms, in[0], o.Col)
+		return physFilter(ctx, in[0], o.Col)
 	case algebra.OpUnion:
 		return physConcat(in[0], in[1])
 	case algebra.OpDiff:
-		return physAntiJoin(ms, in[0], in[1], o.KeyL, o.KeyR)
+		return physAntiJoin(ctx, in[0], in[1], o.KeyL, o.KeyR)
 	case algebra.OpDistinct:
-		return physDistinct(ms, in[0])
+		return physDistinct(ctx, in[0])
 	case algebra.OpJoin:
-		return physJoin(ctx, ms, nd, in[0], in[1], joinFull)
+		return physJoin(ctx, nd, in[0], in[1], joinFull)
 	case algebra.OpSemiJoin:
-		return physJoin(ctx, ms, nd, in[0], in[1], joinSemi)
+		return physJoin(ctx, nd, in[0], in[1], joinSemi)
 	case algebra.OpCross:
 		lt, lm := matCount(in[0])
 		rt, rm := matCount(in[1])
@@ -341,17 +358,17 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		}
 		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: m}, nil
 	case algebra.OpFun:
-		return e.physFun(ms, nd, in[0])
+		return e.physFun(ctx, nd, in[0])
 	case algebra.OpAggr:
 		t, m := matCount(in[0])
-		out, tag, err := physAggr(ms, t, o.Col, o.Agg, o.Args, o.Part, o.Sep)
+		out, tag, err := physAggr(ctx, t, o.Col, o.Agg, o.Args, o.Part, o.Sep)
 		if err != nil {
 			return physOut{}, err
 		}
 		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel + tag, mat: m, fast: tag == ":int:runs"}, nil
 	case algebra.OpStep:
 		t, m := matCount(in[0])
-		out, err := e.evalStep(ms, t, o.Axis, o.Test)
+		out, err := e.evalStep(ctx, t, o.Axis, o.Test)
 		if err != nil {
 			return physOut{}, err
 		}
@@ -419,62 +436,39 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 // physFilter is σ as a selection-vector kernel: it narrows the input
 // view's selection without touching row data. Boolean columns take the
 // typed path (no per-row Item boxing); polymorphic item columns check
-// each row's kind and name the first non-boolean one. Both paths are
-// embarrassingly morsel-parallel: each morsel filters its own view-row
-// range into a private buffer and the buffers concatenate in morsel
-// order, reproducing the sequential selection exactly.
-func physFilter(ms *morsels, v *bat.View, col string) (physOut, error) {
+// each row's kind and name the first non-boolean one.
+func physFilter(ctx context.Context, v *bat.View, col string) (physOut, error) {
 	c, err := v.Base().Col(col)
 	if err != nil {
 		return physOut{}, err
 	}
-	ranges := ms.split(v.Rows())
-	parts := make([][]int32, len(ranges))
-	kernel := "filter[item]"
+	n := v.Rows()
+	out := make([]int32, 0, n)
 	if bv, ok := c.(bat.BoolVec); ok {
-		kernel = "filter[bool]"
-		sel := v.Sel()
-		err = ms.run(len(ranges), func(m int) error {
-			r := ranges[m]
-			out := make([]int32, 0, r.Len())
-			if sel == nil {
-				for i := r.Lo; i < r.Hi; i++ {
-					if bv[i] {
-						out = append(out, int32(i))
-					}
-				}
-			} else {
-				for _, i := range sel[r.Lo:r.Hi] {
-					if bv[i] {
-						out = append(out, i)
-					}
-				}
+		for row := 0; row < n; row++ {
+			if err := polled(ctx, row); err != nil {
+				return physOut{}, err
 			}
-			parts[m] = out
-			return nil
-		})
-	} else {
-		err = ms.run(len(ranges), func(m int) error {
-			r := ranges[m]
-			out := make([]int32, 0, r.Len())
-			for row := r.Lo; row < r.Hi; row++ {
-				i := v.Index(row)
-				it := c.ItemAt(i)
-				if it.Kind != bat.KBool {
-					return fmt.Errorf("σ over non-boolean column %q (row %d is %s)", col, row, it.Kind)
-				}
-				if it.B {
-					out = append(out, int32(i))
-				}
+			if i := v.Index(row); bv[i] {
+				out = append(out, int32(i))
 			}
-			parts[m] = out
-			return nil
-		})
+		}
+		return physOut{view: bat.NewView(v.Base(), out), kernel: "filter[bool]"}, nil
 	}
-	if err != nil {
-		return physOut{}, err
+	for row := 0; row < n; row++ {
+		if err := polled(ctx, row); err != nil {
+			return physOut{}, err
+		}
+		i := v.Index(row)
+		it := c.ItemAt(i)
+		if it.Kind != bat.KBool {
+			return physOut{}, fmt.Errorf("σ over non-boolean column %q (row %d is %s)", col, row, it.Kind)
+		}
+		if it.B {
+			out = append(out, int32(i))
+		}
 	}
-	return physOut{view: bat.NewView(v.Base(), concatSel(parts)), kernel: kernel}, nil
+	return physOut{view: bat.NewView(v.Base(), out), kernel: "filter[item]"}, nil
 }
 
 // physConcat is ∪̇: a breaker that appends both inputs' selected rows
@@ -517,14 +511,10 @@ func physConcat(l, r *bat.View) (physOut, error) {
 
 // physAntiJoin is \ as a selection kernel over the left view: rows whose
 // key has no match in the right side survive. Only the right-side key
-// set is built; neither input materializes. The probe is morsel-parallel
-// over the left view (the set is read-only by then); the build stays
-// sequential — \'s right side is the small "already emitted" relation in
-// the loop-lifted plans.
-func physAntiJoin(ms *morsels, l, r *bat.View, keyL, keyR []string) (physOut, error) {
+// set is built; neither input materializes.
+func physAntiJoin(ctx context.Context, l, r *bat.View, keyL, keyR []string) (physOut, error) {
 	lb, rb := l.Base(), r.Base()
-	ranges := ms.split(l.Rows())
-	parts := make([][]int32, len(ranges))
+	sel := make([]int32, 0, l.Rows())
 	if len(keyL) == 1 {
 		lv, err := lb.Col(keyL[0])
 		if err != nil {
@@ -540,21 +530,16 @@ func physAntiJoin(ms *morsels, l, r *bat.View, keyL, keyR []string) (physOut, er
 				for i, n := 0, r.Rows(); i < n; i++ {
 					set[rk[r.Index(i)]] = struct{}{}
 				}
-				if err := ms.run(len(ranges), func(m int) error {
-					rg := ranges[m]
-					sel := make([]int32, 0, rg.Len())
-					for i := rg.Lo; i < rg.Hi; i++ {
-						bi := l.Index(i)
-						if _, hit := set[lk[bi]]; !hit {
-							sel = append(sel, int32(bi))
-						}
+				for i, n := 0, l.Rows(); i < n; i++ {
+					if err := polled(ctx, i); err != nil {
+						return physOut{}, err
 					}
-					parts[m] = sel
-					return nil
-				}); err != nil {
-					return physOut{}, err
+					bi := l.Index(i)
+					if _, hit := set[lk[bi]]; !hit {
+						sel = append(sel, int32(bi))
+					}
 				}
-				return physOut{view: bat.NewView(lb, concatSel(parts)), kernel: "antijoin[int]"}, nil
+				return physOut{view: bat.NewView(lb, sel), kernel: "antijoin[int]"}, nil
 			}
 		}
 	}
@@ -572,23 +557,17 @@ func physAntiJoin(ms *morsels, l, r *bat.View, keyL, keyR []string) (physOut, er
 		buf = rowKey(buf[:0], rv, r.Index(i))
 		set[string(buf)] = struct{}{}
 	}
-	if err := ms.run(len(ranges), func(m int) error {
-		rg := ranges[m]
-		sel := make([]int32, 0, rg.Len())
-		var kb []byte // per-morsel key buffer: rowKey scratch must not be shared
-		for i := rg.Lo; i < rg.Hi; i++ {
-			bi := l.Index(i)
-			kb = rowKey(kb[:0], lv, bi)
-			if _, ok := set[string(kb)]; !ok {
-				sel = append(sel, int32(bi))
-			}
+	for i, n := 0, l.Rows(); i < n; i++ {
+		if err := polled(ctx, i); err != nil {
+			return physOut{}, err
 		}
-		parts[m] = sel
-		return nil
-	}); err != nil {
-		return physOut{}, err
+		bi := l.Index(i)
+		buf = rowKey(buf[:0], lv, bi)
+		if _, ok := set[string(buf)]; !ok {
+			sel = append(sel, int32(bi))
+		}
 	}
-	return physOut{view: bat.NewView(lb, concatSel(parts)), kernel: "antijoin[hash]"}, nil
+	return physOut{view: bat.NewView(lb, sel), kernel: "antijoin[hash]"}, nil
 }
 
 // physDistinct is δ: first occurrence of each distinct row survives, in
@@ -596,17 +575,9 @@ func physAntiJoin(ms *morsels, l, r *bat.View, keyL, keyR []string) (physOut, er
 // output materializes — δ is a pipeline breaker.
 //
 // Int keys that arrive lexicographically sorted never reach a hash table
-// (sortedDistinct, one scan tried before any morsel split); a strictly
-// sorted input is returned as it came, without a gather.
-//
-// Morsel decomposition of the hash kernels: each morsel deduplicates its
-// own row range into a private survivor list (keeping first occurrences
-// in input order), and a final sequential pass deduplicates the
-// concatenation of the lists. Since every morsel keeps its rows in input
-// order and the lists merge in morsel order, the merge pass sees
-// candidates in global input order and the survivors are exactly the
-// sequential scan's.
-func physDistinct(ms *morsels, v *bat.View) (physOut, error) {
+// (sortedDistinct, one scan tried first); a strictly sorted input is
+// returned as it came, without a gather.
+func physDistinct(ctx context.Context, v *bat.View) (physOut, error) {
 	base := v.Base()
 	vecs, err := colVecs(base, base.Cols())
 	if err != nil {
@@ -621,45 +592,19 @@ func physDistinct(ms *morsels, v *bat.View) (physOut, error) {
 			return physOut{view: bat.ViewOf(out), kernel: "distinct[sorted]", mat: out.Rows(), fast: true}, nil
 		}
 	}
-	return physDistinctHash(ms, v, vecs)
-}
-
-// physDistinctHash is δ through the hash kernels of distinctIndices. The
-// kernel reported is the one the morsels ran — the per-row work — not
-// the merge pass over their survivors.
-func physDistinctHash(ms *morsels, v *bat.View, vecs []bat.Vec) (physOut, error) {
-	base := v.Base()
-	ranges := ms.split(v.Rows())
-	if len(ranges) == 1 {
-		sel, kernel := distinctIndices(vecs, v.Rows(), v.Sel(), 0)
-		out := base.Gather(sel)
-		return physOut{view: bat.ViewOf(out), kernel: kernel, mat: out.Rows()}, nil
-	}
-	parts := make([][]int32, len(ranges))
-	kernels := make([]string, len(ranges))
-	vsel := v.Sel()
-	if err := ms.run(len(ranges), func(m int) error {
-		r := ranges[m]
-		if vsel != nil {
-			parts[m], kernels[m] = distinctIndices(vecs, r.Len(), vsel[r.Lo:r.Hi], 0)
-		} else {
-			parts[m], kernels[m] = distinctIndices(vecs, r.Len(), nil, r.Lo)
-		}
-		return nil
-	}); err != nil {
+	sel, kernel, err := distinctIndices(ctx, vecs, v.Rows(), v.Sel())
+	if err != nil {
 		return physOut{}, err
 	}
-	merged := concatSel(parts)
-	sel, _ := distinctIndices(vecs, len(merged), merged, 0)
 	out := base.Gather(sel)
-	return physOut{view: bat.ViewOf(out), kernel: kernels[0], mat: out.Rows()}, nil
+	return physOut{view: bat.ViewOf(out), kernel: kernel, mat: out.Rows()}, nil
 }
 
 // physJoin dispatches ⋈/⋉ to the statically chosen kernel. A merge node
 // whose runtime key columns turn out not to be typed int vectors (or not
 // actually sorted) demotes to the hash kernel — correctness never
 // depends on the static property being right.
-func physJoin(ctx context.Context, ms *morsels, nd *physical.Node, l, r *bat.View, mode joinMode) (physOut, error) {
+func physJoin(ctx context.Context, nd *physical.Node, l, r *bat.View, mode joinMode) (physOut, error) {
 	o := nd.Op
 	if nd.Merge {
 		out, ok, err := physMergeJoin(ctx, o, l, r, mode)
@@ -669,14 +614,14 @@ func physJoin(ctx context.Context, ms *morsels, nd *physical.Node, l, r *bat.Vie
 		if ok {
 			return out, nil
 		}
-		out, err = physHashJoin(ctx, ms, o, l, r, mode)
+		out, err = physHashJoin(ctx, o, l, r, mode)
 		if err != nil {
 			return physOut{}, err
 		}
 		out.kernel += " (demoted)"
 		return out, nil
 	}
-	return physHashJoin(ctx, ms, o, l, r, mode)
+	return physHashJoin(ctx, o, l, r, mode)
 }
 
 // intKeysOf extracts a view's int key column in view order; identity
@@ -811,12 +756,9 @@ func physMergeJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode join
 // entirely — and skip the table too when the right keys are a dense run
 // (denseJoin); string and untyped keys hash as the strings themselves
 // (Item.Key maps both kinds to one string key); other keys fall back to
-// the generic encoded-key path. Both the build and the probe are
-// morsel-parallel — the build through per-morsel partial tables whose
-// per-key match lists merge in morsel (= input) order, the probe through
-// per-morsel index buffers stitched in input order — so output rows
-// appear exactly as in the sequential scan.
-func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode) (physOut, error) {
+// the generic encoded-key path. Output rows come left-major: each left
+// row in view order with its right matches in right view order.
+func physHashJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode joinMode) (physOut, error) {
 	lb, rb := l.Base(), r.Base()
 	keyL, keyR := o.KeyL, o.KeyR
 	if len(keyL) == 1 {
@@ -831,13 +773,13 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 		if lk, ok := lv.(bat.IntVec); ok {
 			if rk, ok := rv.(bat.IntVec); ok {
 				if first, ok := denseRun(rk, r); ok {
-					return denseJoin(ctx, ms, o, l, r, mode, lk, first)
+					return denseJoin(ctx, o, l, r, mode, lk, first)
 				}
-				return keyHashJoin(ctx, ms, o, l, r, mode, "[int]", lk, rk)
+				return keyHashJoin(ctx, o, l, r, mode, "[int]", lk, rk)
 			}
 		}
 		if lk, rk, ok := stringLane(lv, rv); ok {
-			return keyHashJoin(ctx, ms, o, l, r, mode, "[str]", lk, rk)
+			return keyHashJoin(ctx, o, l, r, mode, "[str]", lk, rk)
 		}
 	}
 	rVecs, err := colVecs(rb, keyR)
@@ -848,22 +790,17 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 	if err != nil {
 		return physOut{}, err
 	}
-	ht, err := buildHash(ms, r, func() func(int) string {
-		var buf []byte // per-build-morsel scratch, as the probe's below
-		return func(j int) string {
-			buf = rowKey(buf[:0], rVecs, j)
-			return string(buf)
-		}
+	var buf []byte
+	ht, err := buildHash(ctx, r, func(j int) string {
+		buf = rowKey(buf[:0], rVecs, j)
+		return string(buf)
 	})
 	if err != nil {
 		return physOut{}, err
 	}
-	return probeHashJoin(ctx, ms, o, l, r, mode, "[item]", func() func(int) []int32 {
-		var buf []byte // per-probe-morsel scratch: rowKey buffers must not be shared
-		return func(i int) []int32 {
-			buf = rowKey(buf[:0], lVecs, i)
-			return ht[string(buf)]
-		}
+	return probeHashJoin(ctx, o, l, r, mode, "[item]", func(i int) []int32 {
+		buf = rowKey(buf[:0], lVecs, i)
+		return ht[string(buf)]
 	})
 }
 
@@ -871,126 +808,84 @@ func physHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.Vie
 // the right side's rows keyed by the native value: int64 for int keys,
 // the string itself — the store's pooled string for an atomized node —
 // for string and untyped keys.
-func keyHashJoin[K comparable](ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode, tag string, lk, rk []K) (physOut, error) {
-	ht, err := buildHash(ms, r, func() func(int) K {
-		return func(j int) K { return rk[j] }
-	})
+func keyHashJoin[K comparable](ctx context.Context, o *algebra.Op, l, r *bat.View, mode joinMode, tag string, lk, rk []K) (physOut, error) {
+	ht, err := buildHash(ctx, r, func(j int) K { return rk[j] })
 	if err != nil {
 		return physOut{}, err
 	}
-	return probeHashJoin(ctx, ms, o, l, r, mode, tag, func() func(int) []int32 {
-		return func(i int) []int32 { return ht[lk[i]] }
-	})
+	return probeHashJoin(ctx, o, l, r, mode, tag, func(i int) []int32 { return ht[lk[i]] })
 }
 
 // denseJoin is the paper's positional join on a void column: the right
 // keys read first, first+1, … in view order (denseRun), so a probe is a
 // subtraction and no table is built. Keys match by native int64 equality
 // and rows come out left-major, exactly as from keyHashJoin.
-func denseJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode, lk bat.IntVec, first int64) (physOut, error) {
+func denseJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode joinMode, lk bat.IntVec, first int64) (physOut, error) {
 	rows := r.Sel()
 	if rows == nil {
 		rows = allRows(r.Rows())
 	}
-	out, err := probeHashJoin(ctx, ms, o, l, r, mode, "[int:dense]", func() func(int) []int32 {
-		return func(i int) []int32 {
-			// Exact modulo 2^64: only a key of the run lands below len(rows).
-			if j := uint64(lk[i]) - uint64(first); j < uint64(len(rows)) {
-				return rows[j : j+1]
-			}
-			return nil
+	out, err := probeHashJoin(ctx, o, l, r, mode, "[int:dense]", func(i int) []int32 {
+		// Exact modulo 2^64: only a key of the run lands below len(rows).
+		if j := uint64(lk[i]) - uint64(first); j < uint64(len(rows)) {
+			return rows[j : j+1]
 		}
+		return nil
 	})
 	out.fast = true
 	return out, err
 }
 
-// buildHash builds the right-side table of a hash join, morsel-parallel:
-// newKey makes each morsel its key function (which may keep private
-// scratch), and the partial tables merge in morsel order, so every
-// per-key match list is in right-input order — the order the sequential
-// build produces.
-func buildHash[K comparable](ms *morsels, r *bat.View, newKey func() func(baseRow int) K) (map[K][]int32, error) {
-	build := func(lo, hi int) map[K][]int32 {
-		keyOf := newKey()
-		ht := make(map[K][]int32, hi-lo)
-		for j := lo; j < hi; j++ {
-			bj := r.Index(j)
-			k := keyOf(bj)
-			ht[k] = append(ht[k], int32(bj))
+// buildHash builds the right-side table of a hash join: keyOf gives a
+// base row's key, and every per-key match list is in right-input order.
+func buildHash[K comparable](ctx context.Context, r *bat.View, keyOf func(baseRow int) K) (map[K][]int32, error) {
+	n := r.Rows()
+	ht := make(map[K][]int32, n)
+	for j := 0; j < n; j++ {
+		if err := polled(ctx, j); err != nil {
+			return nil, err
 		}
-		return ht
-	}
-	ranges := ms.split(r.Rows())
-	if len(ranges) == 1 {
-		return build(0, r.Rows()), nil
-	}
-	parts := make([]map[K][]int32, len(ranges))
-	if err := ms.run(len(ranges), func(m int) error {
-		parts[m] = build(ranges[m].Lo, ranges[m].Hi)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	ht := parts[0]
-	for _, p := range parts[1:] {
-		for k, v := range p {
-			ht[k] = append(ht[k], v...)
-		}
+		bj := r.Index(j)
+		k := keyOf(bj)
+		ht[k] = append(ht[k], int32(bj))
 	}
 	return ht, nil
 }
 
-// probeHashJoin streams the left view through a right-side hash table.
-// newMatch builds one matcher per morsel — matchers may keep private
-// scratch (the encoded-key buffer) but must treat the table as
-// read-only. Per-morsel index buffers concatenate in morsel order.
-func probeHashJoin(ctx context.Context, ms *morsels, o *algebra.Op, l, r *bat.View, mode joinMode,
-	tag string, newMatch func() func(baseRow int) []int32) (physOut, error) {
+// probeHashJoin streams the left view through a right-side hash table:
+// matches gives a left base row's right base rows.
+func probeHashJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode joinMode,
+	tag string, matches func(baseRow int) []int32) (physOut, error) {
 	lb, rb := l.Base(), r.Base()
 	semi := mode == joinSemi
-	ranges := ms.split(l.Rows())
-	lParts := make([][]int32, len(ranges))
-	rParts := make([][]int32, len(ranges))
-	if err := ms.run(len(ranges), func(m int) error {
-		rg := ranges[m]
-		matches := newMatch()
-		// One slot per probe row: exact for ⋉ and for the n:1 joins back
-		// to a loop's bindings, a starting size for the rest.
-		lIdx := make([]int32, 0, rg.Len())
-		var rIdx []int32
-		if !semi {
-			rIdx = make([]int32, 0, rg.Len())
-		}
-		for i := rg.Lo; i < rg.Hi; i++ {
-			if (i-rg.Lo)%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			bi := l.Index(i)
-			mts := matches(bi)
-			if semi {
-				if len(mts) > 0 {
-					lIdx = append(lIdx, int32(bi))
-				}
-				continue
-			}
-			for _, bj := range mts {
-				lIdx = append(lIdx, int32(bi))
-				rIdx = append(rIdx, bj)
-			}
-		}
-		lParts[m], rParts[m] = lIdx, rIdx
-		return nil
-	}); err != nil {
-		return physOut{}, err
+	n := l.Rows()
+	// One slot per probe row: exact for ⋉ and for the n:1 joins back to a
+	// loop's bindings, a starting size for the rest.
+	lIdx := make([]int32, 0, n)
+	var rIdx []int32
+	if !semi {
+		rIdx = make([]int32, 0, n)
 	}
-	lIdx := concatSel(lParts)
+	for i := 0; i < n; i++ {
+		if err := polled(ctx, i); err != nil {
+			return physOut{}, err
+		}
+		bi := l.Index(i)
+		mts := matches(bi)
+		if semi {
+			if len(mts) > 0 {
+				lIdx = append(lIdx, int32(bi))
+			}
+			continue
+		}
+		for _, bj := range mts {
+			lIdx = append(lIdx, int32(bi))
+			rIdx = append(rIdx, bj)
+		}
+	}
 	if semi {
 		return physOut{view: bat.NewView(lb, lIdx), kernel: "hash-semijoin" + tag}, nil
 	}
-	rIdx := concatSel(rParts)
 	out, err := joinGather(lb, rb, lIdx, rIdx)
 	if err != nil {
 		return physOut{}, err

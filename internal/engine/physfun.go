@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 
@@ -50,13 +51,9 @@ func cmpToBool(fun algebra.FunKind, c int) bool {
 
 // physFun executes one map node, choosing the tightest kernel the
 // argument vector types allow and reporting it (":int", ":str", ...)
-// through the trace. The typed kernels are embarrassingly
-// morsel-parallel: every morsel runs the same kernel over slices of the
-// argument vectors (the dispatch depends only on the vector types, which
-// slicing preserves) and the per-morsel result vectors concatenate in
-// morsel order. The boxed per-row fallback stays sequential — it is the
-// cold path for functions no typed kernel covers.
-func (e *Engine) physFun(ms *morsels, nd *physical.Node, v *bat.View) (physOut, error) {
+// through the trace. Functions no typed kernel covers take the boxed
+// per-row path.
+func (e *Engine) physFun(ctx context.Context, nd *physical.Node, v *bat.View) (physOut, error) {
 	o := nd.Op
 	t, m := matCount(v)
 	args := make([]bat.Vec, len(o.Args))
@@ -68,46 +65,13 @@ func (e *Engine) physFun(ms *morsels, nd *physical.Node, v *bat.View) (physOut, 
 		args[i] = c
 	}
 	n := t.Rows()
-	ranges := ms.split(n)
-	if len(ranges) > 1 {
-		// Zero-row probe: resolves which kernel (if any) the argument
-		// types select, without doing any row work.
-		probe := make([]bat.Vec, len(args))
-		for i := range args {
-			probe[i] = args[i].Slice(0, 0)
-		}
-		if out, _, err := e.funKernel(o, probe, 0); err == nil && out != nil {
-			parts := make([]bat.Vec, len(ranges))
-			tags := make([]string, len(ranges))
-			if err := ms.run(len(ranges), func(mi int) error {
-				r := ranges[mi]
-				sub := make([]bat.Vec, len(args))
-				for i := range args {
-					sub[i] = args[i].Slice(r.Lo, r.Hi)
-				}
-				res, tag, err := e.funKernel(o, sub, r.Len())
-				if err != nil {
-					return err
-				}
-				parts[mi], tags[mi] = res, tag
-				return nil
-			}); err != nil {
-				return physOut{}, err
-			}
-			nt := t.Slice(0, n)
-			if err := nt.AddCol(o.Col, concatVecs(parts)); err != nil {
-				return physOut{}, err
-			}
-			return physOut{view: bat.ViewOf(nt), kernel: nd.Kernel + tags[0], mat: m}, nil
-		}
-	}
-	out, tag, err := e.funKernel(o, args, n)
+	out, tag, err := e.funKernel(ctx, o, args, n)
 	if err != nil {
 		return physOut{}, err
 	}
 	if out == nil {
 		// No specialized kernel for this function — the boxed per-row path.
-		nt, err := e.evalFun(t, o)
+		nt, err := e.evalFun(ctx, t, o)
 		if err != nil {
 			return physOut{}, err
 		}
@@ -123,11 +87,11 @@ func (e *Engine) physFun(ms *morsels, nd *physical.Node, v *bat.View) (physOut, 
 // funKernel returns the result vector of a specialized kernel, or nil
 // when the function/operand combination has none and the caller should
 // take the boxed path.
-func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, string, error) {
+func (e *Engine) funKernel(ctx context.Context, o *algebra.Op, args []bat.Vec, n int) (bat.Vec, string, error) {
 	switch o.Fun {
 	case algebra.FunEq, algebra.FunNe, algebra.FunLt, algebra.FunLe,
 		algebra.FunGt, algebra.FunGe:
-		return compareKernel(o.Fun, args[0], args[1], n)
+		return compareKernel(ctx, o.Fun, args[0], args[1], n)
 	case algebra.FunAnd, algebra.FunOr:
 		a, aok := args[0].(bat.BoolVec)
 		b, bok := args[1].(bat.BoolVec)
@@ -137,10 +101,16 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 		res := make(bat.BoolVec, n)
 		if o.Fun == algebra.FunAnd {
 			for i := 0; i < n; i++ {
+				if err := polled(ctx, i); err != nil {
+					return nil, "", err
+				}
 				res[i] = a[i] && b[i]
 			}
 		} else {
 			for i := 0; i < n; i++ {
+				if err := polled(ctx, i); err != nil {
+					return nil, "", err
+				}
 				res[i] = a[i] || b[i]
 			}
 		}
@@ -152,6 +122,9 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 		}
 		res := make(bat.BoolVec, n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			res[i] = !a[i]
 		}
 		return res, ":bool", nil
@@ -164,10 +137,10 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 		copy(res, a)
 		return res, ":bool", nil
 	case algebra.FunEbvItem:
-		return ebvKernel(args[0], n)
+		return ebvKernel(ctx, args[0], n)
 	case algebra.FunAdd, algebra.FunSub, algebra.FunMul, algebra.FunDiv,
 		algebra.FunIDiv, algebra.FunMod:
-		return arithKernel(o.Fun, args[0], args[1], n)
+		return arithKernel(ctx, o.Fun, args[0], args[1], n)
 	case algebra.FunString:
 		if a, ok := strRows(args[0]); ok {
 			res := make(bat.StrVec, n)
@@ -181,6 +154,9 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 			// xs:untypedAtomic string values, shared with the store's pools.
 			res := make(bat.UntypedVec, n)
 			for i := 0; i < n; i++ {
+				if err := polled(ctx, i); err != nil {
+					return nil, "", err
+				}
 				res[i] = e.Store.StringValue(a[i])
 			}
 			return res, ":node", nil
@@ -200,10 +176,13 @@ func (e *Engine) funKernel(o *algebra.Op, args []bat.Vec, n int) (bat.Vec, strin
 // number casts to double, and a value that does not cast fails with
 // Compare's text. Polymorphic operands still hoist the function-kind
 // dispatch out of the loop and call bat.Compare directly.
-func compareKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
+func compareKernel(ctx context.Context, fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
 	res := make(bat.BoolVec, n)
 	if a, b, ok := stringLane(av, bv); ok {
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			res[i] = cmpToBool(fun, strings.Compare(a[i], b[i]))
 		}
 		return res, ":str", nil
@@ -212,6 +191,9 @@ func compareKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string,
 	case bat.IntVec:
 		if b, ok := bv.(bat.IntVec); ok {
 			for i := 0; i < n; i++ {
+				if err := polled(ctx, i); err != nil {
+					return nil, "", err
+				}
 				res[i] = cmpToBool(fun, cmpF(float64(a[i]), float64(b[i])))
 			}
 			return res, ":int", nil
@@ -219,6 +201,9 @@ func compareKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string,
 	}
 	if floatLane(av) && floatLane(bv) {
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			x, y := floatAt(av, i), floatAt(bv, i)
 			if math.IsNaN(x) || math.IsNaN(y) {
 				_, err := bat.Compare(av.ItemAt(i), bv.ItemAt(i))
@@ -229,6 +214,9 @@ func compareKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string,
 		return res, ":num", nil
 	}
 	for i := 0; i < n; i++ {
+		if err := polled(ctx, i); err != nil {
+			return nil, "", err
+		}
 		c, err := bat.Compare(av.ItemAt(i), bv.ItemAt(i))
 		if err != nil {
 			return nil, "", err
@@ -280,10 +268,13 @@ func floatAt(v bat.Vec, i int) float64 {
 
 // ebvKernel is the effective-boolean-value map over a typed column;
 // every branch mirrors applyFun's per-kind rule.
-func ebvKernel(av bat.Vec, n int) (bat.Vec, string, error) {
+func ebvKernel(ctx context.Context, av bat.Vec, n int) (bat.Vec, string, error) {
 	res := make(bat.BoolVec, n)
 	if a, ok := strRows(av); ok {
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			res[i] = a[i] != ""
 		}
 		return res, ":str", nil
@@ -293,17 +284,26 @@ func ebvKernel(av bat.Vec, n int) (bat.Vec, string, error) {
 		copy(res, a)
 		return res, ":bool", nil
 	case bat.NodeVec:
-		for i := range res {
+		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			res[i] = true
 		}
 		return res, ":node", nil
 	case bat.IntVec:
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			res[i] = a[i] != 0
 		}
 		return res, ":int", nil
 	case bat.FloatVec:
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			res[i] = a[i] != 0 && a[i] == a[i]
 		}
 		return res, ":num", nil
@@ -316,17 +316,20 @@ func ebvKernel(av bat.Vec, n int) (bat.Vec, string, error) {
 // arith() exactly. Other numeric and untyped operands promote to
 // xs:double row by row through arith itself, so its casts and errors are
 // the kernel's; the column is a FloatVec, an IntVec for idiv.
-func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
+func arithKernel(ctx context.Context, fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
 	a, aok := av.(bat.IntVec)
 	b, bok := bv.(bat.IntVec)
 	if !aok || !bok {
 		if floatLane(av) && floatLane(bv) {
-			return floatArith(fun, av, bv, n)
+			return floatArith(ctx, fun, av, bv, n)
 		}
 		// Polymorphic operands: per-row boxing stays, but the
 		// function-kind dispatch is hoisted out of the loop.
 		res := bat.NewItems(n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			it, err := arith(fun, av.ItemAt(i), bv.ItemAt(i))
 			if err != nil {
 				return nil, "", err
@@ -339,6 +342,9 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 	case algebra.FunDiv:
 		res := make(bat.FloatVec, n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			if b[i] == 0 {
 				_, err := arith(fun, bat.Int(a[i]), bat.Int(b[i]))
 				return nil, "", err
@@ -349,6 +355,9 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 	case algebra.FunMod:
 		res := make(bat.IntVec, n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			if b[i] == 0 {
 				_, err := arith(fun, bat.Int(a[i]), bat.Int(b[i]))
 				return nil, "", err
@@ -359,6 +368,9 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 	case algebra.FunAdd, algebra.FunSub, algebra.FunMul, algebra.FunIDiv:
 		res := make(bat.IntVec, n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			if fun == algebra.FunIDiv && b[i] == 0 {
 				_, err := arith(fun, bat.Int(a[i]), bat.Int(b[i]))
 				return nil, "", err
@@ -376,10 +388,13 @@ func arithKernel(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, e
 
 // floatArith is arith over two columns of numbers and untyped atomics,
 // not both int: every result is a double but idiv's, an integer.
-func floatArith(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
+func floatArith(ctx context.Context, fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, error) {
 	if fun == algebra.FunIDiv {
 		res := make(bat.IntVec, n)
 		for i := 0; i < n; i++ {
+			if err := polled(ctx, i); err != nil {
+				return nil, "", err
+			}
 			it, err := arith(fun, av.ItemAt(i), bv.ItemAt(i))
 			if err != nil {
 				return nil, "", err
@@ -390,6 +405,9 @@ func floatArith(fun algebra.FunKind, av, bv bat.Vec, n int) (bat.Vec, string, er
 	}
 	res := make(bat.FloatVec, n)
 	for i := 0; i < n; i++ {
+		if err := polled(ctx, i); err != nil {
+			return nil, "", err
+		}
 		it, err := arith(fun, av.ItemAt(i), bv.ItemAt(i))
 		if err != nil {
 			return nil, "", err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -254,15 +255,13 @@ func permNonDecreasing(key bat.IntVec, perm []int32) bool {
 // Group order is first-occurrence and each group's rows stay in input
 // order; per-group aggregation reuses the shared aggregate() so every
 // diagnostic and promotion rule is the boxed evalAggr's. Scalar aggregates and
-// non-int partitions run the boxed evalAggr (the lowering never marks a
-// scalar aggregate Parallel: it is a single fold whose float summation
-// order must not change). An int partition column takes one of two
-// groupings, chosen by scanning it:
+// non-int partitions run the boxed evalAggr. An int partition column
+// takes one of two groupings, chosen by scanning it:
 //
 //   - non-decreasing (what ϱ and the loop-lifted joins hand over): a
 //     group is a run of rows, found by comparing neighbours (:int:runs);
-//   - otherwise: a float64-keyed map per morsel, merged (:int).
-func physAggr(ms *morsels, t *bat.Table, newCol string, agg algebra.AggKind, args []string, part, sep string) (*bat.Table, string, error) {
+//   - otherwise: a float64-keyed map (:int).
+func physAggr(ctx context.Context, t *bat.Table, newCol string, agg algebra.AggKind, args []string, part, sep string) (*bat.Table, string, error) {
 	var pInts bat.IntVec
 	if part != "" {
 		pv, err := t.Col(part)
@@ -287,10 +286,10 @@ func physAggr(ms *morsels, t *bat.Table, newCol string, agg algebra.AggKind, arg
 	var err error
 	tag := ":int:runs"
 	if starts, ok := intRuns(pInts); ok {
-		partOut, aggOut, err = aggrRuns(ms, pInts, starts, agg, argVec, sep)
+		partOut, aggOut, err = aggrRuns(ctx, pInts, starts, agg, argVec, sep)
 	} else {
 		tag = ":int"
-		partOut, aggOut, err = aggrHash(ms, pInts, agg, argVec, sep)
+		partOut, aggOut, err = aggrHash(ctx, pInts, agg, argVec, sep)
 	}
 	if err != nil {
 		return nil, "", err
@@ -321,11 +320,9 @@ func intRuns(p bat.IntVec) (starts []int32, ok bool) {
 
 // aggrRuns aggregates the runs of a sorted partition column: no map, no
 // per-group row list (every group reads its slice of one shared ramp,
-// count not even that), nothing to merge. The per-group aggregation fans
-// out across group ranges, each group writing its own output slot.
-// Counts fill an IntVec; the other aggregates the vector of their
-// results' kind (aggrCol).
-func aggrRuns(ms *morsels, pInts bat.IntVec, starts []int32, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.Vec, error) {
+// count not even that), nothing to merge. Counts fill an IntVec; the
+// other aggregates the vector of their results' kind (aggrCol).
+func aggrRuns(ctx context.Context, pInts bat.IntVec, starts []int32, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.Vec, error) {
 	ng := len(starts) - 1
 	partOut := make(bat.IntVec, ng)
 	var counts bat.IntVec
@@ -337,24 +334,23 @@ func aggrRuns(ms *morsels, pInts bat.IntVec, starts []int32, agg algebra.AggKind
 		aggOut = make(bat.ItemVec, ng)
 		ramp = allRows(len(pInts))
 	}
-	gRanges := ms.split(ng)
-	err := ms.run(len(gRanges), func(m int) error {
-		for gi := gRanges[m].Lo; gi < gRanges[m].Hi; gi++ {
-			lo, hi := starts[gi], starts[gi+1]
-			partOut[gi] = pInts[lo]
-			if counts != nil {
-				counts[gi] = int64(hi - lo)
-				continue
-			}
-			it, err := aggregate(agg, argVec, ramp[lo:hi], sep)
-			if err != nil {
-				return err
-			}
-			aggOut[gi] = it
+	for gi := 0; gi < ng; gi++ {
+		if err := polled(ctx, gi); err != nil {
+			return nil, nil, err
 		}
-		return nil
-	})
-	return partOut, aggrCol(counts, aggOut), err
+		lo, hi := starts[gi], starts[gi+1]
+		partOut[gi] = pInts[lo]
+		if counts != nil {
+			counts[gi] = int64(hi - lo)
+			continue
+		}
+		it, err := aggregate(agg, argVec, ramp[lo:hi], sep)
+		if err != nil {
+			return nil, nil, err
+		}
+		aggOut[gi] = it
+	}
+	return partOut, aggrCol(counts, aggOut), nil
 }
 
 // aggrCol is an aggregate's result column: the counts when it counted,
@@ -369,71 +365,44 @@ func aggrCol(counts bat.IntVec, items bat.ItemVec) bat.Vec {
 // aggrHash groups an int partition column in any order through a
 // float64-keyed map (the same numeric normalization Item.Key applies, so
 // group identity — including the int/float meet — is evalAggr's) without
-// boxing a Key per row. Each morsel groups its own row range (group
-// lists in input order, group discovery in first-occurrence order), the
-// partial groupings merge in morsel order — so the merged group lists
-// and the global first-occurrence order are exactly the sequential
-// scan's — and the per-group aggregation then fans out like aggrRuns'.
-func aggrHash(ms *morsels, pInts bat.IntVec, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.Vec, error) {
-	type grouping struct {
-		groups map[float64][]int32
-		order  []float64
-		rep    map[float64]int64
-	}
-	ranges := ms.split(len(pInts))
-	parts := make([]grouping, len(ranges))
-	if err := ms.run(len(ranges), func(m int) error {
-		r := ranges[m]
-		g := grouping{groups: make(map[float64][]int32), rep: make(map[float64]int64)}
-		for i := r.Lo; i < r.Hi; i++ {
-			k := float64(pInts[i])
-			if _, seen := g.groups[k]; !seen {
-				g.order = append(g.order, k)
-				g.rep[k] = pInts[i]
-			}
-			g.groups[k] = append(g.groups[k], int32(i))
+// boxing a Key per row. Groups come in first-occurrence order, each
+// group's rows in input order.
+func aggrHash(ctx context.Context, pInts bat.IntVec, agg algebra.AggKind, argVec bat.Vec, sep string) (bat.IntVec, bat.Vec, error) {
+	groups := make(map[float64][]int32)
+	var partOut bat.IntVec // each group's first partition value, in group order
+	for i, p := range pInts {
+		if err := polled(ctx, i); err != nil {
+			return nil, nil, err
 		}
-		parts[m] = g
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	groups, order, rep := parts[0].groups, parts[0].order, parts[0].rep
-	for _, p := range parts[1:] {
-		for _, k := range p.order {
-			if _, seen := groups[k]; !seen {
-				order = append(order, k)
-				rep[k] = p.rep[k]
-			}
-			groups[k] = append(groups[k], p.groups[k]...)
+		k := float64(p)
+		if _, seen := groups[k]; !seen {
+			partOut = append(partOut, p)
 		}
+		groups[k] = append(groups[k], int32(i))
 	}
-	partOut := make(bat.IntVec, len(order))
 	var counts bat.IntVec
 	var aggOut bat.ItemVec
 	if agg == algebra.AggCount {
-		counts = make(bat.IntVec, len(order))
+		counts = make(bat.IntVec, len(partOut))
 	} else {
-		aggOut = make(bat.ItemVec, len(order))
+		aggOut = make(bat.ItemVec, len(partOut))
 	}
-	gRanges := ms.split(len(order))
-	err := ms.run(len(gRanges), func(m int) error {
-		for gi := gRanges[m].Lo; gi < gRanges[m].Hi; gi++ {
-			k := order[gi]
-			partOut[gi] = rep[k]
-			if counts != nil {
-				counts[gi] = int64(len(groups[k]))
-				continue
-			}
-			it, err := aggregate(agg, argVec, groups[k], sep)
-			if err != nil {
-				return err
-			}
-			aggOut[gi] = it
+	for gi, p := range partOut {
+		if err := polled(ctx, gi); err != nil {
+			return nil, nil, err
 		}
-		return nil
-	})
-	return partOut, aggrCol(counts, aggOut), err
+		rows := groups[float64(p)]
+		if counts != nil {
+			counts[gi] = int64(len(rows))
+			continue
+		}
+		it, err := aggregate(agg, argVec, rows, sep)
+		if err != nil {
+			return nil, nil, err
+		}
+		aggOut[gi] = it
+	}
+	return partOut, aggrCol(counts, aggOut), nil
 }
 
 // physRowNumAttach appends ϱ's numbering column to a table already in

@@ -12,8 +12,8 @@ import (
 // refEval is the oracle the theta-join kernels are differenced against:
 // a recursive evaluator over materialized bat.Tables for the operators a
 // theta-join unit and its count-only tail are made of — Lit, ×, ⊛, σ, π,
-// δ and aggr. It has no views, selection vectors, morsels, fused chains
-// or fast paths: σ and δ are one plain scan each, and the per-row
+// δ and aggr. It has no views, selection vectors, fused chains or fast
+// paths: σ and δ are one plain scan each, and the per-row
 // semantics come from the product's boxed kernels (evalCross, evalFun,
 // evalAggr), so what the band kernel must reproduce — result rows, row
 // order, column types and error text — is defined by the simplest
@@ -58,7 +58,7 @@ func refApply(e *Engine, o *algebra.Op, in []*bat.Table) (*bat.Table, error) {
 	case algebra.OpCross:
 		return evalCross(context.Background(), in[0], in[1])
 	case algebra.OpFun:
-		return e.evalFun(in[0], o)
+		return e.evalFun(context.Background(), in[0], o)
 	case algebra.OpAggr:
 		return evalAggr(in[0], o.Col, o.Agg, o.Args, o.Part, o.Sep)
 	case algebra.OpSelect:

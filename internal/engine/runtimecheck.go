@@ -12,12 +12,12 @@ import (
 // (internal/check) proves what the plan *claims*; this file re-asserts
 // the claims on the live intermediate tables while a query runs, so a
 // kernel whose implementation breaks an invariant — an unstable sort, a
-// selection vector built out of order, a morsel stitch in the wrong
-// order — fails the evaluation loudly instead of feeding a downstream
+// selection vector built out of order, a hash probe that emits in the
+// wrong order — fails the evaluation loudly instead of feeding a downstream
 // merge join garbage.
 
 // CheckMaxRows caps how many rows of each intermediate the runtime check
-// walks. The interesting violations (wrong order after a stitch, a hole
+// walks. The interesting violations (wrong order after a merge, a hole
 // in a dense column) show up in the first rows of the affected region;
 // an unbounded walk would turn O(n) kernels into O(n·cols) re-scans.
 const CheckMaxRows = 65536

@@ -29,14 +29,18 @@ import (
 // OpStat is the per-operator instrumentation record the scheduler (and
 // the sequential path) attach to a traced evaluation.
 type OpStat struct {
-	Wall       time.Duration // time spent applying the operator
-	RowsIn     int           // total input rows across all inputs
-	RowsOut    int           // rows produced
-	Worker     int           // scheduler worker that ran it (0 on the sequential path)
-	Kernel     string        // physical kernel that actually ran
-	RowsMat    int           // rows this kernel materialized (gathered/copied), vs. scanned in place
-	Morsels    int           // input morsels the kernel split into (0 = unsplit)
-	ParWorkers int           // largest morsel team that ran inside the kernel (0 = sequential)
+	Wall    time.Duration // time spent applying the operator
+	RowsIn  int           // total input rows across all inputs
+	RowsOut int           // rows produced
+	Worker  int           // scheduler worker that ran it (0 on the sequential path)
+	Kernel  string        // physical kernel that actually ran
+	RowsMat int           // rows this kernel materialized (gathered/copied), vs. scanned in place
+
+	// Morsels is never set: every kernel runs as one sequential loop.
+	//
+	// Deprecated: benchmark/inproc.go is its last reader; the
+	// benchmark-only change of ROADMAP item 1 deletes the field with it.
+	Morsels int
 
 	// Static is the kernel physical.Lower chose for the node, set only
 	// when Kernel is a fast path the executor took instead after seeing
@@ -65,14 +69,6 @@ type OpStat struct {
 	// time, input rows and materialization under the kernel's own name;
 	// × and ⊛ report the emitted pairs with zero Wall/RowsMat.
 	ThetaJoin int
-}
-
-// setMorsels records a kernel's morsel split, if it made one.
-func (st *OpStat) setMorsels(ms *morsels) {
-	if ms.n > 1 {
-		st.Morsels = ms.n
-		st.ParWorkers = max(ms.workers, 1) // split happened but no spare slot was free
-	}
 }
 
 // Trace is the full instrumentation record of one evaluation. Tables

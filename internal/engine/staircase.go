@@ -79,16 +79,11 @@ func (t nodeTest) attribute(f *xenc.Fragment, a int32) bool {
 // result skipping and single-pass range scans deliver that order for the
 // recursive axes; for the others docOrder verifies it in one pass and
 // sorts only a run whose contexts nest or repeat.
-//
-// emittedTo is the skip boundary a descendant scan starts from: -1 for a
-// whole run; a morsel over a sub-range of one run passes the maximum of
-// v+size(v) over all earlier contexts of the run — the boundary the
-// sequential scan carries at that point — so the sub-range outputs are
-// disjoint, ascending, and concatenate into the identical sequence.
-func stepStaircase(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nodeTest, emittedTo int32, out bat.NodeVec) bat.NodeVec {
+func stepStaircase(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nodeTest, out bat.NodeVec) bat.NodeVec {
 	frag, from := ctx[0].Frag, len(out)
 	switch axis {
 	case algebra.Descendant, algebra.DescendantOrSelf:
+		emittedTo := int32(-1) // the last pre a prior context's scan reached
 		for _, c := range ctx {
 			v := c.Pre
 			if v >= xenc.AttrBase {
@@ -318,7 +313,7 @@ func stepNaive(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nodeTes
 		}
 	default:
 		// The remaining axes have no interesting naive/staircase split.
-		return stepStaircase(f, ctx, axis, t, -1, out)
+		return stepStaircase(f, ctx, axis, t, out)
 	}
 	return docOrder(out, from)
 }
@@ -390,85 +385,43 @@ func sortContext(iters []int64, items bat.NodeVec) ([]int64, bat.NodeVec) {
 	return iters, items
 }
 
-// stepUnit is one unit of step work: the context rows [lo, hi), cut at
-// run boundaries with seed -1 — or a sub-range of a single descendant
-// run, whose scan starts from the skip boundary seed (see stepStaircase).
-type stepUnit struct {
-	lo, hi int
-	seed   int32
-}
-
-// stepUnits cuts the ordered context into morsels of about morselRows()
-// rows, each ending where a run ends. A run longer than a morsel stays
-// whole — its scan carries state from context to context — except under
-// the descendant axes of the staircase join, where the state is the one
-// skip boundary and the run splits into seeded sub-ranges.
-func (e *Engine) stepUnits(ms *morsels, iters []int64, items bat.NodeVec, axis algebra.Axis) []stepUnit {
-	n, size := len(items), e.morselRows()
-	if !ms.par || size <= 0 || n <= size {
-		return []stepUnit{{0, n, -1}}
-	}
-	sameRun := func(i, j int) bool { return iters[i] == iters[j] && items[i].Frag == items[j].Frag }
-	seeded := e.Staircase && (axis == algebra.Descendant || axis == algebra.DescendantOrSelf)
-	var units []stepUnit
-	for lo := 0; lo < n; {
-		hi := min(lo+size, n)
-		for hi < n && hi > lo && sameRun(hi-1, hi) {
-			hi-- // back up to the start of the run row lo+size falls in
-		}
-		whole := hi > lo
-		if !whole { // that run starts at lo and is longer than a morsel: find its end
-			for hi = lo + size; hi < n && sameRun(lo, hi); hi++ {
-			}
-		}
-		if whole || !seeded {
-			units = append(units, stepUnit{lo, hi, -1})
-			lo = hi
-			continue
-		}
-		f, emitted := e.Store.Frag(items[lo].Frag), int32(-1)
-		for _, rg := range bat.SplitRows(hi-lo, size) {
-			units = append(units, stepUnit{lo + rg.Lo, lo + rg.Hi, emitted})
-			for _, c := range items[lo+rg.Lo : lo+rg.Hi] {
-				if c.Pre < xenc.AttrBase {
-					emitted = max(emitted, c.Pre+f.Size[c.Pre])
-				}
-			}
-		}
-		lo = hi
-	}
-	return units
-}
-
-// stepOutHint caps the output capacity a unit reserves up front.
+// stepOutHint caps the output capacity a step reserves up front.
 const stepOutHint = 4096
 
-// stepRange evaluates one unit: it walks the runs of the rows in place,
-// fetching the fragment only when it changes, and appends each run's
-// result nodes, then that many copies of the run's iter, to one pair of
-// output columns.
-func (e *Engine) stepRange(ctx context.Context, iters []int64, items bat.NodeVec, u stepUnit, axis algebra.Axis, t nodeTest) (bat.IntVec, bat.NodeVec, error) {
+// evalStep runs a full location step over all iterations at once and
+// emits iter|item rows sorted by iter and document order, duplicate-free
+// per iter — exactly the fs:distinct-doc-order contract XPath steps must
+// satisfy. It walks the runs of the context rows in place, fetching the
+// fragment only when it changes, and appends each run's result nodes,
+// then that many copies of the run's iter, to one pair of output columns.
+func (e *Engine) evalStep(ctx context.Context, in *bat.Table, axis algebra.Axis, test algebra.KindTest) (*bat.Table, error) {
+	iters, items, err := stepContext(in)
+	if err != nil {
+		return nil, err
+	}
+	t := e.resolveTest(test)
 	// Most steps keep about a node per context; a selective one over a
 	// large context (//item) must not hold a context-sized column.
-	hint := min(u.hi-u.lo, stepOutHint)
+	n := len(items)
+	hint := min(n, stepOutHint)
 	outIter, outItem := make(bat.IntVec, 0, hint), make(bat.NodeVec, 0, hint)
 	var f *xenc.Fragment
-	fragID, polled := int32(-1), u.lo
-	for lo, hi := u.lo, u.lo; lo < u.hi; lo = hi {
+	fragID, lastPoll := int32(-1), 0
+	for lo, hi := 0, 0; lo < n; lo = hi {
 		iter, frag := iters[lo], items[lo].Frag
-		for hi = lo + 1; hi < u.hi && iters[hi] == iter && items[hi].Frag == frag; hi++ {
+		for hi = lo + 1; hi < n && iters[hi] == iter && items[hi].Frag == frag; hi++ {
 		}
-		if lo-polled >= cancelStride {
+		if lo-lastPoll >= cancelStride {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			polled = lo
+			lastPoll = lo
 		}
 		if frag != fragID {
 			f, fragID = e.Store.Frag(frag), frag
 		}
 		if e.Staircase {
-			outItem = stepStaircase(f, items[lo:hi], axis, t, u.seed, outItem)
+			outItem = stepStaircase(f, items[lo:hi], axis, t, outItem)
 		} else {
 			outItem = stepNaive(f, items[lo:hi], axis, t, outItem)
 		}
@@ -476,31 +429,5 @@ func (e *Engine) stepRange(ctx context.Context, iters []int64, items bat.NodeVec
 			outIter = append(outIter, iter)
 		}
 	}
-	return outIter, outItem, nil
-}
-
-// evalStep runs a full location step over all iterations at once and
-// emits iter|item rows sorted by iter and document order, duplicate-free
-// per iter — exactly the fs:distinct-doc-order contract XPath steps must
-// satisfy. The units run on ms's morsel team and their outputs
-// concatenate in unit order, reproducing the sequential emission.
-func (e *Engine) evalStep(ms *morsels, in *bat.Table, axis algebra.Axis, test algebra.KindTest) (*bat.Table, error) {
-	iters, items, err := stepContext(in)
-	if err != nil {
-		return nil, err
-	}
-	t := e.resolveTest(test)
-	units := e.stepUnits(ms, iters, items, axis)
-	outIters, outItems := make([]bat.IntVec, len(units)), make([]bat.NodeVec, len(units))
-	if err := ms.run(len(units), func(u int) error {
-		var err error
-		outIters[u], outItems[u], err = e.stepRange(ms.ctx, iters, items, units[u], axis, t)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if len(units) == 1 {
-		return bat.NewTable("iter", outIters[0], "item", outItems[0])
-	}
-	return bat.NewTable("iter", slices.Concat(outIters...), "item", slices.Concat(outItems...))
+	return bat.NewTable("iter", outIter, "item", outItem)
 }

@@ -14,7 +14,7 @@ import (
 
 // stepOnce runs the step kernel the way the sequential executor does.
 func stepOnce(tb testing.TB, e *Engine, in *bat.Table, axis algebra.Axis, test algebra.KindTest) *bat.Table {
-	out, err := e.evalStep(&morsels{e: e, ctx: context.Background()}, in, axis, test)
+	out, err := e.evalStep(context.Background(), in, axis, test)
 	if err != nil {
 		tb.Fatal(err)
 	}

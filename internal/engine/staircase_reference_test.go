@@ -40,7 +40,7 @@ func (e *Engine) refStepGroup(f *xenc.Fragment, ctx []int32, axis algebra.Axis, 
 func refStepStaircase(f *xenc.Fragment, ctx []int32, axis algebra.Axis, out []int32) []int32 {
 	switch axis {
 	case algebra.Descendant, algebra.DescendantOrSelf:
-		return refStepDescSeeded(f, ctx, axis, -1, out)
+		return refStepDesc(f, ctx, axis, out)
 
 	case algebra.Child:
 		// Sibling jumps: O(children) per context. Nested contexts can
@@ -180,16 +180,11 @@ func refStepStaircase(f *xenc.Fragment, ctx []int32, axis algebra.Axis, out []in
 	return out
 }
 
-// refStepDescSeeded is the descendant/descendant-or-self staircase scan
-// with an explicit starting boundary: prune covered contexts, emit each
-// (pre, pre+size] range, skip overlap with what has been emitted
-// already. emittedTo = -1 is the whole-context scan; a morsel over a
-// context sub-range seeds it with the prefix maximum of v+size(v) over
-// all earlier contexts — exactly the boundary the sequential scan
-// carries at that point, so per-morsel outputs concatenate into the
-// identical pre sequence and the prune/skip guarantees (sorted,
-// duplicate-free, each node visited once) survive the split.
-func refStepDescSeeded(f *xenc.Fragment, ctx []int32, axis algebra.Axis, emittedTo int32, out []int32) []int32 {
+// refStepDesc is the descendant/descendant-or-self staircase scan:
+// prune covered contexts, emit each (pre, pre+size] range, skip overlap
+// with what has been emitted already.
+func refStepDesc(f *xenc.Fragment, ctx []int32, axis algebra.Axis, out []int32) []int32 {
+	emittedTo := int32(-1)
 	for _, v := range ctx {
 		v = refElemContext(f, v)
 		if v < 0 {
@@ -518,8 +513,8 @@ func randomContext(r *rand.Rand, store *xenc.Store, shape int) *bat.Table {
 
 // TestStepMatchesReference is the differential for the loop-lifted step
 // kernel: over random forests and context tables of every shape, for all
-// axes and node tests, it returns the reference's table row for row —
-// sequentially and cut into units, with the staircase join on and off.
+// axes and node tests, it returns the reference's table row for row,
+// with the staircase join on and off.
 func TestStepMatchesReference(t *testing.T) {
 	tests := []algebra.KindTest{
 		{Kind: algebra.TestElem, Name: "b"},
@@ -531,13 +526,6 @@ func TestStepMatchesReference(t *testing.T) {
 		{Kind: algebra.TestAttr},
 		{Kind: algebra.TestElem, Name: "nosuchtag"},
 		{Kind: algebra.TestAttr, Name: "nosuchattr"},
-	}
-	type config struct{ workers, morselRows int }
-	var configs []config
-	for _, w := range []int{1, 2, 8} {
-		for _, m := range []int{7, 0} {
-			configs = append(configs, config{w, m})
-		}
 	}
 	seeds := 60
 	if testing.Short() {
@@ -557,17 +545,13 @@ func TestStepMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, c := range configs {
-							e := NewWithConfig(store, Config{Workers: c.workers, MorselRows: c.morselRows})
-							e.Staircase = staircase
-							got, err := e.evalStep(&morsels{e: e, ctx: context.Background(), par: true}, in, axis, test)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got.String() != want.String() {
-								t.Fatalf("seed %d shape %d staircase=%v workers=%d morselRows=%d %s::%s\ncontext:\n%s\nreference:\n%s\nkernel:\n%s",
-									seed, shape, staircase, c.workers, c.morselRows, axis, test, in, want, got)
-							}
+						got, err := ref.evalStep(context.Background(), in, axis, test)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.String() != want.String() {
+							t.Fatalf("seed %d shape %d staircase=%v %s::%s\ncontext:\n%s\nreference:\n%s\nkernel:\n%s",
+								seed, shape, staircase, axis, test, in, want, got)
 						}
 					}
 				}
@@ -586,7 +570,7 @@ func TestStepRejectsMalformedContext(t *testing.T) {
 		bat.MustTable("item", bat.NodeVec{{}}),
 	} {
 		_, want := e.refEvalStep(in, algebra.Child, algebra.KindTest{Kind: algebra.TestNode})
-		_, got := e.evalStep(&morsels{e: e, ctx: context.Background()}, in, algebra.Child, algebra.KindTest{Kind: algebra.TestNode})
+		_, got := e.evalStep(context.Background(), in, algebra.Child, algebra.KindTest{Kind: algebra.TestNode})
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Errorf("context %v: kernel error %v, reference error %v", in.Cols(), got, want)
 		}

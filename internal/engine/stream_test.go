@@ -51,8 +51,7 @@ func TestStreamedReadIsAKernelPanic(t *testing.T) {
 // the trace of a run reports them.
 func TestStreamBoundary(t *testing.T) {
 	docs := []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}
-	matrix(docs, difftest.Seq, difftest.Par, difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8),
-		unchained, demoted(8), navdomEval).Run(t, corpus.Cases(corpus.StreamBoundary))
+	matrix(docs, difftest.Seq, difftest.Par, unchained, demoted(8), navdomEval).Run(t, corpus.Cases(corpus.StreamBoundary))
 	eng := difftest.LoadEngine(t, difftest.SeqConfig, docs)
 	for _, c := range corpus.StreamBoundary {
 		plan, err := difftest.Compile(c.Query, xqcore.Options{ContextDoc: "r.xml"}, difftest.Optimized)

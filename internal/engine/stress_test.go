@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,10 +142,13 @@ func TestSchedulerErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestCancellationMidOperator builds a cross product large enough that a
-// sequential between-operators check would only fire after the full 25M
-// rows materialize, then cancels mid-flight: the row-loop stride checks
-// must observe the context and abandon the operator.
+// TestCancellationMidOperator cancels evaluations mid-flight inside one
+// long-running kernel and expects context.Canceled well before the kernel
+// could have finished: a cross product whose 25M rows a check between
+// operators would only see after they materialize, and a ⊛ that compares
+// half a million pairs of equal 64 KiB strings as the plan's root, where
+// no check follows the kernel at all. The row-loop stride checks must
+// observe the context and abandon the operator.
 func TestCancellationMidOperator(t *testing.T) {
 	big := func() *algebra.Op {
 		items := make(bat.ItemVec, 5000)
@@ -154,29 +158,41 @@ func TestCancellationMidOperator(t *testing.T) {
 		return algebra.Lit(bat.MustTable("x", items))
 	}
 	cross := must(algebra.Cross(big(), must(algebra.Project(big(), "y:x"))))
+	long, same := strings.Repeat("x", 64<<10), strings.Repeat("x", 64<<10) // equal, not one pointer
+	a, b := make(bat.StrVec, 1<<19), make(bat.StrVec, 1<<19)
+	for i := range a {
+		a[i], b[i] = long, same
+	}
+	compare := must(algebra.Fun(algebra.Lit(bat.MustTable("a", a, "b", b)), "eq", algebra.FunEq, "a", "b"))
 
-	for _, workers := range []int{1, 8} {
-		e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start := time.Now()
-		go func() {
-			_, err := e.EvalContext(ctx, cross)
-			done <- err
-		}()
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+	for _, c := range []struct {
+		name string
+		root *algebra.Op
+	}{{"×", cross}, {"⊛", compare}} {
+		for _, workers := range []int{1, 8} {
+			e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
+			e.Lowered(c.root) // lowered before the clock starts: cancellation lands in the kernel
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() {
+				_, err := e.EvalContext(ctx, c.root)
+				done <- err
+			}()
+			time.Sleep(5 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s workers=%d: err = %v, want context.Canceled", c.name, workers, err)
+				}
+				// Generous bound: either kernel run to its end takes far longer.
+				if d := time.Since(start); d > 5*time.Second {
+					t.Errorf("%s workers=%d: cancellation took %v", c.name, workers, d)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s workers=%d: cancellation never observed", c.name, workers)
 			}
-			// Generous bound: materializing all 25M rows takes far longer.
-			if d := time.Since(start); d > 5*time.Second {
-				t.Errorf("workers=%d: cancellation took %v", workers, d)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: cancellation never observed", workers)
 		}
 	}
 }
@@ -242,5 +258,32 @@ func TestTraceStats(t *testing.T) {
 	}
 	if st.RowsOut != out.Rows() {
 		t.Errorf("root RowsOut = %d, result has %d rows", st.RowsOut, out.Rows())
+	}
+}
+
+// TestWorkerBudget: the running-unit gauge counts each scheduler unit
+// while its kernel runs — at least that one, never more than the pool —
+// and is back at zero when the evaluation returns.
+func TestWorkerBudget(t *testing.T) {
+	root := fanOutPlan(t, 8)
+	for _, workers := range []int{1, 4} {
+		e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
+		var mu sync.Mutex
+		low, high := int32(1<<30), int32(0)
+		e.panicHook = func() {
+			n := e.sh.working.Load()
+			mu.Lock()
+			low, high = min(low, n), max(high, n)
+			mu.Unlock()
+		}
+		if _, err := e.EvalContext(context.Background(), root); err != nil {
+			t.Fatal(err)
+		}
+		if low < 1 || high > int32(workers) {
+			t.Errorf("workers=%d: %d to %d units counted running during the evaluation", workers, low, high)
+		}
+		if n := e.ActiveWorkers(); n != 0 {
+			t.Errorf("workers=%d: %d units counted running after the evaluation", workers, n)
+		}
 	}
 }

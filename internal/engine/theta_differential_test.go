@@ -11,8 +11,7 @@ package engine_test
 // for error text: the forced-demotion run on one worker is only the
 // pivot the other relational legs are compared against, and it shares
 // the physical ×, ⊛, σ kernels with them. The engines run at workers ∈
-// {1, 2, 8} with 7-row morsels and runtime checking on; the file is part
-// of the -race tier.
+// {1, 2, 8} with runtime checking on; the file is part of the -race tier.
 
 import (
 	"context"
@@ -100,7 +99,7 @@ var thetaCorpus = []thetaCase{
 // worker (the pivot), the band kernel and the forced demotion at workers
 // 1, 2 and 8, and navdom.
 var thetaEvals = []difftest.Evaluator{
-	demoted(1), difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8), demoted(2), demoted(8), navdomEval,
+	demoted(1), scheduled(1), scheduled(2), scheduled(8), demoted(2), demoted(8), navdomEval,
 }
 
 // thetaPaths evaluates src's optimized plan on e under trace and reports
@@ -162,8 +161,8 @@ func TestThetaCorpusDifferential(t *testing.T) {
 // pair, Q12's second where clause (a unit too) as pairs.
 func TestXMarkThetaDifferential(t *testing.T) {
 	cases := difftest.XMark(t, 11, 12)
-	// The band kernel (the morsel engines) meets the goldens in
-	// TestXMarkMorselDifferential.
+	// The band kernel meets the goldens in TestXMarkGolden and
+	// TestXMarkParallelDifferential.
 	matrix(difftest.XMarkDocs(), demoted(1), demoted(2), demoted(8), navdomEval).Run(t, cases)
 	checkThetaLanes(t, difftest.XMarkDocs(), []thetaCase{{cases[0], "count:float"}, {cases[1], "float,count:float"}})
 }
@@ -175,8 +174,8 @@ func checkThetaLanes(t *testing.T, docs []difftest.Doc, cases []thetaCase) {
 	t.Helper()
 	opts := xqcore.Options{ContextDoc: docs[0].URI}
 	for _, w := range []int{1, 2, 8} {
-		band := difftest.LoadEngine(t, difftest.MorselConfig(w), docs)
-		demote := difftest.LoadEngine(t, difftest.MorselConfig(w), docs)
+		band := difftest.LoadEngine(t, scheduledConfig(w), docs)
+		demote := difftest.LoadEngine(t, scheduledConfig(w), docs)
 		demote.ForceThetaDemotion()
 		for _, c := range cases {
 			if got := strings.Join(thetaPaths(t, band, c.Query, opts), ","); got != c.lane {

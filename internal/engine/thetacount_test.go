@@ -77,8 +77,8 @@ func randCountSide(rng *rand.Rand, prefix, shape string, n int) (t *bat.Table, i
 
 // TestThetaCountMatchesMembers is the property test of the count-only
 // unit: over random key columns of every shape and iteration columns with
-// and without repeats and order, for every inequality, operand order,
-// morsel size and worker count, the unit's (by, n) table — rows, row
+// and without repeats and order, for every inequality, operand order
+// and worker count, the unit's (by, n) table — rows, row
 // order, column types — equals what its six members produce one by one
 // (the forced-demotion engine) and what the reference evaluator computes
 // (refEval), or all three fail with the same text. A unit that declines must give
@@ -92,12 +92,10 @@ func TestThetaCountMatchesMembers(t *testing.T) {
 	}
 	var engines []labelled
 	for _, w := range []int{1, 2, 8} {
-		for _, morsel := range []int{7, 0} {
-			engines = append(engines, labelled{fmt.Sprintf("workers=%d morsel=%d", w, morsel),
-				NewWithConfig(xenc.NewStore(), Config{Workers: w, SeqThreshold: -1, MorselRows: morsel, Check: true})})
-		}
+		engines = append(engines, labelled{fmt.Sprintf("workers=%d", w),
+			NewWithConfig(xenc.NewStore(), Config{Workers: w, SeqThreshold: -1, Check: true})})
 	}
-	demoted := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, MorselRows: 7, Check: true})
+	demoted := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, Check: true})
 	demoted.ForceThetaDemotion()
 	engines = append(engines, labelled{"demoted", demoted})
 

@@ -217,35 +217,15 @@ func thetaProbe[K cmp.Ordered](fun algebra.FunKind, outer, inner []K) *thetaBand
 	return b
 }
 
-// thetaMorsels carves the outer rows into morsels of roughly equal work
-// — rows probed plus pairs emitted, read off the output offsets — since
-// a band join's cost follows its output, not its input.
-func (m *morsels) thetaMorsels(off []int) []bat.Range {
-	n := len(off) - 1
-	size := m.e.morselRows()
-	if !m.par || size <= 0 || n+off[n] <= size {
-		return []bat.Range{{Lo: 0, Hi: n}}
-	}
-	var out []bat.Range
-	lo := 0
-	for i := 1; i <= n; i++ {
-		if i == n || (i-lo)+(off[i]-off[lo]) >= size {
-			out = append(out, bat.Range{Lo: lo, Hi: i})
-			lo = i
-		}
-	}
-	return out
-}
-
-// thetaEmit writes the (left, right) base-row pairs of the outer rows in
-// rg into their slots of lIdx/rIdx. A narrow band is copied out of the
+// thetaEmit writes the (left, right) base-row pairs of every outer row
+// into its slots of lIdx/rIdx. A narrow band is copied out of the
 // permutation and sorted back into row order; a wide one is cheaper to
 // collect by one pass over the inner rows testing each row's rank.
-func thetaEmit(ctx context.Context, b *thetaBands, l, r *bat.View, off []int, rg bat.Range, lIdx, rIdx []int32) error {
+func thetaEmit(ctx context.Context, b *thetaBands, l, r *bat.View, off []int, lIdx, rIdx []int32) error {
 	nr := len(b.perm)
 	rsel := r.Sel()
 	work := 0
-	for i := rg.Lo; i < rg.Hi; i++ {
+	for i := 0; i < len(off)-1; i++ {
 		dst := rIdx[off[i]:off[i+1]]
 		k := len(dst)
 		if work += k + 1; work >= cancelStride {
@@ -324,7 +304,7 @@ func thetaExtract(tj *physical.ThetaJoin, l, r *bat.View) (k thetaKeys, reason s
 // thetaKernel runs the band join over the unit's two input views. A
 // non-empty reason means the kernel declined (nothing was produced) and
 // the caller must run the unit's operators one by one.
-func thetaKernel(ctx context.Context, ms *morsels, tj *physical.ThetaJoin, l, r *bat.View) (out physOut, reason string, err error) {
+func thetaKernel(ctx context.Context, tj *physical.ThetaJoin, l, r *bat.View) (out physOut, reason string, err error) {
 	keys, reason := thetaExtract(tj, l, r)
 	if reason != "" {
 		return physOut{}, reason, nil
@@ -349,10 +329,7 @@ func thetaKernel(ctx context.Context, ms *morsels, tj *physical.ThetaJoin, l, r 
 	}
 	lIdx := make([]int32, total)
 	rIdx := make([]int32, total)
-	ranges := ms.thetaMorsels(off)
-	if err := ms.run(len(ranges), func(m int) error {
-		return thetaEmit(ctx, bands, l, r, off, ranges[m], lIdx, rIdx)
-	}); err != nil {
+	if err := thetaEmit(ctx, bands, l, r, off, lIdx, rIdx); err != nil {
 		return physOut{}, "", err
 	}
 	// Only the columns the unit's consumers read are gathered; the rest
@@ -493,7 +470,6 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 	e.sh.working.Add(1)
 	defer e.sh.working.Add(-1)
 	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-	ms := &morsels{e: e, ctx: ctx, par: tj.Select.Parallel}
 	reason := e.thetaDemote
 	var out physOut
 	counted := 0
@@ -503,12 +479,12 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 		out, counted, reason = thetaCountKernel(tj, in[0], in[1])
 	default:
 		var err error
-		out, reason, err = thetaKernel(ctx, ms, tj, in[0], in[1])
+		out, reason, err = thetaKernel(ctx, tj, in[0], in[1])
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			return nil, wrapKernelErr(err, tj.Select.Op.Kind, "theta join")
+			return nil, fmt.Errorf("%s: %w", tj.Select.Op.Kind, err)
 		}
 	}
 	if reason != "" {
@@ -554,7 +530,6 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 		if tj.Count != nil {
 			st.RowsIn = counted
 		}
-		st.setMorsels(ms)
 		tr.recordStat(tj.Out().Op, st)
 	}
 	return out.view, nil

@@ -143,9 +143,9 @@ func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 	engines := map[string]*Engine{}
 	for _, w := range []int{1, 2, 8} {
 		engines[fmt.Sprintf("workers=%d", w)] = NewWithConfig(xenc.NewStore(),
-			Config{Workers: w, SeqThreshold: -1, MorselRows: 7, Check: true})
+			Config{Workers: w, SeqThreshold: -1, Check: true})
 	}
-	demoted := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, MorselRows: 7, Check: true})
+	demoted := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, Check: true})
 	demoted.ForceThetaDemotion()
 	engines["demoted"] = demoted
 
@@ -232,7 +232,7 @@ func TestThetaWideBand(t *testing.T) {
 	}
 	l := bat.MustTable("lk", lk, "lv", bat.Ramp(0, n), "lkeep", keep)
 	r := bat.MustTable("rk", rk, "rv", bat.Ramp(0, n), "rkeep", keep)
-	e := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, MorselRows: 64, Check: true})
+	e := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, Check: true})
 	for _, fun := range []algebra.FunKind{algebra.FunLt, algebra.FunGe} {
 		for _, filtered := range []bool{false, true} {
 			plan := thetaPlan(t, l, r, fun, filtered, false)

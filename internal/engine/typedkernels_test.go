@@ -98,7 +98,6 @@ func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed, uint8(seed*7), uint8(seed*3))
 	}
-	e := New(nil)
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, seed int64, n, shapes uint8) {
 		rng := rand.New(rand.NewSource(seed))
@@ -109,13 +108,13 @@ func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 		name := fmt.Sprintf("%s×%s", ls, rs)
 
 		for _, fun := range []algebra.FunKind{algebra.FunEq, algebra.FunNe, algebra.FunLt, algebra.FunLe, algebra.FunGt, algebra.FunGe} {
-			got, _, gerr := compareKernel(fun, a, b, rows)
-			want, _, werr := compareKernel(fun, ba, bb, rows)
+			got, _, gerr := compareKernel(ctx, fun, a, b, rows)
+			want, _, werr := compareKernel(ctx, fun, ba, bb, rows)
 			sameOutcome(t, name+" "+fun.String(), got, want, gerr, werr)
 		}
 		for _, fun := range []algebra.FunKind{algebra.FunAdd, algebra.FunSub, algebra.FunMul, algebra.FunDiv, algebra.FunIDiv, algebra.FunMod} {
-			got, _, gerr := arithKernel(fun, a, b, rows)
-			want, _, werr := arithKernel(fun, ba, bb, rows)
+			got, _, gerr := arithKernel(ctx, fun, a, b, rows)
+			want, _, werr := arithKernel(ctx, fun, ba, bb, rows)
 			sameOutcome(t, name+" "+fun.String(), got, want, gerr, werr)
 		}
 
@@ -125,10 +124,9 @@ func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 			return bat.ViewOf(bat.MustTable(id+"k", k, id, bat.Ramp(0, k.Len())))
 		}
 		o := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"lk"}, KeyR: []string{"rk"}}
-		ms := &morsels{e: e, ctx: ctx, par: true}
 		for _, mode := range []joinMode{joinFull, joinSemi} {
-			got, gerr := physHashJoin(ctx, ms, o, side(a, "l"), side(r, "r"), mode)
-			want, werr := physHashJoin(ctx, ms, o, side(ba, "l"), side(boxed(r), "r"), mode)
+			got, gerr := physHashJoin(ctx, o, side(a, "l"), side(r, "r"), mode)
+			want, werr := physHashJoin(ctx, o, side(ba, "l"), side(boxed(r), "r"), mode)
 			if gerr != nil || werr != nil {
 				t.Fatalf("%s ⋈: %v, boxed %v", name, gerr, werr)
 			}

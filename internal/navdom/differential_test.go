@@ -10,12 +10,12 @@ import (
 
 var (
 	// engines is every engine configuration of the differential tiers —
-	// the sequential path first, as the pivot, the scheduler, and tiny
-	// morsels at workers 1, 2 and 8 — and navdom. The evaluators that
+	// the sequential path first, as the pivot, then the scheduler — and
+	// navdom. The evaluators that
 	// need the engine's test hooks run the same lists in the engine's
 	// TestListsThroughHooks.
 	engines = []difftest.Evaluator{
-		difftest.Seq, difftest.Par, difftest.Morsel(1), difftest.Morsel(2), difftest.Morsel(8), difftest.Navdom("navdom"),
+		difftest.Seq, difftest.Par, difftest.Navdom("navdom"),
 	}
 	auction = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 )

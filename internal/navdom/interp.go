@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -206,7 +207,11 @@ func (ip *Interp) eval(e xqcore.Expr, en *env) ([]Item, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ip.step(in, x.Axis, x.Test)
+		out, err := ip.step(in, x.Axis, x.Test)
+		if x.Reverse {
+			slices.Reverse(out)
+		}
+		return out, err
 	case *xqcore.DDO:
 		in, err := ip.Eval(x.X, en)
 		if err != nil {

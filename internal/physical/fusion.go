@@ -11,7 +11,7 @@ import "pathfinder/internal/algebra"
 // instead of one per member.
 //
 // The chains are metadata, not a plan rewrite: every member keeps its
-// Node (kernel, morsel split, stats, Check, and the explain/dot output
+// Node (kernel, stats, Check, and the explain/dot output
 // address members individually), so the plan, its cache entry and its
 // result are those of the same operators run one by one.
 
@@ -36,9 +36,8 @@ func (c *FusedChain) Input() *Node { return c.Head().In[0] }
 
 // FusedMinRows is the static gate below which chain formation is
 // skipped: a point lookup whose cardinality is known to be tiny keeps
-// one scheduler unit per operator and pays no unit remapping. Reusing
-// the morsel gate keeps "tiny" meaning one thing across the executor.
-const FusedMinRows = ParallelMinRows
+// one scheduler unit per operator and pays no unit remapping.
+const FusedMinRows = 4096
 
 // fusable reports whether a node may be a chain member: a pure unary
 // per-row operator whose kernel reads input rows independently. σ, π

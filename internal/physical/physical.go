@@ -43,13 +43,11 @@ type Node struct {
 	// vector or cheap column extension over shared base vectors — rather
 	// than a materialized table.
 	Pipeline bool
-	// Parallel marks operators the executor may run morsel-wise on the
-	// shared worker pool: their kernel admits an order-preserving
-	// decomposition (per-morsel output buffers stitched in input order,
-	// or per-worker partitions merged on a final pass) and the input is
-	// not statically known to be tiny. The executor still keeps the
-	// sequential fast path when the runtime row count yields fewer than
-	// two morsels.
+	// Parallel is never set: the executor runs every kernel as one
+	// sequential loop.
+	//
+	// Deprecated: benchmark/inproc.go is its last reader; the
+	// benchmark-only change of ROADMAP item 1 deletes the field with it.
 	Parallel bool
 	// Stream marks an ε whose elements only the serializer reads (see
 	// markStreams): the executor registers its trees as a streamed
@@ -257,42 +255,6 @@ func lowerOp(nd *Node) {
 		nd.Kernel = o.Kind.String()
 	}
 	nd.EstRows = estRows(o, nd)
-	nd.Parallel = parallelizable(o, nd) && !statTiny(nd)
-}
-
-// ParallelMinRows is the static cardinality gate: an operator whose
-// inputs are all statically known to total fewer rows than this keeps
-// the sequential fast path — splitting less than a morsel's worth of
-// rows only buys synchronization overhead.
-const ParallelMinRows = 4096
-
-// parallelizable reports whether the operator's kernel admits an
-// order-preserving morsel decomposition the executor implements.
-func parallelizable(o *algebra.Op, nd *Node) bool {
-	switch o.Kind {
-	case algebra.OpSelect, algebra.OpFun, algebra.OpDiff,
-		algebra.OpDistinct, algebra.OpStep:
-		return true
-	case algebra.OpJoin, algebra.OpSemiJoin:
-		// The hash kernel parallelizes build and probe; the merge kernel
-		// is a single ordered scan and stays sequential.
-		return !nd.Merge
-	case algebra.OpAggr:
-		// Partitioned aggregation groups per morsel and merges; a scalar
-		// aggregate is a single fold whose float summation order must not
-		// change.
-		return o.Part != ""
-	}
-	return false
-}
-
-// statTiny reports whether the operator is statically known to process
-// less than a morsel's worth of rows. The node's own estimate is the
-// right gate, not its inputs': a one-row doc reference feeding a
-// location step expands to the whole document, so a step's work is
-// bounded by its (unknown) output, never by its input.
-func statTiny(nd *Node) bool {
-	return nd.EstRows >= 0 && nd.EstRows < ParallelMinRows
 }
 
 // estRows propagates output-cardinality upper bounds bottom-up from
@@ -343,8 +305,8 @@ func estRows(o *algebra.Op, nd *Node) int64 {
 	return -1
 }
 
-// reestimate redoes the cardinality estimates, and the Parallel flags
-// that hang on them, downstream of the count-only theta joins: each
+// reestimate redoes the cardinality estimates downstream of the
+// count-only theta joins: each
 // pinned its Count to the outer side's estimate after the nodes above it
 // had been lowered from the product's.
 func reestimate(p *Plan) {
@@ -364,7 +326,6 @@ func reestimate(p *Plan) {
 		if !pinned[nd] {
 			nd.EstRows = estRows(nd.Op, nd)
 		}
-		nd.Parallel = parallelizable(nd.Op, nd) && !statTiny(nd)
 	}
 }
 
@@ -403,9 +364,6 @@ func (n *Node) PropsNote() string {
 	}
 	if n.Stream {
 		parts = append(parts, "stream")
-	}
-	if n.Parallel {
-		parts = append(parts, "parallel")
 	}
 	return strings.Join(parts, " ")
 }

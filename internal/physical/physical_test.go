@@ -133,64 +133,40 @@ func TestLowerPipelineFlags(t *testing.T) {
 	}
 }
 
-// The Parallel flag follows kernel shape and static cardinality: tiny
-// literal-rooted inputs keep the sequential fast path, unknown-size
-// inputs (anything downstream of a step) may go morsel-parallel.
-func TestLowerParallelFlag(t *testing.T) {
+// EstRows is a bound from literal sizes, unknown (-1) downstream of a
+// step; a join whose inputs are both sorted on the key merges, one whose
+// input is not hashes.
+func TestLowerEstRowsAndMerge(t *testing.T) {
 	tiny := sortedLit("k", 1, 2, 3)
-	big := algebra.Lit(bat.MustTable("k", bat.Ramp(1, 2*ParallelMinRows)))
+	big := algebra.Lit(bat.MustTable("k", bat.Ramp(1, 8192)))
 
-	// Known-tiny input: sequential fast path.
-	nd := kernelOf(t, mustOp(algebra.Fun(tiny, "b", algebra.FunEq, "k", "k")))
-	if nd.Parallel {
-		t.Errorf("map over %d known rows must not be parallel", 3)
-	}
-	if nd.EstRows != 3 {
+	if nd := kernelOf(t, mustOp(algebra.Fun(tiny, "b", algebra.FunEq, "k", "k"))); nd.EstRows != 3 {
 		t.Errorf("map est = %d, want 3", nd.EstRows)
 	}
 
-	// Large known input: morsel-parallel.
-	nd = kernelOf(t, mustOp(algebra.Fun(big, "b", algebra.FunEq, "k", "k")))
-	if !nd.Parallel {
-		t.Errorf("map over %d known rows must be parallel", 2*ParallelMinRows)
-	}
-
-	// Steps have data-dependent fan-out: est unknown, flag set — the
-	// runtime morsel count decides.
-	doc := mustOp(algebra.Fun(big, "s", algebra.FunString, "k"))
+	// Steps have data-dependent fan-out: est unknown, and so downstream.
 	step := mustOp(algebra.Step(mustOp(algebra.Project(
 		algebra.Lit(bat.MustTable("iter", bat.IntVec{1}, "item", bat.NodeVec{{}})),
 		"iter", "item")), algebra.Descendant, algebra.KindTest{Kind: algebra.TestNode}))
-	_ = doc
-	ndStep := kernelOf(t, step)
-	if ndStep.EstRows != -1 || !ndStep.Parallel {
-		t.Errorf("step: est = %d, parallel = %v; want -1, true", ndStep.EstRows, ndStep.Parallel)
+	if nd := kernelOf(t, step); nd.EstRows != -1 {
+		t.Errorf("step: est = %d, want -1", nd.EstRows)
 	}
-	// Downstream of the step the estimate stays unknown, so a filter
-	// there is parallel even though the document might be small.
 	sel := mustOp(algebra.Select(mustOp(algebra.Fun(step, "b", algebra.FunEq, "iter", "iter")), "b"))
-	if nd := kernelOf(t, sel); !nd.Parallel || nd.EstRows != -1 {
-		t.Errorf("filter below step: est = %d, parallel = %v; want -1, true", nd.EstRows, nd.Parallel)
+	if nd := kernelOf(t, sel); nd.EstRows != -1 {
+		t.Errorf("filter below step: est = %d, want -1", nd.EstRows)
 	}
 
-	// Merge joins are single ordered scans — never parallel; the same
-	// join shape over unsorted inputs hashes and parallelizes.
 	bigR := mustOp(algebra.Project(big, "j:k"))
-	if nd := kernelOf(t, mustOp(algebra.Join(big, bigR, []string{"k"}, []string{"j"}))); nd.Parallel || !nd.Merge {
-		t.Errorf("merge join: parallel = %v, merge = %v", nd.Parallel, nd.Merge)
+	if nd := kernelOf(t, mustOp(algebra.Join(big, bigR, []string{"k"}, []string{"j"}))); !nd.Merge {
+		t.Errorf("join of sorted inputs: merge = %v", nd.Merge)
 	}
-	unsorted := algebra.Lit(bat.MustTable("j", append(bat.IntVec{2, 1}, bat.Ramp(3, 2*ParallelMinRows)...)))
-	if nd := kernelOf(t, mustOp(algebra.Join(big, unsorted, []string{"k"}, []string{"j"}))); !nd.Parallel || nd.Merge {
-		t.Errorf("hash join: parallel = %v, merge = %v", nd.Parallel, nd.Merge)
+	unsorted := algebra.Lit(bat.MustTable("j", append(bat.IntVec{2, 1}, bat.Ramp(3, 8192)...)))
+	if nd := kernelOf(t, mustOp(algebra.Join(big, unsorted, []string{"k"}, []string{"j"}))); nd.Merge {
+		t.Errorf("join of an unsorted input: merge = %v", nd.Merge)
 	}
 
-	// Scalar aggregates are a single fold (float summation order);
-	// partitioned aggregation groups per morsel and merges.
-	if nd := kernelOf(t, mustOp(algebra.Aggr(big, "s", algebra.AggSum, "k", ""))); nd.Parallel || nd.EstRows != 1 {
-		t.Errorf("scalar aggr: parallel = %v, est = %d", nd.Parallel, nd.EstRows)
-	}
-	if nd := kernelOf(t, mustOp(algebra.Aggr(big, "s", algebra.AggSum, "k", "k"))); !nd.Parallel {
-		t.Errorf("partitioned aggr over large input must be parallel")
+	if nd := kernelOf(t, mustOp(algebra.Aggr(big, "s", algebra.AggSum, "k", ""))); nd.EstRows != 1 {
+		t.Errorf("scalar aggr: est = %d, want 1", nd.EstRows)
 	}
 }
 

@@ -160,9 +160,6 @@ func TestDiscoverCountTail(t *testing.T) {
 	if tj.Count.EstRows != nl || p.Root.EstRows != nl {
 		t.Errorf("count estimated at %d rows, its consumer at %d, want the outer side's %d", tj.Count.EstRows, p.Root.EstRows, nl)
 	}
-	if p.Root.Parallel || tj.Count.Parallel {
-		t.Errorf("a %d-row estimate is below the morsel gate, yet Parallel is set", nl)
-	}
 	// (|A|+|B|)·log|A| with A the sorted inner side: 5300 · 13.
 	if got, want := tj.EstCost(), int64((nl+nr)*13); got != want {
 		t.Errorf("unit priced at %d, want %d", got, want)

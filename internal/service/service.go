@@ -36,8 +36,8 @@ import (
 // Config sizes the service. The zero value gets sane production defaults
 // from (*Config).withDefaults; tests pin explicit small numbers.
 type Config struct {
-	// Engine is the evaluator configuration (worker pool, morsel size,
-	// runtime checks); passed through to engine.NewWithConfig.
+	// Engine is the evaluator configuration (worker pool, runtime
+	// checks); passed through to engine.NewWithConfig.
 	Engine engine.Config
 
 	// Catalog, when set, backs named collections: queries may address

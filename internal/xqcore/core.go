@@ -107,6 +107,9 @@ type StepEx struct {
 	Axis algebra.Axis
 	Test algebra.KindTest
 	In   Expr
+	// Reverse numbers the result in reverse document order: the step is
+	// on a reverse axis and a positional predicate reads the numbering.
+	Reverse bool
 }
 
 // DDO is fs:distinct-doc-order.

@@ -505,7 +505,16 @@ func (n *normalizer) normStep(in Expr, s xquery.Step, at xquery.Pos) Expr {
 	}
 	step := &StepEx{typed: typed{Type{item, CMany}}, Axis: axis, Test: test, In: in}
 	out, positional := n.applyPreds(step, s.Preds)
-	if !positional || in.Ty().AtMostOne() {
+	if !positional {
+		return out
+	}
+	// On a reverse axis the predicate counts in reverse document order
+	// (XQuery 1.0 §3.2.2); what it keeps goes back into document order.
+	step.Reverse = axis.Reverse()
+	if in.Ty().AtMostOne() {
+		if step.Reverse {
+			return &DDO{typed: typed{Type{item, CMany}}, X: out}
+		}
 		return out
 	}
 	// A step's predicate sees the step's result per context node (XQuery
