@@ -59,8 +59,8 @@ fuzz-smoke:
 
 # Race tier: the packages with query-time shared state — the scheduler
 # (internal/engine, whose differential tests run the differential runner,
-# internal/difftest, over the DAG scheduler at workers 1/2/8, chains as
-# units and forced theta-join demotion), the column vectors
+# internal/difftest, over the DAG scheduler at workers 1/2/8 and forced
+# theta-join demotion), the column vectors
 # (internal/bat), the string pools + fragment registry (internal/xenc),
 # the concurrent service layer (internal/service + the MIL TCP server it
 # embeds) and pfserver, whose graceful-shutdown test drives both front

@@ -126,13 +126,12 @@ func TestCLIXmlgenAndPf(t *testing.T) {
 		strings.Contains(out, "ϱ s2") {
 		t.Errorf("Q11 did not run as a count-only theta join:\n%s", lastLines(out, 24))
 	}
-	// An operator chain is one scheduler task whose members run their own
-	// kernels: each member line names its chain, and the summary sums the
-	// members' materialization.
+	// Every operator is its own scheduler unit: the footer counts
+	// breakers and theta joins, and no line names a multi-operator unit.
 	out = runTool(t, "pf", "-show", "explain", `for $i in 1 to 10000 where $i mod 7 = 0 and $i mod 3 = 0 return $i * 2`)
-	if !regexp.MustCompile(`(?m)^chain #3: map\[eq\] → filter → project — 1428 rows in, 476 out, 0 materialized$`).MatchString(out) ||
-		!strings.Contains(out, ", chain #1 [1/2]") {
-		t.Errorf("explain lacks the chain summary:\n%s", lastLines(out, 14))
+	if !regexp.MustCompile(`(?m)^\(\d+ operators, \d+ workers, \d+ pipeline breakers, 0 theta joins\)$`).MatchString(out) ||
+		strings.Contains(out, "chain") {
+		t.Errorf("explain footer of a range pipeline:\n%s", lastLines(out, 14))
 	}
 	if out := runTool(t, "pf", "-doc", doc, "-workers", "3", "-show", "explain", "count(//person)"); !strings.Contains(out, " operators, 3 workers, ") {
 		t.Errorf("explain footer with -workers 3:\n%s", lastLines(out, 4))

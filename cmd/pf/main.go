@@ -193,17 +193,13 @@ func main() {
 			if st.Sink != "" {
 				ann += ", sink " + st.Sink
 			}
-			if st.FusedChain > 0 {
-				ann += fmt.Sprintf(", chain #%d [%d/%d]", st.FusedChain, st.FusedPos, st.FusedLen)
-			}
 			if st.ThetaJoin > 0 {
 				ann += fmt.Sprintf(", theta #%d", st.ThetaJoin)
 			}
 			return ann
 		}))
-		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d chains, %d theta joins)\n",
-			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.Chains), len(phys.ThetaJoins))
-		printChains(phys, tr)
+		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d theta joins)\n",
+			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.ThetaJoins))
 		printThetaJoins(phys, tr)
 		fmt.Print(optimized.TraceString())
 		fmt.Println()
@@ -216,22 +212,6 @@ func main() {
 	fmt.Println(out)
 	if *timing {
 		fmt.Fprintf(os.Stderr, "compile %v, execute %v\n", compileTime, execTime)
-	}
-}
-
-// printChains summarizes each operator chain of the physical plan for
-// -show explain: its members' kernels, the rows into the head, the rows
-// out of the tail, and the rows its members materialized between them.
-func printChains(phys *physical.Plan, tr *engine.Trace) {
-	for _, ch := range phys.Chains {
-		kernels := make([]string, len(ch.Nodes))
-		mat := 0
-		for i, nd := range ch.Nodes {
-			kernels[i] = nd.Kernel
-			mat += tr.Stats[nd.Op].RowsMat
-		}
-		fmt.Printf("chain #%d: %s — %d rows in, %d out, %d materialized\n",
-			ch.ID, strings.Join(kernels, " → "), tr.Stats[ch.Head().Op].RowsIn, tr.Stats[ch.Tail().Op].RowsOut, mat)
 	}
 }
 

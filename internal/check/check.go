@@ -13,8 +13,8 @@
 //   - Physical preconditions (Physical): merge-join inputs are provably
 //     sorted on the key, rownum[presorted]/[const1] are justified,
 //     Pipeline flags appear only on kernels that produce views, every
-//     operator chain and theta join is a unit the executor may run as
-//     one, and every streamed ε's nodes reach only the serializer.
+//     theta join is a unit the executor may run as one, and every
+//     streamed ε's nodes reach only the serializer.
 //
 // A validator failure means an upstream pass produced a plan whose
 // silent assumptions do not hold — the class of bug that yields quietly
@@ -38,7 +38,7 @@ import (
 // across runs and renderable as goldens.
 type Diag struct {
 	// Class is the invariant family: "structure", "schema", "type",
-	// "order", "dense", "physical", "fusion", "thetajoin", or "stream".
+	// "order", "dense", "physical", "thetajoin", or "stream".
 	Class string
 	// Op locates the finding: "#3 join" style, topological index + kind.
 	Op string

@@ -325,86 +325,6 @@ var mutations = []mutation{
 			return check.Physical(p)
 		},
 	},
-	// --- fusion class: forged fused-chain metadata ---------------------
-	// Chains are executor metadata: a lying chain makes the fused loop
-	// thread a selection vector through an operator that cannot carry it.
-	{
-		name:  "fusion_breaker_inside_chain",
-		class: "fusion",
-		build: func(t *testing.T) []check.Diag {
-			in := lit(t, "iter", ints(1, 2, 2), "item", ints(3, 4, 4))
-			d := algebra.Distinct(in)
-			pj, err := algebra.Project(d, "iter")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(pj)
-			// Forge a chain that hides the δ breaker between two members:
-			// the fused loop would stream rows through an operator that
-			// needs its whole input before it can emit anything.
-			p.Chains = append(p.Chains, &physical.FusedChain{
-				ID:    len(p.Chains) + 1,
-				Nodes: []*physical.Node{nodeOf(p, d), nodeOf(p, pj)},
-			})
-			return check.Physical(p)
-		},
-	},
-	{
-		name:  "fusion_selection_vector_leak",
-		class: "fusion",
-		build: func(t *testing.T) []check.Diag {
-			in := lit(t, "iter", ints(1, 2), "item", ints(3, 4))
-			fn, err := algebra.Fun(in, "res", algebra.FunAdd, "iter", "item")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p1, err := algebra.Project(fn, "res")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p2, err := algebra.Project(fn, "res")
-			if err != nil {
-				t.Fatal(err)
-			}
-			u, err := algebra.Union(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(u)
-			// Forge a chain whose interior member feeds a second consumer
-			// outside the chain: the half-filtered view threaded through
-			// the fused loop would leak past the boundary.
-			p.Chains = append(p.Chains, &physical.FusedChain{
-				ID:    len(p.Chains) + 1,
-				Nodes: []*physical.Node{nodeOf(p, fn), nodeOf(p, p1)},
-			})
-			return check.Physical(p)
-		},
-	},
-	{
-		name:  "fusion_mark_after_filter",
-		class: "fusion",
-		build: func(t *testing.T) []check.Diag {
-			in := lit(t, "iter", ints(1, 2), "keep", bat.BoolVec{true, false})
-			sel, err := algebra.Select(in, "keep")
-			if err != nil {
-				t.Fatal(err)
-			}
-			mk, err := algebra.RowID(sel, "pos")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(mk)
-			// Forge a σ→mark chain: the fused mark numbers rows by chain
-			// input position, so a preceding filter makes it number the
-			// wrong rows.
-			p.Chains = append(p.Chains, &physical.FusedChain{
-				ID:    len(p.Chains) + 1,
-				Nodes: []*physical.Node{nodeOf(p, sel), nodeOf(p, mk)},
-			})
-			return check.Physical(p)
-		},
-	},
 	// --- stream class: an ε streamed although something reads its nodes
 	// A streamed ε builds no fragment: its nodes are bytes the serializer
 	// asks for, and any kernel that looks at one finds nothing.
@@ -749,7 +669,7 @@ func TestMutationsCaught(t *testing.T) {
 // TestMutationClassCoverage proves the corpus exercises every invariant
 // class the validator knows — the acceptance bar for the checker.
 func TestMutationClassCoverage(t *testing.T) {
-	want := []string{"structure", "schema", "type", "order", "dense", "physical", "fusion", "thetajoin", "stream"}
+	want := []string{"structure", "schema", "type", "order", "dense", "physical", "thetajoin", "stream"}
 	have := map[string]bool{}
 	for _, m := range mutations {
 		have[m.class] = true

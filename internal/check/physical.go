@@ -45,85 +45,9 @@ func physicalPlan(w *walker, p *physical.Plan) []Diag {
 			consumers[c]++
 		}
 	}
-	diags = append(diags, physChains(w, p, isNode, consumers)...)
 	diags = append(diags, physThetaJoins(w, p, isNode, consumers)...)
 	diags = append(diags, physStreams(w, p)...)
 	return diags
-}
-
-// physChains re-proves every operator chain the lowering published. The
-// executor runs a chain as one scheduler task whose interiors get no
-// result slot of their own, so a linear, unary, single-consumer chain is
-// a correctness precondition: a multi-consumer interior would leave an
-// operator outside the chain with no input. The remaining claims — no
-// breaker inside, no mark after a filter — are discovery's own rules,
-// re-proved so that chain shapes cannot drift unnoticed.
-func physChains(w *walker, p *physical.Plan, isNode map[*physical.Node]bool, consumers map[*physical.Node]int) []Diag {
-	var diags []Diag
-	claimedBy := make(map[*physical.Node]int)
-	for _, ch := range p.Chains {
-		bad := func(o *algebra.Op, msg string, args ...any) {
-			op := fmt.Sprintf("#? chain %d", ch.ID)
-			if o != nil {
-				op = w.name(o)
-			}
-			diags = append(diags, Diag{Class: "fusion", Op: op, Msg: fmt.Sprintf(msg, args...)})
-		}
-		if len(ch.Nodes) < 2 {
-			bad(nil, "fused chain #%d has %d member(s); fusing buys nothing below 2", ch.ID, len(ch.Nodes))
-			continue
-		}
-		hasFilter := false
-		for i, nd := range ch.Nodes {
-			if nd == nil || nd.Op == nil {
-				bad(nil, "fused chain #%d member %d has no physical node", ch.ID, i)
-				continue
-			}
-			o := nd.Op
-			if !isNode[nd] {
-				bad(o, "fused chain #%d member is not a node of this plan", ch.ID)
-				continue
-			}
-			if prev, dup := claimedBy[nd]; dup {
-				bad(o, "node claimed by fused chains #%d and #%d", prev, ch.ID)
-			}
-			claimedBy[nd] = ch.ID
-			if !chainFusable(nd) {
-				bad(o, "pipeline breaker %s (kernel %q) hidden inside fused chain #%d", o.Kind, nd.Kernel, ch.ID)
-				continue
-			}
-			if len(nd.In) != 1 {
-				bad(o, "fused chain #%d member has %d inputs (chains are unary pipelines)", ch.ID, len(nd.In))
-				continue
-			}
-			if i > 0 && nd.In[0] != ch.Nodes[i-1] {
-				bad(o, "fused chain #%d is not linear: member %d does not consume member %d", ch.ID, i, i-1)
-			}
-			if i < len(ch.Nodes)-1 && consumers[nd] != 1 {
-				bad(o, "interior member of fused chain #%d has %d consumer(s) — the selection vector would leak past the chain boundary", ch.ID, consumers[nd])
-			}
-			if o.Kind == algebra.OpRowID && hasFilter {
-				bad(o, "mark after a filter inside fused chain #%d: mark must number undisturbed input positions", ch.ID)
-			}
-			if o.Kind == algebra.OpSelect {
-				hasFilter = true
-			}
-		}
-	}
-	return diags
-}
-
-// chainFusable is the validator's own list of chain-eligible kernels (a
-// per-row unary operator; ϱ only on its const-1 fast path) — not what
-// internal/physical claims.
-func chainFusable(nd *physical.Node) bool {
-	switch nd.Op.Kind {
-	case algebra.OpSelect, algebra.OpProject, algebra.OpFun, algebra.OpRowID:
-		return true
-	case algebra.OpRowNum:
-		return nd.Const1
-	}
-	return false
 }
 
 // physThetaJoins re-proves every theta join the lowering published. The
@@ -142,12 +66,6 @@ func chainFusable(nd *physical.Node) bool {
 // groups differently from the kernel's walk over the outer rows.
 func physThetaJoins(w *walker, p *physical.Plan, isNode map[*physical.Node]bool, consumers map[*physical.Node]int) []Diag {
 	var diags []Diag
-	inChain := make(map[*physical.Node]int)
-	for _, ch := range p.Chains {
-		for _, nd := range ch.Nodes {
-			inChain[nd] = ch.ID
-		}
-	}
 	for _, tj := range p.ThetaJoins {
 		bad := func(o *algebra.Op, msg string, args ...any) {
 			diags = append(diags, Diag{Class: "thetajoin", Op: w.name(o), Msg: fmt.Sprintf(msg, args...)})
@@ -165,11 +83,6 @@ func physThetaJoins(w *walker, p *physical.Plan, isNode map[*physical.Node]bool,
 			if msg := countTailFlaw(tj, isNode, consumers); msg != "" {
 				bad(sel.Op, "theta join #%d claims a count-only tail, but %s", tj.ID, msg)
 				continue
-			}
-		}
-		for _, nd := range tj.Members() {
-			if id := inChain[nd]; id != 0 {
-				bad(nd.Op, "node claimed by theta join #%d and fused chain #%d", tj.ID, id)
 			}
 		}
 		for _, nd := range []*physical.Node{cross, fn} {

@@ -393,8 +393,14 @@ func (c *Compiler) compStep(x *xqcore.StepEx, s *scope) *algebra.Op {
 
 // stepNodes is the iter|item result of step x. A step whose context is
 // another step reads that step's result as it comes out of the
-// staircase join: duplicate-free and sorted by (iter, item).
+// staircase join: duplicate-free and sorted by (iter, item). A context
+// whose static type is atomic (a literal, a range, arithmetic) is the
+// type error XPTY0019 here; one that only turns out atomic at run time
+// is the step kernel's.
 func (c *Compiler) stepNodes(x *xqcore.StepEx, s *scope) *algebra.Op {
+	if t := x.In.Ty(); t.Item.IsAtomicClass() && t.Card != xqcore.CEmpty {
+		c.fail("XPTY0019: location step over %s", t)
+	}
 	var ctx *algebra.Op
 	if in, ok := x.In.(*xqcore.StepEx); ok {
 		ctx = c.stepNodes(in, s)

@@ -311,6 +311,14 @@ var StepPredicates = []Case{
 	{Name: "farthest preceding", Query: `data(/site/people/person[2]/name[2]/preceding::name[last()])`, Want: "a1"},
 	{Name: "two nearest preceding", Query: `data(/site/people/person[2]/name[2]/preceding::name[position() < 3])`, Want: "Alice Bob"},
 	{Name: "parenthesized reverse path", Query: `data((/site/people/person[2]/name[2]/preceding::name)[1])`, Want: "a1"},
+	// A step over an atomic item is the type error XPTY0019: at compile
+	// time when the context is statically atomic, at run time when an
+	// atomic item turns up among nodes.
+	{Name: "step over an integer, then an element", Query: `for $x in (3, <a><b/><c/></a>) return $x/*`, Err: "XPTY0019"},
+	{Name: "step over an element, then an integer", Query: `count((<a><b/></a>, 7)/b)`, Err: "XPTY0019"},
+	{Name: "step over a string literal", Query: `("x")/b`, Err: "XPTY0019"},
+	{Name: "step over integer literals", Query: `(1,2)/A`, Err: "XPTY0019"},
+	{Name: "step over a range variable", Query: `for $i in 0 to 0 return $i/A`, Err: "XPTY0019"},
 }
 
 // CountJoinDoc is the document the CountJoin cases run against, bound as

@@ -7,9 +7,8 @@
 // query compiled once per plan form (plain, and optimized with
 // check.Plan on it), whichever evaluators consume the plan.
 //
-// Evaluators that need test-only hooks (an engine with its chains
-// dissolved or its theta joins demoted, a service listening on a
-// socket, a store reopened from disk) are declared in the test files of
+// Evaluators that need test-only hooks (an engine with its theta joins
+// demoted, a service listening on a socket, a store reopened from disk) are declared in the test files of
 // the package that has the hook; this package holds the runner, the
 // evaluators every package can build, and the XMark cases.
 package difftest

@@ -3,13 +3,12 @@ package engine_test
 // The engine's differential tiers, each one runner call
 // (internal/difftest): a case list over a matrix of evaluators. The
 // evaluators are the sequential path, the DAG scheduler at workers
-// 1 / 2 / 8 (operator chains run as scheduler units), the same plans with
-// their chains dissolved (unchained, below) or their theta joins demoted
-// (this package's test hook, export_test.go), and navdom. XMark's cases
-// pin the goldens, so every evaluator is byte-exact against them; `go
-// test ./internal/engine -run TestXMarkGolden -update` (make golden)
-// rewrites them. The engine-specific assertions — chains formed, theta
-// lanes, count-only units — run after the runner.
+// 1 / 2 / 8, the same plans with their theta joins demoted (this
+// package's test hook, export_test.go), and navdom. XMark's cases pin
+// the goldens, so every evaluator is byte-exact against them; `go test
+// ./internal/engine -run TestXMarkGolden -update` (make golden) rewrites
+// them. The engine-specific assertions — theta lanes, count-only units
+// — run after the runner.
 
 import (
 	"context"
@@ -18,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"pathfinder/internal/algebra"
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/difftest"
 	"pathfinder/internal/engine"
@@ -34,19 +32,6 @@ var update = flag.Bool("update", false, "rewrite the XMark golden files under te
 var auctionDocs = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 
 var navdomEval = difftest.Navdom("navdom")
-
-// unchained runs each plan with its operator chains dissolved, every
-// member a scheduler unit of its own: the per-operator baseline against
-// which a chain must be unobservable.
-var unchained = difftest.Evaluator{Name: "unchained", Family: difftest.Relational,
-	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
-		e := difftest.LoadEngine(tb, difftest.SeqConfig, docs)
-		return difftest.OnEngine(e, func(root *algebra.Op) *physical.Plan {
-			plan := physical.Lower(root)
-			plan.Chains = nil
-			return plan
-		})
-	}}
 
 // scheduledConfig is the DAG scheduler at the given worker budget with
 // the sequential fallback off, so even tiny plans run on it, and runtime
@@ -110,76 +95,11 @@ func TestDialectParallelDifferential(t *testing.T) {
 	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, difftest.Par, navdomEval).Run(t, cases))
 }
 
-// TestXMarkFusionDifferential: the plans with their chains dissolved
-// against the goldens, which the scheduler — chains as scheduler units —
-// meets in TestXMarkGolden. At least one plan must
-// form a chain, or the comparison covered per-operator units only.
-func TestXMarkFusionDifferential(t *testing.T) {
-	cases := difftest.XMark(t)
-	matrix(difftest.XMarkDocs(), unchained).Run(t, cases)
-	chainsFormed(t, "xmark.xml", cases)
-}
-
-// TestDialectFusionDifferential: unchained against the sequential path,
-// which the scheduler meets in TestDialectParallelDifferential.
-func TestDialectFusionDifferential(t *testing.T) {
-	cases := difftest.Agree("dialect", corpus.Dialect)
-	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, unchained).Run(t, cases))
-	chainsFormed(t, "auction.xml", cases)
-}
-
-// chainsFormed fails t unless the plans of cases, plain and optimized,
-// form at least one chain between them.
-func chainsFormed(t *testing.T, contextDoc string, cases []corpus.Case) {
-	t.Helper()
-	chains := 0
-	for _, c := range cases {
-		for _, f := range []difftest.Form{difftest.Plain, difftest.Optimized} {
-			plan, err := difftest.Compile(c.Query, xqcore.Options{ContextDoc: contextDoc}, f)
-			if err != nil {
-				t.Fatalf("%s: %v", c.Name, err)
-			}
-			chains += len(physical.Lower(plan).Chains)
-		}
-	}
-	if chains == 0 {
-		t.Fatal("no plan formed a chain; the comparison covered per-operator units only")
-	}
-	t.Logf("%d chains formed over the corpus", chains)
-}
-
-// TestFusionChainsExercised: a range pipeline big enough to clear the
-// FusedMinRows gate forms chains, records consistent membership in its
-// trace, and gives the same bytes chained at every worker count as
-// unchained.
+// TestFusionChainsExercised: a 10 000-row range pipeline gives the same
+// bytes on the scheduler at every worker count as on the sequential path.
 func TestFusionChainsExercised(t *testing.T) {
 	const src = `for $i in 1 to 10000 where $i mod 7 = 0 return $i * 2`
-	matrix(nil, unchained, scheduled(1), scheduled(8)).Run(t, difftest.Agree("range pipeline", []string{src}))
-	optimized, err := difftest.Compile(src, xqcore.Options{}, difftest.Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(physical.Lower(optimized).Chains) == 0 {
-		t.Fatal("the range pipeline formed no chain; the differential tier is not exercising chains")
-	}
-	e := difftest.LoadEngine(t, scheduledConfig(1), nil)
-	_, tr, err := e.EvalTrace(context.Background(), optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := 0
-	for _, st := range tr.Stats {
-		if st.FusedChain > 0 {
-			members++
-			if st.FusedPos < 1 || st.FusedPos > st.FusedLen || st.FusedLen < 2 {
-				t.Errorf("inconsistent chain membership: pos %d of %d", st.FusedPos, st.FusedLen)
-			}
-		}
-	}
-	if members == 0 {
-		t.Fatal("no operator ran inside a chain")
-	}
-	t.Logf("%d operators ran as chain members", members)
+	matrix(nil, difftest.Seq, scheduled(1), scheduled(8)).Run(t, difftest.Agree("range pipeline", []string{src}))
 }
 
 // TestRangeEdges: corpus.IntEdges — in the engine and in navdom, each
@@ -199,10 +119,10 @@ func TestUntypedCompare(t *testing.T) {
 
 // TestStepPredicates: corpus.StepPredicates — a positional step
 // predicate counts per context node on every executor configuration, with
-// chains dissolved, with theta joins demoted, and in navdom.
+// theta joins demoted, and in navdom.
 func TestStepPredicates(t *testing.T) {
 	matrix([]difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}},
-		difftest.Seq, difftest.Par, scheduled(2), unchained, demoted(2), navdomEval).Run(t, corpus.StepPredicates)
+		difftest.Seq, difftest.Par, scheduled(2), demoted(2), navdomEval).Run(t, corpus.StepPredicates)
 }
 
 // TestConstructorCases: the constructor content rules with an outcome
@@ -212,13 +132,13 @@ func TestConstructorCases(t *testing.T) {
 }
 
 // TestListsThroughHooks: navdom's battery and the random queries with
-// chains dissolved and with theta joins demoted — the evaluators of the
-// whole matrix that need this package's hooks. navdom's
-// TestDifferentialEngines and TestQuickRandomDifferential run the same
-// lists through every engine configuration and navdom.
+// theta joins demoted — the one evaluator of the whole matrix that needs
+// this package's hooks. navdom's TestDifferentialEngines and
+// TestQuickRandomDifferential run the same lists through every engine
+// configuration and navdom.
 func TestListsThroughHooks(t *testing.T) {
 	cases := append(difftest.Agree("navigational", corpus.Navigational), difftest.Agree("random", corpus.Random(7, 200))...)
-	matrix(auctionDocs, difftest.Seq, unchained, demoted(8)).Run(t, cases)
+	matrix(auctionDocs, difftest.Seq, demoted(8)).Run(t, cases)
 }
 
 // TestSharedPlanConcurrentEval evaluates one compiled plan from many
@@ -271,11 +191,11 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 }
 
 // TestLargeRangePipelines runs filter/map pipelines over 50 000-row
-// ranges — the operator chains of loop-lifted FLWORs at a size well past
-// one cancellation stride — through the optimized plan at workers 1 and 2
-// with runtime checking on, and compares each result with the
-// navigational baseline. It stays off the runner, which would add the
-// plain plan: under -race that doubles the test's time.
+// ranges — the per-row operator runs of loop-lifted FLWORs, at a size
+// well past one cancellation stride — through the optimized plan at
+// workers 1 and 2 with runtime checking on, and compares each result
+// with the navigational baseline. It stays off the runner, which would
+// add the plain plan: under -race that doubles the test's time.
 func TestLargeRangePipelines(t *testing.T) {
 	pipelines := []string{
 		"for $i in 1 to 50000 where $i mod 7 = 0 return $i * 2",

@@ -38,63 +38,42 @@ type physOut struct {
 	fast bool
 }
 
-// execUnit is one schedulable unit of a physical plan: a single node,
-// an operator chain, or a theta join. nd is the node whose output is
-// the unit's — the chain's tail, the theta join's σ or, when its pairs
-// are only counted, its count. The other members are not units: a chain
-// interior's output goes only to the next member inside the same task,
-// a theta join's product never exists at all.
+// execUnit is one schedulable unit of a physical plan: a single node or
+// a theta join. nd is the node whose output is the unit's — for a theta
+// join its σ or, when its pairs are only counted, its count. The join's
+// other members are not units: its product never exists at all.
 type execUnit struct {
 	nd    *physical.Node
-	chain *physical.FusedChain
 	theta *physical.ThetaJoin
 }
 
 func (u execUnit) inputs() []*physical.Node {
-	switch {
-	case u.chain != nil:
-		return u.chain.Head().In
-	case u.theta != nil:
+	if u.theta != nil {
 		return u.theta.Cross.In
 	}
 	return u.nd.In
 }
 
-// planUnits folds the plan's operator chains and theta joins into
-// execution units. With neither discovered every node is its own unit —
-// the tiny-input fast path pays no setup cost whatsoever.
+// planUnits folds the plan's theta joins into execution units; every
+// other node is its own unit. A plan without a theta join builds no map.
 func planUnits(plan *physical.Plan) []execUnit {
-	if len(plan.Chains) == 0 && len(plan.ThetaJoins) == 0 {
-		units := make([]execUnit, len(plan.Nodes))
-		for i, nd := range plan.Nodes {
-			units[i] = execUnit{nd: nd}
-		}
-		return units
-	}
-	interior := make(map[*physical.Node]bool)
-	boundary := make(map[*physical.Node]execUnit)
-	for _, ch := range plan.Chains {
-		for _, nd := range ch.Nodes[:len(ch.Nodes)-1] {
-			interior[nd] = true
-		}
-		boundary[ch.Tail()] = execUnit{nd: ch.Tail(), chain: ch}
-	}
+	var interior map[*physical.Node]bool
+	var boundary map[*physical.Node]*physical.ThetaJoin
 	for _, tj := range plan.ThetaJoins {
+		if interior == nil {
+			interior = make(map[*physical.Node]bool)
+			boundary = make(map[*physical.Node]*physical.ThetaJoin)
+		}
 		for _, nd := range tj.Members() {
 			interior[nd] = nd != tj.Out()
 		}
-		boundary[tj.Out()] = execUnit{nd: tj.Out(), theta: tj}
+		boundary[tj.Out()] = tj
 	}
 	units := make([]execUnit, 0, len(plan.Nodes))
 	for _, nd := range plan.Nodes {
-		if interior[nd] {
-			continue
+		if !interior[nd] {
+			units = append(units, execUnit{nd: nd, theta: boundary[nd]})
 		}
-		u, ok := boundary[nd]
-		if !ok {
-			u = execUnit{nd: nd}
-		}
-		units = append(units, u)
 	}
 	return units
 }
@@ -103,10 +82,7 @@ func planUnits(plan *physical.Plan) []execUnit {
 // Errors return wrapped with the failing operator's kind. The unit counts
 // as one working scheduler unit while it runs.
 func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
-	switch {
-	case u.chain != nil:
-		return e.runChain(ctx, u.chain, in[0], tr, worker)
-	case u.theta != nil:
+	if u.theta != nil {
 		return e.execTheta(ctx, u.theta, in, tr, worker)
 	}
 	if e.onApply != nil {
@@ -124,30 +100,12 @@ func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Tr
 	return out, nil
 }
 
-// runChain executes an operator chain as one scheduler task: its members
-// run back to back through the ordinary kernels, each recording its own
-// stat stamped with the chain's id, its position and the chain's length.
-func (e *Engine) runChain(ctx context.Context, ch *physical.FusedChain, in *bat.View, tr *Trace, worker int) (*bat.View, error) {
-	if e.onApply != nil {
-		for _, nd := range ch.Nodes {
-			e.onApply(nd.Op)
-		}
-	}
-	e.sh.working.Add(1)
-	defer e.sh.working.Add(-1)
-	return e.replayNodes(ctx, ch.Nodes, []*bat.View{in}, tr, worker, func(i int, st OpStat) OpStat {
-		st.FusedChain, st.FusedPos, st.FusedLen = ch.ID, i+1, len(ch.Nodes)
-		return st
-	})
-}
-
 // replayNodes runs a multi-operator unit one member at a time: the first
 // member consumes in, each later one its predecessor's output, and every
 // member but the last leaves its view with the trace. Each member records
 // an ordinary stat, which stamp (when set) annotates with the member's
-// index — how a chain records membership and a demoted theta join says
-// why. The stat passes by value so that it stays off the heap. The caller
-// holds the unit's worker slot.
+// index — how a demoted theta join says why. The stat passes by value so
+// that it stays off the heap. The caller holds the unit's worker slot.
 func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, tr *Trace, worker int, stamp func(i int, st OpStat) OpStat) (*bat.View, error) {
 	for i, nd := range nodes {
 		if err := ctx.Err(); err != nil {
@@ -270,11 +228,11 @@ func viewRowsIn(in []*bat.View) int {
 // node into the trace — deferred until after execution so trace-mode
 // materialization never distorts the per-kernel RowsMat accounting.
 //
-// Unit interiors have no scheduler slot. Members that ran one by one (a
-// chain's interiors, a demoted theta join) left their views with the
-// trace. The × and ⊛ of a theta join the band kernel ran are shown the
-// pairs σ let through, in the columns the unit's consumers demanded; a
-// count-only unit emitted no pairs and has none to show.
+// Unit interiors have no scheduler slot. The members of a demoted theta
+// join ran one by one and left their views with the trace. The × and ⊛
+// of a theta join the band kernel ran are shown the pairs σ let through,
+// in the columns the unit's consumers demanded; a count-only unit
+// emitted no pairs and has none to show.
 func fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*physical.Node) *bat.View) {
 	for _, nd := range plan.Nodes {
 		if v := viewOf(nd); v != nil {

@@ -12,8 +12,8 @@ import (
 // refEval is the oracle the theta-join kernels are differenced against:
 // a recursive evaluator over materialized bat.Tables for the operators a
 // theta-join unit and its count-only tail are made of — Lit, ×, ⊛, σ, π,
-// δ and aggr. It has no views, selection vectors, fused chains or fast
-// paths: σ and δ are one plain scan each, and the per-row
+// δ and aggr. It has no views, selection vectors or fast paths: σ and
+// δ are one plain scan each, and the per-row
 // semantics come from the product's boxed kernels (evalCross, evalFun,
 // evalAggr), so what the band kernel must reproduce — result rows, row
 // order, column types and error text — is defined by the simplest

@@ -19,8 +19,8 @@ import (
 // document steps of a join query, the lifted arms of conditionals, the
 // aggregates of a constructor's attribute list) share nothing but their
 // leaves, and MonetDB's MIL interpreter would happily run them on one
-// core. Here each unit of the physical plan (an operator, an operator
-// chain, a theta join) becomes a schedulable task: dependency counts follow the
+// core. Here each unit of the physical plan (an operator or a theta
+// join) becomes a schedulable task: dependency counts follow the
 // plan's topological order, leaves enter a ready queue, and a bounded
 // worker pool drains it, releasing consumers as their last input
 // materializes. Every unit runs exactly once per evaluation — shared
@@ -54,14 +54,11 @@ type OpStat struct {
 	// on demand, "fragment" when they were built; "" for other kernels.
 	Sink string
 
-	// Chain membership: when the operator ran as a member of an
-	// operator chain (physical.FusedChain), FusedChain is the chain's
-	// 1-based id (0 = ran standalone), FusedPos its 1-based position in
-	// the chain, FusedLen the chain length. Every member reports its own
-	// kernel, wall time, rows and materialization.
+	// FusedChain is never set: every node is its own scheduler unit.
+	//
+	// Deprecated: benchmark/inproc.go is its last reader; the
+	// benchmark-only change of ROADMAP item 1 deletes the field with it.
 	FusedChain int
-	FusedPos   int
-	FusedLen   int
 
 	// ThetaJoin is the 1-based id of the theta-join unit the operator ran
 	// in when the band kernel took it (0 = ran standalone; a demoted
@@ -81,10 +78,9 @@ type Trace struct {
 	Tables map[*algebra.Op]*bat.Table
 	Stats  map[*algebra.Op]OpStat
 
-	// The views of unit members that ran one by one and have no
-	// scheduler slot (chain interiors, a demoted theta join's members),
-	// set aside while the query runs for fillTraceTables to turn into
-	// Tables afterwards.
+	// The views of a demoted theta join's members, which ran one by one
+	// and have no scheduler slot, set aside while the query runs for
+	// fillTraceTables to turn into Tables afterwards.
 	members map[*algebra.Op]*bat.View
 
 	// scheduled records the dispatch decision: the plan went to the

@@ -8,6 +8,7 @@ package engine
 import (
 	"cmp"
 	"context"
+	"errors"
 	"slices"
 
 	"pathfinder/internal/algebra"
@@ -333,11 +334,16 @@ func docOrder(out bat.NodeVec, from int) bat.NodeVec {
 	return out
 }
 
+// errStepOverAtomic is XPTY0019: a location step's context holds an
+// atomic item.
+var errStepOverAtomic = errors.New("XPTY0019: location step over atomic item")
+
 // stepContext reads the context table as typed columns ordered on
 // (iter, fragment, pre) — the order loop-lifted plans deliver, verified
-// in one scan. An item column that is not node-typed is boxed once; a
-// table out of order is sorted once. Duplicate rows stay: the axis scans
-// prune them or docOrder drops what they produce twice.
+// in one scan. An item column that is not node-typed is unboxed once and
+// fails on its first atomic item; a table out of order is sorted once.
+// Duplicate rows stay: the axis scans prune them or docOrder drops what
+// they produce twice.
 func stepContext(in *bat.Table) ([]int64, bat.NodeVec, error) {
 	iters, err := in.Ints("iter")
 	if err != nil {
@@ -351,7 +357,11 @@ func stepContext(in *bat.Table) ([]int64, bat.NodeVec, error) {
 	if !typed {
 		items = make(bat.NodeVec, col.Len())
 		for i := range items {
-			items[i] = col.ItemAt(i).N
+			it := col.ItemAt(i)
+			if it.Kind != bat.KNode {
+				return nil, nil, errStepOverAtomic
+			}
+			items[i] = it.N
 		}
 	}
 	for i := 1; i < len(items); i++ {

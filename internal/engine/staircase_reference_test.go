@@ -344,7 +344,7 @@ type stepKey struct {
 
 // stepGroups groups the input context pairs by (iter, fragment) and
 // returns the groups plus the keys sorted by (iter, frag) — the emission
-// order of the step.
+// order of the step. An atomic context item is XPTY0019.
 func stepGroups(in *bat.Table) (map[stepKey][]int32, []stepKey, error) {
 	iters, err := in.Ints("iter")
 	if err != nil {
@@ -358,6 +358,9 @@ func stepGroups(in *bat.Table) (map[stepKey][]int32, []stepKey, error) {
 	var order []stepKey
 	for i := 0; i < in.Rows(); i++ {
 		it := itemsVec.ItemAt(i)
+		if it.Kind != bat.KNode {
+			return nil, nil, fmt.Errorf("XPTY0019: location step over atomic item")
+		}
 		k := stepKey{iter: iters[i], frag: it.N.Frag}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
@@ -513,8 +516,9 @@ func randomContext(r *rand.Rand, store *xenc.Store, shape int) *bat.Table {
 
 // TestStepMatchesReference is the differential for the loop-lifted step
 // kernel: over random forests and context tables of every shape, for all
-// axes and node tests, it returns the reference's table row for row,
-// with the staircase join on and off.
+// axes and node tests, it returns the reference's table row for row, or
+// fails as the reference does (an atom among the context nodes), with the
+// staircase join on and off.
 func TestStepMatchesReference(t *testing.T) {
 	tests := []algebra.KindTest{
 		{Kind: algebra.TestElem, Name: "b"},
@@ -541,13 +545,14 @@ func TestStepMatchesReference(t *testing.T) {
 				ref.Staircase = staircase
 				for axis := algebra.Child; axis <= algebra.Attribute; axis++ {
 					for _, test := range tests {
-						want, err := ref.refEvalStep(in, axis, test)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := ref.evalStep(context.Background(), in, axis, test)
-						if err != nil {
-							t.Fatal(err)
+						want, werr := ref.refEvalStep(in, axis, test)
+						got, gerr := ref.evalStep(context.Background(), in, axis, test)
+						if werr != nil || gerr != nil {
+							if werr == nil || gerr == nil || gerr.Error() != werr.Error() {
+								t.Fatalf("seed %d shape %d staircase=%v %s::%s: kernel error %v, reference error %v",
+									seed, shape, staircase, axis, test, gerr, werr)
+							}
+							continue
 						}
 						if got.String() != want.String() {
 							t.Fatalf("seed %d shape %d staircase=%v %s::%s\ncontext:\n%s\nreference:\n%s\nkernel:\n%s",
@@ -561,13 +566,16 @@ func TestStepMatchesReference(t *testing.T) {
 }
 
 // TestStepRejectsMalformedContext: a context table without a typed iter
-// column or without an item column is an error, the reference's error.
+// column, without an item column or with an atomic item is an error, the
+// reference's error.
 func TestStepRejectsMalformedContext(t *testing.T) {
 	e := New(xenc.NewStore())
 	for _, in := range []*bat.Table{
 		bat.MustTable("iter", bat.ItemVec{bat.Int(1)}, "item", bat.NodeVec{{}}),
 		bat.MustTable("iter", bat.IntVec{1}),
 		bat.MustTable("item", bat.NodeVec{{}}),
+		bat.MustTable("iter", bat.IntVec{1}, "item", bat.IntVec{3}),
+		bat.MustTable("iter", bat.IntVec{1, 1}, "item", bat.ItemVec{bat.Node(bat.NodeRef{}), bat.Str("x")}),
 	} {
 		_, want := e.refEvalStep(in, algebra.Child, algebra.KindTest{Kind: algebra.TestNode})
 		_, got := e.evalStep(context.Background(), in, algebra.Child, algebra.KindTest{Kind: algebra.TestNode})

@@ -197,7 +197,7 @@ func (ip *Interp) step(in []Item, axis algebra.Axis, test algebra.KindTest) ([]I
 	}
 	for _, it := range in {
 		if it.Node == nil {
-			return nil, fmt.Errorf("location step over atomic item")
+			return nil, fmt.Errorf("XPTY0019: location step over atomic item")
 		}
 		n := it.Node
 		switch axis {

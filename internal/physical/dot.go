@@ -9,31 +9,17 @@ import (
 // algebra.Dot for logical plans: each node shows the logical operator,
 // the chosen kernel, and the inferred order/denseness properties.
 // Pipeline operators are drawn with rounded corners, breakers
-// (materializing operators) as plain boxes. The members of a fused
-// chain or a theta join are grouped into a cluster subgraph labeled
-// with the unit's id, so the multi-operator execution units are visible
-// in the rendered plan.
+// (materializing operators) as plain boxes. The members of a theta
+// join are grouped into a cluster subgraph labeled with the unit's id,
+// so the one multi-operator execution unit is visible in the rendered
+// plan.
 func Dot(p *Plan) string {
-	type cluster struct {
-		name, label string
-		nodes       []*Node
-	}
 	ids := make(map[*Node]int, len(p.Nodes))
-	clusterOf := make(map[*Node]*cluster)
-	addCluster := func(c *cluster) {
-		for _, nd := range c.nodes {
-			clusterOf[nd] = c
-		}
-	}
-	for _, ch := range p.Chains {
-		addCluster(&cluster{fmt.Sprintf("fused_%d", ch.ID), fmt.Sprintf("fused chain #%d", ch.ID), ch.Nodes})
-	}
+	unitOf := make(map[*Node]*ThetaJoin)
 	for _, tj := range p.ThetaJoins {
-		label := fmt.Sprintf("theta join #%d", tj.ID)
-		if tj.Count != nil {
-			label += " (count only)"
+		for _, nd := range tj.Members() {
+			unitOf[nd] = tj
 		}
-		addCluster(&cluster{fmt.Sprintf("theta_%d", tj.ID), label, tj.Members()})
 	}
 	var sb strings.Builder
 	sb.WriteString("digraph physical {\n  node [shape=box, fontname=\"monospace\"];\n")
@@ -52,15 +38,19 @@ func Dot(p *Plan) string {
 		ids[nd] = i
 	}
 	for i, nd := range p.Nodes {
-		if c := clusterOf[nd]; c != nil {
+		if tj := unitOf[nd]; tj != nil {
 			// Declared inside its unit's cluster below; declare the
 			// cluster when we reach the first member so declaration order
 			// stays topological.
-			if nd != c.nodes[0] {
+			if nd != tj.Cross {
 				continue
 			}
-			fmt.Fprintf(&sb, "  subgraph cluster_%s {\n    label=\"%s\";\n    style=dashed;\n", c.name, c.label)
-			for _, m := range c.nodes {
+			label := fmt.Sprintf("theta join #%d", tj.ID)
+			if tj.Count != nil {
+				label += " (count only)"
+			}
+			fmt.Fprintf(&sb, "  subgraph cluster_theta_%d {\n    label=\"%s\";\n    style=dashed;\n", tj.ID, label)
+			for _, m := range tj.Members() {
 				nodeDecl(ids[m], m, "    ")
 			}
 			sb.WriteString("  }\n")

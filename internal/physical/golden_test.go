@@ -2,8 +2,7 @@ package physical_test
 
 // Golden test for the physical plan rendering: the lowered plans of two
 // XMark queries are pinned byte-for-byte — Q8, the big equijoin query
-// (merge-join, presorted rownum, the pipeline flags, fused-chain
-// clusters), and Q11, the theta-join query (the theta-join cluster).
+// (merge-join, presorted rownum, the pipeline flags), and Q11, the theta-join query (the theta-join cluster).
 // Regenerate intentionally with:
 //
 //	go test ./internal/physical -run TestPhysicalDotGolden -update

@@ -71,16 +71,19 @@ type Plan struct {
 	Root  *Node
 	Nodes []*Node
 
-	// Chains are the maximal operator chains (see fusion.go) in
-	// discovery order, each run as one scheduler task. They are executor
-	// metadata, not a rewrite: every member node is still in Nodes, and
-	// ignoring Chains executes the identical plan operator by operator.
-	Chains []*FusedChain
+	// Chains has one element per operator chain the lowering used to
+	// form (countChains). Nothing runs them: every node is its own
+	// scheduler unit.
+	//
+	// Deprecated: benchmark/inproc.go is its last reader; the
+	// benchmark-only change of ROADMAP item 1 deletes the field with it.
+	Chains []struct{}
 
 	// ThetaJoins are the σ(⊛cmp(×)) units the executor may run as one
-	// sort-based inequality join (see thetajoin.go), in discovery order.
-	// Metadata like Chains: the three members stay in Nodes, and
-	// executing them one by one gives the identical result.
+	// sort-based inequality join (see thetajoin.go), in discovery order:
+	// the only units of more than one node. They are metadata, not a
+	// rewrite: the three members stay in Nodes, and executing them one
+	// by one gives the identical result.
 	ThetaJoins []*ThetaJoin
 }
 
@@ -172,7 +175,16 @@ func Lower(root *algebra.Op) *Plan {
 	if constructs {
 		markStreams(nodes, byOp)
 	}
-	discoverUnits(p)
+	consumers := make(map[*Node]int, len(nodes))
+	nextOf := make(map[*Node]*Node, len(nodes))
+	for _, nd := range nodes {
+		for _, c := range nd.In {
+			consumers[c]++
+			nextOf[c] = nd
+		}
+	}
+	discoverThetaJoins(p, consumers, nextOf)
+	p.Chains = make([]struct{}, countChains(p, consumers, nextOf))
 	return p
 }
 

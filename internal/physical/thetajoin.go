@@ -17,10 +17,10 @@ import (
 // three members as one sort-based inequality (band) join that emits the
 // qualifying pairs directly, in the row order × followed by σ produces.
 //
-// Like fused chains this is metadata, not a plan rewrite: ×, ⊛ and σ
-// keep their Nodes (stats, Check and the explain/dot output address
-// them individually), the logical plan and every emitter that walks it
-// are untouched, and an executor that ignores ThetaJoins — or meets key
+// This is metadata, not a plan rewrite: ×, ⊛ and σ keep their Nodes
+// (stats, Check and the explain/dot output address them individually),
+// the logical plan and every emitter that walks it are untouched, and
+// an executor that ignores ThetaJoins — or meets key
 // columns the band kernel cannot order the way bat.Compare does — runs
 // the identical three operators and gets the identical result.
 //
@@ -105,6 +105,23 @@ func mirrorCmp(f algebra.FunKind) algebra.FunKind {
 	default: // FunGe
 		return algebra.FunLe
 	}
+}
+
+// discoverThetaJoins finds the plan's theta joins, lets each one whose
+// pairs are only counted claim the π, δ and count above it, records
+// which output columns each unit's consumers read (Demand) and redoes
+// the estimates above the count-only units. consumers counts each
+// node's consuming edges, nextOf names a consumer of each node.
+func discoverThetaJoins(p *Plan, consumers map[*Node]int, nextOf map[*Node]*Node) {
+	for _, nd := range p.Nodes {
+		if tj := matchThetaJoin(nd, consumers); tj != nil {
+			tj.ID = len(p.ThetaJoins) + 1
+			p.ThetaJoins = append(p.ThetaJoins, tj)
+			matchCountTail(tj, consumers, nextOf)
+		}
+	}
+	demandThetaJoins(p)
+	reestimate(p)
 }
 
 // matchThetaJoin reports whether sel is the σ of a theta-join unit and,
