@@ -86,6 +86,22 @@ func (c *itemCol) appendEscaped(buf []byte, i int, esc func([]byte, string) []by
 	return esc(buf, c.str(i))
 }
 
+// holdsAttrRef reports whether a row is an attribute ref: only a node
+// column or a boxed one can hold one.
+func (c *itemCol) holdsAttrRef() bool {
+	for _, n := range c.nodes {
+		if n.Pre >= xenc.AttrBase {
+			return true
+		}
+	}
+	for i := range c.items {
+		if it := &c.items[i]; it.Kind == bat.KNode && it.N.Pre >= xenc.AttrBase {
+			return true
+		}
+	}
+	return false
+}
+
 // emptyStr reports whether the string value of row i is "": only string
 // payloads can be.
 func (c *itemCol) emptyStr(i int) bool {
@@ -152,6 +168,25 @@ func (s *elemSlot) claim(iter int64) (lo, hi int, orphan int64) {
 		s.at++
 	}
 	return lo, s.at, orphan
+}
+
+// merge records where each root row's rows start — root row qi of iters
+// owns [off[qi], off[qi+1]) — in one pass of the slot's iter column
+// against the strictly ascending root iters. It reports false when a row
+// has no root row: an orphan, the walk's error.
+func (s *elemSlot) merge(iters bat.IntVec) bool {
+	j := 0
+	for qi, iter := range iters {
+		if j < len(s.iter) && s.iter[j] < iter {
+			return false
+		}
+		s.off[qi] = int32(j)
+		for j < len(s.iter) && s.iter[j] == iter {
+			j++
+		}
+	}
+	s.off[len(iters)] = int32(j)
+	return j == len(s.iter)
 }
 
 // elemInput is one ε execution's inputs as its skeleton walk reads them:
@@ -271,8 +306,9 @@ type elemExec struct {
 }
 
 // scanAll is the first pass over every root row: the sizes the fill pass
-// reserves, the offsets a streamed tree is written from, and the errors.
-// It leaves the slot cursors at the start.
+// reserves, the offsets a streamed tree is written from when columnar
+// could not record them, and the errors. It leaves the slot cursors at
+// the start.
 func (x *elemExec) scanAll() error {
 	in := &x.in
 	x.scan = elemScan{store: in.store, skel: in.skel, src: fragCache{store: in.store}}
@@ -310,9 +346,46 @@ func (x *elemExec) scanAll() error {
 // ε's elements reach only the serializer (physical.Node.Stream) — no
 // fragment is built: the trees are registered as one streamed fragment
 // (xenc.Store.AddStreamed) whose emitter writes each one's bytes when the
-// serializer asks, from the slot columns and the offsets the first pass
-// recorded.
+// serializer asks, from the slot columns and the per-root-row offsets
+// into them. Those need no totals, so a streamed ε walks its trees in the
+// first pass only when its columns cannot rule out every error
+// (elemExec.columnar).
 func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*bat.Table, stream bool) (*bat.Table, error) {
+	x, err := e.newElemExec(root, skel, slotTabs, stream)
+	if err != nil {
+		return nil, err
+	}
+	in := &x.in
+	if !stream || !x.columnar() {
+		if err := x.scanAll(); err != nil {
+			return nil, err
+		}
+	}
+	outItem := make(bat.NodeVec, len(in.iters))
+	var frag int32
+	if stream {
+		for k := range in.slots {
+			in.slots[k].iter = nil // only the first pass reads it
+		}
+		x.scan = elemScan{}
+		x.runs = staticRuns(skel)
+		frag = e.Store.AddStreamed(x)
+		for qi := range outItem {
+			outItem[qi].Pre = int32(qi)
+		}
+	} else if frag, err = x.fillAll(outItem); err != nil {
+		return nil, err
+	}
+	for i := range outItem {
+		outItem[i].Frag = frag
+	}
+	return bat.NewTable("iter", in.iters, "item", outItem)
+}
+
+// newElemExec reads one ε execution's inputs: the root rows in iter order
+// and every slot in (iter, pos) order, with room for the per-root-row
+// offsets when the ε streams.
+func (e *Engine) newElemExec(root *bat.Table, skel algebra.Skeleton, slotTabs []*bat.Table, stream bool) (*elemExec, error) {
 	rSorted, err := root.SortBy("iter")
 	if err != nil {
 		return nil, err
@@ -356,28 +429,63 @@ func (e *Engine) evalElem(root *bat.Table, skel algebra.Skeleton, slotTabs []*ba
 			in.slots[k].off, offs = offs[:len(in.iters)+1], offs[len(in.iters)+1:]
 		}
 	}
-	if err := x.scanAll(); err != nil {
-		return nil, err
+	return x, nil
+}
+
+// columnar is a streamed ε's first pass over columns instead of trees: it
+// records each slot's offsets by one merge of the slot's iter column
+// against the root iters (elemSlot.merge). It reports false, and the walk
+// (scanAll) must run to raise the error in its place and order, unless
+// the columns rule out every error the walk raises:
+//   - the root name is literal, so none is empty;
+//   - the root iters ascend strictly, so none has two names;
+//   - every slot row has a root row, so none is an orphan (the merge
+//     finds out);
+//   - attribute steps directly follow their element's start tag, named
+//     apart, and no content column holds an attribute ref, so no
+//     attribute follows content (XQTY0024) or repeats a name (XQDY0025).
+func (x *elemExec) columnar() bool {
+	in := &x.in
+	if in.skel.Dynamic() || !attrsLead(in.skel) {
+		return false
 	}
-	outItem := make(bat.NodeVec, len(in.iters))
-	var frag int32
-	if stream {
-		for k := range in.slots {
-			in.slots[k].iter = nil // only the first pass reads it
+	for qi := 1; qi < len(in.iters); qi++ {
+		if in.iters[qi] == in.iters[qi-1] {
+			return false
 		}
-		x.scan = elemScan{}
-		x.runs = staticRuns(skel)
-		frag = e.Store.AddStreamed(x)
-		for qi := range outItem {
-			outItem[qi].Pre = int32(qi)
+	}
+	for _, st := range in.skel {
+		if st.Kind == algebra.SkelSlot && in.slots[st.Slot].items.holdsAttrRef() {
+			return false
 		}
-	} else if frag, err = x.fillAll(outItem); err != nil {
-		return nil, err
 	}
-	for i := range outItem {
-		outItem[i].Frag = frag
+	for k := range in.slots {
+		if !in.slots[k].merge(in.iters) {
+			return false
+		}
 	}
-	return bat.NewTable("iter", in.iters, "item", outItem)
+	return true
+}
+
+// attrsLead reports whether every attribute step of skel directly follows
+// its element's start tag or another such attribute step, with a name no
+// earlier one there has.
+func attrsLead(skel algebra.Skeleton) bool {
+	for i, st := range skel {
+		if st.Kind != algebra.SkelAttr {
+			continue
+		}
+		j := i - 1
+		for ; skel[j].Kind == algebra.SkelAttr; j-- {
+			if skel[j].Name == st.Name {
+				return false
+			}
+		}
+		if skel[j].Kind != algebra.SkelOpen {
+			return false
+		}
+	}
+	return true
 }
 
 // fillAll is the materializing sink's pass: the trees of every root row

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,6 +222,128 @@ func assertExact(t *testing.T, label string, nf *xenc.Fragment) {
 	}
 }
 
+// TestColumnarOffsetsMatchWalk: a streamed ε's first pass over columns
+// records, slot for slot, the per-root-row offsets the skeleton walk
+// records — over slot tables with empty iterations, iterations of several
+// rows and orphan rows — and refuses exactly where the walk fails on an
+// orphan.
+func TestColumnarOffsetsMatchWalk(t *testing.T) {
+	e := New(xenc.NewStore())
+	fx := newContentFixture(t, e)
+	skel := mustSkel("<a k=$0><b>$1</b>$2</a>")
+	r := rand.New(rand.NewSource(34))
+	refused := 0
+	for trial := 0; trial < 300; trial++ {
+		var roots bat.IntVec
+		for iter, n := int64(0), r.Intn(6); len(roots) < n; {
+			iter += 1 + int64(r.Intn(3))
+			roots = append(roots, iter)
+		}
+		last := int64(0)
+		if len(roots) > 0 {
+			last = roots[len(roots)-1]
+		}
+		slots := make([]*bat.Table, skel.Slots())
+		for k := range slots {
+			var is, ps bat.IntVec
+			var items bat.ItemVec
+			for iter := int64(0); iter <= last+1; iter++ {
+				rows := r.Intn(3)
+				if !slices.Contains(roots, iter) && r.Intn(20) != 0 {
+					rows = 0 // most iterations without a root row have no rows
+				}
+				for pos := 1; pos <= rows; pos++ {
+					is, ps, items = append(is, iter), append(ps, int64(pos)), append(items, fx.item(r))
+				}
+			}
+			slots[k] = seqTable(is, ps, items)
+		}
+		root := bat.MustTable("iter", roots)
+		if len(roots) == 0 {
+			root = bat.MustTable("iter", bat.IntVec{})
+		}
+		label := fmt.Sprintf("trial %d: roots %v", trial, roots)
+		cols, err := e.newElemExec(root, skel, slots, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk, err := e.newElemExec(root, skel, slots, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, walkErr := cols.columnar(), walk.scanAll()
+		if !ok {
+			refused++
+			if walkErr == nil || !strings.Contains(walkErr.Error(), "has no element name") {
+				t.Fatalf("%s: the columns refused, the walk says %v", label, walkErr)
+			}
+			continue
+		}
+		if walkErr != nil {
+			t.Fatalf("%s: the columns accepted, the walk failed: %v", label, walkErr)
+		}
+		for k := range slots {
+			if got, want := cols.in.slots[k].off, walk.in.slots[k].off; !slices.Equal(got, want) {
+				t.Fatalf("%s: slot %d offsets %v, the walk's %v", label, k, got, want)
+			}
+		}
+	}
+	if refused == 0 || refused > 250 {
+		t.Errorf("%d of 300 trials had an orphan: the tables should exercise both outcomes", refused)
+	}
+}
+
+// TestColumnarRefusals: each input whose columns cannot rule out an error
+// makes a streamed ε walk its trees first, and it fails with the walk's
+// error — the materialized ε's, word for word.
+func TestColumnarRefusals(t *testing.T) {
+	e := New(xenc.NewStore())
+	fx := newContentFixture(t, e)
+	one := func(items ...bat.Item) *bat.Table {
+		return seqTable(bat.ConstInt(1, len(items)), bat.Ramp(1, len(items)), items)
+	}
+	loop := bat.MustTable("iter", bat.IntVec{1})
+	text := bat.Node(fx.pool[3].N) // the text "p" of <a x="1" y="2">p<b/>q</a>
+	for _, c := range []struct {
+		name  string
+		root  *bat.Table
+		skel  string
+		slots []*bat.Table
+		want  string
+	}{
+		{"dynamic root name", bat.MustTable("iter", bat.IntVec{1}, "item", bat.StrVec{""}), "<*>$0</*>",
+			[]*bat.Table{one(bat.Int(1))}, "empty element name"},
+		{"repeated root iter", bat.MustTable("iter", bat.IntVec{1, 1}), "<a>$0</a>",
+			[]*bat.Table{one(bat.Int(1))}, "multiple element names"},
+		{"orphan", loop, "<a>$0</a>",
+			[]*bat.Table{seqTable(bat.IntVec{1, 2}, bat.IntVec{1, 1}, bat.ItemVec{bat.Int(1), bat.Int(2)})}, "content iter 2 has no element name"},
+		{"attribute after content", loop, "<a>$0 x=$1</a>",
+			[]*bat.Table{one(bat.Int(1)), one(bat.Str("v"))}, "XQTY0024"},
+		{"attribute after a child", loop, "<a><b/> x=$0</a>",
+			[]*bat.Table{one(bat.Str("v"))}, "XQTY0024"},
+		{"repeated attribute name", loop, "<a x=$0 x=$1/>",
+			[]*bat.Table{one(bat.Str("v")), one(bat.Str("w"))}, "XQDY0025"},
+		{"attribute ref after content", loop, "<a>$0</a>",
+			[]*bat.Table{one(text, fx.attrRefs[0])}, "XQTY0024"},
+		{"attribute ref repeating a name", loop, "<a x=$0>$1</a>",
+			[]*bat.Table{one(bat.Str("v")), bat.MustTable("iter", bat.IntVec{1}, "pos", bat.IntVec{1}, "item", bat.NodeVec{fx.attrRefs[0].N})}, "XQDY0025"},
+	} {
+		skel := mustSkel(c.skel)
+		x, err := e.newElemExec(c.root, skel, c.slots, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.columnar() {
+			t.Errorf("%s: the columns accepted %s", c.name, skel)
+		}
+		_, streamErr := e.evalElem(c.root, skel, c.slots, true)
+		_, builtErr := e.evalElem(c.root, skel, c.slots, false)
+		if streamErr == nil || !strings.Contains(streamErr.Error(), c.want) || fmt.Sprint(streamErr) != fmt.Sprint(builtErr) {
+			t.Errorf("%s: streamed error %v, materialized error %v, want %s", c.name, streamErr, builtErr, c.want)
+		}
+	}
+}
+
 // TestConstructorTextMerge pins the merged string itself: atomics join
 // with a space, text nodes join with nothing, in content order.
 func TestConstructorTextMerge(t *testing.T) {
@@ -342,6 +465,9 @@ func mustSkel(src string) algebra.Skeleton {
 //
 //	nested       Q10: a three-level skeleton around one copy of document
 //	             text, 2 000 iterations
+//	personne     Q10's inner ε: the nine-slot <personne> skeleton, 3 026
+//	             iterations, each slot a copied text or (revenu) an
+//	             untyped value, absent in a quarter of them
 //	many-tiny    Q8/Q9/Q11/Q12: <item person="…">{count}</item>, 2 550
 //	             iterations of one attribute slot and one integer
 //	one-large    one iteration copying one 40 000-node subtree
@@ -365,6 +491,36 @@ func BenchmarkElemConstruct(b *testing.B) {
 			}
 			loop, content := wrapEach("", leaves)
 			return shape{e, loop, mustSkel("<personne><coordonnees><nom>$0</nom></coordonnees></personne>"), []*bat.Table{content}}
+		}},
+		{"personne", func() shape {
+			const n = 3026
+			e, f, frag := loadPeople(b, n)
+			people := childRefs(f, frag, 1)
+			slots := make([]*bat.Table, 9)
+			for k := range slots {
+				var is, ps bat.IntVec
+				var texts bat.NodeVec
+				var values bat.UntypedVec
+				for i, p := range people {
+					if (i+k)%4 == 0 {
+						continue
+					}
+					is, ps = append(is, int64(i+1)), append(ps, 1)
+					if k == 3 {
+						values = append(values, fmt.Sprintf("%d.00", 30000+i))
+					} else {
+						texts = append(texts, bat.NodeRef{Frag: frag, Pre: p.Pre + 2}) // the text under <n>
+					}
+				}
+				if k == 3 {
+					slots[k] = bat.MustTable("iter", is, "pos", ps, "item", values)
+				} else {
+					slots[k] = bat.MustTable("iter", is, "pos", ps, "item", texts)
+				}
+			}
+			skel := mustSkel("<personne><statistiques><sexe>$0</sexe><age>$1</age><education>$2</education><revenu>$3</revenu></statistiques>" +
+				"<coordonnees><nom>$4</nom><rue>$5</rue><ville>$6</ville><pays>$7</pays><email>$8</email></coordonnees></personne>")
+			return shape{e, bat.MustTable("iter", bat.Ramp(1, n)), skel, slots}
 		}},
 		{"many-tiny", func() shape {
 			const n = 2550

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -205,10 +206,19 @@ func nestedElem(e *Engine, loop *bat.Table, skel algebra.Skeleton, slots []*bat.
 // trees whose streamed bytes are the built fragment's serialization.
 // Content slots hold, besides what TestSkeletonMatchesNested draws, an
 // empty document and the elements of an inner ε: streamed ones where the
-// outer ε streams, their built twins where it builds.
+// outer ε streams, their built twins where it builds. refusal, when not
+// 0, bends the drawn input into one the streamed ε's columns cannot
+// clear (refuseColumns), so that it must walk its trees first.
 func FuzzStreamedMatchesMaterialized(f *testing.F) {
 	for seed := int64(0); seed < 64; seed++ {
-		f.Add(seed)
+		f.Add(seed, uint8(0))
+	}
+	// One seed per refusal: an input the columns clear as drawn, bent so
+	// that it fails for that reason alone.
+	for refusal, seed := range []int64{1: 2, 2: 2, 3: 3, 4: 3, 5: 2, 6: 5} {
+		if refusal > 0 {
+			f.Add(seed, uint8(refusal))
+		}
 	}
 	e := New(xenc.NewStore())
 	fx := newContentFixture(f, e)
@@ -237,9 +247,10 @@ func FuzzStreamedMatchesMaterialized(f *testing.F) {
 		nested = append(nested, bat.Node(n))
 		twin[n] = bat.Node(builtInner.MustCol("item").(bat.NodeVec)[i])
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Fuzz(func(t *testing.T, seed int64, refusal uint8) {
 		r := rand.New(rand.NewSource(seed))
 		loop, skel, slots := randomElemInput(r, fx, nested)
+		loop, skel, slots = refuseColumns(r, fx, refusal%refusals, loop, skel, slots)
 		built := make([]*bat.Table, len(slots))
 		for k, s := range slots {
 			items := append(bat.ItemVec(nil), s.MustCol("item").(bat.ItemVec)...)
@@ -251,7 +262,7 @@ func FuzzStreamedMatchesMaterialized(f *testing.F) {
 			built[k] = seqTable(s.MustCol("iter").(bat.IntVec), s.MustCol("pos").(bat.IntVec), items)
 		}
 		view := e.ForStore(e.Store.Scratch(), "")
-		label := fmt.Sprintf("seed %d: %s", seed, skel)
+		label := fmt.Sprintf("seed %d refusal %d: %s", seed, refusal%refusals, skel)
 		got, gotErr := view.evalElem(loop, skel, slots, true)
 		want, wantErr := view.evalElem(loop, skel, built, false)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -267,4 +278,85 @@ func FuzzStreamedMatchesMaterialized(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refusals counts refuseColumns' cases, 0 (no change) among them.
+const refusals = 7
+
+// refuseColumns bends one drawn ε execution so that its columns cannot
+// rule out an error, each case one reason elemExec.columnar refuses:
+//
+//	1  a dynamic root name, now and then an empty one
+//	2  a root iter twice
+//	3  a slot row without a root row
+//	4  an attribute step after the root's content
+//	5  two attribute steps of one name after the root's start tag
+//	6  an attribute ref among a content slot's rows
+func refuseColumns(r *rand.Rand, fx *contentFixture, refusal uint8, loop *bat.Table, skel algebra.Skeleton, slots []*bat.Table) (*bat.Table, algebra.Skeleton, []*bat.Table) {
+	iters := loop.MustCol("iter").(bat.IntVec)
+	// attrs inserts attribute steps named names at skeleton step at, each
+	// valued "v" in every iteration, renumbering the slots after them.
+	attrs := func(at int, names ...string) {
+		first := int32(0)
+		for _, st := range skel[:at] {
+			if st.Kind == algebra.SkelAttr || st.Kind == algebra.SkelSlot {
+				first++
+			}
+		}
+		vals := make(bat.ItemVec, len(iters))
+		for i := range vals {
+			vals[i] = bat.Str("v")
+		}
+		out := append(algebra.Skeleton(nil), skel[:at]...)
+		var added []*bat.Table
+		for k, name := range names {
+			out = append(out, algebra.SkelNode{Kind: algebra.SkelAttr, Name: name, Slot: first + int32(k)})
+			added = append(added, seqTable(iters, bat.ConstInt(1, len(iters)), vals))
+		}
+		for _, st := range skel[at:] {
+			if st.Kind == algebra.SkelAttr || st.Kind == algebra.SkelSlot {
+				st.Slot += int32(len(names))
+			}
+			out = append(out, st)
+		}
+		skel, slots = out, slices.Concat(slots[:first], added, slots[first:])
+	}
+	switch refusal {
+	case 1:
+		names := make(bat.StrVec, len(iters))
+		for i := range names {
+			names[i] = "d"
+		}
+		if r.Intn(2) == 0 {
+			names[r.Intn(len(names))] = ""
+		}
+		loop = bat.MustTable("iter", iters, "item", names)
+		skel[0].Name = ""
+	case 2:
+		loop = bat.MustTable("iter", append(bat.IntVec{iters[0]}, iters...))
+	case 3:
+		if len(slots) > 0 {
+			k := r.Intn(len(slots))
+			t := slots[k]
+			slots[k] = seqTable(append(slices.Clone(t.MustCol("iter").(bat.IntVec)), iters[len(iters)-1]+1),
+				append(slices.Clone(t.MustCol("pos").(bat.IntVec)), 1),
+				append(slices.Clone(t.MustCol("item").(bat.ItemVec)), fx.atoms[1]))
+		}
+	case 4:
+		attrs(len(skel)-1, "v")
+	case 5:
+		attrs(1, "v", "v")
+	case 6:
+		for _, st := range skel {
+			if st.Kind != algebra.SkelSlot || slots[st.Slot].Rows() == 0 {
+				continue
+			}
+			t := slots[st.Slot]
+			items := slices.Clone(t.MustCol("item").(bat.ItemVec))
+			items[r.Intn(len(items))] = fx.attrRefs[r.Intn(len(fx.attrRefs))]
+			slots[st.Slot] = seqTable(t.MustCol("iter").(bat.IntVec), t.MustCol("pos").(bat.IntVec), items)
+			break
+		}
+	}
+	return loop, skel, slots
 }

@@ -21,9 +21,13 @@ import (
 // input is read as two typed columns ordered on (iter, fragment, pre); a
 // run — the maximal stretch of rows sharing iter and fragment — is the
 // context sequence of one iteration in one tree, already in document
-// order, and is handed to the staircase join as a sub-slice of the input.
-// Runs are independent and emit iter-major, so any cut of the rows at run
-// boundaries yields parts that concatenate to the sequential output.
+// order. The step dispatches on its axis once. An axis that gives each
+// context its nodes independently of the others (child, attribute,
+// parent, self, the siblings) is one loop over all context rows; a
+// recursive axis (descendant, ancestor, following, preceding, whose
+// staircase pruning spans the contexts of a run) hands the staircase join
+// one run at a time, as a sub-slice of the input. Either way the output
+// is iter-major, each run's nodes in document order.
 
 // nodeTest is a step's node test resolved against the store's name pools
 // once, so the axis scans compare two integers per node.
@@ -73,13 +77,13 @@ func (t nodeTest) attribute(f *xenc.Fragment, a int32) bool {
 	return t.any || t.attr && (t.name == anyName || f.AttrName[a] == t.name || f.AttrName[a] == t.alias)
 }
 
-// stepStaircase implements the staircase join of [7] for one run: ctx is
-// the context of one iteration in fragment f, non-decreasing in pre
-// (attribute refs, at AttrBase and above, last). Nodes that pass t are
-// appended to out in document order and duplicate-free: context pruning,
-// result skipping and single-pass range scans deliver that order for the
-// recursive axes; for the others docOrder verifies it in one pass and
-// sorts only a run whose contexts nest or repeat.
+// stepStaircase implements the staircase join of [7] for one run of a
+// recursive axis: ctx is the context of one iteration in fragment f,
+// non-decreasing in pre (attribute refs, at AttrBase and above, last).
+// Nodes that pass t are appended to out in document order and
+// duplicate-free: context pruning, result skipping and single-pass range
+// scans deliver that order; ancestor walks, reversed, leave tree and
+// attribute contexts' sequences for docOrder to merge.
 func stepStaircase(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nodeTest, out bat.NodeVec) bat.NodeVec {
 	frag, from := ctx[0].Frag, len(out)
 	switch axis {
@@ -105,36 +109,6 @@ func stepStaircase(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nod
 			emittedTo = max(emittedTo, hi)
 		}
 		return out
-
-	case algebra.Child:
-		// Sibling jumps: O(children) per context.
-		for _, c := range ctx {
-			v := c.Pre
-			if v >= xenc.AttrBase {
-				continue
-			}
-			end := v + f.Size[v]
-			for p := v + 1; p <= end; p += f.Size[p] + 1 {
-				if t.tree(f, p) {
-					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
-				}
-			}
-		}
-		return docOrder(out, from)
-
-	case algebra.Parent:
-		for _, c := range ctx {
-			p := c.Pre
-			if p >= xenc.AttrBase {
-				p = f.AttrOwner[p-xenc.AttrBase]
-			} else if p = f.Parent[p]; p < 0 {
-				continue
-			}
-			if t.tree(f, p) {
-				out = append(out, bat.NodeRef{Frag: frag, Pre: p})
-			}
-		}
-		return docOrder(out, from)
 
 	case algebra.Ancestor, algebra.AncestorOrSelf:
 		// Ancestor chains of document-ordered contexts overlap: walking up
@@ -203,55 +177,14 @@ func stepStaircase(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nod
 			}
 		}
 		return out
-
-	case algebra.FollowingSibling, algebra.PrecedingSibling:
-		for _, c := range ctx {
-			v := c.Pre
-			if v >= xenc.AttrBase || f.Parent[v] < 0 {
-				continue
-			}
-			par := f.Parent[v]
-			lo, hi := par+1, v-1
-			if axis == algebra.FollowingSibling {
-				lo, hi = v+f.Size[v]+1, par+f.Size[par]
-			}
-			for p := lo; p <= hi; p += f.Size[p] + 1 {
-				if t.tree(f, p) {
-					out = append(out, bat.NodeRef{Frag: frag, Pre: p})
-				}
-			}
-		}
-		return docOrder(out, from)
-
-	case algebra.Self:
-		for _, c := range ctx {
-			if v := c.Pre; v >= xenc.AttrBase && t.attribute(f, v-xenc.AttrBase) || v < xenc.AttrBase && t.tree(f, v) {
-				out = append(out, c)
-			}
-		}
-		return docOrder(out, from)
-
-	case algebra.Attribute:
-		for _, c := range ctx {
-			v := c.Pre
-			if v >= xenc.AttrBase || f.Kind[v] != xenc.KindElem {
-				continue
-			}
-			lo, hi := f.Attrs(v)
-			for a := lo; a < hi; a++ {
-				if t.attribute(f, a) {
-					out = append(out, bat.NodeRef{Frag: frag, Pre: xenc.AttrBase + a})
-				}
-			}
-		}
-		return docOrder(out, from)
 	}
 	return out
 }
 
-// stepNaive is the tree-unaware fallback for one run: each context node
-// issues an independent region query over the fragment (no pruning, no
-// skipping), and duplicates across contexts are eliminated afterwards.
+// stepNaive is the tree-unaware fallback for one run of a recursive
+// axis: each context node issues an independent region query over the
+// fragment (no pruning, no skipping), and duplicates across contexts are
+// eliminated afterwards.
 // This is the plan shape a generic RDBMS would run for the XPath
 // Accelerator region predicates, and the ablation baseline for
 // BenchmarkStaircase*.
@@ -312,9 +245,6 @@ func stepNaive(f *xenc.Fragment, ctx []bat.NodeRef, axis algebra.Axis, t nodeTes
 				}
 			}
 		}
-	default:
-		// The remaining axes have no interesting naive/staircase split.
-		return stepStaircase(f, ctx, axis, t, out)
 	}
 	return docOrder(out, from)
 }
@@ -401,43 +331,256 @@ const stepOutHint = 4096
 // evalStep runs a full location step over all iterations at once and
 // emits iter|item rows sorted by iter and document order, duplicate-free
 // per iter — exactly the fs:distinct-doc-order contract XPath steps must
-// satisfy. It walks the runs of the context rows in place, fetching the
-// fragment only when it changes, and appends each run's result nodes,
-// then that many copies of the run's iter, to one pair of output columns.
+// satisfy.
 func (e *Engine) evalStep(ctx context.Context, in *bat.Table, axis algebra.Axis, test algebra.KindTest) (*bat.Table, error) {
 	iters, items, err := stepContext(in)
 	if err != nil {
 		return nil, err
 	}
-	t := e.resolveTest(test)
 	// Most steps keep about a node per context; a selective one over a
 	// large context (//item) must not hold a context-sized column.
-	n := len(items)
-	hint := min(n, stepOutHint)
-	outIter, outItem := make(bat.IntVec, 0, hint), make(bat.NodeVec, 0, hint)
-	var f *xenc.Fragment
-	fragID, lastPoll := int32(-1), 0
-	for lo, hi := 0, 0; lo < n; lo = hi {
-		iter, frag := iters[lo], items[lo].Frag
-		for hi = lo + 1; hi < n && iters[hi] == iter && items[hi].Frag == frag; hi++ {
+	hint := min(len(items), stepOutHint)
+	s := &stepRows{
+		store: e.Store, ctx: ctx, iters: iters, items: items, t: e.resolveTest(test),
+		fragID: -1, poll: cancelStride,
+		outIter: make(bat.IntVec, 0, hint), outItem: make(bat.NodeVec, 0, hint),
+	}
+	switch axis {
+	case algebra.Child:
+		err = s.child()
+	case algebra.Attribute:
+		err = s.attribute()
+	case algebra.Parent:
+		err = s.parent()
+	case algebra.Self:
+		err = s.self()
+	case algebra.FollowingSibling, algebra.PrecedingSibling:
+		err = s.siblings(axis == algebra.FollowingSibling)
+	default:
+		err = s.runs(axis, e.Staircase)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bat.NewTable("iter", s.outIter, "item", s.outItem)
+}
+
+// stepRows is one step's pass over its context rows and its two output
+// columns, appended together.
+//
+// A per-context axis is one loop over the rows that calls at on each. at
+// has work only at the rows advance marks (next): where the context is
+// due a poll, the fragment changes, or a run of several contexts begins
+// or ends. A run of one context — what a join hands a step — costs
+// nothing: its nodes are in document order already. Several contexts can
+// produce out of order (nested contexts) or twice, so their run's output
+// goes through docOrder when the run ends.
+type stepRows struct {
+	store   *xenc.Store
+	ctx     context.Context
+	iters   []int64
+	items   bat.NodeVec
+	t       nodeTest
+	f       *xenc.Fragment // the fragment of the rows up to next
+	fragID  int32
+	run     int // the run of several contexts [run, end) is open while run < end
+	end     int
+	from    int // its first output row
+	poll    int // the row at which the context is next polled
+	next    int // the next row at has work at
+	outIter bat.IntVec
+	outItem bat.NodeVec
+}
+
+// at makes row i the current row.
+func (s *stepRows) at(i int) error {
+	if i < s.next {
+		return nil
+	}
+	return s.advance(i)
+}
+
+// advance is at's work at row i.
+func (s *stepRows) advance(i int) error {
+	if i >= s.poll {
+		if err := s.ctx.Err(); err != nil {
+			return err
 		}
-		if lo-lastPoll >= cancelStride {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			lastPoll = lo
+		s.poll = i + cancelStride
+	}
+	if i < s.end {
+		s.next = min(s.end, s.poll)
+		return nil
+	}
+	s.close()
+	frag := s.items[i].Frag
+	if frag != s.fragID {
+		s.f, s.fragID = s.store.Frag(frag), frag
+	}
+	j := i + 1
+	if s.sameRun(i, j) {
+		for j++; s.sameRun(i, j); j++ {
 		}
-		if frag != fragID {
-			f, fragID = e.Store.Frag(frag), frag
-		}
-		if e.Staircase {
-			outItem = stepStaircase(f, items[lo:hi], axis, t, outItem)
-		} else {
-			outItem = stepNaive(f, items[lo:hi], axis, t, outItem)
-		}
-		for range len(outItem) - len(outIter) {
-			outIter = append(outIter, iter)
+		s.run, s.end, s.from = i, j, len(s.outItem)
+	} else {
+		// Runs of one context in one fragment: no work up to the row that
+		// starts a longer run or changes fragment.
+		for ; j < len(s.items) && s.items[j].Frag == frag && !s.sameRun(j, j+1); j++ {
 		}
 	}
-	return bat.NewTable("iter", outIter, "item", outItem)
+	s.next = min(j, s.poll)
+	return nil
+}
+
+// sameRun reports whether row j continues the run of row i.
+func (s *stepRows) sameRun(i, j int) bool {
+	return j < len(s.items) && s.iters[j] == s.iters[i] && s.items[j].Frag == s.items[i].Frag
+}
+
+// close puts the output of the open run of several contexts, if there is
+// one, in document order.
+func (s *stepRows) close() {
+	if s.run < s.end {
+		s.outItem = docOrder(s.outItem, s.from)
+		s.outIter = s.outIter[:len(s.outItem)]
+		s.run = s.end
+	}
+}
+
+// emit appends node p of fragment frag to iter's output.
+func (s *stepRows) emit(iter int64, frag, p int32) {
+	s.outItem = append(s.outItem, bat.NodeRef{Frag: frag, Pre: p})
+	s.outIter = append(s.outIter, iter)
+}
+
+// child: sibling jumps, O(children) per context.
+func (s *stepRows) child() error {
+	for i, c := range s.items {
+		if err := s.at(i); err != nil {
+			return err
+		}
+		f, v := s.f, c.Pre
+		if v >= xenc.AttrBase {
+			continue
+		}
+		for p, end := v+1, v+f.Size[v]; p <= end; p += f.Size[p] + 1 {
+			if s.t.tree(f, p) {
+				s.emit(s.iters[i], c.Frag, p)
+			}
+		}
+	}
+	s.close()
+	return nil
+}
+
+// attribute: an element context's attribute table range.
+func (s *stepRows) attribute() error {
+	for i, c := range s.items {
+		if err := s.at(i); err != nil {
+			return err
+		}
+		f, v := s.f, c.Pre
+		if v >= xenc.AttrBase || f.Kind[v] != xenc.KindElem {
+			continue
+		}
+		lo, hi := f.Attrs(v)
+		for a := lo; a < hi; a++ {
+			if s.t.attribute(f, a) {
+				s.emit(s.iters[i], c.Frag, xenc.AttrBase+a)
+			}
+		}
+	}
+	s.close()
+	return nil
+}
+
+// parent: an attribute's owner, a tree node's parent.
+func (s *stepRows) parent() error {
+	for i, c := range s.items {
+		if err := s.at(i); err != nil {
+			return err
+		}
+		f, p := s.f, c.Pre
+		if p >= xenc.AttrBase {
+			p = f.AttrOwner[p-xenc.AttrBase]
+		} else if p = f.Parent[p]; p < 0 {
+			continue
+		}
+		if s.t.tree(f, p) {
+			s.emit(s.iters[i], c.Frag, p)
+		}
+	}
+	s.close()
+	return nil
+}
+
+// self: the contexts that pass the test.
+func (s *stepRows) self() error {
+	for i, c := range s.items {
+		if err := s.at(i); err != nil {
+			return err
+		}
+		if v := c.Pre; v >= xenc.AttrBase && s.t.attribute(s.f, v-xenc.AttrBase) || v < xenc.AttrBase && s.t.tree(s.f, v) {
+			s.emit(s.iters[i], c.Frag, v)
+		}
+	}
+	s.close()
+	return nil
+}
+
+// siblings: sibling jumps through the parent's children after a tree
+// context (following) or before it.
+func (s *stepRows) siblings(following bool) error {
+	for i, c := range s.items {
+		if err := s.at(i); err != nil {
+			return err
+		}
+		f, v := s.f, c.Pre
+		if v >= xenc.AttrBase || f.Parent[v] < 0 {
+			continue
+		}
+		par := f.Parent[v]
+		lo, hi := par+1, v-1
+		if following {
+			lo, hi = v+f.Size[v]+1, par+f.Size[par]
+		}
+		for p := lo; p <= hi; p += f.Size[p] + 1 {
+			if s.t.tree(f, p) {
+				s.emit(s.iters[i], c.Frag, p)
+			}
+		}
+	}
+	s.close()
+	return nil
+}
+
+// runs hands a recursive axis to the staircase join — to its naive
+// ablation when staircase is off — one run at a time, fetching the
+// fragment only when it changes; the join orders each run's output
+// itself.
+func (s *stepRows) runs(axis algebra.Axis, staircase bool) error {
+	n := len(s.items)
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		iter, frag := s.iters[lo], s.items[lo].Frag
+		for hi = lo + 1; s.sameRun(lo, hi); hi++ {
+		}
+		if lo >= s.poll {
+			if err := s.ctx.Err(); err != nil {
+				return err
+			}
+			s.poll = lo + cancelStride
+		}
+		if frag != s.fragID {
+			s.f, s.fragID = s.store.Frag(frag), frag
+		}
+		if staircase {
+			s.outItem = stepStaircase(s.f, s.items[lo:hi], axis, s.t, s.outItem)
+		} else {
+			s.outItem = stepNaive(s.f, s.items[lo:hi], axis, s.t, s.outItem)
+		}
+		for range len(s.outItem) - len(s.outIter) {
+			s.outIter = append(s.outIter, iter)
+		}
+	}
+	return nil
 }

@@ -455,20 +455,25 @@ func randomForest(t *testing.T, r *rand.Rand) *xenc.Store {
 	return store
 }
 
-// randomContext builds one iter|item context table over the store's
-// fragments. shape picks what is unusual about it.
-func randomContext(r *rand.Rand, store *xenc.Store, shape int) *bat.Table {
-	anyNode := func() bat.NodeRef {
-		frag := int32(r.Intn(store.FragCount()))
-		f := store.Frag(frag)
-		if f.AttrCount() > 0 && r.Intn(4) == 0 {
-			return bat.NodeRef{Frag: frag, Pre: xenc.AttrBase + int32(r.Intn(f.AttrCount()))}
-		}
-		return bat.NodeRef{Frag: frag, Pre: int32(r.Intn(f.NodeCount()))}
+// anyNode draws a node of the store: now and then an attribute ref.
+func anyNode(r *rand.Rand, store *xenc.Store) bat.NodeRef {
+	frag := int32(r.Intn(store.FragCount()))
+	f := store.Frag(frag)
+	if f.AttrCount() > 0 && r.Intn(4) == 0 {
+		return bat.NodeRef{Frag: frag, Pre: xenc.AttrBase + int32(r.Intn(f.AttrCount()))}
 	}
+	return bat.NodeRef{Frag: frag, Pre: int32(r.Intn(f.NodeCount()))}
+}
+
+// randomContext builds one iter|item context table over the store's
+// fragments. shape (0–4) picks what is unusual about it.
+func randomContext(r *rand.Rand, store *xenc.Store, shape int) *bat.Table {
 	var iters bat.IntVec
 	var items bat.NodeVec
 	add := func(iter int64, n bat.NodeRef) { iters, items = append(iters, iter), append(items, n) }
+	if shape == 4 {
+		return joinContext(r, store, 100+r.Intn(50))
+	}
 	nIter := 1 + r.Intn(6)
 	if shape == 0 {
 		nIter = 0 // empty table
@@ -476,7 +481,7 @@ func randomContext(r *rand.Rand, store *xenc.Store, shape int) *bat.Table {
 	for i := 0; i < nIter; i++ {
 		iter := int64(1 + 3*i) // iters with gaps
 		for k, n := 0, 1+r.Intn(5); k < n; k++ {
-			c := anyNode()
+			c := anyNode(r, store)
 			add(iter, c)
 			if f := store.Frag(c.Frag); c.Pre < xenc.AttrBase && f.Size[c.Pre] > 0 && r.Intn(2) == 0 {
 				add(iter, bat.NodeRef{Frag: c.Frag, Pre: c.Pre + 1 + int32(r.Intn(int(f.Size[c.Pre])))}) // nested within the iter
@@ -514,6 +519,29 @@ func randomContext(r *rand.Rand, store *xenc.Store, shape int) *bat.Table {
 	return bat.MustTable("iter", iters, "item", items)
 }
 
+// joinContext is what a join hands a step: n iterations of one or two
+// contexts each — tree nodes and attribute refs — in (iter, fragment,
+// pre) order, jumping between fragments.
+func joinContext(r *rand.Rand, store *xenc.Store, n int) *bat.Table {
+	var iters bat.IntVec
+	var items bat.NodeVec
+	add := func(iter int64, n bat.NodeRef) { iters, items = append(iters, iter), append(items, n) }
+	for iter := int64(1); iter <= int64(n); iter++ {
+		a, b := anyNode(r, store), anyNode(r, store)
+		switch {
+		case r.Intn(2) == 0:
+			add(iter, a)
+		case a.Frag < b.Frag || a.Frag == b.Frag && a.Pre <= b.Pre:
+			add(iter, a)
+			add(iter, b)
+		default:
+			add(iter, b)
+			add(iter, a)
+		}
+	}
+	return bat.MustTable("iter", iters, "item", items)
+}
+
 // TestStepMatchesReference is the differential for the loop-lifted step
 // kernel: over random forests and context tables of every shape, for all
 // axes and node tests, it returns the reference's table row for row, or
@@ -538,7 +566,7 @@ func TestStepMatchesReference(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		store := randomForest(t, r)
-		for shape := 0; shape <= 3; shape++ {
+		for shape := 0; shape <= 4; shape++ {
 			in := randomContext(r, store, shape)
 			for _, staircase := range []bool{true, false} {
 				ref := New(store)
@@ -559,6 +587,36 @@ func TestStepMatchesReference(t *testing.T) {
 								seed, shape, staircase, axis, test, in, want, got)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestStepAcrossPolls: a join-shaped context long enough that the
+// per-context loops poll their context on the way — in a run of one
+// context and in a run of two — gives the reference's rows.
+func TestStepAcrossPolls(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	store := randomForest(t, r)
+	e := New(store)
+	for trial := 0; trial < 4; trial++ {
+		in := joinContext(r, store, 3000)
+		if in.Rows() <= cancelStride {
+			t.Fatalf("%d context rows: the kernel never polls", in.Rows())
+		}
+		for _, axis := range []algebra.Axis{algebra.Child, algebra.Attribute, algebra.Parent, algebra.Self, algebra.FollowingSibling, algebra.PrecedingSibling} {
+			for _, test := range []algebra.KindTest{{Kind: algebra.TestNode}, {Kind: algebra.TestElem, Name: "b"}, {Kind: algebra.TestAttr}} {
+				want, err := e.refEvalStep(in, axis, test)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.evalStep(context.Background(), in, axis, test)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("trial %d %s::%s: %d rows, reference %d", trial, axis, test, got.Rows(), want.Rows())
 				}
 			}
 		}

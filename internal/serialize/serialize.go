@@ -6,7 +6,6 @@ package serialize
 
 import (
 	"fmt"
-	"sync"
 
 	"pathfinder/internal/bat"
 	"pathfinder/internal/xenc"
@@ -18,7 +17,7 @@ import (
 // atomic items separated by a single space per the XQuery serialization
 // rules.
 //
-// The text is assembled in a pooled scratch buffer and copied out once, at
+// The text is assembled in a reused scratch buffer and copied out once, at
 // its final size: a result allocates its own length, not the doublings of
 // a buffer growing towards it.
 func Result(store *xenc.Store, t *bat.Table) (string, error) {
@@ -30,7 +29,7 @@ func Result(store *xenc.Store, t *bat.Table) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serialize: %w", err)
 	}
-	scratch := scratchPool.Get().(*[]byte)
+	scratch := getScratch()
 	buf := (*scratch)[:0]
 	// A node-typed result column — every constructor query's — serializes
 	// straight off the refs, without boxing each into an Item.
@@ -56,12 +55,41 @@ func Result(store *xenc.Store, t *bat.Table) (string, error) {
 	}
 	out := string(buf)
 	*scratch = buf
-	scratchPool.Put(scratch)
+	putScratch(scratch)
 	return out, nil
 }
 
-// scratchPool holds the buffers Result assembles its output in.
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+// freeScratch holds the buffers Result assembles its output in: up to
+// four, as many as four cores run Results at once. It is a free list, not
+// a sync.Pool, because a pool keeps a returned buffer in the returning
+// P's private slot, out of reach of a Result that runs on another P — and
+// a query's Result runs on the P of whichever scheduler worker finished
+// last — so with a pool, on a two-CPU host, about every second reply
+// regrew its buffer from nothing.
+var freeScratch = make(chan *[]byte, 4)
+
+// maxFreeScratch is the largest buffer the free list keeps: unlike a
+// pool's, its buffers outlive collections.
+const maxFreeScratch = 16 << 20
+
+func getScratch() *[]byte {
+	select {
+	case b := <-freeScratch:
+		return b
+	default:
+		return new([]byte)
+	}
+}
+
+func putScratch(b *[]byte) {
+	if cap(*b) > maxFreeScratch {
+		return
+	}
+	select {
+	case freeScratch <- b:
+	default:
+	}
+}
 
 // Items returns the result sequence as a flat item slice in (iter, pos)
 // order; used by tests that inspect values rather than serialized text.
