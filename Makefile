@@ -1,6 +1,6 @@
 # Build/test entry points. `make verify` is the tier-1 gate; `make race`
-# is the concurrency tier covering the parallel scheduler and the shared
-# stores under the Go race detector.
+# is the concurrency tier covering plans shared by concurrent queries and
+# the shared stores under the Go race detector.
 
 GO ?= go
 
@@ -57,10 +57,10 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzTypedKernelsMatchBoxed -fuzztime 10s
 	$(GO) test ./internal/service -fuzz FuzzNormalizeQuery -fuzztime 10s
 
-# Race tier: the packages with query-time shared state — the scheduler
-# (internal/engine, whose differential tests run the differential runner,
-# internal/difftest, over the DAG scheduler at workers 1/2/8 and forced
-# theta-join demotion), the column vectors
+# Race tier: the packages with query-time shared state — the engine
+# (internal/engine: one lowered plan run on eight goroutines at once, and
+# differential tests that run the differential runner, internal/difftest,
+# over the executor and forced theta-join demotion), the column vectors
 # (internal/bat), the string pools + fragment registry (internal/xenc),
 # the concurrent service layer (internal/service + the MIL TCP server it
 # embeds) and pfserver, whose graceful-shutdown test drives both front

@@ -11,7 +11,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,30 +110,26 @@ func TestCLIXmlgenAndPf(t *testing.T) {
 	if out := runTool(t, "pf", "-doc", doc, "-show", "explain", "count(//person)"); !strings.Contains(out, "mat ") {
 		t.Errorf("explain mode lacks kernel annotations: %q", out)
 	}
-	// The explain footer names the pool size the operators above it ran
-	// on — GOMAXPROCS when -workers is left at 0, never "0 workers" — and
+	// The explain footer counts operators, breakers and theta joins, and
 	// Q11's join under count($l) is answered without emitting a pair.
 	q11 := `for $p in /site/people/person
 	        let $l := for $i in /site/open_auctions/open_auction/initial
 	                  where $p/profile/@income > 5000 * $i return $i
 	        return <items name="{$p/name/text()}">{count($l)}</items>`
 	out := runTool(t, "pf", "-doc", doc, "-show", "explain", q11)
-	if want := fmt.Sprintf(" operators, %d workers, ", runtime.GOMAXPROCS(0)); !strings.Contains(out, want) {
-		t.Errorf("explain footer lacks %q:\n%s", want, lastLines(out, 24))
+	if !regexp.MustCompile(`(?m)^\(\d+ operators, \d+ pipeline breakers, 1 theta joins\)$`).MatchString(out) {
+		t.Errorf("explain footer of Q11:\n%s", lastLines(out, 24))
 	}
 	if !regexp.MustCompile(`theta join #1: bitem gt aitem — merge-thetacount\[float\], \d+ rows probed, 0 pairs emitted, \d+ counted\n`).MatchString(out) ||
 		strings.Contains(out, "ϱ s2") {
 		t.Errorf("Q11 did not run as a count-only theta join:\n%s", lastLines(out, 24))
 	}
-	// Every operator is its own scheduler unit: the footer counts
-	// breakers and theta joins, and no line names a multi-operator unit.
+	// Every operator is its own execution unit: no line names a
+	// multi-operator unit.
 	out = runTool(t, "pf", "-show", "explain", `for $i in 1 to 10000 where $i mod 7 = 0 and $i mod 3 = 0 return $i * 2`)
-	if !regexp.MustCompile(`(?m)^\(\d+ operators, \d+ workers, \d+ pipeline breakers, 0 theta joins\)$`).MatchString(out) ||
+	if !regexp.MustCompile(`(?m)^\(\d+ operators, \d+ pipeline breakers, 0 theta joins\)$`).MatchString(out) ||
 		strings.Contains(out, "chain") {
 		t.Errorf("explain footer of a range pipeline:\n%s", lastLines(out, 14))
-	}
-	if out := runTool(t, "pf", "-doc", doc, "-workers", "3", "-show", "explain", "count(//person)"); !strings.Contains(out, " operators, 3 workers, ") {
-		t.Errorf("explain footer with -workers 3:\n%s", lastLines(out, 4))
 	}
 	if out := runTool(t, "pf", "-doc", doc, "-show", "trace", "count(//person)"); !strings.Contains(out, "rows") {
 		t.Errorf("trace mode: %q", out)

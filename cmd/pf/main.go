@@ -49,7 +49,6 @@ func main() {
 		queryFile   = flag.String("f", "", "read the query from a file")
 		show        = flag.String("show", "result", "what to print: result, trace, explain, core, plan (as compiled), opt (as optimized), mil, sql, dot, physical, hist")
 		naive       = flag.Bool("naive", false, "disable the staircase join (tree-unaware axis evaluation)")
-		workers     = flag.Int("workers", engine.EnvWorkers(), "worker pool size of the DAG scheduler (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
 		checkPlans  = flag.Bool("check", false, "validate plan invariants (schema, order/denseness, physical preconditions) before running, and assert them on live intermediates during execution")
 		timing      = flag.Bool("time", false, "print compile/execute timings to stderr")
 		interactive = flag.Bool("i", false, "interactive mode: read one query per line from stdin")
@@ -57,7 +56,7 @@ func main() {
 	flag.Parse()
 
 	cat := openCatalog(*storeDir, *collection)
-	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: *workers, Check: *checkPlans, Catalog: cat})
+	eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Check: *checkPlans, Catalog: cat})
 	eng.Staircase = !*naive
 	// fn:doc loads named documents from the filesystem on demand; the
 	// -doc document resolves by its base name or full path.
@@ -178,15 +177,15 @@ func main() {
 		}))
 		fmt.Println()
 	case "explain":
-		// Scheduler's-eye view: per operator the rows in/out, the wall
-		// time, and which worker of the parallel DAG scheduler ran it.
+		// Executor's-eye view: per operator the rows in/out, the wall
+		// time, the kernel that ran and the rows it materialized.
 		fmt.Print(algebra.TreeStringAnnotated(plan, func(o *algebra.Op) string {
 			st, ok := tr.Stats[o]
 			if !ok {
 				return ""
 			}
-			ann := fmt.Sprintf("→ %d→%d rows, %v, worker %d, %s, mat %d",
-				st.RowsIn, st.RowsOut, st.Wall.Round(time.Microsecond), st.Worker, st.Kernel, st.RowsMat)
+			ann := fmt.Sprintf("→ %d→%d rows, %v, %s, mat %d",
+				st.RowsIn, st.RowsOut, st.Wall.Round(time.Microsecond), st.Kernel, st.RowsMat)
 			if st.Static != "" {
 				ann += fmt.Sprintf(", fast path for static %s", st.Static)
 			}
@@ -198,8 +197,8 @@ func main() {
 			}
 			return ann
 		}))
-		fmt.Printf("(%d operators, %d workers, %d pipeline breakers, %d theta joins)\n",
-			algebra.CountOps(plan), eng.WorkerCount(), phys.Breakers(), len(phys.ThetaJoins))
+		fmt.Printf("(%d operators, %d pipeline breakers, %d theta joins)\n",
+			algebra.CountOps(plan), phys.Breakers(), len(phys.ThetaJoins))
 		printThetaJoins(phys, tr)
 		fmt.Print(optimized.TraceString())
 		fmt.Println()

@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"pathfinder/internal/engine"
 	"pathfinder/internal/pfstore"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
@@ -71,7 +70,6 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 		load         = fs.String("load", "", "preload a document from disk: uri=path")
 		snapshot     = fs.String("snapshot", "", "persisted store: restored when the file exists, written after preloading otherwise")
 		storeDir     = fs.String("store", "", "persistent collection catalog directory: enables named collections and the /collections endpoints")
-		workers      = fs.Int("workers", engine.EnvWorkers(), "parallel scheduler worker pool size (0 = GOMAXPROCS, 1 = sequential; also via PF_WORKERS)")
 		maxInFlight  = fs.Int("max-inflight", 0, "admission bound on concurrently executing queries (0 = service default)")
 		maxQueue     = fs.Int("max-queue", 0, "admission queue bound; beyond it queries get 429 (0 = service default)")
 		reqTimeout   = fs.Duration("request-timeout", 0, "default per-query timeout (0 = service default)")
@@ -117,7 +115,6 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 
 	svc := service.New(store, service.Config{
-		Engine:         engine.Config{Workers: *workers},
 		Catalog:        cat,
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,

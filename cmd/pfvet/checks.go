@@ -13,7 +13,7 @@ import (
 // express but the engine's correctness depends on:
 //
 //   - batmut: column vectors (the named slice types of internal/bat) are
-//     shared between views, plan-cache hits, and scheduler workers; an
+//     shared between views, plan-cache hits, and concurrent queries; an
 //     element write outside internal/bat mutates data some other
 //     consumer is reading. Writes into locally built buffers are fine.
 //   - determinism: kernel results must be reproducible byte for byte —

@@ -26,9 +26,9 @@ import (
 //     flag, then Add raced BeginDrain/Wait; the fix took drainMu around
 //     both, reviewed in PR 6 and encoded here).
 //
-// Local WaitGroups (the fork/join worker pools of the scheduler and
-// physexec) are exempt from the second rule: their Add and
-// Wait sit in one stack frame and cannot interleave with a reuse.
+// Local WaitGroups (fork/join pools such as the clients of a load
+// test) are exempt from the second rule: their Add and Wait sit in one
+// stack frame and cannot interleave with a reuse.
 func (s *suite) golifecycle(cfg suiteConfig) []finding {
 	var fs []finding
 

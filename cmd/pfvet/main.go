@@ -7,7 +7,7 @@
 //
 //   - batmut: no element writes into shared bat column vectors outside
 //     internal/bat (vectors are shared across views, plan-cache hits and
-//     scheduler workers)
+//     concurrent queries)
 //   - determinism: no clock or randomness in kernel packages
 //   - ctxpoll: context-taking engine functions with nested row loops
 //     must poll the context

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"pathfinder/internal/bench"
-	"pathfinder/internal/engine"
 )
 
 func main() {
@@ -33,7 +32,6 @@ func main() {
 		budget   = flag.Duration("budget", 30*time.Second, "per-query time budget before DNF")
 		baseline = flag.Bool("baseline", true, "run the navigational baseline too")
 		optimize = flag.Bool("opt", true, "run plans through the optimizer pipeline")
-		workers  = flag.Int("workers", engine.EnvWorkers(), "engine worker pool size (0 = GOMAXPROCS; also via PF_WORKERS)")
 		verbose  = flag.Bool("v", false, "progress output on stderr")
 	)
 	flag.Parse()
@@ -63,7 +61,6 @@ func main() {
 		Budget:       *budget,
 		WithBaseline: *baseline,
 		Optimize:     *optimize,
-		Workers:      *workers,
 	}
 	if *verbose {
 		cfg.Verbose = func(format string, args ...any) {

@@ -2,7 +2,7 @@ package algebra
 
 // Topology helpers over the plan DAG. Loop-lifted plans share subplans
 // aggressively (CSE turns the operator tree into a DAG), and both the
-// optimizer's demand analysis and the engine's parallel scheduler need a
+// optimizer's property inference and the plan checker need a
 // deterministic linearization of that DAG plus the reverse edges (who
 // consumes each operator's output).
 
@@ -55,9 +55,8 @@ func Consumers(root *Op) map[*Op][]*Op {
 
 // MaxWidth returns the size of the largest antichain layer of the DAG
 // under the longest-path-from-leaves leveling — a cheap upper-bound proxy
-// for how many operators can ever be runnable at once. The scheduler uses
-// it to size bookkeeping; plans with MaxWidth 1 are pure chains that gain
-// nothing from parallel dispatch.
+// for how many operators could ever run side by side. Plans with
+// MaxWidth 1 are pure chains.
 func MaxWidth(root *Op) int {
 	depth := make(map[*Op]int)
 	byLevel := make(map[int]int)

@@ -12,9 +12,8 @@ import (
 // pipeline breakers (join outputs, δ, ϱ, ∪, the plan root) pay for a
 // Gather. A nil selection means "all rows of the base, in base order".
 //
-// Views are shared between the consumers of a plan-DAG node, possibly
-// across scheduler workers; Materialize is concurrency-safe and performs
-// the gather exactly once.
+// Views are shared between the consumers of a plan-DAG node;
+// Materialize is concurrency-safe and performs the gather exactly once.
 type View struct {
 	base *Table
 	sel  []int32 // nil = identity

@@ -27,7 +27,6 @@ type Config struct {
 	Budget       time.Duration // per-query time budget; exceeding it records DNF
 	WithBaseline bool          // also run the navigational baseline
 	Optimize     bool          // run plans through the optimizer pipeline (opt.Optimize)
-	Workers      int           // engine worker pool size; 0 = GOMAXPROCS, 1 = sequential
 	Verbose      func(format string, args ...any)
 }
 
@@ -95,7 +94,7 @@ func Run(cfg Config) (*Results, error) {
 			PF: map[int]Cell{}, Nav: map[int]Cell{}}
 
 		start := time.Now()
-		eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: cfg.Workers})
+		eng := engine.New(xenc.NewStore())
 		if _, err := eng.Store.LoadDocumentString("xmark.xml", doc); err != nil {
 			return nil, fmt.Errorf("sf %g: %w", sf, err)
 		}

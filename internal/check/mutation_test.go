@@ -528,6 +528,16 @@ var mutations = []mutation{
 			return check.Physical(p)
 		},
 	},
+	{
+		name:  "physical_slot_not_position",
+		class: "structure",
+		build: func(t *testing.T) []check.Diag {
+			d := algebra.Distinct(lit(t, "iter", ints(1, 2)))
+			p := physical.Lower(d)
+			p.Nodes[1].Pos = 0 // the executor would overwrite its input's result
+			return check.Physical(p)
+		},
+	},
 }
 
 // skeletonElem builds the ε <a>$0<b>$1</b></a> over a one-iteration

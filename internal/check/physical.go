@@ -234,6 +234,10 @@ func physStructure(w *walker, p *physical.Plan) []Diag {
 				Msg: "logical operator lowered to more than one physical node"})
 		}
 		seenOp[nd.Op] = true
+		if nd.Pos != i {
+			diags = append(diags, Diag{Class: "structure", Op: w.name(nd.Op),
+				Msg: fmt.Sprintf("node at position %d claims result slot %d", i, nd.Pos)})
+		}
 		if len(nd.In) != len(nd.Op.In) {
 			diags = append(diags, Diag{Class: "structure", Op: w.name(nd.Op),
 				Msg: fmt.Sprintf("node has %d input(s), logical operator has %d", len(nd.In), len(nd.Op.In))})

@@ -547,6 +547,22 @@ func TestErrorsPropagate(t *testing.T) {
 	runErr(t, eng, `1 div 0`)
 }
 
+// TestStepOverAtomicContext: a step over an atomic context is the static
+// XPTY0019 only when the context is never empty. One that may be empty
+// compiles; corpus.StepPredicates pins what it evaluates to.
+func TestStepOverAtomicContext(t *testing.T) {
+	for _, src := range []string{`(1,2)/A`, `("x")/b`, `for $i in 0 to 0 return $i/A`} {
+		if _, _, err := CompileQuery(src, xqcore.Options{}); err == nil || !strings.Contains(err.Error(), "XPTY0019") {
+			t.Errorf("%s: err = %v, want the static XPTY0019", src, err)
+		}
+	}
+	for _, src := range []string{`count((1 to 0)/A)`, `(1 to 3)/A`} {
+		if _, _, err := CompileQuery(src, xqcore.Options{}); err != nil {
+			t.Errorf("%s: %v; a context that may be empty compiles", src, err)
+		}
+	}
+}
+
 func TestCompileQueryPlanArtifacts(t *testing.T) {
 	plan, coreExpr, err := CompileQuery(`for $v in (10,20) return $v + 100`, xqcore.Options{})
 	if err != nil {

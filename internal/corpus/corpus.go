@@ -312,13 +312,16 @@ var StepPredicates = []Case{
 	{Name: "two nearest preceding", Query: `data(/site/people/person[2]/name[2]/preceding::name[position() < 3])`, Want: "Alice Bob"},
 	{Name: "parenthesized reverse path", Query: `data((/site/people/person[2]/name[2]/preceding::name)[1])`, Want: "a1"},
 	// A step over an atomic item is the type error XPTY0019: at compile
-	// time when the context is statically atomic, at run time when an
-	// atomic item turns up among nodes.
+	// time when the context is statically atomic and never empty, at run
+	// time when an atomic item turns up among nodes or in a context that
+	// may be empty. An empty one steps to the empty sequence.
 	{Name: "step over an integer, then an element", Query: `for $x in (3, <a><b/><c/></a>) return $x/*`, Err: "XPTY0019"},
 	{Name: "step over an element, then an integer", Query: `count((<a><b/></a>, 7)/b)`, Err: "XPTY0019"},
 	{Name: "step over a string literal", Query: `("x")/b`, Err: "XPTY0019"},
 	{Name: "step over integer literals", Query: `(1,2)/A`, Err: "XPTY0019"},
 	{Name: "step over a range variable", Query: `for $i in 0 to 0 return $i/A`, Err: "XPTY0019"},
+	{Name: "step over an empty range", Query: `count((1 to 0)/A)`, Want: "0"},
+	{Name: "step over a range", Query: `(1 to 3)/A`, Err: "XPTY0019"},
 }
 
 // CountJoinDoc is the document the CountJoin cases run against, bound as

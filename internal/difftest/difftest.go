@@ -232,16 +232,12 @@ func Engine(name string, cfg engine.Config) Evaluator {
 	}}
 }
 
-// The engine configurations the differential tiers run.
+// The engine configuration the differential tiers run.
 var (
-	// SeqConfig is the sequential path, runtime checking on.
-	SeqConfig = engine.Config{Workers: 1, Check: true}
-	// ParConfig is the DAG scheduler at eight workers with the
-	// sequential fallback off, so even tiny plans run concurrently.
-	ParConfig = engine.Config{Workers: 8, SeqThreshold: -1, Check: true}
+	// SeqConfig is the executor with runtime checking on.
+	SeqConfig = engine.Config{Check: true}
 
 	Seq = Engine("seq", SeqConfig)
-	Par = Engine("par", ParConfig)
 )
 
 // Navdom is the navigational baseline. index names (element, attribute)

@@ -69,7 +69,7 @@ var countJoinShapes = map[string]struct{ joins, counted int }{
 
 func TestCountJoinCorpus(t *testing.T) {
 	docs := []difftest.Doc{{URI: "cj.xml", Text: corpus.CountJoinDoc}}
-	matrix(docs, difftest.Seq, difftest.Par, demoted(8), navdomEval).Run(t, corpus.CountJoin)
+	matrix(docs, difftest.Seq, demoted, navdomEval).Run(t, corpus.CountJoin)
 	seq := difftest.LoadEngine(t, difftest.SeqConfig, docs)
 	opts := xqcore.Options{ContextDoc: "cj.xml"}
 	fired := 0

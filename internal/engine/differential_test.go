@@ -2,9 +2,8 @@ package engine_test
 
 // The engine's differential tiers, each one runner call
 // (internal/difftest): a case list over a matrix of evaluators. The
-// evaluators are the sequential path, the DAG scheduler at workers
-// 1 / 2 / 8, the same plans with their theta joins demoted (this
-// package's test hook, export_test.go), and navdom. XMark's cases pin
+// evaluators are the executor, the same plans with their theta joins
+// demoted (this package's test hook, export_test.go), and navdom. XMark's cases pin
 // the goldens, so every evaluator is byte-exact against them; `go test
 // ./internal/engine -run TestXMarkGolden -update` (make golden) rewrites
 // them. The engine-specific assertions — theta lanes, count-only units
@@ -13,7 +12,6 @@ package engine_test
 import (
 	"context"
 	"flag"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -33,29 +31,15 @@ var auctionDocs = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 
 var navdomEval = difftest.Navdom("navdom")
 
-// scheduledConfig is the DAG scheduler at the given worker budget with
-// the sequential fallback off, so even tiny plans run on it, and runtime
-// checking on.
-func scheduledConfig(workers int) engine.Config {
-	return engine.Config{Workers: workers, SeqThreshold: -1, Check: true}
-}
-
-// scheduled is the engine under scheduledConfig(workers).
-func scheduled(workers int) difftest.Evaluator {
-	return difftest.Engine(fmt.Sprintf("scheduled workers=%d", workers), scheduledConfig(workers))
-}
-
 // demoted runs every theta-join unit's ×, ⊛ and σ one by one under
-// scheduledConfig(workers) — the baseline the band kernels are compared
+// difftest.SeqConfig — the baseline the band kernels are compared
 // against.
-func demoted(workers int) difftest.Evaluator {
-	return difftest.Evaluator{Name: fmt.Sprintf("demoted workers=%d", workers), Family: difftest.Relational,
-		Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
-			e := difftest.LoadEngine(tb, scheduledConfig(workers), docs)
-			e.ForceThetaDemotion()
-			return difftest.OnEngine(e, physical.Lower)
-		}}
-}
+var demoted = difftest.Evaluator{Name: "demoted", Family: difftest.Relational,
+	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
+		e := difftest.LoadEngine(tb, difftest.SeqConfig, docs)
+		e.ForceThetaDemotion()
+		return difftest.OnEngine(e, physical.Lower)
+	}}
 
 func matrix(docs []difftest.Doc, evals ...difftest.Evaluator) difftest.Matrix {
 	return difftest.Matrix{Docs: docs, Evals: evals}
@@ -72,41 +56,41 @@ func runOptimized(t *testing.T, src string, eng *engine.Engine, opts xqcore.Opti
 	return difftest.OnEngine(eng, physical.Lower)(difftest.Query{Plan: plan})
 }
 
-// TestXMarkGolden: the optimized plans on the scheduler against the
+// TestXMarkGolden: the optimized plans on the executor against the
 // pinned goldens; with -update, rewrite the goldens instead.
 func TestXMarkGolden(t *testing.T) {
 	if *update {
-		difftest.WriteGoldens(t, difftest.Par)
+		difftest.WriteGoldens(t, difftest.Seq)
 		return
 	}
-	matrix(difftest.XMarkDocs(), difftest.Par).Run(t, difftest.XMark(t))
+	matrix(difftest.XMarkDocs(), difftest.Seq).Run(t, difftest.XMark(t))
 }
 
-// TestXMarkParallelDifferential: the sequential path and navdom against
-// the goldens; the scheduler meets them in TestXMarkGolden. With the
-// goldens pinned, each evaluator runs XMark once.
+// TestXMarkParallelDifferential: navdom against the goldens; the
+// executor meets them in TestXMarkGolden. With the goldens pinned, each
+// evaluator runs XMark once. (The name predates the one executor.)
 func TestXMarkParallelDifferential(t *testing.T) {
 	xmarkNavdom := difftest.Navdom("navdom", [2]string{"buyer", "person"})
-	matrix(difftest.XMarkDocs(), difftest.Seq, xmarkNavdom).Run(t, difftest.XMark(t))
+	matrix(difftest.XMarkDocs(), xmarkNavdom).Run(t, difftest.XMark(t))
 }
 
 func TestDialectParallelDifferential(t *testing.T) {
 	cases := difftest.Agree("dialect", corpus.Dialect)
-	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, difftest.Par, navdomEval).Run(t, cases))
+	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, navdomEval).Run(t, cases))
 }
 
 // TestFusionChainsExercised: a 10 000-row range pipeline gives the same
-// bytes on the scheduler at every worker count as on the sequential path.
+// bytes as navdom.
 func TestFusionChainsExercised(t *testing.T) {
 	const src = `for $i in 1 to 10000 where $i mod 7 = 0 return $i * 2`
-	matrix(nil, difftest.Seq, scheduled(1), scheduled(8)).Run(t, difftest.Agree("range pipeline", []string{src}))
+	matrix(nil, difftest.Seq, navdomEval).Run(t, difftest.Agree("range pipeline", []string{src}))
 }
 
 // TestRangeEdges: corpus.IntEdges — in the engine and in navdom, each
 // range and integer operation yields its pinned result, the size guard's
 // error or FOAR0002, never a wrapped value or an allocated span.
 func TestRangeEdges(t *testing.T) {
-	matrix([]difftest.Doc{{URI: "r.xml", Text: "<r/>"}}, difftest.Seq, difftest.Par, navdomEval).Run(t, corpus.IntEdges)
+	matrix([]difftest.Doc{{URI: "r.xml", Text: "<r/>"}}, difftest.Seq, navdomEval).Run(t, corpus.IntEdges)
 }
 
 // TestUntypedCompare: corpus.UntypedCompare — two untyped atomics
@@ -114,21 +98,21 @@ func TestRangeEdges(t *testing.T) {
 // band join, and that join demoted), in the engine and in navdom.
 func TestUntypedCompare(t *testing.T) {
 	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.UntypedCompareDoc}},
-		difftest.Seq, difftest.Par, demoted(2), navdomEval).Run(t, corpus.UntypedCompare)
+		difftest.Seq, demoted, navdomEval).Run(t, corpus.UntypedCompare)
 }
 
 // TestStepPredicates: corpus.StepPredicates — a positional step
-// predicate counts per context node on every executor configuration, with
-// theta joins demoted, and in navdom.
+// predicate counts per context node in the executor, with theta joins
+// demoted, and in navdom.
 func TestStepPredicates(t *testing.T) {
 	matrix([]difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}},
-		difftest.Seq, difftest.Par, scheduled(2), demoted(2), navdomEval).Run(t, corpus.StepPredicates)
+		difftest.Seq, demoted, navdomEval).Run(t, corpus.StepPredicates)
 }
 
 // TestConstructorCases: the constructor content rules with an outcome
 // other than "copy the item".
 func TestConstructorCases(t *testing.T) {
-	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}, difftest.Seq, difftest.Par, navdomEval).Run(t, corpus.Constructors)
+	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}, difftest.Seq, navdomEval).Run(t, corpus.Constructors)
 }
 
 // TestListsThroughHooks: navdom's battery and the random queries with
@@ -138,7 +122,7 @@ func TestConstructorCases(t *testing.T) {
 // configuration and navdom.
 func TestListsThroughHooks(t *testing.T) {
 	cases := append(difftest.Agree("navigational", corpus.Navigational), difftest.Agree("random", corpus.Random(7, 200))...)
-	matrix(auctionDocs, difftest.Seq, demoted(8)).Run(t, cases)
+	matrix(auctionDocs, difftest.Seq, demoted).Run(t, cases)
 }
 
 // TestSharedPlanConcurrentEval evaluates one compiled plan from many
@@ -147,7 +131,7 @@ func TestListsThroughHooks(t *testing.T) {
 // shared store — the strongest store-locking stress short of -race. All
 // goroutines run the one lowering the test holds.
 func TestSharedPlanConcurrentEval(t *testing.T) {
-	par := difftest.LoadEngine(t, difftest.ParConfig, auctionDocs)
+	par := difftest.LoadEngine(t, difftest.SeqConfig, auctionDocs)
 	const src = `for $p in //person
 	 order by $p/name
 	 return <row id="{$p/@id}">{$p/name/text()}</row>`
@@ -190,12 +174,54 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	}
 }
 
+// TestOnePlanManyGoroutines: EvalPlan's promise that one plan may run on
+// many goroutines at once. Each of the 20 XMark plans is lowered once;
+// eight goroutines run all of them at the same time, in different
+// orders, each evaluation on its own scratch view of one shared store
+// (as the service runs requests), and every result is byte-identical to
+// the golden. `make race` runs it under the race detector.
+func TestOnePlanManyGoroutines(t *testing.T) {
+	e := difftest.LoadEngine(t, difftest.SeqConfig, difftest.XMarkDocs())
+	cases := difftest.XMark(t)
+	plans := make([]*physical.Plan, len(cases))
+	for i, c := range cases {
+		plan, err := difftest.Compile(c.Query, xqcore.Options{ContextDoc: "xmark.xml"}, difftest.Optimized)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		plans[i] = physical.Lower(plan)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range plans {
+				i := (k + g*3) % len(plans)
+				scratch := e.Store.Scratch()
+				res, _, err := e.ForStore(scratch, "").EvalPlan(context.Background(), plans[i], false)
+				if err == nil {
+					var got string
+					if got, err = serialize.Result(scratch, res); err == nil && got != cases[i].Want {
+						t.Errorf("goroutine %d, %s: result drifted from the golden:\n got %.200q", g, cases[i].Name, got)
+					}
+				}
+				if err != nil {
+					t.Errorf("goroutine %d, %s: %v", g, cases[i].Name, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestLargeRangePipelines runs filter/map pipelines over 50 000-row
 // ranges — the per-row operator runs of loop-lifted FLWORs, at a size
-// well past one cancellation stride — through the optimized plan at
-// workers 1 and 2 with runtime checking on, and compares each result
-// with the navigational baseline. It stays off the runner, which would
-// add the plain plan: under -race that doubles the test's time.
+// well past one cancellation stride — through the optimized plan with
+// runtime checking on, and compares each result with the navigational
+// baseline. It stays off the runner, which would add the plain plan:
+// under -race that doubles the test's time.
 func TestLargeRangePipelines(t *testing.T) {
 	pipelines := []string{
 		"for $i in 1 to 50000 where $i mod 7 = 0 return $i * 2",
@@ -206,28 +232,26 @@ func TestLargeRangePipelines(t *testing.T) {
 		"sum(for $i in 1 to 50000 where ($i + 5) mod 4 = 1 return $i - 1)",
 	}
 	db := navdom.NewDB()
-	for _, w := range []int{1, 2} {
-		e := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: w, Check: true})
-		for _, src := range pipelines {
-			want, err := navdom.NewInterp(db).Run(src, xqcore.Options{})
-			if err != nil {
-				t.Fatalf("%s: navdom: %v", src, err)
-			}
-			plan, err := difftest.Compile(src, xqcore.Options{}, difftest.Optimized)
-			if err != nil {
-				t.Fatalf("%s: %v", src, err)
-			}
-			res, err := e.EvalContext(context.Background(), plan)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", src, w, err)
-			}
-			got, err := serialize.Result(e.Store, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("%s workers=%d:\n rel = %.200q\n nav = %.200q", src, w, got, want)
-			}
+	e := engine.NewWithConfig(xenc.NewStore(), difftest.SeqConfig)
+	for _, src := range pipelines {
+		want, err := navdom.NewInterp(db).Run(src, xqcore.Options{})
+		if err != nil {
+			t.Fatalf("%s: navdom: %v", src, err)
+		}
+		plan, err := difftest.Compile(src, xqcore.Options{}, difftest.Optimized)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		res, err := e.EvalContext(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		got, err := serialize.Result(e.Store, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s:\n rel = %.200q\n nav = %.200q", src, got, want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ type Catalog interface {
 // first fn:doc access.
 //
 // An engine is a view: the store binding (Store, Collection) is per-view,
-// while the scheduler accounting, plan cache, and resolver lock live in a
+// while the query gauge, plan cache, and resolver lock live in a
 // shared core. ForStore/ForCollection derive a view over another store in
 // a few words of allocation; all views share one set of gauges, so a
 // multi-collection service behaves as a single engine for admission
@@ -54,16 +54,6 @@ type Engine struct {
 	// configuration) or the naive region-query fallback (false, the
 	// ablation baseline).
 	Staircase bool
-
-	// Workers bounds the parallel DAG scheduler's worker pool. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces sequential evaluation.
-	Workers int
-
-	// SeqThreshold is the operator count below which plans skip the
-	// scheduler and run their units in order on the calling goroutine, so
-	// micro-queries pay no synchronization tax. 0 means
-	// DefaultSeqThreshold; negative disables the fallback entirely.
-	SeqThreshold int
 
 	// Check enables runtime invariant assertions: after every kernel, the
 	// output's columns are checked against the operator's declared schema,
@@ -91,23 +81,18 @@ type Engine struct {
 	panicHook func()
 }
 
-// engineShared is the state all views of one engine share: a running
-// unit gauge, an in-flight query gauge, one resolver lock, and
-// one plan cache. Compiled plans are store-agnostic (name tests resolve
-// their surrogates at evaluation time), so the cache safely spans
-// collections.
+// engineShared is the state all views of one engine share: an in-flight
+// query gauge, one resolver lock, and one plan cache. Compiled plans are
+// store-agnostic (name tests resolve their surrogates at evaluation
+// time), so the cache safely spans collections.
 type engineShared struct {
-	// working counts the scheduler units currently running, on every
-	// view of the engine.
-	working atomic.Int32
-
 	// queries counts the evaluations currently in flight — the per-query
 	// accounting the service layer's admission control and the idle
 	// assertions in the robustness tests build on.
 	queries atomic.Int64
 
 	// resolveMu serializes fn:doc cache misses so a document requested by
-	// several parallel workers is loaded exactly once.
+	// several concurrent queries is loaded exactly once.
 	resolveMu sync.Mutex
 
 	// plans caches lowered physical plans by logical root for the
@@ -119,19 +104,19 @@ type engineShared struct {
 	plans sync.Map // map[*algebra.Op]*physical.Plan
 }
 
-// Config bundles the scheduler knobs for engines built with NewWithConfig.
+// Config bundles the options of engines built with NewWithConfig.
 type Config struct {
-	Workers      int     // worker pool size; 0 = GOMAXPROCS
-	SeqThreshold int     // sequential-fallback operator count; 0 = DefaultSeqThreshold
-	Check        bool    // assert schema/order/denseness invariants on live intermediates
-	Catalog      Catalog // collection-name resolver for ForCollection; nil = no named collections
-}
+	Check   bool    // assert schema/order/denseness invariants on live intermediates
+	Catalog Catalog // collection-name resolver for ForCollection; nil = no named collections
 
-// DefaultSeqThreshold is the plan size below which parallel dispatch is
-// not worth the synchronization: the plans of simple path queries stay
-// under it, the loop-lifted XMark join queries (~50–120 operators after
-// optimization) clear it comfortably.
-const DefaultSeqThreshold = 16
+	// Workers is never read: a plan runs on the goroutine that evaluates
+	// it.
+	//
+	// Deprecated: benchmark/inproc.go is its last writer outside tests;
+	// the benchmark-only change of ROADMAP item 1 deletes the field with
+	// it.
+	Workers int
+}
 
 // New returns an engine over the given store with the staircase join
 // enabled.
@@ -139,11 +124,9 @@ func New(store *xenc.Store) *Engine {
 	return &Engine{Store: store, Staircase: true, sh: &engineShared{}}
 }
 
-// NewWithConfig returns an engine with explicit scheduler configuration.
+// NewWithConfig returns an engine with explicit configuration.
 func NewWithConfig(store *xenc.Store, cfg Config) *Engine {
 	e := New(store)
-	e.Workers = cfg.Workers
-	e.SeqThreshold = cfg.SeqThreshold
 	e.Check = cfg.Check
 	e.Cat = cfg.Catalog
 	return e
@@ -187,9 +170,7 @@ func (e *Engine) ForCollection(name string) (*Engine, uint64, error) {
 
 // Eval evaluates the plan DAG rooted at root. Shared subplans are
 // evaluated once per call (the DAG memoization MonetDB gets from MIL
-// variable bindings). Independent subplans are dispatched onto a bounded
-// worker pool when the plan is large enough to pay for it (see
-// EvalPlan).
+// variable bindings).
 func (e *Engine) Eval(root *algebra.Op) (*bat.Table, error) {
 	return e.EvalContext(context.Background(), root)
 }
@@ -214,19 +195,19 @@ func (e *Engine) EvalTraced(root *algebra.Op) (*bat.Table, map[*algebra.Op]*bat.
 }
 
 // EvalTrace evaluates the plan and returns the full instrumentation
-// record: per-operator intermediate tables plus scheduling statistics
-// (wall time, rows in/out, worker id).
+// record: per-operator intermediate tables plus statistics (wall time,
+// rows in/out, kernel).
 func (e *Engine) EvalTrace(ctx context.Context, root *algebra.Op) (*bat.Table, *Trace, error) {
 	return e.EvalPlan(ctx, e.Lowered(root), true)
 }
 
 // EvalPlan executes a physical plan of typed kernels (internal/physical)
-// that the caller holds — sequentially for plans below the fallback
-// threshold or on single-worker engines, otherwise on the parallel DAG
-// scheduler. With traced set it also returns the instrumentation record
-// (nil otherwise); cmd/pf's -show explain mode is built on it. The plan
-// does not enter the engine's plan cache: whoever lowered it decides how
-// long it lives, and one plan may run on many goroutines at once.
+// that the caller holds, one unit after the other on the calling
+// goroutine (see execPlan). With traced set it also returns the
+// instrumentation record (nil otherwise); cmd/pf's -show explain mode is
+// built on it. The plan does not enter the engine's plan cache: whoever
+// lowered it decides how long it lives, and one plan may run on many
+// goroutines at once.
 func (e *Engine) EvalPlan(ctx context.Context, plan *physical.Plan, traced bool) (*bat.Table, *Trace, error) {
 	e.sh.queries.Add(1)
 	defer e.sh.queries.Add(-1)
@@ -234,12 +215,7 @@ func (e *Engine) EvalPlan(ctx context.Context, plan *physical.Plan, traced bool)
 	if traced {
 		tr = newTrace()
 	}
-	if e.WorkerCount() <= 1 || len(plan.Nodes) < e.seqThreshold() {
-		res, err := e.physSequential(ctx, plan, tr)
-		return res, tr, err
-	}
-	tr.setScheduled()
-	res, err := e.physParallel(ctx, plan, tr)
+	res, err := e.execPlan(ctx, plan, tr)
 	return res, tr, err
 }
 
@@ -263,27 +239,13 @@ func (e *Engine) Lowered(root *algebra.Op) *physical.Plan {
 func (e *Engine) ForgetPlan(root *algebra.Op) { e.sh.plans.Delete(root) }
 
 // ActiveQueries reports how many evaluations are currently in flight on
-// this engine — the service layer's per-engine accounting gauge.
+// this engine — the service layer's per-engine accounting gauge. The
+// robustness tests use it to assert that cancelled and disconnected
+// queries stop promptly.
 func (e *Engine) ActiveQueries() int64 { return e.sh.queries.Load() }
 
-// ActiveWorkers reports how many scheduler units are currently running;
-// 0 means the scheduler is idle. The robustness tests
-// use it to assert that cancelled and disconnected queries release their
-// workers promptly.
-func (e *Engine) ActiveWorkers() int { return int(e.sh.working.Load()) }
-
-func (e *Engine) seqThreshold() int {
-	switch {
-	case e.SeqThreshold == 0:
-		return DefaultSeqThreshold
-	case e.SeqThreshold < 0:
-		return 0
-	}
-	return e.SeqThreshold
-}
-
 // cancelStride is how many rows the kernels' row loops process between
-// context checks: frequent enough that a deadline or first-error
+// context checks: frequent enough that a deadline or a client's
 // cancellation is observed mid-operator, cheap enough to vanish next to
 // the per-row work.
 const cancelStride = 4096
@@ -524,7 +486,7 @@ func (e *Engine) evalDoc(t *bat.Table) (*bat.Table, error) {
 }
 
 // resolveDoc loads an unknown document through the resolver, serialized so
-// parallel workers hitting the same URI load it exactly once.
+// concurrent queries hitting the same URI load it exactly once.
 func (e *Engine) resolveDoc(uri string) (bat.NodeRef, error) {
 	e.sh.resolveMu.Lock()
 	defer e.sh.resolveMu.Unlock()

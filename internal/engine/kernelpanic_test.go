@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -22,13 +23,12 @@ import (
 	"pathfinder/internal/xqcore"
 )
 
-// TestKernelPanicFailsQueryNotServer: kernels panic on the scheduler
-// workers that run them while clients hammer the service over HTTP and
-// TCP. Each panic fails its own query
-// with a 500 naming the operator and kernel; the service keeps answering,
-// the scheduler returns to idle, no goroutine is left behind, and once
-// the kernels stop panicking every query answers what the reference
-// engine does.
+// TestKernelPanicFailsQueryNotServer: kernels panic on the request
+// goroutines that run them while clients hammer the service over HTTP
+// and TCP. Each panic fails its own query with a 500 naming the operator
+// and kernel; the service keeps answering, the engine returns to idle, no
+// goroutine is left behind, and once the kernels stop panicking every
+// query answers what the reference engine does.
 func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 	const doc = "xmark.xml"
 	xml := xmark.GenerateString(0.002)
@@ -36,7 +36,7 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 	if _, err := store.LoadDocumentString(doc, xml); err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(store, service.Config{Engine: engine.Config{Workers: 4}})
+	svc := service.New(store, service.Config{})
 	hs := httptest.NewServer(svc.Handler())
 	defer hs.Close()
 	milSrv := svc.NewMILServer()
@@ -161,19 +161,45 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 const pipelineQuery = `count(for $i in 1 to 2000 where $i mod 7 = 0 return $i * 2)`
 
 // TestKernelPanicNamesOperator: the error of a panicking kernel is a
-// *KernelPanic naming the operator and its kernel, from the sequential
-// runner and from a scheduler worker alike.
+// *KernelPanic naming the operator and its kernel, whether the plan's
+// first kernel panics (sequential) or one in its middle (mid-plan). It
+// is returned on the goroutine that called the engine, which is where
+// the kernel ran; through the service the request fails with it, and the
+// next request is answered.
 func TestKernelPanicNamesOperator(t *testing.T) {
+	want, err := runOptimized(t, pipelineQuery, engine.New(xenc.NewStore()), xqcore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels := 0
+	counting := engine.New(xenc.NewStore())
+	counting.SetPanicHook(func() { kernels++ })
+	if _, err := runOptimized(t, pipelineQuery, counting, xqcore.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
-		cfg  engine.Config
+		at   int // the kernel that panics, 1-based
 	}{
-		{"sequential", engine.Config{Workers: 1}},
-		{"scheduler", engine.Config{Workers: 4, SeqThreshold: -1}},
+		{"sequential", 1},
+		{"mid-plan", kernels / 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			eng := engine.NewWithConfig(xenc.NewStore(), c.cfg)
-			eng.SetPanicHook(func() { panic("injected") })
+			if c.at < 1 || c.at >= kernels {
+				t.Fatalf("test premise broken: kernel %d of %d", c.at, kernels)
+			}
+			caller, ranOn := goroutineID(), ""
+			hook := func() func() {
+				n := 0
+				return func() {
+					if n++; n == c.at {
+						ranOn = goroutineID()
+						panic("injected")
+					}
+				}
+			}
+			eng := engine.New(xenc.NewStore())
+			eng.SetPanicHook(hook())
 			_, err := runOptimized(t, pipelineQuery, eng, xqcore.Options{})
 			kp, ok := err.(*engine.KernelPanic)
 			if !ok {
@@ -182,19 +208,43 @@ func TestKernelPanicNamesOperator(t *testing.T) {
 			if kp.Kernel == "" || kp.Value != "injected" || !strings.Contains(err.Error(), "kernel panic: injected") {
 				t.Errorf("error %q does not name its operator and kernel", err)
 			}
-			if eng.ActiveWorkers() != 0 || eng.ActiveQueries() != 0 {
-				t.Errorf("engine not idle: %d workers, %d queries", eng.ActiveWorkers(), eng.ActiveQueries())
+			if ranOn != caller {
+				t.Errorf("the kernel panicked on goroutine %s, the caller is %s", ranOn, caller)
+			}
+			if eng.ActiveQueries() != 0 {
+				t.Errorf("engine not idle: %d queries", eng.ActiveQueries())
+			}
+
+			svc := service.New(xenc.NewStore(), service.Config{})
+			svc.Engine().SetPanicHook(hook())
+			_, err = svc.Query(context.Background(), service.Request{Query: pipelineQuery})
+			if !errors.As(err, &kp) || kp.Value != "injected" {
+				t.Fatalf("service error %v, want a *engine.KernelPanic", err)
+			}
+			resp, err := svc.Query(context.Background(), service.Request{Query: pipelineQuery})
+			if err != nil {
+				t.Fatalf("the next request fails: %v", err)
+			}
+			if resp.Result != want {
+				t.Errorf("the next request answered %q, want %q", resp.Result, want)
 			}
 		})
 	}
 }
 
+// goroutineID is the running goroutine's number, from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	f := strings.Fields(string(buf[:runtime.Stack(buf, false)]))
+	return f[1] // "goroutine N [running]:"
+}
+
 func waitEngineIdle(t *testing.T, eng *engine.Engine) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
-	for eng.ActiveQueries() != 0 || eng.ActiveWorkers() != 0 {
+	for eng.ActiveQueries() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("engine never returned to idle: queries=%d workers=%d", eng.ActiveQueries(), eng.ActiveWorkers())
+			t.Fatalf("engine never returned to idle: %d queries", eng.ActiveQueries())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -38,7 +38,7 @@ type physOut struct {
 	fast bool
 }
 
-// execUnit is one schedulable unit of a physical plan: a single node or
+// execUnit is one execution unit of a physical plan: a single node or
 // a theta join. nd is the node whose output is the unit's — for a theta
 // join its σ or, when its pairs are only counted, its count. The join's
 // other members are not units: its product never exists at all.
@@ -78,24 +78,49 @@ func planUnits(plan *physical.Plan) []execUnit {
 	return units
 }
 
+// execPlan executes the plan's units in topological order on the
+// calling goroutine. A unit's output lands in the result slot of its
+// node's plan position; the slots of a theta join's interior stay empty.
+// The context is polled before every unit and, inside the long-running
+// kernels, every cancelStride rows; the first error ends the run.
+func (e *Engine) execPlan(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
+	results := make([]*bat.View, len(plan.Nodes))
+	if tr != nil {
+		defer fillTraceTables(tr, plan, results)
+	}
+	var in []*bat.View
+	for _, u := range planUnits(plan) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		in = in[:0]
+		for _, c := range u.inputs() {
+			in = append(in, results[c.Pos])
+		}
+		out, err := e.runUnit(ctx, u, in, tr)
+		if err != nil {
+			return nil, err
+		}
+		results[u.nd.Pos] = out
+	}
+	return results[plan.Root.Pos].Materialize(), nil
+}
+
 // runUnit executes one unit over its input views and records its stats.
-// Errors return wrapped with the failing operator's kind. The unit counts
-// as one working scheduler unit while it runs.
-func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Trace, worker int) (*bat.View, error) {
+// Errors return wrapped with the failing operator's kind.
+func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Trace) (*bat.View, error) {
 	if u.theta != nil {
-		return e.execTheta(ctx, u.theta, in, tr, worker)
+		return e.execTheta(ctx, u.theta, in, tr)
 	}
 	if e.onApply != nil {
 		e.onApply(u.nd.Op)
 	}
-	e.sh.working.Add(1)
-	defer e.sh.working.Add(-1)
-	out, st, err := e.runNode(ctx, u.nd, in, tr, worker)
+	out, st, err := e.runNode(ctx, u.nd, in, tr)
 	if err != nil {
 		return nil, err
 	}
 	if tr != nil {
-		tr.recordStat(u.nd.Op, st)
+		tr.Stats[u.nd.Op] = st
 	}
 	return out, nil
 }
@@ -105,13 +130,13 @@ func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Tr
 // member but the last leaves its view with the trace. Each member records
 // an ordinary stat, which stamp (when set) annotates with the member's
 // index — how a demoted theta join says why. The stat passes by value so
-// that it stays off the heap. The caller holds the unit's worker slot.
-func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, tr *Trace, worker int, stamp func(i int, st OpStat) OpStat) (*bat.View, error) {
+// that it stays off the heap.
+func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, tr *Trace, stamp func(i int, st OpStat) OpStat) (*bat.View, error) {
 	for i, nd := range nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out, st, err := e.runNode(ctx, nd, in, tr, worker)
+		out, st, err := e.runNode(ctx, nd, in, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -120,9 +145,9 @@ func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*
 				st = stamp(i, st)
 			}
 			if i < len(nodes)-1 {
-				tr.keepMember(nd.Op, out)
+				tr.members[nd.Op] = out
 			}
-			tr.recordStat(nd.Op, st)
+			tr.Stats[nd.Op] = st
 		}
 		in = []*bat.View{out}
 	}
@@ -134,7 +159,7 @@ func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*
 // the evaluation is traced — the node's stat. Errors return wrapped with
 // the operator's kind; a kernel that panics fails with a *KernelPanic
 // naming the operator and the kernel.
-func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, tr *Trace, worker int) (_ *bat.View, _ OpStat, err error) {
+func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, tr *Trace) (_ *bat.View, _ OpStat, err error) {
 	defer recoverKernel(&err, nd.Op.Kind, nd.Kernel)
 	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
 	if e.panicHook != nil {
@@ -153,8 +178,7 @@ func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View,
 	st := OpStat{
 		//pfvet:allow determinism -- trace wall-time only, not query results
 		Wall: time.Since(start), RowsIn: viewRowsIn(in),
-		RowsOut: out.view.Rows(), Worker: worker,
-		Kernel: out.kernel, RowsMat: out.mat,
+		RowsOut: out.view.Rows(), Kernel: out.kernel, RowsMat: out.mat,
 	}
 	if out.fast {
 		st.Static = nd.Kernel
@@ -189,33 +213,6 @@ func recoverKernel(err *error, op algebra.OpKind, kernel string) {
 	}
 }
 
-// physSequential executes the plan units in topological order on the
-// calling goroutine — the fallback for small plans and single-worker
-// engines.
-func (e *Engine) physSequential(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
-	units := planUnits(plan)
-	results := make(map[*physical.Node]*bat.View, len(plan.Nodes))
-	if tr != nil {
-		defer fillTraceTables(tr, plan, func(nd *physical.Node) *bat.View { return results[nd] })
-	}
-	for _, u := range units {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ins := u.inputs()
-		in := make([]*bat.View, len(ins))
-		for i, c := range ins {
-			in[i] = results[c]
-		}
-		out, err := e.runUnit(ctx, u, in, tr, 0)
-		if err != nil {
-			return nil, err
-		}
-		results[u.nd] = out
-	}
-	return results[plan.Root].Materialize(), nil
-}
-
 func viewRowsIn(in []*bat.View) int {
 	n := 0
 	for _, v := range in {
@@ -228,27 +225,27 @@ func viewRowsIn(in []*bat.View) int {
 // node into the trace — deferred until after execution so trace-mode
 // materialization never distorts the per-kernel RowsMat accounting.
 //
-// Unit interiors have no scheduler slot. The members of a demoted theta
+// Unit interiors have no result slot. The members of a demoted theta
 // join ran one by one and left their views with the trace. The × and ⊛
 // of a theta join the band kernel ran are shown the pairs σ let through,
 // in the columns the unit's consumers demanded; a count-only unit
 // emitted no pairs and has none to show.
-func fillTraceTables(tr *Trace, plan *physical.Plan, viewOf func(*physical.Node) *bat.View) {
+func fillTraceTables(tr *Trace, plan *physical.Plan, results []*bat.View) {
 	for _, nd := range plan.Nodes {
-		if v := viewOf(nd); v != nil {
-			tr.setTable(nd.Op, v.Materialize())
+		if v := results[nd.Pos]; v != nil {
+			tr.Tables[nd.Op] = v.Materialize()
 		}
 	}
 	for op, v := range tr.members {
-		tr.setTable(op, v.Materialize())
+		tr.Tables[op] = v.Materialize()
 	}
 	for _, tj := range plan.ThetaJoins {
 		pairs := tr.Tables[tj.Select.Op]
 		if pairs == nil || tr.Stats[tj.Select.Op].ThetaJoin == 0 {
 			continue // never ran, or ran demoted (members kept above)
 		}
-		tr.setTable(tj.Fun.Op, pairs)
-		tr.setTable(tj.Cross.Op, demandedCols(pairs, tj.Cross.Op.Schema()))
+		tr.Tables[tj.Fun.Op] = pairs
+		tr.Tables[tj.Cross.Op] = demandedCols(pairs, tj.Cross.Op.Schema())
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 func checkEngine(t *testing.T) *Engine {
 	t.Helper()
-	return NewWithConfig(xenc.NewStore(), Config{Workers: 1, Check: true})
+	return NewWithConfig(xenc.NewStore(), Config{Check: true})
 }
 
 func mustTable(t *testing.T, pairs ...any) *bat.Table {

@@ -18,8 +18,8 @@ import (
 
 // TestStreamedReadIsAKernelPanic: a plan that streamed an ε whose nodes a
 // step then reads — what internal/check's stream class rules out — fails
-// its query with a kernel panic naming the streamed fragment, on the
-// sequential path and on the scheduler, instead of reading garbage.
+// its query with a kernel panic naming the streamed fragment instead of
+// reading garbage.
 func TestStreamedReadIsAKernelPanic(t *testing.T) {
 	plan, err := difftest.Compile(`(<a><b/></a>)/b`, xqcore.Options{}, difftest.Optimized)
 	if err != nil {
@@ -32,16 +32,14 @@ func TestStreamedReadIsAKernelPanic(t *testing.T) {
 		}
 		return p
 	}
-	for _, workers := range []int{1, 4} {
-		eng := engine.NewWithConfig(xenc.NewStore(), engine.Config{Workers: workers})
-		if got, err := difftest.OnEngine(eng, physical.Lower)(difftest.Query{Plan: plan}); err != nil || got != "<b/>" {
-			t.Fatalf("workers %d: as lowered the query answers %q, %v", workers, got, err)
-		}
-		_, err := difftest.OnEngine(eng, forced)(difftest.Query{Plan: plan})
-		var kp *engine.KernelPanic
-		if !errors.As(err, &kp) || !strings.Contains(fmt.Sprint(kp.Value), "streamed fragment") {
-			t.Errorf("workers %d: forced streaming fails with %v, want a kernel panic naming a streamed fragment", workers, err)
-		}
+	eng := engine.New(xenc.NewStore())
+	if got, err := difftest.OnEngine(eng, physical.Lower)(difftest.Query{Plan: plan}); err != nil || got != "<b/>" {
+		t.Fatalf("as lowered the query answers %q, %v", got, err)
+	}
+	_, err = difftest.OnEngine(eng, forced)(difftest.Query{Plan: plan})
+	var kp *engine.KernelPanic
+	if !errors.As(err, &kp) || !strings.Contains(fmt.Sprint(kp.Value), "streamed fragment") {
+		t.Errorf("forced streaming fails with %v, want a kernel panic naming a streamed fragment", err)
 	}
 }
 
@@ -51,7 +49,7 @@ func TestStreamedReadIsAKernelPanic(t *testing.T) {
 // the trace of a run reports them.
 func TestStreamBoundary(t *testing.T) {
 	docs := []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}
-	matrix(docs, difftest.Seq, difftest.Par, demoted(8), navdomEval).Run(t, corpus.Cases(corpus.StreamBoundary))
+	matrix(docs, difftest.Seq, demoted, navdomEval).Run(t, corpus.Cases(corpus.StreamBoundary))
 	eng := difftest.LoadEngine(t, difftest.SeqConfig, docs)
 	for _, c := range corpus.StreamBoundary {
 		plan, err := difftest.Compile(c.Query, xqcore.Options{ContextDoc: "r.xml"}, difftest.Optimized)

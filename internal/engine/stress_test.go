@@ -1,17 +1,16 @@
 package engine
 
-// Stress and unit tests for the parallel DAG scheduler: exactly-once
-// memoization over shared subplans (via the onApply hook), wide fan-out
-// plans across worker pool sizes, error propagation out of a failing
-// branch, and mid-operator cancellation of the row loops.
+// Stress and unit tests for the executor: exactly-once memoization over
+// shared subplans (via the onApply hook), the first error ending the
+// run, and cancellation before and inside the row loops. One plan on
+// many goroutines is TestOnePlanManyGoroutines (differential_test.go,
+// which can import the compiler).
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,8 +20,8 @@ import (
 )
 
 // fanOutPlan builds a plan with one shared leaf feeding width independent
-// branches that a union chain folds back together — the widest antichain
-// the scheduler can exploit, with every branch consuming the same subplan.
+// branches that a union chain folds back together, every branch
+// consuming the same subplan.
 func fanOutPlan(t *testing.T, width int) *algebra.Op {
 	t.Helper()
 	shared := must(algebra.RowID(algebra.Lit(bat.MustTable(
@@ -43,80 +42,38 @@ func fanOutPlan(t *testing.T, width int) *algebra.Op {
 	return root
 }
 
-func sumCol(t *testing.T, tb *bat.Table, col string) int64 {
-	t.Helper()
-	v, err := tb.Col(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s int64
-	for i := 0; i < v.Len(); i++ {
-		s += v.ItemAt(i).I
-	}
-	return s
-}
-
 // TestMemoizationExactlyOnce proves each operator of a DAG with shared
-// subplans is applied exactly once per evaluation, on both evaluators.
+// subplans is applied exactly once per evaluation. The subtests set the
+// deprecated Config.Workers that benchmark/inproc.go still writes: it
+// must change nothing.
 func TestMemoizationExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			root := fanOutPlan(t, 16)
 			n := algebra.CountOps(root)
 
-			e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
-			var counts sync.Map // *algebra.Op → *atomic.Int64
-			e.onApply = func(o *algebra.Op) {
-				c, _ := counts.LoadOrStore(o, new(atomic.Int64))
-				c.(*atomic.Int64).Add(1)
-			}
+			e := NewWithConfig(xenc.NewStore(), Config{Workers: workers})
+			counts := map[*algebra.Op]int{}
+			e.onApply = func(o *algebra.Op) { counts[o]++ }
 			if _, err := e.Eval(root); err != nil {
 				t.Fatal(err)
 			}
-			applied := 0
-			counts.Range(func(_, v any) bool {
-				applied++
-				if got := v.(*atomic.Int64).Load(); got != 1 {
+			for _, got := range counts {
+				if got != 1 {
 					t.Errorf("operator applied %d times, want exactly 1", got)
 				}
-				return true
-			})
-			if applied != n {
-				t.Errorf("applied %d distinct operators, plan has %d", applied, n)
+			}
+			if len(counts) != n {
+				t.Errorf("applied %d distinct operators, plan has %d", len(counts), n)
 			}
 		})
 	}
 }
 
-// TestFanOutAcrossPoolSizes checks the wide plan computes the same result
-// for pool sizes 1, 2, and 8.
-func TestFanOutAcrossPoolSizes(t *testing.T) {
-	root := fanOutPlan(t, 32)
-	var want int64
-	for _, workers := range []int{1, 2, 8} {
-		e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
-		out, err := e.Eval(root)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		// 32 branches × 4 rows; Σ(item) = 10 per branch, Σ(c) = 0+..+31.
-		if out.Rows() != 32*4 {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, out.Rows(), 32*4)
-		}
-		got := sumCol(t, out, "v")
-		if workers == 1 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("workers=%d: Σv = %d, sequential said %d", workers, got, want)
-		}
-	}
-}
-
 // TestSchedulerErrorPropagation plants a failing operator (σ over a
-// non-boolean column) inside a wide plan and requires the scheduler to
-// surface the error promptly instead of hanging or panicking.
+// non-boolean column) inside a wide plan: the evaluation fails with σ's
+// error, every unit before it in the plan ran once, and no unit after it
+// ran at all.
 func TestSchedulerErrorPropagation(t *testing.T) {
 	good := fanOutPlan(t, 16)
 	bad := must(algebra.Project(
@@ -126,19 +83,31 @@ func TestSchedulerErrorPropagation(t *testing.T) {
 		"iter", "v"))
 	root := must(algebra.Union(good, bad))
 
-	e := NewWithConfig(xenc.NewStore(), Config{Workers: 8, SeqThreshold: -1})
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Eval(root)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("failing branch produced no error")
+	e := New(xenc.NewStore())
+	plan := e.Lowered(root)
+	failing := -1
+	for i, nd := range plan.Nodes {
+		if nd.Op.Kind == algebra.OpSelect {
+			failing = i
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("scheduler hung on a failing operator")
+	}
+	if failing < 0 || failing == len(plan.Nodes)-1 {
+		t.Fatalf("test premise broken: σ at position %d of %d", failing, len(plan.Nodes))
+	}
+	applied := map[*algebra.Op]int{}
+	e.onApply = func(o *algebra.Op) { applied[o]++ }
+	_, err := e.Eval(root)
+	if err == nil || !strings.Contains(err.Error(), "non-boolean") {
+		t.Fatalf("err = %v, want σ's non-boolean error", err)
+	}
+	for i, nd := range plan.Nodes {
+		want := 0
+		if i <= failing {
+			want = 1
+		}
+		if got := applied[nd.Op]; got != want {
+			t.Errorf("%s at position %d (σ at %d) applied %d times, want %d", nd.Op.Label(), i, failing, got, want)
+		}
 	}
 }
 
@@ -169,74 +138,46 @@ func TestCancellationMidOperator(t *testing.T) {
 		name string
 		root *algebra.Op
 	}{{"×", cross}, {"⊛", compare}} {
-		for _, workers := range []int{1, 8} {
-			e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
-			e.Lowered(c.root) // lowered before the clock starts: cancellation lands in the kernel
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			start := time.Now()
-			go func() {
-				_, err := e.EvalContext(ctx, c.root)
-				done <- err
-			}()
-			time.Sleep(5 * time.Millisecond)
-			cancel()
-			select {
-			case err := <-done:
-				if !errors.Is(err, context.Canceled) {
-					t.Errorf("%s workers=%d: err = %v, want context.Canceled", c.name, workers, err)
-				}
-				// Generous bound: either kernel run to its end takes far longer.
-				if d := time.Since(start); d > 5*time.Second {
-					t.Errorf("%s workers=%d: cancellation took %v", c.name, workers, d)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatalf("%s workers=%d: cancellation never observed", c.name, workers)
+		e := New(xenc.NewStore())
+		e.Lowered(c.root) // lowered before the clock starts: cancellation lands in the kernel
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			_, err := e.EvalContext(ctx, c.root)
+			done <- err
+		}()
+		time.Sleep(5 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: err = %v, want context.Canceled", c.name, err)
 			}
+			// Generous bound: either kernel run to its end takes far longer.
+			if d := time.Since(start); d > 5*time.Second {
+				t.Errorf("%s: cancellation took %v", c.name, d)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: cancellation never observed", c.name)
 		}
 	}
 }
 
 // TestDeadlineExceededSurfaces checks an already-expired context deadline
-// aborts evaluation with context.DeadlineExceeded on the sequential path
-// and on the scheduler.
+// aborts evaluation with context.DeadlineExceeded before any unit runs.
 func TestDeadlineExceededSurfaces(t *testing.T) {
 	root := fanOutPlan(t, 8)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	for _, workers := range []int{1, 8} {
-		e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
-		if _, err := e.EvalContext(ctx, root); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("workers=%d: err = %v, want context.DeadlineExceeded", workers, err)
-		}
+	e := New(xenc.NewStore())
+	ran := 0
+	e.onApply = func(*algebra.Op) { ran++ }
+	if _, err := e.EvalContext(ctx, root); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
-}
-
-// TestSeqThresholdFallback pins the dispatch decision: small plans run
-// sequentially (worker 0), unless the threshold is disabled.
-func TestSeqThresholdFallback(t *testing.T) {
-	small := fanOutPlan(t, 1) // 5 operators, well under DefaultSeqThreshold
-	e := NewWithConfig(xenc.NewStore(), Config{Workers: 8})
-	_, tr, err := e.EvalTrace(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.scheduled {
-		t.Error("small plan went to the parallel scheduler; it should fall back to the sequential path")
-	}
-	for o, st := range tr.Stats {
-		if st.Worker != 0 {
-			t.Errorf("%v ran on worker %d; the sequential path is worker 0", o, st.Worker)
-		}
-	}
-
-	e = NewWithConfig(xenc.NewStore(), Config{Workers: 8, SeqThreshold: -1})
-	_, tr, err = e.EvalTrace(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.scheduled {
-		t.Error("SeqThreshold=-1 did not force the parallel scheduler")
+	if ran != 0 {
+		t.Errorf("%d operators ran past an expired deadline", ran)
 	}
 }
 
@@ -244,8 +185,7 @@ func TestSeqThresholdFallback(t *testing.T) {
 // plausible row counts.
 func TestTraceStats(t *testing.T) {
 	root := fanOutPlan(t, 4)
-	e := NewWithConfig(xenc.NewStore(), Config{Workers: 8, SeqThreshold: -1})
-	out, tr, err := e.EvalTrace(context.Background(), root)
+	out, tr, err := New(xenc.NewStore()).EvalTrace(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,32 +198,5 @@ func TestTraceStats(t *testing.T) {
 	}
 	if st.RowsOut != out.Rows() {
 		t.Errorf("root RowsOut = %d, result has %d rows", st.RowsOut, out.Rows())
-	}
-}
-
-// TestWorkerBudget: the running-unit gauge counts each scheduler unit
-// while its kernel runs — at least that one, never more than the pool —
-// and is back at zero when the evaluation returns.
-func TestWorkerBudget(t *testing.T) {
-	root := fanOutPlan(t, 8)
-	for _, workers := range []int{1, 4} {
-		e := NewWithConfig(xenc.NewStore(), Config{Workers: workers, SeqThreshold: -1})
-		var mu sync.Mutex
-		low, high := int32(1<<30), int32(0)
-		e.panicHook = func() {
-			n := e.sh.working.Load()
-			mu.Lock()
-			low, high = min(low, n), max(high, n)
-			mu.Unlock()
-		}
-		if _, err := e.EvalContext(context.Background(), root); err != nil {
-			t.Fatal(err)
-		}
-		if low < 1 || high > int32(workers) {
-			t.Errorf("workers=%d: %d to %d units counted running during the evaluation", workers, low, high)
-		}
-		if n := e.ActiveWorkers(); n != 0 {
-			t.Errorf("workers=%d: %d units counted running after the evaluation", workers, n)
-		}
 	}
 }

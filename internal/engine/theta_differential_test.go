@@ -8,10 +8,10 @@ package engine_test
 // physical executor with the band kernel live, the same executor forced
 // to run every unit's ×, ⊛, σ one by one, and the navigational baseline.
 // The independent oracle is navdom for results plus each case's wantErr
-// for error text: the forced-demotion run on one worker is only the
-// pivot the other relational legs are compared against, and it shares
-// the physical ×, ⊛, σ kernels with them. The engines run at workers ∈
-// {1, 2, 8} with runtime checking on; the file is part of the -race tier.
+// for error text: the forced-demotion run is only the pivot the band
+// kernel's run is compared against, and it shares the physical ×, ⊛, σ
+// kernels with it. The engines run with runtime checking on; the file is
+// part of the -race tier.
 
 import (
 	"context"
@@ -95,12 +95,9 @@ var thetaCorpus = []thetaCase{
 	               return <n id="{$a/@id}">{count($l)}</n>`, "count:float"),
 }
 
-// thetaEvals are the three executors: the forced-demotion run on one
-// worker (the pivot), the band kernel and the forced demotion at workers
-// 1, 2 and 8, and navdom.
-var thetaEvals = []difftest.Evaluator{
-	demoted(1), scheduled(1), scheduled(2), scheduled(8), demoted(2), demoted(8), navdomEval,
-}
+// thetaEvals are the three executors: the forced-demotion run (the
+// pivot), the band kernel, and navdom.
+var thetaEvals = []difftest.Evaluator{demoted, difftest.Seq, navdomEval}
 
 // thetaPaths evaluates src's optimized plan on e under trace and reports
 // what each of its theta-join units ran as.
@@ -161,30 +158,27 @@ func TestThetaCorpusDifferential(t *testing.T) {
 // pair, Q12's second where clause (a unit too) as pairs.
 func TestXMarkThetaDifferential(t *testing.T) {
 	cases := difftest.XMark(t, 11, 12)
-	// The band kernel meets the goldens in TestXMarkGolden and
-	// TestXMarkParallelDifferential.
-	matrix(difftest.XMarkDocs(), demoted(1), demoted(2), demoted(8), navdomEval).Run(t, cases)
+	// The band kernel meets the goldens in TestXMarkGolden.
+	matrix(difftest.XMarkDocs(), demoted, navdomEval).Run(t, cases)
 	checkThetaLanes(t, difftest.XMarkDocs(), []thetaCase{{cases[0], "count:float"}, {cases[1], "float,count:float"}})
 }
 
-// checkThetaLanes asserts, at workers 1, 2 and 8, that with the band
-// kernel live every theta-join unit of each case's optimized plan runs
-// as the case's lane, and forced onto its members as demoted:forced.
+// checkThetaLanes asserts that with the band kernel live every
+// theta-join unit of each case's optimized plan runs as the case's lane,
+// and forced onto its members as demoted:forced.
 func checkThetaLanes(t *testing.T, docs []difftest.Doc, cases []thetaCase) {
 	t.Helper()
 	opts := xqcore.Options{ContextDoc: docs[0].URI}
-	for _, w := range []int{1, 2, 8} {
-		band := difftest.LoadEngine(t, scheduledConfig(w), docs)
-		demote := difftest.LoadEngine(t, scheduledConfig(w), docs)
-		demote.ForceThetaDemotion()
-		for _, c := range cases {
-			if got := strings.Join(thetaPaths(t, band, c.Query, opts), ","); got != c.lane {
-				t.Errorf("%s workers=%d: theta units ran as %q, want %q", c.Name, w, got, c.lane)
-			}
-			for _, p := range thetaPaths(t, demote, c.Query, opts) {
-				if p != "demoted:forced" {
-					t.Errorf("%s workers=%d: forced-demotion engine ran a unit as %q", c.Name, w, p)
-				}
+	band := difftest.LoadEngine(t, difftest.SeqConfig, docs)
+	demote := difftest.LoadEngine(t, difftest.SeqConfig, docs)
+	demote.ForceThetaDemotion()
+	for _, c := range cases {
+		if got := strings.Join(thetaPaths(t, band, c.Query, opts), ","); got != c.lane {
+			t.Errorf("%s: theta units ran as %q, want %q", c.Name, got, c.lane)
+		}
+		for _, p := range thetaPaths(t, demote, c.Query, opts) {
+			if p != "demoted:forced" {
+				t.Errorf("%s: forced-demotion engine ran a unit as %q", c.Name, p)
 			}
 		}
 	}

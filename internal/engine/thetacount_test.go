@@ -77,8 +77,8 @@ func randCountSide(rng *rand.Rand, prefix, shape string, n int) (t *bat.Table, i
 
 // TestThetaCountMatchesMembers is the property test of the count-only
 // unit: over random key columns of every shape and iteration columns with
-// and without repeats and order, for every inequality, operand order
-// and worker count, the unit's (by, n) table — rows, row
+// and without repeats and order, for every inequality and operand
+// order, the unit's (by, n) table — rows, row
 // order, column types — equals what its six members produce one by one
 // (the forced-demotion engine) and what the reference evaluator computes
 // (refEval), or all three fail with the same text. A unit that declines must give
@@ -90,14 +90,9 @@ func TestThetaCountMatchesMembers(t *testing.T) {
 		label string
 		e     *Engine
 	}
-	var engines []labelled
-	for _, w := range []int{1, 2, 8} {
-		engines = append(engines, labelled{fmt.Sprintf("workers=%d", w),
-			NewWithConfig(xenc.NewStore(), Config{Workers: w, SeqThreshold: -1, Check: true})})
-	}
-	demoted := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, Check: true})
+	demoted := NewWithConfig(xenc.NewStore(), Config{Check: true})
 	demoted.ForceThetaDemotion()
-	engines = append(engines, labelled{"demoted", demoted})
+	engines := []labelled{{"band", NewWithConfig(xenc.NewStore(), Config{Check: true})}, {"demoted", demoted}}
 
 	rng := rand.New(rand.NewSource(20))
 	kernelRuns, reduced, demotions := 0, 0, map[string]int{}

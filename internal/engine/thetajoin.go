@@ -459,7 +459,7 @@ func demandedCols(t *bat.Table, demand []string) *bat.Table {
 // count-only unit, the count read off its bounds) when the key columns
 // admit it, the member kernels otherwise. Errors return pre-wrapped with
 // the failing member's operator kind — callers must not wrap them again.
-func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, tr *Trace, worker int) (_ *bat.View, err error) {
+func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, tr *Trace) (_ *bat.View, err error) {
 	defer recoverKernel(&err, tj.Select.Op.Kind, "theta join")
 	members := tj.Members()
 	if e.onApply != nil {
@@ -467,8 +467,6 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 			e.onApply(nd.Op)
 		}
 	}
-	e.sh.working.Add(1)
-	defer e.sh.working.Add(-1)
 	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
 	reason := e.thetaDemote
 	var out physOut
@@ -490,7 +488,7 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 	if reason != "" {
 		// The reason goes on the first member, so that it is on record
 		// even when a later member fails.
-		return e.replayNodes(ctx, members, in, tr, worker, func(i int, st OpStat) OpStat {
+		return e.replayNodes(ctx, members, in, tr, func(i int, st OpStat) OpStat {
 			if i == 0 {
 				st.Kernel += " (demoted:" + reason + ")"
 			}
@@ -519,18 +517,18 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 			pairs = 0
 		}
 		for i, nd := range members[:len(members)-1] {
-			st := OpStat{RowsIn: pairs, RowsOut: pairs, Worker: worker, Kernel: nd.Kernel, ThetaJoin: tj.ID}
+			st := OpStat{RowsIn: pairs, RowsOut: pairs, Kernel: nd.Kernel, ThetaJoin: tj.ID}
 			if i == 0 {
 				st.RowsIn = rowsIn
 			}
-			tr.recordStat(nd.Op, st)
+			tr.Stats[nd.Op] = st
 		}
-		st := OpStat{Wall: wall, RowsIn: rowsIn, RowsOut: rowsOut, Worker: worker,
+		st := OpStat{Wall: wall, RowsIn: rowsIn, RowsOut: rowsOut,
 			Kernel: out.kernel, RowsMat: out.mat, ThetaJoin: tj.ID}
 		if tj.Count != nil {
 			st.RowsIn = counted
 		}
-		tr.recordStat(tj.Out().Op, st)
+		tr.Stats[tj.Out().Op] = st
 	}
 	return out.view, nil
 }

@@ -133,21 +133,16 @@ func sameTable(a, b *bat.Table) error {
 // over random key columns of every shape, with ties, the theta unit's
 // output — rows, row order, column types — and its error text equal the
 // reference evaluator's evalCross + bat.Compare + σ (refEval), for every
-// operator, operand order and worker count, over identity and selected
+// operator and operand order, over identity and selected
 // views. Half the trials read the unit through a π over some of its
 // columns: the band kernel must then have built exactly those (its
 // Demand), and the projected result must still equal the reference.
 func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 	shapes := []string{"int", "float", "str", "untyped", "words", "numitems", "stritems", "nan", "junk", "bool", "mixed", "numuntyped"}
 	funs := []algebra.FunKind{algebra.FunLt, algebra.FunLe, algebra.FunGt, algebra.FunGe}
-	engines := map[string]*Engine{}
-	for _, w := range []int{1, 2, 8} {
-		engines[fmt.Sprintf("workers=%d", w)] = NewWithConfig(xenc.NewStore(),
-			Config{Workers: w, SeqThreshold: -1, Check: true})
-	}
-	demoted := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, Check: true})
+	demoted := NewWithConfig(xenc.NewStore(), Config{Check: true})
 	demoted.ForceThetaDemotion()
-	engines["demoted"] = demoted
+	engines := map[string]*Engine{"band": NewWithConfig(xenc.NewStore(), Config{Check: true}), "demoted": demoted}
 
 	rng := rand.New(rand.NewSource(12))
 	projRng := rand.New(rand.NewSource(13)) // its own stream: the trials above stay the ones PR 12 pinned
@@ -186,7 +181,7 @@ func TestThetaKernelMatchesCrossFilter(t *testing.T) {
 					t.Fatalf("%s %s: band kernel built %v, consumers read %v", name, label, got, demand)
 				}
 			}
-			if label == "workers=1" {
+			if label == "band" {
 				if st := tr.Stats[cross]; st.ThetaJoin > 0 {
 					kernelRuns++
 					if len(demand) < len(sel.Schema()) {
@@ -232,7 +227,7 @@ func TestThetaWideBand(t *testing.T) {
 	}
 	l := bat.MustTable("lk", lk, "lv", bat.Ramp(0, n), "lkeep", keep)
 	r := bat.MustTable("rk", rk, "rv", bat.Ramp(0, n), "rkeep", keep)
-	e := NewWithConfig(xenc.NewStore(), Config{Workers: 2, SeqThreshold: -1, Check: true})
+	e := NewWithConfig(xenc.NewStore(), Config{Check: true})
 	for _, fun := range []algebra.FunKind{algebra.FunLt, algebra.FunGe} {
 		for _, filtered := range []bool{false, true} {
 			plan := thetaPlan(t, l, r, fun, filtered, false)
@@ -260,7 +255,7 @@ func TestCrossRowLimit(t *testing.T) {
 	r := algebra.Lit(bat.MustTable("b", make(bat.BoolVec, n)))
 	plan := must(algebra.Cross(l, r))
 	want := fmt.Sprintf("cross: cross product of %d × %d rows exceeds the executor's row limit", n, n)
-	_, err := NewWithConfig(xenc.NewStore(), Config{Workers: 1}).Eval(plan)
+	_, err := New(xenc.NewStore()).Eval(plan)
 	if err == nil || err.Error() != want {
 		t.Errorf("err = %v, want %q", err, want)
 	}

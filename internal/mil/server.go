@@ -39,7 +39,7 @@ import (
 // (the protocol is request/response), but connections run concurrently
 // against the shared store — store mutations take the server mutex,
 // query evaluation does not. A connection that drops mid-query cancels
-// that query's context, so its scheduler workers are released promptly.
+// that query's context, so its evaluation stops promptly.
 type Server struct {
 	mu    sync.Mutex // serializes store mutations (LOAD/GEN)
 	store *xenc.Store

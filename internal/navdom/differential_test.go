@@ -9,14 +9,10 @@ import (
 )
 
 var (
-	// engines is every engine configuration of the differential tiers —
-	// the sequential path first, as the pivot, then the scheduler — and
-	// navdom. The evaluators that
-	// need the engine's test hooks run the same lists in the engine's
-	// TestListsThroughHooks.
-	engines = []difftest.Evaluator{
-		difftest.Seq, difftest.Par, difftest.Navdom("navdom"),
-	}
+	// engines is the engine, as the pivot, and navdom. The evaluator
+	// that needs the engine's test hooks runs the same lists in the
+	// engine's TestListsThroughHooks.
+	engines = []difftest.Evaluator{difftest.Seq, difftest.Navdom("navdom")}
 	auction = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 )
 

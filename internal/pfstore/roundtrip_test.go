@@ -7,7 +7,6 @@ package pfstore_test
 // byte-comparing every serialized result.
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -39,20 +38,18 @@ func saveReopen(t testing.TB, store *xenc.Store, name string) *xenc.Store {
 
 // reopened runs each plan on an engine over a store that took the trip
 // shred → Save → Open.
-func reopened(workers int) difftest.Evaluator {
-	return difftest.Evaluator{Name: fmt.Sprintf("reopened workers=%d", workers), Family: difftest.Relational,
-		Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
-			store := difftest.LoadEngine(tb, engine.Config{}, docs).Store
-			e := engine.NewWithConfig(saveReopen(tb, store, "c"), engine.Config{Workers: workers, Check: true})
-			return difftest.OnEngine(e, physical.Lower)
-		}}
-}
+var reopened = difftest.Evaluator{Name: "reopened", Family: difftest.Relational,
+	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
+		store := difftest.LoadEngine(tb, engine.Config{}, docs).Store
+		e := engine.NewWithConfig(saveReopen(tb, store, "c"), difftest.SeqConfig)
+		return difftest.OnEngine(e, physical.Lower)
+	}}
 
 // TestXMarkGoldenAfterReopen: all twenty XMark queries over a reopened
 // store match the pinned goldens byte for byte — the persisted encoding
 // is the same relational data the shredder produced.
 func TestXMarkGoldenAfterReopen(t *testing.T) {
-	m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: []difftest.Evaluator{reopened(4)}}
+	m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: []difftest.Evaluator{reopened}}
 	m.Run(t, difftest.XMark(t))
 }
 
@@ -63,17 +60,17 @@ func TestXMarkGoldenAfterReopen(t *testing.T) {
 func TestDialectCorpusReopenDifferential(t *testing.T) {
 	m := difftest.Matrix{
 		Docs:  []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}},
-		Evals: []difftest.Evaluator{difftest.Engine("fresh", difftest.SeqConfig), reopened(1)},
+		Evals: []difftest.Evaluator{difftest.Engine("fresh", difftest.SeqConfig), reopened},
 	}
 	m.Run(t, difftest.Agree("dialect", corpus.Dialect))
 }
 
-// TestStreamBoundaryReopened: corpus.StreamBoundary over reopened
-// stores, at one and four workers.
+// TestStreamBoundaryReopened: corpus.StreamBoundary over a reopened
+// store.
 func TestStreamBoundaryReopened(t *testing.T) {
 	m := difftest.Matrix{
 		Docs:  []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}},
-		Evals: []difftest.Evaluator{reopened(1), reopened(4)},
+		Evals: []difftest.Evaluator{reopened},
 	}
 	m.Run(t, corpus.Cases(corpus.StreamBoundary))
 }
@@ -83,7 +80,7 @@ func TestStreamBoundaryReopened(t *testing.T) {
 func TestStepPredicatesReopened(t *testing.T) {
 	m := difftest.Matrix{
 		Docs:  []difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}},
-		Evals: []difftest.Evaluator{reopened(4)},
+		Evals: []difftest.Evaluator{reopened},
 	}
 	m.Run(t, corpus.StepPredicates)
 }
@@ -95,7 +92,7 @@ func TestStepPredicatesReopened(t *testing.T) {
 // that needs an emitter.
 func TestSaveSkipsStreamedFragments(t *testing.T) {
 	docs := []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}
-	e := difftest.LoadEngine(t, engine.Config{Workers: 1}, docs)
+	e := difftest.LoadEngine(t, engine.Config{}, docs)
 	plan, err := difftest.Compile(`for $a in /r/a return <e n="{$a/@x}">{$a/text()}</e>`, xqcore.Options{ContextDoc: "r.xml"}, difftest.Optimized)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +119,7 @@ func TestSaveSkipsStreamedFragments(t *testing.T) {
 	if doc, err := r.Doc("later.xml"); err != nil || r.Serialize(doc) != "<l/>" {
 		t.Errorf("later.xml reopens as %v, %v", doc, err)
 	}
-	got, err := difftest.OnEngine(engine.NewWithConfig(r, engine.Config{Workers: 1}), physical.Lower)(difftest.Query{Plan: plan})
+	got, err := difftest.OnEngine(engine.NewWithConfig(r, engine.Config{}), physical.Lower)(difftest.Query{Plan: plan})
 	if err != nil || got != want {
 		t.Errorf("reopened store answers %q, %v; want %q", got, err, want)
 	}

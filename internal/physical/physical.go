@@ -8,8 +8,7 @@
 // is a selection vector over a shared base table, never materialized) or
 // breakers (their output is a standalone table). internal/engine executes
 // the physical plan; the lowering is 1:1 per logical operator, so the
-// engine's DAG memoization and the parallel scheduler carry over
-// unchanged.
+// engine's DAG memoization carries over unchanged.
 package physical
 
 import (
@@ -28,6 +27,7 @@ type Node struct {
 	Op     *algebra.Op
 	In     []*Node
 	Kernel string // statically chosen kernel name
+	Pos    int    // position in Plan.Nodes: the executor's result slot
 
 	// Merge marks a join/semijoin lowered to the merge kernel: both
 	// inputs are statically sorted on the (single) key column.
@@ -73,7 +73,7 @@ type Plan struct {
 
 	// Chains has one element per operator chain the lowering used to
 	// form (countChains). Nothing runs them: every node is its own
-	// scheduler unit.
+	// execution unit.
 	//
 	// Deprecated: benchmark/inproc.go is its last reader; the
 	// benchmark-only change of ROADMAP item 1 deletes the field with it.
@@ -162,7 +162,7 @@ func Lower(root *algebra.Op) *Plan {
 	constructs := false
 	for i, o := range order {
 		nd := &slab[i]
-		nd.Op, nd.Props, nd.In, ins = o, props[i], ins[:len(o.In):len(o.In)], ins[len(o.In):]
+		nd.Op, nd.Props, nd.Pos, nd.In, ins = o, props[i], i, ins[:len(o.In):len(o.In)], ins[len(o.In):]
 		for k, c := range o.In {
 			nd.In[k] = nodes[byOp[c]]
 		}

@@ -63,9 +63,9 @@ func Result(store *xenc.Store, t *bat.Table) (string, error) {
 // four, as many as four cores run Results at once. It is a free list, not
 // a sync.Pool, because a pool keeps a returned buffer in the returning
 // P's private slot, out of reach of a Result that runs on another P — and
-// a query's Result runs on the P of whichever scheduler worker finished
-// last — so with a pool, on a two-CPU host, about every second reply
-// regrew its buffer from nothing.
+// the requests of a service run their Results on whichever P is free —
+// so with a pool, on a two-CPU host, about every second reply regrew its
+// buffer from nothing.
 var freeScratch = make(chan *[]byte, 4)
 
 // maxFreeScratch is the largest buffer the free list keeps: unlike a

@@ -16,17 +16,17 @@ var ErrOverloaded = errors.New("service overloaded: admission queue full")
 // bounds over the shared engine:
 //
 //   - in-flight limit: at most MaxInFlight queries execute concurrently,
-//     so a traffic burst queues instead of oversubscribing the worker
-//     pool (Config.Workers is a *parallelism* budget; admission is the
-//     *concurrency* budget on top of it);
+//     so a traffic burst queues instead of oversubscribing the cores
+//     (each query runs its plan on its own request goroutine, so the
+//     requests are the only parallelism and this bound is its budget);
 //   - heavy cap: at most MaxHeavy queries whose estimated cost classifies
 //     them as heavy run at once, so one XMark q11 per slot cannot occupy
 //     every in-flight slot while a thousand point lookups wait;
 //   - cost gate: the summed EstRows-derived cost of running queries stays
 //     under CostBudget — the memory-estimate gate. A query costlier than
 //     the whole budget is still admitted when the engine is otherwise
-//     idle, so an oversized plan degrades to serial execution instead of
-//     starving forever.
+//     idle, so an oversized plan runs alone instead of starving
+//     forever.
 //
 // Waiters park in arrival order; on every release the queue is scanned in
 // order and every waiter whose bounds now pass is admitted. The scan

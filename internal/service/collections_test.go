@@ -27,10 +27,10 @@ import (
 
 // newCatalogHarness builds a service over an empty default store plus a
 // catalog in dir, with both front doors listening.
-func newCatalogHarness(t testing.TB, workers int, cat *pfstore.Catalog) *harness {
+func newCatalogHarness(t testing.TB, cat *pfstore.Catalog) *harness {
 	t.Helper()
 	return serve(t, service.New(xenc.NewStore(), service.Config{
-		Engine:  engine.Config{Workers: workers, Check: true},
+		Engine:  engine.Config{Check: true},
 		Catalog: cat,
 	}))
 }
@@ -62,7 +62,7 @@ func persistCollection(t testing.TB, dir, name string, docs []difftest.Doc) *pfs
 // path: the serving process never saw the source XML.
 func TestServiceCollectionXMarkGolden(t *testing.T) {
 	reopened, reused := frontDoors("collection", func(t testing.TB, docs []difftest.Doc) *harness {
-		return newCatalogHarness(t, 4, persistCollection(t, t.TempDir(), "xmark", docs))
+		return newCatalogHarness(t, persistCollection(t, t.TempDir(), "xmark", docs))
 	}, "xmark")
 	m := difftest.Matrix{Docs: difftest.XMarkDocs(), Evals: reopened}
 	m.Run(t, difftest.XMark(t))
@@ -77,7 +77,7 @@ func TestCollectionsHTTPLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newCatalogHarness(t, 2, cat)
+	h := newCatalogHarness(t, cat)
 	client := h.httpSrv.Client()
 
 	do := func(method, path string, body string) (int, string) {
@@ -193,7 +193,7 @@ func TestDamagedCollectionIsServerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newCatalogHarness(t, 1, cat)
+	h := newCatalogHarness(t, cat)
 
 	if err := os.WriteFile(filepath.Join(dir, "hurt.pfc"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestPutDuringAttributeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newCatalogHarness(t, 2, cat)
+	h := newCatalogHarness(t, cat)
 
 	doc := `<people><person id="p0" age="30"/><person id="p1" age="40"/></people>`
 	if _, err := h.svc.PutDocument("crowd", "seed.xml", strings.NewReader(doc)); err != nil {

@@ -41,6 +41,10 @@ type harness struct {
 	tcp     *mil.Client // dialled on first use by the tcp-xq door
 }
 
+// newHarness serves docs from a fresh service with both front doors
+// listening. workers sets the deprecated engine.Config.Workers, which
+// nothing reads: the workers=1 and workers=8 subtests below run the same service
+// until the field and its last writer in benchmark/ go (ROADMAP item 1).
 func newHarness(t testing.TB, workers int, docs []difftest.Doc) *harness {
 	t.Helper()
 	store := difftest.LoadEngine(t, engine.Config{}, docs).Store

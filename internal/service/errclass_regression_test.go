@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"pathfinder/internal/engine"
 	"pathfinder/internal/pfstore"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
@@ -31,7 +30,6 @@ func TestCollectionsErrorClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := service.New(xenc.NewStore(), service.Config{
-		Engine:  engine.Config{Workers: 1},
 		Catalog: cat,
 	})
 	if err := os.RemoveAll(dir); err != nil {
@@ -53,7 +51,7 @@ func TestCollectionsErrorClassified(t *testing.T) {
 // TestDrainTimeoutClassified: a drain that outlives its context reports a
 // classified cancellation, and errors.Is still sees the cause.
 func TestDrainTimeoutClassified(t *testing.T) {
-	svc := newSvc(t, service.Config{Engine: engine.Config{Workers: 2}})
+	svc := newSvc(t, service.Config{})
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {

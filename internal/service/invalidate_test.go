@@ -24,7 +24,7 @@ func newCatalogService(t *testing.T) *Service {
 		t.Fatal(err)
 	}
 	return New(xenc.NewStore(), Config{
-		Engine:  engine.Config{Workers: 1, Check: true},
+		Engine:  engine.Config{Check: true},
 		Catalog: cat,
 	})
 }

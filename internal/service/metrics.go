@@ -95,7 +95,6 @@ type Stats struct {
 	ActiveSessions int                   `json:"active_sessions"`
 	TotalSessions  int64                 `json:"total_sessions"`
 	EngineQueries  int64                 `json:"engine_active_queries"`
-	EngineWorkers  int                   `json:"engine_active_workers"`
 	Draining       bool                  `json:"draining"`
 }
 

@@ -2,8 +2,8 @@ package service_test
 
 // Robustness tier: mixed concurrent clients, mid-query disconnects on
 // both transports, server-side timeouts, admission saturation, and drain
-// — each asserting the scheduler returns to idle (no leaked queries or
-// workers) and that later queries still succeed.
+// — each asserting the engine returns to idle (no query left running)
+// and that later queries still succeed.
 
 import (
 	"context"
@@ -21,7 +21,6 @@ import (
 	"pathfinder/internal/bat"
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/difftest"
-	"pathfinder/internal/engine"
 	"pathfinder/internal/mil"
 	"pathfinder/internal/service"
 	"pathfinder/internal/xenc"
@@ -39,13 +38,12 @@ func waitIdle(t *testing.T, svc *service.Service) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if svc.Engine().ActiveQueries() == 0 && svc.Engine().ActiveWorkers() == 0 {
+		if svc.Engine().ActiveQueries() == 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("engine never returned to idle: queries=%d workers=%d",
-		svc.Engine().ActiveQueries(), svc.Engine().ActiveWorkers())
+	t.Fatalf("engine never returned to idle: %d queries", svc.Engine().ActiveQueries())
 }
 
 func newSvc(t *testing.T, cfg service.Config) *service.Service {
@@ -109,10 +107,10 @@ func TestConcurrentMixedClients(t *testing.T) {
 }
 
 // TestServerTimeoutCancelsPromptly: a query past its deadline dies with
-// the documented timeout code, the scheduler drains, and the next query
+// the documented timeout code, the engine goes idle, and the next query
 // succeeds.
 func TestServerTimeoutCancelsPromptly(t *testing.T) {
-	svc := newSvc(t, service.Config{Engine: engine.Config{Workers: 4}})
+	svc := newSvc(t, service.Config{})
 	start := time.Now()
 	_, err := svc.Query(context.Background(), service.Request{
 		Query: slowQuery, ContextDoc: "auction.xml", Timeout: 50 * time.Millisecond,
@@ -203,7 +201,6 @@ func TestTCPDisconnectCancels(t *testing.T) {
 // fires first, the overflow 429.
 func TestAdmissionSaturation(t *testing.T) {
 	svc := newSvc(t, service.Config{
-		Engine:      engine.Config{Workers: 4},
 		MaxInFlight: 1,
 		MaxQueue:    1,
 		HeavyCost:   1 << 40, // classification out of the way: everything light
@@ -253,7 +250,6 @@ func TestAdmissionSaturation(t *testing.T) {
 // guarantee the admission controller exists for.
 func TestLightsBypassQueuedHeavies(t *testing.T) {
 	svc := newSvc(t, service.Config{
-		Engine:      engine.Config{Workers: 4},
 		MaxInFlight: 4,
 		MaxHeavy:    1,
 		MaxQueue:    8,
@@ -312,7 +308,7 @@ func TestLightsBypassQueuedHeavies(t *testing.T) {
 // TestDrainLifecycle: BeginDrain rejects new work with the draining code
 // while letting admitted queries finish; Drain returns once they have.
 func TestDrainLifecycle(t *testing.T) {
-	svc := newSvc(t, service.Config{Engine: engine.Config{Workers: 4}})
+	svc := newSvc(t, service.Config{})
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -345,7 +341,7 @@ func TestDrainLifecycle(t *testing.T) {
 // touched the engine. The race tier runs this under -race.
 func TestDrainRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		svc := newSvc(t, service.Config{Engine: engine.Config{Workers: 2}})
+		svc := newSvc(t, service.Config{})
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for i := 0; i < 8; i++ {

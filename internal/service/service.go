@@ -36,8 +36,8 @@ import (
 // Config sizes the service. The zero value gets sane production defaults
 // from (*Config).withDefaults; tests pin explicit small numbers.
 type Config struct {
-	// Engine is the evaluator configuration (worker pool, runtime
-	// checks); passed through to engine.NewWithConfig.
+	// Engine is the evaluator configuration (runtime checks); passed
+	// through to engine.NewWithConfig.
 	Engine engine.Config
 
 	// Catalog, when set, backs named collections: queries may address
@@ -615,7 +615,6 @@ func (s *Service) Stats() Stats {
 		ActiveSessions: active,
 		TotalSessions:  s.sessTotal.Load(),
 		EngineQueries:  s.eng.ActiveQueries(),
-		EngineWorkers:  s.eng.ActiveWorkers(),
 		Draining:       s.draining.Load(),
 	}
 }

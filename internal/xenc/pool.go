@@ -14,9 +14,8 @@ import "sync"
 // comparisons at query time and reduces storage (the paper's "surrogate
 // sharing").
 //
-// Pools are store-wide and the parallel plan scheduler runs constructor
-// operators (which intern new strings) concurrently with operators that
-// resolve surrogates. Resolution (Get) is the per-node read of
+// Pools are store-wide, and concurrent queries run constructor operators
+// (which intern new strings) while others resolve surrogates. Resolution (Get) is the per-node read of
 // construction, serialization and StringValue, so it takes no lock: strs
 // is an append-only array read through its published header. Interning
 // and lookup by content go through index, a Go map, under mu.

@@ -20,9 +20,8 @@ import (
 // registered, the fragment registry is an append-only array read without
 // a lock (Frag is called once per node by every consumer of node refs),
 // registration and the document table are guarded by mu, and the pools
-// follow the same split. Constructor operators running on parallel
-// scheduler workers therefore append fragments while other workers
-// resolve nodes.
+// follow the same split. Constructor operators of one query therefore
+// append fragments while other queries resolve nodes.
 //
 // A store is either a base store — documents, and whatever is
 // constructed by evaluations bound to it directly — or a scratch view
