@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzStreamedMatchesMaterialized -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzTypedKernelsMatchBoxed -fuzztime 10s
 	$(GO) test ./internal/service -fuzz FuzzNormalizeQuery -fuzztime 10s
+	$(GO) test ./internal/opt -run '^$$' -fuzz FuzzPipelineMatchesReference -fuzztime 10s
 
 # Race tier: the packages with query-time shared state — the engine
 # (internal/engine: one lowered plan run on eight goroutines at once, and

@@ -82,18 +82,3 @@ func TestConsumersEdges(t *testing.T) {
 		t.Errorf("doubly-consumed input has %d edges, want 2", got)
 	}
 }
-
-func TestMaxWidth(t *testing.T) {
-	root, _, _, _ := diamond(t)
-	if got := MaxWidth(root); got != 2 {
-		t.Errorf("diamond MaxWidth = %d, want 2", got)
-	}
-	// A pure chain has width 1.
-	chain, err := Distinct(LitSeq()), error(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := MaxWidth(chain); got != 1 {
-		t.Errorf("chain MaxWidth = %d, want 1", got)
-	}
-}

@@ -2,48 +2,186 @@ package opt
 
 import (
 	"math/bits"
+	"slices"
 
 	"pathfinder/internal/algebra"
 )
 
 // Demand analysis: which output columns of each operator are consumed
-// anywhere downstream — what the normalize pass prunes projections by.
+// anywhere downstream — what projections are pruned by.
 //
 // The demanded set of operator i is a bitset over the positions of its
-// own schema, all sets carved from one word slice. reached[i] records
-// that some consumer registered a demand on i at all — even an empty
-// one: a projection nobody registered anything on is rebuilt unpruned.
+// own schema, all sets carved from one word slice (a rewrite only ever
+// narrows a schema, so an operator keeps its words).
+//
+// A set is pulled from the operator's consumers (the root demands its
+// whole schema). A rewrite marks the operators whose consumers changed
+// dirty, and settle re-pulls them, following a change down to the
+// inputs of whatever changed.
 type demand struct {
-	idx     *planIndex
-	start   []int32
-	words   []uint64
-	reached []bool
+	x     *planIndex
+	start []int32 // operator i's words are words[start[i]:start[i+1]]
+	words []uint64
+	dirty queue
+	old   []uint64
 }
 
-// colSet is one operator's demanded columns, by schema position.
-type colSet struct {
-	words   []uint64
-	reached bool
+func width(o *algebra.Op) int32 { return int32(len(o.Schema())+63) >> 6 }
+
+// newDemand derives the demand of every live operator of x, whose
+// numbering must still be topological.
+func newDemand(x *planIndex) *demand {
+	n := len(x.ops)
+	d := &demand{x: x, start: make([]int32, n+1), dirty: newQueue(n, true)}
+	for i, o := range x.ops {
+		d.start[i+1] = d.start[i] + width(o)
+	}
+	d.words = make([]uint64, d.start[n])
+	for i := int32(n - 1); i >= 0; i-- {
+		if !x.dead[i] {
+			d.pull(i)
+		}
+	}
+	return d
 }
 
-func (s colSet) has(pos int) bool { return s.words[pos>>6]&(1<<(pos&63)) != 0 }
+// grow makes room for the operator just appended to the index.
+func (d *demand) grow() {
+	n := len(d.x.ops)
+	w := width(d.x.ops[n-1])
+	d.start = append(d.start, d.start[n-1]+w)
+	d.words = append(d.words, make([]uint64, w)...)
+	d.dirty.grow()
+}
 
-func (d *demand) of(i int32) colSet {
-	return colSet{words: d.words[d.start[i]:d.start[i+1]], reached: d.reached[i]}
+func (d *demand) of(i int32) []uint64 { return d.words[d.start[i]:d.start[i+1]] }
+
+// has reports that column pos of operator i is demanded.
+func (d *demand) has(i int32, pos int) bool { return d.of(i)[pos>>6]&(1<<(pos&63)) != 0 }
+
+// settle re-pulls the dirty operators; changed sees each whose demand
+// shrank.
+func (d *demand) settle(changed func(i int32)) {
+	for i := d.dirty.pop(); i >= 0; i = d.dirty.pop() {
+		if d.x.dead[i] || !d.pull(i) {
+			continue
+		}
+		for _, c := range d.x.inputs(i) {
+			d.dirty.push(c)
+		}
+		changed(i)
+	}
+}
+
+// pull re-derives operator i's demand from its consumers and reports
+// whether it changed.
+func (d *demand) pull(i int32) bool {
+	w := d.of(i)
+	d.old = append(d.old[:0], w...)
+	clear(w)
+	if i == d.x.top {
+		d.add(i, d.x.ops[i].Schema()...)
+	}
+	for _, p := range d.x.cons[i] {
+		d.from(p, i)
+	}
+	return !slices.Equal(d.old, w)
+}
+
+// from registers on operator i what its consumer p demands of it, on
+// every edge from p to i.
+func (d *demand) from(p, i int32) {
+	o, in := d.x.ops[p], d.x.inputs(p)
+	for k, c := range in {
+		if c != i {
+			continue
+		}
+		switch o.Kind {
+		case algebra.OpProject:
+			// A projection nothing demands a column of still delivers its
+			// rows: it keeps its first pair (prune), whose column it needs.
+			if slices.ContainsFunc(d.of(p), func(w uint64) bool { return w != 0 }) {
+				d.each(p, func(pos int, _ string) { d.add(i, o.Proj[pos].Old) })
+			} else {
+				d.add(i, o.Proj[0].Old)
+			}
+		case algebra.OpSelect:
+			d.pass(p, i, "")
+			d.add(i, o.Col)
+		case algebra.OpUnion:
+			d.pass(p, i, "")
+		case algebra.OpDiff, algebra.OpSemiJoin:
+			if k == 0 {
+				d.pass(p, i, "")
+				d.add(i, o.KeyL...)
+			} else {
+				d.add(i, o.KeyR...)
+			}
+		case algebra.OpJoin, algebra.OpCross:
+			// Each demanded column goes to the input that carries it,
+			// the left one first.
+			l, self := d.x.ops[in[0]], d.x.ops[i]
+			d.each(p, func(pos int, col string) {
+				if l.HasCol(col) == (k == 0) && self.HasCol(col) {
+					d.addAt(i, col, pos)
+				}
+			})
+			if o.Kind == algebra.OpJoin {
+				if k == 0 {
+					d.add(i, o.KeyL...)
+				} else {
+					d.add(i, o.KeyR...)
+				}
+			}
+		case algebra.OpDistinct:
+			// δ is defined over the full schema; every column matters.
+			d.add(i, d.x.ops[i].Schema()...)
+		case algebra.OpRowNum:
+			d.pass(p, i, o.Col)
+			for _, s := range o.Order {
+				d.add(i, s.Col)
+			}
+			if o.Part != "" {
+				d.add(i, o.Part)
+			}
+		case algebra.OpRowID:
+			d.pass(p, i, o.Col)
+		case algebra.OpFun:
+			d.pass(p, i, o.Col)
+			d.add(i, o.Args...)
+		case algebra.OpAggr:
+			if o.Part != "" {
+				d.add(i, o.Part)
+			}
+			d.add(i, o.Args...)
+		case algebra.OpStep, algebra.OpColl, algebra.OpAttrC:
+			d.add(i, "iter", "item")
+		case algebra.OpDoc, algebra.OpRoots, algebra.OpText:
+			d.pass(p, i, "")
+			d.add(i, "iter", "item")
+		case algebra.OpElem:
+			if k > 0 {
+				d.add(i, "iter", "pos", "item")
+			} else if d.add(i, "iter"); o.Skel.Dynamic() {
+				d.add(i, "item")
+			}
+		case algebra.OpRange:
+			d.add(i, "iter")
+			d.add(i, o.KeyL...)
+		}
+	}
 }
 
 // add registers a demand on the named columns of operator i (names i
 // does not carry are nobody's to deliver and fall away).
 func (d *demand) add(i int32, cols ...string) {
-	d.reached[i] = true
 	for _, c := range cols {
 		d.addAt(i, c, 0)
 	}
 }
 
 func (d *demand) addAt(i int32, col string, hint int) {
-	d.reached[i] = true
-	if pos := colPos(d.idx.ops[i].Schema(), col, hint); pos >= 0 {
+	if pos := colPos(d.x.ops[i].Schema(), col, hint); pos >= 0 {
 		d.words[int(d.start[i])+pos>>6] |= 1 << (pos & 63)
 	}
 }
@@ -51,8 +189,8 @@ func (d *demand) addAt(i int32, col string, hint int) {
 // each calls f with the position and name of every demanded column of
 // operator i, in schema order.
 func (d *demand) each(i int32, f func(pos int, col string)) {
-	schema := d.idx.ops[i].Schema()
-	for w, word := range d.of(i).words {
+	schema := d.x.ops[i].Schema()
+	for w, word := range d.of(i) {
 		for ; word != 0; word &= word - 1 {
 			pos := w<<6 + bits.TrailingZeros64(word)
 			f(pos, schema[pos])
@@ -60,15 +198,9 @@ func (d *demand) each(i int32, f func(pos int, col string)) {
 	}
 }
 
-// pass registers on child everything demanded of operator i.
-func (d *demand) pass(i, child int32) {
-	d.reached[child] = true
-	d.each(i, func(pos int, col string) { d.addAt(child, col, pos) })
-}
-
-// passExcept registers on child each demanded column of operator i other
-// than i's own result column.
-func (d *demand) passExcept(i, child int32, own string) {
+// pass registers on child each demanded column of operator i other
+// than i's own result column (none: "").
+func (d *demand) pass(i, child int32, own string) {
 	d.each(i, func(pos int, col string) {
 		if col != own {
 			d.addAt(child, col, pos)
@@ -76,101 +208,27 @@ func (d *demand) passExcept(i, child int32, own string) {
 	})
 }
 
-// split routes each demanded column of the binary operator i to the
-// input that carries it.
-func (d *demand) split(i, l, r int32) {
-	ops := d.idx.ops
-	d.each(i, func(pos int, col string) {
-		if ops[l].HasCol(col) {
-			d.addAt(l, col, pos)
-		} else if ops[r].HasCol(col) {
-			d.addAt(r, col, 0)
-		}
-	})
-}
-
-// demandOf propagates demands over the indexed plan, consumers before
-// inputs, starting from the root's full schema.
-func demandOf(idx *planIndex) *demand {
-	n := len(idx.ops)
-	d := &demand{idx: idx, start: make([]int32, n+1), reached: make([]bool, n)}
-	for i, o := range idx.ops {
-		d.start[i+1] = d.start[i] + int32(len(o.Schema())+63)>>6
-	}
-	d.words = make([]uint64, d.start[n])
-
-	root := int32(n - 1)
-	d.add(root, idx.ops[root].Schema()...)
-
-	for i := root; i >= 0; i-- {
-		o, in := idx.ops[i], idx.inputs(i)
-		switch o.Kind {
-		case algebra.OpProject:
-			need := d.of(i)
-			for pos, p := range o.Proj {
-				if need.has(pos) {
-					d.add(in[0], p.Old)
-				}
-			}
-		case algebra.OpSelect:
-			d.pass(i, in[0])
-			d.add(in[0], o.Col)
-		case algebra.OpUnion:
-			d.pass(i, in[0])
-			d.pass(i, in[1])
-		case algebra.OpDiff, algebra.OpSemiJoin:
-			d.pass(i, in[0])
-			d.add(in[0], o.KeyL...)
-			d.add(in[1], o.KeyR...)
-		case algebra.OpJoin:
-			d.split(i, in[0], in[1])
-			d.add(in[0], o.KeyL...)
-			d.add(in[1], o.KeyR...)
-		case algebra.OpCross:
-			d.split(i, in[0], in[1])
-		case algebra.OpDistinct:
-			// δ is defined over the full schema; every column matters.
-			d.add(in[0], idx.ops[in[0]].Schema()...)
-		case algebra.OpRowNum:
-			d.passExcept(i, in[0], o.Col)
-			for _, s := range o.Order {
-				d.add(in[0], s.Col)
-			}
-			if o.Part != "" {
-				d.add(in[0], o.Part)
-			}
-		case algebra.OpRowID:
-			d.passExcept(i, in[0], o.Col)
-		case algebra.OpFun:
-			d.passExcept(i, in[0], o.Col)
-			d.add(in[0], o.Args...)
-		case algebra.OpAggr:
-			if o.Part != "" {
-				d.add(in[0], o.Part)
-			}
-			d.add(in[0], o.Args...)
-		case algebra.OpStep:
-			d.add(in[0], "iter", "item")
-		case algebra.OpDoc, algebra.OpRoots, algebra.OpText:
-			d.pass(i, in[0])
-			d.add(in[0], "iter", "item")
-		case algebra.OpElem:
-			d.add(in[0], "iter")
-			if o.Skel.Dynamic() {
-				d.add(in[0], "item")
-			}
-			for _, slot := range in[1:] {
-				d.add(slot, "iter", "pos", "item")
-			}
-		case algebra.OpAttrC:
-			d.add(in[0], "iter", "item")
-			d.add(in[1], "iter", "item")
-		case algebra.OpRange:
-			d.add(in[0], "iter")
-			d.add(in[0], o.KeyL...)
-		case algebra.OpColl:
-			d.add(in[0], "iter", "item")
+// prune returns the pairs of π i its consumers demand (keeping at least
+// one: a zero-column relation has no row representation in the engine),
+// or its pairs as they are when it keeps them all.
+func (d *demand) prune(i int32, pairs []algebra.ProjPair) []algebra.ProjPair {
+	kept := 0
+	for pos := range pairs {
+		if d.has(i, pos) {
+			kept++
 		}
 	}
-	return d
+	if kept == len(pairs) {
+		return pairs
+	}
+	if kept == 0 {
+		return pairs[:1]
+	}
+	out := make([]algebra.ProjPair, 0, kept)
+	for pos, p := range pairs {
+		if d.has(i, pos) {
+			out = append(out, p)
+		}
+	}
+	return out
 }

@@ -8,21 +8,14 @@
 // path is numbered once, not once per step — so what the optimizer
 // removes is what only its proofs can.
 //
-// The optimizer is organized as a staged pipeline (pipeline.go): an
-// explicit multi-pass driver runs
-//
-//	normalize → isolate
-//
-// to a fixed point, then cleans up. The passes:
-//
-//   - normalize: common subexpression elimination over the DAG (MIL
-//     variable sharing) and dead column pruning of projections guided
-//     by the demand analysis (demand.go), with the unions that pruning
-//     leaves uneven aligned — plus the local order-property rewrites
-//     (ϱ → mark over presorted input, δ elimination on keyed input).
-//   - isolate: join graph isolation (isolate.go) — removal of numbering
-//     operators that only maintain an order nothing downstream observes,
-//     proven via the derived order/denseness/key properties.
+// The optimizer is a peephole rewriter over one interned DAG
+// (pipeline.go): common subexpression elimination (MIL variable sharing)
+// is an invariant of the working plan, and five local, property-driven
+// rules run from one worklist until none applies: demand pruning of
+// projections (demand.go), union alignment, δ elimination, ϱ → mark,
+// and the splice of join graph isolation (isolate below), proven via
+// the derived order/denseness/key properties (props.go, properties.go)
+// and the order sensitivity (order.go).
 //
 // Order-property exploitation at runtime — recognizing that a ϱ input is
 // already in (partition, order) order and skipping the sort — lives in
@@ -31,176 +24,241 @@
 package opt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"slices"
 
 	"pathfinder/internal/algebra"
-	"pathfinder/internal/bat"
 )
 
-// Optimize rewrites the plan DAG through the staged pipeline and returns
-// the (possibly new) root: Pipeline's plan, without its trace. The input
-// DAG is not mutated, and the result never has more operators than the
-// input: on tiny plans, where the union-alignment projections of the
-// pruning pass can outweigh its savings, the CSE-only plan is returned
-// instead.
-func Optimize(root *algebra.Op) (*algebra.Op, error) {
-	res, err := runPipeline(root, maxRounds, isolate)
-	if err != nil {
-		return nil, err
+// The rules, as the trace counts them.
+const (
+	rulePrune = iota
+	ruleAlign
+	ruleDistinct
+	ruleMark
+	ruleSplice
+	numRules
+)
+
+var ruleNames = [numRules]string{"prune", "align", "δ", "mark", "splice"}
+
+// rewrite applies the local rules to operator i and reports whether one
+// rewrote it. force rebuilds i over its inputs when no rule fires: one
+// of them narrowed its schema.
+func (r *rewriter) rewrite(i int32, force bool) bool {
+	x := r.x
+	o := x.ops[i]
+	in := o.In
+	rule := -1
+	var out *algebra.Op
+	var err error
+	switch o.Kind {
+	case algebra.OpProject:
+		r.need.settle(r.narrowed)
+		pairs := r.need.prune(i, o.Proj)
+		if len(pairs) < len(o.Proj) {
+			rule = rulePrune
+		} else if in[0].Kind != algebra.OpProject && !algebra.IdentityPairs(pairs, in[0].Schema()) {
+			// Pruned as far as demand allows and in normal form — a
+			// splice can leave a π over a π, or over an input whose
+			// schema the π keeps as it is.
+			return false
+		}
+		out, err = algebra.ProjectPairs(in[0], pairs)
+	case algebra.OpUnion:
+		// Pruning may have left the sides with different schemas; align
+		// them on the columns they share.
+		if !sameCols(in[0].Schema(), in[1].Schema()) {
+			rule = ruleAlign
+			out, err = align(in[0], in[1])
+		}
+	case algebra.OpDistinct:
+		// Key-property rewrite: a strict ordering is a key, and sorted
+		// inputs keep duplicates adjacent — so a keyed input has no
+		// duplicate rows and δ is the identity.
+		if r.pr.orderingAt(x.inputs(i)[0]).strict {
+			rule, out = ruleDistinct, in[0]
+		}
+	case algebra.OpRowNum:
+		// Order-property rewrite ([3]): a global ϱ whose input is already
+		// sorted by its order columns is MonetDB's no-cost mark operator.
+		if presorted(o, r.pr.orderingAt(x.inputs(i)[0])) {
+			rule = ruleMark
+			out, err = algebra.RowID(in[0], o.Col)
+		}
 	}
-	return res.Plan, nil
-}
-
-// scratch is what the passes of one pipeline run would otherwise
-// allocate afresh on every call — cse's signature table, literal table
-// and memo — handed from one call to the next. A run owns one; nothing in
-// it outlives the run, and the zero value is ready to use.
-type scratch struct {
-	seed  maphash.Seed
-	canon map[uint64]int32 // signature hash → the last canonical operator with it
-	chain []int32          // canonical operator → the previous one with its hash, or -1
-	lits  map[*bat.Table]int32
-	memo  []int32
-	key   []byte
-	probe []byte
-
-	pr   props      // the property memos of the pass running now
-	grow *planIndex // the growing index normalize's rebuild numbers into
-	walk *planIndex // the index of a DAG about to be handed to cse
-}
-
-// props hands out property memos over idx on the arrays of the previous
-// ones: a pass's memos are dead before the next pass asks for its own
-// (normalize's rebuild, then a round's analysis and isolation).
-func (s *scratch) props(idx *planIndex) *props {
-	memo := slices.Grow(s.pr.memo[:0], len(idx.ops))[:len(idx.ops)]
-	clear(memo)
-	s.pr = props{idx: idx, memo: memo}
-	return &s.pr
-}
-
-// growing hands out an empty growing index on the tables of the previous
-// one.
-func (s *scratch) growing() *planIndex {
-	s.grow = reset(s.grow)
-	return s.grow
-}
-
-// index numbers the DAG rooted at root on the tables of the previous
-// index it numbered. The pipeline walks a DAG only to hand it to cse,
-// after which the walk is dead.
-func (s *scratch) index(root *algebra.Op) *planIndex {
-	s.walk = reset(s.walk)
-	s.walk.num(root)
-	return s.walk
-}
-
-// reset empties a growing index, keeping its tables; nil gets a new one.
-func reset(x *planIndex) *planIndex {
-	if x == nil {
-		return growingIndex(0)
+	if out == nil && err == nil && force {
+		out, err = rebuild(o, in)
 	}
-	clear(x.id)
-	*x = planIndex{ops: x.ops[:0], id: x.id, inStart: x.inStart[:0], in: x.in[:0]}
-	return x
+	if err != nil && r.err == nil {
+		r.err = err
+	}
+	if out == nil || err != nil {
+		return false
+	}
+	if rule >= 0 {
+		r.fired[rule]++
+	}
+	r.install(i, out)
+	return true
 }
 
-// cse shares structurally identical subplans — the rewriting MonetDB gets
-// for free from MIL variable reuse. It emits the index of the DAG it
-// returns: operators are numbered as they become canonical, which is
-// algebra.Topo order of the result because the input is visited in Topo
-// order and a duplicate's whole subplan was made canonical before it.
+// presorted reports that ϱ o numbers input already in its order: one
+// partition, every order key ascending and a prefix of the input's
+// ordering.
+func presorted(o *algebra.Op, in ordering) bool {
+	var buf [4]string
+	key, ok := sortKey(o, buf[:0])
+	return o.Part == "" && ok && hasPrefix(in.cols, key)
+}
+
+// sortKey appends ϱ o's (partition, order) column sequence to buf; ok is
+// false when an order key is descending.
+func sortKey(o *algebra.Op, buf []string) (key []string, ok bool) {
+	if o.Part != "" {
+		buf = append(buf, o.Part)
+	}
+	for _, s := range o.Order {
+		if s.Desc {
+			return nil, false
+		}
+		buf = append(buf, s.Col)
+	}
+	return buf, true
+}
+
+// align projects the sides of a union onto the columns they share.
+func align(l, r *algebra.Op) (*algebra.Op, error) {
+	shared := intersect(l.Schema(), r.Schema())
+	if len(shared) == 0 {
+		return nil, fmt.Errorf("union sides lost all shared columns")
+	}
+	sides := [2]*algebra.Op{l, r}
+	for k, side := range sides {
+		if len(shared) != len(side.Schema()) {
+			var err error
+			if sides[k], err = algebra.Project(side, shared...); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return algebra.Union(sides[0], sides[1])
+}
+
+// rebuild constructs o anew over its inputs in, for the kinds whose
+// schema follows their inputs'; nil for the others, whose schema stays
+// as it is when an input narrows.
+func rebuild(o *algebra.Op, in []*algebra.Op) (*algebra.Op, error) {
+	switch o.Kind {
+	case algebra.OpSelect:
+		return algebra.Select(in[0], o.Col)
+	case algebra.OpUnion:
+		return algebra.Union(in[0], in[1])
+	case algebra.OpDiff:
+		return algebra.Diff(in[0], in[1], o.KeyL, o.KeyR)
+	case algebra.OpDistinct:
+		return algebra.Distinct(in[0]), nil
+	case algebra.OpJoin:
+		return algebra.Join(in[0], in[1], o.KeyL, o.KeyR)
+	case algebra.OpSemiJoin:
+		return algebra.SemiJoin(in[0], in[1], o.KeyL, o.KeyR)
+	case algebra.OpCross:
+		return algebra.Cross(in[0], in[1])
+	case algebra.OpRowNum:
+		return algebra.RowNum(in[0], o.Col, o.Order, o.Part)
+	case algebra.OpRowID:
+		return algebra.RowID(in[0], o.Col)
+	case algebra.OpFun:
+		f, err := algebra.Fun(in[0], o.Col, o.Fun, o.Args...)
+		if err != nil {
+			return nil, err
+		}
+		f.Type, f.TypeName = o.Type, o.TypeName
+		return f, nil
+	case algebra.OpDoc:
+		return algebra.DocOp(in[0])
+	case algebra.OpRoots:
+		return algebra.Roots(in[0])
+	}
+	return nil, nil
+}
+
+// Join graph isolation ("XQuery Join Graph Isolation", Grust, Mayr,
+// Rittinger): remove the numbering operators that only maintain an order
+// nothing can observe. The loop-lifting compiler threads sequence order
+// through ϱ/mark towers defensively — at every step result, every
+// back-map — but once the serializer's (iter, pos) sort and the derived
+// key properties are taken into account, most of those towers contribute
+// nothing except the order of rows that are about to be re-sorted or
+// never compared. What remains after isolation is the query's actual
+// join graph on iter, plus the single order-restoring numbering the
+// result really needs.
 //
-// Operators are looked up by a hash of their signature; every candidate
-// with that hash is confirmed by comparing signatures, so a collision
-// costs a comparison, never a wrong share.
-func (s *scratch) cse(x *planIndex) *planIndex {
-	n := len(x.ops)
-	out := emittedIndex(n)
-	if s.canon == nil {
-		s.seed = maphash.MakeSeed()
-		s.canon = make(map[uint64]int32, n)
-		s.lits = make(map[*bat.Table]int32)
+// The rewrite is deliberately narrow and proof-carrying. isolate splices
+// a ϱ c out from under a projection parent π only where:
+//
+//   - π does not reference c's numbering column (the column is dead on
+//     this edge — all c contributes to π is row order), and
+//   - one of two order proofs holds:
+//     (1) c's input is already sorted by its (partition, order) columns
+//     — the stable sort is the identity, so row order is untouched;
+//     (2) the order-sensitivity analysis (order.go) proves π's output
+//     order is unobservable — reordering is semantically invisible.
+//
+// Splicing only the π edge keeps the rewrite DAG-safe: other parents of
+// c (which may demand the numbering column, or its order) are untouched,
+// and π's schema cannot break because it never mentioned c's column. The
+// towers a splice leaves behind — projections over projections, newly
+// shareable subplans — the local rules and the interning table collapse,
+// which is how whole rownum/map towers disappear, not single operators.
+//
+// isolate splices π down a tower of ϱ as far as the proofs hold, with
+// the order sensitivity re-derived after every splice, and refiles π
+// once at the end: sharing π with an equal projection half way down
+// could make its order matter to a new consumer and stop the splices
+// early. It reports whether it spliced.
+func (r *rewriter) isolate(i int32) bool {
+	x := r.x
+	o := x.ops[i]
+	if o.Kind != algebra.OpProject {
+		return false
 	}
-	clear(s.canon)
-	clear(s.lits)
-	s.chain = s.chain[:0]
-	s.memo = slices.Grow(s.memo[:0], n)[:n] // input number → number of its canonical operator
-	memo := s.memo
-	var buf [2]int32
-	for i, o := range x.ops {
-		ins := buf[:0]
-		changed := false
-		for k, c := range x.inputs(int32(i)) {
-			ins = append(ins, memo[c])
-			if out.ops[memo[c]] != o.In[k] {
-				changed = true
-			}
+	spliced := false
+	for {
+		c := x.inputs(i)[0]
+		num := x.ops[c]
+		if num.Kind != algebra.OpRowNum || referencesCol(o, num.Col) {
+			break
 		}
-		if o.Kind == algebra.OpLit {
-			// Literal tables are shared by identity.
-			j, ok := s.lits[o.Lit]
-			if !ok {
-				j = out.add(o, nil)
-				s.chain = append(s.chain, -1)
-				s.lits[o.Lit] = j
-			}
-			memo[i] = j
-			continue
+		d := x.inputs(c)[0]
+		if !rowNumNoop(num, d, r.pr) && r.sense.matters[i] {
+			break
 		}
-		// Every execution of a constructor makes new nodes: two with the
-		// same inputs are two results, never one — <a/> is <a/> is false.
-		constructs := o.Kind == algebra.OpElem || o.Kind == algebra.OpText || o.Kind == algebra.OpAttrC
-		var h uint64
-		if !constructs {
-			s.key = appendSignature(s.key[:0], o, ins)
-			h = maphash.Bytes(s.seed, s.key)
-			if j := s.canonical(out, h); j >= 0 {
-				memo[i] = j
-				continue
-			}
-		}
-		cur := o
-		if changed {
-			cp := *o
-			cp.In = make([]*algebra.Op, len(ins))
-			for k, c := range ins {
-				cp.In[k] = out.ops[c]
-			}
-			cur = &cp
-		}
-		j := out.add(cur, ins)
-		memo[i] = j
-		if constructs {
-			s.chain = append(s.chain, -1)
-			continue
-		}
-		prev, ok := s.canon[h]
-		if !ok {
-			prev = -1
-		}
-		s.chain = append(s.chain, prev)
-		s.canon[h] = j
+		r.fired[ruleSplice]++
+		r.relink(i, []int32{d})
+		r.touched(i)
+		r.sense.settle(r.splice.push)
+		spliced = true
 	}
-	return out
+	if spliced {
+		r.refile(i)
+	}
+	return spliced
 }
 
-// canonical returns the canonical operator of out whose signature is
-// s.key (hashed to h), or -1.
-func (s *scratch) canonical(out *planIndex, h uint64) int32 {
-	j, ok := s.canon[h]
-	for ok && j >= 0 {
-		s.probe = appendSignature(s.probe[:0], out.ops[j], out.inputs(j))
-		if bytes.Equal(s.probe, s.key) {
-			return j
-		}
-		j = s.chain[j]
-	}
-	return -1
+func referencesCol(proj *algebra.Op, col string) bool {
+	return slices.ContainsFunc(proj.Proj, func(p algebra.ProjPair) bool { return p.Old == col })
+}
+
+// rowNumNoop proves ϱ's stable sort is the identity on its input d:
+// every order key ascending and the input already sorted by the
+// (partition, order) column sequence (or dense in the single-column
+// case).
+func rowNumNoop(o *algebra.Op, d int32, pr *props) bool {
+	var buf [4]string
+	key, ok := sortKey(o, buf[:0])
+	return ok && pr.sortedOn(d, key)
 }
 
 // appendSignature appends an operator's identity to key: kind, the
@@ -258,185 +316,6 @@ func appendSignature(key []byte, o *algebra.Op, ins []int32) []byte {
 		str(o.Test.Name)
 	}
 	return key
-}
-
-// pruneAndFuse runs the demand analysis and rebuilds the DAG with pruned
-// and fused projections.
-func pruneAndFuse(x *planIndex, s *scratch) (*algebra.Op, error) {
-	needed := demandOf(x)
-
-	// Rebuild bottom-up with pruned projections, fused π∘π chains, and
-	// order-property rewrites. The rewrites consult the properties of
-	// operators of the DAG under construction, which has no index yet:
-	// pr numbers the ones it is asked about.
-	memo := make([]*algebra.Op, len(x.ops))
-	pr := s.props(s.growing())
-	var buf [2]*algebra.Op
-	for i, o := range x.ops {
-		children := buf[:0]
-		for _, c := range x.inputs(int32(i)) {
-			children = append(children, memo[c])
-		}
-		out, err := rebuildOp(o, children, needed.of(int32(i)), pr)
-		if err != nil {
-			return nil, err
-		}
-		memo[i] = out
-	}
-	return memo[len(memo)-1], nil
-}
-
-// rebuildOp rebuilds operator o over its rebuilt inputs in, applying the
-// normalize rewrites. An operator whose inputs came back unchanged and
-// that no rewrite touches is handed back as it is: rebuilding it would
-// construct an identical operator.
-func rebuildOp(o *algebra.Op, in []*algebra.Op, need colSet, pr *props) (*algebra.Op, error) {
-	same := true
-	for k, c := range in {
-		same = same && c == o.In[k]
-	}
-	switch o.Kind {
-	case algebra.OpLit:
-		return o, nil
-	case algebra.OpProject:
-		return rebuildProject(o, in[0], need, same)
-	case algebra.OpUnion:
-		l, r := in[0], in[1]
-		// Pruning may have left the sides with different schemas; align
-		// them on the intersection demanded from the union.
-		if !sameCols(l.Schema(), r.Schema()) {
-			shared := intersect(l.Schema(), r.Schema())
-			if len(shared) == 0 {
-				return nil, fmt.Errorf("union sides lost all shared columns")
-			}
-			var err error
-			if len(shared) != len(l.Schema()) {
-				if l, err = algebra.Project(l, shared...); err != nil {
-					return nil, err
-				}
-			}
-			if len(shared) != len(r.Schema()) {
-				if r, err = algebra.Project(r, shared...); err != nil {
-					return nil, err
-				}
-			}
-		} else if same {
-			return o, nil
-		}
-		return algebra.Union(l, r)
-	case algebra.OpDistinct:
-		// Key-property rewrite: a strict ordering is a key, and sorted
-		// inputs keep duplicates adjacent — so a keyed input has no
-		// duplicate rows and δ is the identity.
-		if pr.orderingOf(in[0]).strict {
-			return in[0], nil
-		}
-	case algebra.OpRowNum:
-		// Order-property rewrite ([3]): a global ϱ whose input is already
-		// sorted by its order columns is MonetDB's no-cost mark operator.
-		if o.Part == "" {
-			ascending := true
-			cols := make([]string, 0, len(o.Order))
-			for _, s := range o.Order {
-				if s.Desc {
-					ascending = false
-					break
-				}
-				cols = append(cols, s.Col)
-			}
-			if ascending && hasPrefix(pr.orderingOf(in[0]).cols, cols) {
-				return algebra.RowID(in[0], o.Col)
-			}
-		}
-	}
-	if same {
-		return o, nil
-	}
-	switch o.Kind {
-	case algebra.OpSelect:
-		return algebra.Select(in[0], o.Col)
-	case algebra.OpDiff:
-		return algebra.Diff(in[0], in[1], o.KeyL, o.KeyR)
-	case algebra.OpDistinct:
-		return algebra.Distinct(in[0]), nil
-	case algebra.OpJoin:
-		return algebra.Join(in[0], in[1], o.KeyL, o.KeyR)
-	case algebra.OpSemiJoin:
-		return algebra.SemiJoin(in[0], in[1], o.KeyL, o.KeyR)
-	case algebra.OpCross:
-		return algebra.Cross(in[0], in[1])
-	case algebra.OpRowNum:
-		return algebra.RowNum(in[0], o.Col, o.Order, o.Part)
-	case algebra.OpRowID:
-		return algebra.RowID(in[0], o.Col)
-	case algebra.OpFun:
-		f, err := algebra.Fun(in[0], o.Col, o.Fun, o.Args...)
-		if err != nil {
-			return nil, err
-		}
-		f.Type, f.TypeName = o.Type, o.TypeName
-		return f, nil
-	case algebra.OpAggr:
-		arg := ""
-		if len(o.Args) > 0 {
-			arg = o.Args[0]
-		}
-		a, err := algebra.Aggr(in[0], o.Col, o.Agg, arg, o.Part)
-		if err != nil {
-			return nil, err
-		}
-		a.Sep = o.Sep
-		return a, nil
-	case algebra.OpStep:
-		return algebra.Step(in[0], o.Axis, o.Test)
-	case algebra.OpDoc:
-		return algebra.DocOp(in[0])
-	case algebra.OpRoots:
-		return algebra.Roots(in[0])
-	case algebra.OpElem:
-		return algebra.ElemSkel(in[0], o.Skel, in[1:]...)
-	case algebra.OpText:
-		return algebra.Text(in[0])
-	case algebra.OpAttrC:
-		return algebra.AttrC(in[0], in[1])
-	case algebra.OpRange:
-		return algebra.Range(in[0], o.KeyL[0], o.KeyL[1])
-	case algebra.OpColl:
-		return algebra.CollOp(in[0])
-	}
-	return nil, fmt.Errorf("unknown operator %s", o.Kind)
-}
-
-// rebuildProject prunes the undemanded columns of π o (keeping at least
-// one: a zero-column relation has no row representation in the engine).
-// algebra.ProjectPairs puts what is left in normal form over child.
-func rebuildProject(o, child *algebra.Op, need colSet, same bool) (*algebra.Op, error) {
-	pairs := o.Proj
-	if need.reached {
-		kept := 0
-		for pos := range o.Proj {
-			if need.has(pos) {
-				kept++
-			}
-		}
-		if kept < len(o.Proj) {
-			pairs = make([]algebra.ProjPair, 0, max(kept, 1))
-			for pos, p := range o.Proj {
-				if need.has(pos) {
-					pairs = append(pairs, p)
-				}
-			}
-			if len(pairs) == 0 {
-				pairs = append(pairs, o.Proj[0])
-			}
-		}
-	}
-	// An isolation splice (isolate.go) can leave o over a π, or keeping
-	// its new input as it is: o is then rebuilt into normal form.
-	if same && len(pairs) == len(o.Proj) && child.Kind != algebra.OpProject && !algebra.IdentityPairs(pairs, child.Schema()) {
-		return o, nil
-	}
-	return algebra.ProjectPairs(child, pairs)
 }
 
 func sameCols(a, b []string) bool {

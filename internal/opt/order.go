@@ -28,38 +28,39 @@ import (
 //     sequence-sensitive aggregates (string-join; sum/avg accumulate
 //     floats in row order).
 //
-// The verdicts are one slice over the pass's plan index, evaluated by
-// pulling: an operator's order matters when any consumer says so for the
-// edge between them (observes). That makes them maintainable under the
-// isolation pass's splices — rederive re-pulls just the operators whose
-// consumers or consumers' properties changed, and follows a change
-// downwards only as far as it actually flips a verdict.
+// The verdicts are pulled: an operator's order matters when any consumer
+// says so for the edge between them (observes), so settle re-pulls just
+// the operators whose consumers or consumers' properties changed, and
+// follows a change downwards only as far as it flips a verdict.
 // matters[i] == false is a proof that reordering i's output rows cannot
 // change the query result (nor any constructed node identity).
 type orderSense struct {
 	idx     *planIndex
 	pr      *props
 	matters []bool
-
-	// Worklist of rederive: operator numbers, highest first.
-	queue  []int32
-	queued []bool
+	dirty   queue // operators to re-pull, highest number first
 }
 
-// newOrderSense derives the sensitivity of every operator of the indexed
-// plan (consumer lists built), consulting pr for orderings and denseness.
+// newOrderSense marks every operator of the indexed plan (consumer lists
+// built) for settle to derive.
 func newOrderSense(idx *planIndex, pr *props) *orderSense {
 	n := len(idx.ops)
-	s := &orderSense{idx: idx, pr: pr, matters: make([]bool, n), queued: make([]bool, n)}
+	s := &orderSense{idx: idx, pr: pr, matters: make([]bool, n), dirty: newQueue(n, true)}
 	for i := int32(n - 1); i >= 0; i-- {
-		s.matters[i] = s.pull(i)
+		s.dirty.push(i)
 	}
 	return s
 }
 
+// grow makes room for the operator just appended to the index.
+func (s *orderSense) grow() {
+	s.matters = append(s.matters, false)
+	s.dirty.grow()
+}
+
 // pull evaluates operator i from its consumers' current verdicts.
 func (s *orderSense) pull(i int32) bool {
-	if int(i) == len(s.idx.ops)-1 {
+	if i == s.idx.top {
 		// The root: the serializer's (iter, pos) sort hides row order
 		// exactly when that sort key has no ties.
 		return !s.valueDetermined(i)
@@ -127,76 +128,27 @@ func (s *orderSense) observes(p, x int32) bool {
 	return true
 }
 
-// rederive brings the verdicts up to date after a splice: dirty lists
-// the operators whose consumers, or whose consumers' derived properties,
-// changed. Operators are re-pulled highest number first (consumers
-// before inputs), and a verdict that flips makes the operator's inputs
-// dirty in turn. It returns the lowest-numbered operator whose order
-// stopped mattering (len(ops) if none did) — the isolation scan resumes
-// there.
-func (s *orderSense) rederive(dirty []int32) int32 {
-	for _, i := range dirty {
-		s.enqueue(i)
-	}
-	lowest := int32(len(s.idx.ops))
-	for len(s.queue) > 0 {
-		i := s.dequeue()
+// settle re-pulls the dirty operators, highest number first (consumers
+// before inputs wherever the numbering is topological); a verdict that
+// flips makes the operator's inputs dirty in turn. off sees each
+// operator whose order stopped mattering.
+func (s *orderSense) settle(off func(i int32)) {
+	for i := s.dirty.pop(); i >= 0; i = s.dirty.pop() {
+		if s.idx.dead[i] {
+			continue
+		}
 		v := s.pull(i)
 		if v == s.matters[i] {
 			continue
 		}
 		s.matters[i] = v
-		if !v && i < lowest {
-			lowest = i
+		if !v {
+			off(i)
 		}
 		for _, c := range s.idx.inputs(i) {
-			s.enqueue(c)
+			s.dirty.push(c)
 		}
 	}
-	return lowest
-}
-
-// enqueue and dequeue keep queue a max-heap of operator numbers.
-func (s *orderSense) enqueue(i int32) {
-	if s.queued[i] || s.idx.dead[i] {
-		return
-	}
-	s.queued[i] = true
-	q := append(s.queue, i)
-	for k := len(q) - 1; k > 0; {
-		up := (k - 1) / 2
-		if q[up] >= q[k] {
-			break
-		}
-		q[up], q[k] = q[k], q[up]
-		k = up
-	}
-	s.queue = q
-}
-
-func (s *orderSense) dequeue() int32 {
-	q := s.queue
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	for k := 0; ; {
-		big := k
-		if l := 2*k + 1; l < last && q[l] > q[big] {
-			big = l
-		}
-		if r := 2*k + 2; r < last && q[r] > q[big] {
-			big = r
-		}
-		if big == k {
-			break
-		}
-		q[k], q[big] = q[big], q[k]
-		k = big
-	}
-	s.queue = q
-	s.queued[top] = false
-	return top
 }
 
 // valueDetermined reports that sorting operator i's rows by (iter, pos)

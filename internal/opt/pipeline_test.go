@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -48,8 +49,9 @@ func TestPipelineBeatsPeephole(t *testing.T) {
 	}
 }
 
-// TestPipelineTrace asserts the per-pass trace names every pass and
-// reports consistent operator counts.
+// TestPipelineTrace asserts the trace is one worklist pass and one
+// cleanup, with consistent operator counts and the per-rule counts
+// adding up to the pass's rewrites.
 func TestPipelineTrace(t *testing.T) {
 	plan, _, err := core.CompileQuery(xmark.Query(8), xqcore.Options{ContextDoc: "xmark.xml"})
 	if err != nil {
@@ -59,20 +61,30 @@ func TestPipelineTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
+	if len(res.Trace) != 2 || res.Trace[0].Pass != "rewrite" || res.Trace[0].Round != 1 ||
+		res.Trace[1].Pass != "cleanup" || res.Trace[1].Round != 0 {
+		t.Fatalf("trace is not one worklist pass and one cleanup:\n%s", res.TraceString())
+	}
 	for _, s := range res.Trace {
-		seen[s.Pass] = true
 		if s.OpsOut > s.OpsIn {
-			t.Errorf("pass %s (round %d) grew the plan %d -> %d", s.Pass, s.Round, s.OpsIn, s.OpsOut)
+			t.Errorf("pass %s grew the plan %d -> %d", s.Pass, s.OpsIn, s.OpsOut)
 		}
 	}
-	for _, pass := range []string{"normalize", "isolate", "cleanup"} {
-		if !seen[pass] {
-			t.Errorf("trace has no %q pass", pass)
+	w := res.Trace[0]
+	sum := 0
+	for _, part := range strings.Split(w.Note, ", ") {
+		var rule string
+		var n int
+		if _, err := fmt.Sscanf(part, "%s %d", &rule, &n); err != nil {
+			t.Fatalf("note %q: %v", w.Note, err)
 		}
+		sum += n
+	}
+	if w.Rewrites == 0 || sum != w.Rewrites {
+		t.Errorf("note %q counts %d rewrites, the pass %d", w.Note, sum, w.Rewrites)
 	}
 	ts := res.TraceString()
-	if !strings.Contains(ts, "isolate") || !strings.Contains(ts, "round final") {
+	if !strings.Contains(ts, "round 1     rewrite") || !strings.Contains(ts, "round final cleanup") {
 		t.Errorf("TraceString missing expected lines:\n%s", ts)
 	}
 	if last := res.Trace[len(res.Trace)-1]; last.OpsOut != algebra.CountOps(res.Plan) {

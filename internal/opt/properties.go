@@ -60,7 +60,7 @@ func Properties(root *algebra.Op) map[*algebra.Op]Props {
 // order and props[i] belongs to ops[i] — the form the physical lowering
 // consumes, which creates its nodes in that order.
 func PlanProperties(root *algebra.Op) (ops []*algebra.Op, props []Props) {
-	p := newProps(newPlanIndex(root, 0))
+	p := newProps(newPlanIndex(root))
 	props = make([]Props, len(p.idx.ops))
 	for i := range props {
 		props[i] = p.propsAt(int32(i))
@@ -68,90 +68,9 @@ func PlanProperties(root *algebra.Op) (ops []*algebra.Op, props []Props) {
 	return p.idx.ops, props
 }
 
-// PropertyEngine is the invalidation-aware home of the property memos.
-// Property derivation memoizes per operator; a rewrite that swaps an
-// operator's input silently invalidates the memoized claims of every
-// ancestor. Callers that mutate a DAG in place must call Invalidate
-// with the changed operators before trusting any further
-// PropsOf/Snapshot answers — otherwise stale order or denseness claims
-// leak into lowering, where internal/check rejects them. (The isolation
-// pass keeps its own memos over the pass's plan index and invalidates
-// them per splice through the consumer lists; see isolate.go.)
-type PropertyEngine struct {
-	p *props
-}
-
-// NewPropertyEngine returns an engine with empty memos.
-func NewPropertyEngine() *PropertyEngine {
-	return &PropertyEngine{p: newProps(growingIndex(0))}
-}
-
-// PropsOf derives (and memoizes) the properties of a single operator.
-func (e *PropertyEngine) PropsOf(o *algebra.Op) Props {
-	return e.p.propsAt(e.p.at(o))
-}
-
 func (p *props) propsAt(i int32) Props {
 	ord := p.orderingAt(i)
 	return Props{Sorted: ord.cols, Strict: ord.strict, Dense: p.denseAt(i)}
-}
-
-// Snapshot derives properties for every operator of the DAG rooted at
-// root. The snapshot is a plain map: it does NOT track later mutations —
-// after an in-place rewrite, call Invalidate and re-Snapshot.
-func (e *PropertyEngine) Snapshot(root *algebra.Op) map[*algebra.Op]Props {
-	order := algebra.Topo(root)
-	out := make(map[*algebra.Op]Props, len(order))
-	for _, o := range order {
-		out[o] = e.PropsOf(o)
-	}
-	return out
-}
-
-// Invalidate drops the memoized properties of every changed operator and
-// of every operator reachable from root that lies above one — their
-// derivations may have depended on the old inputs. The changed
-// operators' input edges are read afresh.
-func (e *PropertyEngine) Invalidate(root *algebra.Op, changed ...*algebra.Op) {
-	x := e.p.idx
-	var dirty []int32
-	for _, o := range changed {
-		i, known := x.id[o]
-		if !known {
-			continue // never derived: nothing memoized at or above it
-		}
-		// The engine numbered o under its old inputs.
-		x.inStart[i] = int32(len(x.in))
-		for _, in := range o.In {
-			x.in = append(x.in, e.p.at(in))
-		}
-		dirty = append(dirty, i)
-	}
-	r, known := x.id[root]
-	if !known {
-		return
-	}
-	const clean, tainted = 1, 2
-	state := make([]int8, len(x.ops))
-	for _, i := range dirty {
-		state[i] = tainted
-	}
-	var visit func(i int32) bool
-	visit = func(i int32) bool {
-		if state[i] == 0 {
-			state[i] = clean
-			for _, c := range x.inputs(i) {
-				if visit(c) {
-					state[i] = tainted
-				}
-			}
-		}
-		if state[i] == tainted {
-			e.p.drop(i)
-		}
-		return state[i] == tainted
-	}
-	visit(r)
 }
 
 func (p *props) denseAt(i int32) []string {

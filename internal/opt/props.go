@@ -22,10 +22,7 @@ type ordering struct {
 }
 
 // props memoizes the order and denseness inference per operator, in
-// slices over a planIndex's numbering. Passes that own an index ask by
-// number (orderingAt, denseAt); callers that hold operator pointers
-// (the property engine, the rebuild of the normalize pass) go through
-// at/orderingOf, which number the operator first.
+// slices over a planIndex's numbering.
 type props struct {
 	idx  *planIndex
 	memo []propMemo
@@ -42,20 +39,11 @@ func newProps(idx *planIndex) *props {
 	return &props{idx: idx, memo: make([]propMemo, len(idx.ops), cap(idx.ops))}
 }
 
-// at numbers o in the (growing) index and makes room for what it
-// numbered on the way.
-func (p *props) at(o *algebra.Op) int32 {
-	i := p.idx.num(o)
-	for len(p.memo) < len(p.idx.ops) {
-		p.memo = append(p.memo, propMemo{})
-	}
-	return i
-}
-
-func (p *props) orderingOf(o *algebra.Op) ordering { return p.orderingAt(p.at(o)) }
-
 // drop forgets what was derived for operator i.
 func (p *props) drop(i int32) { p.memo[i] = propMemo{} }
+
+// derived reports that something was derived for operator i.
+func (p *props) derived(i int32) bool { return p.memo[i].ordOK || p.memo[i].denseOK }
 
 // sortedOn reports whether operator i's output is guaranteed sorted
 // with cols as a prefix — either via the ordering inference or, for a

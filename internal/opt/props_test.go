@@ -17,33 +17,15 @@ func mustOp(o *algebra.Op, err error) *algebra.Op {
 
 func sortedPrefix(p *props, o *algebra.Op) []string { return p.orderingOf(o).cols }
 
-// cseRoot runs cse over a freshly indexed DAG and checks that the index
-// it emits is the result's algebra.Topo numbering.
+// cseRoot interns a DAG as the pipeline's entry walk does and checks
+// the index against a fresh walk of the result.
 func cseRoot(t *testing.T, root *algebra.Op) *algebra.Op {
 	t.Helper()
-	out := new(scratch).cse(newPlanIndex(root, 0))
-	assertTopoIndex(t, out)
-	return out.root()
-}
-
-// assertTopoIndex checks an index against a fresh walk of its DAG: the
-// numbering is algebra.Topo order and the input numbers match In.
-func assertTopoIndex(t testing.TB, x *planIndex) {
-	t.Helper()
-	order := algebra.Topo(x.root())
-	if len(order) != len(x.ops) || x.live() != len(order) {
-		t.Fatalf("index numbers %d operators (%d live), DAG has %d", len(x.ops), x.live(), len(order))
+	r := enter(root)
+	if live, n := r.x.live(), algebra.CountOps(r.x.root()); live != n {
+		t.Fatalf("index counts %d live operators, the DAG has %d", live, n)
 	}
-	for i, o := range order {
-		if x.ops[i] != o {
-			t.Fatalf("index position %d is not Topo position %d", i, i)
-		}
-		for k, c := range x.inputs(int32(i)) {
-			if x.ops[c] != o.In[k] {
-				t.Fatalf("operator %d: input %d numbered %d, which is a different operator", i, k, c)
-			}
-		}
-	}
+	return r.x.root()
 }
 
 func TestLitSortedPrefix(t *testing.T) {
@@ -166,36 +148,36 @@ func TestCSESharesIdenticalSubplans(t *testing.T) {
 	}
 }
 
-// TestCSEConfirmsHashHits: cse looks operators up by a hash of their
-// signature and shares only what the signatures confirm, so a collision —
-// here, two distinct selections filed under one hash — costs a
-// comparison, never a wrong share; and an operator further down a
-// collision chain is still found.
+// TestCSEConfirmsHashHits: the interning table looks operators up by a
+// hash of their signature and shares only what the signatures confirm,
+// so a collision — here, two distinct selections filed under one hash —
+// costs a comparison, never a wrong share; and an operator further down
+// a collision chain is still found.
 func TestCSEConfirmsHashHits(t *testing.T) {
 	lit := algebra.Lit(bat.MustTable("a", bat.BoolVec{true}, "b", bat.BoolVec{false}))
 	sa := mustOp(algebra.Select(lit, "a"))
 	sb := mustOp(algebra.Select(lit, "b"))
 	root := mustOp(algebra.Union(sa, sb))
-	s := new(scratch)
-	out := s.cse(newPlanIndex(root, 0))
+	r := enter(root)
+	x := r.x
 	ja, jb := int32(1), int32(2)
-	if out.ops[ja].Col != "a" || out.ops[jb].Col != "b" {
-		t.Fatalf("unexpected numbering: %v", out.ops)
+	if x.ops[ja].Col != "a" || x.ops[jb].Col != "b" {
+		t.Fatalf("unexpected numbering: %v", x.ops)
 	}
-	sig := func(j int32) []byte { return appendSignature(nil, out.ops[j], out.inputs(j)) }
+	sig := func(j int32) []byte { return appendSignature(nil, x.ops[j], x.inputs(j)) }
 	const h = 42
 	// b is filed under h with a behind it on the chain.
-	s.canon[h], s.chain[jb], s.chain[ja] = jb, ja, -1
-	s.key = sig(ja)
-	if got := s.canonical(out, h); got != ja {
-		t.Errorf("a behind b on one hash: canonical = %d, want %d", got, ja)
+	r.canon[h], r.slots[jb].chain, r.slots[ja].chain = jb, ja, -1
+	r.key = sig(ja)
+	if got := r.lookup(h); got != ja {
+		t.Errorf("a behind b on one hash: lookup = %d, want %d", got, ja)
 	}
-	s.chain[jb] = -1
-	if got := s.canonical(out, h); got != -1 {
-		t.Errorf("a's signature under b's hash: canonical = %d, want -1 (no share)", got)
+	r.slots[jb].chain = -1
+	if got := r.lookup(h); got != -1 {
+		t.Errorf("a's signature under b's hash: lookup = %d, want -1 (no share)", got)
 	}
-	s.key = sig(jb)
-	if got := s.canonical(out, h); got != jb {
-		t.Errorf("b under its hash: canonical = %d, want %d", got, jb)
+	r.key = sig(jb)
+	if got := r.lookup(h); got != jb {
+		t.Errorf("b under its hash: lookup = %d, want %d", got, jb)
 	}
 }
