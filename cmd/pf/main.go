@@ -133,7 +133,10 @@ func main() {
 		fmt.Print(algebra.Dot(plan))
 		return
 	case "physical":
-		fmt.Print(physical.Dot(physical.Lower(plan)))
+		// Each node is noted with the order/denseness properties the
+		// optimizer publishes for its operator.
+		_, props := opt.PlanProperties(plan)
+		fmt.Print(physical.Dot(physical.Lower(plan), func(nd *physical.Node) string { return props[nd.Pos].String() }))
 		return
 	case "hist":
 		fmt.Println(algebra.HistString(algebra.OpHistogram(plan)))

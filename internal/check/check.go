@@ -8,13 +8,14 @@
 //     columns consumed at a kind the producer provably never emits.
 //   - Order/denseness soundness (Properties): the sortedness, strictness
 //     and denseness bits the optimizer publishes (internal/opt) — the bits
-//     that drive rownum elimination and merge-join selection — are
-//     cross-checked against an independent conservative re-derivation.
-//   - Physical preconditions (Physical): merge-join inputs are provably
-//     sorted on the key, rownum[presorted]/[const1] are justified,
-//     Pipeline flags appear only on kernels that produce views, every
+//     its rewrites, rownum elimination first, rely on — are cross-checked
+//     against an independent conservative re-derivation.
+//   - Physical preconditions (Physical): the lowering is one node per
+//     operator in topological order with the right result slots, every
 //     theta join is a unit the executor may run as one, and every
-//     streamed ε's nodes reach only the serializer.
+//     streamed ε's nodes reach only the serializer; the Properties audit
+//     runs over the lowered plan's operators too. Kernel choices are no
+//     claim of the plan: the executor makes them from the rows.
 //
 // A validator failure means an upstream pass produced a plan whose
 // silent assumptions do not hold — the class of bug that yields quietly
@@ -128,7 +129,7 @@ func logical(w *walker) []Diag {
 // Properties cross-checks the optimizer's published order/denseness bits
 // against the validator's independent re-derivation: every claim must be
 // implied by what the conservative analysis can prove. props is the map
-// the physical lowering pass consumes (opt.Properties(root)).
+// opt.Properties(root) derives, or a forged one.
 func Properties(root *algebra.Op, props map[*algebra.Op]opt.Props) []Diag {
 	w := newWalker(root)
 	g := rederive(w.order)
@@ -170,11 +171,11 @@ func justifyProps(w *walker, o *algebra.Op, p opt.Props, g guarantee) []Diag {
 }
 
 // Plan runs every validation layer over one logical plan: Logical on the
-// DAG, then Physical on a fresh lowering. The lowering carries the
-// properties opt.Properties derives, one node per operator, and Physical
-// justifies each node's against the re-derivation — the Properties check
-// of the whole plan. This is the entry point `pf -check` and the
-// differential tests use for plans that came out of the compiler.
+// DAG, then Physical on a fresh lowering, which also justifies the
+// properties opt.PlanProperties derives for every operator against the
+// re-derivation — the Properties check of the whole plan. This is the
+// entry point `pf -check` and the differential tests use for plans that
+// came out of the compiler.
 func Plan(root *algebra.Op) []Diag {
 	if diags := Logical(root); len(diags) > 0 {
 		// A malformed schema makes property inference meaningless; stop.
@@ -185,8 +186,9 @@ func Plan(root *algebra.Op) []Diag {
 
 // Lowered is Plan over a lowering the caller already holds — the one the
 // engine caches and will execute: Logical on its DAG, then Physical on
-// the lowering itself, over one topological walk. The service checks
-// every prepared plan through it, so a plan is lowered once.
+// the lowering itself and the optimizer's properties for its operators,
+// over one topological walk. The service checks every prepared plan
+// through it, so a plan is lowered once.
 func Lowered(p *physical.Plan) []Diag {
 	if p == nil || p.Root == nil || len(p.Nodes) == 0 {
 		return Physical(p)

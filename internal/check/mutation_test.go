@@ -277,51 +277,14 @@ var mutations = []mutation{
 		},
 	},
 
-	// --- physical class: kernel choices without their preconditions ----
+	// --- physical class: a lowering decision outside its domain ---------
 	{
-		name:  "physical_merge_over_unsorted",
+		name:  "physical_estrows_below_unknown",
 		class: "physical",
 		build: func(t *testing.T) []check.Diag {
-			l := lit(t, "k", ints(3, 1, 2))
-			r := lit(t, "j", ints(2, 3, 1))
-			join, err := algebra.Join(l, r, []string{"k"}, []string{"j"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(join)
-			nd := nodeOf(p, join)
-			nd.Merge, nd.Kernel = true, "merge-join" // skip the hash table anyway
-			return check.Physical(p)
-		},
-	},
-	{
-		name:  "physical_presorted_over_unsorted",
-		class: "physical",
-		build: func(t *testing.T) []check.Diag {
-			in := lit(t, "iter", ints(2, 1, 3), "item", ints(1, 2, 3))
-			rn, err := algebra.RowNum(in, "pos", []algebra.OrderSpec{{Col: "iter"}}, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(rn)
-			nd := nodeOf(p, rn)
-			nd.Presorted, nd.Kernel = true, "rownum[presorted]" // skip the sort anyway
-			return check.Physical(p)
-		},
-	},
-	{
-		name:  "physical_const1_over_nondense",
-		class: "physical",
-		build: func(t *testing.T) []check.Diag {
-			in := lit(t, "iter", ints(1, 1, 2), "item", ints(1, 2, 3))
-			rn, err := algebra.RowNum(in, "pos", nil, "iter")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(rn)
-			nd := nodeOf(p, rn)
-			nd.Presorted = false                          // the lowering legitimately chose presorted here
-			nd.Const1, nd.Kernel = true, "rownum[const1]" // constant-1 numbering over real groups
+			d := algebra.Distinct(lit(t, "iter", ints(1, 2)))
+			p := physical.Lower(d)
+			p.Root.EstRows = -2 // admission would price the plan below its literal
 			return check.Physical(p)
 		},
 	},
@@ -718,7 +681,7 @@ func indent(s string) string {
 }
 
 // TestLoweredChecksTheLowering: Lowered, the service's entry point over a
-// lowering it already holds, reports a forged kernel choice exactly as
+// lowering it already holds, reports a forged property claim exactly as
 // Physical does, and nothing over the honest lowering.
 func TestLoweredChecksTheLowering(t *testing.T) {
 	join, err := algebra.Join(lit(t, "k", ints(3, 1, 2)), lit(t, "j", ints(2, 3, 1)), []string{"k"}, []string{"j"})
@@ -729,10 +692,13 @@ func TestLoweredChecksTheLowering(t *testing.T) {
 	if diags := check.Lowered(p); len(diags) > 0 {
 		t.Fatalf("honest lowering: %s", check.Render(diags))
 	}
-	nd := nodeOf(p, join)
-	nd.Merge, nd.Kernel = true, "merge-join"
+	// The optimizer claims the join's left input sorted on its key.
+	restore := check.ForgeProperties(func(ops []*algebra.Op, props []opt.Props) {
+		props[0] = opt.Props{Sorted: []string{"k"}}
+	})
+	defer restore()
 	got, want := check.Render(check.Lowered(p)), check.Render(check.Physical(p))
 	if want == "" || got != want {
-		t.Errorf("forged merge join: Lowered reports\n%s\nPhysical reports\n%s", got, want)
+		t.Errorf("forged sortedness: Lowered reports\n%s\nPhysical reports\n%s", got, want)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // deliberately shares no code with internal/opt's inference — the point
 // is that a wrong bit in opt's rules or a rewrite that forgets to
 // invalidate a property shows up as a claim this derivation cannot
-// justify, instead of as a silently wrong merge-join or eliminated sort.
+// justify, instead of as a silently wrong rewrite such as an eliminated
+// rownum.
 
 // guarantee is what the validator can prove about one operator's output:
 // the column prefix the rows are sorted by (ascending, lexicographic),
@@ -25,13 +26,6 @@ type guarantee struct {
 	sorted []string
 	strict bool
 	dense  map[string]bool
-}
-
-func (g guarantee) sortedOn(cols ...string) bool {
-	if hasPrefix(g.sorted, cols) {
-		return true
-	}
-	return len(cols) == 1 && g.dense[cols[0]]
 }
 
 // rederive computes guarantees for every operator, children first (order

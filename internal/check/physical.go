@@ -5,20 +5,23 @@ import (
 	"strings"
 
 	"pathfinder/internal/algebra"
+	"pathfinder/internal/opt"
 	"pathfinder/internal/physical"
 )
 
-// Physical plan validation: the lowering pass (internal/physical) turns
-// property bits into irreversible kernel choices — a merge join that
-// skips the hash table, a ϱ that skips its sort. Each choice is a
-// claim about the input; this pass re-proves every one from the logical
-// DAG, so a corrupted property bit or a lowering bug surfaces as a
-// diagnostic instead of a quietly wrong answer (the executor demotes
-// some, but not all, of these at runtime).
+// Physical plan validation: the lowering pass (internal/physical) makes
+// decisions the executor acts on without looking again — the result
+// slot of every node, the theta joins it runs as one band join, the ε it
+// streams. This pass re-proves each from the logical DAG, so a lowering
+// bug surfaces as a diagnostic instead of a quietly wrong answer. It
+// also audits the order/denseness properties the optimizer publishes
+// for the plan (opt.PlanProperties), one per node. Which kernel of a
+// family runs (merge or hash ⋈, the ϱ numbering paths) is the
+// executor's to pick from the data, and no claim of the plan's.
 
 // Physical validates a lowered plan: structural consistency between the
-// physical node graph and the logical DAG, and the justification of
-// every kernel choice and execution flag.
+// physical node graph and the logical DAG, the justification of every
+// lowering decision, and the audit of the optimizer's properties.
 func Physical(p *physical.Plan) []Diag {
 	if p == nil || p.Root == nil || len(p.Nodes) == 0 {
 		return []Diag{{Class: "structure", Op: "#? plan", Msg: "empty physical plan"}}
@@ -26,16 +29,23 @@ func Physical(p *physical.Plan) []Diag {
 	return physicalPlan(newWalker(p.Root.Op), p)
 }
 
+// planProperties is opt.PlanProperties, the derivation physicalPlan
+// audits; a test seam forges claims through it.
+var planProperties = opt.PlanProperties
+
 // physicalPlan is Physical over a walk of p's logical DAG.
 func physicalPlan(w *walker, p *physical.Plan) []Diag {
 	diags := physStructure(w, p)
-	g := rederive(w.order)
 	for _, nd := range p.Nodes {
-		if nd.Op == nil {
-			continue // reported by physStructure
+		if nd.Op != nil && nd.EstRows < -1 {
+			diags = append(diags, Diag{Class: "physical", Op: w.name(nd.Op),
+				Msg: fmt.Sprintf("EstRows %d is neither unknown (-1) nor a cardinality bound", nd.EstRows)})
 		}
-		diags = append(diags, physNode(w, nd, g)...)
-		diags = append(diags, justifyProps(w, nd.Op, nd.Props, g[nd.Op])...)
+	}
+	g := rederive(w.order)
+	ops, props := planProperties(p.Root.Op)
+	for i, o := range ops {
+		diags = append(diags, justifyProps(w, o, props[i], g[o])...)
 	}
 	consumers := make(map[*physical.Node]int, len(p.Nodes))
 	isNode := make(map[*physical.Node]bool, len(p.Nodes))
@@ -266,97 +276,4 @@ func physStructure(w *walker, p *physical.Plan) []Diag {
 		}
 	}
 	return diags
-}
-
-// physNode re-proves one node's kernel choice and execution flags.
-func physNode(w *walker, nd *physical.Node, g map[*algebra.Op]guarantee) []Diag {
-	var diags []Diag
-	o := nd.Op
-	bad := func(msg string, args ...any) {
-		diags = append(diags, Diag{Class: "physical", Op: w.name(o), Msg: fmt.Sprintf(msg, args...)})
-	}
-	gin := func(i int) guarantee {
-		if i < len(o.In) {
-			return g[o.In[i]]
-		}
-		return guarantee{}
-	}
-
-	// Merge kernel: single key, both inputs provably sorted on it.
-	if nd.Merge {
-		if o.Kind != algebra.OpJoin && o.Kind != algebra.OpSemiJoin {
-			bad("Merge flag on a %s node", o.Kind)
-		} else if len(o.KeyL) != 1 {
-			bad("merge kernel over %d key columns (needs exactly 1)", len(o.KeyL))
-		} else {
-			if !gin(0).sortedOn(o.KeyL[0]) {
-				bad("merge kernel requires the left input sorted on %q, which cannot be proven", o.KeyL[0])
-			}
-			if !gin(1).sortedOn(o.KeyR[0]) {
-				bad("merge kernel requires the right input sorted on %q, which cannot be proven", o.KeyR[0])
-			}
-		}
-	}
-	if (o.Kind == algebra.OpJoin || o.Kind == algebra.OpSemiJoin) &&
-		nd.Merge != strings.HasPrefix(nd.Kernel, "merge-") {
-		bad("kernel %q disagrees with Merge=%v", nd.Kernel, nd.Merge)
-	}
-
-	// ϱ fast paths: const-1 needs a dense partition column, presorted
-	// needs the input provably in (partition, order...) ascending order.
-	if nd.Const1 || nd.Presorted {
-		if o.Kind != algebra.OpRowNum {
-			bad("rownum fast-path flag on a %s node", o.Kind)
-		}
-	}
-	if o.Kind == algebra.OpRowNum {
-		if nd.Const1 && nd.Presorted {
-			bad("both const1 and presorted set")
-		}
-		if nd.Const1 && (o.Part == "" || !gin(0).dense[o.Part]) {
-			bad("rownum[const1] requires a provably dense partition column %q", o.Part)
-		}
-		if nd.Presorted {
-			var need []string
-			if o.Part != "" {
-				need = append(need, o.Part)
-			}
-			for _, s := range o.Order {
-				if s.Desc {
-					bad("rownum[presorted] over a descending order column %q", s.Col)
-				}
-				need = append(need, s.Col)
-			}
-			if !gin(0).sortedOn(need...) {
-				bad("rownum[presorted] requires the input sorted on (%s), which cannot be proven",
-					strings.Join(need, ","))
-			}
-		}
-		switch {
-		case nd.Const1 && nd.Kernel != "rownum[const1]",
-			nd.Presorted && nd.Kernel != "rownum[presorted]",
-			!nd.Const1 && !nd.Presorted && nd.Kernel != "rownum[sort]":
-			bad("kernel %q disagrees with const1=%v presorted=%v", nd.Kernel, nd.Const1, nd.Presorted)
-		}
-	}
-
-	// Pipeline flag: the view-producing kernels only; a breaker marked
-	// pipeline misreports materialization and plan rendering.
-	if nd.Pipeline && !pipelineKernel(o.Kind) {
-		bad("Pipeline flag on breaker %s", o.Kind)
-	}
-
-	if nd.EstRows < -1 {
-		bad("EstRows %d is neither unknown (-1) nor a cardinality bound", nd.EstRows)
-	}
-	return diags
-}
-
-func pipelineKernel(k algebra.OpKind) bool {
-	switch k {
-	case algebra.OpProject, algebra.OpSelect, algebra.OpDiff, algebra.OpSemiJoin,
-		algebra.OpRowID, algebra.OpFun, algebra.OpDoc, algebra.OpRoots:
-		return true
-	}
-	return false
 }

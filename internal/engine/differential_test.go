@@ -179,9 +179,12 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 // eight goroutines run all of them at the same time, in different
 // orders, each evaluation on its own scratch view of one shared store
 // (as the service runs requests), and every result is byte-identical to
-// the golden. `make race` runs it under the race detector.
+// the golden. The engine runs in Check mode, which derives the
+// properties it asserts once per evaluation and keeps them with that
+// evaluation: nothing is written into the shared plan nodes. `make race`
+// runs it under the race detector.
 func TestOnePlanManyGoroutines(t *testing.T) {
-	e := difftest.LoadEngine(t, difftest.SeqConfig, difftest.XMarkDocs())
+	e := difftest.LoadEngine(t, engine.Config{Check: true}, difftest.XMarkDocs())
 	cases := difftest.XMark(t)
 	plans := make([]*physical.Plan, len(cases))
 	for i, c := range cases {

@@ -10,6 +10,7 @@ import (
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
+	"pathfinder/internal/opt"
 	"pathfinder/internal/physical"
 	"pathfinder/internal/xenc"
 )
@@ -57,11 +58,22 @@ type Engine struct {
 
 	// Check enables runtime invariant assertions: after every kernel, the
 	// output's columns are checked against the operator's declared schema,
-	// and the sortedness/strictness/denseness bits the plan carries are
-	// spot-checked against the live rows (capped at CheckMaxRows per
-	// operator). Evaluation fails loudly instead of producing a quietly
-	// wrong answer. Meant for tests and `pf -check`; off in production.
+	// and the sortedness/strictness/denseness properties the optimizer
+	// publishes for the operator (opt.PlanProperties) are spot-checked
+	// against the live rows (capped at CheckMaxRows per operator).
+	// Evaluation fails loudly instead of producing a quietly wrong
+	// answer. Meant for tests and `pf -check`; off in production.
 	Check bool
+
+	// checkProps holds, under Check, the properties asserted on each
+	// node's output, indexed by physical.Node.Pos. Only the copy of the
+	// engine that EvalPlan makes for one evaluation sets it.
+	checkProps []opt.Props
+
+	// forgeProps, when set, edits the properties Check mode derives
+	// before the evaluation asserts them — the test hook that plants a
+	// claim the rows violate.
+	forgeProps func([]opt.Props)
 
 	// sh is the shared core behind every view of this engine; see
 	// engineShared.
@@ -96,11 +108,11 @@ type engineShared struct {
 	resolveMu sync.Mutex
 
 	// plans caches lowered physical plans by logical root for the
-	// evaluators that take a root (Eval, EvalContext, EvalTrace,
-	// EvalTraced), so a root evaluated many times pays the lowering pass
-	// once. Plan DAGs are immutable after optimization; the cache is
-	// keyed by root pointer identity. Callers that decide how long a plan
-	// lives hold its lowering themselves and run it with EvalPlan.
+	// evaluators that take a root (Eval, EvalContext, EvalTrace), so a
+	// root evaluated many times pays the lowering pass once. Plan DAGs
+	// are immutable after optimization; the cache is keyed by root
+	// pointer identity. Callers that decide how long a plan lives hold
+	// its lowering themselves and run it with EvalPlan.
 	plans sync.Map // map[*algebra.Op]*physical.Plan
 }
 
@@ -183,20 +195,10 @@ func (e *Engine) EvalContext(ctx context.Context, root *algebra.Op) (*bat.Table,
 	return res, err
 }
 
-// EvalTraced evaluates the plan and additionally returns every operator's
-// materialized intermediate result — the §4 demo hook that lets plans "be
-// traced to reveal the result computed for any subexpression".
-func (e *Engine) EvalTraced(root *algebra.Op) (*bat.Table, map[*algebra.Op]*bat.Table, error) {
-	res, tr, err := e.EvalPlan(context.Background(), e.Lowered(root), true)
-	if err != nil {
-		return nil, tr.Tables, err
-	}
-	return res, tr.Tables, nil
-}
-
 // EvalTrace evaluates the plan and returns the full instrumentation
 // record: per-operator intermediate tables plus statistics (wall time,
-// rows in/out, kernel).
+// rows in/out, kernel) — the §4 demo hook that lets plans "be traced to
+// reveal the result computed for any subexpression".
 func (e *Engine) EvalTrace(ctx context.Context, root *algebra.Op) (*bat.Table, *Trace, error) {
 	return e.EvalPlan(ctx, e.Lowered(root), true)
 }
@@ -214,6 +216,15 @@ func (e *Engine) EvalPlan(ctx context.Context, plan *physical.Plan, traced bool)
 	var tr *Trace
 	if traced {
 		tr = newTrace()
+	}
+	if e.Check {
+		props, err := e.checkPropsOf(plan)
+		if err != nil {
+			return nil, tr, err
+		}
+		v := *e
+		v.checkProps = props
+		e = &v
 	}
 	res, err := e.execPlan(ctx, plan, tr)
 	return res, tr, err

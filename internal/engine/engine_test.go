@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -685,6 +686,94 @@ func TestRowNumSortedFastPathCorrectness(t *testing.T) {
 	}
 }
 
+// tracedKernel evaluates root traced and returns its result and the
+// kernel that ran for it.
+func tracedKernel(t *testing.T, e *Engine, root *algebra.Op) (*bat.Table, string) {
+	t.Helper()
+	res, tr, err := e.EvalTrace(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, tr.Stats[root].Kernel
+}
+
+// TestJoinKernelChosenAtRunTime: a single-key ⋈ / ⋉ merges when both int
+// key columns ascend in view order — on identity views and on the
+// selection views σ hands on — and hashes when one does not; both give
+// the rows the hash kernel gives.
+func TestJoinKernelChosenAtRunTime(t *testing.T) {
+	e := newEngine(t)
+	sortedL := algebra.Lit(bat.MustTable("k", bat.IntVec{1, 2, 2, 3}, "a", bat.IntVec{10, 20, 21, 30}))
+	sortedR := algebra.Lit(bat.MustTable("j", bat.IntVec{2, 3, 3, 5}, "b", bat.IntVec{200, 300, 301, 500}))
+	unsortedR := algebra.Lit(bat.MustTable("j", bat.IntVec{3, 2, 5, 3}, "b", bat.IntVec{300, 200, 500, 301}))
+	// σ keeps rows 1..3 of the sorted left side: a selection view.
+	ten := algebra.Lit(bat.MustTable("ten", bat.IntVec{10}))
+	selL := must(algebra.Project(must(algebra.Select(must(algebra.Fun(must(algebra.Cross(sortedL, ten)), "big", algebra.FunGt, "a", "ten")), "big")), "k", "a"))
+	for _, c := range []struct {
+		name   string
+		root   *algebra.Op
+		kernel string
+		a, b   []int64
+	}{
+		{"sorted ⋈ sorted", must(algebra.Join(sortedL, sortedR, []string{"k"}, []string{"j"})), "merge-join[int]",
+			[]int64{20, 21, 30, 30}, []int64{200, 200, 300, 301}},
+		{"selection ⋈ sorted", must(algebra.Join(selL, sortedR, []string{"k"}, []string{"j"})), "merge-join[int]",
+			[]int64{20, 21, 30, 30}, []int64{200, 200, 300, 301}},
+		{"sorted ⋈ unsorted", must(algebra.Join(sortedL, unsortedR, []string{"k"}, []string{"j"})), "hash-join[int]",
+			[]int64{20, 21, 30, 30}, []int64{200, 200, 300, 301}},
+		{"sorted ⋉ sorted", must(algebra.SemiJoin(sortedL, sortedR, []string{"k"}, []string{"j"})), "merge-semijoin[int]",
+			[]int64{20, 21, 30}, nil},
+		{"sorted ⋉ unsorted", must(algebra.SemiJoin(sortedL, unsortedR, []string{"k"}, []string{"j"})), "hash-semijoin[int]",
+			[]int64{20, 21, 30}, nil},
+	} {
+		res, kernel := tracedKernel(t, e, c.root)
+		if kernel != c.kernel {
+			t.Errorf("%s ran %s, want %s", c.name, kernel, c.kernel)
+		}
+		if !eqInts(ints(t, res, "a"), c.a...) {
+			t.Errorf("%s: a = %v, want %v", c.name, ints(t, res, "a"), c.a)
+		}
+		if c.b != nil && !eqInts(ints(t, res, "b"), c.b...) {
+			t.Errorf("%s: b = %v, want %v", c.name, ints(t, res, "b"), c.b)
+		}
+	}
+}
+
+// TestRowNumKernelChosenAtRunTime: ϱ over rows already in its order —
+// int or node keys — numbers them in the pass that checks the order, a
+// dense partition column (every partition one row) numbers every row 1,
+// and rows out of order are sorted first.
+func TestRowNumKernelChosenAtRunTime(t *testing.T) {
+	e := newEngine(t)
+	sorted := algebra.Lit(bat.MustTable("iter", bat.IntVec{1, 1, 2, 2, 2}, "k", bat.IntVec{5, 7, 1, 2, 9}))
+	res, kernel := tracedKernel(t, e, must(algebra.RowNum(sorted, "pos", []algebra.OrderSpec{{Col: "k"}}, "iter")))
+	if kernel != "rownum[scan-sorted]" || !eqInts(ints(t, res, "pos"), 1, 2, 1, 2, 3) {
+		t.Errorf("sorted input: %s numbered %v", kernel, ints(t, res, "pos"))
+	}
+	marked := must(algebra.RowID(algebra.Lit(bat.MustTable("item", bat.IntVec{7, 9, 8})), "inner"))
+	res, kernel = tracedKernel(t, e, must(algebra.RowNum(marked, "pos", nil, "inner")))
+	if kernel != "rownum[scan-sorted]" || !eqInts(ints(t, res, "pos"), 1, 1, 1) {
+		t.Errorf("dense partition: %s numbered %v", kernel, ints(t, res, "pos"))
+	}
+	// Node keys in document order: the same pass, partitioned by iter.
+	nodes := algebra.Lit(bat.MustTable("iter", bat.IntVec{1, 1, 2}, "item", bat.NodeVec{{Frag: 0, Pre: 4}, {Frag: 1, Pre: 2}, {Frag: 0, Pre: 1}}))
+	res, kernel = tracedKernel(t, e, must(algebra.RowNum(nodes, "pos", []algebra.OrderSpec{{Col: "item"}}, "iter")))
+	if kernel != "rownum[scan-sorted]" || !eqInts(ints(t, res, "pos"), 1, 2, 1) {
+		t.Errorf("sorted node keys: %s numbered %v", kernel, ints(t, res, "pos"))
+	}
+	res, kernel = tracedKernel(t, e, must(algebra.RowNum(nodes, "pos", []algebra.OrderSpec{{Col: "item"}}, "")))
+	if kernel == "rownum[scan-sorted]" || !eqInts(ints(t, res, "iter"), 2, 1, 1) {
+		t.Errorf("unsorted node keys: %s put iter %v", kernel, ints(t, res, "iter"))
+	}
+	// Out of order at the last row: the sort takes over.
+	late := algebra.Lit(bat.MustTable("k", bat.IntVec{1, 2, 3, 0}))
+	res, kernel = tracedKernel(t, e, must(algebra.RowNum(late, "pos", []algebra.OrderSpec{{Col: "k"}}, "")))
+	if kernel == "rownum[scan-sorted]" || !eqInts(ints(t, res, "k"), 0, 1, 2, 3) || !eqInts(ints(t, res, "pos"), 1, 2, 3, 4) {
+		t.Errorf("unsorted input: %s gave k %v numbered %v", kernel, ints(t, res, "k"), ints(t, res, "pos"))
+	}
+}
+
+// TestEvalTraced: a traced evaluation keeps every operator's result.
 func TestEvalTraced(t *testing.T) {
 	e := newEngine(t)
 	lit := algebra.Lit(bat.MustTable("iter", bat.IntVec{1, 2, 3}))
@@ -692,10 +781,11 @@ func TestEvalTraced(t *testing.T) {
 		must(algebra.Cross(lit, algebra.Lit(bat.MustTable("c", bat.IntVec{2})))),
 		"big", algebra.FunGt, "iter", "c"))
 	root := must(algebra.Select(sel, "big"))
-	res, memo, err := e.EvalTraced(root)
+	res, tr, err := e.EvalTrace(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	memo := tr.Tables
 	if res.Rows() != 1 {
 		t.Errorf("result rows = %d", res.Rows())
 	}
@@ -707,7 +797,7 @@ func TestEvalTraced(t *testing.T) {
 	}
 	// Errors surface with the partial trace.
 	bad := must(algebra.Select(lit, "iter")) // σ over ints
-	if _, _, err := e.EvalTraced(bad); err == nil {
+	if _, _, err := e.EvalTrace(context.Background(), bad); err == nil {
 		t.Error("traced evaluation must propagate errors")
 	}
 }

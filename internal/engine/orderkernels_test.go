@@ -396,6 +396,16 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		if m := got.MustCol("minor").(bat.IntVec); kernel != "rownum[sort]" || m[0] != 3 {
 			t.Errorf("%s ϱ ran %s and put minor=%d first; the comparator ties the keys", name, kernel, m[0])
 		}
+		// The numbering pass in front of the sort must not take rows in
+		// native int order for ϱ's order either.
+		rn := &algebra.Op{Kind: algebra.OpRowNum, Col: "pos", Order: []algebra.OrderSpec{{Col: "k"}, {Col: "minor"}}}
+		num, err := physRowNum(rn, bat.ViewOf(tab))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := num.view.Base().MustCol("minor").(bat.IntVec); num.kernel != "rownum[sort]" || m[0] != 3 {
+			t.Errorf("%s ϱ numbering ran %s and put minor=%d first; the comparator ties the keys", name, num.kernel, m[0])
+		}
 
 		// aggr: one group, represented by its first row.
 		agg, tag, err := physAggr(context.Background(), tab, "n", algebra.AggCount, nil, "k", "")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"pathfinder/internal/algebra"
@@ -21,10 +22,10 @@ import (
 // tables: aggr, staircase, constructors, range) gather rows. The plan
 // root materializes once at the end.
 //
-// The kernels are chosen statically by the lowering pass; the executor
-// refines the choice at runtime where the static analysis cannot see the
-// physical column type (typed int vs. generic item hash paths) and
-// reports the kernel actually run through the evaluation trace.
+// The lowering pass names each node's kernel family; where a family has
+// several kernels (merge or hash ⋈, the ϱ numbering paths, δ and aggr's
+// sorted-run paths) the kernel picks one per execution by looking at its
+// key columns, and the evaluation trace reports the one that ran.
 
 // physOut is one kernel's result: the output view, the kernel that
 // actually ran, and how many rows it had to materialize (gathered or
@@ -33,8 +34,8 @@ type physOut struct {
 	view   *bat.View
 	kernel string
 	mat    int
-	// fast marks a kernel chosen by observing the input's order or
-	// density at run time in place of the node's static kernel.
+	// fast marks a δ or aggr kernel that took its sorted-run path after
+	// seeing the input's order.
 	fast bool
 }
 
@@ -167,7 +168,7 @@ func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View,
 	}
 	out, err := e.execKernel(ctx, nd, in)
 	if err == nil && e.Check {
-		err = checkNodeOutput(nd, out.view)
+		err = checkNodeOutput(nd, e.checkProps[nd.Pos], out.view)
 	}
 	if err != nil {
 		return nil, OpStat{}, fmt.Errorf("%s: %w", nd.Op.Kind, err)
@@ -287,9 +288,9 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 	case algebra.OpDistinct:
 		return physDistinct(ctx, in[0])
 	case algebra.OpJoin:
-		return physJoin(ctx, nd, in[0], in[1], joinFull)
+		return physJoin(ctx, o, in[0], in[1], joinFull)
 	case algebra.OpSemiJoin:
-		return physJoin(ctx, nd, in[0], in[1], joinSemi)
+		return physJoin(ctx, o, in[0], in[1], joinSemi)
 	case algebra.OpCross:
 		lt, lm := matCount(in[0])
 		rt, rm := matCount(in[1])
@@ -304,7 +305,7 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		}
 		return physOut{view: bat.ViewOf(t), kernel: nd.Kernel, mat: lm + rm + t.Rows()}, nil
 	case algebra.OpRowNum:
-		return physRowNum(nd, in[0])
+		return physRowNum(o, in[0])
 	case algebra.OpRowID:
 		t, m := matCount(in[0])
 		out := t.Slice(0, t.Rows())
@@ -555,28 +556,41 @@ func physDistinct(ctx context.Context, v *bat.View) (physOut, error) {
 	return physOut{view: bat.ViewOf(out), kernel: kernel, mat: out.Rows()}, nil
 }
 
-// physJoin dispatches ⋈/⋉ to the statically chosen kernel. A merge node
-// whose runtime key columns turn out not to be typed int vectors (or not
-// actually sorted) demotes to the hash kernel — correctness never
-// depends on the static property being right.
-func physJoin(ctx context.Context, nd *physical.Node, l, r *bat.View, mode joinMode) (physOut, error) {
-	o := nd.Op
-	if nd.Merge {
-		out, ok, err := physMergeJoin(ctx, o, l, r, mode)
+// physJoin is ⋈/⋉. A single key whose two columns are typed int
+// vectors that ascend in view order merges (physMergeJoin); any other
+// key hashes (physHashJoin). One scan per side decides, and stops at the
+// first descent.
+func physJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode joinMode) (physOut, error) {
+	if len(o.KeyL) == 1 {
+		lv, err := l.Base().Col(o.KeyL[0])
 		if err != nil {
 			return physOut{}, err
 		}
-		if ok {
-			return out, nil
-		}
-		out, err = physHashJoin(ctx, o, l, r, mode)
+		rv, err := r.Base().Col(o.KeyR[0])
 		if err != nil {
 			return physOut{}, err
 		}
-		out.kernel += " (demoted)"
-		return out, nil
+		lk, lok := lv.(bat.IntVec)
+		rk, rok := rv.(bat.IntVec)
+		if lok && rok && ascendingIn(lk, l) && ascendingIn(rk, r) {
+			return physMergeJoin(ctx, l, r, lk, rk, mode)
+		}
 	}
 	return physHashJoin(ctx, o, l, r, mode)
+}
+
+// ascendingIn reports whether the view's int key column never descends
+// in view order; it reads through the selection and copies nothing.
+func ascendingIn(k bat.IntVec, view *bat.View) bool {
+	if sel := view.Sel(); sel != nil {
+		for i := 1; i < len(sel); i++ {
+			if k[sel[i]] < k[sel[i-1]] {
+				return false
+			}
+		}
+		return true
+	}
+	return ascending(k)
 }
 
 // intKeysOf extracts a view's int key column in view order; identity
@@ -621,73 +635,55 @@ func ascending(k []int64) bool {
 	return true
 }
 
-// physMergeJoin joins two inputs sorted on a single typed int key by
-// merging: no hash table, no build side. Output order — left rows in
-// order, each paired with its right matches in right order — is
-// identical to the hash kernel's, so the two are interchangeable
-// byte-for-byte. Returns ok=false (demote to hash) when the key columns
-// are not typed int vectors or the static sortedness promise does not
-// hold at runtime.
-func physMergeJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode joinMode) (physOut, bool, error) {
+// physMergeJoin joins two views whose int key columns lk and rk ascend
+// in view order by merging: no hash table, no build side. Output order —
+// left rows in order, each paired with its right matches in right order
+// — is identical to the hash kernel's, so the two are interchangeable
+// row for row.
+func physMergeJoin(ctx context.Context, l, r *bat.View, lk, rk bat.IntVec, mode joinMode) (physOut, error) {
 	lb, rb := l.Base(), r.Base()
-	lv, err := lb.Col(o.KeyL[0])
-	if err != nil {
-		return physOut{}, false, err
-	}
-	rv, err := rb.Col(o.KeyR[0])
-	if err != nil {
-		return physOut{}, false, err
-	}
-	lInts, lok := lv.(bat.IntVec)
-	rInts, rok := rv.(bat.IntVec)
-	if !lok || !rok {
-		return physOut{}, false, nil
-	}
-	lk := intKeysOf(lInts, l)
-	rk := intKeysOf(rInts, r)
-	if !ascending(lk) || !ascending(rk) {
-		return physOut{}, false, nil
-	}
-	nl, nr := len(lk), len(rk)
+	nl, nr := l.Rows(), r.Rows()
+	// One slot per left row, as the hash kernel's probe side sizes it.
+	lIdx := make([]int32, 0, nl)
+	i, j := 0, 0
 	if mode == joinSemi {
-		sel := make([]int32, 0, nl)
-		i, j := 0, 0
 		for i < nl && j < nr {
+			li, rj := l.Index(i), r.Index(j)
 			switch {
-			case lk[i] < rk[j]:
+			case lk[li] < rk[rj]:
 				i++
-			case lk[i] > rk[j]:
+			case lk[li] > rk[rj]:
 				j++
 			default:
-				sel = append(sel, int32(l.Index(i)))
+				lIdx = append(lIdx, int32(li))
 				i++
 			}
 		}
-		return physOut{view: bat.NewView(lb, sel), kernel: "merge-semijoin[int]"}, true, nil
+		return physOut{view: bat.NewView(lb, lIdx), kernel: "merge-semijoin[int]"}, nil
 	}
-	var lIdx, rIdx []int32
-	i, j := 0, 0
+	rIdx := make([]int32, 0, nl)
 	produced := 0
 	for i < nl && j < nr {
-		switch {
-		case lk[i] < rk[j]:
+		key := lk[l.Index(i)]
+		switch rkey := rk[r.Index(j)]; {
+		case key < rkey:
 			i++
-		case lk[i] > rk[j]:
+		case key > rkey:
 			j++
 		default:
 			j2 := j + 1
-			for j2 < nr && rk[j2] == rk[j] {
+			for j2 < nr && rk[r.Index(j2)] == key {
 				j2++
 			}
 			i2 := i + 1
-			for i2 < nl && lk[i2] == lk[i] {
+			for i2 < nl && lk[l.Index(i2)] == key {
 				i2++
 			}
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
 					if produced%cancelStride == 0 {
 						if err := ctx.Err(); err != nil {
-							return physOut{}, false, err
+							return physOut{}, err
 						}
 					}
 					produced++
@@ -700,9 +696,9 @@ func physMergeJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode join
 	}
 	out, err := joinGather(lb, rb, lIdx, rIdx)
 	if err != nil {
-		return physOut{}, false, err
+		return physOut{}, err
 	}
-	return physOut{view: bat.ViewOf(out), kernel: "merge-join[int]", mat: len(lIdx)}, true, nil
+	return physOut{view: bat.ViewOf(out), kernel: "merge-join[int]", mat: len(lIdx)}, nil
 }
 
 // physHashJoin is the hash ⋈/⋉ kernel over views: the right side's
@@ -780,15 +776,13 @@ func denseJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode joinMode
 	if rows == nil {
 		rows = allRows(r.Rows())
 	}
-	out, err := probeHashJoin(ctx, o, l, r, mode, "[int:dense]", func(i int) []int32 {
+	return probeHashJoin(ctx, o, l, r, mode, "[int:dense]", func(i int) []int32 {
 		// Exact modulo 2^64: only a key of the run lands below len(rows).
 		if j := uint64(lk[i]) - uint64(first); j < uint64(len(rows)) {
 			return rows[j : j+1]
 		}
 		return nil
 	})
-	out.fast = true
-	return out, err
 }
 
 // buildHash builds the right-side table of a hash join: keyOf gives a
@@ -931,37 +925,95 @@ func physCrossBroadcast(lt, rt *bat.Table) (*bat.Table, bool, error) {
 	return out, true, nil
 }
 
-// physRowNum is ϱ with the statically chosen numbering strategy: const-1
-// for dense partitions, straight numbering for presorted inputs, and the
-// sort kernel (which still detects already-sorted inputs at runtime)
-// otherwise.
-func physRowNum(nd *physical.Node, v *bat.View) (physOut, error) {
-	o := nd.Op
+// physRowNum is ϱ. Int keys within ±exactFloatInt and node keys that
+// arrive in (partition, order...) order are numbered in the pass that
+// checks the order, and the input's columns are shared
+// (rownum[scan-sorted]). At the first row out of order, or for any other
+// key, physRowNumSort brings the rows into order first, and the
+// numbering reuses the buffer.
+func physRowNum(o *algebra.Op, v *bat.View) (physOut, error) {
 	t, m := matCount(v)
 	n := t.Rows()
-	if nd.Const1 {
-		out := t.Slice(0, n)
-		if err := out.AddCol(o.Col, bat.ConstInt(1, n)); err != nil {
-			return physOut{}, err
-		}
-		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: m}, nil
+	vecs, descs, err := rowNumKeys(t, o.Order, o.Part)
+	if err != nil {
+		return physOut{}, err
 	}
-	if nd.Presorted {
+	nums := make([]int64, n)
+	if !slices.Contains(descs, true) && numberSorted(vecs, o.Part != "", nums) {
 		out := t.Slice(0, n)
-		if err := physRowNumAttach(out, o.Col, o.Part); err != nil {
+		if err := out.AddCol(o.Col, bat.IntVec(nums)); err != nil {
 			return physOut{}, err
 		}
-		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: m}, nil
+		return physOut{view: bat.ViewOf(out), kernel: "rownum[scan-sorted]", mat: m}, nil
 	}
 	out, kernel, err := physRowNumSort(t, o.Order, o.Part)
 	if err != nil {
 		return physOut{}, err
 	}
-	if err := physRowNumAttach(out, o.Col, o.Part); err != nil {
+	if err := physRowNumAttach(out, o.Col, o.Part, nums); err != nil {
 		return physOut{}, err
 	}
 	if kernel != "rownum[scan-sorted]" {
 		m += n // the sort gathered every row
 	}
-	return physOut{view: bat.ViewOf(out), kernel: kernel, mat: m, fast: kernel != nd.Kernel}, nil
+	return physOut{view: bat.ViewOf(out), kernel: kernel, mat: m}, nil
+}
+
+// numKey is one ϱ key column the numbering pass compares natively: an
+// int column, or else a node column in document order.
+type numKey struct {
+	ints  bat.IntVec
+	nodes bat.NodeVec
+}
+
+// numberSorted numbers rows that are already in ϱ's ascending order, in
+// the pass that checks it: vecs are the key columns, most significant
+// first, the partition column among them first when part is set, and
+// nums receives the numbers. ok=false when a key is neither an IntVec nor
+// a NodeVec, at the first row that descends, and where an int outside
+// ±exactFloatInt is compared: totalCmp, which the other paths order and
+// partition by, ties neighbouring integers there.
+func numberSorted(vecs []bat.Vec, part bool, nums []int64) (ok bool) {
+	keys := make([]numKey, len(vecs))
+	for k, v := range vecs {
+		switch x := v.(type) {
+		case bat.IntVec:
+			keys[k].ints = x
+		case bat.NodeVec:
+			keys[k].nodes = x
+		default:
+			return false
+		}
+	}
+	n := int64(1)
+	for i := range nums {
+		if i > 0 {
+			// Rows i-1 and i, key by key until one tells them apart.
+			for k := range keys {
+				var a, b int64
+				if ints := keys[k].ints; ints != nil {
+					a, b = ints[i-1], ints[i]
+					if a < -exactFloatInt || a > exactFloatInt || b < -exactFloatInt || b > exactFloatInt {
+						return false
+					}
+				} else if x, y := keys[k].nodes[i-1], keys[k].nodes[i]; x.Frag != y.Frag {
+					a, b = int64(x.Frag), int64(y.Frag)
+				} else {
+					a, b = int64(x.Pre), int64(y.Pre)
+				}
+				if a > b {
+					return false
+				}
+				if a < b {
+					if part && k == 0 {
+						n = 1
+					}
+					break
+				}
+			}
+		}
+		nums[i] = n
+		n++
+	}
+	return true
 }

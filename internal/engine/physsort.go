@@ -64,23 +64,9 @@ func totalCmp(v bat.Vec) func(a, b int) int {
 //
 // All three produce the same rows in the same order.
 func physRowNumSort(t *bat.Table, order []algebra.OrderSpec, part string) (*bat.Table, string, error) {
-	vecs := make([]bat.Vec, 0, len(order)+1)
-	descs := make([]bool, 0, len(order)+1)
-	if part != "" {
-		v, err := t.Col(part)
-		if err != nil {
-			return nil, "", err
-		}
-		vecs = append(vecs, v)
-		descs = append(descs, false)
-	}
-	for _, o := range order {
-		v, err := t.Col(o.Col)
-		if err != nil {
-			return nil, "", err
-		}
-		vecs = append(vecs, v)
-		descs = append(descs, o.Desc)
+	vecs, descs, err := rowNumKeys(t, order, part)
+	if err != nil {
+		return nil, "", err
 	}
 	n := t.Rows()
 	if keys, lo, hi, ok := countSortKeys(vecs, descs); ok {
@@ -92,6 +78,30 @@ func physRowNumSort(t *bat.Table, order []algebra.OrderSpec, part string) (*bat.
 		}
 	}
 	return comparatorRowNumSort(t, vecs, descs)
+}
+
+// rowNumKeys is ϱ's key columns in significance order — the partition
+// column first when there is one — with whether each sorts descending.
+func rowNumKeys(t *bat.Table, order []algebra.OrderSpec, part string) (vecs []bat.Vec, descs []bool, err error) {
+	vecs = make([]bat.Vec, 0, len(order)+1)
+	descs = make([]bool, 0, len(order)+1)
+	if part != "" {
+		v, err := t.Col(part)
+		if err != nil {
+			return nil, nil, err
+		}
+		vecs = append(vecs, v)
+		descs = append(descs, false)
+	}
+	for _, o := range order {
+		v, err := t.Col(o.Col)
+		if err != nil {
+			return nil, nil, err
+		}
+		vecs = append(vecs, v)
+		descs = append(descs, o.Desc)
+	}
+	return vecs, descs, nil
 }
 
 // comparatorRowNumSort is the ϱ sort for keys of any type: a sortedness
@@ -406,15 +416,15 @@ func aggrHash(ctx context.Context, pInts bat.IntVec, agg algebra.AggKind, argVec
 }
 
 // physRowNumAttach appends ϱ's numbering column to a table already in
-// (partition, order...) order, restarting at 1 on every partition change.
-func physRowNumAttach(out *bat.Table, newCol, part string) error {
-	nums := make(bat.IntVec, out.Rows())
+// (partition, order...) order, restarting at 1 on every partition change;
+// nums, one slot per row, receives the numbers.
+func physRowNumAttach(out *bat.Table, newCol, part string, nums []int64) error {
 	var n int64
 	if part == "" {
 		for i := range nums {
 			nums[i] = int64(i) + 1
 		}
-		return out.AddCol(newCol, nums)
+		return out.AddCol(newCol, bat.IntVec(nums))
 	}
 	cmp := totalCmp(out.MustCol(part))
 	for i := range nums {
@@ -424,5 +434,5 @@ func physRowNumAttach(out *bat.Table, newCol, part string) error {
 		n++
 		nums[i] = n
 	}
-	return out.AddCol(newCol, nums)
+	return out.AddCol(newCol, bat.IntVec(nums))
 }

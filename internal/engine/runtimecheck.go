@@ -5,16 +5,17 @@ import (
 	"slices"
 
 	"pathfinder/internal/bat"
+	"pathfinder/internal/opt"
 	"pathfinder/internal/physical"
 )
 
 // Runtime invariant assertions (Config.Check). The static validator
-// (internal/check) proves what the plan *claims*; this file re-asserts
-// the claims on the live intermediate tables while a query runs, so a
-// kernel whose implementation breaks an invariant — an unstable sort, a
-// selection vector built out of order, a hash probe that emits in the
-// wrong order — fails the evaluation loudly instead of feeding a downstream
-// merge join garbage.
+// (internal/check) proves what the optimizer *claims*; this file
+// re-asserts the claims on the live intermediate tables while a query
+// runs, so a kernel whose implementation breaks an invariant — an
+// unstable sort, a selection vector built out of order, a hash probe
+// that emits in the wrong order — fails the evaluation loudly instead of
+// breaking a claim a rewrite relied on.
 
 // CheckMaxRows caps how many rows of each intermediate the runtime check
 // walks. The interesting violations (wrong order after a merge, a hole
@@ -22,11 +23,31 @@ import (
 // an unbounded walk would turn O(n) kernels into O(n·cols) re-scans.
 const CheckMaxRows = 65536
 
+// checkPropsOf is what Check mode asserts for one evaluation of plan: the
+// order/denseness properties opt publishes for its operators, indexed by
+// physical.Node.Pos. They are derived per evaluation and never written
+// into the plan, which many goroutines may be running at once.
+func (e *Engine) checkPropsOf(plan *physical.Plan) ([]opt.Props, error) {
+	ops, props := opt.PlanProperties(plan.Root.Op)
+	if len(ops) != len(plan.Nodes) {
+		return nil, fmt.Errorf("runtime check: %d operators with properties, %d plan nodes", len(ops), len(plan.Nodes))
+	}
+	for i, nd := range plan.Nodes {
+		if nd.Op != ops[i] {
+			return nil, fmt.Errorf("runtime check: plan node %d is not the operator its properties belong to", i)
+		}
+	}
+	if e.forgeProps != nil {
+		e.forgeProps(props)
+	}
+	return props, nil
+}
+
 // checkNodeOutput asserts one physical kernel's output against its
-// operator's declared schema and the order/denseness bits the plan
-// carries for it.
-func checkNodeOutput(nd *physical.Node, v *bat.View) error {
-	return checkOutput(nd, v, nd.Op.Schema())
+// operator's declared schema and the order/denseness properties p opt
+// publishes for it.
+func checkNodeOutput(nd *physical.Node, p opt.Props, v *bat.View) error {
+	return checkOutput(nd, p, v, nd.Op.Schema())
 }
 
 // checkOutput is checkNodeOutput for a kernel that owes its consumers
@@ -34,7 +55,7 @@ func checkNodeOutput(nd *physical.Node, v *bat.View) error {
 // of it for a theta join). An order claim is asserted on its longest
 // prefix of produced columns — and as a key only when that is all of it —
 // a denseness claim on the columns produced.
-func checkOutput(nd *physical.Node, v *bat.View, want []string) error {
+func checkOutput(nd *physical.Node, p opt.Props, v *bat.View, want []string) error {
 	if v == nil {
 		return fmt.Errorf("runtime check: kernel produced no view")
 	}
@@ -45,7 +66,6 @@ func checkOutput(nd *physical.Node, v *bat.View, want []string) error {
 	if n > CheckMaxRows {
 		n = CheckMaxRows
 	}
-	p := nd.Props
 	// A column of the schema the kernel does not owe; a column outside the
 	// schema is a forged claim and fails the lookup below.
 	notOwed := func(c string) bool { return !slices.Contains(want, c) && nd.Op.HasCol(c) }

@@ -1,8 +1,8 @@
 package engine
 
-// White-box tests for the Config.Check runtime assertions: corrupted
-// plans are injected past the static validator — straight into the
-// engine's lowered-plan cache, or as in-place-edited logical nodes — and
+// White-box tests for the Config.Check runtime assertions: forged
+// property claims are planted past the static validator — through the
+// engine's forgeProps hook — or logical nodes are edited in place, and
 // evaluation must fail loudly instead of returning a quietly wrong
 // result.
 
@@ -13,7 +13,6 @@ import (
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/opt"
-	"pathfinder/internal/physical"
 	"pathfinder/internal/xenc"
 )
 
@@ -31,14 +30,12 @@ func mustTable(t *testing.T, pairs ...any) *bat.Table {
 	return tab
 }
 
-// TestRuntimeCheckForgedSorted plants a lowered plan whose root claims a
-// sortedness the data violates; the kernel output scan must refuse it.
+// TestRuntimeCheckForgedSorted plants a claim that the plan's root is
+// sorted, which the data violates; the kernel output scan must refuse it.
 func TestRuntimeCheckForgedSorted(t *testing.T) {
 	e := checkEngine(t)
 	root := algebra.Lit(mustTable(t, "item", bat.IntVec{3, 1, 2}))
-	plan := physical.Lower(root)
-	plan.Root.Props = opt.Props{Sorted: []string{"item"}}
-	e.sh.plans.Store(root, plan)
+	e.forgeProps = func(props []opt.Props) { props[len(props)-1] = opt.Props{Sorted: []string{"item"}} }
 
 	_, err := e.Eval(root)
 	if err == nil {
@@ -54,9 +51,9 @@ func TestRuntimeCheckForgedSorted(t *testing.T) {
 func TestRuntimeCheckForgedDense(t *testing.T) {
 	e := checkEngine(t)
 	root := algebra.Lit(mustTable(t, "pos", bat.IntVec{1, 2, 4}))
-	plan := physical.Lower(root)
-	plan.Root.Props = opt.Props{Sorted: []string{"pos"}, Strict: true, Dense: []string{"pos"}}
-	e.sh.plans.Store(root, plan)
+	e.forgeProps = func(props []opt.Props) {
+		props[len(props)-1] = opt.Props{Sorted: []string{"pos"}, Strict: true, Dense: []string{"pos"}}
+	}
 
 	_, err := e.Eval(root)
 	if err == nil {
@@ -72,9 +69,7 @@ func TestRuntimeCheckForgedDense(t *testing.T) {
 func TestRuntimeCheckForgedStrict(t *testing.T) {
 	e := checkEngine(t)
 	root := algebra.Lit(mustTable(t, "iter", bat.IntVec{1, 1, 2}))
-	plan := physical.Lower(root)
-	plan.Root.Props = opt.Props{Sorted: []string{"iter"}, Strict: true}
-	e.sh.plans.Store(root, plan)
+	e.forgeProps = func(props []opt.Props) { props[len(props)-1] = opt.Props{Sorted: []string{"iter"}, Strict: true} }
 
 	_, err := e.Eval(root)
 	if err == nil {

@@ -500,7 +500,7 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 		if tj.Count != nil {
 			owed = tj.Count.Op.Schema()
 		}
-		if err := checkOutput(tj.Out(), out.view, owed); err != nil {
+		if err := checkOutput(tj.Out(), e.checkProps[tj.Out().Pos], out.view, owed); err != nil {
 			return nil, fmt.Errorf("%s: %w", tj.Out().Op.Kind, err)
 		}
 	}

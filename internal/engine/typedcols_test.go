@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,12 +23,12 @@ func TestXMarkIntermediatesTyped(t *testing.T) {
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
 	for n := 1; n <= xmark.NumQueries; n++ {
 		plan, _ := compileStats(t, xmark.Query(n), opts)
-		_, tables, err := e.EvalTraced(plan)
+		_, tr, err := e.EvalTrace(context.Background(), plan)
 		if err != nil {
 			t.Fatalf("Q%d: %v", n, err)
 		}
 		var boxed []string
-		for op, tab := range tables {
+		for op, tab := range tr.Tables {
 			for _, c := range tab.Cols() {
 				if k, ok := oneKind(tab.MustCol(c)); ok {
 					boxed = append(boxed, fmt.Sprintf("%s.%s (%s)", op.Kind, c, k))

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -51,6 +53,17 @@ func fuzzCol(rng *rand.Rand, shape string, n int) bat.Vec {
 	return b.Build()
 }
 
+// sortedCol is v with its rows in bat.CompareTotal order.
+func sortedCol(v bat.Vec) bat.Vec {
+	items := boxed(v)
+	sort.SliceStable(items, func(i, j int) bool { return bat.CompareTotal(items[i], items[j]) < 0 })
+	b := v.New(len(items))
+	for _, it := range items {
+		b.AppendItem(it)
+	}
+	return b.Build()
+}
+
 // boxed is v as an ItemVec: the polymorphic column every kernel read
 // before the producers kept their kinds.
 func boxed(v bat.Vec) bat.ItemVec {
@@ -90,18 +103,30 @@ func sameOutcome(t *testing.T, what string, got, want bat.Vec, gerr, werr error)
 }
 
 // FuzzTypedKernelsMatchBoxed differences the kernels that read typed
-// columns directly — compare, arith, the hash join's key lanes and ∪ —
-// against the same columns boxed as ItemVecs, which take the per-row
-// bat.Item paths: the same rows, the same row order and the same error
-// text. A ∪ must also keep the vector of the kind its rows share.
+// columns directly — compare, arith, ⋈ with its run-time choice between
+// the merge kernel and the hash kernel's key lanes, and ∪ — against the
+// same columns boxed as ItemVecs, which take the per-row bat.Item paths:
+// the same rows, the same row order and the same error text. A ∪ must
+// also keep the vector of the kind its rows share.
+//
+// shapes/25 holds two flags for ⋈: bit 0 sorts the key columns, so that
+// int keys ascend and merge, and bit 1 reads both sides through a
+// selection view that skips every third row.
 func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed, uint8(seed*7), uint8(seed*3))
+	}
+	// int × int keys that ascend, on identity views (25) and on
+	// selection views (75).
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*5+3), uint8(25))
+		f.Add(seed, uint8(seed*5+3), uint8(75))
 	}
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, seed int64, n, shapes uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		ls, rs := fuzzShapes[int(shapes)%len(fuzzShapes)], fuzzShapes[int(shapes)/len(fuzzShapes)%len(fuzzShapes)]
+		sorted, selected := shapes/25&1 != 0, shapes/25&2 != 0
 		rows := int(n % 24)
 		a, b := fuzzCol(rng, ls, rows), fuzzCol(rng, rs, rows)
 		ba, bb := boxed(a), boxed(b)
@@ -120,15 +145,34 @@ func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 
 		// ⋈ and ∪ over sides of their own lengths, an empty one included.
 		r := fuzzCol(rng, rs, rng.Intn(12))
+		ja, jr := a, r
+		if sorted {
+			ja, jr = sortedCol(a), sortedCol(r)
+		}
 		side := func(k bat.Vec, id string) *bat.View {
-			return bat.ViewOf(bat.MustTable(id+"k", k, id, bat.Ramp(0, k.Len())))
+			t := bat.MustTable(id+"k", k, id, bat.Ramp(0, k.Len()))
+			if !selected {
+				return bat.ViewOf(t)
+			}
+			var sel []int32
+			for i := 0; i < k.Len(); i++ {
+				if i%3 != 1 {
+					sel = append(sel, int32(i))
+				}
+			}
+			return bat.NewView(t, sel)
 		}
 		o := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"lk"}, KeyR: []string{"rk"}}
 		for _, mode := range []joinMode{joinFull, joinSemi} {
-			got, gerr := physHashJoin(ctx, o, side(a, "l"), side(r, "r"), mode)
-			want, werr := physHashJoin(ctx, o, side(ba, "l"), side(boxed(r), "r"), mode)
+			got, gerr := physJoin(ctx, o, side(ja, "l"), side(jr, "r"), mode)
+			want, werr := physJoin(ctx, o, side(boxed(ja), "l"), side(boxed(jr), "r"), mode)
 			if gerr != nil || werr != nil {
 				t.Fatalf("%s ⋈: %v, boxed %v", name, gerr, werr)
+			}
+			_, lInt := ja.(bat.IntVec)
+			_, rInt := jr.(bat.IntVec)
+			if sorted && lInt && rInt && !strings.HasPrefix(got.kernel, "merge-") {
+				t.Fatalf("%s ⋈ over ascending int keys ran %s", name, got.kernel)
 			}
 			for _, c := range want.view.Base().Cols() {
 				if c == "lk" || c == "rk" {

@@ -1,15 +1,18 @@
 package opt
 
 import (
+	"slices"
+	"strings"
+
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
-	"slices"
 )
 
 // Props is the exported face of the optimizer's per-operator property
-// inference, consumed by the physical lowering pass (internal/physical)
-// to choose kernels: merge join needs both inputs Sorted on the key,
-// the rownum mark fast path needs a Dense partition or presorted input.
+// inference: what internal/check audits against its own re-derivation,
+// what the engine's Check mode asserts on live rows and what
+// `pf -show physical` prints beside each node. Nothing chooses a kernel
+// by them; the engine looks at the key columns themselves.
 type Props struct {
 	// Sorted is the column prefix the output is guaranteed sorted by
 	// (ascending, lexicographic); nil means no guarantee.
@@ -23,24 +26,21 @@ type Props struct {
 	Dense []string
 }
 
-// SortedOn reports whether the output is guaranteed sorted with the given
-// columns as a prefix of its sort order.
-func (p Props) SortedOn(cols ...string) bool {
-	if hasPrefix(p.Sorted, cols) {
-		return true
-	}
-	// A single dense column is sorted by construction.
-	return len(cols) == 1 && p.DenseOn(cols[0])
-}
-
-// DenseOn reports whether col is one of the dense columns.
-func (p Props) DenseOn(col string) bool {
-	for _, c := range p.Dense {
-		if c == col {
-			return true
+// String renders the properties compactly for plan displays —
+// "key(iter,pos) dense(pos)" — and is empty when nothing is known.
+func (p Props) String() string {
+	var parts []string
+	if len(p.Sorted) > 0 {
+		s := "sorted(" + strings.Join(p.Sorted, ",") + ")"
+		if p.Strict {
+			s = "key(" + strings.Join(p.Sorted, ",") + ")"
 		}
+		parts = append(parts, s)
 	}
-	return false
+	if len(p.Dense) > 0 {
+		parts = append(parts, "dense("+strings.Join(p.Dense, ",")+")")
+	}
+	return strings.Join(parts, " ")
 }
 
 // Properties computes order/denseness properties for every operator of
@@ -57,8 +57,8 @@ func Properties(root *algebra.Op) map[*algebra.Op]Props {
 
 // PlanProperties derives the properties of every operator of the DAG
 // rooted at root over one walk: ops lists the operators in algebra.Topo
-// order and props[i] belongs to ops[i] — the form the physical lowering
-// consumes, which creates its nodes in that order.
+// order and props[i] belongs to ops[i] — the order physical.Lower gives
+// its nodes, so props[nd.Pos] belongs to the node nd.
 func PlanProperties(root *algebra.Op) (ops []*algebra.Op, props []Props) {
 	p := newProps(newPlanIndex(root))
 	props = make([]Props, len(p.idx.ops))

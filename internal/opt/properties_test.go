@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -14,31 +15,31 @@ func TestDenseProperties(t *testing.T) {
 		"item", bat.IntVec{9, 9, 9},
 	))
 	props := Properties(ramp)
-	if !props[ramp].DenseOn("pos") {
+	if !slices.Contains(props[ramp].Dense, "pos") {
 		t.Error("ramp literal column must be dense")
 	}
-	if props[ramp].DenseOn("item") {
+	if slices.Contains(props[ramp].Dense, "item") {
 		t.Error("constant column is not dense")
 	}
 
 	// mark appends a dense column and keeps the child's.
 	marked := mustOp(algebra.RowID(ramp, "m"))
 	props = Properties(marked)
-	if !props[marked].DenseOn("m") || !props[marked].DenseOn("pos") {
+	if !slices.Contains(props[marked].Dense, "m") || !slices.Contains(props[marked].Dense, "pos") {
 		t.Errorf("mark density = %v", props[marked].Dense)
 	}
 
 	// Unpartitioned ϱ numbers the whole relation 1..n.
 	rn := mustOp(algebra.RowNum(ramp, "n", []algebra.OrderSpec{{Col: "item"}}, ""))
 	props = Properties(rn)
-	if !props[rn].DenseOn("n") {
+	if !slices.Contains(props[rn].Dense, "n") {
 		t.Error("unpartitioned rownum output must be dense")
 	}
 
 	// Projection renames density; selection destroys it.
 	proj := mustOp(algebra.Project(marked, "q:m"))
 	props = Properties(proj)
-	if !props[proj].DenseOn("q") || props[proj].DenseOn("m") {
+	if !slices.Contains(props[proj].Dense, "q") || slices.Contains(props[proj].Dense, "m") {
 		t.Errorf("projected density = %v", props[proj].Dense)
 	}
 	f := mustOp(algebra.Fun(marked, "b", algebra.FunEq, "m", "m"))
@@ -46,24 +47,6 @@ func TestDenseProperties(t *testing.T) {
 	props = Properties(sel)
 	if len(props[sel].Dense) != 0 {
 		t.Errorf("selection output kept density: %v", props[sel].Dense)
-	}
-}
-
-func TestPropsSortedOn(t *testing.T) {
-	p := Props{Sorted: []string{"iter", "pos"}}
-	if !p.SortedOn("iter") || !p.SortedOn("iter", "pos") {
-		t.Error("sorted prefix not recognized")
-	}
-	if p.SortedOn("pos") {
-		t.Error("non-prefix column accepted")
-	}
-	// A dense column is sorted by construction even without an ordering.
-	d := Props{Dense: []string{"m"}}
-	if !d.SortedOn("m") {
-		t.Error("dense column must count as sorted")
-	}
-	if d.SortedOn("m", "x") {
-		t.Error("dense column only covers single-column orders")
 	}
 }
 
@@ -78,7 +61,7 @@ func TestPropertiesCoversDAG(t *testing.T) {
 	if len(props) != algebra.CountOps(j) {
 		t.Fatalf("%d property entries for %d ops", len(props), algebra.CountOps(j))
 	}
-	if !props[shared].SortedOn("k") {
+	if !hasPrefix(props[shared].Sorted, []string{"k"}) {
 		t.Error("shared literal lost its sortedness")
 	}
 }

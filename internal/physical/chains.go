@@ -7,10 +7,10 @@ const chainMinRows = 4096
 
 // countChains counts the operator chains the lowering used to form, when
 // the executor ran each chain as one scheduler task: maximal runs of
-// per-row unary operators (σ, π, ⊛, mark, and ϱ on its const-1 fast
-// path) outside the theta joins, each interior read only by the next
-// member, no mark after a filter, at least two members, and a head not
-// statically known to see fewer than chainMinRows rows. The executor
+// per-row unary operators (σ, π, ⊛, mark) outside the theta joins, each
+// interior read only by the next member, no mark after a filter, at
+// least two members, and a head not statically known to see fewer than
+// chainMinRows rows. The executor
 // runs every node as its own unit now; the count is only reported.
 //
 // Deprecated: Plan.Chains, which benchmark/inproc.go reports as
@@ -27,8 +27,6 @@ func countChains(p *Plan, consumers map[*Node]int, nextOf map[*Node]*Node) int {
 		switch nd.Op.Kind {
 		case algebra.OpSelect, algebra.OpProject, algebra.OpFun, algebra.OpRowID:
 			return len(nd.In) == 1
-		case algebra.OpRowNum:
-			return nd.Const1 && len(nd.In) == 1
 		}
 		return false
 	}

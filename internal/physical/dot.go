@@ -7,13 +7,14 @@ import (
 
 // Dot renders the physical plan in Graphviz syntax, parallel to
 // algebra.Dot for logical plans: each node shows the logical operator,
-// the chosen kernel, and the inferred order/denseness properties.
+// its kernel family and, when note is set, what note says about the
+// node (cmd/pf passes the optimizer's order/denseness properties).
 // Pipeline operators are drawn with rounded corners, breakers
 // (materializing operators) as plain boxes. The members of a theta
 // join are grouped into a cluster subgraph labeled with the unit's id,
 // so the one multi-operator execution unit is visible in the rendered
 // plan.
-func Dot(p *Plan) string {
+func Dot(p *Plan, note func(*Node) string) string {
 	ids := make(map[*Node]int, len(p.Nodes))
 	unitOf := make(map[*Node]*ThetaJoin)
 	for _, tj := range p.ThetaJoins {
@@ -25,12 +26,22 @@ func Dot(p *Plan) string {
 	sb.WriteString("digraph physical {\n  node [shape=box, fontname=\"monospace\"];\n")
 	nodeDecl := func(i int, nd *Node, indent string) {
 		lines := []string{escape(nd.Op.Label()), escape(nd.Kernel)}
-		if note := nd.PropsNote(); note != "" {
-			lines = append(lines, escape(note))
+		var notes []string
+		if note != nil {
+			if s := note(nd); s != "" {
+				notes = append(notes, s)
+			}
 		}
 		style := ""
-		if nd.Pipeline {
+		if Pipeline(nd.Op.Kind) {
+			notes = append(notes, "pipeline")
 			style = ", style=rounded"
+		}
+		if nd.Stream {
+			notes = append(notes, "stream")
+		}
+		if len(notes) > 0 {
+			lines = append(lines, escape(strings.Join(notes, " ")))
 		}
 		fmt.Fprintf(&sb, "%sn%d [label=\"%s\"%s];\n", indent, i, strings.Join(lines, `\n`), style)
 	}

@@ -1,8 +1,10 @@
 package physical_test
 
-// Golden test for the physical plan rendering: the lowered plans of two
-// XMark queries are pinned byte-for-byte — Q8, the big equijoin query
-// (merge-join, presorted rownum, the pipeline flags), and Q11, the theta-join query (the theta-join cluster).
+// Golden test for the physical plan rendering, as `pf -show physical`
+// draws it: the lowered plans of two XMark queries, each node noted with
+// the optimizer's properties, are pinned byte-for-byte — Q8, the big
+// equijoin query (join and rownum kernels, the pipeline flags), and Q11,
+// the theta-join query (the theta-join cluster).
 // Regenerate intentionally with:
 //
 //	go test ./internal/physical -run TestPhysicalDotGolden -update
@@ -37,7 +39,8 @@ func physicalDotGolden(t *testing.T, n int) {
 	if plan, err = opt.Optimize(plan); err != nil {
 		t.Fatal(err)
 	}
-	got := physical.Dot(physical.Lower(plan))
+	_, props := opt.PlanProperties(plan)
+	got := physical.Dot(physical.Lower(plan), func(nd *physical.Node) string { return props[nd.Pos].String() })
 
 	path := filepath.Join("testdata", fmt.Sprintf("q%02d_physical.dot", n))
 	if *update {

@@ -1,48 +1,30 @@
 // Package physical lowers the logical algebra DAG (internal/algebra) into
-// a physical plan of typed operator kernels. The lowering pass consults
-// the optimizer's order/denseness properties (internal/opt) to choose the
-// kernel for each operator statically — merge join when both inputs are
-// sorted on the key, hash join otherwise; a constant or presorted fast
-// path for ϱ when the partition column is dense or the input is already
-// in numbering order — and classifies operators as pipeline (their output
-// is a selection vector over a shared base table, never materialized) or
-// breakers (their output is a standalone table). internal/engine executes
-// the physical plan; the lowering is 1:1 per logical operator, so the
-// engine's DAG memoization carries over unchanged.
+// a physical plan of operator kernels: one node per logical operator,
+// each with its kernel family, a cardinality estimate, the theta joins
+// the executor may run as one unit and the ε that stream their trees.
+// Which kernel of a family runs — merge or hash join, which ϱ numbering
+// path — is not decided here: internal/engine looks at the key columns
+// when the node runs. An operator kind is either pipeline (its output is
+// a selection vector over a shared base table, never materialized) or a
+// breaker (its output is a standalone table). The lowering is 1:1 per
+// logical operator, so the engine's DAG memoization carries over
+// unchanged.
 package physical
 
-import (
-	"strings"
-
-	"pathfinder/internal/algebra"
-	"pathfinder/internal/opt"
-)
+import "pathfinder/internal/algebra"
 
 // Node is one physical operator: the logical operator it implements, the
-// statically chosen kernel, and the lowering decisions the executor acts
-// on. The executor may refine the kernel at runtime (e.g. a hash join
-// discovers both key columns are typed int vectors); the refinement is
-// reported through the evaluation trace, not here.
+// kernel family it lowers to, and the lowering decisions the executor
+// acts on. Where a family has several kernels the executor picks one per
+// execution from its inputs (a ⋈ whose int keys ascend merges, one whose
+// keys do not hashes) and reports it through the evaluation trace, not
+// here.
 type Node struct {
 	Op     *algebra.Op
 	In     []*Node
-	Kernel string // statically chosen kernel name
+	Kernel string // kernel family, e.g. "join", "rownum", "staircase"
 	Pos    int    // position in Plan.Nodes: the executor's result slot
 
-	// Merge marks a join/semijoin lowered to the merge kernel: both
-	// inputs are statically sorted on the (single) key column.
-	Merge bool
-	// Presorted marks a ϱ whose input is statically in (partition,
-	// order...) order, so the sort and the runtime sortedness scan are
-	// both skipped.
-	Presorted bool
-	// Const1 marks a ϱ whose partition column is dense (1..n): every
-	// partition is a singleton and the numbering is constant 1.
-	Const1 bool
-	// Pipeline marks operators whose output stays a view — a selection
-	// vector or cheap column extension over shared base vectors — rather
-	// than a materialized table.
-	Pipeline bool
 	// Parallel is never set: the executor runs every kernel as one
 	// sequential loop.
 	//
@@ -58,10 +40,6 @@ type Node struct {
 	// operator downstream of a location step, whose fan-out the lowering
 	// pass cannot see.
 	EstRows int64
-
-	// Props are the inferred order/denseness properties of this
-	// operator's output, carried along for plan rendering.
-	Props opt.Props
 }
 
 // Plan is a lowered physical plan: nodes in bottom-up topological order
@@ -137,18 +115,30 @@ func (p *Plan) EstCost(unknownRows int64) int64 {
 func (p *Plan) Breakers() int {
 	n := 0
 	for _, nd := range p.Nodes {
-		if !nd.Pipeline {
+		if !Pipeline(nd.Op.Kind) {
 			n++
 		}
 	}
 	return n
 }
 
+// Pipeline reports whether operators of kind k produce a view — a
+// selection vector or a cheap column extension over shared base vectors
+// — rather than a materialized table.
+func Pipeline(k algebra.OpKind) bool {
+	switch k {
+	case algebra.OpProject, algebra.OpSelect, algebra.OpDiff, algebra.OpSemiJoin,
+		algebra.OpRowID, algebra.OpFun, algebra.OpDoc, algebra.OpRoots:
+		return true
+	}
+	return false
+}
+
 // Lower compiles the logical DAG rooted at root into a physical plan.
 // Shared logical subplans become shared physical nodes, preserving the
 // exactly-once evaluation guarantee.
 func Lower(root *algebra.Op) *Plan {
-	order, props := opt.PlanProperties(root)
+	order := algebra.Topo(root)
 	byOp := make(map[*algebra.Op]int, len(order))
 	nodes := make([]*Node, len(order))
 	// The nodes and their input lists are carved from two arrays: a plan
@@ -162,7 +152,7 @@ func Lower(root *algebra.Op) *Plan {
 	constructs := false
 	for i, o := range order {
 		nd := &slab[i]
-		nd.Op, nd.Props, nd.Pos, nd.In, ins = o, props[i], i, ins[:len(o.In):len(o.In)], ins[len(o.In):]
+		nd.Op, nd.Pos, nd.In, ins = o, i, ins[:len(o.In):len(o.In)], ins[len(o.In):]
 		for k, c := range o.In {
 			nd.In[k] = nodes[byOp[c]]
 		}
@@ -188,71 +178,43 @@ func Lower(root *algebra.Op) *Plan {
 	return p
 }
 
-// lowerOp chooses the kernel and execution flags of a node whose
-// operator, properties and inputs are in place.
+// lowerOp names the kernel family of a node whose operator and inputs
+// are in place, and estimates its cardinality.
 func lowerOp(nd *Node) {
 	o := nd.Op
 	switch o.Kind {
 	case algebra.OpLit:
 		nd.Kernel = "scan"
 	case algebra.OpProject:
-		nd.Kernel, nd.Pipeline = "project", true
+		nd.Kernel = "project"
 	case algebra.OpSelect:
-		nd.Kernel, nd.Pipeline = "filter", true
+		nd.Kernel = "filter"
 	case algebra.OpUnion:
 		nd.Kernel = "concat"
 	case algebra.OpDiff:
-		nd.Kernel, nd.Pipeline = "antijoin", true
+		nd.Kernel = "antijoin"
 	case algebra.OpDistinct:
 		nd.Kernel = "distinct"
-	case algebra.OpJoin, algebra.OpSemiJoin:
-		name := "join"
-		if o.Kind == algebra.OpSemiJoin {
-			name, nd.Pipeline = "semijoin", true
-		}
-		// Merge kernel: a single key with both sides statically sorted
-		// on it. (The executor additionally requires typed int keys —
-		// the iter/mark columns loop-lifting joins on — and demotes to
-		// hash otherwise, since only there do sort order and hash-key
-		// equality provably coincide.)
-		if len(o.KeyL) == 1 &&
-			nd.In[0].Props.SortedOn(o.KeyL[0]) &&
-			nd.In[1].Props.SortedOn(o.KeyR[0]) {
-			nd.Merge = true
-			nd.Kernel = "merge-" + name
-		} else {
-			nd.Kernel = "hash-" + name
-		}
+	case algebra.OpJoin:
+		nd.Kernel = "join"
+	case algebra.OpSemiJoin:
+		nd.Kernel = "semijoin"
 	case algebra.OpCross:
 		nd.Kernel = "nested-product"
 	case algebra.OpRowNum:
-		in := nd.In[0].Props
-		switch {
-		case o.Part != "" && in.DenseOn(o.Part):
-			// Dense partition column: every partition is a singleton,
-			// the input is already in partition order, and the numbering
-			// is the constant 1 — the paper's "ϱ is a no-cost operator"
-			// observation in its strongest form.
-			nd.Const1 = true
-			nd.Kernel = "rownum[const1]"
-		case rowNumPresorted(o, in):
-			nd.Presorted = true
-			nd.Kernel = "rownum[presorted]"
-		default:
-			nd.Kernel = "rownum[sort]"
-		}
+		nd.Kernel = "rownum"
 	case algebra.OpRowID:
-		nd.Kernel, nd.Pipeline = "mark", true
+		nd.Kernel = "mark"
 	case algebra.OpFun:
-		nd.Kernel, nd.Pipeline = "map["+o.Fun.String()+"]", true
+		nd.Kernel = "map[" + o.Fun.String() + "]"
 	case algebra.OpAggr:
 		nd.Kernel = "aggr[" + o.Agg.String() + "]"
 	case algebra.OpStep:
 		nd.Kernel = "staircase"
 	case algebra.OpDoc:
-		nd.Kernel, nd.Pipeline = "doc", true
+		nd.Kernel = "doc"
 	case algebra.OpRoots:
-		nd.Kernel, nd.Pipeline = "roots", true
+		nd.Kernel = "roots"
 	case algebra.OpElem:
 		nd.Kernel = "elem"
 	case algebra.OpText:
@@ -339,43 +301,4 @@ func reestimate(p *Plan) {
 			nd.EstRows = estRows(nd.Op, nd)
 		}
 	}
-}
-
-// rowNumPresorted reports whether ϱ's input is statically guaranteed to
-// already be in (partition, order...) order, all ascending.
-func rowNumPresorted(o *algebra.Op, in opt.Props) bool {
-	var need []string
-	if o.Part != "" {
-		need = append(need, o.Part)
-	}
-	for _, s := range o.Order {
-		if s.Desc {
-			return false
-		}
-		need = append(need, s.Col)
-	}
-	return in.SortedOn(need...)
-}
-
-// PropsNote renders the node's inferred properties compactly for plan
-// displays; empty when nothing is known.
-func (n *Node) PropsNote() string {
-	var parts []string
-	if len(n.Props.Sorted) > 0 {
-		s := "sorted(" + strings.Join(n.Props.Sorted, ",") + ")"
-		if n.Props.Strict {
-			s = "key(" + strings.Join(n.Props.Sorted, ",") + ")"
-		}
-		parts = append(parts, s)
-	}
-	if len(n.Props.Dense) > 0 {
-		parts = append(parts, "dense("+strings.Join(n.Props.Dense, ",")+")")
-	}
-	if n.Pipeline {
-		parts = append(parts, "pipeline")
-	}
-	if n.Stream {
-		parts = append(parts, "stream")
-	}
-	return strings.Join(parts, " ")
 }

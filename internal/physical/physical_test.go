@@ -1,6 +1,8 @@
 package physical
 
 import (
+	"go/build"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,73 +40,6 @@ func kernelOf(t *testing.T, root *algebra.Op) *Node {
 	return p.Root
 }
 
-// Property-driven kernel selection: the lowering pass must pick the merge
-// kernel exactly when the optimizer proves both inputs sorted on the key.
-func TestLowerJoinKernelSelection(t *testing.T) {
-	sortedL := sortedLit("k", 1, 2, 3)
-	sortedR := mustOp(algebra.Project(sortedLit("k", 1, 2, 2, 5), "j:k"))
-	unsorted := algebra.Lit(bat.MustTable("j", bat.IntVec{3, 1, 2}))
-
-	nd := kernelOf(t, mustOp(algebra.Join(sortedL, sortedR, []string{"k"}, []string{"j"})))
-	if !nd.Merge || nd.Kernel != "merge-join" {
-		t.Errorf("sorted ⋈ sorted: kernel = %q, merge = %v", nd.Kernel, nd.Merge)
-	}
-
-	nd = kernelOf(t, mustOp(algebra.Join(sortedL, unsorted, []string{"k"}, []string{"j"})))
-	if nd.Merge || nd.Kernel != "hash-join" {
-		t.Errorf("sorted ⋈ unsorted: kernel = %q, merge = %v", nd.Kernel, nd.Merge)
-	}
-
-	nd = kernelOf(t, mustOp(algebra.SemiJoin(sortedL, sortedR, []string{"k"}, []string{"j"})))
-	if !nd.Merge || nd.Kernel != "merge-semijoin" || !nd.Pipeline {
-		t.Errorf("sorted ⋉ sorted: kernel = %q, merge = %v, pipeline = %v",
-			nd.Kernel, nd.Merge, nd.Pipeline)
-	}
-
-	// Multi-column keys never merge (the kernel is single-key).
-	two := algebra.Lit(bat.MustTable("a", bat.IntVec{1, 2}, "b", bat.IntVec{1, 2}))
-	twoR := mustOp(algebra.Project(two, "c:a", "d:b"))
-	nd = kernelOf(t, mustOp(algebra.Join(two, twoR, []string{"a", "b"}, []string{"c", "d"})))
-	if nd.Merge {
-		t.Errorf("multi-key join must not merge: %q", nd.Kernel)
-	}
-}
-
-// Dense-partition ϱ lowers to the constant-1 kernel: mark emits 1..n, so
-// numbering per mark partition is constant 1 — no sort, no scan.
-func TestLowerRowNumKernelSelection(t *testing.T) {
-	base := algebra.Lit(bat.MustTable("item", bat.IntVec{7, 9, 8}))
-	marked := mustOp(algebra.RowID(base, "inner"))
-
-	nd := kernelOf(t, mustOp(algebra.RowNum(marked, "pos", nil, "inner")))
-	if !nd.Const1 || nd.Kernel != "rownum[const1]" {
-		t.Errorf("dense partition: kernel = %q, const1 = %v", nd.Kernel, nd.Const1)
-	}
-
-	// Sorted input, no partition: presorted numbering.
-	sorted := sortedLit("iter", 1, 1, 2)
-	nd = kernelOf(t, mustOp(algebra.RowNum(sorted, "pos",
-		[]algebra.OrderSpec{{Col: "iter"}}, "")))
-	if !nd.Presorted || nd.Kernel != "rownum[presorted]" {
-		t.Errorf("sorted input: kernel = %q, presorted = %v", nd.Kernel, nd.Presorted)
-	}
-
-	// Unsorted order column: full sort kernel.
-	unsorted := algebra.Lit(bat.MustTable("x", bat.IntVec{3, 1, 2}))
-	nd = kernelOf(t, mustOp(algebra.RowNum(unsorted, "pos",
-		[]algebra.OrderSpec{{Col: "x"}}, "")))
-	if nd.Const1 || nd.Presorted || nd.Kernel != "rownum[sort]" {
-		t.Errorf("unsorted input: kernel = %q", nd.Kernel)
-	}
-
-	// Descending order never counts as presorted.
-	nd = kernelOf(t, mustOp(algebra.RowNum(sorted, "pos",
-		[]algebra.OrderSpec{{Col: "iter", Desc: true}}, "")))
-	if nd.Presorted {
-		t.Errorf("descending order lowered to presorted kernel")
-	}
-}
-
 func TestLowerPipelineFlags(t *testing.T) {
 	lit := sortedLit("k", 1, 2, 3)
 	pipeline := map[string]*algebra.Op{
@@ -114,7 +49,7 @@ func TestLowerPipelineFlags(t *testing.T) {
 	}
 	for name, root := range pipeline {
 		nd := kernelOf(t, root)
-		if !nd.Pipeline {
+		if !Pipeline(nd.Op.Kind) {
 			t.Errorf("%s must be a pipeline operator", name)
 		}
 		if !strings.HasPrefix(nd.Kernel, name) {
@@ -127,16 +62,15 @@ func TestLowerPipelineFlags(t *testing.T) {
 	}
 	for name, root := range breakers {
 		nd := kernelOf(t, root)
-		if nd.Pipeline {
+		if Pipeline(nd.Op.Kind) {
 			t.Errorf("%s must be a breaker", name)
 		}
 	}
 }
 
 // EstRows is a bound from literal sizes, unknown (-1) downstream of a
-// step; a join whose inputs are both sorted on the key merges, one whose
-// input is not hashes.
-func TestLowerEstRowsAndMerge(t *testing.T) {
+// step.
+func TestLowerEstRows(t *testing.T) {
 	tiny := sortedLit("k", 1, 2, 3)
 	big := algebra.Lit(bat.MustTable("k", bat.Ramp(1, 8192)))
 
@@ -156,17 +90,41 @@ func TestLowerEstRowsAndMerge(t *testing.T) {
 		t.Errorf("filter below step: est = %d, want -1", nd.EstRows)
 	}
 
-	bigR := mustOp(algebra.Project(big, "j:k"))
-	if nd := kernelOf(t, mustOp(algebra.Join(big, bigR, []string{"k"}, []string{"j"}))); !nd.Merge {
-		t.Errorf("join of sorted inputs: merge = %v", nd.Merge)
-	}
-	unsorted := algebra.Lit(bat.MustTable("j", append(bat.IntVec{2, 1}, bat.Ramp(3, 8192)...)))
-	if nd := kernelOf(t, mustOp(algebra.Join(big, unsorted, []string{"k"}, []string{"j"}))); nd.Merge {
-		t.Errorf("join of an unsorted input: merge = %v", nd.Merge)
-	}
-
 	if nd := kernelOf(t, mustOp(algebra.Aggr(big, "s", algebra.AggSum, "k", ""))); nd.EstRows != 1 {
 		t.Errorf("scalar aggr: est = %d, want 1", nd.EstRows)
+	}
+}
+
+// The lowering names a kernel family per operator kind, whatever order
+// or denseness the inputs have: the executor picks merge or hash, and
+// the ϱ numbering path, from the rows.
+func TestLowerKernelIsTheKind(t *testing.T) {
+	sorted := sortedLit("k", 1, 2, 3)
+	unsorted := algebra.Lit(bat.MustTable("j", bat.IntVec{3, 1, 2}))
+	marked := mustOp(algebra.RowID(sorted, "m"))
+	for want, root := range map[string]*algebra.Op{
+		"join":     mustOp(algebra.Join(sorted, mustOp(algebra.Project(sorted, "j:k")), []string{"k"}, []string{"j"})),
+		"semijoin": mustOp(algebra.SemiJoin(sorted, unsorted, []string{"k"}, []string{"j"})),
+		"rownum":   mustOp(algebra.RowNum(marked, "pos", nil, "m")),
+	} {
+		if nd := kernelOf(t, root); nd.Kernel != want {
+			t.Errorf("%s lowered to kernel %q", root.Kind, nd.Kernel)
+		}
+	}
+	if kernelOf(t, mustOp(algebra.RowNum(unsorted, "pos", []algebra.OrderSpec{{Col: "j", Desc: true}}, ""))).Kernel != "rownum" {
+		t.Error("a descending ϱ lowered to another kernel than rownum")
+	}
+}
+
+// internal/physical decides nothing from the optimizer's properties: it
+// must not import internal/opt.
+func TestPhysicalDoesNotImportOpt(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(pkg.Imports, "pathfinder/internal/opt") {
+		t.Errorf("internal/physical imports internal/opt: %v", pkg.Imports)
 	}
 }
 

@@ -134,7 +134,7 @@ func TestDiscoverCountTail(t *testing.T) {
 	root := mustOp(algebra.Project(cnt, "iter:by", "n"))
 	p := Lower(root)
 	if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count == nil {
-		t.Fatalf("no count-only theta join in:\n%s", Dot(p))
+		t.Fatalf("no count-only theta join in:\n%s", Dot(p, nil))
 	}
 	tj := p.ThetaJoins[0]
 	if tj.CountBy != "li" || tj.CountOf != "ri" || tj.Out().Op != cnt || len(tj.Members()) != 6 {
@@ -152,7 +152,7 @@ func TestDiscoverCountTail(t *testing.T) {
 	if got, want := p.EstCost(1<<20), int64(nl+nr+(nl+nr)*13+nl); got != want {
 		t.Errorf("plan priced at %d, want %d — the product (%d rows) must not be charged", got, want, nl*nr)
 	}
-	if dot := Dot(p); !strings.Contains(dot, `label="theta join #1 (count only)"`) {
+	if dot := Dot(p, nil); !strings.Contains(dot, `label="theta join #1 (count only)"`) {
 		t.Errorf("dot output does not draw the count-only unit as one cluster:\n%s", dot)
 	}
 }
