@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-kernels-smoke bench-construct-smoke service-smoke store-smoke
+.PHONY: build test verify race golden fmt-check pfvet pfvet-sarif fuzz-smoke bench bench-join bench-path bench-compile bench-smoke bench-pipeline-smoke bench-step-smoke bench-exec-smoke bench-kernels-smoke bench-construct-smoke service-smoke store-smoke
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,15 @@ bench-pipeline-smoke:
 # is a test (TestStepAllocBudget).
 bench-step-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench StepLoopLifted -benchtime 1x
+
+# CI smoke for the executor's fixed price per operator: a chain of 46
+# one-row π / × / literal operators and the service's point lookup at
+# SF 0.01 (39 operators, most over one row), each evaluated once, with
+# allocation counts, the operator count and ns per operator
+# (`-benchtime 2000x -count 5` for numbers worth comparing). The
+# allocation ceilings themselves are a test (TestOperatorAllocBudget).
+bench-exec-smoke:
+	$(GO) test ./internal/engine -run '^$$' -bench TinyPlan -benchtime 1x
 
 # CI smoke for the join-tail kernel micro-benchmarks: δ, ϱ, ⋈ and aggr at
 # XMark Q11's size, each fast path beside the kernel it shortcuts,

@@ -49,7 +49,8 @@ func (k OpKind) String() string {
 }
 
 // ProjPair renames Old to New in a projection (New == Old keeps the name).
-type ProjPair struct{ New, Old string }
+// It is the pair bat.Table.Project takes, so a π's pairs run as they are.
+type ProjPair = bat.ProjPair
 
 // OrderSpec orders a row-numbering operator by Col, descending when Desc.
 type OrderSpec struct {

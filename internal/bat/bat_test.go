@@ -253,7 +253,7 @@ func TestTableAddColValidation(t *testing.T) {
 
 func TestTableProjectRename(t *testing.T) {
 	tb := MustTable("iter", IntVec{1, 2}, "item", ItemVec{Str("a"), Str("b")})
-	p, err := tb.Project("outer:iter", "item", "copy:item")
+	p, err := tb.Project(ProjPair{"outer", "iter"}, ProjPair{"item", "item"}, ProjPair{"copy", "item"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +263,10 @@ func TestTableProjectRename(t *testing.T) {
 	if p.MustCol("copy").ItemAt(1).S != "b" {
 		t.Error("rename duplicated column content wrong")
 	}
-	if _, err := tb.Project("x:nope"); err == nil {
+	if _, err := tb.Project(ProjPair{"x", "nope"}); err == nil {
 		t.Error("projecting a missing column should error")
 	}
-	if _, err := tb.Project("iter", "iter"); err == nil {
+	if _, err := tb.Project(ProjPair{"iter", "iter"}, ProjPair{"iter", "iter"}); err == nil {
 		t.Error("duplicate output column should error")
 	}
 }

@@ -11,10 +11,38 @@ import (
 // length. Row order is significant — the loop-lifting encoding relies on
 // tables being materialized in (iter, pos) order, and the optimizer
 // reasons about that order explicitly.
+//
+// A table is immutable once it has been handed on: its schema and its
+// vectors are shared by every table derived from it (With, Project,
+// Slice, Typed share the vectors they do not change), so none of
+// them may be written to. A kernel extends its input with With, which
+// returns a new table, and never calls AddCol on it; AddCol only builds a
+// table nobody else holds yet. Tables are sized exactly when they are
+// built: a derived table costs two allocations, whatever its width.
 type Table struct {
-	names []string
-	cols  []Vec
-	n     int
+	cols []column
+	n    int
+}
+
+// column is one named vector of a table.
+type column struct {
+	name string
+	vec  Vec
+}
+
+// ProjPair is one output column of a projection: input column Old under
+// the name New (New == Old keeps the name).
+type ProjPair struct{ New, Old string }
+
+// NewTableCap returns an empty table with room for width columns, for a
+// kernel to fill with AddCol before it hands the table on.
+func NewTableCap(width int) *Table {
+	return withCap(0, width)
+}
+
+// withCap returns an empty table of n rows with room for width columns.
+func withCap(n, width int) *Table {
+	return &Table{n: n, cols: make([]column, 0, width)}
 }
 
 // NewTable builds a table from alternating name/vector pairs.
@@ -22,7 +50,7 @@ func NewTable(pairs ...any) (*Table, error) {
 	if len(pairs)%2 != 0 {
 		return nil, fmt.Errorf("NewTable: odd argument count")
 	}
-	t := &Table{}
+	t := withCap(0, len(pairs)/2)
 	for i := 0; i < len(pairs); i += 2 {
 		name, ok := pairs[i].(string)
 		if !ok {
@@ -49,7 +77,9 @@ func MustTable(pairs ...any) *Table {
 	return t
 }
 
-// AddCol appends a column. All columns must share the same length.
+// AddCol appends a column to a table under construction. All columns must
+// share the same length. A table another reader holds is never extended
+// in place; see With.
 func (t *Table) AddCol(name string, v Vec) error {
 	if len(t.cols) > 0 && v.Len() != t.n {
 		return fmt.Errorf("column %q has %d rows, table has %d", name, v.Len(), t.n)
@@ -60,21 +90,47 @@ func (t *Table) AddCol(name string, v Vec) error {
 	if len(t.cols) == 0 {
 		t.n = v.Len()
 	}
-	t.names = append(t.names, name)
-	t.cols = append(t.cols, v)
+	t.cols = append(t.cols, column{name, v})
 	return nil
+}
+
+// With returns t extended by one column, sharing t's vectors; t itself is
+// left as it was.
+func (t *Table) With(name string, v Vec) (*Table, error) {
+	out := withCap(t.n, len(t.cols)+1)
+	out.cols = append(out.cols, t.cols...)
+	if err := out.AddCol(name, v); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Rows returns the number of rows.
 func (t *Table) Rows() int { return t.n }
 
-// Cols returns the column names in schema order.
-func (t *Table) Cols() []string { return append([]string(nil), t.names...) }
+// NumCols returns the number of columns.
+func (t *Table) NumCols() int { return len(t.cols) }
+
+// ColName returns the name of column i in schema order.
+func (t *Table) ColName(i int) string { return t.cols[i].name }
+
+// ColVec returns the vector of column i in schema order.
+func (t *Table) ColVec(i int) Vec { return t.cols[i].vec }
+
+// Cols returns a copy of the column names in schema order. Kernels walk
+// the columns by index instead (NumCols, ColName, ColVec).
+func (t *Table) Cols() []string {
+	names := make([]string, len(t.cols))
+	for i, c := range t.cols {
+		names[i] = c.name
+	}
+	return names
+}
 
 // HasCol reports whether the table has a column with the given name.
 func (t *Table) HasCol(name string) bool {
-	for _, n := range t.names {
-		if n == name {
+	for _, c := range t.cols {
+		if c.name == name {
 			return true
 		}
 	}
@@ -83,12 +139,12 @@ func (t *Table) HasCol(name string) bool {
 
 // Col returns the named column vector.
 func (t *Table) Col(name string) (Vec, error) {
-	for i, n := range t.names {
-		if n == name {
-			return t.cols[i], nil
+	for _, c := range t.cols {
+		if c.name == name {
+			return c.vec, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown column %q (have %s)", name, strings.Join(t.names, "|"))
+	return nil, fmt.Errorf("unknown column %q (have %s)", name, strings.Join(t.Cols(), "|"))
 }
 
 // MustCol is Col that panics; for engine-internal access where the plan
@@ -117,11 +173,9 @@ func (t *Table) Ints(name string) (IntVec, error) {
 
 // Gather builds a new table containing the given rows of t, in idx order.
 func (t *Table) Gather(idx []int32) *Table {
-	out := &Table{n: len(idx)}
-	out.names = append([]string(nil), t.names...)
-	out.cols = make([]Vec, len(t.cols))
-	for i, c := range t.cols {
-		out.cols[i] = c.Gather(idx)
+	out := withCap(len(idx), len(t.cols))
+	for _, c := range t.cols {
+		out.cols = append(out.cols, column{c.name, c.vec.Gather(idx)})
 	}
 	return out
 }
@@ -132,17 +186,18 @@ func (t *Table) Gather(idx []int32) *Table {
 func (t *Table) Typed() *Table {
 	var out *Table
 	for i, c := range t.cols {
-		if c.Type() != TItem {
+		if c.vec.Type() != TItem {
 			continue
 		}
-		v := Typed(c)
+		v := Typed(c.vec)
 		if v.Type() == TItem {
 			continue
 		}
 		if out == nil {
-			out = &Table{n: t.n, names: append([]string(nil), t.names...), cols: append([]Vec(nil), t.cols...)}
+			out = withCap(t.n, len(t.cols))
+			out.cols = append(out.cols, t.cols...)
 		}
-		out.cols[i] = v
+		out.cols[i].vec = v
 	}
 	if out == nil {
 		return t
@@ -152,35 +207,28 @@ func (t *Table) Typed() *Table {
 
 // Slice returns rows [lo, hi) of t without copying column data.
 func (t *Table) Slice(lo, hi int) *Table {
-	out := &Table{n: hi - lo}
-	out.names = append([]string(nil), t.names...)
-	out.cols = make([]Vec, len(t.cols))
-	for i, c := range t.cols {
-		out.cols[i] = c.Slice(lo, hi)
+	out := withCap(hi-lo, len(t.cols))
+	for _, c := range t.cols {
+		out.cols = append(out.cols, column{c.name, c.vec.Slice(lo, hi)})
 	}
 	return out
 }
 
-// Project returns a table with the requested columns; spec entries are
-// either "name" (keep) or "new:old" (rename old to new). A source column
-// may appear several times — π in the paper's algebra duplicates columns
+// Project returns a table of the requested columns, each pair naming an
+// output column and the input column it shares. A source column may
+// appear several times — π in the paper's algebra duplicates columns
 // freely and never eliminates duplicates.
-func (t *Table) Project(spec ...string) (*Table, error) {
-	out := &Table{n: t.n}
-	for _, s := range spec {
-		newName, oldName := s, s
-		if i := strings.IndexByte(s, ':'); i >= 0 {
-			newName, oldName = s[:i], s[i+1:]
-		}
-		v, err := t.Col(oldName)
+func (t *Table) Project(pairs ...ProjPair) (*Table, error) {
+	out := withCap(t.n, len(pairs))
+	for _, p := range pairs {
+		v, err := t.Col(p.Old)
 		if err != nil {
 			return nil, fmt.Errorf("project: %w", err)
 		}
-		if out.HasCol(newName) {
-			return nil, fmt.Errorf("project: duplicate output column %q", newName)
+		if out.HasCol(p.New) {
+			return nil, fmt.Errorf("project: duplicate output column %q", p.New)
 		}
-		out.names = append(out.names, newName)
-		out.cols = append(out.cols, v)
+		out.cols = append(out.cols, column{p.New, v})
 	}
 	return out, nil
 }
@@ -190,7 +238,7 @@ func (t *Table) Project(spec ...string) (*Table, error) {
 func (t *Table) Row(i int) []Item {
 	out := make([]Item, len(t.cols))
 	for j, c := range t.cols {
-		out[j] = c.ItemAt(i)
+		out[j] = c.vec.ItemAt(i)
 	}
 	return out
 }
@@ -315,7 +363,7 @@ func boolInt(b bool) int8 {
 // for debugging and the demo hooks.
 func (t *Table) String() string {
 	var sb strings.Builder
-	sb.WriteString(strings.Join(t.names, "|"))
+	sb.WriteString(strings.Join(t.Cols(), "|"))
 	sb.WriteByte('\n')
 	limit := t.n
 	const maxRows = 50
@@ -326,7 +374,7 @@ func (t *Table) String() string {
 	for i := 0; i < limit; i++ {
 		parts := make([]string, len(t.cols))
 		for j, c := range t.cols {
-			parts[j] = c.ItemAt(i).StringValue()
+			parts[j] = c.vec.ItemAt(i).StringValue()
 		}
 		sb.WriteString(strings.Join(parts, "|"))
 		sb.WriteByte('\n')

@@ -1,9 +1,6 @@
 package bat
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func viewFixture() *Table {
 	return MustTable(
@@ -63,7 +60,7 @@ func TestViewOf(t *testing.T) {
 func TestViewProject(t *testing.T) {
 	base := viewFixture()
 	v := NewView(base, []int32{2, 0})
-	p, err := v.Project("x:item")
+	p, err := v.Project(ProjPair{"x", "item"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,27 +71,27 @@ func TestViewProject(t *testing.T) {
 	if got := m.MustCol("x").ItemAt(0).S; got != "c" {
 		t.Errorf("projected row 0 = %q, want c", got)
 	}
-	if _, err := v.Project("missing"); err == nil {
+	if _, err := v.Project(ProjPair{"missing", "missing"}); err == nil {
 		t.Error("projecting a missing column must fail")
 	}
 }
 
-func TestViewMaterializeConcurrent(t *testing.T) {
+// TestViewMaterializeOnce: the gather happens once, and every consumer
+// holding the view — through a pointer to it — gets the same table.
+func TestViewMaterializeOnce(t *testing.T) {
 	base := viewFixture()
 	v := NewView(base, []int32{0, 2})
-	var wg sync.WaitGroup
-	got := make([]*Table, 16)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = v.Materialize()
-		}(i)
+	consumers := []*View{&v, &v, &v}
+	if v.Materialized() {
+		t.Fatal("a selection view is materialized before anyone asked")
 	}
-	wg.Wait()
-	for i := 1; i < len(got); i++ {
-		if got[i] != got[0] {
-			t.Fatal("concurrent Materialize produced distinct tables")
+	first := consumers[0].Materialize()
+	for _, c := range consumers[1:] {
+		if c.Materialize() != first {
+			t.Fatal("Materialize gathered twice")
 		}
+	}
+	if !v.Materialized() || first.Rows() != 2 {
+		t.Fatalf("materialized %v, %d rows", v.Materialized(), first.Rows())
 	}
 }

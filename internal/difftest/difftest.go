@@ -234,10 +234,12 @@ func Engine(name string, cfg engine.Config) Evaluator {
 
 // The engine configuration the differential tiers run.
 var (
-	// SeqConfig is the executor with runtime checking on.
-	SeqConfig = engine.Config{Check: true}
+	// CheckConfig is the executor with runtime checking on.
+	CheckConfig = engine.Config{Check: true}
 
-	Seq = Engine("seq", SeqConfig)
+	// Check runs both plan forms on a CheckConfig engine. Its display
+	// name in failure reports is "seq".
+	Check = Engine("seq", CheckConfig)
 )
 
 // Navdom is the navigational baseline. index names (element, attribute)

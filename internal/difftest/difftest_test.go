@@ -25,10 +25,10 @@ func (r *recorder) Errorf(format string, args ...any) {
 	r.reports = append(r.reports, where)
 }
 
-// mangled is Seq with its outcomes passed through mangle.
+// mangled is Check with its outcomes passed through mangle.
 func mangled(name string, family Family, mangle func(got string, err error) (string, error)) Evaluator {
 	return Evaluator{Name: name, Family: family, Run: func(tb testing.TB, docs []Doc) Eval {
-		seq := Seq.Run(tb, docs)
+		seq := Check.Run(tb, docs)
 		return func(q Query) (string, error) { return mangle(seq(q)) }
 	}}
 }
@@ -84,7 +84,7 @@ func TestRunnerReportsWrongEvaluators(t *testing.T) {
 		ev   Evaluator
 		want []string
 	}{
-		{Seq, nil},
+		{Check, nil},
 		{byteOff, both("byte off", "agreed", "pinned")},
 		{swallowed, both("swallowed", "pinned error", "agreed error")},
 		{reworded(Relational), both("reworded", "pinned error", "agreed error")},
@@ -92,7 +92,7 @@ func TestRunnerReportsWrongEvaluators(t *testing.T) {
 		{failing, both("failing", "agreed", "pinned", "pinned empty")},
 	} {
 		rec := &recorder{TB: t}
-		pivots := Matrix{Evals: []Evaluator{Seq, tc.ev}}.Run(rec, cases)
+		pivots := Matrix{Evals: []Evaluator{Check, tc.ev}}.Run(rec, cases)
 		if pivots[3].Err == nil {
 			t.Fatalf("%s: the pivot answers %q; the case must fail", cases[3].Query, pivots[3].Got)
 		}
@@ -116,7 +116,7 @@ func TestRunnerPinsTheEmptySequence(t *testing.T) {
 // TestRunnerHoldsToTheGoldens: one byte off any XMark golden is reported.
 func TestRunnerHoldsToTheGoldens(t *testing.T) {
 	rec := &recorder{TB: t}
-	Matrix{Docs: XMarkDocs(), Evals: []Evaluator{Seq, byteOff}}.Run(rec, XMark(t, 1, 8))
+	Matrix{Docs: XMarkDocs(), Evals: []Evaluator{Check, byteOff}}.Run(rec, XMark(t, 1, 8))
 	if want := both("byte off", "Q1", "Q8"); !slices.Equal(rec.reports, want) {
 		t.Errorf("reported %q, want %q", rec.reports, want)
 	}

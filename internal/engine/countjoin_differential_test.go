@@ -69,8 +69,8 @@ var countJoinShapes = map[string]struct{ joins, counted int }{
 
 func TestCountJoinCorpus(t *testing.T) {
 	docs := []difftest.Doc{{URI: "cj.xml", Text: corpus.CountJoinDoc}}
-	matrix(docs, difftest.Seq, demoted, navdomEval).Run(t, corpus.CountJoin)
-	seq := difftest.LoadEngine(t, difftest.SeqConfig, docs)
+	matrix(docs, difftest.Check, demoted, navdomEval).Run(t, corpus.CountJoin)
+	seq := difftest.LoadEngine(t, difftest.CheckConfig, docs)
 	opts := xqcore.Options{ContextDoc: "cj.xml"}
 	fired := 0
 	for _, c := range corpus.CountJoin {
@@ -114,7 +114,7 @@ func TestCountJoinCorpus(t *testing.T) {
 // refuses — run their six members one by one, runtime checking on, and
 // still produce the golden bytes.
 func TestCountJoinDemotionKeepsGoldens(t *testing.T) {
-	e := difftest.LoadEngine(t, difftest.SeqConfig, difftest.XMarkDocs())
+	e := difftest.LoadEngine(t, difftest.CheckConfig, difftest.XMarkDocs())
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
 	for _, n := range []int{11, 12} {
 		plan, _ := compileStats(t, xmark.Query(n), opts)
@@ -157,7 +157,7 @@ func TestCountJoinDemotionKeepsGoldens(t *testing.T) {
 func TestCountJoinScalesWithDocument(t *testing.T) {
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
 	materialized := func(sf float64) (rows, counted int) {
-		e := difftest.LoadEngine(t, difftest.SeqConfig, []difftest.Doc{{URI: "xmark.xml", Text: xmark.GenerateString(sf)}})
+		e := difftest.LoadEngine(t, difftest.CheckConfig, []difftest.Doc{{URI: "xmark.xml", Text: xmark.GenerateString(sf)}})
 		plan, _ := compileStats(t, xmark.Query(11), opts)
 		_, tr, err := e.EvalTrace(context.Background(), plan)
 		if err != nil {

@@ -32,11 +32,11 @@ var auctionDocs = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 var navdomEval = difftest.Navdom("navdom")
 
 // demoted runs every theta-join unit's ×, ⊛ and σ one by one under
-// difftest.SeqConfig — the baseline the band kernels are compared
+// difftest.CheckConfig — the baseline the band kernels are compared
 // against.
 var demoted = difftest.Evaluator{Name: "demoted", Family: difftest.Relational,
 	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
-		e := difftest.LoadEngine(tb, difftest.SeqConfig, docs)
+		e := difftest.LoadEngine(tb, difftest.CheckConfig, docs)
 		e.ForceThetaDemotion()
 		return difftest.OnEngine(e, physical.Lower)
 	}}
@@ -60,10 +60,10 @@ func runOptimized(t *testing.T, src string, eng *engine.Engine, opts xqcore.Opti
 // pinned goldens; with -update, rewrite the goldens instead.
 func TestXMarkGolden(t *testing.T) {
 	if *update {
-		difftest.WriteGoldens(t, difftest.Seq)
+		difftest.WriteGoldens(t, difftest.Check)
 		return
 	}
-	matrix(difftest.XMarkDocs(), difftest.Seq).Run(t, difftest.XMark(t))
+	matrix(difftest.XMarkDocs(), difftest.Check).Run(t, difftest.XMark(t))
 }
 
 // TestXMarkParallelDifferential: navdom against the goldens; the
@@ -76,21 +76,21 @@ func TestXMarkParallelDifferential(t *testing.T) {
 
 func TestDialectParallelDifferential(t *testing.T) {
 	cases := difftest.Agree("dialect", corpus.Dialect)
-	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Seq, navdomEval).Run(t, cases))
+	difftest.NoErrors(t, cases, matrix(auctionDocs, difftest.Check, navdomEval).Run(t, cases))
 }
 
 // TestFusionChainsExercised: a 10 000-row range pipeline gives the same
 // bytes as navdom.
 func TestFusionChainsExercised(t *testing.T) {
 	const src = `for $i in 1 to 10000 where $i mod 7 = 0 return $i * 2`
-	matrix(nil, difftest.Seq, navdomEval).Run(t, difftest.Agree("range pipeline", []string{src}))
+	matrix(nil, difftest.Check, navdomEval).Run(t, difftest.Agree("range pipeline", []string{src}))
 }
 
 // TestRangeEdges: corpus.IntEdges — in the engine and in navdom, each
 // range and integer operation yields its pinned result, the size guard's
 // error or FOAR0002, never a wrapped value or an allocated span.
 func TestRangeEdges(t *testing.T) {
-	matrix([]difftest.Doc{{URI: "r.xml", Text: "<r/>"}}, difftest.Seq, navdomEval).Run(t, corpus.IntEdges)
+	matrix([]difftest.Doc{{URI: "r.xml", Text: "<r/>"}}, difftest.Check, navdomEval).Run(t, corpus.IntEdges)
 }
 
 // TestUntypedCompare: corpus.UntypedCompare — two untyped atomics
@@ -98,7 +98,7 @@ func TestRangeEdges(t *testing.T) {
 // band join, and that join demoted), in the engine and in navdom.
 func TestUntypedCompare(t *testing.T) {
 	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.UntypedCompareDoc}},
-		difftest.Seq, demoted, navdomEval).Run(t, corpus.UntypedCompare)
+		difftest.Check, demoted, navdomEval).Run(t, corpus.UntypedCompare)
 }
 
 // TestStepPredicates: corpus.StepPredicates — a positional step
@@ -106,13 +106,13 @@ func TestUntypedCompare(t *testing.T) {
 // demoted, and in navdom.
 func TestStepPredicates(t *testing.T) {
 	matrix([]difftest.Doc{{URI: "sp.xml", Text: corpus.StepPredicatesDoc}},
-		difftest.Seq, demoted, navdomEval).Run(t, corpus.StepPredicates)
+		difftest.Check, demoted, navdomEval).Run(t, corpus.StepPredicates)
 }
 
 // TestConstructorCases: the constructor content rules with an outcome
 // other than "copy the item".
 func TestConstructorCases(t *testing.T) {
-	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}, difftest.Seq, navdomEval).Run(t, corpus.Constructors)
+	matrix([]difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}, difftest.Check, navdomEval).Run(t, corpus.Constructors)
 }
 
 // TestListsThroughHooks: navdom's battery and the random queries with
@@ -122,7 +122,7 @@ func TestConstructorCases(t *testing.T) {
 // configuration and navdom.
 func TestListsThroughHooks(t *testing.T) {
 	cases := append(difftest.Agree("navigational", corpus.Navigational), difftest.Agree("random", corpus.Random(7, 200))...)
-	matrix(auctionDocs, difftest.Seq, demoted).Run(t, cases)
+	matrix(auctionDocs, difftest.Check, demoted).Run(t, cases)
 }
 
 // TestSharedPlanConcurrentEval evaluates one compiled plan from many
@@ -131,7 +131,7 @@ func TestListsThroughHooks(t *testing.T) {
 // shared store — the strongest store-locking stress short of -race. All
 // goroutines run the one lowering the test holds.
 func TestSharedPlanConcurrentEval(t *testing.T) {
-	par := difftest.LoadEngine(t, difftest.SeqConfig, auctionDocs)
+	par := difftest.LoadEngine(t, difftest.CheckConfig, auctionDocs)
 	const src = `for $p in //person
 	 order by $p/name
 	 return <row id="{$p/@id}">{$p/name/text()}</row>`
@@ -235,7 +235,7 @@ func TestLargeRangePipelines(t *testing.T) {
 		"sum(for $i in 1 to 50000 where ($i + 5) mod 4 = 1 return $i - 1)",
 	}
 	db := navdom.NewDB()
-	e := engine.NewWithConfig(xenc.NewStore(), difftest.SeqConfig)
+	e := engine.NewWithConfig(xenc.NewStore(), difftest.CheckConfig)
 	for _, src := range pipelines {
 		want, err := navdom.NewInterp(db).Run(src, xqcore.Options{})
 		if err != nil {

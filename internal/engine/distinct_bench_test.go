@@ -54,7 +54,7 @@ func sortedPairs(n int, dup bool) *bat.View {
 		}
 		a[i], b[i] = int64(k/50), int64(k%50)
 	}
-	return bat.ViewOf(bat.MustTable("a", a, "b", b))
+	return viewOf(bat.MustTable("a", a, "b", b))
 }
 
 func BenchmarkDistinct(b *testing.B) {

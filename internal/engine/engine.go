@@ -339,14 +339,7 @@ func evalCross(ctx context.Context, l, r *bat.Table) (*bat.Table, error) {
 			rIdx = append(rIdx, int32(j))
 		}
 	}
-	out := l.Gather(lIdx)
-	rg := r.Gather(rIdx)
-	for _, name := range r.Cols() {
-		if err := out.AddCol(name, rg.MustCol(name)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return joinGather(l, r, lIdx, rIdx)
 }
 
 // Aggregates -----------------------------------------------------------------
@@ -611,9 +604,9 @@ func (e *Engine) evalRange(ctx context.Context, t *bat.Table, loCol, hiCol strin
 // replaceItem rebuilds t with the item column substituted, all other
 // columns passing through.
 func replaceItem(t *bat.Table, item bat.Vec) (*bat.Table, error) {
-	out := &bat.Table{}
-	for _, name := range t.Cols() {
-		v := t.MustCol(name)
+	out := bat.NewTableCap(t.NumCols())
+	for c := 0; c < t.NumCols(); c++ {
+		name, v := t.ColName(c), t.ColVec(c)
 		if name == "item" {
 			v = item
 		}

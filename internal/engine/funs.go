@@ -74,11 +74,7 @@ func (e *Engine) evalFun(ctx context.Context, t *bat.Table, o *algebra.Op) (*bat
 		}
 		out = res.Build()
 	}
-	nt := t.Slice(0, n)
-	if err := nt.AddCol(o.Col, out); err != nil {
-		return nil, err
-	}
-	return nt, nil
+	return t.With(o.Col, out)
 }
 
 // applyFun is the per-row body of ⊛. The third argument is only

@@ -52,7 +52,7 @@ func TestKernelPanicFailsQueryNotServer(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		queries = append(queries, xmark.Query(n))
 	}
-	ref := difftest.LoadEngine(t, difftest.SeqConfig, []difftest.Doc{{URI: doc, Text: xml}})
+	ref := difftest.LoadEngine(t, difftest.CheckConfig, []difftest.Doc{{URI: doc, Text: xml}})
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		if want[i], err = runOptimized(t, q, ref, xqcore.Options{ContextDoc: doc}); err != nil {

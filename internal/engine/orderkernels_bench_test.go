@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -80,8 +81,8 @@ func denseJoinInput(n, keys int) (l, r *bat.View, o *algebra.Op) {
 	for i := range lk {
 		lk[i] = int64(1 + i*keys/n)
 	}
-	l = bat.ViewOf(bat.MustTable("ai", lk, "s2", bat.Ramp(1, n)))
-	r = bat.ViewOf(bat.MustTable("vin", bat.Ramp(1, keys), "item", bat.Ramp(100, keys)))
+	l = viewOf(bat.MustTable("ai", lk, "s2", bat.Ramp(1, n)))
+	r = viewOf(bat.MustTable("vin", bat.Ramp(1, keys), "item", bat.Ramp(100, keys)))
 	return l, r, &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"ai"}, KeyR: []string{"vin"}}
 }
 
@@ -152,7 +153,7 @@ func thetaCountInput(tb testing.TB, na, nb int, sel float64) (tj *physical.Theta
 	if len(units) != 1 || units[0].Count == nil {
 		tb.Fatalf("no count-only unit in the lowered plan")
 	}
-	return units[0], bat.ViewOf(lt), bat.ViewOf(rt)
+	return units[0], viewOf(lt), viewOf(rt)
 }
 
 // thetaCountByPairs answers a count-only unit the way its members would:
@@ -164,8 +165,13 @@ func thetaCountByPairs(e *Engine, tj *physical.ThetaJoin, l, r *bat.View) (physO
 	if err != nil || reason != "" || pairs.kernel != "merge-thetajoin[float]" {
 		return physOut{}, 0, fmt.Errorf("band kernel: %q, reason %q, err %v", pairs.kernel, reason, err)
 	}
-	out, err := e.replayNodes(context.Background(), tj.Members()[3:], []*bat.View{pairs.view}, nil, nil)
-	return physOut{view: out}, pairs.view.Rows(), err
+	members := tj.Members()
+	slots := make([]bat.View, slices.MaxFunc(members, func(a, b *physical.Node) int { return a.Pos - b.Pos }).Pos+1)
+	out, err := e.replayNodes(context.Background(), members[3:], []*bat.View{&pairs.view}, slots, nil, nil)
+	if err != nil {
+		return physOut{}, 0, err
+	}
+	return physOut{view: *out}, pairs.view.Rows(), nil
 }
 
 // BenchmarkThetaCount: count($l) over Q11's join at the sizes of SF 0.1
@@ -233,7 +239,7 @@ func atomizeJoin(e *Engine, ids, buyers bat.NodeVec) (physOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		return bat.ViewOf(bat.MustTable(iter, bat.Ramp(1, len(nodes)), item, v)), nil
+		return viewOf(bat.MustTable(iter, bat.Ramp(1, len(nodes)), item, v)), nil
 	}
 	l, err := atomize(buyers, "bi", "bitem")
 	if err != nil {
@@ -293,7 +299,7 @@ func TestKernelAllocBudget(t *testing.T) {
 	for _, n := range []int{400, 4000, 40000} {
 		v := sortedPairs(n, false)
 		if got := testing.AllocsPerRun(10, func() {
-			if out, err := physDistinct(context.Background(), v); err != nil || out.view != v {
+			if out, err := physDistinct(context.Background(), v); err != nil || out.pass != v {
 				t.Fatalf("δ did not return its input (err %v)", err)
 			}
 		}); got > 8 {

@@ -111,7 +111,7 @@ func keyView(rng *rand.Rand, keys []bat.IntVec, selected bool) *bat.View {
 		for c, k := range keys {
 			mustAdd(t, names[c], k)
 		}
-		return bat.ViewOf(t)
+		return viewOf(t)
 	}
 	total := n + 3
 	pos := rng.Perm(total)[:n] // base row of view row i
@@ -133,7 +133,26 @@ func keyView(rng *rand.Rand, keys []bat.IntVec, selected bool) *bat.View {
 	for c := range cols {
 		mustAdd(t, names[c], cols[c])
 	}
-	return bat.NewView(t, sel)
+	return newView(t, sel)
+}
+
+// comparatorRowNumSort is the comparator ϱ sort over rows of unknown
+// order: the reference the count-sort and scan paths are held to.
+func comparatorRowNumSort(t *bat.Table, vecs []bat.Vec, descs []bool) (*bat.Table, string, error) {
+	return comparatorSort(t, vecs, descs, false)
+}
+
+// viewOf is bat.ViewOf in the executor's result slot: kernels take their
+// inputs by pointer.
+func viewOf(t *bat.Table) *bat.View {
+	v := bat.ViewOf(t)
+	return &v
+}
+
+// newView is bat.NewView, by pointer like viewOf.
+func newView(t *bat.Table, sel []int32) *bat.View {
+	v := bat.NewView(t, sel)
+	return &v
 }
 
 func mustAdd(t *bat.Table, name string, v bat.Vec) {
@@ -198,7 +217,7 @@ func TestDistinctSortedMatchesHash(t *testing.T) {
 		if sorted && got.kernel != "distinct[sorted]" {
 			t.Fatalf("%s: sorted input ran %s", name, got.kernel)
 		}
-		if shape == "strict" && (got.view != v || got.mat != 0) {
+		if shape == "strict" && (got.pass != v || got.mat != 0) {
 			t.Fatalf("%s: strictly sorted input was copied (mat %d)", name, got.mat)
 		}
 		if want.kernel != "distinct[int]" {
@@ -256,6 +275,55 @@ func TestRowNumCountSortMatchesComparator(t *testing.T) {
 	}
 }
 
+// TestRowNumDescentAtLastRow: when ϱ's numbering pass runs to the last
+// row before it meets the one descent, the sort it hands over to — told
+// the rows are unsorted, so it does not scan them again — still sorts
+// and numbers every row as the comparator kernel does.
+func TestRowNumDescentAtLastRow(t *testing.T) {
+	node := func(pre int32) bat.NodeRef { return bat.NodeRef{Frag: 1, Pre: pre} }
+	for _, c := range []struct {
+		name, part, kernel string
+		tab                *bat.Table
+		order              []algebra.OrderSpec
+	}{
+		{"int key", "", "rownum[count-sort]",
+			bat.MustTable("k", bat.IntVec{1, 2, 3, 4, 0}), []algebra.OrderSpec{{Col: "k"}}},
+		{"minor key", "", "rownum[count-sort]",
+			bat.MustTable("k", bat.IntVec{1, 1, 2, 2, 2}, "minor", bat.IntVec{1, 2, 1, 2, 0}), []algebra.OrderSpec{{Col: "k"}, {Col: "minor"}}},
+		{"partition", "p", "rownum[count-sort]",
+			bat.MustTable("p", bat.IntVec{1, 1, 2, 2, 1}, "k", bat.IntVec{1, 2, 1, 2, 3}), []algebra.OrderSpec{{Col: "k"}}},
+		{"sparse key", "", "rownum[sort]",
+			bat.MustTable("k", bat.IntVec{0, 1 << 40, 1 << 41, 5}), []algebra.OrderSpec{{Col: "k"}}},
+		{"node key", "", "rownum[sort]",
+			bat.MustTable("k", bat.NodeVec{node(1), node(2), node(3), node(0)}), []algebra.OrderSpec{{Col: "k"}}},
+	} {
+		tab := withPayload(viewOf(c.tab))
+		vecs, descs, err := rowNumKeys(tab, c.order, c.part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, refKernel, err := comparatorRowNumSort(tab, vecs, descs)
+		if err != nil || refKernel != "rownum[sort]" {
+			t.Fatalf("%s: the comparator ran %s (err %v); the case must be unsorted", c.name, refKernel, err)
+		}
+		want, err := physRowNumAttach(sorted, "n", c.part, make([]int64, tab.Rows()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rn := &algebra.Op{Kind: algebra.OpRowNum, Col: "n", Order: c.order, Part: c.part}
+		got, err := physRowNum(rn, viewOf(tab))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameTable(got.view.Materialize(), want); err != nil {
+			t.Errorf("%s (%s): %v", c.name, got.name(), err)
+		}
+		if got.name() != c.kernel {
+			t.Errorf("%s ran %s, want %s", c.name, got.name(), c.kernel)
+		}
+	}
+}
+
 // TestRowNumSortFallbacks: a descending key, a non-int key and a sparse
 // key each keep the comparator kernel.
 func TestRowNumSortFallbacks(t *testing.T) {
@@ -296,13 +364,13 @@ func TestDenseJoinMatchesHash(t *testing.T) {
 		for i := range lk {
 			lk[i] = lo + rng.Int63n(hi-lo+1)
 		}
-		l := bat.ViewOf(bat.MustTable("lk", lk, "lrow", bat.Ramp(0, len(lk))))
+		l := viewOf(bat.MustTable("lk", lk, "lrow", bat.Ramp(0, len(lk))))
 		if rng.Intn(2) == 0 && len(lk) > 0 {
 			sel := make([]int32, rng.Intn(len(lk)+1))
 			for i := range sel {
 				sel[i] = int32(rng.Intn(len(lk)))
 			}
-			l = bat.NewView(l.Base(), sel)
+			l = newView(l.Base(), sel)
 		}
 		o := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"lk"}, KeyR: []string{"k0"}}
 		for _, mode := range []joinMode{joinFull, joinSemi} {
@@ -399,7 +467,7 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		// The numbering pass in front of the sort must not take rows in
 		// native int order for ϱ's order either.
 		rn := &algebra.Op{Kind: algebra.OpRowNum, Col: "pos", Order: []algebra.OrderSpec{{Col: "k"}, {Col: "minor"}}}
-		num, err := physRowNum(rn, bat.ViewOf(tab))
+		num, err := physRowNum(rn, viewOf(tab))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +489,7 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		}
 
 		// δ: native equality — two distinct rows, on either path.
-		v := bat.ViewOf(bat.MustTable("k", keys))
+		v := viewOf(bat.MustTable("k", keys))
 		d, err := physDistinct(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
@@ -432,8 +500,8 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		}
 
 		// ⋈: native equality — each left key meets exactly its own.
-		l := bat.ViewOf(bat.MustTable("lk", bat.IntVec{keys[1], keys[0], keys[1] + 1}))
-		r := bat.ViewOf(bat.MustTable("k", keys, "rrow", bat.IntVec{0, 1}))
+		l := viewOf(bat.MustTable("lk", bat.IntVec{keys[1], keys[0], keys[1] + 1}))
+		r := viewOf(bat.MustTable("k", keys, "rrow", bat.IntVec{0, 1}))
 		o := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"lk"}, KeyR: []string{"k"}}
 		j, err := physHashJoin(ctx, o, l, r, joinFull)
 		if err != nil {

@@ -31,13 +31,24 @@ import (
 // actually ran, and how many rows it had to materialize (gathered or
 // copied — scanned-in-place rows are not counted).
 type physOut struct {
-	view   *bat.View
+	view bat.View
+	// pass is set when the output is the kernel's input view handed on
+	// unchanged (view is then a copy of it): the node's result is that
+	// view itself, so its consumers share one materialization.
+	pass   *bat.View
 	kernel string
-	mat    int
+	// tag qualifies kernel with the path the kernel took (":bcast",
+	// ":int", …); the two are joined only when a trace reports the
+	// kernel, so an untraced kernel builds no name.
+	tag string
+	mat int
 	// fast marks a δ or aggr kernel that took its sorted-run path after
 	// seeing the input's order.
 	fast bool
 }
+
+// name is the kernel that ran, as the trace reports it.
+func (o *physOut) name() string { return o.kernel + o.tag }
 
 // execUnit is one execution unit of a physical plan: a single node or
 // a theta join. nd is the node whose output is the unit's — for a theta
@@ -55,11 +66,10 @@ func (u execUnit) inputs() []*physical.Node {
 	return u.nd.In
 }
 
-// planUnits folds the plan's theta joins into execution units; every
-// other node is its own unit. A plan without a theta join builds no map.
-func planUnits(plan *physical.Plan) []execUnit {
-	var interior map[*physical.Node]bool
-	var boundary map[*physical.Node]*physical.ThetaJoin
+// thetaUnits maps the plan's theta joins for the executor: interior
+// holds the members that are not a unit of their own, boundary each
+// unit's output node. A plan without a theta join builds no map.
+func thetaUnits(plan *physical.Plan) (interior map[*physical.Node]bool, boundary map[*physical.Node]*physical.ThetaJoin) {
 	for _, tj := range plan.ThetaJoins {
 		if interior == nil {
 			interior = make(map[*physical.Node]bool)
@@ -70,53 +80,55 @@ func planUnits(plan *physical.Plan) []execUnit {
 		}
 		boundary[tj.Out()] = tj
 	}
-	units := make([]execUnit, 0, len(plan.Nodes))
-	for _, nd := range plan.Nodes {
-		if !interior[nd] {
-			units = append(units, execUnit{nd: nd, theta: boundary[nd]})
-		}
-	}
-	return units
+	return interior, boundary
 }
 
 // execPlan executes the plan's units in topological order on the
-// calling goroutine. A unit's output lands in the result slot of its
-// node's plan position; the slots of a theta join's interior stay empty.
-// The context is polled before every unit and, inside the long-running
-// kernels, every cancelStride rows; the first error ends the run.
+// calling goroutine. Every node owns the slot of its plan position in
+// slots, where its kernel's view lands; results points each node at its
+// output — its own slot, or the input view a kernel handed on unchanged.
+// The results of a theta join's interior stay empty. The context is
+// polled before every unit and, inside the long-running kernels, every
+// cancelStride rows; the first error ends the run.
 func (e *Engine) execPlan(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
+	slots := make([]bat.View, len(plan.Nodes))
 	results := make([]*bat.View, len(plan.Nodes))
 	if tr != nil {
 		defer fillTraceTables(tr, plan, results)
 	}
-	var in []*bat.View
-	for _, u := range planUnits(plan) {
+	interior, boundary := thetaUnits(plan)
+	var buf [4]*bat.View
+	for _, nd := range plan.Nodes {
+		if interior[nd] {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		in = in[:0]
+		u := execUnit{nd: nd, theta: boundary[nd]}
+		in := buf[:0]
 		for _, c := range u.inputs() {
 			in = append(in, results[c.Pos])
 		}
-		out, err := e.runUnit(ctx, u, in, tr)
+		out, err := e.runUnit(ctx, u, in, slots, tr)
 		if err != nil {
 			return nil, err
 		}
-		results[u.nd.Pos] = out
+		results[nd.Pos] = out
 	}
 	return results[plan.Root.Pos].Materialize(), nil
 }
 
 // runUnit executes one unit over its input views and records its stats.
 // Errors return wrapped with the failing operator's kind.
-func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Trace) (*bat.View, error) {
+func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, slots []bat.View, tr *Trace) (*bat.View, error) {
 	if u.theta != nil {
-		return e.execTheta(ctx, u.theta, in, tr)
+		return e.execTheta(ctx, u.theta, in, slots, tr)
 	}
 	if e.onApply != nil {
 		e.onApply(u.nd.Op)
 	}
-	out, st, err := e.runNode(ctx, u.nd, in, tr)
+	out, st, err := e.runNode(ctx, u.nd, in, &slots[u.nd.Pos], tr)
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +144,12 @@ func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, tr *Tr
 // an ordinary stat, which stamp (when set) annotates with the member's
 // index — how a demoted theta join says why. The stat passes by value so
 // that it stays off the heap.
-func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, tr *Trace, stamp func(i int, st OpStat) OpStat) (*bat.View, error) {
+func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, slots []bat.View, tr *Trace, stamp func(i int, st OpStat) OpStat) (*bat.View, error) {
 	for i, nd := range nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out, st, err := e.runNode(ctx, nd, in, tr)
+		out, st, err := e.runNode(ctx, nd, in, &slots[nd.Pos], tr)
 		if err != nil {
 			return nil, err
 		}
@@ -155,31 +167,43 @@ func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*
 	return in[0], nil
 }
 
-// runNode runs one node's kernel over its input views, asserts the
-// output's invariants under Check, and returns the output with — when
-// the evaluation is traced — the node's stat. Errors return wrapped with
-// the operator's kind; a kernel that panics fails with a *KernelPanic
-// naming the operator and the kernel.
-func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, tr *Trace) (_ *bat.View, _ OpStat, err error) {
+// runNode runs one node's kernel over its input views, stores its view
+// in slot, asserts the output's invariants under Check, and returns the
+// output — slot, or the input view the kernel handed on — with, when the
+// evaluation is traced, the node's stat. Only a traced evaluation reads
+// the clock. Errors return wrapped with the operator's kind; a kernel
+// that panics fails with a *KernelPanic naming the operator and the
+// kernel.
+func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, slot *bat.View, tr *Trace) (_ *bat.View, _ OpStat, err error) {
 	defer recoverKernel(&err, nd.Op.Kind, nd.Kernel)
-	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+	var start time.Time
+	if tr != nil {
+		start = time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+	}
 	if e.panicHook != nil {
 		e.panicHook()
 	}
 	out, err := e.execKernel(ctx, nd, in)
-	if err == nil && e.Check {
-		err = checkNodeOutput(nd, e.checkProps[nd.Pos], out.view)
-	}
 	if err != nil {
 		return nil, OpStat{}, fmt.Errorf("%s: %w", nd.Op.Kind, err)
 	}
+	view := out.pass
+	if view == nil {
+		*slot = out.view
+		view = slot
+	}
+	if e.Check {
+		if err := checkNodeOutput(nd, e.checkProps[nd.Pos], view); err != nil {
+			return nil, OpStat{}, fmt.Errorf("%s: %w", nd.Op.Kind, err)
+		}
+	}
 	if tr == nil {
-		return out.view, OpStat{}, nil
+		return view, OpStat{}, nil
 	}
 	st := OpStat{
 		//pfvet:allow determinism -- trace wall-time only, not query results
 		Wall: time.Since(start), RowsIn: viewRowsIn(in),
-		RowsOut: out.view.Rows(), Kernel: out.kernel, RowsMat: out.mat,
+		RowsOut: view.Rows(), Kernel: out.name(), RowsMat: out.mat,
 	}
 	if out.fast {
 		st.Static = nd.Kernel
@@ -190,7 +214,7 @@ func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View,
 			st.Sink = "stream"
 		}
 	}
-	return out.view, st, nil
+	return view, st, nil
 }
 
 // KernelPanic is the evaluation error of a kernel that panicked: the
@@ -270,11 +294,7 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		// reads them so; execution holds each in its kind's vector.
 		return physOut{view: bat.ViewOf(o.Lit.Typed()), kernel: nd.Kernel}, nil
 	case algebra.OpProject:
-		specs := make([]string, len(o.Proj))
-		for i, p := range o.Proj {
-			specs[i] = p.New + ":" + p.Old
-		}
-		v, err := in[0].Project(specs...)
+		v, err := in[0].Project(o.Proj...)
 		if err != nil {
 			return physOut{}, err
 		}
@@ -297,7 +317,7 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		if t, ok, err := physCrossBroadcast(lt, rt); err != nil {
 			return physOut{}, err
 		} else if ok {
-			return physOut{view: bat.ViewOf(t), kernel: nd.Kernel + ":bcast", mat: lm + rm + t.Rows()}, nil
+			return physOut{view: bat.ViewOf(t), kernel: nd.Kernel, tag: ":bcast", mat: lm + rm + t.Rows()}, nil
 		}
 		t, err := evalCross(ctx, lt, rt)
 		if err != nil {
@@ -308,8 +328,8 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		return physRowNum(o, in[0])
 	case algebra.OpRowID:
 		t, m := matCount(in[0])
-		out := t.Slice(0, t.Rows())
-		if err := out.AddCol(o.Col, bat.Ramp(1, t.Rows())); err != nil {
+		out, err := t.With(o.Col, bat.Ramp(1, t.Rows()))
+		if err != nil {
 			return physOut{}, err
 		}
 		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, mat: m}, nil
@@ -321,7 +341,7 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		if err != nil {
 			return physOut{}, err
 		}
-		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel + tag, mat: m, fast: tag == ":int:runs"}, nil
+		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, tag: tag, mat: m, fast: tag == ":int:runs"}, nil
 	case algebra.OpStep:
 		t, m := matCount(in[0])
 		out, err := e.evalStep(ctx, t, o.Axis, o.Test)
@@ -436,9 +456,9 @@ func physFilter(ctx context.Context, v *bat.View, col string) (physOut, error) {
 func physConcat(l, r *bat.View) (physOut, error) {
 	lb, rb := l.Base(), r.Base()
 	nl, nr := l.Rows(), r.Rows()
-	out := &bat.Table{}
-	for _, name := range lb.Cols() {
-		lv := lb.MustCol(name)
+	out := bat.NewTableCap(lb.NumCols())
+	for c := 0; c < lb.NumCols(); c++ {
+		name, lv := lb.ColName(c), lb.ColVec(c)
 		rv, err := rb.Col(name)
 		if err != nil {
 			return physOut{}, err
@@ -535,14 +555,14 @@ func physAntiJoin(ctx context.Context, l, r *bat.View, keyL, keyR []string) (phy
 // returned as it came, without a gather.
 func physDistinct(ctx context.Context, v *bat.View) (physOut, error) {
 	base := v.Base()
-	vecs, err := colVecs(base, base.Cols())
-	if err != nil {
-		return physOut{}, err
+	vecs := make([]bat.Vec, base.NumCols())
+	for c := range vecs {
+		vecs[c] = base.ColVec(c)
 	}
 	if ints := allIntVecs(vecs); ints != nil {
 		if sel, strict, ok := sortedDistinct(ints, v.Rows(), v.Sel()); ok {
 			if strict {
-				return physOut{view: v, kernel: "distinct[sorted]", fast: true}, nil
+				return physOut{view: *v, pass: v, kernel: "distinct[sorted]", fast: true}, nil
 			}
 			out := base.Gather(sel)
 			return physOut{view: bat.ViewOf(out), kernel: "distinct[sorted]", mat: out.Rows(), fast: true}, nil
@@ -843,84 +863,79 @@ func probeHashJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode join
 }
 
 // joinGather materializes a full join result from base tables and
-// absolute row-index pairs.
+// absolute row-index pairs: the left side's columns, then the right
+// side's, each gathered by its side's indices. A side whose indices name
+// every one of its rows in order — each row matched exactly once, the
+// n:1 joins back to the loop's bindings — shares its vectors instead.
 func joinGather(lb, rb *bat.Table, lIdx, rIdx []int32) (*bat.Table, error) {
-	out := gatherRows(lb, lIdx)
-	rg := gatherRows(rb, rIdx)
-	for _, name := range rb.Cols() {
-		if err := out.AddCol(name, rg.MustCol(name)); err != nil {
-			return nil, err
-		}
+	out := bat.NewTableCap(lb.NumCols() + rb.NumCols())
+	if err := addGathered(out, lb, lIdx, identityRows(lIdx, lb.Rows())); err != nil {
+		return nil, err
+	}
+	if err := addGathered(out, rb, rIdx, identityRows(rIdx, rb.Rows())); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// gatherRows is t.Gather(idx), except that an idx naming every row of t
-// in order — each row of that join side matched exactly once, the n:1
-// joins back to the loop's bindings — shares t's columns instead of
-// copying them.
-func gatherRows(t *bat.Table, idx []int32) *bat.Table {
-	if len(idx) != t.Rows() {
-		return t.Gather(idx)
+// addGathered appends t's columns to out, gathered by idx, or shared as
+// they are when keep is set.
+func addGathered(out, t *bat.Table, idx []int32, keep bool) error {
+	for c := 0; c < t.NumCols(); c++ {
+		v := t.ColVec(c)
+		if !keep {
+			v = v.Gather(idx)
+		}
+		if err := out.AddCol(t.ColName(c), v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// identityRows reports whether idx names rows 0..n-1 in order.
+func identityRows(idx []int32, n int) bool {
+	if len(idx) != n {
+		return false
 	}
 	for i, r := range idx {
 		if int(r) != i {
-			return t.Gather(idx)
+			return false
 		}
 	}
-	return t.Slice(0, t.Rows())
+	return true
 }
 
 // physCrossBroadcast handles the × whose one side is a single row — the
 // shape loop-lifting produces whenever a literal or an aggregate joins a
 // loop relation. The many-row side's columns are shared (no gather);
 // only the single row is broadcast, reproducing the exact column types
-// and order of the generic nested-product. ok=false means neither side
-// is a singleton and the generic kernel must run.
+// and order of the generic nested-product. When both sides are one row
+// wide nothing is gathered at all. ok=false means neither side is a
+// singleton and the generic kernel must run.
 func physCrossBroadcast(lt, rt *bat.Table) (*bat.Table, bool, error) {
-	var one, many *bat.Table
+	var n int
 	oneLeft := false
 	switch {
 	case lt.Rows() == 1:
-		one, many, oneLeft = lt, rt, true
+		n, oneLeft = rt.Rows(), true
 	case rt.Rows() == 1:
-		one, many = rt, lt
+		n = lt.Rows()
 	default:
 		return nil, false, nil
 	}
-	n := many.Rows()
-	idx := make([]int32, n) // all zero: repeat the single row n times
-	out := &bat.Table{}
-	addShared := func(t *bat.Table) error {
-		for _, name := range t.Cols() {
-			if err := out.AddCol(name, t.MustCol(name)); err != nil {
-				return err
-			}
-		}
-		return nil
+	// All zero: repeat the single row n times. A single row repeated once
+	// is the row itself.
+	var idx []int32
+	if n != 1 {
+		idx = make([]int32, n)
 	}
-	addBroadcast := func(t *bat.Table) error {
-		for _, name := range t.Cols() {
-			if err := out.AddCol(name, t.MustCol(name).Gather(idx)); err != nil {
-				return err
-			}
-		}
-		return nil
+	out := bat.NewTableCap(lt.NumCols() + rt.NumCols())
+	if err := addGathered(out, lt, idx, !oneLeft || n == 1); err != nil {
+		return nil, false, err
 	}
-	if oneLeft {
-		if err := addBroadcast(one); err != nil {
-			return nil, false, err
-		}
-		if err := addShared(many); err != nil {
-			return nil, false, err
-		}
-	} else {
-		if err := addShared(many); err != nil {
-			return nil, false, err
-		}
-		if err := addBroadcast(one); err != nil {
-			return nil, false, err
-		}
+	if err := addGathered(out, rt, idx, oneLeft || n == 1); err != nil {
+		return nil, false, err
 	}
 	return out, true, nil
 }
@@ -929,8 +944,9 @@ func physCrossBroadcast(lt, rt *bat.Table) (*bat.Table, bool, error) {
 // arrive in (partition, order...) order are numbered in the pass that
 // checks the order, and the input's columns are shared
 // (rownum[scan-sorted]). At the first row out of order, or for any other
-// key, physRowNumSort brings the rows into order first, and the
-// numbering reuses the buffer.
+// key, rowNumSort brings the rows into order first — told, when the pass
+// saw a row descend, that the rows are not sorted, so it does not look
+// again — and the numbering reuses the buffer.
 func physRowNum(o *algebra.Op, v *bat.View) (physOut, error) {
 	t, m := matCount(v)
 	n := t.Rows()
@@ -939,18 +955,22 @@ func physRowNum(o *algebra.Op, v *bat.View) (physOut, error) {
 		return physOut{}, err
 	}
 	nums := make([]int64, n)
-	if !slices.Contains(descs, true) && numberSorted(vecs, o.Part != "", nums) {
-		out := t.Slice(0, n)
-		if err := out.AddCol(o.Col, bat.IntVec(nums)); err != nil {
-			return physOut{}, err
+	descends := false
+	if !slices.Contains(descs, true) {
+		var numbered bool
+		if numbered, descends = numberSorted(vecs, o.Part != "", nums); numbered {
+			out, err := t.With(o.Col, bat.IntVec(nums))
+			if err != nil {
+				return physOut{}, err
+			}
+			return physOut{view: bat.ViewOf(out), kernel: "rownum[scan-sorted]", mat: m}, nil
 		}
-		return physOut{view: bat.ViewOf(out), kernel: "rownum[scan-sorted]", mat: m}, nil
 	}
-	out, kernel, err := physRowNumSort(t, o.Order, o.Part)
+	out, kernel, err := rowNumSort(t, vecs, descs, descends)
 	if err != nil {
 		return physOut{}, err
 	}
-	if err := physRowNumAttach(out, o.Col, o.Part, nums); err != nil {
+	if out, err = physRowNumAttach(out, o.Col, o.Part, nums); err != nil {
 		return physOut{}, err
 	}
 	if kernel != "rownum[scan-sorted]" {
@@ -970,10 +990,11 @@ type numKey struct {
 // the pass that checks it: vecs are the key columns, most significant
 // first, the partition column among them first when part is set, and
 // nums receives the numbers. ok=false when a key is neither an IntVec nor
-// a NodeVec, at the first row that descends, and where an int outside
-// ±exactFloatInt is compared: totalCmp, which the other paths order and
-// partition by, ties neighbouring integers there.
-func numberSorted(vecs []bat.Vec, part bool, nums []int64) (ok bool) {
+// a NodeVec, at the first row that descends (descends=true: the rows are
+// not in order, as every other path would judge too), and where an int
+// outside ±exactFloatInt is compared: totalCmp, which the other paths
+// order and partition by, ties neighbouring integers there.
+func numberSorted(vecs []bat.Vec, part bool, nums []int64) (ok, descends bool) {
 	keys := make([]numKey, len(vecs))
 	for k, v := range vecs {
 		switch x := v.(type) {
@@ -982,7 +1003,7 @@ func numberSorted(vecs []bat.Vec, part bool, nums []int64) (ok bool) {
 		case bat.NodeVec:
 			keys[k].nodes = x
 		default:
-			return false
+			return false, false
 		}
 	}
 	n := int64(1)
@@ -994,7 +1015,7 @@ func numberSorted(vecs []bat.Vec, part bool, nums []int64) (ok bool) {
 				if ints := keys[k].ints; ints != nil {
 					a, b = ints[i-1], ints[i]
 					if a < -exactFloatInt || a > exactFloatInt || b < -exactFloatInt || b > exactFloatInt {
-						return false
+						return false, false
 					}
 				} else if x, y := keys[k].nodes[i-1], keys[k].nodes[i]; x.Frag != y.Frag {
 					a, b = int64(x.Frag), int64(y.Frag)
@@ -1002,7 +1023,7 @@ func numberSorted(vecs []bat.Vec, part bool, nums []int64) (ok bool) {
 					a, b = int64(x.Pre), int64(y.Pre)
 				}
 				if a > b {
-					return false
+					return false, true
 				}
 				if a < b {
 					if part && k == 0 {
@@ -1015,5 +1036,5 @@ func numberSorted(vecs []bat.Vec, part bool, nums []int64) (ok bool) {
 		nums[i] = n
 		n++
 	}
-	return true
+	return true, false
 }

@@ -77,11 +77,11 @@ func (e *Engine) physFun(ctx context.Context, nd *physical.Node, v *bat.View) (p
 		}
 		return physOut{view: bat.ViewOf(nt), kernel: nd.Kernel, mat: m}, nil
 	}
-	nt := t.Slice(0, n)
-	if err := nt.AddCol(o.Col, out); err != nil {
+	nt, err := t.With(o.Col, out)
+	if err != nil {
 		return physOut{}, err
 	}
-	return physOut{view: bat.ViewOf(nt), kernel: nd.Kernel + tag, mat: m}, nil
+	return physOut{view: bat.ViewOf(nt), kernel: nd.Kernel, tag: tag, mat: m}, nil
 }
 
 // funKernel returns the result vector of a specialized kernel, or nil
@@ -162,7 +162,7 @@ func (e *Engine) funKernel(ctx context.Context, o *algebra.Op, args []bat.Vec, n
 			return res, ":node", nil
 		case bat.IntVec, bat.FloatVec, bat.StrVec, bat.BoolVec, bat.UntypedVec:
 			// Atomizing an already-atomic typed column is the identity.
-			return a.Slice(0, n), ":id", nil
+			return a, ":id", nil
 		}
 		return nil, "", nil
 	}

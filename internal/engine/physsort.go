@@ -55,7 +55,7 @@ func totalCmp(v bat.Vec) func(a, b int) int {
 // the key columns:
 //
 //   - every key an ascending IntVec inside ±2^53: rows already in order
-//     are returned as a column-sharing slice (rownum[scan-sorted]);
+//     are returned as they are (rownum[scan-sorted]);
 //     otherwise countSortPerm sorts by counting passes
 //     (rownum[count-sort]) unless a key is too sparse for that;
 //   - anything else — item, string or node keys, a descending key, a
@@ -68,16 +68,22 @@ func physRowNumSort(t *bat.Table, order []algebra.OrderSpec, part string) (*bat.
 	if err != nil {
 		return nil, "", err
 	}
-	n := t.Rows()
+	return rowNumSort(t, vecs, descs, false)
+}
+
+// rowNumSort is physRowNumSort over the key columns rowNumKeys gave.
+// unsorted says that a row is known to descend — ϱ's numbering pass
+// stopped at one — and skips the scans that would find it again.
+func rowNumSort(t *bat.Table, vecs []bat.Vec, descs []bool, unsorted bool) (*bat.Table, string, error) {
 	if keys, lo, hi, ok := countSortKeys(vecs, descs); ok {
-		if intRowsSorted(keys) {
-			return t.Slice(0, n), "rownum[scan-sorted]", nil
+		if !unsorted && intRowsSorted(keys) {
+			return t, "rownum[scan-sorted]", nil
 		}
-		if perm, ok := countSortPerm(keys, lo, hi, n); ok {
+		if perm, ok := countSortPerm(keys, lo, hi, t.Rows()); ok {
 			return t.Gather(perm), "rownum[count-sort]", nil
 		}
 	}
-	return comparatorRowNumSort(t, vecs, descs)
+	return comparatorSort(t, vecs, descs, unsorted)
 }
 
 // rowNumKeys is ϱ's key columns in significance order — the partition
@@ -104,9 +110,10 @@ func rowNumKeys(t *bat.Table, order []algebra.OrderSpec, part string) (vecs []ba
 	return vecs, descs, nil
 }
 
-// comparatorRowNumSort is the ϱ sort for keys of any type: a sortedness
-// scan, then sort.SliceStable, both through totalCmp's typed comparators.
-func comparatorRowNumSort(t *bat.Table, vecs []bat.Vec, descs []bool) (*bat.Table, string, error) {
+// comparatorSort is the ϱ sort for keys of any type: a sortedness scan —
+// skipped when the rows are known to be unsorted — then
+// sort.SliceStable, both through totalCmp's typed comparators.
+func comparatorSort(t *bat.Table, vecs []bat.Vec, descs []bool, unsorted bool) (*bat.Table, string, error) {
 	cmps := make([]func(a, b int) int, len(vecs))
 	for k, v := range vecs {
 		cmps[k] = totalCmp(v)
@@ -122,15 +129,12 @@ func comparatorRowNumSort(t *bat.Table, vecs []bat.Vec, descs []bool) (*bat.Tabl
 		}
 		return 0
 	}
-	sorted := true
-	for i := 1; i < t.Rows(); i++ {
-		if less(i-1, i) > 0 {
-			sorted = false
-			break
-		}
+	sorted := !unsorted
+	for i := 1; sorted && i < t.Rows(); i++ {
+		sorted = less(i-1, i) <= 0
 	}
 	if sorted {
-		return t.Slice(0, t.Rows()), "rownum[scan-sorted]", nil
+		return t, "rownum[scan-sorted]", nil
 	}
 	idx := make([]int32, t.Rows())
 	for i := range idx {
@@ -415,18 +419,18 @@ func aggrHash(ctx context.Context, pInts bat.IntVec, agg algebra.AggKind, argVec
 	return partOut, aggrCol(counts, aggOut), nil
 }
 
-// physRowNumAttach appends ϱ's numbering column to a table already in
-// (partition, order...) order, restarting at 1 on every partition change;
-// nums, one slot per row, receives the numbers.
-func physRowNumAttach(out *bat.Table, newCol, part string, nums []int64) error {
+// physRowNumAttach extends a table already in (partition, order...)
+// order by ϱ's numbering column, restarting at 1 on every partition
+// change; nums, one slot per row, receives the numbers.
+func physRowNumAttach(t *bat.Table, newCol, part string, nums []int64) (*bat.Table, error) {
 	var n int64
 	if part == "" {
 		for i := range nums {
 			nums[i] = int64(i) + 1
 		}
-		return out.AddCol(newCol, bat.IntVec(nums))
+		return t.With(newCol, bat.IntVec(nums))
 	}
-	cmp := totalCmp(out.MustCol(part))
+	cmp := totalCmp(t.MustCol(part))
 	for i := range nums {
 		if i == 0 || cmp(i, i-1) != 0 {
 			n = 0
@@ -434,5 +438,5 @@ func physRowNumAttach(out *bat.Table, newCol, part string, nums []int64) error {
 		n++
 		nums[i] = n
 	}
-	return out.AddCol(newCol, bat.IntVec(nums))
+	return t.With(newCol, bat.IntVec(nums))
 }

@@ -50,11 +50,7 @@ func refApply(e *Engine, o *algebra.Op, in []*bat.Table) (*bat.Table, error) {
 	case algebra.OpLit:
 		return o.Lit.Typed(), nil
 	case algebra.OpProject:
-		specs := make([]string, len(o.Proj))
-		for i, p := range o.Proj {
-			specs[i] = p.New + ":" + p.Old
-		}
-		return in[0].Project(specs...)
+		return in[0].Project(o.Proj...)
 	case algebra.OpCross:
 		return evalCross(context.Background(), in[0], in[1])
 	case algebra.OpFun:

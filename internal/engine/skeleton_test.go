@@ -164,7 +164,7 @@ func nestedElem(e *Engine, loop *bat.Table, skel algebra.Skeleton, slots []*bat.
 				addAll(ord, child)
 				j = next
 			case algebra.SkelAttr:
-				vals, err := slots[st.Slot].Project("iter", "item")
+				vals, err := slots[st.Slot].Project(bat.ProjPair{New: "iter", Old: "iter"}, bat.ProjPair{New: "item", Old: "item"})
 				if err != nil {
 					return nil, 0, err
 				}

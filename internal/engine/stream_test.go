@@ -49,8 +49,8 @@ func TestStreamedReadIsAKernelPanic(t *testing.T) {
 // the trace of a run reports them.
 func TestStreamBoundary(t *testing.T) {
 	docs := []difftest.Doc{{URI: "r.xml", Text: corpus.ConstructorDoc}}
-	matrix(docs, difftest.Seq, demoted, navdomEval).Run(t, corpus.Cases(corpus.StreamBoundary))
-	eng := difftest.LoadEngine(t, difftest.SeqConfig, docs)
+	matrix(docs, difftest.Check, demoted, navdomEval).Run(t, corpus.Cases(corpus.StreamBoundary))
+	eng := difftest.LoadEngine(t, difftest.CheckConfig, docs)
 	for _, c := range corpus.StreamBoundary {
 		plan, err := difftest.Compile(c.Query, xqcore.Options{ContextDoc: "r.xml"}, difftest.Optimized)
 		if err != nil {

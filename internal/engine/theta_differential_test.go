@@ -97,7 +97,7 @@ var thetaCorpus = []thetaCase{
 
 // thetaEvals are the three executors: the forced-demotion run (the
 // pivot), the band kernel, and navdom.
-var thetaEvals = []difftest.Evaluator{demoted, difftest.Seq, navdomEval}
+var thetaEvals = []difftest.Evaluator{demoted, difftest.Check, navdomEval}
 
 // thetaPaths evaluates src's optimized plan on e under trace and reports
 // what each of its theta-join units ran as.
@@ -169,8 +169,8 @@ func TestXMarkThetaDifferential(t *testing.T) {
 func checkThetaLanes(t *testing.T, docs []difftest.Doc, cases []thetaCase) {
 	t.Helper()
 	opts := xqcore.Options{ContextDoc: docs[0].URI}
-	band := difftest.LoadEngine(t, difftest.SeqConfig, docs)
-	demote := difftest.LoadEngine(t, difftest.SeqConfig, docs)
+	band := difftest.LoadEngine(t, difftest.CheckConfig, docs)
+	demote := difftest.LoadEngine(t, difftest.CheckConfig, docs)
 	demote.ForceThetaDemotion()
 	for _, c := range cases {
 		if got := strings.Join(thetaPaths(t, band, c.Query, opts), ","); got != c.lane {

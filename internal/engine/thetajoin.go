@@ -344,7 +344,7 @@ func thetaKernel(ctx context.Context, tj *physical.ThetaJoin, l, r *bat.View) (o
 		for i := range pass {
 			pass[i] = true
 		}
-		if err := t.AddCol(tj.Fun.Op.Col, pass); err != nil {
+		if t, err = t.With(tj.Fun.Op.Col, pass); err != nil {
 			return physOut{}, "", err
 		}
 	}
@@ -442,10 +442,10 @@ func thetaCountKernel(tj *physical.ThetaJoin, l, r *bat.View) (out physOut, coun
 // demandedCols is t restricted to the demanded columns, in t's order;
 // the column vectors are shared.
 func demandedCols(t *bat.Table, demand []string) *bat.Table {
-	var keep []string
-	for _, c := range t.Cols() {
-		if slices.Contains(demand, c) {
-			keep = append(keep, c)
+	var keep []bat.ProjPair
+	for c := 0; c < t.NumCols(); c++ {
+		if name := t.ColName(c); slices.Contains(demand, name) {
+			keep = append(keep, bat.ProjPair{New: name, Old: name})
 		}
 	}
 	out, err := t.Project(keep...)
@@ -459,7 +459,7 @@ func demandedCols(t *bat.Table, demand []string) *bat.Table {
 // count-only unit, the count read off its bounds) when the key columns
 // admit it, the member kernels otherwise. Errors return pre-wrapped with
 // the failing member's operator kind — callers must not wrap them again.
-func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, tr *Trace) (_ *bat.View, err error) {
+func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, slots []bat.View, tr *Trace) (_ *bat.View, err error) {
 	defer recoverKernel(&err, tj.Select.Op.Kind, "theta join")
 	members := tj.Members()
 	if e.onApply != nil {
@@ -467,7 +467,10 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 			e.onApply(nd.Op)
 		}
 	}
-	start := time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+	var start time.Time
+	if tr != nil {
+		start = time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
+	}
 	reason := e.thetaDemote
 	var out physOut
 	counted := 0
@@ -488,25 +491,27 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 	if reason != "" {
 		// The reason goes on the first member, so that it is on record
 		// even when a later member fails.
-		return e.replayNodes(ctx, members, in, tr, func(i int, st OpStat) OpStat {
+		return e.replayNodes(ctx, members, in, slots, tr, func(i int, st OpStat) OpStat {
 			if i == 0 {
 				st.Kernel += " (demoted:" + reason + ")"
 			}
 			return st
 		})
 	}
+	view := &slots[tj.Out().Pos]
+	*view = out.view
 	if e.Check {
 		owed := tj.Demand
 		if tj.Count != nil {
 			owed = tj.Count.Op.Schema()
 		}
-		if err := checkOutput(tj.Out(), e.checkProps[tj.Out().Pos], out.view, owed); err != nil {
+		if err := checkOutput(tj.Out(), e.checkProps[tj.Out().Pos], view, owed); err != nil {
 			return nil, fmt.Errorf("%s: %w", tj.Out().Op.Kind, err)
 		}
 	}
 	if tr != nil {
 		wall := time.Since(start) //pfvet:allow determinism -- trace wall-time only, not query results
-		rowsIn, rowsOut := viewRowsIn(in), out.view.Rows()
+		rowsIn, rowsOut := viewRowsIn(in), view.Rows()
 		// The unit's wall time, input rows and materialization sit on its
 		// output boundary. The members below it report the pairs that
 		// passed through them — the product itself never existed, and a
@@ -524,11 +529,11 @@ func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*ba
 			tr.Stats[nd.Op] = st
 		}
 		st := OpStat{Wall: wall, RowsIn: rowsIn, RowsOut: rowsOut,
-			Kernel: out.kernel, RowsMat: out.mat, ThetaJoin: tj.ID}
+			Kernel: out.name(), RowsMat: out.mat, ThetaJoin: tj.ID}
 		if tj.Count != nil {
 			st.RowsIn = counted
 		}
 		tr.Stats[tj.Out().Op] = st
 	}
-	return out.view, nil
+	return view, nil
 }

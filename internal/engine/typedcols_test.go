@@ -19,7 +19,7 @@ import (
 // queries at SF 0.01 is read off the trace; an ItemVec whose rows all
 // share one kind is a producer that boxed what it could have kept typed.
 func TestXMarkIntermediatesTyped(t *testing.T) {
-	e := difftest.LoadEngine(t, difftest.SeqConfig, []difftest.Doc{{URI: "xmark.xml", Text: xmark.GenerateString(0.01)}})
+	e := difftest.LoadEngine(t, difftest.CheckConfig, []difftest.Doc{{URI: "xmark.xml", Text: xmark.GenerateString(0.01)}})
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
 	for n := 1; n <= xmark.NumQueries; n++ {
 		plan, _ := compileStats(t, xmark.Query(n), opts)

@@ -152,7 +152,7 @@ func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 		side := func(k bat.Vec, id string) *bat.View {
 			t := bat.MustTable(id+"k", k, id, bat.Ramp(0, k.Len()))
 			if !selected {
-				return bat.ViewOf(t)
+				return viewOf(t)
 			}
 			var sel []int32
 			for i := 0; i < k.Len(); i++ {
@@ -160,7 +160,7 @@ func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 					sel = append(sel, int32(i))
 				}
 			}
-			return bat.NewView(t, sel)
+			return newView(t, sel)
 		}
 		o := &algebra.Op{Kind: algebra.OpJoin, KeyL: []string{"lk"}, KeyR: []string{"rk"}}
 		for _, mode := range []joinMode{joinFull, joinSemi} {
@@ -184,11 +184,11 @@ func FuzzTypedKernelsMatchBoxed(f *testing.F) {
 		}
 
 		u := bat.MustTable("k", r)
-		got, err := physConcat(bat.ViewOf(bat.MustTable("k", a)), bat.ViewOf(u))
+		got, err := physConcat(viewOf(bat.MustTable("k", a)), viewOf(u))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := physConcat(bat.ViewOf(bat.MustTable("k", ba)), bat.ViewOf(bat.MustTable("k", boxed(r))))
+		want, err := physConcat(viewOf(bat.MustTable("k", ba)), viewOf(bat.MustTable("k", boxed(r))))
 		if err != nil {
 			t.Fatal(err)
 		}

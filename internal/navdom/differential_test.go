@@ -12,7 +12,7 @@ var (
 	// engines is the engine, as the pivot, and navdom. The evaluator
 	// that needs the engine's test hooks runs the same lists in the
 	// engine's TestListsThroughHooks.
-	engines = []difftest.Evaluator{difftest.Seq, difftest.Navdom("navdom")}
+	engines = []difftest.Evaluator{difftest.Check, difftest.Navdom("navdom")}
 	auction = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 )
 

@@ -41,7 +41,7 @@ func saveReopen(t testing.TB, store *xenc.Store, name string) *xenc.Store {
 var reopened = difftest.Evaluator{Name: "reopened", Family: difftest.Relational,
 	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
 		store := difftest.LoadEngine(tb, engine.Config{}, docs).Store
-		e := engine.NewWithConfig(saveReopen(tb, store, "c"), difftest.SeqConfig)
+		e := engine.NewWithConfig(saveReopen(tb, store, "c"), difftest.CheckConfig)
 		return difftest.OnEngine(e, physical.Lower)
 	}}
 
@@ -60,7 +60,7 @@ func TestXMarkGoldenAfterReopen(t *testing.T) {
 func TestDialectCorpusReopenDifferential(t *testing.T) {
 	m := difftest.Matrix{
 		Docs:  []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}},
-		Evals: []difftest.Evaluator{difftest.Engine("fresh", difftest.SeqConfig), reopened},
+		Evals: []difftest.Evaluator{difftest.Engine("fresh", difftest.CheckConfig), reopened},
 	}
 	m.Run(t, difftest.Agree("dialect", corpus.Dialect))
 }
