@@ -61,7 +61,8 @@ fuzz-smoke:
 # Race tier: the packages with query-time shared state — the engine
 # (internal/engine: one lowered plan run on eight goroutines at once, and
 # differential tests that run the differential runner, internal/difftest,
-# over the executor and forced theta-join demotion), the column vectors
+# over the executor with the theta-join nodes' band kernels live and
+# forced onto their fallback), the column vectors
 # (internal/bat), the string pools + fragment registry (internal/xenc),
 # the concurrent service layer (internal/service + the MIL TCP server it
 # embeds) and pfserver, whose graceful-shutdown test drives both front
@@ -147,8 +148,14 @@ bench-exec-smoke:
 # on untyped vectors (hash-join[str]), with allocation counts (`-benchtime
 # 50x -count 5` for numbers worth comparing). Every case asserts the
 # kernel that ran; the allocation ceilings are a test (TestKernelAllocBudget).
+# The second line runs a theta-join node at 1000 × 1000 through the band
+# kernel and through its fallback over ×, ⊛, σ; it stays a line of its
+# own because a slash in the pattern above would filter the sub-levels of
+# the other benchmarks, and the 16000 × 4000 case (64 M product rows for
+# the fallback) stays out of CI.
 bench-kernels-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench 'Distinct|RowNumSort|IntJoinDense|AggrRuns|ThetaCount|AtomizeJoin' -benchtime 1x
+	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkThetaJoin$$/^1000x1000$$' -benchtime 1x
 
 # CI smoke for the result path: ε plus the serialization of its trees in
 # its three XMark shapes (Q10's nested skeleton, the many-iterations ×

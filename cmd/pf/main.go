@@ -135,8 +135,12 @@ func main() {
 	case "physical":
 		// Each node is noted with the order/denseness properties the
 		// optimizer publishes for its operator.
-		_, props := opt.PlanProperties(plan)
-		fmt.Print(physical.Dot(physical.Lower(plan), func(nd *physical.Node) string { return props[nd.Pos].String() }))
+		ops, props := opt.PlanProperties(plan)
+		of := make(map[*algebra.Op]opt.Props, len(ops))
+		for i, o := range ops {
+			of[o] = props[i]
+		}
+		fmt.Print(physical.Dot(physical.Lower(plan), func(nd *physical.Node) string { return of[nd.Op].String() }))
 		return
 	case "hist":
 		fmt.Println(algebra.HistString(algebra.OpHistogram(plan)))
@@ -195,13 +199,16 @@ func main() {
 			if st.Sink != "" {
 				ann += ", sink " + st.Sink
 			}
-			if st.ThetaJoin > 0 {
-				ann += fmt.Sprintf(", theta #%d", st.ThetaJoin)
-			}
 			return ann
 		}))
+		thetas := 0
+		for _, nd := range phys.Nodes {
+			if nd.Theta != nil {
+				thetas++
+			}
+		}
 		fmt.Printf("(%d operators, %d pipeline breakers, %d theta joins)\n",
-			algebra.CountOps(plan), phys.Breakers(), len(phys.ThetaJoins))
+			algebra.CountOps(plan), phys.Breakers(), thetas)
 		printThetaJoins(phys, tr)
 		fmt.Print(optimized.TraceString())
 		fmt.Println()
@@ -218,27 +225,39 @@ func main() {
 }
 
 // printThetaJoins summarizes each theta join of the physical plan for
-// -show explain: the predicate, and for a unit the band kernel ran its
+// -show explain: the predicate, and for a join the band kernel ran its
 // lane, the rows probed (both inputs) and the pairs emitted — or, for a
-// unit whose pairs were only counted, the outer rows
-// probed and the pairs counted without being emitted. A demoted unit
-// names the reason; its members ran one by one.
+// join whose pairs were only counted, the outer rows probed and the
+// pairs counted (its count column's sum) without being emitted. A
+// demoted join names the reason; it ran the operators it covers.
 func printThetaJoins(phys *physical.Plan, tr *engine.Trace) {
-	for _, tj := range phys.ThetaJoins {
-		pred := fmt.Sprintf("theta join #%d: %s %s %s", tj.ID, tj.LeftCol, tj.Cmp, tj.RightCol)
-		st := tr.Stats[tj.Out().Op]
-		cross, ran := tr.Stats[tj.Cross.Op]
+	id := 0
+	for _, nd := range phys.Nodes {
+		tj := nd.Theta
+		if tj == nil {
+			continue
+		}
+		id++
+		pred := fmt.Sprintf("theta join #%d: %s %s %s", id, tj.LeftCol, tj.Cmp, tj.RightCol)
+		st, ran := tr.Stats[nd.Op]
 		switch {
-		case st.ThetaJoin > 0 && tj.Count != nil:
-			fmt.Printf("%s — %s, %d rows probed, %d pairs emitted, %d counted\n",
-				pred, st.Kernel, tr.Stats[tj.Cross.In[0].Op].RowsOut, tr.Stats[tj.Select.Op].RowsOut, st.RowsIn)
-		case st.ThetaJoin > 0:
+		case !ran:
+			fmt.Printf("%s (did not run)\n", pred)
+		case strings.Contains(st.Kernel, "(demoted:"):
+			fmt.Printf("%s — %s\n", pred, st.Kernel)
+		case tj.Count != nil:
+			counted := int64(0)
+			if t := tr.Tables[nd.Op]; t != nil {
+				n := t.MustCol(tj.Count.Col)
+				for i := 0; i < t.Rows(); i++ {
+					counted += n.ItemAt(i).I
+				}
+			}
+			fmt.Printf("%s — %s, %d rows probed, 0 pairs emitted, %d counted\n",
+				pred, st.Kernel, tr.Stats[nd.In[0].Op].RowsOut, counted)
+		default:
 			fmt.Printf("%s — %s, %d rows probed, %d emitted\n",
 				pred, st.Kernel, st.RowsIn, st.RowsOut)
-		case ran:
-			fmt.Printf("%s — %s\n", pred, cross.Kernel)
-		default:
-			fmt.Printf("%s (did not run)\n", pred)
 		}
 	}
 }

@@ -12,10 +12,11 @@
 //     against an independent conservative re-derivation.
 //   - Physical preconditions (Physical): the lowering is one node per
 //     operator in topological order with the right result slots, every
-//     theta join is a unit the executor may run as one, and every
-//     streamed ε's nodes reach only the serializer; the Properties audit
-//     runs over the lowered plan's operators too. Kernel choices are no
-//     claim of the plan: the executor makes them from the rows.
+//     theta-join node covers operators the executor may run as one band
+//     join, and every streamed ε's nodes reach only the serializer; the
+//     Properties audit runs over the lowered plan's operators too.
+//     Kernel choices are no claim of the plan: the executor makes them
+//     from the rows.
 //
 // A validator failure means an upstream pass produced a plan whose
 // silent assumptions do not hold — the class of bug that yields quietly

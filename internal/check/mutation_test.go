@@ -365,34 +365,35 @@ var mutations = []mutation{
 			return forceStream(sel, sel)
 		},
 	},
-	// --- thetajoin class: forged theta-join metadata --------------------
-	// A theta join lets the executor skip building the × altogether; a
-	// lying one hands rows that were never built to whoever reads them.
+	// --- thetajoin class: a forged theta-join node ----------------------
+	// A theta join is one node that runs the band kernel over ×'s inputs
+	// and never builds the product; a lying one hands rows that were
+	// never built to whoever reads them, or joins the wrong rows.
 	{
 		name:  "thetajoin_second_consumer_on_cross",
 		class: "thetajoin",
 		build: func(t *testing.T) []check.Diag {
 			cross, fn, sel := thetaShape(t, algebra.FunLt, "a", "b")
-			// A second reader of the product, outside the unit: the band
+			// A second reader of the product, outside the join: the band
 			// kernel would leave it nothing to read.
 			side, err := algebra.Project(cross, "a", "b")
 			if err != nil {
 				t.Fatal(err)
 			}
-			pairs, err := algebra.Project(sel, "a", "b")
+			return forgeSecondReader(t, cross, fn, sel, side)
+		},
+	},
+	{
+		name:  "thetajoin_second_consumer_on_fun",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			cross, fn, sel := thetaShape(t, algebra.FunLt, "a", "b")
+			// A second reader of the unfiltered comparison.
+			side, err := algebra.Project(fn, "a", "c")
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := algebra.Union(pairs, side)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := physical.Lower(u)
-			if len(p.ThetaJoins) != 0 {
-				t.Fatal("test premise broken: the lowering accepted a shared ×")
-			}
-			forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt).Demand = []string{"a", "b"}
-			return check.Physical(p)
+			return forgeSecondReader(t, cross, fn, sel, side)
 		},
 	},
 	{
@@ -405,11 +406,23 @@ var mutations = []mutation{
 				t.Fatal(err)
 			}
 			p := physical.Lower(pairs)
-			if len(p.ThetaJoins) != 1 {
-				t.Fatal("test premise broken: the lowering found no theta join")
-			}
 			// π reads b; a kernel told otherwise never gathers it.
-			p.ThetaJoins[0].Demand = []string{"a"}
+			thetaNode(t, p).Theta.Demand = []string{"a"}
+			return check.Physical(p)
+		},
+	},
+	{
+		name:  "thetajoin_cmp_not_mirrored",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			// ⊛ reads the right input's column first: b < a is a > b.
+			_, _, sel := thetaShape(t, algebra.FunLt, "b", "a")
+			p := physical.Lower(sel)
+			tj := thetaNode(t, p).Theta
+			if tj.LeftCol != "a" || tj.Cmp != algebra.FunGt {
+				t.Fatalf("test premise broken: the lowering normalized to %s %s %s", tj.LeftCol, tj.Cmp, tj.RightCol)
+			}
+			tj.Cmp = algebra.FunLt // the comparison as ⊛ spells it, operands swapped
 			return check.Physical(p)
 		},
 	},
@@ -437,6 +450,19 @@ var mutations = []mutation{
 		},
 	},
 	{
+		name:  "thetajoin_node_reads_other_inputs",
+		class: "thetajoin",
+		build: func(t *testing.T) []check.Diag {
+			_, _, sel := thetaShape(t, algebra.FunLt, "a", "b")
+			p := physical.Lower(sel)
+			// The node joins its right input with itself: the band kernel
+			// would look for a in rows that have none.
+			nd := thetaNode(t, p)
+			nd.In[0] = nd.In[1]
+			return check.Physical(p)
+		},
+	},
+	{
 		name:  "thetajoin_count_tail_second_reader",
 		class: "thetajoin",
 		build: func(t *testing.T) []check.Diag {
@@ -457,7 +483,7 @@ var mutations = []mutation{
 				t.Fatal(err)
 			}
 			p := physical.Lower(u)
-			if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count != nil {
+			if thetaNode(t, p).Theta.Count != nil {
 				t.Fatal("test premise broken: the lowering counted a shared δ's pairs")
 			}
 			forgeCountTail(p, cross, fn, sel, proj, dist, cnt, "a", "b")
@@ -473,7 +499,7 @@ var mutations = []mutation{
 			// walks the left input's rows.
 			proj, dist, cnt := countTail(t, sel, "b", "a", "b")
 			p := physical.Lower(cnt)
-			if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count != nil {
+			if thetaNode(t, p).Theta.Count != nil {
 				t.Fatal("test premise broken: the lowering accepted a count by the inner column")
 			}
 			forgeCountTail(p, cross, fn, sel, proj, dist, cnt, "a", "b")
@@ -537,17 +563,91 @@ func thetaShape(t *testing.T, fun algebra.FunKind, x, y string) (cross, fn, sel 
 	return cross, fn, sel
 }
 
-// forgeTheta publishes a theta join the lowering did not discover,
-// demanding σ's whole schema.
+// thetaNode is p's one theta-join node.
+func thetaNode(t *testing.T, p *physical.Plan) *physical.Node {
+	t.Helper()
+	var found *physical.Node
+	for _, nd := range p.Nodes {
+		if nd.Theta != nil {
+			if found != nil {
+				t.Fatal("test premise broken: more than one theta join")
+			}
+			found = nd
+		}
+	}
+	if found == nil {
+		t.Fatal("test premise broken: the lowering found no theta join")
+	}
+	return found
+}
+
+// forgeTheta folds ×, ⊛ and σ of p into a theta-join node the lowering
+// did not make, demanding σ's whole schema: σ's node becomes the join's,
+// reading ×'s inputs, and the nodes of × and ⊛ leave the plan unless
+// another node still reads them.
 func forgeTheta(p *physical.Plan, cross, fn, sel *algebra.Op, lcol, rcol string, cmp algebra.FunKind) *physical.ThetaJoin {
 	tj := &physical.ThetaJoin{
-		ID:    len(p.ThetaJoins) + 1,
-		Cross: nodeOf(p, cross), Fun: nodeOf(p, fn), Select: nodeOf(p, sel),
+		Cross: cross, Fun: fn, Select: sel,
 		LeftCol: lcol, RightCol: rcol, Cmp: cmp,
 		Demand: sel.Schema(),
 	}
-	p.ThetaJoins = append(p.ThetaJoins, tj)
+	fold(p, nodeOf(p, sel), tj, "thetajoin")
 	return tj
+}
+
+// fold makes nd the theta join tj's node, of the given family and over
+// ×'s inputs, drops the nodes nothing reads any more but the root, and
+// renumbers the result slots.
+func fold(p *physical.Plan, nd *physical.Node, tj *physical.ThetaJoin, family string) {
+	nd.Theta, nd.Kernel = tj, family
+	nd.In = []*physical.Node{nodeOf(p, tj.Cross.In[0]), nodeOf(p, tj.Cross.In[1])}
+	for {
+		read := map[*physical.Node]bool{p.Root: true}
+		for _, c := range p.Nodes {
+			for _, in := range c.In {
+				read[in] = true
+			}
+		}
+		kept := p.Nodes[:0]
+		for _, c := range p.Nodes {
+			if read[c] {
+				kept = append(kept, c)
+			}
+		}
+		if len(kept) == len(p.Nodes) {
+			break
+		}
+		p.Nodes = kept
+	}
+	for i, c := range p.Nodes {
+		c.Pos = i
+	}
+}
+
+// forgeSecondReader lowers (π a,b σ) ∪ side, where side reads the × or
+// the ⊛ below σ — which keeps the lowering from folding them — and folds
+// them anyway.
+func forgeSecondReader(t *testing.T, cross, fn, sel, side *algebra.Op) []check.Diag {
+	t.Helper()
+	pairs, err := algebra.Project(sel, "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if side, err = algebra.Project(side, "a", "b:a"); err != nil {
+		t.Fatal(err)
+	}
+	u, err := algebra.Union(pairs, side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := physical.Lower(u)
+	for _, nd := range p.Nodes {
+		if nd.Theta != nil {
+			t.Fatal("test premise broken: the lowering folded a shared × or ⊛")
+		}
+	}
+	forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt).Demand = []string{"a", "b"}
+	return check.Physical(p)
 }
 
 // countTail builds count n:()/part(δ(π cols(sel))).
@@ -564,15 +664,16 @@ func countTail(t *testing.T, sel *algebra.Op, part string, cols ...string) (proj
 	return proj, dist, cnt
 }
 
-// forgeCountTail replaces the plan's theta joins by one that claims the
+// forgeCountTail makes the count's node a theta join that claims the
 // given count-only tail.
 func forgeCountTail(p *physical.Plan, cross, fn, sel, proj, dist, cnt *algebra.Op, by, of string) {
-	p.ThetaJoins = nil
-	tj := forgeTheta(p, cross, fn, sel, "a", "b", algebra.FunLt)
-	tj.Demand = []string{"a", "b"}
-	tj.Project, tj.Distinct, tj.Count = nodeOf(p, proj), nodeOf(p, dist), nodeOf(p, cnt)
-	tj.CountBy, tj.CountOf = by, of
-	tj.Count.EstRows = tj.Cross.In[0].EstRows
+	tj := &physical.ThetaJoin{
+		Cross: cross, Fun: fn, Select: sel, LeftCol: "a", RightCol: "b", Cmp: algebra.FunLt,
+		Project: proj, Distinct: dist, Count: cnt, CountBy: by, CountOf: of,
+	}
+	nd := nodeOf(p, cnt)
+	fold(p, nd, tj, "thetacount")
+	nd.EstRows = nd.In[0].EstRows
 }
 
 // streamShape is an ε of one element per iteration with an integer for

@@ -21,14 +21,20 @@ import (
 func physStreams(w *walker, p *physical.Plan) []Diag {
 	var diags []Diag
 	type use struct {
-		nd  *physical.Node
+		op  *algebra.Op
 		col string
 	}
 	type edge struct {
-		nd *physical.Node
+		op *algebra.Op
 		k  int
 	}
-	var consumers map[*physical.Node][]edge
+	var consumers map[*algebra.Op][]edge
+	streamed := map[*algebra.Op]bool{}
+	for _, s := range p.Nodes {
+		if s.Stream && s.Op != nil {
+			streamed[s.Op] = true
+		}
+	}
 	for _, s := range p.Nodes {
 		if !s.Stream || s.Op == nil {
 			continue
@@ -37,20 +43,22 @@ func physStreams(w *walker, p *physical.Plan) []Diag {
 			diags = append(diags, Diag{Class: "stream", Op: w.name(s.Op), Msg: "streaming flag on a node that constructs nothing"})
 			continue
 		}
+		// The items are followed through the logical operators: a theta
+		// join's node passes them through the ×, ⊛ and σ it covers.
 		if consumers == nil {
-			consumers = make(map[*physical.Node][]edge, len(p.Nodes))
-			for _, c := range p.Nodes {
+			consumers = make(map[*algebra.Op][]edge, len(w.order))
+			for _, c := range w.order {
 				for k, in := range c.In {
 					consumers[in] = append(consumers[in], edge{c, k})
 				}
 			}
 		}
-		bad := func(c *physical.Node, col, why string, args ...any) {
+		bad := func(o *algebra.Op, col, why string, args ...any) {
 			diags = append(diags, Diag{Class: "stream", Op: w.name(s.Op),
-				Msg: fmt.Sprintf("streamed items reach %s as %q, %s", w.name(c.Op), col, fmt.Sprintf(why, args...))})
+				Msg: fmt.Sprintf("streamed items reach %s as %q, %s", w.name(o), col, fmt.Sprintf(why, args...))})
 		}
 		seen := map[use]bool{}
-		work := []use{{s, "item"}}
+		work := []use{{s.Op, "item"}}
 		for len(work) > 0 {
 			u := work[len(work)-1]
 			work = work[:len(work)-1]
@@ -58,24 +66,24 @@ func physStreams(w *walker, p *physical.Plan) []Diag {
 				continue
 			}
 			seen[u] = true
-			if u.nd == p.Root && u.col != "item" {
-				bad(u.nd, u.col, "a result column the serializer sorts on")
+			if u.op == p.Root.Op && u.col != "item" {
+				bad(u.op, u.col, "a result column the serializer sorts on")
 			}
-			for _, e := range consumers[u.nd] {
-				c, o := e.nd, e.nd.Op
-				pass := func() { work = append(work, use{c, u.col}) }
+			for _, e := range consumers[u.op] {
+				o := e.op
+				pass := func() { work = append(work, use{o, u.col}) }
 				switch o.Kind {
 				case algebra.OpProject:
 					for _, pr := range o.Proj {
 						if pr.Old == u.col {
-							work = append(work, use{c, pr.New})
+							work = append(work, use{o, pr.New})
 						}
 					}
 				case algebra.OpUnion, algebra.OpCross, algebra.OpRowID:
 					pass()
 				case algebra.OpSelect:
 					if o.Col == u.col {
-						bad(c, u.col, "which filters on it")
+						bad(o, u.col, "which filters on it")
 						continue
 					}
 					pass()
@@ -86,39 +94,39 @@ func physStreams(w *walker, p *physical.Plan) []Diag {
 					}
 					switch {
 					case slices.Contains(keys, u.col):
-						bad(c, u.col, "which joins on it")
+						bad(o, u.col, "which joins on it")
 					case o.Kind == algebra.OpJoin || e.k == 0:
 						pass()
 					}
 				case algebra.OpRowNum:
 					if o.Part == u.col || slices.ContainsFunc(o.Order, func(s algebra.OrderSpec) bool { return s.Col == u.col }) {
-						bad(c, u.col, "which numbers rows by it")
+						bad(o, u.col, "which numbers rows by it")
 						continue
 					}
 					pass()
 				case algebra.OpFun:
 					if slices.Contains(o.Args, u.col) {
-						bad(c, u.col, "which applies %s to it", o.Fun)
+						bad(o, u.col, "which applies %s to it", o.Fun)
 						continue
 					}
 					pass()
 				case algebra.OpAggr:
 					if o.Part == u.col || slices.Contains(o.Args, u.col) {
-						bad(c, u.col, "which aggregates it")
+						bad(o, u.col, "which aggregates it")
 					}
 				case algebra.OpElem:
 					switch kind := slotKind(o.Skel, e.k); {
 					case e.k == 0:
-						bad(c, u.col, "which names its elements by it")
+						bad(o, u.col, "which names its elements by it")
 					case u.col != "item":
-						bad(c, u.col, "a slot column ε orders by")
+						bad(o, u.col, "a slot column ε orders by")
 					case kind != algebra.SkelSlot:
-						bad(c, u.col, "an attribute slot, whose value is its string value")
-					case !c.Stream:
-						bad(c, u.col, "a content slot of an ε that builds its fragment and copies the nodes")
+						bad(o, u.col, "an attribute slot, whose value is its string value")
+					case !streamed[o]:
+						bad(o, u.col, "a content slot of an ε that builds its fragment and copies the nodes")
 					}
 				default:
-					bad(c, u.col, "which reads the nodes (%s)", o.Kind)
+					bad(o, u.col, "which reads the nodes (%s)", o.Kind)
 				}
 			}
 		}

@@ -2,8 +2,9 @@ package engine_test
 
 // Differential tier for fn:count over an unnested join (corpus.CountJoin):
 // every case pins its result, which the physical executors (runtime
-// checking on), the same executor forced to run every theta unit member
-// by member and the navigational baseline must all produce, and which
+// checking on), the same executor forced to run the operators of every
+// theta join one by one and the navigational baseline must all produce,
+// and which
 // shape the compiler gave it — read off core.Stats after the runner. The
 // forged-plan test at the end takes the count-only kernel away from
 // XMark Q11 and Q12 and expects the golden bytes from what is left.
@@ -17,12 +18,40 @@ import (
 	"pathfinder/internal/core"
 	"pathfinder/internal/corpus"
 	"pathfinder/internal/difftest"
+	"pathfinder/internal/engine"
 	"pathfinder/internal/opt"
+	"pathfinder/internal/physical"
 	"pathfinder/internal/serialize"
 	"pathfinder/internal/xmark"
 	"pathfinder/internal/xqcore"
 	"pathfinder/internal/xquery"
 )
+
+// thetaNodes are p's theta-join nodes, in plan order.
+func thetaNodes(p *physical.Plan) []*physical.Node {
+	var out []*physical.Node
+	for _, nd := range p.Nodes {
+		if nd.Theta != nil {
+			out = append(out, nd)
+		}
+	}
+	return out
+}
+
+// countedPairs is what a count-only theta join counted: its count
+// column's sum.
+func countedPairs(t *testing.T, tr *engine.Trace, nd *physical.Node) int {
+	t.Helper()
+	out := tr.Tables[nd.Op]
+	if out == nil {
+		t.Fatalf("no trace table for %s", nd.Op.Label())
+	}
+	n, col := 0, out.MustCol(nd.Theta.Count.Col)
+	for i := 0; i < out.Rows(); i++ {
+		n += int(col.ItemAt(i).I)
+	}
+	return n
+}
 
 func compileStats(t *testing.T, src string, opts xqcore.Options) (*algebra.Op, core.Stats) {
 	t.Helper()
@@ -83,23 +112,23 @@ func TestCountJoinCorpus(t *testing.T) {
 			t.Errorf("%s: compiled %d join(s), %d of them count-only; want %d and %d", c.Name, got, stats.CountJoins, want.joins, want.counted)
 		}
 		// A counted theta join must reach the executor as a count-only
-		// unit and be answered without a pair.
+		// node and be answered without a pair.
 		_, tr, err := seq.EvalTrace(context.Background(), plan)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		counting := 0
-		for _, tj := range seq.Lowered(plan).ThetaJoins {
-			if tj.Count == nil {
+		for _, nd := range thetaNodes(seq.Lowered(plan)) {
+			if nd.Theta.Count == nil {
 				continue
 			}
 			counting++
-			if st := tr.Stats[tj.Count.Op]; !strings.HasPrefix(st.Kernel, "merge-thetacount[") || tr.Stats[tj.Select.Op].RowsOut != 0 {
-				t.Errorf("%s: count-only unit ran as %q and emitted %d pairs", c.Name, st.Kernel, tr.Stats[tj.Select.Op].RowsOut)
+			if st := tr.Stats[nd.Op]; !strings.HasPrefix(st.Kernel, "merge-thetacount[") || st.RowsMat != 0 {
+				t.Errorf("%s: count-only node ran as %q and materialized %d rows", c.Name, st.Kernel, st.RowsMat)
 			}
 		}
 		if want := min(want.counted, stats.ThetaJoins); counting != want {
-			t.Errorf("%s: %d count-only theta unit(s) in the physical plan, want %d", c.Name, counting, want)
+			t.Errorf("%s: %d count-only theta join(s) in the physical plan, want %d", c.Name, counting, want)
 		}
 		fired += counting
 	}
@@ -111,16 +140,16 @@ func TestCountJoinCorpus(t *testing.T) {
 // TestCountJoinDemotionKeepsGoldens: XMark Q11 and Q12 with the count-only
 // kernel taken away through the plan cache — the lowered plan claims the
 // untyped income column as the count's partition column, which the kernel
-// refuses — run their six members one by one, runtime checking on, and
-// still produce the golden bytes.
+// refuses — run the six operators their theta join covers one by one,
+// runtime checking on, and still produce the golden bytes.
 func TestCountJoinDemotionKeepsGoldens(t *testing.T) {
 	e := difftest.LoadEngine(t, difftest.CheckConfig, difftest.XMarkDocs())
 	opts := xqcore.Options{ContextDoc: "xmark.xml"}
 	for _, n := range []int{11, 12} {
 		plan, _ := compileStats(t, xmark.Query(n), opts)
 		forged := 0
-		for _, tj := range e.Lowered(plan).ThetaJoins {
-			if tj.Count != nil {
+		for _, nd := range thetaNodes(e.Lowered(plan)) {
+			if tj := nd.Theta; tj.Count != nil {
 				tj.CountBy = tj.LeftCol
 				forged++
 			}
@@ -139,7 +168,7 @@ func TestCountJoinDemotionKeepsGoldens(t *testing.T) {
 			}
 		}
 		if demotions != 1 {
-			t.Errorf("Q%d: %d units demoted for iter-order, want 1", n, demotions)
+			t.Errorf("Q%d: %d theta joins demoted for iter-order, want 1", n, demotions)
 		}
 		got, err := serialize.Result(e.Store, res)
 		if err != nil {
@@ -166,8 +195,8 @@ func TestCountJoinScalesWithDocument(t *testing.T) {
 		for _, st := range tr.Stats {
 			rows += st.RowsMat
 		}
-		for _, tj := range e.Lowered(plan).ThetaJoins {
-			counted += tr.Stats[tj.Out().Op].RowsIn
+		for _, nd := range thetaNodes(e.Lowered(plan)) {
+			counted += countedPairs(t, tr, nd)
 		}
 		return rows, counted
 	}

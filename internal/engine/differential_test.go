@@ -6,8 +6,8 @@ package engine_test
 // demoted (this package's test hook, export_test.go), and navdom. XMark's cases pin
 // the goldens, so every evaluator is byte-exact against them; `go test
 // ./internal/engine -run TestXMarkGolden -update` (make golden) rewrites
-// them. The engine-specific assertions — theta lanes, count-only units
-// — run after the runner.
+// them. The engine-specific assertions — theta lanes, count-only theta
+// joins — run after the runner.
 
 import (
 	"context"
@@ -31,9 +31,9 @@ var auctionDocs = []difftest.Doc{{URI: "auction.xml", Text: corpus.AuctionDoc}}
 
 var navdomEval = difftest.Navdom("navdom")
 
-// demoted runs every theta-join unit's ×, ⊛ and σ one by one under
-// difftest.CheckConfig — the baseline the band kernels are compared
-// against.
+// demoted runs the ×, ⊛ and σ of every theta-join node one by one (the
+// node's fallback) under difftest.CheckConfig — the baseline the band
+// kernels are compared against.
 var demoted = difftest.Evaluator{Name: "demoted", Family: difftest.Relational,
 	Run: func(tb testing.TB, docs []difftest.Doc) difftest.Eval {
 		e := difftest.LoadEngine(tb, difftest.CheckConfig, docs)

@@ -79,13 +79,14 @@ type Engine struct {
 	// engineShared.
 	sh *engineShared
 
-	// onApply, when set, observes every operator application exactly once
-	// per evaluation — the test hook behind the memoization guarantees.
+	// onApply, when set, observes every node's application exactly once
+	// per evaluation, by the node's operator — the test hook behind the
+	// memoization guarantees.
 	onApply func(*algebra.Op)
 
 	// thetaDemote, when non-empty, is a demotion reason every theta-join
-	// unit reports without trying the band kernel — the test hook that
-	// runs the ×, ⊛, σ path on inputs the kernel would accept.
+	// node reports without trying the band kernel — the test hook that
+	// runs the ×, ⊛, σ fallback on inputs the kernel would accept.
 	thetaDemote string
 
 	// panicHook, when set, runs before every kernel — the test hook that

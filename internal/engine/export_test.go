@@ -1,8 +1,9 @@
 package engine
 
-// ForceThetaDemotion makes every theta-join unit of this engine skip the
-// band kernel and run its ×, ⊛ and σ one by one — the baseline the
-// external differential tests compare the kernel against.
+// ForceThetaDemotion makes every theta-join node of this engine skip the
+// band kernel and take its fallback, which runs the ×, ⊛ and σ it covers
+// one by one — the baseline the external differential tests compare the
+// kernel against.
 func (e *Engine) ForceThetaDemotion() { e.thetaDemote = "forced" }
 
 // SetPanicHook installs h to run before every kernel, nil to remove it.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"pathfinder/internal/algebra"
@@ -93,8 +92,8 @@ func BenchmarkIntJoinDense(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			out, err := physHashJoin(ctx, o, l, r, joinFull)
-			if err != nil || out.kernel != "hash-join[int:dense]" {
-				b.Fatalf("kernel = %s, err = %v", out.kernel, err)
+			if err != nil || out.name() != "hash-join[int:dense]" {
+				b.Fatalf("kernel = %s, err = %v", out.name(), err)
 			}
 		}
 	})
@@ -149,29 +148,34 @@ func thetaCountInput(tb testing.TB, na, nb int, sel float64) (tj *physical.Theta
 	}
 	lt := bat.MustTable("li", bat.Ramp(1, nb), "lk", outer)
 	rt := bat.MustTable("ri", bat.Ramp(1, na), "rk", inner)
-	units := physical.Lower(thetaCountPlan(tb, lt, rt, algebra.FunGt, false, false)).ThetaJoins
-	if len(units) != 1 || units[0].Count == nil {
-		tb.Fatalf("no count-only unit in the lowered plan")
+	p := physical.Lower(thetaCountPlan(tb, lt, rt, algebra.FunGt, false, false))
+	if tj := p.Root.Theta; tj != nil && tj.Count != nil {
+		return tj, viewOf(lt), viewOf(rt)
 	}
-	return units[0], viewOf(lt), viewOf(rt)
+	tb.Fatalf("no count-only theta join in the lowered plan")
+	return nil, nil, nil
 }
 
-// thetaCountByPairs answers a count-only unit the way its members would:
-// the band kernel emits the pairs, δ and count consume them.
+// thetaCountByPairs answers a count-only theta join the way the
+// operators it covers would: the band kernel emits the pairs (the two
+// columns π keeps), π, δ and count consume them.
 func thetaCountByPairs(e *Engine, tj *physical.ThetaJoin, l, r *bat.View) (physOut, int, error) {
 	pairsOnly := *tj
-	pairsOnly.Count = nil
+	pairsOnly.Count, pairsOnly.Demand = nil, []string{tj.CountBy, tj.CountOf}
 	pairs, reason, err := thetaKernel(context.Background(), &pairsOnly, l, r)
-	if err != nil || reason != "" || pairs.kernel != "merge-thetajoin[float]" {
-		return physOut{}, 0, fmt.Errorf("band kernel: %q, reason %q, err %v", pairs.kernel, reason, err)
+	if err != nil || reason != "" || pairs.name() != "merge-thetajoin[float]" {
+		return physOut{}, 0, fmt.Errorf("band kernel: %q, reason %q, err %v", pairs.name(), reason, err)
 	}
-	members := tj.Members()
-	slots := make([]bat.View, slices.MaxFunc(members, func(a, b *physical.Node) int { return a.Pos - b.Pos }).Pos+1)
-	out, err := e.replayNodes(context.Background(), members[3:], []*bat.View{&pairs.view}, slots, nil, nil)
-	if err != nil {
-		return physOut{}, 0, err
+	in := []*bat.View{&pairs.view}
+	for _, o := range []*algebra.Op{tj.Project, tj.Distinct, tj.Count} {
+		out, err := e.execKernel(context.Background(), &physical.Node{Op: o}, in)
+		if err != nil {
+			return physOut{}, 0, err
+		}
+		v := out.view
+		in = []*bat.View{&v}
 	}
-	return physOut{view: *out}, pairs.view.Rows(), nil
+	return physOut{view: *in[0]}, pairs.view.Rows(), nil
 }
 
 // BenchmarkThetaCount: count($l) over Q11's join at the sizes of SF 0.1
@@ -186,8 +190,8 @@ func BenchmarkThetaCount(b *testing.B) {
 			counted := 0
 			for i := 0; i < b.N; i++ {
 				out, n, reason := thetaCountKernel(tj, l, r)
-				if reason != "" || out.kernel != "merge-thetacount[float]" {
-					b.Fatalf("kernel = %s, reason %q", out.kernel, reason)
+				if reason != "" || out.name() != "merge-thetacount[float]" {
+					b.Fatalf("kernel = %s, reason %q", out.name(), reason)
 				}
 				counted = n
 			}
@@ -262,8 +266,8 @@ func BenchmarkAtomizeJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := atomizeJoin(e, ids, buyers)
-		if err != nil || out.kernel != "hash-join[str]" || out.view.Rows() != len(buyers) {
-			b.Fatalf("kernel = %s, %d rows, err %v", out.kernel, out.view.Rows(), err)
+		if err != nil || out.name() != "hash-join[str]" || out.view.Rows() != len(buyers) {
+			b.Fatalf("kernel = %s, %d rows, err %v", out.name(), out.view.Rows(), err)
 		}
 	}
 	b.ReportMetric(float64(len(ids)+len(buyers)), "rows-atomized")
@@ -288,8 +292,8 @@ func TestKernelAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		out, err := atomizeJoin(ae, ids, buyers)
 		runtime.ReadMemStats(&after)
-		if err != nil || out.kernel != "hash-join[str]" {
-			t.Fatalf("Q8's join ran %s, err %v", out.kernel, err)
+		if err != nil || out.name() != "hash-join[str]" {
+			t.Fatalf("Q8's join ran %s, err %v", out.name(), err)
 		}
 		rows := uint64(len(ids) + len(buyers))
 		if per := (after.TotalAlloc - before.TotalAlloc) / rows; per > atomizeJoinBytesPerRow {

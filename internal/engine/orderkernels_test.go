@@ -383,14 +383,14 @@ func TestDenseJoinMatchesHash(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := sameTable(got.view.Materialize(), want.view.Materialize()); err != nil {
-				t.Fatalf("%s mode=%d: %s vs %s: %v", name, mode, got.kernel, want.kernel, err)
+				t.Fatalf("%s mode=%d: %s vs %s: %v", name, mode, got.name(), want.name(), err)
 			}
-			ran[got.kernel]++
+			ran[got.name()]++
 			// A draw of another shape can be a dense run too (sorted-dups
 			// with no duplicate in k0); the shapes named dense always are.
 			_, run := denseRun(rk, rv)
-			if dense := strings.HasSuffix(got.kernel, "[int:dense]"); dense != (shape == "dense" || shape == "one-row" || run) {
-				t.Fatalf("%s: right keys of shape %s ran %s", name, shape, got.kernel)
+			if dense := strings.HasSuffix(got.name(), "[int:dense]"); dense != (shape == "dense" || shape == "one-row" || run) {
+				t.Fatalf("%s: right keys of shape %s ran %s", name, shape, got.name())
 			}
 		}
 	})
@@ -509,10 +509,10 @@ func TestIntKernelsBeyondExactFloat(t *testing.T) {
 		}
 		jref, _ := keyHashJoin(ctx, o, l, r, joinFull, "[int]", l.Base().MustCol("lk").(bat.IntVec), keys)
 		if err := sameTable(j.view.Materialize(), jref.view.Materialize()); err != nil {
-			t.Errorf("%s ⋈ (%s): %v", name, j.kernel, err)
+			t.Errorf("%s ⋈ (%s): %v", name, j.name(), err)
 		}
-		if wantDense := name != "shuffled"; strings.HasSuffix(j.kernel, ":dense]") != wantDense {
-			t.Errorf("%s ⋈ ran %s", name, j.kernel)
+		if wantDense := name != "shuffled"; strings.HasSuffix(j.name(), ":dense]") != wantDense {
+			t.Errorf("%s ⋈ ran %s", name, j.name())
 		}
 	}
 }

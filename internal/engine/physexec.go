@@ -50,67 +50,34 @@ type physOut struct {
 // name is the kernel that ran, as the trace reports it.
 func (o *physOut) name() string { return o.kernel + o.tag }
 
-// execUnit is one execution unit of a physical plan: a single node or
-// a theta join. nd is the node whose output is the unit's — for a theta
-// join its σ or, when its pairs are only counted, its count. The join's
-// other members are not units: its product never exists at all.
-type execUnit struct {
-	nd    *physical.Node
-	theta *physical.ThetaJoin
-}
-
-func (u execUnit) inputs() []*physical.Node {
-	if u.theta != nil {
-		return u.theta.Cross.In
-	}
-	return u.nd.In
-}
-
-// thetaUnits maps the plan's theta joins for the executor: interior
-// holds the members that are not a unit of their own, boundary each
-// unit's output node. A plan without a theta join builds no map.
-func thetaUnits(plan *physical.Plan) (interior map[*physical.Node]bool, boundary map[*physical.Node]*physical.ThetaJoin) {
-	for _, tj := range plan.ThetaJoins {
-		if interior == nil {
-			interior = make(map[*physical.Node]bool)
-			boundary = make(map[*physical.Node]*physical.ThetaJoin)
-		}
-		for _, nd := range tj.Members() {
-			interior[nd] = nd != tj.Out()
-		}
-		boundary[tj.Out()] = tj
-	}
-	return interior, boundary
-}
-
-// execPlan executes the plan's units in topological order on the
+// execPlan executes the plan's nodes in topological order on the
 // calling goroutine. Every node owns the slot of its plan position in
 // slots, where its kernel's view lands; results points each node at its
 // output — its own slot, or the input view a kernel handed on unchanged.
-// The results of a theta join's interior stay empty. The context is
-// polled before every unit and, inside the long-running kernels, every
-// cancelStride rows; the first error ends the run.
+// The context is polled before every node and, inside the long-running
+// kernels, every cancelStride rows; the first error ends the run.
 func (e *Engine) execPlan(ctx context.Context, plan *physical.Plan, tr *Trace) (*bat.Table, error) {
 	slots := make([]bat.View, len(plan.Nodes))
 	results := make([]*bat.View, len(plan.Nodes))
 	if tr != nil {
 		defer fillTraceTables(tr, plan, results)
 	}
-	interior, boundary := thetaUnits(plan)
 	var buf [4]*bat.View
 	for _, nd := range plan.Nodes {
-		if interior[nd] {
-			continue
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		u := execUnit{nd: nd, theta: boundary[nd]}
 		in := buf[:0]
-		for _, c := range u.inputs() {
+		for _, c := range nd.In {
 			in = append(in, results[c.Pos])
 		}
-		out, err := e.runUnit(ctx, u, in, slots, tr)
+		if e.onApply != nil {
+			e.onApply(nd.Op)
+		}
+		out, st, err := e.runNode(ctx, nd, in, &slots[nd.Pos], tr)
+		if st.Kernel != "" { // traced, and the kernel got as far as naming itself
+			tr.Stats[nd.Op] = st
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -119,61 +86,15 @@ func (e *Engine) execPlan(ctx context.Context, plan *physical.Plan, tr *Trace) (
 	return results[plan.Root.Pos].Materialize(), nil
 }
 
-// runUnit executes one unit over its input views and records its stats.
-// Errors return wrapped with the failing operator's kind.
-func (e *Engine) runUnit(ctx context.Context, u execUnit, in []*bat.View, slots []bat.View, tr *Trace) (*bat.View, error) {
-	if u.theta != nil {
-		return e.execTheta(ctx, u.theta, in, slots, tr)
-	}
-	if e.onApply != nil {
-		e.onApply(u.nd.Op)
-	}
-	out, st, err := e.runNode(ctx, u.nd, in, &slots[u.nd.Pos], tr)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.Stats[u.nd.Op] = st
-	}
-	return out, nil
-}
-
-// replayNodes runs a multi-operator unit one member at a time: the first
-// member consumes in, each later one its predecessor's output, and every
-// member but the last leaves its view with the trace. Each member records
-// an ordinary stat, which stamp (when set) annotates with the member's
-// index — how a demoted theta join says why. The stat passes by value so
-// that it stays off the heap.
-func (e *Engine) replayNodes(ctx context.Context, nodes []*physical.Node, in []*bat.View, slots []bat.View, tr *Trace, stamp func(i int, st OpStat) OpStat) (*bat.View, error) {
-	for i, nd := range nodes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out, st, err := e.runNode(ctx, nd, in, &slots[nd.Pos], tr)
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			if stamp != nil {
-				st = stamp(i, st)
-			}
-			if i < len(nodes)-1 {
-				tr.members[nd.Op] = out
-			}
-			tr.Stats[nd.Op] = st
-		}
-		in = []*bat.View{out}
-	}
-	return in[0], nil
-}
-
 // runNode runs one node's kernel over its input views, stores its view
 // in slot, asserts the output's invariants under Check, and returns the
 // output — slot, or the input view the kernel handed on — with, when the
-// evaluation is traced, the node's stat. Only a traced evaluation reads
-// the clock. Errors return wrapped with the operator's kind; a kernel
-// that panics fails with a *KernelPanic naming the operator and the
-// kernel.
+// evaluation is traced, the node's stat: also when the kernel fails
+// after naming the path it took, so that a theta join's demotion stays
+// on record when the operators it then ran raise an error. Only a traced
+// evaluation reads the clock.
+// Errors return wrapped with the operator's kind; a kernel that panics
+// fails with a *KernelPanic naming the operator and the kernel.
 func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View, slot *bat.View, tr *Trace) (_ *bat.View, _ OpStat, err error) {
 	defer recoverKernel(&err, nd.Op.Kind, nd.Kernel)
 	var start time.Time
@@ -185,7 +106,14 @@ func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View,
 	}
 	out, err := e.execKernel(ctx, nd, in)
 	if err != nil {
-		return nil, OpStat{}, fmt.Errorf("%s: %w", nd.Op.Kind, err)
+		if _, named := err.(*memberError); !named {
+			err = fmt.Errorf("%s: %w", nd.Op.Kind, err)
+		}
+		var st OpStat
+		if tr != nil {
+			st = OpStat{RowsIn: viewRowsIn(in), Kernel: out.name()}
+		}
+		return nil, st, err
 	}
 	view := out.pass
 	if view == nil {
@@ -249,28 +177,11 @@ func viewRowsIn(in []*bat.View) int {
 // fillTraceTables materializes the intermediate result of every completed
 // node into the trace — deferred until after execution so trace-mode
 // materialization never distorts the per-kernel RowsMat accounting.
-//
-// Unit interiors have no result slot. The members of a demoted theta
-// join ran one by one and left their views with the trace. The × and ⊛
-// of a theta join the band kernel ran are shown the pairs σ let through,
-// in the columns the unit's consumers demanded; a count-only unit
-// emitted no pairs and has none to show.
 func fillTraceTables(tr *Trace, plan *physical.Plan, results []*bat.View) {
 	for _, nd := range plan.Nodes {
 		if v := results[nd.Pos]; v != nil {
 			tr.Tables[nd.Op] = v.Materialize()
 		}
-	}
-	for op, v := range tr.members {
-		tr.Tables[op] = v.Materialize()
-	}
-	for _, tj := range plan.ThetaJoins {
-		pairs := tr.Tables[tj.Select.Op]
-		if pairs == nil || tr.Stats[tj.Select.Op].ThetaJoin == 0 {
-			continue // never ran, or ran demoted (members kept above)
-		}
-		tr.Tables[tj.Fun.Op] = pairs
-		tr.Tables[tj.Cross.Op] = demandedCols(pairs, tj.Cross.Op.Schema())
 	}
 }
 
@@ -285,8 +196,12 @@ func matCount(v *bat.View) (*bat.Table, int) {
 	return t, t.Rows()
 }
 
-// execKernel dispatches to the operator's kernel.
+// execKernel dispatches to the node's kernel: a theta join's, or its
+// operator's.
 func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.View) (physOut, error) {
+	if nd.Theta != nil {
+		return e.physThetaJoin(ctx, nd.Theta, in[0], in[1])
+	}
 	o := nd.Op
 	switch o.Kind {
 	case algebra.OpLit:
@@ -853,13 +768,13 @@ func probeHashJoin(ctx context.Context, o *algebra.Op, l, r *bat.View, mode join
 		}
 	}
 	if semi {
-		return physOut{view: bat.NewView(lb, lIdx), kernel: "hash-semijoin" + tag}, nil
+		return physOut{view: bat.NewView(lb, lIdx), kernel: "hash-semijoin", tag: tag}, nil
 	}
 	out, err := joinGather(lb, rb, lIdx, rIdx)
 	if err != nil {
 		return physOut{}, err
 	}
-	return physOut{view: bat.ViewOf(out), kernel: "hash-join" + tag, mat: len(lIdx)}, nil
+	return physOut{view: bat.ViewOf(out), kernel: "hash-join", tag: tag, mat: len(lIdx)}, nil
 }
 
 // joinGather materializes a full join result from base tables and

@@ -24,18 +24,23 @@ import (
 const CheckMaxRows = 65536
 
 // checkPropsOf is what Check mode asserts for one evaluation of plan: the
-// order/denseness properties opt publishes for its operators, indexed by
-// physical.Node.Pos. They are derived per evaluation and never written
-// into the plan, which many goroutines may be running at once.
+// order/denseness properties opt publishes for each node's operator,
+// indexed by physical.Node.Pos. The nodes are the operators in the same
+// topological order, less those a theta join covers. They are derived
+// per evaluation and never written into the plan, which many goroutines
+// may be running at once.
 func (e *Engine) checkPropsOf(plan *physical.Plan) ([]opt.Props, error) {
-	ops, props := opt.PlanProperties(plan.Root.Op)
-	if len(ops) != len(plan.Nodes) {
-		return nil, fmt.Errorf("runtime check: %d operators with properties, %d plan nodes", len(ops), len(plan.Nodes))
-	}
-	for i, nd := range plan.Nodes {
-		if nd.Op != ops[i] {
-			return nil, fmt.Errorf("runtime check: plan node %d is not the operator its properties belong to", i)
+	ops, all := opt.PlanProperties(plan.Root.Op)
+	props := make([]opt.Props, len(plan.Nodes))
+	i := 0
+	for _, nd := range plan.Nodes {
+		for i < len(ops) && ops[i] != nd.Op {
+			i++
 		}
+		if i == len(ops) {
+			return nil, fmt.Errorf("runtime check: plan node %d is not an operator with properties, in order", nd.Pos)
+		}
+		props[nd.Pos] = all[i]
 	}
 	if e.forgeProps != nil {
 		e.forgeProps(props)
@@ -43,22 +48,17 @@ func (e *Engine) checkPropsOf(plan *physical.Plan) ([]opt.Props, error) {
 	return props, nil
 }
 
-// checkNodeOutput asserts one physical kernel's output against its
-// operator's declared schema and the order/denseness properties p opt
-// publishes for it.
+// checkNodeOutput asserts one physical kernel's output against the
+// node's schema (physical.Node.Schema) and the order/denseness
+// properties p opt publishes for its operator. An order claim is
+// asserted on its longest prefix of produced columns — and as a key only
+// when that is all of it — a denseness claim on the columns produced: a
+// theta join's output holds only the columns its consumers read.
 func checkNodeOutput(nd *physical.Node, p opt.Props, v *bat.View) error {
-	return checkOutput(nd, p, v, nd.Op.Schema())
-}
-
-// checkOutput is checkNodeOutput for a kernel that owes its consumers
-// only the columns in want (the operator's schema, or the demanded part
-// of it for a theta join). An order claim is asserted on its longest
-// prefix of produced columns — and as a key only when that is all of it —
-// a denseness claim on the columns produced.
-func checkOutput(nd *physical.Node, p opt.Props, v *bat.View, want []string) error {
 	if v == nil {
 		return fmt.Errorf("runtime check: kernel produced no view")
 	}
+	want := nd.Schema()
 	if err := checkSchemaAgainst(v.Base().Cols(), want); err != nil {
 		return err
 	}

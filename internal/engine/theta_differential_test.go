@@ -6,7 +6,8 @@ package engine_test
 // duplicate keys, empty sides, values that make the comparison fail —
 // run through three executors that must agree byte for byte: the
 // physical executor with the band kernel live, the same executor forced
-// to run every unit's ×, ⊛, σ one by one, and the navigational baseline.
+// to run the ×, ⊛, σ of every theta join one by one, and the
+// navigational baseline.
 // The independent oracle is navdom for results plus each case's wantErr
 // for error text: the forced-demotion run is only the pivot the band
 // kernel's run is compared against, and it shares the physical ×, ⊛, σ
@@ -45,11 +46,11 @@ func thetaDoc() string {
 	return sb.String()
 }
 
-// thetaCase is one corpus query and the lane every theta-join unit of
+// thetaCase is one corpus query and the lane every theta-join node of
 // its optimized plan must report, joined by commas: the band kernel's
-// ("float", "str"; "count:float" when the unit only counted its pairs),
+// ("float", "str"; "count:float" when the node only counted its pairs),
 // a demotion ("demoted:<reason>"), or "" for a plan that must hold no
-// unit at all. An Err is the error every evaluator must name; the
+// theta join at all. An Err is the error every evaluator must name; the
 // relational ones raise it from ⊛, verbatim as the pivot does.
 type thetaCase struct {
 	corpus.Case
@@ -100,7 +101,7 @@ var thetaCorpus = []thetaCase{
 var thetaEvals = []difftest.Evaluator{demoted, difftest.Check, navdomEval}
 
 // thetaPaths evaluates src's optimized plan on e under trace and reports
-// what each of its theta-join units ran as.
+// what each of its theta-join nodes ran as.
 func thetaPaths(t *testing.T, e *engine.Engine, src string, opts xqcore.Options) []string {
 	t.Helper()
 	plan, err := difftest.Compile(src, opts, difftest.Optimized)
@@ -109,20 +110,20 @@ func thetaPaths(t *testing.T, e *engine.Engine, src string, opts xqcore.Options)
 	}
 	_, tr, _ := e.EvalTrace(context.Background(), plan)
 	var paths []string
-	for _, tj := range e.Lowered(plan).ThetaJoins {
-		out, cross := tr.Stats[tj.Out().Op], tr.Stats[tj.Cross.Op]
+	for _, nd := range thetaNodes(e.Lowered(plan)) {
+		st := tr.Stats[nd.Op]
 		kernel, prefix := "merge-thetajoin[", ""
-		if tj.Count != nil {
+		if nd.Theta.Count != nil {
 			kernel, prefix = "merge-thetacount[", "count:"
 		}
 		switch {
-		case out.ThetaJoin == tj.ID && strings.HasPrefix(out.Kernel, kernel):
-			paths = append(paths, prefix+strings.TrimSuffix(strings.TrimPrefix(out.Kernel, kernel), "]"))
-		case strings.Contains(cross.Kernel, "(demoted:"):
-			_, reason, _ := strings.Cut(cross.Kernel, "(")
+		case strings.HasPrefix(st.Kernel, kernel):
+			paths = append(paths, prefix+strings.TrimSuffix(strings.TrimPrefix(st.Kernel, kernel), "]"))
+		case strings.Contains(st.Kernel, "(demoted:"):
+			_, reason, _ := strings.Cut(st.Kernel, "(")
 			paths = append(paths, strings.TrimSuffix(reason, ")"))
 		default:
-			paths = append(paths, fmt.Sprintf("unknown (unit output %q, × %q)", out.Kernel, cross.Kernel))
+			paths = append(paths, fmt.Sprintf("unknown (%q)", st.Kernel))
 		}
 	}
 	return paths
@@ -153,9 +154,9 @@ func TestThetaCorpusDifferential(t *testing.T) {
 }
 
 // TestXMarkThetaDifferential: Q11 and Q12, the paper's theta-join
-// queries, through all three executors against the goldens. Every unit
-// must take the float lane: the join under count($l) without emitting a
-// pair, Q12's second where clause (a unit too) as pairs.
+// queries, through all three executors against the goldens. Every theta
+// join must take the float lane: the join under count($l) without emitting a
+// pair, Q12's second where clause (a theta join too) as pairs.
 func TestXMarkThetaDifferential(t *testing.T) {
 	cases := difftest.XMark(t, 11, 12)
 	// The band kernel meets the goldens in TestXMarkGolden.
@@ -164,7 +165,7 @@ func TestXMarkThetaDifferential(t *testing.T) {
 }
 
 // checkThetaLanes asserts that with the band kernel live every
-// theta-join unit of each case's optimized plan runs as the case's lane,
+// theta-join node of each case's optimized plan runs as the case's lane,
 // and forced onto its members as demoted:forced.
 func checkThetaLanes(t *testing.T, docs []difftest.Doc, cases []thetaCase) {
 	t.Helper()
@@ -174,11 +175,11 @@ func checkThetaLanes(t *testing.T, docs []difftest.Doc, cases []thetaCase) {
 	demote.ForceThetaDemotion()
 	for _, c := range cases {
 		if got := strings.Join(thetaPaths(t, band, c.Query, opts), ","); got != c.lane {
-			t.Errorf("%s: theta units ran as %q, want %q", c.Name, got, c.lane)
+			t.Errorf("%s: theta joins ran as %q, want %q", c.Name, got, c.lane)
 		}
 		for _, p := range thetaPaths(t, demote, c.Query, opts) {
 			if p != "demoted:forced" {
-				t.Errorf("%s: forced-demotion engine ran a unit as %q", c.Name, p)
+				t.Errorf("%s: forced-demotion engine ran a theta join as %q", c.Name, p)
 			}
 		}
 	}

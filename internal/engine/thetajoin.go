@@ -8,20 +8,19 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"time"
 
 	"pathfinder/internal/algebra"
 	"pathfinder/internal/bat"
 	"pathfinder/internal/physical"
 )
 
-// Sort-based inequality (band) join: the kernel behind a
-// physical.ThetaJoin. The per-operator path builds all |A|·|B| rows of
-// the × to keep the pairs σ lets through; this kernel extracts the two
-// key columns once, sorts the inner side's row ids by key, and finds by
-// binary search, per outer row, the band of the sorted inner side that
-// qualifies — O((|A|+|B|)·log|B| + |out|), never touching a pair that
-// does not qualify.
+// Sort-based inequality (band) join: the kernel of a theta-join node
+// (physical.ThetaJoin). Running the ×, ⊛ and σ the node covers builds
+// all |A|·|B| rows of the product to keep the pairs σ lets through; this
+// kernel extracts the two key columns once, sorts the inner side's row
+// ids by key, and finds by binary search, per outer row, the band of the
+// sorted inner side that qualifies — O((|A|+|B|)·log|B| + |out|), never
+// touching a pair that does not qualify.
 //
 // Order contract: × emits left-major, right-minor, and σ keeps that
 // order, so the kernel walks the outer rows in view order and emits each
@@ -32,11 +31,11 @@ import (
 // Demotion: the band search is only sound when bat.Compare induces one
 // total order over the two columns and cannot fail. thetaLane mirrors
 // Compare's branches; whatever it cannot vouch for — and any NaN or
-// uncastable value met while extracting keys — demotes the unit to the
-// ordinary ×, ⊛, σ kernels, which then produce the identical result or
-// the identical error.
+// uncastable value met while extracting keys — demotes the node: it
+// runs the ×, ⊛, σ kernels itself (thetaMembers), which then produce the
+// identical result or the identical error.
 //
-// Count-only units (physical.ThetaJoin.Count): when the pairs are read
+// Count-only nodes (physical.ThetaJoin.Count): when the pairs are read
 // only by π by,of → δ → count/by, the answer per outer row is the width of
 // its band and no pair is emitted (thetaCountKernel) — the join then costs
 // O((|A|+|B|)·log|A|) whatever the size of its result.
@@ -264,7 +263,7 @@ func thetaEmit(ctx context.Context, b *thetaBands, l, r *bat.View, off []int, lI
 	return nil
 }
 
-// thetaKeys holds a unit's two key columns in view order, on the one lane
+// thetaKeys holds a node's two key columns in view order, on the one lane
 // bat.Compare applies to every (left, right) pair.
 type thetaKeys struct {
 	float  bool
@@ -279,8 +278,8 @@ func (k *thetaKeys) lane() string {
 	return "[str]"
 }
 
-// thetaExtract reads the unit's key columns. A non-empty reason means the
-// band search cannot vouch for them and the unit must be demoted.
+// thetaExtract reads the node's key columns. A non-empty reason means the
+// band search cannot vouch for them and the node must be demoted.
 func thetaExtract(tj *physical.ThetaJoin, l, r *bat.View) (k thetaKeys, reason string) {
 	lcol, lerr := l.Base().Col(tj.LeftCol)
 	rcol, rerr := r.Base().Col(tj.RightCol)
@@ -301,9 +300,9 @@ func thetaExtract(tj *physical.ThetaJoin, l, r *bat.View) (k thetaKeys, reason s
 	return k, reason
 }
 
-// thetaKernel runs the band join over the unit's two input views. A
+// thetaKernel runs the band join over the node's two input views. A
 // non-empty reason means the kernel declined (nothing was produced) and
-// the caller must run the unit's operators one by one.
+// the caller must run the node's operators one by one.
 func thetaKernel(ctx context.Context, tj *physical.ThetaJoin, l, r *bat.View) (out physOut, reason string, err error) {
 	keys, reason := thetaExtract(tj, l, r)
 	if reason != "" {
@@ -332,26 +331,26 @@ func thetaKernel(ctx context.Context, tj *physical.ThetaJoin, l, r *bat.View) (o
 	if err := thetaEmit(ctx, bands, l, r, off, lIdx, rIdx); err != nil {
 		return physOut{}, "", err
 	}
-	// Only the columns the unit's consumers read are gathered; the rest
+	// Only the columns the node's consumers read are gathered; the rest
 	// of σ's schema is never built.
 	t, err := joinGather(demandedCols(lb, tj.Demand), demandedCols(rb, tj.Demand), lIdx, rIdx)
 	if err != nil {
 		return physOut{}, "", err
 	}
-	if slices.Contains(tj.Demand, tj.Fun.Op.Col) {
+	if slices.Contains(tj.Demand, tj.Fun.Col) {
 		// Every emitted pair satisfied the predicate: σ's column is all true.
 		pass := make(bat.BoolVec, total)
 		for i := range pass {
 			pass[i] = true
 		}
-		if t, err = t.With(tj.Fun.Op.Col, pass); err != nil {
+		if t, err = t.With(tj.Fun.Col, pass); err != nil {
 			return physOut{}, "", err
 		}
 	}
-	return physOut{view: bat.ViewOf(t), kernel: "merge-thetajoin" + keys.lane(), mat: total}, "", nil
+	return physOut{view: bat.ViewOf(t), kernel: "merge-thetajoin", tag: keys.lane(), mat: total}, "", nil
 }
 
-// thetaIterCol reads an iteration column of a count-only unit in view
+// thetaIterCol reads an iteration column of a count-only node in view
 // order. ok=false unless it is a typed int column that never descends and
 // stays within ±exactFloatInt — what δ and count's run grouping need to
 // agree with their hashing fallbacks on which rows are equal.
@@ -416,7 +415,7 @@ func thetaCount[K cmp.Ordered](fun algebra.FunKind, by []int64, outer []K, of []
 	return part, cnt, total
 }
 
-// thetaCountKernel answers a count-only unit over its two input views
+// thetaCountKernel answers a count-only node over its two input views
 // without emitting a pair. counted is the number of (by, of) pairs the
 // counts add up to; a non-empty reason means the kernel declined.
 func thetaCountKernel(tj *physical.ThetaJoin, l, r *bat.View) (out physOut, counted int, reason string) {
@@ -435,8 +434,8 @@ func thetaCountKernel(tj *physical.ThetaJoin, l, r *bat.View) (out physOut, coun
 	} else {
 		part, cnt, counted = thetaCount(tj.Cmp, by, keys.ls, of, keys.rs)
 	}
-	o := tj.Count.Op
-	return physOut{view: bat.ViewOf(bat.MustTable(o.Part, part, o.Col, cnt)), kernel: "merge-thetacount" + keys.lane()}, counted, ""
+	o := tj.Count
+	return physOut{view: bat.ViewOf(bat.MustTable(o.Part, part, o.Col, cnt)), kernel: "merge-thetacount", tag: keys.lane()}, counted, ""
 }
 
 // demandedCols is t restricted to the demanded columns, in t's order;
@@ -455,85 +454,71 @@ func demandedCols(t *bat.Table, demand []string) *bat.Table {
 	return out
 }
 
-// execTheta runs one theta-join unit: the band kernel (or, for a
-// count-only unit, the count read off its bounds) when the key columns
-// admit it, the member kernels otherwise. Errors return pre-wrapped with
-// the failing member's operator kind — callers must not wrap them again.
-func (e *Engine) execTheta(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View, slots []bat.View, tr *Trace) (_ *bat.View, err error) {
-	defer recoverKernel(&err, tj.Select.Op.Kind, "theta join")
-	members := tj.Members()
-	if e.onApply != nil {
-		for _, nd := range members {
-			e.onApply(nd.Op)
-		}
-	}
-	var start time.Time
-	if tr != nil {
-		start = time.Now() //pfvet:allow determinism -- trace wall-time only, not query results
-	}
+// physThetaJoin runs a theta-join node over ×'s two inputs: the band
+// kernel or, for a count-only node, the count read off its bands when
+// the key columns admit it, and the operators the node covers when they
+// do not — reported as the product they build, with the reason.
+func (e *Engine) physThetaJoin(ctx context.Context, tj *physical.ThetaJoin, l, r *bat.View) (physOut, error) {
 	reason := e.thetaDemote
-	var out physOut
-	counted := 0
-	switch {
-	case reason != "":
-	case tj.Count != nil:
-		out, counted, reason = thetaCountKernel(tj, in[0], in[1])
-	default:
+	if reason == "" {
+		var out physOut
 		var err error
-		out, reason, err = thetaKernel(ctx, tj, in[0], in[1])
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("%s: %w", tj.Select.Op.Kind, err)
-		}
-	}
-	if reason != "" {
-		// The reason goes on the first member, so that it is on record
-		// even when a later member fails.
-		return e.replayNodes(ctx, members, in, slots, tr, func(i int, st OpStat) OpStat {
-			if i == 0 {
-				st.Kernel += " (demoted:" + reason + ")"
-			}
-			return st
-		})
-	}
-	view := &slots[tj.Out().Pos]
-	*view = out.view
-	if e.Check {
-		owed := tj.Demand
 		if tj.Count != nil {
-			owed = tj.Count.Op.Schema()
+			out, _, reason = thetaCountKernel(tj, l, r)
+		} else {
+			out, reason, err = thetaKernel(ctx, tj, l, r)
 		}
-		if err := checkOutput(tj.Out(), e.checkProps[tj.Out().Pos], view, owed); err != nil {
-			return nil, fmt.Errorf("%s: %w", tj.Out().Op.Kind, err)
+		if reason == "" {
+			return out, err
 		}
 	}
-	if tr != nil {
-		wall := time.Since(start) //pfvet:allow determinism -- trace wall-time only, not query results
-		rowsIn, rowsOut := viewRowsIn(in), view.Rows()
-		// The unit's wall time, input rows and materialization sit on its
-		// output boundary. The members below it report the pairs that
-		// passed through them — the product itself never existed, and a
-		// count-only unit emitted no pair at all: its count reports the
-		// pairs it counted as its input.
-		pairs := rowsOut
-		if tj.Count != nil {
-			pairs = 0
-		}
-		for i, nd := range members[:len(members)-1] {
-			st := OpStat{RowsIn: pairs, RowsOut: pairs, Kernel: nd.Kernel, ThetaJoin: tj.ID}
-			if i == 0 {
-				st.RowsIn = rowsIn
-			}
-			tr.Stats[nd.Op] = st
-		}
-		st := OpStat{Wall: wall, RowsIn: rowsIn, RowsOut: rowsOut,
-			Kernel: out.name(), RowsMat: out.mat, ThetaJoin: tj.ID}
-		if tj.Count != nil {
-			st.RowsIn = counted
-		}
-		tr.Stats[tj.Out().Op] = st
-	}
-	return view, nil
+	out, err := e.thetaMembers(ctx, tj, []*bat.View{l, r})
+	out.kernel, out.tag = "nested-product", " (demoted:"+reason+")"
+	return out, err
 }
+
+// thetaMembers runs the operators a theta-join node covers one after the
+// other through their own kernels, the first over the node's inputs:
+// ×, ⊛ and σ, then π, δ and count on a count-only node. They get no slot,
+// stat or trace entry of their own; a pair-emitting node's output is cut
+// to its Demand like the band kernel's. An error is named by the kind of
+// the operator that raised it, as it would be had that operator been a
+// node.
+func (e *Engine) thetaMembers(ctx context.Context, tj *physical.ThetaJoin, in []*bat.View) (physOut, error) {
+	ops := []*algebra.Op{tj.Cross, tj.Fun, tj.Select, tj.Project, tj.Distinct, tj.Count}
+	if tj.Count == nil {
+		ops = ops[:3]
+	}
+	mat := 0
+	for _, o := range ops {
+		out, err := e.execKernel(ctx, &physical.Node{Op: o}, in)
+		if err != nil {
+			return physOut{}, &memberError{kind: o.Kind, err: err}
+		}
+		mat += out.mat
+		v := out.view
+		in = []*bat.View{&v}
+	}
+	if tj.Count != nil {
+		return physOut{view: *in[0], mat: mat}, nil
+	}
+	keep := make([]bat.ProjPair, len(tj.Demand))
+	for i, c := range tj.Demand {
+		keep[i] = bat.ProjPair{New: c, Old: c}
+	}
+	v, err := in[0].Project(keep...)
+	if err != nil {
+		return physOut{}, err
+	}
+	return physOut{view: v, mat: mat}, nil
+}
+
+// memberError is the error of an operator a theta-join node covers,
+// already named by that operator's kind.
+type memberError struct {
+	kind algebra.OpKind
+	err  error
+}
+
+func (m *memberError) Error() string { return m.kind.String() + ": " + m.err.Error() }
+func (m *memberError) Unwrap() error { return m.err }

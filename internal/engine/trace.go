@@ -7,8 +7,12 @@ import (
 	"pathfinder/internal/bat"
 )
 
-// OpStat is the per-operator instrumentation record of a traced
-// evaluation.
+// OpStat is the per-node instrumentation record of a traced evaluation.
+// A theta join's Kernel names the band kernel and its lane
+// (merge-thetajoin[float], merge-thetacount[str], …) or, when the keys
+// do not admit it, "nested-product (demoted:<reason>)": the node then
+// ran the operators it covers, and its Wall, RowsMat and RowsOut are
+// theirs together.
 type OpStat struct {
 	Wall    time.Duration // time spent applying the operator
 	RowsIn  int           // total input rows across all inputs
@@ -39,35 +43,23 @@ type OpStat struct {
 	// Deprecated: benchmark/inproc.go is its last reader; the
 	// benchmark-only change of ROADMAP item 1 deletes the field with it.
 	FusedChain int
-
-	// ThetaJoin is the 1-based id of the theta-join unit the operator ran
-	// in when the band kernel took it (0 = ran standalone; a demoted
-	// unit's × says why in its kernel name). σ carries the unit's wall
-	// time, input rows and materialization under the kernel's own name;
-	// × and ⊛ report the emitted pairs with zero Wall/RowsMat.
-	ThetaJoin int
 }
 
-// Trace is the full instrumentation record of one evaluation. Tables
-// holds every operator's intermediate result, with one exception in
-// kind: the members of a theta join the band kernel ran hold only the
-// pairs that went on to pass σ, and of those only the columns the unit's
-// consumers read — the rest of the product never existed. One
-// evaluation writes it, on the goroutine that runs the plan.
+// Trace is the full instrumentation record of one evaluation: every
+// node's intermediate result and stat, keyed by its operator. A theta
+// join is one node, keyed by the operator whose output is its own (σ,
+// or the count of a count-only join); its result holds only the columns
+// its consumers read, and the operators it covers have no entry — the
+// product they stand for never existed. One evaluation writes it, on
+// the goroutine that runs the plan.
 type Trace struct {
 	Tables map[*algebra.Op]*bat.Table
 	Stats  map[*algebra.Op]OpStat
-
-	// The views of a demoted theta join's members, which ran one by one
-	// and have no result slot, set aside while the query runs for
-	// fillTraceTables to turn into Tables afterwards.
-	members map[*algebra.Op]*bat.View
 }
 
 func newTrace() *Trace {
 	return &Trace{
-		Tables:  make(map[*algebra.Op]*bat.Table),
-		Stats:   make(map[*algebra.Op]OpStat),
-		members: make(map[*algebra.Op]*bat.View),
+		Tables: make(map[*algebra.Op]*bat.Table),
+		Stats:  make(map[*algebra.Op]OpStat),
 	}
 }

@@ -10,48 +10,46 @@ const chainMinRows = 4096
 // per-row unary operators (σ, π, ⊛, mark) outside the theta joins, each
 // interior read only by the next member, no mark after a filter, at
 // least two members, and a head not statically known to see fewer than
-// chainMinRows rows. The executor
-// runs every node as its own unit now; the count is only reported.
+// chainMinRows rows. at is the node of each logical position (nil where
+// a theta join covers the operator), consumers and next count and name
+// each position's readers. The executor runs every node as its own unit
+// now; the count is only reported.
 //
 // Deprecated: Plan.Chains, which benchmark/inproc.go reports as
 // physical.chains, is its only reader; the benchmark-only change of
 // ROADMAP item 1 deletes both.
-func countChains(p *Plan, consumers map[*Node]int, nextOf map[*Node]*Node) int {
-	claimed := make(map[*Node]bool)
-	for _, tj := range p.ThetaJoins {
-		for _, m := range tj.Members()[1:] {
-			claimed[m] = true
-		}
-	}
+func countChains(at []*Node, consumers, next []int32) int {
+	claimed := make([]bool, len(at))
 	perRow := func(nd *Node) bool {
+		if nd == nil || nd.Theta != nil || len(nd.In) != 1 {
+			return false
+		}
 		switch nd.Op.Kind {
 		case algebra.OpSelect, algebra.OpProject, algebra.OpFun, algebra.OpRowID:
-			return len(nd.In) == 1
+			return true
 		}
 		return false
 	}
 	chains := 0
-	for _, nd := range p.Nodes {
-		if claimed[nd] || !perRow(nd) || nd.EstRows >= 0 && nd.EstRows < chainMinRows {
+	for i, nd := range at {
+		if claimed[i] || !perRow(nd) || nd.EstRows >= 0 && nd.EstRows < chainMinRows {
 			continue
 		}
-		members := []*Node{nd}
 		filtered := nd.Op.Kind == algebra.OpSelect
-		for cur := nd; consumers[cur] == 1; cur = members[len(members)-1] {
-			next := nextOf[cur]
-			if claimed[next] || !perRow(next) || next.In[0] != cur || next.Op.Kind == algebra.OpRowID && filtered {
+		for cur := i; consumers[cur] == 1; {
+			nx := int(next[cur])
+			succ := at[nx]
+			if claimed[nx] || !perRow(succ) || succ.In[0] != at[cur] || succ.Op.Kind == algebra.OpRowID && filtered {
 				break
 			}
-			members = append(members, next)
-			filtered = filtered || next.Op.Kind == algebra.OpSelect
+			if cur == i {
+				claimed[i] = true
+				chains++
+			}
+			claimed[nx] = true
+			filtered = filtered || succ.Op.Kind == algebra.OpSelect
+			cur = nx
 		}
-		if len(members) < 2 {
-			continue
-		}
-		for _, m := range members {
-			claimed[m] = true
-		}
-		chains++
 	}
 	return chains
 }

@@ -4,7 +4,7 @@ package physical_test
 // draws it: the lowered plans of two XMark queries, each node noted with
 // the optimizer's properties, are pinned byte-for-byte — Q8, the big
 // equijoin query (join and rownum kernels, the pipeline flags), and Q11,
-// the theta-join query (the theta-join cluster).
+// the theta-join query (one thetacount node over the join's two inputs).
 // Regenerate intentionally with:
 //
 //	go test ./internal/physical -run TestPhysicalDotGolden -update
@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pathfinder/internal/algebra"
 	"pathfinder/internal/core"
 	"pathfinder/internal/opt"
 	"pathfinder/internal/physical"
@@ -39,8 +40,12 @@ func physicalDotGolden(t *testing.T, n int) {
 	if plan, err = opt.Optimize(plan); err != nil {
 		t.Fatal(err)
 	}
-	_, props := opt.PlanProperties(plan)
-	got := physical.Dot(physical.Lower(plan), func(nd *physical.Node) string { return props[nd.Pos].String() })
+	ops, props := opt.PlanProperties(plan)
+	of := make(map[*algebra.Op]opt.Props, len(ops))
+	for i, o := range ops {
+		of[o] = props[i]
+	}
+	got := physical.Dot(physical.Lower(plan), func(nd *physical.Node) string { return of[nd.Op].String() })
 
 	path := filepath.Join("testdata", fmt.Sprintf("q%02d_physical.dot", n))
 	if *update {

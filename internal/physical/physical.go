@@ -1,14 +1,14 @@
 // Package physical lowers the logical algebra DAG (internal/algebra) into
-// a physical plan of operator kernels: one node per logical operator,
-// each with its kernel family, a cardinality estimate, the theta joins
-// the executor may run as one unit and the ε that stream their trees.
-// Which kernel of a family runs — merge or hash join, which ϱ numbering
-// path — is not decided here: internal/engine looks at the key columns
-// when the node runs. An operator kind is either pipeline (its output is
-// a selection vector over a shared base table, never materialized) or a
-// breaker (its output is a standalone table). The lowering is 1:1 per
-// logical operator, so the engine's DAG memoization carries over
-// unchanged.
+// a physical plan of operator kernels: a node per logical operator, each
+// with its kernel family and a cardinality estimate, except that a theta
+// join — σ(⊛cmp(×)), and the π, δ and count above it when they only count
+// its pairs — is one node for all of its operators (thetajoin.go). Which
+// kernel of a family runs — merge or hash join, which ϱ numbering path —
+// is not decided here: internal/engine looks at the key columns when the
+// node runs. An operator kind is either pipeline (its output is a
+// selection vector over a shared base table, never materialized) or a
+// breaker (its output is a standalone table). Shared logical subplans
+// lower to shared nodes, so each runs once per evaluation.
 package physical
 
 import "pathfinder/internal/algebra"
@@ -24,6 +24,12 @@ type Node struct {
 	In     []*Node
 	Kernel string // kernel family, e.g. "join", "rownum", "staircase"
 	Pos    int    // position in Plan.Nodes: the executor's result slot
+
+	// Theta is set on a node of family "thetajoin" or "thetacount": the
+	// predicate it joins on and the operators it covers. Op is then the
+	// covered operator whose output is the node's (σ, or the count), and
+	// In are the nodes of ×'s inputs.
+	Theta *ThetaJoin
 
 	// Parallel is never set: the executor runs every kernel as one
 	// sequential loop.
@@ -42,9 +48,18 @@ type Node struct {
 	EstRows int64
 }
 
+// Schema is the node's output columns: its operator's schema, or for a
+// theta join that emits its pairs the part its consumers read.
+func (nd *Node) Schema() []string {
+	if nd.Theta != nil && nd.Theta.Count == nil {
+		return nd.Theta.Demand
+	}
+	return nd.Op.Schema()
+}
+
 // Plan is a lowered physical plan: nodes in bottom-up topological order
 // (children before parents, root last), one node per distinct logical
-// operator.
+// operator or theta join.
 type Plan struct {
 	Root  *Node
 	Nodes []*Node
@@ -56,57 +71,30 @@ type Plan struct {
 	// Deprecated: benchmark/inproc.go is its last reader; the
 	// benchmark-only change of ROADMAP item 1 deletes the field with it.
 	Chains []struct{}
-
-	// ThetaJoins are the σ(⊛cmp(×)) units the executor may run as one
-	// sort-based inequality join (see thetajoin.go), in discovery order:
-	// the only units of more than one node. They are metadata, not a
-	// rewrite: the three members stay in Nodes, and executing them one
-	// by one gives the identical result.
-	ThetaJoins []*ThetaJoin
 }
 
 // EstCost is the admission controller's memory proxy: the sum of the
-// plan's estimated intermediate cardinalities across all operators.
-// Operators with unknown cardinality (EstRows < 0 — anything downstream
-// of a location step, range, or text or attribute constructor) are charged unknownRows
-// each, so a plan's cost grows with both its known materialization and
-// the number of opaque fan-out points it contains. The absolute numbers
-// are a pessimistic currency, not a prediction; admission only needs
-// heavy join plans to price far above point lookups.
-//
-// A count-only theta join is charged once, as a unit (ThetaJoin.EstCost):
-// unless it is demoted at run time its members never run one by one, and
-// the product they would be charged for never exists.
+// plan's estimated intermediate cardinalities across all nodes. Nodes
+// with unknown cardinality (EstRows < 0 — anything downstream of a
+// location step, range, or text or attribute constructor) are charged
+// unknownRows each, so a plan's cost grows with both its known
+// materialization and the number of opaque fan-out points it contains.
+// The absolute numbers are a pessimistic currency, not a prediction;
+// admission only needs heavy join plans to price far above point
+// lookups. A theta join is one node and is charged once.
 func (p *Plan) EstCost(unknownRows int64) int64 {
 	var cost int64
-	charge := func(rows int64) {
+	for _, nd := range p.Nodes {
+		rows := nd.EstRows
 		if rows < 0 {
 			rows = unknownRows
 		}
 		cost += rows
 	}
-	var unit map[*Node]bool
-	for _, tj := range p.ThetaJoins {
-		if tj.Count == nil {
-			continue
-		}
-		if unit == nil {
-			unit = make(map[*Node]bool)
-		}
-		for _, m := range tj.Members() {
-			unit[m] = true
-		}
-		charge(tj.EstCost())
-	}
-	for _, nd := range p.Nodes {
-		if !unit[nd] {
-			charge(nd.EstRows)
-		}
-	}
 	return cost
 }
 
-// Breakers counts the plan's pipeline breakers — operators whose output
+// Breakers counts the plan's pipeline breakers — nodes whose output
 // must be materialized as a fresh table rather than streamed as a view
 // over shared base vectors. Fewer breakers is the physical payoff of
 // join graph isolation: every rownum tower the optimizer removes takes
@@ -115,12 +103,16 @@ func (p *Plan) EstCost(unknownRows int64) int64 {
 func (p *Plan) Breakers() int {
 	n := 0
 	for _, nd := range p.Nodes {
-		if !Pipeline(nd.Op.Kind) {
+		if !nd.pipeline() {
 			n++
 		}
 	}
 	return n
 }
+
+// pipeline reports whether the node's output is a view over its input's
+// vectors; a theta join gathers its pairs, whatever its Op.
+func (nd *Node) pipeline() bool { return nd.Theta == nil && Pipeline(nd.Op.Kind) }
 
 // Pipeline reports whether operators of kind k produce a view — a
 // selection vector or a cheap column extension over shared base vectors
@@ -136,45 +128,77 @@ func Pipeline(k algebra.OpKind) bool {
 
 // Lower compiles the logical DAG rooted at root into a physical plan.
 // Shared logical subplans become shared physical nodes, preserving the
-// exactly-once evaluation guarantee.
+// exactly-once evaluation guarantee. The analyses run over the logical
+// operators in topological order, on slices indexed by position: no map
+// beyond the one that finds an operator's position.
 func Lower(root *algebra.Op) *Plan {
 	order := algebra.Topo(root)
-	byOp := make(map[*algebra.Op]int, len(order))
-	nodes := make([]*Node, len(order))
-	// The nodes and their input lists are carved from two arrays: a plan
-	// is lowered once and lives as long as all of its nodes.
-	slab := make([]Node, len(order))
+	n := len(order)
+	index := make(map[*algebra.Op]int, n)
 	edges := 0
-	for _, o := range order {
+	for i, o := range order {
+		index[o] = i
 		edges += len(o.In)
 	}
+	// consumers[i] counts the edges that read order[i], next[i] is the
+	// position of the last operator to read it.
+	uses := make([]int32, 2*n)
+	consumers, next := uses[:n:n], uses[n:]
+	for i, o := range order {
+		for _, c := range o.In {
+			k := index[c]
+			consumers[k]++
+			next[k] = int32(i)
+		}
+	}
+	own := foldThetaJoins(order, index, consumers, next)
+
+	// at is the node of each position, nil for an operator a theta join
+	// covers. Without theta joins every position has its node and Nodes
+	// is at itself; the nodes and their input lists are carved from two
+	// arrays, since a plan is lowered once and lives as long as all of
+	// its nodes.
+	at := make([]*Node, n)
+	nodes, built := at[:0], n
+	if own != nil {
+		for i, tj := range own {
+			if tj != nil && order[i] != tj.out() {
+				built--
+			}
+		}
+		nodes = make([]*Node, 0, built)
+	}
+	slab := make([]Node, built)
 	ins := make([]*Node, edges)
 	constructs := false
 	for i, o := range order {
-		nd := &slab[i]
-		nd.Op, nd.Pos, nd.In, ins = o, i, ins[:len(o.In):len(o.In)], ins[len(o.In):]
-		for k, c := range o.In {
-			nd.In[k] = nodes[byOp[c]]
+		var tj *ThetaJoin
+		if own != nil {
+			tj = own[i]
+		}
+		src := o.In
+		if tj != nil {
+			if o != tj.out() {
+				continue
+			}
+			src = tj.Cross.In
+		}
+		nd := &slab[len(nodes)]
+		nd.Op, nd.Pos, nd.Theta = o, len(nodes), tj
+		nd.In, ins = ins[:len(src):len(src)], ins[len(src):]
+		for k, c := range src {
+			nd.In[k] = at[index[c]]
 		}
 		lowerOp(nd)
-		byOp[o] = i
-		nodes[i] = nd
+		at[i] = nd
+		nodes = append(nodes, nd)
 		constructs = constructs || o.Kind == algebra.OpElem
 	}
-	p := &Plan{Root: nodes[byOp[root]], Nodes: nodes}
+	p := &Plan{Root: at[index[root]], Nodes: nodes}
 	if constructs {
-		markStreams(nodes, byOp)
+		markStreams(order, index, at)
 	}
-	consumers := make(map[*Node]int, len(nodes))
-	nextOf := make(map[*Node]*Node, len(nodes))
-	for _, nd := range nodes {
-		for _, c := range nd.In {
-			consumers[c]++
-			nextOf[c] = nd
-		}
-	}
-	discoverThetaJoins(p, consumers, nextOf)
-	p.Chains = make([]struct{}, countChains(p, consumers, nextOf))
+	p.Chains = make([]struct{}, countChains(at, consumers, next))
 	return p
 }
 
@@ -182,6 +206,15 @@ func Lower(root *algebra.Op) *Plan {
 // are in place, and estimates its cardinality.
 func lowerOp(nd *Node) {
 	o := nd.Op
+	if tj := nd.Theta; tj != nil {
+		// A count-only join has at most one row per outer row; one that
+		// emits its pairs is bounded by the product, as σ over × is.
+		nd.Kernel, nd.EstRows = "thetajoin", estRows(tj.Cross, nd)
+		if tj.Count != nil {
+			nd.Kernel, nd.EstRows = "thetacount", nd.In[0].EstRows
+		}
+		return
+	}
 	switch o.Kind {
 	case algebra.OpLit:
 		nd.Kernel = "scan"
@@ -277,28 +310,4 @@ func estRows(o *algebra.Op, nd *Node) int64 {
 	}
 	// OpStep, OpRange, OpColl, OpText, OpAttrC: data-dependent fan-out.
 	return -1
-}
-
-// reestimate redoes the cardinality estimates downstream of the
-// count-only theta joins: each
-// pinned its Count to the outer side's estimate after the nodes above it
-// had been lowered from the product's.
-func reestimate(p *Plan) {
-	var pinned map[*Node]bool
-	for _, tj := range p.ThetaJoins {
-		if tj.Count != nil {
-			if pinned == nil {
-				pinned = make(map[*Node]bool)
-			}
-			pinned[tj.Count] = true
-		}
-	}
-	if pinned == nil {
-		return
-	}
-	for _, nd := range p.Nodes {
-		if !pinned[nd] {
-			nd.EstRows = estRows(nd.Op, nd)
-		}
-	}
 }

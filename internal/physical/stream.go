@@ -10,36 +10,37 @@ import "pathfinder/internal/algebra"
 // fn:root, the name or an attribute slot of an ε, or a content slot of
 // an ε that materializes — needs the nodes built.
 //
-// The analysis runs backwards over the topological order, consumers
-// first: each node's mask holds the columns of its schema (one bit per
-// position; the 64th and later never stream) whose every consumer only
-// passes them on, intersected over its consumers. An ε is decided before
-// its inputs, so one that materializes makes its slots' ε materialize
-// too. index maps each logical operator to its node's position.
-func markStreams(nodes []*Node, index map[*algebra.Op]int) {
-	safe := make([]uint64, len(nodes))
+// The analysis runs backwards over the logical operators in topological
+// order, consumers first: each operator's mask holds the columns of its
+// schema (one bit per position; the 64th and later never stream) whose
+// every consumer only passes them on, intersected over its consumers. An
+// ε is decided before its inputs, so one that materializes makes its
+// slots' ε materialize too. index maps each operator to its position, at
+// each position to its node (an ε always has one).
+func markStreams(order []*algebra.Op, index map[*algebra.Op]int, at []*Node) {
+	safe := make([]uint64, len(order))
 	for i := range safe {
 		safe[i] = ^uint64(0)
 	}
-	root := len(nodes) - 1
-	safe[root] &= colBit(nodes[root].Op.Schema(), "item")
+	root := len(order) - 1
+	safe[root] &= colBit(order[root].Schema(), "item")
 	for i := root; i >= 0; i-- {
-		nd, m := nodes[i], safe[i]
-		o := nd.Op
+		o, m := order[i], safe[i]
+		stream := false
 		if o.Kind == algebra.OpElem {
-			nd.Stream = m&colBit(o.Schema(), "item") != 0
+			stream = m&colBit(o.Schema(), "item") != 0
+			at[i].Stream = stream
 		}
 		for k, in := range o.In {
-			safe[index[in]] &= passes(nd, m, k)
+			safe[index[in]] &= passes(o, stream, m, k)
 		}
 	}
 }
 
-// passes is the mask of input k's columns that the node nd, whose own
+// passes is the mask of input k's columns that the operator o, whose own
 // safe columns are m, only passes on: dropped, or carried to a safe
-// column.
-func passes(nd *Node, m uint64, k int) uint64 {
-	o := nd.Op
+// column. stream says whether o is an ε that streams.
+func passes(o *algebra.Op, stream bool, m uint64, k int) uint64 {
 	in := o.In[k].Schema()
 	switch o.Kind {
 	case algebra.OpProject:
@@ -84,7 +85,7 @@ func passes(nd *Node, m uint64, k int) uint64 {
 	case algebra.OpElem:
 		// A content slot's items stream into a streamed ε; its iter and
 		// pos are sorted on.
-		if k > 0 && nd.Stream && slotStep(o.Skel, int32(k-1)) == algebra.SkelSlot {
+		if k > 0 && stream && slotStep(o.Skel, int32(k-1)) == algebra.SkelSlot {
 			return colBit(in, "item")
 		}
 	}

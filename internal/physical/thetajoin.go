@@ -1,41 +1,35 @@
 package physical
 
-import (
-	"math/bits"
-
-	"pathfinder/internal/algebra"
-)
+import "pathfinder/internal/algebra"
 
 // Theta-join recognition. The compiler's join recognition turns
 // `for … where A cmp B` with a non-`=` comparison into
 //
 //	σ_c ( ⊛cmp c:(x,y) ( A × B ) )
 //
-// and an executor that runs the three operators one by one builds all
-// |A|·|B| rows to keep the few that qualify. Lower identifies the
-// pattern and records it as ThetaJoin metadata; the executor runs the
-// three members as one sort-based inequality (band) join that emits the
-// qualifying pairs directly, in the row order × followed by σ produces.
+// and running the three operators one by one builds all |A|·|B| rows to
+// keep the few that qualify. Lower folds the pattern into one node of
+// kernel family "thetajoin": its inputs are A and B, its output the
+// columns of σ its consumers read, and the executor runs it as one
+// sort-based inequality (band) join that emits the qualifying pairs
+// directly, in the row order × followed by σ produces. ×, ⊛ and σ get no
+// node of their own; the logical plan and every emitter that walks it
+// are untouched.
 //
-// This is metadata, not a plan rewrite: ×, ⊛ and σ keep their Nodes
-// (stats, Check and the explain/dot output address them individually),
-// the logical plan and every emitter that walks it are untouched, and
-// an executor that ignores ThetaJoins — or meets key
-// columns the band kernel cannot order the way bat.Compare does — runs
-// the identical three operators and gets the identical result.
-//
-// A unit whose pairs are only counted goes further (matchCountTail): it
-// also owns the π, δ and count above σ, and the executor answers the
-// count per outer row from the width of its band — no pair is emitted at
-// all, and the join's cost stops following the size of its result.
+// A node whose pairs are only counted goes further (matchCountTail): it
+// also covers the π, δ and count above σ, is of family "thetacount", and
+// the executor answers the count per outer row from the width of its
+// band — no pair is emitted at all, and the join's cost stops following
+// the size of its result.
 
-// ThetaJoin is one recognized σ(⊛cmp(×)) unit.
+// ThetaJoin is what a theta-join node runs: the predicate, normalized,
+// and the logical operators the node covers, which internal/check
+// re-proves the folding from. The node's Op is Select, or Count when the
+// tail is claimed; its inputs are the nodes of Cross's inputs.
 type ThetaJoin struct {
-	ID int // 1-based, in discovery (= topological) order
-
-	Cross  *Node // ×: its inputs are the unit's inputs
-	Fun    *Node // ⊛: the comparison over one column of each × input
-	Select *Node // σ on ⊛'s result column; its output is the unit's
+	Cross  *algebra.Op // ×: its inputs are the node's inputs
+	Fun    *algebra.Op // ⊛: the comparison over one column of each × input
+	Select *algebra.Op // σ on ⊛'s result column
 
 	// The predicate normalized to read LeftCol Cmp RightCol, LeftCol a
 	// column of Cross.In[0] and RightCol one of Cross.In[1]: a ⊛ whose
@@ -44,53 +38,32 @@ type ThetaJoin struct {
 	LeftCol, RightCol string
 	Cmp               algebra.FunKind
 
-	// Demand lists, in σ's schema order, the output columns the unit's
-	// consumers read: the columns their projections name when every
-	// consumer is a π, the whole schema otherwise. The band kernel
-	// gathers only these — the compared item columns and the all-true
-	// comparison result are usually dropped by the π right above σ. A
-	// demoted unit runs its three operators as they stand and produces
-	// the whole schema.
+	// Demand lists, in σ's schema order, the columns the node's consumers
+	// read: the columns their projections name when every consumer is a
+	// π, the whole schema otherwise. The node's output holds exactly
+	// these — the compared item columns and the all-true comparison
+	// result are usually dropped by the π right above σ. Nil on a
+	// count-only node, whose output is Count's schema.
 	Demand []string
 
-	// The count-only tail, nil on a unit that emits its pairs. When σ is
+	// The count-only tail, nil on a node that emits its pairs. When σ is
 	// read only by a π that keeps one column of each × input, that π only
 	// by a δ, and that δ only by a count partitioned by the left input's
-	// column, nothing above the join reads a pair: the unit owns the
-	// three nodes too, Count's output is the unit's, and the executor
-	// computes it from the band widths. CountBy is the column of
-	// Cross.In[0] the count is partitioned by, CountOf the column of
-	// Cross.In[1] whose distinct values are counted per partition.
-	Project, Distinct, Count *Node
+	// column, nothing above the join reads a pair: the node covers the
+	// three operators too, and the executor computes Count's output from
+	// the band widths. CountBy is the column of Cross.In[0] the count is
+	// partitioned by, CountOf the column of Cross.In[1] whose distinct
+	// values are counted per partition.
+	Project, Distinct, Count *algebra.Op
 	CountBy, CountOf         string
 }
 
-// Members returns the unit's nodes in execution order.
-func (t *ThetaJoin) Members() []*Node {
-	if t.Count == nil {
-		return []*Node{t.Cross, t.Fun, t.Select}
-	}
-	return []*Node{t.Cross, t.Fun, t.Select, t.Project, t.Distinct, t.Count}
-}
-
-// Out returns the member whose output is the unit's.
-func (t *ThetaJoin) Out() *Node {
+// out is the covered operator whose output is the node's.
+func (t *ThetaJoin) out() *algebra.Op {
 	if t.Count != nil {
 		return t.Count
 	}
 	return t.Select
-}
-
-// EstCost prices a count-only unit: sorting the inner side A and one
-// binary search per outer row of B, (|A|+|B|)·log|A| — not the |A|·|B|
-// rows its six members would be charged one by one. -1 when a side's
-// cardinality is unknown.
-func (t *ThetaJoin) EstCost() int64 {
-	b, a := t.Cross.In[0].EstRows, t.Cross.In[1].EstRows
-	if a < 0 || b < 0 {
-		return -1
-	}
-	return (a + b) * int64(bits.Len64(uint64(a)))
 }
 
 // mirrorCmp swaps the operand order of an inequality.
@@ -107,42 +80,52 @@ func mirrorCmp(f algebra.FunKind) algebra.FunKind {
 	}
 }
 
-// discoverThetaJoins finds the plan's theta joins, lets each one whose
-// pairs are only counted claim the π, δ and count above it, records
-// which output columns each unit's consumers read (Demand) and redoes
-// the estimates above the count-only units. consumers counts each
-// node's consuming edges, nextOf names a consumer of each node.
-func discoverThetaJoins(p *Plan, consumers map[*Node]int, nextOf map[*Node]*Node) {
-	for _, nd := range p.Nodes {
-		if tj := matchThetaJoin(nd, consumers); tj != nil {
-			tj.ID = len(p.ThetaJoins) + 1
-			p.ThetaJoins = append(p.ThetaJoins, tj)
-			matchCountTail(tj, consumers, nextOf)
+// foldThetaJoins finds the theta joins of the logical operators in
+// order (bottom-up; index maps each operator to its position), lets each
+// one whose pairs are only counted claim the π, δ and count above it,
+// and records which columns each pair-emitting one's consumers read. The
+// result maps every covered position to its join, nil for a plan
+// without one; consumers counts the edges that read each position, next
+// names the last of them.
+func foldThetaJoins(order []*algebra.Op, index map[*algebra.Op]int, consumers, next []int32) []*ThetaJoin {
+	var own []*ThetaJoin
+	for i, sel := range order {
+		tj := matchThetaJoin(sel, index, consumers)
+		if tj == nil {
+			continue
 		}
+		if own == nil {
+			own = make([]*ThetaJoin, len(order))
+		}
+		own[index[tj.Cross]], own[index[tj.Fun]], own[i] = tj, tj, tj
+		if p := matchCountTail(tj, order, i, consumers, next); p > 0 {
+			d := next[p]
+			own[p], own[d], own[next[d]] = tj, tj, tj
+			continue
+		}
+		tj.Demand = demand(sel, order[i+1:], i == len(order)-1)
 	}
-	demandThetaJoins(p)
-	reestimate(p)
+	return own
 }
 
-// matchThetaJoin reports whether sel is the σ of a theta-join unit and,
-// if so, returns the unit (without an ID). The conditions:
+// matchThetaJoin reports whether sel is the σ of a theta join and, if
+// so, returns it without its tail. The conditions:
 //
 //   - σ selects on the column its input ⊛ computes,
 //   - ⊛ is a binary <, ≤, > or ≥ directly over a ×,
 //   - one operand column comes from each × input, and
 //   - ⊛ and × each have exactly one consumer, so no operator outside
-//     the unit ever sees the product or the unfiltered comparison.
+//     the node ever sees the product or the unfiltered comparison.
 //
 // `=` is the hash join's business and `!=` qualifies almost every pair,
 // so neither has a band to search. The match allocates nothing until
 // every condition holds.
-func matchThetaJoin(sel *Node, consumers map[*Node]int) *ThetaJoin {
-	if sel.Op.Kind != algebra.OpSelect {
+func matchThetaJoin(sel *algebra.Op, index map[*algebra.Op]int, consumers []int32) *ThetaJoin {
+	if sel.Kind != algebra.OpSelect {
 		return nil
 	}
-	fn := sel.In[0]
-	fo := fn.Op
-	if fo.Kind != algebra.OpFun || fo.Col != sel.Op.Col || len(fo.Args) != 2 || consumers[fn] != 1 {
+	fo := sel.In[0]
+	if fo.Kind != algebra.OpFun || fo.Col != sel.Col || len(fo.Args) != 2 || consumers[index[fo]] != 1 {
 		return nil
 	}
 	switch fo.Fun {
@@ -150,88 +133,87 @@ func matchThetaJoin(sel *Node, consumers map[*Node]int) *ThetaJoin {
 	default:
 		return nil
 	}
-	cross := fn.In[0]
-	if cross.Op.Kind != algebra.OpCross || consumers[cross] != 1 {
+	cross := fo.In[0]
+	if cross.Kind != algebra.OpCross || consumers[index[cross]] != 1 {
 		return nil
 	}
-	l, r := cross.Op.In[0], cross.Op.In[1]
+	l, r := cross.In[0], cross.In[1]
 	switch {
 	case l.HasCol(fo.Args[0]) && r.HasCol(fo.Args[1]):
-		return &ThetaJoin{Cross: cross, Fun: fn, Select: sel,
+		return &ThetaJoin{Cross: cross, Fun: fo, Select: sel,
 			LeftCol: fo.Args[0], RightCol: fo.Args[1], Cmp: fo.Fun}
 	case r.HasCol(fo.Args[0]) && l.HasCol(fo.Args[1]):
-		return &ThetaJoin{Cross: cross, Fun: fn, Select: sel,
+		return &ThetaJoin{Cross: cross, Fun: fo, Select: sel,
 			LeftCol: fo.Args[1], RightCol: fo.Args[0], Cmp: mirrorCmp(fo.Fun)}
 	}
 	return nil
 }
 
-// matchCountTail extends tj over the π, δ and count above its σ when
-// they read the pairs only to count them (see ThetaJoin.Count), and
-// lowers Count's cardinality estimate to the outer side's: one row per
-// partition at most.
-func matchCountTail(tj *ThetaJoin, consumers map[*Node]int, nextOf map[*Node]*Node) {
-	sole := func(nd *Node, kind algebra.OpKind) *Node {
-		if next := nextOf[nd]; consumers[nd] == 1 && next.Op.Kind == kind {
-			return next
+// matchCountTail extends tj over the π, δ and count above its σ, at
+// position sel, when they read the pairs only to count them (see
+// ThetaJoin.Count), and returns π's position; 0 when they do not.
+func matchCountTail(tj *ThetaJoin, order []*algebra.Op, sel int, consumers, next []int32) int {
+	sole := func(pos int, kind algebra.OpKind) int {
+		if consumers[pos] == 1 && order[next[pos]].Kind == kind {
+			return int(next[pos])
 		}
-		return nil
+		return 0
 	}
-	proj := sole(tj.Select, algebra.OpProject)
-	if proj == nil || len(proj.Op.Proj) != 2 {
-		return
+	p := sole(sel, algebra.OpProject)
+	if p == 0 || len(order[p].Proj) != 2 {
+		return 0
 	}
-	l, r := tj.Cross.Op.In[0], tj.Cross.Op.In[1]
-	by, of := proj.Op.Proj[0], proj.Op.Proj[1]
+	l, r := tj.Cross.In[0], tj.Cross.In[1]
+	by, of := order[p].Proj[0], order[p].Proj[1]
 	if !l.HasCol(by.Old) {
 		by, of = of, by
 	}
 	if !l.HasCol(by.Old) || !r.HasCol(of.Old) {
-		return
+		return 0
 	}
-	dist := sole(proj, algebra.OpDistinct)
-	if dist == nil {
-		return
+	d := sole(p, algebra.OpDistinct)
+	if d == 0 {
+		return 0
 	}
-	cnt := sole(dist, algebra.OpAggr)
-	if cnt == nil || cnt.Op.Agg != algebra.AggCount || cnt.Op.Part != by.New {
-		return
+	c := sole(d, algebra.OpAggr)
+	if c == 0 || order[c].Agg != algebra.AggCount || order[c].Part != by.New {
+		return 0
 	}
-	tj.Project, tj.Distinct, tj.Count = proj, dist, cnt
+	tj.Project, tj.Distinct, tj.Count = order[p], order[d], order[c]
 	tj.CountBy, tj.CountOf = by.Old, of.Old
-	cnt.EstRows = tj.Cross.In[0].EstRows
+	return p
 }
 
-// demandThetaJoins fills in every unit's Demand from the consumers of
-// its σ. A σ nobody consumes is the plan root: the caller reads it all.
-func demandThetaJoins(p *Plan) {
-	for _, tj := range p.ThetaJoins {
-		schema := tj.Select.Op.Schema()
-		read := make([]bool, len(schema))
-		all := tj.Select == p.Root
-		for _, nd := range p.Nodes {
-			for _, c := range nd.In {
-				if c != tj.Select {
-					continue
-				}
-				if nd.Op.Kind != algebra.OpProject {
-					all = true
-					continue
-				}
-				for _, pr := range nd.Op.Proj {
-					for i, col := range schema {
-						if col == pr.Old {
-							read[i] = true
-						}
+// demand is what the consumers of sel among above read of its schema,
+// in schema order: everything when sel is the plan's root or one of them
+// is not a π.
+func demand(sel *algebra.Op, above []*algebra.Op, root bool) []string {
+	schema := sel.Schema()
+	read := make([]bool, len(schema))
+	all := root
+	for _, o := range above {
+		for _, c := range o.In {
+			if c != sel {
+				continue
+			}
+			if o.Kind != algebra.OpProject {
+				all = true
+				continue
+			}
+			for _, pr := range o.Proj {
+				for i, col := range schema {
+					if col == pr.Old {
+						read[i] = true
 					}
 				}
 			}
 		}
-		tj.Demand = make([]string, 0, len(schema))
-		for i, col := range schema {
-			if all || read[i] {
-				tj.Demand = append(tj.Demand, col)
-			}
+	}
+	cols := make([]string, 0, len(schema))
+	for i, col := range schema {
+		if all || read[i] {
+			cols = append(cols, col)
 		}
 	}
+	return cols
 }

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,8 +19,20 @@ func thetaShape(fun algebra.FunKind, x, y string) (cross, fn, sel *algebra.Op) {
 	return cross, fn, mustOp(algebra.Select(fn, "c"))
 }
 
-// TestDiscoverThetaJoin: the σ(⊛cmp(×)) unit is recognized for every
-// inequality in either operand order and normalized to left-cmp-right.
+// thetaNodes are p's theta-join nodes, in plan order.
+func thetaNodes(p *Plan) []*Node {
+	var out []*Node
+	for _, nd := range p.Nodes {
+		if nd.Theta != nil {
+			out = append(out, nd)
+		}
+	}
+	return out
+}
+
+// TestDiscoverThetaJoin: the σ(⊛cmp(×)) pattern is recognized for every
+// inequality in either operand order, normalized to left-cmp-right, and
+// folded into one node over ×'s inputs: × and ⊛ get no node.
 func TestDiscoverThetaJoin(t *testing.T) {
 	cases := []struct {
 		fun          algebra.FunKind
@@ -38,12 +51,24 @@ func TestDiscoverThetaJoin(t *testing.T) {
 		cross, fn, sel := thetaShape(c.fun, c.x, c.y)
 		root := mustOp(algebra.Project(sel, "a", "b"))
 		p := Lower(root)
-		if len(p.ThetaJoins) != 1 {
-			t.Fatalf("%s(%s,%s): %d theta joins, want 1", c.fun, c.x, c.y, len(p.ThetaJoins))
+		thetas := thetaNodes(p)
+		if len(thetas) != 1 {
+			t.Fatalf("%s(%s,%s): %d theta joins, want 1", c.fun, c.x, c.y, len(thetas))
 		}
-		tj := p.ThetaJoins[0]
-		if tj.Cross.Op != cross || tj.Fun.Op != fn || tj.Select.Op != sel {
-			t.Errorf("%s(%s,%s): members are not the plan's ×, ⊛, σ", c.fun, c.x, c.y)
+		nd, tj := thetas[0], thetas[0].Theta
+		if tj.Cross != cross || tj.Fun != fn || tj.Select != sel || nd.Op != sel || nd.Kernel != "thetajoin" {
+			t.Errorf("%s(%s,%s): the node does not cover the plan's ×, ⊛, σ", c.fun, c.x, c.y)
+		}
+		if nd.In[0].Op != cross.In[0] || nd.In[1].Op != cross.In[1] {
+			t.Errorf("%s(%s,%s): the node's inputs are not ×'s", c.fun, c.x, c.y)
+		}
+		if nodeOf(p, cross) != nil || nodeOf(p, fn) != nil || len(p.Nodes) != 4 {
+			t.Errorf("%s(%s,%s): %d nodes, × or ⊛ among them", c.fun, c.x, c.y, len(p.Nodes))
+		}
+		for i, nd := range p.Nodes {
+			if nd.Pos != i {
+				t.Errorf("%s(%s,%s): node %d has slot %d", c.fun, c.x, c.y, i, nd.Pos)
+			}
 		}
 		if tj.LeftCol != c.wantL || tj.RightCol != c.wantR || tj.Cmp != c.wantCmp {
 			t.Errorf("%s(%s,%s): normalized to %s %s %s, want %s %s %s", c.fun, c.x, c.y,
@@ -58,18 +83,18 @@ func TestDiscoverThetaJoin(t *testing.T) {
 func TestDiscoverThetaJoinRejects(t *testing.T) {
 	for _, fun := range []algebra.FunKind{algebra.FunEq, algebra.FunNe} {
 		_, _, sel := thetaShape(fun, "a", "b")
-		if p := Lower(sel); len(p.ThetaJoins) != 0 {
+		if p := Lower(sel); len(thetaNodes(p)) != 0 {
 			t.Errorf("⊛%s formed a theta join", fun)
 		}
 	}
-	if _, _, sel := thetaShape(algebra.FunLt, "a", "a2"); len(Lower(sel).ThetaJoins) != 0 {
+	if _, _, sel := thetaShape(algebra.FunLt, "a", "a2"); len(thetaNodes(Lower(sel))) != 0 {
 		t.Errorf("operands from one side formed a theta join")
 	}
 	cross, fn, sel := thetaShape(algebra.FunLt, "a", "b")
 	pairs := mustOp(algebra.Project(sel, "a", "b"))
 	for name, second := range map[string]*algebra.Op{"×": cross, "⊛": fn} {
 		side := mustOp(algebra.Project(second, "a", "b"))
-		if p := Lower(mustOp(algebra.Union(pairs, side))); len(p.ThetaJoins) != 0 {
+		if p := Lower(mustOp(algebra.Union(pairs, side))); len(thetaNodes(p)) != 0 {
 			t.Errorf("a second consumer of %s did not prevent the theta join", name)
 		}
 	}
@@ -77,7 +102,7 @@ func TestDiscoverThetaJoinRejects(t *testing.T) {
 	keep := algebra.Lit(bat.MustTable("a", bat.Ramp(0, 4), "k", make(bat.BoolVec, 4)))
 	fn2 := mustOp(algebra.Fun(mustOp(algebra.Cross(keep, algebra.Lit(bat.MustTable("b", bat.Ramp(0, 4))))),
 		"c", algebra.FunLt, "a", "b"))
-	if p := Lower(mustOp(algebra.Select(fn2, "k"))); len(p.ThetaJoins) != 0 {
+	if p := Lower(mustOp(algebra.Select(fn2, "k"))); len(thetaNodes(p)) != 0 {
 		t.Errorf("σ on a foreign column formed a theta join")
 	}
 }
@@ -89,10 +114,14 @@ func TestThetaJoinDemand(t *testing.T) {
 	demand := func(root *algebra.Op) []string {
 		t.Helper()
 		p := Lower(root)
-		if len(p.ThetaJoins) != 1 {
-			t.Fatalf("%d theta joins, want 1", len(p.ThetaJoins))
+		thetas := thetaNodes(p)
+		if len(thetas) != 1 {
+			t.Fatalf("%d theta joins, want 1", len(thetas))
 		}
-		return p.ThetaJoins[0].Demand
+		if got, want := thetas[0].Schema(), thetas[0].Theta.Demand; !slices.Equal(got, want) {
+			t.Fatalf("the node's schema %v is not its demand %v", got, want)
+		}
+		return thetas[0].Theta.Demand
 	}
 	eq := func(got []string, want ...string) bool { return strings.Join(got, ",") == strings.Join(want, ",") }
 
@@ -125,35 +154,39 @@ func countShape(nl, nr int) (dist, cnt *algebra.Op) {
 	return dist, mustOp(algebra.Aggr(dist, "n", algebra.AggCount, "", "by"))
 }
 
-// TestDiscoverCountTail: a theta join read only by π → δ → count/by owns
-// those three nodes too, is priced as a sort and a search instead of a
-// product, and hands its outer side's cardinality downstream.
+// TestDiscoverCountTail: a theta join read only by π → δ → count/by
+// covers those three operators too, is one node priced at its outer
+// side's cardinality instead of a product, and hands that cardinality
+// downstream.
 func TestDiscoverCountTail(t *testing.T) {
 	const nl, nr = 300, 5000
-	_, cnt := countShape(nl, nr)
+	dist, cnt := countShape(nl, nr)
 	root := mustOp(algebra.Project(cnt, "iter:by", "n"))
 	p := Lower(root)
-	if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count == nil {
+	thetas := thetaNodes(p)
+	if len(thetas) != 1 || thetas[0].Theta.Count == nil {
 		t.Fatalf("no count-only theta join in:\n%s", Dot(p, nil))
 	}
-	tj := p.ThetaJoins[0]
-	if tj.CountBy != "li" || tj.CountOf != "ri" || tj.Out().Op != cnt || len(tj.Members()) != 6 {
-		t.Errorf("unit counts %q by %q over %d members, output %s", tj.CountOf, tj.CountBy, len(tj.Members()), tj.Out().Op.Label())
+	nd, tj := thetas[0], thetas[0].Theta
+	if tj.CountBy != "li" || tj.CountOf != "ri" || nd.Op != cnt || tj.Distinct != dist || nd.Kernel != "thetacount" {
+		t.Errorf("node counts %q by %q as %s, output %s", tj.CountOf, tj.CountBy, nd.Kernel, nd.Op.Label())
 	}
-	// One row per outer row at most — for the unit and for what reads it.
-	if tj.Count.EstRows != nl || p.Root.EstRows != nl {
-		t.Errorf("count estimated at %d rows, its consumer at %d, want the outer side's %d", tj.Count.EstRows, p.Root.EstRows, nl)
+	if tj.Demand != nil || !slices.Equal(nd.Schema(), cnt.Schema()) {
+		t.Errorf("count-only node demands %v, outputs %v", tj.Demand, nd.Schema())
 	}
-	// (|A|+|B|)·log|A| with A the sorted inner side: 5300 · 13.
-	if got, want := tj.EstCost(), int64((nl+nr)*13); got != want {
-		t.Errorf("unit priced at %d, want %d", got, want)
+	// Both literals, the node, the π above it.
+	if len(p.Nodes) != 4 {
+		t.Errorf("%d nodes, want 4:\n%s", len(p.Nodes), Dot(p, nil))
 	}
-	// The plan: both literals, the unit once, the π above it.
-	if got, want := p.EstCost(1<<20), int64(nl+nr+(nl+nr)*13+nl); got != want {
+	// One row per outer row at most — for the node and for what reads it.
+	if nd.EstRows != nl || p.Root.EstRows != nl {
+		t.Errorf("count estimated at %d rows, its consumer at %d, want the outer side's %d", nd.EstRows, p.Root.EstRows, nl)
+	}
+	if got, want := p.EstCost(1<<20), int64(nl+nr+nl+nl); got != want {
 		t.Errorf("plan priced at %d, want %d — the product (%d rows) must not be charged", got, want, nl*nr)
 	}
-	if dot := Dot(p, nil); !strings.Contains(dot, `label="theta join #1 (count only)"`) {
-		t.Errorf("dot output does not draw the count-only unit as one cluster:\n%s", dot)
+	if dot := Dot(p, nil); !strings.Contains(dot, `thetacount lk lt rk`) {
+		t.Errorf("dot output does not draw the count-only node with its predicate:\n%s", dot)
 	}
 }
 
@@ -163,10 +196,10 @@ func TestDiscoverCountTail(t *testing.T) {
 func TestDiscoverCountTailRejects(t *testing.T) {
 	pairUnit := func(name string, root *algebra.Op) {
 		t.Helper()
-		p := Lower(root)
-		if len(p.ThetaJoins) != 1 || p.ThetaJoins[0].Count != nil {
-			t.Errorf("%s: want one pair-emitting theta join, got %d unit(s), count-only %v",
-				name, len(p.ThetaJoins), len(p.ThetaJoins) == 1 && p.ThetaJoins[0].Count != nil)
+		thetas := thetaNodes(Lower(root))
+		if len(thetas) != 1 || thetas[0].Theta.Count != nil {
+			t.Errorf("%s: want one pair-emitting theta join, got %d node(s), count-only %v",
+				name, len(thetas), len(thetas) == 1 && thetas[0].Theta.Count != nil)
 		}
 	}
 	dist, cnt := countShape(40, 40)
