@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"pathfinder/internal/pfstore"
 	"pathfinder/internal/xmark"
 )
 
@@ -240,7 +241,7 @@ func TestCLIServerSnapshot(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := buildTools(t)
-	snap := filepath.Join(t.TempDir(), "store.pfdb")
+	snap := filepath.Join(t.TempDir(), "store.pfc")
 
 	runServer := func() string {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -275,8 +276,8 @@ func TestCLIServerSnapshot(t *testing.T) {
 	}
 
 	first := runServer() // generates and writes the snapshot
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
+	if _, _, err := pfstore.Open(snap); err != nil {
+		t.Fatalf("snapshot not written as a pfstore file: %v", err)
 	}
 	second := runServer() // restores from the snapshot
 	if first != second || first != "24" {

@@ -193,9 +193,6 @@ func main() {
 			}
 			ann := fmt.Sprintf("→ %d→%d rows, %v, %s, mat %d",
 				st.RowsIn, st.RowsOut, st.Wall.Round(time.Microsecond), st.Kernel, st.RowsMat)
-			if st.Static != "" {
-				ann += fmt.Sprintf(", fast path for static %s", st.Static)
-			}
 			if st.Sink != "" {
 				ann += ", sink " + st.Sink
 			}

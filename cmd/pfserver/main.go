@@ -18,7 +18,7 @@
 //
 //	pfserver -listen :4242 -http :8042
 //	pfserver -http :8042 -gen xmark.xml=0.01     # preload an XMark instance
-//	pfserver -http :8042 -snapshot store.pfsnap  # persist/restore the store
+//	pfserver -http :8042 -snapshot store.pfc     # persist/restore the store (a pfstore file)
 //	pfserver -http :8042 -store ./collections    # persistent named collections
 package main
 
@@ -68,7 +68,7 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 		httpAddr     = fs.String("http", "", "HTTP address to listen on (empty disables)")
 		gen          = fs.String("gen", "", "preload a generated instance: uri=sf (e.g. xmark.xml=0.01)")
 		load         = fs.String("load", "", "preload a document from disk: uri=path")
-		snapshot     = fs.String("snapshot", "", "persisted store: restored when the file exists, written after preloading otherwise")
+		snapshot     = fs.String("snapshot", "", "persisted store (a pfstore .pfc file): restored when the file exists, written after preloading otherwise")
 		storeDir     = fs.String("store", "", "persistent collection catalog directory: enables named collections and the /collections endpoints")
 		maxInFlight  = fs.Int("max-inflight", 0, "admission bound on concurrently executing queries (0 = service default)")
 		maxQueue     = fs.Int("max-queue", 0, "admission queue bound; beyond it queries get 429 (0 = service default)")
@@ -82,17 +82,17 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 		return errors.New("nothing to serve: both -listen and -http are empty")
 	}
 
-	store := xenc.NewStore()
-	restored, err := restoreSnapshot(store, *snapshot, stderr)
+	store, err := restoreSnapshot(*snapshot, stderr)
 	if err != nil {
 		return err
 	}
-	if !restored {
+	if store == nil {
+		store = xenc.NewStore()
 		if err := preload(store, *gen, *load, stderr); err != nil {
 			return err
 		}
 		if *snapshot != "" {
-			if err := writeSnapshot(store, *snapshot); err != nil {
+			if err := pfstore.Save(*snapshot, store, "", 0); err != nil {
 				return fmt.Errorf("write snapshot: %w", err)
 			}
 			fmt.Fprintf(stderr, "pfserver: wrote snapshot %s\n", *snapshot)
@@ -183,40 +183,21 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 }
 
-// restoreSnapshot loads the store from path if the file exists. The file
-// is closed on every path via defer.
-func restoreSnapshot(store *xenc.Store, path string, stderr io.Writer) (bool, error) {
+// restoreSnapshot opens the pfstore file at path; it returns a nil store
+// when path is empty or names no file.
+func restoreSnapshot(path string, stderr io.Writer) (*xenc.Store, error) {
 	if path == "" {
-		return false, nil
+		return nil, nil
 	}
-	f, err := os.Open(path)
+	store, _, err := pfstore.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	if err := store.ReadSnapshot(f); err != nil {
-		return false, fmt.Errorf("restore snapshot: %w", err)
+		return nil, fmt.Errorf("restore snapshot %s: %w", path, err)
 	}
 	fmt.Fprintf(stderr, "pfserver: restored store from %s (%d fragments)\n", path, store.FragCount())
-	return true, nil
-}
-
-// writeSnapshot persists the store; the close error surfaces (a snapshot
-// that didn't reach disk is not a snapshot).
-func writeSnapshot(store *xenc.Store, path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return store.WriteSnapshot(f)
+	return store, nil
 }
 
 // preload applies -gen and -load to a fresh store.

@@ -11,6 +11,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"pathfinder/internal/pfstore"
+	"pathfinder/internal/xenc"
 )
 
 // syncBuffer is a race-safe stderr sink: run writes from its goroutine
@@ -111,10 +114,10 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip covers the snapshot file handling: written on
-// first boot after preloading, restored on the second boot, and the
-// restored store answers queries identically.
+// first boot after preloading as a pfstore file, restored on the second
+// boot, and the restored store answers queries identically.
 func TestSnapshotRoundTrip(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "store.pfsnap")
+	snap := filepath.Join(t.TempDir(), "store.pfc")
 	query := `count(doc("xmark.xml")/site/regions/*/item)`
 
 	httpAddr, sigs, done, _ := startServer(t,
@@ -128,9 +131,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	fi, err := os.Stat(snap)
-	if err != nil || fi.Size() == 0 {
-		t.Fatalf("snapshot not written: %v", err)
+	img, err := os.ReadFile(snap)
+	if err != nil || !bytes.HasPrefix(img, []byte("PFSTORE1")) {
+		t.Fatalf("snapshot not written as a pfstore file: %v", err)
+	}
+	if _, _, err := pfstore.OpenBytes(img); err != nil {
+		t.Fatalf("pfstore refuses the snapshot: %v", err)
 	}
 
 	httpAddr, sigs, done, stderr := startServer(t,
@@ -145,6 +151,48 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	sigs <- syscall.SIGTERM
 	if err := <-done; err != nil {
 		t.Fatalf("second run: %v", err)
+	}
+}
+
+// TestDamagedSnapshotFailsBoot: a -snapshot file that is not a whole
+// pfstore file — cut short by a crash, empty, or from before the store
+// had one on-disk format — makes run return an error naming the path,
+// and the file is left as it was, never preloaded over.
+func TestDamagedSnapshotFailsBoot(t *testing.T) {
+	dir := t.TempDir()
+	store := xenc.NewStore()
+	if _, err := store.LoadDocumentString("a.xml", `<a><b x="1">t</b></a>`); err != nil {
+		t.Fatal(err)
+	}
+	whole := filepath.Join(dir, "whole.pfc")
+	if err := pfstore.Save(whole, store, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{
+		"half.pfc":  img[:len(img)/2],
+		"empty.pfc": {},
+		// The head of a file the gob snapshot format wrote.
+		"gob.pfsnap": []byte("5\x7f\x03\x01\x01\bsnapshot\x01\xff\x80\x00\x01\x03\x01\x05Frags\x01\xff\x86\x00"),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// A run that went on to serve would stop at this signal and
+		// return nil.
+		sigs := make(chan os.Signal, 1)
+		sigs <- syscall.SIGTERM
+		err := run([]string{"-listen", "127.0.0.1:0", "-gen", "xmark.xml=0.002", "-snapshot", path}, io.Discard, sigs)
+		if err == nil || !strings.Contains(err.Error(), "restore snapshot "+path) {
+			t.Errorf("%s: run returned %v, want a restore error naming the path", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, content) {
+			t.Errorf("%s: the file changed under a failed boot (%v)", name, err)
+		}
 	}
 }
 

@@ -42,9 +42,6 @@ type physOut struct {
 	// kernel, so an untraced kernel builds no name.
 	tag string
 	mat int
-	// fast marks a δ or aggr kernel that took its sorted-run path after
-	// seeing the input's order.
-	fast bool
 }
 
 // name is the kernel that ran, as the trace reports it.
@@ -132,9 +129,6 @@ func (e *Engine) runNode(ctx context.Context, nd *physical.Node, in []*bat.View,
 		//pfvet:allow determinism -- trace wall-time only, not query results
 		Wall: time.Since(start), RowsIn: viewRowsIn(in),
 		RowsOut: view.Rows(), Kernel: out.name(), RowsMat: out.mat,
-	}
-	if out.fast {
-		st.Static = nd.Kernel
 	}
 	if nd.Op.Kind == algebra.OpElem {
 		st.Sink = "fragment"
@@ -256,7 +250,7 @@ func (e *Engine) execKernel(ctx context.Context, nd *physical.Node, in []*bat.Vi
 		if err != nil {
 			return physOut{}, err
 		}
-		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, tag: tag, mat: m, fast: tag == ":int:runs"}, nil
+		return physOut{view: bat.ViewOf(out), kernel: nd.Kernel, tag: tag, mat: m}, nil
 	case algebra.OpStep:
 		t, m := matCount(in[0])
 		out, err := e.evalStep(ctx, t, o.Axis, o.Test)
@@ -477,10 +471,10 @@ func physDistinct(ctx context.Context, v *bat.View) (physOut, error) {
 	if ints := allIntVecs(vecs); ints != nil {
 		if sel, strict, ok := sortedDistinct(ints, v.Rows(), v.Sel()); ok {
 			if strict {
-				return physOut{view: *v, pass: v, kernel: "distinct[sorted]", fast: true}, nil
+				return physOut{view: *v, pass: v, kernel: "distinct[sorted]"}, nil
 			}
 			out := base.Gather(sel)
-			return physOut{view: bat.ViewOf(out), kernel: "distinct[sorted]", mat: out.Rows(), fast: true}, nil
+			return physOut{view: bat.ViewOf(out), kernel: "distinct[sorted]", mat: out.Rows()}, nil
 		}
 	}
 	sel, kernel, err := distinctIndices(ctx, vecs, v.Rows(), v.Sel())

@@ -26,13 +26,6 @@ type OpStat struct {
 	// benchmark-only change of ROADMAP item 1 deletes the field with it.
 	Morsels int
 
-	// Static is the kernel physical.Lower chose for the node, set only
-	// when Kernel is a fast path the executor took instead after seeing
-	// the input's order or density (rownum[sort] served by
-	// rownum[count-sort], hash-join by hash-join[int:dense], …) — each
-	// one a case the plan-time properties did not know about.
-	Static string
-
 	// Sink is where an ε put its trees: "stream" when only the
 	// serializer reads them (physical.Node.Stream) and they become bytes
 	// on demand, "fragment" when they were built; "" for other kernels.

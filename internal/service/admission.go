@@ -23,7 +23,7 @@ var ErrOverloaded = errors.New("service overloaded: admission queue full")
 //     them as heavy run at once, so one XMark q11 per slot cannot occupy
 //     every in-flight slot while a thousand point lookups wait;
 //   - cost gate: the summed EstRows-derived cost of running queries stays
-//     under CostBudget — the memory-estimate gate. A query costlier than
+//     under costBudget — the memory-estimate gate. A query costlier than
 //     the whole budget is still admitted when the engine is otherwise
 //     idle, so an oversized plan runs alone instead of starving
 //     forever.

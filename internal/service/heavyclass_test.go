@@ -17,8 +17,8 @@ import (
 // in how a mixed workload queues.
 func TestXMarkAdmissionClasses(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.UnknownRows != 16384 || cfg.HeavyCost != 1<<20 {
-		t.Fatalf("service defaults moved: UnknownRows %d, HeavyCost %d", cfg.UnknownRows, cfg.HeavyCost)
+	if unknownRows != 16384 || cfg.HeavyCost != 1<<20 {
+		t.Fatalf("service defaults moved: unknownRows %d, HeavyCost %d", unknownRows, cfg.HeavyCost)
 	}
 	var heavy []int
 	for n := 1; n <= 20; n++ {
@@ -26,7 +26,7 @@ func TestXMarkAdmissionClasses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%02d: %v", n, err)
 		}
-		cost := physical.Lower(plan).EstCost(cfg.UnknownRows)
+		cost := physical.Lower(plan).EstCost(unknownRows)
 		t.Logf("q%02d costs %d", n, cost)
 		if cost >= cfg.HeavyCost {
 			heavy = append(heavy, n)

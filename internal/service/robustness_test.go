@@ -254,7 +254,7 @@ func TestLightsBypassQueuedHeavies(t *testing.T) {
 		MaxHeavy:    1,
 		MaxQueue:    8,
 		// Between the measured costs: the cross product (~426K units at
-		// default UnknownRows) classifies heavy, the point lookup (~246K)
+		// unknownRows) classifies heavy, the point lookup (~246K)
 		// light.
 		HeavyCost: 300_000,
 	})

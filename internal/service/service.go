@@ -54,27 +54,30 @@ type Config struct {
 	// MaxQueue bounds queries waiting for admission; beyond it requests
 	// are rejected with ErrOverloaded (HTTP 429). 0 = 8*MaxInFlight.
 	MaxQueue int
-	// CostBudget is the admission memory gate: the summed EstCost of
-	// running queries stays under it (one query may exceed it alone).
-	// 0 = 4Mi cost units.
-	CostBudget int64
 	// HeavyCost classifies plans: estimated cost at or above it makes a
-	// query heavy-class. 0 = CostBudget/4, calibrated so the XMark point
-	// lookups (~600K cost units at default UnknownRows) stay light while
-	// the join queries (q8–q10: 1.8M–4M) classify heavy.
+	// query heavy-class. 0 = costBudget/4, calibrated so the XMark point
+	// lookups (~600K cost units at unknownRows) stay light while the join
+	// queries (q8–q10: 1.8M–4M) classify heavy.
 	HeavyCost int64
-	// UnknownRows is the cost charged per unknown-cardinality operator
-	// when pricing a plan (physical.Plan.EstCost). 0 = 16384.
-	UnknownRows int64
 
 	// MaxPrepared bounds the prepared-plan cache (query texts and MIL
 	// programs alike); when full, it is flushed. 0 = 256.
 	MaxPrepared int
-	// DefaultTimeout bounds queries that do not request a timeout;
-	// MaxTimeout caps what they may request. 0 = 30s / 2m.
+	// DefaultTimeout bounds queries that do not request a timeout; they
+	// may request up to maxTimeout. 0 = 30s.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 }
+
+const (
+	// costBudget is the admission memory gate: the summed EstCost of
+	// running queries stays under it (one query may exceed it alone).
+	costBudget = 4 << 20
+	// unknownRows is the cost charged per unknown-cardinality operator
+	// when pricing a plan (physical.Plan.EstCost).
+	unknownRows = 16384
+	// maxTimeout caps the timeout a request may ask for.
+	maxTimeout = 2 * time.Minute
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -89,23 +92,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 8 * c.MaxInFlight
 	}
-	if c.CostBudget <= 0 {
-		c.CostBudget = 4 << 20
-	}
 	if c.HeavyCost <= 0 {
-		c.HeavyCost = c.CostBudget / 4
-	}
-	if c.UnknownRows <= 0 {
-		c.UnknownRows = 16384
+		c.HeavyCost = costBudget / 4
 	}
 	if c.MaxPrepared <= 0 {
 		c.MaxPrepared = 256
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
 	}
 	return c
 }
@@ -156,7 +150,7 @@ type Request struct {
 	MIL        bool          // Query is a MIL program (the TCP MIL command): parsed, not compiled
 	Collection string        // named catalog collection to evaluate against ("" = the default store)
 	ContextDoc string        // document bound to absolute paths ("" = require fn:doc)
-	Timeout    time.Duration // 0 = Config.DefaultTimeout; capped at MaxTimeout
+	Timeout    time.Duration // 0 = Config.DefaultTimeout; capped at maxTimeout
 	Explain    bool          // collect per-kernel counts (traced evaluation)
 	Session    *Session      // accounting session; nil = anonymous
 }
@@ -265,7 +259,7 @@ func New(store *xenc.Store, cfg Config) *Service {
 		cfg:      cfg,
 		eng:      engine.NewWithConfig(store, cfg.Engine),
 		cat:      cfg.Catalog,
-		adm:      newAdmitter(cfg.MaxInFlight, cfg.MaxHeavy, cfg.MaxQueue, cfg.CostBudget),
+		adm:      newAdmitter(cfg.MaxInFlight, cfg.MaxHeavy, cfg.MaxQueue, costBudget),
 		prepared: map[planKey]*prepared{},
 		sessions: map[int64]*Session{},
 	}
@@ -421,7 +415,7 @@ func (s *Service) prepare(req Request, generation uint64) (*prepared, bool, erro
 			return
 		}
 		p.plan = lowered
-		p.cost = lowered.EstCost(s.cfg.UnknownRows)
+		p.cost = lowered.EstCost(unknownRows)
 		p.heavy = p.cost >= s.cfg.HeavyCost
 	})
 	if p.err != nil {
@@ -498,8 +492,8 @@ func (s *Service) run(ctx context.Context, view *engine.Engine, p *prepared, cac
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
+	if timeout > maxTimeout {
+		timeout = maxTimeout
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

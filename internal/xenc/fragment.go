@@ -68,9 +68,10 @@ type Fragment struct {
 	emit Emitter
 }
 
-// persisted is what a snapshot writes for f: f itself, or for a streamed
-// fragment an empty one in its place, so that no snapshot holds an
-// emitter and the ids after it keep their numbers.
+// persisted is what Parts hands out for f, and so what a pfstore file
+// holds: f itself, or for a streamed fragment an empty one in its place,
+// so that no file holds an emitter and the ids after it keep their
+// numbers.
 func (f *Fragment) persisted() *Fragment {
 	if f.emit != nil {
 		return &Fragment{}

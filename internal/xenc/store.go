@@ -1,7 +1,6 @@
 package xenc
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -76,8 +75,8 @@ type scratchStore struct {
 // go through to s; fragments the view's constructors finish and strings
 // they intern land in private tails numbered from PrivateBase, which are
 // dropped with the view. s itself never grows through it: document loads
-// and replacements delegate to s, and the persistence entry points
-// (WriteSnapshot, Parts) write s's content only.
+// and replacements delegate to s, and the persistence entry point
+// (Parts, which pfstore.Save writes) hands out s's content only.
 //
 // Within the view one string has one surrogate per pool as seen by every
 // node the view reaches: interning consults s first and keeps a string
@@ -363,103 +362,13 @@ func (s *Store) AttrValueOf(n bat.NodeRef, name string) (string, bool) {
 	return "", false
 }
 
-// Persistence ------------------------------------------------------------------
-
-// snapshot is the gob-encoded on-disk form of a store — the moral
-// equivalent of MonetDB's persisted BATs: load once, shred never again.
-type snapshot struct {
-	Frags []fragSnapshot
-	Docs  map[string]int32
-	Pools [4][]string // tags, attrNames, texts, attrVals
-}
-
-type fragSnapshot struct {
-	Name      string
-	Size      []int32
-	Level     []int32
-	Kind      []NodeKind
-	Prop      []int32
-	Parent    []int32
-	AttrOwner []int32
-	AttrName  []int32
-	AttrVal   []int32
-}
-
-// WriteSnapshot serializes the whole store (fragments, document registry,
-// surrogate pools). A scratch view writes its base: private content is
-// never persisted.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	if s.base != nil {
-		return s.base.WriteSnapshot(w)
-	}
-	snap := snapshot{
-		Pools: [4][]string{s.tags.snapshot(), s.attrNames.snapshot(), s.texts.snapshot(), s.attrVals.snapshot()},
-	}
-	s.mu.RLock()
-	snap.Docs = make(map[string]int32, len(s.docs))
-	for u, id := range s.docs {
-		snap.Docs[u] = id
-	}
-	frags := s.frags.view() // under mu: the registry as of the docs table just copied
-	s.mu.RUnlock()
-	for _, f := range frags {
-		f = f.persisted()
-		snap.Frags = append(snap.Frags, fragSnapshot{
-			Name: f.Name, Size: f.Size, Level: f.Level, Kind: f.Kind,
-			Prop: f.Prop, Parent: f.Parent,
-			AttrOwner: f.AttrOwner, AttrName: f.AttrName, AttrVal: f.AttrVal,
-		})
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// ReadSnapshot restores a store previously written with WriteSnapshot.
-// The receiving store must be empty.
-func (s *Store) ReadSnapshot(r io.Reader) error {
-	if s.base != nil {
-		return fmt.Errorf("ReadSnapshot: store is a scratch view")
-	}
-	if s.frags.len() != 0 || len(s.docs) != 0 {
-		return fmt.Errorf("ReadSnapshot: store is not empty")
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("ReadSnapshot: %w", err)
-	}
-	restorePool := func(p *pool, strs []string) {
-		for _, str := range strs {
-			p.Put(str)
-		}
-	}
-	restorePool(s.tags, snap.Pools[0])
-	restorePool(s.attrNames, snap.Pools[1])
-	restorePool(s.texts, snap.Pools[2])
-	restorePool(s.attrVals, snap.Pools[3])
-	for _, fs := range snap.Frags {
-		f := &Fragment{
-			Name: fs.Name, Size: fs.Size, Level: fs.Level, Kind: fs.Kind,
-			Prop: fs.Prop, Parent: fs.Parent,
-			AttrOwner: fs.AttrOwner, AttrName: fs.AttrName, AttrVal: fs.AttrVal,
-		}
-		f.sealAttrs()
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("ReadSnapshot: fragment %q: %w", fs.Name, err)
-		}
-		s.addFrag(f)
-	}
-	if snap.Docs != nil {
-		s.docs = snap.Docs
-	}
-	return nil
-}
-
 // Columnar exchange (internal/pfstore) ----------------------------------------
 
 // Parts is the raw columnar content of a store: the fragments with their
 // fixed-width columns, the document registry, and the four string pools in
-// surrogate order. It is the exchange format between the in-memory store
-// and the persistent columnar layer (internal/pfstore), which lays the
-// same arrays out as file sections.
+// surrogate order. It is the store's one persistence entry point: the
+// persistent columnar layer (internal/pfstore), the only on-disk format,
+// lays the same arrays out as file sections.
 type Parts struct {
 	Frags []*Fragment
 	Docs  map[string]int32

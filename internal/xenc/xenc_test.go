@@ -581,60 +581,6 @@ func TestWhitespaceOnlyTextDropped(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	s, doc := loadTiny(t)
-	// Add a constructed fragment so both kinds persist.
-	fb := NewFragBuilder(s)
-	fb.StartElem("made")
-	fb.AddText("content")
-	fb.EndElem()
-	frag, err := fb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf strings.Builder
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if err := restored.ReadSnapshot(strings.NewReader(buf.String())); err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Doc("tiny.xml")
-	if err != nil || got != doc {
-		t.Fatalf("doc registry: %v %v", got, err)
-	}
-	if restored.Serialize(doc) != tinyDoc {
-		t.Errorf("restored serialization = %q", restored.Serialize(doc))
-	}
-	if restored.Serialize(bat.NodeRef{Frag: frag, Pre: 0}) != "<made>content</made>" {
-		t.Error("constructed fragment lost")
-	}
-	// Surrogates still resolve identically.
-	if restored.TagID("site") != s.TagID("site") {
-		t.Error("tag surrogates diverged")
-	}
-	if restored.Report().Total() != s.Report().Total() {
-		t.Error("storage accounting diverged")
-	}
-}
-
-func TestSnapshotIntoNonEmptyStoreFails(t *testing.T) {
-	s, _ := loadTiny(t)
-	var buf strings.Builder
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReadSnapshot(strings.NewReader(buf.String())); err == nil {
-		t.Error("reading into a non-empty store must fail")
-	}
-	fresh := NewStore()
-	if err := fresh.ReadSnapshot(strings.NewReader("garbage")); err == nil {
-		t.Error("corrupt snapshot must fail")
-	}
-}
-
 func TestPoolLookupMiss(t *testing.T) {
 	s, _ := loadTiny(t)
 	if s.TagID("nonexistent") != -1 {
@@ -694,6 +640,18 @@ func TestNewStoreFromPartsKeepsSealedFragments(t *testing.T) {
 		wlo, whi := src.Attrs(p)
 		if glo != wlo || ghi != whi {
 			t.Fatalf("node %d attr range = [%d,%d), want [%d,%d)", p, glo, ghi, wlo, whi)
+		}
+	}
+
+	// A document entry must name an adopted fragment: -1 and the fragment
+	// count are refused, with no fragment at all as with one.
+	for _, c := range []struct {
+		frags []*Fragment
+		id    int32
+	}{{[]*Fragment{bare}, -1}, {[]*Fragment{bare}, 1}, {nil, 0}, {nil, 7}} {
+		_, err := NewStoreFromParts(Parts{Frags: c.frags, Docs: map[string]int32{"x.xml": c.id}, Pools: parts.Pools})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%d fragments, x.xml → %d: err %v, want out of range", len(c.frags), c.id, err)
 		}
 	}
 }

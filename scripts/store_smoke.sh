@@ -3,7 +3,9 @@
 # through one pfserver process, restart the server over the same catalog
 # directory, and assert the second process — which never saw the source
 # XML — answers collection-bound queries through both front doors. This
-# is the reopen-without-re-shredding contract, end to end.
+# is the reopen-without-re-shredding contract, end to end. A last leg
+# does the same for -snapshot: the default store is saved as one pfstore
+# file and restored from it.
 set -eu
 
 workdir=$(mktemp -d)
@@ -21,9 +23,11 @@ go build -o "$workdir/pfserver" ./cmd/pfserver
 go build -o "$workdir/pfshell" ./cmd/pfshell
 mkdir -p "$catdir"
 
+# start_server [pfserver flags]: defaults to the catalog directory.
 start_server() {
     : >"$log"
-    "$workdir/pfserver" -listen 127.0.0.1:0 -http 127.0.0.1:0 -store "$catdir" 2>"$log" &
+    [ $# -gt 0 ] || set -- -store "$catdir"
+    "$workdir/pfserver" -listen 127.0.0.1:0 -http 127.0.0.1:0 "$@" 2>"$log" &
     srv_pid=$!
     i=0
     while [ $i -lt 100 ]; do
@@ -73,6 +77,25 @@ curl -fsS -X DELETE "http://$http_addr/collections/smoke" >/dev/null
 if ls "$catdir"/smoke.pfc >/dev/null 2>&1; then
     echo "smoke.pfc survived DELETE"; exit 1
 fi
+stop_server
+
+# -snapshot: the first life shreds a generated document and saves the
+# store as a pfstore file; the second restores it without the -gen.
+snap="$workdir/s.pfc"
+query='count(doc("xmark.xml")//closed_auction)'
+start_server -gen xmark.xml=0.002 -snapshot "$snap"
+want=$(curl -fsS -X POST --data-binary "$query" "http://$http_addr/query/text")
+[ "$want" = "24" ] || { echo "fresh store answered $want, want 24"; exit 1; }
+stop_server
+
+magic=$(head -c 8 "$snap")
+[ "$magic" = "PFSTORE1" ] || { echo "snapshot starts with '$magic', want PFSTORE1"; exit 1; }
+
+start_server -snapshot "$snap"
+grep -q "restored store from $snap" "$log" || {
+    echo "restarted server did not restore the snapshot:"; cat "$log"; exit 1; }
+out=$(curl -fsS -X POST --data-binary "$query" "http://$http_addr/query/text")
+[ "$out" = "$want" ] || { echo "restored snapshot answered $out, want $want"; exit 1; }
 stop_server
 
 echo "store smoke OK"
